@@ -575,6 +575,7 @@ _KERNEL_MODULES = (
     "walks/vectorized.py",
     "sampling/alias.py",
     "walks/kernels/",
+    "embedding/kernels.py",
     "sharding/worker.py",
     "sharding/engine.py",
 )

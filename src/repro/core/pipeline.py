@@ -88,7 +88,13 @@ class TrainResult:
     #: Sampler counter snapshot from :meth:`VectorizedWalkEngine.stats`,
     #: taken once at the end of walk generation: ``samples``,
     #: ``proposals``, ``accepts``, ``initializations``, ``init_seconds``,
-    #: ``acceptance_ratio`` and ``setup_seconds`` (all numbers).
+    #: ``acceptance_ratio``, ``setup_seconds``, the walk ``backend`` and
+    #: its ``compile_seconds``. A run that learned adds, next to those,
+    #: ``learn_kernel`` (:attr:`Word2Vec.kernel`: ``"cnative"`` or
+    #: ``"numpy"``) and ``learn_compile_seconds`` (the kernel's one-off
+    #: compile/load cost, which is *inside* Tl and Tt: nothing is
+    #: subtracted), so two runs on different kernels are never compared
+    #: silently.
     sampler_stats: dict[str, float] = field(default_factory=dict)
     sampler_memory_bytes: int = 0
     #: ``num_walks`` / ``token_count`` of the corpus — populated in both
@@ -125,6 +131,17 @@ class TrainResult:
     def tt(self) -> float:
         """Total seconds."""
         return self.timings.get("total", self.ti + self.tw + self.tl)
+
+
+def _with_learn_kernel(stats: dict, trainer) -> dict:
+    """Engine stats plus which learn kernel trained (walk-only: unchanged)."""
+    if trainer is None:
+        return stats
+    return {
+        **stats,
+        "learn_kernel": trainer.kernel,
+        "learn_compile_seconds": trainer.compile_seconds,
+    }
 
 
 def _shard_model_spec(model):
@@ -505,7 +522,7 @@ def train_streaming_pipeline(
         embeddings=embeddings,
         corpus=None,
         timings=timings,
-        sampler_stats=stats,
+        sampler_stats=_with_learn_kernel(stats, trainer),
         sampler_memory_bytes=engine.memory_bytes(),
         corpus_summary=dict(summary),
         peak_corpus_bytes=residency.peak,
@@ -603,7 +620,7 @@ def train_pipeline(
         embeddings=embeddings,
         corpus=walked.corpus,
         timings=timings,
-        sampler_stats=walked.stats,
+        sampler_stats=_with_learn_kernel(walked.stats, trainer),
         sampler_memory_bytes=walked.memory_bytes,
         corpus_summary={
             "num_walks": walked.corpus.num_walks,

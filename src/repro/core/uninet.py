@@ -143,6 +143,7 @@ class UniNet:
         #: stats, memory bytes — engine and corpus stripped) of the most
         #: recent :meth:`generate_walks` call; None before the first call.
         self.last_walk: WalkResult | None = None
+        self._last_stats: dict | None = None
         #: :class:`~repro.embedding.keyed_vectors.KeyedVectors` of the
         #: most recent :meth:`train` call (what :meth:`serve` serves by
         #: default); None before the first call.
@@ -196,12 +197,16 @@ class UniNet:
         # keep only the small observables: the engine's chains/tables and
         # the corpus itself must not stay pinned after the caller is done
         self.last_walk = dataclasses.replace(result, engine=None, corpus=None)
+        self._last_stats = result.stats
         return result.corpus
 
     @property
     def last_stats(self) -> dict | None:
-        """Sampler stats of the most recent :meth:`generate_walks` call."""
-        return None if self.last_walk is None else self.last_walk.stats
+        """Engine stats of the most recent :meth:`generate_walks` or
+        :meth:`train` call: sampler counters and the walk ``backend``,
+        and after a train also ``learn_kernel`` /
+        ``learn_compile_seconds``."""
+        return self._last_stats
 
     def train(
         self,
@@ -282,6 +287,7 @@ class UniNet:
             sharding=sharding,
         )
         self.last_embeddings = result.embeddings
+        self._last_stats = result.sampler_stats
         self._trainer = result.trainer
         self._embeddings_epoch = self._graph_epoch
         self._affected = None

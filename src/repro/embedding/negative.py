@@ -4,6 +4,11 @@ word2vec draws negatives proportional to ``count(token) ** 0.75``. Rather
 than the original 100M-slot table, this implementation samples by inverse
 CDF (binary search over the cumulative smoothed counts) — exact, O(log V)
 per draw and fully vectorized.
+
+The map from a uniform to an index has one definition,
+:meth:`NegativeSampler.indices`; the trainer draws the uniforms itself
+(so every draw stays in its per-block generator) and the compiled learn
+kernel's search is tested equal to it for every ``u``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ class NegativeSampler:
             raise TrainingError("all counts are zero")
         self._cdf = np.cumsum(smoothed / total)
         self._cdf[-1] = 1.0  # guard against rounding
+        self._cdf.flags.writeable = False
         self.power = power
 
     @property
@@ -43,9 +49,23 @@ class NegativeSampler:
         """Vocabulary size."""
         return self._cdf.size
 
+    @property
+    def cdf(self) -> np.ndarray:
+        """Cumulative distribution (read-only float64, last entry 1.0)."""
+        return self._cdf
+
     def probabilities(self) -> np.ndarray:
         """The exact sampling distribution."""
         return np.diff(self._cdf, prepend=0.0)
+
+    def indices(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF: the int64 index each uniform in [0, 1) selects.
+
+        ``u`` lands on the first index whose cumulative mass exceeds it,
+        so a zero-count token (a flat run of the CDF) is never selected
+        and ``u`` equal to a CDF entry belongs to the next token.
+        """
+        return np.searchsorted(self._cdf, u, side="right")
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw indices with the given shape.
@@ -53,5 +73,4 @@ class NegativeSampler:
         Accidental collisions with positive examples are not filtered,
         matching the original word2vec's behaviour.
         """
-        r = rng.random(shape)
-        return np.searchsorted(self._cdf, r, side="right").astype(np.int64)
+        return self.indices(rng.random(shape))

@@ -1,4 +1,4 @@
-"""Mini-batched word2vec (SGNS and CBOW) on numpy.
+"""Mini-batched word2vec (SGNS and CBOW): NumPy reference, compiled batch kernel.
 
 This is the learning phase of the paper's pipeline: the walk corpus is a
 set of sentences over node ids, and embeddings come from skip-gram (or
@@ -10,10 +10,17 @@ learning rate — the standard Mikolov recipe, vectorized:
   ``(window - d + 1) / window``, the marginal of drawing a window size
   uniformly in [1, window]. Pair generation is then a handful of shifted
   comparisons over the padded walk matrix.
-* **Scatter updates** (many pairs touch the same row) are applied with a
-  sort + ``reduceat`` segment sum rather than ``np.add.at``, which makes
-  batched SGD practical in pure numpy.
-* **Negatives** come from the unigram^0.75 distribution via inverse CDF.
+* **Scatter updates** (many pairs touch the same row) are segment-summed
+  per unique row through a sparse one-hot product rather than
+  ``np.add.at``, which makes batched SGD practical in pure numpy.
+* **Negatives** come from the unigram^0.75 distribution via inverse CDF
+  and are an *input* of the batch update: the trainer draws the uniforms,
+  the update only consumes them.
+* **The batch update itself** is :func:`sgns_batch` / :func:`cbow_batch`
+  below, or — whenever this host has a C compiler — the one fused C
+  routine of :mod:`repro.embedding.kernels` that performs the same
+  update. Nothing selects between them but what the host can build;
+  :attr:`Word2Vec.kernel` says which one trained.
 
 The trainer follows word2vec conventions: input vectors initialised
 uniformly in ±0.5/dim, output vectors at zero, sigmoid arguments clipped
@@ -43,6 +50,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import TrainingError
+from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel
 from repro.embedding.keyed_vectors import KeyedVectors
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.vocab import Vocabulary
@@ -58,9 +66,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def scatter_add_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray, *, clip: float | None = None) -> None:
     """``matrix[rows] += updates`` with duplicate rows accumulated.
 
-    Sorts the batch by row id and applies one segment-summed add — an
-    order of magnitude faster than ``np.add.at`` for the wide rows used
-    here.
+    Segment-sums the batch per unique row (in :data:`ACCUM_DTYPE`,
+    whatever dtype ``updates`` arrives in) and applies one add per row —
+    an order of magnitude faster than ``np.add.at`` for the wide rows
+    used here.
 
     Summing preserves sequential SGD's per-pair learning-rate semantics,
     but a mini-batch evaluates every pair at *stale* vectors: when many
@@ -71,13 +80,14 @@ def scatter_add_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray, 
     """
     if rows.size == 0:
         return
+    updates = np.asarray(updates, dtype=ACCUM_DTYPE)
     # Deduplicate through a sparse one-hot product: summed[u] = Σ updates
     # of the pairs hitting unique row u. scipy's CSR matmul does this in
     # optimised C, ~30x faster than sort+reduceat or np.add.at here.
     unique, inverse = np.unique(rows, return_inverse=True)
     onehot = sparse.csr_matrix(
         (
-            np.ones(rows.size, dtype=updates.dtype),
+            np.ones(rows.size, dtype=ACCUM_DTYPE),
             inverse,
             np.arange(rows.size + 1),
         ),
@@ -88,6 +98,111 @@ def scatter_add_rows(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray, 
         norms = np.linalg.norm(summed, axis=1, keepdims=True)
         summed *= np.minimum(1.0, clip / np.maximum(norms, 1e-12))
     matrix[unique] += summed.astype(matrix.dtype, copy=False)
+
+
+def _step(grad: np.ndarray, lr: float) -> np.ndarray:
+    """``-lr * grad``: a float32 gradient becomes an ACCUM_DTYPE step."""
+    return np.multiply(grad, -lr, dtype=ACCUM_DTYPE)
+
+
+def _mean_loss(s_pos: np.ndarray, s_neg: np.ndarray, scale: float = 1.0) -> float:
+    eps = 1e-10
+    return float(
+        -np.log(s_pos + eps).mean() - scale * np.log(1.0 - s_neg + eps).sum(axis=1).mean()
+    )
+
+
+# The three functions below are the reference definition of a mini-batch
+# update: pure functions of the weights, the index arrays, the negatives
+# and the learning rate, updating ``w_in`` / ``w_out`` in place and
+# returning the batch's mean loss. All gradients are evaluated at the
+# pre-batch weights, in float32; steps are summed per row and clipped by
+# :func:`scatter_add_rows`. An empty batch changes nothing and has no
+# loss (``nan``).
+def sgns_batch(w_in, w_out, c, o, neg, lr: float, max_row_step: float | None) -> float:
+    """Skip-gram update: ``w_in[c[k]]`` against ``w_out[o[k]]`` (positive)
+    and ``w_out[neg[k, :]]`` (negatives)."""
+    if c.size == 0:
+        return float("nan")
+    h = w_in[c]
+    v_pos = w_out[o]
+    s_pos = _sigmoid(np.einsum("kd,kd->k", h, v_pos))
+    g_pos = s_pos - 1.0
+    v_neg = w_out[neg]
+    s_neg = _sigmoid(np.einsum("kd,knd->kn", h, v_neg))
+
+    grad_h = g_pos[:, None] * v_pos + np.einsum("kn,knd->kd", s_neg, v_neg)
+    grad_out_pos = g_pos[:, None] * h
+    grad_out_neg = (s_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1])
+
+    scatter_add_rows(w_in, c, _step(grad_h, lr), clip=max_row_step)
+    out_rows = np.concatenate([o, neg.ravel()])
+    out_grads = np.concatenate([grad_out_pos, grad_out_neg])
+    scatter_add_rows(w_out, out_rows, _step(out_grads, lr), clip=max_row_step)
+    return _mean_loss(s_pos, s_neg)
+
+
+def sgns_batch_shared(w_in, w_out, c, o, neg, negative: int, lr: float, max_row_step: float | None) -> float:
+    """SGNS with batch-shared negatives.
+
+    One pool ``neg`` of S negatives serves the whole batch and every
+    pair's loss uses all of them scaled by ``negative / S`` — same
+    gradient in expectation, but all the 3-D per-pair tensors collapse
+    into two BLAS matmuls. Used for large corpora (``negative_sharing``).
+    """
+    scale = negative / neg.size
+    h = w_in[c]
+    v_pos = w_out[o]
+    s_pos = _sigmoid(np.einsum("kd,kd->k", h, v_pos))
+    g_pos = s_pos - 1.0
+    v_neg = w_out[neg]  # (S, d)
+    s_neg = _sigmoid(h @ v_neg.T)  # (k, S)
+
+    grad_h = g_pos[:, None] * v_pos + scale * (s_neg @ v_neg)
+    grad_out_pos = g_pos[:, None] * h
+    grad_out_neg = scale * (s_neg.T @ h)  # (S, d)
+
+    scatter_add_rows(w_in, c, _step(grad_h, lr), clip=max_row_step)
+    scatter_add_rows(w_out, o, _step(grad_out_pos, lr), clip=max_row_step)
+    scatter_add_rows(w_out, neg, _step(grad_out_neg, lr), clip=max_row_step)
+    return _mean_loss(s_pos, s_neg, scale)
+
+
+def cbow_batch(w_in, w_out, ctx, sizes, group_center, neg, lr: float, max_row_step: float | None) -> float:
+    """CBOW update: group ``g`` owns ``sizes[g]`` consecutive entries of
+    ``ctx``; the mean of their input vectors predicts
+    ``w_out[group_center[g]]`` against ``w_out[neg[g, :]]``."""
+    g = group_center.size
+    if g == 0:
+        return float("nan")
+    seg_ids = np.repeat(np.arange(g), sizes)
+    counts = sizes.astype(np.float64)
+    # h[g] = mean of the group's context input vectors, via a sparse
+    # averaging matrix (rows = pairs, cols = groups)
+    weights_mean = (1.0 / counts[seg_ids]).astype(np.float32)
+    averager = sparse.csr_matrix(
+        (weights_mean, seg_ids, np.arange(ctx.size + 1)),
+        shape=(ctx.size, g),
+    )
+    h = averager.T @ w_in[ctx]
+
+    v_pos = w_out[group_center]
+    s_pos = _sigmoid(np.einsum("gd,gd->g", h, v_pos))
+    g_pos = s_pos - 1.0
+    v_neg = w_out[neg]
+    s_neg = _sigmoid(np.einsum("gd,gnd->gn", h, v_neg))
+
+    grad_h = g_pos[:, None] * v_pos + np.einsum("gn,gnd->gd", s_neg, v_neg)
+    grad_out_pos = g_pos[:, None] * h
+    grad_out_neg = (s_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1])
+
+    # each context word receives the group's mean gradient (cbow_mean)
+    ctx_grad = (grad_h.astype(ACCUM_DTYPE) / counts[:, None])[seg_ids]
+    scatter_add_rows(w_in, ctx, _step(ctx_grad, lr), clip=max_row_step)
+    out_rows = np.concatenate([group_center, neg.ravel()])
+    out_grads = np.concatenate([grad_out_pos, grad_out_neg])
+    scatter_add_rows(w_out, out_rows, _step(out_grads, lr), clip=max_row_step)
+    return _mean_loss(s_pos, s_neg)
 
 
 class Word2Vec:
@@ -174,7 +289,23 @@ class Word2Vec:
         self.seed = seed
         #: per-batch mean loss recorded by the last :meth:`fit` call
         self.training_loss_: list[float] = []
+        # batch-shared negatives are two BLAS matmuls already and stay on
+        # their numpy formulation; everything else takes the C kernel
+        # whenever this host can build it
+        self._kernel = None if negative_sharing else resolve_train_kernel()
         self._reset_stream_state()
+
+    @property
+    def kernel(self) -> str:
+        """Which batch update trains: ``"cnative"`` (the compiled kernel of
+        :mod:`repro.embedding.kernels`) or ``"numpy"`` (the reference)."""
+        return "numpy" if self._kernel is None else self._kernel.name
+
+    @property
+    def compile_seconds(self) -> float:
+        """One-off seconds spent compiling (or cache-hitting) and loading
+        the kernel when this trainer was built; 0 on the numpy path."""
+        return 0.0 if self._kernel is None else self._kernel.compile_seconds
 
     # -- streaming state -----------------------------------------------
     def _reset_stream_state(self) -> None:
@@ -182,6 +313,7 @@ class Word2Vec:
         self.w_in: np.ndarray | None = None
         self.w_out: np.ndarray | None = None
         self._sampler: NegativeSampler | None = None
+        self._scratch: BatchScratch | None = None
         self._block_no = 0
         self._total_blocks: int | None = None
         self._pairs_trained = 0
@@ -299,7 +431,7 @@ class Word2Vec:
         merged[self.vocab.tokens] = self.vocab.counts
         new_vocab = Vocabulary(merged, min_count=self.min_count)
         added = new_vocab.size - self.vocab.size
-        if added == 0 and new_vocab.size == self.vocab.size:
+        if added == 0:
             # nothing new survived min_count; keep the old layout as-is
             return 0
         v, d = new_vocab.size, self.dimensions
@@ -315,6 +447,7 @@ class Word2Vec:
         self.w_in = w_in
         self.w_out = w_out
         self._sampler = NegativeSampler(new_vocab.counts)
+        self._scratch = None  # sized from the old vocabulary
         return int(added)
 
     def finalize(self) -> KeyedVectors:
@@ -329,6 +462,9 @@ class Word2Vec:
             self._train_block(self._pop_block(self._pending_rows))
         if self._pairs_trained == 0:
             raise TrainingError("corpus produced no training pairs (walks too short?)")
+        # a kept trainer (UniNet holds one for refresh_embeddings) should
+        # not pin the kernel's accumulators; partial_fit re-derives them
+        self._scratch = None
         return KeyedVectors(self.vocab.tokens, self.w_in)
 
     def buffered_bytes(self) -> int:
@@ -436,14 +572,9 @@ class Word2Vec:
         if pairs[0].size == 0:
             return 0
         if self.mode == "skipgram":
-            self._train_sgns(
-                self.w_in, self.w_out, pairs[0], pairs[1], self._sampler, rng, block_no
-            )
+            self._train_sgns(pairs[0], pairs[1], rng, block_no)
         else:
-            self._train_cbow(
-                self.w_in, self.w_out, pairs[0], pairs[1], pairs[2],
-                self._sampler, rng, block_no,
-            )
+            self._train_cbow(pairs[0], pairs[1], pairs[2], rng, block_no)
         self._pairs_trained += int(pairs[0].size)
         return int(pairs[0].size)
 
@@ -494,7 +625,38 @@ class Word2Vec:
         return np.concatenate(centers), np.concatenate(contexts)
 
     # ------------------------------------------------------------------
-    def _train_sgns(self, w_in, w_out, centers, contexts, sampler, rng, block_no) -> None:
+    def _batch_scratch(self) -> BatchScratch:
+        """The C kernel's work buffers, sized for this trainer's largest batch."""
+        if self._scratch is None:
+            if self.mode == "skipgram":
+                groups = rows = self.batch_pairs
+            else:
+                groups = self._cbow_groups_per_batch()
+                rows = groups * 2 * self.window
+            self._scratch = BatchScratch(
+                self.vocab.size, self.dimensions, rows, groups, self.negative
+            )
+        return self._scratch
+
+    def _batch(self, in_rows, sizes, out_pos, u, lr: float) -> float:
+        """One mini-batch update through the kernel this trainer resolved.
+
+        ``sizes`` is ``None`` for skip-gram (one input row per group);
+        ``u`` holds the pre-drawn uniforms the negatives are read from.
+        """
+        if self._kernel is not None:
+            return self._kernel.batch(
+                self.w_in, self.w_out, in_rows, sizes, out_pos, u,
+                self._sampler.cdf, lr, self.max_row_step, self._batch_scratch(),
+            )
+        neg = self._sampler.indices(u)
+        if sizes is None:
+            return sgns_batch(self.w_in, self.w_out, in_rows, out_pos, neg, lr, self.max_row_step)
+        return cbow_batch(
+            self.w_in, self.w_out, in_rows, sizes, out_pos, neg, lr, self.max_row_step
+        )
+
+    def _train_sgns(self, centers, contexts, rng, block_no) -> None:
         n_pairs = centers.size
         batches_per_epoch = max((n_pairs + self.batch_pairs - 1) // self.batch_pairs, 1)
         lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
@@ -503,74 +665,23 @@ class Word2Vec:
             perm = rng.permutation(n_pairs)
             for s in range(0, n_pairs, self.batch_pairs):
                 sel = perm[s : s + self.batch_pairs]
-                loss = self._sgns_batch(
-                    w_in, w_out, centers[sel], contexts[sel], sampler, rng, lrs[batch_no]
-                )
+                c, o = centers[sel], contexts[sel]
+                lr = float(lrs[batch_no])
+                if self.negative_sharing:
+                    neg = self._sampler.draw(rng, max(4 * self.negative, 32))
+                    loss = sgns_batch_shared(
+                        self.w_in, self.w_out, c, o, neg, self.negative, lr, self.max_row_step
+                    )
+                else:
+                    loss = self._batch(c, None, o, rng.random((c.size, self.negative)), lr)
                 self.training_loss_.append(loss)
                 batch_no += 1
 
-    def _sgns_batch(self, w_in, w_out, c, o, sampler, rng, lr) -> float:
-        if self.negative_sharing:
-            return self._sgns_batch_shared(w_in, w_out, c, o, sampler, rng, lr)
-        k = c.size
-        neg = sampler.draw(rng, (k, self.negative))
-        h = w_in[c]
-        v_pos = w_out[o]
-        s_pos = _sigmoid(np.einsum("kd,kd->k", h, v_pos))
-        g_pos = s_pos - 1.0
-        v_neg = w_out[neg]
-        s_neg = _sigmoid(np.einsum("kd,knd->kn", h, v_neg))
-        g_neg = s_neg
-
-        grad_h = g_pos[:, None] * v_pos + np.einsum("kn,knd->kd", g_neg, v_neg)
-        grad_out_pos = g_pos[:, None] * h
-        grad_out_neg = (g_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1])
-
-        scatter_add_rows(w_in, c, -lr * grad_h, clip=self.max_row_step)
-        out_rows = np.concatenate([o.astype(np.int64), neg.ravel()])
-        out_grads = np.concatenate([grad_out_pos, grad_out_neg])
-        scatter_add_rows(w_out, out_rows, -lr * out_grads, clip=self.max_row_step)
-
-        eps = 1e-10
-        return float(
-            -np.log(s_pos + eps).mean() - np.log(1.0 - s_neg + eps).sum(axis=1).mean()
-        )
-
-    def _sgns_batch_shared(self, w_in, w_out, c, o, sampler, rng, lr) -> float:
-        """SGNS with batch-shared negatives.
-
-        One pool of S negatives serves the whole batch and every pair's
-        loss uses all of them scaled by ``negative / S`` — same gradient
-        in expectation, but all the 3-D per-pair tensors collapse into
-        two BLAS matmuls. Used for large corpora (``negative_sharing``).
-        """
-        k = c.size
-        pool = max(4 * self.negative, 32)
-        neg = sampler.draw(rng, pool)
-        scale = self.negative / pool
-        h = w_in[c]
-        v_pos = w_out[o]
-        s_pos = _sigmoid(np.einsum("kd,kd->k", h, v_pos))
-        g_pos = s_pos - 1.0
-        v_neg = w_out[neg]  # (S, d)
-        s_neg = _sigmoid(h @ v_neg.T)  # (k, S)
-
-        grad_h = g_pos[:, None] * v_pos + scale * (s_neg @ v_neg)
-        grad_out_pos = g_pos[:, None] * h
-        grad_out_neg = scale * (s_neg.T @ h)  # (S, d)
-
-        scatter_add_rows(w_in, c, -lr * grad_h, clip=self.max_row_step)
-        scatter_add_rows(w_out, o.astype(np.int64), -lr * grad_out_pos, clip=self.max_row_step)
-        scatter_add_rows(w_out, neg, -lr * grad_out_neg, clip=self.max_row_step)
-
-        eps = 1e-10
-        return float(
-            -np.log(s_pos + eps).mean()
-            - scale * np.log(1.0 - s_neg + eps).sum(axis=1).mean()
-        )
-
     # ------------------------------------------------------------------
-    def _train_cbow(self, w_in, w_out, centers, contexts, positions, sampler, rng, block_no) -> None:
+    def _cbow_groups_per_batch(self) -> int:
+        return max(self.batch_pairs // max(2 * self.window, 1), 1)
+
+    def _train_cbow(self, centers, contexts, positions, rng, block_no) -> None:
         """CBOW: the mean of a center occurrence's context inputs predicts
         the center's output vector.
 
@@ -580,14 +691,14 @@ class Word2Vec:
         roughly ``batch_pairs`` pairs.
         """
         order = np.argsort(positions, kind="stable")
-        c_sorted = centers[order].astype(np.int64)
-        o_sorted = contexts[order].astype(np.int64)
+        c_sorted = centers[order]
+        o_sorted = contexts[order]
         pos_sorted = positions[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(pos_sorted)) + 1))
         lengths = np.diff(np.append(starts, pos_sorted.size))
         group_center = c_sorted[starts]
         num_groups = starts.size
-        groups_per_batch = max(self.batch_pairs // max(2 * self.window, 1), 1)
+        groups_per_batch = self._cbow_groups_per_batch()
         batches_per_epoch = max((num_groups + groups_per_batch - 1) // groups_per_batch, 1)
         lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
         batch_no = 0
@@ -597,51 +708,14 @@ class Word2Vec:
             perm = rng.permutation(num_groups)
             for s in range(0, num_groups, groups_per_batch):
                 chunk = perm[s : s + groups_per_batch]
-                pair_idx, seg_ids = concat_ranges(starts[chunk], lengths[chunk])
-                loss = self._cbow_batch(
-                    w_in,
-                    w_out,
-                    group_center[chunk],
+                sizes = lengths[chunk]
+                pair_idx = concat_ranges(starts[chunk], sizes)[0]
+                loss = self._batch(
                     o_sorted[pair_idx],
-                    seg_ids,
-                    lengths[chunk].astype(np.float64),
-                    sampler,
-                    rng,
-                    lrs[batch_no],
+                    sizes,
+                    group_center[chunk],
+                    rng.random((chunk.size, self.negative)),
+                    float(lrs[batch_no]),
                 )
                 self.training_loss_.append(loss)
                 batch_no += 1
-
-    def _cbow_batch(self, w_in, w_out, group_center, ctx, seg_ids, counts, sampler, rng, lr) -> float:
-        g = group_center.size
-        # h[g] = mean of the group's context input vectors, via a sparse
-        # averaging matrix (rows = pairs, cols = groups)
-        weights_mean = (1.0 / counts[seg_ids]).astype(np.float32)
-        averager = sparse.csr_matrix(
-            (weights_mean, seg_ids, np.arange(ctx.size + 1)),
-            shape=(ctx.size, g),
-        )
-        h = averager.T @ w_in[ctx]
-
-        neg = sampler.draw(rng, (g, self.negative))
-        v_pos = w_out[group_center]
-        s_pos = _sigmoid(np.einsum("gd,gd->g", h, v_pos))
-        g_pos = s_pos - 1.0
-        v_neg = w_out[neg]
-        s_neg = _sigmoid(np.einsum("gd,gnd->gn", h, v_neg))
-
-        grad_h = g_pos[:, None] * v_pos + np.einsum("gn,gnd->gd", s_neg, v_neg)
-        grad_out_pos = g_pos[:, None] * h
-        grad_out_neg = (s_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1])
-
-        # each context word receives the group's mean gradient (cbow_mean)
-        ctx_grad = (grad_h / counts[:, None])[seg_ids]
-        scatter_add_rows(w_in, ctx, -lr * ctx_grad, clip=self.max_row_step)
-        out_rows = np.concatenate([group_center, neg.ravel()])
-        out_grads = np.concatenate([grad_out_pos, grad_out_neg])
-        scatter_add_rows(w_out, out_rows, -lr * out_grads, clip=self.max_row_step)
-
-        eps = 1e-10
-        return float(
-            -np.log(s_pos + eps).mean() - np.log(1.0 - s_neg + eps).sum(axis=1).mean()
-        )

@@ -3,9 +3,8 @@
 The container this project targets ships a system C compiler but no
 numba, so the "compiled backend" the benchmarks exercise is this one: a
 single small translation unit with one plain loop per kernel, compiled
-at first use with ``cc -O3 -fPIC -shared`` and loaded via ctypes. The
-``.so`` is cached in the system temp directory keyed by a hash of the
-source + compiler, so each container pays the (sub-second) compile once.
+and cached at first use by :mod:`repro.utils.cbuild` (shared with the
+learn kernel) and loaded via ctypes.
 
 Bitwise parity with :class:`~repro.walks.kernels.numpy_backend.NumpyKernels`
 is a hard requirement (the parity suite sweeps every sampler): the loops
@@ -20,17 +19,12 @@ supported; the engine falls back to the NumPy backend for anything whose
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 import time
-import uuid
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.cbuild import compile_cached, find_compiler
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -320,54 +314,6 @@ _U8P = ctypes.POINTER(ctypes.c_uint8)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 
 
-def find_compiler() -> str | None:
-    """System C compiler for the kernel translation unit, if any."""
-    cc = os.environ.get("CC")
-    if cc and shutil.which(cc):
-        return cc
-    for candidate in ("cc", "gcc", "clang"):
-        path = shutil.which(candidate)
-        if path:
-            return path
-    return None
-
-
-def _compile(compiler: str) -> str:
-    """Build (or reuse) the cached ``.so``; returns its path."""
-    tag = hashlib.sha256((_C_SOURCE + compiler).encode()).hexdigest()[:16]
-    cache_dir = tempfile.gettempdir()
-    so_path = os.path.join(cache_dir, f"repro-walk-kernels-{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    src_path = os.path.join(cache_dir, f"repro-walk-kernels-{tag}.c")
-    tmp_so = os.path.join(cache_dir, f"repro-walk-kernels-{tag}-{uuid.uuid4().hex}.so")
-    with open(src_path, "w") as fh:
-        fh.write(_C_SOURCE)
-    # no -ffast-math, and contraction off explicitly (-march=native could
-    # otherwise fuse a*b+c into FMAs with different rounding): the
-    # acceptance tests must stay IEEE-identical to NumPy
-    base = [compiler, "-O3", "-ffp-contract=off", "-fPIC", "-shared",
-            "-o", tmp_so, src_path]
-    proc = None
-    # -march=native first (vectorizes the linear membership scans);
-    # retried portable where the toolchain rejects it
-    for extra in (["-march=native"], []):
-        cmd = base[:1] + extra + base[1:]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-        except (OSError, subprocess.TimeoutExpired) as err:
-            raise ConfigError(f"kernel backend 'cnative': compile failed: {err}") from err
-        if proc.returncode == 0:
-            break
-    if proc.returncode != 0:
-        raise ConfigError(
-            f"kernel backend 'cnative': {compiler} exited with "
-            f"{proc.returncode}: {proc.stderr.strip()[:500]}"
-        )
-    os.replace(tmp_so, so_path)  # atomic vs concurrent builders
-    return so_path
-
-
 def _load(so_path: str):
     lib = ctypes.CDLL(so_path)
     lib.mh_propose.restype = None
@@ -464,7 +410,7 @@ class CNativeKernels:
         if self._lib is not None:
             return 0.0
         t0 = time.perf_counter()
-        self._lib = _load(_compile(self._compiler))
+        self._lib = _load(compile_cached(_C_SOURCE, "repro-walk-kernels", self._compiler))
         return time.perf_counter() - t0
 
     def _ensure(self):

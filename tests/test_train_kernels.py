@@ -1,0 +1,550 @@
+"""The compiled learn kernel against the NumPy reference batch updates.
+
+What must be **exact** between ``repro.embedding.kernels`` (C) and
+``repro.embedding.word2vec.sgns_batch`` / ``cbow_batch`` (reference):
+everything integer or RNG-derived — negative indices for every uniform,
+batch count, learning rates. What gets a **tolerance**, fixed here from
+the dtype before anything was measured: float results, which differ by
+summation order (``einsum``/scipy choose their own) and the last ulp of
+``exp``/``log``.
+
+* one batch: ``|Δw| <= eps32 * dim * max(1, max|w|)`` (:func:`batch_tol`);
+  a float32 dot product of ``dim`` terms carries about that error and
+  the final ``w += step`` rounds to one ulp of ``w``;
+* one batch's loss, a float32 mean of k terms in the reference:
+  relative ``1e-5`` (eps32 × log2 k ≲ 2e-6);
+* a whole fit: cosine of matched rows ≥ 0.9999 and equal micro-F1 to 3
+  decimals.
+
+Within the C kernel results are bitwise repeatable, which the full-fit
+tests assert. Tests needing the kernel skip cleanly on a host without a
+C compiler; the fallback tests at the bottom run everywhere.
+"""
+
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.embedding.kernels as kernels
+import repro.embedding.word2vec as word2vec
+from repro.embedding import NegativeSampler, Word2Vec
+from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel
+from repro.embedding.word2vec import cbow_batch, scatter_add_rows, sgns_batch
+from repro.errors import TrainingError
+from repro.walks.corpus import WalkCorpus
+
+EPS32 = float(np.finfo(np.float32).eps)
+LOSS_RTOL = 1e-5
+
+
+def batch_tol(dim, *weights):
+    return EPS32 * dim * max(1.0, max(float(np.abs(w).max()) for w in weights))
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    found = resolve_train_kernel()
+    if found is None:
+        pytest.skip("no C compiler on this host: the learn kernel cannot be built")
+    return found
+
+
+# ---------------------------------------------------------------------------
+# batch construction
+# ---------------------------------------------------------------------------
+def make_batch(seed, vocab, dim, groups, negative, mode, *, hot=None):
+    """Random weights and one batch. ``hot`` restricts the rows a batch
+    touches to the first ``hot`` tokens (duplication pressure)."""
+    rng = np.random.default_rng(seed)
+    hot = vocab if hot is None else max(1, min(hot, vocab))
+    batch = {
+        "w_in": (rng.random((vocab, dim)) - 0.5).astype(np.float32),
+        "w_out": (0.4 * rng.standard_normal((vocab, dim))).astype(np.float32),
+        "sampler": NegativeSampler(rng.integers(1, 50, vocab)),
+        "out_pos": rng.integers(0, hot, groups).astype(np.int32),
+        "u": rng.random((groups, negative)),
+        "lr": 0.02,
+    }
+    if mode == "skipgram":
+        batch["sizes"] = None
+        batch["in_rows"] = rng.integers(0, hot, groups).astype(np.int32)
+    else:
+        batch["sizes"] = rng.integers(1, 7, groups).astype(np.int64)
+        batch["in_rows"] = rng.integers(0, hot, int(batch["sizes"].sum())).astype(np.int32)
+    return batch
+
+
+def run_reference(batch, max_row_step):
+    w_in, w_out = batch["w_in"].copy(), batch["w_out"].copy()
+    neg = batch["sampler"].indices(batch["u"])
+    if batch["sizes"] is None:
+        loss = sgns_batch(
+            w_in, w_out, batch["in_rows"], batch["out_pos"], neg, batch["lr"], max_row_step
+        )
+    else:
+        loss = cbow_batch(
+            w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], neg,
+            batch["lr"], max_row_step,
+        )
+    return w_in, w_out, loss, neg
+
+
+def run_kernel(kernel, batch, max_row_step):
+    return call_kernel(kernel, batch, max_row_step, batch["w_in"].copy(), batch["w_out"].copy())
+
+
+def scratch_for(batch):
+    vocab, dim = batch["w_in"].shape
+    groups, negative = batch["u"].shape
+    return BatchScratch(vocab, dim, max(batch["in_rows"].size, 1), max(groups, 1), negative)
+
+
+def call_kernel(kernel, batch, max_row_step, w_in, w_out, scratch=None):
+    groups, negative = batch["u"].shape
+    scratch = scratch or scratch_for(batch)
+    loss = kernel.batch(
+        w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], batch["u"],
+        batch["sampler"].cdf, batch["lr"], max_row_step, scratch,
+    )
+    # the kernel hands its slot maps back clean for the next batch
+    assert (scratch.slot_in == -1).all() and (scratch.slot_out == -1).all()
+    return w_in, w_out, loss, scratch.neg[: groups * negative].reshape(groups, negative)
+
+
+def assert_batch_parity(kernel, batch, max_row_step, *, must_move=True):
+    ref_in, ref_out, ref_loss, ref_neg = run_reference(batch, max_row_step)
+    c_in, c_out, c_loss, c_neg = run_kernel(kernel, batch, max_row_step)
+    assert np.array_equal(c_neg, ref_neg)
+    dim = batch["w_in"].shape[1]
+    tol = batch_tol(dim, ref_in, ref_out)
+    assert np.abs(c_in - ref_in).max() <= tol
+    assert np.abs(c_out - ref_out).max() <= tol
+    assert c_loss == pytest.approx(ref_loss, rel=LOSS_RTOL)
+    if must_move:  # parity of two no-ops proves nothing
+        assert not np.array_equal(ref_in, batch["w_in"])
+        assert not np.array_equal(ref_out, batch["w_out"])
+
+
+# ---------------------------------------------------------------------------
+# the inverse-CDF map has one definition
+# ---------------------------------------------------------------------------
+class TestInverseCdf:
+    COUNTS = [
+        [5, 3, 2],
+        [7],  # single-token vocabulary
+        [4, 0, 0, 3, 0, 1],  # zero-count tokens: flat runs of the CDF
+        [0, 0, 9, 0],  # leading and trailing flat runs
+        list(range(1, 300)),
+    ]
+
+    @staticmethod
+    def adversarial(cdf, rng):
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, rng.random(500)])
+        return np.ascontiguousarray(u[(u >= 0.0) & (u < 1.0)])
+
+    @pytest.mark.parametrize("counts", COUNTS)
+    def test_c_search_equals_indices(self, kernel, counts, rng):
+        sampler = NegativeSampler(np.array(counts))
+        u = self.adversarial(sampler.cdf, rng)
+        expected = sampler.indices(u)
+        assert np.array_equal(kernel.search(sampler.cdf, u), expected)
+        assert expected.dtype == np.int64
+        assert expected.min() >= 0 and expected.max() < len(counts)
+        # a zero-count token is never selected
+        assert np.all(np.asarray(counts)[expected] > 0)
+
+    def test_draw_is_indices_of_uniforms(self):
+        sampler = NegativeSampler(np.array([5.0, 1.0, 0.0, 3.0]))
+        drawn = sampler.draw(np.random.default_rng(3), (6, 4))
+        u = np.random.default_rng(3).random((6, 4))
+        assert np.array_equal(drawn, sampler.indices(u))
+        assert np.array_equal(drawn, np.searchsorted(sampler.cdf, u, side="right"))
+
+    def test_cdf_is_read_only(self):
+        sampler = NegativeSampler(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            sampler.cdf[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# one batch: reference vs C
+# ---------------------------------------------------------------------------
+class TestOneBatchParity:
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    @pytest.mark.parametrize("dim", [1, 7, 128, 130])
+    @pytest.mark.parametrize("negative", [1, 5])
+    @pytest.mark.parametrize("max_row_step", [None, 0.25])
+    def test_grid(self, kernel, mode, dim, negative, max_row_step):
+        batch = make_batch(dim * 10 + negative, 60, dim, 200, negative, mode)
+        assert_batch_parity(kernel, batch, max_row_step)
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_three_token_vocabulary_clip_active(self, kernel, mode):
+        # every row is hit hundreds of times, so the summed step is far
+        # beyond max_row_step and the clip decides the result
+        batch = make_batch(5, 3, 16, 900, 5, mode)
+        batch["lr"] = 0.5
+        assert_batch_parity(kernel, batch, 0.25)
+        c_in, c_out, __, __ = run_kernel(kernel, batch, 0.25)
+        for before, after in ((batch["w_in"], c_in), (batch["w_out"], c_out)):
+            steps = np.linalg.norm(after.astype(np.float64) - before, axis=1)
+            assert np.allclose(steps, 0.25, rtol=1e-4)
+        unclipped, __, __, __ = run_kernel(kernel, batch, None)
+        assert np.linalg.norm(unclipped - batch["w_in"], axis=1).min() > 1.0
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_empty_batch_is_a_no_op(self, kernel, mode):
+        batch = make_batch(6, 10, 8, 0, 5, mode)
+        for w_in, w_out, loss, __ in (run_reference(batch, 0.25), run_kernel(kernel, batch, 0.25)):
+            assert np.array_equal(w_in, batch["w_in"]) and np.array_equal(w_out, batch["w_out"])
+            assert np.isnan(loss)
+
+    def test_gradients_use_pre_batch_weights(self, kernel):
+        # the same pair twice in one batch must step exactly twice as far
+        # as once (stale weights), not as two sequential updates would
+        batch = make_batch(7, 5, 8, 1, 2, "skipgram")
+        once_in, __, __, __ = run_kernel(kernel, batch, None)
+        for key in ("in_rows", "out_pos", "u"):
+            batch[key] = np.concatenate([batch[key], batch[key]])
+        twice_in, __, __, __ = run_kernel(kernel, batch, None)
+        row = batch["in_rows"][0]
+        step = once_in[row].astype(np.float64) - batch["w_in"][row]
+        assert np.allclose(twice_in[row] - batch["w_in"][row], 2 * step, rtol=1e-5, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        vocab=st.integers(1, 40),
+        dim=st.integers(1, 40),
+        groups=st.integers(1, 120),
+        negative=st.integers(1, 6),
+        duplication=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["skipgram", "cbow"]),
+        clip=st.sampled_from([None, 0.25]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property(self, kernel, vocab, dim, groups, negative, duplication, mode, clip, seed):
+        hot = round(vocab * (1.0 - duplication))
+        batch = make_batch(seed, vocab, dim, groups, negative, mode, hot=hot)
+        # a one-token vocabulary can produce steps below one ulp of w
+        assert_batch_parity(kernel, batch, clip, must_move=False)
+
+
+# ---------------------------------------------------------------------------
+# preconditions are checked before any pointer is passed
+# ---------------------------------------------------------------------------
+class TestPreconditions:
+    def bad(self, kernel, mode="skipgram", **changes):
+        """One input of a valid batch replaced; the call must raise and
+        leave both matrices as they were."""
+        batch = make_batch(11, 12, 8, 20, 3, mode)
+        scratch = scratch_for(batch)  # sized for the valid batch
+        weights = {"w_in": batch["w_in"].copy(), "w_out": batch["w_out"].copy()}
+        for key, change in changes.items():
+            if key in weights:
+                weights[key] = change(weights[key])
+            else:
+                batch[key] = change(batch[key])
+        before = {key: np.array(w) for key, w in weights.items()}
+        with pytest.raises(TrainingError):
+            call_kernel(kernel, batch, 0.25, **weights, scratch=scratch)
+        assert all(np.array_equal(weights[key], before[key]) for key in weights)
+
+    @staticmethod
+    def poke(index, value):
+        def change(arr):
+            arr = arr.copy()
+            arr.flat[index] = value
+            return arr
+        return change
+
+    @pytest.mark.parametrize("key", ["in_rows", "out_pos"])
+    @pytest.mark.parametrize("value", [-1, 12, 2**31 - 1])
+    def test_out_of_range_index(self, kernel, key, value):
+        self.bad(kernel, **{key: self.poke(3, value)})
+
+    @pytest.mark.parametrize("key", ["w_in", "w_out"])
+    def test_non_contiguous_weights(self, kernel, key):
+        self.bad(kernel, **{key: lambda w: np.asfortranarray(w)})
+        self.bad(kernel, **{key: lambda w: np.repeat(w, 2, axis=1)[:, ::2]})
+
+    def test_wrong_dtypes(self, kernel):
+        self.bad(kernel, w_in=lambda w: w.astype(np.float64))
+        self.bad(kernel, in_rows=lambda r: r.astype(np.int64))
+        self.bad(kernel, out_pos=lambda r: r.astype(np.int64))
+        self.bad(kernel, u=lambda u: u.astype(np.float32))
+        self.bad(kernel, "cbow", sizes=lambda s: s.astype(np.int32))
+        self.bad(kernel, in_rows=lambda r: r.tolist())
+
+    def test_read_only_weights(self, kernel):
+        def frozen(w):
+            w = w.copy()
+            w.flags.writeable = False
+            return w
+        self.bad(kernel, w_out=frozen)
+
+    @pytest.mark.parametrize("value", [1.0, -1e-9, np.nan, np.inf])
+    def test_uniform_outside_unit_interval(self, kernel, value):
+        self.bad(kernel, u=self.poke(5, value))
+
+    def test_shape_mismatches(self, kernel):
+        self.bad(kernel, u=lambda u: u[:-1])
+        self.bad(kernel, u=lambda u: np.ascontiguousarray(u[:, :-1]))
+        self.bad(kernel, in_rows=lambda r: r[:-1])
+        self.bad(kernel, w_out=lambda w: np.ascontiguousarray(w[:-1]))
+        self.bad(kernel, "cbow", sizes=self.poke(0, 0))
+        self.bad(kernel, "cbow", sizes=lambda s: s + 1)
+
+    def test_scratch_of_another_shape(self, kernel):
+        batch = make_batch(12, 12, 8, 20, 3, "skipgram")
+        args = (
+            batch["w_in"], batch["w_out"], batch["in_rows"], None, batch["out_pos"],
+            batch["u"], batch["sampler"].cdf, 0.02, 0.25,
+        )
+        for scratch in (
+            BatchScratch(13, 8, 20, 20, 3),  # another vocabulary
+            BatchScratch(12, 9, 20, 20, 3),  # another dimension
+            BatchScratch(12, 8, 20, 19, 3),  # sized for a smaller batch
+            BatchScratch(12, 8, 20, 20, 4),  # another negative count
+        ):
+            with pytest.raises(TrainingError):
+                kernel.batch(*args, scratch)
+        other = NegativeSampler(np.ones(11))
+        with pytest.raises(TrainingError):
+            kernel.batch(*args[:6], other.cdf, 0.02, 0.25, BatchScratch(12, 8, 20, 20, 3))
+
+
+# ---------------------------------------------------------------------------
+# whole fits under the C kernel
+# ---------------------------------------------------------------------------
+def walk_corpus(graph, seed, num_walks=12, walk_length=30):
+    from repro.walks.vectorized import VectorizedWalkEngine
+
+    engine = VectorizedWalkEngine(graph, "deepwalk", sampler="mh", seed=seed)
+    return engine.generate(num_walks=num_walks, walk_length=walk_length)
+
+
+def shard(corpus, cuts):
+    bounds = [0, *sorted(cuts), corpus.num_walks]
+    return [
+        WalkCorpus(corpus.walks[a:b], corpus.lengths[a:b])
+        for a, b in zip(bounds, bounds[1:])
+        if b > a
+    ]
+
+
+def row_cosines(a, b):
+    num = np.einsum("ij,ij->i", a, b, dtype=np.float64)
+    return num / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+
+
+@pytest.fixture(scope="module")
+def barbell_corpus():
+    from repro.graph import generators
+
+    graph = generators.barbell_graph(10, 3)
+    return graph, walk_corpus(graph, seed=1)
+
+
+class TestFullFitCompiled:
+    KW = dict(dimensions=24, epochs=2, batch_pairs=256, block_walks=64)
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_repeats_bitwise(self, kernel, barbell_corpus, mode):
+        graph, corpus = barbell_corpus
+        fits = [
+            Word2Vec(mode=mode, seed=5, **self.KW).fit(corpus, num_nodes=graph.num_nodes)
+            for __ in range(2)
+        ]
+        assert np.array_equal(fits[0].vectors, fits[1].vectors)
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    @pytest.mark.parametrize("cut_seed", range(4))
+    def test_streamed_equals_monolithic_for_any_shard_cuts(self, kernel, barbell_corpus, mode, cut_seed):
+        graph, corpus = barbell_corpus
+        mono = Word2Vec(mode=mode, seed=6, **self.KW)
+        expected = mono.fit(corpus, num_nodes=graph.num_nodes)
+        assert mono.kernel == "cnative"
+        rng = np.random.default_rng(cut_seed)
+        cuts = rng.integers(0, corpus.num_walks + 1, int(rng.integers(1, 9))).tolist()
+        streamed = Word2Vec(mode=mode, seed=6, **self.KW)
+        got = streamed.fit_stream(
+            shard(corpus, cuts),
+            counts=corpus.node_frequencies(graph.num_nodes),
+            total_walks=corpus.num_walks,
+        )
+        assert np.array_equal(got.vectors, expected.vectors)
+        assert streamed.training_loss_ == mono.training_loss_
+
+    def test_expand_vocab_then_partial_fit(self, kernel, barbell_corpus):
+        graph, corpus = barbell_corpus
+        grown = graph.num_nodes + 4
+        rng = np.random.default_rng(9)
+        # walks over the grown id space: the new tokens must get trained
+        # rows, through scratch re-derived for the larger vocabulary
+        extra = WalkCorpus.from_lists(
+            rng.integers(0, grown, (40, 12)).tolist()
+        )
+
+        def grow_and_continue():
+            trainer = Word2Vec(seed=7, **self.KW)
+            trainer.build_vocab(corpus.node_frequencies(graph.num_nodes))
+            trainer.partial_fit(corpus)
+            assert trainer.expand_vocab(extra.node_frequencies(grown) + 1) == 4
+            trainer.partial_fit(extra)
+            return trainer.finalize()
+
+        first = grow_and_continue()
+        assert np.array_equal(grow_and_continue().vectors, first.vectors)
+        assert len(first) == grown
+        new_rows = first.matrix_for(np.arange(graph.num_nodes, grown))
+        assert np.abs(new_rows).max() > 0.5 / self.KW["dimensions"]  # moved off the init
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_agrees_with_reference_on_barbell(self, kernel, barbell_corpus, mode, monkeypatch):
+        from repro.evaluation.classification import classification_sweep
+        from repro.graph.labels import NodeLabels
+
+        graph, corpus = barbell_corpus
+        kwargs = dict(mode=mode, seed=8, **self.KW)
+        compiled = Word2Vec(**kwargs)
+        got = compiled.fit(corpus, num_nodes=graph.num_nodes)
+        monkeypatch.setattr(word2vec, "resolve_train_kernel", lambda: None)
+        reference = Word2Vec(**kwargs)
+        expected = reference.fit(corpus, num_nodes=graph.num_nodes)
+        assert (compiled.kernel, reference.kernel) == ("cnative", "numpy")
+        assert np.array_equal(got.keys, expected.keys)
+        assert len(compiled.training_loss_) == len(reference.training_loss_)
+        assert row_cosines(got.vectors, expected.vectors).min() >= 0.9999
+        nodes = np.arange(graph.num_nodes)
+        labels = NodeLabels(nodes, (nodes >= graph.num_nodes // 2).astype(int))
+        scores = [
+            classification_sweep(kv, labels, train_fractions=(0.5,), trials=3, seed=1)[0]
+            for kv in (got, expected)
+        ]
+        assert round(scores[0]["micro_f1_mean"], 3) == round(scores[1]["micro_f1_mean"], 3)
+
+    def test_agrees_with_reference_on_blogcatalog(self, kernel, monkeypatch):
+        from repro.evaluation.classification import classification_sweep
+        from repro.graph import datasets
+
+        graph, labels = datasets.load("blogcatalog", scale=0.2, seed=3)
+        corpus = walk_corpus(graph, seed=3, num_walks=10, walk_length=40)
+        kwargs = dict(dimensions=64, batch_pairs=1024, seed=3)
+        got = Word2Vec(**kwargs).fit(corpus, num_nodes=graph.num_nodes)
+        monkeypatch.setattr(word2vec, "resolve_train_kernel", lambda: None)
+        expected = Word2Vec(**kwargs).fit(corpus, num_nodes=graph.num_nodes)
+        assert row_cosines(got.vectors, expected.vectors).min() >= 0.9999
+        scores = [
+            classification_sweep(kv, labels, train_fractions=(0.5,), trials=3, seed=3)[0]
+            for kv in (got, expected)
+        ]
+        assert scores[0]["micro_f1_mean"] > 0.5
+        assert round(scores[0]["micro_f1_mean"], 3) == round(scores[1]["micro_f1_mean"], 3)
+
+
+# ---------------------------------------------------------------------------
+# selection, fallback and reporting: these run with or without a compiler
+# ---------------------------------------------------------------------------
+class TestSelectionAndFallback:
+    KW = dict(dimensions=12, epochs=1, batch_pairs=128, seed=4)
+
+    def small_corpus(self):
+        rng = np.random.default_rng(2)
+        return WalkCorpus.from_lists(rng.integers(0, 15, (30, 12)).tolist())
+
+    def test_no_compiler_trains_through_numpy(self, monkeypatch):
+        corpus = self.small_corpus()
+        with monkeypatch.context() as patch:
+            patch.setattr(word2vec, "resolve_train_kernel", lambda: None)
+            forced = Word2Vec(**self.KW)
+            expected = forced.fit(corpus, num_nodes=15)
+        monkeypatch.setattr(kernels, "find_compiler", lambda: None)
+        hidden = Word2Vec(**self.KW)
+        assert hidden.kernel == forced.kernel == "numpy"
+        assert hidden.compile_seconds == 0.0
+        assert np.array_equal(hidden.fit(corpus, num_nodes=15).vectors, expected.vectors)
+        assert hidden.training_loss_ == forced.training_loss_
+
+    def test_compile_failure_warns_once_and_falls_back(self, monkeypatch):
+        broken = shutil.which("false")
+        if broken is None:
+            pytest.skip("no `false` executable to stand in for a broken compiler")
+        monkeypatch.setattr(kernels, "find_compiler", lambda: broken)
+        with pytest.warns(RuntimeWarning, match="exited with") as caught:
+            trainer = Word2Vec(**self.KW)
+        assert len(caught) == 1
+        assert trainer.kernel == "numpy"
+        assert len(trainer.fit(self.small_corpus(), num_nodes=15)) == 15
+
+    def test_load_failure_warns_and_falls_back(self, monkeypatch, tmp_path):
+        not_a_library = tmp_path / "kernel.so"
+        not_a_library.write_text("not an ELF file")
+        monkeypatch.setattr(kernels, "find_compiler", lambda: "cc")
+        monkeypatch.setattr(kernels, "compile_cached", lambda *a, **k: str(not_a_library))
+        with pytest.warns(RuntimeWarning, match="training through numpy"):
+            trainer = Word2Vec(**self.KW)
+        assert trainer.kernel == "numpy"
+
+    def test_negative_sharing_stays_on_numpy(self):
+        assert Word2Vec(negative_sharing=True, **self.KW).kernel == "numpy"
+
+    def test_kernel_is_read_only(self):
+        with pytest.raises(AttributeError):
+            Word2Vec(**self.KW).kernel = "numpy"
+
+    def test_pipeline_and_facade_report_the_kernel(self):
+        from repro import UniNet
+        from repro.core.config import TrainConfig, WalkConfig
+        from repro.core.pipeline import train_pipeline
+        from repro.graph import generators
+
+        graph = generators.barbell_graph(6, 2)
+        walk = WalkConfig(num_walks=2, walk_length=8)
+        result = train_pipeline(graph, "deepwalk", walk, TrainConfig(dimensions=8), seed=1)
+        assert result.sampler_stats["learn_kernel"] == result.trainer.kernel
+        assert result.sampler_stats["learn_kernel"] in ("cnative", "numpy")
+        assert result.sampler_stats["learn_compile_seconds"] == result.trainer.compile_seconds
+        assert "backend" in result.sampler_stats  # next to the walk backend
+        walked = train_pipeline(graph, "deepwalk", walk, skip_learning=True, seed=1)
+        assert "learn_kernel" not in walked.sampler_stats
+        streamed = train_pipeline(
+            graph, "deepwalk", walk, TrainConfig(dimensions=8), seed=1,
+            streaming={"enabled": True, "shard_walks": 4},
+        )
+        assert streamed.sampler_stats["learn_kernel"] == result.sampler_stats["learn_kernel"]
+
+        net = UniNet(graph, model="deepwalk", seed=1)
+        trained = net.train(num_walks=2, walk_length=8, dimensions=8)
+        assert net.last_stats is trained.sampler_stats
+        assert net.last_stats["learn_kernel"] == trained.trainer.kernel
+
+
+# ---------------------------------------------------------------------------
+# the reference's accumulation dtype is a decision, not an accident
+# ---------------------------------------------------------------------------
+class TestAccumulationDtype:
+    def test_scatter_accumulates_float32_updates_in_accum_dtype(self):
+        # 1e8 + 1 - 1e8 is 0 when summed in float32 and 1 in float64
+        matrix = np.zeros((1, 1), dtype=np.float32)
+        updates = np.array([[1e8], [1.0], [-1e8]], dtype=np.float32)
+        scatter_add_rows(matrix, np.zeros(3, dtype=np.int64), updates)
+        assert ACCUM_DTYPE == np.float64
+        assert matrix[0, 0] == 1.0
+
+    def test_step_dtype_does_not_depend_on_the_scalar_type_of_lr(self):
+        grad = np.ones((2, 3), dtype=np.float32)
+        for lr in (0.025, np.float64(0.025), np.float32(0.025)):
+            assert word2vec._step(grad, lr).dtype == ACCUM_DTYPE
+
+    def test_reference_batch_is_blind_to_the_scalar_type_of_lr(self):
+        batch = make_batch(13, 9, 6, 40, 3, "skipgram")
+        results = []
+        for lr in (0.02, np.float64(0.02)):
+            batch["lr"] = lr
+            results.append(run_reference(batch, 0.25))
+        assert np.array_equal(results[0][0], results[1][0])
+        assert np.array_equal(results[0][1], results[1][1])
