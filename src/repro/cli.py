@@ -259,7 +259,6 @@ def _cmd_train(args) -> int:
         walk_length=args.walk_length,
         dimensions=args.dimensions,
         epochs=args.epochs,
-        negative_sharing=True,
         streaming=_streaming_config(args),
         sharding=_sharding_config(args),
     )
@@ -299,7 +298,6 @@ def _cmd_classify(args) -> int:
         walk_length=args.walk_length,
         dimensions=args.dimensions,
         epochs=args.epochs,
-        negative_sharing=True,
     )
     sweep = classification_sweep(
         result.embeddings, labels,
@@ -500,7 +498,6 @@ def _cmd_update(args) -> int:
         walk_length=args.walk_length,
         dimensions=args.dimensions,
         epochs=args.epochs,
-        negative_sharing=True,
     )
     print(
         f"initial train: {len(result.embeddings)} x {args.dimensions} embeddings "

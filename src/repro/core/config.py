@@ -59,6 +59,24 @@ class WalkConfig:
         except ReproError as err:
             raise WalkError(str(err)) from None
 
+    def engine_kwargs(self) -> dict:
+        """Keyword arguments for the walk engines' constructors.
+
+        Everything but the walk shape (``num_walks`` / ``walk_length``
+        go to ``generate``); the same dict builds a
+        :class:`~repro.walks.vectorized.VectorizedWalkEngine` or a
+        :class:`~repro.sharding.engine.ShardedWalkEngine`.
+        """
+        return {
+            "sampler": self.sampler,
+            "initializer": self.initializer,
+            "init_sample_cap": self.init_sample_cap,
+            "burn_in_iterations": self.burn_in_iterations,
+            "table_budget_bytes": self.table_budget_bytes,
+            "max_reject_rounds": self.max_reject_rounds,
+            "backend": self.backend,
+        }
+
 
 #: Vocabulary strategies for streamed training (see :class:`StreamingConfig`).
 STREAMING_VOCAB_MODES = ("degree", "exact")

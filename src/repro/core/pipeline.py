@@ -179,21 +179,15 @@ def _build_sharded_engine(graph, model, walk_config, sharding, *, budget=None, s
     return ShardedWalkEngine(
         graph,
         name,
-        sampler=walk_config.sampler,
         num_shards=sharding.shards,
         partitioner=sharding.partitioner,
         transport=sharding.transport,
         hosts=sharding.hosts,
         connect_timeout=sharding.connect_timeout,
         call_timeout=sharding.call_timeout,
-        initializer=walk_config.initializer,
-        init_sample_cap=walk_config.init_sample_cap,
-        burn_in_iterations=walk_config.burn_in_iterations,
-        table_budget_bytes=walk_config.table_budget_bytes,
-        max_reject_rounds=walk_config.max_reject_rounds,
-        backend=walk_config.backend,
         budget=budget,
         seed=seed,
+        **walk_config.engine_kwargs(),
         **params,
     )
 
@@ -212,45 +206,46 @@ def generate_walk_result(
     an equivalent dict) to generate the walks on the partitioned
     :class:`~repro.sharding.engine.ShardedWalkEngine` instead — same
     corpus bit-for-bit, and the returned stats gain the migration and
-    partition-balance counters.
+    partition-balance counters. A sharded engine owns worker processes,
+    sockets and shared-memory segments, so it is closed here once its
+    observables are read and the returned :attr:`WalkResult.engine` is
+    ``None`` (a closed engine would only raise); a monolithic run
+    returns its live engine.
     """
     from repro.core.config import ShardingConfig
 
     if isinstance(sharding, dict):
         sharding = ShardingConfig(**sharding)
+    sharded = sharding is not None and sharding.enabled
     start = time.perf_counter()
-    if sharding is not None and sharding.enabled:
+    if sharded:
         engine = _build_sharded_engine(
             graph, model, walk_config, sharding, budget=budget, seed=seed
         )
     else:
         engine = VectorizedWalkEngine(
-            graph,
-            model,
-            sampler=walk_config.sampler,
-            initializer=walk_config.initializer,
-            init_sample_cap=walk_config.init_sample_cap,
-            burn_in_iterations=walk_config.burn_in_iterations,
-            table_budget_bytes=walk_config.table_budget_bytes,
-            max_reject_rounds=walk_config.max_reject_rounds,
-            backend=walk_config.backend,
-            budget=budget,
-            seed=seed,
+            graph, model, budget=budget, seed=seed, **walk_config.engine_kwargs()
         )
-    corpus = engine.generate(
-        num_walks=walk_config.num_walks,
-        walk_length=walk_config.walk_length,
-        start_nodes=start_nodes,
-    )
-    elapsed = time.perf_counter() - start
-    stats = engine.stats()
+    try:
+        corpus = engine.generate(
+            num_walks=walk_config.num_walks,
+            walk_length=walk_config.walk_length,
+            start_nodes=start_nodes,
+        )
+        elapsed = time.perf_counter() - start
+        stats = engine.stats()
+        memory_bytes = engine.memory_bytes()
+    finally:
+        if sharded:
+            engine.close()
+            engine = None
     ti = stats["setup_seconds"] + stats["init_seconds"]
     timings = {"init": ti, "walk": max(elapsed - ti, 0.0)}
     return WalkResult(
         corpus=corpus,
         timings=timings,
         stats=stats,
-        memory_bytes=engine.memory_bytes(),
+        memory_bytes=memory_bytes,
         corpus_bytes=corpus.nbytes,
         engine=engine,
     )
@@ -364,15 +359,9 @@ def train_streaming_pipeline(
         engine = VectorizedWalkEngine(
             graph,
             bound,
-            sampler=walk_config.sampler,
-            initializer=walk_config.initializer,
-            init_sample_cap=walk_config.init_sample_cap,
-            burn_in_iterations=walk_config.burn_in_iterations,
-            table_budget_bytes=walk_config.table_budget_bytes,
-            max_reject_rounds=walk_config.max_reject_rounds,
-            backend=walk_config.backend,
             budget=budget if charge_budget else None,
             seed=seed,
+            **walk_config.engine_kwargs(),
         )
         engine_cell["engine"] = engine
         return engine.generate_stream(
@@ -555,7 +544,7 @@ def train_pipeline(
     :class:`~repro.core.config.ShardingConfig` (or dict) to generate the
     walks on the partitioned engine — corpus (and thus embeddings) stay
     bitwise identical; streaming and sharding are mutually exclusive
-    (the sharded engine has no shard-stream generator).
+    (the streaming pipeline drives the monolithic engine).
     """
     from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
 
@@ -575,8 +564,8 @@ def train_pipeline(
         from repro.errors import WalkError
 
         raise WalkError(
-            "streaming and sharding cannot be combined: the sharded engine "
-            "materialises whole waves and has no shard-stream generator; "
+            "streaming and sharding cannot be combined: the streaming "
+            "pipeline drives the monolithic engine; "
             "disable one block (e.g. --set streaming.enabled=false)"
         )
 

@@ -349,7 +349,7 @@ class RunSpec:
         ):
             raise SpecError(
                 "streaming and sharding blocks cannot both be enabled: the "
-                "sharded engine has no shard-stream generator; disable one "
+                "streaming pipeline drives the monolithic engine; disable one "
                 "(e.g. --set streaming.enabled=false)"
             )
         if self.evaluation is not None:

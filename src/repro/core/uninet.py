@@ -460,16 +460,10 @@ class UniNet:
         engine = VectorizedWalkEngine(
             self.graph,
             self.model,
-            sampler=cfg.sampler,
-            initializer=cfg.initializer,
-            init_sample_cap=cfg.init_sample_cap,
-            burn_in_iterations=cfg.burn_in_iterations,
-            table_budget_bytes=cfg.table_budget_bytes,
-            max_reject_rounds=cfg.max_reject_rounds,
-            backend=cfg.backend,
             chain_store=chain_store,
             budget=self.budget,
             seed=int(self._rng.integers(2**31)),
+            **cfg.engine_kwargs(),
         )
         corpus = engine.generate(num_walks, walk_length, start_nodes=start_nodes)
         walk_seconds = time.perf_counter() - wall0

@@ -253,6 +253,10 @@ class SamplerContext:
     #: Kernel backend instance driving the stepper's hot loops
     #: (:mod:`repro.walks.kernels`); ``None`` means the NumPy default.
     kernels: Any = None
+    #: Per-node bool mask restricting per-state structures to the states
+    #: standing on these nodes — a shard worker passes its owned set, so
+    #: the shards' tables partition the monolith's; ``None`` means all.
+    owned_nodes: Any = None
 
 
 #: Random-walk model classes (``repro.walks.models``). Capabilities:

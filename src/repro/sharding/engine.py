@@ -1,21 +1,29 @@
 """Sharded walk engine: one driver, one RNG, one worker per shard.
 
-The driver mirrors :class:`~repro.walks.vectorized.VectorizedWalkEngine`
-wave-for-wave: it owns the full graph (for the cheap O(walkers) wave
-bookkeeping — lane compaction, target lookups, pending sets, the
-KnightKing outlier split), the bound model, and the **single** random
-generator. Workers own the expensive O(edges) per-step work — weight
-expansion, alias gathers, M-H chains — over their shard's local CSR.
+:class:`ShardedWalkEngine` *is* a
+:class:`~repro.walks.vectorized.VectorizedWalkEngine`: same wave loop,
+same counters, and as its stepper the very stepper class the monolithic
+engine would build — with one half swapped. The built-in steppers keep
+"draw the uniforms" and "apply them" apart (see
+:class:`~repro.walks.vectorized.StepperBase`); the driver's stepper
+inherits the draw half untouched and overrides only the apply half, to
+slice each batch of uniforms by lane ownership and fan it out to the
+shard workers, who run the same apply methods on their local CSR. The
+driver keeps the full graph (for the cheap O(walkers) bookkeeping — lane
+compaction, target lookups, pending sets, the KnightKing outlier split),
+the bound model and the **single** random generator; workers own the
+expensive O(edges) per-step work — weight expansion, alias gathers, M-H
+chains — and every sampler structure.
 
-Bitwise parity comes from one discipline: every uniform the monolithic
-engine would draw is drawn *here*, in the same order, over the union of
-all lanes in monolithic lane order, and then sliced per shard by lane
-ownership. Workers consume their slices positionally (their resident
-arrays are id-sorted, matching the driver's lane order) and never draw.
-Because each per-entry kernel in this repo maps one uniform to one lane
-or edge entry independently of the others, a worker evaluating its
-slice computes exactly what the monolith computes for those lanes — so
-the corpus is identical for any partitioner and any shard count.
+Bitwise parity comes from that one discipline: every uniform is drawn
+*here*, by the monolithic code, over the union of all lanes in
+monolithic lane order. Workers consume their slices positionally (their
+resident arrays are id-sorted, matching the driver's lane order) and
+never draw. Because each per-entry kernel in this repo maps one uniform
+to one lane or edge entry independently of the others, a worker
+evaluating its slice computes exactly what the monolith computes for
+those lanes — so the corpus is identical for any partitioner and any
+shard count.
 
 Walkers that step across a shard boundary are emigrated by their old
 owner into typed migration batches (KnightKing's walker-centric
@@ -26,42 +34,246 @@ round/batch/walker counts surface in :meth:`ShardedWalkEngine.stats`.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
-from repro.errors import ShardError, WalkError
-from repro.registry import INITIALIZER_REGISTRY, KERNEL_REGISTRY, SAMPLER_REGISTRY
+from repro.errors import ShardError
+from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE
 from repro.sharding.partitioner import build_shard_plan
 from repro.sharding.transport import make_transport
 from repro.utils.rng import as_rng
-from repro.walks.corpus import WalkCorpus
 from repro.walks.models import make_model
-
-#: samplers whose per-step RNG schedule the driver knows how to slice.
-_SUPPORTED_SAMPLERS = (
-    "mh",
-    "direct",
-    "alias",
-    "alias-first-order",
-    "rejection",
-    "knightking",
+from repro.walks.vectorized import (
+    VectorizedWalkEngine,
+    _DirectStepper,
+    _FirstOrderAliasStepper,
+    _MHStepper,
+    _RejectionStepper,
+    _StateAliasStepper,
+    resolve_kernels,
 )
 
-_BUILTIN_INITIALIZERS = ("random", "high-weight", "burn-in")
+
+class _Fanout:
+    """Mixin over a built-in stepper: its apply half, run on the shards.
+
+    Listed before the stepper class, so the stepper's ``step`` (the draw
+    half) runs unchanged and resolves every apply call to the overrides
+    here and in the subclasses below. Each override slices the wave's
+    uniforms per shard, ships one op per worker and scatters the replies
+    back into monolithic lane order.
+    """
+
+    def _build(self, ctx) -> None:
+        """The structures live with the workers; the driver holds none."""
+
+    def attach(self, plan, transport) -> None:
+        self.owner = plan.owner
+        self.num_shards = plan.num_shards
+        self.transport = transport
+        self.migrated_walkers = 0
+        self.migration_batches = 0
+        self.migration_rounds = 0
+        self.walker_steps = 0
+
+    # -- plumbing --------------------------------------------------------
+    def _call(self, op, args_per_shard):
+        return self.transport.call_many(
+            [(j, op, args_per_shard[j]) for j in range(self.num_shards)]
+        )
+
+    def _all(self, op, *args):
+        return self._call(op, [args] * self.num_shards)
+
+    def _gather(self, out, index_per_shard, results):
+        for j in range(self.num_shards):
+            out[index_per_shard[j]] = results[j]
+        return out
+
+    def _chosen(self, results):
+        """Per-shard chosen edges back in lane order."""
+        out = np.full(self.shard_of.size, NO_EDGE, dtype=np.int64)
+        return self._gather(out, self.lanes_per, results)
+
+    def _by_shard(self, shard_of):
+        """Per shard, the positions of ``shard_of`` it owns (ascending)."""
+        return [np.flatnonzero(shard_of == j) for j in range(self.num_shards)]
+
+    def _by_entry(self, shard_of, cur, u_flat):
+        """Split one-uniform-per-edge-entry draws by the shard of each row."""
+        __, deg = self._rows(cur)
+        rep = np.repeat(shard_of, deg)
+        return [u_flat[rep == j] for j in range(self.num_shards)]
+
+    # -- residency: every step ends by moving the walkers ----------------
+    def load_wave(self, starts) -> None:
+        lanes_per = self._by_shard(self.owner[starts])
+        self._call("load_wave", [(lanes, starts[lanes]) for lanes in lanes_per])
+
+    def first_step(self, cur, rng):
+        self._enter(cur)
+        return self._advance(super().first_step(cur, rng))
+
+    def step(self, prev, prev_off, cur, step, rng):
+        self._enter(cur)
+        return self._advance(super().step(prev, prev_off, cur, step, rng))
+
+    def _enter(self, cur) -> None:
+        self.walker_steps += cur.size
+        self.shard_of = self.owner[cur]
+        self.lanes_per = self._by_shard(self.shard_of)
+
+    def _advance(self, chosen):
+        """Ship step outcomes; relay the returned migration batches."""
+        results = self._call("advance", [(chosen[lanes],) for lanes in self.lanes_per])
+        relays = []
+        moved = 0
+        for j in range(self.num_shards):
+            for dest, batch in results[j].items():
+                moved += int(batch[0].size)
+                relays.append((dest, "absorb", batch))
+        if relays:
+            self.migration_rounds += 1
+            self.migration_batches += len(relays)
+            self.migrated_walkers += moved
+            self.transport.call_many(relays)
+        return chosen
+
+    # -- the apply ops every stepper has ----------------------------------
+    def apply_first(self, cur, u_flat):
+        parts = self._by_entry(self.shard_of, cur, u_flat)
+        return self._chosen(self._call("step_first", [(u,) for u in parts]))
+
+    def reject_round(self, prev, prev_off, cur, step, sel, u_prop, u_keep, u_acc, bound, clip):
+        picks = self._by_shard(self.shard_of[sel])
+        results = self._call(
+            "reject_round",
+            [
+                (
+                    np.searchsorted(self.lanes_per[j], sel[picks[j]]),
+                    u_prop[picks[j]],
+                    None if u_keep is None else u_keep[picks[j]],
+                    u_acc[picks[j]],
+                    bound,
+                    clip,
+                    step,
+                )
+                for j in range(self.num_shards)
+            ],
+        )
+        off = self._gather(np.empty(sel.size, dtype=np.int64), picks, [r[0] for r in results])
+        accept = self._gather(np.zeros(sel.size, dtype=bool), picks, [r[1] for r in results])
+        return off, accept
+
+    def memory_bytes(self) -> int:
+        """Total resident sampler bytes across all shard workers."""
+        return int(sum(self._all("memory_bytes")))
 
 
-class ShardedWalkEngine:
+class _FanoutDirect(_Fanout, _DirectStepper):
+    def apply(self, prev, prev_off, cur, step, u_flat):
+        parts = self._by_entry(self.shard_of, cur, u_flat)
+        return self._chosen(self._call("step_direct", [(u, step) for u in parts]))
+
+
+class _FanoutAlias(_Fanout, _FirstOrderAliasStepper):
+    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
+        args = [
+            (u_slot[lanes], None if u_keep is None else u_keep[lanes])
+            for lanes in self.lanes_per
+        ]
+        return self._chosen(self._call("step_alias", args))
+
+
+class _FanoutStateAlias(_Fanout, _StateAliasStepper):
+    def attach(self, plan, transport) -> None:
+        super().attach(plan, transport)
+        # the tables were built at worker construction: count them as Ti
+        self.initializations += int(sum(self._all("tables_built")))
+
+    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
+        args = [(u_slot[lanes], u_keep[lanes], step) for lanes in self.lanes_per]
+        return self._chosen(self._call("step_state_alias", args))
+
+
+class _FanoutRejection(_Fanout, _RejectionStepper):
+    """Pending-set loop and outlier split inherited; rounds fan out."""
+
+
+class _FanoutMH(_Fanout, _MHStepper):
+    """The scratch holds, per shard, which of the fresh lanes it owns."""
+
+    def begin(self, prev, prev_off, cur, step) -> dict:
+        uninit = self._gather(
+            np.zeros(cur.size, dtype=bool), self.lanes_per, self._all("mh_begin", step)
+        )
+        own = self.shard_of[uninit]
+        return {"uninit": uninit, "own": own, "picks": self._by_shard(own), "cur0": cur[uninit]}
+
+    def init_high_weight(self, m, u) -> None:
+        self._call("mh_init_hw", [(None if u is None else u[pick],) for pick in m["picks"]])
+
+    def init_random(self, m, u1):
+        results = self._call("mh_init_rand", [(u1[pick],) for pick in m["picks"]])
+        m["bad"] = self._gather(np.zeros(u1.size, dtype=bool), m["picks"], results)
+        return m["bad"]
+
+    def init_support(self, m, u_flat) -> None:
+        bad = m["bad"]
+        parts = self._by_entry(m["own"][bad], m["cur0"][bad], u_flat)
+        self._call("mh_init_support", [(u,) for u in parts])
+
+    def init_burn_in(self, m, draws) -> None:
+        # the wire op takes the whole (iterations, 2, lanes) schedule
+        sched = np.empty((self.burn_in_iterations, 2, m["own"].size))
+        it = 0
+        for pair in draws:
+            sched[it] = pair
+            it += 1
+        self._call("mh_init_burn", [(sched[:, :, pick],) for pick in m["picks"]])
+
+    def finish(self, m, u_cand, u_acc):
+        results = self._call(
+            "mh_exec", [(u_cand[lanes], u_acc[lanes]) for lanes in self.lanes_per]
+        )
+        return (
+            self._chosen([r[0] for r in results]),
+            sum(r[1] for r in results),
+            sum(r[2] for r in results),
+        )
+
+
+def _fanout_alias(graph, model, ctx):
+    cls = _FanoutAlias if model.is_static else _FanoutStateAlias
+    return cls(graph, model, ctx)
+
+
+#: sampler -> driver-side stepper; the samplers whose apply half has ops.
+_FANOUT = {
+    "mh": _FanoutMH,
+    "direct": _FanoutDirect,
+    "alias": _fanout_alias,
+    "alias-first-order": _FanoutAlias,
+    "rejection": partial(_FanoutRejection, fold=False),
+    "knightking": partial(_FanoutRejection, fold=True),
+}
+
+
+class ShardedWalkEngine(VectorizedWalkEngine):
     """Drop-in sharded counterpart of :class:`VectorizedWalkEngine`.
 
     Same ``generate`` / ``stats`` / ``memory_bytes`` surface, same
     corpora bit-for-bit, plus partitioning and migration counters.
-    Options the sharded execution model cannot honour raise
-    :class:`~repro.errors.ShardError` up front: instance models or
-    custom initializer objects (workers rebuild both from names),
-    ``memory-aware`` sampling and table budgets (per-shard budget
-    accounting is not modelled), injected chain stores, and non-NumPy
-    kernel backends (workers drive the NumPy kernels).
+    ``backend=`` names the kernel backend the *workers'* steppers run on
+    (resolved per worker exactly as the monolithic engine resolves it;
+    default ``"numpy"``). Options the sharded execution model cannot
+    honour raise :class:`~repro.errors.ShardError` up front: instance
+    models or custom initializers (workers rebuild both from names, and
+    a custom initializer draws from the RNG itself), ``memory-aware``
+    sampling and table budgets (per-shard budget accounting is not
+    modelled), and injected chain stores.
     """
 
     def __init__(
@@ -104,402 +316,87 @@ class ShardedWalkEngine:
                 "per shard inside the workers"
             )
         self.sampler = SAMPLER_REGISTRY.canonical(sampler)
-        if self.sampler not in _SUPPORTED_SAMPLERS:
+        if self.sampler not in _FANOUT:
             raise ShardError(
                 f"sampler {self.sampler!r} is not supported by the sharded "
-                f"engine; supported: {list(_SUPPORTED_SAMPLERS)}"
+                f"engine; supported: {list(_FANOUT)}"
             )
         if not isinstance(initializer, str):
             raise ShardError(
                 "custom initializer instances are not supported by the "
                 "sharded engine; register and pass a builtin name"
             )
-        self.strategy = INITIALIZER_REGISTRY.canonical(initializer)
-        if self.sampler == "mh" and self.strategy not in _BUILTIN_INITIALIZERS:
-            raise ShardError(
-                f"initializer {self.strategy!r} has no vectorized sharded "
-                f"protocol; supported: {list(_BUILTIN_INITIALIZERS)}"
-            )
-        self.requested_backend = KERNEL_REGISTRY.canonical(backend)
-        if self.requested_backend != "numpy":
-            raise ShardError(
-                "the sharded engine drives the NumPy kernels in its workers; "
-                f"backend {self.requested_backend!r} is not supported"
-            )
-        self.graph = graph
-        self.model = make_model(model, graph, **model_params)
-        if self.sampler == "alias-first-order" and not self.model.is_static:
-            # mirror the monolithic engine's error for exactness claims
-            raise WalkError(
-                f"first-order alias sampling is exact only for static models; "
-                f"{self.model.name} has state-dependent weights (use sampler='alias')"
-            )
-        self.init_sample_cap = init_sample_cap
-        self.burn_in_iterations = int(burn_in_iterations)
-        self.max_reject_rounds = int(max_reject_rounds)
-        self.plan = build_shard_plan(graph, num_shards, partitioner)
-        self.num_shards = self.plan.num_shards
         if hosts is not None and transport != "socket":
             raise ShardError(
                 "worker host lists only apply to transport='socket'; "
                 f"transport is {transport!r}"
             )
+        self.graph = graph
+        self.model = make_model(model, graph, **model_params)
+        self.requested_backend, kernels = resolve_kernels(backend, self.model)
+        self.backend = kernels.name
+        # compiled once here, so same-host workers load the cached build
+        self.compile_seconds = float(kernels.warmup())
         options = {
-            "initializer": self.strategy,
+            "initializer": INITIALIZER_REGISTRY.canonical(initializer),
             "init_sample_cap": init_sample_cap,
-            "burn_in_iterations": self.burn_in_iterations,
+            "burn_in_iterations": int(burn_in_iterations),
+            "backend": self.requested_backend,
             "hosts": list(hosts) if hosts is not None else None,
             "connect_timeout": float(connect_timeout),
             "call_timeout": call_timeout,
         }
+        ctx = SamplerContext(
+            initializer=options["initializer"],
+            init_sample_cap=init_sample_cap,
+            burn_in_iterations=options["burn_in_iterations"],
+            max_reject_rounds=int(max_reject_rounds),
+        )
+        # the driver's half first: it validates sampler x model and holds
+        # no resources, so a refusal here leaves no worker behind
+        self.stepper = _FANOUT[self.sampler](graph, self.model, ctx)
+        if getattr(self.stepper, "custom_initializer", None) is not None:
+            raise ShardError(
+                f"initializer {options['initializer']!r} has no vectorized sharded "
+                "protocol; supported: ['random', 'high-weight', 'burn-in']"
+            )
+        self.plan = build_shard_plan(graph, num_shards, partitioner)
+        self.num_shards = self.plan.num_shards
         self.transport = make_transport(
             transport, self.plan, model, dict(model_params), self.sampler, options
         )
-        # KnightKing folding mirrors the monolithic stepper's feature gate
-        self.fold = (
-            self.sampler == "knightking"
-            and getattr(self.model, "supports_folding", False)
-            and hasattr(self.model, "batch_outlier_excess")
-        )
-        self.row_totals = graph.weight_row_sums() if self.fold else None
-        self.proposal_uniform = not graph.is_weighted
-        # sampler counters (monolithic stats surface)
-        self.samples = 0
-        self.proposals = 0
-        self.accepts = 0
-        self.initializations = 0
-        self.init_seconds = 0.0
-        # migration counters (the sharded extras)
-        self.migrated_walkers = 0
-        self.migration_batches = 0
-        self.migration_rounds = 0
-        self.walker_steps = 0
-        if self.sampler == "alias" and not self.model.is_static:
-            built = self.transport.call_many(
-                [(j, "tables_built", ()) for j in range(self.num_shards)]
-            )
-            self.initializations += int(np.sum(np.asarray(built, dtype=np.int64)))
+        self.stepper.attach(self.plan, self.transport)
         self.setup_seconds = time.perf_counter() - start
-        self.backend = "numpy"
-        self.compile_seconds = 0.0
         self.rng = as_rng(seed)
 
-    # ------------------------------------------------------------------
-    def generate(self, num_walks: int = 10, walk_length: int = 80, start_nodes=None) -> WalkCorpus:
-        """Identical semantics (and corpus) to the monolithic ``generate``."""
-        if num_walks < 1 or walk_length < 1:
-            raise WalkError("num_walks and walk_length must be >= 1")
-        if start_nodes is None:
-            starts = self.model.valid_start_nodes()
-        else:
-            starts = np.asarray(start_nodes, dtype=np.int64)
-        if starts.size == 0:
-            raise WalkError("no valid start nodes for this model/graph")
-        walks = np.full((num_walks * starts.size, walk_length), -1, dtype=np.int64)
-        lengths = np.empty(num_walks * starts.size, dtype=np.int64)
-        for wave in range(num_walks):
-            base = wave * starts.size
-            lengths[base : base + starts.size] = self._run_wave(
-                starts, walk_length, walks, base
-            )
-        return WalkCorpus(walks, lengths)
-
-    # ------------------------------------------------------------------
     def _run_wave(self, starts, walk_length, walks, row_base) -> np.ndarray:
-        graph, owner, rng = self.graph, self.plan.owner, self.rng
-        k = starts.size
-        walks[row_base : row_base + k, 0] = starts
-        lengths = np.ones(k, dtype=np.int64)
-        ids = np.arange(k, dtype=np.int64)
-        cur = starts.astype(np.int64).copy()
-        prev = np.full(k, -1, dtype=np.int64)
-        prev_off = np.full(k, -1, dtype=np.int64)
-        shard_of = owner[cur]
-        calls = []
-        for j in range(self.num_shards):
-            lanes = np.flatnonzero(shard_of == j)
-            calls.append((j, "load_wave", (ids[lanes], cur[lanes])))
-        self.transport.call_many(calls)
-        for step in range(walk_length - 1):
-            if cur.size == 0:
-                break
-            self.walker_steps += cur.size
-            shard_of = owner[cur]
-            lanes_per = [np.flatnonzero(shard_of == j) for j in range(self.num_shards)]
-            chosen = self._dispatch_step(step, prev, prev_off, cur, shard_of, lanes_per)
-            self._advance(chosen, lanes_per)
-            alive = chosen != NO_EDGE
-            ids = ids[alive]
-            chosen = chosen[alive]
-            prev = cur[alive]
-            prev_off = chosen
-            cur = graph.targets[chosen]
-            walks[row_base + ids, step + 1] = cur
-            lengths[ids] += 1
-        return lengths
+        self.stepper.load_wave(starts)
+        return super()._run_wave(starts, walk_length, walks, row_base)
 
-    def _advance(self, chosen, lanes_per) -> None:
-        """Ship step outcomes; relay the returned migration batches."""
-        calls = []
-        for j in range(self.num_shards):
-            calls.append((j, "advance", (chosen[lanes_per[j]],)))
-        results = self.transport.call_many(calls)
-        relays = []
-        moved = 0
-        for j in range(self.num_shards):
-            for dest, batch in results[j].items():
-                moved += int(batch[0].size)
-                relays.append((dest, "absorb", batch))
-        if relays:
-            self.migration_rounds += 1
-            self.migration_batches += len(relays)
-            self.migrated_walkers += moved
-            self.transport.call_many(relays)
-
-    # -- per-step dispatch ---------------------------------------------
-    def _dispatch_step(self, step, prev, prev_off, cur, shard_of, lanes_per):
-        if self.model.order == 2 and step == 0:
-            return self._step_rowflat("step_first", step, cur, shard_of, lanes_per)
-        if self.sampler == "direct":
-            out = self._step_rowflat("step_direct", step, cur, shard_of, lanes_per)
-            self.proposals += cur.size
-            self.samples += int((out != NO_EDGE).sum())
-            return out
-        if self.sampler == "alias-first-order" or (
-            self.sampler == "alias" and self.model.is_static
-        ):
-            return self._step_alias_static(cur, lanes_per)
-        if self.sampler == "alias":
-            return self._step_alias_state(step, cur, lanes_per)
-        if self.sampler == "mh":
-            return self._step_mh(step, cur, shard_of, lanes_per)
-        return self._step_reject(step, prev, cur, shard_of, lanes_per)
-
-    def _scatter(self, results, lanes_per, k) -> np.ndarray:
-        out = np.full(k, NO_EDGE, dtype=np.int64)
-        for j in range(self.num_shards):
-            out[lanes_per[j]] = results[j]
-        return out
-
-    def _step_rowflat(self, op, step, cur, shard_of, lanes_per):
-        """Ops consuming one uniform per *edge entry* of the active rows."""
-        deg = self.graph.offsets[cur + 1] - self.graph.offsets[cur]
-        u = self.rng.random(int(deg.sum()))
-        owner_rep = np.repeat(shard_of, deg)
-        calls = []
-        for j in range(self.num_shards):
-            u_j = u[owner_rep == j]
-            args = (u_j,) if op == "step_first" else (u_j, step)
-            calls.append((j, op, args))
-        return self._scatter(self.transport.call_many(calls), lanes_per, cur.size)
-
-    def _step_alias_static(self, cur, lanes_per):
-        k = cur.size
-        u_slot = self.rng.random(k)
-        u_keep = None if self.proposal_uniform else self.rng.random(k)
-        calls = []
-        for j in range(self.num_shards):
-            lanes = lanes_per[j]
-            uk = None if u_keep is None else u_keep[lanes]
-            calls.append((j, "step_alias", (u_slot[lanes], uk)))
-        out = self._scatter(self.transport.call_many(calls), lanes_per, k)
-        self.proposals += k
-        self.samples += int((out != NO_EDGE).sum())
-        return out
-
-    def _step_alias_state(self, step, cur, lanes_per):
-        k = cur.size
-        u_slot = self.rng.random(k)
-        u_keep = self.rng.random(k)
-        calls = []
-        for j in range(self.num_shards):
-            lanes = lanes_per[j]
-            calls.append((j, "step_state_alias", (u_slot[lanes], u_keep[lanes], step)))
-        out = self._scatter(self.transport.call_many(calls), lanes_per, k)
-        self.proposals += k
-        self.samples += int((out != NO_EDGE).sum())
-        return out
-
-    # -- M-H ------------------------------------------------------------
-    def _step_mh(self, step, cur, shard_of, lanes_per):
-        k = cur.size
-        begin = self.transport.call_many(
-            [(j, "mh_begin", (step,)) for j in range(self.num_shards)]
+    def apply_delta(self, delta):
+        raise ShardError(
+            "the sharded engine does not refresh across graph deltas: the "
+            "plan and every worker's structures are built per graph; build "
+            "a fresh engine"
         )
-        uninit = np.zeros(k, dtype=bool)
-        for j in range(self.num_shards):
-            uninit[lanes_per[j]] = begin[j]
-        if uninit.any():
-            t0 = time.perf_counter()
-            self._mh_init(uninit, cur, shard_of)
-            self.initializations += int(uninit.sum())
-            self.init_seconds += time.perf_counter() - t0
-        u_cand = self.rng.random(k)
-        u_acc = self.rng.random(k)
-        calls = []
-        for j in range(self.num_shards):
-            lanes = lanes_per[j]
-            calls.append((j, "mh_exec", (u_cand[lanes], u_acc[lanes])))
-        results = self.transport.call_many(calls)
-        out = np.full(k, NO_EDGE, dtype=np.int64)
-        for j in range(self.num_shards):
-            chosen_j, n_ok, n_acc = results[j]
-            out[lanes_per[j]] = chosen_j
-            self.proposals += n_ok
-            self.accepts += n_acc
-            self.samples += n_ok
-        return out
 
-    def _mh_init(self, uninit, cur, shard_of) -> None:
-        """Draw the initializer's uniforms and fan them to the workers.
-
-        Draw order replicates the monolithic initializers exactly:
-        high-weight takes one ``(lanes, cap)`` block; random takes one
-        lane draw plus one support draw per edge entry of the
-        zero-weight lanes; burn-in follows random with two lane draws
-        per iteration, drawn iteration-by-iteration.
-        """
-        rng = self.rng
-        own_un = shard_of[uninit]
-        n_un = int(own_un.size)
-        if self.strategy == "high-weight":
-            cap = self.init_sample_cap
-            if cap is None:
-                calls = [(j, "mh_init_hw", (None,)) for j in range(self.num_shards)]
-            else:
-                u = rng.random((n_un, cap))
-                calls = []
-                for j in range(self.num_shards):
-                    calls.append((j, "mh_init_hw", (u[own_un == j],)))
-            self.transport.call_many(calls)
-            return
-        # random (also the burn-in seed): one uniform slot per lane
-        u1 = rng.random(n_un)
-        calls = []
-        for j in range(self.num_shards):
-            calls.append((j, "mh_init_rand", (u1[own_un == j],)))
-        results = self.transport.call_many(calls)
-        bad_un = np.zeros(n_un, dtype=bool)
-        for j in range(self.num_shards):
-            bad_un[np.flatnonzero(own_un == j)] = results[j]
-        if bad_un.any():
-            cur_un = cur[uninit]
-            bad_cur = cur_un[bad_un]
-            deg_b = self.graph.offsets[bad_cur + 1] - self.graph.offsets[bad_cur]
-            u_s = rng.random(int(deg_b.sum()))
-            rep = np.repeat(own_un[bad_un], deg_b)
-            calls = []
-            for j in range(self.num_shards):
-                calls.append((j, "mh_init_support", (u_s[rep == j],)))
-            self.transport.call_many(calls)
-        if self.strategy == "burn-in":
-            sched = np.empty((self.burn_in_iterations, 2, n_un))
-            for it in range(self.burn_in_iterations):
-                sched[it, 0] = rng.random(n_un)
-                sched[it, 1] = rng.random(n_un)
-            calls = []
-            for j in range(self.num_shards):
-                calls.append((j, "mh_init_burn", (sched[:, :, own_un == j],)))
-            self.transport.call_many(calls)
-
-    # -- rejection / KnightKing ----------------------------------------
-    def _step_reject(self, step, prev, cur, shard_of, lanes_per):
-        k = cur.size
-        out = np.full(k, NO_EDGE, dtype=np.int64)
-        offsets = self.graph.offsets
-        deg = offsets[cur + 1] - offsets[cur]
-        pending = np.flatnonzero(deg > 0)
-        if pending.size == 0:
-            return out
-        if self.fold:
-            bulk = self.model.bulk_bound
-            rev, excess = self.model.batch_outlier_excess(prev, cur)
-            envelope = bulk * self.row_totals[cur]
-            total = excess + envelope
-            pending = pending[total[pending] > 0]
-            bound, clip = bulk, True
-        else:
-            bound, clip = self.model.alpha_bound(self.graph), False
-        rng = self.rng
-        for __ in range(self.max_reject_rounds):
-            if pending.size == 0:
-                break
-            self.proposals += pending.size
-            if self.fold:
-                r = rng.random(pending.size) * total[pending]
-                hit_outlier = r < excess[pending]
-                chosen_out = pending[hit_outlier]
-                out[chosen_out] = rev[chosen_out]
-                round_lanes = pending[~hit_outlier]
-                if round_lanes.size == 0:
-                    pending = round_lanes
-                    continue
-            else:
-                round_lanes = pending
-            u_prop = rng.random(round_lanes.size)
-            u_keep = None if self.proposal_uniform else rng.random(round_lanes.size)
-            u_acc = rng.random(round_lanes.size)
-            own_r = shard_of[round_lanes]
-            calls = []
-            for j in range(self.num_shards):
-                sel = own_r == j
-                rel = np.searchsorted(lanes_per[j], round_lanes[sel])
-                uk = None if u_keep is None else u_keep[sel]
-                calls.append(
-                    (j, "reject_round", (rel, u_prop[sel], uk, u_acc[sel], bound, clip, step))
-                )
-            results = self.transport.call_many(calls)
-            accept = np.zeros(round_lanes.size, dtype=bool)
-            off = np.full(round_lanes.size, NO_EDGE, dtype=np.int64)
-            for j in range(self.num_shards):
-                sel = np.flatnonzero(own_r == j)
-                off_j, acc_j = results[j]
-                off[sel] = off_j
-                accept[sel] = acc_j
-            out[round_lanes[accept]] = off[accept]
-            pending = round_lanes[~accept]
-        self.samples += int((out != NO_EDGE).sum())
-        return out
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Monolithic stats keys plus partitioning/migration counters."""
-        out = {
-            "samples": self.samples,
-            "proposals": self.proposals,
-            "accepts": self.accepts,
-            "initializations": self.initializations,
-            "init_seconds": self.init_seconds,
-            "acceptance_ratio": (self.samples / self.proposals) if self.proposals else 1.0,
-            "rebuilt_nodes": 0,
-            "rebuild_cost_bytes": 0,
-            "invalidated_states": 0,
-            "delta_seconds": 0.0,
-            "setup_seconds": self.setup_seconds,
-            "backend": self.backend,
-            "requested_backend": self.requested_backend,
-            "compile_seconds": self.compile_seconds,
-            "migrated_walkers": self.migrated_walkers,
-            "migration_batches": self.migration_batches,
-            "migration_rounds": self.migration_rounds,
-            "walker_steps": self.walker_steps,
-            "migration_rate": (
-                self.migrated_walkers / self.walker_steps if self.walker_steps else 0.0
-            ),
-        }
+        out = super().stats()
+        stepper = self.stepper
+        out["migrated_walkers"] = stepper.migrated_walkers
+        out["migration_batches"] = stepper.migration_batches
+        out["migration_rounds"] = stepper.migration_rounds
+        out["walker_steps"] = stepper.walker_steps
+        out["migration_rate"] = (
+            stepper.migrated_walkers / stepper.walker_steps if stepper.walker_steps else 0.0
+        )
         out.update(self.plan.stats())
         out["transport"] = self.transport.name
         transport_stats = getattr(self.transport, "transport_stats", None)
         if transport_stats is not None:
             out["transport_stats"] = transport_stats()
         return out
-
-    def memory_bytes(self) -> int:
-        """Total resident sampler bytes across all shard workers."""
-        parts = self.transport.call_many(
-            [(j, "memory_bytes", ()) for j in range(self.num_shards)]
-        )
-        return int(np.sum(np.asarray(parts, dtype=np.int64)))
 
     def close(self) -> None:
         """Shut down the transport (worker processes, shared segments)."""

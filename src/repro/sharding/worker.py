@@ -1,10 +1,16 @@
-"""Per-shard walk worker: local sampling state, zero RNG, typed migration.
+"""Per-shard walk worker: one real stepper on the local graph, zero RNG.
 
-One :class:`ShardWorker` owns a shard's local CSR plus the sampler
-structures for its owned states (alias tables, M-H chains, proposal
-stores) and the *resident* walkers currently standing on its owned
-nodes. The KnightKing discipline: walker state moves to the data, the
-data never moves to the walkers.
+One :class:`ShardWorker` owns a shard's local CSR, **one stepper** built
+on it through the same ``SAMPLER_REGISTRY`` factory and the same kernel
+backend resolution the monolithic engine uses (per-state tables
+restricted to the shard's owned nodes), and the *resident* walkers
+currently standing on its owned nodes. The KnightKing discipline:
+walker state moves to the data, the data never moves to the walkers.
+
+There is no step math in this module. Every op translates the resident
+lanes from global to local coordinates, calls the stepper's *apply*
+half (:class:`~repro.walks.vectorized.StepperBase`) with the uniforms
+the driver shipped, and translates the chosen edges back.
 
 RNG discipline (the bitwise-parity contract): workers draw **no**
 random numbers. The driver owns the single generator, draws every
@@ -29,18 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.alias import FirstOrderAliasStore
+from repro.registry import SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE
-from repro.walks._segments import (
-    concat_ranges,
-    race_keys,
-    segment_argmax,
-    segment_race_argmin,
-)
-from repro.walks.kernels import KernelState, resolve_backend
-from repro.walks.manager import ChainStore
 from repro.walks.models import make_model
-from repro.walks.vectorized import EagerStateAliasTables
+from repro.walks.vectorized import resolve_kernels
 
 
 class ShardWorker:
@@ -67,36 +65,22 @@ class ShardWorker:
         self.node_map = node_map
         self.edge_map = edge_map
         self.g2l = global_to_local
-        self.owned_local = owned_local
         self.owner = owner
-        self.model = make_model(model, graph, **(model_params or {}))
-        self.sampler = sampler
-        self.kernels = resolve_backend("numpy")
-        self.burn_in_iterations = int(options.get("burn_in_iterations", 100))
-        self.init_sample_cap = options.get("init_sample_cap", 16)
-        # sampler-local structures (only what this sampler needs)
-        self.proposal = None
-        self.tables = None
-        self.chains = None
-        if sampler in ("alias-first-order", "rejection", "knightking") or (
-            sampler == "alias" and self.model.is_static
-        ):
-            self.proposal = FirstOrderAliasStore(graph)
-        elif sampler == "alias":
-            # dynamic per-state tables, restricted to this shard's owned
-            # states: a state's home is owner(cur), so the masks of the
-            # shards partition the monolith's valid-state set exactly
-            contexts = self.model.enumerate_state_contexts(graph)
-            mask = self.owned_local[contexts["cur"]]
-            self.tables = EagerStateAliasTables(graph, self.model, state_mask=mask)
-        elif sampler == "mh":
-            self.chains = ChainStore(graph, self.model)
+        model = make_model(model, graph, **(model_params or {}))
+        ctx = SamplerContext(
+            initializer=options.get("initializer", "high-weight"),
+            init_sample_cap=options.get("init_sample_cap", 16),
+            burn_in_iterations=int(options.get("burn_in_iterations", 100)),
+            kernels=resolve_kernels(options.get("backend", "numpy"), model)[1],
+            owned_nodes=owned_local,
+        )
+        self.stepper = SAMPLER_REGISTRY.get(sampler)(graph, model, ctx)
         # resident walkers, global coordinates, sorted by walker id
         self.ids = np.empty(0, dtype=np.int64)
         self.prev_g = np.empty(0, dtype=np.int64)
         self.prev_off_g = np.empty(0, dtype=np.int64)
         self.cur_g = np.empty(0, dtype=np.int64)
-        self._mh = None  # per-step M-H scratch between begin and exec
+        self._mh = None  # the stepper's M-H scratch between begin and exec
 
     # -- coordinate translation ----------------------------------------
     def _nodes_local(self, g: np.ndarray) -> np.ndarray:
@@ -107,8 +91,11 @@ class ShardWorker:
         return np.where(g < 0, np.int64(-1), local)
 
     def _edges_global(self, local: np.ndarray) -> np.ndarray:
-        out = self.edge_map[np.maximum(local, 0)]
-        return np.where(local < 0, np.int64(NO_EDGE), out)
+        # masked, not clamped: an edgeless shard has no entry to clamp to
+        out = np.full(local.shape, NO_EDGE, dtype=np.int64)
+        chose = local >= 0
+        out[chose] = self.edge_map[local[chose]]
+        return out
 
     def _lanes(self):
         """Resident lanes in local coordinates."""
@@ -117,40 +104,6 @@ class ShardWorker:
             self._edges_local(self.prev_off_g),
             self._nodes_local(self.cur_g),
         )
-
-    def _kernel_state(self) -> KernelState:
-        ks = KernelState.for_graph(self.graph, self.model)
-        if self.proposal is not None:
-            ks.prop_threshold = self.proposal.threshold
-            ks.prop_alias = self.proposal.alias
-        if self.tables is not None:
-            ks.tab_base = self.tables.base
-            ks.tab_threshold = self.tables.threshold
-            ks.tab_alias = self.tables.alias_local
-            ks.tab_deg = self.tables.table_deg
-            ks.tab_has = self.tables.has_table
-        if self.chains is not None:
-            ks.chain_last = self.chains.last
-            ks.chain_last_w = self.chains.last_w
-        return ks
-
-    def _weight_fn(self, prev, prev_off, cur, step, sel=None):
-        def weight_fn(offs, lanes=None):
-            p, po, c, s = prev, prev_off, cur, step
-            if sel is not None:
-                p, po, c = p[sel], po[sel], c[sel]
-                s = s[sel] if isinstance(s, np.ndarray) else s
-            if lanes is not None:
-                p, po, c = p[lanes], po[lanes], c[lanes]
-                s = s[lanes] if isinstance(s, np.ndarray) else s
-            return self.model.batch_dynamic_weight(p, po, c, s, offs)
-
-        return weight_fn
-
-    def _rows(self, cur_l):
-        lo = self.graph.offsets[cur_l]
-        deg = self.graph.offsets[cur_l + 1] - lo
-        return lo, deg
 
     # -- residency ------------------------------------------------------
     def load_wave(self, ids, cur_g):
@@ -207,43 +160,21 @@ class ShardWorker:
     # -- step ops -------------------------------------------------------
     def step_first(self, u_flat):
         """Second-order step 0: exact draw from the start-state law."""
-        __, ___, cur_l = self._lanes()
-        lo, deg = self._rows(cur_l)
-        flat_offs, seg = concat_ranges(lo, deg)
-        if flat_offs.size == 0:
-            return np.full(cur_l.size, NO_EDGE, dtype=np.int64)
-        none = np.full(flat_offs.size, -1, dtype=np.int64)
-        weights = self.model.batch_dynamic_weight(none, none, cur_l[seg], 0, flat_offs)
-        pos = segment_race_argmin(race_keys(weights, u_flat), deg)
-        return self._edges_global(np.where(pos >= 0, lo + pos, np.int64(NO_EDGE)))
+        cur = self._nodes_local(self.cur_g)
+        return self._edges_global(self.stepper.apply_first(cur, u_flat))
 
     def step_direct(self, u_flat, step):
         """Exact O(deg) categorical draw over dynamic weights."""
-        prev_l, prev_off_l, cur_l = self._lanes()
-        lo, deg = self._rows(cur_l)
-        flat_offs, seg = concat_ranges(lo, deg)
-        if flat_offs.size == 0:
-            return np.full(cur_l.size, NO_EDGE, dtype=np.int64)
-        weights = self.model.batch_dynamic_weight(
-            prev_l[seg], prev_off_l[seg], cur_l[seg], step, flat_offs
-        )
-        pos = segment_race_argmin(race_keys(weights, u_flat), deg)
-        return self._edges_global(np.where(pos >= 0, lo + pos, np.int64(NO_EDGE)))
+        return self._edges_global(self.stepper.apply(*self._lanes(), step, u_flat))
 
     def step_alias(self, u_slot, u_keep):
         """First-order alias gather (static models)."""
-        __, ___, cur_l = self._lanes()
-        out = self.kernels.alias_draw(self._kernel_state(), cur_l, u_slot, u_keep)
-        return self._edges_global(out)
+        cur = self._nodes_local(self.cur_g)  # static tables: no predecessor to translate
+        return self._edges_global(self.stepper.apply(None, None, cur, None, u_slot, u_keep))
 
     def step_state_alias(self, u_slot, u_keep, step):
         """Per-state alias gather (dynamic models, owned states only)."""
-        prev_l, prev_off_l, cur_l = self._lanes()
-        idx = self.model.batch_state_index(prev_off_l, cur_l, step)
-        out = self.kernels.state_alias_draw(
-            self._kernel_state(), idx, cur_l, u_slot, u_keep
-        )
-        return self._edges_global(out)
+        return self._edges_global(self.stepper.apply(*self._lanes(), step, u_slot, u_keep))
 
     def reject_round(self, rel, u_prop, u_keep, u_acc, bound, clip, step):
         """One proposal/accept round for the driver's pending lanes.
@@ -252,136 +183,28 @@ class ShardWorker:
         ``(off_global, accept)``; the driver owns the pending-set loop
         (and, for KnightKing, the outlier-vs-bulk split).
         """
-        prev_l, prev_off_l, cur_l = self._lanes()
-        wf = self._weight_fn(prev_l, prev_off_l, cur_l, step, sel=rel)
-        off, accept = self.kernels.rejection_round(
-            self._kernel_state(),
-            prev_l[rel],
-            cur_l[rel],
-            u_prop,
-            u_keep,
-            u_acc,
-            bound,
-            clip,
-            wf,
+        off, accept = self.stepper.reject_round(
+            *self._lanes(), step, rel, u_prop, u_keep, u_acc, bound, clip
         )
         return self._edges_global(off), accept
 
-    # -- M-H ------------------------------------------------------------
+    # -- M-H: the stepper's begin -> init_* -> finish, one op each -------
     def mh_begin(self, step):
         """Start an M-H step: stash scratch, report uninitialised chains."""
-        prev_l, prev_off_l, cur_l = self._lanes()
-        __, deg = self._rows(cur_l)
-        alive = deg > 0
-        idx = self.model.batch_state_index(prev_off_l, cur_l, step)
-        last = self.chains.last[idx].copy()
-        last_w = self.chains.last_w[idx].copy()
-        uninit = (last == NO_EDGE) & alive
-        self._mh = {
-            "step": step,
-            "prev": prev_l,
-            "prev_off": prev_off_l,
-            "cur": cur_l,
-            "alive": alive,
-            "idx": idx,
-            "last": last,
-            "last_w": last_w,
-            "uninit": uninit,
-            "cand": None,
-            "init": None,
-        }
-        return uninit
-
-    def _mh_uninit_lanes(self):
-        m = self._mh
-        u = m["uninit"]
-        return m["prev"][u], m["prev_off"][u], m["cur"][u], m["step"]
-
-    def _batch_weights(self, prev0, prev_off0, cur0, step, offs):
-        return self.kernels.dyn_weights(
-            self._kernel_state(),
-            prev0,
-            offs,
-            self._weight_fn(prev0, prev_off0, cur0, step),
-        )
-
-    def _exact_argmax(self, prev0, prev_off0, cur0, step):
-        lo, deg = self._rows(cur0)
-        flat_offs, seg = concat_ranges(lo, deg)
-        weights = np.empty(0, dtype=np.float64)
-        if flat_offs.size:
-            weights = self.model.batch_dynamic_weight(
-                prev0[seg], prev_off0[seg], cur0[seg], step, flat_offs
-            )
-        pos = segment_argmax(weights, deg)
-        good = np.zeros(cur0.size, dtype=bool)
-        nonempty = pos >= 0
-        flat_best = (lo + np.maximum(pos, 0)).astype(np.int64)
-        if weights.size:
-            best_w = self.model.batch_dynamic_weight(
-                prev0, prev_off0, cur0, step, np.maximum(flat_best, 0)
-            )
-            good = nonempty & (best_w > 0.0)
-        return np.where(good, flat_best, np.int64(NO_EDGE))
+        self._mh = self.stepper.begin(*self._lanes(), step)
+        return self._mh["uninit"]
 
     def mh_init_hw(self, u_block):
         """High-weight init: capped subsample argmax (exact when u is None)."""
-        prev0, prev_off0, cur0, step = self._mh_uninit_lanes()
-        if u_block is None:
-            self._mh["init"] = self._exact_argmax(prev0, prev_off0, cur0, step)
-            return None
-        cap = u_block.shape[1]
-
-        def flat_weight_fn(offs, lanes=None):
-            wf = self._weight_fn(
-                np.repeat(prev0, cap),
-                np.repeat(prev_off0, cap),
-                np.repeat(cur0, cap),
-                step,
-            )
-            return wf(offs, lanes)
-
-        result, w_best = self.kernels.mh_init_select(
-            self._kernel_state(), prev0, cur0, u_block, flat_weight_fn
-        )
-        bad = w_best <= 0.0
-        if bad.any():
-            result[bad] = self._exact_argmax(
-                prev0[bad], prev_off0[bad], cur0[bad], step
-            )
-        self._mh["init"] = result
-        return None
+        return self.stepper.init_high_weight(self._mh, u_block)
 
     def mh_init_rand(self, u1):
         """Random init: uniform slot; report lanes that landed on zero weight."""
-        prev0, prev_off0, cur0, step = self._mh_uninit_lanes()
-        lo, deg = self._rows(cur0)
-        cand = lo + (u1 * np.maximum(deg, 1)).astype(np.int64)
-        w = self._batch_weights(prev0, prev_off0, cur0, step, cand)
-        bad = w <= 0.0
-        self._mh["cand"] = cand
-        self._mh["bad"] = bad
-        self._mh["init"] = cand
-        return bad
+        return self.stepper.init_random(self._mh, u1)
 
     def mh_init_support(self, u_flat):
         """Repair zero-weight random inits: uniform over the row's support."""
-        prev0, prev_off0, cur0, step = self._mh_uninit_lanes()
-        bad = self._mh["bad"]
-        prev_b, prev_off_b, cur_b = prev0[bad], prev_off0[bad], cur0[bad]
-        lo, deg = self._rows(cur_b)
-        flat_offs, seg = concat_ranges(lo, deg)
-        weights = np.empty(0, dtype=np.float64)
-        if flat_offs.size:
-            weights = self.model.batch_dynamic_weight(
-                prev_b[seg], prev_off_b[seg], cur_b[seg], step, flat_offs
-            )
-        support = (weights > 0.0).astype(np.float64)
-        pos = segment_race_argmin(race_keys(support, u_flat), deg)
-        cand = self._mh["cand"]
-        cand[bad] = np.where(pos >= 0, lo + pos, np.int64(NO_EDGE))
-        self._mh["init"] = cand
-        return None
+        return self.stepper.init_support(self._mh, u_flat)
 
     def mh_init_burn(self, u_sched):
         """Burn-in init: driver-scheduled uniforms, local M-H iterations.
@@ -390,56 +213,26 @@ class ShardWorker:
         one candidate draw and one acceptance draw, in the monolithic
         engine's exact consumption order.
         """
-        prev0, prev_off0, cur0, step = self._mh_uninit_lanes()
-        lo, deg = self._rows(cur0)
-        last = self._mh["init"]
-        w_last = self._batch_weights(prev0, prev_off0, cur0, step, np.maximum(last, 0))
-        for it in range(self.burn_in_iterations):
-            cand = lo + (u_sched[it, 0] * np.maximum(deg, 1)).astype(np.int64)
-            w_cand = self._batch_weights(prev0, prev_off0, cur0, step, cand)
-            accept = (w_cand > 0.0) & ((w_last <= 0.0) | (u_sched[it, 1] * w_last < w_cand))
-            last = np.where(accept & (last != NO_EDGE), cand, last)
-            w_last = np.where(accept, w_cand, w_last)
-        self._mh["init"] = last
-        return None
+        return self.stepper.init_burn_in(self._mh, u_sched)
 
     def mh_exec(self, u_cand, u_acc):
         """Finish an M-H step: propose/accept kernel + chain scatter."""
-        m = self._mh
-        last, last_w, uninit = m["last"], m["last_w"], m["uninit"]
-        if uninit.any():
-            last[uninit] = m["init"]
-            last_w[uninit] = np.nan
-        dead = ~m["alive"] | (last == NO_EDGE)
-        nxt, n_ok, n_acc = self.kernels.mh_step(
-            self._kernel_state(),
-            m["idx"],
-            m["prev"],
-            m["cur"],
-            last,
-            last_w,
-            dead,
-            u_cand,
-            u_acc,
-            self._weight_fn(m["prev"], m["prev_off"], m["cur"], m["step"]),
-        )
+        nxt, n_ok, n_acc = self.stepper.finish(self._mh, u_cand, u_acc)
         return self._edges_global(nxt), n_ok, n_acc
 
     # -- bookkeeping ----------------------------------------------------
     def tables_built(self) -> int:
-        """Materialised per-state alias tables (setup-cost counter)."""
-        return self.tables.num_tables if self.tables is not None else 0
+        """Structures materialised at construction (setup-cost counter).
+
+        A worker never runs the stepper's draw half, so the stepper's
+        counter still holds exactly its build-time value: the per-state
+        alias tables, zero for every other sampler.
+        """
+        return self.stepper.initializations
 
     def memory_bytes(self) -> int:
         """Resident bytes of this shard's sampler structures."""
-        total = 0
-        if self.proposal is not None:
-            total += self.proposal.memory_bytes()
-        if self.tables is not None:
-            total += self.tables.memory_bytes()
-        if self.chains is not None:
-            total += self.chains.memory_bytes()
-        return total
+        return self.stepper.memory_bytes()
 
     def debug_exit(self, code: int = 17):
         """Kill this worker's process immediately (fault-injection hook).

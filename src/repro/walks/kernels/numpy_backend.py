@@ -67,6 +67,10 @@ class NumpyKernels:
         lo = offsets[cur]
         deg = offsets[cur + 1] - lo
         cand = lo + (u_cand * np.maximum(deg, 1)).astype(np.int64)
+        # deg==0 lanes are dead (masked by the driver), but a trailing
+        # zero-degree node's row starts one past the edge arrays: clamp
+        # the junk index exactly as the compiled kernels do
+        cand = np.minimum(cand, max(ks.targets.size - 1, 0))
         w_cand = weight_fn(cand)
         w_last = last_w.astype(np.float64, copy=True)
         miss = np.isnan(w_last)
@@ -128,7 +132,7 @@ class NumpyKernels:
         deg = offsets[nodes + 1] - lo
         ok = deg > 0
         k = lo + (u_slot * np.maximum(deg, 1)).astype(np.int64)
-        if u_keep is not None:
+        if u_keep is not None and ks.prop_threshold.size:  # edgeless: no slot to keep
             kk = np.minimum(k, ks.prop_threshold.size - 1)
             keep = u_keep < ks.prop_threshold[kk]
             k = np.where(keep, k, ks.prop_alias[kk])
@@ -136,6 +140,8 @@ class NumpyKernels:
 
     def state_alias_draw(self, ks, state_idx, cur, u_slot, u_keep):
         """Per-state alias gather (eager second-order tables)."""
+        if ks.tab_threshold.size == 0:  # no table anywhere (an edgeless shard)
+            return np.full(state_idx.size, NO_EDGE, dtype=np.int64)
         deg = ks.tab_deg[state_idx]
         k = (u_slot * np.maximum(deg, 1)).astype(np.int64)
         slot = ks.tab_base[state_idx] + k

@@ -41,7 +41,12 @@ from repro.sampling.memory_model import (
     second_order_alias_bytes,
 )
 from repro.utils.rng import as_rng
-from repro.walks._segments import concat_ranges, segment_argmax, segment_sample
+from repro.walks._segments import (
+    concat_ranges,
+    race_keys,
+    segment_argmax,
+    segment_race_argmin,
+)
 from repro.walks.corpus import WalkCorpus
 from repro.walks.kernels import (
     KERNEL_REGISTRY,
@@ -71,6 +76,17 @@ class StepperBase:
     :func:`repro.registry.register_sampler`; the factory is invoked as
     ``factory(graph, model, ctx)`` with a
     :class:`~repro.registry.SamplerContext`.
+
+    The built-in steppers keep the two halves of a step apart: ``step``
+    only *draws* — every uniform, from ``rng``, in a fixed order — and
+    hands the draws to *apply* methods (``apply``, ``apply_first``,
+    ``reject_round``, the M-H ``begin``/``init_*``/``finish``) that are
+    pure functions of pre-drawn uniforms and build their structures in
+    ``_build(ctx)``. A shard worker calls the apply half alone, on its
+    local graph, with uniforms the driver shipped; the sharded driver
+    inherits the draw half and overrides the apply half with a per-shard
+    fan-out (:mod:`repro.sharding`). One copy of either half is why the
+    sharded corpus equals this engine's bit for bit.
     """
 
     name = "abstract"
@@ -138,7 +154,7 @@ class StepperBase:
 
         return weight_fn
 
-    def _expanded_row_weights(self, prev, prev_off, cur, step, rng=None):
+    def _expanded_row_weights(self, prev, prev_off, cur, step):
         """Flatten the active walkers' rows and evaluate dynamic weights."""
         lo, deg = self._rows(cur)
         flat_offs, seg = concat_ranges(lo, deg)
@@ -149,6 +165,82 @@ class StepperBase:
             prev[seg], prev_off[seg], cur[seg], step_arr, flat_offs
         )
         return flat_offs, seg, deg, weights
+
+    def _race(self, cur, weights, u_flat):
+        """Exact draw ∝ ``weights`` within each walker's row.
+
+        ``weights``/``u_flat`` hold one entry per edge entry of the
+        rows of ``cur``, flattened; every entry's race key depends on
+        its own (weight, uniform) pair only, so a shard racing its slice
+        of the wave picks the winners the whole wave would.
+        """
+        lo, deg = self._rows(cur)
+        pos = segment_race_argmin(race_keys(weights, u_flat), deg)
+        return np.where(pos >= 0, lo + pos, NO_EDGE)
+
+    def first_step(self, cur, rng):
+        """Step 0 of a second-order walk: one uniform per edge entry."""
+        __, deg = self._rows(cur)
+        return self.apply_first(cur, rng.random(int(deg.sum())))
+
+    def apply_first(self, cur, u_flat):
+        """Second-order walks take step 0 from the model's start-state law.
+
+        With no previous edge the models define α = 1, which reduces to
+        the static distribution for node2vec/edge2vec but keeps
+        fairwalk's group discounting — so the exact draw goes through the
+        model kernel rather than the raw static weights.
+        """
+        lo, deg = self._rows(cur)
+        flat_offs, seg = concat_ranges(lo, deg)
+        if flat_offs.size == 0:
+            return np.full(cur.size, NO_EDGE, dtype=np.int64)
+        no_prev = np.full(flat_offs.size, -1, dtype=np.int64)
+        weights = self.kernels.dyn_weights(
+            self.kernel_state, no_prev, flat_offs,
+            self._weight_fn(no_prev, no_prev, cur[seg], 0),
+        )
+        return self._race(cur, weights, u_flat)
+
+    def reject_round(self, prev, prev_off, cur, step, sel, u_prop, u_keep, u_acc, bound, clip):
+        """One proposal/accept round for the ``sel`` lanes of the wave.
+
+        Proposes from the stepper's static-weight tables (attached to
+        :attr:`kernel_state` by the subclass that owns them) and returns
+        ``(off, accept)`` aligned with ``sel``.
+        """
+        return self.kernels.rejection_round(
+            self.kernel_state, prev[sel], cur[sel], u_prop, u_keep, u_acc, bound, clip,
+            self._weight_fn(prev, prev_off, cur, step, sel=sel),
+        )
+
+    def _reject_pending(self, out, pending, lanes, rng, bound, clip=False, split=None):
+        """The pending-set loop: draw a round's uniforms until every lane accepts.
+
+        ``split(pending)``, when given, runs first in each round, settles
+        some lanes itself (KnightKing's outlier branch) and returns the
+        rest. Accepted offsets land in ``out``; returns the number of
+        proposals made. The caller's class sets ``self.max_rounds``.
+        """
+        uniform = not self.graph.is_weighted
+        proposals = 0
+        for __ in range(self.max_rounds):
+            if pending.size == 0:
+                break
+            proposals += pending.size
+            if split is not None:
+                pending = split(pending)
+                if pending.size == 0:
+                    continue
+            u_prop = rng.random(pending.size)
+            u_keep = None if uniform else rng.random(pending.size)
+            u_acc = rng.random(pending.size)
+            off, accept = self.reject_round(
+                *lanes, pending, u_prop, u_keep, u_acc, bound, clip
+            )
+            out[pending[accept]] = off[accept]
+            pending = pending[~accept]
+        return proposals
 
     def memory_bytes(self) -> int:
         """Resident bytes of the stepper's persistent structures."""
@@ -213,14 +305,19 @@ class _DirectStepper(StepperBase):
 
     name = "direct"
 
+    def __init__(self, graph, model, ctx):
+        super().__init__(graph, model, ctx.kernels)
+
     def step(self, prev, prev_off, cur, step, rng):
-        lo, deg = self._rows(cur)
-        __, ___, ____, weights = self._expanded_row_weights(prev, prev_off, cur, step)
-        pos = segment_sample(weights, deg, rng)
+        __, deg = self._rows(cur)
+        out = self.apply(prev, prev_off, cur, step, rng.random(int(deg.sum())))
         self.proposals += cur.size
-        out = np.where(pos >= 0, lo + pos, NO_EDGE)
         self.samples += int((out != NO_EDGE).sum())
         return out
+
+    def apply(self, prev, prev_off, cur, step, u_flat):
+        __, ___, ____, weights = self._expanded_row_weights(prev, prev_off, cur, step)
+        return self._race(cur, weights, u_flat)
 
 
 class _FirstOrderAliasStepper(StepperBase):
@@ -228,16 +325,19 @@ class _FirstOrderAliasStepper(StepperBase):
 
     name = "alias-first-order"
 
-    def __init__(self, graph, model, budget=None, kernels=None):
-        super().__init__(graph, model, kernels)
+    def __init__(self, graph, model, ctx):
+        super().__init__(graph, model, ctx.kernels)
         if not model.is_static:
             raise WalkError(
                 f"first-order alias sampling is exact only for static models; "
                 f"{model.name} has state-dependent weights (use sampler='alias')"
             )
-        if budget is not None:
-            budget.charge(first_order_alias_bytes(graph), self.name)
-        self.store = FirstOrderAliasStore(graph)
+        self._build(ctx)
+
+    def _build(self, ctx) -> None:
+        if ctx.budget is not None:
+            ctx.budget.charge(first_order_alias_bytes(self.graph), self.name)
+        self.store = FirstOrderAliasStore(self.graph)
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
         ks.prop_threshold = self.store.threshold
@@ -247,11 +347,14 @@ class _FirstOrderAliasStepper(StepperBase):
         # one uniform for the slot, a second only when tables exist —
         # the exact RNG consumption of FirstOrderAliasStore.draw_batch
         u_slot = rng.random(cur.size)
-        u_keep = None if self.store.uniform else rng.random(cur.size)
-        out = self.kernels.alias_draw(self.kernel_state, cur, u_slot, u_keep)
+        u_keep = rng.random(cur.size) if self.graph.is_weighted else None
+        out = self.apply(prev, prev_off, cur, step, u_slot, u_keep)
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
+
+    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
+        return self.kernels.alias_draw(self.kernel_state, cur, u_slot, u_keep)
 
     def _refresh(self, plan) -> dict:
         return self.store.on_delta(plan)
@@ -420,11 +523,19 @@ class _StateAliasStepper(StepperBase):
 
     name = "alias"
 
-    def __init__(self, graph, model, budget=None, kernels=None):
-        super().__init__(graph, model, kernels)
-        if budget is not None:
-            budget.charge(second_order_alias_bytes(graph, model), self.name)
-        self.tables = EagerStateAliasTables(graph, model)
+    def __init__(self, graph, model, ctx):
+        super().__init__(graph, model, ctx.kernels)
+        self._build(ctx)
+
+    def _build(self, ctx) -> None:
+        if ctx.budget is not None:
+            ctx.budget.charge(second_order_alias_bytes(self.graph, self.model), self.name)
+        mask = None
+        if ctx.owned_nodes is not None:
+            # a state's home is its current node, so owned-node masks
+            # partition the valid-state set exactly across shards
+            mask = ctx.owned_nodes[self.model.enumerate_state_contexts(self.graph)["cur"]]
+        self.tables = EagerStateAliasTables(self.graph, self.model, state_mask=mask)
         self.initializations += self.tables.num_tables
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
@@ -436,14 +547,17 @@ class _StateAliasStepper(StepperBase):
         ks.tab_has = tables.has_table
 
     def step(self, prev, prev_off, cur, step, rng):
-        idx = self.model.batch_state_index(prev_off, cur, step)
         # two uniforms per walker — the RNG consumption of tables.draw
         u_slot = rng.random(cur.size)
         u_keep = rng.random(cur.size)
-        out = self.kernels.state_alias_draw(self.kernel_state, idx, cur, u_slot, u_keep)
+        out = self.apply(prev, prev_off, cur, step, u_slot, u_keep)
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
+
+    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
+        idx = self.model.batch_state_index(prev_off, cur, step)
+        return self.kernels.state_alias_draw(self.kernel_state, idx, cur, u_slot, u_keep)
 
     def _refresh(self, plan) -> dict:
         info = self.tables.on_delta(plan, self.model)
@@ -454,7 +568,7 @@ class _StateAliasStepper(StepperBase):
         return self.tables.memory_bytes()
 
 
-class _MemoryAwareStepper(StepperBase):
+class _MemoryAwareStepper(_StateAliasStepper):
     """Static greedy alias assignment under a budget; rejection elsewhere.
 
     The SIGMOD'20 framework assigns *sampling methods* per state within
@@ -469,33 +583,26 @@ class _MemoryAwareStepper(StepperBase):
 
     name = "memory-aware"
 
-    def __init__(
-        self,
-        graph,
-        model,
-        table_budget_bytes,
-        *,
-        max_rounds: int = 10_000,
-        budget=None,
-        kernels=None,
-    ):
-        super().__init__(graph, model, kernels)
-        if budget is not None:
-            budget.charge(int(table_budget_bytes), self.name)
-        self.table_budget_bytes = int(table_budget_bytes)
-        self.assigned = assign_states_greedily(graph, model, table_budget_bytes)
-        self.tables = EagerStateAliasTables(graph, model, state_mask=self.assigned)
+    def __init__(self, graph, model, ctx):
+        if ctx.table_budget_bytes is None:
+            raise WalkError("memory-aware sampling needs table_budget_bytes")
+        self.table_budget_bytes = int(ctx.table_budget_bytes)
+        self.max_rounds = ctx.max_reject_rounds
+        super().__init__(graph, model, ctx)
+
+    def _build(self, ctx) -> None:
+        if ctx.budget is not None:
+            ctx.budget.charge(self.table_budget_bytes, self.name)
+        self._assign(self.graph)
+
+    def _assign(self, graph) -> None:
+        self.assigned = assign_states_greedily(graph, self.model, self.table_budget_bytes)
+        self.tables = EagerStateAliasTables(graph, self.model, state_mask=self.assigned)
         self.initializations += self.tables.num_tables
         self.proposal = FirstOrderAliasStore(graph)
-        self.max_rounds = max_rounds
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
-        tables = self.tables
-        ks.tab_base = tables.base
-        ks.tab_threshold = tables.threshold
-        ks.tab_alias = tables.alias_local
-        ks.tab_deg = tables.table_deg
-        ks.tab_has = tables.has_table
+        super()._extend_kernel_state(ks)
         ks.prop_threshold = self.proposal.threshold
         ks.prop_alias = self.proposal.alias
 
@@ -504,54 +611,26 @@ class _MemoryAwareStepper(StepperBase):
         # distribution, so mutation triggers a full reassign + rebuild —
         # the honest per-update price of this baseline
         dropped = self.tables.num_tables
-        self.assigned = assign_states_greedily(
-            plan.new_graph, self.model, self.table_budget_bytes
-        )
-        self.tables = EagerStateAliasTables(
-            plan.new_graph, self.model, state_mask=self.assigned
-        )
-        self.initializations += self.tables.num_tables
-        self.proposal = FirstOrderAliasStore(plan.new_graph)
+        self._assign(plan.new_graph)
         return {
             "rebuilt_nodes": plan.new_graph.num_nodes,
-            "rebuild_cost_bytes": self.tables.memory_bytes() + self.proposal.memory_bytes(),
+            "rebuild_cost_bytes": self.memory_bytes(),
             "invalidated_states": dropped,
         }
 
     def step(self, prev, prev_off, cur, step, rng):
-        idx = self.model.batch_state_index(prev_off, cur, step)
-        ks = self.kernel_state
         u_slot = rng.random(cur.size)
         u_keep = rng.random(cur.size)
-        out = self.kernels.state_alias_draw(ks, idx, cur, u_slot, u_keep)
+        out = self.apply(prev, prev_off, cur, step, u_slot, u_keep)
         self.proposals += cur.size
         # everything without a table (unassigned or zero-weight state)
         # falls back to rejection sampling
-        pending = np.flatnonzero(~self.tables.has_table[idx])
-        if pending.size:
-            out[pending] = NO_EDGE
-            bound = self.model.alpha_bound(self.graph)
-            deg = self.graph.offsets[cur + 1] - self.graph.offsets[cur]
-            pending = pending[deg[pending] > 0]
-            for __ in range(self.max_rounds):
-                if pending.size == 0:
-                    break
-                u_prop = rng.random(pending.size)
-                u_keep2 = None if self.proposal.uniform else rng.random(pending.size)
-                u_acc = rng.random(pending.size)
-                off, accept = self.kernels.rejection_round(
-                    ks,
-                    prev[pending],
-                    cur[pending],
-                    u_prop,
-                    u_keep2,
-                    u_acc,
-                    bound,
-                    False,
-                    self._weight_fn(prev, prev_off, cur, step, sel=pending),
-                )
-                out[pending[accept]] = off[accept]
-                pending = pending[~accept]
+        pending = np.flatnonzero(out == NO_EDGE)
+        __, deg = self._rows(cur)
+        self._reject_pending(
+            out, pending[deg[pending] > 0], (prev, prev_off, cur, step), rng,
+            self.model.alpha_bound(self.graph),
+        )
         self.samples += int((out != NO_EDGE).sum())
         return out
 
@@ -562,21 +641,22 @@ class _MemoryAwareStepper(StepperBase):
 class _RejectionStepper(StepperBase):
     """Vectorized rejection sampling, optionally with outlier folding."""
 
-    def __init__(
-        self, graph, model, *, fold: bool, max_rounds: int = 10_000, budget=None, kernels=None
-    ):
-        super().__init__(graph, model, kernels)
+    def __init__(self, graph, model, ctx, *, fold: bool):
+        super().__init__(graph, model, ctx.kernels)
         self.name = "knightking" if fold else "rejection"
-        if budget is not None:
-            budget.charge(rejection_bytes(graph), self.name)
-        self.proposal = FirstOrderAliasStore(graph)
-        self.max_rounds = max_rounds
+        self.max_rounds = ctx.max_reject_rounds
         self.fold = (
             fold
             and getattr(model, "supports_folding", False)
             and hasattr(model, "batch_outlier_excess")
         )
         self.row_totals = graph.weight_row_sums() if self.fold else None
+        self._build(ctx)
+
+    def _build(self, ctx) -> None:
+        if ctx.budget is not None:
+            ctx.budget.charge(rejection_bytes(self.graph), self.name)
+        self.proposal = FirstOrderAliasStore(self.graph)
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
         ks.prop_threshold = self.proposal.threshold
@@ -588,75 +668,27 @@ class _RejectionStepper(StepperBase):
         pending = np.flatnonzero(deg > 0)
         if pending.size == 0:
             return out
+        split = None
         if self.fold:
-            self._step_folded(out, pending, prev, prev_off, cur, step, rng)
+            bound = self.model.bulk_bound
+            rev, excess = self.model.batch_outlier_excess(prev, cur)
+            total = excess + bound * self.row_totals[cur]
+            pending = pending[total[pending] > 0]
+
+            def split(lanes):
+                # outlier-vs-bulk split stays in the driver: it is one draw
+                # against model-specific excess mass, not a hot loop
+                hit_outlier = rng.random(lanes.size) * total[lanes] < excess[lanes]
+                chosen_out = lanes[hit_outlier]
+                out[chosen_out] = rev[chosen_out]  # exact excess-mass branch
+                return lanes[~hit_outlier]
         else:
-            self._step_plain(out, pending, prev, prev_off, cur, step, rng)
+            bound = self.model.alpha_bound(self.graph)
+        self.proposals += self._reject_pending(
+            out, pending, (prev, prev_off, cur, step), rng, bound, self.fold, split
+        )
         self.samples += int((out != NO_EDGE).sum())
         return out
-
-    def _step_plain(self, out, pending, prev, prev_off, cur, step, rng):
-        bound = self.model.alpha_bound(self.graph)
-        ks = self.kernel_state
-        for __ in range(self.max_rounds):
-            if pending.size == 0:
-                return
-            self.proposals += pending.size
-            u_prop = rng.random(pending.size)
-            u_keep = None if self.proposal.uniform else rng.random(pending.size)
-            u_acc = rng.random(pending.size)
-            off, accept = self.kernels.rejection_round(
-                ks,
-                prev[pending],
-                cur[pending],
-                u_prop,
-                u_keep,
-                u_acc,
-                bound,
-                False,
-                self._weight_fn(prev, prev_off, cur, step, sel=pending),
-            )
-            out[pending[accept]] = off[accept]
-            pending = pending[~accept]
-
-    def _step_folded(self, out, pending, prev, prev_off, cur, step, rng):
-        bulk = self.model.bulk_bound
-        ks = self.kernel_state
-        rev, excess = self.model.batch_outlier_excess(prev, cur)
-        envelope = bulk * self.row_totals[cur]
-        total = excess + envelope
-        alive = total[pending] > 0
-        pending = pending[alive]
-        for __ in range(self.max_rounds):
-            if pending.size == 0:
-                return
-            self.proposals += pending.size
-            # outlier-vs-bulk split stays in the driver: it is one draw
-            # against model-specific excess mass, not a hot loop
-            r = rng.random(pending.size) * total[pending]
-            hit_outlier = r < excess[pending]
-            chosen_out = pending[hit_outlier]
-            out[chosen_out] = rev[chosen_out]  # exact excess-mass branch
-            bulk_pending = pending[~hit_outlier]
-            if bulk_pending.size == 0:
-                pending = bulk_pending
-                continue
-            u_prop = rng.random(bulk_pending.size)
-            u_keep = None if self.proposal.uniform else rng.random(bulk_pending.size)
-            u_acc = rng.random(bulk_pending.size)
-            off, accept = self.kernels.rejection_round(
-                ks,
-                prev[bulk_pending],
-                cur[bulk_pending],
-                u_prop,
-                u_keep,
-                u_acc,
-                bulk,
-                True,
-                self._weight_fn(prev, prev_off, cur, step, sel=bulk_pending),
-            )
-            out[bulk_pending[accept]] = off[accept]
-            pending = bulk_pending[~accept]
 
     def _refresh(self, plan) -> dict:
         info = self.proposal.on_delta(plan)
@@ -691,19 +723,9 @@ class _MHStepper(StepperBase):
 
     name = "mh"
 
-    def __init__(
-        self,
-        graph,
-        model,
-        *,
-        initializer: str = "high-weight",
-        init_sample_cap: int | None = 16,
-        burn_in_iterations: int = 100,
-        chain_store: ChainStore | None = None,
-        budget=None,
-        kernels=None,
-    ):
-        super().__init__(graph, model, kernels)
+    def __init__(self, graph, model, ctx):
+        super().__init__(graph, model, ctx.kernels)
+        initializer = ctx.initializer
         if not isinstance(initializer, str) and hasattr(initializer, "initialize"):
             # a bound initializer instance: use its scalar protocol directly
             self.strategy = getattr(initializer, "name", "custom")
@@ -717,93 +739,75 @@ class _MHStepper(StepperBase):
                 from repro.sampling.initialization import make_initializer
 
                 self.custom_initializer = make_initializer(self.strategy)
-        self.init_sample_cap = init_sample_cap
-        self.burn_in_iterations = burn_in_iterations
-        if chain_store is None:
-            if budget is not None:
-                budget.charge(mh_bytes(graph, model), self.name)
-            chain_store = ChainStore(graph, model)
-        self.chains = chain_store
+        self.init_sample_cap = ctx.init_sample_cap
+        self.burn_in_iterations = ctx.burn_in_iterations
+        self._build(ctx)
+
+    def _build(self, ctx) -> None:
+        self.chains = ctx.chain_store
+        if self.chains is None:
+            if ctx.budget is not None:
+                ctx.budget.charge(mh_bytes(self.graph, self.model), self.name)
+            self.chains = ChainStore(self.graph, self.model)
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
         ks.chain_last = self.chains.last
         ks.chain_last_w = self.chains.last_w
 
-    # ------------------------------------------------------------------
+    # -- draw half -------------------------------------------------------
     def step(self, prev, prev_off, cur, step, rng):
-        __, deg = self._rows(cur)
-        alive = deg > 0
-        idx = self.model.batch_state_index(prev_off, cur, step)
-        last = self.chains.last[idx].copy()
-        last_w = self.chains.last_w[idx].copy()
-
-        uninit = (last == NO_EDGE) & alive
+        m = self.begin(prev, prev_off, cur, step)
+        uninit = m["uninit"]
         if uninit.any():
             t0 = time.perf_counter()
-            init_vals = self._initialize(
-                prev[uninit], prev_off[uninit], cur[uninit], step, rng
-            )
-            last[uninit] = init_vals
-            last_w[uninit] = np.nan  # fresh chains have no cached weight
+            self._draw_init(m, cur[uninit], rng)
             self.initializations += int(uninit.sum())
             self.init_seconds += time.perf_counter() - t0
-
-        dead = ~alive | (last == NO_EDGE)
-        k = cur.size
         # Algorithm 1: uniform candidate, acceptance min(1, w'_cand/w'_last).
         # Both uniforms are pre-drawn (weight evaluation consumes no RNG),
-        # so every kernel backend sees the identical stream. The kernel
-        # fuses propose + accept + the LAST_x/weight scatter back into the
-        # shared chain arrays (lane order, so duplicate-state races
-        # resolve last-writer-wins for the *pair* on every backend).
-        u_cand = rng.random(k)
-        u_acc = rng.random(k)
-        nxt, n_ok, n_acc = self.kernels.mh_step(
-            self.kernel_state,
-            idx,
-            prev,
-            cur,
-            last,
-            last_w,
-            dead,
-            u_cand,
-            u_acc,
-            self._weight_fn(prev, prev_off, cur, step),
-        )
+        # so every kernel backend sees the identical stream.
+        u_cand = rng.random(cur.size)
+        u_acc = rng.random(cur.size)
+        nxt, n_ok, n_acc = self.finish(m, u_cand, u_acc)
         self.proposals += n_ok
         self.accepts += n_acc
         self.samples += n_ok
         return nxt
 
-    # ------------------------------------------------------------------
-    def _batch_weights(self, prev0, prev_off0, cur0, step, offs):
-        """Model weight of aligned candidate lanes, through the kernels.
+    def _draw_init(self, m, cur0, rng) -> None:
+        """Draw a fresh-chain initializer's uniforms in its canonical order.
 
-        A compiled backend evaluates its weight rule in one pass (the
-        initializers' inner product — on second-order models each
-        candidate costs a binary search); the NumPy backend defers to
-        ``model.batch_dynamic_weight`` via the ``weight_fn`` closure.
+        ``cur0`` are the nodes of the uninitialised lanes. high-weight
+        takes one ``(lanes, cap)`` block; random takes one lane draw plus
+        one support draw per edge entry of the lanes that landed on zero
+        weight; burn-in follows random with two lane draws per iteration,
+        drawn iteration by iteration.
         """
-        return self.kernels.dyn_weights(
-            self.kernel_state, prev0, offs,
-            self._weight_fn(prev0, prev_off0, cur0, step),
-        )
-
-    def _initialize(self, prev0, prev_off0, cur0, step, rng):
         if self.custom_initializer is not None:
-            return self._init_custom(prev0, prev_off0, cur0, step, rng)
-        if self.strategy == "random":
-            return self._init_random(prev0, prev_off0, cur0, step, rng)
+            m["init"] = self._init_custom(*self._fresh(m), rng)
+            return
+        n = cur0.size
         if self.strategy == "high-weight":
-            return self._init_high_weight(prev0, prev_off0, cur0, step, rng)
-        return self._init_burn_in(prev0, prev_off0, cur0, step, rng)
+            cap = self.init_sample_cap
+            self.init_high_weight(m, None if cap is None else rng.random((n, cap)))
+            return
+        bad = self.init_random(m, rng.random(n))
+        if bad.any():
+            __, deg = self._rows(cur0[bad])
+            self.init_support(m, rng.random(int(deg.sum())))
+        if self.strategy == "burn-in":
+            self.init_burn_in(
+                m, ((rng.random(n), rng.random(n)) for __ in range(self.burn_in_iterations))
+            )
 
     def _init_custom(self, prev0, prev_off0, cur0, step, rng):
         """Registered third-party strategies run their scalar protocol.
 
         One ``initialize(graph, model, state, rng)`` call per fresh
         chain — slower than the vectorized built-ins but each state is
-        initialised only once, so the cost is O(#state) overall.
+        initialised only once, so the cost is O(#state) overall. The
+        strategy draws from ``rng`` itself, so this is the one
+        initializer with no apply half (and none on shard workers).
         """
         from repro.walks.state import WalkerState
 
@@ -818,23 +822,98 @@ class _MHStepper(StepperBase):
             out[i] = self.custom_initializer.initialize(self.graph, self.model, state, rng)
         return out
 
-    def _init_random(self, prev0, prev_off0, cur0, step, rng):
-        lo, deg = self._rows(cur0)
-        cand = lo + (rng.random(cur0.size) * np.maximum(deg, 1)).astype(np.int64)
-        w = self._batch_weights(prev0, prev_off0, cur0, step, cand)
-        bad = w <= 0.0
-        if bad.any():
-            cand[bad] = self._support_uniform(
-                prev0[bad], prev_off0[bad], cur0[bad], step, rng
-            )
-        return cand
+    # -- apply half: begin -> init_* -> finish over one scratch dict ------
+    def begin(self, prev, prev_off, cur, step) -> dict:
+        """Gather the lanes' chains; ``["uninit"]`` marks the fresh ones."""
+        __, deg = self._rows(cur)
+        alive = deg > 0
+        idx = self.model.batch_state_index(prev_off, cur, step)
+        last = self.chains.last[idx].copy()
+        return {
+            "lanes": (prev, prev_off, cur, step),
+            "alive": alive,
+            "idx": idx,
+            "last": last,
+            "last_w": self.chains.last_w[idx].copy(),
+            "uninit": (last == NO_EDGE) & alive,
+        }
 
-    def _init_high_weight(self, prev0, prev_off0, cur0, step, rng):
-        cap = self.init_sample_cap
-        if cap is None:
-            return self._exact_argmax(prev0, prev_off0, cur0, step)
-        k = cur0.size
-        u = rng.random((k, cap))
+    @staticmethod
+    def _fresh(m):
+        """The uninitialised lanes of a :meth:`begin` scratch."""
+        prev, prev_off, cur, step = m["lanes"]
+        uninit = m["uninit"]
+        return prev[uninit], prev_off[uninit], cur[uninit], step
+
+    def finish(self, m, u_cand, u_acc):
+        """Propose + accept + scatter; returns ``(next, n_ok, n_accepted)``.
+
+        The kernel fuses the LAST_x/weight scatter back into the shared
+        chain arrays (lane order, so duplicate-state races resolve
+        last-writer-wins for the *pair* on every backend).
+        """
+        last, last_w, uninit = m["last"], m["last_w"], m["uninit"]
+        if uninit.any():
+            last[uninit] = m["init"]
+            last_w[uninit] = np.nan  # fresh chains have no cached weight
+        dead = ~m["alive"] | (last == NO_EDGE)
+        if dead.all():
+            # nothing proposes (and an edgeless shard has no row to index)
+            return np.full(dead.size, NO_EDGE, dtype=np.int64), 0, 0
+        prev, prev_off, cur, step = m["lanes"]
+        return self.kernels.mh_step(
+            self.kernel_state,
+            m["idx"],
+            prev,
+            cur,
+            last,
+            last_w,
+            dead,
+            u_cand,
+            u_acc,
+            self._weight_fn(prev, prev_off, cur, step),
+        )
+
+    def _batch_weights(self, prev0, prev_off0, cur0, step, offs):
+        """Model weight of aligned candidate lanes, through the kernels.
+
+        A compiled backend evaluates its weight rule in one pass (the
+        initializers' inner product — on second-order models each
+        candidate costs a binary search); the NumPy backend defers to
+        ``model.batch_dynamic_weight`` via the ``weight_fn`` closure.
+        """
+        return self.kernels.dyn_weights(
+            self.kernel_state, prev0, offs,
+            self._weight_fn(prev0, prev_off0, cur0, step),
+        )
+
+    def init_random(self, m, u1):
+        """Uniform slot per fresh chain; returns the lanes of zero weight."""
+        prev0, prev_off0, cur0, step = self._fresh(m)
+        lo, deg = self._rows(cur0)
+        m["init"] = lo + (u1 * np.maximum(deg, 1)).astype(np.int64)
+        m["bad"] = self._batch_weights(prev0, prev_off0, cur0, step, m["init"]) <= 0.0
+        return m["bad"]
+
+    def init_support(self, m, u_flat) -> None:
+        """Repair zero-weight random inits: uniform over the row's support."""
+        prev0, prev_off0, cur0, step = self._fresh(m)
+        bad = m["bad"]
+        __, ___, ____, weights = self._expanded_row_weights(
+            prev0[bad], prev_off0[bad], cur0[bad], step
+        )
+        m["init"][bad] = self._race(cur0[bad], (weights > 0.0).astype(np.float64), u_flat)
+
+    def init_high_weight(self, m, u) -> None:
+        """Best of ``cap`` candidates from the ``(lanes, cap)`` block ``u``.
+
+        ``u=None`` (no cap) takes the exact row argmax instead.
+        """
+        prev0, prev_off0, cur0, step = self._fresh(m)
+        if u is None:
+            m["init"] = self._exact_argmax(prev0, prev_off0, cur0, step)
+            return
+        cap = u.shape[1]
 
         def flat_weight_fn(offs, lanes=None):
             # only the NumPy backend calls this; the repeats stay lazy so
@@ -854,43 +933,31 @@ class _MHStepper(StepperBase):
             # subsample may have missed the support entirely; fall back to
             # the exact row argmax for those few states
             result[bad] = self._exact_argmax(prev0[bad], prev_off0[bad], cur0[bad], step)
-        return result
+        m["init"] = result
 
-    def _init_burn_in(self, prev0, prev_off0, cur0, step, rng):
+    def init_burn_in(self, m, draws) -> None:
+        """Run the fresh chains over ``draws``: ``(u_cand, u_acc)`` per iteration."""
+        prev0, prev_off0, cur0, step = self._fresh(m)
         lo, deg = self._rows(cur0)
-        last = self._init_random(prev0, prev_off0, cur0, step, rng)
-        w_last = self._batch_weights(
-            prev0, prev_off0, cur0, step, np.maximum(last, 0)
-        )
-        k = cur0.size
-        for __ in range(self.burn_in_iterations):
-            cand = lo + (rng.random(k) * np.maximum(deg, 1)).astype(np.int64)
+        last = m["init"]
+        w_last = self._batch_weights(prev0, prev_off0, cur0, step, np.maximum(last, 0))
+        for u_cand, u_acc in draws:
+            cand = lo + (u_cand * np.maximum(deg, 1)).astype(np.int64)
             w_cand = self._batch_weights(prev0, prev_off0, cur0, step, cand)
-            accept = (w_cand > 0.0) & ((w_last <= 0.0) | (rng.random(k) * w_last < w_cand))
+            accept = (w_cand > 0.0) & ((w_last <= 0.0) | (u_acc * w_last < w_cand))
             last = np.where(accept & (last != NO_EDGE), cand, last)
             w_last = np.where(accept, w_cand, w_last)
-        return last
-
-    def _support_uniform(self, prev0, prev_off0, cur0, step, rng):
-        """Uniform draw over the positive-weight entries of each row."""
-        __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)
-        lo = self.graph.offsets[cur0]
-        pos = segment_sample((weights > 0.0).astype(np.float64), deg, rng)
-        return np.where(pos >= 0, lo + pos, NO_EDGE)
+        m["init"] = last
 
     def _exact_argmax(self, prev0, prev_off0, cur0, step):
         __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)
         lo = self.graph.offsets[cur0]
         pos = segment_argmax(weights, deg)
         good = np.zeros(cur0.size, dtype=bool)
-        nonempty = pos >= 0
         flat_best = (lo + np.maximum(pos, 0)).astype(np.int64)
         if weights.size:
-            step_arr = step if not isinstance(step, np.ndarray) else step
-            best_w = self.model.batch_dynamic_weight(
-                prev0, prev_off0, cur0, step_arr, np.maximum(flat_best, 0)
-            )
-            good = nonempty & (best_w > 0.0)
+            best_w = self.model.batch_dynamic_weight(prev0, prev_off0, cur0, step, flat_best)
+            good = (pos >= 0) & (best_w > 0.0)
         return np.where(good, flat_best, NO_EDGE)
 
     def _refresh(self, plan) -> dict:
@@ -901,42 +968,15 @@ class _MHStepper(StepperBase):
         return self.chains.memory_bytes()
 
 
-def _mh_stepper_factory(graph, model, ctx):
-    return _MHStepper(
-        graph,
-        model,
-        initializer=ctx.initializer,
-        init_sample_cap=ctx.init_sample_cap,
-        burn_in_iterations=ctx.burn_in_iterations,
-        chain_store=ctx.chain_store,
-        budget=ctx.budget,
-        kernels=ctx.kernels,
-    )
-
-
 def _alias_stepper_factory(graph, model, ctx):
     # static models collapse the per-state tables to one table per node
-    if model.is_static:
-        return _FirstOrderAliasStepper(graph, model, budget=ctx.budget, kernels=ctx.kernels)
-    return _StateAliasStepper(graph, model, budget=ctx.budget, kernels=ctx.kernels)
-
-
-def _memory_aware_stepper_factory(graph, model, ctx):
-    if ctx.table_budget_bytes is None:
-        raise WalkError("memory-aware sampling needs table_budget_bytes")
-    return _MemoryAwareStepper(
-        graph,
-        model,
-        ctx.table_budget_bytes,
-        max_rounds=ctx.max_reject_rounds,
-        budget=ctx.budget,
-        kernels=ctx.kernels,
-    )
+    cls = _FirstOrderAliasStepper if model.is_static else _StateAliasStepper
+    return cls(graph, model, ctx)
 
 
 SAMPLER_REGISTRY.register(
     "mh",
-    _mh_stepper_factory,
+    _MHStepper,
     aliases=("metropolis-hastings",),
     second_order=True,
     uses_initializer=True,
@@ -945,7 +985,7 @@ SAMPLER_REGISTRY.register(
 )
 SAMPLER_REGISTRY.register(
     "direct",
-    lambda graph, model, ctx: _DirectStepper(graph, model),
+    _DirectStepper,
     second_order=True,
     time_per_sample="O(d)",
     memory="O(1)",
@@ -959,44 +999,28 @@ SAMPLER_REGISTRY.register(
 )
 SAMPLER_REGISTRY.register(
     "alias-first-order",
-    lambda graph, model, ctx: _FirstOrderAliasStepper(
-        graph, model, budget=ctx.budget, kernels=ctx.kernels
-    ),
+    _FirstOrderAliasStepper,
     second_order=False,
     time_per_sample="O(1)",
     memory="O(|E|)",
 )
 SAMPLER_REGISTRY.register(
     "rejection",
-    lambda graph, model, ctx: _RejectionStepper(
-        graph,
-        model,
-        fold=False,
-        max_rounds=ctx.max_reject_rounds,
-        budget=ctx.budget,
-        kernels=ctx.kernels,
-    ),
+    lambda graph, model, ctx: _RejectionStepper(graph, model, ctx, fold=False),
     second_order=True,
     time_per_sample="O(1/theta)",
     memory="O(|E|)",
 )
 SAMPLER_REGISTRY.register(
     "knightking",
-    lambda graph, model, ctx: _RejectionStepper(
-        graph,
-        model,
-        fold=True,
-        max_rounds=ctx.max_reject_rounds,
-        budget=ctx.budget,
-        kernels=ctx.kernels,
-    ),
+    lambda graph, model, ctx: _RejectionStepper(graph, model, ctx, fold=True),
     second_order=True,
     time_per_sample="O(1/theta')",
     memory="O(|E|)",
 )
 SAMPLER_REGISTRY.register(
     "memory-aware",
-    _memory_aware_stepper_factory,
+    _MemoryAwareStepper,
     second_order=True,
     needs_table_budget=True,
     time_per_sample="mixed",
@@ -1004,14 +1028,19 @@ SAMPLER_REGISTRY.register(
 )
 
 
-def _build_stepper(name, graph, model, ctx: SamplerContext):
-    """Resolve a sampler name through the registry and build its stepper.
+def resolve_kernels(backend, model):
+    """``(requested name, backend instance)`` a model's steppers run on.
 
-    Unknown names raise :class:`~repro.errors.WalkError` listing the
-    registered samplers with near-miss suggestions.
+    A compiled backend that cannot evaluate the model's weight rule (a
+    *generic* ``kernel_spec``) falls back to NumPy, the one backend that
+    can. The monolithic engine, the sharded driver and every shard
+    worker resolve through here, so they agree on the effective backend.
     """
-    factory = SAMPLER_REGISTRY.get(name)
-    return factory(graph, model, ctx)
+    requested = KERNEL_REGISTRY.canonical(backend)
+    kernels = resolve_backend(requested)
+    if not kernels.supports(model.kernel_spec()):
+        kernels = resolve_backend("numpy")
+    return requested, kernels
 
 
 class VectorizedWalkEngine:
@@ -1075,11 +1104,7 @@ class VectorizedWalkEngine:
         self.graph = graph
         self.model = make_model(model, graph, **model_params)
         start = time.perf_counter()
-        self.requested_backend = KERNEL_REGISTRY.canonical(backend)
-        kernels = resolve_backend(self.requested_backend)
-        if not kernels.supports(self.model.kernel_spec()):
-            # generic weight rule: only the NumPy backend can evaluate it
-            kernels = resolve_backend("numpy")
+        self.requested_backend, kernels = resolve_kernels(backend, self.model)
         self.kernels = kernels
         self.backend = kernels.name
         self.compile_seconds = float(kernels.warmup())
@@ -1093,7 +1118,8 @@ class VectorizedWalkEngine:
             budget=budget,
             kernels=kernels,
         )
-        self.stepper = _build_stepper(sampler, graph, self.model, ctx)
+        # unknown names raise WalkError listing the registered samplers
+        self.stepper = SAMPLER_REGISTRY.get(sampler)(graph, self.model, ctx)
         self.setup_seconds = time.perf_counter() - start
         self.rng = as_rng(seed)
 
@@ -1172,7 +1198,7 @@ class VectorizedWalkEngine:
             if cur.size == 0:
                 break
             if model.order == 2 and step == 0:
-                chosen = self._first_step(cur, rng)
+                chosen = stepper.first_step(cur, rng)
             else:
                 chosen = stepper.step(prev, prev_off, cur, step, rng)
             alive = chosen != NO_EDGE
@@ -1184,34 +1210,6 @@ class VectorizedWalkEngine:
             walks[row_base + ids, step + 1] = cur
             lengths[ids] += 1
         return lengths
-
-    def _first_step(self, cur, rng):
-        """Second-order walks take step 0 from the model's start-state law.
-
-        With no previous edge the models define α = 1, which reduces to
-        the static distribution for node2vec/edge2vec but keeps
-        fairwalk's group discounting — so the exact draw goes through the
-        model kernel rather than the raw static weights.
-        """
-        graph = self.graph
-        lo = graph.offsets[cur]
-        deg = graph.offsets[cur + 1] - lo
-        flat_offs, seg = concat_ranges(lo, deg)
-        if flat_offs.size == 0:
-            return np.full(cur.size, NO_EDGE, dtype=np.int64)
-        no_prev = np.full(flat_offs.size, -1, dtype=np.int64)
-        expanded_cur = cur[seg]
-
-        def weight_fn(offs, lanes=None):
-            ctx = expanded_cur if lanes is None else expanded_cur[lanes]
-            none = np.full(offs.size, -1, dtype=np.int64)
-            return self.model.batch_dynamic_weight(none, none, ctx, 0, offs)
-
-        weights = self.kernels.dyn_weights(
-            self.stepper.kernel_state, no_prev, flat_offs, weight_fn
-        )
-        pos = segment_sample(weights, deg, rng)
-        return np.where(pos >= 0, lo + pos, NO_EDGE)
 
     # ------------------------------------------------------------------
     def apply_delta(self, delta):

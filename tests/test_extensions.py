@@ -183,6 +183,29 @@ class TestCli:
         kv = KeyedVectors.load_npz(out_path)
         assert kv.dimensions == 16
 
+    def test_train_command_trains_like_the_library(self, tmp_path, capsys):
+        """The CLI pins no trainer option: same seed, same bits as UniNet."""
+        from repro import UniNet
+        from repro.cli import main
+        from repro.embedding import KeyedVectors
+        from repro.graph import datasets
+
+        out_path = tmp_path / "vec.npz"
+        shape = {"num_walks": 1, "walk_length": 10, "dimensions": 16}
+        rc = main(
+            [
+                "train", "--dataset", "amazon", "--scale", "0.1", "--seed", "5",
+                "--num-walks", "1", "--walk-length", "10",
+                "--dimensions", "16", "--output", str(out_path),
+            ]
+        )
+        assert rc == 0
+        graph = datasets.load("amazon", scale=0.1, seed=5)
+        expected = UniNet(graph, seed=5).train(**shape).embeddings
+        got = KeyedVectors.load_npz(out_path)
+        assert np.array_equal(got.keys, expected.keys)
+        assert np.array_equal(got.vectors, expected.vectors)
+
     def test_classify_command(self, capsys):
         from repro.cli import main
 

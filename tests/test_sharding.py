@@ -15,12 +15,21 @@ Covers the four layers of the sharding subsystem:
   ``RunSpec`` round-trip/validation and the CLI.
 """
 
+import ast
+import multiprocessing
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sharding
 from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
 from repro.core.pipeline import train_pipeline
 from repro.errors import ServingError, ShardError, SpecError, WalkError
+from repro.graph.builder import from_edge_arrays
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
 from repro.sharding import (
@@ -34,9 +43,14 @@ from repro.sharding import (
     register_partitioner,
 )
 from repro.sharding.router import merge_shard_topk
+from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
 
 PARTITIONERS = ("hash", "degree_balanced")
+SHARDED_SAMPLERS = ("mh", "direct", "alias", "alias-first-order", "rejection", "knightking")
+COMPILED_BACKENDS = sorted(
+    name for name, ok in available_backends().items() if ok and name != "numpy"
+)
 
 
 def _mono(graph, model, sampler="mh", *, seed, num_walks=2, walk_length=12, **kw):
@@ -221,6 +235,45 @@ class TestEngineParity:
             shrd = engine.generate(2, 8)
         assert_corpus_equal(mono, shrd)
 
+    def test_generate_stream_parity(self, small_power_law_graph):
+        """One wave loop: the inherited shard stream matches chunk for chunk."""
+        kw = {"seed": 3, "p": 0.5, "q": 2.0}
+        me = VectorizedWalkEngine(small_power_law_graph, "node2vec", **kw)
+        se = ShardedWalkEngine(small_power_law_graph, "node2vec", num_shards=3, **kw)
+        chunks = zip(me.generate_stream(2, 10, shard_walks=64), se.generate_stream(2, 10, shard_walks=64))
+        for mono, shrd in chunks:
+            assert_corpus_equal(mono, shrd)
+
+    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("sampler", SHARDED_SAMPLERS)
+    def test_compiled_backend_parity(self, small_power_law_graph, sampler, backend):
+        """``backend=`` reaches the workers' steppers; the corpus does not move."""
+        model = "deepwalk" if sampler == "alias-first-order" else "node2vec"
+        params = {} if model == "deepwalk" else {"p": 0.5, "q": 2.0}
+        mono, __ = _mono(small_power_law_graph, model, sampler, seed=61, **params)
+        shrd, engine = _sharded(
+            small_power_law_graph, model, sampler, seed=61, num_shards=3,
+            backend=backend, **params,
+        )
+        assert_corpus_equal(mono, shrd)
+        stats = engine.stats()
+        assert stats["backend"] == stats["requested_backend"] == backend
+        assert {w.stepper.kernels.name for w in engine.transport.workers} == {backend}
+
+    def test_generic_model_falls_back_to_numpy_on_workers(self, academic):
+        """Same capability check as the monolithic engine, on every worker."""
+        if not COMPILED_BACKENDS:
+            pytest.skip("no compiled kernel backend available")
+        graph, __ = academic
+        backend = COMPILED_BACKENDS[0]
+        kw = {"seed": 9, "walk_length": 9, "metapath": "APVPA"}
+        mono, me = _mono(graph, "metapath2vec", backend=backend, **kw)
+        shrd, se = _sharded(graph, "metapath2vec", backend=backend, num_shards=2, **kw)
+        assert_corpus_equal(mono, shrd)
+        assert se.stats()["backend"] == me.stats()["backend"] == "numpy"
+        assert se.stats()["requested_backend"] == backend
+        assert {w.stepper.kernels.name for w in se.transport.workers} == {"numpy"}
+
     def test_start_nodes_subset_parity(self, small_power_law_graph):
         starts = np.array([0, 7, 13, 250], dtype=np.int64)
         me = VectorizedWalkEngine(small_power_law_graph, "deepwalk", seed=3)
@@ -263,10 +316,104 @@ class TestEngineStats:
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", chain_store=object())
         with pytest.raises(ShardError, match="sampler"):
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", sampler="memory-aware")
-        with pytest.raises(ShardError, match="backend"):
-            ShardedWalkEngine(tiny_weighted_graph, "deepwalk", backend="numba")
         with pytest.raises(ShardError, match="initializer"):
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", initializer=object())
+
+
+# ---------------------------------------------------------------------------
+# differential: monolithic vs sharded on generated, awkward graphs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def awkward_graphs(draw):
+    """Small graphs built to hit the corners of the shard plan.
+
+    Node 0 is a hub adjacent to every node (directed: an out-edge to
+    every node, itself included; undirected: to every node that is not
+    isolated), the last ``dead`` nodes have zero out-degree, a drawn
+    subset of nodes carries self-loops, and a few random edges fill in
+    the rest.
+    """
+    n = draw(st.integers(5, 11))
+    dead = draw(st.integers(1, 2))
+    directed = draw(st.booleans())
+    live = n - dead
+    pairs = st.tuples(st.integers(0, live - 1), st.integers(0, live - 1))
+    edges = set(draw(st.lists(pairs, max_size=2 * n)))
+    edges |= {(0, v) for v in range(n if directed else live)}
+    edges |= {(v, v) for v in draw(st.sets(st.integers(0, live - 1), max_size=3))}
+    if not directed:
+        edges.discard((0, 0))  # the undirected hub is adjacent to the *other* nodes
+    src, dst = (np.array(col, dtype=np.int64) for col in zip(*sorted(edges)))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.integers(0, 10_000)) % (np.arange(src.size) + 2) + 1.0
+    return from_edge_arrays(
+        src, dst, weights, num_nodes=n, directed=directed,
+        duplicate_policy="first", allow_self_loops=True,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph=awkward_graphs(), seed=st.integers(0, 10_000))
+def test_property_sharded_equals_monolithic(graph, seed):
+    """Bitwise-equal corpora for every sharded sampler and M-H initializer.
+
+    One more shard than nodes, so at least one shard owns nothing.
+    """
+    assert (np.diff(graph.offsets) == 0).any()  # zero-degree nodes are present
+    shards = graph.num_nodes + 1
+    for sampler in SHARDED_SAMPLERS:
+        for initializer in ("random", "high-weight", "burn-in") if sampler == "mh" else ("random",):
+            for model, params in (("deepwalk", {}), ("node2vec", {"p": 0.5, "q": 2.0})):
+                if sampler == "alias-first-order" and model != "deepwalk":
+                    continue
+                kw = dict(
+                    seed=seed, walk_length=6, initializer=initializer,
+                    burn_in_iterations=3, **params,
+                )
+                mono, __ = _mono(graph, model, sampler, **kw)
+                shrd, engine = _sharded(graph, model, sampler, num_shards=shards, **kw)
+                assert (engine.plan.node_counts == 0).any()
+                assert_corpus_equal(mono, shrd)
+
+
+# ---------------------------------------------------------------------------
+# structure guard: the step math lives in walks/vectorized.py, once
+# ---------------------------------------------------------------------------
+
+_STEP_MATH = {
+    "batch_dynamic_weight", "race_keys", "segment_race_argmin", "segment_argmax",
+    "segment_sample", "for_graph",
+}
+_STRUCTURES = {"FirstOrderAliasStore", "EagerStateAliasTables", "ChainStore"}
+
+
+@pytest.mark.parametrize("module", ("worker.py", "engine.py"))
+def test_no_step_math_outside_the_steppers(module):
+    """Workers and driver call stepper halves; they re-implement none.
+
+    No weight evaluation, no race/argmax primitive, no kernel-state
+    assembly, no ``self.kernels.<op>`` call and no sampler structure is
+    constructed in ``sharding/worker.py`` or ``sharding/engine.py`` —
+    the copy this PR deleted cannot grow back unnoticed.
+    """
+    source = Path(repro.sharding.__file__).with_name(module).read_text()
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        through_kernels = (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "kernels"
+        )
+        if name in _STEP_MATH or name in _STRUCTURES or through_kernels:
+            offenders.append(f"{module}:{node.lineno}: {ast.unparse(func)}")
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +589,23 @@ class TestWiring:
         c2 = net2.generate_walks(2, 10, sharding={"shards": 2, "transport": "inline"})
         assert np.array_equal(c1.walks, c2.walks)
         assert net2.last_stats["migrated_walkers"] > 0
+
+    @pytest.mark.parametrize("transport", ("process", "socket"))
+    def test_facade_runs_leave_no_worker_behind(self, small_unweighted_graph, transport):
+        """The pipeline closes the engine it built: no process, no segment."""
+        from repro import UniNet
+
+        def segments():
+            return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+        children_before = {p.pid for p in multiprocessing.active_children()}
+        segments_before = segments()
+        net = UniNet(small_unweighted_graph, seed=7)
+        for __ in range(2):
+            net.generate_walks(1, 5, sharding={"shards": 2, "transport": transport})
+        assert net.last_stats["transport"] == transport
+        assert {p.pid for p in multiprocessing.active_children()} <= children_before
+        assert segments() <= segments_before
 
     def test_runspec_roundtrip_and_conflict(self):
         from repro import GraphSpec, RunSpec

@@ -150,3 +150,23 @@ class TestStatsAccounting:
         )
         assert eng.setup_seconds > 0
         assert eng.memory_bytes() > 0
+
+
+class TestDeadEnds:
+    @pytest.mark.parametrize("model, params", [("deepwalk", {}), ("node2vec", {"p": 0.5, "q": 2.0})])
+    def test_walkers_arriving_at_a_trailing_dead_end(self, model, params):
+        """A dead lane must not index one past the edge arrays.
+
+        On a directed graph walkers *arrive* at the last node, whose row
+        is empty and starts at ``offsets[-1]``; the NumPy M-H proposal
+        used to evaluate the model there.
+        """
+        g = from_edge_arrays(
+            np.array([0, 0, 0, 1, 2]), np.array([1, 2, 3, 2, 0]),
+            np.array([1.0, 2.0, 3.0, 1.0, 1.0]),
+            num_nodes=4, directed=True, duplicate_policy="first",
+        )
+        assert g.degree(3) == 0
+        corpus = VectorizedWalkEngine(g, model, sampler="mh", seed=1, **params).generate(2, 6)
+        ends = corpus.walks[np.arange(corpus.num_walks), corpus.lengths - 1]
+        assert (ends[corpus.lengths < 6] == 3).all()  # only the dead end stops a walk
