@@ -38,7 +38,7 @@ def main():
         net = UniNet(graph, model="node2vec", p=0.5, q=2.0, seed=7)
         result = net.train(
             num_walks=4, walk_length=20, dimensions=32,
-            shards=shards, partitioner="degree_balanced",
+            sharding={"shards": shards, "partitioner": "degree_balanced"},
         )
         identical = np.array_equal(
             baseline.embeddings.vectors, result.embeddings.vectors
@@ -56,7 +56,7 @@ def main():
         ["shards", "identical embeddings", "migration rate", "boundary edges",
          "edge imbalance"],
         rows,
-        title="UniNet.train(shards=...) vs monolithic (same seed)",
+        title="UniNet.train(sharding={...}) vs monolithic (same seed)",
     )
 
     # --- scatter-gather queries over per-shard stores -------------------

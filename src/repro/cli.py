@@ -15,9 +15,16 @@ Covers the common end-to-end flows without writing code:
 * ``update`` — train, then replay an edge-delta stream (JSONL/npz) with
   incremental sampler revalidation and re-embedding per step.
 
-Model flags (``--p``, ``--q``, ``--metapath``, ...) are generated from
-each registered model's ``param_spec``, so models registered by plugins
-get CLI support for free.
+``walk``, ``train``, ``classify`` and ``update`` are ``run`` with a spec
+built from flags: :data:`_FLAGS` maps each flag to the
+:class:`~repro.core.spec.RunSpec` key it sets, its argparse type,
+default, ``choices`` and ``nargs`` are read from the dataclass field at
+that key, and the verb hands the spec to :func:`repro.core.runner.run`.
+A new config field is reachable through ``run --set`` at once and gets a
+dedicated flag with one :data:`_FLAGS` line. Model flags (``--p``,
+``--q``, ``--metapath``, ...) are generated the same way from each
+registered model's ``param_spec``, so models registered by plugins get
+CLI support for free.
 
 Examples::
 
@@ -43,10 +50,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
+from repro.core.spec import RunSpec, spec_field
+from repro.errors import ReproError
 from repro.graph import datasets
-from repro.graph.io import load_edge_list
 from repro.graph.stats import graph_statistics
 from repro.harness.tables import format_table
 from repro.registry import MODEL_REGISTRY
@@ -82,52 +91,99 @@ def _cli_param_specs():
     return merged
 
 
-def _add_graph_args(parser):
+#: flag -> (dotted RunSpec path(s) it sets, help). The flag's type, default,
+#: ``choices`` and ``nargs`` come from the dataclass field at its (first)
+#: path, and the verbs that take it from that path's section
+#: (:data:`_VERB_SECTIONS`); a ``--no-...`` switch stores ``False``.
+_FLAGS = {
+    "--dataset": ("graph.dataset", f"synthetic dataset: {sorted(datasets.DATASETS)}"),
+    "--edge-list": ("graph.edge_list", "path to a 'src dst [weight]' file"),
+    "--scale": ("graph.scale", "synthetic dataset scale"),
+    "--weighted": ("graph.weighted", "edge list has weights"),
+    "--seed": ("graph.seed seed", "seed of the synthetic dataset and of the run"),
+    "--model": ("model", f"random walk model: {MODEL_REGISTRY.names()}"),
+    "--sampler": ("walk.sampler", "edge sampler"),
+    "--initializer": ("walk.initializer", "M-H init strategy"),
+    "--num-walks": ("walk.num_walks", "walks per start node"),
+    "--walk-length": ("walk.walk_length", "nodes per walk"),
+    "--kernel-backend": ("walk.backend", "walk kernels: numpy, numba (JIT) or cnative (C, needs a compiler)"),
+    "--shards": ("sharding.shards", "walk on the sharded engine with N graph partitions (same corpus)"),
+    "--partitioner": ("sharding.partitioner", "graph partitioner: hash or degree_balanced (greedy LPT)"),
+    "--shard-transport": (
+        "sharding.transport",
+        "shard workers in-process (inline) or TCP-connected repro shard-worker processes "
+        "(socket; loopback workers are spawned unless --shard-hosts names standing ones)",
+    ),
+    "--shard-hosts": (
+        "sharding.hosts",
+        "one repro shard-worker HOST:PORT per shard (implies the socket transport; "
+        "--shards defaults to the number of addresses)",
+    ),
+    "--dimensions": ("train.dimensions", "embedding dimensions"),
+    "--epochs": ("train.epochs", "training epochs"),
+    "--stream": ("streaming.enabled", "stream walk shards into the trainer (bounded corpus memory)"),
+    "--shard-walks": ("streaming.shard_walks", "walks per shard (implies --stream; default: one wave)"),
+    "--max-corpus-bytes": ("streaming.max_corpus_bytes", "shard size as a byte budget (implies --stream)"),
+    "--overlap": ("streaming.overlap", "walk in a producer thread while training (implies --stream)"),
+    "--stream-vocab": (
+        "streaming.vocab",
+        "vocabulary counts: degree-proportional estimate (one pass) or exact counting "
+        "pass (walks generated twice; implies --stream)",
+    ),
+    "--fractions": ("evaluation.train_fractions", "labeled fractions to train on"),
+    "--trials": ("evaluation.trials", "random splits per fraction"),
+    "--refresh": ("updates.refresh", "sampler revalidation policy per step"),
+    "--no-retrain": ("updates.retrain", "apply deltas only; skip the incremental re-embedding"),
+    "--update-num-walks": ("updates.num_walks", "walks per affected node per refresh (default: --num-walks)"),
+    "--update-walk-length": ("updates.walk_length", "walk length per refresh (default: --walk-length)"),
+}
+_WALK_SECTIONS = ("graph", "model", "walk", "sharding")
+#: The spec-building verbs and the RunSpec sections each one has flags for.
+_VERB_SECTIONS = {
+    "stats": ("graph",),
+    "walk": _WALK_SECTIONS,
+    "train": (*_WALK_SECTIONS, "train", "streaming"),
+    "classify": (*_WALK_SECTIONS, "train", "evaluation"),
+    "update": (*_WALK_SECTIONS, "train", "updates"),
+}
+#: Flag defaults that intentionally differ from the dataclass field's
+#: ("*": every verb). ``None`` reads "not given": ``--shards`` switches
+#: the sharded engine on, so it has no value until the user names one.
+_VERB_DEFAULTS = {
+    "*": {"--scale": 0.5, "--shards": None},
+    "classify": {"--dimensions": 64, "--epochs": 2},
+    "update": {"--dimensions": 64},
+}
+
+
+def _verb_flags(verb: str) -> list[str]:
+    """The :data:`_FLAGS` entries ``verb`` takes."""
+    return [flag for flag, (paths, __) in _FLAGS.items() if paths.split(".")[0] in _VERB_SECTIONS[verb]]
+
+
+def _flag_kwargs(verb: str, flag: str) -> dict:
+    """argparse keywords of a :data:`_FLAGS` entry, read off its dataclass field."""
+    paths, help_text = _FLAGS[flag]
+    field, hint = spec_field(paths.split()[0])
+    if hint is bool:
+        return {"action": "store_true", "help": help_text}
+    kwargs = {"type": hint, "help": help_text}
+    if typing.get_origin(hint) is tuple:
+        kwargs.update(type=typing.get_args(hint)[0], nargs="+")
+    if "choices" in field.metadata:
+        kwargs["choices"] = list(field.metadata["choices"])
+    overrides = {**_VERB_DEFAULTS["*"], **_VERB_DEFAULTS.get(verb, {})}
+    return {**kwargs, "default": overrides.get(flag, field.default)}
+
+
+def _add_spec_flags(parser, verb: str) -> None:
+    """Add ``verb``'s :data:`_FLAGS` entries, and the model flags with ``--model``."""
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", help=f"synthetic dataset: {sorted(datasets.DATASETS)}")
-    source.add_argument("--edge-list", help="path to a 'src dst [weight]' file")
-    parser.add_argument("--scale", type=float, default=0.5, help="synthetic dataset scale")
-    parser.add_argument("--weighted", action="store_true", help="edge list has weights")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_walk_args(parser):
-    parser.add_argument(
-        "--model", default="deepwalk",
-        help=f"random walk model: {MODEL_REGISTRY.names()}",
-    )
-    parser.add_argument("--sampler", default="mh", help="edge sampler")
-    parser.add_argument("--initializer", default="high-weight", help="M-H init strategy")
-    parser.add_argument("--num-walks", type=int, default=10)
-    parser.add_argument("--walk-length", type=int, default=80)
-    parser.add_argument(
-        "--kernel-backend", default="numpy", metavar="NAME",
-        help="walk step kernels: numpy (portable), numba (JIT) or "
-        "cnative (C, needs a compiler)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="generate walks on the sharded engine with N graph partitions "
-        "(bitwise-identical corpus; default: monolithic engine)",
-    )
-    parser.add_argument(
-        "--partitioner", default="hash",
-        help="graph partitioner for --shards: hash (stateless) or "
-        "degree_balanced (greedy LPT on out-degree)",
-    )
-    parser.add_argument(
-        "--shard-transport", choices=["inline", "process", "socket"], default="inline",
-        help="shard workers in-process (inline), one OS process per shard "
-        "with the local CSR in shared memory (process), or TCP-connected "
-        "repro shard-worker processes (socket; loopback workers are "
-        "spawned unless --shard-hosts names standing ones)",
-    )
-    parser.add_argument(
-        "--shard-hosts", nargs="+", default=None, metavar="HOST:PORT",
-        help="socket transport: one repro shard-worker address per shard "
-        "(implies --shard-transport socket; --shards defaults to the "
-        "number of addresses)",
-    )
+    for flag in _verb_flags(verb):
+        target = source if flag in ("--dataset", "--edge-list") else parser
+        target.add_argument(flag, **_flag_kwargs(verb, flag))
+    if "model" not in _VERB_SECTIONS[verb]:
+        return
     for pname, pspec in sorted(_cli_param_specs().items()):
         parser.add_argument(
             f"--{pname}",
@@ -138,13 +194,30 @@ def _add_walk_args(parser):
         )
 
 
-def _load_graph(args):
-    if args.dataset:
-        loaded = datasets.load(args.dataset, scale=args.scale, seed=args.seed)
-        if isinstance(loaded, tuple):
-            return loaded
-        return loaded, None
-    return load_edge_list(args.edge_list, weighted=args.weighted), None
+def _verb_spec(args, base: dict | None = None) -> dict:
+    """The spec dict a verb's parsed flags describe, on top of ``base``.
+
+    A flag that was not given (``None``, an unset switch) or was left at
+    a default it shares with its dataclass field says nothing, so it
+    also switches no optional block (``sharding``, ``streaming``) on.
+    """
+    from repro.core.runner import apply_override
+
+    data = dict(base or {})
+    for flag in _verb_flags(args.command):
+        paths = _FLAGS[flag][0].split()
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None or value is False:
+            continue
+        if value is True:
+            value = not flag.startswith("--no-")
+        elif value == _flag_kwargs(args.command, flag)["default"] == spec_field(paths[0])[0].default:
+            continue
+        for path in paths:
+            apply_override(data, path, value)
+    if hasattr(args, "model"):
+        data["model_params"] = _model_params(args)
+    return data
 
 
 def _model_params(args):
@@ -169,7 +242,7 @@ def _model_params(args):
 
 
 def _cmd_stats(args) -> int:
-    graph, labels = _load_graph(args)
+    graph, labels = RunSpec.from_dict(_verb_spec(args)).graph.load()
     stats = graph_statistics(graph)
     rows = [{"statistic": key, "value": value} for key, value in stats.items()]
     if labels is not None:
@@ -179,134 +252,62 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _sharding_config(args):
-    """Build a ShardingConfig from the ``--shards`` family of flags."""
-    hosts = getattr(args, "shard_hosts", None)
-    if args.shards is None and hosts is None:
-        return None
-    from repro.core.config import ShardingConfig
+def _run_verb(args, base: dict | None = None, **run_kwargs):
+    """``run()`` the spec the verb's flags describe; the report, or
+    ``None`` once a :class:`~repro.errors.ReproError` has been printed."""
+    from repro.core.runner import run
 
-    transport = args.shard_transport
-    if hosts is not None:
-        transport = "socket"
-    return ShardingConfig(
-        shards=args.shards if args.shards is not None else len(hosts),
-        partitioner=args.partitioner,
-        transport=transport,
-        hosts=tuple(hosts) if hosts is not None else None,
-    )
+    try:
+        report = run(_verb_spec(args, base), **run_kwargs)
+    except ReproError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
+    stats = report.sampler_stats
+    if "num_shards" in stats:
+        print(
+            f"[{stats['num_shards']} shard(s) via {stats['partitioner']}: "
+            f"{stats['boundary_edges']} boundary edges, migration rate "
+            f"{stats['migration_rate']:.3f}, node imbalance "
+            f"{stats['node_imbalance']:.2f}]"
+        )
+    return report
 
 
 def _cmd_walk(args) -> int:
-    from repro import UniNet
-
-    graph, __ = _load_graph(args)
-    net = UniNet(
-        graph, model=args.model, sampler=args.sampler, initializer=args.initializer,
-        backend=args.kernel_backend, seed=args.seed, **_model_params(args),
-    )
-    corpus = net.generate_walks(
-        args.num_walks, args.walk_length, sharding=_sharding_config(args)
-    )
-    corpus.save_npz(args.output)
-    if args.shards is not None:
-        stats = net.last_stats
-        print(
-            f"[{args.shards} shard(s) via {stats['partitioner']}: "
-            f"{stats['boundary_edges']} boundary edges, migration rate "
-            f"{stats['migration_rate']:.3f}, node imbalance "
-            f"{stats['node_imbalance']:.2f}]"
-        )
-    print(f"wrote {corpus} to {args.output}")
+    report = _run_verb(args, {"train": None}, keep_corpus=True)
+    if report is None:
+        return 2
+    report.corpus.save_npz(args.output)
+    print(f"wrote {report.corpus} to {args.output}")
     return 0
 
 
-def _streaming_config(args):
-    """Build a StreamingConfig from the ``train`` streaming flags.
-
-    ``--stream`` enables the defaults; any sizing/overlap flag implies
-    streaming on its own, so ``--shard-walks 4096`` alone works.
-    """
-    wants = (
-        args.stream
-        or args.shard_walks is not None
-        or args.max_corpus_bytes is not None
-        or args.overlap
-        or args.stream_vocab != "degree"
-    )
-    if not wants:
-        return None
-    from repro.core.config import StreamingConfig
-
-    return StreamingConfig(
-        shard_walks=args.shard_walks,
-        max_corpus_bytes=args.max_corpus_bytes,
-        overlap=args.overlap,
-        vocab=args.stream_vocab,
-    )
-
-
 def _cmd_train(args) -> int:
-    from repro import UniNet
-
-    graph, __ = _load_graph(args)
-    net = UniNet(
-        graph, model=args.model, sampler=args.sampler, initializer=args.initializer,
-        backend=args.kernel_backend, seed=args.seed, **_model_params(args),
-    )
-    result = net.train(
-        num_walks=args.num_walks,
-        walk_length=args.walk_length,
-        dimensions=args.dimensions,
-        epochs=args.epochs,
-        streaming=_streaming_config(args),
-        sharding=_sharding_config(args),
-    )
-    result.embeddings.save_npz(args.output)
-    if args.shards is not None:
-        stats = result.sampler_stats
-        print(
-            f"[{args.shards} shard(s) via {stats['partitioner']}: "
-            f"{stats['boundary_edges']} boundary edges, migration rate "
-            f"{stats['migration_rate']:.3f}, node imbalance "
-            f"{stats['node_imbalance']:.2f}]"
-        )
-    mode = "streamed" if result.streaming else "monolithic"
+    report = _run_verb(args)
+    if report is None:
+        return 2
+    report.embeddings.save_npz(args.output)
+    streaming = report.spec.streaming
+    mode = "streamed" if streaming is not None and streaming.enabled else "monolithic"
     print(
-        f"trained {len(result.embeddings)} x {args.dimensions} embeddings "
-        f"({mode}: init={result.ti:.2f}s walk={result.tw:.2f}s "
-        f"learn={result.tl:.2f}s total={result.tt:.2f}s, "
-        f"peak corpus {result.peak_corpus_bytes} B); wrote {args.output}"
+        f"trained {len(report.embeddings)} x {args.dimensions} embeddings "
+        f"({mode}: init={report.ti:.2f}s walk={report.tw:.2f}s "
+        f"learn={report.tl:.2f}s total={report.tt:.2f}s, "
+        f"peak corpus {report.corpus_summary['peak_corpus_bytes']} B); "
+        f"wrote {args.output}"
     )
     return 0
 
 
 def _cmd_classify(args) -> int:
-    from repro import UniNet
-    from repro.evaluation import classification_sweep
-
-    graph, labels = _load_graph(args)
-    if labels is None:
-        print("classify needs a labeled dataset", file=sys.stderr)
+    # the sweep's splits share the run's seed
+    report = _run_verb(args, {"evaluation": {"seed": args.seed}})
+    if report is None:
         return 2
-    net = UniNet(
-        graph, model=args.model, sampler=args.sampler, initializer=args.initializer,
-        backend=args.kernel_backend, seed=args.seed, **_model_params(args),
-    )
-    result = net.train(
-        num_walks=args.num_walks,
-        walk_length=args.walk_length,
-        dimensions=args.dimensions,
-        epochs=args.epochs,
-    )
-    sweep = classification_sweep(
-        result.embeddings, labels,
-        train_fractions=tuple(args.fractions), trials=args.trials, seed=args.seed,
-    )
     print(
         format_table(
             ["train_fraction", "micro_f1_mean", "macro_f1_mean"],
-            sweep,
+            report.metrics["classification"],
             title=f"{args.model} on {args.dataset}: classification sweep",
         )
     )
@@ -315,7 +316,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_export_store(args) -> int:
     from repro.embedding import KeyedVectors
-    from repro.errors import ReproError
 
     try:
         kv = KeyedVectors.load_npz(args.vectors)
@@ -396,7 +396,7 @@ def _cmd_query(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.errors import ReproError, ServingError
+    from repro.errors import ServingError
     from repro.serving import EmbeddingStore, QueryServer
 
     try:
@@ -456,7 +456,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_shard_worker(args) -> int:
-    from repro.errors import ReproError
     from repro.sharding.socket_worker import serve_shard
 
     def report(address):
@@ -476,8 +475,6 @@ def _cmd_shard_worker(args) -> int:
 
 
 def _cmd_update(args) -> int:
-    from repro import UniNet
-    from repro.errors import ReproError
     from repro.graph.delta import load_deltas
 
     try:
@@ -488,52 +485,19 @@ def _cmd_update(args) -> int:
     if not deltas:
         print(f"error: {args.deltas} contains no delta records", file=sys.stderr)
         return 2
-    graph, __ = _load_graph(args)
-    net = UniNet(
-        graph, model=args.model, sampler=args.sampler, initializer=args.initializer,
-        backend=args.kernel_backend, seed=args.seed, **_model_params(args),
-    )
-    result = net.train(
-        num_walks=args.num_walks,
-        walk_length=args.walk_length,
-        dimensions=args.dimensions,
-        epochs=args.epochs,
-    )
-    print(
-        f"initial train: {len(result.embeddings)} x {args.dimensions} embeddings "
-        f"in {result.tt:.2f}s on {graph!r}"
-    )
-    rows = []
-    try:
-        for i, delta in enumerate(deltas):
-            ur = net.update(delta, refresh=args.refresh)
-            row = {
-                "step": i,
-                "added": delta.add_src.size,
-                "removed": delta.remove_src.size,
-                "reweighted": delta.reweight_src.size,
-                "update_ms": round(1000 * ur.seconds, 3),
-                "invalidated": ur.sampler_refresh.get("invalidated_states", 0),
-            }
-            if not args.no_retrain:
-                rr = net.refresh_embeddings(
-                    num_walks=args.update_num_walks, walk_length=args.update_walk_length
-                )
-                row["rewalked"] = rr.corpus_summary.get("num_walks", 0)
-                row["refresh_ms"] = round(1000 * rr.tt, 1)
-            rows.append(row)
-    except ReproError as err:
-        print(f"error: {err}", file=sys.stderr)
+    # load_deltas already expanded --symmetric rows to both directions
+    steps = [delta.to_dict() for delta in deltas]
+    report = _run_verb(args, {"updates": {"steps": steps, "symmetric": False}})
+    if report is None:
         return 2
-    print(format_table(list(rows[0]), rows, title=f"replayed {len(deltas)} delta(s)"))
-    if not args.no_retrain:
-        net.last_embeddings.save_npz(args.output)
-        print(
-            f"wrote {len(net.last_embeddings)} refreshed embeddings over "
-            f"{net.graph!r} to {args.output}"
-        )
+    print(f"initial train: {len(report.embeddings)} x {args.dimensions} embeddings in {report.tt:.2f}s")
+    rows = report.metrics["updates"]
+    print(format_table(list(rows[0]), rows, title=f"replayed {len(rows)} delta(s)"))
+    if args.no_retrain:
+        print("graph updated; embeddings left stale (--no-retrain)")
     else:
-        print(f"graph updated to {net.graph!r}; embeddings left stale (--no-retrain)")
+        report.embeddings.save_npz(args.output)
+        print(f"wrote {len(report.embeddings)} refreshed embeddings to {args.output}")
     return 0
 
 
@@ -603,7 +567,6 @@ def _parse_override(item: str):
 
 def _cmd_run(args) -> int:
     from repro.core.runner import apply_override, run
-    from repro.errors import ReproError
 
     try:
         data = json.loads(Path(args.spec).read_text())
@@ -647,55 +610,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     stats = sub.add_parser("stats", help="print graph statistics")
-    _add_graph_args(stats)
+    _add_spec_flags(stats, "stats")
     stats.set_defaults(func=_cmd_stats)
 
     walk = sub.add_parser("walk", help="generate and save a walk corpus")
-    _add_graph_args(walk)
-    _add_walk_args(walk)
+    _add_spec_flags(walk, "walk")
     walk.add_argument("--output", default="walks.npz")
     walk.set_defaults(func=_cmd_walk)
 
     train = sub.add_parser("train", help="train embeddings end to end")
-    _add_graph_args(train)
-    _add_walk_args(train)
-    train.add_argument("--dimensions", type=int, default=128)
-    train.add_argument("--epochs", type=int, default=1)
+    _add_spec_flags(train, "train")
     train.add_argument("--output", default="vectors.npz")
-    stream = train.add_argument_group("streaming (bounded-memory walk→train)")
-    stream.add_argument(
-        "--stream", action="store_true",
-        help="stream walk shards into the trainer instead of materializing "
-        "the whole corpus",
-    )
-    stream.add_argument(
-        "--shard-walks", type=int, default=None, metavar="N",
-        help="walks per shard (implies --stream; default: one wave per shard)",
-    )
-    stream.add_argument(
-        "--max-corpus-bytes", type=int, default=None, metavar="BYTES",
-        help="size shards by a byte budget instead of a walk count "
-        "(implies --stream)",
-    )
-    stream.add_argument(
-        "--overlap", action="store_true",
-        help="overlap walk generation and training via a producer thread "
-        "(implies --stream)",
-    )
-    stream.add_argument(
-        "--stream-vocab", choices=["degree", "exact"], default="degree",
-        help="vocabulary counts: degree-proportional estimate (one pass) or "
-        "exact counting pass (walks generated twice)",
-    )
     train.set_defaults(func=_cmd_train)
 
     classify = sub.add_parser("classify", help="train + node classification sweep")
-    _add_graph_args(classify)
-    _add_walk_args(classify)
-    classify.add_argument("--dimensions", type=int, default=64)
-    classify.add_argument("--epochs", type=int, default=2)
-    classify.add_argument("--fractions", type=float, nargs="+", default=[0.1, 0.5, 0.9])
-    classify.add_argument("--trials", type=int, default=3)
+    _add_spec_flags(classify, "classify")
     classify.set_defaults(func=_cmd_classify)
 
     run_cmd = sub.add_parser("run", help="execute a declarative RunSpec JSON file")
@@ -809,10 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="train, then replay an edge-delta stream with incremental re-embedding",
     )
-    _add_graph_args(update)
-    _add_walk_args(update)
-    update.add_argument("--dimensions", type=int, default=64)
-    update.add_argument("--epochs", type=int, default=1)
+    _add_spec_flags(update, "update")
     update.add_argument(
         "--deltas", required=True,
         help="delta schedule: .jsonl (one record per line) or .npz (one delta)",
@@ -820,22 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument(
         "--symmetric", action="store_true",
         help="expand each delta edge row to both directed entries",
-    )
-    update.add_argument(
-        "--refresh", choices=["affected", "full", "none"], default="affected",
-        help="sampler revalidation policy per step",
-    )
-    update.add_argument(
-        "--no-retrain", action="store_true",
-        help="apply deltas only; skip the incremental re-embedding passes",
-    )
-    update.add_argument(
-        "--update-num-walks", type=int, default=None, metavar="N",
-        help="walks per affected start node in each refresh (default: --num-walks)",
-    )
-    update.add_argument(
-        "--update-walk-length", type=int, default=None, metavar="L",
-        help="walk length in each refresh (default: --walk-length)",
     )
     update.add_argument("--output", default="vectors.npz")
     update.set_defaults(func=_cmd_update)

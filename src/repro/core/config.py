@@ -2,9 +2,44 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import WalkError
+
+
+def config_from_dict(cls, data: dict):
+    """``cls(**data)`` — the one place a mapping becomes a config.
+
+    A sharding mapping that lists worker ``hosts`` implies the socket
+    transport and one shard per address unless it says otherwise.
+    """
+    if cls is ShardingConfig and data.get("hosts") is not None:
+        data = {"transport": "socket", "shards": len(data["hosts"]), **data}
+    return cls(**data)
+
+
+def check_choices(config, section: str, error=WalkError) -> None:
+    """Hold every field that declares ``choices`` metadata to them — the
+    same declaration the CLI reads its ``choices=`` from."""
+    for f in fields(config):
+        value, choices = getattr(config, f.name), f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise error(f"{section}.{f.name} must be one of {choices}, got {value!r}")
+
+
+def as_config(cls, value):
+    """The one coercion of a ``sharding=`` / ``streaming=`` argument.
+
+    ``True`` means the defaults, a dict is expanded, a config passes
+    through — and a block that is absent, ``False`` or switched off by
+    its ``enabled`` field comes back as ``None``, so callers test
+    ``is not None`` and nothing else.
+    """
+    if value is True:
+        value = cls()
+    elif isinstance(value, dict):
+        value = config_from_dict(cls, value)
+    return value if value and value.enabled else None
 
 
 @dataclass
@@ -68,13 +103,9 @@ class WalkConfig:
         :class:`~repro.sharding.engine.ShardedWalkEngine`.
         """
         return {
-            "sampler": self.sampler,
-            "initializer": self.initializer,
-            "init_sample_cap": self.init_sample_cap,
-            "burn_in_iterations": self.burn_in_iterations,
-            "table_budget_bytes": self.table_budget_bytes,
-            "max_reject_rounds": self.max_reject_rounds,
-            "backend": self.backend,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("num_walks", "walk_length")
         }
 
 
@@ -132,7 +163,7 @@ class StreamingConfig:
     max_corpus_bytes: int | None = None
     overlap: bool = False
     queue_shards: int = 2
-    vocab: str = "degree"
+    vocab: str = field(default="degree", metadata={"choices": STREAMING_VOCAB_MODES})
     block_walks: int | None = None
 
     def __post_init__(self):
@@ -147,11 +178,7 @@ class StreamingConfig:
             )
         if self.queue_shards < 1:
             raise WalkError("streaming.queue_shards must be >= 1")
-        if self.vocab not in STREAMING_VOCAB_MODES:
-            raise WalkError(
-                f"streaming.vocab must be one of {STREAMING_VOCAB_MODES}, "
-                f"got {self.vocab!r}"
-            )
+        check_choices(self, "streaming")
         if self.block_walks is not None and self.block_walks < 1:
             raise WalkError("streaming.block_walks must be >= 1")
 
@@ -166,7 +193,7 @@ class StreamingConfig:
 
 
 #: Transports the sharded engine's ``transport=`` knob resolves.
-SHARD_TRANSPORTS = ("inline", "process", "socket")
+SHARD_TRANSPORTS = ("inline", "socket")
 
 
 @dataclass
@@ -197,10 +224,9 @@ class ShardingConfig:
         ``"degree_balanced"`` for greedy LPT on out-degree.
     transport:
         ``"inline"`` keeps workers in-process (zero serialization);
-        ``"process"`` runs one OS process per shard with the local CSR
-        in shared memory; ``"socket"`` drives ``repro shard-worker``
-        processes over TCP — the multi-host deployment (without
-        ``hosts`` it spawns loopback workers itself).
+        ``"socket"`` drives ``repro shard-worker`` processes over TCP —
+        the multi-host deployment (without ``hosts`` it spawns loopback
+        workers itself).
     hosts:
         socket transport only: one ``"host:port"`` worker address per
         shard. ``None`` spawns loopback workers on this machine.
@@ -215,8 +241,8 @@ class ShardingConfig:
     enabled: bool = True
     shards: int = 2
     partitioner: str = "hash"
-    transport: str = "inline"
-    hosts: tuple | None = None
+    transport: str = field(default="inline", metadata={"choices": SHARD_TRANSPORTS})
+    hosts: tuple[str, ...] | None = None
     connect_timeout: float = 10.0
     call_timeout: float | None = 120.0
 
@@ -233,41 +259,12 @@ class ShardingConfig:
                 self.partitioner = PARTITIONER_REGISTRY.canonical(self.partitioner)
             except ReproError as err:
                 raise WalkError(str(err)) from None
-        if self.transport not in SHARD_TRANSPORTS:
-            raise WalkError(
-                f"sharding.transport must be one of {SHARD_TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
+        check_choices(self, "sharding")
         if self.hosts is not None:
-            if self.transport != "socket":
-                raise WalkError(
-                    "sharding.hosts only applies to transport='socket', "
-                    f"got transport={self.transport!r}"
-                )
-            if isinstance(self.hosts, str) or not hasattr(self.hosts, "__len__"):
-                raise WalkError(
-                    "sharding.hosts must be a list of 'host:port' strings"
-                )
-            hosts = []
-            for entry in self.hosts:
-                if not isinstance(entry, str) or ":" not in entry:
-                    raise WalkError(
-                        f"sharding.hosts entries must be 'host:port' strings, "
-                        f"got {entry!r}"
-                    )
-                host, __, port = entry.rpartition(":")
-                if not host or not port.isdigit():
-                    raise WalkError(
-                        f"sharding.hosts entries must be 'host:port' strings, "
-                        f"got {entry!r}"
-                    )
-                hosts.append(entry)
-            if len(hosts) != self.shards:
-                raise WalkError(
-                    f"sharding.hosts lists {len(hosts)} address(es) for "
-                    f"{self.shards} shard(s); one worker per shard"
-                )
-            self.hosts = tuple(hosts)
+            from repro.sharding.transport import check_hosts
+
+            check_hosts(self.hosts, self.transport, self.shards, WalkError)
+            self.hosts = tuple(self.hosts)
         self.connect_timeout = float(self.connect_timeout)
         if self.connect_timeout <= 0:
             raise WalkError("sharding.connect_timeout must be positive")
@@ -275,6 +272,16 @@ class ShardingConfig:
             self.call_timeout = float(self.call_timeout)
             if self.call_timeout <= 0:
                 raise WalkError("sharding.call_timeout must be positive")
+
+    def engine_kwargs(self) -> dict:
+        """The sharding keywords of
+        :class:`~repro.sharding.engine.ShardedWalkEngine`: every field
+        but the ``enabled`` switch, ``shards`` under the constructor's
+        name ``num_shards``."""
+        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
+        del kwargs["enabled"]
+        kwargs["num_shards"] = kwargs.pop("shards")
+        return kwargs
 
 
 @dataclass
@@ -296,15 +303,9 @@ class TrainConfig:
     def word2vec_kwargs(self) -> dict:
         """Keyword arguments for :class:`repro.embedding.Word2Vec`."""
         kwargs = {
-            "window": self.window,
-            "negative": self.negative,
-            "epochs": self.epochs,
-            "alpha": self.alpha,
-            "min_alpha": self.min_alpha,
-            "mode": self.mode,
-            "subsample": self.subsample,
-            "min_count": self.min_count,
-            "negative_sharing": self.negative_sharing,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("dimensions", "extra")
         }
         kwargs.update(self.extra)
         return kwargs

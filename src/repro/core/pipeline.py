@@ -32,13 +32,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.config import (
+    ShardingConfig,
+    StreamingConfig,
+    TrainConfig,
+    WalkConfig,
+    as_config,
+)
 from repro.embedding.word2vec import Word2Vec
 from repro.walks.corpus import WalkCorpus
 from repro.walks.vectorized import VectorizedWalkEngine
 
 
+class PhaseTimings:
+    """Table VI's phase seconds, read off a ``timings`` dict."""
+
+    timings: dict[str, float]
+
+    @property
+    def ti(self) -> float:
+        """Initialisation seconds (sampler construction + lazy M-H init)."""
+        return self.timings.get("init", 0.0)
+
+    @property
+    def tw(self) -> float:
+        """Walk-generation seconds (excluding initialisation)."""
+        return self.timings.get("walk", 0.0)
+
+    @property
+    def tl(self) -> float:
+        """Embedding-learning seconds."""
+        return self.timings.get("learn", 0.0)
+
+    @property
+    def tt(self) -> float:
+        """Total seconds."""
+        return self.timings.get("total", self.ti + self.tw + self.tl)
+
+
 @dataclass
-class WalkResult:
+class WalkResult(PhaseTimings):
     """Output of the walk-generation phase with its engine observables.
 
     Carries the corpus *plus* the Ti/Tw timings, the sampler counter
@@ -62,19 +95,9 @@ class WalkResult:
     corpus_bytes: int = 0
     engine: VectorizedWalkEngine = field(repr=False, default=None)
 
-    @property
-    def ti(self) -> float:
-        """Initialisation seconds (sampler construction + lazy M-H init)."""
-        return self.timings.get("init", 0.0)
-
-    @property
-    def tw(self) -> float:
-        """Walk-generation seconds (excluding initialisation)."""
-        return self.timings.get("walk", 0.0)
-
 
 @dataclass
-class TrainResult:
+class TrainResult(PhaseTimings):
     """Everything a pipeline run produces."""
 
     embeddings: object | None
@@ -111,26 +134,6 @@ class TrainResult:
     #: after a graph delta possible (``UniNet.refresh_embeddings`` calls
     #: its ``partial_fit``). None for walk-only runs.
     trainer: object | None = field(default=None, repr=False)
-
-    @property
-    def ti(self) -> float:
-        """Initialisation seconds (sampler construction + lazy M-H init)."""
-        return self.timings.get("init", 0.0)
-
-    @property
-    def tw(self) -> float:
-        """Walk-generation seconds (excluding initialisation)."""
-        return self.timings.get("walk", 0.0)
-
-    @property
-    def tl(self) -> float:
-        """Embedding-learning seconds."""
-        return self.timings.get("learn", 0.0)
-
-    @property
-    def tt(self) -> float:
-        """Total seconds."""
-        return self.timings.get("total", self.ti + self.tw + self.tl)
 
 
 def _with_learn_kernel(stats: dict, trainer) -> dict:
@@ -171,27 +174,6 @@ def _shard_model_spec(model):
     return name, params
 
 
-def _build_sharded_engine(graph, model, walk_config, sharding, *, budget=None, seed=None):
-    """Construct the :class:`ShardedWalkEngine` a sharding block asks for."""
-    from repro.sharding.engine import ShardedWalkEngine
-
-    name, params = _shard_model_spec(model)
-    return ShardedWalkEngine(
-        graph,
-        name,
-        num_shards=sharding.shards,
-        partitioner=sharding.partitioner,
-        transport=sharding.transport,
-        hosts=sharding.hosts,
-        connect_timeout=sharding.connect_timeout,
-        call_timeout=sharding.call_timeout,
-        budget=budget,
-        seed=seed,
-        **walk_config.engine_kwargs(),
-        **params,
-    )
-
-
 def generate_walk_result(
     graph, model, walk_config, *, seed=None, budget=None, start_nodes=None, sharding=None
 ) -> WalkResult:
@@ -203,7 +185,7 @@ def generate_walk_result(
     ``engine.stats()``).
 
     ``sharding`` takes a :class:`~repro.core.config.ShardingConfig` (or
-    an equivalent dict) to generate the walks on the partitioned
+    an equivalent dict, or ``True``) to generate the walks on the partitioned
     :class:`~repro.sharding.engine.ShardedWalkEngine` instead — same
     corpus bit-for-bit, and the returned stats gain the migration and
     partition-balance counters. A sharded engine owns worker processes,
@@ -212,15 +194,20 @@ def generate_walk_result(
     ``None`` (a closed engine would only raise); a monolithic run
     returns its live engine.
     """
-    from repro.core.config import ShardingConfig
-
-    if isinstance(sharding, dict):
-        sharding = ShardingConfig(**sharding)
-    sharded = sharding is not None and sharding.enabled
+    sharding = as_config(ShardingConfig, sharding)
     start = time.perf_counter()
-    if sharded:
-        engine = _build_sharded_engine(
-            graph, model, walk_config, sharding, budget=budget, seed=seed
+    if sharding is not None:
+        from repro.sharding.engine import ShardedWalkEngine
+
+        name, params = _shard_model_spec(model)
+        engine = ShardedWalkEngine(
+            graph,
+            name,
+            budget=budget,
+            seed=seed,
+            **walk_config.engine_kwargs(),
+            **sharding.engine_kwargs(),
+            **params,
         )
     else:
         engine = VectorizedWalkEngine(
@@ -236,7 +223,7 @@ def generate_walk_result(
         stats = engine.stats()
         memory_bytes = engine.memory_bytes()
     finally:
-        if sharded:
+        if sharding is not None:
             engine.close()
             engine = None
     ti = stats["setup_seconds"] + stats["init_seconds"]
@@ -538,29 +525,21 @@ def train_pipeline(
     ``skip_learning=True`` stops after walk generation (the setting of
     the paper's Table VII / Fig. 6-7, which time only the walk phase).
     ``streaming`` takes a :class:`~repro.core.config.StreamingConfig`
-    (or an equivalent dict) to run the shard-streaming path; walk-only
-    runs ignore it, since without a trainer there is nothing to stream
-    into. ``sharding`` takes a
-    :class:`~repro.core.config.ShardingConfig` (or dict) to generate the
+    (or an equivalent dict, or ``True`` for the defaults) to run the
+    shard-streaming path; walk-only runs ignore it, since without a
+    trainer there is nothing to stream into. ``sharding`` takes a
+    :class:`~repro.core.config.ShardingConfig` (or dict, or ``True``;
+    :func:`~repro.core.config.as_config` is the one coercion) to generate the
     walks on the partitioned engine — corpus (and thus embeddings) stay
     bitwise identical; streaming and sharding are mutually exclusive
     (the streaming pipeline drives the monolithic engine).
     """
-    from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
-
     walk_config = walk_config or WalkConfig()
     train_config = train_config or TrainConfig()
-    if isinstance(streaming, dict):
-        streaming = StreamingConfig(**streaming)
-    if isinstance(sharding, dict):
-        sharding = ShardingConfig(**sharding)
-    if (
-        sharding is not None
-        and sharding.enabled
-        and streaming is not None
-        and streaming.enabled
-        and not skip_learning
-    ):
+    # walk-only runs ignore a streaming block: nothing to stream into
+    streaming = None if skip_learning else as_config(StreamingConfig, streaming)
+    sharding = as_config(ShardingConfig, sharding)
+    if streaming is not None and sharding is not None:
         from repro.errors import WalkError
 
         raise WalkError(
@@ -569,7 +548,7 @@ def train_pipeline(
             "disable one block (e.g. --set streaming.enabled=false)"
         )
 
-    if streaming is not None and streaming.enabled and not skip_learning:
+    if streaming is not None:
         return train_streaming_pipeline(
             graph,
             model,

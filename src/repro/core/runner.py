@@ -15,9 +15,13 @@ loops every benchmark used to hand-roll)::
     })
 
 Grid keys are dotted paths into the spec dict (``"walk.num_walks"``,
-``"model_params.p"``, ``"train.dimensions"``); the walk sugar keys
-``sampler`` / ``initializer`` / ``num_walks`` / ``walk_length`` work at
-the top level.
+``"model_params.p"``, ``"train.dimensions"``); the sugar keys of
+:data:`repro.core.spec.SUGAR` (``sampler``, ``num_walks``, ``shards``,
+...) work at the top level.
+
+Seeds: :func:`run` drives the :class:`~repro.core.uninet.UniNet` facade,
+so ``run(spec)`` with ``seed=S`` learns bit for bit the embeddings of
+``UniNet(graph, seed=S).train(...)`` and of ``repro train --seed S``.
 """
 
 from __future__ import annotations
@@ -27,21 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import TrainConfig
-from repro.core.pipeline import train_pipeline
-from repro.core.spec import RunSpec
+from repro.core.pipeline import PhaseTimings
+from repro.core.spec import SUGAR, RunSpec
+from repro.core.uninet import UniNet
 from repro.errors import SpecError
-
-#: Top-level grid keys rewritten to their real dotted location.
-_GRID_SUGAR = {
-    "sampler": "walk.sampler",
-    "initializer": "walk.initializer",
-    "num_walks": "walk.num_walks",
-    "walk_length": "walk.walk_length",
-    "backend": "walk.backend",
-    "shards": "sharding.shards",
-    "partitioner": "sharding.partitioner",
-}
 
 
 def _jsonable(value):
@@ -58,7 +51,7 @@ def _jsonable(value):
 
 
 @dataclass
-class RunReport:
+class RunReport(PhaseTimings):
     """Structured outcome of one :func:`run` call."""
 
     spec: RunSpec
@@ -77,22 +70,6 @@ class RunReport:
     metrics: dict = field(default_factory=dict)
     embeddings: object | None = field(default=None, repr=False)
     corpus: object | None = field(default=None, repr=False)
-
-    @property
-    def ti(self) -> float:
-        return self.timings.get("init", 0.0)
-
-    @property
-    def tw(self) -> float:
-        return self.timings.get("walk", 0.0)
-
-    @property
-    def tl(self) -> float:
-        return self.timings.get("learn", 0.0)
-
-    @property
-    def tt(self) -> float:
-        return self.timings.get("total", self.ti + self.tw + self.tl)
 
     def to_dict(self) -> dict:
         """JSON-ready dict (embeddings and corpus are not serialised)."""
@@ -128,20 +105,15 @@ class RunReport:
         return row
 
 
-def _evaluate(spec: RunSpec, result, labels) -> dict:
+def _evaluate(spec: RunSpec, embeddings, labels) -> dict:
     ev = spec.evaluation
     if ev is None:
         return {}
-    if labels is None:
-        raise SpecError(
-            f"evaluation task {ev.task!r} needs a labeled dataset; "
-            f"{spec.graph.dataset or spec.graph.edge_list!r} has no labels"
-        )
     if ev.task == "classification":
         from repro.evaluation import classification_sweep
 
         sweep = classification_sweep(
-            result.embeddings,
+            embeddings,
             labels,
             train_fractions=ev.train_fractions,
             trials=ev.trials,
@@ -150,7 +122,7 @@ def _evaluate(spec: RunSpec, result, labels) -> dict:
         return {"classification": sweep}
     from repro.evaluation import clustering_experiment
 
-    return {"clustering": clustering_experiment(result.embeddings, labels, seed=ev.seed)}
+    return {"clustering": clustering_experiment(embeddings, labels, seed=ev.seed)}
 
 
 def _serve_probe(spec: RunSpec, embeddings) -> dict:
@@ -240,33 +212,12 @@ def _server_probe(sv, store, probe_keys) -> dict:
     }
 
 
-def _run_with_updates(spec: RunSpec, graph, model):
-    """Train, then replay the spec's delta schedule through the facade.
+def _replay_updates(net: UniNet, upd) -> list[dict]:
+    """Replay a delta schedule through the facade, one metrics row per step.
 
-    Returns the (possibly refreshed) :class:`TrainResult` plus one
-    metrics row per update step — the per-step sampler revalidation and
+    The rows carry the per-step sampler revalidation and
     incremental-retrain costs that ``report.metrics["updates"]`` records.
     """
-    import dataclasses
-
-    from repro.core.uninet import UniNet
-
-    net = UniNet(
-        graph,
-        model=model,
-        sampler=spec.walk.sampler,
-        initializer=spec.walk.initializer,
-        table_budget_bytes=spec.walk.table_budget_bytes,
-        backend=spec.walk.backend,
-        seed=spec.seed,
-    )
-    result = net.train_from_configs(
-        spec.walk_config(),
-        spec.train or TrainConfig(),
-        streaming=spec.streaming,
-        sharding=spec.sharding,
-    )
-    upd = spec.updates
     rows = []
     for i, delta in enumerate(upd.deltas()):
         ur = net.update(delta, refresh=upd.refresh)
@@ -288,7 +239,7 @@ def _run_with_updates(spec: RunSpec, graph, model):
             row["refresh_s"] = rr.tt
             row["rewalked"] = int(rr.corpus_summary.get("num_walks", 0))
         rows.append(row)
-    return dataclasses.replace(result, embeddings=net.last_embeddings), rows
+    return rows
 
 
 def run(
@@ -323,28 +274,24 @@ def run(
         graph, labels = spec.graph.load()
         if graph_cache is not None:
             graph_cache[cache_key] = (graph, labels)
-    from repro.walks.models import make_model
-
-    model = make_model(spec.model, graph, **spec.model_params)
-    update_rows = None
-    if spec.updates is not None:
-        result, update_rows = _run_with_updates(spec, graph, model)
-    else:
-        result = train_pipeline(
-            graph,
-            model,
-            spec.walk_config(),
-            spec.train or TrainConfig(),
-            seed=spec.seed,
-            skip_learning=spec.train is None,
-            streaming=spec.streaming,
-            sharding=spec.sharding,
+    if spec.evaluation is not None and labels is None:
+        raise SpecError(
+            f"evaluation task {spec.evaluation.task!r} needs a labeled dataset; "
+            f"{spec.graph.dataset or spec.graph.edge_list!r} has no labels"
         )
-    metrics = _jsonable(_evaluate(spec, result, labels))
+    # the one execution path: walk-only, monolithic, streamed, sharded and
+    # replayed runs all go through the facade, which owns the seed stream
+    net = UniNet(graph, spec.model, seed=spec.seed, **spec.model_params)
+    result = net.train_from_configs(
+        spec.walk_config(), spec.train, streaming=spec.streaming, sharding=spec.sharding
+    )
+    update_rows = _replay_updates(net, spec.updates) if spec.updates is not None else None
+    embeddings = net.last_embeddings  # refreshed by the replay when it retrained
+    metrics = _jsonable(_evaluate(spec, embeddings, labels))
     if update_rows is not None:
-        metrics["updates"] = _jsonable(update_rows)
+        metrics["updates"] = update_rows
     if spec.serving is not None:
-        metrics["serving"] = _jsonable(_serve_probe(spec, result.embeddings))
+        metrics["serving"] = _jsonable(_serve_probe(spec, embeddings))
     corpus_summary = {k: int(v) for k, v in result.corpus_summary.items()}
     corpus_summary["peak_corpus_bytes"] = int(result.peak_corpus_bytes)
     return RunReport(
@@ -354,7 +301,7 @@ def run(
         sampler_memory_bytes=result.sampler_memory_bytes,
         corpus_summary=corpus_summary,
         metrics=metrics,
-        embeddings=result.embeddings if keep_embeddings else None,
+        embeddings=embeddings if keep_embeddings else None,
         corpus=result.corpus if keep_corpus else None,
     )
 
@@ -363,15 +310,15 @@ def apply_override(data: dict, key: str, value) -> dict:
     """Set a dotted-path ``key`` inside a spec dict (in place).
 
     ``"train.dimensions"`` descends into the ``train`` section (creating
-    it when it is missing or ``None``); the walk sugar keys map onto the
-    ``walk`` section. Returns ``data`` for chaining.
+    it when it is missing or ``None``); :data:`~repro.core.spec.SUGAR`
+    keys map onto their section. Returns ``data`` for chaining.
     """
-    path = _GRID_SUGAR.get(key, key).split(".")
-    if path[0] == "walk" and len(path) == 2 and path[1] in _GRID_SUGAR:
+    path = SUGAR.get(key, key).split(".")
+    if SUGAR.get(path[-1]) == ".".join(path):
         # a spec dict may carry the same setting as a top-level sugar key
         # (RunSpec.from_dict lets sugar win) — drop it so the override
-        # written into the walk section cannot be shadowed by stale sugar
-        data.pop(path[1], None)
+        # written into the section cannot be shadowed by stale sugar
+        data.pop(path[-1], None)
     node = data
     for part in path[:-1]:
         if not isinstance(node.get(part), dict):

@@ -24,19 +24,40 @@ Example spec file::
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
+from repro.core.config import (
+    ShardingConfig,
+    StreamingConfig,
+    TrainConfig,
+    WalkConfig,
+    as_config,
+    check_choices,
+    config_from_dict,
+)
 from repro.errors import SpecError
 
 #: Downstream evaluation protocols runnable from a spec.
 EVALUATION_TASKS = ("classification", "clustering")
 
-#: Top-level convenience keys accepted by :meth:`RunSpec.from_dict` that
-#: really live on the nested ``walk`` config.
-_WALK_SUGAR = ("sampler", "initializer", "num_walks", "walk_length", "backend")
+#: Top-level convenience keys and the dotted path each really lives at —
+#: the one sugar table: :meth:`RunSpec.from_dict` (spec files) and
+#: :func:`repro.core.runner.apply_override` (``--set``, grids, the CLI
+#: flag table) both resolve through it.
+SUGAR = {
+    "sampler": "walk.sampler",
+    "initializer": "walk.initializer",
+    "num_walks": "walk.num_walks",
+    "walk_length": "walk.walk_length",
+    "backend": "walk.backend",
+    "shards": "sharding.shards",
+    "partitioner": "sharding.partitioner",
+}
 
 
 def _dataclass_from_dict(cls, data, where: str):
@@ -51,7 +72,32 @@ def _dataclass_from_dict(cls, data, where: str):
         raise SpecError(
             f"unknown {where} key(s) {unknown}; known keys: {sorted(known)}"
         )
-    return cls(**data)
+    return config_from_dict(cls, data)
+
+
+def _unwrap_optional(hint):
+    """``(X, True)`` for an ``X | None`` type hint, else ``(hint, False)``."""
+    if isinstance(hint, types.UnionType):
+        return next(a for a in typing.get_args(hint) if a is not type(None)), True
+    return hint, False
+
+
+@functools.cache  # keys are the few dozen spec paths; the values are the classes' own fields
+def spec_field(key: str):
+    """``(field, type)`` of the dataclass field a spec key names.
+
+    ``key`` is a dotted :class:`RunSpec` path (``"sharding.shards"``) or
+    a :data:`SUGAR` key; ``type`` is the field's type hint with any
+    ``| None`` removed. This is how a knob's name, type and default are
+    read off the config dataclasses instead of being declared again.
+    """
+    cls = RunSpec
+    for part in SUGAR.get(key, key).split("."):
+        found = {f.name: f for f in fields(cls)}.get(part) if is_dataclass(cls) else None
+        if found is None:
+            raise SpecError(f"spec key {key!r}: {cls.__name__} has no field {part!r}")
+        cls, __ = _unwrap_optional(typing.get_type_hints(cls)[part])
+    return found, cls
 
 
 @dataclass
@@ -224,7 +270,9 @@ class UpdatesSpec:
     #: expand each edge row to both directed entries.
     symmetric: bool = True
     #: sampler revalidation policy per step (``affected``/``full``/``none``).
-    refresh: str = "affected"
+    refresh: str = field(
+        default="affected", metadata={"choices": ("affected", "full", "none")}
+    )
     #: incrementally re-train after each step (horizon re-walk +
     #: ``partial_fit``); final metrics/serving then use fresh embeddings.
     retrain: bool = True
@@ -237,10 +285,7 @@ class UpdatesSpec:
         self.steps = [dict(step) for step in self.steps]
 
     def validate(self) -> "UpdatesSpec":
-        if self.refresh not in ("affected", "full", "none"):
-            raise SpecError(
-                f"updates.refresh must be 'affected', 'full' or 'none', got {self.refresh!r}"
-            )
+        check_choices(self, "updates", SpecError)
         if self.num_walks is not None and self.num_walks < 1:
             raise SpecError("updates.num_walks must be >= 1")
         if self.walk_length is not None and self.walk_length < 1:
@@ -295,14 +340,10 @@ class RunSpec:
     seed: int = 0
     name: str = ""
 
-    # -- convenience views ----------------------------------------------
-    @property
-    def sampler(self) -> str:
-        return self.walk.sampler
-
-    @property
-    def initializer(self):
-        return self.walk.initializer
+    def __post_init__(self):
+        self.model_params = dict(self.model_params)
+        self.seed = int(self.seed)
+        self.name = str(self.name)
 
     def label(self) -> str:
         """Display name: explicit ``name`` or a model/sampler summary."""
@@ -340,13 +381,8 @@ class RunSpec:
                     f"{entry.name!r}; declared: {sorted(param_spec)}"
                 )
         self.graph.validate()
-        if (
-            self.streaming is not None
-            and self.streaming.enabled
-            and self.sharding is not None
-            and self.sharding.enabled
-            and self.train is not None
-        ):
+        streamed = as_config(StreamingConfig, self.streaming) and self.train is not None
+        if streamed and as_config(ShardingConfig, self.sharding):
             raise SpecError(
                 "streaming and sharding blocks cannot both be enabled: the "
                 "streaming pipeline drives the monolithic engine; disable one "
@@ -378,20 +414,13 @@ class RunSpec:
     # -- (de)serialisation ----------------------------------------------
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready); inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "graph": asdict(self.graph),
-            "model": self.model,
-            "model_params": dict(self.model_params),
-            "walk": asdict(self.walk),
-            "train": None if self.train is None else asdict(self.train),
-            "evaluation": None if self.evaluation is None else asdict(self.evaluation),
-            "streaming": None if self.streaming is None else asdict(self.streaming),
-            "sharding": None if self.sharding is None else asdict(self.sharding),
-            "serving": None if self.serving is None else asdict(self.serving),
-            "updates": None if self.updates is None else asdict(self.updates),
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if is_dataclass(value):
+                value = asdict(value)
+            out[f.name] = dict(value) if isinstance(value, dict) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
@@ -399,79 +428,34 @@ class RunSpec:
 
         Nested sections may be partial (missing keys take the dataclass
         defaults); unknown keys raise :class:`~repro.errors.SpecError`.
-        The walk settings ``sampler`` / ``initializer`` / ``num_walks`` /
-        ``walk_length`` / ``backend`` are also accepted at the top level
-        as sugar.
+        The :data:`SUGAR` keys (``sampler``, ``num_walks``, ``shards``,
+        ...) are also accepted at the top level and win over the same
+        setting inside its section.
         """
         if not isinstance(data, dict):
             raise SpecError(f"RunSpec data must be a mapping, got {type(data).__name__}")
         data = dict(data)
-        walk_data = data.pop("walk", {})
-        if isinstance(walk_data, WalkConfig):
-            walk_data = asdict(walk_data)
-        walk_data = dict(walk_data) if isinstance(walk_data, dict) else walk_data
-        for key in _WALK_SUGAR:
-            if key in data and isinstance(walk_data, dict):
-                walk_data[key] = data.pop(key)
+        for key in SUGAR.keys() & data.keys():
+            section, name = SUGAR[key].split(".")
+            block = data.get(section) or {}
+            if is_dataclass(block):
+                block = asdict(block)
+            if isinstance(block, dict):
+                data[section] = {**block, name: data.pop(key)}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise SpecError(
                 f"unknown RunSpec key(s) {unknown}; known keys: "
-                f"{sorted(known | set(_WALK_SUGAR))}"
+                f"{sorted(known | set(SUGAR))}"
             )
-        graph = _dataclass_from_dict(GraphSpec, data.get("graph", {}), "graph spec")
-        walk = _dataclass_from_dict(WalkConfig, walk_data, "walk config")
-        train_data = data.get("train", TrainConfig())
-        train = (
-            None
-            if train_data is None
-            else _dataclass_from_dict(TrainConfig, train_data, "train config")
-        )
-        eval_data = data.get("evaluation")
-        evaluation = (
-            None
-            if eval_data is None
-            else _dataclass_from_dict(EvalSpec, eval_data, "evaluation spec")
-        )
-        streaming_data = data.get("streaming")
-        streaming = (
-            None
-            if streaming_data is None
-            else _dataclass_from_dict(StreamingConfig, streaming_data, "streaming config")
-        )
-        sharding_data = data.get("sharding")
-        sharding = (
-            None
-            if sharding_data is None
-            else _dataclass_from_dict(ShardingConfig, sharding_data, "sharding config")
-        )
-        serving_data = data.get("serving")
-        serving = (
-            None
-            if serving_data is None
-            else _dataclass_from_dict(ServingSpec, serving_data, "serving spec")
-        )
-        updates_data = data.get("updates")
-        updates = (
-            None
-            if updates_data is None
-            else _dataclass_from_dict(UpdatesSpec, updates_data, "updates spec")
-        )
-        return cls(
-            graph=graph,
-            model=data.get("model", "deepwalk"),
-            model_params=dict(data.get("model_params", {})),
-            walk=walk,
-            train=train,
-            evaluation=evaluation,
-            streaming=streaming,
-            sharding=sharding,
-            serving=serving,
-            updates=updates,
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "")),
-        )
+        hints = typing.get_type_hints(cls)
+        for name, value in data.items():
+            section, optional = _unwrap_optional(hints[name])
+            if is_dataclass(section) and not (optional and value is None):
+                kind = "config" if section.__name__.endswith("Config") else "spec"
+                data[name] = _dataclass_from_dict(section, value, f"{name} {kind}")
+        return cls(**data)
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """JSON text of :meth:`to_dict`."""

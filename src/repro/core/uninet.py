@@ -31,37 +31,11 @@ from repro.utils.rng import as_rng
 from repro.walks.models import make_model
 
 
-def _coerce_sharding(sharding, *, shards=None, partitioner=None, transport=None, hosts=None):
-    """Normalise the facade's sharding sugar to a :class:`ShardingConfig`.
-
-    ``True`` means the defaults, a dict is expanded, and the keyword
-    shorthands (``shards=`` / ``partitioner=`` / ``transport=`` /
-    ``hosts=``) build a config when no block was given explicitly —
-    any one of them enables sharding (``hosts`` sizes ``shards`` to
-    the address list when ``shards`` itself was not passed).
-    """
-    from repro.core.config import ShardingConfig
-
-    if sharding is True:
-        return ShardingConfig()
-    if isinstance(sharding, dict):
-        return ShardingConfig(**sharding)
-    if sharding is None and (
-        shards is not None or transport is not None or hosts is not None
-    ):
-        kwargs = {}
-        if hosts is not None:
-            kwargs["hosts"] = tuple(hosts)
-            kwargs["transport"] = "socket" if transport is None else transport
-            kwargs["shards"] = len(kwargs["hosts"]) if shards is None else shards
-        else:
-            kwargs["shards"] = 2 if shards is None else shards
-            if transport is not None:
-                kwargs["transport"] = transport
-        if partitioner is not None:
-            kwargs["partitioner"] = partitioner
-        return ShardingConfig(**kwargs)
-    return sharding
+def _reshaped(config: WalkConfig, num_walks, walk_length, **overrides) -> WalkConfig:
+    """``config`` with fields replaced; a ``None`` walk shape keeps the config's."""
+    shape = {"num_walks": num_walks, "walk_length": walk_length}
+    overrides.update({k: v for k, v in shape.items() if v is not None})
+    return dataclasses.replace(config, **overrides)
 
 
 @dataclasses.dataclass
@@ -132,10 +106,13 @@ class UniNet:
     ):
         self.graph = graph
         self.model = make_model(model, graph, **model_params)
-        self.sampler = sampler
-        self.initializer = initializer
-        self.backend = backend
-        self.table_budget_bytes = table_budget_bytes
+        # the one WalkConfig every walk of this instance starts from
+        self._walk = WalkConfig(
+            sampler=sampler,
+            initializer=initializer,
+            table_budget_bytes=table_budget_bytes,
+            backend=backend,
+        )
         self.budget = budget
         self.seed = seed
         self._rng = as_rng(seed)
@@ -156,25 +133,32 @@ class UniNet:
         self._trainer = None
         self._chain_store = None
         self._affected: np.ndarray | None = None
-        self._last_train: dict | None = None
+        #: the :class:`WalkConfig` of the last training — what an
+        #: incremental refresh re-walks with.
+        self._trained_walk: WalkConfig | None = None
+
+    sampler = property(lambda self: self._walk.sampler)
+    initializer = property(lambda self: self._walk.initializer)
+    backend = property(lambda self: self._walk.backend)
+    table_budget_bytes = property(lambda self: self._walk.table_budget_bytes)
 
     # ------------------------------------------------------------------
-    def walk_config(self, num_walks: int = 10, walk_length: int = 80, **overrides) -> WalkConfig:
-        """Build a :class:`WalkConfig` bound to this instance's sampler."""
-        return WalkConfig(
-            num_walks=num_walks,
-            walk_length=walk_length,
-            sampler=overrides.pop("sampler", self.sampler),
-            initializer=overrides.pop("initializer", self.initializer),
-            table_budget_bytes=overrides.pop("table_budget_bytes", self.table_budget_bytes),
-            backend=overrides.pop("backend", self.backend),
-            **overrides,
-        )
+    def walk_config(self, num_walks=None, walk_length=None, **overrides) -> WalkConfig:
+        """This instance's :class:`WalkConfig` with the given fields replaced.
+
+        ``None`` keeps the config's own value, so the walk shape's
+        defaults (10 walks of length 80) are declared by
+        :class:`WalkConfig` alone.
+        """
+        return _reshaped(self._walk, num_walks, walk_length, **overrides)
 
     def generate_walks(
-        self, num_walks: int = 10, walk_length: int = 80, start_nodes=None, sharding=None, **overrides
+        self, num_walks=None, walk_length=None, start_nodes=None, sharding=None, **overrides
     ):
         """Run only the walk-generation step; returns a WalkCorpus.
+
+        ``num_walks`` / ``walk_length`` / ``overrides`` are
+        :class:`WalkConfig` fields (see :meth:`walk_config`).
 
         The engine observables of the run (Ti/Tw timings, sampler
         counters, resident bytes) are kept on :attr:`last_walk` /
@@ -192,7 +176,7 @@ class UniNet:
             seed=int(self._rng.integers(2**31)),
             budget=self.budget,
             start_nodes=start_nodes,
-            sharding=_coerce_sharding(sharding),
+            sharding=sharding,
         )
         # keep only the small observables: the engine's chains/tables and
         # the corpus itself must not stay pinned after the caller is done
@@ -210,70 +194,61 @@ class UniNet:
 
     def train(
         self,
-        num_walks: int = 10,
-        walk_length: int = 80,
-        dimensions: int = 128,
+        num_walks=None,
+        walk_length=None,
+        dimensions=None,
         *,
         start_nodes=None,
         walk_overrides: dict | None = None,
         streaming=None,
         sharding=None,
-        shards: int | None = None,
-        partitioner: str | None = None,
-        shard_transport: str | None = None,
-        shard_hosts=None,
         **train_params,
     ) -> TrainResult:
         """Full pipeline: walks + word2vec. Returns a TrainResult.
 
-        ``train_params`` go to :class:`TrainConfig` (``window``,
-        ``epochs``, ``mode``, ...); ``walk_overrides`` to
-        :class:`WalkConfig`. ``streaming`` takes a
+        ``dimensions`` and ``train_params`` go to :class:`TrainConfig`
+        (``window``, ``epochs``, ``mode``, ...); ``num_walks``,
+        ``walk_length`` and ``walk_overrides`` to :class:`WalkConfig`;
+        whatever is left out takes that dataclass's default.
+        ``streaming`` takes a
         :class:`~repro.core.config.StreamingConfig` (or dict, or ``True``
         for the defaults) to run the bounded-memory shard-streaming
         pipeline instead of materializing the whole corpus. ``sharding``
         takes a :class:`~repro.core.config.ShardingConfig` (or dict, or
-        ``True``) to generate the walks on the partitioned engine;
-        ``shards=`` / ``partitioner=`` / ``shard_transport=`` /
-        ``shard_hosts=`` are shorthand for the common cases
-        (``net.train(shards=4, partitioner="degree_balanced")``;
-        ``net.train(shard_transport="socket")`` for the loopback
-        multi-process path; ``shard_hosts=["hostA:9101", "hostB:9101"]``
-        to drive standing ``repro shard-worker`` processes on other
-        machines). Either way the corpus — and so the embeddings — is
-        bitwise identical to the monolithic run.
+        ``True``) to generate the walks on the partitioned engine:
+        ``sharding={"shards": 4, "partitioner": "degree_balanced"}``,
+        ``{"transport": "socket"}`` for the loopback multi-process path,
+        ``{"hosts": ["hostA:9101", "hostB:9101"]}`` to drive standing
+        ``repro shard-worker`` processes on other machines (a host list
+        implies the socket transport and one shard per address). Either
+        way the corpus — and so the embeddings — is bitwise identical to
+        the monolithic run.
         """
-        walk_cfg = self.walk_config(num_walks, walk_length, **(walk_overrides or {}))
-        train_cfg = TrainConfig(dimensions=dimensions, **train_params)
-        if streaming is True:
-            from repro.core.config import StreamingConfig
-
-            streaming = StreamingConfig()
-        sharding = _coerce_sharding(
-            sharding,
-            shards=shards,
-            partitioner=partitioner,
-            transport=shard_transport,
-            hosts=shard_hosts,
-        )
+        if dimensions is not None:
+            train_params["dimensions"] = dimensions
         return self.train_from_configs(
-            walk_cfg, train_cfg, streaming=streaming, sharding=sharding, start_nodes=start_nodes
+            self.walk_config(num_walks, walk_length, **(walk_overrides or {})),
+            TrainConfig(**train_params),
+            streaming=streaming,
+            sharding=sharding,
+            start_nodes=start_nodes,
         )
 
     def train_from_configs(
         self,
         walk_config: WalkConfig,
-        train_config: TrainConfig,
+        train_config: TrainConfig | None,
         *,
         streaming=None,
         sharding=None,
         start_nodes=None,
     ) -> TrainResult:
-        """Run the full pipeline from prebuilt config objects.
+        """Run the pipeline from prebuilt config objects.
 
-        The config-level twin of :meth:`train` (used by the declarative
-        runner); keeps the live trainer so the embeddings can later be
-        refreshed incrementally after :meth:`update`.
+        The config-level twin of :meth:`train` and the one call the
+        declarative runner makes: ``train_config=None`` stops after walk
+        generation. Keeps the live trainer so the embeddings can later
+        be refreshed incrementally after :meth:`update`.
         """
         result = train_pipeline(
             self.graph,
@@ -283,6 +258,7 @@ class UniNet:
             seed=int(self._rng.integers(2**31)),
             budget=self.budget,
             start_nodes=start_nodes,
+            skip_learning=train_config is None,
             streaming=streaming,
             sharding=sharding,
         )
@@ -291,11 +267,7 @@ class UniNet:
         self._trainer = result.trainer
         self._embeddings_epoch = self._graph_epoch
         self._affected = None
-        self._last_train = {
-            "num_walks": walk_config.num_walks,
-            "walk_length": walk_config.walk_length,
-            "walk_config": walk_config,
-        }
+        self._trained_walk = walk_config
         return result
 
     # ------------------------------------------------------------------
@@ -394,17 +366,18 @@ class UniNet:
 
     def refresh_embeddings(
         self,
-        num_walks: int | None = None,
-        walk_length: int | None = None,
+        num_walks=None,
+        walk_length=None,
         *,
         start_nodes=None,
         horizon: int | None = None,
     ) -> TrainResult:
         """Incrementally refresh embeddings after :meth:`update`.
 
-        Re-walks only from nodes within the walk-length horizon of the
-        edges touched since the last (re)training (or from
-        ``start_nodes``), feeds the fresh corpus to the *live* trainer
+        Re-walks, with the :class:`WalkConfig` of the last training
+        (``num_walks`` / ``walk_length`` replace its shape), only from
+        nodes within the walk-length horizon of the edges touched since
+        then (or from ``start_nodes``), feeds the fresh corpus to the *live* trainer
         via ``partial_fit`` — new nodes enter the vocabulary with fresh
         rows, every other row continues from its trained state — and
         returns a :class:`~repro.core.pipeline.TrainResult` for the
@@ -419,12 +392,10 @@ class UniNet:
             raise TrainingError(
                 "refresh_embeddings needs a prior train() (no live trainer)"
             )
-        last = self._last_train or {}
-        num_walks = num_walks if num_walks is not None else last.get("num_walks", 10)
-        walk_length = walk_length if walk_length is not None else last.get("walk_length", 80)
+        cfg = _reshaped(self._trained_walk, num_walks, walk_length)
         if start_nodes is None:
             start_nodes = self.affected_start_nodes(
-                walk_length if horizon is None else horizon
+                cfg.walk_length if horizon is None else horizon
             )
         else:
             start_nodes = np.asarray(start_nodes, dtype=np.int64)
@@ -448,7 +419,6 @@ class UniNet:
                 trainer=self._trainer,
             )
 
-        cfg = self.walk_config(num_walks, walk_length)
         chain_store = None
         if cfg.sampler == "mh":
             if self._chain_store is None:
@@ -465,7 +435,7 @@ class UniNet:
             seed=int(self._rng.integers(2**31)),
             **cfg.engine_kwargs(),
         )
-        corpus = engine.generate(num_walks, walk_length, start_nodes=start_nodes)
+        corpus = engine.generate(cfg.num_walks, cfg.walk_length, start_nodes=start_nodes)
         walk_seconds = time.perf_counter() - wall0
         t0 = time.perf_counter()
         self._trainer.partial_fit(corpus)

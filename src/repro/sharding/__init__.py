@@ -26,7 +26,6 @@ from repro.sharding.socket_worker import serve_shard
 from repro.sharding.store import ShardedEmbeddingStore
 from repro.sharding.transport import (
     InlineTransport,
-    ProcessTransport,
     SocketTransport,
     make_transport,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "DegreeBalancedPartitioner",
     "HashPartitioner",
     "InlineTransport",
-    "ProcessTransport",
     "SocketTransport",
     "ScatterGatherRouter",
     "Shard",

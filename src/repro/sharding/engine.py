@@ -326,11 +326,6 @@ class ShardedWalkEngine(VectorizedWalkEngine):
                 "custom initializer instances are not supported by the "
                 "sharded engine; register and pass a builtin name"
             )
-        if hosts is not None and transport != "socket":
-            raise ShardError(
-                "worker host lists only apply to transport='socket'; "
-                f"transport is {transport!r}"
-            )
         self.graph = graph
         self.model = make_model(model, graph, **model_params)
         self.requested_backend, kernels = resolve_kernels(backend, self.model)

@@ -1,17 +1,11 @@
 """Driver-to-worker transports for the sharded walk engine.
 
-Three interchangeable implementations of the same op protocol (``call``
+Two interchangeable implementations of the same op protocol (``call``
 / ``call_many`` / ``close``):
 
 * :class:`InlineTransport` — workers live in the driver process and ops
   are direct method calls. Zero serialization; the reference used by the
   bitwise-parity tests and the default for small graphs.
-* :class:`ProcessTransport` — one OS process per shard, ops shipped
-  over a ``multiprocessing.Pipe``. Each shard's local CSR is exported
-  once into ``multiprocessing.shared_memory`` segments (the PR-7 walk
-  transport) so the worker wraps zero-copy views instead of a pickled
-  copy; platforms without usable shared memory fall back to pickling
-  the local graph.
 * :class:`SocketTransport` — one TCP connection per shard to a
   ``repro shard-worker`` process that may live on **another machine**.
   Ops travel as length-prefixed binary frames (:mod:`repro.sharding.
@@ -22,12 +16,10 @@ Three interchangeable implementations of the same op protocol (``call``
   multi-process socket path runs end to end on one machine (the CI
   shape).
 
-``call_many`` is the fan-out primitive: the process transport sends all
-requests before collecting any reply, and the socket transport runs
-each shard's request sequence on its own thread, so per-shard work
-overlaps.
+``call_many`` is the fan-out primitive: the socket transport runs each
+shard's request sequence on its own thread, so per-shard work overlaps.
 
-Failure discipline (shared by the out-of-process transports): any
+Failure discipline of the out-of-process transport: any
 connection-layer failure — a worker death, a short read, a missed
 deadline — raises a typed :class:`~repro.errors.ShardError` (timeouts:
 :class:`~repro.errors.ShardTimeoutError`) *and marks the transport
@@ -49,14 +41,6 @@ from repro.errors import FrameError, ShardError, ShardTimeoutError
 from repro.serving.framing import MAX_BINARY_FRAME_BYTES, recv_frame, send_frame
 from repro.sharding import wire
 from repro.sharding.worker import ShardWorker
-from repro.walks.parallel import (
-    _attach_shared_graph,
-    _export_shared_graph,
-    _release_segments,
-)
-
-#: op-protocol close sentinel (distinguishable from any (op, args) pair).
-_CLOSE = None
 
 
 def _build_worker(shard_arrays, graph, config) -> ShardWorker:
@@ -93,13 +77,7 @@ class InlineTransport:
 
     name = "inline"
 
-    def __init__(self, plan, model: str, model_params: dict, sampler: str, options: dict):
-        config = {
-            "model": model,
-            "model_params": model_params,
-            "sampler": sampler,
-            "options": options,
-        }
+    def __init__(self, plan, config: dict):
         self.workers = [
             _build_worker(_shard_arrays(shard, plan.num_shards, plan.owner), shard.graph, config)
             for shard in plan.shards
@@ -117,181 +95,63 @@ class InlineTransport:
             worker.close()
 
 
-def _worker_main(conn, graph_payload, shard_arrays, config):
-    """Child-process loop: attach the shard graph, serve ops until close."""
-    segments = []
-    if graph_payload[0] == "shm":
-        __, specs, meta = graph_payload
-        graph, segments = _attach_shared_graph(specs, meta)
+def parse_host(entry, error=ShardError) -> tuple[str, int]:
+    """One worker address, ``"host:port"`` or a ``(host, port)`` pair.
+
+    The single definition of a valid address: a non-empty host (an IPv6
+    literal goes in brackets, ``"[::1]:9000"``) and a port in 1-65535.
+    ``error`` is the typed error of the layer asking —
+    :class:`~repro.core.config.ShardingConfig` raises ``WalkError``.
+    """
+    if isinstance(entry, str):
+        host, sep, port = entry.rpartition(":")
+    elif isinstance(entry, (tuple, list)) and len(entry) == 2:
+        (host, port), sep = entry, ":"
     else:
-        graph = graph_payload[1]
-    worker = _build_worker(shard_arrays, graph, config)
+        host = port = sep = ""
     try:
-        while True:
-            message = conn.recv()
-            if message is _CLOSE or message is None:
-                break
-            op, args = message
-            conn.send(getattr(worker, op)(*args))
-    except EOFError:
-        pass
-    finally:
-        _release_segments(segments, unlink=False)
-        conn.close()
+        port = int(port)
+    except (TypeError, ValueError):
+        port = 0
+    host = str(host).strip("[]")
+    if not sep or not host or not 1 <= port <= 65535:
+        raise error(
+            f"invalid worker address {entry!r}; expected 'host:port' with a "
+            "non-empty host and a port in 1-65535"
+        )
+    return host, port
 
 
-class ProcessTransport:
-    """One worker process per shard, shared-memory CSR transport."""
+def check_hosts(hosts, transport, num_shards, error=ShardError):
+    """The worker-host-list rules, stated once; returns parsed addresses.
 
-    name = "process"
-
-    def __init__(self, plan, model: str, model_params: dict, sampler: str, options: dict):
-        import multiprocessing as mp
-
-        config = {
-            "model": model,
-            "model_params": model_params,
-            "sampler": sampler,
-            "options": options,
-        }
-        ctx = mp.get_context()
-        self._segments: list = []
-        self._pipes = []
-        self._procs = []
-        self._broken = False
-        self._closed = False
-        started = False
-        try:
-            for shard in plan.shards:
-                local_segments: list = []
-                try:
-                    payload = _export_shared_graph(local_segments, shard.graph)
-                    self._segments.extend(local_segments)
-                except (OSError, ImportError, ValueError):
-                    # no usable shared memory: ship the local graph itself
-                    _release_segments(local_segments, unlink=True)
-                    payload = ("pickle", shard.graph)
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        child_conn,
-                        payload,
-                        _shard_arrays(shard, plan.num_shards, plan.owner),
-                        config,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._pipes.append(parent_conn)
-                self._procs.append(proc)
-            started = True
-        finally:
-            # unwind partially-started workers on any failure (including
-            # KeyboardInterrupt) without swallowing the exception
-            if not started:
-                self.close()
-
-    def _check_usable(self) -> None:
-        if self._closed:
-            raise ShardError("transport is closed; build a fresh engine")
-        if self._broken:
-            raise ShardError(
-                "transport is broken after a failed operation: surviving "
-                "workers may hold undelivered replies that would be matched "
-                "to the wrong op; build a fresh engine"
-            )
-
-    def _send(self, shard_id: int, op: str, args) -> None:
-        try:
-            self._pipes[shard_id].send((op, args))
-        except OSError as err:
-            self._broken = True
-            raise ShardError(f"shard worker {shard_id} is gone: {err}") from err
-
-    def _recv(self, shard_id: int):
-        try:
-            return self._pipes[shard_id].recv()
-        except (EOFError, OSError) as err:
-            self._broken = True
-            raise ShardError(
-                f"shard worker {shard_id} died mid-operation (see its traceback)"
-            ) from err
-
-    def call(self, shard_id: int, op: str, *args):
-        self._check_usable()
-        self._send(shard_id, op, args)
-        return self._recv(shard_id)
-
-    def call_many(self, calls):
-        """Fan out: send every request before collecting any reply.
-
-        A worker dying mid-round leaves the survivors' unread replies
-        queued in their pipes; ``_recv`` marks the transport broken
-        before raising, so no later call can consume one of those stale
-        replies against a different op.
-        """
-        self._check_usable()
-        calls = list(calls)
-        for shard_id, op, args in calls:
-            self._send(shard_id, op, args)
-        return [self._recv(shard_id) for shard_id, __, ___ in calls]
-
-    def close(self):
-        """Shut down workers and release every OS resource; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for pipe in self._pipes:
-            try:
-                pipe.send(_CLOSE)
-            except OSError:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for pipe in self._pipes:
-            try:
-                pipe.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            # release the process sentinel fd eagerly instead of waiting
-            # for GC — repeated engine builds must not accumulate fds
-            try:
-                proc.close()
-            except ValueError:
-                pass  # still alive after terminate; GC will reap it
-        self._pipes = []
-        self._procs = []
-        _release_segments(self._segments, unlink=True)
-        self._segments = []
-
-
-def _parse_host(entry) -> tuple[str, int]:
-    """Normalise one worker address: ``"host:port"`` or ``(host, port)``."""
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        return str(entry[0]), int(entry[1])
-    if isinstance(entry, str) and ":" in entry:
-        host, __, port = entry.rpartition(":")
-        try:
-            return host, int(port)
-        except ValueError:
-            raise ShardError(f"invalid worker port in {entry!r}") from None
-    raise ShardError(
-        f"invalid worker address {entry!r}; expected 'host:port' or a "
-        "(host, port) pair"
-    )
+    A host list (``None`` passes through) only applies to the socket
+    transport, names exactly one worker per shard, and every entry
+    satisfies :func:`parse_host`.
+    """
+    if hosts is None:
+        return None
+    if transport != "socket":
+        raise error(
+            "worker host lists only apply to transport='socket', "
+            f"got transport={transport!r}"
+        )
+    if isinstance(hosts, str) or not hasattr(hosts, "__len__"):
+        raise error("worker hosts must be a list of 'host:port' strings")
+    if len(hosts) != num_shards:
+        raise error(
+            f"the host list names {len(hosts)} address(es) for "
+            f"{num_shards} shard(s); one worker per shard"
+        )
+    return [parse_host(entry, error) for entry in hosts]
 
 
 class SocketTransport:
     """One TCP connection per shard worker; workers may be remote.
 
-    With ``hosts`` (one ``host:port`` per shard) the transport connects
-    to standing ``repro shard-worker`` processes — the multi-host
+    With ``hosts`` (one ``(host, port)`` pair per shard, as
+    :func:`make_transport` hands them on) the transport connects to
+    standing ``repro shard-worker`` processes — the multi-host
     deployment. Without, it spawns one loopback worker process per
     shard and connects to those — the single-machine e2e path CI
     exercises. Either way each worker is bootstrapped over the wire
@@ -308,13 +168,8 @@ class SocketTransport:
 
     name = "socket"
 
-    def __init__(self, plan, model: str, model_params: dict, sampler: str, options: dict):
-        config = {
-            "model": model,
-            "model_params": model_params,
-            "sampler": sampler,
-            "options": options,
-        }
+    def __init__(self, plan, config: dict):
+        options = config["options"]
         self.num_shards = plan.num_shards
         self.connect_timeout = float(options.get("connect_timeout") or 10.0)
         self.call_timeout = options.get("call_timeout", 120.0)
@@ -322,7 +177,6 @@ class SocketTransport:
             self.call_timeout = float(self.call_timeout)
         self.heartbeat_timeout = float(options.get("heartbeat_timeout") or 5.0)
         self.max_frame_bytes = int(options.get("max_frame_bytes") or MAX_BINARY_FRAME_BYTES)
-        hosts = options.get("hosts")
         self._socks: list = []
         self._procs: list = []
         self._pool: ThreadPoolExecutor | None = None
@@ -336,15 +190,7 @@ class SocketTransport:
         self._op_calls: list[dict] = [dict() for __ in range(self.num_shards)]
         started = False
         try:
-            if hosts is None:
-                addresses = self._spawn_loopback()
-            else:
-                addresses = [_parse_host(entry) for entry in hosts]
-                if len(addresses) != self.num_shards:
-                    raise ShardError(
-                        f"sharding.hosts lists {len(addresses)} worker "
-                        f"address(es) but the plan has {self.num_shards} shard(s)"
-                    )
+            addresses = options.get("hosts") or self._spawn_loopback()
             for shard_id, address in enumerate(addresses):
                 self._socks.append(self._connect(shard_id, address))
             for shard_id, shard in enumerate(plan.shards):
@@ -640,18 +486,27 @@ class SocketTransport:
 
 
 #: transport name -> class; the engine resolves its ``transport=`` knob here.
-TRANSPORTS = {
-    "inline": InlineTransport,
-    "process": ProcessTransport,
-    "socket": SocketTransport,
-}
+TRANSPORTS = {"inline": InlineTransport, "socket": SocketTransport}
 
 
 def make_transport(name, plan, model, model_params, sampler, options):
-    """Build the named transport; unknown names raise :class:`ShardError`."""
+    """Build the named transport; unknown names raise :class:`ShardError`.
+
+    The worker bootstrap ``config`` (model, sampler, ``options``) is
+    assembled here for either transport; ``options["hosts"]`` is
+    validated (:func:`check_hosts`) and handed on as parsed
+    ``(host, port)`` pairs.
+    """
     if not isinstance(name, str) or name.strip().lower() not in TRANSPORTS:
         raise ShardError(
             f"unknown shard transport {name!r}; available: {sorted(TRANSPORTS)}"
         )
-    cls = TRANSPORTS[name.strip().lower()]
-    return cls(plan, model, model_params, sampler, options)
+    name = name.strip().lower()
+    hosts = check_hosts(options.get("hosts"), name, plan.num_shards)
+    config = {
+        "model": model,
+        "model_params": model_params,
+        "sampler": sampler,
+        "options": {**options, "hosts": hosts},
+    }
+    return TRANSPORTS[name](plan, config)

@@ -153,6 +153,31 @@ class TestRun:
         b = run(tiny_spec(), keep_corpus=True)
         assert np.array_equal(a.corpus.walks, b.corpus.walks)
 
+    def test_one_seed_convention_with_the_facade(self):
+        """``run(spec)`` is ``UniNet(seed=spec.seed).train(...)`` bit for bit."""
+        from repro import UniNet
+
+        spec = tiny_spec(train=TrainConfig(dimensions=8), seed=5)
+        report = run(spec, keep_corpus=True)
+        graph, __ = spec.graph.load()
+        net = UniNet(graph, spec.model, seed=5, **spec.model_params)
+        expected = net.train(num_walks=1, walk_length=6, dimensions=8)
+        assert np.array_equal(report.corpus.walks, expected.corpus.walks)
+        assert np.array_equal(report.embeddings.vectors, expected.embeddings.vectors)
+        # walk-only runs draw the same seed as the facade's walk-only call
+        walked = run(tiny_spec(seed=5), keep_corpus=True)
+        corpus = UniNet(graph, spec.model, seed=5, **spec.model_params).generate_walks(1, 6)
+        assert np.array_equal(walked.corpus.walks, corpus.walks)
+
+    def test_updates_block_does_not_move_the_initial_corpus(self):
+        spec = tiny_spec(train=TrainConfig(dimensions=8), seed=5)
+        plain = run(spec, keep_corpus=True)
+        data = {**spec.to_dict(), "updates": {"steps": [{"add": [[0, 9]]}]}}
+        replayed = run(data, keep_corpus=True)
+        assert np.array_equal(plain.corpus.walks, replayed.corpus.walks)
+        assert np.array_equal(plain.corpus.lengths, replayed.corpus.lengths)
+        assert len(replayed.metrics["updates"]) == 1
+
 
 class TestRunMany:
     def test_grid_expansion_names_and_fields(self):

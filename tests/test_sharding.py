@@ -227,14 +227,6 @@ class TestEngineParity:
         )
         assert_corpus_equal(mono, shrd)
 
-    def test_process_transport_parity(self, small_power_law_graph):
-        mono, __ = _mono(small_power_law_graph, "deepwalk", seed=42, walk_length=8)
-        with ShardedWalkEngine(
-            small_power_law_graph, "deepwalk", transport="process", num_shards=2, seed=42
-        ) as engine:
-            shrd = engine.generate(2, 8)
-        assert_corpus_equal(mono, shrd)
-
     def test_generate_stream_parity(self, small_power_law_graph):
         """One wave loop: the inherited shard stream matches chunk for chunk."""
         kw = {"seed": 3, "p": 0.5, "q": 2.0}
@@ -564,7 +556,7 @@ class TestWiring:
                 seed=1,
             )
 
-    def test_uninet_shards_sugar(self, small_unweighted_graph):
+    def test_uninet_sharding_dict(self, small_unweighted_graph):
         from repro import UniNet
 
         net1 = UniNet(small_unweighted_graph, model="node2vec", p=0.5, q=2.0, seed=7)
@@ -574,8 +566,7 @@ class TestWiring:
             num_walks=2,
             walk_length=10,
             dimensions=16,
-            shards=3,
-            partitioner="degree_balanced",
+            sharding={"shards": 3, "partitioner": "degree_balanced"},
         )
         assert np.array_equal(r1.embeddings.vectors, r2.embeddings.vectors)
         assert r2.sampler_stats["partitioner"] == "degree_balanced"
@@ -590,7 +581,7 @@ class TestWiring:
         assert np.array_equal(c1.walks, c2.walks)
         assert net2.last_stats["migrated_walkers"] > 0
 
-    @pytest.mark.parametrize("transport", ("process", "socket"))
+    @pytest.mark.parametrize("transport", ("socket",))
     def test_facade_runs_leave_no_worker_behind(self, small_unweighted_graph, transport):
         """The pipeline closes the engine it built: no process, no segment."""
         from repro import UniNet
@@ -769,6 +760,34 @@ class TestSocketTransport:
                 transport="socket", hosts=["127.0.0.1:1"], connect_timeout=0.2,
             )
 
+    @pytest.mark.parametrize(
+        "entry, address",
+        [
+            ("h:1", ("h", 1)),
+            ("[::1]:9000", ("::1", 9000)),
+            (":9000", None),
+            ("h:", None),
+            ("h:0", None),
+            ("h:99999999", None),
+            ("h", None),
+        ],
+    )
+    def test_one_host_port_parser_for_every_layer(self, small_power_law_graph, entry, address):
+        """Config and engine accept and refuse the same addresses."""
+        from repro.sharding.transport import parse_host
+
+        if address is not None:
+            assert parse_host(entry) == address
+            assert ShardingConfig(shards=1, transport="socket", hosts=[entry]).hosts == (entry,)
+            return
+        with pytest.raises(WalkError, match="invalid worker address"):
+            ShardingConfig(shards=1, transport="socket", hosts=[entry])
+        with pytest.raises(ShardError, match="invalid worker address"):
+            ShardedWalkEngine(
+                small_power_law_graph, "deepwalk", num_shards=1,
+                transport="socket", hosts=[entry],
+            )
+
     def test_sharding_config_socket_fields(self):
         cfg = ShardingConfig(
             shards=2, transport="socket", hosts=["a:9101", "b:9102"],
@@ -796,14 +815,14 @@ class TestSocketTransport:
         with pytest.raises(WalkError, match="call_timeout"):
             ShardingConfig(transport="socket", call_timeout=-1)
 
-    def test_uninet_socket_sugar(self, small_unweighted_graph):
+    def test_uninet_socket_dict(self, small_unweighted_graph):
         from repro import UniNet
 
         net1 = UniNet(small_unweighted_graph, seed=7)
         r1 = net1.train(num_walks=1, walk_length=8, dimensions=8)
         net2 = UniNet(small_unweighted_graph, seed=7)
         r2 = net2.train(
-            num_walks=1, walk_length=8, dimensions=8, shard_transport="socket"
+            num_walks=1, walk_length=8, dimensions=8, sharding={"transport": "socket"}
         )
         assert np.array_equal(r1.embeddings.vectors, r2.embeddings.vectors)
         assert r2.sampler_stats["transport"] == "socket"

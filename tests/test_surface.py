@@ -1,0 +1,171 @@
+"""Derivation guards: a knob is declared once, on its config dataclass.
+
+Everything else — RunSpec (de)serialisation, ``--set`` / grid overrides,
+engine keywords, the CLI flags of the spec-building verbs — must be
+*derived* from the dataclass field, so adding a field needs no second
+edit. ``tests/data/cli_surface.json`` pins the CLI surface as recorded
+from the parser before the flags were derived (option string ->
+``[default, nargs, choices]`` per verb, dumped with :func:`cli_surface`).
+"""
+
+import argparse
+import dataclasses
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import _FLAGS, _VERB_DEFAULTS, _VERB_SECTIONS, _verb_spec, build_parser
+from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
+from repro.core.runner import apply_override, expand_grid
+from repro.core.spec import SUGAR, EvalSpec, GraphSpec, RunSpec, spec_field
+from repro.sharding.engine import ShardedWalkEngine
+from repro.walks.vectorized import VectorizedWalkEngine
+
+SECTIONS = {
+    "walk": WalkConfig,
+    "train": TrainConfig,
+    "streaming": StreamingConfig,
+    "sharding": ShardingConfig,
+    "graph": GraphSpec,
+    "evaluation": EvalSpec,
+}
+#: a valid non-default value where "default + 1" is not one
+ALTERNATIVES = {
+    "sampler": "direct", "initializer": "random", "backend": "cnative",
+    "partitioner": "degree_balanced", "transport": "socket", "vocab": "exact",
+    "mode": "cbow", "task": "clustering", "dataset": "blogcatalog",
+    "edge_list": "edges.txt", "weight_mode": "uniform", "hosts": ["a:1", "b:2", "c:3"],
+    "extra": {"batch_pairs": 64}, "train_fractions": [0.3, 0.6],
+}  # fmt: skip
+
+
+def non_default(field):
+    if field.name in ALTERNATIVES:
+        return ALTERNATIVES[field.name]
+    if isinstance(field.default, bool):
+        return not field.default
+    return 3 if field.default is None else field.default + 1
+
+
+def section_fields():
+    return [
+        pytest.param(section, field, id=f"{section}.{field.name}")
+        for section, cls in SECTIONS.items()
+        for field in dataclasses.fields(cls)
+    ]
+
+
+class TestEveryFieldIsReachable:
+    @pytest.mark.parametrize("section, field", section_fields())
+    def test_override_reaches_it_and_the_spec_round_trips(self, section, field):
+        value = non_default(field)
+        data = apply_override({"graph": {"dataset": "amazon"}}, f"{section}.{field.name}", value)
+        spec = RunSpec.from_dict(data)
+        got = getattr(getattr(spec, section), field.name)
+        assert got == (tuple(value) if isinstance(value, list) else value)
+        assert got != field.default
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+        assert RunSpec.from_json(spec.to_json()) == spec
+        # the same path names the same field to whoever derives from it
+        assert spec_field(f"{section}.{field.name}")[0].name == field.name
+
+    def test_engine_keywords_are_constructor_parameters(self):
+        mono = set(inspect.signature(VectorizedWalkEngine.__init__).parameters)
+        sharded = set(inspect.signature(ShardedWalkEngine.__init__).parameters)
+        walk = set(WalkConfig().engine_kwargs())
+        assert walk <= mono and walk <= sharded
+        assert walk == {f.name for f in dataclasses.fields(WalkConfig)} - {"num_walks", "walk_length"}
+        sharding = set(ShardingConfig().engine_kwargs())
+        assert sharding <= sharded
+        assert len(sharding) == len(dataclasses.fields(ShardingConfig)) - 1  # all but `enabled`
+
+
+class TestOneSugarTable:
+    @pytest.mark.parametrize("key", sorted(SUGAR))
+    def test_spec_files_overrides_and_grids_accept_every_key(self, key):
+        field, __ = spec_field(key)
+        value = non_default(field)
+        section, name = SUGAR[key].split(".")
+        base = {"graph": {"dataset": "amazon"}}
+        from_file = RunSpec.from_dict({**base, key: value})
+        overridden = RunSpec.from_dict(apply_override(dict(base), key, value))
+        (swept,) = expand_grid(base, {key: [value]})
+        for spec in (from_file, overridden, swept):
+            assert getattr(getattr(spec, section), name) == value
+        # top-level sugar wins over the same setting inside its section
+        shadowed = RunSpec.from_dict({**base, section: {name: field.default}, key: value})
+        assert getattr(getattr(shadowed, section), name) == value
+
+
+def cli_surface(parser) -> dict:
+    """``{verb: {option string: [default, nargs, choices]}}`` of a parser."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for verb, verb_parser in sub.choices.items():
+        surface[verb] = flags = {}
+        for action in verb_parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            choices = None if action.choices is None else list(action.choices)
+            for option in action.option_strings or [action.dest]:
+                flags[option] = [action.default, action.nargs, choices]
+    return json.loads(json.dumps(surface))  # tuples -> lists, like the file
+
+
+def parse(*argv):
+    return build_parser().parse_args(argv)
+
+
+class TestCliSurface:
+    def test_surface_is_the_recorded_one_minus_the_process_transport(self):
+        recorded = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text())
+        for flags in recorded.values():
+            if "--shard-transport" in flags:
+                flags["--shard-transport"][2].remove("process")
+        assert cli_surface(build_parser()) == recorded
+
+    def test_defaults_are_the_dataclass_defaults_unless_listed(self):
+        surface = cli_surface(build_parser())
+        checked = 0
+        for verb in _VERB_SECTIONS:
+            listed = {**_VERB_DEFAULTS["*"], **_VERB_DEFAULTS.get(verb, {})}
+            for flag, (paths, __) in _FLAGS.items():
+                default, nargs, __ = surface[verb].get(flag, (None, 0, None))
+                # a switch (nargs 0) has no default: left out, it says nothing
+                if flag not in surface[verb] or nargs == 0 or flag in listed:
+                    continue
+                field_default = spec_field(paths.split()[0])[0].default
+                assert default == json.loads(json.dumps(field_default)), (verb, flag)
+                checked += 1
+        assert checked > 50
+
+    def test_flags_left_alone_say_nothing(self):
+        spec = _verb_spec(parse("train", "--dataset", "amazon"))
+        assert spec == {"graph": {"dataset": "amazon", "scale": 0.5}, "model_params": {}}
+        spec = _verb_spec(parse("classify", "--dataset", "reddit"))
+        assert spec["train"] == {"dimensions": 64, "epochs": 2}
+
+    def test_any_block_flag_switches_its_block_on(self):
+        base = ("train", "--dataset", "amazon")
+        assert _verb_spec(parse(*base, "--stream"))["streaming"] == {"enabled": True}
+        assert _verb_spec(parse(*base, "--stream-vocab", "exact"))["streaming"] == {"vocab": "exact"}
+        assert _verb_spec(parse(*base, "--shards", "2"))["sharding"] == {"shards": 2}
+        assert _verb_spec(parse(*base, "--shard-transport", "socket"))["sharding"] == {
+            "transport": "socket"
+        }
+        assert _verb_spec(parse(*base, "--seed", "3"))["seed"] == 3
+        assert _verb_spec(parse(*base, "--seed", "3"))["graph"]["seed"] == 3
+
+    def test_host_list_implies_socket_and_one_shard_per_address(self):
+        spec = RunSpec.from_dict(
+            _verb_spec(parse("walk", "--dataset", "amazon", "--shard-hosts", "a:1", "b:2", "c:3"))
+        )
+        assert spec.sharding.transport == "socket"
+        assert spec.sharding.shards == 3
+        assert spec.sharding.hosts == ("a:1", "b:2", "c:3")
+
+    def test_no_switches_store_false(self):
+        args = parse("update", "--dataset", "amazon", "--deltas", "d.jsonl", "--no-retrain")
+        assert _verb_spec(args)["updates"] == {"retrain": False}

@@ -48,55 +48,6 @@ def assert_fresh_engine_matches_monolithic(graph, transport):
 
 
 # ---------------------------------------------------------------------------
-# process transport
-# ---------------------------------------------------------------------------
-
-
-class TestProcessTransportFaults:
-    def test_worker_crash_mid_call_many_is_typed_and_breaks_transport(
-        self, small_unweighted_graph
-    ):
-        engine = _engine(small_unweighted_graph, "process")
-        try:
-            # shard 0 dies without replying while shard 1's reply is in
-            # flight — the round must fail typed, not deadlock or return
-            # shard 1's payload as shard 0's
-            with pytest.raises(ShardError, match="died mid-operation"):
-                engine.transport.call_many(
-                    [(0, "debug_exit", ()), (1, "memory_bytes", ())]
-                )
-            # the survivor's undelivered reply makes the transport unsafe:
-            # reuse is refused instead of reading a stale frame
-            with pytest.raises(ShardError, match="broken"):
-                engine.transport.call(1, "memory_bytes")
-            with pytest.raises(ShardError, match="broken"):
-                engine.transport.call_many([(1, "memory_bytes", ())])
-        finally:
-            engine.close()
-        assert_fresh_engine_matches_monolithic(small_unweighted_graph, "process")
-
-    def test_close_is_idempotent_and_closed_transport_refuses(
-        self, small_unweighted_graph
-    ):
-        engine = _engine(small_unweighted_graph, "process")
-        engine.close()
-        engine.close()  # second close: no _CLOSE re-send, no error
-        with pytest.raises(ShardError, match="closed"):
-            engine.transport.call(0, "memory_bytes")
-
-    def test_no_fd_growth_across_engine_lifecycles(self, small_unweighted_graph):
-        # warm-up build absorbs one-time allocations (multiprocessing
-        # machinery, numpy scratch), then the fd count must be flat
-        _engine(small_unweighted_graph, "process").close()
-        baseline = len(os.listdir("/proc/self/fd"))
-        for __ in range(5):
-            engine = _engine(small_unweighted_graph, "process")
-            engine.generate(1, 5)
-            engine.close()
-        assert len(os.listdir("/proc/self/fd")) <= baseline
-
-
-# ---------------------------------------------------------------------------
 # socket transport
 # ---------------------------------------------------------------------------
 
@@ -105,16 +56,45 @@ class TestSocketTransportFaults:
     def test_worker_killed_mid_run_is_typed(self, small_unweighted_graph):
         engine = _engine(small_unweighted_graph, "socket")
         try:
+            # shard 0 dies without replying while shard 1's reply is in
+            # flight — the round must fail typed, not deadlock or return
+            # shard 1's payload as shard 0's
             with pytest.raises(ShardError):
                 engine.transport.call_many(
                     [(0, "debug_exit", ()), (1, "memory_bytes", ())]
                 )
+            # the failed round makes the transport unsafe: every entry
+            # point refuses reuse instead of reading a stale frame
             with pytest.raises(ShardError, match="broken"):
                 engine.transport.ping()
+            with pytest.raises(ShardError, match="broken"):
+                engine.transport.call(1, "memory_bytes")
+            with pytest.raises(ShardError, match="broken"):
+                engine.transport.call_many([(1, "memory_bytes", ())])
         finally:
             engine.close()
             engine.close()  # idempotent with a dead worker in the mix
         assert_fresh_engine_matches_monolithic(small_unweighted_graph, "socket")
+
+    def test_close_is_idempotent_and_closed_transport_refuses(
+        self, small_unweighted_graph
+    ):
+        engine = _engine(small_unweighted_graph, "socket")
+        engine.close()
+        engine.close()  # second close: no CLOSE frame re-sent, no error
+        with pytest.raises(ShardError, match="closed"):
+            engine.transport.call(0, "memory_bytes")
+
+    def test_no_fd_growth_across_engine_lifecycles(self, small_unweighted_graph):
+        # warm-up build absorbs one-time allocations (multiprocessing
+        # machinery, numpy scratch), then the fd count must be flat
+        _engine(small_unweighted_graph, "socket").close()
+        baseline = len(os.listdir("/proc/self/fd"))
+        for __ in range(5):
+            engine = _engine(small_unweighted_graph, "socket")
+            engine.generate(1, 5)
+            engine.close()
+        assert len(os.listdir("/proc/self/fd")) <= baseline
 
     def test_unreachable_worker_raises_within_connect_timeout(
         self, small_unweighted_graph
