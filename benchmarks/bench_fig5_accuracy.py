@@ -27,9 +27,7 @@ NUM_WALKS, WALK_LENGTH = 6, 30
 
 
 def _embed_and_score(graph, labels, corpus, seed):
-    trainer = Word2Vec(
-        dimensions=64, window=5, epochs=2, negative_sharing=True, seed=seed
-    )
+    trainer = Word2Vec(dimensions=64, window=5, epochs=2, seed=seed)
     vectors = trainer.fit(corpus, num_nodes=graph.num_nodes)
     return classification_sweep(
         vectors, labels, train_fractions=FRACTIONS, trials=2, seed=seed

@@ -36,7 +36,7 @@ def _run(graph, streaming):
         graph,
         "deepwalk",
         WalkConfig(num_walks=NUM_WALKS, walk_length=WALK_LENGTH),
-        TrainConfig(dimensions=32, epochs=1, negative_sharing=True),
+        TrainConfig(dimensions=32, epochs=1),
         seed=7,
         streaming=streaming,
     )

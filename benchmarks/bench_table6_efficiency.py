@@ -55,7 +55,7 @@ def _uninet_times(graph, model_name, params, sampler):
 
 def _learning_seconds(graph, corpus):
     __, seconds = timed(
-        Word2Vec(dimensions=64, epochs=1, negative_sharing=True, seed=2).fit,
+        Word2Vec(dimensions=64, epochs=1, seed=2).fit,
         corpus, num_nodes=graph.num_nodes,
     )
     return seconds

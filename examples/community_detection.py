@@ -33,10 +33,7 @@ def main():
     # paper recommends for homophily/community structure
     for model, params in [("deepwalk", {}), ("node2vec", {"p": 1.0, "q": 0.5})]:
         net = UniNet(component, model=model, seed=21, **params)
-        result = net.train(
-            num_walks=8, walk_length=40, dimensions=48, epochs=2,
-            negative_sharing=True,
-        )
+        result = net.train(num_walks=8, walk_length=40, dimensions=48, epochs=2)
         out = clustering_experiment(result.embeddings, labels, seed=22)
         rows.append(
             {

@@ -20,9 +20,7 @@ def main():
     print(f"graph: {graph}")
 
     net = UniNet(graph, model="deepwalk", seed=7)
-    result = net.train(
-        num_walks=6, walk_length=30, dimensions=64, epochs=1, negative_sharing=True
-    )
+    result = net.train(num_walks=6, walk_length=30, dimensions=64, epochs=1)
     print(f"initial train: {len(result.embeddings)} embeddings in {result.tt:.2f}s")
 
     n = graph.num_nodes

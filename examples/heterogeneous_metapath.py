@@ -24,10 +24,7 @@ def main():
 
     # --- metapath2vec ---------------------------------------------------
     net = UniNet(graph, model="metapath2vec", metapath="APVPA", seed=9)
-    result = net.train(
-        num_walks=10, walk_length=41, dimensions=64, epochs=3,
-        negative_sharing=True,
-    )
+    result = net.train(num_walks=10, walk_length=41, dimensions=64, epochs=3)
     print(f"\nmetapath2vec: walks+training took {result.tt:.2f}s")
 
     sweep = classification_sweep(
@@ -58,9 +55,7 @@ def main():
     matrix = fit_transition_matrix(graph, p=1.0, q=1.0, iterations=2, seed=12)
     print(f"\nedge2vec learned type-transition matrix:\n{np.round(matrix, 2)}")
     e2v = UniNet(graph, model="edge2vec", p=1.0, q=1.0, transition_matrix=matrix, seed=12)
-    e2v_result = e2v.train(
-        num_walks=6, walk_length=30, dimensions=64, epochs=2, negative_sharing=True
-    )
+    e2v_result = e2v.train(num_walks=6, walk_length=30, dimensions=64, epochs=2)
     e2v_sweep = classification_sweep(
         e2v_result.embeddings, labels, train_fractions=(0.5,), trials=3, seed=13
     )

@@ -18,10 +18,7 @@ def main():
 
     def embed(train_graph):
         net = UniNet(train_graph, model="node2vec", p=1.0, q=0.5, seed=8)
-        result = net.train(
-            num_walks=8, walk_length=40, dimensions=64, epochs=2,
-            negative_sharing=True,
-        )
+        result = net.train(num_walks=8, walk_length=40, dimensions=64, epochs=2)
         return result.embeddings
 
     rows = []

@@ -28,10 +28,7 @@ def main():
             q=4.0,  # the paper's BlogCatalog setting
             seed=5,
         )
-        result = net.train(
-            num_walks=8, walk_length=40, dimensions=64, epochs=2,
-            negative_sharing=True,
-        )
+        result = net.train(num_walks=8, walk_length=40, dimensions=64, epochs=2)
         sweep = classification_sweep(
             result.embeddings,
             labels,

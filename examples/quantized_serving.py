@@ -21,7 +21,7 @@ from repro.serving import EmbeddingStore, QueryService, topk_overlap as overlap
 def main():
     graph, __ = datasets.load("blogcatalog", scale=0.3, seed=7)
     net = UniNet(graph, model="deepwalk", seed=7)
-    net.train(num_walks=8, walk_length=40, dimensions=64, epochs=2, negative_sharing=True)
+    net.train(num_walks=8, walk_length=40, dimensions=64, epochs=2)
     print(f"trained {len(net.last_embeddings)} x 64 embeddings on {graph}")
 
     query_keys = np.asarray(net.last_embeddings.keys)[:200]

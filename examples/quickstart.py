@@ -21,7 +21,6 @@ def main():
         walk_length=40,
         dimensions=64,
         epochs=2,
-        negative_sharing=True,  # fast SGNS variant
     )
 
     print(

@@ -580,10 +580,6 @@ _KERNEL_MODULES = (
     "sharding/engine.py",
 )
 
-#: decorator leaves whose functions run compiled, not interpreted —
-#: explicit Python loops inside them are the *point*, not a fallback.
-_JIT_DECORATORS = frozenset({"njit", "jit"})
-
 _ARRAY_PRODUCERS = frozenset({
     "flatnonzero", "nonzero", "unique", "arange", "argsort", "where",
 })
@@ -611,11 +607,6 @@ class HotPathPurityRule(LintRule):
     ``for i in range(arr.size)`` or ``.tolist()`` in these modules is
     either setup code (fine — baseline it) or an accidental O(n)
     fallback on the sampling path (the thing this rule exists to catch).
-
-    Functions decorated with ``@njit``/``@jit`` (numba) are exempt as a
-    whole subtree: their element loops compile to machine code, so the
-    explicit ``for i in range(n)`` / ``prange`` style is the idiom, not
-    an interpreter fallback.
     """
 
     severity = "warn"
@@ -624,10 +615,7 @@ class HotPathPurityRule(LintRule):
     def check_module(self, module, project):
         if not relpath_matches(module.relpath, _KERNEL_MODULES):
             return
-        jitted = self._jitted_nodes(module)
         for node in module.walk():
-            if id(node) in jitted:
-                continue
             if isinstance(node, ast.Call):
                 if (
                     isinstance(node.func, ast.Attribute)
@@ -640,21 +628,6 @@ class HotPathPurityRule(LintRule):
                     )
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 yield from self._check_loop(module, node)
-
-    @staticmethod
-    def _jitted_nodes(module) -> set[int]:
-        """ids of every AST node inside a ``@njit``/``@jit`` function."""
-        exempt: set[int] = set()
-        for node in module.walk():
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = dotted_name(target)
-                if name and name.split(".")[-1] in _JIT_DECORATORS:
-                    exempt.update(id(child) for child in ast.walk(node))
-                    break
-        return exempt
 
     def _check_loop(self, module, node):
         it = node.iter

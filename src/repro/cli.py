@@ -106,7 +106,7 @@ _FLAGS = {
     "--initializer": ("walk.initializer", "M-H init strategy"),
     "--num-walks": ("walk.num_walks", "walks per start node"),
     "--walk-length": ("walk.walk_length", "nodes per walk"),
-    "--kernel-backend": ("walk.backend", "walk kernels: numpy, numba (JIT) or cnative (C, needs a compiler)"),
+    "--kernel-backend": ("walk.backend", "walk kernels: numpy or cnative (C, needs a compiler)"),
     "--shards": ("sharding.shards", "walk on the sharded engine with N graph partitions (same corpus)"),
     "--partitioner": ("sharding.partitioner", "graph partitioner: hash or degree_balanced (greedy LPT)"),
     "--shard-transport": (
@@ -351,6 +351,22 @@ def _cmd_export_store(args) -> int:
     return 0
 
 
+def _add_index_flags(parser) -> None:
+    """``--index/--nlist/--nprobe``, shared by the verbs that open a store."""
+    parser.add_argument(
+        "--index", default="bruteforce",
+        help="ANN index: bruteforce (exact) or ivf (approximate)",
+    )
+    parser.add_argument("--nlist", type=int, default=None, help="ivf: number of cells")
+    parser.add_argument("--nprobe", type=int, default=None, help="ivf: cells scanned per query")
+
+
+def _index_params(args) -> dict:
+    """Index constructor keywords for the ``_add_index_flags`` flags that were given."""
+    given = {"nlist": args.nlist, "nprobe": args.nprobe}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _cmd_query(args) -> int:
     from repro.errors import ServingError
     from repro.serving import EmbeddingStore, QueryService
@@ -360,13 +376,8 @@ def _cmd_query(args) -> int:
     except ServingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    index_params = {}
-    if args.nlist is not None:
-        index_params["nlist"] = args.nlist
-    if args.nprobe is not None:
-        index_params["nprobe"] = args.nprobe
     try:
-        service = QueryService(store, index=args.index, **index_params)
+        service = QueryService(store, index=args.index, **_index_params(args))
         keys = args.keys if args.keys else [int(k) for k in store.keys[: args.batch]]
         results = service.most_similar_batch(keys, topn=args.topn)
     except (ServingError, TypeError) as err:
@@ -404,11 +415,6 @@ def _cmd_serve(args) -> int:
     except ServingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    index_params = {}
-    if args.nlist is not None:
-        index_params["nlist"] = args.nlist
-    if args.nprobe is not None:
-        index_params["nprobe"] = args.nprobe
     try:
         server = QueryServer(
             store,
@@ -419,7 +425,7 @@ def _cmd_serve(args) -> int:
             queue_size=args.queue_size,
             host=args.host,
             port=args.port,
-            **index_params,
+            **_index_params(args),
         )
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -674,12 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--batch", type=int, default=8, help="default query-batch size")
     query.add_argument("--topn", type=int, default=10)
-    query.add_argument(
-        "--index", default="bruteforce",
-        help="ANN index: bruteforce (exact) or ivf (approximate)",
-    )
-    query.add_argument("--nlist", type=int, default=None, help="ivf: number of cells")
-    query.add_argument("--nprobe", type=int, default=None, help="ivf: cells scanned per query")
+    _add_index_flags(query)
     query.set_defaults(func=_cmd_query)
 
     serve = sub.add_parser(
@@ -689,12 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", required=True, help="EmbeddingStore file (from export-store)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7531, help="TCP port (0 picks a free one)")
-    serve.add_argument(
-        "--index", default="bruteforce",
-        help="ANN index: bruteforce (exact) or ivf (approximate)",
-    )
-    serve.add_argument("--nlist", type=int, default=None, help="ivf: number of cells")
-    serve.add_argument("--nprobe", type=int, default=None, help="ivf: cells scanned per query")
+    _add_index_flags(serve)
     serve.add_argument("--cache-size", type=int, default=4096, help="LRU result-cache entries")
     serve.add_argument(
         "--max-batch", type=int, default=64,

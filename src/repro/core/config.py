@@ -54,7 +54,7 @@ class WalkConfig:
     :data:`repro.registry.INITIALIZER_REGISTRY` and
     :data:`repro.registry.KERNEL_REGISTRY` and normalised to their
     canonical spelling (``"metropolis-hastings"`` -> ``"mh"``,
-    ``"burnin"`` -> ``"burn-in"``, ``"jit"`` -> ``"numba"``), so a typo
+    ``"burnin"`` -> ``"burn-in"``, ``"c"`` -> ``"cnative"``), so a typo
     fails at config time with the registered names, not mid-pipeline.
     Unknown names raise :class:`~repro.errors.WalkError`. Whether the
     backend's *dependency* is present is checked when the engine is
@@ -297,7 +297,6 @@ class TrainConfig:
     mode: str = "skipgram"
     subsample: float = 0.0
     min_count: int = 1
-    negative_sharing: bool = False
     extra: dict = field(default_factory=dict)
 
     def word2vec_kwargs(self) -> dict:

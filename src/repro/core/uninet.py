@@ -80,8 +80,8 @@ class UniNet:
         M-H chain initialization strategy (``"high-weight"`` default).
     backend:
         kernel backend for the walk hot loops (``"numpy"`` default,
-        ``"numba"``, ``"cnative"``); see
-        :mod:`repro.walks.kernels`. Missing optional dependencies raise
+        ``"cnative"``); see
+        :mod:`repro.walks.kernels`. A missing C compiler raises
         :class:`~repro.errors.ConfigError` at engine build time.
     budget:
         optional :class:`~repro.sampling.memory_model.MemoryBudget` for

@@ -105,14 +105,14 @@ def _step(grad: np.ndarray, lr: float) -> np.ndarray:
     return np.multiply(grad, -lr, dtype=ACCUM_DTYPE)
 
 
-def _mean_loss(s_pos: np.ndarray, s_neg: np.ndarray, scale: float = 1.0) -> float:
+def _mean_loss(s_pos: np.ndarray, s_neg: np.ndarray) -> float:
     eps = 1e-10
     return float(
-        -np.log(s_pos + eps).mean() - scale * np.log(1.0 - s_neg + eps).sum(axis=1).mean()
+        -np.log(s_pos + eps).mean() - np.log(1.0 - s_neg + eps).sum(axis=1).mean()
     )
 
 
-# The three functions below are the reference definition of a mini-batch
+# The two functions below are the reference definition of a mini-batch
 # update: pure functions of the weights, the index arrays, the negatives
 # and the learning rate, updating ``w_in`` / ``w_out`` in place and
 # returning the batch's mean loss. All gradients are evaluated at the
@@ -140,32 +140,6 @@ def sgns_batch(w_in, w_out, c, o, neg, lr: float, max_row_step: float | None) ->
     out_grads = np.concatenate([grad_out_pos, grad_out_neg])
     scatter_add_rows(w_out, out_rows, _step(out_grads, lr), clip=max_row_step)
     return _mean_loss(s_pos, s_neg)
-
-
-def sgns_batch_shared(w_in, w_out, c, o, neg, negative: int, lr: float, max_row_step: float | None) -> float:
-    """SGNS with batch-shared negatives.
-
-    One pool ``neg`` of S negatives serves the whole batch and every
-    pair's loss uses all of them scaled by ``negative / S`` — same
-    gradient in expectation, but all the 3-D per-pair tensors collapse
-    into two BLAS matmuls. Used for large corpora (``negative_sharing``).
-    """
-    scale = negative / neg.size
-    h = w_in[c]
-    v_pos = w_out[o]
-    s_pos = _sigmoid(np.einsum("kd,kd->k", h, v_pos))
-    g_pos = s_pos - 1.0
-    v_neg = w_out[neg]  # (S, d)
-    s_neg = _sigmoid(h @ v_neg.T)  # (k, S)
-
-    grad_h = g_pos[:, None] * v_pos + scale * (s_neg @ v_neg)
-    grad_out_pos = g_pos[:, None] * h
-    grad_out_neg = scale * (s_neg.T @ h)  # (S, d)
-
-    scatter_add_rows(w_in, c, _step(grad_h, lr), clip=max_row_step)
-    scatter_add_rows(w_out, o, _step(grad_out_pos, lr), clip=max_row_step)
-    scatter_add_rows(w_out, neg, _step(grad_out_neg, lr), clip=max_row_step)
-    return _mean_loss(s_pos, s_neg, scale)
 
 
 def cbow_batch(w_in, w_out, ctx, sizes, group_center, neg, lr: float, max_row_step: float | None) -> float:
@@ -231,9 +205,6 @@ class Word2Vec:
     max_row_step:
         per-row step-norm clip applied to each batch update (see
         :func:`scatter_add_rows`).
-    negative_sharing:
-        draw one negative pool per batch instead of per pair — same
-        expected gradient, several times faster on large corpora.
     block_walks:
         walks per canonical training block. Incoming shards (or the whole
         corpus, in :meth:`fit`) are re-chunked into blocks of exactly this
@@ -255,7 +226,6 @@ class Word2Vec:
         min_count: int = 1,
         batch_pairs: int = 8192,
         max_row_step: float = 0.25,
-        negative_sharing: bool = False,
         block_walks: int = 8192,
         seed=None,
     ):
@@ -284,15 +254,12 @@ class Word2Vec:
         self.min_count = min_count
         self.batch_pairs = batch_pairs
         self.max_row_step = max_row_step
-        self.negative_sharing = negative_sharing
         self.block_walks = block_walks
         self.seed = seed
         #: per-batch mean loss recorded by the last :meth:`fit` call
         self.training_loss_: list[float] = []
-        # batch-shared negatives are two BLAS matmuls already and stay on
-        # their numpy formulation; everything else takes the C kernel
-        # whenever this host can build it
-        self._kernel = None if negative_sharing else resolve_train_kernel()
+        # the C kernel whenever this host can build it
+        self._kernel = resolve_train_kernel()
         self._reset_stream_state()
 
     @property
@@ -667,13 +634,7 @@ class Word2Vec:
                 sel = perm[s : s + self.batch_pairs]
                 c, o = centers[sel], contexts[sel]
                 lr = float(lrs[batch_no])
-                if self.negative_sharing:
-                    neg = self._sampler.draw(rng, max(4 * self.negative, 32))
-                    loss = sgns_batch_shared(
-                        self.w_in, self.w_out, c, o, neg, self.negative, lr, self.max_row_step
-                    )
-                else:
-                    loss = self._batch(c, None, o, rng.random((c.size, self.negative)), lr)
+                loss = self._batch(c, None, o, rng.random((c.size, self.negative)), lr)
                 self.training_loss_.append(loss)
                 batch_no += 1
 

@@ -5,10 +5,12 @@ unsigned length followed by exactly that many payload bytes. The
 asyncio query server (:mod:`repro.serving.server`) applies it to JSON
 payloads; the sharded walk transport (:mod:`repro.sharding.transport`)
 applies it to binary migration batches (:mod:`repro.sharding.wire`).
-This module holds the single frame header definition plus the
+This module holds the single frame header definition, the
 blocking-socket helpers the synchronous shard transport needs —
 ``sendall``/``recv_into`` loops that either deliver a whole frame or
-raise a typed :class:`~repro.errors.FrameError`, never a torn one.
+raise a typed :class:`~repro.errors.FrameError`, never a torn one — and
+:func:`read_frame`, the one asyncio reader both ends of the query
+protocol use.
 
 Both sides bound the payload size *before* allocating: a corrupt or
 hostile length prefix answers with an error instead of an attempted
@@ -99,6 +101,21 @@ def recv_frame(sock, *, max_bytes: int = MAX_BINARY_FRAME_BYTES) -> bytearray | 
     return recv_exactly(sock, length)
 
 
+async def read_frame(reader, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Read one whole frame payload from an asyncio ``StreamReader``.
+
+    Header, ceiling, body — the length prefix is checked against
+    ``max_bytes`` *before* the body is read, so a peer announcing more
+    raises :class:`~repro.errors.FrameError` and nothing is allocated
+    for it. A peer closing, between frames or inside one, raises
+    :class:`asyncio.IncompleteReadError` (``readexactly``'s own).
+    """
+    (length,) = FRAME.unpack(await reader.readexactly(FRAME.size))
+    if length > max_bytes:
+        raise FrameError(f"frame of {length} bytes exceeds ceiling {max_bytes}")
+    return await reader.readexactly(length)
+
+
 __all__ = [
     "FRAME",
     "MAX_FRAME_BYTES",
@@ -106,4 +123,5 @@ __all__ = [
     "send_frame",
     "recv_exactly",
     "recv_frame",
+    "read_frame",
 ]

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.errors import (
     ConfigError,
+    FrameError,
     OverloadError,
     ProtocolError,
     ReproError,
@@ -51,7 +52,7 @@ from repro.errors import (
     ServingError,
 )
 from repro.serving.framing import FRAME as _FRAME
-from repro.serving.framing import MAX_FRAME_BYTES
+from repro.serving.framing import MAX_FRAME_BYTES, read_frame
 from repro.serving.snapshot import SnapshotManager
 
 #: most keys one ``most_similar`` request may carry (batching happens
@@ -469,35 +470,37 @@ class QueryServer:
     # ------------------------------------------------------------------
     # TCP
     # ------------------------------------------------------------------
+    def _encode_reply(self, request, response: dict) -> bytes:
+        """The reply frame; a reply over the frame ceiling (a valid
+        ``most_similar`` with many keys and a huge ``topn``) goes out as
+        a typed ``bad-request`` error and the connection stays usable."""
+        try:
+            return encode_frame(response)
+        except ProtocolError as err:
+            self.counters["errors"] += 1
+            too_big = ProtocolError(f"reply {err}; lower topn or split the keys")
+            return encode_frame(self._error_response(request, too_big))
+
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                head = await reader.readexactly(_FRAME.size)
-                (length,) = _FRAME.unpack(head)
-                if length > MAX_FRAME_BYTES:
-                    writer.write(
-                        encode_frame(
-                            self._error_response(
-                                None,
-                                ProtocolError(
-                                    f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
-                                ),
-                            )
-                        )
-                    )
+                try:
+                    body = await read_frame(reader)
+                except FrameError as err:
+                    writer.write(encode_frame(self._error_response(None, ProtocolError(str(err)))))
                     await writer.drain()
                     break  # framing is unrecoverable past a bogus length
-                body = await reader.readexactly(length)
                 try:
                     request = decode_request(body)
                 except ProtocolError as err:
+                    request = None
                     response = self._error_response(None, err)
                     self.counters["received"] += 1
                     self.counters["answered"] += 1
                     self.counters["errors"] += 1
                 else:
                     response = await self.submit(request)
-                writer.write(encode_frame(response))
+                writer.write(self._encode_reply(request, response))
                 await writer.drain()
         except (asyncio.IncompleteReadError, OSError):
             pass  # client went away mid-frame; nothing to answer
@@ -616,9 +619,10 @@ class QueryClient(_ClientOps):
     async def request(self, payload: dict) -> dict:
         self._writer.write(encode_frame(payload))
         await self._writer.drain()
-        head = await self._reader.readexactly(_FRAME.size)
-        (length,) = _FRAME.unpack(head)
-        body = await self._reader.readexactly(length)
+        try:
+            body = await read_frame(self._reader)
+        except FrameError as err:
+            raise ProtocolError(f"reply {err}") from None
         return json.loads(body.decode("utf-8"))
 
     async def close(self) -> None:

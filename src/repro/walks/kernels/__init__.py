@@ -3,20 +3,17 @@
 The walk engine's hot path — the M-H chain step (Algorithm 1), the
 first/second-order alias gathers and the rejection/KnightKing acceptance
 round — is factored into four *kernels* operating on the flat array
-bundle of :class:`~repro.walks.kernels.state.KernelState`. Three
+bundle of :class:`~repro.walks.kernels.state.KernelState`. Two
 backends implement them:
 
 ``numpy``
     Always available; the default. Reproduces the pre-kernel stepper
     formulas operation-for-operation and handles *generic* models via a
     driver-supplied weight callback.
-``numba``
-    ``@njit(cache=True)`` loops; optional dependency, requested
-    explicitly via ``backend="numba"`` (ConfigError when absent).
 ``cnative``
     C loops compiled at first use with the system compiler and loaded
-    through ctypes — the compiled backend available in containers that
-    ship ``cc`` but not numba.
+    through ctypes; requested explicitly via ``backend="cnative"``
+    (ConfigError when no compiler is found).
 
 All randomness stays in the driver (the stepper pre-draws every uniform
 in the engine's historical call order), so kernels are deterministic
@@ -35,7 +32,7 @@ def resolve_backend(name: str = "numpy"):
 
     Raises :class:`~repro.errors.WalkError` for unknown names and
     :class:`~repro.errors.ConfigError` when the backend exists but its
-    dependency (numba, a C compiler) is missing.
+    dependency (a C compiler) is missing.
     """
     return KERNEL_REGISTRY.create(name)
 

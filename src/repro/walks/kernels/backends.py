@@ -1,10 +1,10 @@
 """Registry home for kernel backends (``KERNEL_REGISTRY`` built-ins).
 
 Factories take no arguments and return a process-wide singleton backend
-(compiled backends cache their machine code, so one instance per process
-is the right granularity). Unavailable backends raise
+(the compiled backend caches its machine code, so one instance per
+process is the right granularity). An unavailable backend raises
 :class:`~repro.errors.ConfigError` — *not* ImportError — so a RunSpec or
-CLI request for a missing optional dependency surfaces as a
+CLI request for ``cnative`` on a host without a C compiler surfaces as a
 configuration problem with remediation text.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.registry import KERNEL_REGISTRY
 from repro.walks.kernels.cnative_backend import CNativeKernels, find_compiler
-from repro.walks.kernels.numba_backend import HAVE_NUMBA, NumbaKernels
 from repro.walks.kernels.numpy_backend import NumpyKernels
 
 _INSTANCES: dict[str, object] = {}
@@ -30,18 +29,12 @@ def _numpy_factory():
     return _singleton("numpy", NumpyKernels)
 
 
-def _numba_factory():
-    return _singleton("numba", NumbaKernels)
-
-
 def _cnative_factory():
     return _singleton("cnative", CNativeKernels)
 
 
 def backend_available(name: str) -> bool:
     """Cheap availability probe (no compilation, no instantiation)."""
-    if name == "numba":
-        return HAVE_NUMBA
     if name == "cnative":
         return find_compiler() is not None
     return name == "numpy"
@@ -53,13 +46,6 @@ KERNEL_REGISTRY.register(
     aliases=("np", "fallback"),
     compiled=False,
     kinds=("generic", "static", "node2vec"),
-)
-KERNEL_REGISTRY.register(
-    "numba",
-    _numba_factory,
-    aliases=("jit",),
-    compiled=True,
-    kinds=("static", "node2vec"),
 )
 KERNEL_REGISTRY.register(
     "cnative",

@@ -1,8 +1,6 @@
 """Compiled C step kernels loaded through ctypes.
 
-The container this project targets ships a system C compiler but no
-numba, so the "compiled backend" the benchmarks exercise is this one: a
-single small translation unit with one plain loop per kernel, compiled
+A single small translation unit with one plain loop per kernel, compiled
 and cached at first use by :mod:`repro.utils.cbuild` (shared with the
 learn kernel) and loaded via ctypes.
 

@@ -27,7 +27,7 @@ KIND_GENERIC = "generic"
 KIND_STATIC = "static"
 KIND_NODE2VEC = "node2vec"
 
-#: Integer codes for the compiled (numba / C) entry points.
+#: Integer codes for the compiled (C) entry points.
 KIND_CODES = {KIND_GENERIC: 0, KIND_STATIC: 1, KIND_NODE2VEC: 2}
 
 

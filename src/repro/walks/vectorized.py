@@ -1069,8 +1069,8 @@ class VectorizedWalkEngine:
     backend:
         Kernel backend driving the step hot loops, resolved through
         :data:`repro.registry.KERNEL_REGISTRY`: ``"numpy"`` (default,
-        always available), ``"numba"`` or ``"cnative"``. Requesting a
-        backend whose dependency is missing raises
+        always available) or ``"cnative"``. Requesting the compiled
+        backend on a host without a C compiler raises
         :class:`~repro.errors.ConfigError`; a compiled backend that
         cannot evaluate the model's weight rule (a *generic*
         ``kernel_spec``) silently falls back to NumPy — ``stats()``

@@ -492,7 +492,7 @@ class TestQuantizedServingWiring:
         from repro import UniNet
 
         net = UniNet(barbell, model="deepwalk", seed=3)
-        net.train(num_walks=3, walk_length=10, dimensions=8, negative_sharing=True)
+        net.train(num_walks=3, walk_length=10, dimensions=8)
         service = net.serve(codec="pq", codec_params={"m": 4, "k": 16}, cache_size=0)
         assert service.store.is_quantized
         assert service.stats()["codec"] == "pq"
@@ -503,7 +503,7 @@ class TestQuantizedServingWiring:
         from repro import UniNet
 
         net = UniNet(barbell, model="deepwalk", seed=3)
-        net.train(num_walks=3, walk_length=10, dimensions=8, negative_sharing=True)
+        net.train(num_walks=3, walk_length=10, dimensions=8)
         path = tmp_path / "net.pq.embstore"
         service = net.serve(store_path=path, codec="int8")
         assert isinstance(service.store.codes, np.memmap)
@@ -517,7 +517,7 @@ class TestQuantizedServingWiring:
             {
                 "graph": {"dataset": "amazon", "scale": 0.05, "seed": 1},
                 "walk": {"num_walks": 1, "walk_length": 8},
-                "train": {"dimensions": 8, "negative_sharing": True},
+                "train": {"dimensions": 8},
                 "serving": {
                     "codec": "int8",
                     "probe_queries": 16,
@@ -543,7 +543,7 @@ class TestQuantizedServingWiring:
             {
                 "graph": {"dataset": "amazon", "scale": 0.05, "seed": 1},
                 "walk": {"num_walks": 1, "walk_length": 8},
-                "train": {"dimensions": 8, "negative_sharing": True},
+                "train": {"dimensions": 8},
                 "serving": {
                     "index": "ivf",
                     "index_params": {"nprobe": 1},

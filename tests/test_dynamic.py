@@ -337,7 +337,7 @@ class TestDynamicGraph:
         for graph in (compacted, cold):
             engine = VectorizedWalkEngine(graph, "deepwalk", sampler="mh", seed=4)
             corpus = engine.generate(num_walks=2, walk_length=10)
-            kv = Word2Vec(8, seed=3, negative_sharing=True).fit(corpus, num_nodes=graph.num_nodes)
+            kv = Word2Vec(8, seed=3).fit(corpus, num_nodes=graph.num_nodes)
             vecs.append(kv)
         assert np.array_equal(vecs[0].vectors, vecs[1].vectors)
 
@@ -539,7 +539,7 @@ class TestUniNetDynamic:
 
         g = erdos_renyi(120, 5.0, seed=4)
         net = UniNet(g, model="deepwalk", seed=7)
-        net.train(num_walks=2, walk_length=10, dimensions=8, negative_sharing=True)
+        net.train(num_walks=2, walk_length=10, dimensions=8)
         return net
 
     def test_serve_raises_when_stale_and_recovers(self, net):
@@ -669,7 +669,7 @@ class TestUpdatesSpec:
         return {
             "graph": {"dataset": "amazon", "scale": 0.05, "seed": 1},
             "walk": {"num_walks": 1, "walk_length": 8},
-            "train": {"dimensions": 8, "negative_sharing": True},
+            "train": {"dimensions": 8},
             "updates": {
                 "steps": [{"add": [[0, 40]]}, {"remove": [[0, 40]]}],
                 "symmetric": True,

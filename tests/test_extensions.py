@@ -73,7 +73,7 @@ class TestClusteringExperiment:
         )
         net = UniNet(graph, model="deepwalk", seed=3)
         result = net.train(
-            num_walks=6, walk_length=30, dimensions=32, epochs=2, negative_sharing=True
+            num_walks=6, walk_length=30, dimensions=32, epochs=2
         )
         out = clustering_experiment(result.embeddings, labels, seed=4)
         assert out["nmi"] > 0.4

@@ -58,7 +58,7 @@ class TestDownstreamAccuracy:
         graph, labels = labeled_graph
         net = UniNet(graph, model="deepwalk", seed=15)
         result = net.train(
-            num_walks=6, walk_length=30, dimensions=48, epochs=2, negative_sharing=True
+            num_walks=6, walk_length=30, dimensions=48, epochs=2
         )
         sweep = classification_sweep(
             result.embeddings, labels, train_fractions=(0.5,), trials=2, seed=16
@@ -70,7 +70,7 @@ class TestDownstreamAccuracy:
         graph, labels = hetero_graph
         net = UniNet(graph, model="metapath2vec", metapath="APVPA", seed=17)
         result = net.train(
-            num_walks=8, walk_length=25, dimensions=48, epochs=3, negative_sharing=True
+            num_walks=8, walk_length=25, dimensions=48, epochs=3
         )
         sweep = classification_sweep(
             result.embeddings, labels, train_fractions=(0.5,), trials=2, seed=18
@@ -115,10 +115,7 @@ class TestInitializationStrategies:
                 graph, model="node2vec", sampler="mh", initializer=strategy,
                 p=0.25, q=2.0, seed=20,
             )
-            result = net.train(
-                num_walks=5, walk_length=25, dimensions=32, epochs=2,
-                negative_sharing=True,
-            )
+            result = net.train(num_walks=5, walk_length=25, dimensions=32, epochs=2)
             sweep = classification_sweep(
                 result.embeddings, labels, train_fractions=(0.5,), trials=2, seed=21
             )

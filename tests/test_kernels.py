@@ -112,8 +112,8 @@ def test_mh_chain_state_parity(weighted_graph, backend):
 # ---------------------------------------------------------------------------
 
 def test_registry_names_and_aliases():
+    assert sorted(KERNEL_REGISTRY.names()) == ["cnative", "numpy"]
     assert KERNEL_REGISTRY.canonical("np") == "numpy"
-    assert KERNEL_REGISTRY.canonical("jit") == "numba"
     assert KERNEL_REGISTRY.canonical("c") == "cnative"
     assert default_backend().name == "numpy"
     assert AVAILABLE["numpy"] is True
@@ -124,20 +124,27 @@ def test_unknown_backend_is_a_walk_error(weighted_graph):
         VectorizedWalkEngine(weighted_graph, "deepwalk", backend="fortran")
     with pytest.raises(WalkError):
         WalkConfig(backend="fortran")
+    # an unregistered name fails with the registered ones in the message
+    registered = r"registered: \['cnative', 'numpy'\]"
+    with pytest.raises(WalkError, match=registered):
+        WalkConfig(backend="numba")
+    with pytest.raises(WalkError, match=registered):
+        VectorizedWalkEngine(weighted_graph, "deepwalk", backend="jit")
 
 
-def test_unavailable_backend_is_a_config_error(weighted_graph):
+def test_unavailable_backend_is_a_config_error(weighted_graph, monkeypatch):
     """A missing *dependency* is ConfigError (not ImportError), and only
     at engine-build time — authoring the config still works."""
-    missing = [name for name, ok in AVAILABLE.items() if not ok]
-    if not missing:
-        pytest.skip("every backend is available here")
-    cfg = WalkConfig(backend=missing[0])  # config-time: fine
-    assert cfg.backend == missing[0]
+    from repro.walks.kernels import backends, cnative_backend
+
+    monkeypatch.setattr(cnative_backend, "find_compiler", lambda: None)
+    monkeypatch.delitem(backends._INSTANCES, "cnative", raising=False)
+    cfg = WalkConfig(backend="cnative")  # config-time: fine
+    assert cfg.backend == "cnative"
     with pytest.raises(ConfigError):
-        VectorizedWalkEngine(weighted_graph, "deepwalk", backend=missing[0])
+        VectorizedWalkEngine(weighted_graph, "deepwalk", backend="cnative")
     with pytest.raises(ConfigError):
-        resolve_backend(missing[0])
+        resolve_backend("cnative")
 
 
 @needs_compiled

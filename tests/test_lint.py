@@ -416,27 +416,6 @@ def test_rpr006_covers_the_kernels_package(tmp_path):
     assert report.findings[0].path.endswith("numpy_backend.py")
 
 
-def test_rpr006_exempts_jitted_functions(tmp_path):
-    report = lint(tmp_path, {"walks/kernels/numba_backend.py": """
-        from numba import njit, prange
-
-        @njit(cache=True)
-        def compiled(arr):
-            for i in prange(arr.size):
-                arr[i] += 1
-
-        @njit
-        def also_compiled(arr):
-            return arr.tolist()
-
-        def interpreted(arr):
-            for i in range(arr.size):
-                arr[i] += 1
-    """}, select=["RPR006"])
-    assert codes(report) == ["RPR006"]
-    assert report.findings[0].line == 14  # only the undecorated loop
-
-
 # ---------------------------------------------------------------------------
 # baseline mechanism
 # ---------------------------------------------------------------------------

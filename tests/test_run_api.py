@@ -116,7 +116,7 @@ class TestRun:
             graph=GraphSpec(dataset="reddit", scale=0.1, seed=2),
             model="deepwalk",
             walk=WalkConfig(num_walks=2, walk_length=10),
-            train=TrainConfig(dimensions=16, epochs=1, negative_sharing=True),
+            train=TrainConfig(dimensions=16, epochs=1),
             evaluation=EvalSpec(train_fractions=(0.5,), trials=1),
         )
         report = run(spec)
@@ -303,7 +303,7 @@ class TestThirdPartyExtension:
             graph=GraphSpec(dataset="amazon", scale=0.05, seed=3),
             model="fixed-fanout-test",
             walk=WalkConfig(num_walks=1, walk_length=6, sampler="unif-test"),
-            train=TrainConfig(dimensions=8, epochs=1, negative_sharing=True),
+            train=TrainConfig(dimensions=8, epochs=1),
             seed=9,
         )
         report = run(spec)

@@ -467,6 +467,61 @@ class TestTCP:
         assert resp["ok"] is False and resp["error"]["code"] == "bad-request"
         assert trailing == b""
 
+    def test_oversized_reply_is_a_typed_error_and_the_connection_survives(
+        self, store_a, monkeypatch
+    ):
+        """A *valid* request whose reply would not fit a frame: the real
+        case is 64 keys x topn=19999 on a 20k-key store (35 MB); a lowered
+        ceiling reaches the same branch at toy scale."""
+        monkeypatch.setattr("repro.serving.server.MAX_FRAME_BYTES", 4096)
+
+        async def main():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            server = QueryServer(store_a)
+            host, port = await server.start_tcp()
+            client = await QueryClient.connect(host, port)
+            before = server.stats()["errors"]
+            with pytest.raises(ProtocolError, match="reply .* exceeds .* lower topn"):
+                await client.most_similar(list(range(32)), topn=NUM_KEYS - 1)
+            pong = await client.ping()
+            small = await client.most_similar([7], topn=3)
+            errors = server.stats()["errors"] - before
+            await client.close()
+            await server.stop()
+            return pong, small, errors, unhandled
+
+        pong, small, errors, unhandled = asyncio.run(main())
+        assert pong == "pong" and len(small[0]) == 3
+        assert errors == 1
+        assert unhandled == []
+
+    def test_client_refuses_an_oversized_reply_header(self):
+        async def main():
+            release = asyncio.Event()
+
+            async def lying_server(reader, writer):
+                await reader.readexactly(4)
+                writer.write(struct.pack("!I", MAX_FRAME_BYTES + 1))
+                await writer.drain()
+                await release.wait()  # the body never comes, nor does EOF
+                writer.close()
+
+            fake = await asyncio.start_server(lying_server, "127.0.0.1", 0)
+            client = await QueryClient.connect(*fake.sockets[0].getsockname()[:2])
+            try:
+                with pytest.raises(ProtocolError, match="exceeds"):
+                    await asyncio.wait_for(client.ping(), timeout=5)
+            finally:
+                release.set()
+                await client.close()
+                fake.close()
+                await fake.wait_closed()
+
+        asyncio.run(main())
+
 
 class TestServeCLI:
     def test_serve_smoke_over_tcp(self, store_a, tmp_path):

@@ -285,7 +285,7 @@ class TestUniNetServe:
         from repro import UniNet
 
         net = UniNet(barbell, model="deepwalk", seed=3)
-        net.train(num_walks=3, walk_length=10, dimensions=8, negative_sharing=True)
+        net.train(num_walks=3, walk_length=10, dimensions=8)
         service = net.serve()
         (result,) = service.most_similar_batch([0], topn=3)
         assert len(result) == 3
@@ -301,7 +301,7 @@ class TestUniNetServe:
         from repro import UniNet
 
         net = UniNet(barbell, model="deepwalk", seed=3)
-        net.train(num_walks=3, walk_length=10, dimensions=8, negative_sharing=True)
+        net.train(num_walks=3, walk_length=10, dimensions=8)
         service = net.serve(store_path=tmp_path / "net.embstore", index="ivf", nprobe=2)
         assert isinstance(service.store.vectors, np.memmap)
         assert service.index_name == "ivf"
@@ -346,7 +346,7 @@ class TestServingSpec:
             {
                 "graph": {"dataset": "amazon", "scale": 0.05, "seed": 1},
                 "walk": {"num_walks": 1, "walk_length": 8},
-                "train": {"dimensions": 8, "negative_sharing": True},
+                "train": {"dimensions": 8},
                 "serving": {"probe_queries": 16, "topn": 3},
             }
         )
@@ -505,7 +505,7 @@ class TestServerWiring:
         from repro.serving import InProcessClient, QueryServer
 
         net = UniNet(barbell, model="deepwalk", seed=3)
-        net.train(num_walks=2, walk_length=8, dimensions=8, negative_sharing=True)
+        net.train(num_walks=2, walk_length=8, dimensions=8)
         server = net.serve(server={"max_batch": 8, "queue_size": 64})
         assert isinstance(server, QueryServer)
         assert server.max_batch == 8 and server.queue_size == 64

@@ -275,7 +275,7 @@ class TestQuantizedDynamicServing:
 
         graph = generators.chung_lu_power_law(300, 8.0, seed=11, weight_mode="uniform")
         net = UniNet(graph, model="deepwalk", sampler="mh", seed=13)
-        net.train(num_walks=6, walk_length=20, dimensions=32, negative_sharing=True)
+        net.train(num_walks=6, walk_length=20, dimensions=32, epochs=2)
         rng = np.random.default_rng(3)
         src = rng.integers(0, graph.num_nodes, size=12)
         dst = rng.integers(0, graph.num_nodes, size=12)

@@ -20,6 +20,7 @@ from repro.cli import _FLAGS, _VERB_DEFAULTS, _VERB_SECTIONS, _verb_spec, build_
 from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override, expand_grid
 from repro.core.spec import SUGAR, EvalSpec, GraphSpec, RunSpec, spec_field
+from repro.errors import SpecError
 from repro.sharding.engine import ShardedWalkEngine
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -70,6 +71,10 @@ class TestEveryFieldIsReachable:
         assert RunSpec.from_json(spec.to_json()) == spec
         # the same path names the same field to whoever derives from it
         assert spec_field(f"{section}.{field.name}")[0].name == field.name
+
+    def test_a_removed_field_is_an_unknown_key(self):
+        with pytest.raises(SpecError, match="negative_sharing"):
+            RunSpec.from_dict({"graph": {"dataset": "amazon"}, "train": {"negative_sharing": True}})
 
     def test_engine_keywords_are_constructor_parameters(self):
         mono = set(inspect.signature(VectorizedWalkEngine.__init__).parameters)

@@ -489,8 +489,13 @@ class TestSelectionAndFallback:
             trainer = Word2Vec(**self.KW)
         assert trainer.kernel == "numpy"
 
-    def test_negative_sharing_stays_on_numpy(self):
-        assert Word2Vec(negative_sharing=True, **self.KW).kernel == "numpy"
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_kernel_depends_on_the_host_alone(self, mode):
+        expected = "numpy" if kernels.find_compiler() is None else "cnative"
+        assert Word2Vec(mode=mode, **self.KW).kernel == expected
+        # and no keyword moves the choice
+        with pytest.raises(TypeError, match="negative_sharing"):
+            Word2Vec(negative_sharing=True, **self.KW)
 
     def test_kernel_is_read_only(self):
         with pytest.raises(AttributeError):
