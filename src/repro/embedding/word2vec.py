@@ -19,7 +19,9 @@ learning rate — the standard Mikolov recipe, vectorized:
 * **The batch update itself** is :func:`sgns_batch` / :func:`cbow_batch`
   below, or — whenever this host has a C compiler — the one fused C
   routine of :mod:`repro.embedding.kernels` that performs the same
-  update. Nothing selects between them but what the host can build;
+  update, a run of consecutive batches per call, on as many threads as
+  the process has CPUs (the result does not depend on how many). Nothing
+  selects between them but what the host can build;
   :attr:`Word2Vec.kernel` says which one trained.
 
 The trainer follows word2vec conventions: input vectors initialised
@@ -57,6 +59,12 @@ from repro.embedding.vocab import Vocabulary
 from repro.utils.rng import as_rng
 
 _MODES = ("skipgram", "cbow")
+
+#: Negative-sampling uniforms drawn, and so batches trained, per kernel
+#: call. A run of batches long enough to amortise the call (and, in C, to
+#: keep its threads alive for tens of milliseconds); a fixed size so that
+#: what a fit holds at once does not grow with the block.
+RUN_UNIFORM_BYTES = 2 << 20
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -243,6 +251,10 @@ class Word2Vec:
             raise TrainingError(f"mode must be one of {_MODES}, got {mode!r}")
         if block_walks < 1:
             raise TrainingError("block_walks must be >= 1")
+        if not isinstance(batch_pairs, (int, np.integer)) or batch_pairs < 1:
+            raise TrainingError("batch_pairs must be an integer >= 1")
+        if max_row_step is not None and not max_row_step >= 0:
+            raise TrainingError("max_row_step must be >= 0 or None")
         self.dimensions = dimensions
         self.window = window
         self.negative = negative
@@ -605,38 +617,63 @@ class Word2Vec:
             )
         return self._scratch
 
-    def _batch(self, in_rows, sizes, out_pos, u, lr: float) -> float:
-        """One mini-batch update through the kernel this trainer resolved.
+    def _train_run(self, in_rows, sizes, out_pos, per_batch: int, rng, lrs) -> int:
+        """Train one run of consecutive batches of ``per_batch`` groups
+        (the last one shorter) through the kernel this trainer resolved;
+        returns how many batches that was.
 
-        ``sizes`` is ``None`` for skip-gram (one input row per group);
-        ``u`` holds the pre-drawn uniforms the negatives are read from.
+        ``sizes`` is ``None`` for skip-gram (one input row per group).
+        The run's uniforms are one draw, which the generator's sequential
+        stream makes equal to a draw per batch; ``lrs`` holds the
+        learning rates from the run's first batch on.
         """
+        groups = out_pos.size
+        offsets = np.append(np.arange(0, groups, per_batch, dtype=np.int64), groups)
+        lrs = np.ascontiguousarray(lrs[: offsets.size - 1], dtype=np.float64)
+        u = rng.random((groups, self.negative))
         if self._kernel is not None:
-            return self._kernel.batch(
-                self.w_in, self.w_out, in_rows, sizes, out_pos, u,
-                self._sampler.cdf, lr, self.max_row_step, self._batch_scratch(),
+            losses = self._kernel.run(
+                self.w_in, self.w_out, in_rows, sizes, out_pos, u, self._sampler.cdf,
+                offsets, lrs, self.max_row_step, self._batch_scratch(),
             )
-        neg = self._sampler.indices(u)
-        if sizes is None:
-            return sgns_batch(self.w_in, self.w_out, in_rows, out_pos, neg, lr, self.max_row_step)
-        return cbow_batch(
-            self.w_in, self.w_out, in_rows, sizes, out_pos, neg, lr, self.max_row_step
-        )
+            self.training_loss_.extend(losses.tolist())
+            return lrs.size
+        rows = offsets if sizes is None else np.append(0, np.cumsum(sizes))[offsets]
+        for b, lr in enumerate(lrs.tolist()):
+            batch = slice(offsets[b], offsets[b + 1])
+            ins = in_rows[rows[b] : rows[b + 1]]
+            neg = self._sampler.indices(u[batch])
+            if sizes is None:
+                loss = sgns_batch(
+                    self.w_in, self.w_out, ins, out_pos[batch], neg, lr, self.max_row_step
+                )
+            else:
+                loss = cbow_batch(
+                    self.w_in, self.w_out, ins, sizes[batch], out_pos[batch], neg, lr,
+                    self.max_row_step,
+                )
+            self.training_loss_.append(loss)
+        return lrs.size
+
+    def _groups_per_run(self, per_batch: int) -> int:
+        """Groups handed to the kernel at once: whole batches, as many as
+        :data:`RUN_UNIFORM_BYTES` of negative uniforms cover, at least one."""
+        batch_bytes = 8 * self.negative * per_batch
+        return max(RUN_UNIFORM_BYTES // batch_bytes, 1) * per_batch
 
     def _train_sgns(self, centers, contexts, rng, block_no) -> None:
         n_pairs = centers.size
         batches_per_epoch = max((n_pairs + self.batch_pairs - 1) // self.batch_pairs, 1)
         lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
+        per_run = self._groups_per_run(self.batch_pairs)
         batch_no = 0
         for __ in range(self.epochs):
             perm = rng.permutation(n_pairs)
-            for s in range(0, n_pairs, self.batch_pairs):
-                sel = perm[s : s + self.batch_pairs]
-                c, o = centers[sel], contexts[sel]
-                lr = float(lrs[batch_no])
-                loss = self._batch(c, None, o, rng.random((c.size, self.negative)), lr)
-                self.training_loss_.append(loss)
-                batch_no += 1
+            for s in range(0, n_pairs, per_run):
+                sel = perm[s : s + per_run]
+                batch_no += self._train_run(
+                    centers[sel], None, contexts[sel], self.batch_pairs, rng, lrs[batch_no:]
+                )
 
     # ------------------------------------------------------------------
     def _cbow_groups_per_batch(self) -> int:
@@ -662,21 +699,17 @@ class Word2Vec:
         groups_per_batch = self._cbow_groups_per_batch()
         batches_per_epoch = max((num_groups + groups_per_batch - 1) // groups_per_batch, 1)
         lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
+        per_run = self._groups_per_run(groups_per_batch)
         batch_no = 0
         from repro.walks._segments import concat_ranges
 
         for __ in range(self.epochs):
             perm = rng.permutation(num_groups)
-            for s in range(0, num_groups, groups_per_batch):
-                chunk = perm[s : s + groups_per_batch]
+            for s in range(0, num_groups, per_run):
+                chunk = perm[s : s + per_run]
                 sizes = lengths[chunk]
                 pair_idx = concat_ranges(starts[chunk], sizes)[0]
-                loss = self._batch(
-                    o_sorted[pair_idx],
-                    sizes,
-                    group_center[chunk],
-                    rng.random((chunk.size, self.negative)),
-                    float(lrs[batch_no]),
+                batch_no += self._train_run(
+                    o_sorted[pair_idx], sizes, group_center[chunk], groups_per_batch, rng,
+                    lrs[batch_no:],
                 )
-                self.training_loss_.append(loss)
-                batch_no += 1

@@ -13,7 +13,10 @@ each (sub-second) compile once.
 (``-march=native`` could otherwise fuse ``a*b+c`` into FMAs with
 different rounding): every kernel's results are then a function of its
 source alone, which is what the walk kernels' bitwise parity with NumPy
-and the learn kernel's run-to-run repeatability both rest on.
+and the learn kernel's repeatability, run to run and from one thread
+count to another, both rest on. ``libs`` carries what a unit links
+against (the learn kernel: ``-lm -pthread``; its threads are its own
+business, created and joined inside one call).
 """
 
 from __future__ import annotations

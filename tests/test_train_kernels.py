@@ -17,11 +17,25 @@ summation order (``einsum``/scipy choose their own) and the last ulp of
   decimals.
 
 Within the C kernel results are bitwise repeatable, which the full-fit
-tests assert. Tests needing the kernel skip cleanly on a host without a
-C compiler; the fallback tests at the bottom run everywhere.
+tests assert, and do not depend on how many threads a call uses or on
+how consecutive batches are cut into calls: the run-entry property and
+the golden fits at the bottom pin that, the latter against hashes
+recorded from the single-threaded per-batch kernel. The thread count is
+forced through ``CTrainKernel.run(threads=)``, which only these tests
+(and one benchmark row) pass. Tests needing the kernel skip cleanly on
+a host without a C compiler; the fallback tests run everywhere.
 """
 
+import ctypes
+import hashlib
+import json
+import os
 import shutil
+import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +45,7 @@ from hypothesis import strategies as st
 import repro.embedding.kernels as kernels
 import repro.embedding.word2vec as word2vec
 from repro.embedding import NegativeSampler, Word2Vec
-from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel
+from repro.embedding.kernels import ACCUM_DTYPE, MAX_THREADS, BatchScratch, resolve_train_kernel
 from repro.embedding.word2vec import cbow_batch, scatter_add_rows, sgns_batch
 from repro.errors import TrainingError
 from repro.walks.corpus import WalkCorpus
@@ -109,9 +123,9 @@ def call_kernel(kernel, batch, max_row_step, w_in, w_out, scratch=None):
         w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], batch["u"],
         batch["sampler"].cdf, batch["lr"], max_row_step, scratch,
     )
-    # the kernel hands its slot maps back clean for the next batch
-    assert (scratch.slot_in == -1).all() and (scratch.slot_out == -1).all()
-    return w_in, w_out, loss, scratch.neg[: groups * negative].reshape(groups, negative)
+    # the kernel hands its slot map back clean for the next batch
+    assert (scratch.slot == -1).all()
+    return w_in, w_out, loss, scratch.neg[:groups]
 
 
 def assert_batch_parity(kernel, batch, max_row_step, *, must_move=True):
@@ -126,6 +140,48 @@ def assert_batch_parity(kernel, batch, max_row_step, *, must_move=True):
     if must_move:  # parity of two no-ops proves nothing
         assert not np.array_equal(ref_in, batch["w_in"])
         assert not np.array_equal(ref_out, batch["w_out"])
+
+
+def cut_into_batches(batch, cuts):
+    """``(offsets, per-batch input-row offsets, lrs)`` of ``batch`` cut
+    into consecutive batches at the group indices ``cuts``."""
+    groups = batch["out_pos"].size
+    offsets = np.array(sorted({0, groups, *cuts}), dtype=np.int64)
+    sizes = batch["sizes"]
+    rows = offsets if sizes is None else np.append(0, np.cumsum(sizes))[offsets]
+    lrs = 0.01 + 0.002 * np.arange(offsets.size - 1, dtype=np.float64)
+    return offsets, rows, lrs
+
+
+def call_run(kernel, batch, offsets, lrs, max_row_step, scratch=None, **kwargs):
+    """The whole of ``batch`` as one run; ``(w_in, w_out, losses)``."""
+    w_in, w_out = batch["w_in"].copy(), batch["w_out"].copy()
+    losses = kernel.run(
+        w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], batch["u"],
+        batch["sampler"].cdf, offsets, lrs, max_row_step, scratch or scratch_for(batch),
+        **kwargs,
+    )
+    return w_in, w_out, losses
+
+
+@pytest.fixture
+def force_threads(monkeypatch):
+    """``force_threads(count)`` makes every kernel run of the test use
+    ``count`` threads (``None``: the kernel's own choice) and returns the
+    list that collects how many each run used. Nothing outside these
+    tests passes a count: a trainer cannot."""
+    def force(count):
+        used = []
+        original = kernels.CTrainKernel.run
+
+        def run(self, *args):
+            losses = original(self, *args, threads=count)
+            used.append(args[-1].threads)
+            return losses
+
+        monkeypatch.setattr(kernels.CTrainKernel, "run", run)
+        return used
+    return force
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +371,106 @@ class TestPreconditions:
         other = NegativeSampler(np.ones(11))
         with pytest.raises(TrainingError):
             kernel.batch(*args[:6], other.cdf, 0.02, 0.25, BatchScratch(12, 8, 20, 20, 3))
+
+    # -- the run entry's own preconditions ---------------------------------
+    def bad_run(self, kernel, mode="skipgram", **changes):
+        """A valid run of three batches with one argument replaced."""
+        batch = make_batch(14, 12, 8, 20, 3, mode)
+        offsets, __, lrs = cut_into_batches(batch, [6, 13])
+        args = {"offsets": offsets, "lrs": lrs, "threads": None}
+        for key, change in changes.items():
+            args[key] = change(args[key])
+        with pytest.raises(TrainingError):
+            call_run(kernel, batch, max_row_step=0.25, **args)
+
+    def test_batch_offsets(self, kernel):
+        self.bad_run(kernel, offsets=self.poke(0, 1))  # does not start at 0
+        self.bad_run(kernel, offsets=self.poke(-1, 19))  # does not end at the group count
+        self.bad_run(kernel, offsets=self.poke(-1, 21))
+        self.bad_run(kernel, offsets=self.poke(1, 13))  # an empty batch
+        self.bad_run(kernel, offsets=self.poke(1, 14))  # going backwards
+        self.bad_run(kernel, offsets=lambda o: o[:0])
+        self.bad_run(kernel, offsets=lambda o: o.astype(np.int32))
+        self.bad_run(kernel, offsets=lambda o: o.tolist())
+
+    def test_one_learning_rate_per_batch(self, kernel):
+        self.bad_run(kernel, lrs=lambda lrs: lrs[:-1])
+        self.bad_run(kernel, lrs=lambda lrs: np.append(lrs, 0.01))
+        self.bad_run(kernel, lrs=lambda lrs: lrs.astype(np.float32))
+        self.bad_run(kernel, lrs=lambda lrs: 0.01)
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_no_batch_larger_than_the_scratch(self, kernel, mode):
+        # the run as a whole may exceed the scratch; one batch may not
+        batch = make_batch(14, 12, 8, 20, 3, mode)
+        offsets, rows, lrs = cut_into_batches(batch, [6, 13])
+        groups, in_rows = int(np.diff(offsets).max()), int(np.diff(rows).max())
+        call_run(kernel, batch, offsets, lrs, 0.25, BatchScratch(12, 8, in_rows, groups, 3))
+        for small in ((in_rows, groups - 1), (in_rows - 1, groups)):
+            with pytest.raises(TrainingError):
+                call_run(kernel, batch, offsets, lrs, 0.25, BatchScratch(12, 8, *small, 3))
+
+    @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
+    def test_thread_count_outside_its_range(self, kernel, threads):
+        self.bad_run(kernel, threads=lambda __: threads)
+
+    def test_negative_or_nan_max_row_step(self, kernel):
+        batch = make_batch(14, 12, 8, 20, 3, "skipgram")
+        offsets, __, lrs = cut_into_batches(batch, [])
+        for clip in (-1.0, float("nan")):
+            with pytest.raises(TrainingError):
+                call_run(kernel, batch, offsets, lrs, clip)
+
+
+# ---------------------------------------------------------------------------
+# the run entry: any cut into calls, any number of threads, the same bits
+# ---------------------------------------------------------------------------
+class TestRunEntry:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        vocab=st.integers(1, 40),
+        dim=st.integers(1, 40),
+        groups=st.integers(1, 120),
+        negative=st.integers(1, 6),
+        duplication=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["skipgram", "cbow"]),
+        clip=st.sampled_from([None, 0.25]),
+        cuts=st.lists(st.integers(1, 119), max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property(self, kernel, vocab, dim, groups, negative, duplication, mode, clip, cuts, seed):
+        hot = round(vocab * (1.0 - duplication))
+        batch = make_batch(seed, vocab, dim, groups, negative, mode, hot=hot)
+        offsets, rows, lrs = cut_into_batches(batch, [cut for cut in cuts if cut < groups])
+        scratch = scratch_for(batch)
+        # the same batches, one call each
+        w_in, w_out = batch["w_in"].copy(), batch["w_out"].copy()
+        losses = []
+        for b, lr in enumerate(lrs):
+            one = slice(offsets[b], offsets[b + 1])
+            sizes = batch["sizes"]
+            losses.append(kernel.batch(
+                w_in, w_out, batch["in_rows"][rows[b] : rows[b + 1]],
+                None if sizes is None else sizes[one], batch["out_pos"][one], batch["u"][one],
+                batch["sampler"].cdf, lr, clip, scratch,
+            ))
+        # more threads than groups, too; None is the kernel's own choice
+        for threads in (None, 1, 2, 3, min(groups + 3, MAX_THREADS)):
+            got_in, got_out, got_losses = call_run(
+                kernel, batch, offsets, lrs, clip, scratch, threads=threads
+            )
+            assert scratch.threads == (threads or 1)  # too little work to share
+            assert np.array_equal(got_in, w_in) and np.array_equal(got_out, w_out)
+            assert got_losses.tolist() == losses
+            assert (scratch.slot == -1).all()
+
+    def test_an_empty_run(self, kernel):
+        batch = make_batch(6, 10, 8, 0, 5, "skipgram")
+        w_in, w_out, losses = call_run(
+            kernel, batch, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.float64), 0.25
+        )
+        assert losses.size == 0
+        assert np.array_equal(w_in, batch["w_in"]) and np.array_equal(w_out, batch["w_out"])
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +685,46 @@ class TestSelectionAndFallback:
 
 
 # ---------------------------------------------------------------------------
+# both kernels refuse the same trainer arguments, before any work
+# ---------------------------------------------------------------------------
+class TestTrainerArguments:
+    @pytest.fixture(params=["cnative", "numpy"], autouse=True)
+    def on_each_kernel(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(word2vec, "resolve_train_kernel", lambda: None)
+        elif kernels.find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        self.kernel_name = request.param
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"batch_pairs": 0},  # was a ZeroDivisionError in the first block
+            {"batch_pairs": -5},  # trained no batch and returned the initialisation
+            {"batch_pairs": 512.0},
+            {"batch_pairs": None},
+            {"max_row_step": -1.0},  # failed at the first C batch, flipped every numpy step
+            {"max_row_step": float("nan")},
+        ],
+    )
+    def test_refused_at_construction(self, kwargs):
+        with pytest.raises(TrainingError, match=next(iter(kwargs))):
+            Word2Vec(8, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"batch_pairs": 1}, {"batch_pairs": np.int64(7)}, {"max_row_step": None}, {"max_row_step": 0}],
+    )
+    def test_accepted(self, kwargs):
+        rng = np.random.default_rng(2)
+        corpus = WalkCorpus.from_lists(rng.integers(0, 6, (4, 6)).tolist())
+        trainer = Word2Vec(4, seed=1, **kwargs)
+        assert trainer.kernel == self.kernel_name
+        assert len(trainer.fit(corpus, num_nodes=6)) == 6
+        assert len(trainer.training_loss_) >= 1 and np.isfinite(trainer.training_loss_).all()
+
+
+# ---------------------------------------------------------------------------
 # the reference's accumulation dtype is a decision, not an accident
 # ---------------------------------------------------------------------------
 class TestAccumulationDtype:
@@ -553,3 +749,168 @@ class TestAccumulationDtype:
             results.append(run_reference(batch, 0.25))
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])
+
+
+# ---------------------------------------------------------------------------
+# golden fits: the kernel's absolute output, pinned by hash
+# ---------------------------------------------------------------------------
+# Every test above compares two results of one source tree. These pin the
+# C kernel's output itself: SHA-256 of ``vectors`` and ``training_loss_``
+# for fixed fits, recorded in ``tests/data/golden_fits.json`` from the
+# single-threaded per-batch kernel the run kernel replaced. They must hold
+# at any thread count. Re-record (only when a change is *meant* to alter
+# the kernel's floats) with ``PYTHONPATH=src python tests/test_train_kernels.py``.
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fits.json"
+GOLDEN_KW = dict(dimensions=24, batch_pairs=256, block_walks=64, seed=5)
+#: ``tokens``: vocabulary of the corpus (40); ``grow``: ids added by
+#: ``expand_vocab`` before a second ``partial_fit``. Every block's last
+#: batch is shorter than the rest.
+GOLDEN_FITS = {
+    "skipgram": {},
+    "cbow": {"mode": "cbow"},
+    "skipgram-epochs2": {"epochs": 2},
+    "cbow-epochs2": {"mode": "cbow", "epochs": 2},
+    "skipgram-subsample": {"subsample": 0.002},
+    "cbow-subsample": {"mode": "cbow", "subsample": 0.002},
+    # every row is hit by a third of each batch: the clip decides the step
+    "skipgram-three-tokens": {"tokens": 3, "alpha": 0.5},
+    "cbow-three-tokens": {"tokens": 3, "alpha": 0.5, "mode": "cbow"},
+    "skipgram-expand-vocab": {"grow": 4},
+    "cbow-expand-vocab": {"grow": 4, "mode": "cbow"},
+    # enough work per batch that the kernel threads on its own
+    "skipgram-wide": {"dimensions": 128, "batch_pairs": 1024, "block_walks": 8192},
+    "cbow-wide": {"dimensions": 128, "batch_pairs": 8192, "block_walks": 8192, "mode": "cbow"},
+}
+
+
+def golden_corpus(tokens, walks=150, seed=17):
+    rng = np.random.default_rng(seed)
+    shape = (walks, 16)
+    # the smaller of two draws favours low ids, so a few rows are hot
+    ids = np.minimum(rng.integers(0, tokens, shape), rng.integers(0, tokens, shape))
+    return WalkCorpus.from_lists(ids.tolist())
+
+
+def golden_fit(name):
+    """``(vectors, per-batch losses)`` of one pinned fit."""
+    case = dict(GOLDEN_FITS[name])
+    tokens, grow = case.pop("tokens", 40), case.pop("grow", 0)
+    corpus = golden_corpus(tokens)
+    trainer = Word2Vec(**{**GOLDEN_KW, **case})
+    if not grow:
+        vectors = trainer.fit(corpus, num_nodes=tokens).vectors
+    else:
+        trainer.build_vocab(corpus.node_frequencies(tokens))
+        trainer.partial_fit(corpus)
+        extra = golden_corpus(tokens + grow, walks=70, seed=18)
+        assert trainer.expand_vocab(extra.node_frequencies(tokens + grow) + 1) == grow
+        trainer.partial_fit(extra)
+        vectors = trainer.finalize().vectors
+    return vectors, np.asarray(trainer.training_loss_, dtype=np.float64)
+
+
+def golden_digests(name):
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in golden_fit(name)]
+
+
+def libm_digest():
+    """Hash of this platform's ``expf`` / ``logf`` over a fixed grid: the
+    one input of the kernel's floats that is not in its source."""
+    libm = ctypes.CDLL(None)
+    for fn in (libm.expf, libm.logf):
+        fn.restype, fn.argtypes = ctypes.c_float, [ctypes.c_float]
+    grid = np.linspace(-8.0, 8.0, 2001, dtype=np.float32).tolist()
+    values = [libm.expf(x) for x in grid] + [libm.logf(1e-10 + (x + 8.0) / 16.0) for x in grid]
+    return hashlib.sha256(np.asarray(values, dtype=np.float32).tobytes()).hexdigest()
+
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden(kernel):
+    """The recorded digests, on a platform whose libm they were recorded on."""
+    if libm_digest() != GOLDEN["libm"]:
+        pytest.skip("this platform's expf / logf differ from the recording's")
+    return GOLDEN["fits"]
+
+
+class TestGoldenFits:
+    def test_every_fit_is_recorded(self):
+        assert set(GOLDEN["fits"]) == set(GOLDEN_FITS)
+
+    @pytest.mark.parametrize("threads", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FITS))
+    def test_at_any_thread_count(self, golden, force_threads, name, threads):
+        used = force_threads(threads)
+        assert golden_digests(name) == golden[name]
+        assert threads is None or set(used) == {threads}
+
+    def test_after_a_fork(self, golden, force_threads):
+        # helper threads have been created and joined in this process; a
+        # forked child must find nothing of them (no pool, no lock held)
+        force_threads(2)
+        name = "skipgram-wide"
+        assert golden_digests(name) == golden[name]
+        child = os.fork()
+        if child == 0:
+            status = 1
+            try:
+                status = int(golden_digests(name) != golden[name])
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(child, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.02)
+        else:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            pytest.fail("the forked child did not finish its fit")
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_two_trainers_at_once(self, golden, force_threads):
+        # the overlapped streaming pipeline's shape: ctypes releases the
+        # GIL, so two Python threads can be inside the kernel together
+        force_threads(2)
+        names = ("skipgram-wide", "cbow-wide")
+        together = threading.Barrier(len(names), timeout=60.0)
+
+        def fits(name):
+            together.wait()
+            return [golden_digests(name) for __ in range(4)]
+
+        with ThreadPoolExecutor(len(names)) as pool:
+            results = [pool.submit(fits, name) for name in names]
+            for name, result in zip(names, results):
+                assert result.result(timeout=120.0) == [golden[name]] * 4
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+    def test_one_cpu_means_one_thread(self, golden, force_threads):
+        used = force_threads(None)
+        name = "skipgram-wide"
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            assert golden_digests(name) == golden[name]
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert set(used) == {1}  # no helper thread was created
+        if len(allowed) > 1:
+            # the same fit shares its batches out as soon as it may
+            del used[:]
+            assert golden_digests(name) == golden[name]
+            assert max(used) > 1
+
+
+def _record() -> None:
+    golden = {"libm": libm_digest(), "fits": {name: golden_digests(name) for name in GOLDEN_FITS}}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(golden['fits'])} fits to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    assert resolve_train_kernel() is not None, "recording needs the C kernel"
+    _record()
