@@ -14,6 +14,7 @@ target, not absolute seconds.
 
 from __future__ import annotations
 
+import subprocess
 import time
 from pathlib import Path
 
@@ -31,6 +32,16 @@ def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def commit_label(tree) -> str:
+    """Short commit of the checkout at ``tree`` (``-dirty`` when its
+    ``src`` differs from it): what a committed record names in its header."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tree), *args], capture_output=True, text=True, timeout=10
+        ).stdout.strip()
+    return (git("rev-parse", "--short", "HEAD") or "unknown") + ("-dirty" if git("status", "--porcelain", "src") else "")
 
 
 def record_table(name: str, headers, rows, *, title: str | None = None) -> str:

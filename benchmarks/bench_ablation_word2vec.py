@@ -20,7 +20,7 @@ from repro.embedding import Word2Vec
 from repro.graph import datasets
 from repro.walks.vectorized import VectorizedWalkEngine
 
-from _common import record_table
+from _common import commit_label, record_table
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +113,6 @@ def _measure(src, cpus, mode, batch_pairs, threads=0):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _commit(tree):
-    def git(*args):
-        return subprocess.run(
-            ["git", "-C", str(tree), *args], capture_output=True, text=True, timeout=10
-        ).stdout.strip()
-    return (git("rev-parse", "--short", "HEAD") or "unknown") + ("-dirty" if git("status", "--porcelain", "src") else "")
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
 def test_learn_thread_scaling():
     """Best fit seconds (3 fits in each of 3 fresh processes, alternated
@@ -167,13 +159,13 @@ def test_learn_thread_scaling():
             row["fit_s / parent"] = round(change["fit_s"] / best["parent"]["fit_s"], 2)
         rows.append(row)
     assert all(len(same) == 1 for same in shas.values()), shas
-    parent = f"parent {_commit(Path(parent_src).parent)}" if parent_src else "parent not measured"
+    parent = f"parent {commit_label(Path(parent_src).parent)}" if parent_src else "parent not measured"
     record_table(
         "learn_threads",
         ["mode", "batch_pairs", "cpus", "threads", "fit_s", "tokens_per_s", "parent_fit_s", "fit_s / parent"],
         rows,
         title=(
-            f"learn-phase thread scaling at the train_e2e shape: commit {_commit(_REPO)}, {parent}\n"
+            f"learn-phase thread scaling at the train_e2e shape: commit {commit_label(_REPO)}, {parent}\n"
             f"blogcatalog 0.3, 10 x 40 walks, d=128, {change['tokens']} tokens; "
             "best of 3 fits in each of 3 fresh processes a side, the sides alternated,\n"
             "CPU affinity narrowed to `cpus`; "

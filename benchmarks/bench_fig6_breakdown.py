@@ -17,7 +17,7 @@ paper's own Section V-D device.
 import pytest
 
 from repro.core.config import WalkConfig
-from repro.core.pipeline import generate_walks
+from repro.core.pipeline import generate_walk_result
 from repro.errors import SimulatedOutOfMemoryError
 from repro.graph import datasets
 from repro.graph.hetero import assign_random_types
@@ -79,11 +79,11 @@ def test_fig6_breakdown(benchmark, networks, server_budget_bytes, network):
                     table_budget_bytes=table_budget,
                 )
                 try:
-                    __, ___, timings = generate_walks(
+                    walked = generate_walk_result(
                         graph, model, config, seed=10,
                         budget=MemoryBudget(server_budget_bytes),
                     )
-                    init_s, walk_s = timings["init"], timings["walk"]
+                    init_s, walk_s = walked.ti, walked.tw
                     total = init_s + walk_s
                     rows.append(
                         {

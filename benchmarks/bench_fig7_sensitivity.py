@@ -16,7 +16,7 @@ fairwalk (YouTube). Expected shape:
 import pytest
 
 from repro.core.config import WalkConfig
-from repro.core.pipeline import generate_walks
+from repro.core.pipeline import generate_walk_result
 from repro.graph import datasets
 from repro.sampling.memory_model import sampler_memory_estimate
 from repro.walks.models import make_model
@@ -75,8 +75,8 @@ def test_fig7_sensitivity(benchmark, panel):
                     initializer=options.get("initializer", "high-weight"),
                     table_budget_bytes=table_budget,
                 )
-                __, ___, timings = generate_walks(graph, model, config, seed=12)
-                row[f"{varying}={value:g}"] = round(timings["init"] + timings["walk"], 3)
+                walked = generate_walk_result(graph, model, config, seed=12)
+                row[f"{varying}={value:g}"] = round(walked.ti + walked.tw, 3)
             rows.append(row)
         return rows
 

@@ -23,7 +23,7 @@ equivalent by holding the trainer fixed.
 import pytest
 
 from repro.core.config import WalkConfig
-from repro.core.pipeline import generate_walks
+from repro.core.pipeline import generate_walk_result
 from repro.embedding import Word2Vec
 from repro.graph import datasets
 from repro.legacy import run_legacy_walks
@@ -49,8 +49,8 @@ WORKLOADS = [
 def _uninet_times(graph, model_name, params, sampler):
     model = make_model(model_name, graph, **params)
     config = WalkConfig(num_walks=NUM_WALKS, walk_length=WALK_LENGTH, sampler=sampler)
-    corpus, __, timings = generate_walks(graph, model, config, seed=1)
-    return corpus, timings["init"], timings["walk"]
+    walked = generate_walk_result(graph, model, config, seed=1)
+    return walked.corpus, walked.ti, walked.tw
 
 
 def _learning_seconds(graph, corpus):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import WalkConfig
-from repro.core.pipeline import generate_walks
+from repro.core.pipeline import generate_walk_result
 from repro.errors import SimulatedOutOfMemoryError
 from repro.graph import datasets
 from repro.sampling.memory_model import MemoryBudget, rejection_bytes, sampler_memory_estimate
@@ -79,13 +79,12 @@ def _run_config(graph, sampler_name, options, p, q, budget_bytes):
         table_budget_bytes=table_budget,
     )
     try:
-        __, engine, timings = generate_walks(
+        walked = generate_walk_result(
             graph, model, config, seed=8, budget=MemoryBudget(budget_bytes)
         )
     except SimulatedOutOfMemoryError:
         return None
-    del engine
-    return timings["init"] + timings["walk"]
+    return walked.ti + walked.tw
 
 
 @pytest.mark.parametrize("network", ["twitter", "web-uk"])

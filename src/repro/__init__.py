@@ -74,7 +74,6 @@ _LAZY_ATTRS = {
     "ShardPlan": ("repro.sharding.partitioner", "ShardPlan"),
     "build_shard_plan": ("repro.sharding.partitioner", "build_shard_plan"),
     "register_partitioner": ("repro.sharding.partitioner", "register_partitioner"),
-    "WalkShardStream": ("repro.walks.stream", "WalkShardStream"),
     "RunSpec": ("repro.core.spec", "RunSpec"),
     "GraphSpec": ("repro.core.spec", "GraphSpec"),
     "EvalSpec": ("repro.core.spec", "EvalSpec"),

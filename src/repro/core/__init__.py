@@ -16,9 +16,7 @@ from repro.core.pipeline import (
     TrainResult,
     WalkResult,
     generate_walk_result,
-    generate_walks,
     train_pipeline,
-    train_streaming_pipeline,
 )
 from repro.core.runner import RunReport, expand_grid, expand_variations, run, run_many
 from repro.core.spec import EvalSpec, GraphSpec, RunSpec
@@ -30,8 +28,6 @@ __all__ = [
     "TrainConfig",
     "StreamingConfig",
     "train_pipeline",
-    "train_streaming_pipeline",
-    "generate_walks",
     "generate_walk_result",
     "TrainResult",
     "WalkResult",

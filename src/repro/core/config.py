@@ -141,8 +141,9 @@ class StreamingConfig:
         that the trainer drains — Tw and Tl overlap on the wall clock.
     queue_shards:
         bounded queue depth for ``overlap=True`` (peak resident corpus is
-        roughly ``(queue_shards + 1)`` shards plus the trainer's partial
-        block buffer).
+        at most ``(queue_shards + 2)`` shards — the queue, the one the
+        producer holds while it is full, the one being trained — plus the
+        trainer's partial block buffer).
     vocab:
         ``"degree"`` estimates token frequencies from the stationary
         distribution (visits ∝ degree — exact for first-order walks on

@@ -10,21 +10,33 @@ accounts burn-in/high-weight/random costs there, which is what makes the
 Fig. 6 initialization bars comparable). ``Tw`` is the remaining walk
 time; ``Tt = Ti + Tw + Tl``.
 
-Streaming mode
---------------
-With a :class:`~repro.core.config.StreamingConfig`, the walk engine
-yields bounded :class:`~repro.walks.corpus.WalkCorpus` shards that the
-word2vec trainer absorbs incrementally (``build_vocab`` →
-``partial_fit`` per shard → ``finalize``), so peak corpus memory is
-O(shard) instead of O(total corpus). With ``overlap=True`` a producer
-thread generates shards into a bounded queue while the main thread
-trains — Tw and Tl share the wall clock, and ``timings["total"]`` is the
-true wall time (less than Ti+Tw+Tl when overlap wins). The monolithic
-path is the same trainer code run as one shard.
+One driver
+----------
+:func:`train_pipeline` is the only way from walks to vectors. It opens a
+source of :class:`~repro.walks.corpus.WalkCorpus` shards, fixes the
+vocabulary, hands every shard to the trainer in one loop, finalizes, and
+assembles the :class:`TrainResult` in one place. What varies between
+runs is the source:
+
+* **monolithic** (no streaming block): one shard, the whole corpus of
+  :func:`generate_walk_result`. It stays on the result and its exact
+  node frequencies are the vocabulary.
+* **streamed** (a :class:`~repro.core.config.StreamingConfig`): the
+  engine's ``generate_stream``, so peak corpus memory is O(shard)
+  instead of O(total corpus); the vocabulary is a degree estimate or an
+  exact counting pass over an identically seeded stream.
+* **overlapped** (``overlap=True``): the same stream behind a prefetching
+  iterator, so a producer thread walks up to ``queue_shards`` ahead while the
+  loop trains. Tw and Tl share the wall clock and ``timings["total"]``
+  is the true wall time (less than Ti+Tw+Tl when overlap wins).
+* **refresh** (:meth:`UniNet.refresh_embeddings
+  <repro.core.uninet.UniNet.refresh_embeddings>`): the monolithic source
+  from a few start nodes, fed to the facade's live trainer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -40,7 +52,10 @@ from repro.core.config import (
     as_config,
 )
 from repro.embedding.word2vec import Word2Vec
+from repro.errors import WalkError
+from repro.utils.rng import as_rng
 from repro.walks.corpus import WalkCorpus
+from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
 
 
@@ -174,8 +189,49 @@ def _shard_model_spec(model):
     return name, params
 
 
+def build_engine(
+    graph, model, walk_config, *, seed=None, budget=None, chain_store=None, sharding=None
+):
+    """The walk engine of a run: the one place ``core`` constructs one.
+
+    ``sharding`` (a coerced :class:`~repro.core.config.ShardingConfig` or
+    ``None``) selects the partitioned
+    :class:`~repro.sharding.engine.ShardedWalkEngine`, which owns worker
+    processes, sockets and shared-memory segments: whoever builds one
+    closes it.
+    """
+    common = dict(chain_store=chain_store, budget=budget, seed=seed, **walk_config.engine_kwargs())
+    if sharding is None:
+        return VectorizedWalkEngine(graph, model, **common)
+    from repro.sharding.engine import ShardedWalkEngine
+
+    name, params = _shard_model_spec(model)
+    return ShardedWalkEngine(graph, name, **common, **sharding.engine_kwargs(), **params)
+
+
+def _walk_result(engine, corpus, busy_seconds, *, extra_ti=0.0, keep_engine=True) -> WalkResult:
+    """Read an engine's observables, once, after it walked.
+
+    ``busy_seconds`` is everything spent on walking, engine construction
+    included; Ti is the part of it the engine reports as sampler set-up
+    and lazy M-H initialisation (plus ``extra_ti``, the same of an engine
+    that walked before this one), Tw the rest.
+    """
+    stats = engine.stats()
+    ti = extra_ti + stats["setup_seconds"] + stats["init_seconds"]
+    return WalkResult(
+        corpus=corpus,
+        timings={"init": ti, "walk": max(busy_seconds - ti, 0.0)},
+        stats=stats,
+        memory_bytes=engine.memory_bytes(),
+        corpus_bytes=0 if corpus is None else corpus.nbytes,
+        engine=engine if keep_engine else None,
+    )
+
+
 def generate_walk_result(
-    graph, model, walk_config, *, seed=None, budget=None, start_nodes=None, sharding=None
+    graph, model, walk_config, *, seed=None, budget=None, start_nodes=None, sharding=None,
+    chain_store=None,
 ) -> WalkResult:
     """Walk-generation step with Ti/Tw accounting.
 
@@ -192,70 +248,23 @@ def generate_walk_result(
     sockets and shared-memory segments, so it is closed here once its
     observables are read and the returned :attr:`WalkResult.engine` is
     ``None`` (a closed engine would only raise); a monolithic run
-    returns its live engine.
+    returns its live engine. ``chain_store`` is the facade's persistent
+    M-H chain store (see :func:`train_pipeline`).
     """
     sharding = as_config(ShardingConfig, sharding)
     start = time.perf_counter()
-    if sharding is not None:
-        from repro.sharding.engine import ShardedWalkEngine
-
-        name, params = _shard_model_spec(model)
-        engine = ShardedWalkEngine(
-            graph,
-            name,
-            budget=budget,
-            seed=seed,
-            **walk_config.engine_kwargs(),
-            **sharding.engine_kwargs(),
-            **params,
-        )
-    else:
-        engine = VectorizedWalkEngine(
-            graph, model, budget=budget, seed=seed, **walk_config.engine_kwargs()
-        )
+    engine = build_engine(
+        graph, model, walk_config, seed=seed, budget=budget, chain_store=chain_store,
+        sharding=sharding,
+    )
     try:
         corpus = engine.generate(
-            num_walks=walk_config.num_walks,
-            walk_length=walk_config.walk_length,
-            start_nodes=start_nodes,
+            walk_config.num_walks, walk_config.walk_length, start_nodes=start_nodes
         )
-        elapsed = time.perf_counter() - start
-        stats = engine.stats()
-        memory_bytes = engine.memory_bytes()
+        return _walk_result(engine, corpus, time.perf_counter() - start, keep_engine=sharding is None)
     finally:
         if sharding is not None:
             engine.close()
-            engine = None
-    ti = stats["setup_seconds"] + stats["init_seconds"]
-    timings = {"init": ti, "walk": max(elapsed - ti, 0.0)}
-    return WalkResult(
-        corpus=corpus,
-        timings=timings,
-        stats=stats,
-        memory_bytes=memory_bytes,
-        corpus_bytes=corpus.nbytes,
-        engine=engine,
-    )
-
-
-def generate_walks(
-    graph, model, walk_config, *, seed=None, budget=None, start_nodes=None, sharding=None
-):
-    """Walk-generation step; returns ``(corpus, engine, timings)``.
-
-    Backward-compatible tuple form of :func:`generate_walk_result`;
-    timings has ``init`` and ``walk`` entries.
-    """
-    result = generate_walk_result(
-        graph,
-        model,
-        walk_config,
-        seed=seed,
-        budget=budget,
-        start_nodes=start_nodes,
-        sharding=sharding,
-    )
-    return result.corpus, result.engine, result.timings
 
 
 def _expected_degree_counts(graph, total_tokens: int) -> np.ndarray:
@@ -275,236 +284,106 @@ def _expected_degree_counts(graph, total_tokens: int) -> np.ndarray:
     return expected + 1
 
 
-class _CorpusResidency:
-    """Thread-safe high-water mark of corpus bytes resident in the pipeline."""
+class _ShardMeter:
+    """What the driver measures of the shards on their way to the trainer.
+
+    ``walk_seconds`` is the time spent inside the shard source (engine
+    construction, generation, a counting pass), ``num_walks`` /
+    ``token_count`` what the source delivered for training, and
+    ``peak_bytes`` the high-water mark of corpus bytes resident between
+    the source and the trainer. An overlapped run charges it from the producer thread as
+    well, hence the lock.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._live = 0
-        self.peak = 0
+        self.peak_bytes = 0
+        self.walk_seconds = 0.0
+        self.num_walks = 0
+        self.token_count = 0
 
-    def acquire(self, nbytes: int) -> None:
+    @contextlib.contextmanager
+    def walking(self):
+        """Charge the block's wall time to ``walk_seconds``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.walk_seconds += time.perf_counter() - t0
+
+    def clocked(self, shards):
+        """``shards`` again: the wait for each one is walk time, and it is
+        counted, its bytes resident, from the moment it exists."""
+        shards = iter(shards)
+        while True:
+            with self.walking():
+                shard = next(shards, None)
+            if shard is None:
+                return
+            self.num_walks += shard.num_walks
+            self.token_count += shard.token_count
+            with self._lock:
+                self._live += shard.nbytes
+                self.peak_bytes = max(self.peak_bytes, self._live)
+            yield shard
+
+    def observe(self, extra: int) -> None:
+        """Resident bytes right now are the live shards plus ``extra``."""
         with self._lock:
-            self._live += nbytes
-            self.peak = max(self.peak, self._live)
+            self.peak_bytes = max(self.peak_bytes, self._live + extra)
 
     def release(self, nbytes: int) -> None:
         with self._lock:
             self._live -= nbytes
 
-    def observe(self, extra: int = 0) -> None:
-        with self._lock:
-            self.peak = max(self.peak, self._live + extra)
 
+def _prefetch(items, depth: int):
+    """``items`` again, produced up to ``depth`` ahead by a thread.
 
-def train_streaming_pipeline(
-    graph,
-    model,
-    walk_config,
-    train_config,
-    streaming,
-    *,
-    seed=None,
-    budget=None,
-    start_nodes=None,
-) -> TrainResult:
-    """Shard-streaming walk→train with bounded corpus memory.
-
-    Walk shards come from :meth:`VectorizedWalkEngine.generate_stream`
-    (rebuilt identically for the exact-vocab counting pass, since the
-    engine seed is pinned first) and feed :meth:`Word2Vec.partial_fit`.
-    ``overlap=True`` moves generation into a producer thread with a
-    bounded queue; numpy kernels release the GIL, so walk and learn work
-    genuinely overlap.
+    The ``walk-producer`` thread iterates ``items`` into a bounded queue;
+    this generator hands them on in order. An exception in the producer
+    is re-raised here after the items produced before it. The thread is
+    reaped when the generator finishes or is closed, so a consumer that
+    stops or dies early must close it (``contextlib.closing``).
     """
-    from repro.utils.rng import as_rng
-    from repro.walks.models import make_model
+    slots: queue.Queue = queue.Queue(maxsize=depth)
+    gone = threading.Event()  # the consumer has stopped listening
+    end = object()
 
-    # pin a concrete engine seed so the stream is re-creatable (exact
-    # vocab pass + training pass see identical walks); integer seeds pass
-    # through untouched so a streamed run walks the same corpus as a
-    # monolithic run with the same seed
-    if not isinstance(seed, (int, np.integer)):
-        seed = int(as_rng(seed).integers(2**31))
-    seed = int(seed)
-    bound = make_model(model, graph)
-    starts = (
-        bound.valid_start_nodes()
-        if start_nodes is None
-        else np.asarray(start_nodes, dtype=np.int64)
-    )
-    if starts.size == 0:
-        from repro.errors import WalkError
-
-        raise WalkError("no valid start nodes for this model/graph")
-    total_walks = walk_config.num_walks * starts.size
-    shard_walks = streaming.resolve_shard_walks(walk_config.walk_length, starts.size)
-
-    engine_cell: dict[str, VectorizedWalkEngine] = {}
-
-    def shard_iter(charge_budget: bool):
-        engine = VectorizedWalkEngine(
-            graph,
-            bound,
-            budget=budget if charge_budget else None,
-            seed=seed,
-            **walk_config.engine_kwargs(),
-        )
-        engine_cell["engine"] = engine
-        return engine.generate_stream(
-            num_walks=walk_config.num_walks,
-            walk_length=walk_config.walk_length,
-            start_nodes=starts,
-            shard_walks=shard_walks,
-        )
-
-    wall_start = time.perf_counter()
-    walk_seconds = 0.0
-    learn_seconds = 0.0
-
-    trainer_kwargs = train_config.word2vec_kwargs()
-    if streaming.block_walks is not None:
-        trainer_kwargs["block_walks"] = streaming.block_walks
-    elif "block_walks" not in trainer_kwargs:
-        # align canonical blocks with the shards so the trainer's partial
-        # block buffer never outgrows one shard — the memory bound stays
-        # O(shard). (Set streaming.block_walks explicitly — e.g. to the
-        # trainer default — to reproduce a monolithic run bit-for-bit.)
-        trainer_kwargs["block_walks"] = shard_walks
-    trainer = Word2Vec(train_config.dimensions, seed=seed, **trainer_kwargs)
-
-    ti_counting_pass = 0.0
-    if streaming.vocab == "exact":
-        t0 = time.perf_counter()
-        counts = np.zeros(graph.num_nodes, dtype=np.int64)
-        for shard in shard_iter(charge_budget=True):
-            counts += shard.node_frequencies(graph.num_nodes)
-        walk_seconds += time.perf_counter() - t0
-        # the counting pass built its own engine; account its setup/init
-        # as Ti, not Tw, like every other engine
-        count_stats = engine_cell["engine"].stats()
-        ti_counting_pass = count_stats["setup_seconds"] + count_stats["init_seconds"]
-        charge_training_pass = False
-    else:
-        counts = _expected_degree_counts(
-            graph, total_walks * walk_config.walk_length
-        )
-        charge_training_pass = True
-    trainer.build_vocab(counts, total_walks=total_walks)
-
-    residency = _CorpusResidency()
-    summary = {"num_walks": 0, "token_count": 0}
-
-    def consume(shard) -> None:
-        nonlocal learn_seconds
-        residency.observe(trainer.buffered_bytes())
-        t0 = time.perf_counter()
-        trainer.partial_fit(shard)
-        learn_seconds += time.perf_counter() - t0
-        summary["num_walks"] += shard.num_walks
-        summary["token_count"] += shard.token_count
-        residency.release(shard.nbytes)
-        residency.observe(trainer.buffered_bytes())
-
-    if not streaming.overlap:
-        t0 = time.perf_counter()
-        shards = shard_iter(charge_budget=charge_training_pass)
-        walk_seconds += time.perf_counter() - t0  # engine construction
-        while True:
-            t0 = time.perf_counter()
-            shard = next(shards, None)
-            walk_seconds += time.perf_counter() - t0
-            if shard is None:
-                break
-            residency.acquire(shard.nbytes)
-            consume(shard)
-    else:
-        shard_queue: queue.Queue = queue.Queue(maxsize=streaming.queue_shards)
-        _DONE = object()
-        stop = threading.Event()
-        producer_state = {"walk_seconds": 0.0, "error": None}
-
-        def produce():
+    def put(item, error=None) -> bool:
+        # bounded put that re-checks ``gone``, so a dying consumer never
+        # strands this thread on a full queue
+        while not gone.is_set():
             try:
-                t0 = time.perf_counter()
-                shards = shard_iter(charge_budget=charge_training_pass)
-                producer_state["walk_seconds"] += time.perf_counter() - t0
-                while not stop.is_set():
-                    t0 = time.perf_counter()
-                    shard = next(shards, None)
-                    producer_state["walk_seconds"] += time.perf_counter() - t0
-                    if shard is None:
-                        break
-                    residency.acquire(shard.nbytes)
-                    # bounded put that re-checks stop, so a dying consumer
-                    # never strands this thread on a full queue
-                    while not stop.is_set():
-                        try:
-                            shard_queue.put(shard, timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-            except BaseException as err:  # repro-lint: ignore[RPR004] — transported to and re-raised on the consumer side
-                producer_state["error"] = err
-            finally:
-                stop.set()  # unblock anyone; mark end-of-stream
-                try:
-                    shard_queue.put_nowait(_DONE)
-                except queue.Full:
-                    pass  # consumer is gone or will see stop via timeout
+                slots.put((item, error), timeout=0.1)
+                return True
+            except queue.Full:
+                continue
+        return False
 
-        producer = threading.Thread(target=produce, name="walk-producer", daemon=True)
-        producer.start()
+    def produce():
         try:
-            while True:
-                try:
-                    item = shard_queue.get(timeout=0.1)
-                except queue.Empty:
-                    if stop.is_set() and not producer.is_alive():
-                        break
-                    continue
-                if item is _DONE:
-                    break
-                consume(item)
-        finally:
-            # whatever path exits the loop (done, consumer exception),
-            # release the producer and reap the thread
-            stop.set()
-            while producer.is_alive():
-                try:
-                    shard_queue.get_nowait()
-                except queue.Empty:
-                    producer.join(timeout=0.1)
-            producer.join()
-        if producer_state["error"] is not None:
-            raise producer_state["error"]
-        walk_seconds += producer_state["walk_seconds"]
+            for item in items:
+                if not put(item):
+                    return
+            put(end)
+        except BaseException as err:  # repro-lint: ignore[RPR004] — transported to and re-raised on the consumer side
+            put(end, err)
 
-    t0 = time.perf_counter()
-    embeddings = trainer.finalize()
-    learn_seconds += time.perf_counter() - t0
-
-    wall = time.perf_counter() - wall_start
-    engine = engine_cell["engine"]
-    stats = engine.stats()
-    ti = ti_counting_pass + stats["setup_seconds"] + stats["init_seconds"]
-    timings = {
-        "init": ti,
-        "walk": max(walk_seconds - ti, 0.0),
-        "learn": learn_seconds,
-        "total": wall,
-    }
-    return TrainResult(
-        embeddings=embeddings,
-        corpus=None,
-        timings=timings,
-        sampler_stats=_with_learn_kernel(stats, trainer),
-        sampler_memory_bytes=engine.memory_bytes(),
-        corpus_summary=dict(summary),
-        peak_corpus_bytes=residency.peak,
-        streaming=True,
-        trainer=trainer,
-    )
+    producer = threading.Thread(target=produce, name="walk-producer", daemon=True)
+    producer.start()
+    try:
+        while True:
+            item, error = slots.get()
+            if item is end:
+                if error is not None:
+                    raise error
+                return
+            yield item
+    finally:
+        gone.set()
+        producer.join()
 
 
 def train_pipeline(
@@ -519,20 +398,34 @@ def train_pipeline(
     skip_learning: bool = False,
     streaming=None,
     sharding=None,
+    trainer=None,
+    chain_store=None,
 ) -> TrainResult:
     """Run the full pipeline for one (graph, model, sampler) configuration.
 
     ``skip_learning=True`` stops after walk generation (the setting of
     the paper's Table VII / Fig. 6-7, which time only the walk phase).
     ``streaming`` takes a :class:`~repro.core.config.StreamingConfig`
-    (or an equivalent dict, or ``True`` for the defaults) to run the
-    shard-streaming path; walk-only runs ignore it, since without a
-    trainer there is nothing to stream into. ``sharding`` takes a
+    (or an equivalent dict, or ``True`` for the defaults) to draw the
+    shards from the engine's stream instead of materializing the corpus
+    (see the module docstring); walk-only runs ignore it, since without
+    a trainer there is nothing to stream into. ``sharding`` takes a
     :class:`~repro.core.config.ShardingConfig` (or dict, or ``True``;
     :func:`~repro.core.config.as_config` is the one coercion) to generate the
     walks on the partitioned engine — corpus (and thus embeddings) stay
     bitwise identical; streaming and sharding are mutually exclusive
-    (the streaming pipeline drives the monolithic engine).
+    (a streamed run draws its shards from the monolithic engine).
+
+    ``trainer`` and ``chain_store`` are live objects only the
+    :class:`~repro.core.uninet.UniNet` facade passes, for an incremental
+    refresh: a :class:`~repro.embedding.word2vec.Word2Vec` whose
+    vocabulary is already built, which is fed and finalized in place of a
+    fresh one (``train_config`` is not read then), and the persistent
+    :class:`~repro.walks.manager.ChainStore` the engine walks on.
+
+    ``timings["total"]`` is ``init + walk + learn`` for a run that keeps
+    its corpus and the driver's wall clock for a streamed one, where
+    overlap shows as ``total < walk + learn``.
     """
     walk_config = walk_config or WalkConfig()
     train_config = train_config or TrainConfig()
@@ -540,61 +433,132 @@ def train_pipeline(
     streaming = None if skip_learning else as_config(StreamingConfig, streaming)
     sharding = as_config(ShardingConfig, sharding)
     if streaming is not None and sharding is not None:
-        from repro.errors import WalkError
-
         raise WalkError(
-            "streaming and sharding cannot be combined: the streaming "
-            "pipeline drives the monolithic engine; "
+            "streaming and sharding cannot be combined: a streamed run "
+            "draws its shards from the monolithic engine; "
             "disable one block (e.g. --set streaming.enabled=false)"
         )
+    clock = time.perf_counter
+    wall_start = clock()
+    meter = _ShardMeter()
+    trainer_kwargs = train_config.word2vec_kwargs()
 
-    if streaming is not None:
-        return train_streaming_pipeline(
-            graph,
-            model,
-            walk_config,
-            train_config,
-            streaming,
-            seed=seed,
-            budget=budget,
-            start_nodes=start_nodes,
+    # -- the shard source, and what the vocabulary is counted from ---------
+    if streaming is None:
+        # one shard: the whole corpus, resident for the whole run, its
+        # exact node frequencies the vocabulary
+        walked = generate_walk_result(
+            graph, model, walk_config, seed=seed, budget=budget, start_nodes=start_nodes,
+            sharding=sharding, chain_store=chain_store,
         )
+        corpus, counts, total_walks = walked.corpus, None, walked.corpus.num_walks
+        shards = meter.clocked([corpus])
+    else:
+        # pin a concrete engine seed so the stream is re-creatable (the
+        # exact-vocab pass and the training pass see identical walks);
+        # integer seeds pass through untouched so a streamed run walks
+        # the same corpus as a monolithic run with the same seed
+        if not isinstance(seed, (int, np.integer)):
+            seed = as_rng(seed).integers(2**31)
+        seed = int(seed)
+        bound = make_model(model, graph)
+        starts = (
+            bound.valid_start_nodes()
+            if start_nodes is None
+            else np.asarray(start_nodes, dtype=np.int64)
+        )
+        if starts.size == 0:
+            raise WalkError("no valid start nodes for this model/graph")
+        corpus, total_walks = None, walk_config.num_walks * starts.size
+        shard_walks = streaming.resolve_shard_walks(walk_config.walk_length, starts.size)
+        if streaming.block_walks is not None:
+            trainer_kwargs["block_walks"] = streaming.block_walks
+        else:
+            # align canonical blocks with the shards so the trainer's partial
+            # block buffer never outgrows one shard — the memory bound stays
+            # O(shard). (Set streaming.block_walks explicitly — e.g. to the
+            # trainer default — to reproduce a monolithic run bit-for-bit.)
+            trainer_kwargs.setdefault("block_walks", shard_walks)
 
-    walked = generate_walk_result(
-        graph,
-        model,
-        walk_config,
-        seed=seed,
-        budget=budget,
-        start_nodes=start_nodes,
-        sharding=sharding,
-    )
+        def open_stream(charged):
+            with meter.walking():
+                engine = build_engine(
+                    graph, bound, walk_config, seed=seed, budget=charged, chain_store=chain_store
+                )
+            return engine, engine.generate_stream(
+                walk_config.num_walks, walk_config.walk_length, starts, shard_walks=shard_walks
+            )
 
-    embeddings = None
-    trainer = None
+        extra_ti = 0.0
+        if streaming.vocab == "exact":
+            # a pass of its own over an identical stream: its engine's
+            # set-up is Ti, its walking Tw, and its budget charge is the
+            # one that counts (the training pass then charges none)
+            counting, stream = open_stream(budget)
+            counts = np.zeros(graph.num_nodes, dtype=np.int64)
+            with meter.walking():
+                for shard in stream:
+                    counts += shard.node_frequencies(graph.num_nodes)
+            counted = counting.stats()
+            extra_ti = counted["setup_seconds"] + counted["init_seconds"]
+            budget = None
+        else:
+            counts = _expected_degree_counts(graph, total_walks * walk_config.walk_length)
+        engine, stream = open_stream(budget)
+        shards = meter.clocked(stream)
+        if streaming.overlap:
+            shards = _prefetch(shards, streaming.queue_shards)
+
+    # -- the trainer ------------------------------------------------------------
     learn_seconds = 0.0
-    if not skip_learning:
-        t0 = time.perf_counter()
-        trainer = Word2Vec(
-            train_config.dimensions, seed=seed, **train_config.word2vec_kwargs()
-        )
-        embeddings = trainer.fit(walked.corpus, num_nodes=graph.num_nodes)
-        learn_seconds = time.perf_counter() - t0
+    if trainer is None and not skip_learning:
+        t0 = clock()
+        trainer = Word2Vec(train_config.dimensions, seed=seed, **trainer_kwargs)
+        if counts is None:
+            counts = corpus.node_frequencies(graph.num_nodes)
+        trainer.build_vocab(counts, total_walks=total_walks)
+        learn_seconds += clock() - t0
 
-    timings = dict(walked.timings)
-    timings["learn"] = learn_seconds
-    timings["total"] = timings["init"] + timings["walk"] + learn_seconds
+    # -- every shard, through the one loop -----------------------------------
+    # closed explicitly: when the trainer raises, the traceback keeps this
+    # frame (and an unclosed prefetcher's thread) alive
+    with contextlib.closing(shards):
+        for shard in shards:
+            if trainer is None:
+                continue
+            # a resident corpus is counted once, by its shard: the trainer's
+            # pending rows are views of it, and it is never released
+            if corpus is None:
+                meter.observe(trainer.buffered_bytes())
+            t0 = clock()
+            trainer.partial_fit(shard)
+            learn_seconds += clock() - t0
+            if corpus is None:
+                meter.release(shard.nbytes)
+                meter.observe(trainer.buffered_bytes())
+    embeddings = None
+    if trainer is not None:
+        t0 = clock()
+        embeddings = trainer.finalize()
+        learn_seconds += clock() - t0
+
+    # -- the result --------------------------------------------------------------
+    if streaming is not None:
+        walked = _walk_result(engine, None, meter.walk_seconds, extra_ti=extra_ti)
+    timings = {**walked.timings, "learn": learn_seconds}
+    timings["total"] = (
+        timings["init"] + timings["walk"] + learn_seconds
+        if streaming is None
+        else clock() - wall_start
+    )
     return TrainResult(
         embeddings=embeddings,
-        corpus=walked.corpus,
+        corpus=corpus,
         timings=timings,
         sampler_stats=_with_learn_kernel(walked.stats, trainer),
         sampler_memory_bytes=walked.memory_bytes,
-        corpus_summary={
-            "num_walks": walked.corpus.num_walks,
-            "token_count": walked.corpus.token_count,
-        },
-        peak_corpus_bytes=walked.corpus_bytes,
-        streaming=False,
+        corpus_summary={"num_walks": meter.num_walks, "token_count": meter.token_count},
+        peak_corpus_bytes=meter.peak_bytes,
+        streaming=streaming is not None,
         trainer=trainer,
     )

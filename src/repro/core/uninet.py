@@ -377,16 +377,19 @@ class UniNet:
         Re-walks, with the :class:`WalkConfig` of the last training
         (``num_walks`` / ``walk_length`` replace its shape), only from
         nodes within the walk-length horizon of the edges touched since
-        then (or from ``start_nodes``), feeds the fresh corpus to the *live* trainer
-        via ``partial_fit`` — new nodes enter the vocabulary with fresh
-        rows, every other row continues from its trained state — and
-        returns a :class:`~repro.core.pipeline.TrainResult` for the
-        incremental pass. M-H chain state persists across refreshes
-        through the facade's chain store, so repeated update→refresh
-        cycles pay only the touched-state costs.
+        then (or from ``start_nodes``), and trains the *live* trainer on
+        the fresh corpus — new nodes enter the vocabulary with fresh
+        rows, every other row continues from its trained state, at the
+        full learning rate ``alpha`` (the decay of the original fit ended
+        with it). The walk→learn step is
+        :func:`~repro.core.pipeline.train_pipeline` itself, handed the
+        live trainer and the facade's chain store, so the returned
+        :class:`~repro.core.pipeline.TrainResult` reads like any other
+        run's. M-H chain state persists across refreshes through that
+        store, so repeated update→refresh cycles pay only the
+        touched-state costs.
         """
         from repro.errors import TrainingError
-        from repro.walks.vectorized import VectorizedWalkEngine
 
         if self._trainer is None:
             raise TrainingError(
@@ -426,45 +429,20 @@ class UniNet:
 
                 self._chain_store = ChainStore(self.graph, self.model)
             chain_store = self._chain_store
-        wall0 = time.perf_counter()
-        engine = VectorizedWalkEngine(
+        result = train_pipeline(
             self.graph,
             self.model,
-            chain_store=chain_store,
-            budget=self.budget,
+            cfg,
             seed=int(self._rng.integers(2**31)),
-            **cfg.engine_kwargs(),
+            budget=self.budget,
+            start_nodes=start_nodes,
+            trainer=self._trainer,
+            chain_store=chain_store,
         )
-        corpus = engine.generate(cfg.num_walks, cfg.walk_length, start_nodes=start_nodes)
-        walk_seconds = time.perf_counter() - wall0
-        t0 = time.perf_counter()
-        self._trainer.partial_fit(corpus)
-        embeddings = self._trainer.finalize()
-        learn_seconds = time.perf_counter() - t0
-
-        self.last_embeddings = embeddings
+        self.last_embeddings = result.embeddings
         self._embeddings_epoch = self._graph_epoch
         self._affected = None
-        stats = engine.stats()
-        ti = stats["setup_seconds"] + stats["init_seconds"]
-        return TrainResult(
-            embeddings=embeddings,
-            corpus=corpus,
-            timings={
-                "init": ti,
-                "walk": max(walk_seconds - ti, 0.0),
-                "learn": learn_seconds,
-                "total": walk_seconds + learn_seconds,
-            },
-            sampler_stats=stats,
-            sampler_memory_bytes=engine.memory_bytes(),
-            corpus_summary={
-                "num_walks": corpus.num_walks,
-                "token_count": corpus.token_count,
-            },
-            peak_corpus_bytes=corpus.nbytes,
-            trainer=self._trainer,
-        )
+        return result
 
     @property
     def embeddings_stale(self) -> bool:

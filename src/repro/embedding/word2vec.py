@@ -444,6 +444,10 @@ class Word2Vec:
         # a kept trainer (UniNet holds one for refresh_embeddings) should
         # not pin the kernel's accumulators; partial_fit re-derives them
         self._scratch = None
+        # the planned stream ends here: whatever a kept trainer is fed
+        # later is a stream of unknown length (rate ``alpha``), not the
+        # tail of the decay, which would train it at ``min_alpha``
+        self._total_blocks = None
         return KeyedVectors(self.vocab.tokens, self.w_in)
 
     def buffered_bytes(self) -> int:
@@ -470,35 +474,18 @@ class Word2Vec:
         self.partial_fit(corpus)
         return self.finalize()
 
-    def fit_stream(self, stream, *, counts=None, total_walks: int | None = None) -> KeyedVectors:
+    def fit_stream(self, stream, *, counts, total_walks: int | None = None) -> KeyedVectors:
         """Train from a shard stream with bounded memory.
 
-        ``stream`` is any iterable of :class:`WalkCorpus` shards — e.g. a
-        :class:`~repro.walks.stream.WalkShardStream`,
-        :meth:`~repro.walks.vectorized.VectorizedWalkEngine.generate_stream`,
-        or a plain list. When ``counts`` is omitted the stream must be
-        re-iterable (a :class:`WalkShardStream` with a factory source):
-        an exact counting pass runs first, then the training pass.
-        ``total_walks`` defaults to the stream's own metadata when it has
-        any.
+        ``stream`` is any iterable of :class:`WalkCorpus` shards — e.g.
+        :meth:`~repro.walks.vectorized.VectorizedWalkEngine.generate_stream`
+        or a plain list — consumed once. ``counts`` fixes the vocabulary
+        up front (see :meth:`build_vocab`: exact node frequencies, or an
+        estimate such as degrees) and ``total_walks``, when known,
+        schedules the learning-rate decay over the whole stream. With the
+        corpus's own node frequencies and walk count the result equals
+        :meth:`fit` on the merged stream, bit for bit.
         """
-        if counts is None:
-            freq = getattr(stream, "node_frequencies", None)
-            if freq is None:
-                raise TrainingError(
-                    "fit_stream needs explicit counts unless the stream provides "
-                    "node_frequencies() (see repro.walks.stream.WalkShardStream)"
-                )
-            if not getattr(stream, "reiterable", True):
-                raise TrainingError(
-                    "fit_stream without counts needs a re-iterable stream — the "
-                    "counting pass would consume a one-shot stream before any "
-                    "training; pass counts explicitly (e.g. a degree estimate) "
-                    "or build the stream from a factory callable"
-                )
-            counts = freq()
-        if total_walks is None:
-            total_walks = getattr(stream, "total_walks", None)
         self.build_vocab(counts, total_walks=total_walks)
         for shard in stream:
             self.partial_fit(shard)

@@ -10,7 +10,9 @@ This package realises the paper's Section IV:
 * :mod:`repro.walks.engine` — a line-by-line scalar implementation of
   Algorithm 2 (the validation reference).
 * :mod:`repro.walks.vectorized` — the production engine: all walkers of a
-  wave advance in lock-step numpy operations.
+  wave advance in lock-step numpy operations. ``generate`` returns the
+  whole corpus, ``generate_stream`` the same walks as bounded shards;
+  those two are the only ways a corpus is made.
 * :mod:`repro.walks.corpus` — the generated walk corpus fed to word2vec.
 """
 
@@ -18,16 +20,13 @@ from repro.walks.corpus import WalkCorpus
 from repro.walks.engine import ReferenceWalkEngine
 from repro.walks.manager import ChainStore
 from repro.walks.models import MODEL_REGISTRY, MODELS, make_model, register_model
-from repro.walks.parallel import parallel_generate, parallel_generate_stream
 from repro.walks.state import WalkerState
-from repro.walks.stream import WalkShardStream
 from repro.walks.vectorized import StepperBase, VectorizedWalkEngine
 
 __all__ = [
     "WalkerState",
     "ChainStore",
     "WalkCorpus",
-    "WalkShardStream",
     "ReferenceWalkEngine",
     "VectorizedWalkEngine",
     "StepperBase",
@@ -35,6 +34,4 @@ __all__ = [
     "MODEL_REGISTRY",
     "make_model",
     "register_model",
-    "parallel_generate",
-    "parallel_generate_stream",
 ]

@@ -228,7 +228,7 @@ void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
                 double alpha;
                 if (pv < 0) alpha = 1.0;
                 else if (t == pv) alpha = 1.0 / p;
-                else if (use_mark ? ((mark[t >> 6] >> (t & 63)) & 1)
+                else if (use_mark ? (int)((mark[t >> 6] >> (t & 63)) & 1)
                                   : has_edge(offsets, targets, pv, t)) alpha = 1.0;
                 else alpha = 1.0 / q;
                 w = w * alpha;

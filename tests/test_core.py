@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import UniNet, TrainConfig, WalkConfig
-from repro.core.pipeline import generate_walks, train_pipeline
+from repro.core.pipeline import generate_walk_result, train_pipeline
 from repro.errors import SimulatedOutOfMemoryError, WalkError
 from repro.sampling import MemoryBudget
 from repro.sampling.memory_model import second_order_alias_bytes
@@ -35,11 +35,51 @@ class TestConfigs:
 class TestPipeline:
     def test_walk_only(self, small_unweighted_graph):
         model = make_model("deepwalk", small_unweighted_graph)
-        corpus, engine, timings = generate_walks(
+        walked = generate_walk_result(
             small_unweighted_graph, model, WalkConfig(num_walks=1, walk_length=10), seed=0
         )
-        assert corpus.num_walks == small_unweighted_graph.num_nodes
-        assert timings["init"] >= 0 and timings["walk"] >= 0
+        assert walked.corpus.num_walks == small_unweighted_graph.num_nodes
+        assert walked.timings["init"] >= 0 and walked.timings["walk"] >= 0
+
+    def test_live_trainer_and_chain_store_equal_the_steps_by_hand(self, small_unweighted_graph):
+        """What an incremental refresh asks of the driver: walk from a few
+        start nodes on a persistent chain store, feed a live trainer."""
+        from repro.walks.manager import ChainStore
+        from repro.walks.vectorized import VectorizedWalkEngine
+
+        graph = small_unweighted_graph
+        config = WalkConfig(num_walks=2, walk_length=10)
+        starts = np.arange(0, graph.num_nodes, 3)
+
+        def trained():
+            first = train_pipeline(graph, "node2vec", config, TrainConfig(dimensions=8), seed=4)
+            model = make_model("node2vec", graph)
+            return first.trainer, model, ChainStore(graph, model)
+
+        trainer, model, store = trained()
+        result = train_pipeline(
+            graph, model, config, seed=9, start_nodes=starts, trainer=trainer, chain_store=store
+        )
+
+        by_hand, model, hand_store = trained()
+        engine = VectorizedWalkEngine(
+            graph, model, chain_store=hand_store, seed=9, **config.engine_kwargs()
+        )
+        corpus = engine.generate(config.num_walks, config.walk_length, start_nodes=starts)
+        by_hand.partial_fit(corpus)
+        vectors = by_hand.finalize().vectors
+
+        assert result.trainer is trainer and not result.streaming
+        assert np.array_equal(result.corpus.walks, corpus.walks)
+        assert np.array_equal(result.embeddings.vectors, vectors)
+        assert store.num_initialized > 0
+        assert np.array_equal(store.last, hand_store.last)
+        assert result.corpus_summary == {
+            "num_walks": corpus.num_walks, "token_count": corpus.token_count,
+        }
+        assert result.peak_corpus_bytes == corpus.nbytes
+        assert result.sampler_stats["learn_kernel"] == trainer.kernel
+        assert result.tt == result.ti + result.tw + result.tl
 
     def test_full_pipeline_timings(self, small_unweighted_graph):
         result = train_pipeline(

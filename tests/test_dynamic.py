@@ -602,6 +602,44 @@ class TestUniNetDynamic:
         assert "invalidated_states" in ur.sampler_refresh
         assert net._chain_store.num_initialized > 0
 
+    def test_refresh_trains_at_alpha_not_min_alpha(self):
+        """A refresh after ``finalize`` must still learn: new nodes land
+        next to their graph neighbours and the old nodes lose nothing.
+        (With the planned stream's decay left in force every refresh
+        batch ran at ``min_alpha``: recall 0.0, old rows all but frozen.)"""
+        from repro import UniNet, datasets
+        from repro.evaluation import classification_sweep
+
+        graph, labels = datasets.load("blogcatalog", scale=0.3, seed=3)
+        net = UniNet(graph, model="deepwalk", seed=3)
+        net.train(num_walks=10, walk_length=40, dimensions=64)
+
+        def micro_f1(kv):
+            sweep = classification_sweep(kv, labels, train_fractions=(0.5,), trials=3, seed=0)
+            return sweep[0]["micro_f1_mean"]
+
+        f1_before = micro_f1(net.last_embeddings)
+        n = graph.num_nodes
+        rng = np.random.default_rng(0)
+        wired = {}
+        for new in range(n, n + 5):
+            hosts_neighbours = graph.neighbors(int(rng.integers(n)))
+            wired[new] = rng.choice(hosts_neighbours, size=6, replace=False).tolist()
+        src = [new for new, nbrs in wired.items() for __ in nbrs]
+        dst = [nbr for nbrs in wired.values() for nbr in nbrs]
+        net.update(GraphDelta(
+            add_nodes=5, add_src=src + dst, add_dst=dst + src,
+            add_weights=[1.0] * (2 * len(src)),
+        ))
+        net.refresh_embeddings(num_walks=10, horizon=3)
+        kv = net.last_embeddings
+        hits = sum(
+            len(set(nbrs) & {key for key, __ in kv.most_similar(new, topn=10)})
+            for new, nbrs in wired.items()
+        )
+        assert hits / len(src) >= 0.25
+        assert micro_f1(kv) >= f1_before
+
 
 # ----------------------------------------------------------------------
 # serving write path

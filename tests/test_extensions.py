@@ -1,9 +1,9 @@
-"""Tests for the extension features: clustering, parallel walks, CLI."""
+"""Tests for the extension features: clustering, CLI."""
 
 import numpy as np
 import pytest
 
-from repro.errors import EvaluationError, WalkError
+from repro.errors import EvaluationError
 from repro.evaluation.clustering import (
     clustering_experiment,
     kmeans,
@@ -87,51 +87,6 @@ class TestClusteringExperiment:
         labels = NodeLabels(np.arange(4), np.ones((4, 2), dtype=bool))
         with pytest.raises(EvaluationError):
             clustering_experiment(kv, labels)
-
-
-class TestParallelWalks:
-    def test_single_worker_matches_engine_semantics(self, small_unweighted_graph):
-        from repro.walks.parallel import parallel_generate
-
-        corpus = parallel_generate(
-            small_unweighted_graph, "deepwalk",
-            num_walks=2, walk_length=10, num_workers=1, seed=5,
-        )
-        assert corpus.num_walks == 2 * small_unweighted_graph.num_nodes
-        for walk in list(corpus.iter_walks())[:20]:
-            for a, b in zip(walk[:-1], walk[1:]):
-                assert small_unweighted_graph.has_edge(int(a), int(b))
-
-    def test_multi_worker_covers_all_starts(self, small_unweighted_graph):
-        from repro.walks.parallel import parallel_generate
-
-        corpus = parallel_generate(
-            small_unweighted_graph, "deepwalk",
-            num_walks=1, walk_length=6, num_workers=2, seed=6,
-        )
-        starts = set(corpus.walks[:, 0].tolist())
-        assert starts == set(range(small_unweighted_graph.num_nodes))
-
-    def test_model_instances_rejected(self, small_unweighted_graph):
-        from repro.walks.models import make_model
-        from repro.walks.parallel import parallel_generate
-
-        model = make_model("deepwalk", small_unweighted_graph)
-        with pytest.raises(WalkError):
-            parallel_generate(small_unweighted_graph, model)
-
-    def test_reproducible_for_fixed_workers(self, small_unweighted_graph):
-        from repro.walks.parallel import parallel_generate
-
-        a = parallel_generate(
-            small_unweighted_graph, "deepwalk",
-            num_walks=1, walk_length=8, num_workers=2, seed=7,
-        )
-        b = parallel_generate(
-            small_unweighted_graph, "deepwalk",
-            num_walks=1, walk_length=8, num_workers=2, seed=7,
-        )
-        assert np.array_equal(a.walks, b.walks)
 
 
 class TestCli:

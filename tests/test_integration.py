@@ -132,9 +132,9 @@ class TestAcceptanceRatioShape:
         for p, q in [(1.0, 1.0), (0.25, 1.0)]:
             net = UniNet(graph, model="node2vec", sampler="rejection", p=p, q=q, seed=22)
             config = net.walk_config(1, 10)
-            from repro.core.pipeline import generate_walks
+            from repro.core.pipeline import generate_walk_result
 
-            __, engine, ___ = generate_walks(graph, net.model, config, seed=22)
-            ratios[(p, q)] = engine.stats()["acceptance_ratio"]
+            walked = generate_walk_result(graph, net.model, config, seed=22)
+            ratios[(p, q)] = walked.stats["acceptance_ratio"]
         assert ratios[(1.0, 1.0)] > 0.95
         assert ratios[(0.25, 1.0)] < ratios[(1.0, 1.0)]

@@ -1,4 +1,4 @@
-"""Compiled walk kernels: parity, fallback and transport guarantees.
+"""Compiled walk kernels: parity and fallback guarantees.
 
 The contract under test is strict *bitwise* parity: every RNG draw stays
 in the Python driver in a fixed order, so a compiled backend must emit
@@ -15,7 +15,6 @@ from repro.core.pipeline import generate_walk_result
 from repro.errors import ConfigError, WalkError
 from repro.graph import generators
 from repro.sampling.base import NO_EDGE
-from repro.walks import parallel as par
 from repro.walks.kernels import (
     KERNEL_REGISTRY,
     available_backends,
@@ -214,69 +213,3 @@ def test_mh_last_w_cache_matches_static_weights(weighted_graph):
     )
     # never a cached weight without a cached edge
     assert np.isnan(chains.last_w[~live]).all()
-
-
-# ---------------------------------------------------------------------------
-# shared-memory parallel transport
-# ---------------------------------------------------------------------------
-
-def test_parallel_worker_count_invariance(weighted_graph):
-    corpora = [
-        par.parallel_generate(
-            weighted_graph, "deepwalk", num_walks=2, walk_length=10,
-            sampler="alias", seed=5, num_workers=k, shard_walks=64,
-        )
-        for k in (1, 2, 4)
-    ]
-    for other in corpora[1:]:
-        np.testing.assert_array_equal(corpora[0].walks, other.walks)
-        np.testing.assert_array_equal(corpora[0].lengths, other.lengths)
-
-
-@needs_compiled
-def test_parallel_compiled_backend_matches_numpy(weighted_graph):
-    ref = par.parallel_generate(
-        weighted_graph, "node2vec", num_walks=2, walk_length=10,
-        sampler="rejection", seed=6, num_workers=1, p=0.25, q=4.0,
-    )
-    got = par.parallel_generate(
-        weighted_graph, "node2vec", num_walks=2, walk_length=10,
-        sampler="rejection", seed=6, num_workers=2, p=0.25, q=4.0,
-        engine_kwargs={"backend": COMPILED[0]},
-    )
-    np.testing.assert_array_equal(ref.walks, got.walks)
-
-
-def test_parallel_pickle_fallback_when_shm_unavailable(weighted_graph, monkeypatch):
-    def broken(segments, graph):
-        raise OSError("no /dev/shm here")
-
-    monkeypatch.setattr(par, "_export_shared_graph", broken)
-    got = par.parallel_generate(
-        weighted_graph, "deepwalk", num_walks=2, walk_length=10,
-        sampler="alias", seed=5, num_workers=2, shard_walks=64,
-    )
-    ref = par.parallel_generate(
-        weighted_graph, "deepwalk", num_walks=2, walk_length=10,
-        sampler="alias", seed=5, num_workers=1, shard_walks=64,
-    )
-    np.testing.assert_array_equal(ref.walks, got.walks)
-
-
-def test_shared_graph_round_trip(weighted_graph):
-    """Export + attach reproduces the CSR arrays bit for bit, zero-copy."""
-    segments = []
-    try:
-        payload = par._export_shared_graph(segments, weighted_graph)
-        assert payload[0] == "shm"
-        graph, worker_segments = par._attach_shared_graph(payload[1], payload[2])
-        try:
-            np.testing.assert_array_equal(graph.offsets, weighted_graph.offsets)
-            np.testing.assert_array_equal(graph.targets, weighted_graph.targets)
-            np.testing.assert_array_equal(graph.weights, weighted_graph.weights)
-            assert graph.num_nodes == weighted_graph.num_nodes
-        finally:
-            del graph
-            par._release_segments(worker_segments, unlink=False)
-    finally:
-        par._release_segments(segments, unlink=True)

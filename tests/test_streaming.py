@@ -1,33 +1,26 @@
 """Streaming shard pipeline: bounded-memory walk→train.
 
-Covers the four layers of the streaming refactor:
+Covers the three layers of streaming:
 
 * trainer — ``build_vocab`` / ``partial_fit`` / ``finalize`` parity with
   monolithic :meth:`Word2Vec.fit` for *any* shard boundaries;
-* walks — ``generate_stream`` ≡ ``generate``, ``WalkShardStream``
-  semantics, corpus memory accounting;
-* parallel — seed-for-seed determinism regardless of worker count and
-  shard arrival order;
+* walks — ``generate_stream`` ≡ ``generate``, corpus memory accounting;
 * core — ``StreamingConfig`` plumbing through the pipeline, ``UniNet``,
-  ``RunSpec`` and the CLI, overlap equivalence, bounded peak bytes.
+  ``RunSpec`` and the CLI, the prefetching iterator behind ``overlap``,
+  overlap equivalence, bounded peak bytes.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
-from repro.core.pipeline import train_pipeline
+from repro.core.pipeline import _prefetch, train_pipeline
 from repro.embedding import Word2Vec
 from repro.errors import TrainingError, WalkError
-from repro.walks import (
-    VectorizedWalkEngine,
-    WalkCorpus,
-    WalkShardStream,
-    parallel_generate,
-    parallel_generate_stream,
-)
+from repro.walks import VectorizedWalkEngine, WalkCorpus
 
 
 @pytest.fixture
@@ -35,6 +28,18 @@ def graph_and_corpus(small_unweighted_graph):
     engine = VectorizedWalkEngine(small_unweighted_graph, "deepwalk", sampler="mh", seed=11)
     corpus = engine.generate(num_walks=3, walk_length=16)
     return small_unweighted_graph, corpus
+
+
+def row_slices(corpus, shard_walks):
+    """The corpus as zero-copy shards of ``shard_walks`` rows each."""
+    return [
+        WalkCorpus(corpus.walks[lo : lo + shard_walks], corpus.lengths[lo : lo + shard_walks])
+        for lo in range(0, corpus.num_walks, shard_walks)
+    ]
+
+
+def producer_threads():
+    return [t for t in threading.enumerate() if t.name == "walk-producer"]
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +52,11 @@ class TestStreamedTrainingParity:
         kv_mono = Word2Vec(dimensions=12, epochs=2, seed=5, block_walks=64).fit(
             corpus, num_nodes=graph.num_nodes
         )
-        stream = WalkShardStream.from_corpus(
-            corpus, num_nodes=graph.num_nodes, shard_walks=shard_walks
+        kv_stream = Word2Vec(dimensions=12, epochs=2, seed=5, block_walks=64).fit_stream(
+            row_slices(corpus, shard_walks),
+            counts=corpus.node_frequencies(graph.num_nodes),
+            total_walks=corpus.num_walks,
         )
-        kv_stream = Word2Vec(dimensions=12, epochs=2, seed=5, block_walks=64).fit_stream(stream)
         assert np.array_equal(kv_mono.vectors, kv_stream.vectors)
         assert np.array_equal(kv_mono.keys, kv_stream.keys)
 
@@ -77,10 +83,11 @@ class TestStreamedTrainingParity:
         graph, corpus = graph_and_corpus
         kwargs = dict(dimensions=8, seed=9, block_walks=37, subsample=1e-2, mode="cbow")
         kv_mono = Word2Vec(**kwargs).fit(corpus, num_nodes=graph.num_nodes)
-        stream = WalkShardStream.from_corpus(
-            corpus, num_nodes=graph.num_nodes, shard_walks=29
+        kv_stream = Word2Vec(**kwargs).fit_stream(
+            row_slices(corpus, 29),
+            counts=corpus.node_frequencies(graph.num_nodes),
+            total_walks=corpus.num_walks,
         )
-        kv_stream = Word2Vec(**kwargs).fit_stream(stream)
         assert np.array_equal(kv_mono.vectors, kv_stream.vectors)
 
     def test_partial_fit_requires_build_vocab(self, graph_and_corpus):
@@ -108,7 +115,7 @@ class TestStreamedTrainingParity:
 
 
 # ---------------------------------------------------------------------------
-# walks: stream generation and shard-stream protocol
+# walks: stream generation
 # ---------------------------------------------------------------------------
 class TestGenerateStream:
     def test_wave_shards_reproduce_generate(self, small_unweighted_graph):
@@ -143,50 +150,6 @@ class TestGenerateStream:
             list(engine.generate_stream(shard_walks=0))
 
 
-class TestWalkShardStream:
-    def test_reiterable_counts_then_trains(self, graph_and_corpus):
-        graph, corpus = graph_and_corpus
-        stream = WalkShardStream.from_corpus(
-            corpus, num_nodes=graph.num_nodes, shard_walks=50
-        )
-        assert stream.reiterable
-        counts = stream.node_frequencies()
-        assert np.array_equal(counts, corpus.node_frequencies(graph.num_nodes))
-        # second pass still works
-        assert stream.materialize().token_count == corpus.token_count
-
-    def test_one_shot_stream_guards_reuse(self, graph_and_corpus):
-        __, corpus = graph_and_corpus
-        stream = WalkShardStream([corpus], num_nodes=200)
-        assert not stream.reiterable
-        assert sum(s.num_walks for s in stream) == corpus.num_walks
-        with pytest.raises(WalkError):
-            list(stream)
-
-    def test_fit_stream_without_counts_needs_protocol(self, graph_and_corpus):
-        __, corpus = graph_and_corpus
-        with pytest.raises(TrainingError):
-            Word2Vec(dimensions=4).fit_stream(iter([corpus]))
-
-    def test_fit_stream_one_shot_without_counts_rejected_upfront(self, graph_and_corpus):
-        """The counting pass must not silently consume a one-shot stream."""
-        __, corpus = graph_and_corpus
-        stream = WalkShardStream([corpus], num_nodes=200)
-        with pytest.raises(TrainingError, match="re-iterable"):
-            Word2Vec(dimensions=4).fit_stream(stream)
-        # the stream was not consumed by the failed call
-        assert sum(s.num_walks for s in stream) == corpus.num_walks
-
-    def test_fit_stream_one_shot_with_counts_ok(self, graph_and_corpus):
-        graph, corpus = graph_and_corpus
-        kv = Word2Vec(dimensions=4, seed=1).fit_stream(
-            WalkShardStream([corpus], num_nodes=graph.num_nodes),
-            counts=corpus.node_frequencies(graph.num_nodes),
-            total_walks=corpus.num_walks,
-        )
-        assert len(kv) > 0
-
-
 class TestCorpusMemoryAccounting:
     def test_nbytes(self):
         corpus = WalkCorpus.from_lists([[0, 1, 2], [1, 2]])
@@ -218,60 +181,6 @@ class TestCorpusMemoryAccounting:
 
 
 # ---------------------------------------------------------------------------
-# parallel: worker-count and arrival-order determinism
-# ---------------------------------------------------------------------------
-class TestParallelDeterminism:
-    def test_same_seed_same_corpus_any_worker_count(self, small_unweighted_graph):
-        corpora = [
-            parallel_generate(
-                small_unweighted_graph, "deepwalk",
-                num_walks=1, walk_length=8, num_workers=workers, seed=13,
-            )
-            for workers in (1, 2, 3)
-        ]
-        for other in corpora[1:]:
-            assert np.array_equal(corpora[0].walks, other.walks)
-            assert np.array_equal(corpora[0].lengths, other.lengths)
-
-    def test_arrival_order_does_not_change_merge(self, small_unweighted_graph):
-        pairs = list(
-            parallel_generate_stream(
-                small_unweighted_graph, "deepwalk",
-                num_walks=1, walk_length=8, num_workers=1, seed=13, shard_walks=20,
-            )
-        )
-        assert len(pairs) > 1
-        # merge in reversed arrival order, sorting by shard index — the
-        # canonical corpus must come out regardless
-        reordered = sorted(reversed(pairs), key=lambda p: p[0])
-        merged = WalkCorpus.merge([c for __, c in reordered])
-        reference = parallel_generate(
-            small_unweighted_graph, "deepwalk",
-            num_walks=1, walk_length=8, num_workers=2, seed=13, shard_walks=20,
-        )
-        assert np.array_equal(merged.walks, reference.walks)
-
-    def test_stream_in_order_yields_plan_order(self, small_unweighted_graph):
-        indices = [
-            index
-            for index, __ in parallel_generate_stream(
-                small_unweighted_graph, "deepwalk",
-                num_walks=1, walk_length=6, num_workers=2, seed=3,
-                shard_walks=25, in_order=True,
-            )
-        ]
-        assert indices == sorted(indices)
-
-    def test_shard_walks_validated(self, small_unweighted_graph):
-        with pytest.raises(WalkError):
-            list(
-                parallel_generate_stream(
-                    small_unweighted_graph, "deepwalk", seed=1, shard_walks=0
-                )
-            )
-
-
-# ---------------------------------------------------------------------------
 # core: config, pipeline, spec, CLI
 # ---------------------------------------------------------------------------
 class TestStreamingConfig:
@@ -293,6 +202,43 @@ class TestStreamingConfig:
         cfg = StreamingConfig(max_corpus_bytes=8 * 81 * 5)
         assert cfg.resolve_shard_walks(80, 1000) == 5
         assert StreamingConfig().resolve_shard_walks(80, 1000) == 1000
+
+
+class TestPrefetch:
+    """The iterator ``overlap=True`` wraps round the shard source."""
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_items_arrive_in_order(self, depth):
+        assert list(_prefetch(iter(range(50)), depth)) == list(range(50))
+        assert not producer_threads()
+
+    def test_producer_error_follows_the_items_before_it(self):
+        def items():
+            yield from range(5)
+            raise ValueError("producer died")
+
+        got = []
+        with pytest.raises(ValueError, match="producer died"):
+            for item in _prefetch(items(), 2):
+                got.append(item)
+        assert got == list(range(5))
+        assert not producer_threads()
+
+    def test_closing_mid_stream_reaps_the_thread(self):
+        produced = []
+
+        def items():
+            for i in range(10_000):
+                produced.append(i)
+                yield i
+
+        ahead = _prefetch(items(), 2)
+        assert [next(ahead), next(ahead)] == [0, 1]
+        assert producer_threads()
+        ahead.close()
+        assert not producer_threads()
+        # the producer stopped where the bounded queue held it, not at the end
+        assert len(produced) < 10
 
 
 class TestStreamingPipeline:
@@ -342,8 +288,6 @@ class TestStreamingPipeline:
         self, small_unweighted_graph, configs, monkeypatch
     ):
         """A mid-stream trainer crash must not strand the walk producer."""
-        import threading
-
         walk_cfg, train_cfg = configs
         calls = {"n": 0}
         original = Word2Vec.partial_fit
@@ -360,7 +304,7 @@ class TestStreamingPipeline:
                 small_unweighted_graph, "deepwalk", walk_cfg, train_cfg, seed=1,
                 streaming=StreamingConfig(shard_walks=20, overlap=True, queue_shards=1),
             )
-        assert not any(t.name == "walk-producer" for t in threading.enumerate())
+        assert not producer_threads()
 
     def test_skip_learning_ignores_streaming(self, small_unweighted_graph, configs):
         walk_cfg, train_cfg = configs
