@@ -1,13 +1,30 @@
-"""Shared fixtures: small deterministic graphs used across the suite."""
+"""Shared fixtures: small deterministic graphs used across the suite,
+and the Hypothesis profiles.
+
+Tier-1 is a function of the source: the ``tier1`` profile, loaded here
+by default, derives every property's examples from the test itself
+(``derandomize``) and keeps no example database, so a red run
+reproduces from the commit alone and a green one cannot be turned red
+by a ``.hypothesis/`` directory left by an earlier run. The search for
+new counterexamples is the ``randomised`` profile's job (CI leg
+``property-search``): ``--hypothesis-profile randomised
+--hypothesis-seed N``, the seed printed so a failure can be replayed;
+what it finds is pinned as an ``@example`` on the property.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import generators
 from repro.graph.builder import from_edge_arrays
 from repro.graph.hetero import academic_graph, assign_random_types
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("randomised", derandomize=False, database=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

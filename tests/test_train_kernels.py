@@ -8,9 +8,24 @@ the dtype before anything was measured: float results, which differ by
 summation order (``einsum``/scipy choose their own) and the last ulp of
 ``exp``/``log``.
 
-* one batch: ``|Δw| <= eps32 * dim * max(1, max|w|)`` (:func:`batch_tol`);
-  a float32 dot product of ``dim`` terms carries about that error and
-  the final ``w += step`` rounds to one ulp of ``w``;
+* one batch: ``|Δw| <= eps32 * max(dim, n) * max(1, max|w|)``
+  (:func:`batch_tol`), ``n`` being the number of contributions summed
+  into the busiest row of the batch (:func:`busiest_row`). Two sums feed
+  a row and each gets its term. A float32 dot product of ``dim`` terms
+  carries about ``eps32 * dim * max|w|`` and the final ``w += step``
+  rounds to one ulp of ``w``: the ``dim`` term. The row's step is then
+  the sum of ``n`` contributions ``coefficient * vector``, one per
+  (group, target) pair that names the row; each is a float32 product
+  whose coefficient (a sigmoid) differs between reference and kernel in
+  the last ulp of ``exp``, so each carries up to ``eps32 * lr * max|w|``
+  of its own, and in the worst case those add: ``eps32 * n * max|w|``
+  with ``lr <= 1``. The accumulator is float64 on both sides, so the
+  *order* of the ``n`` additions costs nothing measurable; the count
+  does. Until PR 21 the bound had the first term only, which is the
+  whole of it when ``n <= dim`` and misses the second when a tiny
+  vocabulary sends every contribution to one row (``vocab=1, dim=1``:
+  168 of them, 1.5 ulp observed against a bound of 1). The two examples
+  pinned on the property below are those recorded failures;
 * one batch's loss, a float32 mean of k terms in the reference:
   relative ``1e-5`` (eps32 × log2 k ≲ 2e-6);
 * a whole fit: cosine of matched rows ≥ 0.9999 and equal micro-F1 to 3
@@ -39,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.embedding.kernels as kernels
@@ -54,8 +69,23 @@ EPS32 = float(np.finfo(np.float32).eps)
 LOSS_RTOL = 1e-5
 
 
-def batch_tol(dim, *weights):
-    return EPS32 * dim * max(1.0, max(float(np.abs(w).max()) for w in weights))
+def busiest_row(batch, neg):
+    """How many contributions the batch sums into its busiest row: each
+    occurrence of an input row receives ``1 + negative`` (one per
+    target of its group), an output row one per positive or negative
+    hit."""
+    vocab = batch["w_in"].shape[0]
+    per_in = np.bincount(batch["in_rows"], minlength=vocab) * (1 + neg.shape[1])
+    per_out = np.bincount(batch["out_pos"], minlength=vocab) + np.bincount(
+        neg.ravel(), minlength=vocab
+    )
+    return int(max(per_in.max(initial=0), per_out.max(initial=0)))
+
+
+def batch_tol(terms, *weights):
+    """``terms``: the longer of the two sums behind one weight, the dot
+    product (``dim``) and the row's contributions (module docstring)."""
+    return EPS32 * terms * max(1.0, max(float(np.abs(w).max()) for w in weights))
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +163,7 @@ def assert_batch_parity(kernel, batch, max_row_step, *, must_move=True):
     c_in, c_out, c_loss, c_neg = run_kernel(kernel, batch, max_row_step)
     assert np.array_equal(c_neg, ref_neg)
     dim = batch["w_in"].shape[1]
-    tol = batch_tol(dim, ref_in, ref_out)
+    tol = batch_tol(max(dim, busiest_row(batch, ref_neg)), ref_in, ref_out)
     assert np.abs(c_in - ref_in).max() <= tol
     assert np.abs(c_out - ref_out).max() <= tol
     assert c_loss == pytest.approx(ref_loss, rel=LOSS_RTOL)
@@ -282,6 +312,9 @@ class TestOneBatchParity:
         clip=st.sampled_from([None, 0.25]),
         seed=st.integers(0, 2**16),
     )
+    # the two recorded failures of the dim-only bound (module docstring)
+    @example(vocab=1, dim=1, groups=42, negative=3, duplication=0.0, mode="skipgram", clip=None, seed=76)
+    @example(vocab=1, dim=1, groups=56, negative=5, duplication=0.0, mode="skipgram", clip=None, seed=59)
     def test_property(self, kernel, vocab, dim, groups, negative, duplication, mode, clip, seed):
         hot = round(vocab * (1.0 - duplication))
         batch = make_batch(seed, vocab, dim, groups, negative, mode, hot=hot)
