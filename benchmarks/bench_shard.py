@@ -1,8 +1,8 @@
 """Sharded execution: walks/sec and query QPS vs shard count.
 
 The scale-out record behind :mod:`repro.sharding`: the partitioned walk
-engine and the scatter-gather query router, swept over shard counts on
-one Table VII network. Two regressions are guarded on every row before
+engine and scatter-gather queries (``QueryService(index="sharded")``),
+swept over shard counts on one Table VII network. Two regressions are guarded on every row before
 any throughput is reported:
 
 * the sharded corpus is asserted **bitwise identical** to the monolithic
@@ -11,7 +11,10 @@ any throughput is reported:
   monolithic :class:`~repro.serving.service.QueryService` answers.
 
 Results go to ``benchmarks/results/BENCH_shard.json`` (one run record
-per scale; re-runs at the same scale replace their record) and to the
+per scale, labelled with its commit; re-runs at the same scale replace
+their record; with ``BENCH_SHARD_PARENT`` naming the ``BENCH_shard.json``
+a checkout of the parent commit wrote, its ``query_qps`` is recorded
+beside each row as ``parent_query_qps``) and to the
 ``shard_scaling`` table. Inline rows share one process, so walks/sec is
 expected to stay near the monolithic line while the migration-rate and
 imbalance columns record the *distribution* costs a multi-host
@@ -33,11 +36,11 @@ import os
 
 import numpy as np
 
-from _common import RESULTS_DIR, record_table, timed
+from _common import RESULTS_DIR, commit_label, record_table, timed
 from repro.graph import datasets
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
-from repro.sharding import ScatterGatherRouter, ShardedWalkEngine, build_shard_plan
+from repro.sharding import ShardedWalkEngine, build_shard_plan
 from repro.walks.vectorized import VectorizedWalkEngine
 
 SHARD_SCALE = float(os.environ.get("BENCH_SHARD_SCALE", "0.3"))
@@ -75,19 +78,33 @@ def _walk_run(graph, num_shards, partitioner, transport="inline"):
     return corpus, best, stats
 
 
-def _query_run(router, keys):
-    """Best-of-``SHARD_REPEATS`` scatter-gather QPS over uncached batches
-    (the routers here are built with ``cache_size=0``)."""
-    best = math.inf
+def _sharded_service(store, plan):
+    return QueryService(store, index="sharded", owner=plan, cache_size=0)
+
+
+def _query_run(service, keys):
+    """Scatter-gather QPS of each of ``SHARD_REPEATS`` passes over uncached
+    batches (the services here are built with ``cache_size=0``), best
+    first: the best is the row's ``query_qps``, the rest its spread."""
+    qps = []
     for __ in range(SHARD_REPEATS):
         __, seconds = timed(
             lambda: [
-                router.most_similar_batch(keys[r::QUERY_ROUNDS], topn=TOPN)
+                service.most_similar_batch(keys[r::QUERY_ROUNDS], topn=TOPN)
                 for r in range(QUERY_ROUNDS)
             ]
         )
-        best = min(best, seconds)
-    return keys.size / best
+        qps.append(round(keys.size / seconds, 1))
+    return sorted(qps, reverse=True)
+
+
+def _parent_query_qps():
+    """``{num_shards: query_qps}`` of the same scale in the parent's record."""
+    path = os.environ.get("BENCH_SHARD_PARENT")
+    if not path:
+        return {}
+    run = next(r for r in json.loads(open(path).read())["runs"] if r["scale"] == SHARD_SCALE)
+    return {e["num_shards"]: e["query_qps"] for e in run["entries"] if "query_qps" in e}
 
 
 def _record_bench_shard(record):
@@ -129,9 +146,8 @@ def test_shard_scaling():
         service.most_similar_batch(keys[r::QUERY_ROUNDS], topn=TOPN)
         for r in range(QUERY_ROUNDS)
     ]
-    mono_qps = _query_run(
-        ScatterGatherRouter(store, plan=build_shard_plan(graph, 1), cache_size=0), keys
-    )
+    mono_qps = _query_run(_sharded_service(store, build_shard_plan(graph, 1)), keys)[0]
+    parent_qps = _parent_query_qps()
 
     entries, rows = [], []
     for num_shards in SHARD_COUNTS:
@@ -140,13 +156,14 @@ def test_shard_scaling():
         np.testing.assert_array_equal(ref.lengths, corpus.lengths)
 
         plan = build_shard_plan(graph, num_shards, "degree_balanced")
-        router = ScatterGatherRouter(store, plan=plan, cache_size=0)
+        sharded = _sharded_service(store, plan)
         got = [
-            router.most_similar_batch(keys[r::QUERY_ROUNDS], topn=TOPN)
+            sharded.most_similar_batch(keys[r::QUERY_ROUNDS], topn=TOPN)
             for r in range(QUERY_ROUNDS)
         ]
         assert got == expected
-        qps = _query_run(router, keys)
+        qps_repeats = _query_run(sharded, keys)
+        qps = qps_repeats[0]
 
         entries.append({
             "num_shards": num_shards,
@@ -154,7 +171,9 @@ def test_shard_scaling():
             "transport": "inline",
             "walk_seconds": round(seconds, 4),
             "walks_per_sec": round(num_walks_total / seconds, 1),
-            "query_qps": round(qps, 1),
+            "query_qps": qps,
+            "query_qps_repeats": qps_repeats,
+            **({"parent_query_qps": parent_qps[num_shards]} if num_shards in parent_qps else {}),
             "migration_rate": round(stats["migration_rate"], 4),
             "migrated_walkers": int(stats["migrated_walkers"]),
             "boundary_edges": int(stats["boundary_edges"]),
@@ -167,7 +186,7 @@ def test_shard_scaling():
             "shards": num_shards,
             "transport": "inline",
             "walks/s": round(num_walks_total / seconds, 1),
-            "query QPS": round(qps, 1),
+            "query QPS": qps,
             "migration rate": f"{stats['migration_rate']:.3f}",
             "wire MB/round": "-",
         })
@@ -209,6 +228,7 @@ def test_shard_scaling():
 
     record = {
         "scale": SHARD_SCALE,
+        "commit": commit_label(RESULTS_DIR.parent.parent),
         "network": "twitter",
         "num_nodes": int(graph.num_nodes),
         "num_edges": int(graph.num_edge_entries),

@@ -2,9 +2,10 @@
 
 The :mod:`repro.sharding` subsystem runs the walk phase across graph
 partitions — one worker per shard, walkers migrating KnightKing-style
-when they step across a partition boundary — and serves similarity
-queries by scatter-gathering per-shard top-k lists. The contract this
-example demonstrates end to end:
+when they step across a partition boundary. The read path shards by
+the same plan: ``index="sharded"`` on the one query front-end splits the
+store by node ownership, scans each part and merges the parts' top-k
+lists. The contract this example demonstrates end to end:
 
 * the sharded corpus (and therefore the trained embeddings) is
   **bitwise identical** to the monolithic engine at any shard count,
@@ -20,8 +21,6 @@ import numpy as np
 
 from repro import UniNet, build_shard_plan, datasets
 from repro.harness.tables import print_table
-from repro.serving.service import QueryService
-from repro.sharding import ScatterGatherRouter
 
 
 def main():
@@ -59,17 +58,16 @@ def main():
         title="UniNet.train(sharding={...}) vs monolithic (same seed)",
     )
 
-    # --- scatter-gather queries over per-shard stores -------------------
-    store = baseline.embeddings.to_store()
+    # --- scatter-gather queries: an index like any other ----------------
     plan = build_shard_plan(graph, 4, "degree_balanced")
-    router = ScatterGatherRouter(store, plan=plan)
-    service = QueryService(store, index="bruteforce", cache_size=0)
+    sharded = net.serve(baseline.embeddings, index="sharded", owner=plan)
+    service = net.serve(baseline.embeddings, index="bruteforce")
     keys = list(range(0, graph.num_nodes, 97))
-    assert router.most_similar_batch(keys, topn=5) == service.most_similar_batch(
+    assert sharded.most_similar_batch(keys, topn=5) == service.most_similar_batch(
         keys, topn=5
     ), "scatter-gather diverged from the monolithic service"
-    print(f"scatter-gather over 4 shards: exact top-5 parity on "
-          f"{len(keys)} queries ({router.stats()['fanouts']} shard fanouts)")
+    print(f"scatter-gather over {len(sharded.index.parts)} parts: exact top-5 "
+          f"parity on {len(keys)} queries")
     print("\nSame numbers, any shard count — partitioning is a deployment "
           "choice, not a model change.")
 

@@ -22,13 +22,12 @@ The public surface mirrors the paper's architecture:
   Theorems 1-3 and Figure 1.
 * :mod:`repro.serving` — the read path: memory-mapped
   :class:`~repro.serving.store.EmbeddingStore` files, the pluggable ANN
-  index family (bruteforce / IVF), and the batching
-  :class:`~repro.serving.service.QueryService`.
+  index family (bruteforce / IVF / sharded scatter-gather), and the
+  batching :class:`~repro.serving.service.QueryService`.
 * :mod:`repro.sharding` — the scale-out layer: registry-pluggable graph
-  partitioners, the :class:`~repro.sharding.engine.ShardedWalkEngine`
+  partitioners and the :class:`~repro.sharding.engine.ShardedWalkEngine`
   (one worker per shard, KnightKing-style walker migration, bitwise
-  parity with the monolithic engine), and scatter-gather similarity
-  queries over per-shard embedding stores.
+  parity with the monolithic engine).
 * :mod:`repro.registry` — the plugin layer: every component family
   (models, samplers, initializers) is a :class:`~repro.registry.Registry`
   that third-party code extends with ``@register_model`` /
@@ -69,8 +68,6 @@ _LAZY_ATTRS = {
     "StreamingConfig": ("repro.core.config", "StreamingConfig"),
     "ShardingConfig": ("repro.core.config", "ShardingConfig"),
     "ShardedWalkEngine": ("repro.sharding.engine", "ShardedWalkEngine"),
-    "ShardedEmbeddingStore": ("repro.sharding.store", "ShardedEmbeddingStore"),
-    "ScatterGatherRouter": ("repro.sharding.router", "ScatterGatherRouter"),
     "ShardPlan": ("repro.sharding.partitioner", "ShardPlan"),
     "build_shard_plan": ("repro.sharding.partitioner", "build_shard_plan"),
     "register_partitioner": ("repro.sharding.partitioner", "register_partitioner"),
@@ -81,7 +78,6 @@ _LAZY_ATTRS = {
     "UpdatesSpec": ("repro.core.spec", "UpdatesSpec"),
     "UpdateResult": ("repro.core.uninet", "UpdateResult"),
     "GraphDelta": ("repro.graph.delta", "GraphDelta"),
-    "DynamicGraph": ("repro.graph.delta", "DynamicGraph"),
     "load_deltas": ("repro.graph.delta", "load_deltas"),
     "save_deltas": ("repro.graph.delta", "save_deltas"),
     "EmbeddingStore": ("repro.serving.store", "EmbeddingStore"),

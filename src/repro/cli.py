@@ -20,6 +20,9 @@ built from flags: :data:`_FLAGS` maps each flag to the
 :class:`~repro.core.spec.RunSpec` key it sets, its argparse type,
 default, ``choices`` and ``nargs`` are read from the dataclass field at
 that key, and the verb hands the spec to :func:`repro.core.runner.run`.
+``serve``, ``query`` and ``export-store`` run no spec but take their
+``serving.*`` flags from the same table, and the first two hand them to
+:meth:`~repro.serving.config.ServingSpec.build`.
 A new config field is reachable through ``run --set`` at once and gets a
 dedicated flag with one :data:`_FLAGS` line. Model flags (``--p``,
 ``--q``, ``--metapath``, ...) are generated the same way from each
@@ -136,6 +139,19 @@ _FLAGS = {
     "--no-retrain": ("updates.retrain", "apply deltas only; skip the incremental re-embedding"),
     "--update-num-walks": ("updates.num_walks", "walks per affected node per refresh (default: --num-walks)"),
     "--update-walk-length": ("updates.walk_length", "walk length per refresh (default: --walk-length)"),
+    "--codec": ("serving.codec", "store compression: float32 (exact), int8 (4x), pq (~16x at d=128)"),
+    "--topn": ("serving.topn", "neighbours per query"),
+    "--index": ("serving.index", "ANN index: bruteforce (exact) or ivf (approximate)"),
+    "--cache-size": ("serving.cache_size", "LRU result-cache entries"),
+    "--max-batch": ("serving.server.max_batch", "most requests coalesced into one index scan"),
+    "--max-wait-us": (
+        "serving.server.max_wait_us",
+        "microseconds the dispatcher waits for more requests after the first",
+    ),
+    "--queue-size": (
+        "serving.server.queue_size",
+        "pending-request bound; beyond it requests are load-shed ('overloaded')",
+    ),
 }
 _WALK_SECTIONS = ("graph", "model", "walk", "sharding")
 #: The spec-building verbs and the RunSpec sections each one has flags for.
@@ -145,6 +161,13 @@ _VERB_SECTIONS = {
     "train": (*_WALK_SECTIONS, "train", "streaming"),
     "classify": (*_WALK_SECTIONS, "train", "evaluation"),
     "update": (*_WALK_SECTIONS, "train", "updates"),
+}
+#: The verbs that open or write a store take the ``serving.*`` flags
+#: that apply to them, not the whole section.
+_STORE_VERB_FLAGS = {
+    "export-store": ("--codec",),
+    "query": ("--topn", "--index"),
+    "serve": ("--index", "--cache-size", "--max-batch", "--max-wait-us", "--queue-size"),
 }
 #: Flag defaults that intentionally differ from the dataclass field's
 #: ("*": every verb). ``None`` reads "not given": ``--shards`` switches
@@ -158,6 +181,8 @@ _VERB_DEFAULTS = {
 
 def _verb_flags(verb: str) -> list[str]:
     """The :data:`_FLAGS` entries ``verb`` takes."""
+    if verb in _STORE_VERB_FLAGS:
+        return list(_STORE_VERB_FLAGS[verb])
     return [flag for flag, (paths, __) in _FLAGS.items() if paths.split(".")[0] in _VERB_SECTIONS[verb]]
 
 
@@ -178,11 +203,13 @@ def _flag_kwargs(verb: str, flag: str) -> dict:
 
 def _add_spec_flags(parser, verb: str) -> None:
     """Add ``verb``'s :data:`_FLAGS` entries, and the model flags with ``--model``."""
-    source = parser.add_mutually_exclusive_group(required=True)
-    for flag in _verb_flags(verb):
+    flags = _verb_flags(verb)
+    # a graph source is required of the verbs that take one
+    source = parser.add_mutually_exclusive_group(required=True) if "--dataset" in flags else None
+    for flag in flags:
         target = source if flag in ("--dataset", "--edge-list") else parser
         target.add_argument(flag, **_flag_kwargs(verb, flag))
-    if "model" not in _VERB_SECTIONS[verb]:
+    if "model" not in _VERB_SECTIONS.get(verb, ()):
         return
     for pname, pspec in sorted(_cli_param_specs().items()):
         parser.add_argument(
@@ -351,36 +378,40 @@ def _cmd_export_store(args) -> int:
     return 0
 
 
-def _add_index_flags(parser) -> None:
-    """``--index/--nlist/--nprobe``, shared by the verbs that open a store."""
-    parser.add_argument(
-        "--index", default="bruteforce",
-        help="ANN index: bruteforce (exact) or ivf (approximate)",
-    )
+def _add_store_flags(parser, verb: str) -> None:
+    """``--store``, the verb's ``serving.*`` flags and the ivf constructor parameters."""
+    parser.add_argument("--store", required=True, help="EmbeddingStore file (from export-store)")
+    _add_spec_flags(parser, verb)
     parser.add_argument("--nlist", type=int, default=None, help="ivf: number of cells")
     parser.add_argument("--nprobe", type=int, default=None, help="ivf: cells scanned per query")
 
 
-def _index_params(args) -> dict:
-    """Index constructor keywords for the ``_add_index_flags`` flags that were given."""
+def _open_and_build(args, **address):
+    """``(store, what ServingSpec.build makes of the flags over it)`` for a
+    store verb; ``None`` once a :class:`~repro.errors.ReproError` has been printed."""
+    from repro.serving import EmbeddingStore
+
     given = {"nlist": args.nlist, "nprobe": args.nprobe}
-    return {name: value for name, value in given.items() if value is not None}
+    index_params = {name: value for name, value in given.items() if value is not None}
+    server = {} if args.command == "serve" else None  # a server block with the defaults
+    base = {"serving": {"index_params": index_params, "server": server}}
+    try:
+        store = EmbeddingStore.open(args.store)
+        return store, RunSpec.from_dict(_verb_spec(args, base)).serving.build(store, **address)
+    except (ReproError, TypeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
 
 
 def _cmd_query(args) -> int:
-    from repro.errors import ServingError
-    from repro.serving import EmbeddingStore, QueryService
-
-    try:
-        store = EmbeddingStore.open(args.store)
-    except ServingError as err:
-        print(f"error: {err}", file=sys.stderr)
+    opened = _open_and_build(args)
+    if opened is None:
         return 2
+    store, service = opened
     try:
-        service = QueryService(store, index=args.index, **_index_params(args))
         keys = args.keys if args.keys else [int(k) for k in store.keys[: args.batch]]
         results = service.most_similar_batch(keys, topn=args.topn)
-    except (ServingError, TypeError) as err:
+    except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     rows = [
@@ -407,29 +438,10 @@ def _cmd_query(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.errors import ServingError
-    from repro.serving import EmbeddingStore, QueryServer
-
-    try:
-        store = EmbeddingStore.open(args.store)
-    except ServingError as err:
-        print(f"error: {err}", file=sys.stderr)
+    opened = _open_and_build(args, host=args.host, port=args.port)
+    if opened is None:
         return 2
-    try:
-        server = QueryServer(
-            store,
-            index=args.index,
-            cache_size=args.cache_size,
-            max_batch=args.max_batch,
-            max_wait_us=args.max_wait_us,
-            queue_size=args.queue_size,
-            host=args.host,
-            port=args.port,
-            **_index_params(args),
-        )
-    except ReproError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    store, server = opened
 
     async def run_server() -> dict:
         await server.start_tcp()
@@ -649,10 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--vectors", required=True, help="KeyedVectors .npz (from train)")
     export.add_argument("--output", required=True, help="store file to write")
-    export.add_argument(
-        "--codec", default="float32",
-        help="store compression: float32 (exact), int8 (4x), pq (~16x at d=128)",
-    )
+    _add_spec_flags(export, "export-store")
     export.add_argument(
         "--pq-m", type=int, default=16, metavar="M",
         help="pq: subspaces / bytes per vector (lowered to a divisor of dim)",
@@ -673,37 +682,21 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser(
         "query", help="batched top-k similarity queries against an embedding store"
     )
-    query.add_argument("--store", required=True, help="EmbeddingStore file (from export-store)")
+    _add_store_flags(query, "query")
     query.add_argument(
         "--keys", type=int, nargs="+",
         help="node ids to query (default: the first --batch keys in the store)",
     )
     query.add_argument("--batch", type=int, default=8, help="default query-batch size")
-    query.add_argument("--topn", type=int, default=10)
-    _add_index_flags(query)
     query.set_defaults(func=_cmd_query)
 
     serve = sub.add_parser(
         "serve",
         help="run the micro-batching TCP query server over an embedding store",
     )
-    serve.add_argument("--store", required=True, help="EmbeddingStore file (from export-store)")
+    _add_store_flags(serve, "serve")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7531, help="TCP port (0 picks a free one)")
-    _add_index_flags(serve)
-    serve.add_argument("--cache-size", type=int, default=4096, help="LRU result-cache entries")
-    serve.add_argument(
-        "--max-batch", type=int, default=64,
-        help="most requests coalesced into one index scan",
-    )
-    serve.add_argument(
-        "--max-wait-us", type=float, default=200.0,
-        help="microseconds the dispatcher waits for more requests after the first",
-    )
-    serve.add_argument(
-        "--queue-size", type=int, default=1024,
-        help="pending-request bound; beyond it requests are load-shed ('overloaded')",
-    )
     serve.add_argument(
         "--max-requests", type=int, default=None,
         help="exit after answering this many requests (smoke tests / CI)",

@@ -27,12 +27,12 @@ so ``run(spec)`` with ``seed=S`` learns bit for bit the embeddings of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from repro.core.pipeline import PhaseTimings
-from repro.core.spec import SUGAR, RunSpec
+from repro.core.spec import SUGAR, RunSpec, ServingSpec
 from repro.core.uninet import UniNet
 from repro.errors import SpecError
 
@@ -130,46 +130,38 @@ def _serve_probe(spec: RunSpec, embeddings) -> dict:
 
     Returns the :class:`~repro.serving.service.QueryService` counter
     snapshot (qps, mean batch latency, cache hit rate) — the read-path
-    numbers recorded next to the evaluation metrics. With a non-float32
-    codec the store is quantized first and the snapshot additionally
-    carries ``compression_ratio`` (float32 matrix bytes over encoded
-    bytes) and ``recall_probe`` (the probe batch's top-``topn`` overlap
-    with the exact float32 brute-force answers).
+    numbers recorded next to the evaluation metrics — plus
+    ``compression_ratio`` (float32 matrix bytes over encoded bytes) and
+    ``recall_probe`` (the probe batch's top-``topn`` overlap with the
+    exact float32 brute-force answers). Every service here, the exact
+    reference included, comes from :meth:`ServingSpec.build`.
     """
-    from repro.serving import EmbeddingStore, QueryService
+    from repro.serving import INDEX_REGISTRY, topk_overlap
 
     sv = spec.serving
-    base = EmbeddingStore.from_keyed_vectors(embeddings)
-    store = base if sv.codec == "float32" else base.recode(sv.codec, **sv.codec_params)
-    service = QueryService(
-        store, index=sv.index, cache_size=sv.cache_size, **sv.index_params
-    )
-    probe_keys = np.asarray(service.store.keys)[: min(sv.probe_queries, len(service.store))]
+    service = replace(sv, server=None).build(embeddings)
+    store = service.store
+    probe_keys = np.asarray(store.keys)[: min(sv.probe_queries, len(store))]
     results = service.most_similar_batch(probe_keys, topn=sv.topn)
     stats = service.stats()
     stats["topn"] = sv.topn
-    stats["compression_ratio"] = base.codes.nbytes / max(store.codes.nbytes, 1)
+    stats["compression_ratio"] = 4 * len(store) * store.dimensions / max(store.codes.nbytes, 1)
     # anything approximate in the path — a lossy codec or a non-exact
     # index — gets its recall measured against the exact float32 scan;
     # only exact-on-exact is 1.0 by construction
-    from repro.serving.index import INDEX_REGISTRY
-
-    index_exact = bool(INDEX_REGISTRY.entry(sv.index).capabilities.get("exact", False))
-    if store is not base or not index_exact:
-        from repro.serving import topk_overlap
-
-        exact = QueryService(base, index="bruteforce", cache_size=0).most_similar_batch(
-            probe_keys, topn=sv.topn
+    if store.is_quantized or not INDEX_REGISTRY.entry(sv.index).capabilities.get("exact", False):
+        exact = ServingSpec(cache_size=0).build(embeddings)
+        stats["recall_probe"] = topk_overlap(
+            exact.most_similar_batch(probe_keys, topn=sv.topn), results
         )
-        stats["recall_probe"] = topk_overlap(exact, results)
     else:
         stats["recall_probe"] = 1.0
     if sv.server is not None:
-        stats["server"] = _server_probe(sv, store, probe_keys)
+        stats["server"] = _server_probe(sv.build(store), probe_keys, sv.topn)
     return stats
 
 
-def _server_probe(sv, store, probe_keys) -> dict:
+def _server_probe(server, probe_keys, topn: int) -> dict:
     """Drive the probe keys through a batching :class:`QueryServer`.
 
     One concurrent in-process client per probe key, so the dispatcher
@@ -178,38 +170,19 @@ def _server_probe(sv, store, probe_keys) -> dict:
     """
     import asyncio
 
-    from repro.serving import InProcessClient, QueryServer
-
-    server = QueryServer(
-        store, index=sv.index, cache_size=sv.cache_size, **sv.server, **sv.index_params
-    )
+    from repro.serving import InProcessClient, ServerConfig
 
     async def drive() -> dict:
         await server.start()
         client = InProcessClient(server)
-        await asyncio.gather(
-            *(client.most_similar(int(k), topn=sv.topn) for k in probe_keys)
-        )
+        await asyncio.gather(*(client.most_similar(int(k), topn=topn) for k in probe_keys))
         stats = server.stats()
         await server.stop()
         return stats
 
     stats = asyncio.run(drive())
-    return {
-        key: stats[key]
-        for key in (
-            "answered",
-            "shed",
-            "batches",
-            "mean_batch",
-            "p50_ms",
-            "p99_ms",
-            "qps",
-            "max_batch",
-            "max_wait_us",
-            "queue_size",
-        )
-    }
+    reported = ("answered", "shed", "batches", "mean_batch", "p50_ms", "p99_ms", "qps")
+    return {key: stats[key] for key in (*reported, *(f.name for f in fields(ServerConfig)))}
 
 
 def _replay_updates(net: UniNet, upd) -> list[dict]:

@@ -41,6 +41,7 @@ from repro.core.config import (
     config_from_dict,
 )
 from repro.errors import SpecError
+from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
 
 #: Downstream evaluation protocols runnable from a spec.
 EVALUATION_TASKS = ("classification", "clustering")
@@ -179,76 +180,6 @@ class EvalSpec:
             )
         if self.trials < 1:
             raise SpecError("evaluation trials must be >= 1")
-        return self
-
-
-@dataclass
-class ServingSpec:
-    """Query-side serving to stand up after training.
-
-    A serving block makes :func:`repro.core.runner.run` build a
-    :class:`~repro.serving.service.QueryService` over the learned
-    embeddings, fire a probe batch of ``probe_queries`` keys, and record
-    the service's latency/throughput counters under
-    ``report.metrics["serving"]`` — the read-path health check next to
-    the downstream-task metrics. A non-float32 ``codec`` serves a
-    compressed store and additionally records ``compression_ratio`` and
-    ``recall_probe`` (top-``topn`` overlap of the probe batch against
-    the exact float32 answers) — the accuracy/memory trade in numbers.
-
-    A ``server`` block additionally stands up an asyncio
-    :class:`~repro.serving.server.QueryServer` over the same store,
-    drives the probe keys through concurrent in-process clients (so the
-    micro-batching path is exercised), and records the server's
-    p50/p99/QPS stats under ``report.metrics["serving"]["server"]``.
-    """
-
-    #: registered index name (see :data:`repro.serving.INDEX_REGISTRY`).
-    index: str = "bruteforce"
-    #: forwarded to the index factory (``nlist``, ``nprobe``, ...).
-    index_params: dict = field(default_factory=dict)
-    #: registered codec name (see :data:`repro.serving.CODEC_REGISTRY`).
-    codec: str = "float32"
-    #: forwarded to the codec constructor (``m``, ``k``, ...).
-    codec_params: dict = field(default_factory=dict)
-    cache_size: int = 4096
-    topn: int = 10
-    #: keys queried by the probe batch (clamped to the store size).
-    probe_queries: int = 64
-    #: None, or :class:`~repro.serving.server.QueryServer` knobs
-    #: (``max_batch``, ``max_wait_us``, ``queue_size``) for a batching
-    #: server probe.
-    server: dict | None = None
-
-    _SERVER_KNOBS = frozenset({"max_batch", "max_wait_us", "queue_size"})
-
-    def validate(self) -> "ServingSpec":
-        from repro.serving.codec import CODEC_REGISTRY
-        from repro.serving.index import INDEX_REGISTRY
-
-        self.index = INDEX_REGISTRY.canonical(self.index)
-        self.codec = CODEC_REGISTRY.canonical(self.codec)
-        if self.topn < 1:
-            raise SpecError("serving.topn must be >= 1")
-        if self.probe_queries < 1:
-            raise SpecError("serving.probe_queries must be >= 1")
-        if self.cache_size < 0:
-            raise SpecError("serving.cache_size must be >= 0")
-        if not isinstance(self.index_params, dict):
-            raise SpecError("serving.index_params must be a mapping")
-        if not isinstance(self.codec_params, dict):
-            raise SpecError("serving.codec_params must be a mapping")
-        if self.server is not None:
-            if self.server is True:
-                self.server = {}
-            if not isinstance(self.server, dict):
-                raise SpecError("serving.server must be a mapping (or null)")
-            unknown = set(self.server) - self._SERVER_KNOBS
-            if unknown:
-                raise SpecError(
-                    f"unknown serving.server knobs {sorted(unknown)}; "
-                    f"supported: {sorted(self._SERVER_KNOBS)}"
-                )
         return self
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.config import TrainConfig, WalkConfig
 from repro.core.pipeline import TrainResult, WalkResult, generate_walk_result, train_pipeline
+from repro.serving.config import ServingSpec
 from repro.utils.rng import as_rng
 from repro.walks.models import make_model
 
@@ -456,11 +457,11 @@ class UniNet:
         self,
         embeddings=None,
         *,
-        index: str = "bruteforce",
+        index: str = ServingSpec.index,
         store_path=None,
-        codec: str = "float32",
+        codec: str = ServingSpec.codec,
         codec_params: dict | None = None,
-        cache_size: int = 4096,
+        cache_size: int = ServingSpec.cache_size,
         server=False,
         **index_params,
     ):
@@ -487,9 +488,12 @@ class UniNet:
         :meth:`~repro.serving.server.QueryServer.upsert` swap embedding
         versions with zero downtime. Start it with ``await
         server.start()`` (in-process) or ``await server.start_tcp()``.
+
+        The arguments are :class:`~repro.serving.config.ServingSpec`
+        fields and :meth:`ServingSpec.build` does the building, as for a
+        ``serving:`` RunSpec block and the ``query`` / ``serve`` verbs.
         """
         from repro.errors import ServingError
-        from repro.serving import QueryServer, QueryService
 
         kv = self.last_embeddings if embeddings is None else embeddings
         if kv is None:
@@ -504,17 +508,17 @@ class UniNet:
                 "train() first, or pass embeddings= explicitly to serve "
                 "the old vectors anyway"
             )
-        store = kv.to_store(store_path, codec=codec, **(codec_params or {}))
-        if server:
-            server_params = dict(server) if isinstance(server, dict) else {}
-            return QueryServer(
-                store,
-                index=index,
-                cache_size=cache_size,
-                **server_params,
-                **index_params,
-            )
-        return QueryService(store, index=index, cache_size=cache_size, **index_params)
+        knobs = dict(server) if isinstance(server, dict) else {}
+        address = {name: knobs.pop(name) for name in ("host", "port") if name in knobs}
+        spec = ServingSpec(
+            index=index,
+            index_params=index_params,
+            codec=codec,
+            codec_params=codec_params or {},
+            cache_size=cache_size,
+            server=knobs if server else None,
+        )
+        return spec.build(kv, store_path=store_path, **address)
 
     def __repr__(self) -> str:
         return (

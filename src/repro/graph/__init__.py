@@ -16,7 +16,6 @@ from repro.graph.components import (
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import (
     DeltaPlan,
-    DynamicGraph,
     GraphDelta,
     apply_delta,
     load_deltas,
@@ -34,7 +33,6 @@ __all__ = [
     "CSRGraph",
     "GraphBuilder",
     "GraphDelta",
-    "DynamicGraph",
     "DeltaPlan",
     "apply_delta",
     "load_deltas",

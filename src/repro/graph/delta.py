@@ -1,4 +1,4 @@
-"""Graph mutation: :class:`GraphDelta`, merge-rebuild, and overlays.
+"""Graph mutation: :class:`GraphDelta` and the merge-rebuild.
 
 The rest of the library treats :class:`~repro.graph.csr.CSRGraph` as
 immutable — the right call for the hot walk loops, but production graphs
@@ -17,11 +17,6 @@ evolve. This module is the mutation layer on top of that invariant:
   ``on_delta``: touched nodes, removed/reweighted old offsets, and the
   old→new global edge-offset remap (all computed once, shared by every
   sampler refreshing against the same delta).
-* :class:`DynamicGraph` — a read view that buffers deltas in per-node
-  overlays (sorted insert/tombstone arrays) so point queries
-  (``neighbors`` / ``neighbor_weights`` / ``edge_index``) stay correct
-  between compactions; :meth:`DynamicGraph.compact` folds the overlay
-  back into a pure CSR identical to a cold rebuild of the same edge set.
 
 Canonical form: ``apply_delta`` stores a weight array only when some
 weight differs from 1.0 and an edge-type array only when the input graph
@@ -661,353 +656,6 @@ class DeltaPlan:
         safe = np.clip(offsets, 0, max(remap.size - 1, 0))
         out = np.where(offsets >= 0, remap[safe] if remap.size else -1, -1)
         return out.astype(np.int64, copy=False)
-
-
-# ----------------------------------------------------------------------
-# the buffering view
-# ----------------------------------------------------------------------
-class _RowOverlay:
-    """Pending edits of one node's out-row: sorted insert/tombstone arrays."""
-
-    __slots__ = ("ins_dst", "ins_w", "ins_et", "ins_slot", "tomb_dst", "rw_dst", "rw_w")
-
-    def __init__(self):
-        self.ins_dst = np.empty(0, dtype=np.int64)
-        self.ins_w = np.empty(0, dtype=np.float64)
-        self.ins_et = np.empty(0, dtype=np.int32)
-        self.ins_slot = np.empty(0, dtype=np.int64)
-        self.tomb_dst = np.empty(0, dtype=np.int64)
-        self.rw_dst = np.empty(0, dtype=np.int64)
-        self.rw_w = np.empty(0, dtype=np.float64)
-
-    def has_insert(self, dst: int) -> bool:
-        i = np.searchsorted(self.ins_dst, dst)
-        return i < self.ins_dst.size and self.ins_dst[i] == dst
-
-    def is_tombstoned(self, dst: int) -> bool:
-        i = np.searchsorted(self.tomb_dst, dst)
-        return i < self.tomb_dst.size and self.tomb_dst[i] == dst
-
-    def insert(self, dst: int, w: float, et: int, slot: int) -> None:
-        i = int(np.searchsorted(self.ins_dst, dst))
-        self.ins_dst = np.insert(self.ins_dst, i, dst)
-        self.ins_w = np.insert(self.ins_w, i, w)
-        self.ins_et = np.insert(self.ins_et, i, et)
-        self.ins_slot = np.insert(self.ins_slot, i, slot)
-
-    def drop_insert(self, dst: int) -> int:
-        i = int(np.searchsorted(self.ins_dst, dst))
-        slot = int(self.ins_slot[i])
-        self.ins_dst = np.delete(self.ins_dst, i)
-        self.ins_w = np.delete(self.ins_w, i)
-        self.ins_et = np.delete(self.ins_et, i)
-        self.ins_slot = np.delete(self.ins_slot, i)
-        return slot
-
-    def tombstone(self, dst: int) -> None:
-        self.tomb_dst = np.insert(self.tomb_dst, np.searchsorted(self.tomb_dst, dst), dst)
-        i = np.searchsorted(self.rw_dst, dst)
-        if i < self.rw_dst.size and self.rw_dst[i] == dst:
-            self.rw_dst = np.delete(self.rw_dst, i)
-            self.rw_w = np.delete(self.rw_w, i)
-
-    def reweight(self, dst: int, w: float) -> None:
-        i = int(np.searchsorted(self.rw_dst, dst))
-        if i < self.rw_dst.size and self.rw_dst[i] == dst:
-            self.rw_w[i] = w
-        else:
-            self.rw_dst = np.insert(self.rw_dst, i, dst)
-            self.rw_w = np.insert(self.rw_w, i, w)
-
-
-class DynamicGraph:
-    """A CSR graph plus buffered deltas, readable between compactions.
-
-    Deltas accumulate in per-node overlays; point accessors answer from
-    base-plus-overlay, and :meth:`compact` folds everything back into a
-    pure :class:`CSRGraph` (bitwise identical to a cold rebuild of the
-    same edge set). Edge offsets returned by :meth:`edge_index` are
-    *provisional*: base entries keep their base offset, overlay inserts
-    get synthetic offsets at ``base.num_edge_entries + slot``; both are
-    resolvable through :meth:`edge_weight_at` until the next
-    :meth:`compact`, which renumbers.
-
-    The walk engines consume pure CSR — hand them :meth:`compact`'s
-    result (or :attr:`csr`), not the wrapper.
-    """
-
-    def __init__(self, base: CSRGraph):
-        if not base.is_sorted:
-            raise DeltaError("DynamicGraph requires sorted CSR rows")
-        self.base = base
-        self._overlays: dict[int, _RowOverlay] = {}
-        self._added_nodes = 0
-        self._added_node_types: list[int] = []
-        self._added_by_slot: list[tuple[int, int, float, int]] = []
-        self._live_slots = 0
-        self._tombstones = 0
-        #: bumped by every :meth:`apply`; lets caches detect staleness.
-        self.version = 0
-
-    # -- mutation --------------------------------------------------------
-    def apply(self, delta: GraphDelta) -> "DynamicGraph":
-        """Buffer one delta into the overlay (validated against the view)."""
-        if delta.remove_last_nodes:
-            raise DeltaError("DynamicGraph does not buffer node removal; compact first")
-        n = self.num_nodes
-        mid_n = n + delta.add_nodes
-        for arr, what in ((delta.add_src, "add_src"), (delta.add_dst, "add_dst")):
-            if arr.size and arr.max() >= mid_n:
-                raise DeltaError(f"{what} references a node outside the (grown) graph")
-        for s, d in zip(delta.remove_src, delta.remove_dst):
-            if s >= n or not self.has_edge(int(s), int(d)):
-                raise DeltaError(f"cannot remove edge ({s}, {d}): not present")
-        for s, d in zip(delta.reweight_src, delta.reweight_dst):
-            if s >= n or not self.has_edge(int(s), int(d)):
-                raise DeltaError(f"cannot reweight edge ({s}, {d}): not present")
-        for s, d in zip(delta.add_src, delta.add_dst):
-            if s < n and self.has_edge(int(s), int(d)):
-                raise DeltaError(f"cannot add edge ({s}, {d}): already present (use reweight)")
-
-        if delta.add_nodes:
-            self._added_nodes += delta.add_nodes
-            if self.base.node_types is not None:
-                extra = (
-                    delta.add_node_types
-                    if delta.add_node_types is not None
-                    else np.zeros(delta.add_nodes, dtype=np.int16)
-                )
-                self._added_node_types.extend(int(t) for t in extra)
-            elif delta.add_node_types is not None:
-                raise DeltaError("add_node_types given but the graph is untyped")
-
-        for s, d in zip(delta.remove_src, delta.remove_dst):
-            ov = self._overlay(int(s))
-            if ov.has_insert(int(d)):
-                slot = ov.drop_insert(int(d))
-                self._added_by_slot[slot] = None
-                self._live_slots -= 1
-            else:
-                ov.tombstone(int(d))
-                self._tombstones += 1
-        for s, d, w in zip(delta.reweight_src, delta.reweight_dst, delta.reweight_weights):
-            ov = self._overlay(int(s))
-            if ov.has_insert(int(d)):
-                i = np.searchsorted(ov.ins_dst, int(d))
-                ov.ins_w[i] = float(w)
-                self._added_by_slot[ov.ins_slot[i]] = (int(s), int(d), float(w), int(ov.ins_et[i]))
-            else:
-                ov.reweight(int(d), float(w))
-        for s, d, w, t in zip(delta.add_src, delta.add_dst, delta.add_weights, delta.add_edge_types):
-            ov = self._overlay(int(s))
-            slot = len(self._added_by_slot)
-            self._added_by_slot.append((int(s), int(d), float(w), int(t)))
-            ov.insert(int(d), float(w), int(t), slot)
-            self._live_slots += 1
-        self.version += 1
-        return self
-
-    def _overlay(self, v: int) -> _RowOverlay:
-        ov = self._overlays.get(v)
-        if ov is None:
-            ov = self._overlays[v] = _RowOverlay()
-        return ov
-
-    # -- compaction ------------------------------------------------------
-    def _pending_phases(self) -> tuple[GraphDelta, GraphDelta]:
-        """The overlay as two sequential deltas: drops, then insertions.
-
-        A base edge removed and later re-added lives in the overlay as a
-        tombstone *plus* an insert (its weight/type may both differ), so
-        the net edit set is not one disjoint :class:`GraphDelta` — but
-        it is exactly two: removals + reweights first, then node growth
-        + insertions.
-        """
-        a_src, a_dst, a_w, a_t = [], [], [], []
-        r_src, r_dst = [], []
-        w_src, w_dst, w_w = [], [], []
-        for v, ov in self._overlays.items():
-            for d, w, t in zip(ov.ins_dst, ov.ins_w, ov.ins_et):
-                a_src.append(v); a_dst.append(int(d)); a_w.append(float(w)); a_t.append(int(t))
-            for d in ov.tomb_dst:
-                r_src.append(v); r_dst.append(int(d))
-            for d, w in zip(ov.rw_dst, ov.rw_w):
-                w_src.append(v); w_dst.append(int(d)); w_w.append(float(w))
-        types = None
-        if self.base.node_types is not None and self._added_nodes:
-            types = np.asarray(self._added_node_types, dtype=np.int16)
-        drops = GraphDelta(
-            remove_src=r_src, remove_dst=r_dst,
-            reweight_src=w_src, reweight_dst=w_dst, reweight_weights=w_w,
-        )
-        inserts = GraphDelta(
-            add_src=a_src, add_dst=a_dst, add_weights=a_w, add_edge_types=a_t,
-            add_nodes=self._added_nodes, add_node_types=types,
-        )
-        return drops, inserts
-
-    def pending_delta(self) -> GraphDelta:
-        """The net :class:`GraphDelta` the overlay currently holds.
-
-        Composed from the two internal phases, so a removed-then-re-added
-        base edge squashes to a reweight (its edge-type change, if any,
-        is not representable in one delta — :meth:`compact` applies the
-        phases sequentially and loses nothing).
-        """
-        drops, inserts = self._pending_phases()
-        return drops.compose(inserts)
-
-    def compact(self) -> CSRGraph:
-        """Fold the overlay into a fresh CSR; the view then wraps it."""
-        if self._overlays or self._added_nodes:
-            drops, inserts = self._pending_phases()
-            self.base = apply_delta(apply_delta(self.base, drops), inserts)
-            self._overlays.clear()
-            self._added_nodes = 0
-            self._added_node_types = []
-            self._added_by_slot = []
-            self._live_slots = 0
-            self._tombstones = 0
-            self.version += 1
-        return self.base
-
-    @property
-    def csr(self) -> CSRGraph:
-        """Compacted CSR of the current edge set (compacts if needed)."""
-        return self.compact()
-
-    @property
-    def num_pending_ops(self) -> int:
-        """Buffered edge edits awaiting compaction."""
-        count = self._live_slots + self._tombstones
-        for ov in self._overlays.values():
-            count += ov.rw_dst.size
-        return count
-
-    # -- accessors (base + overlay) -------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return self.base.num_nodes + self._added_nodes
-
-    @property
-    def num_edge_entries(self) -> int:
-        return self.base.num_edge_entries + self._live_slots - self._tombstones
-
-    @property
-    def node_types(self):
-        if self.base.node_types is None:
-            return None
-        if not self._added_nodes:
-            return self.base.node_types
-        return np.concatenate(
-            [self.base.node_types, np.asarray(self._added_node_types, dtype=np.int16)]
-        )
-
-    @property
-    def is_weighted(self) -> bool:
-        if self.base.is_weighted:
-            return True
-        for ov in self._overlays.values():
-            if np.any(ov.ins_w != 1.0) or np.any(ov.rw_w != 1.0):
-                return True
-        return False
-
-    def _base_row(self, v: int) -> tuple[int, int]:
-        if v >= self.base.num_nodes:
-            return 0, 0
-        return int(self.base.offsets[v]), int(self.base.offsets[v + 1])
-
-    def _merged_row(self, v: int):
-        """(dst, weights, kept-base-offsets-or--slot-1) of node ``v``, sorted."""
-        lo, hi = self._base_row(v)
-        base_dst = self.base.targets[lo:hi]
-        base_w = (
-            np.ones(hi - lo, dtype=np.float64)
-            if self.base.weights is None
-            else self.base.weights[lo:hi].copy()
-        )
-        ov = self._overlays.get(v)
-        if ov is None:
-            return base_dst, base_w
-        if ov.rw_dst.size:
-            pos = np.searchsorted(base_dst, ov.rw_dst)
-            base_w[pos] = ov.rw_w
-        if ov.tomb_dst.size:
-            keep = ~np.isin(base_dst, ov.tomb_dst)
-            base_dst, base_w = base_dst[keep], base_w[keep]
-        if ov.ins_dst.size:
-            dst = np.concatenate([base_dst, ov.ins_dst])
-            w = np.concatenate([base_w, ov.ins_w])
-            order = np.argsort(dst, kind="stable")
-            return dst[order], w[order]
-        return base_dst, base_w
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted effective neighbour ids of ``v``."""
-        return self._merged_row(v)[0]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Effective out-edge weights of ``v``, aligned with neighbors."""
-        return self._merged_row(v)[1]
-
-    def degree(self, v: int) -> int:
-        """Effective out-degree of ``v``."""
-        lo, hi = self._base_row(v)
-        d = hi - lo
-        ov = self._overlays.get(v)
-        if ov is not None:
-            d += ov.ins_dst.size - ov.tomb_dst.size
-        return d
-
-    def degrees(self) -> np.ndarray:
-        """Effective out-degree array over the whole (grown) id space."""
-        out = np.zeros(self.num_nodes, dtype=np.int64)
-        out[: self.base.num_nodes] = self.base.degrees()
-        for v, ov in self._overlays.items():
-            out[v] += ov.ins_dst.size - ov.tomb_dst.size
-        return out
-
-    def edge_index(self, v: int, u: int) -> int:
-        """Provisional offset of entry (v, u), or -1 (see class docs)."""
-        ov = self._overlays.get(v)
-        if ov is not None:
-            i = np.searchsorted(ov.ins_dst, u)
-            if i < ov.ins_dst.size and ov.ins_dst[i] == u:
-                return self.base.num_edge_entries + int(ov.ins_slot[i])
-            if ov.is_tombstoned(u):
-                return -1
-        if v >= self.base.num_nodes:
-            return -1
-        return self.base.edge_index(v, u)
-
-    def has_edge(self, v: int, u: int) -> bool:
-        """True when the effective entry (v, u) exists."""
-        return self.edge_index(v, u) >= 0
-
-    def edge_weight_at(self, offset: int) -> float:
-        """Effective weight of the entry at a provisional offset."""
-        offset = int(offset)
-        if offset >= self.base.num_edge_entries:
-            rec = self._added_by_slot[offset - self.base.num_edge_entries]
-            if rec is None:
-                raise DeltaError(f"edge offset {offset} was removed from the overlay")
-            return rec[2]
-        v = int(np.searchsorted(self.base.offsets, offset, side="right") - 1)
-        u = int(self.base.targets[offset])
-        ov = self._overlays.get(v)
-        if ov is not None:
-            if ov.is_tombstoned(u):
-                raise DeltaError(f"edge offset {offset} is tombstoned")
-            i = np.searchsorted(ov.rw_dst, u)
-            if i < ov.rw_dst.size and ov.rw_dst[i] == u:
-                return float(ov.rw_w[i])
-        return float(self.base.edge_weight_at(offset))
-
-    def __repr__(self) -> str:
-        return (
-            f"DynamicGraph(base={self.base!r}, pending_ops={self.num_pending_ops}, "
-            f"added_nodes={self._added_nodes})"
-        )
 
 
 # ----------------------------------------------------------------------

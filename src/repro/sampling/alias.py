@@ -242,9 +242,6 @@ class FirstOrderAliasSampler(EdgeSampler):
             self.stats.samples += 1
         return off
 
-    def _refresh(self, plan, model) -> dict:
-        return self.store.on_delta(plan)
-
     @classmethod
     def memory_bytes(cls, graph, model) -> int:
         return first_order_alias_bytes(graph)
@@ -300,55 +297,6 @@ class SecondOrderAliasSampler(EdgeSampler):
             idx = model.state_index(graph, state)
             if idx not in self._tables:
                 self._tables[idx] = self._build(graph, model, state)
-
-    def _refresh(self, plan, model) -> dict:
-        """Remap cached state keys; drop tables the delta made stale.
-
-        A state's table is stale when the delta touched the row it draws
-        from *or* the row of its predecessor (second-order weights probe
-        the predecessor's adjacency). Dropped tables rebuild lazily on
-        next visit, so the eager cost here is only the key remap.
-        """
-        if model is None:
-            raise SamplerError("alias on_delta needs the rebound model (pass model=)")
-        touched = set(int(t) for t in plan.touched_nodes())
-        old_tables = self._tables
-        self._tables = {}
-        dropped = 0
-        cost = 0
-        if getattr(model, "order", 1) == 1:
-            per = max(
-                int(model.state_space_size(plan.new_graph))
-                // max(plan.new_graph.num_nodes, 1),
-                1,
-            )
-            for idx, table in old_tables.items():
-                if (idx // per) in touched:
-                    dropped += 1
-                    cost += 0 if table is None else 16 * table.size
-                    continue
-                self._tables[idx] = table
-        else:
-            remap = plan.edge_remap()
-            old_sources = plan.old_graph.edge_sources()
-            old_targets = plan.old_graph.targets
-            for idx, table in old_tables.items():
-                new_idx = int(remap[idx]) if 0 <= idx < remap.size else -1
-                stale = (
-                    new_idx < 0
-                    or int(old_sources[idx]) in touched
-                    or int(old_targets[idx]) in touched
-                )
-                if stale:
-                    dropped += 1
-                    cost += 0 if table is None else 16 * table.size
-                    continue
-                self._tables[new_idx] = table
-        return {
-            "rebuilt_nodes": len(touched),
-            "rebuild_cost_bytes": cost,
-            "invalidated_states": dropped,
-        }
 
     @classmethod
     def memory_bytes(cls, graph, model) -> int:

@@ -11,17 +11,23 @@ metapath dead end), which terminates the walk.
 The model object must satisfy the small protocol documented on
 :class:`TransitionModel` — concrete implementations live in
 :mod:`repro.walks.models`.
+
+Scalar samplers are built for one graph and have no graph-mutation
+hook; after a :class:`~repro.graph.delta.GraphDelta` construct them
+again. What survives a delta is the vectorized steppers' state
+(``StepperBase.on_delta``, reached by ``VectorizedWalkEngine.apply_delta``
+and ``UniNet.update``) and what they share with the classes here:
+``FirstOrderAliasStore.on_delta`` and the chain remap in
+:mod:`repro.walks.manager`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-
-from repro.errors import SamplerError
 
 #: Sentinel returned when a state has no positive-weight out-edge.
 NO_EDGE = -1
@@ -62,7 +68,6 @@ class SamplerStats:
     samples: int = 0
     proposals: int = 0
     initializations: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def acceptance_ratio(self) -> float:
@@ -76,7 +81,6 @@ class SamplerStats:
         self.samples = 0
         self.proposals = 0
         self.initializations = 0
-        self.extra.clear()
 
 
 class EdgeSampler(abc.ABC):
@@ -107,51 +111,8 @@ class EdgeSampler(abc.ABC):
         """Clear the sampling counters."""
         self.stats.reset()
 
-    # ------------------------------------------------------------------
-    # graph mutation
-    # ------------------------------------------------------------------
-    def on_delta(self, plan, model=None) -> dict:
-        """Refresh this sampler's persistent state across a graph delta.
-
-        This is the canonical dynamic-update protocol (checked by lint
-        rule RPR003): every ``on_delta`` in the library answers to
-        ``on_delta(plan, model=None)``. ``plan`` is a prebuilt
-        :class:`~repro.graph.delta.DeltaPlan` — build one with
-        :func:`resolve_plan` / ``DeltaPlan.build`` when all you have is
-        ``(old_graph, delta)``. ``model`` must be the walk model
-        *already rebound* to the new graph; samplers without per-state
-        structures ignore it.
-
-        Returns a cost report — ``rebuilt_nodes`` (node-level structures
-        rebuilt), ``rebuild_cost_bytes`` (bytes of structures that had
-        to be reconstructed rather than copied/remapped) and
-        ``invalidated_states`` (per-state entries dropped) — and mirrors
-        it into ``stats.extra`` so benchmarks can quantify the paper's
-        update-cost argument. The base implementation covers samplers
-        with no persistent state (e.g. direct sampling): nothing to do,
-        all-zero report.
-        """
-        info = self._refresh(resolve_plan(plan), model)
-        self.stats.extra.update(info)
-        return info
-
-    def _refresh(self, plan, model) -> dict:
-        """Subclass hook behind :meth:`on_delta`; default is stateless."""
-        return {"rebuilt_nodes": 0, "rebuild_cost_bytes": 0, "invalidated_states": 0}
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def resolve_plan(graph_or_plan, delta=None):
-    """Normalise ``on_delta`` arguments to a DeltaPlan."""
-    from repro.graph.delta import DeltaPlan
-
-    if isinstance(graph_or_plan, DeltaPlan):
-        return graph_or_plan
-    if delta is None:
-        raise SamplerError("on_delta needs a DeltaPlan or (old_graph, delta)")
-    return DeltaPlan.build(graph_or_plan, delta)
 
 
 def draw_from_weights(weights: np.ndarray, rng: np.random.Generator) -> int:

@@ -35,29 +35,6 @@ class KnightKingSampler(RejectionSampler):
         super().__init__(graph, max_tries=max_tries, budget=budget)
         self._row_weight_totals = graph.weight_row_sums()
 
-    def _refresh(self, plan, model) -> dict:
-        info = super()._refresh(plan, model)
-        # row weight sums change only for touched rows; copy the rest
-        new_graph = plan.new_graph
-        totals = np.zeros(new_graph.num_nodes, dtype=np.float64)
-        shared = min(totals.size, self._row_weight_totals.size)
-        totals[:shared] = self._row_weight_totals[:shared]
-        stale = np.union1d(
-            plan.touched_nodes(),
-            np.arange(plan.old_graph.num_nodes, new_graph.num_nodes),
-        )
-        for v in stale:
-            if v >= new_graph.num_nodes:  # a removed trailing node
-                continue
-            lo, hi = new_graph.edge_range(int(v))
-            totals[v] = (
-                float(np.asarray(new_graph.edge_weight_at(np.arange(lo, hi))).sum())
-                if hi > lo
-                else 0.0
-            )
-        self._row_weight_totals = totals
-        return info
-
     def sample(self, graph, model, state, rng: np.random.Generator) -> int:
         folded = model.fold_outliers(graph, state)
         if folded is None:

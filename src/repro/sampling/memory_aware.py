@@ -111,28 +111,6 @@ class MemoryAwareSampler(EdgeSampler):
         self.stats.initializations += 1
         return AliasTable(weights)
 
-    def _refresh(self, plan, model) -> dict:
-        """Conservative full rebuild (the memory-aware baseline's cost).
-
-        The greedy assignment is a global function of the degree
-        distribution, so a delta can reshuffle which states deserve
-        tables; recomputing it (and dropping every cached table) is the
-        honest per-update price of this sampler family.
-        """
-        if model is None:
-            raise SamplerError("memory-aware on_delta needs the rebound model (pass model=)")
-        dropped = sum(1 for t in self._tables.values() if t is not None)
-        cost = sum(16 * t.size for t in self._tables.values() if t is not None)
-        self.assigned = assign_states_greedily(plan.new_graph, model, self.table_budget_bytes)
-        self._tables = {}
-        self._proposal = FirstOrderAliasStore(plan.new_graph)
-        cost += self._proposal.memory_bytes()
-        return {
-            "rebuilt_nodes": plan.new_graph.num_nodes,
-            "rebuild_cost_bytes": cost,
-            "invalidated_states": dropped,
-        }
-
     @property
     def num_assigned_states(self) -> int:
         """States assigned to the alias method."""

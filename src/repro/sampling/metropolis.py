@@ -111,30 +111,6 @@ class MetropolisHastingsSampler(EdgeSampler):
         if self.last_w is not None:
             self.last_w.fill(np.nan)
 
-    def _refresh(self, plan, model) -> dict:
-        """Revalidate the chain array across a delta (the paper's win).
-
-        No tables exist, so the whole refresh is one vectorized remap of
-        the LAST_x array: chains keep their sample unless their resident
-        edge (or, for second-order states, their defining edge) was
-        touched — those re-initialise lazily on next visit.
-        """
-        if model is None:
-            from repro.errors import SamplerError
-
-            raise SamplerError("mh on_delta needs the rebound model (pass model=)")
-        from repro.walks.manager import remap_chain_array
-
-        new_last, invalidated = remap_chain_array(self.last, model, plan)
-        self.last = new_last
-        if self.last_w is not None:
-            self.last_w = np.full(new_last.size, np.nan, dtype=np.float64)
-        return {
-            "rebuilt_nodes": 0,
-            "rebuild_cost_bytes": 0,
-            "invalidated_states": invalidated,
-        }
-
     @classmethod
     def memory_bytes(cls, graph, model) -> int:
         return mh_bytes(graph, model)

@@ -66,10 +66,6 @@ class RejectionSampler(EdgeSampler):
                 return off
         return NO_EDGE
 
-    def _refresh(self, plan, model) -> dict:
-        # the only persistent structure is the static-weight proposal
-        return self.proposal.on_delta(plan)
-
     @classmethod
     def memory_bytes(cls, graph, model) -> int:
         return rejection_bytes(graph)

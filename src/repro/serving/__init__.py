@@ -17,9 +17,12 @@ serve:
   behind one ``topk(queries, k)`` API: exact :class:`BruteForceIndex`
   (batched BLAS + argpartition, ADC scan on quantized stores) and
   approximate :class:`IVFIndex` (k-means coarse quantizer with
-  ``nprobe`` recall/cost dial; IVFADC over PQ stores);
-* :mod:`repro.serving.service` — :class:`QueryService`, the batching
-  front-end with an LRU result cache and latency/throughput counters;
+  ``nprobe`` recall/cost dial; IVFADC over PQ stores), and
+  :class:`ShardedIndex` (scatter-gather: one inner index per part of a
+  shard plan, local top-k merged into exactly the monolithic answer);
+* :mod:`repro.serving.service` — :class:`QueryService`, the one query
+  front-end: batching, an LRU result cache and latency/throughput
+  counters, whatever the index;
 * :mod:`repro.serving.snapshot` — :class:`SnapshotManager`, immutable
   (store, index, cache) versions published by atomic reference flip so
   embedding updates reach queries with zero downtime;
@@ -29,8 +32,12 @@ serve:
   p50/p99 latency histograms (plus :class:`QueryClient` /
   :class:`InProcessClient`).
 
-Entry points: ``UniNet.serve()``, a ``serving:`` block in ``RunSpec``,
-and the ``export-store --codec`` / ``query`` / ``serve`` CLI verbs.
+* :mod:`repro.serving.config` — :class:`ServingSpec` / :class:`ServerConfig`,
+  the one declaration of every serving knob, and :meth:`ServingSpec.build`,
+  the one function that assembles the read path from them.
+
+Entry points, all through that builder: ``UniNet.serve()``, a ``serving:``
+block in ``RunSpec``, the ``export-store --codec`` / ``query`` / ``serve`` verbs.
 """
 
 from repro.serving.codec import (
@@ -42,10 +49,12 @@ from repro.serving.codec import (
     make_codec,
     register_codec,
 )
+from repro.serving.config import ServerConfig
 from repro.serving.index import (
     INDEX_REGISTRY,
     BruteForceIndex,
     IVFIndex,
+    ShardedIndex,
     make_index,
     register_index,
 )
@@ -71,6 +80,8 @@ __all__ = [
     "LRUCache",
     "BruteForceIndex",
     "IVFIndex",
+    "ShardedIndex",
+    "ServerConfig",
     "INDEX_REGISTRY",
     "register_index",
     "make_index",

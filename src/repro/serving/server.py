@@ -51,6 +51,7 @@ from repro.errors import (
     ServerError,
     ServingError,
 )
+from repro.serving.config import ServerConfig, ServingSpec
 from repro.serving.framing import FRAME as _FRAME
 from repro.serving.framing import MAX_FRAME_BYTES, read_frame
 from repro.serving.snapshot import SnapshotManager
@@ -153,11 +154,11 @@ class QueryServer:
         self,
         source,
         *,
-        index: str = "bruteforce",
-        cache_size: int = 4096,
-        max_batch: int = 64,
-        max_wait_us: float = 200.0,
-        queue_size: int = 1024,
+        index: str = ServingSpec.index,
+        cache_size: int = ServingSpec.cache_size,
+        max_batch: int = ServerConfig.max_batch,
+        max_wait_us: float = ServerConfig.max_wait_us,
+        queue_size: int = ServerConfig.queue_size,
         host: str = "127.0.0.1",
         port: int = 0,
         **index_params,
@@ -173,12 +174,7 @@ class QueryServer:
             self.snapshots = SnapshotManager(
                 source, index=index, cache_size=cache_size, **index_params
             )
-        if int(max_batch) < 1:
-            raise ConfigError("max_batch must be >= 1")
-        if int(queue_size) < 1:
-            raise ConfigError("queue_size must be >= 1")
-        if float(max_wait_us) < 0:
-            raise ConfigError("max_wait_us must be >= 0")
+        ServerConfig(max_batch, max_wait_us, queue_size).validate()
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait_us) / 1e6
         self.queue_size = int(queue_size)

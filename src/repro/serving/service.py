@@ -21,6 +21,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving.config import ServingSpec
 from repro.serving.index import make_index
 from repro.serving.store import EmbeddingStore
 
@@ -102,16 +103,10 @@ class QueryService:
         forwarded to the index factory (``nlist``, ``nprobe``, ...).
     """
 
-    def __init__(self, store, index="bruteforce", *, cache_size: int = 4096, **index_params):
-        if not isinstance(store, EmbeddingStore):
-            if hasattr(store, "keys") and hasattr(store, "vectors"):
-                store = EmbeddingStore.from_keyed_vectors(store)
-            else:
-                raise ServingError(
-                    f"QueryService needs an EmbeddingStore or KeyedVectors, "
-                    f"got {type(store).__name__}"
-                )
-        self.store = store
+    def __init__(
+        self, store, index=ServingSpec.index, *, cache_size: int = ServingSpec.cache_size, **index_params
+    ):
+        self.store = store = self._as_store(store)
         self._index_params = dict(index_params)
         if isinstance(index, str):
             self.index_name = index
@@ -123,7 +118,6 @@ class QueryService:
             self.index = index
             self.index_name = getattr(index, "name", type(index).__name__)
             self._index_from_name = False
-        self._cache_size = cache_size
         self.cache = LRUCache(cache_size) if cache_size else None
         self.counters = {
             "queries": 0,
@@ -135,6 +129,16 @@ class QueryService:
             "seconds": 0.0,
         }
         self._counters_lock = threading.Lock()
+
+    @staticmethod
+    def _as_store(store) -> EmbeddingStore:
+        if isinstance(store, EmbeddingStore):
+            return store
+        if hasattr(store, "keys") and hasattr(store, "vectors"):
+            return EmbeddingStore.from_keyed_vectors(store)
+        raise ServingError(
+            f"QueryService needs an EmbeddingStore or KeyedVectors, got {type(store).__name__}"
+        )
 
     def _bump(self, **deltas) -> None:
         """Apply counter increments atomically (read-modify-write is not)."""
@@ -154,15 +158,7 @@ class QueryService:
         leave stale results behind. Returns ``self`` for chaining.
         """
         if store is not None:
-            if not isinstance(store, EmbeddingStore):
-                if hasattr(store, "keys") and hasattr(store, "vectors"):
-                    store = EmbeddingStore.from_keyed_vectors(store)
-                else:
-                    raise ServingError(
-                        f"refresh needs an EmbeddingStore or KeyedVectors, "
-                        f"got {type(store).__name__}"
-                    )
-            self.store = store
+            self.store = self._as_store(store)
         if self._index_from_name:
             self.index = make_index(self.index_name, self.store, **self._index_params)
         elif hasattr(self.index, "refresh"):

@@ -33,6 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving.config import ServingSpec
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
 
@@ -84,7 +85,10 @@ class SnapshotManager:
     asyncio tasks and plain threads.
     """
 
-    def __init__(self, store, *, index: str = "bruteforce", cache_size: int = 4096, **index_params):
+    def __init__(
+        self, store, *, index: str = ServingSpec.index, cache_size: int = ServingSpec.cache_size,
+        **index_params,
+    ):
         if not isinstance(index, str):
             raise ServingError(
                 "SnapshotManager needs a registered index *name*: every "
@@ -163,17 +167,6 @@ class SnapshotManager:
             else:
                 self._drained += 1
         return snap
-
-    def refresh_embeddings(self, embeddings) -> Snapshot:
-        """Publish a full re-embedding (``KeyedVectors`` or store).
-
-        The facade-level refresh path: after
-        :meth:`UniNet.refresh_embeddings` produces new vectors, pass
-        them here and production queries flip to them with zero
-        downtime. Alias of :meth:`publish` with conversion handled by
-        :class:`QueryService`.
-        """
-        return self.publish(embeddings)
 
     def upsert(self, keys, vectors) -> dict:
         """Copy-on-write upsert: clone the current store, write, publish.

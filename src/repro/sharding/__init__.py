@@ -1,13 +1,15 @@
-"""Sharded execution: partitioned graphs, walker migration, scatter-gather.
+"""Sharded execution: partitioned graphs and walker migration.
 
 The scale-out layer over the single-process engines. Partitioners split
-the CSR into per-shard local views (:mod:`repro.sharding.partitioner`),
-:class:`ShardedWalkEngine` runs one worker per shard with KnightKing-
+the CSR into per-shard local views (:mod:`repro.sharding.partitioner`)
+and :class:`ShardedWalkEngine` runs one worker per shard with KnightKing-
 style walker migration and driver-owned RNG for bitwise parity with
 :class:`~repro.walks.vectorized.VectorizedWalkEngine`
-(:mod:`repro.sharding.engine`), and the serving side fans similarity
-queries across per-shard stores with exact top-k merge
-(:mod:`repro.sharding.router`).
+(:mod:`repro.sharding.engine`).
+
+The read side is not here: scatter-gather queries are a registered
+index on the one query front-end, ``QueryService(store,
+index="sharded", owner=plan)`` (:class:`~repro.serving.index.ShardedIndex`).
 """
 
 from repro.sharding.engine import ShardedWalkEngine
@@ -21,9 +23,7 @@ from repro.sharding.partitioner import (
     make_partitioner,
     register_partitioner,
 )
-from repro.sharding.router import ScatterGatherRouter
 from repro.sharding.socket_worker import serve_shard
-from repro.sharding.store import ShardedEmbeddingStore
 from repro.sharding.transport import (
     InlineTransport,
     SocketTransport,
@@ -36,10 +36,8 @@ __all__ = [
     "HashPartitioner",
     "InlineTransport",
     "SocketTransport",
-    "ScatterGatherRouter",
     "Shard",
     "ShardPlan",
-    "ShardedEmbeddingStore",
     "ShardedWalkEngine",
     "build_shard_plan",
     "make_partitioner",

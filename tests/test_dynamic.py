@@ -1,4 +1,4 @@
-"""Dynamic-graph API tests: GraphDelta, DynamicGraph, sampler on_delta,
+"""Dynamic-graph API tests: GraphDelta, stepper on_delta,
 UniNet.update / refresh_embeddings, and the serving write path.
 
 The property-style tests are randomized with fixed seeds (hypothesis
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeltaError, ServingError, TrainingError
-from repro.graph import CSRGraph, DynamicGraph, GraphDelta, apply_delta, load_deltas, save_deltas
+from repro.graph import CSRGraph, GraphDelta, apply_delta, load_deltas, save_deltas
 from repro.graph.builder import from_edge_arrays
 from repro.graph.delta import DeltaPlan
 from repro.graph.generators import erdos_renyi
@@ -257,92 +257,6 @@ class TestDeltaAlgebra:
 
 
 # ----------------------------------------------------------------------
-# DynamicGraph overlay
-# ----------------------------------------------------------------------
-class TestDynamicGraph:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_overlay_matches_compacted_for_all_accessors(self, seed):
-        g = random_graph(seed, weighted=seed % 2 == 0)
-        rng = np.random.default_rng(seed + 9)
-        dyn = DynamicGraph(g)
-        reference = g
-        for step in range(3):
-            delta = random_delta(reference, rng, add_nodes=step % 2)
-            dyn.apply(delta)
-            reference = reference.apply_delta(delta)
-            # overlay answers must match the reference CSR *without* compacting
-            assert dyn.num_nodes == reference.num_nodes
-            assert dyn.num_edge_entries == reference.num_edge_entries
-            assert np.array_equal(dyn.degrees(), reference.degrees())
-            for v in range(reference.num_nodes):
-                assert np.array_equal(dyn.neighbors(v), reference.neighbors(v)), (seed, step, v)
-                assert np.allclose(dyn.neighbor_weights(v), reference.neighbor_weights(v))
-                assert dyn.degree(v) == reference.degree(v)
-                for u in reference.neighbors(v):
-                    off = dyn.edge_index(v, int(u))
-                    assert off >= 0
-                    assert dyn.edge_weight_at(off) == pytest.approx(
-                        float(reference.edge_weight_at(reference.edge_index(v, int(u))))
-                    )
-        compacted = dyn.compact()
-        assert graphs_equal(compacted, reference), f"seed {seed}"
-        assert dyn.num_pending_ops == 0
-
-    def test_validates_against_effective_graph(self):
-        g = random_graph(3)
-        dyn = DynamicGraph(g)
-        s, d = int(g.edge_sources()[0]), int(g.targets[0])
-        dyn.apply(GraphDelta(remove_src=[s], remove_dst=[d]))
-        # removed in the overlay: a second removal must fail, a re-add succeed
-        with pytest.raises(DeltaError, match="not present"):
-            dyn.apply(GraphDelta(remove_src=[s], remove_dst=[d]))
-        dyn.apply(GraphDelta(add_src=[s], add_dst=[d], add_weights=[0.75]))
-        assert dyn.edge_weight_at(dyn.edge_index(s, d)) == 0.75
-        with pytest.raises(DeltaError, match="already present"):
-            dyn.apply(GraphDelta(add_src=[s], add_dst=[d]))
-
-    def test_walks_after_compact_match_cold_built_graph(self):
-        g = random_graph(11)
-        dyn = DynamicGraph(g)
-        # apply a schedule, then compare walks on compact() vs cold rebuild
-        dyn.apply(random_delta(g, np.random.default_rng(21)))
-        compacted = dyn.compact()
-        src, dst, w = compacted.edge_list()
-        cold = from_edge_arrays(
-            src, dst, w if compacted.weights is not None else None,
-            num_nodes=compacted.num_nodes, directed=True,
-        )
-        assert graphs_equal(compacted, cold)
-        for model_name, params in [("deepwalk", {}), ("node2vec", {"p": 0.5, "q": 2.0})]:
-            e1 = VectorizedWalkEngine(compacted, model_name, sampler="mh", seed=9, **params)
-            e2 = VectorizedWalkEngine(cold, model_name, sampler="mh", seed=9, **params)
-            c1 = e1.generate(num_walks=2, walk_length=12)
-            c2 = e2.generate(num_walks=2, walk_length=12)
-            assert np.array_equal(c1.walks, c2.walks)
-            assert np.array_equal(c1.lengths, c2.lengths)
-
-    def test_embeddings_after_compact_match_cold_built_graph(self):
-        from repro.embedding.word2vec import Word2Vec
-
-        g = random_graph(13)
-        dyn = DynamicGraph(g)
-        dyn.apply(random_delta(g, np.random.default_rng(31)))
-        compacted = dyn.compact()
-        src, dst, w = compacted.edge_list()
-        cold = from_edge_arrays(
-            src, dst, w if compacted.weights is not None else None,
-            num_nodes=compacted.num_nodes, directed=True,
-        )
-        vecs = []
-        for graph in (compacted, cold):
-            engine = VectorizedWalkEngine(graph, "deepwalk", sampler="mh", seed=4)
-            corpus = engine.generate(num_walks=2, walk_length=10)
-            kv = Word2Vec(8, seed=3).fit(corpus, num_nodes=graph.num_nodes)
-            vecs.append(kv)
-        assert np.array_equal(vecs[0].vectors, vecs[1].vectors)
-
-
-# ----------------------------------------------------------------------
 # DeltaPlan / sampler refresh
 # ----------------------------------------------------------------------
 class TestDeltaPlan:
@@ -417,10 +331,8 @@ class TestSamplerOnDelta:
         # affected-only: no more rows rebuilt than the delta touched
         assert 0 < info["rebuilt_nodes"] <= plan.touched_nodes().size
 
-    def test_on_delta_survives_trailing_node_removal(self):
-        from repro.sampling.alias import FirstOrderAliasStore
-        from repro.sampling.knightking import KnightKingSampler
-
+    @staticmethod
+    def trailing_node_removal():
         g = from_edge_arrays([0, 1, 0], [1, 2, 2], [2.0, 3.0, 4.0], num_nodes=3)
         # strip node 2 of its edges, then drop it entirely
         delta = GraphDelta(
@@ -428,6 +340,12 @@ class TestSamplerOnDelta:
         )
         plan = DeltaPlan.build(g, delta)
         assert plan.new_graph.num_nodes == 2
+        return g, plan
+
+    def test_on_delta_survives_trailing_node_removal(self):
+        from repro.sampling.alias import FirstOrderAliasStore
+
+        g, plan = self.trailing_node_removal()
         store = FirstOrderAliasStore(g)
         store.on_delta(plan)  # touched node 2 no longer exists: must not crash
         fresh = FirstOrderAliasStore(plan.new_graph)
@@ -435,10 +353,23 @@ class TestSamplerOnDelta:
             assert fresh.uniform
         else:
             assert np.allclose(store.threshold, fresh.threshold)
-        kk = KnightKingSampler(g)
-        model = make_model("node2vec", g, p=0.5, q=2.0).rebind(plan.new_graph)
-        kk.on_delta(plan, model=model)
-        assert kk._row_weight_totals.size == 2
+
+    @pytest.mark.parametrize(
+        "sampler", ["knightking", "rejection", "alias", "mh", "memory-aware"]
+    )
+    def test_engine_apply_delta_survives_trailing_node_removal(self, sampler):
+        g, plan = self.trailing_node_removal()
+        engine = VectorizedWalkEngine(
+            g, make_model("node2vec", g, p=0.5, q=2.0), sampler=sampler, seed=6,
+            table_budget_bytes=64 if sampler == "memory-aware" else None,
+        )
+        engine.generate(num_walks=2, walk_length=6)
+        new_g = engine.apply_delta(plan)  # touched node 2 no longer exists
+        corpus = engine.generate(num_walks=2, walk_length=6)
+        assert corpus.walks[corpus.walks >= 0].max() < new_g.num_nodes == 2
+        for row, ln in zip(corpus.walks, corpus.lengths):
+            for a, b in zip(row[: ln - 1], row[1:ln]):
+                assert new_g.has_edge(int(a), int(b)), (sampler, a, b)
 
     def test_mh_chain_remap_only_touches_affected(self, setting):
         g, __, ___ = setting
@@ -471,50 +402,6 @@ class TestSamplerOnDelta:
         assert survived > 0.95 * initialized_before
         invalidated = engine.stats()["invalidated_states"]
         assert invalidated < 0.05 * initialized_before
-
-    def test_scalar_samplers_on_delta(self, setting):
-        from repro.sampling.alias import SecondOrderAliasSampler
-        from repro.sampling.direct import DirectSampler
-        from repro.sampling.knightking import KnightKingSampler
-        from repro.sampling.metropolis import MetropolisHastingsSampler
-        from repro.sampling.rejection import RejectionSampler
-        from repro.walks.state import WalkerState
-
-        g, delta, plan = setting
-        model = make_model("node2vec", g, p=0.5, q=2.0)
-        rng = np.random.default_rng(0)
-
-        def warm(sampler):
-            state = model.initial_state(0)
-            off = g.edge_index(0, int(g.neighbors(0)[0]))
-            state = model.update_state(state, off)
-            for __ in range(20):
-                sampler.sample(g, model, state, rng)
-            return sampler
-
-        samplers = [
-            warm(MetropolisHastingsSampler(g, model, initializer="random")),
-            warm(SecondOrderAliasSampler(g, model)),
-            warm(DirectSampler()),
-            warm(RejectionSampler(g)),
-            warm(KnightKingSampler(g)),
-        ]
-        model.rebind(plan.new_graph)
-        for sampler in samplers:
-            info = sampler.on_delta(plan, model=model)
-            assert set(info) >= {"rebuilt_nodes", "rebuild_cost_bytes", "invalidated_states"}
-            assert sampler.stats.extra["rebuilt_nodes"] == info["rebuilt_nodes"]
-        # all still sample valid edges on the new graph
-        new_g = plan.new_graph
-        state = model.initial_state(0)
-        off = new_g.edge_index(0, int(new_g.neighbors(0)[0]))
-        state = model.update_state(state, off)
-        for sampler in samplers:
-            out = sampler.sample(new_g, model, state, rng)
-            if out != -1:
-                lo, hi = new_g.edge_range(state.current)
-                assert lo <= out < hi
-        model.rebind(g)
 
     def test_fairwalk_rebind_refreshes_type_counts(self):
         g = random_graph(4, weighted=False)

@@ -92,6 +92,19 @@ class TestRunSpecValidation:
                 train=TrainConfig(dimensions=8), evaluation=EvalSpec(task="regression")
             ).validate()
 
+    @pytest.mark.parametrize(
+        "knob, value", [("max_batch", 0), ("max_wait_us", -1), ("queue_size", 0)]
+    )
+    def test_invalid_server_knob_is_refused_before_the_graph_is_loaded(self, knob, value):
+        data = tiny_spec(train=TrainConfig(dimensions=8)).to_dict()
+        data["serving"] = {"server": {knob: value}}
+        with pytest.raises(SpecError, match=f"serving.server.{knob}"):
+            RunSpec.from_dict(data).validate()
+        graph_cache = {}
+        with pytest.raises(SpecError, match=f"serving.server.{knob}"):
+            run(data, graph_cache=graph_cache)
+        assert graph_cache == {}  # refused at validation: nothing was loaded, walked or trained
+
 
 class TestRun:
     def test_walk_only_run(self):

@@ -385,6 +385,34 @@ class TestServingCLI:
         assert code == 0
         assert "via ivf" in capsys.readouterr().out
 
+    def test_facade_spec_block_and_verb_give_the_same_answers(self, kv, barbell, tmp_path, capsys):
+        """One builder: the same settings through ``UniNet.serve``, a
+        ``serving:`` RunSpec block and the ``query`` verb."""
+        from repro import RunSpec, UniNet
+        from repro.cli import main
+
+        keys, settings = [0, 3, 17], {"nlist": 6, "nprobe": 2}
+        net = UniNet(barbell, model="deepwalk", seed=3)
+        by_facade = net.serve(kv, index="ivf", cache_size=0, **settings).most_similar_batch(
+            keys, topn=4
+        )
+        block = {"index": "ivf", "index_params": settings, "cache_size": 0, "topn": 4}
+        spec = RunSpec.from_dict({"graph": {"dataset": "amazon"}, "serving": block}).serving
+        assert spec.build(kv).most_similar_batch(keys, topn=spec.topn) == by_facade
+        # the verb opens a file and prints a table (scores to ~4 digits)
+        store_path = tmp_path / "v.embstore"
+        kv.to_store(store_path)
+        flags = ["--index", "ivf", "--nlist", "6", "--nprobe", "2", "--topn", "4"]
+        assert main(["query", "--store", str(store_path), "--keys", *map(str, keys), *flags]) == 0
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.count("|") == 3 and line[0].isdigit()
+        ]
+        expected = [(key, nkey, score) for key, hits in zip(keys, by_facade) for nkey, score in hits]
+        assert [(int(q), int(n)) for q, __, n, __ in rows] == [(q, n) for q, n, __ in expected]
+        assert [float(c) for *__, c in rows] == pytest.approx([c for *__, c in expected], abs=1e-3)
+
     def test_export_store_missing_vectors(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -521,8 +549,11 @@ class TestServerWiring:
     def test_serving_spec_server_block_validation(self):
         from repro import ServingSpec
 
+        from repro.serving import ServerConfig
+
         spec = ServingSpec(server={"max_batch": 8}).validate()
-        assert spec.server == {"max_batch": 8}
+        assert spec.server == ServerConfig(max_batch=8)
+        assert ServingSpec(server=True).server == ServingSpec(server={}).server == ServerConfig()
         assert ServingSpec().validate().server is None
         with pytest.raises(SpecError, match="unknown serving.server knobs"):
             ServingSpec(server={"bogus": 1}).validate()

@@ -8,9 +8,9 @@ Covers the four layers of the sharding subsystem:
   :class:`VectorizedWalkEngine` for hash AND degree-balanced partitions
   at 1/2/4 shards, across samplers, models (hetero included),
   initializers and both transports, plus migration-counter sanity;
-* serving — :class:`ShardedEmbeddingStore` split invariants and
-  :class:`ScatterGatherRouter` exact top-k parity with the monolithic
-  :class:`QueryService` (tie-breaks and self-exclusion included);
+* serving — ``QueryService(index="sharded", owner=plan)``: exact top-k
+  parity with the monolithic :class:`QueryService` (tie-breaks and
+  self-exclusion included);
 * wiring — ``ShardingConfig`` through the pipeline, ``UniNet``,
   ``RunSpec`` round-trip/validation and the CLI.
 """
@@ -34,15 +34,12 @@ from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
 from repro.sharding import (
     PARTITIONER_REGISTRY,
-    ScatterGatherRouter,
-    ShardedEmbeddingStore,
     ShardedWalkEngine,
     build_shard_plan,
     make_partitioner,
     make_transport,
     register_partitioner,
 )
-from repro.sharding.router import merge_shard_topk
 from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -409,46 +406,8 @@ def test_no_step_math_outside_the_steppers(module):
 
 
 # ---------------------------------------------------------------------------
-# sharded store + scatter-gather router
+# scatter-gather: the "sharded" index on the one query front-end
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def store_and_plan(small_power_law_graph):
-    rng = np.random.default_rng(17)
-    n = small_power_law_graph.num_nodes
-    vectors = rng.standard_normal((n, 24)).astype(np.float32)
-    store = EmbeddingStore(np.arange(n, dtype=np.int64), vectors=vectors)
-    plan = build_shard_plan(small_power_law_graph, 3, "hash")
-    return store, plan
-
-
-class TestShardedStore:
-    def test_split_invariants(self, store_and_plan):
-        store, plan = store_and_plan
-        sharded = ShardedEmbeddingStore.from_store(store, plan)
-        assert sharded.num_shards == plan.num_shards
-        assert len(sharded) == len(store)
-        assert int(sharded.counts().sum()) == len(store)
-        assert sharded.dimensions == store.dimensions
-        # decode through the shards is bitwise identical to the monolith
-        rows = np.arange(len(store), dtype=np.int64)
-        assert np.array_equal(
-            sharded.decode_monolith_rows(rows), store.decode_rows(rows)
-        )
-        assert np.array_equal(sharded.rows_for(store.keys), store.rows_for(store.keys))
-
-    def test_from_owner_array_and_errors(self, store_and_plan):
-        store, plan = store_and_plan
-        sharded = ShardedEmbeddingStore.from_store(store, plan.owner)
-        assert sharded.num_shards == plan.num_shards
-        with pytest.raises(ServingError, match="not in the store"):
-            sharded.rows_for([len(store) + 5])
-        with pytest.raises(ShardError, match="owner"):
-            ShardedEmbeddingStore.from_store(store, np.empty(0, dtype=np.int64))
-        with pytest.raises(ShardError, match="owner"):
-            # owner array shorter than the key space
-            ShardedEmbeddingStore.from_store(store, np.zeros(3, dtype=np.int64))
 
 
 class TestScatterGather:
@@ -464,51 +423,43 @@ class TestScatterGather:
         store = EmbeddingStore(np.arange(n, dtype=np.int64), vectors=vectors)
         plan = build_shard_plan(small_power_law_graph, shards, partitioner)
         service = QueryService(store, index="bruteforce", cache_size=0)
-        router = ScatterGatherRouter(store, plan=plan, cache_size=0)
+        sharded = QueryService(store, index="sharded", owner=plan, cache_size=0)
         keys = np.arange(0, n, 7, dtype=np.int64)
-        assert router.most_similar_batch(keys, topn=topn) == service.most_similar_batch(
+        assert sharded.most_similar_batch(keys, topn=topn) == service.most_similar_batch(
             keys, topn=topn
         )
 
-    def test_cache_path_and_stats(self, store_and_plan):
-        store, plan = store_and_plan
-        router = ScatterGatherRouter(store, plan=plan, cache_size=64)
-        first = router.most_similar_batch([0, 1, 1], topn=5)
-        second = router.most_similar_batch([0, 1], topn=5)
-        assert second == first[:2]
-        stats = router.stats()
-        assert stats["cache_hits"] >= 2
-        assert stats["num_shards"] == plan.num_shards
-        assert sum(stats["shard_counts"]) == len(store)
-        assert stats["queries"] == 5
-        assert stats["fanouts"] > 0
-        router.reset_stats()
-        assert router.stats()["queries"] == 0
-        with pytest.raises(ServingError, match="topn"):
-            router.most_similar_batch([0], topn=0)
-
-    def test_router_needs_plan_for_monolithic_store(self, store_and_plan):
-        store, __ = store_and_plan
-        with pytest.raises(ServingError, match="plan"):
-            ScatterGatherRouter(store)
-
-    def test_router_accepts_presplit_store(self, store_and_plan):
-        store, plan = store_and_plan
-        sharded = ShardedEmbeddingStore.from_store(store, plan)
-        router = ScatterGatherRouter(sharded, cache_size=0)
-        service = QueryService(store, index="bruteforce", cache_size=0)
-        assert router.most_similar_batch([3, 5], topn=4) == service.most_similar_batch(
-            [3, 5], topn=4
-        )
-
-    def test_merge_shard_topk(self):
-        per_shard = [
-            [(0, 0.9), (2, 0.5)],
-            [(1, 0.9), (3, 0.7)],
-            [],
+    def test_quantized_store_cache_raw_owner_and_errors(self, small_power_law_graph):
+        rng = np.random.default_rng(17)
+        n = small_power_law_graph.num_nodes
+        vectors = rng.standard_normal((n, 24)).astype(np.float32)
+        store = EmbeddingStore(np.arange(n, dtype=np.int64), vectors=vectors).recode("int8")
+        plan = build_shard_plan(small_power_law_graph, 3, "hash")
+        # a raw owner array splits like the plan it came from
+        sharded = QueryService(store, index="sharded", owner=plan.owner, cache_size=64)
+        assert [len(rows) for rows, __ in sharded.index.parts] == plan.node_counts.tolist()
+        # the parts share the trained codec: the int8 scan is the monolithic one
+        mono = QueryService(store, index="bruteforce", cache_size=0)
+        first = sharded.most_similar_batch([0, 1, 1], topn=5)
+        assert first == mono.most_similar_batch([0, 1, 1], topn=5)
+        assert sharded.most_similar_batch([0, 1], topn=5) == first[:2]
+        stats = sharded.stats()
+        assert stats["index"] == "sharded" and stats["codec"] == "int8"
+        assert stats["cache_hits"] == 2 and stats["queries"] == 5
+        assert sharded.index.memory_bytes() == mono.index.memory_bytes()
+        # an approximate inner index pads with -1 rows; the merge drops them
+        ivf = QueryService(store, index="sharded", owner=plan, inner="ivf", nlist=8, nprobe=8)
+        exhaustive = ivf.most_similar_batch([0, 1], topn=5)  # scores differ in the last ulp
+        assert [[key for key, __ in hits] for hits in exhaustive] == [
+            [key for key, __ in hits] for hits in first[:2]
         ]
-        # descending score, ties broken by ascending row, truncated to topn
-        assert merge_shard_topk(per_shard, 3) == [(0, 0.9), (1, 0.9), (3, 0.7)]
+        short = QueryService(store, index="sharded", owner=plan, inner="ivf", nlist=8, nprobe=1)
+        assert all(0 < len(hits) <= 5 for hits in short.most_similar_batch([0, 1], topn=5))
+        with pytest.raises(ServingError, match="owner"):
+            QueryService(store, index="sharded", owner=np.empty(0, dtype=np.int64))
+        with pytest.raises(ServingError, match="owner"):
+            # owner array shorter than the key space
+            QueryService(store, index="sharded", owner=np.zeros(3, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from the parser before the flags were derived (option string ->
 """
 
 import argparse
+import ast
 import dataclasses
+import functools
 import inspect
 import json
 from pathlib import Path
@@ -19,8 +21,9 @@ import pytest
 from repro.cli import _FLAGS, _VERB_DEFAULTS, _VERB_SECTIONS, _verb_spec, build_parser
 from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override, expand_grid
-from repro.core.spec import SUGAR, EvalSpec, GraphSpec, RunSpec, spec_field
+from repro.core.spec import SUGAR, EvalSpec, GraphSpec, RunSpec, ServingSpec, spec_field
 from repro.errors import SpecError
+from repro.serving import ServerConfig
 from repro.sharding.engine import ShardedWalkEngine
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -31,6 +34,8 @@ SECTIONS = {
     "sharding": ShardingConfig,
     "graph": GraphSpec,
     "evaluation": EvalSpec,
+    "serving": ServingSpec,
+    "serving.server": ServerConfig,
 }
 #: a valid non-default value where "default + 1" is not one
 ALTERNATIVES = {
@@ -39,6 +44,8 @@ ALTERNATIVES = {
     "mode": "cbow", "task": "clustering", "dataset": "blogcatalog",
     "edge_list": "edges.txt", "weight_mode": "uniform", "hosts": ["a:1", "b:2", "c:3"],
     "extra": {"batch_pairs": 64}, "train_fractions": [0.3, 0.6],
+    "index": "ivf", "index_params": {"nprobe": 2}, "codec": "int8", "codec_params": {"m": 4},
+    "server": ServerConfig(max_batch=8),
 }  # fmt: skip
 
 
@@ -64,7 +71,7 @@ class TestEveryFieldIsReachable:
         value = non_default(field)
         data = apply_override({"graph": {"dataset": "amazon"}}, f"{section}.{field.name}", value)
         spec = RunSpec.from_dict(data)
-        got = getattr(getattr(spec, section), field.name)
+        got = getattr(functools.reduce(getattr, section.split("."), spec), field.name)
         assert got == (tuple(value) if isinstance(value, list) else value)
         assert got != field.default
         assert RunSpec.from_dict(spec.to_dict()) == spec
@@ -85,6 +92,61 @@ class TestEveryFieldIsReachable:
         sharding = set(ShardingConfig().engine_kwargs())
         assert sharding <= sharded
         assert len(sharding) == len(dataclasses.fields(ShardingConfig)) - 1  # all but `enabled`
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+#: the serving knobs and the one place each default is written
+SERVING_DEFAULTS = {
+    "index": ServingSpec.index, "cache_size": ServingSpec.cache_size,
+    "max_batch": ServerConfig.max_batch, "max_wait_us": ServerConfig.max_wait_us,
+    "queue_size": ServerConfig.queue_size,
+}  # fmt: skip
+
+
+class TestOneServingDeclaration:
+    @staticmethod
+    def modules():
+        for path in sorted(SRC.rglob("*.py")):
+            yield str(path.relative_to(SRC)), ast.parse(path.read_text())
+
+    def test_each_default_is_a_literal_once_on_its_dataclass_field(self):
+        """A signature names ``ServingSpec.cache_size``; it does not say 4096 again."""
+        written = []
+        for module, tree in self.modules():
+            for node in ast.walk(tree):
+                pairs = []
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    positional = node.args.posonlyargs + node.args.args
+                    pairs = list(zip(positional[::-1], node.args.defaults[::-1]))
+                    pairs += zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    pairs = [(arg.arg, default) for arg, default in pairs]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    pairs = [(node.target.id, node.value)]
+                elif isinstance(node, ast.Call):  # argparse ``default=``, constructor calls
+                    pairs = [(kw.arg, kw.value) for kw in node.keywords]
+                written += [
+                    (name, module)
+                    for name, value in pairs
+                    if name in SERVING_DEFAULTS
+                    and isinstance(value, ast.Constant)
+                    and value.value == SERVING_DEFAULTS[name]
+                ]
+        assert sorted(written) == sorted((name, "serving/config.py") for name in SERVING_DEFAULTS)
+
+    def test_the_builder_holds_the_only_front_end_constructor_calls(self):
+        calls = {}
+        for module, tree in self.modules():
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("QueryService", "QueryServer"):
+                    calls.setdefault(module, set()).add(name)
+        # outside serving/ nobody assembles the read path by hand; inside
+        # it, the builder and the snapshot manager's per-version service
+        assert calls == {
+            "serving/config.py": {"QueryService", "QueryServer"},
+            "serving/snapshot.py": {"QueryService"},
+        }
 
 
 class TestOneSugarTable:
