@@ -2,8 +2,8 @@
 
 The scale-out record behind :mod:`repro.sharding`: the partitioned walk
 engine and scatter-gather queries (``QueryService(index="sharded")``),
-swept over shard counts on one Table VII network. Two regressions are guarded on every row before
-any throughput is reported:
+swept over shard counts on one Table VII network. Two regressions are
+guarded on every row before any throughput is reported:
 
 * the sharded corpus is asserted **bitwise identical** to the monolithic
   :class:`~repro.walks.vectorized.VectorizedWalkEngine` corpus, and
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -99,11 +100,12 @@ def _query_run(service, keys):
 
 
 def _parent_query_qps():
-    """``{num_shards: query_qps}`` of the same scale in the parent's record."""
+    """``{num_shards: query_qps}`` of the same scale in the parent's record, if it has one."""
     path = os.environ.get("BENCH_SHARD_PARENT")
     if not path:
         return {}
-    run = next(r for r in json.loads(open(path).read())["runs"] if r["scale"] == SHARD_SCALE)
+    runs = json.loads(Path(path).read_text())["runs"]
+    run = next((r for r in runs if r["scale"] == SHARD_SCALE), {"entries": []})
     return {e["num_shards"]: e["query_qps"] for e in run["entries"] if "query_qps" in e}
 
 

@@ -344,7 +344,6 @@ class ShardedIndex:
                 f"owner of shape {owner.shape} does not name a part for each of the store's "
                 f"{keys.size} key(s); the plan must come from the graph the embeddings were trained on"
             )
-        self.store = store
         codes, norms = np.asarray(store.codes), np.asarray(store.norms)
         key_owner = owner[keys]
         #: per non-empty part: (its monolithic rows, ascending; its inner index)

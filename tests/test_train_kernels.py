@@ -21,11 +21,11 @@ summation order (``einsum``/scipy choose their own) and the last ulp of
   of its own, and in the worst case those add: ``eps32 * n * max|w|``
   with ``lr <= 1``. The accumulator is float64 on both sides, so the
   *order* of the ``n`` additions costs nothing measurable; the count
-  does. Until PR 21 the bound had the first term only, which is the
-  whole of it when ``n <= dim`` and misses the second when a tiny
-  vocabulary sends every contribution to one row (``vocab=1, dim=1``:
-  168 of them, 1.5 ulp observed against a bound of 1). The two examples
-  pinned on the property below are those recorded failures;
+  does. The first term is the whole bound when ``n <= dim``; the second
+  decides when a tiny vocabulary sends every contribution to one row
+  (``vocab=1, dim=1``: 168 of them, 1.5 ulp observed). The two examples
+  pinned on the property below are such batches, recorded as failures
+  of a bound with the first term only;
 * one batch's loss, a float32 mean of k terms in the reference:
   relative ``1e-5`` (eps32 × log2 k ≲ 2e-6);
 * a whole fit: cosine of matched rows ≥ 0.9999 and equal micro-F1 to 3
