@@ -23,9 +23,14 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.utils.cbuild import compile_cached, find_compiler
+from repro.walks.kernels.state import KIND_NODE2VEC
 
 _C_SOURCE = r"""
+#define _POSIX_C_SOURCE 199309L
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <time.h>
 
 #define NO_EDGE (-1)
 
@@ -35,9 +40,41 @@ _C_SOURCE = r"""
 #define PREFETCH(addr)
 #endif
 
+/* Negative-first adjacency filter: a blocked Bloom filter over the
+   (source, target) keys of every edge entry, two bits of one 64-bit
+   word per key, so a probe touches one cache line. A miss proves "not
+   an edge"; a hit proves nothing and falls through to the exact test,
+   so has_edge returns the same boolean with or without it. */
+#define FILTER_MIN_ROW 16
+#define FILTER_BITS(h) ((1ULL << ((h) >> 58)) | (1ULL << (((h) >> 52) & 63)))
+
+static inline uint64_t edge_hash(int64_t v, int64_t u) {
+    uint64_t h = (uint64_t)v * 0x9E3779B97F4A7C15ULL + (uint64_t)u;
+    h ^= h >> 32;
+    h *= 0xD6E8FEB86659FD93ULL;
+    h ^= h >> 32;
+    return h;
+}
+
+void edge_filter_build(int64_t num_nodes, const int64_t *offsets,
+                       const int64_t *targets, uint64_t *filt, uint64_t fmask) {
+    for (int64_t v = 0; v < num_nodes; v++)
+        for (int64_t e = offsets[v]; e < offsets[v + 1]; e++) {
+            uint64_t h = edge_hash(v, targets[e]);
+            filt[h & fmask] |= FILTER_BITS(h);
+        }
+}
+
 static int has_edge(const int64_t *offsets, const int64_t *targets,
+                    const uint64_t *filt, uint64_t fmask,
                     int64_t v, int64_t u) {
     int64_t lo = offsets[v], hi = offsets[v + 1];
+    if (filt && hi - lo > FILTER_MIN_ROW) {
+        /* most alpha tests on hub rows come back "not an edge": answer
+           those from the filter instead of searching the row */
+        uint64_t h = edge_hash(v, u), bits = FILTER_BITS(h);
+        if ((filt[h & fmask] & bits) != bits) return 0;
+    }
     if (hi - lo <= 64) {
         /* small rows: branchless linear scan vectorizes and avoids the
            binary search's data-dependent mispredictions */
@@ -55,6 +92,7 @@ static int has_edge(const int64_t *offsets, const int64_t *targets,
 
 /* kind codes match repro.walks.kernels.state.KIND_CODES */
 static double dyn_weight(int kind, double p, double q,
+                         const uint64_t *filt, uint64_t fmask,
                          const int64_t *offsets, const int64_t *targets,
                          const double *weights, int64_t prev, int64_t e) {
     double w = weights ? weights[e] : 1.0;
@@ -63,42 +101,15 @@ static double dyn_weight(int kind, double p, double q,
     double alpha;
     if (prev < 0) alpha = 1.0;
     else if (u == prev) alpha = 1.0 / p;
-    else if (has_edge(offsets, targets, prev, u)) alpha = 1.0;
+    else if (has_edge(offsets, targets, filt, fmask, prev, u)) alpha = 1.0;
     else alpha = 1.0 / q;
     return w * alpha;
-}
-
-void mh_propose(int64_t n, const int64_t *offsets, const int64_t *targets,
-                const double *weights, int64_t num_edges,
-                int kind, double p, double q,
-                const int64_t *prev, const int64_t *cur,
-                const int64_t *last, const double *last_w,
-                const double *u_cand, const double *u_acc,
-                int64_t *out_cand, double *out_w_cand,
-                double *out_w_last, uint8_t *out_accept) {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v = cur[i];
-        int64_t lo = offsets[v], deg = offsets[v + 1] - lo;
-        int64_t c = lo + (int64_t)(u_cand[i] * (double)(deg > 0 ? deg : 1));
-        /* deg==0 lanes are dead (masked by the driver); clamp so the
-           junk index stays in bounds where NumPy would fault instead */
-        if (c >= num_edges) c = num_edges - 1;
-        if (c < 0) c = 0;
-        double wc = dyn_weight(kind, p, q, offsets, targets, weights, prev[i], c);
-        int64_t l = last[i] > 0 ? last[i] : 0;
-        double wl = last_w[i];
-        if (wl != wl) /* NaN sentinel: cache miss, evaluate the model */
-            wl = dyn_weight(kind, p, q, offsets, targets, weights, prev[i], l);
-        out_cand[i] = c;
-        out_w_cand[i] = wc;
-        out_w_last[i] = wl;
-        out_accept[i] = (wc > 0.0) && ((wl <= 0.0) || (u_acc[i] * wl < wc));
-    }
 }
 
 void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
              const double *weights, int64_t num_edges,
              int kind, double p, double q,
+             const uint64_t *filt, uint64_t fmask,
              const int64_t *idx, const int64_t *prev, const int64_t *cur,
              const int64_t *last, const double *last_w, const uint8_t *dead,
              const double *u_cand, const double *u_acc,
@@ -130,11 +141,11 @@ void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
         int64_t c = lo + (int64_t)(u_cand[i] * (double)(deg > 0 ? deg : 1));
         if (c >= num_edges) c = num_edges - 1;
         if (c < 0) c = 0;
-        double wc = dyn_weight(kind, p, q, offsets, targets, weights, prev[i], c);
+        double wc = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev[i], c);
         int64_t l = last[i] > 0 ? last[i] : 0;
         double wl = last_w[i];
         if (wl != wl) /* NaN sentinel: cache miss, evaluate the model */
-            wl = dyn_weight(kind, p, q, offsets, targets, weights, prev[i], l);
+            wl = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev[i], l);
         int acc = (wc > 0.0) && ((wl <= 0.0) || (u_acc[i] * wl < wc));
         int64_t nl = acc ? c : last[i];
         chain_last[idx[i]] = nl;
@@ -149,17 +160,19 @@ void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
 
 void dyn_weights(int64_t n, const int64_t *offsets, const int64_t *targets,
                  const double *weights, int kind, double p, double q,
+                 const uint64_t *filt, uint64_t fmask,
                  const int64_t *prev, const int64_t *offs, double *out) {
     /* bulk model-weight evaluation for the M-H initializers: same
        dyn_weight as the step kernels, over aligned (prev, offset) lanes */
     for (int64_t i = 0; i < n; i++)
-        out[i] = dyn_weight(kind, p, q, offsets, targets, weights, prev[i], offs[i]);
+        out[i] = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev[i], offs[i]);
 }
 
 void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
                     const int64_t *offsets,
                     const int64_t *targets, const double *weights,
                     int kind, double p, double q,
+                    const uint64_t *filt, uint64_t fmask,
                     const int64_t *prev, const int64_t *cur, const double *u,
                     const int64_t *order, uint64_t *mark,
                     int64_t *out_c, double *out_w) {
@@ -229,7 +242,7 @@ void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
                 if (pv < 0) alpha = 1.0;
                 else if (t == pv) alpha = 1.0 / p;
                 else if (use_mark ? (int)((mark[t >> 6] >> (t & 63)) & 1)
-                                  : has_edge(offsets, targets, pv, t)) alpha = 1.0;
+                                  : has_edge(offsets, targets, filt, fmask, pv, t)) alpha = 1.0;
                 else alpha = 1.0 / q;
                 w = w * alpha;
             }
@@ -278,6 +291,7 @@ void state_alias_draw(int64_t n, const int64_t *offsets,
 
 void rejection_round(int64_t n, const int64_t *offsets, const int64_t *targets,
                      const double *weights, int kind, double p, double q,
+                     const uint64_t *filt, uint64_t fmask,
                      const double *prop_thresh, const int64_t *prop_alias,
                      int64_t tsize,
                      const int64_t *prev, const int64_t *cur,
@@ -296,7 +310,7 @@ void rejection_round(int64_t n, const int64_t *offsets, const int64_t *targets,
         out_off[i] = off;
         int64_t e = off > 0 ? off : 0;
         double ws = weights ? weights[e] : 1.0;
-        double wd = dyn_weight(kind, p, q, offsets, targets, weights, prev[i], e);
+        double wd = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev[i], e);
         if (clip) {
             double cl = bound * ws;
             if (wd > cl) wd = cl;
@@ -310,34 +324,29 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
+#: the weight rule as every alpha-evaluating entry takes it:
+#: kind, p, q, the adjacency filter's words and its word mask
+_RULE = (ctypes.c_int, ctypes.c_double, ctypes.c_double, _U64P, ctypes.c_uint64)
 
 
 def _load(so_path: str):
     lib = ctypes.CDLL(so_path)
-    lib.mh_propose.restype = None
-    lib.mh_propose.argtypes = [
-        ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64,
-        ctypes.c_int, ctypes.c_double, ctypes.c_double,
-        _I64P, _I64P, _I64P, _F64P, _F64P, _F64P,
-        _I64P, _F64P, _F64P, _U8P,
-    ]
+    lib.edge_filter_build.restype = None
+    lib.edge_filter_build.argtypes = [ctypes.c_int64, _I64P, _I64P, _U64P, ctypes.c_uint64]
     lib.mh_step.restype = None
     lib.mh_step.argtypes = [
-        ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64,
-        ctypes.c_int, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64, *_RULE,
         _I64P, _I64P, _I64P, _I64P, _F64P, _U8P, _F64P, _F64P,
         _I64P, _F64P, _I64P, _I64P,
     ]
     lib.dyn_weights.restype = None
     lib.dyn_weights.argtypes = [
-        ctypes.c_int64, _I64P, _I64P, _F64P,
-        ctypes.c_int, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
         _I64P, _I64P, _F64P,
     ]
     lib.mh_init_select.restype = None
     lib.mh_init_select.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
-        ctypes.c_int, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
         _I64P, _I64P, _F64P, _I64P, _U64P, _I64P, _F64P,
     ]
     lib.alias_draw.restype = None
@@ -352,8 +361,7 @@ def _load(so_path: str):
     ]
     lib.rejection_round.restype = None
     lib.rejection_round.argtypes = [
-        ctypes.c_int64, _I64P, _I64P, _F64P,
-        ctypes.c_int, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
         _F64P, _I64P, ctypes.c_int64,
         _I64P, _I64P, _F64P, _F64P, _F64P,
         ctypes.c_double, ctypes.c_int,
@@ -382,6 +390,14 @@ def _fp(arr):
 
 def _up(arr: np.ndarray):
     return arr.ctypes.data_as(_U8P)
+
+
+def _rule(ks) -> tuple:
+    """``ks``'s weight rule in ``_RULE`` order (no filter: NULL, mask 0)."""
+    filt = ks.edge_filter
+    if filt is None:
+        return ks.kind_code, ks.p, ks.q, None, 0
+    return ks.kind_code, ks.p, ks.q, filt.ctypes.data_as(_U64P), filt.size - 1
 
 
 class CNativeKernels:
@@ -416,29 +432,24 @@ class CNativeKernels:
             self.warmup()
         return self._lib
 
-    # ------------------------------------------------------------------
-    def mh_propose(self, ks, prev, cur, last, last_w, u_cand, u_acc, weight_fn):
-        lib = self._ensure()
-        n = cur.size
-        prev = _i64(prev)
-        cur = _i64(cur)
-        last = _i64(last)
-        last_w = _f64(last_w)
-        u_cand = _f64(u_cand)
-        u_acc = _f64(u_acc)
-        cand = np.empty(n, dtype=np.int64)
-        w_cand = np.empty(n, dtype=np.float64)
-        w_last = np.empty(n, dtype=np.float64)
-        accept = np.empty(n, dtype=np.uint8)
-        lib.mh_propose(
-            n, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
-            ks.targets.size, ks.kind_code, ks.p, ks.q,
-            _ip(prev), _ip(cur), _ip(last), _fp(last_w),
-            _fp(u_cand), _fp(u_acc),
-            _ip(cand), _fp(w_cand), _fp(w_last), _up(accept),
-        )
-        return cand, w_cand, w_last, accept.view(bool)
+    def build_edge_filter(self, ks):
+        """The adjacency prefilter of ``has_edge`` for ``ks``'s graph.
 
+        ``next_pow2(|E| / 4)`` 64-bit words (16-32 bits per edge entry),
+        every ``(source, target)`` key inserted; None when the weight
+        rule never asks ``has_edge`` (anything but node2vec's alpha).
+        """
+        if ks.kind != KIND_NODE2VEC or ks.targets.size == 0:
+            return None
+        words = max(1 << (ks.targets.size // 4 - 1).bit_length(), 8)
+        filt = np.zeros(words, dtype=np.uint64)
+        self._ensure().edge_filter_build(
+            ks.offsets.size - 1, _ip(ks.offsets), _ip(ks.targets),
+            filt.ctypes.data_as(_U64P), words - 1,
+        )
+        return filt
+
+    # ------------------------------------------------------------------
     def mh_step(self, ks, idx, prev, cur, last, last_w, dead, u_cand, u_acc, weight_fn):
         lib = self._ensure()
         n = cur.size
@@ -454,7 +465,7 @@ class CNativeKernels:
         counts = np.zeros(2, dtype=np.int64)
         lib.mh_step(
             n, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
-            ks.targets.size, ks.kind_code, ks.p, ks.q,
+            ks.targets.size, *_rule(ks),
             _ip(idx), _ip(prev), _ip(cur), _ip(last), _fp(last_w),
             _up(dead), _fp(u_cand), _fp(u_acc),
             _ip(ks.chain_last), _fp(ks.chain_last_w),
@@ -469,7 +480,7 @@ class CNativeKernels:
         out = np.empty(offs.size, dtype=np.float64)
         lib.dyn_weights(
             offs.size, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
-            ks.kind_code, ks.p, ks.q, _ip(prev), _ip(offs), _fp(out),
+            *_rule(ks), _ip(prev), _ip(offs), _fp(out),
         )
         return out
 
@@ -491,7 +502,7 @@ class CNativeKernels:
         order = np.argsort(prev, kind="stable")
         lib.mh_init_select(
             k, cap, num_nodes, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
-            ks.kind_code, ks.p, ks.q,
+            *_rule(ks),
             _ip(prev), _ip(cur), _fp(u), _ip(order),
             self._mark.ctypes.data_as(_U64P),
             _ip(out_c), _fp(out_w),
@@ -554,7 +565,7 @@ class CNativeKernels:
             keep_p = _fp(u_keep)
         lib.rejection_round(
             n, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
-            ks.kind_code, ks.p, ks.q,
+            *_rule(ks),
             thresh_p, alias_p, tsize,
             _ip(prev), _ip(cur), _fp(u_prop), keep_p, _fp(u_acc),
             float(bound), int(clip),

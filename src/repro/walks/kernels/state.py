@@ -67,6 +67,9 @@ class KernelState:
     chain_last: np.ndarray | None = None
     chain_last_w: np.ndarray | None = None
 
+    # -- adjacency prefilter of the compiled node2vec alpha (uint64) ----
+    edge_filter: np.ndarray | None = None
+
     @property
     def kind_code(self) -> int:
         """Integer weight-rule code for the compiled entry points."""

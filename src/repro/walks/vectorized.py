@@ -90,6 +90,10 @@ class StepperBase:
     """
 
     name = "abstract"
+    #: True on the steppers whose kernels evaluate the model's dynamic
+    #: weight draw by draw (M-H, the rejection family): they carry the
+    #: backend's adjacency filter for node2vec's alpha, if it builds one.
+    alpha_filter = False
 
     def __init__(self, graph, model, kernels=None):
         self.graph = graph
@@ -97,6 +101,7 @@ class StepperBase:
         #: Kernel backend driving the hot loops (``repro.walks.kernels``);
         #: the engine injects the configured one via the SamplerContext.
         self.kernels = kernels if kernels is not None else default_backend()
+        self.edge_filter = self._new_edge_filter()
         self.samples = 0
         self.proposals = 0
         self.accepts = 0
@@ -124,8 +129,25 @@ class StepperBase:
         :meth:`_extend_kernel_state`.
         """
         ks = KernelState.for_graph(self.graph, self.model)
+        ks.edge_filter = self.edge_filter
         self._extend_kernel_state(ks)
         return ks
+
+    def _new_edge_filter(self):
+        """The backend's ``has_edge`` prefilter for the current graph.
+
+        None on a backend that builds none (NumPy) and for weight rules
+        that never test adjacency. A filter answers for the graph it was
+        built from, so :meth:`on_delta` builds a new one.
+        """
+        build = getattr(self.kernels, "build_edge_filter", None)
+        if build is None or not self.alpha_filter:
+            return None
+        return build(KernelState.for_graph(self.graph, self.model))
+
+    @property
+    def edge_filter_bytes(self) -> int:
+        return 0 if self.edge_filter is None else self.edge_filter.nbytes
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
         """Attach sampler-owned arrays (tables, chains) to ``ks``."""
@@ -264,6 +286,8 @@ class StepperBase:
             self.model = model
         info = self._refresh(plan)
         self.graph = plan.new_graph
+        # a stale filter has false negatives: silently wrong weights
+        self.edge_filter = self._new_edge_filter()
         self.rebuilt_nodes += int(info.get("rebuilt_nodes", 0))
         self.rebuild_cost_bytes += int(info.get("rebuild_cost_bytes", 0))
         self.invalidated_states += int(info.get("invalidated_states", 0))
@@ -582,6 +606,7 @@ class _MemoryAwareStepper(_StateAliasStepper):
     """
 
     name = "memory-aware"
+    alpha_filter = True  # the rejection fallback
 
     def __init__(self, graph, model, ctx):
         if ctx.table_budget_bytes is None:
@@ -635,11 +660,15 @@ class _MemoryAwareStepper(_StateAliasStepper):
         return out
 
     def memory_bytes(self) -> int:
-        return self.tables.memory_bytes() + self.proposal.memory_bytes()
+        return (
+            self.tables.memory_bytes() + self.proposal.memory_bytes() + self.edge_filter_bytes
+        )
 
 
 class _RejectionStepper(StepperBase):
     """Vectorized rejection sampling, optionally with outlier folding."""
+
+    alpha_filter = True
 
     def __init__(self, graph, model, ctx, *, fold: bool):
         super().__init__(graph, model, ctx.kernels)
@@ -715,13 +744,14 @@ class _RejectionStepper(StepperBase):
         return info
 
     def memory_bytes(self) -> int:
-        return self.proposal.memory_bytes()
+        return self.proposal.memory_bytes() + self.edge_filter_bytes
 
 
 class _MHStepper(StepperBase):
     """Algorithm 1 on arrays — the paper's M-H edge sampler, vectorized."""
 
     name = "mh"
+    alpha_filter = True
 
     def __init__(self, graph, model, ctx):
         super().__init__(graph, model, ctx.kernels)
@@ -965,7 +995,7 @@ class _MHStepper(StepperBase):
         return self.chains.on_delta(plan, self.model)
 
     def memory_bytes(self) -> int:
-        return self.chains.memory_bytes()
+        return self.chains.memory_bytes() + self.edge_filter_bytes
 
 
 def _alias_stepper_factory(graph, model, ctx):
