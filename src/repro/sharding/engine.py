@@ -46,6 +46,7 @@ from repro.sharding.transport import make_transport
 from repro.utils.rng import as_rng
 from repro.walks.models import make_model
 from repro.walks.vectorized import (
+    StepperBase,
     VectorizedWalkEngine,
     _DirectStepper,
     _FirstOrderAliasStepper,
@@ -65,6 +66,10 @@ class _Fanout:
     uniforms per shard, ships one op per worker and scatters the replies
     back into monolithic lane order.
     """
+
+    #: the driver steps lane by lane through the overrides below; a
+    #: stepper's own wave kernel (``_MHStepper.run_wave``) would skip them
+    run_wave = StepperBase.run_wave
 
     def _build(self, ctx) -> None:
         """The structures live with the workers; the driver holds none."""

@@ -253,6 +253,153 @@ void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
     }
 }
 
+typedef double (*next_double_fn)(void *state);
+
+static double now_seconds(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+typedef struct { int64_t prev, lane; } prev_lane_t;
+
+static int by_prev_then_lane(const void *a, const void *b) {
+    const prev_lane_t *x = a, *y = b;
+    if (x->prev != y->prev) return x->prev < y->prev ? -1 : 1;
+    return (x->lane > y->lane) - (x->lane < y->lane);
+}
+
+static int64_t exact_argmax(int kind, double p, double q,
+                            const uint64_t *filt, uint64_t fmask,
+                            const int64_t *offsets, const int64_t *targets,
+                            const double *weights, int64_t prev, int64_t v) {
+    /* first argmax of the row's dynamic weights, NO_EDGE when none is
+       positive: _MHStepper._exact_argmax */
+    int64_t best = NO_EDGE;
+    double best_w = 0.0;
+    for (int64_t e = offsets[v]; e < offsets[v + 1]; e++) {
+        double w = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev, e);
+        if (w > best_w) { best_w = w; best = e; }
+    }
+    return best;
+}
+
+int mh_wave(int64_t n, int64_t first_step, int64_t walk_length,
+            const int64_t *offsets, const int64_t *targets,
+            const double *weights, int64_t num_nodes, int64_t num_edges,
+            int kind, double p, double q,
+            const uint64_t *filt, uint64_t fmask,
+            int order, int64_t cap,
+            next_double_fn next_double, void *rng_state,
+            int64_t *ids, int64_t *prev, int64_t *prev_off, int64_t *cur,
+            int64_t *chain_last, double *chain_last_w,
+            int64_t *walks, int64_t *lengths,
+            int64_t *counts, double *init_seconds) {
+    /* Steps first_step .. walk_length-2 of one wave, lock-step over the
+       n lanes (ids, prev, prev_off, cur; compacted in place), with the
+       high-weight initializer (cap candidates per fresh chain; cap 0 =
+       exact row argmax). Per step this is _MHStepper.step followed by
+       the compaction of StepperBase.run_wave, uniform for uniform: the
+       draws come from the caller's BitGenerator in NumPy's order (one
+       (fresh, cap) block if any chain is fresh, then u_cand[n], then
+       u_acc[n], lanes on a dead end included), and every lane's chain
+       is gathered before any lane scatters, so two walkers on one chain
+       read the pre-step state and the later lane's pair wins.
+       `ids` are wave-local rows of `walks` (row stride walk_length) and
+       `lengths`. counts: proposals, accepts, initializations. */
+    size_t words = kind == 2 ? (size_t)(num_nodes + 63) / 64 : 0;
+    size_t lanes = (size_t)n, icap = (size_t)(cap > 0 ? cap : 0);
+    char *memory = malloc(lanes * ((10 * sizeof(int64_t)) + (4 + icap) * sizeof(double) + 1)
+                          + words * sizeof(uint64_t));
+    if (!memory) return -1;
+    int64_t *idx = (int64_t *)memory, *last = idx + lanes, *next = last + lanes;
+    int64_t *fresh = next + lanes, *f_prev = fresh + lanes, *f_cur = f_prev + lanes;
+    int64_t *f_order = f_cur + lanes, *f_best = f_order + lanes;
+    prev_lane_t *f_sort = (prev_lane_t *)(f_best + lanes);
+    double *last_w = (double *)(f_sort + lanes), *u_cand = last_w + lanes;
+    double *u_acc = u_cand + lanes, *f_w = u_acc + lanes, *f_u = f_w + lanes;
+    uint64_t *mark = (uint64_t *)(f_u + lanes * icap);
+    uint8_t *dead = (uint8_t *)(mark + words);
+
+    for (int64_t step = first_step; step < walk_length - 1 && n > 0; step++) {
+        /* pass 1 (_MHStepper.begin): gather the lanes' chains */
+        int64_t nf = 0;
+        for (int64_t i = 0; i < n; i++) {
+            if (i + 8 < n) {
+                int64_t s = order == 2 ? prev_off[i + 8] : cur[i + 8];
+                PREFETCH(&chain_last[s]);
+                PREFETCH(&chain_last_w[s]);
+                PREFETCH(&offsets[cur[i + 8]]);
+            }
+            int64_t v = cur[i], s = order == 2 ? prev_off[i] : v;
+            int alive = offsets[v + 1] > offsets[v];
+            idx[i] = s;
+            last[i] = chain_last[s];
+            last_w[i] = chain_last_w[s];
+            dead[i] = !alive;
+            if (alive && last[i] == NO_EDGE) fresh[nf++] = i;
+        }
+        if (nf) {
+            /* _draw_init + init_high_weight over the fresh lanes */
+            double t0 = now_seconds();
+            for (int64_t f = 0; f < nf; f++) {
+                f_prev[f] = prev[fresh[f]];
+                f_cur[f] = cur[fresh[f]];
+                f_w[f] = 0.0;
+            }
+            if (cap > 0) {
+                for (int64_t j = 0; j < nf * cap; j++) f_u[j] = next_double(rng_state);
+                for (int64_t f = 0; f < nf; f++) {
+                    f_sort[f].prev = f_prev[f];
+                    f_sort[f].lane = f;
+                }
+                qsort(f_sort, (size_t)nf, sizeof *f_sort, by_prev_then_lane);
+                for (int64_t f = 0; f < nf; f++) f_order[f] = f_sort[f].lane;
+                mh_init_select(nf, cap, num_nodes, offsets, targets, weights,
+                               kind, p, q, filt, fmask, f_prev, f_cur, f_u,
+                               f_order, mark, f_best, f_w);
+            }
+            for (int64_t f = 0; f < nf; f++) {
+                /* the subsample may have missed the support entirely */
+                if (f_w[f] <= 0.0)
+                    f_best[f] = exact_argmax(kind, p, q, filt, fmask, offsets, targets,
+                                             weights, f_prev[f], f_cur[f]);
+                last[fresh[f]] = f_best[f];
+                last_w[fresh[f]] = NAN; /* fresh chains have no cached weight */
+            }
+            counts[2] += nf;
+            *init_seconds += now_seconds() - t0;
+        }
+        for (int64_t i = 0; i < n; i++) dead[i] |= last[i] == NO_EDGE;
+        for (int64_t i = 0; i < n; i++) u_cand[i] = next_double(rng_state);
+        for (int64_t i = 0; i < n; i++) u_acc[i] = next_double(rng_state);
+        /* pass 2 (_MHStepper.finish): propose, accept, scatter in lane order */
+        int64_t stepped[2];
+        mh_step(n, offsets, targets, weights, num_edges, kind, p, q, filt, fmask,
+                idx, prev, cur, last, last_w, dead, u_cand, u_acc,
+                chain_last, chain_last_w, next, stepped);
+        counts[0] += stepped[0];
+        counts[1] += stepped[1];
+        /* the compaction of run_wave: lanes that drew no edge retire */
+        int64_t m = 0;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t e = next[i];
+            if (e == NO_EDGE) continue;
+            int64_t row = ids[i], from = cur[i], to = targets[e];
+            ids[m] = row;
+            prev[m] = from;
+            prev_off[m] = e;
+            cur[m] = to;
+            m++;
+            walks[row * walk_length + step + 1] = to;
+            lengths[row]++;
+        }
+        n = m;
+    }
+    free(memory);
+    return 0;
+}
+
 void alias_draw(int64_t n, const int64_t *offsets,
                 const double *thresh, const int64_t *alias, int64_t tsize,
                 const int64_t *nodes, const double *u_slot, const double *u_keep,
@@ -348,6 +495,13 @@ def _load(so_path: str):
     lib.mh_init_select.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
         _I64P, _I64P, _F64P, _I64P, _U64P, _I64P, _F64P,
+    ]
+    lib.mh_wave.restype = ctypes.c_int
+    lib.mh_wave.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
+        ctypes.c_int64, ctypes.c_int64, *_RULE, ctypes.c_int, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p,
+        _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _I64P, _I64P, _I64P, _F64P,
     ]
     lib.alias_draw.restype = None
     lib.alias_draw.argtypes = [
@@ -508,6 +662,42 @@ class CNativeKernels:
             _ip(out_c), _fp(out_w),
         )
         return out_c, out_w
+
+    def mh_wave(self, ks, order, cap, rng, lanes, first_step, walks, lengths):
+        """Every remaining step of one M-H wave in one call.
+
+        ``lanes`` are the wave's ``(ids, prev, prev_off, cur)`` int64
+        arrays as they stand before step ``first_step`` (consumed: the
+        kernel compacts them in place), ``walks`` the wave's C-contiguous
+        rows of the walk matrix and ``lengths`` their token counts, both
+        indexed by ``ids``; ``order`` picks the chain of a lane (1: its
+        node, 2: the edge it arrived by) and ``cap`` is the high-weight
+        initializer's (None: exact row argmax). Uniforms come straight
+        from ``rng``'s BitGenerator, in the order the stepper's
+        ``rng.random`` calls would take them, and ``rng`` continues the
+        same stream afterwards. Returns ``(proposals, accepts,
+        initializations, init_seconds)``.
+        """
+        lib = self._ensure()
+        ids, prev, prev_off, cur = lanes
+        counts = np.zeros(3, dtype=np.int64)
+        init_seconds = ctypes.c_double(0.0)
+        bit_generator = rng.bit_generator
+        draw = bit_generator.ctypes
+        with bit_generator.lock:
+            failed = lib.mh_wave(
+                ids.size, first_step, walks.shape[1],
+                _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
+                ks.offsets.size - 1, ks.targets.size, *_rule(ks),
+                order, 0 if cap is None else cap,
+                ctypes.cast(draw.next_double, ctypes.c_void_p), draw.state,
+                _ip(ids), _ip(prev), _ip(prev_off), _ip(cur),
+                _ip(ks.chain_last), _fp(ks.chain_last_w),
+                _ip(walks), _ip(lengths), _ip(counts), ctypes.byref(init_seconds),
+            )
+        if failed:
+            raise MemoryError(f"mh_wave: no scratch for {ids.size} lanes")
+        return int(counts[0]), int(counts[1]), int(counts[2]), init_seconds.value
 
     def alias_draw(self, ks, nodes, u_slot, u_keep):
         lib = self._ensure()

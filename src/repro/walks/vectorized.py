@@ -56,6 +56,7 @@ from repro.walks.kernels import (
 )
 from repro.walks.manager import ChainStore
 from repro.walks.models import make_model
+from repro.walks.models.base import RandomWalkModel
 
 
 def _canonical_initializer(initializer) -> str:
@@ -199,6 +200,54 @@ class StepperBase:
         lo, deg = self._rows(cur)
         pos = segment_race_argmin(race_keys(weights, u_flat), deg)
         return np.where(pos >= 0, lo + pos, NO_EDGE)
+
+    # the wave loop ----------------------------------------------------
+    #: whether :meth:`run_wave` hands the wave to a compiled kernel
+    wave_kernel = False
+
+    def run_wave(self, starts, walk_length, walks, row_base, rng) -> np.ndarray:
+        """Walk one wave in lock-step; returns the walks' token counts.
+
+        One walker per entry of ``starts`` writes row ``row_base + i`` of
+        ``walks`` (pre-filled with -1). This is the only wave loop in
+        Python: every sampler, the NumPy backend and the sharded driver
+        run it, and a compiled wave kernel must equal it bit for bit.
+        """
+        lanes, lengths = self._launch(starts, walks, row_base)
+        self._lockstep(lanes, range(walk_length - 1), walks, row_base, lengths, rng)
+        return lengths
+
+    @staticmethod
+    def _launch(starts, walks, row_base):
+        """Column 0 and the ``(ids, prev, prev_off, cur)`` lanes of a wave."""
+        k = starts.size
+        walks[row_base : row_base + k, 0] = starts
+        lengths = np.ones(k, dtype=np.int64)
+        ids = np.arange(k, dtype=np.int64)
+        cur = starts.astype(np.int64).copy()
+        prev = np.full(k, -1, dtype=np.int64)
+        prev_off = np.full(k, -1, dtype=np.int64)
+        return (ids, prev, prev_off, cur), lengths
+
+    def _lockstep(self, lanes, steps, walks, row_base, lengths, rng):
+        """Advance ``lanes`` over ``steps``; returns them as they end up."""
+        ids, prev, prev_off, cur = lanes
+        for step in steps:
+            if cur.size == 0:
+                break
+            if self.model.order == 2 and step == 0:
+                chosen = self.first_step(cur, rng)
+            else:
+                chosen = self.step(prev, prev_off, cur, step, rng)
+            alive = chosen != NO_EDGE
+            ids = ids[alive]
+            chosen = chosen[alive]
+            prev = cur[alive]
+            prev_off = chosen
+            cur = self.graph.targets[chosen]
+            walks[row_base + ids, step + 1] = cur
+            lengths[ids] += 1
+        return ids, prev, prev_off, cur
 
     def first_step(self, cur, rng):
         """Step 0 of a second-order walk: one uniform per edge entry."""
@@ -771,6 +820,15 @@ class _MHStepper(StepperBase):
                 self.custom_initializer = make_initializer(self.strategy)
         self.init_sample_cap = ctx.init_sample_cap
         self.burn_in_iterations = ctx.burn_in_iterations
+        # the compiled wave runs the built-in high-weight initializer and
+        # the two built-in chain layouts (a node's chain, an edge's chain)
+        self.wave_kernel = (
+            hasattr(self.kernels, "mh_wave")
+            and self.strategy == "high-weight"
+            and self.custom_initializer is None
+            and (self.init_sample_cap is None or self.init_sample_cap > 0)
+            and type(model).batch_state_index is RandomWalkModel.batch_state_index
+        )
         self._build(ctx)
 
     def _build(self, ctx) -> None:
@@ -783,6 +841,34 @@ class _MHStepper(StepperBase):
     def _extend_kernel_state(self, ks: KernelState) -> None:
         ks.chain_last = self.chains.last
         ks.chain_last_w = self.chains.last_w
+
+    def run_wave(self, starts, walk_length, walks, row_base, rng) -> np.ndarray:
+        """The base loop, or the same steps in one call of ``kernels.mh_wave``.
+
+        Step 0 of a second-order walk stays here (its race keys go
+        through ``np.log1p``, which libm need not match to the last
+        bit); the kernel takes every M-H step after it. It draws from
+        ``rng``'s own BitGenerator what :meth:`step` would, so corpus,
+        chains, counters and the generator's state afterwards are the
+        base loop's.
+        """
+        rows = walks[row_base : row_base + starts.size]
+        if not (self.wave_kernel and rows.flags.c_contiguous and rows.dtype == np.int64):
+            return super().run_wave(starts, walk_length, walks, row_base, rng)
+        lanes, lengths = self._launch(starts, rows, 0)
+        first = min(self.model.order - 1, walk_length - 1)
+        lanes = self._lockstep(lanes, range(first), rows, 0, lengths, rng)
+        if lanes[0].size:
+            n_ok, n_acc, n_init, init_seconds = self.kernels.mh_wave(
+                self.kernel_state, self.model.order, self.init_sample_cap, rng,
+                lanes, first, rows, lengths,
+            )
+            self.proposals += n_ok
+            self.samples += n_ok
+            self.accepts += n_acc
+            self.initializations += n_init
+            self.init_seconds += init_seconds
+        return lengths
 
     # -- draw half -------------------------------------------------------
     def step(self, prev, prev_off, cur, step, rng):
@@ -1216,30 +1302,7 @@ class VectorizedWalkEngine:
                 yield WalkCorpus(walks, lengths)
 
     def _run_wave(self, starts, walk_length, walks, row_base) -> np.ndarray:
-        graph, model, stepper, rng = self.graph, self.model, self.stepper, self.rng
-        k = starts.size
-        walks[row_base : row_base + k, 0] = starts
-        lengths = np.ones(k, dtype=np.int64)
-        ids = np.arange(k, dtype=np.int64)
-        cur = starts.astype(np.int64).copy()
-        prev = np.full(k, -1, dtype=np.int64)
-        prev_off = np.full(k, -1, dtype=np.int64)
-        for step in range(walk_length - 1):
-            if cur.size == 0:
-                break
-            if model.order == 2 and step == 0:
-                chosen = stepper.first_step(cur, rng)
-            else:
-                chosen = stepper.step(prev, prev_off, cur, step, rng)
-            alive = chosen != NO_EDGE
-            ids = ids[alive]
-            chosen = chosen[alive]
-            prev = cur[alive]
-            prev_off = chosen
-            cur = graph.targets[chosen]
-            walks[row_base + ids, step + 1] = cur
-            lengths[ids] += 1
-        return lengths
+        return self.stepper.run_wave(starts, walk_length, walks, row_base, self.rng)
 
     # ------------------------------------------------------------------
     def apply_delta(self, delta):
@@ -1275,6 +1338,8 @@ class VectorizedWalkEngine:
         out["setup_seconds"] = self.setup_seconds
         out["backend"] = self.backend
         out["requested_backend"] = self.requested_backend
+        out["wave_kernel"] = self.stepper.wave_kernel
+        out["edge_filter_bytes"] = self.stepper.edge_filter_bytes
         out["compile_seconds"] = self.compile_seconds
         return out
 
