@@ -284,7 +284,7 @@ static int64_t exact_argmax(int kind, double p, double q,
     return best;
 }
 
-int mh_wave(int64_t n, int64_t first_step, int64_t walk_length,
+int mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length,
             const int64_t *offsets, const int64_t *targets,
             const double *weights, int64_t num_nodes, int64_t num_edges,
             int kind, double p, double q,
@@ -305,14 +305,19 @@ int mh_wave(int64_t n, int64_t first_step, int64_t walk_length,
        u_acc[n], lanes on a dead end included), and every lane's chain
        is gathered before any lane scatters, so two walkers on one chain
        read the pre-step state and the later lane's pair wins.
-       `ids` are wave-local rows of `walks` (row stride walk_length) and
-       `lengths`. counts: proposals, accepts, initializations. */
+       `ids` are wave-local rows of `walks` (`rows` of them, row stride
+       walk_length) and `lengths`. A step's tokens go to a step-major
+       block of 8 columns that is copied into the walk rows once the
+       columns of a 64-byte line are all there, up to each row's length:
+       a line of the corpus is written once, not by eight strided
+       stores. counts: proposals, accepts, initializations. */
     size_t words = kind == 2 ? (size_t)(num_nodes + 63) / 64 : 0;
     size_t lanes = (size_t)n, icap = (size_t)(cap > 0 ? cap : 0);
     char *memory = malloc(lanes * ((10 * sizeof(int64_t)) + (4 + icap) * sizeof(double) + 1)
-                          + words * sizeof(uint64_t));
+                          + (8 * (size_t)rows) * sizeof(int64_t) + words * sizeof(uint64_t));
     if (!memory) return -1;
-    int64_t *idx = (int64_t *)memory, *last = idx + lanes, *next = last + lanes;
+    int64_t *block = (int64_t *)memory, *idx = block + 8 * rows;
+    int64_t *last = idx + lanes, *next = last + lanes;
     int64_t *fresh = next + lanes, *f_prev = fresh + lanes, *f_cur = f_prev + lanes;
     int64_t *f_order = f_cur + lanes, *f_best = f_order + lanes;
     prev_lane_t *f_sort = (prev_lane_t *)(f_best + lanes);
@@ -320,6 +325,7 @@ int mh_wave(int64_t n, int64_t first_step, int64_t walk_length,
     double *u_acc = u_cand + lanes, *f_w = u_acc + lanes, *f_u = f_w + lanes;
     uint64_t *mark = (uint64_t *)(f_u + lanes * icap);
     uint8_t *dead = (uint8_t *)(mark + words);
+    int64_t flushed = first_step + 1; /* first column still in the block */
 
     for (int64_t step = first_step; step < walk_length - 1 && n > 0; step++) {
         /* pass 1 (_MHStepper.begin): gather the lanes' chains */
@@ -391,10 +397,19 @@ int mh_wave(int64_t n, int64_t first_step, int64_t walk_length,
             prev_off[m] = e;
             cur[m] = to;
             m++;
-            walks[row * walk_length + step + 1] = to;
+            block[((step + 1) & 7) * rows + row] = to;
             lengths[row]++;
         }
         n = m;
+        int64_t end = step + 2; /* columns [flushed, end) are in the block */
+        if ((end & 7) == 0 || end == walk_length || n == 0) {
+            for (int64_t row = 0; row < rows; row++) {
+                int64_t stop = lengths[row] < end ? lengths[row] : end;
+                for (int64_t c = flushed; c < stop; c++)
+                    walks[row * walk_length + c] = block[(c & 7) * rows + row];
+            }
+            flushed = end;
+        }
     }
     free(memory);
     return 0;
@@ -498,7 +513,7 @@ def _load(so_path: str):
     ]
     lib.mh_wave.restype = ctypes.c_int
     lib.mh_wave.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
         ctypes.c_int64, ctypes.c_int64, *_RULE, ctypes.c_int, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p,
         _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _I64P, _I64P, _I64P, _F64P,
@@ -686,7 +701,7 @@ class CNativeKernels:
         draw = bit_generator.ctypes
         with bit_generator.lock:
             failed = lib.mh_wave(
-                ids.size, first_step, walks.shape[1],
+                ids.size, walks.shape[0], first_step, walks.shape[1],
                 _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
                 ks.offsets.size - 1, ks.targets.size, *_rule(ks),
                 order, 0 if cap is None else cap,
