@@ -1249,12 +1249,7 @@ class VectorizedWalkEngine:
         """
         if num_walks < 1 or walk_length < 1:
             raise WalkError("num_walks and walk_length must be >= 1")
-        if start_nodes is None:
-            starts = self.model.valid_start_nodes()
-        else:
-            starts = np.asarray(start_nodes, dtype=np.int64)
-        if starts.size == 0:
-            raise WalkError("no valid start nodes for this model/graph")
+        starts = self._resolve_starts(start_nodes)
         walks = np.full((num_walks * starts.size, walk_length), -1, dtype=np.int64)
         lengths = np.empty(num_walks * starts.size, dtype=np.int64)
         for wave in range(num_walks):
@@ -1287,12 +1282,7 @@ class VectorizedWalkEngine:
             raise WalkError("num_walks and walk_length must be >= 1")
         if shard_walks is not None and shard_walks < 1:
             raise WalkError("shard_walks must be >= 1")
-        if start_nodes is None:
-            starts = self.model.valid_start_nodes()
-        else:
-            starts = np.asarray(start_nodes, dtype=np.int64)
-        if starts.size == 0:
-            raise WalkError("no valid start nodes for this model/graph")
+        starts = self._resolve_starts(start_nodes)
         chunk = starts.size if shard_walks is None else min(shard_walks, starts.size)
         for __ in range(num_walks):
             for lo in range(0, starts.size, chunk):
@@ -1300,6 +1290,30 @@ class VectorizedWalkEngine:
                 walks = np.full((part.size, walk_length), -1, dtype=np.int64)
                 lengths = self._run_wave(part, walk_length, walks, 0)
                 yield WalkCorpus(walks, lengths)
+
+    def _resolve_starts(self, start_nodes) -> np.ndarray:
+        """The wave's start nodes: the model's, or the caller's, checked.
+
+        An id outside ``[0, num_nodes)`` would index the CSR arrays out
+        of bounds (NumPy wraps a negative one silently; a compiled wave
+        reads past the array), and a float id would be truncated.
+        """
+        if start_nodes is None:
+            starts = self.model.valid_start_nodes()
+        else:
+            starts = np.asarray(start_nodes)
+            # (an empty list arrives as float64: it is refused below, as empty)
+            if starts.size and not np.issubdtype(starts.dtype, np.integer):
+                raise WalkError(f"start_nodes must be integer node ids, got dtype {starts.dtype}")
+            starts = starts.astype(np.int64)
+            bad = np.flatnonzero((starts < 0) | (starts >= self.graph.num_nodes))
+            if bad.size:
+                raise WalkError(
+                    f"start node {int(starts[bad[0]])} is outside [0, {self.graph.num_nodes})"
+                )
+        if starts.size == 0:
+            raise WalkError("no valid start nodes for this model/graph")
+        return starts
 
     def _run_wave(self, starts, walk_length, walks, row_base) -> np.ndarray:
         return self.stepper.run_wave(starts, walk_length, walks, row_base, self.rng)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import WalkError
 from repro.walks.engine import ReferenceWalkEngine
+from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
 from repro.walks.vectorized import EagerStateAliasTables, VectorizedWalkEngine
 
@@ -118,6 +119,34 @@ class TestVectorizedEngine:
         eng = VectorizedWalkEngine(graph, "metapath2vec", metapath="APA", seed=8)
         with pytest.raises(WalkError):
             eng.generate(num_walks=1, walk_length=5, start_nodes=np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("engine_kind", ("numpy", "cnative", "sharded"))
+    @pytest.mark.parametrize("bad", ([-1, 0], ["n"], [1.7, 2.2]))
+    def test_start_nodes_are_validated(self, small_unweighted_graph, engine_kind, bad):
+        # -1 used to wrap to the last node and put a padding value in
+        # column 0, num_nodes was a bare IndexError, 1.7 was truncated
+        graph = small_unweighted_graph
+        if engine_kind == "cnative" and not available_backends().get("cnative", False):
+            pytest.skip("kernel backend 'cnative' is not available here")
+        bad = [graph.num_nodes if v == "n" else v for v in bad]
+        if engine_kind == "sharded":
+            from repro.sharding import ShardedWalkEngine
+
+            eng = ShardedWalkEngine(graph, "deepwalk", sampler="mh", num_shards=2, seed=1)
+        else:
+            eng = VectorizedWalkEngine(
+                graph, "deepwalk", sampler="mh", backend=engine_kind, seed=1
+            )
+        match = "integer" if isinstance(bad[0], float) else rf"start node {bad[0]} is outside"
+        try:
+            with pytest.raises(WalkError, match=match):
+                eng.generate(1, 5, start_nodes=bad)
+            with pytest.raises(WalkError, match=match):
+                next(eng.generate_stream(1, 5, start_nodes=bad))
+            assert eng.generate(1, 5, start_nodes=[3, 0]).walks[:, 0].tolist() == [3, 0]
+        finally:
+            if engine_kind == "sharded":
+                eng.close()
 
     def test_metapath_walks_respect_types(self, academic):
         graph, __ = academic
