@@ -33,7 +33,7 @@ from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
 
-from _common import RESULTS_DIR, record_table, run_once, timed
+from _common import RESULTS_DIR, commit_label, record_table, run_once, timed
 
 PQ_CONFIGS = [(1.0, 0.25), (0.25, 1.0), (1.0, 1.0), (1.0, 4.0), (4.0, 1.0)]
 SAMPLERS = [
@@ -139,7 +139,11 @@ def test_table7_scalability(benchmark, networks, server_budget_bytes, network):
 # with plain pytest at toy scale (``BENCH_WALKS_SCALE=0.02``). The
 # headline floor — compiled mh-weight >= 5x NumPy walks/sec on the largest
 # network — is asserted only at record scale (>= 0.3), where kernel time
-# dominates; override with ``REPRO_BENCH_MIN_SPEEDUP``.
+# dominates; override with ``REPRO_BENCH_MIN_SPEEDUP``. A record names the
+# commit it ran on; with ``BENCH_WALKS_PARENT`` naming the BENCH_walks.json
+# that a checkout of the parent commit wrote on the same host, each row
+# keeps the parent's compiled seconds beside its own (run the two sides
+# one after the other: the host is noisy in minute-long phases).
 
 KERNEL_SCALE = float(os.environ.get("BENCH_WALKS_SCALE", "0.3"))
 KERNEL_REPEATS = int(os.environ.get("BENCH_WALKS_REPEATS", "3"))
@@ -178,6 +182,20 @@ def _kernel_run(graph, sampler_name, options, backend):
     return corpus, best, stats
 
 
+def _parent_compiled_seconds(backend):
+    """``{(network, sampler): compiled_seconds}`` of this scale in the parent's record."""
+    path = os.environ.get("BENCH_WALKS_PARENT")
+    if not path:
+        return {}
+    with open(path) as fh:
+        runs = json.load(fh)["runs"]
+    run = next(
+        (r for r in runs if (r["scale"], r["backend"]) == (KERNEL_SCALE, backend)),
+        {"entries": []},
+    )
+    return {(e["network"], e["sampler"]): e["compiled_seconds"] for e in run["entries"]}
+
+
 def _record_bench_walks(record):
     """Merge one run record into BENCH_walks.json (the perf trajectory)."""
     path = RESULTS_DIR / "BENCH_walks.json"
@@ -212,6 +230,7 @@ def test_kernel_walk_throughput():
         for name in ("twitter", "web-uk")
     }
     largest = max(graphs, key=lambda n: graphs[n].num_edge_entries)
+    parent = _parent_compiled_seconds(backend)
 
     entries, rows = [], []
     for network, graph in graphs.items():
@@ -233,7 +252,12 @@ def test_kernel_walk_throughput():
                 "compiled_walks_per_sec": round(num_walks_total / got_seconds, 1),
                 "speedup": round(speedup, 2),
                 "compile_seconds": round(stats["compile_seconds"], 4),
+                "wave_kernel": bool(stats["wave_kernel"]),
                 "identical_corpus": True,
+                **(
+                    {"parent_compiled_seconds": parent[network, sampler_name]}
+                    if (network, sampler_name) in parent else {}
+                ),
             })
             rows.append({
                 "network": network,
@@ -241,6 +265,7 @@ def test_kernel_walk_throughput():
                 "numpy (s)": round(ref_seconds, 3),
                 f"{backend} (s)": round(got_seconds, 3),
                 "speedup": f"{speedup:.2f}x",
+                "parent (s)": parent.get((network, sampler_name)),
             })
 
     headline = max(
@@ -251,6 +276,7 @@ def test_kernel_walk_throughput():
     record = {
         "scale": KERNEL_SCALE,
         "backend": backend,
+        "commit": commit_label(RESULTS_DIR.parent.parent),
         "num_walks": NUM_WALKS,
         "walk_length": WALK_LENGTH,
         "p": KERNEL_P,
@@ -268,7 +294,8 @@ def test_kernel_walk_throughput():
     _record_bench_walks(record)
     record_table(
         "table7_kernels",
-        ["network", "sampler", "numpy (s)", f"{backend} (s)", "speedup"],
+        ["network", "sampler", "numpy (s)", f"{backend} (s)", "speedup"]
+        + (["parent (s)"] if parent else []),
         rows,
         title=(f"Compiled walk kernels ({backend}) vs NumPy: node2vec "
                f"(p={KERNEL_P:g}, q={KERNEL_Q:g}), bitwise-identical corpora"),

@@ -19,10 +19,10 @@ Kernel protocol (duck-typed; all backends implement it):
 ``warmup()``
     Pay any one-time compilation cost now; returns the seconds spent so
     the engine can book them as ``compile_seconds`` instead of walk time.
-``mh_step / mh_propose / alias_draw / state_alias_draw / rejection_round``
+``mh_step / alias_draw / state_alias_draw / rejection_round``
     The hot loops (full Algorithm 1 step over the shared chain arrays,
-    its propose/accept core, first-order alias gather, per-state alias
-    gather, rejection/KnightKing acceptance round).
+    first-order alias gather, per-state alias gather,
+    rejection/KnightKing acceptance round).
 ``dyn_weights``
     Bulk model-weight evaluation over aligned ``(prev, edge offset)``
     lanes — the M-H initializers' inner product, which otherwise
@@ -34,6 +34,19 @@ Kernel protocol (duck-typed; all backends implement it):
     candidate and its weight. Compiled backends exploit that all
     candidates of one walker share ``prev`` (the node2vec membership
     test amortizes to O(1) per candidate via a marked adjacency).
+
+Two entries are optional, and this backend has neither:
+
+``mh_wave``
+    Every M-H step of a wave in one call, drawing from the engine's
+    BitGenerator what the stepper's ``rng.random`` calls would. Absent:
+    the stepper runs ``StepperBase.run_wave``, the lock-step loop that
+    a compiled ``mh_wave`` must equal bit for bit.
+``build_edge_filter``
+    A negative-first prefilter for the adjacency test of node2vec's
+    alpha, carried as ``KernelState.edge_filter``. Absent (or None):
+    every test is the exact search. It can only say "not an edge"
+    early, never change an answer.
 """
 
 from __future__ import annotations

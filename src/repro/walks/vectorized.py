@@ -21,6 +21,20 @@ Chains, tables and assignments persist across waves, exactly like the
 paper's sampler manager. Races between same-state walkers within one wave
 resolve last-writer-wins, mirroring the benign races of the threaded
 original.
+
+The wave loop belongs to the stepper: ``VectorizedWalkEngine._run_wave``
+delegates to :meth:`StepperBase.run_wave`, the one lock-step loop in
+Python. ``_MHStepper`` overrides it to hand a wave to the backend's
+``mh_wave`` (one compiled call for all its steps, uniforms drawn from
+the engine's own BitGenerator in the order ``step`` draws them, so the
+result equals the base loop's bit for bit) when the backend has one and
+the initializer is the built-in ``high-weight``. Everybody else keeps
+the base loop: the six other samplers and third-party steppers (their
+``step`` is Python), the NumPy backend (no ``mh_wave``), the ``random``
+/ ``burn-in`` / custom initializers (no compiled draw order), step 0 of
+a second-order walk (its race keys go through ``np.log1p``, which libm
+need not match to the last bit) and the sharded driver, which must see
+every step to fan it out. ``stats()["wave_kernel"]`` says which ran.
 """
 
 from __future__ import annotations
