@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WalkError
 from repro.utils.cbuild import compile_cached, find_compiler
 from repro.walks.kernels.state import KIND_NODE2VEC
 
@@ -295,22 +295,18 @@ int mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length,
             int64_t *chain_last, double *chain_last_w,
             int64_t *walks, int64_t *lengths,
             int64_t *counts, double *init_seconds) {
-    /* Steps first_step .. walk_length-2 of one wave, lock-step over the
-       n lanes (ids, prev, prev_off, cur; compacted in place), with the
-       high-weight initializer (cap candidates per fresh chain; cap 0 =
-       exact row argmax). Per step this is _MHStepper.step followed by
-       the compaction of StepperBase.run_wave, uniform for uniform: the
-       draws come from the caller's BitGenerator in NumPy's order (one
-       (fresh, cap) block if any chain is fresh, then u_cand[n], then
-       u_acc[n], lanes on a dead end included), and every lane's chain
-       is gathered before any lane scatters, so two walkers on one chain
-       read the pre-step state and the later lane's pair wins.
-       `ids` are wave-local rows of `walks` (`rows` of them, row stride
-       walk_length) and `lengths`. A step's tokens go to a step-major
-       block of 8 columns that is copied into the walk rows once the
-       columns of a 64-byte line are all there, up to each row's length:
-       a line of the corpus is written once, not by eight strided
-       stores. counts: proposals, accepts, initializations. */
+    /* Steps first_step .. walk_length-2 of one wave over its n lanes
+       (ids, prev, prev_off, cur: compacted in place; ids are rows of
+       `walks` and `lengths`), high-weight initializer with `cap`
+       candidates (0: exact row argmax). Per step this is
+       _MHStepper.step, then the compaction of StepperBase.run_wave,
+       uniform for uniform: one (fresh, cap) block if any chain is
+       fresh, then u_cand[n], then u_acc[n], dead-end lanes included;
+       every lane's chain is gathered before any lane scatters, so two
+       walkers on one chain read the pre-step state and the later lane
+       wins. Tokens go to a step-major block of 8 columns, copied into
+       the walk rows a whole 64-byte line at a time, up to each row's
+       length. counts: proposals, accepts, initializations. */
     size_t words = kind == 2 ? (size_t)(num_nodes + 63) / 64 : 0;
     size_t lanes = (size_t)n, icap = (size_t)(cap > 0 ? cap : 0);
     char *memory = malloc(lanes * ((10 * sizeof(int64_t)) + (4 + icap) * sizeof(double) + 1)
@@ -331,12 +327,6 @@ int mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length,
         /* pass 1 (_MHStepper.begin): gather the lanes' chains */
         int64_t nf = 0;
         for (int64_t i = 0; i < n; i++) {
-            if (i + 8 < n) {
-                int64_t s = order == 2 ? prev_off[i + 8] : cur[i + 8];
-                PREFETCH(&chain_last[s]);
-                PREFETCH(&chain_last_w[s]);
-                PREFETCH(&offsets[cur[i + 8]]);
-            }
             int64_t v = cur[i], s = order == 2 ? prev_off[i] : v;
             int alive = offsets[v + 1] > offsets[v];
             idx[i] = s;
@@ -602,12 +592,9 @@ class CNativeKernels:
         return self._lib
 
     def build_edge_filter(self, ks):
-        """The adjacency prefilter of ``has_edge`` for ``ks``'s graph.
-
-        ``next_pow2(|E| / 4)`` 64-bit words (16-32 bits per edge entry),
-        every ``(source, target)`` key inserted; None when the weight
-        rule never asks ``has_edge`` (anything but node2vec's alpha).
-        """
+        """``has_edge``'s prefilter: every ``(source, target)`` key in
+        ``next_pow2(|E| / 4)`` words (16-32 bits per edge entry); None
+        unless the weight rule tests adjacency (node2vec's alpha)."""
         if ks.kind != KIND_NODE2VEC or ks.targets.size == 0:
             return None
         words = max(1 << (ks.targets.size // 4 - 1).bit_length(), 8)
@@ -679,22 +666,23 @@ class CNativeKernels:
         return out_c, out_w
 
     def mh_wave(self, ks, order, cap, rng, lanes, first_step, walks, lengths):
-        """Every remaining step of one M-H wave in one call.
+        """Steps ``first_step`` onwards of one M-H wave, in one call.
 
-        ``lanes`` are the wave's ``(ids, prev, prev_off, cur)`` int64
-        arrays as they stand before step ``first_step`` (consumed: the
-        kernel compacts them in place), ``walks`` the wave's C-contiguous
-        rows of the walk matrix and ``lengths`` their token counts, both
-        indexed by ``ids``; ``order`` picks the chain of a lane (1: its
-        node, 2: the edge it arrived by) and ``cap`` is the high-weight
-        initializer's (None: exact row argmax). Uniforms come straight
-        from ``rng``'s BitGenerator, in the order the stepper's
-        ``rng.random`` calls would take them, and ``rng`` continues the
-        same stream afterwards. Returns ``(proposals, accepts,
-        initializations, init_seconds)``.
+        ``lanes`` are the wave's ``(ids, prev, prev_off, cur)`` before
+        that step (consumed: compacted in place); ``walks`` / ``lengths``
+        are the wave's rows, indexed by ``ids``. ``order`` picks a
+        lane's chain (1: its node, 2: the edge it arrived by), ``cap``
+        is the high-weight initializer's (None: exact row argmax).
+        Uniforms come from ``rng``'s BitGenerator in the order the
+        stepper's ``rng.random`` calls take them, and ``rng`` carries
+        on from there. Returns ``(proposals, accepts, initializations,
+        init_seconds)``.
         """
         lib = self._ensure()
         ids, prev, prev_off, cur = lanes
+        for arr in (*lanes, walks, lengths):  # written in place: no copy can stand in
+            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+                raise WalkError("mh_wave needs C-contiguous int64 lanes, walks and lengths")
         counts = np.zeros(3, dtype=np.int64)
         init_seconds = ctypes.c_double(0.0)
         bit_generator = rng.bit_generator

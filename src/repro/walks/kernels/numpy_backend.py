@@ -40,13 +40,10 @@ Two entries are optional, and this backend has neither:
 ``mh_wave``
     Every M-H step of a wave in one call, drawing from the engine's
     BitGenerator what the stepper's ``rng.random`` calls would. Absent:
-    the stepper runs ``StepperBase.run_wave``, the lock-step loop that
-    a compiled ``mh_wave`` must equal bit for bit.
+    the stepper runs ``StepperBase.run_wave``, which it must equal.
 ``build_edge_filter``
-    A negative-first prefilter for the adjacency test of node2vec's
-    alpha, carried as ``KernelState.edge_filter``. Absent (or None):
-    every test is the exact search. It can only say "not an edge"
-    early, never change an answer.
+    A prefilter for the adjacency test of node2vec's alpha
+    (``KernelState.edge_filter``); it can only say "not an edge" early.
 """
 
 from __future__ import annotations

@@ -22,19 +22,16 @@ paper's sampler manager. Races between same-state walkers within one wave
 resolve last-writer-wins, mirroring the benign races of the threaded
 original.
 
-The wave loop belongs to the stepper: ``VectorizedWalkEngine._run_wave``
-delegates to :meth:`StepperBase.run_wave`, the one lock-step loop in
-Python. ``_MHStepper`` overrides it to hand a wave to the backend's
-``mh_wave`` (one compiled call for all its steps, uniforms drawn from
-the engine's own BitGenerator in the order ``step`` draws them, so the
-result equals the base loop's bit for bit) when the backend has one and
-the initializer is the built-in ``high-weight``. Everybody else keeps
-the base loop: the six other samplers and third-party steppers (their
-``step`` is Python), the NumPy backend (no ``mh_wave``), the ``random``
-/ ``burn-in`` / custom initializers (no compiled draw order), step 0 of
-a second-order walk (its race keys go through ``np.log1p``, which libm
-need not match to the last bit) and the sharded driver, which must see
-every step to fan it out. ``stats()["wave_kernel"]`` says which ran.
+The wave loop belongs to the stepper: :meth:`StepperBase.run_wave` is
+the one lock-step loop in Python. ``_MHStepper`` hands a wave to the
+backend's ``mh_wave`` instead (one compiled call, uniforms drawn from
+the engine's own BitGenerator in the order ``step`` draws them: the same
+bits) when the backend has one and the initializer is the built-in
+``high-weight``. The other samplers, third-party steppers, the NumPy
+backend, the other initializers, step 0 of a second-order walk (its
+``np.log1p`` need not match libm to the last bit) and the sharded
+driver (it fans every step out) keep the base loop;
+``stats()["wave_kernel"]`` says which ran.
 """
 
 from __future__ import annotations
@@ -105,9 +102,8 @@ class StepperBase:
     """
 
     name = "abstract"
-    #: True on the steppers whose kernels evaluate the model's dynamic
-    #: weight draw by draw (M-H, the rejection family): they carry the
-    #: backend's adjacency filter for node2vec's alpha, if it builds one.
+    #: True on steppers whose kernels evaluate the dynamic weight draw by
+    #: draw: they carry the backend's adjacency filter for node2vec's alpha
     alpha_filter = False
 
     def __init__(self, graph, model, kernels=None):
@@ -149,12 +145,7 @@ class StepperBase:
         return ks
 
     def _new_edge_filter(self):
-        """The backend's ``has_edge`` prefilter for the current graph.
-
-        None on a backend that builds none (NumPy) and for weight rules
-        that never test adjacency. A filter answers for the graph it was
-        built from, so :meth:`on_delta` builds a new one.
-        """
+        """The backend's ``has_edge`` prefilter for the current graph, if any."""
         build = getattr(self.kernels, "build_edge_filter", None)
         if build is None or not self.alpha_filter:
             return None
@@ -227,13 +218,10 @@ class StepperBase:
         Python: every sampler, the NumPy backend and the sharded driver
         run it, and a compiled wave kernel must equal it bit for bit.
         """
-        lanes, lengths = self._launch(starts, walks, row_base)
-        self._lockstep(lanes, range(walk_length - 1), walks, row_base, lengths, rng)
-        return lengths
+        return self._lockstep(starts, walk_length - 1, walks, row_base, rng)[0]
 
-    @staticmethod
-    def _launch(starts, walks, row_base):
-        """Column 0 and the ``(ids, prev, prev_off, cur)`` lanes of a wave."""
+    def _lockstep(self, starts, steps, walks, row_base, rng):
+        """The first ``steps`` steps of a wave: ``(lengths, lanes)`` after them."""
         k = starts.size
         walks[row_base : row_base + k, 0] = starts
         lengths = np.ones(k, dtype=np.int64)
@@ -241,12 +229,7 @@ class StepperBase:
         cur = starts.astype(np.int64).copy()
         prev = np.full(k, -1, dtype=np.int64)
         prev_off = np.full(k, -1, dtype=np.int64)
-        return (ids, prev, prev_off, cur), lengths
-
-    def _lockstep(self, lanes, steps, walks, row_base, lengths, rng):
-        """Advance ``lanes`` over ``steps``; returns them as they end up."""
-        ids, prev, prev_off, cur = lanes
-        for step in steps:
+        for step in range(steps):
             if cur.size == 0:
                 break
             if self.model.order == 2 and step == 0:
@@ -261,7 +244,7 @@ class StepperBase:
             cur = self.graph.targets[chosen]
             walks[row_base + ids, step + 1] = cur
             lengths[ids] += 1
-        return ids, prev, prev_off, cur
+        return lengths, (ids, prev, prev_off, cur)
 
     def first_step(self, cur, rng):
         """Step 0 of a second-order walk: one uniform per edge entry."""
@@ -857,21 +840,17 @@ class _MHStepper(StepperBase):
         ks.chain_last_w = self.chains.last_w
 
     def run_wave(self, starts, walk_length, walks, row_base, rng) -> np.ndarray:
-        """The base loop, or the same steps in one call of ``kernels.mh_wave``.
+        """The base loop, or its M-H steps in one call of ``kernels.mh_wave``.
 
-        Step 0 of a second-order walk stays here (its race keys go
-        through ``np.log1p``, which libm need not match to the last
-        bit); the kernel takes every M-H step after it. It draws from
-        ``rng``'s own BitGenerator what :meth:`step` would, so corpus,
-        chains, counters and the generator's state afterwards are the
-        base loop's.
+        Step 0 of a second-order walk stays in Python (``first_step``);
+        the kernel draws from ``rng``'s own BitGenerator what
+        :meth:`step` would, so the result is the base loop's bit for bit.
         """
-        rows = walks[row_base : row_base + starts.size]
-        if not (self.wave_kernel and rows.flags.c_contiguous and rows.dtype == np.int64):
+        if not self.wave_kernel:
             return super().run_wave(starts, walk_length, walks, row_base, rng)
-        lanes, lengths = self._launch(starts, rows, 0)
+        rows = walks[row_base : row_base + starts.size]
         first = min(self.model.order - 1, walk_length - 1)
-        lanes = self._lockstep(lanes, range(first), rows, 0, lengths, rng)
+        lengths, lanes = self._lockstep(starts, first, rows, 0, rng)
         if lanes[0].size:
             n_ok, n_acc, n_init, init_seconds = self.kernels.mh_wave(
                 self.kernel_state, self.model.order, self.init_sample_cap, rng,
@@ -1306,12 +1285,8 @@ class VectorizedWalkEngine:
                 yield WalkCorpus(walks, lengths)
 
     def _resolve_starts(self, start_nodes) -> np.ndarray:
-        """The wave's start nodes: the model's, or the caller's, checked.
-
-        An id outside ``[0, num_nodes)`` would index the CSR arrays out
-        of bounds (NumPy wraps a negative one silently; a compiled wave
-        reads past the array), and a float id would be truncated.
-        """
+        """The model's start nodes, or the caller's: integer ids in
+        ``[0, num_nodes)`` (NumPy would wrap -1 and truncate 1.7)."""
         if start_nodes is None:
             starts = self.model.valid_start_nodes()
         else:
