@@ -105,6 +105,8 @@ class StepperBase:
     #: True on steppers whose kernels evaluate the dynamic weight draw by
     #: draw: they carry the backend's adjacency filter for node2vec's alpha
     alpha_filter = False
+    #: whether :meth:`run_wave` hands the wave to a compiled kernel
+    wave_kernel = False
 
     def __init__(self, graph, model, kernels=None):
         self.graph = graph
@@ -207,9 +209,6 @@ class StepperBase:
         return np.where(pos >= 0, lo + pos, NO_EDGE)
 
     # the wave loop ----------------------------------------------------
-    #: whether :meth:`run_wave` hands the wave to a compiled kernel
-    wave_kernel = False
-
     def run_wave(self, starts, walk_length, walks, row_base, rng) -> np.ndarray:
         """Walk one wave in lock-step; returns the walks' token counts.
 

@@ -39,12 +39,12 @@ COUNTERS = ("samples", "proposals", "accepts", "initializations")
 
 
 def _walk(graph, model, *, base_loop, layout="all", bit_generator=np.random.PCG64,
-          walk_length=12, waves=2, **engine_kw):
+          walk_length=12, waves=2, params=None, **engine_kw):
     """One run; everything the contract names, in comparable form."""
     rng = np.random.Generator(bit_generator(5))
     engine = VectorizedWalkEngine(
         graph, model, sampler="mh", backend="cnative", seed=rng,
-        **MODELS.get(model, {}), **engine_kw,
+        **(MODELS[model] if params is None else params), **engine_kw,
     )
     assert engine.stats()["wave_kernel"]
     if base_loop:
@@ -187,25 +187,10 @@ def digraphs(draw):
     model=st.sampled_from(("deepwalk", "node2vec")),
 )
 def test_property_wave_equals_base_loop(graph, p, q, walk_length, waves, cap, model):
-    def run(base_loop):
-        rng = np.random.default_rng(17)
-        params = {"p": p, "q": q} if model == "node2vec" else {}
-        engine = VectorizedWalkEngine(
-            graph, model, sampler="mh", backend="cnative", seed=rng,
-            init_sample_cap=cap, **params,
-        )
-        if base_loop:
-            engine.stepper.wave_kernel = False
-        corpus = engine.generate(waves, walk_length)
-        stats = engine.stats()
-        return {
-            "walks": corpus.walks, "lengths": corpus.lengths,
-            "last": engine.stepper.chains.last, "last_w": engine.stepper.chains.last_w,
-            "counters": [stats[name] for name in COUNTERS],
-            "rng": repr(rng.bit_generator.state),
-        }
-
-    _assert_same_run(run(False), run(True))
+    _both(
+        graph, model, params={"p": p, "q": q} if model == "node2vec" else {},
+        walk_length=walk_length, waves=waves, init_sample_cap=cap,
+    )
 
 
 # ---------------------------------------------------------------------------
