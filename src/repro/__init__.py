@@ -63,10 +63,10 @@ __version__ = "1.0.0"
 #: Lazily resolved public attributes -> (module, attribute) pairs.
 _LAZY_ATTRS = {
     "UniNet": ("repro.core.uninet", "UniNet"),
-    "WalkConfig": ("repro.core.config", "WalkConfig"),
-    "TrainConfig": ("repro.core.config", "TrainConfig"),
-    "StreamingConfig": ("repro.core.config", "StreamingConfig"),
-    "ShardingConfig": ("repro.core.config", "ShardingConfig"),
+    "WalkConfig": ("repro.config", "WalkConfig"),
+    "TrainConfig": ("repro.config", "TrainConfig"),
+    "StreamingConfig": ("repro.config", "StreamingConfig"),
+    "ShardingConfig": ("repro.config", "ShardingConfig"),
     "ShardedWalkEngine": ("repro.sharding.engine", "ShardedWalkEngine"),
     "ShardPlan": ("repro.sharding.partitioner", "ShardPlan"),
     "build_shard_plan": ("repro.sharding.partitioner", "build_shard_plan"),

@@ -51,6 +51,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import typing
@@ -62,6 +63,7 @@ from repro.graph import datasets
 from repro.graph.stats import graph_statistics
 from repro.harness.tables import format_table
 from repro.registry import MODEL_REGISTRY
+from repro.serving.codec import PQCodec
 
 _PARAM_TYPES = {"float": float, "int": int, "str": str}
 
@@ -662,15 +664,18 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--vectors", required=True, help="KeyedVectors .npz (from train)")
     export.add_argument("--output", required=True, help="store file to write")
     _add_spec_flags(export, "export-store")
+    pq = inspect.signature(PQCodec).parameters  # the flags' defaults are the constructor's
     export.add_argument(
-        "--pq-m", type=int, default=16, metavar="M",
+        "--pq-m", type=int, default=pq["m"].default, metavar="M",
         help="pq: subspaces / bytes per vector (lowered to a divisor of dim)",
     )
     export.add_argument(
-        "--pq-k", type=int, default=256, metavar="K",
+        "--pq-k", type=int, default=pq["k"].default, metavar="K",
         help="pq: centroids per subspace codebook (<= 256)",
     )
-    export.add_argument("--codec-seed", type=int, default=0, help="pq: codebook training seed")
+    export.add_argument(
+        "--codec-seed", type=int, default=pq["seed"].default, help="pq: codebook training seed"
+    )
     export.add_argument(
         "--codec-param", action="append", default=[], metavar="KEY=VALUE",
         help="extra codec constructor parameter (JSON values; repeatable) — "

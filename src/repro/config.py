@@ -1,0 +1,376 @@
+"""Configuration records for the UniNet pipeline.
+
+Each dataclass declares its knobs once (name, type, default) and checks
+them in ``__post_init__``, so a value is refused the moment it exists;
+engines, steppers, shard workers and transports are built from the
+objects themselves. A leaf module: what it needs of ``walks/``,
+``sharding/`` and ``embedding/`` it imports lazily, so all of them can
+import it (:mod:`repro.core.config` re-exports the dataclasses).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
+
+from repro.errors import WalkError
+
+
+def take_fields(config, keywords: dict, **spelled):
+    """``config`` with every field that ``keywords`` names replaced.
+
+    The one helper behind the constructors' keyword sugar
+    (``VectorizedWalkEngine(graph, model, sampler="direct")``): the
+    taken names are removed from ``keywords``, what is left is the
+    caller's (model parameters). ``spelled`` are fields the constructor
+    spells itself (a positional ``sampler``, ``num_shards``), ``None``
+    for not given. The copy is re-validated.
+    """
+    keywords.update({name: value for name, value in spelled.items() if value is not None})
+    taken = {f.name for f in fields(config)} & keywords.keys()
+    return replace(config, **{name: keywords.pop(name) for name in taken})
+
+
+def config_from_dict(cls, data: dict):
+    """``cls(**data)`` — the one place a mapping becomes a config.
+
+    A sharding mapping that lists worker ``hosts`` implies the socket
+    transport and one shard per address unless it says otherwise.
+    """
+    if cls is ShardingConfig and data.get("hosts") is not None:
+        data = {"transport": "socket", "shards": len(data["hosts"]), **data}
+    return cls(**data)
+
+
+def check_choices(config, section: str, error=WalkError) -> None:
+    """Hold every field that declares ``choices`` metadata to them — the
+    same declaration the CLI reads its ``choices=`` from."""
+    for f in fields(config):
+        value, choices = getattr(config, f.name), f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise error(f"{section}.{f.name} must be one of {choices}, got {value!r}")
+
+
+def as_config(cls, value):
+    """The one coercion of a ``sharding=`` / ``streaming=`` argument.
+
+    ``True`` means the defaults, a dict is expanded, a config passes
+    through — and a block that is absent, ``False`` or switched off by
+    its ``enabled`` field comes back as ``None``, so callers test
+    ``is not None`` and nothing else.
+    """
+    if value is True:
+        value = cls()
+    elif isinstance(value, dict):
+        value = config_from_dict(cls, value)
+    return value if value and value.enabled else None
+
+
+@dataclass
+class WalkConfig:
+    """Random-walk generation settings (Algorithm 2's inputs).
+
+    The object a walk is built from: both engines keep it as
+    ``engine.config``, a stepper reads it through its
+    :class:`~repro.registry.SamplerContext`, and a shard worker gets it
+    over the wire. Their keyword spellings (``sampler=``, ``backend=``,
+    ...) are sugar that replaces fields here (:func:`take_fields`).
+
+    ``num_walks`` / ``walk_length``
+        the walk shape; ``walk_length`` counts nodes per sequence. The
+        paper's default workload is 10 walks of length 80 per node.
+    ``sampler`` / ``initializer`` / ``backend``
+        names in :data:`repro.registry.SAMPLER_REGISTRY`,
+        :data:`~repro.registry.INITIALIZER_REGISTRY` (M-H chain
+        initialization) and :data:`~repro.registry.KERNEL_REGISTRY`,
+        normalised to their canonical spelling (``"metropolis-hastings"``
+        -> ``"mh"``, ``"burnin"`` -> ``"burn-in"``, ``"c"`` ->
+        ``"cnative"``). Sampler and initializer *instances* pass through
+        untouched.
+    ``init_sample_cap``
+        edges the high-weight initializer samples per fresh chain
+        (``None``: the whole row, exact).
+    ``burn_in_iterations``
+        M-H iterations of the burn-in initializer.
+    ``table_budget_bytes``
+        alias-table budget; required by a sampler registered with
+        ``needs_table_budget`` (``memory-aware``).
+    ``max_reject_rounds``
+        proposal rounds before a rejection-sampled walker gives up.
+
+    Every check runs here, each a :class:`~repro.errors.WalkError`
+    naming the field, so a typo or an out-of-range value fails at config
+    time and not mid-pipeline. Whether the backend's *dependency* is
+    present is checked when the engine is built
+    (:class:`~repro.errors.ConfigError`): a config can be authored on a
+    machine that lacks the compiler that will run it.
+    """
+
+    num_walks: int = 10
+    walk_length: int = 80
+    sampler: str = "mh"
+    initializer: str = "high-weight"
+    init_sample_cap: int | None = 16
+    burn_in_iterations: int = 100
+    table_budget_bytes: int | None = None
+    max_reject_rounds: int = 10_000
+    backend: str = "numpy"
+
+    def __post_init__(self):
+        from repro.errors import ReproError
+        from repro.registry import (
+            INITIALIZER_REGISTRY,
+            KERNEL_REGISTRY,
+            SAMPLER_REGISTRY,
+        )
+
+        if self.num_walks < 1:
+            raise WalkError("num_walks must be >= 1")
+        if self.walk_length < 1:
+            raise WalkError("walk_length must be >= 1")
+        cap = self.init_sample_cap
+        if cap is not None and not (isinstance(cap, Integral) and cap >= 1):
+            raise WalkError(f"init_sample_cap must be None or an integer >= 1, got {cap!r}")
+        if self.burn_in_iterations < 0:
+            raise WalkError("burn_in_iterations must be >= 0")
+        if self.max_reject_rounds < 1:
+            raise WalkError("max_reject_rounds must be >= 1")
+        if self.table_budget_bytes is not None and self.table_budget_bytes < 0:
+            raise WalkError("table_budget_bytes must be None or >= 0")
+        try:
+            if isinstance(self.sampler, str):
+                self.sampler = SAMPLER_REGISTRY.canonical(self.sampler)
+                needs_budget = SAMPLER_REGISTRY.capabilities(self.sampler).get("needs_table_budget")
+                if needs_budget and self.table_budget_bytes is None:
+                    raise WalkError(f"sampler {self.sampler!r} needs table_budget_bytes")
+            if isinstance(self.initializer, str):
+                self.initializer = INITIALIZER_REGISTRY.canonical(self.initializer)
+            if isinstance(self.backend, str):
+                self.backend = KERNEL_REGISTRY.canonical(self.backend)
+        except ReproError as err:
+            raise WalkError(str(err)) from None
+
+    def reshaped(self, num_walks=None, walk_length=None, **overrides) -> "WalkConfig":
+        """A copy with fields replaced; a ``None`` walk shape keeps this one's."""
+        shape = {"num_walks": num_walks, "walk_length": walk_length}
+        overrides.update({k: v for k, v in shape.items() if v is not None})
+        return replace(self, **overrides)
+
+
+#: Vocabulary strategies for streamed training (see :class:`StreamingConfig`).
+STREAMING_VOCAB_MODES = ("degree", "exact")
+
+
+@dataclass
+class StreamingConfig:
+    """Shard-streaming pipeline settings (bounded-memory walk→train).
+
+    When a streaming block is present on a run, walk generation yields
+    :class:`~repro.walks.corpus.WalkCorpus` shards that the word2vec
+    trainer consumes incrementally, so peak corpus memory is O(shard)
+    instead of O(total corpus), and with ``overlap=True`` the walk (Tw)
+    and learn (Tl) phases share the wall clock.
+
+    Parameters
+    ----------
+    enabled:
+        master switch; lets a spec override (``--set
+        streaming.enabled=false``) fall back to the monolithic path
+        without deleting the block.
+    shard_walks:
+        walks per shard. ``None`` defers to ``max_corpus_bytes`` or, when
+        that is also unset, one wave (one walk per start node) per shard.
+    max_corpus_bytes:
+        alternative shard sizing: largest shard footprint in bytes; the
+        walk length converts it to a walk count. Mutually exclusive with
+        ``shard_walks``.
+    overlap:
+        run walk generation in a producer thread feeding a bounded queue
+        that the trainer drains — Tw and Tl overlap on the wall clock.
+    queue_shards:
+        bounded queue depth for ``overlap=True`` (peak resident corpus is
+        at most ``(queue_shards + 2)`` shards — the queue, the one the
+        producer holds while it is full, the one being trained — plus the
+        trainer's partial block buffer).
+    vocab:
+        ``"degree"`` estimates token frequencies from the stationary
+        distribution (visits ∝ degree — exact for first-order walks on
+        undirected graphs, no extra pass); ``"exact"`` runs a counting
+        pass over a regenerated walk stream first (costs Tw twice, but
+        reproduces the monolithic vocabulary bit-for-bit).
+    block_walks:
+        override for the trainer's canonical block size (see
+        :class:`repro.embedding.Word2Vec`). Defaults to the shard size,
+        which keeps the trainer's partial-block buffer within one shard;
+        set it to the trainer default (8192) together with
+        ``vocab="exact"`` and ``overlap=False`` to reproduce a monolithic
+        run of the same seed bit-for-bit.
+    """
+
+    enabled: bool = True
+    shard_walks: int | None = None
+    max_corpus_bytes: int | None = None
+    overlap: bool = False
+    queue_shards: int = 2
+    vocab: str = field(default="degree", metadata={"choices": STREAMING_VOCAB_MODES})
+    block_walks: int | None = None
+
+    def __post_init__(self):
+        if self.shard_walks is not None and self.shard_walks < 1:
+            raise WalkError("streaming.shard_walks must be >= 1")
+        if self.max_corpus_bytes is not None and self.max_corpus_bytes < 1:
+            raise WalkError("streaming.max_corpus_bytes must be >= 1")
+        if self.shard_walks is not None and self.max_corpus_bytes is not None:
+            raise WalkError(
+                "streaming.shard_walks and streaming.max_corpus_bytes are "
+                "mutually exclusive shard sizings; set one"
+            )
+        if self.queue_shards < 1:
+            raise WalkError("streaming.queue_shards must be >= 1")
+        check_choices(self, "streaming")
+        if self.block_walks is not None and self.block_walks < 1:
+            raise WalkError("streaming.block_walks must be >= 1")
+
+    def resolve_shard_walks(self, walk_length: int, num_starts: int) -> int:
+        """Concrete walks-per-shard for a run's geometry."""
+        if self.shard_walks is not None:
+            return self.shard_walks
+        if self.max_corpus_bytes is not None:
+            per_walk = 8 * (walk_length + 1)  # int64 row + length entry
+            return max(1, self.max_corpus_bytes // per_walk)
+        return max(1, num_starts)
+
+
+#: Transports the sharded engine's ``transport=`` knob resolves.
+SHARD_TRANSPORTS = ("inline", "socket")
+
+
+@dataclass
+class ShardingConfig:
+    """Sharded walk-engine settings (partitioned graph, walker migration).
+
+    When a sharding block is present on a run, walks are generated by
+    :class:`~repro.sharding.engine.ShardedWalkEngine` — the graph is
+    partitioned into ``shards`` local views, one worker per shard steps
+    the walkers it owns, and walkers crossing a partition boundary are
+    migrated between workers in typed batches. Corpora are bitwise
+    identical to the monolithic engine for any partitioner and shard
+    count, so the block changes *execution*, never results.
+
+    Parameters
+    ----------
+    enabled:
+        master switch; lets a spec override (``--set
+        sharding.enabled=false``) fall back to the monolithic engine
+        without deleting the block.
+    shards:
+        number of graph partitions (and workers). ``1`` is a valid
+        degenerate case — useful for isolating partitioning overhead.
+    partitioner:
+        registered partitioner name
+        (:data:`repro.sharding.partitioner.PARTITIONER_REGISTRY`):
+        ``"hash"`` for stateless multiplicative hashing,
+        ``"degree_balanced"`` for greedy LPT on out-degree.
+    transport:
+        ``"inline"`` keeps workers in-process (zero serialization);
+        ``"socket"`` drives ``repro shard-worker`` processes over TCP —
+        the multi-host deployment (without ``hosts`` it spawns loopback
+        workers itself).
+    hosts:
+        socket transport only: one ``"host:port"`` worker address per
+        shard. ``None`` spawns loopback workers on this machine.
+    connect_timeout:
+        socket transport: seconds allowed per worker for the
+        retry-with-backoff connect loop.
+    call_timeout:
+        socket transport: seconds allowed per op round-trip before the
+        worker is declared hung (``None`` disables the deadline).
+    """
+
+    enabled: bool = True
+    shards: int = 2
+    partitioner: str = "hash"
+    transport: str = field(default="inline", metadata={"choices": SHARD_TRANSPORTS})
+    hosts: tuple[str, ...] | None = None
+    connect_timeout: float = 10.0
+    call_timeout: float | None = 120.0
+
+    def __post_init__(self):
+        from repro.errors import ReproError
+
+        if int(self.shards) != self.shards or self.shards < 1:
+            raise WalkError("sharding.shards must be a positive integer")
+        self.shards = int(self.shards)
+        if isinstance(self.partitioner, str):
+            from repro.sharding.partitioner import PARTITIONER_REGISTRY
+
+            try:
+                self.partitioner = PARTITIONER_REGISTRY.canonical(self.partitioner)
+            except ReproError as err:
+                raise WalkError(str(err)) from None
+        check_choices(self, "sharding")
+        if self.hosts is not None:
+            from repro.sharding.transport import parse_host
+
+            if self.transport != "socket":
+                raise WalkError(
+                    "worker host lists only apply to transport='socket', "
+                    f"got transport={self.transport!r}"
+                )
+            if isinstance(self.hosts, str) or not hasattr(self.hosts, "__len__"):
+                raise WalkError("worker hosts must be a list of 'host:port' strings")
+            if len(self.hosts) != self.shards:
+                raise WalkError(
+                    f"the host list names {len(self.hosts)} address(es) for "
+                    f"{self.shards} shard(s); one worker per shard"
+                )
+            for entry in self.hosts:
+                parse_host(entry)
+            self.hosts = tuple(self.hosts)
+        self.connect_timeout = float(self.connect_timeout)
+        if self.connect_timeout <= 0:
+            raise WalkError("sharding.connect_timeout must be positive")
+        if self.call_timeout is not None:
+            self.call_timeout = float(self.call_timeout)
+            if self.call_timeout <= 0:
+                raise WalkError("sharding.call_timeout must be positive")
+
+
+@dataclass
+class TrainConfig:
+    """Embedding-learning settings forwarded to the word2vec trainer.
+
+    ``extra`` holds the trainer-only keywords of
+    :class:`repro.embedding.Word2Vec` (``batch_pairs``, ``max_row_step``,
+    ``block_walks``). Every value is held to the trainer's own check
+    (:func:`repro.embedding.word2vec.check_train_params`, which
+    ``Word2Vec.__init__`` runs too) here, as a
+    :class:`~repro.errors.TrainingError`: a spec that cannot train is
+    refused before it walks.
+    """
+
+    dimensions: int = 128
+    window: int = 5
+    negative: int = 5
+    epochs: int = 1
+    alpha: float = 0.025
+    min_alpha: float = 1e-4
+    mode: str = "skipgram"
+    subsample: float = 0.0
+    min_count: int = 1
+    extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        from repro.embedding.word2vec import check_train_params
+
+        check_train_params(dimensions=self.dimensions, **self.word2vec_kwargs())
+
+    def word2vec_kwargs(self) -> dict:
+        """Keyword arguments for :class:`repro.embedding.Word2Vec`."""
+        kwargs = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("dimensions", "extra")
+        }
+        kwargs.update(self.extra)
+        return kwargs

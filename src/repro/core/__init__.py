@@ -11,7 +11,7 @@ execute it, returning structured :class:`~repro.core.runner.RunReport`
 objects.
 """
 
-from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
+from repro.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.pipeline import (
     TrainResult,
     WalkResult,

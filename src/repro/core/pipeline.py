@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import (
+from repro.config import (
     ShardingConfig,
     StreamingConfig,
     TrainConfig,
@@ -200,13 +200,13 @@ def build_engine(
     processes, sockets and shared-memory segments: whoever builds one
     closes it.
     """
-    common = dict(chain_store=chain_store, budget=budget, seed=seed, **walk_config.engine_kwargs())
+    live = dict(config=walk_config, chain_store=chain_store, budget=budget, seed=seed)
     if sharding is None:
-        return VectorizedWalkEngine(graph, model, **common)
+        return VectorizedWalkEngine(graph, model, **live)
     from repro.sharding.engine import ShardedWalkEngine
 
     name, params = _shard_model_spec(model)
-    return ShardedWalkEngine(graph, name, **common, **sharding.engine_kwargs(), **params)
+    return ShardedWalkEngine(graph, name, sharding=sharding, **live, **params)
 
 
 def _walk_result(engine, corpus, busy_seconds, *, extra_ti=0.0, keep_engine=True) -> WalkResult:
@@ -258,9 +258,7 @@ def generate_walk_result(
         sharding=sharding,
     )
     try:
-        corpus = engine.generate(
-            walk_config.num_walks, walk_config.walk_length, start_nodes=start_nodes
-        )
+        corpus = engine.generate(start_nodes=start_nodes)
         return _walk_result(engine, corpus, time.perf_counter() - start, keep_engine=sharding is None)
     finally:
         if sharding is not None:
@@ -485,9 +483,7 @@ def train_pipeline(
                 engine = build_engine(
                     graph, bound, walk_config, seed=seed, budget=charged, chain_store=chain_store
                 )
-            return engine, engine.generate_stream(
-                walk_config.num_walks, walk_config.walk_length, starts, shard_walks=shard_walks
-            )
+            return engine, engine.generate_stream(start_nodes=starts, shard_walks=shard_walks)
 
         extra_ti = 0.0
         if streaming.vocab == "exact":

@@ -256,7 +256,7 @@ def run(
     # replayed runs all go through the facade, which owns the seed stream
     net = UniNet(graph, spec.model, seed=spec.seed, **spec.model_params)
     result = net.train_from_configs(
-        spec.walk_config(), spec.train, streaming=spec.streaming, sharding=spec.sharding
+        spec.walk, spec.train, streaming=spec.streaming, sharding=spec.sharding
     )
     update_rows = _replay_updates(net, spec.updates) if spec.updates is not None else None
     embeddings = net.last_embeddings  # refreshed by the replay when it retrained

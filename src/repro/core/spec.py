@@ -28,10 +28,10 @@ import functools
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from repro.core.config import (
+from repro.config import (
     ShardingConfig,
     StreamingConfig,
     TrainConfig,
@@ -279,10 +279,6 @@ class RunSpec:
     def label(self) -> str:
         """Display name: explicit ``name`` or a model/sampler summary."""
         return self.name or f"{self.model}+{self.walk.sampler}"
-
-    def walk_config(self) -> WalkConfig:
-        """An independent :class:`WalkConfig` copy for the engine."""
-        return replace(self.walk)
 
     # -- validation ------------------------------------------------------
     def validate(self) -> "RunSpec":

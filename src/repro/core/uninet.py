@@ -25,18 +25,11 @@ import time
 
 import numpy as np
 
-from repro.core.config import TrainConfig, WalkConfig
+from repro.config import TrainConfig, WalkConfig, take_fields
 from repro.core.pipeline import TrainResult, WalkResult, generate_walk_result, train_pipeline
 from repro.serving.config import ServingSpec
 from repro.utils.rng import as_rng
 from repro.walks.models import make_model
-
-
-def _reshaped(config: WalkConfig, num_walks, walk_length, **overrides) -> WalkConfig:
-    """``config`` with fields replaced; a ``None`` walk shape keeps the config's."""
-    shape = {"num_walks": num_walks, "walk_length": walk_length}
-    overrides.update({k: v for k, v in shape.items() if v is not None})
-    return dataclasses.replace(config, **overrides)
 
 
 @dataclasses.dataclass
@@ -74,46 +67,27 @@ class UniNet:
         registry name (``"deepwalk"``, ``"node2vec"``, ``"metapath2vec"``,
         ``"edge2vec"``, ``"fairwalk"``), or a bound
         :class:`~repro.walks.models.base.RandomWalkModel` instance.
-    sampler:
-        edge sampler: ``"mh"`` (default), ``"direct"``, ``"alias"``,
-        ``"rejection"``, ``"knightking"``, ``"memory-aware"``.
-    initializer:
-        M-H chain initialization strategy (``"high-weight"`` default).
-    backend:
-        kernel backend for the walk hot loops (``"numpy"`` default,
-        ``"cnative"``); see
-        :mod:`repro.walks.kernels`. A missing C compiler raises
-        :class:`~repro.errors.ConfigError` at engine build time.
+    config:
+        the :class:`~repro.config.WalkConfig` every walk of this instance
+        starts from (its defaults when omitted).
     budget:
         optional :class:`~repro.sampling.memory_model.MemoryBudget` for
         simulated-OOM experiments.
-    model_params:
-        forwarded to the model constructor (``p``, ``q``, ``metapath``,
-        ``transition_matrix``...).
+    keywords:
+        a ``WalkConfig`` field name (``sampler=``, ``initializer=``,
+        ``backend=``, ``table_budget_bytes=``, ...) replaces that field,
+        checked here; anything else is forwarded to the model
+        constructor (``p``, ``q``, ``metapath``,
+        ``transition_matrix``...). A missing C compiler for
+        ``backend="cnative"`` raises :class:`~repro.errors.ConfigError`
+        at engine build time.
     """
 
-    def __init__(
-        self,
-        graph,
-        model="deepwalk",
-        *,
-        sampler: str = "mh",
-        initializer: str = "high-weight",
-        table_budget_bytes: int | None = None,
-        backend: str = "numpy",
-        budget=None,
-        seed=None,
-        **model_params,
-    ):
+    def __init__(self, graph, model="deepwalk", *, config=None, budget=None, seed=None, **keywords):
         self.graph = graph
-        self.model = make_model(model, graph, **model_params)
-        # the one WalkConfig every walk of this instance starts from
-        self._walk = WalkConfig(
-            sampler=sampler,
-            initializer=initializer,
-            table_budget_bytes=table_budget_bytes,
-            backend=backend,
-        )
+        #: the :class:`WalkConfig` every walk of this instance starts from
+        self.config = take_fields(config or WalkConfig(), keywords)
+        self.model = make_model(model, graph, **keywords)
         self.budget = budget
         self.seed = seed
         self._rng = as_rng(seed)
@@ -138,11 +112,6 @@ class UniNet:
         #: incremental refresh re-walks with.
         self._trained_walk: WalkConfig | None = None
 
-    sampler = property(lambda self: self._walk.sampler)
-    initializer = property(lambda self: self._walk.initializer)
-    backend = property(lambda self: self._walk.backend)
-    table_budget_bytes = property(lambda self: self._walk.table_budget_bytes)
-
     # ------------------------------------------------------------------
     def walk_config(self, num_walks=None, walk_length=None, **overrides) -> WalkConfig:
         """This instance's :class:`WalkConfig` with the given fields replaced.
@@ -151,7 +120,7 @@ class UniNet:
         defaults (10 walks of length 80) are declared by
         :class:`WalkConfig` alone.
         """
-        return _reshaped(self._walk, num_walks, walk_length, **overrides)
+        return self.config.reshaped(num_walks, walk_length, **overrides)
 
     def generate_walks(
         self, num_walks=None, walk_length=None, start_nodes=None, sharding=None, **overrides
@@ -392,11 +361,11 @@ class UniNet:
         """
         from repro.errors import TrainingError
 
-        if self._trainer is None:
+        if self._trainer is None or self._trained_walk is None:
             raise TrainingError(
                 "refresh_embeddings needs a prior train() (no live trainer)"
             )
-        cfg = _reshaped(self._trained_walk, num_walks, walk_length)
+        cfg = self._trained_walk.reshaped(num_walks, walk_length)
         if start_nodes is None:
             start_nodes = self.affected_start_nodes(
                 cfg.walk_length if horizon is None else horizon
@@ -522,6 +491,6 @@ class UniNet:
 
     def __repr__(self) -> str:
         return (
-            f"UniNet(model={self.model.name!r}, sampler={self.sampler!r}, "
+            f"UniNet(model={self.model.name!r}, sampler={self.config.sampler!r}, "
             f"graph={self.graph!r})"
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import TrainConfig
 from repro.errors import VocabularyError
 
 
@@ -25,7 +26,7 @@ class Vocabulary:
         tokens appearing fewer times are dropped from training.
     """
 
-    def __init__(self, counts: np.ndarray, *, min_count: int = 1):
+    def __init__(self, counts: np.ndarray, *, min_count: int = TrainConfig.min_count):
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 1:
             raise VocabularyError("counts must be 1-D (token id -> count)")
@@ -44,7 +45,7 @@ class Vocabulary:
         self._index_of[self.tokens] = np.arange(self.tokens.size)
 
     @classmethod
-    def from_corpus(cls, corpus, num_tokens: int | None = None, *, min_count: int = 1):
+    def from_corpus(cls, corpus, num_tokens: int | None = None, *, min_count: int = TrainConfig.min_count):
         """Build from a :class:`~repro.walks.corpus.WalkCorpus`."""
         if num_tokens is None:
             num_tokens = int(corpus.walks.max()) + 1

@@ -48,9 +48,13 @@ memory is O(block), never O(corpus).
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import fields
+
 import numpy as np
 from scipy import sparse
 
+from repro.config import TrainConfig
 from repro.errors import TrainingError
 from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel
 from repro.embedding.keyed_vectors import KeyedVectors
@@ -187,6 +191,36 @@ def cbow_batch(w_in, w_out, ctx, sizes, group_center, neg, lr: float, max_row_st
     return _mean_loss(s_pos, s_neg)
 
 
+def check_train_params(**params) -> None:
+    """The trainer's parameter check, on any subset of its keywords.
+
+    :class:`Word2Vec` runs it on its arguments and
+    :class:`~repro.config.TrainConfig` on its fields and ``extra`` the
+    moment it is built, so a run that cannot train fails before it walks.
+    Raises :class:`~repro.errors.TrainingError`.
+    """
+    keywords = set(inspect.signature(Word2Vec).parameters) - {"seed"}
+    unknown = sorted(set(params) - keywords)
+    if unknown:
+        extra = sorted(keywords - {f.name for f in fields(TrainConfig)})
+        raise TrainingError(
+            f"unknown trainer parameter(s) {unknown}; beside the TrainConfig fields, "
+            f"Word2Vec (and so train.extra) takes {extra}"
+        )
+    for name in ("dimensions", "window", "negative", "epochs", "block_walks"):
+        if name in params and params[name] < 1:
+            raise TrainingError(f"{name} must be >= 1")
+    if "alpha" in params and not 0 < params["alpha"]:
+        raise TrainingError("alpha must be positive")
+    if params.get("mode", _MODES[0]) not in _MODES:
+        raise TrainingError(f"mode must be one of {_MODES}, got {params['mode']!r}")
+    batch_pairs = params.get("batch_pairs", 1)
+    if not isinstance(batch_pairs, (int, np.integer)) or batch_pairs < 1:
+        raise TrainingError("batch_pairs must be an integer >= 1")
+    if params.get("max_row_step") is not None and not params["max_row_step"] >= 0:
+        raise TrainingError("max_row_step must be >= 0 or None")
+
+
 class Word2Vec:
     """word2vec trainer for walk corpora.
 
@@ -222,39 +256,25 @@ class Word2Vec:
 
     def __init__(
         self,
-        dimensions: int = 128,
+        dimensions: int = TrainConfig.dimensions,
         *,
-        window: int = 5,
-        negative: int = 5,
-        epochs: int = 1,
-        alpha: float = 0.025,
-        min_alpha: float = 1e-4,
-        mode: str = "skipgram",
-        subsample: float = 0.0,
-        min_count: int = 1,
+        window: int = TrainConfig.window,
+        negative: int = TrainConfig.negative,
+        epochs: int = TrainConfig.epochs,
+        alpha: float = TrainConfig.alpha,
+        min_alpha: float = TrainConfig.min_alpha,
+        mode: str = TrainConfig.mode,
+        subsample: float = TrainConfig.subsample,
+        min_count: int = TrainConfig.min_count,
         batch_pairs: int = 8192,
         max_row_step: float = 0.25,
         block_walks: int = 8192,
         seed=None,
     ):
-        if dimensions < 1:
-            raise TrainingError("dimensions must be >= 1")
-        if window < 1:
-            raise TrainingError("window must be >= 1")
-        if negative < 1:
-            raise TrainingError("negative must be >= 1")
-        if epochs < 1:
-            raise TrainingError("epochs must be >= 1")
-        if not 0 < alpha:
-            raise TrainingError("alpha must be positive")
-        if mode not in _MODES:
-            raise TrainingError(f"mode must be one of {_MODES}, got {mode!r}")
-        if block_walks < 1:
-            raise TrainingError("block_walks must be >= 1")
-        if not isinstance(batch_pairs, (int, np.integer)) or batch_pairs < 1:
-            raise TrainingError("batch_pairs must be an integer >= 1")
-        if max_row_step is not None and not max_row_step >= 0:
-            raise TrainingError("max_row_step must be >= 0 or None")
+        check_train_params(
+            dimensions=dimensions, window=window, negative=negative, epochs=epochs, alpha=alpha,
+            mode=mode, batch_pairs=batch_pairs, max_row_step=max_row_step, block_walks=block_walks,
+        )
         self.dimensions = dimensions
         self.window = window
         self.negative = negative

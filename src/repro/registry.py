@@ -40,9 +40,12 @@ import difflib
 from dataclasses import dataclass, field
 from importlib import import_module
 from types import MappingProxyType
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import ModelError, ReproError, SamplerError, WalkError
+
+if TYPE_CHECKING:
+    from repro.config import WalkConfig
 
 
 class RegistryError(ReproError):
@@ -236,27 +239,33 @@ class Registry:
 
 @dataclass
 class SamplerContext:
-    """Build-time options handed to sampler factories.
+    """What a sampler factory is built from: ``factory(graph, model, ctx)``.
 
-    Both engines (vectorized and scalar reference) resolve sampler names
-    through a registry whose factories receive ``(graph, model, ctx)``
-    with this context; each factory picks the options it understands.
+    The walk's :class:`~repro.config.WalkConfig` plus the live objects a
+    config cannot hold. The config's fields read as the context's own
+    (``ctx.initializer``, ``ctx.init_sample_cap``,
+    ``ctx.max_reject_rounds``, ...), already validated and canonical;
+    each factory picks what it understands. Both engines (vectorized and
+    scalar reference) and every shard worker build one.
     """
 
-    initializer: Any = "high-weight"
-    init_sample_cap: int | None = 16
-    burn_in_iterations: int = 100
-    table_budget_bytes: int | None = None
-    chain_store: Any = None
-    max_reject_rounds: int = 10_000
-    budget: Any = None
+    config: WalkConfig
     #: Kernel backend instance driving the stepper's hot loops
     #: (:mod:`repro.walks.kernels`); ``None`` means the NumPy default.
     kernels: Any = None
+    #: A persistent :class:`~repro.walks.manager.ChainStore` to walk on.
+    chain_store: Any = None
+    #: A :class:`~repro.sampling.memory_model.MemoryBudget` to charge.
+    budget: Any = None
     #: Per-node bool mask restricting per-state structures to the states
     #: standing on these nodes — a shard worker passes its owned set, so
     #: the shards' tables partition the monolith's; ``None`` means all.
     owned_nodes: Any = None
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "config":  # not set yet (copy / unpickle): no recursion
+            raise AttributeError(name)
+        return getattr(self.config, name)
 
 
 #: Random-walk model classes (``repro.walks.models``). Capabilities:

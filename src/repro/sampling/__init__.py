@@ -26,7 +26,6 @@ dispatch); their vectorized twins live in
 :mod:`repro.walks.vectorized`.
 """
 
-from repro.errors import WalkError
 from repro.registry import SCALAR_SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.alias import (
     AliasTable,
@@ -55,8 +54,6 @@ def _mh_factory(graph, model, ctx):
 
 
 def _memory_aware_factory(graph, model, ctx):
-    if ctx.table_budget_bytes is None:
-        raise WalkError("memory-aware sampling needs table_budget_bytes")
     return MemoryAwareSampler(
         graph, model, table_budget_bytes=ctx.table_budget_bytes, budget=ctx.budget
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import WalkConfig
 from repro.errors import ConfigError
 from repro.sampling.base import NO_EDGE, EdgeSampler
 from repro.sampling.initialization import make_initializer
@@ -45,7 +46,7 @@ class MetropolisHastingsSampler(EdgeSampler):
 
     name = "mh"
 
-    def __init__(self, graph, model, *, initializer="high-weight", budget=None, chain_store=None):
+    def __init__(self, graph, model, *, initializer=WalkConfig.initializer, budget=None, chain_store=None):
         super().__init__()
         size = model.state_space_size(graph)
         if chain_store is not None:

@@ -38,8 +38,9 @@ from functools import partial
 
 import numpy as np
 
-from repro.errors import ShardError
-from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY, SamplerContext
+from repro.config import ShardingConfig, WalkConfig, take_fields
+from repro.errors import ShardError, WalkError
+from repro.registry import SamplerContext
 from repro.sampling.base import NO_EDGE
 from repro.sharding.partitioner import build_shard_plan
 from repro.sharding.transport import make_transport
@@ -270,39 +271,25 @@ class ShardedWalkEngine(VectorizedWalkEngine):
     """Drop-in sharded counterpart of :class:`VectorizedWalkEngine`.
 
     Same ``generate`` / ``stats`` / ``memory_bytes`` surface, same
-    corpora bit-for-bit, plus partitioning and migration counters.
-    ``backend=`` names the kernel backend the *workers'* steppers run on
-    (resolved per worker exactly as the monolithic engine resolves it;
-    default ``"numpy"``). Options the sharded execution model cannot
-    honour raise :class:`~repro.errors.ShardError` up front: instance
-    models or custom initializers (workers rebuild both from names, and
-    a custom initializer draws from the RNG itself), ``memory-aware``
-    sampling and table budgets (per-shard budget accounting is not
-    modelled), and injected chain stores.
+    corpora bit-for-bit, plus partitioning and migration counters. Built
+    from the same :class:`~repro.config.WalkConfig` (``config=``, kept
+    as :attr:`config`; ``config.backend`` names the kernel backend the
+    *workers'* steppers run on, resolved per worker exactly as the
+    monolithic engine resolves it) and a
+    :class:`~repro.config.ShardingConfig` (``sharding=``, kept as
+    :attr:`sharding`). A keyword naming a field of either replaces it,
+    ``num_shards=`` is the constructor's spelling of ``shards``, and the
+    rest go to the model constructor. Options the sharded execution
+    model cannot honour raise :class:`~repro.errors.ShardError` up
+    front: instance models or custom initializers (workers rebuild both
+    from names, and a custom initializer draws from the RNG itself),
+    ``memory-aware`` sampling and table budgets (per-shard budget
+    accounting is not modelled), and injected chain stores.
     """
 
     def __init__(
-        self,
-        graph,
-        model,
-        sampler="mh",
-        *,
-        num_shards: int = 2,
-        partitioner="hash",
-        transport: str = "inline",
-        initializer="high-weight",
-        init_sample_cap: int | None = 16,
-        burn_in_iterations: int = 100,
-        table_budget_bytes=None,
-        chain_store=None,
-        max_reject_rounds: int = 10_000,
-        budget=None,
-        backend: str = "numpy",
-        seed=None,
-        hosts=None,
-        connect_timeout: float = 10.0,
-        call_timeout: float | None = 120.0,
-        **model_params,
+        self, graph, model, sampler=None, *, config=None, sharding=None, num_shards=None,
+        chain_store=None, budget=None, seed=None, **keywords,
     ):
         start = time.perf_counter()
         if not isinstance(model, str):
@@ -310,61 +297,48 @@ class ShardedWalkEngine(VectorizedWalkEngine):
                 "the sharded engine needs a model registry name; workers "
                 "rebuild the model per shard from (name, params)"
             )
-        if table_budget_bytes is not None or budget is not None:
-            raise ShardError(
-                "memory budgets are not supported by the sharded engine; "
-                "use VectorizedWalkEngine for budgeted runs"
-            )
         if chain_store is not None:
             raise ShardError(
                 "chain_store injection is not supported: M-H chains live "
                 "per shard inside the workers"
             )
-        self.sampler = SAMPLER_REGISTRY.canonical(sampler)
-        if self.sampler not in _FANOUT:
+        self.config = take_fields(config or WalkConfig(), keywords, sampler=sampler)
+        try:
+            self.sharding = take_fields(sharding or ShardingConfig(), keywords, shards=num_shards)
+        except WalkError as err:  # a refusal of this engine's own knobs
+            raise ShardError(str(err)) from None
+        if self.config.sampler not in _FANOUT:
             raise ShardError(
-                f"sampler {self.sampler!r} is not supported by the sharded "
+                f"sampler {self.config.sampler!r} is not supported by the sharded "
                 f"engine; supported: {list(_FANOUT)}"
             )
-        if not isinstance(initializer, str):
+        if self.config.table_budget_bytes is not None or budget is not None:
+            raise ShardError(
+                "memory budgets are not supported by the sharded engine; "
+                "use VectorizedWalkEngine for budgeted runs"
+            )
+        if not isinstance(self.config.initializer, str):
             raise ShardError(
                 "custom initializer instances are not supported by the "
                 "sharded engine; register and pass a builtin name"
             )
         self.graph = graph
-        self.model = make_model(model, graph, **model_params)
-        self.requested_backend, kernels = resolve_kernels(backend, self.model)
+        self.model = make_model(model, graph, **keywords)
+        kernels = resolve_kernels(self.config.backend, self.model)
         self.backend = kernels.name
         # compiled once here, so same-host workers load the cached build
         self.compile_seconds = float(kernels.warmup())
-        options = {
-            "initializer": INITIALIZER_REGISTRY.canonical(initializer),
-            "init_sample_cap": init_sample_cap,
-            "burn_in_iterations": int(burn_in_iterations),
-            "backend": self.requested_backend,
-            "hosts": list(hosts) if hosts is not None else None,
-            "connect_timeout": float(connect_timeout),
-            "call_timeout": call_timeout,
-        }
-        ctx = SamplerContext(
-            initializer=options["initializer"],
-            init_sample_cap=init_sample_cap,
-            burn_in_iterations=options["burn_in_iterations"],
-            max_reject_rounds=int(max_reject_rounds),
-        )
         # the driver's half first: it validates sampler x model and holds
         # no resources, so a refusal here leaves no worker behind
-        self.stepper = _FANOUT[self.sampler](graph, self.model, ctx)
+        self.stepper = _FANOUT[self.config.sampler](graph, self.model, SamplerContext(self.config))
         if getattr(self.stepper, "custom_initializer", None) is not None:
             raise ShardError(
-                f"initializer {options['initializer']!r} has no vectorized sharded "
+                f"initializer {self.config.initializer!r} has no vectorized sharded "
                 "protocol; supported: ['random', 'high-weight', 'burn-in']"
             )
-        self.plan = build_shard_plan(graph, num_shards, partitioner)
+        self.plan = build_shard_plan(graph, self.sharding.shards, self.sharding.partitioner)
         self.num_shards = self.plan.num_shards
-        self.transport = make_transport(
-            transport, self.plan, model, dict(model_params), self.sampler, options
-        )
+        self.transport = make_transport(self.sharding, self.plan, model, keywords, self.config)
         self.stepper.attach(self.plan, self.transport)
         self.setup_seconds = time.perf_counter() - start
         self.rng = as_rng(seed)

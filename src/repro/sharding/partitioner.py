@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ShardingConfig
 from repro.errors import ShardError
 from repro.registry import Registry
 
@@ -160,7 +161,7 @@ def make_partitioner(partitioner):
     return PARTITIONER_REGISTRY.create(partitioner)
 
 
-def build_shard_plan(graph, num_shards: int, partitioner="hash") -> ShardPlan:
+def build_shard_plan(graph, num_shards: int, partitioner=ShardingConfig.partitioner) -> ShardPlan:
     """Partition ``graph`` into ``num_shards`` local views.
 
     ``partitioner`` is a registry name or an instance with a

@@ -35,36 +35,30 @@ import os
 import socket
 
 from repro.errors import FrameError, ReproError
-from repro.serving.framing import MAX_BINARY_FRAME_BYTES, recv_frame, send_frame
+from repro.serving.framing import recv_frame, send_frame
 from repro.sharding import wire
+from repro.sharding.worker import ShardWorker
 
 
-def _build_worker(setup):
-    """Materialise a ShardWorker from a driver's SETUP bootstrap."""
-    from repro.sharding.transport import _build_worker as build
-
-    shard_arrays, graph, config = setup
-    return build(shard_arrays, graph, config)
-
-
-def _serve_session(conn, *, max_bytes: int = MAX_BINARY_FRAME_BYTES) -> None:
+def _serve_session(conn) -> None:
     """Run one driver session on an accepted connection until drain/EOF."""
     worker = None
     try:
         while True:
-            payload = recv_frame(conn, max_bytes=max_bytes)
+            payload = recv_frame(conn)
             if payload is None:
                 return  # driver went away between frames
             kind, body = wire.decode_message(payload)
             if kind == wire.KIND_SETUP:
-                worker = _build_worker(body)
-                send_frame(conn, wire.encode_result(True), max_bytes=max_bytes)
+                shard, num_shards, owner, setup = body
+                worker = ShardWorker(shard, num_shards, owner, **setup)
+                send_frame(conn, wire.encode_result(True))
                 continue
             if kind == wire.KIND_PING:
-                send_frame(conn, wire.encode_simple(wire.KIND_PONG), max_bytes=max_bytes)
+                send_frame(conn, wire.encode_simple(wire.KIND_PONG))
                 continue
             if kind == wire.KIND_CLOSE:
-                send_frame(conn, wire.encode_simple(wire.KIND_BYE), max_bytes=max_bytes)
+                send_frame(conn, wire.encode_simple(wire.KIND_BYE))
                 return
             if kind != wire.KIND_CALL or worker is None:
                 # out-of-order or unknown traffic: the session is not
@@ -77,7 +71,7 @@ def _serve_session(conn, *, max_bytes: int = MAX_BINARY_FRAME_BYTES) -> None:
                 reply = wire.encode_error(type(err).__name__, str(err))
             else:
                 reply = wire.encode_result(result)
-            send_frame(conn, reply, max_bytes=max_bytes)
+            send_frame(conn, reply)
     except (FrameError, OSError):
         return  # driver died mid-frame; nothing left to answer
     finally:
@@ -95,7 +89,6 @@ def serve_shard(
     *,
     sessions: int = 1,
     on_ready=None,
-    max_bytes: int = MAX_BINARY_FRAME_BYTES,
 ) -> tuple[str, int]:
     """Listen on ``host:port`` and serve ``sessions`` driver sessions.
 
@@ -117,7 +110,7 @@ def serve_shard(
         for __ in range(int(sessions)):
             conn, __peer = listener.accept()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            _serve_session(conn, max_bytes=max_bytes)
+            _serve_session(conn)
     finally:
         try:
             listener.close()

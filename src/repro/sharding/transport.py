@@ -37,39 +37,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.errors import FrameError, ShardError, ShardTimeoutError
-from repro.serving.framing import MAX_BINARY_FRAME_BYTES, recv_frame, send_frame
+from repro.errors import FrameError, ShardError, ShardTimeoutError, WalkError
+from repro.serving.framing import recv_frame, send_frame
 from repro.sharding import wire
 from repro.sharding.worker import ShardWorker
 
 
-def _build_worker(shard_arrays, graph, config) -> ShardWorker:
-    return ShardWorker(
-        shard_arrays["shard_id"],
-        shard_arrays["num_shards"],
-        graph,
-        shard_arrays["node_map"],
-        shard_arrays["edge_map"],
-        shard_arrays["global_to_local"],
-        shard_arrays["owned_local"],
-        shard_arrays["owner"],
-        config["model"],
-        config["model_params"],
-        config["sampler"],
-        config["options"],
-    )
-
-
-def _shard_arrays(shard, num_shards: int, owner: np.ndarray) -> dict:
-    return {
-        "shard_id": shard.shard_id,
-        "num_shards": num_shards,
-        "node_map": shard.node_map,
-        "edge_map": shard.edge_map,
-        "global_to_local": shard.global_to_local,
-        "owned_local": shard.owned_local,
-        "owner": owner,
-    }
+#: Seconds a worker has to answer the liveness probe and the closing drain.
+HEARTBEAT_TIMEOUT = 5.0
 
 
 class InlineTransport:
@@ -77,10 +52,9 @@ class InlineTransport:
 
     name = "inline"
 
-    def __init__(self, plan, config: dict):
+    def __init__(self, plan, setup: dict, sharding=None):
         self.workers = [
-            _build_worker(_shard_arrays(shard, plan.num_shards, plan.owner), shard.graph, config)
-            for shard in plan.shards
+            ShardWorker(shard, plan.num_shards, plan.owner, **setup) for shard in plan.shards
         ]
 
     def call(self, shard_id: int, op: str, *args):
@@ -95,13 +69,13 @@ class InlineTransport:
             worker.close()
 
 
-def parse_host(entry, error=ShardError) -> tuple[str, int]:
+def parse_host(entry) -> tuple[str, int]:
     """One worker address, ``"host:port"`` or a ``(host, port)`` pair.
 
     The single definition of a valid address: a non-empty host (an IPv6
     literal goes in brackets, ``"[::1]:9000"``) and a port in 1-65535.
-    ``error`` is the typed error of the layer asking —
-    :class:`~repro.core.config.ShardingConfig` raises ``WalkError``.
+    :class:`~repro.config.ShardingConfig` holds its ``hosts`` to it
+    (hence :class:`~repro.errors.WalkError`); the transport only parses.
     """
     if isinstance(entry, str):
         host, sep, port = entry.rpartition(":")
@@ -115,68 +89,42 @@ def parse_host(entry, error=ShardError) -> tuple[str, int]:
         port = 0
     host = str(host).strip("[]")
     if not sep or not host or not 1 <= port <= 65535:
-        raise error(
+        raise WalkError(
             f"invalid worker address {entry!r}; expected 'host:port' with a "
             "non-empty host and a port in 1-65535"
         )
     return host, port
 
 
-def check_hosts(hosts, transport, num_shards, error=ShardError):
-    """The worker-host-list rules, stated once; returns parsed addresses.
-
-    A host list (``None`` passes through) only applies to the socket
-    transport, names exactly one worker per shard, and every entry
-    satisfies :func:`parse_host`.
-    """
-    if hosts is None:
-        return None
-    if transport != "socket":
-        raise error(
-            "worker host lists only apply to transport='socket', "
-            f"got transport={transport!r}"
-        )
-    if isinstance(hosts, str) or not hasattr(hosts, "__len__"):
-        raise error("worker hosts must be a list of 'host:port' strings")
-    if len(hosts) != num_shards:
-        raise error(
-            f"the host list names {len(hosts)} address(es) for "
-            f"{num_shards} shard(s); one worker per shard"
-        )
-    return [parse_host(entry, error) for entry in hosts]
-
-
 class SocketTransport:
     """One TCP connection per shard worker; workers may be remote.
 
-    With ``hosts`` (one ``(host, port)`` pair per shard, as
-    :func:`make_transport` hands them on) the transport connects to
-    standing ``repro shard-worker`` processes — the multi-host
+    With ``sharding.hosts`` (one worker address per shard) the transport
+    connects to standing ``repro shard-worker`` processes — the multi-host
     deployment. Without, it spawns one loopback worker process per
     shard and connects to those — the single-machine e2e path CI
     exercises. Either way each worker is bootstrapped over the wire
-    with its shard's arrays, subgraph and sampler config (``SETUP``),
-    then driven by binary op frames.
+    with its :class:`~repro.sharding.partitioner.Shard`, model and
+    :class:`~repro.config.WalkConfig` (``SETUP``), then driven by binary
+    op frames.
 
-    Robustness knobs (``options``): ``connect_timeout`` bounds the
-    retry-with-backoff connect loop per worker, ``call_timeout`` bounds
-    every op round-trip (``None`` disables), ``heartbeat_timeout``
-    bounds the liveness probe. Every op's bytes and round-trip latency
-    are accounted per shard; :meth:`transport_stats` surfaces the
-    totals the benchmark's network-budget column records.
+    Robustness knobs, read off the
+    :class:`~repro.config.ShardingConfig`: ``connect_timeout`` bounds
+    the retry-with-backoff connect loop per worker, ``call_timeout``
+    bounds every op round-trip (``None`` disables);
+    :data:`HEARTBEAT_TIMEOUT` bounds the liveness probe and frames are
+    held to :data:`~repro.serving.framing.MAX_BINARY_FRAME_BYTES`. Every
+    op's bytes and round-trip latency are accounted per shard;
+    :meth:`transport_stats` surfaces the totals the benchmark's
+    network-budget column records.
     """
 
     name = "socket"
 
-    def __init__(self, plan, config: dict):
-        options = config["options"]
+    def __init__(self, plan, setup: dict, sharding):
         self.num_shards = plan.num_shards
-        self.connect_timeout = float(options.get("connect_timeout") or 10.0)
-        self.call_timeout = options.get("call_timeout", 120.0)
-        if self.call_timeout is not None:
-            self.call_timeout = float(self.call_timeout)
-        self.heartbeat_timeout = float(options.get("heartbeat_timeout") or 5.0)
-        self.max_frame_bytes = int(options.get("max_frame_bytes") or MAX_BINARY_FRAME_BYTES)
+        self.connect_timeout = sharding.connect_timeout
+        self.call_timeout = sharding.call_timeout
         self._socks: list = []
         self._procs: list = []
         self._pool: ThreadPoolExecutor | None = None
@@ -190,13 +138,12 @@ class SocketTransport:
         self._op_calls: list[dict] = [dict() for __ in range(self.num_shards)]
         started = False
         try:
-            addresses = options.get("hosts") or self._spawn_loopback()
+            hosts = [parse_host(entry) for entry in sharding.hosts or ()]
+            addresses = hosts or self._spawn_loopback()
             for shard_id, address in enumerate(addresses):
                 self._socks.append(self._connect(shard_id, address))
             for shard_id, shard in enumerate(plan.shards):
-                payload = wire.encode_setup(
-                    (_shard_arrays(shard, plan.num_shards, plan.owner), shard.graph, config)
-                )
+                payload = wire.encode_setup((shard, plan.num_shards, plan.owner, setup))
                 reply = self._roundtrip(shard_id, payload, "setup")
                 kind, body = wire.decode_message(reply)
                 if kind == wire.KIND_ERROR:
@@ -287,9 +234,9 @@ class SocketTransport:
         sock = self._socks[shard_id]
         start = time.perf_counter()
         try:
-            sent = send_frame(sock, payload, max_bytes=self.max_frame_bytes)
+            sent = send_frame(sock, payload)
             self._bytes_sent[shard_id] += sent
-            reply = recv_frame(sock, max_bytes=self.max_frame_bytes)
+            reply = recv_frame(sock)
         except socket.timeout as err:
             self._broken = True
             raise ShardTimeoutError(
@@ -398,7 +345,7 @@ class SocketTransport:
         """Heartbeat every worker; returns per-shard round-trip seconds.
 
         A worker that does not answer ``PONG`` within
-        ``heartbeat_timeout`` raises :class:`~repro.errors.
+        :data:`HEARTBEAT_TIMEOUT` raises :class:`~repro.errors.
         ShardTimeoutError` (and a dead one :class:`~repro.errors.
         ShardError`) — the cheap pre-flight that tells a dead fabric
         from a slow one.
@@ -407,7 +354,7 @@ class SocketTransport:
         latencies = []
         for shard_id, sock in enumerate(self._socks):
             previous = sock.gettimeout()
-            sock.settimeout(self.heartbeat_timeout)
+            sock.settimeout(HEARTBEAT_TIMEOUT)
             start = time.perf_counter()
             try:
                 reply = self._roundtrip(
@@ -460,12 +407,9 @@ class SocketTransport:
         for shard_id, sock in enumerate(self._socks):
             if not self._broken:
                 try:
-                    sock.settimeout(self.heartbeat_timeout)
-                    send_frame(
-                        sock, wire.encode_simple(wire.KIND_CLOSE),
-                        max_bytes=self.max_frame_bytes,
-                    )
-                    recv_frame(sock, max_bytes=self.max_frame_bytes)  # BYE
+                    sock.settimeout(HEARTBEAT_TIMEOUT)
+                    send_frame(sock, wire.encode_simple(wire.KIND_CLOSE))
+                    recv_frame(sock)  # BYE
                 except (FrameError, OSError):
                     pass  # the drain is best-effort; the socket closes anyway
             try:
@@ -489,24 +433,12 @@ class SocketTransport:
 TRANSPORTS = {"inline": InlineTransport, "socket": SocketTransport}
 
 
-def make_transport(name, plan, model, model_params, sampler, options):
-    """Build the named transport; unknown names raise :class:`ShardError`.
+def make_transport(sharding, plan, model, model_params, walk):
+    """Build the transport a :class:`~repro.config.ShardingConfig` names.
 
-    The worker bootstrap ``config`` (model, sampler, ``options``) is
-    assembled here for either transport; ``options["hosts"]`` is
-    validated (:func:`check_hosts`) and handed on as parsed
-    ``(host, port)`` pairs.
+    The worker bootstrap (model name, its parameters, the
+    :class:`~repro.config.WalkConfig`, under :class:`ShardWorker`'s
+    parameter names) is assembled here for either transport.
     """
-    if not isinstance(name, str) or name.strip().lower() not in TRANSPORTS:
-        raise ShardError(
-            f"unknown shard transport {name!r}; available: {sorted(TRANSPORTS)}"
-        )
-    name = name.strip().lower()
-    hosts = check_hosts(options.get("hosts"), name, plan.num_shards)
-    config = {
-        "model": model,
-        "model_params": model_params,
-        "sampler": sampler,
-        "options": {**options, "hosts": hosts},
-    }
-    return TRANSPORTS[name](plan, config)
+    setup = {"model": model, "model_params": model_params, "config": walk}
+    return TRANSPORTS[sharding.transport](plan, setup, sharding)

@@ -33,8 +33,11 @@ map, edges through a binary search of the sorted ``edge_map``).
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
+from repro.config import WalkConfig
 from repro.registry import SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE
 from repro.walks.models import make_model
@@ -45,36 +48,23 @@ class ShardWorker:
     """Executes one shard's share of every walk step, driven by ops."""
 
     def __init__(
-        self,
-        shard_id: int,
-        num_shards: int,
-        graph,
-        node_map: np.ndarray,
-        edge_map: np.ndarray,
-        global_to_local: np.ndarray,
-        owned_local: np.ndarray,
-        owner: np.ndarray,
-        model: str,
-        model_params: dict,
-        sampler: str,
-        options: dict,
+        self, shard, num_shards: int, owner: np.ndarray, model: str, model_params: dict,
+        config: WalkConfig,
     ):
-        self.shard_id = int(shard_id)
+        self.shard_id = int(shard.shard_id)
         self.num_shards = int(num_shards)
-        self.graph = graph
-        self.node_map = node_map
-        self.edge_map = edge_map
-        self.g2l = global_to_local
+        self.graph = graph = shard.graph
+        self.node_map = shard.node_map
+        self.edge_map = shard.edge_map
+        self.g2l = shard.global_to_local
         self.owner = owner
+        #: the driver's :class:`~repro.config.WalkConfig`, as it crossed the wire
+        self.config = config
         model = make_model(model, graph, **(model_params or {}))
         ctx = SamplerContext(
-            initializer=options.get("initializer", "high-weight"),
-            init_sample_cap=options.get("init_sample_cap", 16),
-            burn_in_iterations=int(options.get("burn_in_iterations", 100)),
-            kernels=resolve_kernels(options.get("backend", "numpy"), model)[1],
-            owned_nodes=owned_local,
+            config, kernels=resolve_kernels(config.backend, model), owned_nodes=shard.owned_local
         )
-        self.stepper = SAMPLER_REGISTRY.get(sampler)(graph, model, ctx)
+        self.stepper = SAMPLER_REGISTRY.get(config.sampler)(graph, model, ctx)
         # resident walkers, global coordinates, sorted by walker id
         self.ids = np.empty(0, dtype=np.int64)
         self.prev_g = np.empty(0, dtype=np.int64)
@@ -221,6 +211,10 @@ class ShardWorker:
         return self._edges_global(nxt), n_ok, n_acc
 
     # -- bookkeeping ----------------------------------------------------
+    def walk_config(self) -> dict:
+        """The fields of :attr:`config` (a mapping: the wire moves no dataclass)."""
+        return asdict(self.config)
+
     def tables_built(self) -> int:
         """Structures materialised at construction (setup-cost counter).
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import WalkConfig
 from repro.errors import ConfigError
 from repro.utils.rng import as_rng
 
@@ -63,7 +64,7 @@ def mh_chain_sample(
     num_samples: int,
     *,
     init: str = "random",
-    burn_in_iterations: int = 100,
+    burn_in_iterations: int = WalkConfig.burn_in_iterations,
     rng=None,
 ) -> np.ndarray:
     """Draw ``num_samples`` dependent samples from one uniform-proposal chain.
@@ -87,7 +88,7 @@ def mh_chain_batch(
     num_samples: int,
     *,
     init: str = "random",
-    burn_in_iterations: int = 100,
+    burn_in_iterations: int = WalkConfig.burn_in_iterations,
     rng=None,
     return_samples: bool = False,
 ):

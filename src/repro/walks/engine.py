@@ -11,28 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import WalkError
+from repro.config import WalkConfig, take_fields
 from repro.registry import SCALAR_SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE, EdgeSampler, draw_from_weights
 from repro.utils.rng import as_rng
 from repro.walks.corpus import WalkCorpus
 from repro.walks.models import make_model
-
-
-def _make_scalar_sampler(name, graph, model, *, initializer, table_budget_bytes, budget):
-    """Resolve a sampler name through the scalar registry and build it.
-
-    Each entry's ``factory`` capability is called as ``factory(graph,
-    model, ctx)``; entries registered without one (e.g. third-party
-    samplers) are called the same way themselves. Unknown names raise
-    :class:`~repro.errors.WalkError` listing what is registered.
-    """
-    ctx = SamplerContext(
-        initializer=initializer, table_budget_bytes=table_budget_bytes, budget=budget
-    )
-    entry = SCALAR_SAMPLER_REGISTRY.entry(name)
-    factory = entry.capabilities.get("factory", entry.obj)
-    return factory(graph, model, ctx)
 
 
 class ReferenceWalkEngine:
@@ -44,63 +28,51 @@ class ReferenceWalkEngine:
         CSR network.
     model:
         A bound :class:`~repro.walks.models.base.RandomWalkModel` or a
-        registry name (extra ``model_params`` are forwarded).
+        registry name.
     sampler:
-        An :class:`~repro.sampling.base.EdgeSampler` instance or one of
-        ``"mh"`` (default), ``"direct"``, ``"alias"``, ``"rejection"``,
-        ``"knightking"``, ``"memory-aware"``.
-    initializer:
-        M-H initialization strategy (ignored by other samplers).
+        An :class:`~repro.sampling.base.EdgeSampler` instance, or
+        positional sugar for ``config.sampler``: a name in
+        :data:`repro.registry.SCALAR_SAMPLER_REGISTRY`, whose ``factory``
+        capability (or, without one, the entry itself) is called as
+        ``factory(graph, model, ctx)``.
+    config:
+        The :class:`~repro.config.WalkConfig` (kept as :attr:`config`);
+        as on the vectorized engine, a keyword naming one of its fields
+        replaces it and the others go to the model constructor.
     seed:
         Seed for the engine's generator.
     """
 
-    def __init__(
-        self,
-        graph,
-        model,
-        sampler="mh",
-        *,
-        initializer="high-weight",
-        table_budget_bytes=None,
-        budget=None,
-        seed=None,
-        **model_params,
-    ):
+    def __init__(self, graph, model, sampler=None, *, config=None, budget=None, seed=None, **keywords):
+        built = isinstance(sampler, EdgeSampler)
+        self.config = take_fields(config or WalkConfig(), keywords, sampler=None if built else sampler)
         self.graph = graph
-        self.model = make_model(model, graph, **model_params)
-        if isinstance(sampler, EdgeSampler):
-            self.sampler = sampler
-        else:
-            self.sampler = _make_scalar_sampler(
-                sampler,
-                graph,
-                self.model,
-                initializer=initializer,
-                table_budget_bytes=table_budget_bytes,
-                budget=budget,
-            )
+        self.model = make_model(model, graph, **keywords)
+        if not built:
+            entry = SCALAR_SAMPLER_REGISTRY.entry(self.config.sampler)
+            factory = entry.capabilities.get("factory", entry.obj)
+            sampler = factory(graph, self.model, SamplerContext(self.config, budget=budget))
+        self.sampler = sampler
         self.rng = as_rng(seed)
 
     # ------------------------------------------------------------------
-    def generate(self, num_walks: int = 10, walk_length: int = 80, start_nodes=None) -> WalkCorpus:
+    def generate(self, num_walks=None, walk_length=None, start_nodes=None) -> WalkCorpus:
         """Create ``num_walks`` walks of ``walk_length`` nodes per start.
 
-        ``walk_length`` counts *nodes* (the paper's "sequences of length
-        80"), so each walk takes at most ``walk_length - 1`` steps. Walks
-        start at every valid start node by default and may end early at
-        dead ends.
+        ``None`` reads the shape off :attr:`config`. ``walk_length``
+        counts *nodes* (the paper's "sequences of length 80"), so each
+        walk takes at most ``walk_length - 1`` steps. Walks start at
+        every valid start node by default and may end early at dead ends.
         """
-        if num_walks < 1 or walk_length < 1:
-            raise WalkError("num_walks and walk_length must be >= 1")
+        shape = self.config.reshaped(num_walks, walk_length)
         if start_nodes is None:
             starts = self.model.valid_start_nodes()
         else:
             starts = np.asarray(start_nodes, dtype=np.int64)
         sequences = []
-        for __ in range(num_walks):
+        for __ in range(shape.num_walks):
             for v in starts:
-                sequences.append(self.walk(int(v), walk_length))
+                sequences.append(self.walk(int(v), shape.walk_length))
         return WalkCorpus.from_lists(sequences)
 
     def walk(self, start: int, walk_length: int) -> list[int]:

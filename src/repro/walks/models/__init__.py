@@ -14,6 +14,10 @@ registration declares a ``param_spec`` capability describing its
 constructor parameters, which drives CLI flags and spec validation.
 """
 
+import inspect
+from dataclasses import fields
+
+from repro.config import WalkConfig
 from repro.errors import ModelError
 from repro.registry import MODEL_REGISTRY, register_model
 from repro.walks.models.base import RandomWalkModel
@@ -85,7 +89,10 @@ def make_model(name, graph, **params) -> RandomWalkModel:
 
     Unknown names raise :class:`~repro.errors.ModelError` listing the
     registered models (with near-miss suggestions); a bound
-    :class:`RandomWalkModel` instance passes through unchanged.
+    :class:`RandomWalkModel` instance passes through unchanged. ``params``
+    are what an engine or :class:`~repro.UniNet` had left of its keywords
+    after the :class:`~repro.config.WalkConfig` fields, so one the model
+    does not take is named with both sets.
 
     >>> from repro.graph.generators import cycle_graph
     >>> model = make_model("node2vec", cycle_graph(5), p=0.25, q=4.0)
@@ -99,4 +106,12 @@ def make_model(name, graph, **params) -> RandomWalkModel:
             f"model must be a registry name or a RandomWalkModel instance, "
             f"got {type(name).__name__}"
         )
-    return MODEL_REGISTRY.create(name, graph, **params)
+    cls = MODEL_REGISTRY.get(name)
+    accepted = inspect.signature(cls).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown and not any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+        raise ModelError(
+            f"unknown keyword(s) {unknown}: model {name!r} takes {list(accepted)[1:]}, and "
+            f"a walk engine's own keywords are {[f.name for f in fields(WalkConfig)]}"
+        )
+    return cls(graph, **params)

@@ -123,9 +123,7 @@ def fit_transition_matrix(
     matrix = np.ones((t, t), dtype=np.float64)
     for iteration in range(iterations):
         model = Edge2Vec(graph, p=p, q=q, transition_matrix=matrix)
-        engine = VectorizedWalkEngine(
-            graph, model, sampler="mh", seed=None if seed is None else seed + iteration
-        )
+        engine = VectorizedWalkEngine(graph, model, seed=None if seed is None else seed + iteration)
         corpus = engine.generate(num_walks=num_walks, walk_length=walk_length)
         counts = np.ones((t, t), dtype=np.float64)  # add-one smoothing
         for walk in corpus.iter_walks():

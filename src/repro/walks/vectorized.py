@@ -40,10 +40,12 @@ import time
 
 import numpy as np
 
-from repro.errors import ReproError, SamplerError, WalkError
-from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY, SamplerContext
+from repro.config import WalkConfig, take_fields
+from repro.errors import SamplerError, WalkError
+from repro.registry import SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.alias import FirstOrderAliasStore, build_alias_table
 from repro.sampling.base import NO_EDGE
+from repro.sampling.initialization import make_initializer
 from repro.sampling.memory_aware import assign_states_greedily
 from repro.sampling.memory_model import (
     first_order_alias_bytes,
@@ -60,7 +62,6 @@ from repro.walks._segments import (
 )
 from repro.walks.corpus import WalkCorpus
 from repro.walks.kernels import (
-    KERNEL_REGISTRY,
     KernelState,
     default_backend,
     resolve_backend,
@@ -68,15 +69,6 @@ from repro.walks.kernels import (
 from repro.walks.manager import ChainStore
 from repro.walks.models import make_model
 from repro.walks.models.base import RandomWalkModel
-
-
-def _canonical_initializer(initializer) -> str:
-    """Resolve an initializer name/instance to its canonical registry name."""
-    name = getattr(initializer, "name", initializer)
-    try:
-        return INITIALIZER_REGISTRY.canonical(name)
-    except ReproError as err:
-        raise WalkError(str(err)) from None
 
 
 class StepperBase:
@@ -654,8 +646,6 @@ class _MemoryAwareStepper(_StateAliasStepper):
     alpha_filter = True  # the rejection fallback
 
     def __init__(self, graph, model, ctx):
-        if ctx.table_budget_bytes is None:
-            raise WalkError("memory-aware sampling needs table_budget_bytes")
         self.table_budget_bytes = int(ctx.table_budget_bytes)
         self.max_rounds = ctx.max_reject_rounds
         super().__init__(graph, model, ctx)
@@ -800,20 +790,14 @@ class _MHStepper(StepperBase):
 
     def __init__(self, graph, model, ctx):
         super().__init__(graph, model, ctx.kernels)
+        # a canonical registry name (the config resolved it), or a bound
+        # initializer instance, whose scalar protocol is used directly
         initializer = ctx.initializer
-        if not isinstance(initializer, str) and hasattr(initializer, "initialize"):
-            # a bound initializer instance: use its scalar protocol directly
-            self.strategy = getattr(initializer, "name", "custom")
-            self.custom_initializer = initializer
-        else:
-            self.strategy = _canonical_initializer(initializer)
-            if self.strategy in ("random", "high-weight", "burn-in"):
-                # built-ins have dedicated vectorized kernels below
-                self.custom_initializer = None
-            else:
-                from repro.sampling.initialization import make_initializer
-
-                self.custom_initializer = make_initializer(self.strategy)
+        named = isinstance(initializer, str)
+        self.strategy = initializer if named else getattr(initializer, "name", "custom")
+        # built-ins have dedicated vectorized kernels below
+        builtin = named and initializer in ("random", "high-weight", "burn-in")
+        self.custom_initializer = None if builtin else make_initializer(initializer)
         self.init_sample_cap = ctx.init_sample_cap
         self.burn_in_iterations = ctx.burn_in_iterations
         # the compiled wave runs the built-in high-weight initializer and
@@ -822,7 +806,6 @@ class _MHStepper(StepperBase):
             hasattr(self.kernels, "mh_wave")
             and self.strategy == "high-weight"
             and self.custom_initializer is None
-            and (self.init_sample_cap is None or self.init_sample_cap > 0)
             and type(model).batch_state_index is RandomWalkModel.batch_state_index
         )
         self._build(ctx)
@@ -1137,18 +1120,18 @@ SAMPLER_REGISTRY.register(
 
 
 def resolve_kernels(backend, model):
-    """``(requested name, backend instance)`` a model's steppers run on.
+    """The kernel backend instance a model's steppers run on.
 
     A compiled backend that cannot evaluate the model's weight rule (a
     *generic* ``kernel_spec``) falls back to NumPy, the one backend that
     can. The monolithic engine, the sharded driver and every shard
-    worker resolve through here, so they agree on the effective backend.
+    worker resolve ``config.backend`` through here, so they agree on the
+    effective backend.
     """
-    requested = KERNEL_REGISTRY.canonical(backend)
-    kernels = resolve_backend(requested)
+    kernels = resolve_backend(backend)
     if not kernels.supports(model.kernel_spec()):
-        kernels = resolve_backend("numpy")
-    return requested, kernels
+        kernels = default_backend()
+    return kernels
 
 
 class VectorizedWalkEngine:
@@ -1159,30 +1142,29 @@ class VectorizedWalkEngine:
     graph:
         CSR network.
     model:
-        Bound model instance or registry name (``model_params`` forwarded:
-        ``p``, ``q``, ``metapath``, ...).
-    sampler:
-        Any name in :data:`repro.registry.SAMPLER_REGISTRY`: ``"mh"``
-        (default), ``"direct"``, ``"alias"``, ``"alias-first-order"``,
-        ``"rejection"``, ``"knightking"``, ``"memory-aware"``, or a
-        third-party sampler registered with
-        :func:`repro.registry.register_sampler`.
-    initializer:
-        M-H chain initialization, resolved through
-        :data:`repro.registry.INITIALIZER_REGISTRY`: ``"random"``,
-        ``"high-weight"`` (default) or ``"burn-in"``.
-    budget:
-        Optional :class:`~repro.sampling.memory_model.MemoryBudget`; the
-        sampler's footprint is charged at construction (simulated OOM).
-    backend:
-        Kernel backend driving the step hot loops, resolved through
-        :data:`repro.registry.KERNEL_REGISTRY`: ``"numpy"`` (default,
-        always available) or ``"cnative"``. Requesting the compiled
-        backend on a host without a C compiler raises
-        :class:`~repro.errors.ConfigError`; a compiled backend that
-        cannot evaluate the model's weight rule (a *generic*
-        ``kernel_spec``) silently falls back to NumPy — ``stats()``
-        reports both ``requested_backend`` and the effective ``backend``.
+        Bound model instance or registry name.
+    config:
+        The :class:`~repro.config.WalkConfig` the engine is built from
+        and keeps as :attr:`config` (its defaults when omitted): every
+        walk knob, its default and its check are declared there alone.
+    chain_store, budget:
+        Live objects a config cannot hold: a persistent
+        :class:`~repro.walks.manager.ChainStore` to walk on, and a
+        :class:`~repro.sampling.memory_model.MemoryBudget` the sampler's
+        footprint is charged to at construction (simulated OOM).
+    keywords:
+        A ``WalkConfig`` field name (``sampler=``, also positionally,
+        ``initializer=``, ``init_sample_cap=``, ``backend=``, ...)
+        replaces that field; anything else goes to the model constructor
+        (``p``, ``q``, ``metapath``, ...). A value the config refuses raises
+        :class:`~repro.errors.WalkError` here, before any sampler
+        structure is built.
+
+    Requesting the compiled backend on a host without a C compiler
+    raises :class:`~repro.errors.ConfigError`; a compiled backend that
+    cannot evaluate the model's weight rule (a *generic* ``kernel_spec``)
+    silently falls back to NumPy — ``stats()`` reports both
+    ``requested_backend`` and the effective ``backend``.
 
     The constructor performs all sampler preprocessing; its duration is
     exposed as :attr:`setup_seconds` and lazily accrued M-H
@@ -1193,54 +1175,32 @@ class VectorizedWalkEngine:
     """
 
     def __init__(
-        self,
-        graph,
-        model,
-        sampler="mh",
-        *,
-        initializer="high-weight",
-        init_sample_cap: int | None = 16,
-        burn_in_iterations: int = 100,
-        table_budget_bytes=None,
-        chain_store=None,
-        max_reject_rounds: int = 10_000,
-        budget=None,
-        backend: str = "numpy",
-        seed=None,
-        **model_params,
+        self, graph, model, sampler=None, *, config=None, chain_store=None, budget=None,
+        seed=None, **keywords,
     ):
+        self.config = take_fields(config or WalkConfig(), keywords, sampler=sampler)
         self.graph = graph
-        self.model = make_model(model, graph, **model_params)
+        self.model = make_model(model, graph, **keywords)
         start = time.perf_counter()
-        self.requested_backend, kernels = resolve_kernels(backend, self.model)
-        self.kernels = kernels
+        self.kernels = kernels = resolve_kernels(self.config.backend, self.model)
         self.backend = kernels.name
         self.compile_seconds = float(kernels.warmup())
-        ctx = SamplerContext(
-            initializer=initializer,
-            init_sample_cap=init_sample_cap,
-            burn_in_iterations=burn_in_iterations,
-            table_budget_bytes=table_budget_bytes,
-            chain_store=chain_store,
-            max_reject_rounds=max_reject_rounds,
-            budget=budget,
-            kernels=kernels,
-        )
-        # unknown names raise WalkError listing the registered samplers
-        self.stepper = SAMPLER_REGISTRY.get(sampler)(graph, self.model, ctx)
+        ctx = SamplerContext(self.config, kernels=kernels, chain_store=chain_store, budget=budget)
+        self.stepper = SAMPLER_REGISTRY.get(self.config.sampler)(graph, self.model, ctx)
         self.setup_seconds = time.perf_counter() - start
         self.rng = as_rng(seed)
 
     # ------------------------------------------------------------------
-    def generate(self, num_walks: int = 10, walk_length: int = 80, start_nodes=None) -> WalkCorpus:
+    def generate(self, num_walks=None, walk_length=None, start_nodes=None) -> WalkCorpus:
         """Run ``num_walks`` waves of walks with ``walk_length`` nodes each.
 
-        Every valid start node launches one walker per wave (Algorithm
-        2's outer loops). Walks may end early at dead ends; the corpus
-        records actual lengths.
+        ``None`` reads the shape off :attr:`config`. Every valid start
+        node launches one walker per wave (Algorithm 2's outer loops).
+        Walks may end early at dead ends; the corpus records actual
+        lengths.
         """
-        if num_walks < 1 or walk_length < 1:
-            raise WalkError("num_walks and walk_length must be >= 1")
+        shape = self.config.reshaped(num_walks, walk_length)
+        num_walks, walk_length = shape.num_walks, shape.walk_length
         starts = self._resolve_starts(start_nodes)
         walks = np.full((num_walks * starts.size, walk_length), -1, dtype=np.int64)
         lengths = np.empty(num_walks * starts.size, dtype=np.int64)
@@ -1252,12 +1212,7 @@ class VectorizedWalkEngine:
         return WalkCorpus(walks, lengths)
 
     def generate_stream(
-        self,
-        num_walks: int = 10,
-        walk_length: int = 80,
-        start_nodes=None,
-        *,
-        shard_walks: int | None = None,
+        self, num_walks=None, walk_length=None, start_nodes=None, *, shard_walks: int | None = None
     ):
         """Yield the walk corpus as a stream of bounded shards.
 
@@ -1270,8 +1225,8 @@ class VectorizedWalkEngine:
         consumption is identical to :meth:`generate` — merging the
         stream reproduces the monolithic corpus exactly.
         """
-        if num_walks < 1 or walk_length < 1:
-            raise WalkError("num_walks and walk_length must be >= 1")
+        shape = self.config.reshaped(num_walks, walk_length)
+        num_walks, walk_length = shape.num_walks, shape.walk_length
         if shard_walks is not None and shard_walks < 1:
             raise WalkError("shard_walks must be >= 1")
         starts = self._resolve_starts(start_nodes)
@@ -1339,7 +1294,7 @@ class VectorizedWalkEngine:
         out = self.stepper.stats()
         out["setup_seconds"] = self.setup_seconds
         out["backend"] = self.backend
-        out["requested_backend"] = self.requested_backend
+        out["requested_backend"] = self.config.backend
         out["wave_kernel"] = self.stepper.wave_kernel
         out["edge_filter_bytes"] = self.stepper.edge_filter_bytes
         out["compile_seconds"] = self.compile_seconds

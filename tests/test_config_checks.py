@@ -1,0 +1,147 @@
+"""Every knob is checked once, where its value first exists.
+
+A walk or train setting that cannot run is refused by its config
+dataclass: as a field, as a RunSpec key, as an engine keyword (the
+keywords are sugar for the fields), the same on every backend and on the
+sharded engine, and before a sampler structure, a shard plan or a walk
+exists. Each case here ran further at the parent commit: into NumPy, into
+a silent empty walk, or through the whole walk phase.
+"""
+
+import pytest
+
+import repro.core.pipeline as pipeline
+from repro import UniNet, run
+from repro.core.config import TrainConfig, WalkConfig
+from repro.core.runner import apply_override
+from repro.core.spec import RunSpec
+from repro.errors import ModelError, TrainingError, WalkError
+from repro.sampling.memory_model import MemoryBudget
+from repro.sharding import ShardedWalkEngine
+from repro.walks import ReferenceWalkEngine, VectorizedWalkEngine
+from repro.walks.kernels import available_backends
+
+BACKENDS = sorted(name for name, ok in available_backends().items() if ok)
+BASE = {"graph": {"dataset": "amazon", "scale": 0.05, "seed": 1}}
+
+#: (field, value): what each did at the parent is in the module docstring
+BAD_WALK = [
+    ("init_sample_cap", 0),  # NumPy: argmax of an empty sequence; cnative: walked
+    ("init_sample_cap", -3),  # "negative dimensions are not allowed"
+    ("init_sample_cap", 1.5),  # TypeError
+    ("max_reject_rounds", 0),  # every rejection walk ended after step 0
+    ("burn_in_iterations", -1),  # silently the random initializer
+    ("table_budget_bytes", -1),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_WALK)
+class TestWalkKnobs:
+    def test_refused_as_a_field_and_as_a_spec_key(self, field, value):
+        with pytest.raises(WalkError, match=field):
+            WalkConfig(**{field: value})
+        with pytest.raises(WalkError, match=field):
+            RunSpec.from_dict({**BASE, "walk": {field: value}})
+        with pytest.raises(WalkError, match=field):
+            RunSpec.from_dict(apply_override(dict(BASE), f"walk.{field}", value))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sampler", ("mh", "rejection"))
+    def test_refused_as_an_engine_keyword_before_a_structure_is_built(
+        self, field, value, backend, sampler, small_power_law_graph
+    ):
+        # the first structure built would overdraw a one-byte budget
+        with pytest.raises(WalkError, match=field):
+            VectorizedWalkEngine(
+                small_power_law_graph, "node2vec", sampler=sampler, backend=backend,
+                budget=MemoryBudget(1), **{field: value},
+            )
+
+    def test_refused_by_the_other_engines_and_the_facade(
+        self, field, value, small_power_law_graph, monkeypatch
+    ):
+        def no_plan(*args):
+            raise AssertionError("a shard plan was built")
+
+        monkeypatch.setattr("repro.sharding.engine.build_shard_plan", no_plan)
+        for build in (ShardedWalkEngine, ReferenceWalkEngine, UniNet):
+            with pytest.raises(WalkError, match=field):
+                build(small_power_law_graph, "deepwalk", **{field: value})
+
+
+class TestWalkConfig:
+    def test_a_budgeted_sampler_without_its_budget_is_refused_at_the_spec(self):
+        with pytest.raises(WalkError, match="table_budget_bytes"):
+            RunSpec.from_dict({**BASE, "walk": {"sampler": "memory-aware"}})
+        walk = {"sampler": "memory-aware", "table_budget_bytes": 4096}
+        assert RunSpec.from_dict({**BASE, "walk": walk}).walk.table_budget_bytes == 4096
+
+    def test_unset_caps_and_instances_still_pass(self):
+        assert WalkConfig(init_sample_cap=None, burn_in_iterations=0).init_sample_cap is None
+        strategy = object()
+        assert WalkConfig(initializer=strategy).initializer is strategy
+
+    def test_a_keyword_that_is_neither_a_field_nor_a_model_parameter(self, tiny_weighted_graph):
+        for build in (VectorizedWalkEngine, ShardedWalkEngine, ReferenceWalkEngine, UniNet):
+            with pytest.raises(ModelError) as refused:
+                build(tiny_weighted_graph, "node2vec", intializer="random")
+            # both sets it could have been: the model's and the config's
+            assert "intializer" in str(refused.value)
+            assert "['p', 'q']" in str(refused.value) and "'initializer'" in str(refused.value)
+        # the two transport values no caller could reach are no keywords either
+        for gone in ("heartbeat_timeout", "max_frame_bytes"):
+            with pytest.raises(ModelError, match=gone):
+                ShardedWalkEngine(tiny_weighted_graph, "deepwalk", transport="socket", **{gone: 1})
+
+    @pytest.mark.parametrize("engine_cls", (VectorizedWalkEngine, ReferenceWalkEngine))
+    def test_the_walk_shape_is_the_configs_unless_given(self, engine_cls, tiny_weighted_graph):
+        config = WalkConfig(num_walks=2, walk_length=4)
+        engine = engine_cls(tiny_weighted_graph, "deepwalk", config=config, seed=3)
+        corpus = engine.generate()
+        assert corpus.num_walks == 2 * tiny_weighted_graph.num_nodes
+        assert corpus.lengths.max() == 4
+        assert engine.generate(1, walk_length=None).num_walks == tiny_weighted_graph.num_nodes
+        with pytest.raises(WalkError, match="walk_length"):
+            engine.generate(1, 0)
+
+
+#: train settings no trainer accepts; all passed ``RunSpec.validate()`` at the parent
+BAD_TRAIN = [
+    ("mode", "cbo"), ("dimensions", 0), ("window", 0), ("negative", 0), ("epochs", 0),
+    ("alpha", -1), ("extra", {"batch_pairz": 64}), ("extra", {"batch_pairs": 0}),
+    ("extra", {"max_row_step": -1}), ("extra", {"block_walks": 0}),
+]  # fmt: skip
+ROUTES = {
+    "monolithic": {},
+    "streamed-exact-vocab": {"streaming": {"vocab": "exact"}},
+    "sharded": {"sharding": {"shards": 2}},
+}
+
+
+@pytest.mark.parametrize("key, value", BAD_TRAIN)
+class TestAnUntrainableRunIsRefusedBeforeItWalks:
+    def test_at_the_config(self, key, value):
+        name = next(iter(value)) if key == "extra" else key
+        with pytest.raises(TrainingError, match=name):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_on_every_route_of_run(self, key, value, route, monkeypatch):
+        built = []
+        monkeypatch.setattr(pipeline, "build_engine", lambda *a, **kw: built.append(a))
+        with pytest.raises(TrainingError):
+            run({**BASE, "walk": {"num_walks": 1, "walk_length": 5}, "train": {key: value}, **ROUTES[route]})
+        assert not built
+
+    def test_at_the_facade(self, key, value, tiny_weighted_graph, monkeypatch):
+        built = []
+        monkeypatch.setattr(pipeline, "build_engine", lambda *a, **kw: built.append(a))
+        with pytest.raises(TrainingError):
+            UniNet(tiny_weighted_graph).train(1, 5, **{key: value})
+        assert not built
+
+
+def test_extra_names_the_trainer_only_keywords():
+    with pytest.raises(TrainingError, match=r"\['batch_pairs', 'block_walks', 'max_row_step'\]"):
+        TrainConfig(extra={"seed": 3})
+    assert TrainConfig(extra={"batch_pairs": 64}).word2vec_kwargs()["batch_pairs"] == 64

@@ -62,10 +62,8 @@ class TestPipeline:
         )
 
         by_hand, model, hand_store = trained()
-        engine = VectorizedWalkEngine(
-            graph, model, chain_store=hand_store, seed=9, **config.engine_kwargs()
-        )
-        corpus = engine.generate(config.num_walks, config.walk_length, start_nodes=starts)
+        engine = VectorizedWalkEngine(graph, model, config=config, chain_store=hand_store, seed=9)
+        corpus = engine.generate(start_nodes=starts)  # the shape is the config's
         by_hand.partial_fit(corpus)
         vectors = by_hand.finalize().vectors
 

@@ -161,7 +161,7 @@ def test_generic_model_falls_back_to_numpy(weighted_graph):
     eng = VectorizedWalkEngine(weighted_graph, opaque, sampler="rejection",
                                seed=9, backend=backend)
     assert eng.backend == "numpy"
-    assert eng.requested_backend == backend
+    assert eng.config.backend == backend
     got = eng.generate(num_walks=2, walk_length=12)
 
     plain = make_model("node2vec", weighted_graph, p=0.25, q=4.0)

@@ -37,7 +37,6 @@ from repro.sharding import (
     ShardedWalkEngine,
     build_shard_plan,
     make_partitioner,
-    make_transport,
     register_partitioner,
 )
 from repro.walks.kernels import available_backends
@@ -116,8 +115,8 @@ class TestShardPlan:
             build_shard_plan(tiny_weighted_graph, 0)
         with pytest.raises(ShardError):
             make_partitioner("no-such-partitioner")
-        with pytest.raises(ShardError):
-            make_transport("no-such-transport", None, "deepwalk", {}, "mh", {})
+        with pytest.raises(ShardError, match="transport"):
+            ShardedWalkEngine(tiny_weighted_graph, "deepwalk", transport="no-such-transport")
 
         class BadShape:
             def partition(self, graph, num_shards):
@@ -304,6 +303,10 @@ class TestEngineStats:
         with pytest.raises(ShardError, match="chain_store"):
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", chain_store=object())
         with pytest.raises(ShardError, match="sampler"):
+            ShardedWalkEngine(
+                tiny_weighted_graph, "deepwalk", sampler="memory-aware", table_budget_bytes=1024
+            )
+        with pytest.raises(WalkError, match="table_budget_bytes"):  # no engine takes this config
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", sampler="memory-aware")
         with pytest.raises(ShardError, match="initializer"):
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", initializer=object())
@@ -684,6 +687,19 @@ class TestSocketTransport:
         stats = inline_engine.stats()
         assert stats["transport"] == "inline"
         assert "transport_stats" not in stats
+
+    def test_workers_are_built_from_the_drivers_walk_config(self, small_power_law_graph):
+        """The SETUP message carries the engine's config; nothing re-defaults it."""
+        config = WalkConfig(
+            sampler="rejection", initializer="burnin", init_sample_cap=4,
+            burn_in_iterations=7, max_reject_rounds=77,
+        )
+        with ShardedWalkEngine(
+            small_power_law_graph, "node2vec", config=config, transport="socket", p=0.5
+        ) as engine:
+            assert engine.config == config and engine.num_shards == 2
+            for shard in range(engine.num_shards):
+                assert WalkConfig(**engine.transport.call(shard, "walk_config")) == config
 
     def test_remote_op_error_keeps_transport_usable(self, small_power_law_graph):
         """A typed worker-side failure is not a connection failure."""

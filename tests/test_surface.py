@@ -3,7 +3,7 @@
 Everything else — RunSpec (de)serialisation, ``--set`` / grid overrides,
 engine keywords, the CLI flags of the spec-building verbs — must be
 *derived* from the dataclass field, so adding a field needs no second
-edit. ``tests/data/cli_surface.json`` pins the CLI surface as recorded
+edit, and nothing below the dataclass writes its default again. ``tests/data/cli_surface.json`` pins the CLI surface as recorded
 from the parser before the flags were derived (option string ->
 ``[default, nargs, choices]`` per verb, dumped with :func:`cli_surface`).
 """
@@ -12,7 +12,6 @@ import argparse
 import ast
 import dataclasses
 import functools
-import inspect
 import json
 from pathlib import Path
 
@@ -22,9 +21,11 @@ from repro.cli import _FLAGS, _VERB_DEFAULTS, _VERB_SECTIONS, _verb_spec, build_
 from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override, expand_grid
 from repro.core.spec import SUGAR, EvalSpec, GraphSpec, RunSpec, ServingSpec, spec_field
-from repro.errors import SpecError
+from repro.errors import ShardError, SpecError
+from repro.registry import SamplerContext
 from repro.serving import ServerConfig
 from repro.sharding.engine import ShardedWalkEngine
+from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
 
 SECTIONS = {
@@ -83,55 +84,137 @@ class TestEveryFieldIsReachable:
         with pytest.raises(SpecError, match="negative_sharing"):
             RunSpec.from_dict({"graph": {"dataset": "amazon"}, "train": {"negative_sharing": True}})
 
-    def test_engine_keywords_are_constructor_parameters(self):
-        mono = set(inspect.signature(VectorizedWalkEngine.__init__).parameters)
-        sharded = set(inspect.signature(ShardedWalkEngine.__init__).parameters)
-        walk = set(WalkConfig().engine_kwargs())
-        assert walk <= mono and walk <= sharded
-        assert walk == {f.name for f in dataclasses.fields(WalkConfig)} - {"num_walks", "walk_length"}
-        sharding = set(ShardingConfig().engine_kwargs())
-        assert sharding <= sharded
-        assert len(sharding) == len(dataclasses.fields(ShardingConfig)) - 1  # all but `enabled`
+
+class _NoTransport:
+    """Stands in for a transport: every op answers 0, nothing is spawned."""
+
+    name = "stub"
+
+    def call_many(self, calls):
+        return [0 for __ in calls]
+
+
+def engine_fields():
+    return [
+        pytest.param(cls, field, id=f"{cls.__name__}.{field.name}")
+        for cls in (WalkConfig, ShardingConfig)
+        for field in dataclasses.fields(cls)
+    ]
+
+
+class TestEnginesAreBuiltFromTheirConfig:
+    @pytest.mark.parametrize("cls, field", engine_fields())
+    def test_the_config_object_and_the_keywords_build_the_same_engine(
+        self, cls, field, tiny_weighted_graph, monkeypatch
+    ):
+        """Every field reaches ``engine.config`` / ``engine.sharding``, by
+        either spelling, and those objects are what the transport gets."""
+        if field.name == "backend" and not available_backends()["cnative"]:
+            pytest.skip("no C compiler")
+        handed = []
+        monkeypatch.setattr(
+            "repro.sharding.engine.make_transport",
+            lambda sharding, plan, model, params, walk: handed.append((sharding, walk)) or _NoTransport(),
+        )
+        values = {field.name: non_default(field)}
+        if field.name == "hosts":
+            values.update(transport="socket", shards=3)
+        config = cls(**values)
+        assert getattr(config, field.name) != field.default
+        role = "config" if cls is WalkConfig else "sharding"
+        keywords = {{"shards": "num_shards"}.get(name, name): value for name, value in values.items()}
+        for engine_cls in (VectorizedWalkEngine, ShardedWalkEngine)[cls is ShardingConfig :]:
+            outcomes = []
+            for spelling in ({role: config}, keywords):
+                try:
+                    engine = engine_cls(tiny_weighted_graph, "deepwalk", **spelling)
+                except ShardError as err:
+                    outcomes.append(str(err))
+                    continue
+                outcomes.append(getattr(engine, role))
+                if engine_cls is ShardedWalkEngine:
+                    assert handed[-1] == (engine.sharding, engine.config)
+            assert outcomes[0] == outcomes[1]
+            refused = engine_cls is ShardedWalkEngine and field.name == "table_budget_bytes"
+            assert "budget" in outcomes[0] if refused else outcomes[0] == config
+
+    def test_the_context_declares_no_walk_knob_of_its_own(self):
+        """``ctx.init_sample_cap`` is the config's; the context adds live objects only."""
+        own = {f.name for f in dataclasses.fields(SamplerContext)} - {"config"}
+        walk = {f.name for f in dataclasses.fields(WalkConfig)}
+        assert not own & walk
+        ctx = SamplerContext(WalkConfig(init_sample_cap=3, max_reject_rounds=9))
+        assert (ctx.init_sample_cap, ctx.max_reject_rounds, ctx.budget) == (3, 9, None)
+        with pytest.raises(AttributeError):
+            ctx.no_such_knob
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-#: the serving knobs and the one place each default is written
-SERVING_DEFAULTS = {
-    "index": ServingSpec.index, "cache_size": ServingSpec.cache_size,
-    "max_batch": ServerConfig.max_batch, "max_wait_us": ServerConfig.max_wait_us,
-    "queue_size": ServerConfig.queue_size,
-}  # fmt: skip
+#: every knob with a value for a default (``None`` and a bool are "unset" / a
+#: switch, not a value to repeat) and the one module that may write it: all
+#: fields of the four run configs, and the serving knobs
+DECLARED = {
+    f.name: (f.default, "config.py")
+    for cls in (WalkConfig, TrainConfig, ShardingConfig, StreamingConfig)
+    for f in dataclasses.fields(cls)
+    if not isinstance(f.default, (bool, type(None), type(dataclasses.MISSING)))
+} | {
+    name: (getattr(cls, name), "serving/config.py")
+    for cls, names in {
+        ServingSpec: ("index", "cache_size"),
+        ServerConfig: ("max_batch", "max_wait_us", "queue_size"),
+    }.items()
+    for name in names
+}
+#: the Table VI "original implementation" baseline states its own defaults
+SECOND_IMPLEMENTATION = "legacy/"
 
 
 class TestOneServingDeclaration:
     @staticmethod
     def modules():
         for path in sorted(SRC.rglob("*.py")):
-            yield str(path.relative_to(SRC)), ast.parse(path.read_text())
+            yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+    @staticmethod
+    def named_values(node):
+        """``(name, value node)`` wherever a node can give a named knob a value:
+        a parameter default, an annotated assignment (a dataclass field,
+        plain or through ``field(default=...)``), a keyword argument and
+        the fall-back of a ``.get(name, value)``."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            positional = node.args.posonlyargs + node.args.args
+            pairs = list(zip(positional[::-1], node.args.defaults[::-1]))
+            pairs += zip(node.args.kwonlyargs, node.args.kw_defaults)
+            return [(arg.arg, default) for arg, default in pairs]
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            value = node.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                value = next((kw.value for kw in value.keywords if kw.arg == "default"), None)
+            return [(node.target.id, value)]
+        if isinstance(node, ast.Call):  # argparse ``default=``, constructor calls
+            pairs = [(kw.arg, kw.value) for kw in node.keywords]
+            if getattr(node.func, "attr", None) == "get" and len(node.args) == 2:
+                key = node.args[0]
+                pairs.append((key.value if isinstance(key, ast.Constant) else None, node.args[1]))
+            return pairs
+        return []
 
     def test_each_default_is_a_literal_once_on_its_dataclass_field(self):
-        """A signature names ``ServingSpec.cache_size``; it does not say 4096 again."""
-        written = []
-        for module, tree in self.modules():
-            for node in ast.walk(tree):
-                pairs = []
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    positional = node.args.posonlyargs + node.args.args
-                    pairs = list(zip(positional[::-1], node.args.defaults[::-1]))
-                    pairs += zip(node.args.kwonlyargs, node.args.kw_defaults)
-                    pairs = [(arg.arg, default) for arg, default in pairs]
-                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    pairs = [(node.target.id, node.value)]
-                elif isinstance(node, ast.Call):  # argparse ``default=``, constructor calls
-                    pairs = [(kw.arg, kw.value) for kw in node.keywords]
-                written += [
-                    (name, module)
-                    for name, value in pairs
-                    if name in SERVING_DEFAULTS
-                    and isinstance(value, ast.Constant)
-                    and value.value == SERVING_DEFAULTS[name]
-                ]
-        assert sorted(written) == sorted((name, "serving/config.py") for name in SERVING_DEFAULTS)
+        """A signature names ``ServingSpec.cache_size`` or ``WalkConfig.initializer``;
+        it does not say 4096 or "high-weight" again."""
+        written = [
+            (name, module)
+            for module, tree in self.modules()
+            if not module.startswith(SECOND_IMPLEMENTATION)
+            for node in ast.walk(tree)
+            for name, value in self.named_values(node)
+            if name in DECLARED
+            and isinstance(value, ast.Constant)
+            and type(value.value) is type(DECLARED[name][0])
+            and value.value == DECLARED[name][0]
+        ]
+        assert sorted(written) == sorted((name, module) for name, (__, module) in DECLARED.items())
 
     def test_the_builder_holds_the_only_front_end_constructor_calls(self):
         calls = {}
