@@ -20,6 +20,9 @@ two graphs, above M-H's for both.
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +304,110 @@ def test_kernel_walk_throughput():
                f"(p={KERNEL_P:g}, q={KERNEL_Q:g}), bitwise-identical corpora"),
     )
     assert headline["speedup"] >= min_speedup, record["headline"]
+
+
+# ---------------------------------------------------------------------------
+# Threads inside the compiled M-H wave: walk_threads.txt
+# ---------------------------------------------------------------------------
+#: One measurement, in a process of its own so that the CPU affinity it
+#: narrows, and the source tree it imports, are its alone: the walk_only
+#: shape (node2vec p = 0.25, q = 4, M-H high-weight on the compiled
+#: backend, Twitter stand-in at 0.5, 10 x 80 walks, a fresh engine each
+#: repetition). The wave kernel takes its thread count from the affinity
+#: mask, so narrowing the mask is how a run on 1 CPU and a run on 2 are
+#: told apart: no option. ``threads`` (the over-subscribed row only)
+#: goes through the kernel-level argument that tests use; a tree
+#: without it (the parent) reports one thread.
+_WALK_SCRIPT = """
+import hashlib, json, os, sys, time
+cpus, threads = int(sys.argv[1]), int(sys.argv[2])
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+from repro.core.config import WalkConfig
+from repro.core.pipeline import generate_walk_result
+from repro.graph import datasets
+from repro.walks.kernels import cnative_backend
+from repro.walks.models import make_model
+
+if threads:
+    original = cnative_backend.CNativeKernels.mh_wave
+    cnative_backend.CNativeKernels.mh_wave = (
+        lambda self, *args: original(self, *args, threads=threads)
+    )
+graph = datasets.load("twitter", scale=0.5, seed=11)
+config = WalkConfig(num_walks=10, walk_length=80, sampler="mh", initializer="high-weight",
+                    backend="cnative")
+seconds = []
+for __ in range(3):
+    start = time.perf_counter()
+    walked = generate_walk_result(graph, make_model("node2vec", graph, p=0.25, q=4.0), config, seed=11)
+    seconds.append(time.perf_counter() - start)
+print(json.dumps({
+    "walk_s": min(seconds), "threads": walked.stats.get("wave_threads", 1),
+    "tokens": int(walked.corpus.token_count), "init_s": walked.stats["init_seconds"],
+    "sha": hashlib.sha256(walked.corpus.walks.tobytes()).hexdigest(),
+}))
+"""
+_REPO = Path(__file__).resolve().parents[1]
+
+
+def _measure_walk(src, cpus, threads=0):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _WALK_SCRIPT, str(cpus), str(threads)],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+def test_walk_thread_scaling():
+    """Best walk seconds (3 repetitions in each of 3 fresh processes,
+    alternated with the parent's) at the ``walk_only`` shape with the
+    process allowed 1 CPU and then 2, beside the same measurement of the
+    parent commit when ``BENCH_PARENT_SRC`` names the ``src`` directory
+    of a checkout of it. The last row forces one thread more than CPUs,
+    so that what over-subscription costs is on record. Every row must
+    walk the same corpus, the parent's included."""
+    if not available_backends().get("cnative", False):
+        pytest.skip("no C compiler on this host: there is no wave kernel to scale")
+    parent_src = os.environ.get("BENCH_PARENT_SRC")
+    allowed = len(os.sched_getaffinity(0))
+    cases = [(cpus, 0) for cpus in (1, 2) if cpus <= allowed]
+    cases.append((min(allowed, 2), min(allowed, 2) + 1))
+    rows, shas = [], set()
+    for cpus, threads in cases:
+        sides = {"change": _REPO / "src"}
+        if parent_src and not threads:
+            sides["parent"] = parent_src
+        best = {}
+        for rnd in range(3):  # the host's speed drifts by the minute: alternate the sides
+            for side in sorted(sides, reverse=rnd % 2 == 1):
+                got = _measure_walk(sides[side], cpus, threads)
+                shas.add(got["sha"])
+                if side not in best or got["walk_s"] < best[side]["walk_s"]:
+                    best[side] = got
+        change = best["change"]
+        assert threads or change["threads"] <= cpus  # never more threads than CPUs, unasked
+        row = {
+            "cpus": cpus, "threads": change["threads"], "walk_s": round(change["walk_s"], 3),
+            "init_s": round(change["init_s"], 3),
+            "steps_per_s": int(change["tokens"] / change["walk_s"]),
+        }
+        if "parent" in best:
+            row["parent_walk_s"] = round(best["parent"]["walk_s"], 3)
+            row["walk_s / parent"] = round(change["walk_s"] / best["parent"]["walk_s"], 2)
+        rows.append(row)
+    assert len(shas) == 1, shas
+    parent = f"parent {commit_label(Path(parent_src).parent)}" if parent_src else "parent not measured"
+    record_table(
+        "walk_threads",
+        ["cpus", "threads", "walk_s", "init_s", "steps_per_s", "parent_walk_s", "walk_s / parent"],
+        rows,
+        title=(
+            f"M-H wave thread scaling at the walk_only shape: commit {commit_label(_REPO)}, {parent}\n"
+            f"twitter 0.5, node2vec p=0.25 q=4, 10 x 80 walks, {change['tokens']} tokens, a fresh "
+            "engine per repetition; best of 3 repetitions in each of 3 fresh processes a side, the "
+            "sides alternated,\nCPU affinity narrowed to `cpus`; `threads` is what the kernel used "
+            "(last row: one more than CPUs, forced through CNativeKernels.mh_wave(threads=))"
+        ),
+    )

@@ -74,6 +74,7 @@ import numpy as np
 
 from repro.errors import ConfigError, TrainingError
 from repro.utils.cbuild import compile_cached, find_compiler
+from repro.utils.cthreads import C_THREADS, MAX_THREADS
 
 #: Dtype of the per-row segment sums and step norms of a batch update, in
 #: the reference and (as ``acc_t``) in the kernel: a small vocabulary
@@ -82,21 +83,7 @@ from repro.utils.cbuild import compile_cached, find_compiler
 #: well below a float32 ulp.
 ACCUM_DTYPE = np.float64
 
-#: Most threads one call uses, whatever the affinity mask holds.
-MAX_THREADS = 64
-
-_C_SOURCE = r"""
-#define _GNU_SOURCE
-#include <math.h>
-#include <pthread.h>
-#include <sched.h>
-#include <stdatomic.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-#include <time.h>
-#include <unistd.h>
-
+_C_SOURCE = C_THREADS + r"""
 typedef double acc_t; /* ACCUM_DTYPE */
 
 #define LOSS_EPS 1e-10f
@@ -181,72 +168,15 @@ static inline void apply_row(float *restrict w, const acc_t *restrict a,
 
 /* ---- threads ---------------------------------------------------------
    Nothing below decides a float: which thread scores a group or sums a
-   row changes when the work is done, never its operands or their order. */
-#define MAX_THREADS @MAX_THREADS@
+   row changes when the work is done, never its operands or their order.
+   The barrier and the helpers' placement are the shared prologue's
+   (repro.utils.cthreads). */
 /* One more thread per this much of a mean batch, counted as d times the
    d-wide vectors it passes over (one per target and per input row).
    Below it the three barriers of a batch cost what a thread saves:
    measured at d = 128, a second thread gained nothing on batches of 128
    skip-gram pairs (1.75 of these units) and 27 % on batches of 256. */
 #define MIN_WORK_PER_THREAD (1 << 16)
-/* a waiter spins this many times, then yields for this long, then sleeps */
-#define SPIN_LIMIT 1024
-#define YIELD_NS 200000
-
-static inline void cpu_relax(void) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    __asm__ __volatile__("yield");
-#endif
-}
-
-static inline int64_t now_ns(void) {
-    struct timespec t;
-    clock_gettime(CLOCK_MONOTONIC, &t);
-    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
-}
-
-/* Waking a sleeping thread on another CPU costs more than a batch
-   takes, so a waiter spins, and then yields in case its partner is
-   waiting for this very CPU. But a partner whose CPU the host has taken
-   away stays behind for milliseconds, and a guest that spins or yields
-   through those burns the CPU time the partner is short of: after about
-   what a sleep and a wake-up cost, the waiter sleeps. */
-typedef struct {
-    int64_t parties;
-    atomic_int_fast64_t arrived, sleepers;
-    _Alignas(64) atomic_int_fast64_t phase; /* what waiters read, on a line of its own */
-    pthread_mutex_t lock;
-    pthread_cond_t wake;
-} barrier_t;
-
-static void barrier_wait(barrier_t *b) {
-    if (b->parties == 1) return;
-    int64_t phase = atomic_load_explicit(&b->phase, memory_order_relaxed);
-    if (atomic_fetch_add_explicit(&b->arrived, 1, memory_order_acq_rel)
-            == b->parties - 1) {
-        atomic_store_explicit(&b->arrived, 0, memory_order_relaxed);
-        /* sequentially consistent with the sleeper's side: either it sees
-           the new phase or its count is seen here */
-        atomic_store(&b->phase, phase + 1);
-        if (atomic_load(&b->sleepers)) {
-            pthread_mutex_lock(&b->lock);
-            pthread_cond_broadcast(&b->wake);
-            pthread_mutex_unlock(&b->lock);
-        }
-        return;
-    }
-    for (int64_t spins = 0; spins < SPIN_LIMIT; spins++, cpu_relax())
-        if (atomic_load_explicit(&b->phase, memory_order_acquire) != phase) return;
-    for (int64_t deadline = now_ns() + YIELD_NS; now_ns() < deadline; sched_yield())
-        if (atomic_load_explicit(&b->phase, memory_order_acquire) != phase) return;
-    pthread_mutex_lock(&b->lock);
-    atomic_fetch_add(&b->sleepers, 1);
-    while (atomic_load(&b->phase) == phase) pthread_cond_wait(&b->wake, &b->lock);
-    atomic_fetch_sub(&b->sleepers, 1);
-    pthread_mutex_unlock(&b->lock);
-}
 
 /* One call's inputs, and what phase 1 stores for each group of the batch
    in hand. The small things (1 + negative coefficients, as many log
@@ -267,13 +197,8 @@ typedef struct {
     float *records;
     int64_t record_floats;
     float *h, *gh;
-    int64_t threads;
     uint64_t magic; /* 2^64 / threads rounded up: row / threads by one multiply */
-    atomic_int go;
-    barrier_t barrier;
-#ifdef __linux__
-    cpu_set_t mask; /* the caller's affinity; empty when it could not be read */
-#endif
+    team_t team;
 } run_t;
 
 /* One thread's own memory: the accumulator of the row it is summing and
@@ -289,7 +214,6 @@ typedef struct {
     int32_t *quot, *grp, *ent; /* as met: row / threads, the group, its coefficient */
     int32_t *row_grp, *row_ent; /* by row: the group, its coefficient */
     int32_t *row, *end; /* per touched row, in first-touch order: where its contributions end */
-    pthread_t thread;
 } worker_t;
 
 static inline int64_t first_row(const run_t *r, int64_t g) {
@@ -322,7 +246,7 @@ static inline const float *hidden(const run_t *r, int64_t g, int64_t lg) {
 /* row / threads, exactly, for any int32 row: the error of the rounded-up
    reciprocal stays below 1 / threads as long as row * threads < 2^64 */
 static inline int64_t row_div(const run_t *r, int64_t row) {
-    if (r->threads == 1) return row;
+    if (r->team.threads == 1) return row;
     return (int64_t)(((unsigned __int128)(uint64_t)row * r->magic) >> 64);
 }
 
@@ -408,7 +332,7 @@ static inline int32_t keep_owned(worker_t *w, int64_t row, int64_t lg, int64_t e
     w->quot[k] = (int32_t)q;
     w->grp[k] = (int32_t)lg;
     w->ent[k] = (int32_t)e;
-    return k + (row - q * w->run->threads == w->id);
+    return k + (row - q * w->run->team.threads == w->id);
 }
 
 /* sort the n kept contributions by row, keeping the order they were met
@@ -421,7 +345,7 @@ static void sort_by_row(worker_t *w, int32_t n) {
         if (s < 0) {
             s = (int32_t)w->rows++;
             w->slot[w->quot[k]] = s;
-            w->row[s] = (int32_t)(w->quot[k] * r->threads + w->id);
+            w->row[s] = (int32_t)(w->quot[k] * r->team.threads + w->id);
             w->end[s] = 0;
         }
         w->end[s]++;
@@ -518,30 +442,24 @@ static void train_batches(worker_t *w) {
         int64_t drawn = -1;
         for (int64_t g = g0; g < g1; g++) {
             int64_t row = r->in_rows[first_row(r, g)];
-            if (row - row_div(r, row) * r->threads != w->id) continue;
+            if (row - row_div(r, row) * r->team.threads != w->id) continue;
             draw_negatives(r, g, g - g0);
             if (drawn >= 0) score_group(r, drawn, drawn - g0);
             drawn = g;
         }
         if (drawn >= 0) score_group(r, drawn, drawn - g0);
-        barrier_wait(&r->barrier);
-        if (w->id == b % r->threads) r->losses[b] = batch_loss(r, g1 - g0);
+        barrier_wait(&r->team.barrier);
+        if (w->id == b % r->team.threads) r->losses[b] = batch_loss(r, g1 - g0);
         update_out_rows(w, b, g0, g1 - g0);
-        barrier_wait(&r->barrier);
+        barrier_wait(&r->team.barrier);
         update_in_rows(w, b, g0, g1 - g0);
-        barrier_wait(&r->barrier);
+        barrier_wait(&r->team.barrier);
     }
 }
 
 static void *helper_main(void *arg) {
     worker_t *w = arg;
-    run_t *r = w->run;
-#ifdef __linux__
-    /* started on a CPU of its own (see w2v_run); free to move from here */
-    if (CPU_COUNT(&r->mask))
-        pthread_setaffinity_np(pthread_self(), sizeof r->mask, &r->mask);
-#endif
-    while (!atomic_load_explicit(&r->go, memory_order_acquire)) sched_yield();
+    team_ready(&w->run->team);
     train_batches(w);
     return NULL;
 }
@@ -573,24 +491,9 @@ int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d,
         .record_floats = record_floats, .h = h, .gh = gh,
     };
     worker_t workers[MAX_THREADS];
-    int64_t cpus = 1;
-#ifdef __linux__
-    if (sched_getaffinity(0, sizeof run.mask, &run.mask) == 0)
-        cpus = CPU_COUNT(&run.mask);
-    else
-        CPU_ZERO(&run.mask);
-    int cpu = sched_getcpu();
-#else
-    cpus = sysconf(_SC_NPROCESSORS_ONLN);
-#endif
-    if (threads <= 0) {
-        int64_t groups = batch_off[batches];
-        int64_t vectors = groups * (1 + negative) + (row_start ? row_start[groups] : groups);
-        threads = vectors / batches * d / MIN_WORK_PER_THREAD;
-        if (threads > cpus) threads = cpus;
-        if (threads < 1) threads = 1;
-    }
-    if (threads > MAX_THREADS) threads = MAX_THREADS;
+    int64_t groups = batch_off[batches];
+    int64_t vectors = groups * (1 + negative) + (row_start ? row_start[groups] : groups);
+    threads = team_size(&run.team, threads, vectors / batches * d / MIN_WORK_PER_THREAD);
 
     int64_t max_rows = max_kept < vocab ? max_kept : vocab;
     size_t acc_bytes = round64((size_t)d * sizeof(acc_t));
@@ -600,36 +503,12 @@ int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d,
     if (posix_memalign(&block, 64, (size_t)threads * own_bytes)) return -1;
     char *memory = block;
 
-    /* A new thread left to the scheduler can share the caller's CPU for
-       a second while another idles, so each helper starts on the next
-       CPU of the mask after the caller's. Fewer may start than asked. */
-    int64_t started = 1;
-    for (; started < threads; started++) {
-        worker_t *w = workers + started;
-        w->run = &run;
-        w->id = started;
-        pthread_attr_t attr;
-        pthread_attr_init(&attr);
-#ifdef __linux__
-        if (CPU_COUNT(&run.mask)) {
-            do cpu = (cpu + 1) % CPU_SETSIZE; while (!CPU_ISSET(cpu, &run.mask));
-            cpu_set_t one;
-            CPU_ZERO(&one);
-            CPU_SET(cpu, &one);
-            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
-        }
-#endif
-        int failed = pthread_create(&w->thread, &attr, helper_main, w);
-        pthread_attr_destroy(&attr);
-        if (failed) break;
+    for (int64_t t = 0; t < threads; t++) {
+        workers[t].run = &run;
+        workers[t].id = t;
     }
-    run.threads = threads = started;
+    threads = team_start(&run.team, threads, helper_main, workers, sizeof *workers);
     run.magic = UINT64_MAX / (uint64_t)threads + 1;
-    run.barrier.parties = threads;
-    pthread_mutex_init(&run.barrier.lock, NULL);
-    pthread_cond_init(&run.barrier.wake, NULL);
-    workers[0].run = &run;
-    workers[0].id = 0;
     /* each thread's slots are whole cache lines of the shared map */
     int64_t slots = ((vocab + threads - 1) / threads + 15) & ~(int64_t)15;
     for (int64_t t = 0; t < threads; t++) {
@@ -645,15 +524,13 @@ int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d,
         w->end = w->row + max_rows;
         w->slot = slot + t * slots;
     }
-    atomic_store_explicit(&run.go, 1, memory_order_release);
+    team_go(&run.team);
     train_batches(workers);
-    for (int64_t t = 1; t < threads; t++) pthread_join(workers[t].thread, NULL);
-    pthread_cond_destroy(&run.barrier.wake);
-    pthread_mutex_destroy(&run.barrier.lock);
+    team_join(&run.team);
     free(block);
     return threads;
 }
-""".replace("@MAX_THREADS@", str(MAX_THREADS))
+"""
 
 _F32P = ctypes.POINTER(ctypes.c_float)
 _F64P = ctypes.POINTER(ctypes.c_double)

@@ -15,8 +15,9 @@ different rounding): every kernel's results are then a function of its
 source alone, which is what the walk kernels' bitwise parity with NumPy
 and the learn kernel's repeatability, run to run and from one thread
 count to another, both rest on. ``libs`` carries what a unit links
-against (the learn kernel: ``-lm -pthread``; its threads are its own
-business, created and joined inside one call).
+against (``-pthread`` for both, the learn kernel ``-lm`` too; their
+threads are their own business, created and joined inside one call:
+see :mod:`repro.utils.cthreads`).
 """
 
 from __future__ import annotations

@@ -23,15 +23,10 @@ import numpy as np
 
 from repro.errors import ConfigError, WalkError
 from repro.utils.cbuild import compile_cached, find_compiler
+from repro.utils.cthreads import C_THREADS, MAX_THREADS
 from repro.walks.kernels.state import KIND_NODE2VEC
 
-_C_SOURCE = r"""
-#define _POSIX_C_SOURCE 199309L
-#include <math.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <time.h>
-
+_C_SOURCE = C_THREADS + r"""
 #define NO_EDGE (-1)
 
 #ifdef __GNUC__
@@ -113,14 +108,16 @@ void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
              const int64_t *idx, const int64_t *prev, const int64_t *cur,
              const int64_t *last, const double *last_w, const uint8_t *dead,
              const double *u_cand, const double *u_acc,
-             int64_t *chain_last, double *chain_last_w,
+             int64_t *chain_last, double *chain_last_w, double *new_w,
              int64_t *out_next, int64_t *counts) {
     /* the full Algorithm 1 step over the shared chain arrays:
        propose + accept + scatter LAST_x / cached weight back through
        idx in lane order (duplicate states resolve last-writer-wins for
-       the pair, exactly the NumPy fancy-index scatter). Dead lanes are
-       skipped entirely; their uniforms were still drawn by the driver,
-       so RNG consumption matches the reference. */
+       the pair, exactly the NumPy fancy-index scatter), or, with
+       chain_last NULL, each lane's new weight left in new_w for a
+       scatter after the step. Dead lanes are skipped entirely; their
+       uniforms were still drawn by the driver, so RNG consumption
+       matches the reference. */
     int64_t n_ok = 0, n_acc = 0;
     for (int64_t i = 0; i < n; i++) {
         /* two-stage software pipeline against the random-row latency:
@@ -148,8 +145,12 @@ void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
             wl = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev[i], l);
         int acc = (wc > 0.0) && ((wl <= 0.0) || (u_acc[i] * wl < wc));
         int64_t nl = acc ? c : last[i];
-        chain_last[idx[i]] = nl;
-        chain_last_w[idx[i]] = acc ? wc : wl;
+        if (chain_last) {
+            chain_last[idx[i]] = nl;
+            chain_last_w[idx[i]] = acc ? wc : wl;
+        } else {
+            new_w[i] = acc ? wc : wl;
+        }
         out_next[i] = nl;
         n_ok++;
         n_acc += acc;
@@ -255,12 +256,6 @@ void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
 
 typedef double (*next_double_fn)(void *state);
 
-static double now_seconds(void) {
-    struct timespec t;
-    clock_gettime(CLOCK_MONOTONIC, &t);
-    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
-}
-
 typedef struct { int64_t prev, lane; } prev_lane_t;
 
 static int by_prev_then_lane(const void *a, const void *b) {
@@ -284,125 +279,321 @@ static int64_t exact_argmax(int kind, double p, double q,
     return best;
 }
 
-int mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length,
-            const int64_t *offsets, const int64_t *targets,
-            const double *weights, int64_t num_nodes, int64_t num_edges,
-            int kind, double p, double q,
-            const uint64_t *filt, uint64_t fmask,
-            int order, int64_t cap,
-            next_double_fn next_double, void *rng_state,
-            int64_t *ids, int64_t *prev, int64_t *prev_off, int64_t *cur,
-            int64_t *chain_last, double *chain_last_w,
-            int64_t *walks, int64_t *lengths,
-            int64_t *counts, double *init_seconds) {
+/* ---- one wave on threads ----------------------------------------------
+   A step's lanes split into one contiguous block per thread. A lane's
+   step depends on its gathered chain and its pre-drawn uniforms alone;
+   what lanes share is done in the one-thread order: the draws (thread 0
+   takes them all, in the base loop's order) and the chain scatter (a
+   chain row's one owner applies the lanes that moved it in lane order,
+   so the later lane still wins). Threads change when a lane is stepped,
+   never what it draws or where it goes. A thread per this many lanes at
+   most: on the 2-vCPU bench host a second thread broke even on 2 x 2048
+   lanes of a cache-resident node2vec graph and saved a fifth on 2 x 4096. */
+#define MIN_LANES_PER_THREAD 4096
+
+/* where a wave's walkers stand; ids are rows of `walks` and `lengths` */
+typedef struct { int64_t *ids, *prev, *prev_off, *cur; } lanes_t;
+
+/* one thread's share of a wave, on cache lines of its own */
+typedef struct {
+    _Alignas(64) int64_t fresh, kept; /* this step: fresh chains in its block, lanes kept */
+    int64_t init_ns, proposals, accepts; /* this step's initialising time; running totals */
+    uint64_t *mark;  /* mh_init_select's bitmap */
+    int64_t *start;  /* where its block's lanes for each chain owner start in `sorted` */
+    struct wave *wave;
+    int64_t id;
+} lane_worker_t;
+
+typedef struct wave {
+    int64_t n, rows, first_step, walk_length, num_nodes, num_edges, cap;
+    int kind, order;
+    double p, q;
+    const int64_t *offsets, *targets;
+    const double *weights;
+    const uint64_t *filt;
+    uint64_t fmask;
+    next_double_fn next_double;
+    void *rng_state;
+    int64_t *chain_last, *walks, *lengths;
+    double *chain_last_w;
+    lanes_t lanes[2]; /* a step reads one and compacts into the other (one thread: in place) */
+    /* by lane, and by fresh chain in lane order (f_): */
+    int64_t *block, *idx, *last, *next, *fresh, *sorted, *f_prev, *f_cur, *f_order, *f_best;
+    double *last_w, *u_cand, *u_acc, *new_w, *f_w, *f_u;
+    prev_lane_t *f_sort;
+    uint8_t *dead;
+    int64_t initializations, init_ns;
+    uint64_t magic; /* 2^64 / threads rounded up: a division by one multiply */
+    lane_worker_t *workers;
+    team_t team;
+} wave_t;
+
+/* the thread that scatters lane i's chain row (rows go out a cache line
+   of chain_last at a time), or `threads` when the lane moved none */
+static inline int64_t owner_of(const wave_t *w, int64_t i) {
+    if (w->next[i] == NO_EDGE) return w->team.threads;
+    uint64_t line = (uint64_t)w->idx[i] >> 3;
+    uint64_t q = (uint64_t)(((unsigned __int128)line * w->magic) >> 64);
+    return (int64_t)(line - q * (uint64_t)w->team.threads);
+}
+
+/* _MHStepper.begin over lanes [lo, hi): gather every lane's chain and
+   list the live lanes on a fresh chain at fresh[lo..]; returns how many */
+static int64_t gather(wave_t *w, lanes_t in, int64_t lo, int64_t hi) {
+    const int64_t *offsets = w->offsets, *chain_last = w->chain_last;
+    const int64_t *state = w->order == 2 ? in.prev_off : in.cur;
+    const double *chain_last_w = w->chain_last_w;
+    int64_t *idx = w->idx, *last = w->last, *fresh = w->fresh + lo, nf = 0;
+    double *last_w = w->last_w;
+    uint8_t *dead = w->dead;
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t v = in.cur[i], s = state[i];
+        int alive = offsets[v + 1] > offsets[v];
+        idx[i] = s;
+        last[i] = chain_last[s];
+        last_w[i] = chain_last_w[s];
+        dead[i] = !alive;
+        if (alive && last[i] == NO_EDGE) fresh[nf++] = i;
+    }
+    return nf;
+}
+
+/* _draw_init + init_high_weight for the nf fresh chains listed at
+   fresh[lo..], which are fresh chains `before` onwards of the step */
+static void init_fresh(wave_t *w, lanes_t in, uint64_t *mark,
+                       int64_t lo, int64_t nf, int64_t before) {
+    const int64_t *fresh = w->fresh + lo;
+    int64_t *f_prev = w->f_prev + before, *f_cur = w->f_cur + before;
+    int64_t *f_order = w->f_order + before, *f_best = w->f_best + before;
+    prev_lane_t *f_sort = w->f_sort + before;
+    double *f_w = w->f_w + before;
+    for (int64_t f = 0; f < nf; f++) {
+        f_prev[f] = in.prev[fresh[f]];
+        f_cur[f] = in.cur[fresh[f]];
+        f_w[f] = 0.0;
+    }
+    if (w->cap > 0) {
+        for (int64_t f = 0; f < nf; f++) {
+            f_sort[f].prev = f_prev[f];
+            f_sort[f].lane = f;
+        }
+        qsort(f_sort, (size_t)nf, sizeof *f_sort, by_prev_then_lane);
+        for (int64_t f = 0; f < nf; f++) f_order[f] = f_sort[f].lane;
+        mh_init_select(nf, w->cap, w->num_nodes, w->offsets, w->targets, w->weights,
+                       w->kind, w->p, w->q, w->filt, w->fmask, f_prev, f_cur,
+                       w->f_u + before * w->cap, f_order, mark, f_best, f_w);
+    }
+    for (int64_t f = 0; f < nf; f++) {
+        /* the subsample may have missed the support entirely */
+        if (f_w[f] <= 0.0)
+            f_best[f] = exact_argmax(w->kind, w->p, w->q, w->filt, w->fmask, w->offsets,
+                                     w->targets, w->weights, f_prev[f], f_cur[f]);
+        w->last[fresh[f]] = f_best[f];
+        w->last_w[fresh[f]] = NAN; /* fresh chains have no cached weight */
+    }
+}
+
+/* lanes [lo, hi) into `sorted` by their chain row's owner, each owner's
+   in lane order (a counting sort) */
+static void sort_by_owner(wave_t *w, int64_t *start, int64_t lo, int64_t hi) {
+    int64_t at[MAX_THREADS + 1] = {0};
+    for (int64_t i = lo; i < hi; i++) at[owner_of(w, i)]++;
+    start[0] = lo;
+    for (int64_t t = 0; t <= w->team.threads; t++) {
+        start[t + 1] = start[t] + at[t];
+        at[t] = start[t];
+    }
+    for (int64_t i = lo; i < hi; i++) w->sorted[at[owner_of(w, i)]++] = i;
+}
+
+/* the chain rows thread `id` owns, block after block, lane after lane */
+static void scatter_owned(wave_t *w, int64_t id) {
+    for (int64_t b = 0; b < w->team.threads; b++) {
+        const int64_t *start = w->workers[b].start;
+        for (int64_t k = start[id]; k < start[id + 1]; k++) {
+            if (k + 8 < start[id + 1]) {
+                PREFETCH(&w->chain_last[w->idx[w->sorted[k + 8]]]);
+                PREFETCH(&w->chain_last_w[w->idx[w->sorted[k + 8]]]);
+            }
+            int64_t i = w->sorted[k];
+            w->chain_last[w->idx[i]] = w->next[i];
+            w->chain_last_w[w->idx[i]] = w->new_w[i];
+        }
+    }
+}
+
+/* the compaction of run_wave for lanes [lo, hi), into `out` from lane m
+   on: lanes that drew no edge retire, the others leave a token */
+static void compact(wave_t *w, lanes_t in, lanes_t out, int64_t lo, int64_t hi,
+                    int64_t m, int64_t step) {
+    int64_t *column = w->block + ((step + 1) & 7) * w->rows;
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t e = w->next[i];
+        if (e == NO_EDGE) continue;
+        int64_t row = in.ids[i], from = in.cur[i], to = w->targets[e];
+        out.ids[m] = row;
+        out.prev[m] = from;
+        out.prev_off[m] = e;
+        out.cur[m++] = to;
+        column[row] = to;
+        w->lengths[row]++;
+    }
+}
+
+/* how many of a count the threads before `id` hold, and all of them */
+#define PREFIX(w, field, id, before, all) \
+    for (int64_t t = 0; t < (w)->team.threads; t++) { \
+        if (t == (id)) before = all; \
+        all += (w)->workers[t].field; \
+    }
+
+/* What every thread of a call runs, step after step: (1) gather its
+   block; (2) one thread draws; (3) initialise the block's fresh chains,
+   propose and accept; (4) scatter the chain rows it owns and compact
+   its block; then copy its range of rows out of the block when due. */
+static void *walk_lanes(void *arg) {
+    lane_worker_t *me = arg;
+    wave_t *w = me->wave;
+    if (me->id) team_ready(&w->team);
+    int64_t threads = w->team.threads, id = me->id, n = w->n, rows = w->rows;
+    int64_t flushed = w->first_step + 1; /* first column still in the block */
+    int64_t row_lo = rows * id / threads, row_hi = rows * (id + 1) / threads;
+    lanes_t in = w->lanes[0], out = w->lanes[threads > 1];
+    for (int64_t step = w->first_step; step < w->walk_length - 1 && n > 0; step++) {
+        int64_t lo = n * id / threads, hi = n * (id + 1) / threads;
+        int64_t nf = me->fresh = gather(w, in, lo, hi);
+        barrier_wait(&w->team.barrier);
+        int64_t before = 0, fresh = 0;
+        PREFIX(w, fresh, id, before, fresh);
+        if (id == 0) {
+            /* the base loop's draws: one (fresh, cap) block if any chain
+               is fresh, then u_cand[n], then u_acc[n] */
+            int64_t t0 = now_ns();
+            for (int64_t j = 0; j < fresh * w->cap; j++) w->f_u[j] = w->next_double(w->rng_state);
+            w->init_ns += fresh ? now_ns() - t0 : 0;
+            w->initializations += fresh;
+            for (int64_t i = 0; i < n; i++) w->u_cand[i] = w->next_double(w->rng_state);
+            for (int64_t i = 0; i < n; i++) w->u_acc[i] = w->next_double(w->rng_state);
+        }
+        barrier_wait(&w->team.barrier);
+        int64_t t0 = now_ns();
+        if (nf) init_fresh(w, in, me->mark, lo, nf, before);
+        me->init_ns = nf ? now_ns() - t0 : 0;
+        for (int64_t i = lo; i < hi; i++) w->dead[i] |= w->last[i] == NO_EDGE;
+        /* _MHStepper.finish; one thread scatters as it goes */
+        int64_t stepped[2];
+        mh_step(hi - lo, w->offsets, w->targets, w->weights, w->num_edges, w->kind, w->p,
+                w->q, w->filt, w->fmask, w->idx + lo, in.prev + lo, in.cur + lo, w->last + lo,
+                w->last_w + lo, w->dead + lo, w->u_cand + lo, w->u_acc + lo,
+                threads == 1 ? w->chain_last : NULL, w->chain_last_w, w->new_w + lo,
+                w->next + lo, stepped);
+        me->proposals += stepped[0];
+        me->accepts += stepped[1];
+        me->kept = stepped[0];
+        if (threads > 1) sort_by_owner(w, me->start, lo, hi);
+        barrier_wait(&w->team.barrier);
+        if (threads > 1) scatter_owned(w, id);
+        int64_t slowest = 0; /* wall time: the step's slowest initialisation */
+        for (int64_t t = 0; id == 0 && t < threads; t++)
+            if (w->workers[t].init_ns > slowest) slowest = w->workers[t].init_ns;
+        w->init_ns += slowest;
+        int64_t offset = 0, kept = 0;
+        PREFIX(w, kept, id, offset, kept);
+        compact(w, in, out, lo, hi, offset, step);
+        barrier_wait(&w->team.barrier);
+        lanes_t swap = in;
+        in = out, out = swap, n = kept;
+        int64_t end = step + 2; /* columns [flushed, end) are in the block */
+        if ((end & 7) == 0 || end == w->walk_length || n == 0) {
+            for (int64_t row = row_lo; row < row_hi; row++) {
+                int64_t stop = w->lengths[row] < end ? w->lengths[row] : end;
+                for (int64_t c = flushed; c < stop; c++)
+                    w->walks[row * w->walk_length + c] = w->block[(c & 7) * rows + row];
+            }
+            flushed = end;
+        }
+    }
+    return NULL;
+}
+
+int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length,
+                const int64_t *offsets, const int64_t *targets,
+                const double *weights, int64_t num_nodes, int64_t num_edges,
+                int kind, double p, double q,
+                const uint64_t *filt, uint64_t fmask,
+                int order, int64_t cap,
+                next_double_fn next_double, void *rng_state,
+                int64_t *ids, int64_t *prev, int64_t *prev_off, int64_t *cur,
+                int64_t *chain_last, double *chain_last_w,
+                int64_t *walks, int64_t *lengths, int64_t threads,
+                int64_t *counts, double *init_seconds) {
     /* Steps first_step .. walk_length-2 of one wave over its n lanes
-       (ids, prev, prev_off, cur: compacted in place; ids are rows of
-       `walks` and `lengths`), high-weight initializer with `cap`
-       candidates (0: exact row argmax). Per step this is
+       (ids, prev, prev_off, cur: consumed), high-weight initializer with
+       `cap` candidates (0: exact row argmax). Per step this is
        _MHStepper.step, then the compaction of StepperBase.run_wave,
        uniform for uniform: one (fresh, cap) block if any chain is
        fresh, then u_cand[n], then u_acc[n], dead-end lanes included;
        every lane's chain is gathered before any lane scatters, so two
        walkers on one chain read the pre-step state and the later lane
        wins. Tokens go to a step-major block of 8 columns, copied into
-       the walk rows a whole 64-byte line at a time, up to each row's
-       length. counts: proposals, accepts, initializations. */
-    size_t words = kind == 2 ? (size_t)(num_nodes + 63) / 64 : 0;
-    size_t lanes = (size_t)n, icap = (size_t)(cap > 0 ? cap : 0);
-    char *memory = malloc(lanes * ((10 * sizeof(int64_t)) + (4 + icap) * sizeof(double) + 1)
-                          + (8 * (size_t)rows) * sizeof(int64_t) + words * sizeof(uint64_t));
-    if (!memory) return -1;
-    int64_t *block = (int64_t *)memory, *idx = block + 8 * rows;
-    int64_t *last = idx + lanes, *next = last + lanes;
-    int64_t *fresh = next + lanes, *f_prev = fresh + lanes, *f_cur = f_prev + lanes;
-    int64_t *f_order = f_cur + lanes, *f_best = f_order + lanes;
-    prev_lane_t *f_sort = (prev_lane_t *)(f_best + lanes);
-    double *last_w = (double *)(f_sort + lanes), *u_cand = last_w + lanes;
-    double *u_acc = u_cand + lanes, *f_w = u_acc + lanes, *f_u = f_w + lanes;
-    uint64_t *mark = (uint64_t *)(f_u + lanes * icap);
-    uint8_t *dead = (uint8_t *)(mark + words);
-    int64_t flushed = first_step + 1; /* first column still in the block */
+       the walk rows a whole 64-byte line at a time. `threads` as
+       team_size takes it. counts: proposals, accepts, initializations;
+       init_seconds: wall time. Returns the threads used, or -1 when
+       memory ran out (before anything was touched). */
+    wave_t w = {
+        .n = n, .rows = rows, .first_step = first_step, .walk_length = walk_length,
+        .num_nodes = num_nodes, .num_edges = num_edges, .cap = cap > 0 ? cap : 0,
+        .kind = kind, .order = order, .p = p, .q = q, .offsets = offsets,
+        .targets = targets, .weights = weights, .filt = filt, .fmask = fmask,
+        .next_double = next_double, .rng_state = rng_state, .chain_last = chain_last,
+        .walks = walks, .lengths = lengths, .chain_last_w = chain_last_w,
+    };
+    lane_worker_t workers[MAX_THREADS];
+    threads = team_size(&w.team, threads, n / MIN_LANES_PER_THREAD);
 
-    for (int64_t step = first_step; step < walk_length - 1 && n > 0; step++) {
-        /* pass 1 (_MHStepper.begin): gather the lanes' chains */
-        int64_t nf = 0;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t v = cur[i], s = order == 2 ? prev_off[i] : v;
-            int alive = offsets[v + 1] > offsets[v];
-            idx[i] = s;
-            last[i] = chain_last[s];
-            last_w[i] = chain_last_w[s];
-            dead[i] = !alive;
-            if (alive && last[i] == NO_EDGE) fresh[nf++] = i;
-        }
-        if (nf) {
-            /* _draw_init + init_high_weight over the fresh lanes */
-            double t0 = now_seconds();
-            for (int64_t f = 0; f < nf; f++) {
-                f_prev[f] = prev[fresh[f]];
-                f_cur[f] = cur[fresh[f]];
-                f_w[f] = 0.0;
-            }
-            if (cap > 0) {
-                for (int64_t j = 0; j < nf * cap; j++) f_u[j] = next_double(rng_state);
-                for (int64_t f = 0; f < nf; f++) {
-                    f_sort[f].prev = f_prev[f];
-                    f_sort[f].lane = f;
-                }
-                qsort(f_sort, (size_t)nf, sizeof *f_sort, by_prev_then_lane);
-                for (int64_t f = 0; f < nf; f++) f_order[f] = f_sort[f].lane;
-                mh_init_select(nf, cap, num_nodes, offsets, targets, weights,
-                               kind, p, q, filt, fmask, f_prev, f_cur, f_u,
-                               f_order, mark, f_best, f_w);
-            }
-            for (int64_t f = 0; f < nf; f++) {
-                /* the subsample may have missed the support entirely */
-                if (f_w[f] <= 0.0)
-                    f_best[f] = exact_argmax(kind, p, q, filt, fmask, offsets, targets,
-                                             weights, f_prev[f], f_cur[f]);
-                last[fresh[f]] = f_best[f];
-                last_w[fresh[f]] = NAN; /* fresh chains have no cached weight */
-            }
-            counts[2] += nf;
-            *init_seconds += now_seconds() - t0;
-        }
-        for (int64_t i = 0; i < n; i++) dead[i] |= last[i] == NO_EDGE;
-        for (int64_t i = 0; i < n; i++) u_cand[i] = next_double(rng_state);
-        for (int64_t i = 0; i < n; i++) u_acc[i] = next_double(rng_state);
-        /* pass 2 (_MHStepper.finish): propose, accept, scatter in lane order */
-        int64_t stepped[2];
-        mh_step(n, offsets, targets, weights, num_edges, kind, p, q, filt, fmask,
-                idx, prev, cur, last, last_w, dead, u_cand, u_acc,
-                chain_last, chain_last_w, next, stepped);
-        counts[0] += stepped[0];
-        counts[1] += stepped[1];
-        /* the compaction of run_wave: lanes that drew no edge retire */
-        int64_t m = 0;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t e = next[i];
-            if (e == NO_EDGE) continue;
-            int64_t row = ids[i], from = cur[i], to = targets[e];
-            ids[m] = row;
-            prev[m] = from;
-            prev_off[m] = e;
-            cur[m] = to;
-            m++;
-            block[((step + 1) & 7) * rows + row] = to;
-            lengths[row]++;
-        }
-        n = m;
-        int64_t end = step + 2; /* columns [flushed, end) are in the block */
-        if ((end & 7) == 0 || end == walk_length || n == 0) {
-            for (int64_t row = 0; row < rows; row++) {
-                int64_t stop = lengths[row] < end ? lengths[row] : end;
-                for (int64_t c = flushed; c < stop; c++)
-                    walks[row * walk_length + c] = block[(c & 7) * rows + row];
-            }
-            flushed = end;
-        }
+    /* one thread compacts in place and scatters as it goes; more need a
+       second lane buffer, the lanes sorted by owner and their weights */
+    size_t lanes = (size_t)n, split = threads > 1, icap = (size_t)w.cap;
+    size_t words = kind == 2 ? ((size_t)(num_nodes + 63) / 64 + 7) & ~(size_t)7 : 0;
+    size_t eights = 8 * (size_t)rows + lanes * (14 + 6 * split + icap)
+                    + (size_t)threads * (words + (size_t)threads + 2);
+    int64_t *at = malloc(eights * 8 + lanes);
+    if (!at) return -1;
+    void *memory = at;
+#define CARVE(field, count) (w.field = (void *)at, at += (count))
+    CARVE(block, 8 * rows), CARVE(idx, lanes), CARVE(last, lanes), CARVE(next, lanes);
+    CARVE(fresh, lanes), CARVE(f_prev, lanes), CARVE(f_cur, lanes), CARVE(f_order, lanes);
+    CARVE(f_best, lanes), CARVE(f_sort, 2 * lanes), CARVE(last_w, lanes);
+    CARVE(u_cand, lanes), CARVE(u_acc, lanes), CARVE(f_w, lanes), CARVE(f_u, lanes * icap);
+    CARVE(new_w, split * lanes), CARVE(sorted, split * lanes);
+    w.lanes[0] = w.lanes[1] = (lanes_t){ids, prev, prev_off, cur};
+    if (split) {
+        CARVE(lanes[1].ids, lanes), CARVE(lanes[1].prev, lanes);
+        CARVE(lanes[1].prev_off, lanes), CARVE(lanes[1].cur, lanes);
     }
+#undef CARVE
+    uint64_t *marks = (uint64_t *)at;
+    int64_t *starts = at + threads * words;
+    w.dead = (uint8_t *)(starts + threads * (threads + 2));
+
+    w.workers = workers;
+    for (int64_t t = 0; t < threads; t++)
+        workers[t] = (lane_worker_t){
+            .mark = marks + t * words, .start = starts + t * (threads + 2), .wave = &w, .id = t,
+        };
+    threads = team_start(&w.team, threads, walk_lanes, workers, sizeof *workers);
+    w.magic = UINT64_MAX / (uint64_t)threads + 1;
+    team_go(&w.team);
+    walk_lanes(workers);
+    team_join(&w.team);
+    for (int64_t t = 0; t < threads; t++) {
+        counts[0] += workers[t].proposals;
+        counts[1] += workers[t].accepts;
+    }
+    counts[2] += w.initializations;
+    *init_seconds += 1e-9 * (double)w.init_ns;
     free(memory);
-    return 0;
+    return threads;
 }
 
 void alias_draw(int64_t n, const int64_t *offsets,
@@ -489,7 +680,7 @@ def _load(so_path: str):
     lib.mh_step.argtypes = [
         ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64, *_RULE,
         _I64P, _I64P, _I64P, _I64P, _F64P, _U8P, _F64P, _F64P,
-        _I64P, _F64P, _I64P, _I64P,
+        _I64P, _F64P, _F64P, _I64P, _I64P,
     ]
     lib.dyn_weights.restype = None
     lib.dyn_weights.argtypes = [
@@ -501,12 +692,12 @@ def _load(so_path: str):
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
         _I64P, _I64P, _F64P, _I64P, _U64P, _I64P, _F64P,
     ]
-    lib.mh_wave.restype = ctypes.c_int
+    lib.mh_wave.restype = ctypes.c_int64
     lib.mh_wave.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
         ctypes.c_int64, ctypes.c_int64, *_RULE, ctypes.c_int, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p,
-        _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _I64P, _I64P, _I64P, _F64P,
+        _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _I64P, _I64P, ctypes.c_int64, _I64P, _F64P,
     ]
     lib.alias_draw.restype = None
     lib.alias_draw.argtypes = [
@@ -583,7 +774,8 @@ class CNativeKernels:
         if self._lib is not None:
             return 0.0
         t0 = time.perf_counter()
-        self._lib = _load(compile_cached(_C_SOURCE, "repro-walk-kernels", self._compiler))
+        so_path = compile_cached(_C_SOURCE, "repro-walk-kernels", self._compiler, libs=("-pthread",))
+        self._lib = _load(so_path)
         return time.perf_counter() - t0
 
     def _ensure(self):
@@ -624,7 +816,7 @@ class CNativeKernels:
             ks.targets.size, *_rule(ks),
             _ip(idx), _ip(prev), _ip(cur), _ip(last), _fp(last_w),
             _up(dead), _fp(u_cand), _fp(u_acc),
-            _ip(ks.chain_last), _fp(ks.chain_last_w),
+            _ip(ks.chain_last), _fp(ks.chain_last_w), _fp(None),
             _ip(out_next), _ip(counts),
         )
         return out_next, int(counts[0]), int(counts[1])
@@ -665,30 +857,38 @@ class CNativeKernels:
         )
         return out_c, out_w
 
-    def mh_wave(self, ks, order, cap, rng, lanes, first_step, walks, lengths):
+    def mh_wave(self, ks, order, cap, rng, lanes, first_step, walks, lengths, *, threads=None):
         """Steps ``first_step`` onwards of one M-H wave, in one call.
 
         ``lanes`` are the wave's ``(ids, prev, prev_off, cur)`` before
-        that step (consumed: compacted in place); ``walks`` / ``lengths``
-        are the wave's rows, indexed by ``ids``. ``order`` picks a
-        lane's chain (1: its node, 2: the edge it arrived by), ``cap``
-        is the high-weight initializer's (None: exact row argmax).
-        Uniforms come from ``rng``'s BitGenerator in the order the
-        stepper's ``rng.random`` calls take them, and ``rng`` carries
-        on from there. Returns ``(proposals, accepts, initializations,
-        init_seconds)``.
+        that step (consumed: the call compacts them as it goes);
+        ``walks`` / ``lengths`` are the wave's rows, indexed by ``ids``.
+        ``order`` picks a lane's chain (1: its node, 2: the edge it
+        arrived by), ``cap`` is the high-weight initializer's (None:
+        exact row argmax). Uniforms come from ``rng``'s BitGenerator in
+        the order the stepper's ``rng.random`` calls take them, and
+        ``rng`` carries on from there. A step's lanes are shared out to
+        as many threads as the CPU affinity mask holds, fewer on a small
+        wave; ``threads`` forces that number, for tests and benchmarks
+        (the results do not depend on it; a stepper never passes it).
+        Returns ``(proposals, accepts, initializations, init_seconds,
+        threads)``, ``init_seconds`` in wall time.
         """
         lib = self._ensure()
         ids, prev, prev_off, cur = lanes
-        for arr in (*lanes, walks, lengths):  # written in place: no copy can stand in
-            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
-                raise WalkError("mh_wave needs C-contiguous int64 lanes, walks and lengths")
+        # written in place, from several threads: no copy can stand in
+        for arr in (*lanes, walks, lengths, ks.chain_last, ks.chain_last_w):
+            if arr.dtype != (np.float64 if arr is ks.chain_last_w else np.int64) or not arr.flags.c_contiguous:
+                raise WalkError("mh_wave needs C-contiguous int64 lanes, walks, lengths, chain_last "
+                                "and a C-contiguous float64 chain_last_w")
+        if threads is not None and not 1 <= threads <= MAX_THREADS:
+            raise WalkError(f"mh_wave: threads must lie in [1, {MAX_THREADS}]")
         counts = np.zeros(3, dtype=np.int64)
         init_seconds = ctypes.c_double(0.0)
         bit_generator = rng.bit_generator
         draw = bit_generator.ctypes
         with bit_generator.lock:
-            failed = lib.mh_wave(
+            used = lib.mh_wave(
                 ids.size, walks.shape[0], first_step, walks.shape[1],
                 _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
                 ks.offsets.size - 1, ks.targets.size, *_rule(ks),
@@ -696,11 +896,11 @@ class CNativeKernels:
                 ctypes.cast(draw.next_double, ctypes.c_void_p), draw.state,
                 _ip(ids), _ip(prev), _ip(prev_off), _ip(cur),
                 _ip(ks.chain_last), _fp(ks.chain_last_w),
-                _ip(walks), _ip(lengths), _ip(counts), ctypes.byref(init_seconds),
+                _ip(walks), _ip(lengths), threads or 0, _ip(counts), ctypes.byref(init_seconds),
             )
-        if failed:
+        if used < 1:
             raise MemoryError(f"mh_wave: no scratch for {ids.size} lanes")
-        return int(counts[0]), int(counts[1]), int(counts[2]), init_seconds.value
+        return int(counts[0]), int(counts[1]), int(counts[2]), init_seconds.value, used
 
     def alias_draw(self, ks, nodes, u_slot, u_keep):
         lib = self._ensure()

@@ -39,8 +39,9 @@ Two entries are optional, and this backend has neither:
 
 ``mh_wave``
     Every M-H step of a wave in one call, drawing from the engine's
-    BitGenerator what the stepper's ``rng.random`` calls would. Absent:
-    the stepper runs ``StepperBase.run_wave``, which it must equal.
+    BitGenerator what the stepper's ``rng.random`` calls would, and
+    returning the thread count it used too. Absent: the stepper runs
+    ``StepperBase.run_wave``, which it must equal.
 ``build_edge_filter``
     A prefilter for the adjacency test of node2vec's alpha
     (``KernelState.edge_filter``); it can only say "not an edge" early.

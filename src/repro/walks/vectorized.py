@@ -26,12 +26,13 @@ The wave loop belongs to the stepper: :meth:`StepperBase.run_wave` is
 the one lock-step loop in Python. ``_MHStepper`` hands a wave to the
 backend's ``mh_wave`` instead (one compiled call, uniforms drawn from
 the engine's own BitGenerator in the order ``step`` draws them: the same
-bits) when the backend has one and the initializer is the built-in
-``high-weight``. The other samplers, third-party steppers, the NumPy
+bits, on as many threads as the CPU affinity mask holds) when the
+backend has one and the initializer is the built-in ``high-weight``. The other samplers, third-party steppers, the NumPy
 backend, the other initializers, step 0 of a second-order walk (its
 ``np.log1p`` need not match libm to the last bit) and the sharded
 driver (it fans every step out) keep the base loop;
-``stats()["wave_kernel"]`` says which ran.
+``stats()["wave_kernel"]`` says which ran and ``["wave_threads"]`` on
+how many threads the last wave did (0: the base loop).
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class StepperBase:
     alpha_filter = False
     #: whether :meth:`run_wave` hands the wave to a compiled kernel
     wave_kernel = False
+    #: threads the last wave's compiled call used (0: the base loop ran)
+    wave_threads = 0
 
     def __init__(self, graph, model, kernels=None):
         self.graph = graph
@@ -828,13 +831,14 @@ class _MHStepper(StepperBase):
         the kernel draws from ``rng``'s own BitGenerator what
         :meth:`step` would, so the result is the base loop's bit for bit.
         """
+        self.wave_threads = 0
         if not self.wave_kernel:
             return super().run_wave(starts, walk_length, walks, row_base, rng)
         rows = walks[row_base : row_base + starts.size]
         first = min(self.model.order - 1, walk_length - 1)
         lengths, lanes = self._lockstep(starts, first, rows, 0, rng)
         if lanes[0].size:
-            n_ok, n_acc, n_init, init_seconds = self.kernels.mh_wave(
+            n_ok, n_acc, n_init, init_seconds, self.wave_threads = self.kernels.mh_wave(
                 self.kernel_state, self.model.order, self.init_sample_cap, rng,
                 lanes, first, rows, lengths,
             )
@@ -1296,6 +1300,7 @@ class VectorizedWalkEngine:
         out["backend"] = self.backend
         out["requested_backend"] = self.config.backend
         out["wave_kernel"] = self.stepper.wave_kernel
+        out["wave_threads"] = self.stepper.wave_threads
         out["edge_filter_bytes"] = self.stepper.edge_filter_bytes
         out["compile_seconds"] = self.compile_seconds
         return out

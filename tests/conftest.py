@@ -71,3 +71,27 @@ def academic():
 @pytest.fixture
 def barbell():
     return generators.barbell_graph(10, 3)
+
+
+@pytest.fixture
+def force_wave_threads(monkeypatch):
+    """``force_wave_threads(count)`` makes every compiled M-H wave of the
+    test run on ``count`` threads (``None``: the kernel's own choice) and
+    returns the list that collects how many each wave used. Nothing
+    outside the tests passes a count: a stepper cannot."""
+    from repro.walks.kernels.cnative_backend import CNativeKernels
+
+    original = CNativeKernels.mh_wave
+
+    def force(count):
+        used = []
+
+        def mh_wave(self, *args):
+            result = original(self, *args, threads=count)
+            used.append(result[-1])
+            return result
+
+        monkeypatch.setattr(CNativeKernels, "mh_wave", mh_wave)
+        return used
+
+    return force

@@ -95,6 +95,19 @@ def test_corpus_matches_golden(graphs, key):
     assert _corpus_digest(graph, model, sampler, initializer, backend) == GOLDEN["corpora"][key]
 
 
+#: the recorded runs the compiled M-H wave walks (the other initializers
+#: keep the base loop, metapath2vec has no compiled weight rule)
+WAVE_KEYS = sorted(k for k in GOLDEN["corpora"] if k.endswith("/mh/high-weight/cnative"))
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3, 7))
+@pytest.mark.parametrize("key", WAVE_KEYS)
+def test_wave_corpus_at_any_thread_count(graphs, force_wave_threads, key, threads):
+    used = force_wave_threads(threads)
+    test_corpus_matches_golden(graphs, key)
+    assert set(used) == ({threads} if "metapath2vec" not in key else set())
+
+
 def test_golden_covers_every_supported_combination():
     """A combination the engine accepts must be pinned, not silently absent."""
     recorded = set(GOLDEN["corpora"])

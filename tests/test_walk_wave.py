@@ -6,18 +6,27 @@ compiled and the initializer is the built-in high-weight; everything
 else runs ``StepperBase.run_wave``. The contract is bitwise: corpus,
 lengths, chain arrays, counters and the generator's state after the run
 are the base loop's. The base loop is forced on a second engine built
-from the same arguments by clearing ``stepper.wave_kernel``.
+from the same arguments by clearing ``stepper.wave_kernel``. The kernel
+shares a step's lanes out to threads; the contract holds at any count,
+so the differential tests force 1, 2, 3 and 7 (``force_wave_threads``).
 
 Without a C compiler the base loop is the only path: the differential
 tests skip, the rest still run.
 """
 
 import hashlib
+import os
+import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from repro.errors import WalkError
 
 from repro.graph import GraphDelta, generators
 from repro.graph.builder import from_edge_arrays
@@ -36,6 +45,9 @@ needs_cnative = pytest.mark.skipif(
 NODE2VEC = {"p": 0.25, "q": 4.0}
 MODELS = {"deepwalk": {}, "node2vec": NODE2VEC}
 COUNTERS = ("samples", "proposals", "accepts", "initializations")
+#: thread counts every differential test runs at: one, the bench host's
+#: two, and counts that leave blocks uneven and CPUs oversubscribed
+THREADS = (1, 2, 3, 7)
 
 
 def _walk(graph, model, *, base_loop, layout="all", bit_generator=np.random.PCG64,
@@ -98,6 +110,7 @@ def graphs():
 
 
 @needs_cnative
+@pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize(
     "bit_generator", (np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64)
 )
@@ -105,12 +118,16 @@ def graphs():
 @pytest.mark.parametrize("cap", (16, 1, None))
 @pytest.mark.parametrize("weighted", (True, False))
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_wave_equals_base_loop(graphs, model, weighted, cap, layout, bit_generator):
+def test_wave_equals_base_loop(
+    graphs, force_wave_threads, model, weighted, cap, layout, bit_generator, threads
+):
+    used = force_wave_threads(threads)
     run = _both(
         graphs[weighted], model, layout=layout, bit_generator=bit_generator,
         init_sample_cap=cap,
     )
     assert (run["last"] != NO_EDGE).any()  # the second wave met warm chains
+    assert set(used) == {threads}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +193,9 @@ def digraphs(draw):
 
 
 @needs_cnative
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("threads", THREADS)
+# the forced count is the test's, not an example's: one patch serves all
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     graph=digraphs(),
     p=st.sampled_from((0.25, 1.0, 3.0)),
@@ -186,7 +205,10 @@ def digraphs(draw):
     cap=st.sampled_from((None, 1, 3, 16)),
     model=st.sampled_from(("deepwalk", "node2vec")),
 )
-def test_property_wave_equals_base_loop(graph, p, q, walk_length, waves, cap, model):
+def test_property_wave_equals_base_loop(
+    force_wave_threads, threads, graph, p, q, walk_length, waves, cap, model
+):
+    force_wave_threads(threads)
     _both(
         graph, model, params={"p": p, "q": q} if model == "node2vec" else {},
         walk_length=walk_length, waves=waves, init_sample_cap=cap,
@@ -364,3 +386,133 @@ def test_third_party_stepper_keeps_the_base_loop(small_unweighted_graph, backend
     assert stats["wave_kernel"] is False and stats["edge_filter_bytes"] == 0
     # recorded at the parent commit (the loop then lived in the engine)
     assert _digest(corpus) == "6ea1538ac164f57ab1b5fb9e558d08a36f3a24af21d026a91bfa1bdf27e06703"
+
+
+# ---------------------------------------------------------------------------
+# (7) threads: their count, their time, what they may share
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wide_graph():
+    """Enough start nodes that a wave shares out to two threads unforced."""
+    return generators.chung_lu_power_law(9000, 4.0, seed=2)
+
+
+def _wide_run(graph, model="node2vec", seed=3):
+    engine = VectorizedWalkEngine(
+        graph, model, sampler="mh", backend="cnative", seed=seed,
+        **(NODE2VEC if model == "node2vec" else {}),
+    )
+    return engine, _digest(engine.generate(2, 6))
+
+
+@needs_cnative
+@pytest.mark.parametrize("threads", THREADS)
+def test_init_seconds_are_wall_time(small_power_law_graph, force_wave_threads, threads):
+    # Ti is setup + init seconds and Tw the rest of the walk's wall time:
+    # per-thread seconds added up would overstate the one, clamp the other
+    force_wave_threads(threads)
+    engine = VectorizedWalkEngine(
+        small_power_law_graph, "node2vec", backend="cnative", seed=2, **NODE2VEC
+    )
+    start = time.perf_counter()
+    engine.generate(3, 20)
+    wall = time.perf_counter() - start
+    assert 0.0 < engine.stats()["init_seconds"] <= wall
+
+
+@needs_cnative
+def test_wave_threads_are_reported(small_power_law_graph, wide_graph, force_wave_threads):
+    engine, __ = _wide_run(wide_graph)
+    assert 1 <= engine.stats()["wave_threads"] <= len(os.sched_getaffinity(0))
+    force_wave_threads(3)
+    engine, __ = _wide_run(wide_graph)
+    assert engine.stats()["wave_threads"] == 3
+    engine.stepper.wave_kernel = False
+    engine.generate(1, 4)
+    assert engine.stats()["wave_threads"] == 0  # the last wave ran the base loop
+    numpy_engine = VectorizedWalkEngine(small_power_law_graph, "deepwalk", backend="numpy")
+    numpy_engine.generate(1, 4)
+    assert numpy_engine.stats()["wave_threads"] == 0
+
+
+@needs_cnative
+@pytest.mark.parametrize(
+    "chain, bad",
+    [
+        ("last", lambda a: a.astype(np.int32)),
+        ("last", lambda a: np.repeat(a, 2)[::2]),
+        ("last_w", lambda a: a.astype(np.float32)),
+        ("last_w", lambda a: np.repeat(a, 2)[::2]),
+    ],
+    ids=("last-int32", "last-strided", "last_w-float32", "last_w-strided"),
+)
+def test_chain_arrays_are_checked(small_power_law_graph, chain, bad):
+    # threads write them in place: a converted copy would swallow the walk
+    engine = VectorizedWalkEngine(small_power_law_graph, "deepwalk", backend="cnative", seed=1)
+    setattr(engine.stepper.chains, chain, bad(getattr(engine.stepper.chains, chain)))
+    with pytest.raises(WalkError, match="chain_last"):
+        engine.generate(1, 5)
+
+
+@needs_cnative
+def test_two_engines_at_once(wide_graph, force_wave_threads):
+    # ctypes drops the GIL, so two Python threads can be inside mh_wave
+    # together: each call's threads, barrier and scratch are its own
+    force_wave_threads(2)
+    cases = (("node2vec", 3), ("deepwalk", 4))
+    want = {case: _wide_run(wide_graph, *case)[1] for case in cases}
+    together = threading.Barrier(len(cases), timeout=60.0)
+
+    def runs(case):
+        together.wait()
+        return [_wide_run(wide_graph, *case)[1] for __ in range(3)]
+
+    with ThreadPoolExecutor(len(cases)) as pool:
+        results = {case: pool.submit(runs, case) for case in cases}
+        for case, result in results.items():
+            assert result.result(timeout=120.0) == [want[case]] * 3
+
+
+@needs_cnative
+def test_after_a_fork(wide_graph, force_wave_threads):
+    # helper threads have been created and joined in this process; a
+    # forked child must find nothing of them (no pool, no lock held)
+    force_wave_threads(2)
+    __, want = _wide_run(wide_graph)
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            status = int(_wide_run(wide_graph)[1] != want)
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(child, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+        pytest.fail("the forked child did not finish its walk")
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+@needs_cnative
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+def test_one_cpu_means_one_thread(wide_graph, force_wave_threads):
+    used = force_wave_threads(None)
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        __, one = _wide_run(wide_graph)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert set(used) == {1}  # no helper thread was created
+    if len(allowed) > 1:
+        # the same walk shares its lanes out as soon as it may
+        del used[:]
+        assert _wide_run(wide_graph)[1] == one
+        assert max(used) > 1
