@@ -390,6 +390,7 @@ static void init_fresh(wave_t *w, lanes_t in, uint64_t *mark,
                                      w->targets, w->weights, f_prev[f], f_cur[f]);
         w->last[fresh[f]] = f_best[f];
         w->last_w[fresh[f]] = NAN; /* fresh chains have no cached weight */
+        w->dead[fresh[f]] = f_best[f] == NO_EDGE; /* no positive weight: retires */
     }
 }
 
@@ -479,7 +480,6 @@ static void *walk_lanes(void *arg) {
         int64_t t0 = now_ns();
         if (nf) init_fresh(w, in, me->mark, lo, nf, before);
         me->init_ns = nf ? now_ns() - t0 : 0;
-        for (int64_t i = lo; i < hi; i++) w->dead[i] |= w->last[i] == NO_EDGE;
         /* _MHStepper.finish; one thread scatters as it goes */
         int64_t stepped[2];
         mh_step(hi - lo, w->offsets, w->targets, w->weights, w->num_edges, w->kind, w->p,
