@@ -287,9 +287,12 @@ static int64_t exact_argmax(int kind, double p, double q,
    chain row's one owner applies the lanes that moved it in lane order,
    so the later lane still wins). Threads change when a lane is stepped,
    never what it draws or where it goes. A thread per this many lanes at
-   most: on the 2-vCPU bench host a second thread broke even on 2 x 2048
-   lanes of a cache-resident node2vec graph and saved a fifth on 2 x 4096. */
-#define MIN_LANES_PER_THREAD 4096
+   most, by weight rule: on the 2-vCPU bench host, over graphs of as many
+   nodes as lanes, a second thread broke even at 2 x 2,048 lanes of
+   node2vec and about 2 x 16,384 of deepwalk, whose steps are cheaper
+   than the draws and barriers they share, and saved a fifth at twice
+   those. */
+#define LANES_PER_THREAD(kind) ((kind) == 2 ? 4096 : 24576) /* node2vec : static */
 
 /* where a wave's walkers stand; ids are rows of `walks` and `lengths` */
 typedef struct { int64_t *ids, *prev, *prev_off, *cur; } lanes_t;
@@ -373,10 +376,7 @@ static void init_fresh(wave_t *w, lanes_t in, uint64_t *mark,
         f_w[f] = 0.0;
     }
     if (w->cap > 0) {
-        for (int64_t f = 0; f < nf; f++) {
-            f_sort[f].prev = f_prev[f];
-            f_sort[f].lane = f;
-        }
+        for (int64_t f = 0; f < nf; f++) f_sort[f] = (prev_lane_t){f_prev[f], f};
         qsort(f_sort, (size_t)nf, sizeof *f_sort, by_prev_then_lane);
         for (int64_t f = 0; f < nf; f++) f_order[f] = f_sort[f].lane;
         mh_init_select(nf, w->cap, w->num_nodes, w->offsets, w->targets, w->weights,
@@ -549,7 +549,7 @@ int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length
         .walks = walks, .lengths = lengths, .chain_last_w = chain_last_w,
     };
     lane_worker_t workers[MAX_THREADS];
-    threads = team_size(&w.team, threads, n / MIN_LANES_PER_THREAD);
+    threads = team_size(&w.team, threads, n / LANES_PER_THREAD(kind));
 
     /* one thread compacts in place and scatters as it goes; more need a
        second lane buffer, the lanes sorted by owner and their weights */
