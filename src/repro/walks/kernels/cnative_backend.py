@@ -300,7 +300,7 @@ typedef struct { int64_t *ids, *prev, *prev_off, *cur; } lanes_t;
 /* one thread's share of a wave, on cache lines of its own */
 typedef struct {
     _Alignas(64) int64_t fresh, kept; /* this step: fresh chains in its block, lanes kept */
-    int64_t init_ns, proposals, accepts; /* this step's initialising time; running totals */
+    int64_t init_ns, init_total, proposals, accepts; /* init_ns this step's, the rest the wave's */
     uint64_t *mark;  /* mh_init_select's bitmap */
     int64_t *start;  /* where its block's lanes for each chain owner start in `sorted` */
     struct wave *wave;
@@ -325,7 +325,7 @@ typedef struct wave {
     double *last_w, *u_cand, *u_acc, *new_w, *f_w, *f_u;
     prev_lane_t *f_sort;
     uint8_t *dead;
-    int64_t initializations, init_ns;
+    int64_t initializations;
     uint64_t magic; /* 2^64 / threads rounded up: a division by one multiply */
     lane_worker_t *workers;
     team_t team;
@@ -471,7 +471,7 @@ static void *walk_lanes(void *arg) {
                is fresh, then u_cand[n], then u_acc[n] */
             int64_t t0 = now_ns();
             for (int64_t j = 0; j < fresh * w->cap; j++) w->f_u[j] = w->next_double(w->rng_state);
-            w->init_ns += fresh ? now_ns() - t0 : 0;
+            me->init_total += fresh ? now_ns() - t0 : 0;
             w->initializations += fresh;
             for (int64_t i = 0; i < n; i++) w->u_cand[i] = w->next_double(w->rng_state);
             for (int64_t i = 0; i < n; i++) w->u_acc[i] = w->next_double(w->rng_state);
@@ -493,10 +493,10 @@ static void *walk_lanes(void *arg) {
         if (threads > 1) sort_by_owner(w, me->start, lo, hi);
         barrier_wait(&w->team.barrier);
         if (threads > 1) scatter_owned(w, id);
-        int64_t slowest = 0; /* wall time: the step's slowest initialisation */
+        int64_t slowest = 0; /* wall time, on thread 0: the step's slowest initialisation */
         for (int64_t t = 0; id == 0 && t < threads; t++)
             if (w->workers[t].init_ns > slowest) slowest = w->workers[t].init_ns;
-        w->init_ns += slowest;
+        me->init_total += slowest;
         int64_t offset = 0, kept = 0;
         PREFIX(w, kept, id, offset, kept);
         compact(w, in, out, lo, hi, offset, step);
@@ -591,7 +591,7 @@ int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length
         counts[1] += workers[t].accepts;
     }
     counts[2] += w.initializations;
-    *init_seconds += 1e-9 * (double)w.init_ns;
+    *init_seconds += 1e-9 * (double)workers[0].init_total;
     free(memory);
     return threads;
 }
