@@ -95,8 +95,9 @@ def test_corpus_matches_golden(graphs, key):
     assert _corpus_digest(graph, model, sampler, initializer, backend) == GOLDEN["corpora"][key]
 
 
-#: the recorded runs the compiled M-H wave walks (the other initializers
-#: keep the base loop, metapath2vec has no compiled weight rule)
+#: the recorded cnative M-H runs with the wave kernel's initializer (the
+#: other initializers keep the base loop; metapath2vec has no compiled
+#: weight rule, so it walks on NumPy and calls no wave)
 WAVE_KEYS = sorted(k for k in GOLDEN["corpora"] if k.endswith("/mh/high-weight/cnative"))
 
 

@@ -27,7 +27,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WalkError
-
 from repro.graph import GraphDelta, generators
 from repro.graph.builder import from_edge_arrays
 from repro.registry import register_sampler, unregister_sampler
@@ -194,7 +193,7 @@ def digraphs(draw):
 
 @needs_cnative
 @pytest.mark.parametrize("threads", THREADS)
-# the forced count is the test's, not an example's: one patch serves all
+# the fixture is shared by the examples, each of which forces the same count
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     graph=digraphs(),
