@@ -6,14 +6,17 @@ deliberately absent from the fingerprint (see
 :meth:`repro.analysis.core.Finding.key`): edits move code, and a
 position-keyed baseline would churn on every commit. Counts handle the
 same message firing several times in one file: a baseline entry with
-``count: 2`` absorbs up to two live occurrences; a third is new.
+``count: 2`` absorbs up to two live occurrences; a third is new. Budget
+no live finding uses fails the run too: left in place, it would absorb
+the next regression with the same fingerprint.
 
 Workflow::
 
     python -m repro lint src/ --baseline .lint-baseline.json --update-baseline
     git add .lint-baseline.json          # accept current findings
     python -m repro lint src/ --baseline .lint-baseline.json
-    # ... exits nonzero iff findings beyond the baseline appear
+    # ... exits nonzero iff findings beyond the baseline appear, or
+    # baselined findings are gone (re-run with --update-baseline)
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ def baseline_from_findings(findings) -> dict[BaselineKey, int]:
 
 
 def split_baseline(findings, baseline: dict[BaselineKey, int]):
-    """Partition ``findings`` into (new, baselined) against the mapping."""
+    """Partition ``findings`` into (new, baselined, unused) against the mapping.
+
+    ``unused`` maps each fingerprint to the part of its count that no
+    live finding used.
+    """
     budget = dict(baseline)
     new, baselined = [], []
     for finding in findings:
@@ -48,7 +55,8 @@ def split_baseline(findings, baseline: dict[BaselineKey, int]):
             baselined.append(finding)
         else:
             new.append(finding)
-    return new, baselined
+    unused = {key: count for key, count in budget.items() if count > 0}
+    return new, baselined, unused
 
 
 def save_baseline(path, findings) -> None:

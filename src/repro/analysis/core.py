@@ -168,6 +168,8 @@ class LintReport:
     #: files that failed to parse, as (path, message) pairs — these are
     #: engine-level errors and always fail the lint.
     parse_errors: list[tuple[str, str]]
+    #: baseline fingerprint -> the part of its count no live finding used
+    unused_baseline: dict[tuple[str, str, str], int]
 
     @property
     def errors(self) -> list[Finding]:
@@ -182,11 +184,12 @@ class LintReport:
 
         Errors and parse failures always fail. Warnings fail only in
         baseline mode, where every finding in ``findings`` is by
-        construction *new* relative to the committed baseline.
+        construction *new* relative to the committed baseline; so does
+        baseline budget that no live finding used.
         """
         if self.parse_errors or self.errors:
             return True
-        return baseline_mode and bool(self.warnings)
+        return baseline_mode and bool(self.warnings or self.unused_baseline)
 
 
 def iter_python_files(paths, *, root: Path) -> list[Path]:
@@ -259,7 +262,8 @@ def run_lint(
 
     ``baseline`` is the mapping produced by
     :func:`repro.analysis.baseline.load_baseline`; matching findings are
-    moved to ``report.baselined`` up to their recorded counts.
+    moved to ``report.baselined`` up to their recorded counts, and the
+    counts left over land in ``report.unused_baseline``.
     """
     from repro.analysis.baseline import split_baseline
     from repro.analysis.project import ModuleInfo, ProjectIndex, module_name_for
@@ -303,11 +307,12 @@ def run_lint(
         kept.append(finding)
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
 
-    new, baselined = split_baseline(kept, baseline or {})
+    new, baselined, unused = split_baseline(kept, baseline or {})
     return LintReport(
         findings=new,
         baselined=baselined,
         rules=[rule.name for rule in rules],
         files=len(modules),
         parse_errors=parse_errors,
+        unused_baseline=unused,
     )

@@ -552,6 +552,10 @@ def _cmd_lint(args) -> int:
             "rules": report.rules,
             "findings": [f.to_json() for f in report.findings],
             "baselined": len(report.baselined),
+            "unused_baseline": [
+                {"code": code, "path": rel, "message": message, "count": count}
+                for (code, rel, message), count in sorted(report.unused_baseline.items())
+            ],
             "parse_errors": [
                 {"path": path, "message": message}
                 for path, message in report.parse_errors
@@ -563,6 +567,13 @@ def _cmd_lint(args) -> int:
         print(f"{path}:1:1: PARSE error: cannot parse file: {message}")
     for finding in report.findings:
         print(finding.render())
+    for (code, rel, message), count in sorted(report.unused_baseline.items()):
+        print(f"{rel}: {code} baseline entry unused ({count} more than fired): {message}")
+    if report.unused_baseline:
+        print(
+            f"unused entries in baseline {baseline_path}: {len(report.unused_baseline)}; "
+            "rewrite it with --update-baseline"
+        )
     new = " new" if baseline is not None else ""
     print(
         f"checked {report.files} file(s) with {len(report.rules)} rule(s): "
@@ -763,7 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--baseline", default=None, metavar="PATH",
         help="baseline JSON of accepted findings; with it, ANY non-baselined "
-        "finding (warnings included) fails the lint",
+        "finding (warnings included) fails the lint, and so does an entry "
+        "no finding uses",
     )
     lint.add_argument(
         "--update-baseline", action="store_true",

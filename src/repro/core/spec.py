@@ -289,7 +289,10 @@ class RunSpec:
         :class:`~repro.errors.ModelError` with suggestions), and
         ``model_params`` keys are checked against the model's declared
         ``param_spec`` capability when it has one. Sampler/initializer
-        names were already validated by :class:`WalkConfig`.
+        names were already validated by :class:`WalkConfig`; a sharded
+        spec's walk must also pass the sharded engine's own check
+        (:func:`repro.sharding.engine.check_sharded_walk`, a
+        :class:`~repro.errors.ShardError`).
         """
         from repro.registry import MODEL_REGISTRY
 
@@ -309,12 +312,16 @@ class RunSpec:
                 )
         self.graph.validate()
         streamed = as_config(StreamingConfig, self.streaming) and self.train is not None
-        if streamed and as_config(ShardingConfig, self.sharding):
-            raise SpecError(
-                "streaming and sharding blocks cannot both be enabled: the "
-                "streaming pipeline drives the monolithic engine; disable one "
-                "(e.g. --set streaming.enabled=false)"
-            )
+        if as_config(ShardingConfig, self.sharding):
+            if streamed:
+                raise SpecError(
+                    "streaming and sharding blocks cannot both be enabled: the "
+                    "streaming pipeline drives the monolithic engine; disable one "
+                    "(e.g. --set streaming.enabled=false)"
+                )
+            from repro.sharding.engine import check_sharded_walk
+
+            check_sharded_walk(self.walk)
         if self.evaluation is not None:
             self.evaluation.validate()
             if self.train is None:

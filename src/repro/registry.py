@@ -257,10 +257,6 @@ class SamplerContext:
     chain_store: Any = None
     #: A :class:`~repro.sampling.memory_model.MemoryBudget` to charge.
     budget: Any = None
-    #: Per-node bool mask restricting per-state structures to the states
-    #: standing on these nodes — a shard worker passes its owned set, so
-    #: the shards' tables partition the monolith's; ``None`` means all.
-    owned_nodes: Any = None
 
     def __getattr__(self, name: str) -> Any:
         if name == "config":  # not set yet (copy / unpickle): no recursion

@@ -2,18 +2,23 @@
 
 :class:`ShardedWalkEngine` *is* a
 :class:`~repro.walks.vectorized.VectorizedWalkEngine`: same wave loop,
-same counters, and as its stepper the very stepper class the monolithic
-engine would build — with one half swapped. The built-in steppers keep
-"draw the uniforms" and "apply them" apart (see
-:class:`~repro.walks.vectorized.StepperBase`); the driver's stepper
-inherits the draw half untouched and overrides only the apply half, to
-slice each batch of uniforms by lane ownership and fan it out to the
-shard workers, who run the same apply methods on their local CSR. The
-driver keeps the full graph (for the cheap O(walkers) bookkeeping — lane
-compaction, target lookups, pending sets, the KnightKing outlier split),
-the bound model and the **single** random generator; workers own the
-expensive O(edges) per-step work — weight expansion, alias gathers, M-H
-chains — and every sampler structure.
+same counters, and as its stepper the monolithic M-H stepper with its
+applying half swapped. It runs one walk, :data:`SHARDED_WALK`: any model,
+sampler ``mh``, initializer ``high-weight``, the configuration every
+sharded number in this repo was recorded on (KnightKing-style sharding
+is the paper's baseline, not its design). Anything else raises
+:class:`~repro.errors.ShardError` before a plan or a worker exists.
+
+``_MHStepper`` keeps "draw the uniforms" and "apply them" apart for step
+0 of a second-order walk (``first_step`` / ``apply_first``) and for M-H
+(``step`` / ``begin`` -> ``init_high_weight`` -> ``finish``). The
+driver's stepper inherits the drawing half untouched and overrides the
+applying half, to slice each batch of uniforms by lane ownership and fan
+it out to the shard workers, who run the same applying methods on their
+local CSR. The driver keeps the full graph (for the cheap O(walkers)
+bookkeeping: lane compaction, target lookups), the bound model and the
+**single** random generator; workers own the expensive O(edges)
+per-step work (weight evaluation, the M-H chains).
 
 Bitwise parity comes from that one discipline: every uniform is drawn
 *here*, by the monolithic code, over the union of all lanes in
@@ -34,7 +39,6 @@ round/batch/walker counts surface in :meth:`ShardedWalkEngine.stats`.
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 
@@ -49,31 +53,54 @@ from repro.walks.models import make_model
 from repro.walks.vectorized import (
     StepperBase,
     VectorizedWalkEngine,
-    _DirectStepper,
-    _FirstOrderAliasStepper,
     _MHStepper,
-    _RejectionStepper,
-    _StateAliasStepper,
     resolve_kernels,
 )
 
 
-class _Fanout:
-    """Mixin over a built-in stepper: its apply half, run on the shards.
+#: The one walk the sharded engine runs: (sampler, initializer).
+SHARDED_WALK = ("mh", "high-weight")
 
-    Listed before the stepper class, so the stepper's ``step`` (the draw
-    half) runs unchanged and resolves every apply call to the overrides
-    here and in the subclasses below. Each override slices the wave's
-    uniforms per shard, ships one op per worker and scatters the replies
-    back into monolithic lane order.
+
+def check_sharded_walk(config: WalkConfig, budget=None) -> None:
+    """Raise :class:`~repro.errors.ShardError` unless the engine can run ``config``.
+
+    The sharded engine runs M-H with the built-in ``high-weight``
+    initializer and no table budget (per-shard budget accounting is not
+    modelled): the configuration every sharded number in this repo
+    measures. Both the engine and :meth:`repro.core.spec.RunSpec.validate`
+    call this, so a sharded spec is refused before its graph loads.
+    """
+    if (config.sampler, config.initializer) != SHARDED_WALK:
+        raise ShardError(
+            f"the sharded engine runs sampler {SHARDED_WALK[0]!r} with initializer "
+            f"{SHARDED_WALK[1]!r} only, got sampler {config.sampler!r} and initializer "
+            f"{config.initializer!r}; use VectorizedWalkEngine for any other walk"
+        )
+    if config.table_budget_bytes is not None or budget is not None:
+        raise ShardError(
+            "memory budgets are not supported by the sharded engine; "
+            "use VectorizedWalkEngine for budgeted runs"
+        )
+
+
+class _FanoutMH(_MHStepper):
+    """The driver's M-H stepper: it draws, and its shard workers apply.
+
+    ``step`` and ``first_step`` are the monolithic stepper's drawing
+    half, unchanged; they resolve every applying call (``apply_first``,
+    ``begin``, ``init_high_weight``, ``finish``) to the overrides here,
+    which slice the wave's uniforms per shard, ship one op per worker
+    and scatter the replies back into monolithic lane order. The
+    ``begin`` scratch holds, per shard, which of the fresh lanes it owns.
     """
 
-    #: the driver steps lane by lane through the overrides below; a
-    #: stepper's own wave kernel (``_MHStepper.run_wave``) would skip them
+    #: the driver steps lane by lane through the overrides below; the
+    #: stepper's own wave kernel would skip them
     run_wave = StepperBase.run_wave
 
     def _build(self, ctx) -> None:
-        """The structures live with the workers; the driver holds none."""
+        """The chains live with the workers; the driver holds none."""
 
     def attach(self, plan, transport) -> None:
         self.owner = plan.owner
@@ -106,12 +133,6 @@ class _Fanout:
     def _by_shard(self, shard_of):
         """Per shard, the positions of ``shard_of`` it owns (ascending)."""
         return [np.flatnonzero(shard_of == j) for j in range(self.num_shards)]
-
-    def _by_entry(self, shard_of, cur, u_flat):
-        """Split one-uniform-per-edge-entry draws by the shard of each row."""
-        __, deg = self._rows(cur)
-        rep = np.repeat(shard_of, deg)
-        return [u_flat[rep == j] for j in range(self.num_shards)]
 
     # -- residency: every step ends by moving the walkers ----------------
     def load_wave(self, starts) -> None:
@@ -147,98 +168,22 @@ class _Fanout:
             self.transport.call_many(relays)
         return chosen
 
-    # -- the apply ops every stepper has ----------------------------------
+    # -- the applying half, one op per worker ----------------------------
     def apply_first(self, cur, u_flat):
-        parts = self._by_entry(self.shard_of, cur, u_flat)
+        # one uniform per edge entry: split by the shard of each entry's row
+        __, deg = self._rows(cur)
+        rep = np.repeat(self.shard_of, deg)
+        parts = [u_flat[rep == j] for j in range(self.num_shards)]
         return self._chosen(self._call("step_first", [(u,) for u in parts]))
-
-    def reject_round(self, prev, prev_off, cur, step, sel, u_prop, u_keep, u_acc, bound, clip):
-        picks = self._by_shard(self.shard_of[sel])
-        results = self._call(
-            "reject_round",
-            [
-                (
-                    np.searchsorted(self.lanes_per[j], sel[picks[j]]),
-                    u_prop[picks[j]],
-                    None if u_keep is None else u_keep[picks[j]],
-                    u_acc[picks[j]],
-                    bound,
-                    clip,
-                    step,
-                )
-                for j in range(self.num_shards)
-            ],
-        )
-        off = self._gather(np.empty(sel.size, dtype=np.int64), picks, [r[0] for r in results])
-        accept = self._gather(np.zeros(sel.size, dtype=bool), picks, [r[1] for r in results])
-        return off, accept
-
-    def memory_bytes(self) -> int:
-        """Total resident sampler bytes across all shard workers."""
-        return int(sum(self._all("memory_bytes")))
-
-
-class _FanoutDirect(_Fanout, _DirectStepper):
-    def apply(self, prev, prev_off, cur, step, u_flat):
-        parts = self._by_entry(self.shard_of, cur, u_flat)
-        return self._chosen(self._call("step_direct", [(u, step) for u in parts]))
-
-
-class _FanoutAlias(_Fanout, _FirstOrderAliasStepper):
-    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
-        args = [
-            (u_slot[lanes], None if u_keep is None else u_keep[lanes])
-            for lanes in self.lanes_per
-        ]
-        return self._chosen(self._call("step_alias", args))
-
-
-class _FanoutStateAlias(_Fanout, _StateAliasStepper):
-    def attach(self, plan, transport) -> None:
-        super().attach(plan, transport)
-        # the tables were built at worker construction: count them as Ti
-        self.initializations += int(sum(self._all("tables_built")))
-
-    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
-        args = [(u_slot[lanes], u_keep[lanes], step) for lanes in self.lanes_per]
-        return self._chosen(self._call("step_state_alias", args))
-
-
-class _FanoutRejection(_Fanout, _RejectionStepper):
-    """Pending-set loop and outlier split inherited; rounds fan out."""
-
-
-class _FanoutMH(_Fanout, _MHStepper):
-    """The scratch holds, per shard, which of the fresh lanes it owns."""
 
     def begin(self, prev, prev_off, cur, step) -> dict:
         uninit = self._gather(
             np.zeros(cur.size, dtype=bool), self.lanes_per, self._all("mh_begin", step)
         )
-        own = self.shard_of[uninit]
-        return {"uninit": uninit, "own": own, "picks": self._by_shard(own), "cur0": cur[uninit]}
+        return {"uninit": uninit, "picks": self._by_shard(self.shard_of[uninit])}
 
     def init_high_weight(self, m, u) -> None:
         self._call("mh_init_hw", [(None if u is None else u[pick],) for pick in m["picks"]])
-
-    def init_random(self, m, u1):
-        results = self._call("mh_init_rand", [(u1[pick],) for pick in m["picks"]])
-        m["bad"] = self._gather(np.zeros(u1.size, dtype=bool), m["picks"], results)
-        return m["bad"]
-
-    def init_support(self, m, u_flat) -> None:
-        bad = m["bad"]
-        parts = self._by_entry(m["own"][bad], m["cur0"][bad], u_flat)
-        self._call("mh_init_support", [(u,) for u in parts])
-
-    def init_burn_in(self, m, draws) -> None:
-        # the wire op takes the whole (iterations, 2, lanes) schedule
-        sched = np.empty((self.burn_in_iterations, 2, m["own"].size))
-        it = 0
-        for pair in draws:
-            sched[it] = pair
-            it += 1
-        self._call("mh_init_burn", [(sched[:, :, pick],) for pick in m["picks"]])
 
     def finish(self, m, u_cand, u_acc):
         results = self._call(
@@ -250,21 +195,9 @@ class _FanoutMH(_Fanout, _MHStepper):
             sum(r[2] for r in results),
         )
 
-
-def _fanout_alias(graph, model, ctx):
-    cls = _FanoutAlias if model.is_static else _FanoutStateAlias
-    return cls(graph, model, ctx)
-
-
-#: sampler -> driver-side stepper; the samplers whose apply half has ops.
-_FANOUT = {
-    "mh": _FanoutMH,
-    "direct": _FanoutDirect,
-    "alias": _fanout_alias,
-    "alias-first-order": _FanoutAlias,
-    "rejection": partial(_FanoutRejection, fold=False),
-    "knightking": partial(_FanoutRejection, fold=True),
-}
+    def memory_bytes(self) -> int:
+        """Total resident sampler bytes across all shard workers."""
+        return int(sum(self._all("memory_bytes")))
 
 
 class ShardedWalkEngine(VectorizedWalkEngine):
@@ -280,11 +213,11 @@ class ShardedWalkEngine(VectorizedWalkEngine):
     :attr:`sharding`). A keyword naming a field of either replaces it,
     ``num_shards=`` is the constructor's spelling of ``shards``, and the
     rest go to the model constructor. Options the sharded execution
-    model cannot honour raise :class:`~repro.errors.ShardError` up
-    front: instance models or custom initializers (workers rebuild both
-    from names, and a custom initializer draws from the RNG itself),
-    ``memory-aware`` sampling and table budgets (per-shard budget
-    accounting is not modelled), and injected chain stores.
+    model cannot honour raise :class:`~repro.errors.ShardError` before a
+    plan or a transport is built: any walk but :data:`SHARDED_WALK`
+    (:func:`check_sharded_walk`), table budgets (per-shard budget
+    accounting is not modelled), instance models (workers rebuild the
+    model from its name) and injected chain stores.
     """
 
     def __init__(
@@ -307,35 +240,14 @@ class ShardedWalkEngine(VectorizedWalkEngine):
             self.sharding = take_fields(sharding or ShardingConfig(), keywords, shards=num_shards)
         except WalkError as err:  # a refusal of this engine's own knobs
             raise ShardError(str(err)) from None
-        if self.config.sampler not in _FANOUT:
-            raise ShardError(
-                f"sampler {self.config.sampler!r} is not supported by the sharded "
-                f"engine; supported: {list(_FANOUT)}"
-            )
-        if self.config.table_budget_bytes is not None or budget is not None:
-            raise ShardError(
-                "memory budgets are not supported by the sharded engine; "
-                "use VectorizedWalkEngine for budgeted runs"
-            )
-        if not isinstance(self.config.initializer, str):
-            raise ShardError(
-                "custom initializer instances are not supported by the "
-                "sharded engine; register and pass a builtin name"
-            )
+        check_sharded_walk(self.config, budget)
         self.graph = graph
         self.model = make_model(model, graph, **keywords)
         kernels = resolve_kernels(self.config.backend, self.model)
         self.backend = kernels.name
         # compiled once here, so same-host workers load the cached build
         self.compile_seconds = float(kernels.warmup())
-        # the driver's half first: it validates sampler x model and holds
-        # no resources, so a refusal here leaves no worker behind
-        self.stepper = _FANOUT[self.config.sampler](graph, self.model, SamplerContext(self.config))
-        if getattr(self.stepper, "custom_initializer", None) is not None:
-            raise ShardError(
-                f"initializer {self.config.initializer!r} has no vectorized sharded "
-                "protocol; supported: ['random', 'high-weight', 'burn-in']"
-            )
+        self.stepper = _FanoutMH(graph, self.model, SamplerContext(self.config))
         self.plan = build_shard_plan(graph, self.sharding.shards, self.sharding.partitioner)
         self.num_shards = self.plan.num_shards
         self.transport = make_transport(self.sharding, self.plan, model, keywords, self.config)

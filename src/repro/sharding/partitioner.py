@@ -110,8 +110,6 @@ class Shard:
     edge_map: np.ndarray
     #: global node id -> local id, -1 for non-local nodes.
     global_to_local: np.ndarray
-    #: per local node: is it owned (True) or halo (False)?
-    owned_local: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,6 @@ def build_shard_plan(graph, num_shards: int, partitioner=ShardingConfig.partitio
                 node_map=node_map,
                 edge_map=edge_map,
                 global_to_local=g2l,
-                owned_local=owner[node_map] == j,
             )
         )
     return ShardPlan(

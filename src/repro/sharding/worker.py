@@ -1,16 +1,18 @@
-"""Per-shard walk worker: one real stepper on the local graph, zero RNG.
+"""Per-shard walk worker: one real M-H stepper on the local graph, zero RNG.
 
 One :class:`ShardWorker` owns a shard's local CSR, **one stepper** built
 on it through the same ``SAMPLER_REGISTRY`` factory and the same kernel
-backend resolution the monolithic engine uses (per-state tables
-restricted to the shard's owned nodes), and the *resident* walkers
-currently standing on its owned nodes. The KnightKing discipline:
-walker state moves to the data, the data never moves to the walkers.
+backend resolution the monolithic engine uses (always M-H with the
+``high-weight`` initializer: the one walk the sharded engine runs, see
+:mod:`repro.sharding.engine`), and the *resident* walkers currently
+standing on its owned nodes. The KnightKing discipline: walker state
+moves to the data, the data never moves to the walkers.
 
 There is no step math in this module. Every op translates the resident
-lanes from global to local coordinates, calls the stepper's *apply*
-half (:class:`~repro.walks.vectorized.StepperBase`) with the uniforms
-the driver shipped, and translates the chosen edges back.
+lanes from global to local coordinates, calls the stepper's applying
+half (``apply_first`` for step 0 of a second-order walk, otherwise M-H's
+``begin`` -> ``init_high_weight`` -> ``finish``) with the uniforms the
+driver shipped, and translates the chosen edges back.
 
 RNG discipline (the bitwise-parity contract): workers draw **no**
 random numbers. The driver owns the single generator, draws every
@@ -61,9 +63,7 @@ class ShardWorker:
         #: the driver's :class:`~repro.config.WalkConfig`, as it crossed the wire
         self.config = config
         model = make_model(model, graph, **(model_params or {}))
-        ctx = SamplerContext(
-            config, kernels=resolve_kernels(config.backend, model), owned_nodes=shard.owned_local
-        )
+        ctx = SamplerContext(config, kernels=resolve_kernels(config.backend, model))
         self.stepper = SAMPLER_REGISTRY.get(config.sampler)(graph, model, ctx)
         # resident walkers, global coordinates, sorted by walker id
         self.ids = np.empty(0, dtype=np.int64)
@@ -153,32 +153,7 @@ class ShardWorker:
         cur = self._nodes_local(self.cur_g)
         return self._edges_global(self.stepper.apply_first(cur, u_flat))
 
-    def step_direct(self, u_flat, step):
-        """Exact O(deg) categorical draw over dynamic weights."""
-        return self._edges_global(self.stepper.apply(*self._lanes(), step, u_flat))
-
-    def step_alias(self, u_slot, u_keep):
-        """First-order alias gather (static models)."""
-        cur = self._nodes_local(self.cur_g)  # static tables: no predecessor to translate
-        return self._edges_global(self.stepper.apply(None, None, cur, None, u_slot, u_keep))
-
-    def step_state_alias(self, u_slot, u_keep, step):
-        """Per-state alias gather (dynamic models, owned states only)."""
-        return self._edges_global(self.stepper.apply(*self._lanes(), step, u_slot, u_keep))
-
-    def reject_round(self, rel, u_prop, u_keep, u_acc, bound, clip, step):
-        """One proposal/accept round for the driver's pending lanes.
-
-        ``rel`` indexes into this shard's resident lanes. Returns
-        ``(off_global, accept)``; the driver owns the pending-set loop
-        (and, for KnightKing, the outlier-vs-bulk split).
-        """
-        off, accept = self.stepper.reject_round(
-            *self._lanes(), step, rel, u_prop, u_keep, u_acc, bound, clip
-        )
-        return self._edges_global(off), accept
-
-    # -- M-H: the stepper's begin -> init_* -> finish, one op each -------
+    # -- M-H: the stepper's begin -> init_high_weight -> finish, one op each
     def mh_begin(self, step):
         """Start an M-H step: stash scratch, report uninitialised chains."""
         self._mh = self.stepper.begin(*self._lanes(), step)
@@ -187,23 +162,6 @@ class ShardWorker:
     def mh_init_hw(self, u_block):
         """High-weight init: capped subsample argmax (exact when u is None)."""
         return self.stepper.init_high_weight(self._mh, u_block)
-
-    def mh_init_rand(self, u1):
-        """Random init: uniform slot; report lanes that landed on zero weight."""
-        return self.stepper.init_random(self._mh, u1)
-
-    def mh_init_support(self, u_flat):
-        """Repair zero-weight random inits: uniform over the row's support."""
-        return self.stepper.init_support(self._mh, u_flat)
-
-    def mh_init_burn(self, u_sched):
-        """Burn-in init: driver-scheduled uniforms, local M-H iterations.
-
-        ``u_sched`` has shape ``(iterations, 2, lanes)`` — per iteration
-        one candidate draw and one acceptance draw, in the monolithic
-        engine's exact consumption order.
-        """
-        return self.stepper.init_burn_in(self._mh, u_sched)
 
     def mh_exec(self, u_cand, u_acc):
         """Finish an M-H step: propose/accept kernel + chain scatter."""
@@ -214,15 +172,6 @@ class ShardWorker:
     def walk_config(self) -> dict:
         """The fields of :attr:`config` (a mapping: the wire moves no dataclass)."""
         return asdict(self.config)
-
-    def tables_built(self) -> int:
-        """Structures materialised at construction (setup-cost counter).
-
-        A worker never runs the stepper's draw half, so the stepper's
-        counter still holds exactly its build-time value: the per-state
-        alias tables, zero for every other sampler.
-        """
-        return self.stepper.initializations
 
     def memory_bytes(self) -> int:
         """Resident bytes of this shard's sampler structures."""

@@ -27,12 +27,21 @@ the one lock-step loop in Python. ``_MHStepper`` hands a wave to the
 backend's ``mh_wave`` instead (one compiled call, uniforms drawn from
 the engine's own BitGenerator in the order ``step`` draws them: the same
 bits, on as many threads as the CPU affinity mask holds) when the
-backend has one and the initializer is the built-in ``high-weight``. The other samplers, third-party steppers, the NumPy
-backend, the other initializers, step 0 of a second-order walk (its
-``np.log1p`` need not match libm to the last bit) and the sharded
-driver (it fans every step out) keep the base loop;
-``stats()["wave_kernel"]`` says which ran and ``["wave_threads"]`` on
-how many threads the last wave did (0: the base loop).
+backend has one and the initializer is the built-in ``high-weight``. The
+other samplers, third-party steppers, the NumPy backend, the other
+initializers, step 0 of a second-order walk (its ``np.log1p`` need not
+match libm to the last bit) and the sharded driver (it fans every step
+out) keep the base loop; ``stats()["wave_kernel"]`` says which ran and
+``["wave_threads"]`` on how many threads the last wave did (0: the base
+loop).
+
+A stepper's ``step`` draws its uniforms and applies them in one piece.
+The one exception is M-H with the ``high-weight`` initializer, the
+configuration :mod:`repro.sharding` runs: ``_MHStepper`` keeps
+``begin`` -> ``init_high_weight`` -> ``finish`` and
+:meth:`StepperBase.apply_first` as pure functions of pre-drawn uniforms,
+so that shard workers can apply, on their local graphs, the uniforms
+the sharded driver drew.
 """
 
 from __future__ import annotations
@@ -82,16 +91,14 @@ class StepperBase:
     ``factory(graph, model, ctx)`` with a
     :class:`~repro.registry.SamplerContext`.
 
-    The built-in steppers keep the two halves of a step apart: ``step``
-    only *draws* — every uniform, from ``rng``, in a fixed order — and
-    hands the draws to *apply* methods (``apply``, ``apply_first``,
-    ``reject_round``, the M-H ``begin``/``init_*``/``finish``) that are
-    pure functions of pre-drawn uniforms and build their structures in
-    ``_build(ctx)``. A shard worker calls the apply half alone, on its
-    local graph, with uniforms the driver shipped; the sharded driver
-    inherits the draw half and overrides the apply half with a per-shard
-    fan-out (:mod:`repro.sharding`). One copy of either half is why the
-    sharded corpus equals this engine's bit for bit.
+    Steppers build their structures in ``_build(ctx)``. Step 0 of a
+    second-order walk draws one uniform per edge entry in
+    :meth:`first_step` and applies them in :meth:`apply_first`, a pure
+    function of the draws; ``_MHStepper`` splits its ``step`` the same
+    way (``begin`` / ``init_high_weight`` / ``finish``). The sharded
+    driver (:mod:`repro.sharding`) inherits the drawing half of those
+    two and runs the applying half on its shard workers, which is why
+    the sharded corpus equals this engine's bit for bit.
     """
 
     name = "abstract"
@@ -264,26 +271,18 @@ class StepperBase:
         )
         return self._race(cur, weights, u_flat)
 
-    def reject_round(self, prev, prev_off, cur, step, sel, u_prop, u_keep, u_acc, bound, clip):
-        """One proposal/accept round for the ``sel`` lanes of the wave.
-
-        Proposes from the stepper's static-weight tables (attached to
-        :attr:`kernel_state` by the subclass that owns them) and returns
-        ``(off, accept)`` aligned with ``sel``.
-        """
-        return self.kernels.rejection_round(
-            self.kernel_state, prev[sel], cur[sel], u_prop, u_keep, u_acc, bound, clip,
-            self._weight_fn(prev, prev_off, cur, step, sel=sel),
-        )
-
     def _reject_pending(self, out, pending, lanes, rng, bound, clip=False, split=None):
         """The pending-set loop: draw a round's uniforms until every lane accepts.
 
-        ``split(pending)``, when given, runs first in each round, settles
-        some lanes itself (KnightKing's outlier branch) and returns the
-        rest. Accepted offsets land in ``out``; returns the number of
-        proposals made. The caller's class sets ``self.max_rounds``.
+        Each round proposes from the stepper's static-weight tables
+        (attached to :attr:`kernel_state` by the subclass that owns
+        them). ``split(pending)``, when given, runs first in each round,
+        settles some lanes itself (KnightKing's outlier branch) and
+        returns the rest. Accepted offsets land in ``out``; returns the
+        number of proposals made. The caller's class sets
+        ``self.max_rounds``.
         """
+        prev, prev_off, cur, step = lanes
         uniform = not self.graph.is_weighted
         proposals = 0
         for __ in range(self.max_rounds):
@@ -297,8 +296,9 @@ class StepperBase:
             u_prop = rng.random(pending.size)
             u_keep = None if uniform else rng.random(pending.size)
             u_acc = rng.random(pending.size)
-            off, accept = self.reject_round(
-                *lanes, pending, u_prop, u_keep, u_acc, bound, clip
+            off, accept = self.kernels.rejection_round(
+                self.kernel_state, prev[pending], cur[pending], u_prop, u_keep, u_acc,
+                bound, clip, self._weight_fn(prev, prev_off, cur, step, sel=pending),
             )
             out[pending[accept]] = off[accept]
             pending = pending[~accept]
@@ -373,15 +373,11 @@ class _DirectStepper(StepperBase):
         super().__init__(graph, model, ctx.kernels)
 
     def step(self, prev, prev_off, cur, step, rng):
-        __, deg = self._rows(cur)
-        out = self.apply(prev, prev_off, cur, step, rng.random(int(deg.sum())))
+        __, ___, deg, weights = self._expanded_row_weights(prev, prev_off, cur, step)
+        out = self._race(cur, weights, rng.random(int(deg.sum())))
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
-
-    def apply(self, prev, prev_off, cur, step, u_flat):
-        __, ___, ____, weights = self._expanded_row_weights(prev, prev_off, cur, step)
-        return self._race(cur, weights, u_flat)
 
 
 class _FirstOrderAliasStepper(StepperBase):
@@ -412,13 +408,10 @@ class _FirstOrderAliasStepper(StepperBase):
         # the exact RNG consumption of FirstOrderAliasStore.draw_batch
         u_slot = rng.random(cur.size)
         u_keep = rng.random(cur.size) if self.graph.is_weighted else None
-        out = self.apply(prev, prev_off, cur, step, u_slot, u_keep)
+        out = self.kernels.alias_draw(self.kernel_state, cur, u_slot, u_keep)
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
-
-    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
-        return self.kernels.alias_draw(self.kernel_state, cur, u_slot, u_keep)
 
     def _refresh(self, plan) -> dict:
         return self.store.on_delta(plan)
@@ -594,12 +587,7 @@ class _StateAliasStepper(StepperBase):
     def _build(self, ctx) -> None:
         if ctx.budget is not None:
             ctx.budget.charge(second_order_alias_bytes(self.graph, self.model), self.name)
-        mask = None
-        if ctx.owned_nodes is not None:
-            # a state's home is its current node, so owned-node masks
-            # partition the valid-state set exactly across shards
-            mask = ctx.owned_nodes[self.model.enumerate_state_contexts(self.graph)["cur"]]
-        self.tables = EagerStateAliasTables(self.graph, self.model, state_mask=mask)
+        self.tables = EagerStateAliasTables(self.graph, self.model)
         self.initializations += self.tables.num_tables
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
@@ -614,14 +602,11 @@ class _StateAliasStepper(StepperBase):
         # two uniforms per walker — the RNG consumption of tables.draw
         u_slot = rng.random(cur.size)
         u_keep = rng.random(cur.size)
-        out = self.apply(prev, prev_off, cur, step, u_slot, u_keep)
+        idx = self.model.batch_state_index(prev_off, cur, step)
+        out = self.kernels.state_alias_draw(self.kernel_state, idx, cur, u_slot, u_keep)
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
-
-    def apply(self, prev, prev_off, cur, step, u_slot, u_keep):
-        idx = self.model.batch_state_index(prev_off, cur, step)
-        return self.kernels.state_alias_draw(self.kernel_state, idx, cur, u_slot, u_keep)
 
     def _refresh(self, plan) -> dict:
         info = self.tables.on_delta(plan, self.model)
@@ -682,19 +667,15 @@ class _MemoryAwareStepper(_StateAliasStepper):
         }
 
     def step(self, prev, prev_off, cur, step, rng):
-        u_slot = rng.random(cur.size)
-        u_keep = rng.random(cur.size)
-        out = self.apply(prev, prev_off, cur, step, u_slot, u_keep)
-        self.proposals += cur.size
+        out = super().step(prev, prev_off, cur, step, rng)
         # everything without a table (unassigned or zero-weight state)
         # falls back to rejection sampling
-        pending = np.flatnonzero(out == NO_EDGE)
         __, deg = self._rows(cur)
+        pending = np.flatnonzero((out == NO_EDGE) & (deg > 0))
         self._reject_pending(
-            out, pending[deg[pending] > 0], (prev, prev_off, cur, step), rng,
-            self.model.alpha_bound(self.graph),
+            out, pending, (prev, prev_off, cur, step), rng, self.model.alpha_bound(self.graph)
         )
-        self.samples += int((out != NO_EDGE).sum())
+        self.samples += int((out[pending] != NO_EDGE).sum())
         return out
 
     def memory_bytes(self) -> int:
@@ -849,13 +830,12 @@ class _MHStepper(StepperBase):
             self.init_seconds += init_seconds
         return lengths
 
-    # -- draw half -------------------------------------------------------
     def step(self, prev, prev_off, cur, step, rng):
         m = self.begin(prev, prev_off, cur, step)
         uninit = m["uninit"]
         if uninit.any():
             t0 = time.perf_counter()
-            self._draw_init(m, cur[uninit], rng)
+            self._draw_init(m, rng)
             self.initializations += int(uninit.sum())
             self.init_seconds += time.perf_counter() - t0
         # Algorithm 1: uniform candidate, acceptance min(1, w'_cand/w'_last).
@@ -869,31 +849,43 @@ class _MHStepper(StepperBase):
         self.samples += n_ok
         return nxt
 
-    def _draw_init(self, m, cur0, rng) -> None:
-        """Draw a fresh-chain initializer's uniforms in its canonical order.
+    def _draw_init(self, m, rng) -> None:
+        """Set ``m["init"]``, the first edge of each fresh chain in ``m``.
 
-        ``cur0`` are the nodes of the uninitialised lanes. high-weight
-        takes one ``(lanes, cap)`` block; random takes one lane draw plus
-        one support draw per edge entry of the lanes that landed on zero
-        weight; burn-in follows random with two lane draws per iteration,
-        drawn iteration by iteration.
+        high-weight draws one ``(lanes, cap)`` block. random draws a
+        uniform slot per lane, then, for the lanes that landed on zero
+        weight, one uniform per edge entry to race over the row's
+        support. burn-in follows random with ``burn_in_iterations`` M-H
+        iterations, each a candidate draw and an acceptance draw.
         """
         if self.custom_initializer is not None:
             m["init"] = self._init_custom(*self._fresh(m), rng)
             return
-        n = cur0.size
+        n = int(m["uninit"].sum())
         if self.strategy == "high-weight":
             cap = self.init_sample_cap
             self.init_high_weight(m, None if cap is None else rng.random((n, cap)))
             return
-        bad = self.init_random(m, rng.random(n))
+        prev0, prev_off0, cur0, step = self._fresh(m)
+        lo, deg = self._rows(cur0)
+        last = lo + (rng.random(n) * np.maximum(deg, 1)).astype(np.int64)
+        bad = self._batch_weights(prev0, prev_off0, cur0, step, last) <= 0.0
         if bad.any():
-            __, deg = self._rows(cur0[bad])
-            self.init_support(m, rng.random(int(deg.sum())))
-        if self.strategy == "burn-in":
-            self.init_burn_in(
-                m, ((rng.random(n), rng.random(n)) for __ in range(self.burn_in_iterations))
+            __, ___, bad_deg, weights = self._expanded_row_weights(
+                prev0[bad], prev_off0[bad], cur0[bad], step
             )
+            u_flat = rng.random(int(bad_deg.sum()))
+            last[bad] = self._race(cur0[bad], (weights > 0.0).astype(np.float64), u_flat)
+        if self.strategy == "burn-in":
+            w_last = self._batch_weights(prev0, prev_off0, cur0, step, np.maximum(last, 0))
+            for __ in range(self.burn_in_iterations):
+                cand = lo + (rng.random(n) * np.maximum(deg, 1)).astype(np.int64)
+                u_acc = rng.random(n)
+                w_cand = self._batch_weights(prev0, prev_off0, cur0, step, cand)
+                accept = (w_cand > 0.0) & ((w_last <= 0.0) | (u_acc * w_last < w_cand))
+                last = np.where(accept & (last != NO_EDGE), cand, last)
+                w_last = np.where(accept, w_cand, w_last)
+        m["init"] = last
 
     def _init_custom(self, prev0, prev_off0, cur0, step, rng):
         """Registered third-party strategies run their scalar protocol.
@@ -901,8 +893,7 @@ class _MHStepper(StepperBase):
         One ``initialize(graph, model, state, rng)`` call per fresh
         chain — slower than the vectorized built-ins but each state is
         initialised only once, so the cost is O(#state) overall. The
-        strategy draws from ``rng`` itself, so this is the one
-        initializer with no apply half (and none on shard workers).
+        strategy draws from ``rng`` itself.
         """
         from repro.walks.state import WalkerState
 
@@ -917,7 +908,8 @@ class _MHStepper(StepperBase):
             out[i] = self.custom_initializer.initialize(self.graph, self.model, state, rng)
         return out
 
-    # -- apply half: begin -> init_* -> finish over one scratch dict ------
+    # -- begin -> init_high_weight -> finish: one scratch dict, run on the
+    # shard workers by the sharded driver ---------------------------------
     def begin(self, prev, prev_off, cur, step) -> dict:
         """Gather the lanes' chains; ``["uninit"]`` marks the fresh ones."""
         __, deg = self._rows(cur)
@@ -982,23 +974,6 @@ class _MHStepper(StepperBase):
             self._weight_fn(prev0, prev_off0, cur0, step),
         )
 
-    def init_random(self, m, u1):
-        """Uniform slot per fresh chain; returns the lanes of zero weight."""
-        prev0, prev_off0, cur0, step = self._fresh(m)
-        lo, deg = self._rows(cur0)
-        m["init"] = lo + (u1 * np.maximum(deg, 1)).astype(np.int64)
-        m["bad"] = self._batch_weights(prev0, prev_off0, cur0, step, m["init"]) <= 0.0
-        return m["bad"]
-
-    def init_support(self, m, u_flat) -> None:
-        """Repair zero-weight random inits: uniform over the row's support."""
-        prev0, prev_off0, cur0, step = self._fresh(m)
-        bad = m["bad"]
-        __, ___, ____, weights = self._expanded_row_weights(
-            prev0[bad], prev_off0[bad], cur0[bad], step
-        )
-        m["init"][bad] = self._race(cur0[bad], (weights > 0.0).astype(np.float64), u_flat)
-
     def init_high_weight(self, m, u) -> None:
         """Best of ``cap`` candidates from the ``(lanes, cap)`` block ``u``.
 
@@ -1029,20 +1004,6 @@ class _MHStepper(StepperBase):
             # the exact row argmax for those few states
             result[bad] = self._exact_argmax(prev0[bad], prev_off0[bad], cur0[bad], step)
         m["init"] = result
-
-    def init_burn_in(self, m, draws) -> None:
-        """Run the fresh chains over ``draws``: ``(u_cand, u_acc)`` per iteration."""
-        prev0, prev_off0, cur0, step = self._fresh(m)
-        lo, deg = self._rows(cur0)
-        last = m["init"]
-        w_last = self._batch_weights(prev0, prev_off0, cur0, step, np.maximum(last, 0))
-        for u_cand, u_acc in draws:
-            cand = lo + (u_cand * np.maximum(deg, 1)).astype(np.int64)
-            w_cand = self._batch_weights(prev0, prev_off0, cur0, step, cand)
-            accept = (w_cand > 0.0) & ((w_last <= 0.0) | (u_acc * w_last < w_cand))
-            last = np.where(accept & (last != NO_EDGE), cand, last)
-            w_last = np.where(accept, w_cand, w_last)
-        m["init"] = last
 
     def _exact_argmax(self, prev0, prev_off0, cur0, step):
         __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)

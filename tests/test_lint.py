@@ -508,6 +508,30 @@ def test_cli_update_baseline_then_enforce(tmp_path, capsys, monkeypatch):
     assert cli_main(["lint", ".", "--baseline", "b.json"]) == 1
 
 
+def test_cli_unused_baseline_budget_fails(tmp_path, capsys, monkeypatch):
+    """A baseline count no live finding uses would absorb the next regression."""
+    monkeypatch.chdir(tmp_path)
+    kernel = tmp_path / "walks" / "vectorized.py"
+    kernel.parent.mkdir()
+    kernel.write_text("def f(a):\n    return a.tolist(), a.tolist()\n")
+    assert cli_main(["lint", ".", "--baseline", "b.json", "--update-baseline"]) == 0
+    (entry,) = json.loads((tmp_path / "b.json").read_text())["findings"]
+    assert entry["count"] == 2
+    kernel.write_text("def f(a):\n    return a.tolist()\n")  # one live finding
+    capsys.readouterr()
+    assert cli_main(["lint", ".", "--baseline", "b.json"]) == 1
+    out = capsys.readouterr().out
+    assert "RPR006 baseline entry unused (1 more than fired)" in out
+    assert "--update-baseline" in out
+    assert cli_main(["lint", ".", "--baseline", "b.json", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [item["count"] for item in doc["unused_baseline"]] == [1]
+    assert doc["findings"] == [] and doc["baselined"] == 1
+    # re-recording drops the surplus
+    assert cli_main(["lint", ".", "--baseline", "b.json", "--update-baseline"]) == 0
+    assert cli_main(["lint", ".", "--baseline", "b.json"]) == 0
+
+
 def test_cli_select_unknown_rule_is_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text("x = 1\n")

@@ -5,9 +5,11 @@ Covers the four layers of the sharding subsystem:
 * partitioner — owner/plan invariants for every registered partitioner,
   plan validation, registry pluggability;
 * engine — the acceptance matrix: corpora bitwise identical to
-  :class:`VectorizedWalkEngine` for hash AND degree-balanced partitions
-  at 1/2/4 shards, across samplers, models (hetero included),
-  initializers and both transports, plus migration-counter sanity;
+  :class:`VectorizedWalkEngine` for the one sharded walk (M-H with the
+  ``high-weight`` initializer) over every model, hash AND
+  degree-balanced partitions, 1/2/4 shards and both transports; every
+  other sampler and initializer refused before a plan or a worker
+  exists; migration-counter sanity;
 * serving — ``QueryService(index="sharded", owner=plan)``: exact top-k
   parity with the monolithic :class:`QueryService` (tie-breaks and
   self-exclusion included);
@@ -28,8 +30,10 @@ from hypothesis import strategies as st
 import repro.sharding
 from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
 from repro.core.pipeline import train_pipeline
+from repro.core.spec import RunSpec
 from repro.errors import ServingError, ShardError, SpecError, WalkError
 from repro.graph.builder import from_edge_arrays
+from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY
 from repro.serving.service import QueryService
 from repro.serving.store import EmbeddingStore
 from repro.sharding import (
@@ -39,14 +43,32 @@ from repro.sharding import (
     make_partitioner,
     register_partitioner,
 )
+from repro.sharding.transport import SocketTransport
 from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
 
 PARTITIONERS = ("hash", "degree_balanced")
-SHARDED_SAMPLERS = ("mh", "direct", "alias", "alias-first-order", "rejection", "knightking")
+#: every registered model -> (graph fixture, model parameters)
+MODELS = {
+    "deepwalk": ("small_power_law_graph", {}),
+    "node2vec": ("small_power_law_graph", {"p": 0.5, "q": 2.0}),
+    "fairwalk": ("typed_graph", {"p": 0.5, "q": 2.0}),
+    "edge2vec": ("typed_graph", {"p": 0.5, "q": 2.0}),
+    "metapath2vec": ("academic_net", {"metapath": "APVPA"}),
+}
+#: the walks the sharded engine refuses, as WalkConfig fields
+REFUSED = [
+    *({"sampler": name} for name in SAMPLER_REGISTRY.names() if name != "mh"),
+    *({"initializer": name} for name in INITIALIZER_REGISTRY.names() if name != "high-weight"),
+]
 COMPILED_BACKENDS = sorted(
     name for name, ok in available_backends().items() if ok and name != "numpy"
 )
+
+
+@pytest.fixture
+def academic_net(academic):
+    return academic[0]
 
 
 def _mono(graph, model, sampler="mh", *, seed, num_walks=2, walk_length=12, **kw):
@@ -93,11 +115,8 @@ class TestShardPlan:
                 shard.global_to_local[shard.node_map],
                 np.arange(shard.node_map.size),
             )
-            assert np.array_equal(
-                shard.owned_local, plan.owner[shard.node_map] == shard.shard_id
-            )
             # owned rows are complete: local degree == global degree
-            owned_global = shard.node_map[shard.owned_local]
+            owned_global = shard.node_map[plan.owner[shard.node_map] == shard.shard_id]
             owned_local = shard.global_to_local[owned_global]
             deg_global = g.offsets[owned_global + 1] - g.offsets[owned_global]
             deg_local = (
@@ -180,31 +199,26 @@ class TestEngineParity:
         for key in ("samples", "proposals", "accepts", "initializations"):
             assert ms[key] == ss[key], key
 
-    @pytest.mark.parametrize(
-        "sampler", ("mh", "direct", "alias", "rejection", "knightking")
-    )
-    def test_sampler_parity_two_shards(self, small_power_law_graph, sampler):
-        mono, __ = _mono(small_power_law_graph, "node2vec", sampler, seed=77, p=2.0, q=0.5)
-        shrd, __ = _sharded(
-            small_power_law_graph, "node2vec", sampler, seed=77, num_shards=2, p=2.0, q=0.5
+    @pytest.mark.parametrize("transport", ("inline", "socket"))
+    @pytest.mark.parametrize("shards", (1, 2, 4))
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_model_partitioner_shardcount_transport(
+        self, request, model, partitioner, shards, transport
+    ):
+        """The one sharded walk, M-H with ``high-weight``, equals the monolith."""
+        fixture, params = MODELS[model]
+        graph = request.getfixturevalue(fixture)
+        kw = {"seed": 31, "num_walks": 1, "walk_length": 8, **params}
+        mono, me = _mono(graph, model, **kw)
+        shrd, se = _sharded(
+            graph, model, num_shards=shards, partitioner=partitioner, transport=transport, **kw
         )
+        se.close()
         assert_corpus_equal(mono, shrd)
-
-    def test_alias_first_order_parity(self, small_power_law_graph):
-        mono, __ = _mono(small_power_law_graph, "deepwalk", "alias-first-order", seed=5)
-        shrd, __ = _sharded(
-            small_power_law_graph, "deepwalk", "alias-first-order", seed=5, num_shards=4
-        )
-        assert_corpus_equal(mono, shrd)
-
-    @pytest.mark.parametrize("initializer", ("random", "burn-in"))
-    def test_initializer_parity(self, small_unweighted_graph, initializer):
-        kw = {"initializer": initializer, "burn_in_iterations": 5}
-        mono, __ = _mono(small_unweighted_graph, "deepwalk", seed=19, **kw)
-        shrd, __ = _sharded(
-            small_unweighted_graph, "deepwalk", seed=19, num_shards=2, **kw
-        )
-        assert_corpus_equal(mono, shrd)
+        ms, ss = me.stats(), se.stats()
+        for key in ("samples", "proposals", "accepts", "initializations"):
+            assert ms[key] == ss[key], key
 
     def test_hetero_model_parity(self, academic):
         graph, __ = academic
@@ -233,15 +247,12 @@ class TestEngineParity:
             assert_corpus_equal(mono, shrd)
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    @pytest.mark.parametrize("sampler", SHARDED_SAMPLERS)
-    def test_compiled_backend_parity(self, small_power_law_graph, sampler, backend):
+    def test_compiled_backend_parity(self, small_power_law_graph, backend):
         """``backend=`` reaches the workers' steppers; the corpus does not move."""
-        model = "deepwalk" if sampler == "alias-first-order" else "node2vec"
-        params = {} if model == "deepwalk" else {"p": 0.5, "q": 2.0}
-        mono, __ = _mono(small_power_law_graph, model, sampler, seed=61, **params)
+        params = {"p": 0.5, "q": 2.0}
+        mono, __ = _mono(small_power_law_graph, "node2vec", seed=61, **params)
         shrd, engine = _sharded(
-            small_power_law_graph, model, sampler, seed=61, num_shards=3,
-            backend=backend, **params,
+            small_power_law_graph, "node2vec", seed=61, num_shards=3, backend=backend, **params,
         )
         assert_corpus_equal(mono, shrd)
         stats = engine.stats()
@@ -312,6 +323,45 @@ class TestEngineStats:
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", initializer=object())
 
 
+class TestOneShardedWalk:
+    """Any walk but M-H with ``high-weight`` is refused, and refused early."""
+
+    @pytest.mark.parametrize("walk", REFUSED, ids=lambda walk: next(iter(walk.values())))
+    def test_refused_before_a_plan_or_a_worker(self, small_power_law_graph, walk, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            "repro.sharding.engine.build_shard_plan", lambda *a: built.append("plan")
+        )
+        monkeypatch.setattr(SocketTransport, "_spawn_loopback", lambda self: built.append("worker"))
+        children = {p.pid for p in multiprocessing.active_children()}
+        budget = {"table_budget_bytes": 4096} if walk.get("sampler") == "memory-aware" else {}
+        with pytest.raises(ShardError, match="'mh'.*'high-weight'"):
+            ShardedWalkEngine(
+                small_power_law_graph, "deepwalk", transport="socket", **walk, **budget
+            )
+        assert built == []
+        assert {p.pid for p in multiprocessing.active_children()} == children
+
+    @pytest.mark.parametrize(
+        "walk",
+        [{"sampler": "memory-aware", "table_budget_bytes": 4096}, {"initializer": "burn-in"}],
+        ids=("memory-aware", "burn-in"),
+    )
+    def test_a_sharded_spec_is_refused_before_its_graph_loads(self, walk, monkeypatch):
+        from repro import run
+        from repro.core.spec import GraphSpec
+
+        monkeypatch.setattr(GraphSpec, "load", lambda self: pytest.fail("graph loaded"))
+        spec = {"graph": {"dataset": "amazon", "scale": 0.05}, "walk": walk}
+        RunSpec.from_dict(spec).validate()
+        with pytest.raises(ShardError, match="'mh'.*'high-weight'"):
+            RunSpec.from_dict({**spec, "sharding": {"shards": 2}}).validate()
+        with pytest.raises(ShardError, match="'mh'.*'high-weight'"):
+            run({**spec, "sharding": {"shards": 2}})
+        # switched off, the block no longer constrains the walk
+        RunSpec.from_dict({**spec, "sharding": {"shards": 2, "enabled": False}}).validate()
+
+
 # ---------------------------------------------------------------------------
 # differential: monolithic vs sharded on generated, awkward graphs
 # ---------------------------------------------------------------------------
@@ -350,25 +400,19 @@ def awkward_graphs(draw):
 @settings(max_examples=20, deadline=None)
 @given(graph=awkward_graphs(), seed=st.integers(0, 10_000))
 def test_property_sharded_equals_monolithic(graph, seed):
-    """Bitwise-equal corpora for every sharded sampler and M-H initializer.
+    """Bitwise-equal corpora for a first- and a second-order model.
 
     One more shard than nodes, so at least one shard owns nothing.
     """
     assert (np.diff(graph.offsets) == 0).any()  # zero-degree nodes are present
     shards = graph.num_nodes + 1
-    for sampler in SHARDED_SAMPLERS:
-        for initializer in ("random", "high-weight", "burn-in") if sampler == "mh" else ("random",):
-            for model, params in (("deepwalk", {}), ("node2vec", {"p": 0.5, "q": 2.0})):
-                if sampler == "alias-first-order" and model != "deepwalk":
-                    continue
-                kw = dict(
-                    seed=seed, walk_length=6, initializer=initializer,
-                    burn_in_iterations=3, **params,
-                )
-                mono, __ = _mono(graph, model, sampler, **kw)
-                shrd, engine = _sharded(graph, model, sampler, num_shards=shards, **kw)
-                assert (engine.plan.node_counts == 0).any()
-                assert_corpus_equal(mono, shrd)
+    for model, params in (("deepwalk", {}), ("node2vec", {"p": 0.5, "q": 2.0})):
+        mono, __ = _mono(graph, model, seed=seed, walk_length=6, **params)
+        shrd, engine = _sharded(
+            graph, model, seed=seed, walk_length=6, num_shards=shards, **params
+        )
+        assert (engine.plan.node_counts == 0).any()
+        assert_corpus_equal(mono, shrd)
 
 
 # ---------------------------------------------------------------------------
@@ -625,39 +669,7 @@ class TestWiring:
 
 
 class TestSocketTransport:
-    """The acceptance matrix over TCP: same bits, plus wire accounting."""
-
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("shards", (2, 3))
-    @pytest.mark.parametrize(
-        "sampler", ("mh", "direct", "alias", "rejection", "knightking")
-    )
-    def test_every_sampler_partitioner_shardcount(
-        self, small_power_law_graph, sampler, partitioner, shards
-    ):
-        mono, __ = _mono(
-            small_power_law_graph, "node2vec", sampler, seed=31,
-            num_walks=1, walk_length=8, p=0.5, q=2.0,
-        )
-        shrd, engine = _sharded(
-            small_power_law_graph, "node2vec", sampler, seed=31,
-            num_walks=1, walk_length=8, num_shards=shards,
-            partitioner=partitioner, transport="socket", p=0.5, q=2.0,
-        )
-        engine.close()
-        assert_corpus_equal(mono, shrd)
-
-    def test_alias_first_order_parity(self, small_power_law_graph):
-        mono, __ = _mono(
-            small_power_law_graph, "deepwalk", "alias-first-order", seed=5,
-            num_walks=1, walk_length=8,
-        )
-        shrd, engine = _sharded(
-            small_power_law_graph, "deepwalk", "alias-first-order", seed=5,
-            num_walks=1, walk_length=8, num_shards=2, transport="socket",
-        )
-        engine.close()
-        assert_corpus_equal(mono, shrd)
+    """Multi-host execution: wire accounting, SETUP, faults, addresses."""
 
     def test_transport_stats_surface(self, small_power_law_graph):
         __, engine = _sharded(
@@ -691,15 +703,20 @@ class TestSocketTransport:
     def test_workers_are_built_from_the_drivers_walk_config(self, small_power_law_graph):
         """The SETUP message carries the engine's config; nothing re-defaults it."""
         config = WalkConfig(
-            sampler="rejection", initializer="burnin", init_sample_cap=4,
-            burn_in_iterations=7, max_reject_rounds=77,
+            num_walks=3, walk_length=9, init_sample_cap=4, burn_in_iterations=7,
+            max_reject_rounds=77,
         )
         with ShardedWalkEngine(
-            small_power_law_graph, "node2vec", config=config, transport="socket", p=0.5
+            small_power_law_graph, "node2vec", config=config, transport="socket", p=0.5, seed=4
         ) as engine:
             assert engine.config == config and engine.num_shards == 2
             for shard in range(engine.num_shards):
                 assert WalkConfig(**engine.transport.call(shard, "walk_config")) == config
+            # the non-default cap reaches the workers' initializers
+            mono = VectorizedWalkEngine(
+                small_power_law_graph, "node2vec", config=config, p=0.5, seed=4
+            )
+            assert_corpus_equal(mono.generate(), engine.generate())
 
     def test_remote_op_error_keeps_transport_usable(self, small_power_law_graph):
         """A typed worker-side failure is not a connection failure."""

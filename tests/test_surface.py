@@ -135,8 +135,12 @@ class TestEnginesAreBuiltFromTheirConfig:
                 if engine_cls is ShardedWalkEngine:
                     assert handed[-1] == (engine.sharding, engine.config)
             assert outcomes[0] == outcomes[1]
-            refused = engine_cls is ShardedWalkEngine and field.name == "table_budget_bytes"
-            assert "budget" in outcomes[0] if refused else outcomes[0] == config
+            # the sharded engine runs M-H / high-weight, without a budget
+            refusal = {"table_budget_bytes": "budget", "sampler": "'mh'", "initializer": "'high-weight'"}
+            if engine_cls is ShardedWalkEngine and field.name in refusal:
+                assert refusal[field.name] in outcomes[0]
+            else:
+                assert outcomes[0] == config
 
     def test_the_context_declares_no_walk_knob_of_its_own(self):
         """``ctx.init_sample_cap`` is the config's; the context adds live objects only."""

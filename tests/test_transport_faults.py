@@ -30,14 +30,14 @@ from repro.walks.vectorized import VectorizedWalkEngine
 
 def _engine(graph, transport, **kw):
     return ShardedWalkEngine(
-        graph, "deepwalk", sampler="direct", num_shards=2,
+        graph, "deepwalk", num_shards=2,
         transport=transport, seed=11, **kw,
     )
 
 
 def assert_fresh_engine_matches_monolithic(graph, transport):
     """After a fault, a rebuilt engine still matches the monolith bitwise."""
-    ref = VectorizedWalkEngine(graph, "deepwalk", sampler="direct", seed=11).generate(1, 8)
+    ref = VectorizedWalkEngine(graph, "deepwalk", seed=11).generate(1, 8)
     engine = _engine(graph, transport)
     try:
         got = engine.generate(1, 8)
