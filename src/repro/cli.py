@@ -148,7 +148,7 @@ _FLAGS = {
     "--max-batch": ("serving.server.max_batch", "most requests coalesced into one index scan"),
     "--max-wait-us": (
         "serving.server.max_wait_us",
-        "microseconds the dispatcher waits for more requests after the first",
+        "longest a round keeps coalescing while requests keep arriving (a cap, not a wait)",
     ),
     "--queue-size": (
         "serving.server.queue_size",

@@ -27,7 +27,8 @@ class ServerConfig:
 
     #: most requests coalesced into one dispatch round.
     max_batch: int = 64
-    #: microseconds the dispatcher waits after a round's first request (``0``: none).
+    #: longest a round keeps collecting while each event-loop pass brings
+    #: another request, in microseconds from its first (``0``: only what is queued).
     max_wait_us: float = 200.0
     #: pending-request bound; requests beyond it are load-shed.
     queue_size: int = 1024

@@ -11,9 +11,9 @@ standard online-serving playbook:
   ``{"ok": true, "result": ...}`` or ``{"ok": false, "error": {"code",
   "type", "message"}}`` with stable machine-readable error codes;
 * **micro-batching** — concurrent requests land in one bounded queue; a
-  dispatcher coalesces up to ``max_batch`` of them (waiting at most
-  ``max_wait_us`` after the first) and answers every ``most_similar``
-  of the same ``topn`` with *one*
+  dispatcher takes the first and all queued behind it, collects on while
+  each event-loop pass brings another (capped by ``max_batch`` and
+  ``max_wait_us``) and answers every ``most_similar`` of a ``topn`` with *one*
   :meth:`~repro.serving.service.QueryService.most_similar_batch` index
   pass — the batched-BLAS economics of the library, applied to traffic
   that arrives one key at a time;
@@ -61,6 +61,12 @@ from repro.serving.snapshot import SnapshotManager
 MAX_KEYS_PER_REQUEST = 1024
 
 _OPS = ("most_similar", "similarity", "stats", "ping")
+
+
+def _is_node_id(value) -> bool:
+    """An integer an int64 holds; ``1.7``, ``True`` and ``"3"`` are refused, not cast."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and -(2**63) <= value < 2**63
 
 
 def encode_frame(payload: dict) -> bytes:
@@ -140,8 +146,8 @@ class QueryServer:
     max_batch:
         most requests coalesced into one dispatch round.
     max_wait_us:
-        microseconds the dispatcher waits for more requests after the
-        first of a round; ``0`` drains greedily without waiting.
+        cap on how long a round keeps collecting while requests keep
+        arriving (never slept); ``0`` takes only what is already queued.
     queue_size:
         pending-request bound — the admission-control knob. Requests
         beyond it are load-shed with a typed ``overloaded`` error.
@@ -226,7 +232,7 @@ class QueryServer:
         return self.address
 
     async def stop(self) -> None:
-        """Close the listener, stop the dispatcher, fail queued requests."""
+        """Close the listener, stop the dispatcher, fail held and queued requests."""
         if self._tcp is not None:
             self._tcp.close()
             await self._tcp.wait_closed()
@@ -239,9 +245,8 @@ class QueryServer:
                 pass
             self._dispatcher = None
         if self._queue is not None:
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                self._finish(item, self._error_response(item.request, ServerError("server stopped")))
+            queued = [self._queue.get_nowait() for __ in range(self._queue.qsize())]
+            self._fail(queued, ServerError("server stopped"))
             self._queue = None
 
     async def serve_forever(self, *, max_requests: int | None = None) -> dict:
@@ -306,26 +311,33 @@ class QueryServer:
     async def _dispatch_loop(self) -> None:
         queue = self._queue
         loop = asyncio.get_running_loop()
-        while True:
-            batch = [await queue.get()]
-            if self.max_wait > 0:
+        batch: list = []
+        try:
+            while True:
+                batch = [await queue.get()]
                 deadline = loop.time() + self.max_wait
                 while len(batch) < self.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
+                    # submitters are tasks of this loop: once a pass brings
+                    # none, waiting longer only delays the round
+                    if queue.empty() and loop.time() < deadline:
+                        await asyncio.sleep(0)
+                    if queue.empty():
                         break
-                    try:
-                        batch.append(await asyncio.wait_for(queue.get(), remaining))
-                    except asyncio.TimeoutError:
-                        break
-            while len(batch) < self.max_batch and not queue.empty():
-                batch.append(queue.get_nowait())
-            try:
-                self._execute(batch)
-            except ReproError as err:
-                for item in batch:
-                    if not item.future.done():
-                        self._finish(item, self._error_response(item.request, err))
+                    batch.append(queue.get_nowait())
+                try:
+                    self._execute(batch)
+                except ReproError as err:
+                    self._fail(batch, err)
+                batch = []
+                # submitters the scan held up enqueue before the next round starts
+                await asyncio.sleep(0)
+        finally:
+            self._fail(batch, ServerError("server stopped"))
+
+    def _fail(self, items, err: ReproError) -> None:
+        for item in items:
+            if not item.future.done():
+                self._finish(item, self._error_response(item.request, err))
 
     def _execute(self, batch: list) -> None:
         """Answer one dispatch round under a single snapshot lease."""
@@ -423,14 +435,14 @@ class QueryServer:
 
     @staticmethod
     def _int_array(value, field: str) -> np.ndarray:
-        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if _is_node_id(value):
             value = [value]
         if not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0:
             raise ProtocolError(f"{field!r} must be a non-empty array of node ids")
-        try:
-            keys = np.asarray(value, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise ProtocolError(f"{field!r} must contain only integers") from None
+        array = isinstance(value, np.ndarray)
+        if not (value.dtype.kind in "iu" if array else all(map(_is_node_id, value))):
+            raise ProtocolError(f"{field!r} must contain only integers")
+        keys = np.asarray(value, dtype=np.int64)
         if keys.ndim != 1:
             raise ProtocolError(f"{field!r} must be one-dimensional")
         return keys

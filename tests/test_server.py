@@ -14,10 +14,13 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.embedding.keyed_vectors import KeyedVectors
 from repro.errors import (
@@ -62,6 +65,13 @@ def exact_answers(store, topn=5) -> dict:
     service = QueryService(store, index="bruteforce", cache_size=0)
     results = service.most_similar_batch(np.asarray(store.keys), topn=topn)
     return {int(k): row for k, row in zip(store.keys, results)}
+
+
+def assert_rows(got, want):
+    """Same neighbours in the same order; scores to float32 rounding, since
+    BLAS rounds a key's scores differently in batches of other shapes."""
+    assert [[int(k) for k, __ in row] for row in got] == [[k for k, __ in row] for row in want]
+    assert np.allclose([[s for __, s in row] for row in got], [[s for __, s in row] for row in want])
 
 
 class TestLatencyHistogram:
@@ -221,6 +231,16 @@ class TestQueryServerBasics:
             responses["bad_keys"] = await server.submit(
                 {"op": "most_similar", "keys": ["x"]}
             )
+            # 1.7, True, False and "3" used to be cast to node ids
+            for name, request in (
+                ("float_key", {"op": "most_similar", "keys": [1.7]}),
+                ("bool_key", {"op": "most_similar", "keys": [True]}),
+                ("digits_key", {"op": "most_similar", "keys": ["3"]}),
+                ("huge_key", {"op": "most_similar", "keys": [2**64]}),
+                ("float_a", {"op": "similarity", "a": [1.5], "b": [2]}),
+                ("bool_b", {"op": "similarity", "a": [1], "b": [False]}),
+            ):
+                responses[name] = await server.submit(request)
             responses["too_many"] = await server.submit(
                 {"op": "most_similar", "keys": list(range(MAX_KEYS_PER_REQUEST + 1))}
             )
@@ -235,6 +255,24 @@ class TestQueryServerBasics:
         for name, resp in responses.items():
             assert resp["ok"] is False, name
             assert resp["error"]["code"] == "bad-request", name
+
+    def test_integer_typed_numpy_keys_are_accepted(self, store_a):
+        expected = exact_answers(store_a, topn=3)
+
+        async def main():
+            server = await QueryServer(store_a, cache_size=0).start()
+            replies = [
+                await server.submit({"op": "most_similar", "keys": keys, "topn": 3})
+                for keys in (np.array([4, 9], dtype=np.int32), np.array([4, 9], dtype=np.uint16),
+                             np.int64(4))
+            ]
+            await server.stop()
+            return replies
+
+        replies = asyncio.run(main())
+        assert all(r["ok"] for r in replies), replies
+        for reply, keys in zip(replies, ([4, 9], [4, 9], [4])):
+            assert_rows(reply["result"], [expected[k] for k in keys])
 
     def test_missing_key_fails_only_that_request(self, store_a):
         async def main():
@@ -300,6 +338,183 @@ class TestLoadShed:
         results = asyncio.run(main())
         assert any(isinstance(r, OverloadError) for r in results)
         assert any(isinstance(r, list) for r in results)
+
+
+def _is_id(value) -> bool:
+    return type(value) is int and -(2**63) <= value < 2**63  # bools are not
+
+
+def _node_ids(value):
+    """The keys a decoded ``keys`` value names, or None when it is not an
+    integer or a non-empty list of integers an int64 holds."""
+    ids = [value] if _is_id(value) else value
+    if not isinstance(ids, list) or not 1 <= len(ids) <= MAX_KEYS_PER_REQUEST:
+        return None
+    return ids if all(map(_is_id, ids)) else None
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_store_keys = st.integers(-2, NUM_KEYS + 2)
+
+
+@pytest.fixture(scope="module")
+def served():
+    store = make_store(11)
+    return QueryServer(store, cache_size=0), exact_answers(store, topn=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=_json_values | _store_keys | st.lists(_store_keys | _json_values, min_size=1, max_size=5))
+@example(keys=[1.7]).via("answered as key 1 before")
+@example(keys=[True]).via("answered as key 1 before")
+@example(keys=["3"]).via("answered as key 3 before")
+def test_keys_are_answered_exactly_or_refused(served, keys):
+    """Whatever JSON ``keys`` holds, the reply answers exactly the integer
+    keys it names (or names the first one not in the store), or is a
+    ``bad-request``: nothing is cast to a key."""
+    server, expected = served
+
+    async def main():
+        await server.start()
+        try:
+            request = json.loads(json.dumps({"op": "most_similar", "keys": keys, "topn": 3}))
+            return request["keys"], await server.submit(request)
+        finally:
+            await server.stop()
+
+    sent, reply = asyncio.run(main())
+    ids = _node_ids(sent)
+    if ids is None:
+        assert not reply["ok"] and reply["error"]["code"] == "bad-request", (sent, reply)
+    elif all(0 <= k < NUM_KEYS for k in ids):
+        assert reply["ok"], (sent, reply)
+        assert_rows(reply["result"], [expected[k] for k in ids])
+    else:
+        missing = next(k for k in ids if not 0 <= k < NUM_KEYS)
+        assert reply["error"]["code"] == "serving", (sent, reply)
+        assert f"key {missing} is not in the store" in reply["error"]["message"]
+
+
+async def relay(server, count=None, until=None) -> list:
+    """Pings that reach the queue one event-loop pass apart: each request's
+    task starts the next one's before it submits. ``count`` of them, or
+    until the event ``until`` is set; returns every reply (``None``: not sent)."""
+    tasks: list = []
+
+    async def send(i):
+        if until is not None and until.is_set():
+            return None
+        if count is None or i + 1 < count:
+            tasks.append(asyncio.create_task(send(i + 1)))
+        return await server.submit({"op": "ping", "id": i})
+
+    tasks.append(asyncio.create_task(send(0)))
+    awaited = 0
+    while awaited < len(tasks):
+        awaited = len(tasks)
+        await asyncio.gather(*tasks)
+    return [task.result() for task in tasks]
+
+
+class TestRoundPolicy:
+    """A round takes what is queued, then one loop pass at a time while each
+    pass brings a request; ``max_wait_us`` caps that, it is never slept."""
+
+    def test_lone_request_is_not_held_for_max_wait(self, store_a):
+        async def main():
+            server = await QueryServer(store_a, max_wait_us=50_000).start()
+            took = []
+            for __ in range(5):
+                t0 = time.perf_counter()
+                assert (await server.submit({"op": "ping"}))["ok"]
+                took.append(time.perf_counter() - t0)
+            await server.stop()
+            return took
+
+        assert sorted(asyncio.run(main()))[2] < 0.025
+
+    def test_requests_of_one_pass_share_one_round(self, store_a):
+        async def main():
+            server = await QueryServer(store_a, max_wait_us=0).start()
+            replies = await asyncio.gather(
+                *(server.submit({"op": "most_similar", "keys": [k]}) for k in range(8))
+            )
+            stats = server.stats()
+            await server.stop()
+            return replies, stats
+
+        replies, stats = asyncio.run(main())
+        assert all(r["ok"] for r in replies)
+        assert (stats["batches"], stats["batched_requests"]) == (1, 8)
+
+    def test_a_full_queue_gives_full_rounds_and_starves_no_task(self, store_a):
+        async def main():
+            server = await QueryServer(store_a, max_batch=4, max_wait_us=50_000).start()
+            pending = [asyncio.create_task(server.submit({"op": "ping"})) for __ in range(64)]
+            rounds_seen = []
+
+            async def bystander():
+                while not all(task.done() for task in pending):
+                    rounds_seen.append(server.counters["batches"])
+                    await asyncio.sleep(0)
+
+            await asyncio.wait_for(asyncio.gather(bystander(), *pending), timeout=10)
+            stats = server.stats()
+            await server.stop()
+            return rounds_seen, stats
+
+        rounds_seen, stats = asyncio.run(main())
+        assert (stats["batches"], stats["batched_requests"]) == (16, 64)
+        # the bystander ran between every two rounds
+        assert max(np.diff(rounds_seen)) <= 1
+        assert rounds_seen[-1] >= 15
+
+    def test_max_wait_caps_how_long_arrivals_extend_a_round(self, store_a):
+        """40 requests reach the queue one pass apart: a wide cap keeps one
+        round collecting them all, ``0`` takes only what each round finds queued."""
+
+        async def rounds(max_wait_us):
+            server = await QueryServer(store_a, max_batch=1024, max_wait_us=max_wait_us).start()
+            replies = await asyncio.wait_for(relay(server, 40), timeout=10)
+            await server.stop()
+            assert all(r["ok"] for r in replies) and server.counters["batched_requests"] == 40
+            return server.counters["batches"]
+
+        assert asyncio.run(rounds(200_000)) <= 2
+        assert asyncio.run(rounds(0)) >= 20
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["lone", "stream"])
+    def test_stop_answers_every_request_the_dispatcher_holds(self, store_a, stream):
+        """``lone``: one request, then stop() 10 ms later, which used to
+        drop the round a timer held. ``stream``: requests arrive every
+        pass until stop(), which cancels a round that is still collecting."""
+
+        async def main():
+            server = await QueryServer(store_a, max_batch=100_000, max_wait_us=200_000).start()
+            stopping = asyncio.Event()
+            feed = asyncio.create_task(relay(server, None if stream else 1, stopping))
+            await asyncio.sleep(0.01)
+            held = server.counters["received"] - server.counters["answered"]
+
+            async def stop():
+                # one task: the feed ends in the pass stop() cancels the round in
+                stopping.set()
+                await server.stop()
+
+            await asyncio.wait_for(stop(), timeout=5)
+            return held, await asyncio.wait_for(feed, timeout=5), server.stats()
+
+        held, replies, stats = asyncio.run(main())
+        replies = [r for r in replies if r is not None]
+        assert stats["answered"] == stats["received"] == len(replies)
+        assert all(r["ok"] or r["error"]["code"] == "server" for r in replies), replies
+        if stream:
+            assert held > 1, "the round was dispatched before stop(): nothing was held"
+            assert not any(r["ok"] for r in replies)
 
 
 class TestSnapshotSwapUnderLoad:
