@@ -513,7 +513,7 @@ class ErrorTaxonomyRule(LintRule):
 
 #: format-defining modules: anything writing/reading bytes whose layout
 #: other processes (or future versions) must reproduce.
-_FORMAT_MODULES = ("serving/store.py", "serving/codec.py", "graph/io.py")
+_FORMAT_MODULES = ("serving/store.py", "serving/codec.py", "graph/io.py", "walks/corpus.py")
 
 #: numpy constructor -> positional index where dtype may legally appear.
 _DTYPE_FUNCS = {

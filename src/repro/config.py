@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
 from repro.errors import WalkError
+from repro.tokens import TOKEN_DTYPE
 
 
 def take_fields(config, keywords: dict, **spelled):
@@ -182,8 +183,9 @@ class StreamingConfig:
         that is also unset, one wave (one walk per start node) per shard.
     max_corpus_bytes:
         alternative shard sizing: largest shard footprint in bytes; the
-        walk length converts it to a walk count. Mutually exclusive with
-        ``shard_walks``.
+        walk length converts it to a walk count at ``4 * walk_length + 8``
+        bytes a walk (a row of four-byte tokens, one int64 length).
+        Mutually exclusive with ``shard_walks``.
     overlap:
         run walk generation in a producer thread feeding a bounded queue
         that the trainer drains — Tw and Tl overlap on the wall clock.
@@ -236,7 +238,8 @@ class StreamingConfig:
         if self.shard_walks is not None:
             return self.shard_walks
         if self.max_corpus_bytes is not None:
-            per_walk = 8 * (walk_length + 1)  # int64 row + length entry
+            # a row of tokens plus its int64 length entry
+            per_walk = TOKEN_DTYPE.itemsize * walk_length + 8
             return max(1, self.max_corpus_bytes // per_walk)
         return max(1, num_starts)
 

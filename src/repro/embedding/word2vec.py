@@ -60,6 +60,7 @@ from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_ker
 from repro.embedding.keyed_vectors import KeyedVectors
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.vocab import Vocabulary
+from repro.tokens import TOKEN_DTYPE
 from repro.utils.rng import as_rng
 
 _MODES = ("skipgram", "cbow")
@@ -534,7 +535,7 @@ class Word2Vec:
                 need = 0
         self._pending_rows -= rows
         width = max(int(ln.max()) for __, ln in taken)
-        block = np.full((rows, width), -1, dtype=np.int64)
+        block = np.full((rows, width), -1, dtype=TOKEN_DTYPE)
         row = 0
         for walks, __ in taken:
             cols = min(walks.shape[1], width)

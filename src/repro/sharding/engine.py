@@ -54,6 +54,7 @@ from repro.walks.vectorized import (
     StepperBase,
     VectorizedWalkEngine,
     _MHStepper,
+    check_node_ids,
     resolve_kernels,
 )
 
@@ -241,6 +242,7 @@ class ShardedWalkEngine(VectorizedWalkEngine):
         except WalkError as err:  # a refusal of this engine's own knobs
             raise ShardError(str(err)) from None
         check_sharded_walk(self.config, budget)
+        check_node_ids(graph)
         self.graph = graph
         self.model = make_model(model, graph, **keywords)
         kernels = resolve_kernels(self.config.backend, self.model)

@@ -22,11 +22,12 @@ import time
 import numpy as np
 
 from repro.errors import ConfigError, WalkError
+from repro.tokens import TOKEN_DTYPE
 from repro.utils.cbuild import compile_cached, find_compiler
 from repro.utils.cthreads import C_THREADS, MAX_THREADS
 from repro.walks.kernels.state import KIND_NODE2VEC
 
-_C_SOURCE = C_THREADS + r"""
+_C_SOURCE = C_THREADS + f"typedef int{8 * TOKEN_DTYPE.itemsize}_t token_t; /* a walk token */" + r"""
 #define NO_EDGE (-1)
 
 #ifdef __GNUC__
@@ -294,6 +295,9 @@ static int64_t exact_argmax(int kind, double p, double q,
    those. */
 #define LANES_PER_THREAD(kind) ((kind) == 2 ? 4096 : 24576) /* node2vec : static */
 
+/* columns of the step-major token block: one 64-byte line of a row */
+#define TOKEN_COLS (64 / (int64_t)sizeof(token_t))
+
 /* where a wave's walkers stand; ids are rows of `walks` and `lengths` */
 typedef struct { int64_t *ids, *prev, *prev_off, *cur; } lanes_t;
 
@@ -317,11 +321,13 @@ typedef struct wave {
     uint64_t fmask;
     next_double_fn next_double;
     void *rng_state;
-    int64_t *chain_last, *walks, *lengths;
+    int64_t *chain_last, *lengths;
+    token_t *walks;
     double *chain_last_w;
     lanes_t lanes[2]; /* a step reads one and compacts into the other (one thread: in place) */
     /* by lane, and by fresh chain in lane order (f_): */
-    int64_t *block, *idx, *last, *next, *fresh, *sorted, *f_prev, *f_cur, *f_order, *f_best;
+    token_t *block;
+    int64_t *idx, *last, *next, *fresh, *sorted, *f_prev, *f_cur, *f_order, *f_best;
     double *last_w, *u_cand, *u_acc, *new_w, *f_w, *f_u;
     prev_lane_t *f_sort;
     uint8_t *dead;
@@ -427,7 +433,7 @@ static void scatter_owned(wave_t *w, int64_t id) {
    on: lanes that drew no edge retire, the others leave a token */
 static void compact(wave_t *w, lanes_t in, lanes_t out, int64_t lo, int64_t hi,
                     int64_t m, int64_t step) {
-    int64_t *column = w->block + ((step + 1) & 7) * w->rows;
+    token_t *column = w->block + ((step + 1) & (TOKEN_COLS - 1)) * w->rows;
     for (int64_t i = lo; i < hi; i++) {
         int64_t e = w->next[i];
         if (e == NO_EDGE) continue;
@@ -436,7 +442,7 @@ static void compact(wave_t *w, lanes_t in, lanes_t out, int64_t lo, int64_t hi,
         out.prev[m] = from;
         out.prev_off[m] = e;
         out.cur[m++] = to;
-        column[row] = to;
+        column[row] = (token_t)to;
         w->lengths[row]++;
     }
 }
@@ -504,11 +510,11 @@ static void *walk_lanes(void *arg) {
         lanes_t swap = in;
         in = out, out = swap, n = kept;
         int64_t end = step + 2; /* columns [flushed, end) are in the block */
-        if ((end & 7) == 0 || end == w->walk_length || n == 0) {
+        if ((end & (TOKEN_COLS - 1)) == 0 || end == w->walk_length || n == 0) {
             for (int64_t row = row_lo; row < row_hi; row++) {
                 int64_t stop = w->lengths[row] < end ? w->lengths[row] : end;
                 for (int64_t c = flushed; c < stop; c++)
-                    w->walks[row * w->walk_length + c] = w->block[(c & 7) * rows + row];
+                    w->walks[row * w->walk_length + c] = w->block[(c & (TOKEN_COLS - 1)) * rows + row];
             }
             flushed = end;
         }
@@ -525,7 +531,7 @@ int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length
                 next_double_fn next_double, void *rng_state,
                 int64_t *ids, int64_t *prev, int64_t *prev_off, int64_t *cur,
                 int64_t *chain_last, double *chain_last_w,
-                int64_t *walks, int64_t *lengths, int64_t threads,
+                token_t *walks, int64_t *lengths, int64_t threads,
                 int64_t *counts, double *init_seconds) {
     /* Steps first_step .. walk_length-2 of one wave over its n lanes
        (ids, prev, prev_off, cur: consumed), high-weight initializer with
@@ -535,9 +541,9 @@ int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length
        fresh, then u_cand[n], then u_acc[n], dead-end lanes included;
        every lane's chain is gathered before any lane scatters, so two
        walkers on one chain read the pre-step state and the later lane
-       wins. Tokens go to a step-major block of 8 columns, copied into
-       the walk rows a whole 64-byte line at a time. `threads` as
-       team_size takes it. counts: proposals, accepts, initializations;
+       wins. Tokens go to a step-major block of TOKEN_COLS columns (16
+       four-byte tokens), copied into the walk rows a whole 64-byte line
+       at a time. `threads` as team_size takes it. counts: proposals, accepts, initializations;
        init_seconds: wall time. Returns the threads used, or -1 when
        memory ran out (before anything was touched). */
     wave_t w = {
@@ -561,6 +567,7 @@ int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length
     if (!at) return -1;
     void *memory = at;
 #define CARVE(field, count) (w.field = (void *)at, at += (count))
+    /* the token block: TOKEN_COLS tokens, one 64-byte line, a row */
     CARVE(block, 8 * rows), CARVE(idx, lanes), CARVE(last, lanes), CARVE(next, lanes);
     CARVE(fresh, lanes), CARVE(f_prev, lanes), CARVE(f_cur, lanes), CARVE(f_order, lanes);
     CARVE(f_best, lanes), CARVE(f_sort, 2 * lanes), CARVE(last_w, lanes);
@@ -667,6 +674,7 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
+_TOKP = ctypes.POINTER(np.ctypeslib.as_ctypes_type(TOKEN_DTYPE))
 #: the weight rule as every alpha-evaluating entry takes it:
 #: kind, p, q, the adjacency filter's words and its word mask
 _RULE = (ctypes.c_int, ctypes.c_double, ctypes.c_double, _U64P, ctypes.c_uint64)
@@ -697,7 +705,7 @@ def _load(so_path: str):
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
         ctypes.c_int64, ctypes.c_int64, *_RULE, ctypes.c_int, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p,
-        _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _I64P, _I64P, ctypes.c_int64, _I64P, _F64P,
+        _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _TOKP, _I64P, ctypes.c_int64, _I64P, _F64P,
     ]
     lib.alias_draw.restype = None
     lib.alias_draw.argtypes = [
@@ -862,7 +870,8 @@ class CNativeKernels:
 
         ``lanes`` are the wave's ``(ids, prev, prev_off, cur)`` before
         that step (consumed: the call compacts them as it goes);
-        ``walks`` / ``lengths`` are the wave's rows, indexed by ``ids``.
+        ``walks`` (a ``TOKEN_DTYPE`` matrix) / ``lengths`` are the
+        wave's rows, indexed by ``ids``.
         ``order`` picks a lane's chain (1: its node, 2: the edge it
         arrived by), ``cap`` is the high-weight initializer's (None:
         exact row argmax). Uniforms come from ``rng``'s BitGenerator in
@@ -877,10 +886,12 @@ class CNativeKernels:
         lib = self._ensure()
         ids, prev, prev_off, cur = lanes
         # written in place, from several threads: no copy can stand in
-        for arr in (*lanes, walks, lengths, ks.chain_last, ks.chain_last_w):
-            if arr.dtype != (np.float64 if arr is ks.chain_last_w else np.int64) or not arr.flags.c_contiguous:
-                raise WalkError("mh_wave needs C-contiguous int64 lanes, walks, lengths, chain_last "
-                                "and a C-contiguous float64 chain_last_w")
+        typed = [(arr, np.int64) for arr in (*lanes, lengths, ks.chain_last)]
+        typed += [(walks, TOKEN_DTYPE), (ks.chain_last_w, np.float64)]
+        for arr, dtype in typed:
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise WalkError(f"mh_wave needs C-contiguous {TOKEN_DTYPE} walks, int64 lanes, "
+                                "lengths, chain_last and a float64 chain_last_w")
         if threads is not None and not 1 <= threads <= MAX_THREADS:
             raise WalkError(f"mh_wave: threads must lie in [1, {MAX_THREADS}]")
         counts = np.zeros(3, dtype=np.int64)
@@ -896,7 +907,8 @@ class CNativeKernels:
                 ctypes.cast(draw.next_double, ctypes.c_void_p), draw.state,
                 _ip(ids), _ip(prev), _ip(prev_off), _ip(cur),
                 _ip(ks.chain_last), _fp(ks.chain_last_w),
-                _ip(walks), _ip(lengths), threads or 0, _ip(counts), ctypes.byref(init_seconds),
+                walks.ctypes.data_as(_TOKP), _ip(lengths), threads or 0, _ip(counts),
+                ctypes.byref(init_seconds),
             )
         if used < 1:
             raise MemoryError(f"mh_wave: no scratch for {ids.size} lanes")

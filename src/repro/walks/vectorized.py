@@ -63,6 +63,7 @@ from repro.sampling.memory_model import (
     rejection_bytes,
     second_order_alias_bytes,
 )
+from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
 from repro.utils.rng import as_rng
 from repro.walks._segments import (
     concat_ranges,
@@ -215,9 +216,10 @@ class StepperBase:
         """Walk one wave in lock-step; returns the walks' token counts.
 
         One walker per entry of ``starts`` writes row ``row_base + i`` of
-        ``walks`` (pre-filled with -1). This is the only wave loop in
-        Python: every sampler, the NumPy backend and the sharded driver
-        run it, and a compiled wave kernel must equal it bit for bit.
+        ``walks`` (a ``TOKEN_DTYPE`` matrix pre-filled with -1). This is
+        the only wave loop in Python: every sampler, the NumPy backend and
+        the sharded driver run it, and a compiled wave kernel must equal
+        it bit for bit.
         """
         return self._lockstep(starts, walk_length - 1, walks, row_base, rng)[0]
 
@@ -1099,6 +1101,20 @@ def resolve_kernels(backend, model):
     return kernels
 
 
+def check_node_ids(graph) -> None:
+    """Refuse a graph whose node ids a walk token cannot hold.
+
+    Both engines run this before they touch anything else of the graph:
+    the corpus stores ids as :data:`~repro.tokens.TOKEN_DTYPE`, and an
+    id past it would wrap without a word.
+    """
+    if graph.num_nodes >= TOKEN_LIMIT:
+        raise WalkError(
+            f"the graph has {graph.num_nodes:,} nodes, more than {TOKEN_DTYPE} walk "
+            f"tokens can name (at most {TOKEN_LIMIT - 1:,} nodes)"
+        )
+
+
 class VectorizedWalkEngine:
     """Lock-step walk generation for any model × sampler combination.
 
@@ -1144,6 +1160,7 @@ class VectorizedWalkEngine:
         seed=None, **keywords,
     ):
         self.config = take_fields(config or WalkConfig(), keywords, sampler=sampler)
+        check_node_ids(graph)
         self.graph = graph
         self.model = make_model(model, graph, **keywords)
         start = time.perf_counter()
@@ -1167,7 +1184,7 @@ class VectorizedWalkEngine:
         shape = self.config.reshaped(num_walks, walk_length)
         num_walks, walk_length = shape.num_walks, shape.walk_length
         starts = self._resolve_starts(start_nodes)
-        walks = np.full((num_walks * starts.size, walk_length), -1, dtype=np.int64)
+        walks = np.full((num_walks * starts.size, walk_length), -1, dtype=TOKEN_DTYPE)
         lengths = np.empty(num_walks * starts.size, dtype=np.int64)
         for wave in range(num_walks):
             base = wave * starts.size
@@ -1199,7 +1216,7 @@ class VectorizedWalkEngine:
         for __ in range(num_walks):
             for lo in range(0, starts.size, chunk):
                 part = starts[lo : lo + chunk]
-                walks = np.full((part.size, walk_length), -1, dtype=np.int64)
+                walks = np.full((part.size, walk_length), -1, dtype=TOKEN_DTYPE)
                 lengths = self._run_wave(part, walk_length, walks, 0)
                 yield WalkCorpus(walks, lengths)
 

@@ -31,6 +31,7 @@ from repro.core.config import TrainConfig, WalkConfig
 from repro.core.pipeline import train_pipeline
 from repro.embedding.kernels import resolve_train_kernel
 from repro.graph import GraphDelta
+from repro.tokens import TOKEN_DTYPE
 from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
 from test_train_kernels import libm_digest
@@ -70,17 +71,26 @@ FACADE_CASES = ("train", "refresh", "grow-refresh", "generate-walks", "train-str
 HOST_STATS = {"wave_threads"}
 
 
-def _sha(array) -> str | None:
+def _sha(array, dtype=None) -> str | None:
     if array is None:
         return None
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+def _corpus_sha(corpus) -> str | None:
+    """The walk matrix's values widened to int64, as they were recorded:
+    a golden pins what the walks are, not how many bytes a token takes."""
+    if corpus is None:
+        return None
+    assert corpus.walks.dtype == TOKEN_DTYPE
+    return _sha(corpus.walks, np.int64)
 
 
 def _observe(result) -> dict:
     """The pinned fields of a :class:`TrainResult`."""
     return {
         "vectors": _sha(None if result.embeddings is None else result.embeddings.vectors),
-        "corpus": _sha(None if result.corpus is None else result.corpus.walks),
+        "corpus": _corpus_sha(result.corpus),
         "corpus_summary": result.corpus_summary,
         "peak_corpus_bytes": int(result.peak_corpus_bytes),
         "streaming": result.streaming,
@@ -119,7 +129,7 @@ def facade_case(name) -> dict:
         corpus = net.generate_walks(**WALK)
         walked = net.last_walk
         return {
-            "corpus": _sha(corpus.walks),
+            "corpus": _corpus_sha(corpus),
             "corpus_bytes": int(walked.corpus_bytes),
             "samples": int(walked.stats["samples"]),
             "sampler_memory_bytes": int(walked.memory_bytes),

@@ -373,6 +373,21 @@ def test_rpr005_dtype_required_in_format_modules_only(tmp_path):
     assert report.findings[1].line == 6 and "zeros" in report.findings[1].message
 
 
+def test_rpr005_covers_the_walk_corpus(tmp_path):
+    # other processes read a saved corpus: its matrices state their dtype
+    corpus = """
+        import numpy as np
+
+        def pad(rows, width, dtype):
+            a = np.full((rows, width), -1)
+            b = np.full((rows, width), -1, dtype=dtype)
+            return a, b
+    """
+    report = lint(tmp_path, {"walks/corpus.py": corpus}, select=["RPR005"])
+    assert codes(report) == ["RPR005"]
+    assert report.findings[0].line == 5 and "full" in report.findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # RPR006 hot-path-purity
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.pipeline import _prefetch, train_pipeline
 from repro.embedding import Word2Vec
 from repro.errors import TrainingError, WalkError
+from repro.tokens import TOKEN_DTYPE
 from repro.walks import VectorizedWalkEngine, WalkCorpus
 
 
@@ -198,9 +199,11 @@ class TestStreamingConfig:
 
     def test_resolve_shard_walks(self):
         assert StreamingConfig(shard_walks=7).resolve_shard_walks(80, 1000) == 7
-        # 8 bytes * (length + 1) per walk
-        cfg = StreamingConfig(max_corpus_bytes=8 * 81 * 5)
+        # a row of tokens plus an int64 length per walk
+        per_walk = TOKEN_DTYPE.itemsize * 80 + 8
+        cfg = StreamingConfig(max_corpus_bytes=per_walk * 5)
         assert cfg.resolve_shard_walks(80, 1000) == 5
+        assert StreamingConfig(max_corpus_bytes=per_walk * 5 - 1).resolve_shard_walks(80, 1000) == 4
         assert StreamingConfig().resolve_shard_walks(80, 1000) == 1000
 
 
@@ -255,7 +258,8 @@ class TestStreamingPipeline:
         )
         assert streamed.streaming and streamed.corpus is None
         assert streamed.corpus_summary == mono.corpus_summary
-        assert mono.peak_corpus_bytes == mono.corpus_summary["num_walks"] * 13 * 8
+        per_walk = TOKEN_DTYPE.itemsize * walk_cfg.walk_length + 8  # tokens + int64 length
+        assert mono.peak_corpus_bytes == mono.corpus_summary["num_walks"] * per_walk
         # shard + trainer block, each ~25 walks — far under the full corpus
         assert streamed.peak_corpus_bytes < mono.peak_corpus_bytes / 3
         assert len(streamed.embeddings) == len(mono.embeddings)

@@ -32,6 +32,7 @@ from repro.graph.builder import from_edge_arrays
 from repro.registry import register_sampler, unregister_sampler
 from repro.sampling.base import NO_EDGE
 from repro.sharding import ShardedWalkEngine
+from repro.tokens import TOKEN_DTYPE
 from repro.walks.kernels import available_backends, resolve_backend
 from repro.walks.kernels.state import KernelState
 from repro.walks.models import make_model
@@ -307,8 +308,9 @@ def test_filter_is_counted(hub_graph):
 # ---------------------------------------------------------------------------
 
 def _digest(corpus) -> str:
-    h = hashlib.sha256(np.ascontiguousarray(corpus.walks))
-    h.update(np.ascontiguousarray(corpus.lengths))
+    """SHA-256 of the corpus's values, widened to int64 as recorded."""
+    h = hashlib.sha256(np.ascontiguousarray(corpus.walks, dtype=np.int64))
+    h.update(np.ascontiguousarray(corpus.lengths, dtype=np.int64))
     return h.hexdigest()
 
 
@@ -383,7 +385,8 @@ def test_third_party_stepper_keeps_the_base_loop(small_unweighted_graph, backend
         unregister_sampler(_UniformStepper.name)
     stats = engine.stats()
     assert stats["wave_kernel"] is False and stats["edge_filter_bytes"] == 0
-    # recorded at the parent commit (the loop then lived in the engine)
+    assert corpus.walks.dtype == TOKEN_DTYPE
+    # recorded when the loop lived in the engine and tokens were int64
     assert _digest(corpus) == "6ea1538ac164f57ab1b5fb9e558d08a36f3a24af21d026a91bfa1bdf27e06703"
 
 
@@ -452,6 +455,17 @@ def test_chain_arrays_are_checked(small_power_law_graph, chain, bad):
     setattr(engine.stepper.chains, chain, bad(getattr(engine.stepper.chains, chain)))
     with pytest.raises(WalkError, match="chain_last"):
         engine.generate(1, 5)
+
+
+@needs_cnative
+@pytest.mark.parametrize("dtype", (np.int64, np.int16))
+def test_walk_matrix_is_token_dtype(small_power_law_graph, dtype):
+    # the kernel writes token_t in place: any other matrix is refused
+    engine = VectorizedWalkEngine(small_power_law_graph, "deepwalk", backend="cnative", seed=1)
+    starts = engine.model.valid_start_nodes()
+    walks = np.full((starts.size, 5), -1, dtype=dtype)
+    with pytest.raises(WalkError, match=f"{TOKEN_DTYPE} walks"):
+        engine.stepper.run_wave(starts, 5, walks, 0, engine.rng)
 
 
 @needs_cnative

@@ -5,10 +5,13 @@ with each other statistically, and per-sampler behaviour (acceptance,
 table counts, first-step handling) matches the design.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.errors import WalkError
+from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
 from repro.walks.engine import ReferenceWalkEngine
 from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
@@ -83,6 +86,20 @@ class TestVectorizedEngine:
         for walk in list(corpus.iter_walks())[:30]:
             for a, b in zip(walk[:-1], walk[1:]):
                 assert g.has_edge(int(a), int(b))
+
+    @pytest.mark.parametrize("engine", ["monolithic", "sharded"])
+    def test_refuses_node_ids_a_token_cannot_hold(self, engine):
+        """A stub stands in for a 2**31-node graph: the engine refuses it
+        before it reads anything else of it."""
+        from repro.sharding import ShardedWalkEngine
+
+        cls = VectorizedWalkEngine if engine == "monolithic" else ShardedWalkEngine
+        with pytest.raises(WalkError, match="nodes"):
+            cls(SimpleNamespace(num_nodes=TOKEN_LIMIT), "deepwalk")
+
+    def test_generate_writes_tokens(self, small_power_law_graph):
+        corpus = VectorizedWalkEngine(small_power_law_graph, "deepwalk", seed=1).generate(1, 5)
+        assert corpus.walks.dtype == TOKEN_DTYPE
 
     def test_alias_first_order_restricted_to_static(self, small_power_law_graph):
         with pytest.raises(WalkError):

@@ -1,16 +1,22 @@
 """Tests for walk-support machinery: state, segments, manager, corpus."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WalkError
+from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
 from repro.walks._segments import concat_ranges, segment_argmax, segment_sample, segment_sums
 from repro.walks.corpus import WalkCorpus
 from repro.walks.manager import ChainStore
 from repro.walks.models import make_model
 from repro.walks.state import NO_PREVIOUS, WalkerState
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestWalkerState:
@@ -197,6 +203,99 @@ class TestWalkCorpus:
         corpus.save_text(path)
         back = WalkCorpus.load_text(path)
         assert [w.tolist() for w in back.iter_walks()] == [[0, 1, 2], [5], [3, 4]]
+
+
+class TestCorpusTokens:
+    """A corpus holds ``TOKEN_DTYPE`` node ids; whatever is not one is refused."""
+
+    def test_engine_matrix_is_kept_as_is(self):
+        walks = np.array([[0, 1, -1], [2, 3, 4]], dtype=TOKEN_DTYPE)
+        assert WalkCorpus(walks, np.array([2, 3])).walks is walks
+
+    def test_wider_integers_narrow(self):
+        corpus = WalkCorpus(np.array([[TOKEN_LIMIT - 1, 0, -1]], dtype=np.int64), [2])
+        assert corpus.walks.dtype == TOKEN_DTYPE
+        assert corpus.walks.tolist() == [[TOKEN_LIMIT - 1, 0, -1]]
+
+    @pytest.mark.parametrize("walks", [
+        np.array([[1.7, 2.0]]),  # would truncate to [[1, 2]]
+        np.array([[True, False]]),
+        np.array([[-5, 2]]),  # would count two tokens and one frequency
+        np.array([[1, -1, 2]]),  # a -1 inside the walk's length
+        np.array([[TOKEN_LIMIT, 0]]),  # would wrap in four bytes
+    ])
+    def test_constructor_refuses(self, walks):
+        with pytest.raises(WalkError):
+            WalkCorpus(walks, [walks.shape[1]])
+
+    def test_constructor_refuses_float_lengths(self):
+        with pytest.raises(WalkError):
+            WalkCorpus(np.array([[1, 2]]), np.array([1.5]))
+
+    @pytest.mark.parametrize("sequences", [
+        [[1.5, 2]], [np.array([True, False])], [[-5, 2]], [[1, -1, 2]], [[0, TOKEN_LIMIT]],
+        [[0], []],
+    ])
+    def test_from_lists_refuses(self, sequences):
+        with pytest.raises(WalkError):
+            WalkCorpus.from_lists(sequences)
+
+    @pytest.mark.parametrize("walks, lengths", [
+        ([[-5, 2]], [2]),
+        ([[1, -1, 2]], [3]),
+        ([[1, 2, 3]], [2]),  # a token past the walk's length
+        ([[0.5, 2.0]], [2]),
+    ])
+    def test_load_npz_refuses(self, tmp_path, walks, lengths):
+        path = tmp_path / "bad.npz"
+        np.savez(path, walks=np.array(walks), lengths=np.array(lengths))
+        with pytest.raises(WalkError):
+            WalkCorpus.load_npz(path)
+
+    def test_load_npz_checks_token_dtype_files_too(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, walks=np.array([[4, -1, 3]], dtype=TOKEN_DTYPE), lengths=np.array([3]))
+        with pytest.raises(WalkError):
+            WalkCorpus.load_npz(path)
+
+    @pytest.mark.parametrize("text", ["1 2.5\n", "0 1\n3 x\n", "1 -1 2\n", f"{TOKEN_LIMIT}\n"])
+    def test_load_text_refuses(self, tmp_path, text):
+        path = tmp_path / "walks.txt"
+        path.write_text(text)
+        with pytest.raises(WalkError):
+            WalkCorpus.load_text(path)
+
+    def test_int64_npz_loads_to_identical_values(self):
+        """A file saved when tokens were int64 (``tests/data``) still loads."""
+        with np.load(DATA / "corpus_int64.npz") as data:
+            walks, lengths = data["walks"], data["lengths"]
+        assert walks.dtype == np.int64
+        corpus = WalkCorpus.load_npz(DATA / "corpus_int64.npz")
+        assert corpus.walks.dtype == TOKEN_DTYPE
+        assert np.array_equal(corpus.walks, walks) and np.array_equal(corpus.lengths, lengths)
+        assert corpus.walks.max() == TOKEN_LIMIT - 1
+
+    @given(st.lists(
+        st.lists(st.integers(0, TOKEN_LIMIT - 1), min_size=1, max_size=6), max_size=5,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_formats_round_trip(self, sequences):
+        corpus = WalkCorpus.from_lists(sequences)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus.save_npz(Path(tmp) / "c.npz")
+            corpus.save_text(Path(tmp) / "c.txt")
+            npz = WalkCorpus.load_npz(Path(tmp) / "c.npz")
+            text = WalkCorpus.load_text(Path(tmp) / "c.txt")
+        half = len(sequences) // 2
+        merged = WalkCorpus.merge(
+            [WalkCorpus.from_lists(sequences[:half]), WalkCorpus.from_lists(sequences[half:])]
+        )
+        for back in (corpus, npz, text, merged):
+            assert back.walks.dtype == TOKEN_DTYPE
+            assert [w.tolist() for w in back.iter_walks()] == sequences
+        for back in (npz, text):
+            assert np.array_equal(back.walks, corpus.walks)
+            assert np.array_equal(back.lengths, corpus.lengths)
 
     def test_statistics(self):
         corpus = WalkCorpus.from_lists([[0, 1, 2], [3, 4]])
