@@ -140,9 +140,10 @@ def test_table7_scalability(benchmark, networks, server_budget_bytes, network):
 #
 # No pytest-benchmark dependency: the CI kernels-smoke job runs this test
 # with plain pytest at toy scale (``BENCH_WALKS_SCALE=0.02``). The
-# headline floor — compiled mh-weight >= 5x NumPy walks/sec on the largest
-# network — is asserted only at record scale (>= 0.3), where kernel time
-# dominates; override with ``REPRO_BENCH_MIN_SPEEDUP``. A record names the
+# headline floor — compiled mh-weight >= ``HEADLINE_FLOOR`` x NumPy
+# walks/sec on the largest network — is asserted only at record scale
+# (>= 0.3), where kernel time dominates; override with
+# ``REPRO_BENCH_MIN_SPEEDUP``. A record names the
 # commit it ran on; with ``BENCH_WALKS_PARENT`` naming the BENCH_walks.json
 # that a checkout of the parent commit wrote on the same host, each row
 # keeps the parent's compiled seconds beside its own (run the two sides
@@ -151,6 +152,15 @@ def test_table7_scalability(benchmark, networks, server_budget_bytes, network):
 KERNEL_SCALE = float(os.environ.get("BENCH_WALKS_SCALE", "0.3"))
 KERNEL_REPEATS = int(os.environ.get("BENCH_WALKS_REPEATS", "3"))
 KERNEL_P, KERNEL_Q = 0.25, 4.0
+#: the headline floor at record scale, and why it sits where it does (the
+#: reason is written into each record beside the floor)
+HEADLINE_FLOOR = 4.0
+HEADLINE_FLOOR_WHY = (
+    "re-based from 5.0 when the NumPy lookups began to probe the graph's "
+    "adjacency filter: the ratio's denominator got faster (web-uk mh-weight "
+    "NumPy 1.71 -> 1.05 s, headline 9.02x -> 5.45x, in back-to-back records "
+    "on one host) while the compiled side stayed put (0.189 -> 0.194 s)"
+)
 #: samplers whose step loop has a compiled path and whose tables fit at
 #: bench scale (alias is the per-state-table OOM row; memory-aware only
 #: exists relative to a MemoryBudget)
@@ -224,7 +234,7 @@ def test_kernel_walk_throughput():
     if not compiled:
         pytest.skip("no compiled kernel backend available")
     backend = "cnative" if "cnative" in compiled else compiled[0]
-    default_floor = "5.0" if KERNEL_SCALE >= 0.3 else "0.0"
+    default_floor = str(HEADLINE_FLOOR) if KERNEL_SCALE >= 0.3 else "0.0"
     min_speedup = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", default_floor))
 
     graphs = {
@@ -292,6 +302,7 @@ def test_kernel_walk_throughput():
             "sampler": headline["sampler"],
             "speedup": headline["speedup"],
             "min_required": min_speedup,
+            "min_required_why": HEADLINE_FLOOR_WHY,
         },
     }
     _record_bench_walks(record)

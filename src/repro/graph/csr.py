@@ -17,6 +17,10 @@ Design points that matter downstream:
 * **Heterogeneous support.** Optional ``node_types`` (per node) and
   ``edge_types`` (per directed edge entry) arrays back metapath2vec and
   edge2vec.
+* **Negative-first adjacency filter.** :meth:`CSRGraph.edge_filter`, a
+  blocked Bloom filter over every ``(source, target)`` key, built once per
+  graph, answers most "is it an edge?" questions "no" for the NumPy
+  lookups and the compiled kernels alike; a hit falls through to the search.
 """
 
 from __future__ import annotations
@@ -24,6 +28,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
+
+#: rows longer than this are probed in the adjacency filter first (C takes it too)
+FILTER_MIN_ROW = 16
+
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_HASH_MIX = np.uint64(0xD6E8FEB86659FD93)
+_ONE = np.uint64(1)
+
+
+def edge_hash(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The filter's 64-bit hash of the keys ``(v, u)`` (``edge_hash`` in C)."""
+    h = v.astype(np.uint64)
+    h *= _HASH_MUL
+    h += u.astype(np.uint64)
+    h ^= h >> np.uint64(32)
+    h *= _HASH_MIX
+    h ^= h >> np.uint64(32)
+    return h
+
+
+def filter_bits(h: np.ndarray) -> np.ndarray:
+    """The two bits of its word a key sets (``FILTER_BITS`` in C)."""
+    return (_ONE << (h >> np.uint64(58))) | (_ONE << ((h >> np.uint64(52)) & np.uint64(63)))
 
 
 class CSRGraph:
@@ -55,6 +82,7 @@ class CSRGraph:
         "edge_types",
         "num_node_types",
         "num_edge_types",
+        "_edge_filter",
     )
 
     def __init__(self, offsets, targets, weights=None, node_types=None, edge_types=None):
@@ -69,6 +97,7 @@ class CSRGraph:
         )
         self.num_node_types = 1 if self.node_types is None else int(self.node_types.max(initial=-1)) + 1
         self.num_edge_types = 1 if self.edge_types is None else int(self.edge_types.max(initial=-1)) + 1
+        self._edge_filter = None
         self._validate()
 
     # ------------------------------------------------------------------
@@ -86,15 +115,15 @@ class CSRGraph:
         num_node_types=None,
         num_edge_types=None,
     ) -> "CSRGraph":
-        """Zero-copy construction from already-validated arrays.
+        """Construction from already-validated arrays.
 
-        The multiprocess walk workers use this to wrap shared-memory
-        views of a parent graph without copying and without re-running
-        the O(|E|) validation — the parent's public constructor already
-        established every invariant. Callers must pass arrays with the
-        exact dtypes the public constructor would produce (int64
-        offsets/targets, float64 weights, int16/int32 types); nothing is
-        converted or checked here.
+        :meth:`subgraph` uses this to wrap arrays it derived from a
+        graph whose public constructor already established every
+        invariant, without re-running the O(|E|) validation. Callers
+        must pass arrays with the exact dtypes the public constructor
+        would produce (int64 offsets/targets, float64 weights,
+        int16/int32 types); nothing is converted or checked here. The
+        new graph has no adjacency filter until one is asked for.
         """
         graph = object.__new__(cls)
         graph.offsets = offsets
@@ -102,6 +131,7 @@ class CSRGraph:
         graph.weights = weights
         graph.node_types = node_types
         graph.edge_types = edge_types
+        graph._edge_filter = None
         graph.num_node_types = (
             int(num_node_types)
             if num_node_types is not None
@@ -235,6 +265,8 @@ class CSRGraph:
     # ------------------------------------------------------------------
     def edge_index(self, v: int, u: int) -> int:
         """Global offset of directed edge entry (v, u), or -1 if absent."""
+        if not (0 <= v < self.num_nodes and 0 <= u < self.num_nodes):
+            raise GraphError(f"edge ({v}, {u}) names a node outside [0, {self.num_nodes})")
         lo, hi = self.offsets[v], self.offsets[v + 1]
         pos = lo + np.searchsorted(self.targets[lo:hi], u)
         if pos < hi and self.targets[pos] == u:
@@ -245,36 +277,68 @@ class CSRGraph:
         """True when the directed edge entry (v, u) exists."""
         return self.edge_index(v, u) >= 0
 
+    def _node_ids(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
+            raise GraphError(f"edge lookup names a node outside [0, {self.num_nodes})")
+        return ids
+
     def edge_index_batch(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`edge_index` for aligned ``src``/``dst`` arrays.
 
-        Runs a lock-step binary search over all queries simultaneously in
-        O(log(max_degree)) vector passes. Returns -1 where absent.
+        Once the graph's :meth:`edge_filter` exists, a query on a row
+        longer than ``FILTER_MIN_ROW`` that the filter rejects answers -1
+        at once, and the short rows and the filter's hits are searched
+        apart, each in O(log(its longest row)) vector passes.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        lo = self.offsets[src]
-        hi = self.offsets[src + 1]
-        row_end = hi.copy()
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            # compare only where active; elsewhere keep bounds fixed
-            vals = self.targets[np.minimum(mid, self.num_edge_entries - 1)]
-            go_right = active & (vals < dst)
-            go_left = active & ~go_right
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(go_left, mid, hi)
-        found = (lo < row_end) & (
-            self.targets[np.minimum(lo, max(self.num_edge_entries - 1, 0))] == dst
-        )
-        return np.where(found, lo, -1)
+        shape = np.shape(src)
+        src, dst = self._node_ids(src), self._node_ids(dst)
+        out = np.full(src.size, -1, dtype=np.int64)
+        lo, hi = self.offsets[src], self.offsets[src + 1]
+        if self._edge_filter is None:
+            asks = (np.flatnonzero(hi > lo),)
+        else:
+            long_rows = hi - lo > FILTER_MIN_ROW
+            probe = np.flatnonzero(long_rows)
+            h = edge_hash(src[probe], dst[probe])
+            bits = filter_bits(h)
+            words = self._edge_filter[h & np.uint64(self._edge_filter.size - 1)]
+            asks = (np.flatnonzero((hi > lo) & ~long_rows), probe[(words & bits) == bits])
+        for ask in asks:
+            out[ask] = self._search_rows(lo[ask], hi[ask], dst[ask])
+        return out.reshape(shape)
+
+    def _search_rows(self, lo, hi, dst) -> np.ndarray:
+        """Lock-step branchless lower bound of each ``dst`` in its
+        non-empty row ``targets[lo:hi]``: its offset there, or -1."""
+        base, n = lo, hi - lo
+        for __ in range(int(n.max(initial=1) - 1).bit_length()):
+            half = n >> 1
+            mid = base + half
+            base = np.where(self.targets[mid] < dst, mid, base)
+            n -= half
+        pos = base + (self.targets[base] < dst)
+        found = (pos < hi) & (self.targets[np.minimum(pos, self.num_edge_entries - 1)] == dst)
+        return np.where(found, pos, -1)
 
     def has_edge_batch(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`has_edge`."""
+        """Vectorized :meth:`has_edge`; builds the :meth:`edge_filter`."""
+        self.edge_filter()
         return self.edge_index_batch(src, dst) >= 0
+
+    def edge_filter(self) -> np.ndarray:
+        """The adjacency filter, built on first call: key ``(v, u)`` sets
+        the two :func:`filter_bits` of word ``edge_hash(v, u) & (words - 1)``
+        of ``next_pow2(|E| / 4)`` (at least 8) uint64 words. The graph is
+        immutable, so it never goes stale: a delta or a subgraph is a new
+        graph with a filter of its own."""
+        if self._edge_filter is None:
+            words = max(1 << (self.num_edge_entries // 4 - 1).bit_length(), 8)
+            h = edge_hash(self.edge_sources(), self.targets)
+            filt = np.zeros(words, dtype=np.uint64)
+            np.bitwise_or.at(filt, h & np.uint64(words - 1), filter_bits(h))
+            self._edge_filter = filt
+        return self._edge_filter
 
     # ------------------------------------------------------------------
     # derived data

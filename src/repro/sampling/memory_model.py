@@ -95,11 +95,11 @@ def mh_bytes(graph, model) -> int:
     Still the O(#state) footprint of paper Section III-A — the kernel
     layer's weight cache doubles the constant to 16 bytes but not the
     asymptotics. This is the paper's chain-footprint model and what a
-    :class:`MemoryBudget` is charged. The compiled backend's adjacency
-    filter for node2vec's alpha (2-4 bytes per edge entry) is the
-    backend's, not the sampler's: an engine's ``memory_bytes()`` counts
-    it and ``stats()["edge_filter_bytes"]`` shows it, this model does
-    not.
+    :class:`MemoryBudget` is charged. The adjacency filter a
+    second-order alpha probes (2-4 bytes per edge entry) is the graph's,
+    not the sampler's: ``stats()["edge_filter_bytes"]`` shows it on
+    either backend, an engine's ``memory_bytes()`` counts it once where
+    the compiled kernels probe it, and this model does not.
     """
     return int(model.state_space_size(graph)) * MH_STATE_BYTES
 

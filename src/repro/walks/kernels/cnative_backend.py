@@ -22,12 +22,14 @@ import time
 import numpy as np
 
 from repro.errors import ConfigError, WalkError
+from repro.graph.csr import FILTER_MIN_ROW
 from repro.tokens import TOKEN_DTYPE
 from repro.utils.cbuild import compile_cached, find_compiler
 from repro.utils.cthreads import C_THREADS, MAX_THREADS
-from repro.walks.kernels.state import KIND_NODE2VEC
 
-_C_SOURCE = C_THREADS + f"typedef int{8 * TOKEN_DTYPE.itemsize}_t token_t; /* a walk token */" + r"""
+_C_SOURCE = C_THREADS + f"""typedef int{8 * TOKEN_DTYPE.itemsize}_t token_t; /* a walk token */
+#define FILTER_MIN_ROW {FILTER_MIN_ROW}
+""" + r"""
 #define NO_EDGE (-1)
 
 #ifdef __GNUC__
@@ -36,12 +38,13 @@ _C_SOURCE = C_THREADS + f"typedef int{8 * TOKEN_DTYPE.itemsize}_t token_t; /* a 
 #define PREFETCH(addr)
 #endif
 
-/* Negative-first adjacency filter: a blocked Bloom filter over the
-   (source, target) keys of every edge entry, two bits of one 64-bit
-   word per key, so a probe touches one cache line. A miss proves "not
-   an edge"; a hit proves nothing and falls through to the exact test,
-   so has_edge returns the same boolean with or without it. */
-#define FILTER_MIN_ROW 16
+/* Probe of the graph's negative-first adjacency filter
+   (repro.graph.csr.CSRGraph.edge_filter, built there): a blocked Bloom
+   filter over the (source, target) keys of every edge entry, two bits
+   of one 64-bit word per key, so a probe touches one cache line. A miss
+   proves "not an edge"; a hit proves nothing and falls through to the
+   exact test, so has_edge returns the same boolean with or without it.
+   edge_hash and FILTER_BITS are the Python edge_hash / filter_bits. */
 #define FILTER_BITS(h) ((1ULL << ((h) >> 58)) | (1ULL << (((h) >> 52) & 63)))
 
 static inline uint64_t edge_hash(int64_t v, int64_t u) {
@@ -50,15 +53,6 @@ static inline uint64_t edge_hash(int64_t v, int64_t u) {
     h *= 0xD6E8FEB86659FD93ULL;
     h ^= h >> 32;
     return h;
-}
-
-void edge_filter_build(int64_t num_nodes, const int64_t *offsets,
-                       const int64_t *targets, uint64_t *filt, uint64_t fmask) {
-    for (int64_t v = 0; v < num_nodes; v++)
-        for (int64_t e = offsets[v]; e < offsets[v + 1]; e++) {
-            uint64_t h = edge_hash(v, targets[e]);
-            filt[h & fmask] |= FILTER_BITS(h);
-        }
 }
 
 static int has_edge(const int64_t *offsets, const int64_t *targets,
@@ -682,8 +676,6 @@ _RULE = (ctypes.c_int, ctypes.c_double, ctypes.c_double, _U64P, ctypes.c_uint64)
 
 def _load(so_path: str):
     lib = ctypes.CDLL(so_path)
-    lib.edge_filter_build.restype = None
-    lib.edge_filter_build.argtypes = [ctypes.c_int64, _I64P, _I64P, _U64P, ctypes.c_uint64]
     lib.mh_step.restype = None
     lib.mh_step.argtypes = [
         ctypes.c_int64, _I64P, _I64P, _F64P, ctypes.c_int64, *_RULE,
@@ -790,20 +782,6 @@ class CNativeKernels:
         if self._lib is None:
             self.warmup()
         return self._lib
-
-    def build_edge_filter(self, ks):
-        """``has_edge``'s prefilter: every ``(source, target)`` key in
-        ``next_pow2(|E| / 4)`` words (16-32 bits per edge entry); None
-        unless the weight rule tests adjacency (node2vec's alpha)."""
-        if ks.kind != KIND_NODE2VEC or ks.targets.size == 0:
-            return None
-        words = max(1 << (ks.targets.size // 4 - 1).bit_length(), 8)
-        filt = np.zeros(words, dtype=np.uint64)
-        self._ensure().edge_filter_build(
-            ks.offsets.size - 1, _ip(ks.offsets), _ip(ks.targets),
-            filt.ctypes.data_as(_U64P), words - 1,
-        )
-        return filt
 
     # ------------------------------------------------------------------
     def mh_step(self, ks, idx, prev, cur, last, last_w, dead, u_cand, u_acc, weight_fn):

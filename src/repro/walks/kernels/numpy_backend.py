@@ -35,16 +35,17 @@ Kernel protocol (duck-typed; all backends implement it):
     candidates of one walker share ``prev`` (the node2vec membership
     test amortizes to O(1) per candidate via a marked adjacency).
 
-Two entries are optional, and this backend has neither:
+One entry is optional, and this backend lacks it:
 
 ``mh_wave``
     Every M-H step of a wave in one call, drawing from the engine's
     BitGenerator what the stepper's ``rng.random`` calls would, and
     returning the thread count it used too. Absent: the stepper runs
     ``StepperBase.run_wave``, which it must equal.
-``build_edge_filter``
-    A prefilter for the adjacency test of node2vec's alpha
-    (``KernelState.edge_filter``); it can only say "not an edge" early.
+
+No backend builds an adjacency filter: node2vec's alpha probes the
+graph's own (``CSRGraph.edge_filter``, ``KernelState.edge_filter``),
+here through ``CSRGraph.has_edge_batch``.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class KernelState:
     chain_last: np.ndarray | None = None
     chain_last_w: np.ndarray | None = None
 
-    # -- adjacency prefilter of the compiled node2vec alpha (uint64) ----
+    # -- the graph's adjacency filter, for node2vec's alpha (uint64) ----
     edge_filter: np.ndarray | None = None
 
     @property
@@ -77,15 +77,18 @@ class KernelState:
 
     @classmethod
     def for_graph(cls, graph, model=None) -> "KernelState":
-        """Base bundle for ``graph``, stamped with ``model``'s weight spec."""
+        """Base bundle for ``graph``, stamped with ``model``'s weight spec
+        (and, for a rule that tests adjacency, ``graph``'s filter)."""
         spec = model.kernel_spec() if model is not None else {"kind": KIND_GENERIC}
+        kind = spec.get("kind", KIND_GENERIC)
         return cls(
             offsets=graph.offsets,
             targets=graph.targets,
             weights=graph.weights,
-            kind=spec.get("kind", KIND_GENERIC),
+            kind=kind,
             p=float(spec.get("p", 1.0)),
             q=float(spec.get("q", 1.0)),
+            edge_filter=graph.edge_filter() if kind == KIND_NODE2VEC else None,
         )
 
 

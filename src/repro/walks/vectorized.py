@@ -103,9 +103,6 @@ class StepperBase:
     """
 
     name = "abstract"
-    #: True on steppers whose kernels evaluate the dynamic weight draw by
-    #: draw: they carry the backend's adjacency filter for node2vec's alpha
-    alpha_filter = False
     #: whether :meth:`run_wave` hands the wave to a compiled kernel
     wave_kernel = False
     #: threads the last wave's compiled call used (0: the base loop ran)
@@ -117,7 +114,6 @@ class StepperBase:
         #: Kernel backend driving the hot loops (``repro.walks.kernels``);
         #: the engine injects the configured one via the SamplerContext.
         self.kernels = kernels if kernels is not None else default_backend()
-        self.edge_filter = self._new_edge_filter()
         self.samples = 0
         self.proposals = 0
         self.accepts = 0
@@ -145,20 +141,19 @@ class StepperBase:
         :meth:`_extend_kernel_state`.
         """
         ks = KernelState.for_graph(self.graph, self.model)
-        ks.edge_filter = self.edge_filter
         self._extend_kernel_state(ks)
         return ks
 
-    def _new_edge_filter(self):
-        """The backend's ``has_edge`` prefilter for the current graph, if any."""
-        build = getattr(self.kernels, "build_edge_filter", None)
-        if build is None or not self.alpha_filter:
-            return None
-        return build(KernelState.for_graph(self.graph, self.model))
-
     @property
     def edge_filter_bytes(self) -> int:
-        return 0 if self.edge_filter is None else self.edge_filter.nbytes
+        """Bytes of the graph's adjacency filter, which a second-order
+        weight probes (0 for a first-order model)."""
+        return self.graph.edge_filter().nbytes if self.model.order == 2 else 0
+
+    def _probed_filter_bytes(self) -> int:
+        """:attr:`edge_filter_bytes` where compiled kernels probe it per
+        draw (:meth:`memory_bytes`); NumPy probes it through the graph."""
+        return self.edge_filter_bytes if self.kernels.compiled else 0
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
         """Attach sampler-owned arrays (tables, chains) to ``ks``."""
@@ -328,8 +323,6 @@ class StepperBase:
             self.model = model
         info = self._refresh(plan)
         self.graph = plan.new_graph
-        # a stale filter has false negatives: silently wrong weights
-        self.edge_filter = self._new_edge_filter()
         self.rebuilt_nodes += int(info.get("rebuilt_nodes", 0))
         self.rebuild_cost_bytes += int(info.get("rebuild_cost_bytes", 0))
         self.invalidated_states += int(info.get("invalidated_states", 0))
@@ -633,7 +626,6 @@ class _MemoryAwareStepper(_StateAliasStepper):
     """
 
     name = "memory-aware"
-    alpha_filter = True  # the rejection fallback
 
     def __init__(self, graph, model, ctx):
         self.table_budget_bytes = int(ctx.table_budget_bytes)
@@ -682,14 +674,12 @@ class _MemoryAwareStepper(_StateAliasStepper):
 
     def memory_bytes(self) -> int:
         return (
-            self.tables.memory_bytes() + self.proposal.memory_bytes() + self.edge_filter_bytes
+            self.tables.memory_bytes() + self.proposal.memory_bytes() + self._probed_filter_bytes()
         )
 
 
 class _RejectionStepper(StepperBase):
     """Vectorized rejection sampling, optionally with outlier folding."""
-
-    alpha_filter = True
 
     def __init__(self, graph, model, ctx, *, fold: bool):
         super().__init__(graph, model, ctx.kernels)
@@ -765,14 +755,13 @@ class _RejectionStepper(StepperBase):
         return info
 
     def memory_bytes(self) -> int:
-        return self.proposal.memory_bytes() + self.edge_filter_bytes
+        return self.proposal.memory_bytes() + self._probed_filter_bytes()
 
 
 class _MHStepper(StepperBase):
     """Algorithm 1 on arrays — the paper's M-H edge sampler, vectorized."""
 
     name = "mh"
-    alpha_filter = True
 
     def __init__(self, graph, model, ctx):
         super().__init__(graph, model, ctx.kernels)
@@ -1023,7 +1012,7 @@ class _MHStepper(StepperBase):
         return self.chains.on_delta(plan, self.model)
 
     def memory_bytes(self) -> int:
-        return self.chains.memory_bytes() + self.edge_filter_bytes
+        return self.chains.memory_bytes() + self._probed_filter_bytes()
 
 
 def _alias_stepper_factory(graph, model, ctx):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.builder import from_edge_arrays
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import FILTER_MIN_ROW, CSRGraph
+from repro.graph.delta import DeltaPlan, GraphDelta
 from repro.graph.generators import complete_graph, cycle_graph, path_graph
 
 
@@ -138,6 +139,29 @@ class TestEdgeLookup:
         out = g.has_edge_batch(np.array([0, 0]), np.array([1, 0]))
         assert out.tolist() == [True, False]
 
+    def test_edgeless_graph_answers_absent(self):
+        g = CSRGraph(np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert g.edge_index_batch([0, 2], [1, 2]).tolist() == [-1, -1]
+        assert g.has_edge_batch([0, 2], [1, 2]).tolist() == [False, False]
+        assert g.edge_index_batch([0, 2], [1, 2]).tolist() == [-1, -1]  # filter built
+        # the delta path looks its additions up before merging them
+        delta = GraphDelta(add_src=[0], add_dst=[1])
+        assert g.apply_delta(delta).has_edge(0, 1)
+        assert DeltaPlan.build(g, delta).new_graph.edge_index(0, 1) == 0
+
+    @pytest.mark.parametrize("filtered", (False, True))
+    @pytest.mark.parametrize("src,dst", [([-1], [0]), ([3], [0]), ([0], [-1]), ([0], [3])])
+    def test_out_of_range_ids_are_refused(self, filtered, src, dst):
+        g = from_edge_arrays([0, 1], [1, 2], num_nodes=3)
+        if filtered:
+            g.edge_filter()
+        with pytest.raises(GraphError, match="outside"):
+            g.has_edge_batch(src, dst)
+        with pytest.raises(GraphError, match="outside"):
+            g.edge_index_batch(src, dst)
+        with pytest.raises(GraphError, match="outside"):
+            g.edge_index(src[0], dst[0])
+
 
 class TestInterop:
     def test_networkx_round_trip(self, tiny_weighted_graph):
@@ -220,3 +244,65 @@ def test_complete_graph_edge_lookup_total():
     for v in range(8):
         for u in range(8):
             assert g.has_edge(v, u) == (u != v)
+
+
+# ---------------------------------------------------------------------------
+# the adjacency filter against the scalar lookup and a pure-Python build
+# ---------------------------------------------------------------------------
+
+#: row lengths on each side of the filter's probe line and the C kernel's
+#: 64-entry scan line
+ROW_BANDS = ((0, 0), (1, FILTER_MIN_ROW), (FILTER_MIN_ROW + 1, 64), (65, 90))
+_MASK64 = (1 << 64) - 1
+
+
+def _py_filter(graph) -> list:
+    """The filter of ``graph`` from the C kernels' ``edge_hash`` and
+    ``FILTER_BITS``, written out on Python integers."""
+    words = 8
+    while words < graph.num_edge_entries // 4:
+        words *= 2
+    filt = [0] * words
+    for v in range(graph.num_nodes):
+        for u in graph.neighbors(v).tolist():
+            h = (v * 0x9E3779B97F4A7C15 + u) & _MASK64
+            h ^= h >> 32
+            h = (h * 0xD6E8FEB86659FD93) & _MASK64
+            h ^= h >> 32
+            filt[h & (words - 1)] |= (1 << (h >> 58)) | (1 << ((h >> 52) & 63))
+    return filt
+
+
+@st.composite
+def sorted_csr_graphs(draw):
+    """Sorted CSR graphs whose rows come from the drawn ``ROW_BANDS``
+    (only the empty one: edgeless), some with self-loops."""
+    bands = sorted(draw(st.sets(st.sampled_from(range(len(ROW_BANDS))), min_size=1)))
+    n = draw(st.integers(ROW_BANDS[bands[-1]][0] + 1, ROW_BANDS[-1][1]))
+    loops = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for v in range(n):
+        lo, hi = ROW_BANDS[bands[rng.integers(len(bands))]]
+        row = rng.choice(n, size=min(int(rng.integers(lo, hi + 1)), n), replace=False)
+        if loops and row.size:
+            row[0] = v
+        rows.append(np.unique(row))
+    offsets = np.concatenate(([0], np.cumsum([row.size for row in rows])))
+    targets = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return CSRGraph(offsets, targets), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sorted_csr_graphs())
+def test_property_filtered_lookups_match_scalar(case):
+    g, rng = case
+    # every edge, then as many random pairs (mostly absent)
+    extra = rng.integers(0, g.num_nodes, (2, g.num_edge_entries + 8))
+    src = np.concatenate((g.edge_sources(), extra[0]))
+    dst = np.concatenate((g.targets, extra[1]))
+    want = [g.edge_index(int(a), int(b)) for a, b in zip(src, dst)]
+    assert g.edge_index_batch(src, dst).tolist() == want  # no filter yet
+    assert g.has_edge_batch(src, dst).tolist() == [off >= 0 for off in want]
+    assert g.edge_index_batch(src, dst).tolist() == want  # filtered
+    assert g.edge_filter().tolist() == _py_filter(g)

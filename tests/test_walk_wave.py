@@ -232,14 +232,15 @@ def hub_graph():
 def _filtered_state(graph):
     kernels = resolve_backend("cnative")
     ks = KernelState.for_graph(graph, make_model("node2vec", graph, **NODE2VEC))
-    ks.edge_filter = kernels.build_edge_filter(ks)
+    assert ks.edge_filter is graph.edge_filter()  # the graph's, built in NumPy
     return kernels, ks
 
 
 @needs_cnative
 def test_filter_passes_every_edge(hub_graph):
-    # alpha of edge e = (v, u) as seen from prev = v is 1 iff the filter
-    # lets (v, u) through to the exact search: a false negative reads 1/q
+    # alpha of edge e = (v, u) as seen from prev = v is 1 iff the C probe
+    # lets (v, u) through the NumPy-built filter to the exact search: a
+    # false negative (a hash or layout the two sides disagree on) reads 1/q
     kernels, ks = _filtered_state(hub_graph)
     filt = ks.edge_filter
     assert filt.dtype == np.uint64 and filt.size & (filt.size - 1) == 0
@@ -278,7 +279,16 @@ def test_filter_is_rebuilt_on_delta(hub_graph, sampler):
         engine = VectorizedWalkEngine(
             hub_graph, "node2vec", sampler=sampler, backend=backend, seed=4, **NODE2VEC
         )
+        old_filter = engine.stepper.kernel_state.edge_filter
         engine.apply_delta(delta)
+        # the new graph owns a filter of its own, holding the new edges
+        new = engine.stepper.graph
+        assert new is not hub_graph and old_filter is hub_graph.edge_filter()
+        assert engine.stepper.kernel_state.edge_filter is new.edge_filter()
+        np.testing.assert_array_equal(
+            new.edge_filter(), type(new)(new.offsets, new.targets).edge_filter()
+        )
+        assert new.has_edge_batch(np.full(strangers.size, hub), strangers).all()
         return engine.generate(3, 15)
 
     # a stale filter answers "not an edge" for the new (hub, stranger) pairs
@@ -289,18 +299,21 @@ def test_filter_is_rebuilt_on_delta(hub_graph, sampler):
 
 @needs_cnative
 def test_filter_is_counted(hub_graph):
+    filter_bytes = hub_graph.edge_filter().nbytes
     sizes = {}
     for backend in ("numpy", "cnative"):
+        for sampler in ("mh", "direct"):
+            engine = VectorizedWalkEngine(hub_graph, "node2vec", sampler, backend=backend,
+                                          **NODE2VEC)
+            # every backend and sampler probes the one filter the graph owns
+            assert engine.stats()["edge_filter_bytes"] == filter_bytes > 0
         engine = VectorizedWalkEngine(hub_graph, "node2vec", backend=backend, **NODE2VEC)
         sizes[backend] = engine.memory_bytes()
-        assert engine.stats()["edge_filter_bytes"] == engine.stepper.edge_filter_bytes
-    assert engine.stepper.edge_filter_bytes > 0
-    assert sizes["cnative"] - sizes["numpy"] == engine.stepper.edge_filter_bytes
-    # no adjacency test in the rule, or no kernel that evaluates it per draw: no filter
-    for model, sampler in (("deepwalk", "mh"), ("node2vec", "direct")):
-        params = NODE2VEC if model == "node2vec" else {}
-        engine = VectorizedWalkEngine(hub_graph, model, sampler, backend="cnative", **params)
-        assert engine.stats()["edge_filter_bytes"] == 0
+    # counted once, by the sampler whose compiled kernels probe it per draw
+    assert sizes["cnative"] - sizes["numpy"] == filter_bytes
+    # no adjacency test in the rule: no filter
+    engine = VectorizedWalkEngine(hub_graph, "deepwalk", backend="cnative")
+    assert engine.stats()["edge_filter_bytes"] == 0
 
 
 # ---------------------------------------------------------------------------
