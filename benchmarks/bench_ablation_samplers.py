@@ -1,24 +1,18 @@
-"""Ablation: per-step sampler cost and engine comparison.
+"""Ablation: per-step sampler cost and the high-weight sample cap.
 
 Not a paper table — these micro-benchmarks isolate the design choices
 DESIGN.md calls out:
 
 * per-walk-step cost of each edge sampler under identical conditions
   (the constant behind the complexity table in the sampling package);
-* vectorized vs reference (scalar) engine throughput, the Python analog
-  of the paper's 16-thread parallelisation;
 * high-weight initialization sample-cap trade-off (exact argmax vs the
   paper's subsampled approximation).
 """
 
-import numpy as np
 import pytest
 
 from repro.graph import datasets
-from repro.walks.engine import ReferenceWalkEngine
 from repro.walks.vectorized import VectorizedWalkEngine
-
-from _common import record_table, run_once, timed
 
 SAMPLER_CASES = [
     ("mh", {}),
@@ -45,38 +39,6 @@ def test_per_step_sampler_cost(benchmark, workload, case):
     )
     engine.generate(num_walks=1, walk_length=5)  # warm up chains/tables
     benchmark(engine.generate, num_walks=1, walk_length=20)
-
-
-def test_vectorized_vs_reference_throughput(benchmark, workload):
-    """The lock-step engine's speedup over the scalar Algorithm 2 loop."""
-    starts = np.arange(200)
-
-    def run():
-        __, scalar_s = timed(
-            ReferenceWalkEngine(
-                workload, "node2vec", sampler="mh", p=0.25, q=4.0, seed=22
-            ).generate,
-            num_walks=1, walk_length=20, start_nodes=starts,
-        )
-        __, vector_s = timed(
-            VectorizedWalkEngine(
-                workload, "node2vec", sampler="mh", p=0.25, q=4.0, seed=22
-            ).generate,
-            num_walks=1, walk_length=20, start_nodes=starts,
-        )
-        return [
-            {"engine": "reference (scalar)", "seconds": scalar_s},
-            {"engine": "vectorized", "seconds": vector_s},
-            {"engine": "speedup", "seconds": scalar_s / max(vector_s, 1e-9)},
-        ]
-
-    rows = run_once(benchmark, run)
-    record_table(
-        "ablation_engines",
-        ["engine", "seconds"],
-        rows,
-        title="Ablation: scalar Algorithm 2 vs lock-step engine (200 walkers x 20 steps)",
-    )
 
 
 @pytest.mark.parametrize("cap", [4, 16, 64, None], ids=lambda c: f"cap={c}")

@@ -8,12 +8,14 @@ time and O(1) memory per walker state.
 The public surface mirrors the paper's architecture:
 
 * :mod:`repro.graph` — CSR network storage, loaders, synthetic datasets.
-* :mod:`repro.sampling` — the M-H edge sampler plus every baseline the
-  paper compares against (alias, direct, rejection, KnightKing-style
-  outlier folding, memory-aware).
+* :mod:`repro.sampling` — what the edge samplers are built from (alias
+  tables, M-H initialization strategies, memory accounting); its
+  docstring tables each sampler's stepper and complexity.
 * :mod:`repro.walks` — the unified random-walk model abstraction
   (``calculate_weight`` / ``update_state``), five published models, and
-  reference + vectorized walk engines.
+  the walk engine with one stepper per edge sampler: the M-H sampler
+  plus every baseline the paper compares against (alias, direct,
+  rejection, KnightKing-style outlier folding, memory-aware).
 * :mod:`repro.embedding` — numpy word2vec (skip-gram / CBOW with negative
   sampling).
 * :mod:`repro.evaluation` — node classification (micro/macro F1) and link

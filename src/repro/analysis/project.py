@@ -1,11 +1,11 @@
 """Project symbol table for the lint rules.
 
-The interesting invariants are *cross-module*: a class registered in
-``repro.sampling.__init__`` inherits its protocol methods from a base in
-``repro.sampling.base``, and a ``param_spec`` declared in
-``repro.walks.models.__init__`` describes a constructor defined three
-files away. This module parses every linted file once and builds the
-index the rules query:
+The interesting invariants are *cross-module*: a stepper registered
+with ``register_sampler`` in one module inherits its protocol methods
+from ``StepperBase`` in ``repro.walks.vectorized``, and a
+``param_spec`` declared in ``repro.walks.models.__init__`` describes a
+constructor defined three files away. This module parses every linted
+file once and builds the index the rules query:
 
 * :class:`ModuleInfo` — one parsed file: AST, source lines, dotted
   module name, import aliases, classes, inline lint suppressions.
@@ -45,7 +45,6 @@ REGISTRY_FAMILIES = {
     "register_partitioner": "partitioner",
     "MODEL_REGISTRY": "model",
     "SAMPLER_REGISTRY": "sampler",
-    "SCALAR_SAMPLER_REGISTRY": "scalar sampler",
     "INITIALIZER_REGISTRY": "initialization strategy",
     "CODEC_REGISTRY": "codec",
     "INDEX_REGISTRY": "index",
@@ -176,7 +175,7 @@ class ClassInfo:
     lineno: int
     col: int
     #: base expressions resolved through the module's imports
-    #: (``"repro.sampling.base.EdgeSampler"``, ``"abc.ABC"``, ...).
+    #: (``"repro.walks.vectorized.StepperBase"``, ``"abc.ABC"``, ...).
     bases: tuple[str, ...]
     methods: dict[str, FuncSig]
     decorators: tuple[str, ...]
@@ -372,7 +371,6 @@ class ModuleInfo:
         aliases: tuple[str, ...] = ()
         param_spec = None
         replace = False
-        scalar_target = None
         for kw in call.keywords:
             if kw.arg == "aliases":
                 value = _literal(kw.value)
@@ -384,11 +382,7 @@ class ModuleInfo:
                     param_spec = value
             elif kw.arg == "replace":
                 replace = bool(_literal(kw.value) is True)
-            elif kw.arg == "scalar":
-                scalar_name = dotted_name(kw.value)
-                if scalar_name is not None:
-                    scalar_target = self.resolve(scalar_name)
-        reg = Registration(
+        return Registration(
             family=family,
             name=name,
             aliases=aliases,
@@ -399,22 +393,6 @@ class ModuleInfo:
             lineno=call.lineno,
             col=call.col_offset,
         )
-        if scalar_target is not None:
-            # register_sampler(..., scalar=X) also registers the scalar family
-            self.registrations.append(
-                Registration(
-                    family="scalar sampler",
-                    name=name,
-                    aliases=aliases,
-                    target=scalar_target,
-                    param_spec=param_spec,
-                    replace=replace,
-                    module=self,
-                    lineno=call.lineno,
-                    col=call.col_offset,
-                )
-            )
-        return reg
 
     # -- convenience ----------------------------------------------------
     def walk(self):

@@ -96,7 +96,6 @@ class RngDisciplineRule(LintRule):
 _FAMILY_PROTOCOLS = {
     "model": ("calculate_weight", "batch_dynamic_weight"),
     "sampler": ("step",),
-    "scalar sampler": ("sample", "memory_bytes"),
     "initialization strategy": ("initialize",),
     "codec": ("fit", "encode", "decode", "state", "from_state"),
     "index": ("topk", "memory_bytes"),

@@ -245,8 +245,8 @@ class SamplerContext:
     config cannot hold. The config's fields read as the context's own
     (``ctx.initializer``, ``ctx.init_sample_cap``,
     ``ctx.max_reject_rounds``, ...), already validated and canonical;
-    each factory picks what it understands. Both engines (vectorized and
-    scalar reference) and every shard worker build one.
+    each factory picks what it understands. The engine and every shard
+    worker build one.
     """
 
     config: WalkConfig
@@ -268,17 +268,10 @@ class SamplerContext:
 #: ``second_order``, ``needs_hetero``, ``param_spec``.
 MODEL_REGISTRY = Registry("model", error_cls=ModelError, home="repro.walks.models")
 
-#: Vectorized per-step samplers — the production engine's dispatch and
+#: Edge samplers (vectorized per-step steppers) — the walk engine's dispatch and
 #: the namespace ``WalkConfig.sampler`` / ``RunSpec`` names resolve in.
 #: Entries are factories ``(graph, model, ctx: SamplerContext) -> stepper``.
 SAMPLER_REGISTRY = Registry("sampler", error_cls=WalkError, home="repro.walks.vectorized")
-
-#: Scalar :class:`~repro.sampling.base.EdgeSampler` classes used by the
-#: reference engine; entries carry a ``factory`` capability
-#: ``(graph, model, ctx) -> EdgeSampler``.
-SCALAR_SAMPLER_REGISTRY = Registry(
-    "scalar sampler", error_cls=WalkError, home="repro.sampling"
-)
 
 #: M-H chain initialization strategies (``repro.sampling.initialization``).
 INITIALIZER_REGISTRY = Registry(
@@ -318,53 +311,22 @@ def register_initializer(name: str, cls: Any = None, *, aliases=(), replace=Fals
 
 
 def register_sampler(
-    name: str,
-    factory: Callable | None = None,
-    *,
-    aliases=(),
-    scalar: Callable | None = None,
-    replace: bool = False,
-    **capabilities,
+    name: str, factory: Callable | None = None, *, aliases=(), replace=False, **capabilities
 ):
-    """Register an edge sampler for the vectorized engine under ``name``.
+    """Register an edge sampler for the walk engine under ``name``.
 
     ``factory`` is called as ``factory(graph, model, ctx)`` with a
     :class:`SamplerContext`; a stepper class whose ``__init__`` takes
-    ``(graph, model, ctx)`` works directly. Pass ``scalar`` to also
-    register a factory for the scalar reference engine.
+    ``(graph, model, ctx)`` works directly.
     """
-
-    def _do(target):
-        SAMPLER_REGISTRY.register(
-            name, target, aliases=aliases, replace=replace, **capabilities
-        )
-        if scalar is not None:
-            try:
-                SCALAR_SAMPLER_REGISTRY.register(
-                    name,
-                    scalar,
-                    aliases=aliases,
-                    replace=replace,
-                    factory=scalar,
-                    **capabilities,
-                )
-            except ReproError:
-                # keep the two registries consistent: a scalar-side
-                # collision must not leave the vectorized half registered
-                SAMPLER_REGISTRY.unregister(name)
-                raise
-        return target
-
-    if factory is None:
-        return _do
-    return _do(factory)
+    return SAMPLER_REGISTRY.register(
+        name, factory, aliases=aliases, replace=replace, **capabilities
+    )
 
 
 def unregister_sampler(name: str) -> None:
-    """Remove a sampler from both engine registries (test cleanup helper)."""
+    """Remove a sampler from the registry (test cleanup helper)."""
     SAMPLER_REGISTRY.unregister(name)
-    if name in SCALAR_SAMPLER_REGISTRY:
-        SCALAR_SAMPLER_REGISTRY.unregister(name)
 
 
 __all__ = [
@@ -374,7 +336,6 @@ __all__ = [
     "SamplerContext",
     "MODEL_REGISTRY",
     "SAMPLER_REGISTRY",
-    "SCALAR_SAMPLER_REGISTRY",
     "INITIALIZER_REGISTRY",
     "KERNEL_REGISTRY",
     "register_model",

@@ -1,4 +1,4 @@
-"""Alias-method edge samplers (Walker 1977).
+"""Alias-method tables (Walker 1977).
 
 The alias method turns any fixed discrete distribution over ``d`` outcomes
 into an O(1) sampler after an O(d) table build. The catch — and the reason
@@ -7,14 +7,14 @@ that a *separate* table is needed per walker state: ``|V|`` tables for
 first-order models but ``|E|`` tables (each of size deg) for second-order
 models, i.e. Σ indeg·outdeg entries in total.
 
-Two samplers are provided:
-
-* :class:`FirstOrderAliasSampler` — one table per node over static
-  weights; also reused as the proposal sampler inside the rejection
-  family.
-* :class:`SecondOrderAliasSampler` — one table per state over *dynamic*
-  weights, built lazily at first visit (the expensive ``Ti`` of the
-  original node2vec implementation) or eagerly via :meth:`build_all`.
+This module holds the table construction (:func:`build_alias_table`) and
+:class:`FirstOrderAliasStore`, one table per node over static weights:
+the ``alias-first-order`` stepper's tables and the proposal of the
+rejection, KnightKing and memory-aware steppers. The per-state tables
+over dynamic weights are
+:class:`~repro.walks.vectorized.EagerStateAliasTables`; the steppers
+draw from both through the kernel backend (``alias_draw`` /
+``state_alias_draw``).
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SamplerError
-from repro.sampling.base import NO_EDGE, EdgeSampler
-from repro.sampling.memory_model import (
-    first_order_alias_bytes,
-    second_order_alias_bytes,
-)
 
 
 def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,33 +63,6 @@ def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return threshold, alias
 
 
-class AliasTable:
-    """A single alias table supporting scalar and batch draws."""
-
-    __slots__ = ("threshold", "alias")
-
-    def __init__(self, weights: np.ndarray):
-        self.threshold, self.alias = build_alias_table(weights)
-
-    @property
-    def size(self) -> int:
-        """Number of outcomes."""
-        return self.threshold.size
-
-    def draw(self, rng: np.random.Generator) -> int:
-        """Draw one outcome index."""
-        k = int(rng.integers(0, self.size))
-        if rng.random() < self.threshold[k]:
-            return k
-        return int(self.alias[k])
-
-    def draw_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` outcome indices at once."""
-        k = rng.integers(0, self.size, size=count)
-        keep = rng.random(count) < self.threshold[k]
-        return np.where(keep, k, self.alias[k])
-
-
 class FirstOrderAliasStore:
     """Flat per-node alias tables over static edge weights.
 
@@ -125,30 +93,6 @@ class FirstOrderAliasStore:
             t, a = build_alias_table(row)
             self.threshold[lo:hi] = t
             self.alias[lo:hi] = a + lo
-
-    def draw(self, v: int, rng: np.random.Generator) -> int:
-        """Draw a global edge offset for node ``v`` (NO_EDGE if isolated)."""
-        lo, hi = self.graph.edge_range(v)
-        d = hi - lo
-        if d == 0:
-            return NO_EDGE
-        k = lo + int(rng.integers(0, d))
-        if self.uniform:
-            return k
-        if rng.random() < self.threshold[k]:
-            return k
-        return int(self.alias[k])
-
-    def draw_batch(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised :meth:`draw`; isolated nodes yield NO_EDGE."""
-        lo = self.graph.offsets[nodes]
-        deg = self.graph.offsets[nodes + 1] - lo
-        ok = deg > 0
-        k = lo + (rng.random(nodes.size) * np.maximum(deg, 1)).astype(np.int64)
-        if not self.uniform:
-            keep = rng.random(nodes.size) < self.threshold[np.minimum(k, self.threshold.size - 1)]
-            k = np.where(keep, k, self.alias[np.minimum(k, self.threshold.size - 1)])
-        return np.where(ok, k, NO_EDGE)
 
     def memory_bytes(self) -> int:
         """Resident bytes of the table arrays."""
@@ -217,94 +161,3 @@ class FirstOrderAliasStore:
             self.threshold[lo:hi] = t
             self.alias[lo:hi] = a + lo
         return {"rebuilt_nodes": rebuilt, "rebuild_cost_bytes": cost, "invalidated_states": 0}
-
-
-class FirstOrderAliasSampler(EdgeSampler):
-    """O(1) sampler over *static* weights (deepwalk's exact sampler).
-
-    Only valid for models whose dynamic weight equals the static weight
-    (first-order, untyped). The walk engine uses it for deepwalk's
-    UniNet(Orig) configuration.
-    """
-
-    name = "alias-first-order"
-
-    def __init__(self, graph, *, budget=None):
-        super().__init__()
-        if budget is not None:
-            budget.charge(first_order_alias_bytes(graph), self.name)
-        self.store = FirstOrderAliasStore(graph)
-
-    def sample(self, graph, model, state, rng: np.random.Generator) -> int:
-        self.stats.proposals += 1
-        off = self.store.draw(state.current, rng)
-        if off != NO_EDGE:
-            self.stats.samples += 1
-        return off
-
-    @classmethod
-    def memory_bytes(cls, graph, model) -> int:
-        return first_order_alias_bytes(graph)
-
-
-class SecondOrderAliasSampler(EdgeSampler):
-    """Per-state alias tables over dynamic weights (original node2vec).
-
-    Tables are built lazily on first visit of each state and cached for
-    the rest of the run; :meth:`build_all` materialises every state up
-    front (the original implementation's preprocessing step). Either way
-    the total footprint is Σ_states deg(current) entries — the memory
-    explosion the paper's Challenge 1 describes.
-    """
-
-    name = "alias"
-
-    def __init__(self, graph, model, *, budget=None):
-        super().__init__()
-        self._tables: dict[int, AliasTable | None] = {}
-        self._budget = budget
-        if budget is not None:
-            budget.charge(second_order_alias_bytes(graph, model), self.name)
-
-    def sample(self, graph, model, state, rng: np.random.Generator) -> int:
-        idx = model.state_index(graph, state)
-        table = self._tables.get(idx, _MISSING)
-        if table is _MISSING:
-            table = self._build(graph, model, state)
-            self._tables[idx] = table
-        self.stats.proposals += 1
-        if table is None:
-            return NO_EDGE
-        self.stats.samples += 1
-        lo, _ = graph.edge_range(state.current)
-        return lo + table.draw(rng)
-
-    def _build(self, graph, model, state):
-        self.stats.initializations += 1
-        weights = model.dynamic_weights_row(graph, state)
-        if weights.size == 0 or float(weights.sum()) <= 0.0:
-            return None
-        return AliasTable(weights)
-
-    @property
-    def num_cached_tables(self) -> int:
-        """Number of states whose table has been materialised."""
-        return len(self._tables)
-
-    def build_all(self, graph, model, states) -> None:
-        """Eagerly build tables for an iterable of states (preprocessing)."""
-        for state in states:
-            idx = model.state_index(graph, state)
-            if idx not in self._tables:
-                self._tables[idx] = self._build(graph, model, state)
-
-    @classmethod
-    def memory_bytes(cls, graph, model) -> int:
-        return second_order_alias_bytes(graph, model)
-
-
-class _Missing:
-    __slots__ = ()
-
-
-_MISSING = _Missing()

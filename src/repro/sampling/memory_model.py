@@ -64,7 +64,14 @@ class MemoryBudget:
 
 
 def first_order_alias_bytes(graph) -> int:
-    """Alias tables over static weights: one entry per directed edge."""
+    """Alias tables over static weights: one entry per directed edge.
+
+    An unweighted graph draws neighbours uniformly and builds no table,
+    so it costs nothing: the bytes follow what
+    :class:`~repro.sampling.alias.FirstOrderAliasStore` allocates.
+    """
+    if not graph.is_weighted:
+        return 0
     return graph.num_edge_entries * ALIAS_ENTRY_BYTES
 
 
@@ -110,7 +117,7 @@ def direct_bytes(graph, model) -> int:
 
 
 def sampler_memory_estimate(kind: str, graph, model) -> int:
-    """Byte estimate for a sampler kind name (see ``sampling.SAMPLERS``)."""
+    """Byte estimate for a sampler name of :data:`repro.registry.SAMPLER_REGISTRY`."""
     kind = kind.lower()
     if kind in ("mh", "metropolis-hastings"):
         return mh_bytes(graph, model)

@@ -7,17 +7,15 @@ This package realises the paper's Section IV:
   of Table I.
 * :mod:`repro.walks.manager` — the flat chain store behind the 2D
   (position, affixture) sampler layout of Fig. 4.
-* :mod:`repro.walks.engine` — a line-by-line scalar implementation of
-  Algorithm 2 (the validation reference).
-* :mod:`repro.walks.vectorized` — the production engine: all walkers of a
-  wave advance in lock-step numpy operations. ``generate`` returns the
-  whole corpus, ``generate_stream`` the same walks as bounded shards;
-  those two are the only ways a corpus is made.
+* :mod:`repro.walks.vectorized` — the walk engine (Algorithm 2) and the
+  edge samplers' steppers: all walkers of a wave advance in lock-step
+  numpy operations. ``generate`` returns the whole corpus,
+  ``generate_stream`` the same walks as bounded shards; those two are
+  the only ways a corpus is made.
 * :mod:`repro.walks.corpus` — the generated walk corpus fed to word2vec.
 """
 
 from repro.walks.corpus import WalkCorpus
-from repro.walks.engine import ReferenceWalkEngine
 from repro.walks.manager import ChainStore
 from repro.walks.models import MODEL_REGISTRY, MODELS, make_model, register_model
 from repro.walks.state import WalkerState
@@ -27,7 +25,6 @@ __all__ = [
     "WalkerState",
     "ChainStore",
     "WalkCorpus",
-    "ReferenceWalkEngine",
     "VectorizedWalkEngine",
     "StepperBase",
     "MODELS",

@@ -135,9 +135,8 @@ class NumpyKernels:
     def alias_draw(self, ks, nodes, u_slot, u_keep):
         """First-order alias gather over static tables (global offsets).
 
-        ``u_keep`` is None for uniform (unweighted) proposals — exactly
-        the one-draw-vs-two RNG consumption of
-        :meth:`FirstOrderAliasStore.draw_batch`.
+        ``u_keep`` is None for uniform (unweighted) proposals: one
+        uniform per lane there, two where tables exist.
         """
         offsets = ks.offsets
         lo = offsets[nodes]

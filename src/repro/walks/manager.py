@@ -83,7 +83,7 @@ def remap_chain_array(last: np.ndarray, model, plan) -> tuple[np.ndarray, int]:
 class ChainStore:
     """LAST_x storage for every M-H chain of a (graph, model) pair.
 
-    Shared between the scalar sampler and the vectorized engine so chains
+    Owned by the M-H stepper (or passed in as ``chain_store``) so chains
     persist across walk waves (the paper's samplers live for the whole
     training run and are initialised once, on first query).
 

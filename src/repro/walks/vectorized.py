@@ -399,8 +399,7 @@ class _FirstOrderAliasStepper(StepperBase):
         ks.prop_alias = self.store.alias
 
     def step(self, prev, prev_off, cur, step, rng):
-        # one uniform for the slot, a second only when tables exist —
-        # the exact RNG consumption of FirstOrderAliasStore.draw_batch
+        # one uniform for the slot, a second only when tables exist
         u_slot = rng.random(cur.size)
         u_keep = rng.random(cur.size) if self.graph.is_weighted else None
         out = self.kernels.alias_draw(self.kernel_state, cur, u_slot, u_keep)
@@ -679,7 +678,18 @@ class _MemoryAwareStepper(_StateAliasStepper):
 
 
 class _RejectionStepper(StepperBase):
-    """Vectorized rejection sampling, optionally with outlier folding."""
+    """Vectorized rejection sampling, optionally with outlier folding.
+
+    Proposes from the static-weight distribution and accepts edge e with
+    probability ``w'(e) / (bound * w(e))``: O(1/θ) per sample, with θ
+    collapsing as the dynamic weights leave the static ones (Table II).
+    KnightKing's folding takes enumerable outliers (node2vec's return
+    edge under a small p) out of the loop: their excess mass above a
+    tighter bulk bound is drawn exactly, the bulk is rejection-sampled
+    under that bound, and the mixture is still exactly w'. Models that
+    cannot enumerate their outliers (edge2vec, fairwalk) fall back to
+    plain rejection.
+    """
 
     def __init__(self, graph, model, ctx, *, fold: bool):
         super().__init__(graph, model, ctx.kernels)
@@ -759,7 +769,15 @@ class _RejectionStepper(StepperBase):
 
 
 class _MHStepper(StepperBase):
-    """Algorithm 1 on arrays — the paper's M-H edge sampler, vectorized."""
+    """Algorithm 1 on arrays — the paper's M-H edge sampler, vectorized.
+
+    One chain per walker state, with the uniform distribution over the
+    current node's edges as the proposal. The proposal is symmetric, so
+    the acceptance ratio is ``min(1, w'(candidate) / w'(LAST_x))``: no
+    normalising constant and no table, only ``LAST_x`` (and its cached
+    weight) per state. Theorem 2: the uniform proposal converges for any
+    target law. A fresh chain takes its first edge from the initializer.
+    """
 
     name = "mh"
 
@@ -791,6 +809,12 @@ class _MHStepper(StepperBase):
             if ctx.budget is not None:
                 ctx.budget.charge(mh_bytes(self.graph, self.model), self.name)
             self.chains = ChainStore(self.graph, self.model)
+        elif self.chains.size != self.model.state_space_size(self.graph):
+            raise WalkError(
+                f"chain_store holds {self.chains.size:,} chains; the "
+                f"{self.model.name} state space has "
+                f"{self.model.state_space_size(self.graph):,}"
+            )
 
     def _extend_kernel_state(self, ks: KernelState) -> None:
         ks.chain_last = self.chains.last

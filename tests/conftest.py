@@ -73,6 +73,18 @@ def barbell():
     return generators.barbell_graph(10, 3)
 
 
+@pytest.fixture(scope="module", params=("numpy", "cnative"))
+def kernel_backend(request):
+    """Each walk-kernel backend in turn; ``cnative`` skips on a host with
+    no C compiler, where NumPy is the only backend. Module-scoped so that
+    Hypothesis properties can take it."""
+    from repro.walks.kernels import available_backends
+
+    if not available_backends().get(request.param, False):
+        pytest.skip(f"kernel backend {request.param!r} is not available here")
+    return request.param
+
+
 @pytest.fixture
 def force_wave_threads(monkeypatch):
     """``force_wave_threads(count)`` makes every compiled M-H wave of the

@@ -18,7 +18,7 @@ from repro.core.spec import RunSpec
 from repro.errors import ModelError, TrainingError, WalkError
 from repro.sampling.memory_model import MemoryBudget
 from repro.sharding import ShardedWalkEngine
-from repro.walks import ReferenceWalkEngine, VectorizedWalkEngine
+from repro.walks import VectorizedWalkEngine
 from repro.walks.kernels import available_backends
 
 BACKENDS = sorted(name for name, ok in available_backends().items() if ok)
@@ -64,7 +64,7 @@ class TestWalkKnobs:
             raise AssertionError("a shard plan was built")
 
         monkeypatch.setattr("repro.sharding.engine.build_shard_plan", no_plan)
-        for build in (ShardedWalkEngine, ReferenceWalkEngine, UniNet):
+        for build in (ShardedWalkEngine, UniNet):
             with pytest.raises(WalkError, match=field):
                 build(small_power_law_graph, "deepwalk", **{field: value})
 
@@ -82,7 +82,7 @@ class TestWalkConfig:
         assert WalkConfig(initializer=strategy).initializer is strategy
 
     def test_a_keyword_that_is_neither_a_field_nor_a_model_parameter(self, tiny_weighted_graph):
-        for build in (VectorizedWalkEngine, ShardedWalkEngine, ReferenceWalkEngine, UniNet):
+        for build in (VectorizedWalkEngine, ShardedWalkEngine, UniNet):
             with pytest.raises(ModelError) as refused:
                 build(tiny_weighted_graph, "node2vec", intializer="random")
             # both sets it could have been: the model's and the config's
@@ -93,10 +93,9 @@ class TestWalkConfig:
             with pytest.raises(ModelError, match=gone):
                 ShardedWalkEngine(tiny_weighted_graph, "deepwalk", transport="socket", **{gone: 1})
 
-    @pytest.mark.parametrize("engine_cls", (VectorizedWalkEngine, ReferenceWalkEngine))
-    def test_the_walk_shape_is_the_configs_unless_given(self, engine_cls, tiny_weighted_graph):
+    def test_the_walk_shape_is_the_configs_unless_given(self, tiny_weighted_graph):
         config = WalkConfig(num_walks=2, walk_length=4)
-        engine = engine_cls(tiny_weighted_graph, "deepwalk", config=config, seed=3)
+        engine = VectorizedWalkEngine(tiny_weighted_graph, "deepwalk", config=config, seed=3)
         corpus = engine.generate()
         assert corpus.num_walks == 2 * tiny_weighted_graph.num_nodes
         assert corpus.lengths.max() == 4

@@ -23,15 +23,29 @@ class TestExamplesCompile:
         assert len(names) >= 3
 
 
-class TestTransitionModelProtocol:
-    def test_all_models_satisfy_sampler_protocol(self, typed_graph):
-        from repro.sampling.base import TransitionModel
+class TestModelWeightPaths:
+    def test_exact_law_row_is_the_batch_weights(self, typed_graph):
+        """``dynamic_weights_row``, the statistical tests' exact law, is
+        the row of the batch weights the steppers draw by."""
         from repro.walks.models import MODELS, make_model
+        from repro.walks.state import WalkerState
 
+        g = typed_graph
+        rng = np.random.default_rng(1)
         for name in MODELS:
             kwargs = {"metapath": [0, 1, 0]} if name == "metapath2vec" else {}
-            model = make_model(name, typed_graph, **kwargs)
-            assert isinstance(model, TransitionModel)
+            model = make_model(name, g, **kwargs)
+            for __ in range(5):
+                e = int(rng.integers(g.num_edge_entries))
+                s, v = int(g.edge_sources()[e]), int(g.targets[e])
+                state = WalkerState(current=v, previous=s, prev_edge_offset=e, step=1)
+                lo, hi = g.edge_range(v)
+                offs = np.arange(lo, hi)
+                batch = model.batch_dynamic_weight(
+                    np.full(offs.size, s), np.full(offs.size, e),
+                    np.full(offs.size, v), 1, offs,
+                )
+                np.testing.assert_array_equal(model.dynamic_weights_row(g, state), batch)
 
     def test_scalar_and_batch_weights_agree_for_all_models(self, typed_graph):
         """calculate_weight and batch_dynamic_weight are the same law."""
@@ -58,27 +72,6 @@ class TestTransitionModelProtocol:
                 )
                 scalar = [model.calculate_weight(state, int(o)) for o in offs]
                 assert np.allclose(batch, scalar), name
-
-
-class TestScalarEngineFirstStep:
-    def test_fairwalk_first_step_group_fair_in_reference_engine(self):
-        from repro.graph.builder import from_edge_arrays
-        from repro.walks.engine import ReferenceWalkEngine
-
-        src = np.zeros(10, dtype=np.int64)
-        dst = np.arange(1, 11)
-        g = from_edge_arrays(src, dst, num_nodes=11)
-        types = np.zeros(11, dtype=np.int16)
-        types[1:10] = 1
-        types[10] = 2
-        typed = g.with_node_types(types)
-        eng = ReferenceWalkEngine(typed, "fairwalk", sampler="direct", p=1, q=1, seed=0)
-        hits_type2 = 0
-        trials = 600
-        for __ in range(trials):
-            walk = eng.walk(0, 2)
-            hits_type2 += walk[1] == 10
-        assert abs(hits_type2 / trials - 0.5) < 0.07
 
 
 class TestMiscEdgeCases:
@@ -109,22 +102,20 @@ class TestMiscEdgeCases:
         )
         assert result.tt == pytest.approx(result.ti + result.tw + result.tl)
 
-    def test_chain_store_borrowed_by_scalar_and_vectorized(self, small_unweighted_graph):
-        """Scalar sampler and vectorized engine can share one chain array."""
-        from repro.sampling import MetropolisHastingsSampler
+    def test_chain_store_shared_by_two_engines(self, small_unweighted_graph):
+        """Two engines can walk on one chain array, in turn."""
         from repro.walks.manager import ChainStore
         from repro.walks.models import make_model
-        from repro.walks.state import WalkerState
         from repro.walks.vectorized import VectorizedWalkEngine
 
         g = small_unweighted_graph
         model = make_model("deepwalk", g)
         store = ChainStore(g, model)
-        engine = VectorizedWalkEngine(g, model, sampler="mh", chain_store=store, seed=2)
-        engine.generate(num_walks=1, walk_length=6)
+        first = VectorizedWalkEngine(g, model, sampler="mh", chain_store=store, seed=2)
+        first.generate(num_walks=1, walk_length=6)
         touched = store.num_initialized
-        scalar = MetropolisHastingsSampler(g, model, chain_store=store)
-        rng = np.random.default_rng(3)
-        v = int(np.argmax(g.degrees()))
-        scalar.sample(g, model, WalkerState(current=v), rng)
+        second = VectorizedWalkEngine(g, model, sampler="mh", chain_store=store, seed=3)
+        assert second.stepper.chains is store
+        second.generate(num_walks=1, walk_length=6)
         assert store.num_initialized >= touched
+        assert second.stats()["initializations"] == store.num_initialized - touched

@@ -1,15 +1,16 @@
-"""Property-based tests on walk/sampler invariants (hypothesis)."""
+"""Property-based tests on walk/sampler invariants (hypothesis).
+
+The sampler properties run on the registered steppers, the code that
+walks, on both kernel backends: ``stepper.step`` advances one lane per
+walker state and returns each lane's edge offset.
+"""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import from_edge_arrays
-from repro.sampling import DirectSampler, MetropolisHastingsSampler
 from repro.sampling.base import NO_EDGE
-from repro.walks.models import make_model
-from repro.walks.state import WalkerState
 from repro.walks.vectorized import VectorizedWalkEngine
 
 
@@ -17,6 +18,14 @@ def _graph_from_edges(edges, n):
     src = np.array([e[0] for e in edges])
     dst = np.array([e[1] for e in edges])
     return from_edge_arrays(src, dst, num_nodes=n, duplicate_policy="first")
+
+
+def _second_order_lanes(g):
+    """One lane per node with an out-edge, arrived from its first
+    neighbour: ``(prev, prev_off, cur)``."""
+    cur = np.flatnonzero(g.degrees() > 0).astype(np.int64)
+    prev = g.targets[g.offsets[cur]].astype(np.int64)
+    return prev, g.edge_index_batch(prev, cur), cur
 
 
 edges_strategy = st.lists(
@@ -28,23 +37,19 @@ edges_strategy = st.lists(
 
 @settings(max_examples=30, deadline=None)
 @given(edges=edges_strategy, seed=st.integers(0, 500))
-def test_property_mh_samples_stay_in_row(edges, seed):
+def test_property_mh_samples_stay_in_row(kernel_backend, edges, seed):
     """Every M-H sample must be an out-edge of the walker's current node."""
     g = _graph_from_edges(edges, 8)
-    model = make_model("node2vec", g, p=0.5, q=2.0)
-    sampler = MetropolisHastingsSampler(g, model, initializer="random")
-    rng = np.random.default_rng(seed)
-    for v in range(g.num_nodes):
-        if g.degree(v) == 0:
-            continue
-        s = int(g.neighbors(v)[0])
-        state = WalkerState(current=v, previous=s, prev_edge_offset=g.edge_index(s, v), step=1)
-        for __ in range(5):
-            off = sampler.sample(g, model, state, rng)
-            if off == NO_EDGE:
-                break
-            lo, hi = g.edge_range(v)
-            assert lo <= off < hi
+    eng = VectorizedWalkEngine(
+        g, "node2vec", sampler="mh", initializer="random", backend=kernel_backend,
+        p=0.5, q=2.0, seed=seed,
+    )
+    prev, prev_off, cur = _second_order_lanes(g)
+    lo, hi = g.offsets[cur], g.offsets[cur + 1]
+    for __ in range(5):
+        off = eng.stepper.step(prev, prev_off, cur, 1, eng.rng)
+        live = off != NO_EDGE
+        assert np.all((lo[live] <= off[live]) & (off[live] < hi[live]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -66,20 +71,19 @@ def test_property_walks_are_paths(edges, seed):
     p=st.floats(0.1, 10.0),
     q=st.floats(0.1, 10.0),
 )
-def test_property_direct_sampler_support(edges, seed, p, q):
+def test_property_direct_sampler_support(kernel_backend, edges, seed, p, q):
     """Direct samples land only on positive-dynamic-weight edges."""
     g = _graph_from_edges(edges, 8)
-    model = make_model("node2vec", g, p=p, q=q)
-    sampler = DirectSampler()
-    rng = np.random.default_rng(seed)
-    for v in range(g.num_nodes):
-        if g.degree(v) == 0:
-            continue
-        s = int(g.neighbors(v)[0])
-        state = WalkerState(current=v, previous=s, prev_edge_offset=g.edge_index(s, v), step=1)
-        off = sampler.sample(g, model, state, rng)
-        if off != NO_EDGE:
-            assert model.dynamic_weight(g, state, off) > 0
+    eng = VectorizedWalkEngine(
+        g, "node2vec", sampler="direct", backend=kernel_backend, p=p, q=q, seed=seed
+    )
+    prev, prev_off, cur = _second_order_lanes(g)
+    off = eng.stepper.step(prev, prev_off, cur, 1, eng.rng)
+    live = off != NO_EDGE
+    weights = eng.model.batch_dynamic_weight(
+        prev[live], prev_off[live], cur[live], 1, off[live]
+    )
+    assert np.all(weights > 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -102,22 +106,26 @@ def test_property_corpus_shape_invariants(edges, seed, length):
     weights=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=20),
     seed=st.integers(0, 300),
 )
-def test_property_mh_chain_matches_direct_on_star(weights, seed):
-    """On a star row, long-run M-H frequencies approximate the exact law."""
-    n = len(weights)
-    src = np.zeros(n, dtype=np.int64)
-    dst = np.arange(1, n + 1, dtype=np.int64)
-    g = from_edge_arrays(src, dst, np.array(weights), num_nodes=n + 1,
+def test_property_mh_chain_matches_exact_law_on_star(kernel_backend, weights, seed):
+    """On a star row, long-run M-H frequencies approximate the exact law.
+
+    100 copies of the star carry 100 independent chains at the hub; 40
+    calls of ``stepper.step`` give 4,000 draws.
+    """
+    n, copies, rounds = len(weights), 100, 40
+    hubs = np.arange(copies, dtype=np.int64) * (n + 1)
+    src = np.repeat(hubs, n)
+    dst = (hubs[:, None] + np.arange(1, n + 1)).ravel()
+    g = from_edge_arrays(src, dst, np.tile(weights, copies), num_nodes=copies * (n + 1),
                          duplicate_policy="first")
-    model = make_model("deepwalk", g)
-    sampler = MetropolisHastingsSampler(g, model, initializer="high-weight")
-    rng = np.random.default_rng(seed)
-    state = WalkerState(current=0)
+    eng = VectorizedWalkEngine(
+        g, "deepwalk", sampler="mh", initializer="high-weight", backend=kernel_backend, seed=seed
+    )
+    none = np.full(copies, -1, dtype=np.int64)
     counts = np.zeros(n)
-    lo, __ = g.edge_range(0)
-    draws = 4000
-    for __ in range(draws):
-        counts[sampler.sample(g, model, state, rng) - lo] += 1
+    for __ in range(rounds):
+        off = eng.stepper.step(none, none, hubs, 1, eng.rng)
+        counts += np.bincount(off - g.offsets[hubs], minlength=n)
     expected = np.array(weights) / np.sum(weights)
     # loose bound: dependent samples, small run
-    assert 0.5 * np.abs(counts / draws - expected).sum() < 0.25
+    assert 0.5 * np.abs(counts / counts.sum() - expected).sum() < 0.25

@@ -10,7 +10,6 @@ from repro.registry import (
     Registry,
     RegistryError,
     SAMPLER_REGISTRY,
-    SCALAR_SAMPLER_REGISTRY,
 )
 
 
@@ -93,15 +92,13 @@ class TestBuiltinRegistries:
         assert "p" in MODEL_REGISTRY.capabilities("node2vec")["param_spec"]
         assert MODEL_REGISTRY.capabilities("metapath2vec")["needs_hetero"] is True
 
-    def test_sampler_registries_aligned(self):
+    def test_sampler_registry_names(self):
         names = {
             "mh", "direct", "alias", "alias-first-order",
             "rejection", "knightking", "memory-aware",
         }
         assert set(SAMPLER_REGISTRY) == names
-        assert set(SCALAR_SAMPLER_REGISTRY) == names
         assert SAMPLER_REGISTRY.canonical("metropolis-hastings") == "mh"
-        assert SCALAR_SAMPLER_REGISTRY.canonical("metropolis-hastings") == "mh"
 
     def test_initializer_aliases_unified(self):
         assert set(INITIALIZER_REGISTRY) == {"random", "high-weight", "burn-in"}

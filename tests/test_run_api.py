@@ -326,17 +326,14 @@ class TestThirdPartyExtension:
     def test_custom_sampler_alias_canonicalised(self, custom_components):
         assert WalkConfig(sampler="unif-test").sampler == "uniform-test"
 
-    def test_scalar_collision_rolls_back_vectorized_half(self, custom_components):
+    def test_alias_collision_leaves_nothing_registered(self, custom_components):
         from repro.errors import WalkError
         from repro.registry import SAMPLER_REGISTRY
 
-        # 'direct' is taken in the scalar registry: the whole registration
-        # must fail without leaving 'rollback-test' behind on the
-        # vectorized side
+        # 'direct' is taken: the whole registration must fail without
+        # leaving 'rollback-test' behind
         with pytest.raises(WalkError):
-            register_sampler(
-                "rollback-test", UniformStepper, aliases=("direct",), scalar=object,
-            )
+            register_sampler("rollback-test", UniformStepper, aliases=("direct",))
         assert "rollback-test" not in SAMPLER_REGISTRY
 
     def test_duplicate_model_name_rejected(self, custom_components):

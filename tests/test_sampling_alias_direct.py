@@ -1,4 +1,9 @@
-"""Tests for the alias and direct samplers (distribution exactness)."""
+"""Tests for the alias tables and the alias and direct steppers.
+
+Table construction is checked analytically; the steppers' mechanics run
+through ``stepper.step`` on both kernel backends. Their per-state laws
+are fitted in ``tests/test_statistical.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,19 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SamplerError
-from repro.sampling import (
-    DirectSampler,
-    FirstOrderAliasSampler,
-    SecondOrderAliasSampler,
-)
-from repro.sampling.alias import AliasTable, FirstOrderAliasStore, build_alias_table
-from repro.sampling.base import NO_EDGE, draw_from_weights
-from repro.walks.models import make_model
-from repro.walks.state import WalkerState
+from repro.graph.builder import from_edge_arrays
+from repro.sampling.alias import FirstOrderAliasStore, build_alias_table
+from repro.sampling.base import NO_EDGE
+from repro.walks.vectorized import VectorizedWalkEngine
 
 
 def tv_distance(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def node_lanes(nodes):
+    """Lanes at the given nodes with no previous edge: ``(prev, prev_off, cur)``."""
+    cur = np.asarray(nodes, dtype=np.int64)
+    none = np.full(cur.size, -1, dtype=np.int64)
+    return none, none, cur
+
+
+def row_frequencies(graph, v, offsets):
+    lo, hi = graph.edge_range(v)
+    counts = np.bincount(offsets - lo, minlength=hi - lo)
+    return counts / counts.sum()
 
 
 def alias_exact_probs(threshold, alias):
@@ -72,132 +85,79 @@ class TestBuildAliasTable:
         assert tv_distance(alias_exact_probs(threshold, alias), w / w.sum()) < 1e-9
 
 
-class TestAliasTableDraws:
-    def test_scalar_draw_distribution(self, rng):
-        w = np.array([1.0, 3.0, 6.0])
-        table = AliasTable(w)
-        counts = np.bincount([table.draw(rng) for __ in range(30000)], minlength=3)
-        assert tv_distance(counts / counts.sum(), w / w.sum()) < 0.02
-
-    def test_batch_matches_scalar_statistics(self, rng):
-        w = np.array([2.0, 1.0, 1.0, 4.0])
-        table = AliasTable(w)
-        draws = table.draw_batch(rng, 40000)
-        counts = np.bincount(draws, minlength=4)
-        assert tv_distance(counts / counts.sum(), w / w.sum()) < 0.02
-
-
 class TestFirstOrderAliasStore:
-    def test_uniform_for_unweighted(self, small_unweighted_graph, rng):
-        store = FirstOrderAliasStore(small_unweighted_graph)
+    def test_uniform_for_unweighted(self, small_unweighted_graph, kernel_backend):
+        """An unweighted graph builds no table; the stepper draws uniformly."""
+        g = small_unweighted_graph
+        store = FirstOrderAliasStore(g)
         assert store.uniform
         assert store.memory_bytes() == 0
-        v = int(np.argmax(small_unweighted_graph.degrees()))
-        lo, hi = small_unweighted_graph.edge_range(v)
-        draws = store.draw_batch(np.full(20000, v), rng)
-        counts = np.bincount(draws - lo, minlength=hi - lo)
-        assert tv_distance(counts / counts.sum(), np.full(hi - lo, 1.0 / (hi - lo))) < 0.03
+        eng = VectorizedWalkEngine(
+            g, "deepwalk", sampler="alias-first-order", backend=kernel_backend, seed=1
+        )
+        assert eng.memory_bytes() == 0
+        v = int(np.argmax(g.degrees()))
+        freq = row_frequencies(g, v, eng.stepper.step(*node_lanes([v] * 20_000), 1, eng.rng))
+        assert tv_distance(freq, np.full(freq.size, 1.0 / freq.size)) < 0.03
 
-    def test_weighted_distribution(self, tiny_weighted_graph, rng):
-        store = FirstOrderAliasStore(tiny_weighted_graph)
-        lo, hi = tiny_weighted_graph.edge_range(0)
-        draws = np.array([store.draw(0, rng) for __ in range(40000)])
-        counts = np.bincount(draws - lo, minlength=hi - lo)
-        w = tiny_weighted_graph.neighbor_weights(0)
-        assert tv_distance(counts / counts.sum(), w / w.sum()) < 0.02
+    def test_weighted_distribution(self, tiny_weighted_graph, kernel_backend):
+        g = tiny_weighted_graph
+        eng = VectorizedWalkEngine(
+            g, "deepwalk", sampler="alias-first-order", backend=kernel_backend, seed=2
+        )
+        freq = row_frequencies(g, 0, eng.stepper.step(*node_lanes([0] * 40_000), 1, eng.rng))
+        w = g.neighbor_weights(0)
+        assert tv_distance(freq, w / w.sum()) < 0.02
 
-    def test_isolated_node_gives_no_edge(self, rng):
-        from repro.graph.builder import from_edge_arrays
 
+class TestDeadStates:
+    """Every sampler answers NO_EDGE for a state with nowhere to go."""
+
+    SAMPLERS = ["mh", "direct", "alias", "rejection", "knightking", "memory-aware"]
+
+    @pytest.mark.parametrize("sampler", [*SAMPLERS, "alias-first-order"])
+    def test_isolated_node_gives_no_edge(self, sampler, kernel_backend):
         g = from_edge_arrays([0], [1], [1.0], num_nodes=3)
-        store = FirstOrderAliasStore(g)
-        assert store.draw(2, rng) == NO_EDGE
-        batch = store.draw_batch(np.array([2, 0]), rng)
-        assert batch[0] == NO_EDGE and batch[1] != NO_EDGE
+        eng = VectorizedWalkEngine(
+            g, "deepwalk", sampler=sampler, backend=kernel_backend, table_budget_bytes=64,
+            seed=3,
+        )
+        off = eng.stepper.step(*node_lanes([2, 0]), 1, eng.rng)
+        assert off[0] == NO_EDGE and off[1] == g.edge_index(0, 1)
 
-
-class TestDrawFromWeights:
-    def test_exactness(self, rng):
-        w = np.array([0.5, 0.0, 1.5, 2.0])
-        counts = np.zeros(4)
-        for __ in range(40000):
-            counts[draw_from_weights(w, rng)] += 1
-        assert counts[1] == 0
-        assert tv_distance(counts / counts.sum(), w / w.sum()) < 0.02
-
-    def test_all_zero_returns_sentinel(self, rng):
-        assert draw_from_weights(np.zeros(3), rng) == NO_EDGE
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_metapath_dead_state_gives_no_edge(self, academic, sampler, kernel_backend):
+        graph, __ = academic
+        eng = VectorizedWalkEngine(
+            graph, "metapath2vec", sampler=sampler, metapath="APA", backend=kernel_backend,
+            table_budget_bytes=1 << 20, seed=4,
+        )
+        # at step 1 "APA" targets authors, but a venue only touches papers
+        venues = np.flatnonzero(graph.node_types == 2)[:5]
+        off = eng.stepper.step(*node_lanes(venues), 1, eng.rng)
+        assert np.all(off == NO_EDGE)
 
 
 class TestDirectSampler:
-    def test_matches_exact_node2vec_distribution(self, tiny_weighted_graph, rng):
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.25, q=4.0)
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        exact = model.dynamic_weights_row(g, state)
-        exact = exact / exact.sum()
-        sampler = DirectSampler()
-        lo, __ = g.edge_range(0)
-        counts = np.zeros(g.degree(0))
-        for __ in range(40000):
-            counts[sampler.sample(g, model, state, rng) - lo] += 1
-        assert tv_distance(counts / counts.sum(), exact) < 0.02
-
-    def test_dead_state_returns_no_edge(self, academic, rng):
-        graph, __ = academic
-        model = make_model("metapath2vec", graph, metapath="APA")
-        # at step 1 "APA" targets authors, but a venue only touches papers
-        venue = int(np.flatnonzero(graph.node_types == 2)[0])
-        state = WalkerState(current=venue, step=1)
-        assert sampler_returns_no_edge(DirectSampler(), graph, model, state, rng)
-
-    def test_stats_counting(self, tiny_weighted_graph, rng):
-        model = make_model("deepwalk", tiny_weighted_graph)
-        sampler = DirectSampler()
-        state = WalkerState(current=0)
-        for __ in range(10):
-            sampler.sample(tiny_weighted_graph, model, state, rng)
-        assert sampler.stats.samples == 10
-        sampler.reset_stats()
-        assert sampler.stats.samples == 0
-
-
-def sampler_returns_no_edge(sampler, graph, model, state, rng):
-    return sampler.sample(graph, model, state, rng) == NO_EDGE
+    def test_stats_counting(self, tiny_weighted_graph, kernel_backend):
+        eng = VectorizedWalkEngine(
+            tiny_weighted_graph, "deepwalk", sampler="direct", backend=kernel_backend, seed=5
+        )
+        eng.stepper.step(*node_lanes([0] * 10), 1, eng.rng)
+        assert eng.stats()["samples"] == 10
 
 
 class TestSecondOrderAliasSampler:
-    def test_matches_exact_distribution(self, tiny_weighted_graph, rng):
+    def test_tables_cached_per_state(self, tiny_weighted_graph, kernel_backend):
+        """One table per state, built at construction, none while stepping."""
         g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.5, q=2.0)
-        sampler = SecondOrderAliasSampler(g, model)
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        exact = model.dynamic_weights_row(g, state)
-        exact = exact / exact.sum()
-        lo, __ = g.edge_range(0)
-        counts = np.zeros(g.degree(0))
-        for __ in range(40000):
-            counts[sampler.sample(g, model, state, rng) - lo] += 1
-        assert tv_distance(counts / counts.sum(), exact) < 0.02
-
-    def test_tables_cached_per_state(self, tiny_weighted_graph, rng):
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.5, q=2.0)
-        sampler = SecondOrderAliasSampler(g, model)
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
+        eng = VectorizedWalkEngine(
+            g, "node2vec", sampler="alias", backend=kernel_backend, p=0.5, q=2.0, seed=6
+        )
+        built = eng.stats()["initializations"]
+        assert built == eng.stepper.tables.num_tables == g.num_edge_entries
+        prev = np.full(5, 3, dtype=np.int64)
+        lanes = (prev, np.full(5, g.edge_index(3, 0)), np.zeros(5, dtype=np.int64))
         for __ in range(5):
-            sampler.sample(g, model, state, rng)
-        assert sampler.num_cached_tables == 1
-        assert sampler.stats.initializations == 1
-
-    def test_first_order_alias_sampler(self, tiny_weighted_graph, rng):
-        g = tiny_weighted_graph
-        model = make_model("deepwalk", g)
-        sampler = FirstOrderAliasSampler(g)
-        state = WalkerState(current=0)
-        lo, __ = g.edge_range(0)
-        counts = np.zeros(g.degree(0))
-        for __ in range(40000):
-            counts[sampler.sample(g, model, state, rng) - lo] += 1
-        w = g.neighbor_weights(0)
-        assert tv_distance(counts / counts.sum(), w / w.sum()) < 0.02
+            eng.stepper.step(*lanes, 1, eng.rng)
+        assert eng.stats()["initializations"] == built

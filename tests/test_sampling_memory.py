@@ -1,17 +1,16 @@
-"""Tests for the memory-aware sampler and the simulated memory budget."""
+"""Tests for the memory-aware stepper and the simulated memory budget.
+
+Budgets are charged by the walk engine's steppers
+(``VectorizedWalkEngine(..., budget=)``); the memory-aware stepper's
+per-state law, in both regimes, is fitted in ``tests/test_statistical.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import SamplerError, SimulatedOutOfMemoryError
-from repro.sampling import (
-    MemoryAwareSampler,
-    MemoryBudget,
-    MetropolisHastingsSampler,
-    RejectionSampler,
-    SecondOrderAliasSampler,
-    sampler_memory_estimate,
-)
+from repro.errors import SimulatedOutOfMemoryError
+from repro.graph.generators import chung_lu_power_law
+from repro.sampling import MemoryBudget, sampler_memory_estimate
 from repro.sampling.memory_aware import assign_states_greedily
 from repro.sampling.memory_model import (
     ALIAS_ENTRY_BYTES,
@@ -21,11 +20,7 @@ from repro.sampling.memory_model import (
     second_order_alias_bytes,
 )
 from repro.walks.models import make_model
-from repro.walks.state import WalkerState
-
-
-def tv_distance(p, q):
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+from repro.walks.vectorized import VectorizedWalkEngine
 
 
 class TestMemoryBudget:
@@ -103,24 +98,43 @@ class TestEstimates:
 
 
 class TestBudgetEnforcement:
-    def test_alias_ooms_under_tight_budget(self, small_power_law_graph):
+    def test_alias_ooms_under_tight_budget(self, small_power_law_graph, kernel_backend):
         g = small_power_law_graph
         model = make_model("node2vec", g, p=0.5, q=2.0)
         budget = MemoryBudget(second_order_alias_bytes(g, model) // 2)
         with pytest.raises(SimulatedOutOfMemoryError):
-            SecondOrderAliasSampler(g, model, budget=budget)
+            VectorizedWalkEngine(g, model, sampler="alias", backend=kernel_backend, budget=budget)
 
-    def test_mh_fits_where_alias_ooms(self, small_power_law_graph):
+    def test_mh_fits_where_alias_ooms(self, small_power_law_graph, kernel_backend):
         g = small_power_law_graph
         model = make_model("node2vec", g, p=0.5, q=2.0)
         budget = MemoryBudget(second_order_alias_bytes(g, model) // 2)
-        MetropolisHastingsSampler(g, model, budget=budget)  # must not raise
+        VectorizedWalkEngine(g, model, sampler="mh", backend=kernel_backend, budget=budget)
+        assert budget.used_bytes == mh_bytes(g, model)
 
-    def test_rejection_charges_budget(self, small_power_law_graph):
+    def test_rejection_charges_budget(self, small_power_law_graph, kernel_backend):
         g = small_power_law_graph
         budget = MemoryBudget(rejection_bytes(g) + 64)
-        RejectionSampler(g, budget=budget)
+        VectorizedWalkEngine(
+            g, "node2vec", sampler="rejection", backend=kernel_backend, budget=budget
+        )
         assert budget.used_bytes >= rejection_bytes(g)
+
+    @pytest.mark.parametrize("weight_mode", ["uniform", None], ids=["weighted", "unweighted"])
+    def test_first_order_alias_charges_what_it_builds(self, weight_mode, kernel_backend):
+        """An unweighted graph builds no table and is charged none; a
+        1 KiB budget used to be refused 18,560 bytes for it."""
+        g = chung_lu_power_law(200, 6.0, seed=7, weight_mode=weight_mode)
+        budget = MemoryBudget(1 << 20)
+        eng = VectorizedWalkEngine(
+            g, "deepwalk", sampler="alias-first-order", backend=kernel_backend, budget=budget
+        )
+        model = eng.model
+        assert sampler_memory_estimate("alias-first-order", g, model) == budget.used_bytes
+        assert budget.used_bytes == eng.stepper.memory_bytes()
+        assert (budget.used_bytes > 0) == g.is_weighted
+        if not g.is_weighted:
+            VectorizedWalkEngine(g, "deepwalk", sampler="alias", budget=MemoryBudget(1024))
 
 
 class TestMemoryAwareSampler:
@@ -140,29 +154,13 @@ class TestMemoryAwareSampler:
         if mask.any() and not mask.all():
             assert table_degrees[mask].min() >= np.median(table_degrees[~mask])
 
-    def test_zero_budget_means_all_direct(self, tiny_weighted_graph, rng):
+    def test_zero_budget_means_all_rejection(self, tiny_weighted_graph, kernel_backend):
         g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.5, q=2.0)
-        sampler = MemoryAwareSampler(g, model, table_budget_bytes=0)
-        assert sampler.num_assigned_states == 0
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        assert sampler.sample(g, model, state, rng) >= 0
-
-    def test_distribution_exact_in_both_regimes(self, tiny_weighted_graph, rng):
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.25, q=4.0)
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        exact = model.dynamic_weights_row(g, state)
-        exact = exact / exact.sum()
-        lo, __ = g.edge_range(0)
-        for budget_bytes in (0, 10_000_000):
-            sampler = MemoryAwareSampler(g, model, table_budget_bytes=budget_bytes)
-            counts = np.zeros(g.degree(0))
-            for __ in range(30000):
-                counts[sampler.sample(g, model, state, rng) - lo] += 1
-            assert tv_distance(counts / counts.sum(), exact) < 0.025
-
-    def test_negative_budget_rejected(self, tiny_weighted_graph):
-        model = make_model("deepwalk", tiny_weighted_graph)
-        with pytest.raises(SamplerError):
-            MemoryAwareSampler(tiny_weighted_graph, model, table_budget_bytes=-1)
+        eng = VectorizedWalkEngine(
+            g, "node2vec", sampler="memory-aware", table_budget_bytes=0,
+            backend=kernel_backend, p=0.5, q=2.0, seed=1,
+        )
+        assert not eng.stepper.assigned.any()
+        assert eng.stepper.tables.num_tables == 0
+        lanes = (np.array([3]), np.array([g.edge_index(3, 0)]), np.array([0]))
+        assert eng.stepper.step(*lanes, 1, eng.rng)[0] >= 0

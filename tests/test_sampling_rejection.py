@@ -1,118 +1,76 @@
-"""Tests for rejection sampling and KnightKing outlier folding."""
+"""Tests for the rejection and KnightKing (outlier folding) steppers.
+
+The acceptance mechanics are read from ``engine.stats()`` after
+``stepper.step`` calls, on both kernel backends. Both samplers' per-state
+laws, with and without folding, are fitted in
+``tests/test_statistical.py``.
+"""
 
 import numpy as np
-import pytest
 
-from repro.sampling import KnightKingSampler, RejectionSampler
 from repro.walks.models import make_model
-from repro.walks.state import WalkerState
+from repro.walks.vectorized import VectorizedWalkEngine
 
 
-def tv_distance(p, q):
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+def arrival_lanes(graph, stride):
+    """One lane at every ``stride``-th node with an out-edge, arrived
+    from its first neighbour: ``(prev, prev_off, cur)``."""
+    cur = np.flatnonzero(graph.degrees() > 0)[::stride].astype(np.int64)
+    prev = graph.targets[graph.offsets[cur]].astype(np.int64)
+    return prev, graph.edge_index_batch(prev, cur), cur
 
 
-def empirical(sampler, graph, model, state, rng, n=40000):
-    lo, hi = graph.edge_range(state.current)
-    counts = np.zeros(hi - lo)
-    for __ in range(n):
-        off = sampler.sample(graph, model, state, rng)
-        counts[off - lo] += 1
-    return counts / counts.sum()
-
-
-@pytest.fixture
-def n2v_state(tiny_weighted_graph):
-    g = tiny_weighted_graph
-    return WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
+def acceptance_ratio(graph, model, sampler, backend, lanes, calls, seed):
+    eng = VectorizedWalkEngine(graph, model, sampler=sampler, backend=backend, seed=seed)
+    for __ in range(calls):
+        eng.stepper.step(*lanes, 1, eng.rng)
+    return eng.stats()["acceptance_ratio"]
 
 
 class TestRejectionSampler:
-    def test_unbiased_for_node2vec(self, tiny_weighted_graph, n2v_state, rng):
+    def test_acceptance_one_for_deepwalk(self, tiny_weighted_graph, kernel_backend):
         g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.25, q=4.0)
-        sampler = RejectionSampler(g)
-        exact = model.dynamic_weights_row(g, n2v_state)
-        exact = exact / exact.sum()
-        assert tv_distance(empirical(sampler, g, model, n2v_state, rng), exact) < 0.02
+        none = np.full(500, -1, dtype=np.int64)
+        lanes = (none, none, np.zeros(500, dtype=np.int64))
+        ratio = acceptance_ratio(g, "deepwalk", "rejection", kernel_backend, lanes, 1, 1)
+        assert ratio == 1.0
 
-    def test_acceptance_one_for_deepwalk(self, tiny_weighted_graph, rng):
-        g = tiny_weighted_graph
-        model = make_model("deepwalk", g)
-        sampler = RejectionSampler(g)
-        state = WalkerState(current=0)
-        for __ in range(500):
-            sampler.sample(g, model, state, rng)
-        assert sampler.stats.acceptance_ratio == pytest.approx(1.0)
-
-    def test_acceptance_degrades_with_skewed_params(self, small_power_law_graph, rng):
+    def test_acceptance_degrades_with_skewed_params(self, small_power_law_graph, kernel_backend):
         """Table II's effect: acceptance falls as (p, q) skew the target."""
         g = small_power_law_graph
-        ratios = {}
-        for p, q in [(1.0, 1.0), (0.25, 1.0)]:
-            model = make_model("node2vec", g, p=p, q=q)
-            sampler = RejectionSampler(g)
-            state = None
-            count = 0
-            rng_local = np.random.default_rng(5)
-            for v in range(0, g.num_nodes, 3):
-                if g.degree(v) == 0:
-                    continue
-                s = int(g.neighbors(v)[0])
-                state = WalkerState(current=v, previous=s, prev_edge_offset=g.edge_index(s, v), step=1)
-                for __ in range(20):
-                    sampler.sample(g, model, state, rng_local)
-                    count += 1
-            ratios[(p, q)] = sampler.stats.acceptance_ratio
+        lanes = arrival_lanes(g, 3)
+        ratios = {
+            (p, q): acceptance_ratio(
+                g, make_model("node2vec", g, p=p, q=q), "rejection", kernel_backend, lanes, 20, 5
+            )
+            for p, q in [(1.0, 1.0), (0.25, 1.0)]
+        }
         assert ratios[(1.0, 1.0)] > 0.95
         assert ratios[(0.25, 1.0)] < 0.7
 
-    def test_max_tries_validated(self, tiny_weighted_graph):
-        with pytest.raises(Exception):
-            RejectionSampler(tiny_weighted_graph, max_tries=0)
-
 
 class TestKnightKing:
-    def test_folding_preserves_distribution(self, tiny_weighted_graph, n2v_state, rng):
-        """The excess/bulk mixture must stay exact (small p triggers folding)."""
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.1, q=1.0)
-        assert model.supports_folding
-        sampler = KnightKingSampler(g)
-        exact = model.dynamic_weights_row(g, n2v_state)
-        exact = exact / exact.sum()
-        assert tv_distance(empirical(sampler, g, model, n2v_state, rng), exact) < 0.02
-
-    def test_folding_beats_plain_rejection_acceptance(self, small_power_law_graph, rng):
+    def test_folding_beats_plain_rejection_acceptance(self, small_power_law_graph, kernel_backend):
         """With a 1/p outlier, folding should raise the acceptance ratio."""
         g = small_power_law_graph
         model = make_model("node2vec", g, p=0.1, q=1.0)
-        results = {}
-        for cls in (RejectionSampler, KnightKingSampler):
-            sampler = cls(g)
-            rng_local = np.random.default_rng(6)
-            for v in range(0, g.num_nodes, 5):
-                if g.degree(v) == 0:
-                    continue
-                s = int(g.neighbors(v)[0])
-                state = WalkerState(current=v, previous=s, prev_edge_offset=g.edge_index(s, v), step=1)
-                for __ in range(10):
-                    sampler.sample(g, model, state, rng_local)
-            results[cls.__name__] = sampler.stats.acceptance_ratio
-        assert results["KnightKingSampler"] > results["RejectionSampler"]
+        assert model.supports_folding
+        lanes = arrival_lanes(g, 5)
+        ratios = {
+            sampler: acceptance_ratio(g, model, sampler, kernel_backend, lanes, 10, 6)
+            for sampler in ("rejection", "knightking")
+        }
+        assert ratios["knightking"] > ratios["rejection"]
 
-    def test_falls_back_without_outliers(self, tiny_weighted_graph, n2v_state, rng):
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=4.0, q=1.0)  # 1/p < bulk: no folding
+    def test_falls_back_without_outliers(self, tiny_weighted_graph):
+        model = make_model("node2vec", tiny_weighted_graph, p=4.0, q=1.0)  # 1/p < bulk
         assert not model.supports_folding
-        sampler = KnightKingSampler(g)
-        exact = model.dynamic_weights_row(g, n2v_state)
-        exact = exact / exact.sum()
-        assert tv_distance(empirical(sampler, g, model, n2v_state, rng), exact) < 0.02
+        eng = VectorizedWalkEngine(tiny_weighted_graph, model, sampler="knightking")
+        assert not eng.stepper.fold
 
-    def test_folding_not_used_for_hetero_models(self, academic, rng):
+    def test_folding_not_used_for_hetero_models(self, academic):
         """edge2vec/fairwalk report no foldable outliers (paper V-D)."""
         graph, __ = academic
         for name in ("edge2vec", "fairwalk"):
-            model = make_model(name, graph, p=0.1, q=1.0)
-            assert model.fold_outliers(graph, None) is None
+            eng = VectorizedWalkEngine(graph, name, sampler="knightking", p=0.1, q=1.0)
+            assert not eng.stepper.fold, name

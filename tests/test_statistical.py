@@ -3,11 +3,14 @@
 The paper's correctness claim is distributional: M-H walks *converge* to
 the same laws the exact (alias/direct) samplers draw from. Unit tests
 elsewhere check mechanics; this module checks the distributions
-themselves, with fixed seeds (the draws are deterministic, so there is no
-flake risk) and a generous alpha — a test fails only when the sampled
-distribution is decisively wrong, not on ordinary sampling noise. Each
-fit test is paired with a power check that the same statistic *rejects* a
-wrong law, so a vacuously-passing harness cannot go unnoticed.
+themselves, on the registered steppers that walk and on both kernel
+backends, against each walker state's exact law
+``model.dynamic_weights_row`` rather than against a second sampler. The
+seeds are fixed (the draws are deterministic, so there is no flake risk)
+and alpha is generous — a test fails only when the sampled distribution
+is decisively wrong, not on ordinary sampling noise. Each fit test is
+paired with a power check that the same statistic *rejects* a wrong law,
+so a vacuously-passing harness cannot go unnoticed.
 """
 
 import numpy as np
@@ -16,10 +19,12 @@ from scipy import stats
 
 from repro.graph import generators
 from repro.graph.builder import from_edge_arrays
-from repro.sampling.alias import SecondOrderAliasSampler
-from repro.sampling.metropolis import MetropolisHastingsSampler
-from repro.walks.vectorized import VectorizedWalkEngine
-from repro.walks.models import make_model
+from repro.registry import register_sampler, unregister_sampler
+from repro.sampling.base import NO_EDGE
+from repro.walks._segments import concat_ranges
+from repro.walks.kernels import available_backends
+from repro.walks.state import WalkerState
+from repro.walks.vectorized import StepperBase, VectorizedWalkEngine
 
 #: reject the null only below this p-value. Generous on purpose: the
 #: seeds are fixed, so this guards against decisive mismatches without
@@ -98,73 +103,231 @@ class TestMHStationaryDistribution:
         assert p < ALPHA
 
 
-class TestNode2VecTransitionDistribution:
-    """M-H acceptance reproduces the exact per-state transition law.
+#: The 5-node weighted gadget of the per-state tests: K5 without the
+#: edge 1-4. At the state (1 -> 0), node 0's row holds all three node2vec
+#: alpha classes: the return edge to 1 (1/p), two neighbours of 1 (2 and
+#: 3: alpha 1) and a non-neighbour (4: 1/q), with weights far from
+#: uniform, so p and q both move the exact law away from the static one.
+GADGET = (
+    [0, 0, 0, 0, 1, 2, 3, 3, 3],
+    [1, 2, 3, 4, 2, 4, 1, 2, 4],
+    [1.0, 2.0, 0.5, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0],
+)
+GADGET_NODES = 5
 
-    For one fixed walker state, repeated M-H draws form a chain whose
-    marginal converges to the normalised dynamic weights — the *same*
-    distribution the per-state alias table samples exactly. Both samplers
-    are compared against the analytic law and against each other.
+#: Every sampler of ``SAMPLER_REGISTRY`` on a second-order model, as
+#: (sampler, walk keywords); ``alias-first-order`` is exact only for
+#: static models and has its fit in ``STATIC_CASES``. memory-aware runs
+#: in both regimes: every state on the rejection fallback (no budget)
+#: and every state on its alias table (a budget that covers them all).
+SECOND_ORDER_CASES = [
+    ("mh", {"initializer": "random"}),
+    ("mh", {"initializer": "high-weight"}),
+    ("mh", {"initializer": "burn-in"}),
+    ("direct", {}),
+    ("alias", {}),
+    ("rejection", {}),
+    ("knightking", {}),
+    ("memory-aware", {"table_budget_bytes": 0}),
+    ("memory-aware", {"table_budget_bytes": 10_000_000}),
+]
+STATIC_CASES = [("alias-first-order", {}), ("mh", {"initializer": "high-weight"})]
+
+#: M-H draws come from K independent chains, one per gadget copy: this
+#: many copies, rounds discarded while the fresh chains mix, rounds
+#: counted (COPIES * ROUNDS draws in all). Without the warm-up the
+#: high-weight and burn-in fits at (4, 0.25) read p ~ 0.002: all chains
+#: start on the same edge. The iid samplers draw as many in one call of
+#: that many lanes on a single copy, rather than in 60,000 one-lane
+#: calls.
+COPIES, WARMUP, ROUNDS = 1_000, 10, 60
+DRAWS = COPIES * ROUNDS
+
+
+def _case_id(case):
+    name, keywords = case
+    return "-".join([name, *(str(v) for v in keywords.values())])
+
+
+def gadget_copies(copies: int = 1):
+    """``copies`` disjoint copies of :data:`GADGET`; copy k holds nodes
+    ``5k .. 5k + 4``, so each copy's rows are the gadget's, shifted."""
+    src, dst, w = (np.asarray(a) for a in GADGET)
+    shift = (np.arange(copies) * GADGET_NODES)[:, None]
+    return from_edge_arrays(
+        (src + shift).ravel(), (dst + shift).ravel(), np.tile(w, copies),
+        num_nodes=GADGET_NODES * copies, duplicate_policy="first",
+    )
+
+
+def exact_law(model, graph, prev: int, cur: int, step: int = 1) -> np.ndarray:
+    """The normalised dynamic-weight row of one walker state."""
+    prev_off = graph.edge_index(prev, cur) if prev >= 0 else -1
+    state = WalkerState(current=cur, previous=prev, prev_edge_offset=prev_off, step=step)
+    weights = model.dynamic_weights_row(graph, state)
+    return weights / weights.sum()
+
+
+def state_counts(engine, prev: int, cur: int, *, copies: int, lanes: int, rounds: int,
+                 warmup: int = 0, first: bool = False) -> np.ndarray:
+    """Outcome counts of ``stepper.step`` at the state ``(prev, cur)``.
+
+    One call advances ``lanes`` lanes on each of ``copies`` copies of the
+    state (node ids shifted by the gadget size per copy), so an M-H
+    stepper moves ``copies`` independent chains once per call; the first
+    ``warmup`` calls are discarded. ``first`` draws through
+    ``stepper.first_step`` (step 0 of a second-order walk) instead.
+    Counts are by position in ``cur``'s row, which every copy shares.
+    """
+    graph, stepper = engine.graph, engine.stepper
+    size = graph.num_nodes // copies
+    base = np.repeat(np.arange(copies, dtype=np.int64) * size, lanes)
+    c = cur + base
+    p = prev + base if prev >= 0 else np.full(c.size, -1, dtype=np.int64)
+    p_off = graph.edge_index_batch(p, c) if prev >= 0 else p.copy()
+    lo = graph.offsets[c]
+    counts = np.zeros(graph.degree(cur))
+    for r in range(warmup + rounds):
+        if first:
+            out = stepper.first_step(c, engine.rng)
+        else:
+            out = stepper.step(p, p_off, c, 1, engine.rng)
+        assert np.all(out != NO_EDGE)
+        if r >= warmup:
+            counts += np.bincount(out - lo, minlength=counts.size)
+    return counts
+
+
+def per_state_counts(sampler, backend, model_name, *, prev=1, cur=0, seed=42, **keywords):
+    """:data:`DRAWS` draws at the gadget state ``(prev, cur)``:
+    ``(counts, model)``. Chains (M-H) run on :data:`COPIES` copies, iid
+    samplers on one copy."""
+    chained = sampler == "mh"
+    graph = gadget_copies(COPIES if chained else 1)
+    engine = VectorizedWalkEngine(
+        graph, model_name, sampler=sampler, backend=backend, seed=seed, **keywords
+    )
+    if chained:
+        counts = state_counts(
+            engine, prev, cur, copies=COPIES, lanes=1, rounds=ROUNDS, warmup=WARMUP
+        )
+    else:
+        counts = state_counts(engine, prev, cur, copies=1, lanes=DRAWS, rounds=1)
+    return counts, engine.model
+
+
+def fit_p(counts, law) -> float:
+    """Chi-square goodness-of-fit p-value of ``counts`` against ``law``."""
+    return stats.chisquare(counts, np.asarray(law) * counts.sum())[1]
+
+
+class TestStepperStateLaw:
+    """Each registered stepper draws the exact per-state transition law.
+
+    For one fixed walker state the target is the normalised dynamic
+    weight row, ``model.dynamic_weights_row``. Exact samplers (direct,
+    alias, rejection, KnightKing, memory-aware) draw from it iid; M-H
+    draws form a chain that converges to it, read after a warm-up on
+    many independent chains at once. Every fit is paired with a power
+    check: with (p, q) far from 1 the same counts reject the *static*
+    law, so a stepper that ignored the dynamic weights would fail.
     """
 
-    @pytest.fixture
-    def weighted_graph(self):
-        src = np.array([0, 0, 0, 0, 1, 2, 3, 1, 3, 3])
-        dst = np.array([1, 2, 3, 4, 2, 4, 1, 4, 2, 4])
-        w = np.array([1.0, 2.0, 0.5, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0])
-        return from_edge_arrays(src, dst, w, num_nodes=5, duplicate_policy="first")
-
-    def _state(self, graph, model, prev: int, current: int):
-        offset = graph.edge_index(prev, current)
-        assert offset >= 0
-        return model.update_state(model.initial_state(prev), offset)
-
-    def _frequencies(self, graph, model, sampler, state, *, draws: int, seed: int):
-        lo, hi = graph.edge_range(state.current)
-        counts = np.zeros(hi - lo)
-        rng = np.random.default_rng(seed)
-        for __ in range(draws):
-            off = sampler.sample(graph, model, state, rng)
-            counts[off - lo] += 1
-        return counts
-
     @pytest.mark.parametrize("p,q", [(0.25, 4.0), (4.0, 0.25)])
-    def test_mh_matches_alias_frequencies(self, weighted_graph, p, q):
-        graph = weighted_graph
-        model = make_model("node2vec", graph, p=p, q=q)
-        state = self._state(graph, model, prev=1, current=0)
-        weights = model.dynamic_weights_row(graph, state)
-        exact = weights / weights.sum()
-        draws = 60_000
+    @pytest.mark.parametrize("case", SECOND_ORDER_CASES, ids=_case_id)
+    def test_node2vec_state_law(self, case, p, q, kernel_backend):
+        sampler, keywords = case
+        counts, model = per_state_counts(sampler, kernel_backend, "node2vec", p=p, q=q, **keywords)
+        graph = model.graph
+        exact = exact_law(model, graph, prev=1, cur=0)
+        assert fit_p(counts, exact) > ALPHA, f"{sampler} rejects the exact law"
+        static = graph.neighbor_weights(0) / graph.neighbor_weights(0).sum()
+        assert fit_p(counts, static) < ALPHA, "the static law is not rejected"
 
-        mh = MetropolisHastingsSampler(graph, model, initializer="random")
-        mh_counts = self._frequencies(graph, model, mh, state, draws=draws, seed=42)
-        alias = SecondOrderAliasSampler(graph, model)
-        alias_counts = self._frequencies(graph, model, alias, state, draws=draws, seed=43)
+    @pytest.mark.parametrize("case", STATIC_CASES, ids=_case_id)
+    def test_static_state_law(self, case, kernel_backend):
+        sampler, keywords = case
+        counts, model = per_state_counts(sampler, kernel_backend, "deepwalk", prev=-1, **keywords)
+        exact = exact_law(model, model.graph, prev=-1, cur=0)
+        assert fit_p(counts, exact) > ALPHA
+        assert fit_p(counts, np.full(exact.size, 1.0 / exact.size)) < ALPHA
 
-        # alias draws are iid from the exact law: a clean chi-square fit
-        __, p_alias = stats.chisquare(alias_counts, exact * draws)
-        assert p_alias > ALPHA
-        # M-H draws are a (fast-mixing) chain targeting the same law
-        __, p_mh = stats.chisquare(mh_counts, exact * draws)
-        assert p_mh > ALPHA
-        # and the two samplers agree with each other within tolerance
-        tv = 0.5 * np.abs(mh_counts / draws - alias_counts / draws).sum()
-        assert tv < 0.02
+    def test_backends_draw_the_same_counts(self):
+        """The draws are bitwise the same on both backends, so the two
+        fits above test one sample twice, through two kernels."""
+        if not available_backends().get("cnative", False):
+            pytest.skip("kernel backend 'cnative' is not available here")
+        for sampler, keywords in (("mh", {"initializer": "high-weight"}), ("rejection", {})):
+            ref, __ = per_state_counts(sampler, "numpy", "node2vec", p=0.25, q=4.0, **keywords)
+            got, __ = per_state_counts(sampler, "cnative", "node2vec", p=0.25, q=4.0, **keywords)
+            np.testing.assert_array_equal(ref, got)
 
-    def test_power_mh_rejects_static_law_when_biased(self, weighted_graph):
-        """With p, q far from 1 the dynamic law differs from the static
-        weights — and the chi-square against the *static* law rejects."""
-        graph = weighted_graph
-        model = make_model("node2vec", graph, p=0.25, q=4.0)
-        state = self._state(graph, model, prev=1, current=0)
-        draws = 60_000
-        mh = MetropolisHastingsSampler(graph, model, initializer="random")
-        counts = self._frequencies(graph, model, mh, state, draws=draws, seed=44)
-        static = graph.neighbor_weights(state.current)
-        static = static / static.sum()
-        __, p_static = stats.chisquare(counts, static * draws)
-        assert p_static < ALPHA
+
+class TestFirstStepLaw:
+    """Step 0 of a second-order walk draws the model's start-state law.
+
+    With no previous edge the models define alpha = 1: the static law for
+    node2vec, but fairwalk keeps its group discounting there. Every
+    stepper inherits ``first_step``; the M-H stepper's is the one that
+    walks. Draws at step 0 are iid, so lanes on one node stand for
+    copies of the state.
+    """
+
+    def test_node2vec_first_step_is_the_static_law(self, kernel_backend):
+        engine = VectorizedWalkEngine(
+            gadget_copies(), "node2vec", sampler="mh", backend=kernel_backend, p=0.25, q=4.0, seed=3
+        )
+        counts = state_counts(engine, -1, 0, copies=1, lanes=DRAWS, rounds=1, first=True)
+        start = exact_law(engine.model, engine.graph, prev=-1, cur=0, step=0)
+        static = engine.graph.neighbor_weights(0) / engine.graph.neighbor_weights(0).sum()
+        np.testing.assert_allclose(start, static)
+        assert fit_p(counts, start) > ALPHA
+        assert fit_p(counts, np.full(4, 0.25)) < ALPHA
+
+    def test_fairwalk_first_step_keeps_group_discounting(self, kernel_backend):
+        """Node 0 has nine type-1 neighbours and one type-2: the start law
+        gives the lone type-2 neighbour half the mass, not a tenth."""
+        graph = from_edge_arrays(np.zeros(10, dtype=np.int64), np.arange(1, 11), num_nodes=11)
+        types = np.ones(11, dtype=np.int16)
+        types[0], types[10] = 0, 2
+        engine = VectorizedWalkEngine(
+            graph.with_node_types(types), "fairwalk", sampler="mh", backend=kernel_backend,
+            p=1, q=1, seed=4,
+        )
+        counts = state_counts(engine, -1, 0, copies=1, lanes=DRAWS, rounds=1, first=True)
+        start = exact_law(engine.model, engine.graph, prev=-1, cur=0, step=0)
+        assert start[-1] == pytest.approx(0.5)
+        assert fit_p(counts, start) > ALPHA
+        assert fit_p(counts, np.full(10, 0.1)) < ALPHA
+
+
+class StaticLawStepper(StepperBase):
+    """A deliberately wrong sampler: draws by static weight, ignores alpha."""
+
+    name = "static-law-test"
+
+    def __init__(self, graph, model, ctx):
+        super().__init__(graph, model, ctx.kernels)
+
+    def step(self, prev, prev_off, cur, step, rng):
+        lo, deg = self._rows(cur)
+        flat, __ = concat_ranges(lo, deg)
+        weights = np.asarray(self.graph.edge_weight_at(flat), dtype=np.float64)
+        return self._race(cur, weights, rng.random(flat.size))
+
+
+class TestHarnessTeeth:
+    def test_per_state_fit_rejects_a_stepper_that_ignores_alpha(self):
+        """Registered like any third-party stepper, the static-law
+        stepper walks, but the per-state fit rejects it at (0.25, 4)."""
+        register_sampler("static-law-test", StaticLawStepper)
+        try:
+            counts, model = per_state_counts("static-law-test", "numpy", "node2vec", p=0.25, q=4.0)
+            assert fit_p(counts, exact_law(model, model.graph, prev=1, cur=0)) < ALPHA
+            static = model.graph.neighbor_weights(0)
+            assert fit_p(counts, static / static.sum()) > ALPHA
+        finally:
+            unregister_sampler("static-law-test")
 
 
 class TestMutatedGraphDistribution:

@@ -1,8 +1,9 @@
-"""Tests for the reference and vectorized walk engines.
+"""Tests for the walk engine.
 
-The key scientific checks: walks respect model constraints, engines agree
-with each other statistically, and per-sampler behaviour (acceptance,
-table counts, first-step handling) matches the design.
+The key scientific checks: walks respect model constraints, every
+sampler's corpus follows the exact per-state law, and per-sampler
+behaviour (acceptance, table counts, first-step handling) matches the
+design.
 """
 
 from types import SimpleNamespace
@@ -12,68 +13,72 @@ import pytest
 
 from repro.errors import WalkError
 from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
-from repro.walks.engine import ReferenceWalkEngine
 from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
+from repro.walks.state import WalkerState
 from repro.walks.vectorized import EagerStateAliasTables, VectorizedWalkEngine
 
 
-def transition_counts(corpus, num_nodes):
-    """(src, dst) transition count matrix over a corpus."""
-    counts = np.zeros((num_nodes, num_nodes))
-    for walk in corpus.iter_walks():
-        if walk.size > 1:
-            np.add.at(counts, (walk[:-1], walk[1:]), 1)
-    return counts
+def state_rows(corpus, model):
+    """The corpus's transitions grouped by walker state.
+
+    A state is the model's flat state index (``cur`` for a static model,
+    the taken edge ``(prev, cur)`` for node2vec, ``cur`` with the
+    metapath position for metapath2vec); step 0 of a second-order walk
+    is the start state of ``cur``. Yields ``(state, counts)`` per state:
+    a :class:`WalkerState` standing for it and the visit counts of each
+    out-edge of its node, in row order.
+    """
+    graph = model.graph
+    walks, lengths = corpus.walks.astype(np.int64), corpus.lengths
+    rows, step = np.nonzero(np.arange(walks.shape[1] - 1) < (lengths - 1)[:, None])
+    cur, nxt = walks[rows, step], walks[rows, step + 1]
+    prev = np.where(step > 0, walks[rows, np.maximum(step - 1, 0)], -1)
+    prev_off = np.where(prev >= 0, graph.edge_index_batch(np.maximum(prev, 0), cur), -1)
+    start = (prev < 0) & (model.order == 2)
+    key = np.where(start, -1 - cur, model.batch_state_index(prev_off, cur, step))
+    __, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    taken = graph.edge_index_batch(cur, nxt) - graph.offsets[cur]
+    for k, i in enumerate(first):
+        counts = np.bincount(taken[inverse == k], minlength=graph.degree(int(cur[i])))
+        state = WalkerState(int(cur[i]), int(prev[i]), int(prev_off[i]), int(step[i]))
+        yield state, counts
 
 
-def tv_rows(a, b):
-    """Mean TV distance between corresponding normalised rows."""
+def mean_tv_to_exact(corpus, model, min_visits=50):
+    """Mean TV distance between each well-visited state's empirical row
+    and its exact law ``model.dynamic_weights_row``."""
     tvs = []
-    for row_a, row_b in zip(a, b):
-        sa, sb = row_a.sum(), row_b.sum()
-        if sa < 50 or sb < 50:
+    for state, counts in state_rows(corpus, model):
+        if counts.sum() < min_visits:
             continue
-        tvs.append(0.5 * np.abs(row_a / sa - row_b / sb).sum())
+        exact = model.dynamic_weights_row(model.graph, state)
+        tvs.append(0.5 * np.abs(counts / counts.sum() - exact / exact.sum()).sum())
+    assert len(tvs) >= 3, "too few well-visited states to compare"
     return float(np.mean(tvs))
 
 
-class TestReferenceEngine:
+class TestEngineBasics:
     def test_walk_lengths(self, small_unweighted_graph):
-        eng = ReferenceWalkEngine(small_unweighted_graph, "deepwalk", seed=1)
+        eng = VectorizedWalkEngine(small_unweighted_graph, "deepwalk", seed=1)
         corpus = eng.generate(num_walks=2, walk_length=15)
         assert corpus.num_walks == 2 * small_unweighted_graph.num_nodes
         assert corpus.lengths.max() <= 15
 
-    def test_walks_follow_edges(self, small_unweighted_graph):
-        g = small_unweighted_graph
-        eng = ReferenceWalkEngine(g, "deepwalk", seed=2)
-        corpus = eng.generate(num_walks=1, walk_length=10)
-        for walk in list(corpus.iter_walks())[:50]:
-            for a, b in zip(walk[:-1], walk[1:]):
-                assert g.has_edge(int(a), int(b))
-
     def test_start_nodes_respected(self, small_unweighted_graph):
-        eng = ReferenceWalkEngine(small_unweighted_graph, "deepwalk", seed=3)
+        eng = VectorizedWalkEngine(small_unweighted_graph, "deepwalk", seed=3)
         corpus = eng.generate(num_walks=3, walk_length=5, start_nodes=[7, 9])
-        starts = corpus.walks[:, 0]
-        assert set(starts.tolist()) == {7, 9}
+        assert set(corpus.walks[:, 0].tolist()) == {7, 9}
 
-    def test_invalid_sampler_name(self, small_unweighted_graph):
-        with pytest.raises(WalkError):
-            ReferenceWalkEngine(small_unweighted_graph, "deepwalk", sampler="bogus")
-
-    def test_memory_aware_needs_budget(self, small_unweighted_graph):
-        with pytest.raises(WalkError):
-            ReferenceWalkEngine(small_unweighted_graph, "deepwalk", sampler="memory-aware")
-
-    def test_dead_end_terminates_walk(self):
+    @pytest.mark.parametrize("sampler", ["mh", "direct", "alias", "rejection"])
+    def test_dead_end_terminates_walk(self, sampler):
         from repro.graph.builder import from_edge_arrays
 
         g = from_edge_arrays([0], [1], num_nodes=2, directed=True)
-        eng = ReferenceWalkEngine(g, "deepwalk", seed=4)
-        walk = eng.walk(0, 10)
-        assert walk == [0, 1]
+        eng = VectorizedWalkEngine(g, "deepwalk", sampler=sampler, seed=4)
+        corpus = eng.generate(num_walks=1, walk_length=10, start_nodes=[0])
+        assert corpus.lengths.tolist() == [2]
+        assert corpus.walks[0, :2].tolist() == [0, 1]
 
 
 class TestVectorizedEngine:
@@ -213,39 +218,43 @@ class TestVectorizedEngine:
 
 
 class TestEngineAgreement:
-    """Vectorized and reference engines must sample the same walk law."""
+    """Every engine corpus follows the exact per-state transition law.
+
+    The baseline is the model's own law, not a second sampler: each
+    state visited at least 50 times has its empirical row compared with
+    ``model.dynamic_weights_row``, on both kernel backends (the
+    compiled M-H wave included).
+    """
 
     @pytest.mark.parametrize(
         "model_name,params,samplers",
         [
             ("deepwalk", {}, ["mh", "direct", "alias"]),
-            ("node2vec", {"p": 0.25, "q": 4.0}, ["mh", "direct", "rejection"]),
+            ("node2vec", {"p": 0.25, "q": 4.0}, ["mh", "direct", "alias", "rejection"]),
         ],
     )
-    def test_transition_statistics_match(self, tiny_weighted_graph, model_name, params, samplers):
-        g = tiny_weighted_graph
-        reference = ReferenceWalkEngine(g, model_name, sampler="direct", seed=1, **params)
-        ref_counts = transition_counts(
-            reference.generate(num_walks=250, walk_length=12), g.num_nodes
-        )
+    def test_transition_statistics_match(
+        self, tiny_weighted_graph, model_name, params, samplers, kernel_backend
+    ):
         for sampler in samplers:
-            eng = VectorizedWalkEngine(g, model_name, sampler=sampler, seed=2, **params)
-            vec_counts = transition_counts(
-                eng.generate(num_walks=250, walk_length=12), g.num_nodes
+            eng = VectorizedWalkEngine(
+                tiny_weighted_graph, model_name, sampler=sampler, backend=kernel_backend,
+                seed=2, **params,
             )
+            corpus = eng.generate(num_walks=250, walk_length=12)
             # M-H draws are *dependent* (one chain per state), so its
             # empirical rows carry autocorrelation-inflated variance;
             # exact samplers get a tight bound.
             tolerance = 0.09 if sampler == "mh" else 0.05
-            assert tv_rows(ref_counts, vec_counts) < tolerance, sampler
+            assert mean_tv_to_exact(corpus, eng.model) < tolerance, sampler
 
-    def test_metapath_engines_agree(self, academic):
+    def test_metapath_walks_follow_the_exact_law(self, academic, kernel_backend):
         graph, __ = academic
-        ref = ReferenceWalkEngine(graph, "metapath2vec", sampler="direct", metapath="APA", seed=3)
-        vec = VectorizedWalkEngine(graph, "metapath2vec", sampler="mh", metapath="APA", seed=4)
-        ref_counts = transition_counts(ref.generate(num_walks=20, walk_length=9), graph.num_nodes)
-        vec_counts = transition_counts(vec.generate(num_walks=20, walk_length=9), graph.num_nodes)
-        assert tv_rows(ref_counts, vec_counts) < 0.12
+        eng = VectorizedWalkEngine(
+            graph, "metapath2vec", sampler="mh", metapath="APA", backend=kernel_backend, seed=4
+        )
+        corpus = eng.generate(num_walks=20, walk_length=9)
+        assert mean_tv_to_exact(corpus, eng.model) < 0.12
 
 
 class TestEagerStateAliasTables:
