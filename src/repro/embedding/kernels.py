@@ -16,11 +16,14 @@ the sampler's CDF, batch offsets, learning rates, max_row_step)`` with
 exactly the reference's mini-batch semantics: gradients at the stale
 pre-batch weights, a per-row segment sum in :data:`ACCUM_DTYPE`, a
 per-row step-norm clip, one add per touched row, the mean loss of every
-batch returned. A batch is a list of *groups*: each averages
-``sizes[g]`` input rows into ``h``, scores it against one positive and
-``negative`` sampled output rows, and spreads the gradient back. CBOW is
-that directly; skip-gram is the group-size-1 case (the mean of one row
-is the row, exactly), so one entry point serves both modes.
+batch returned. A batch is a list of *groups*, one window each: one
+center occurrence's ``sizes[g]`` context rows, one positive output row
+(the center) and ``negative`` output rows sampled once for the group.
+CBOW averages the rows into ``h`` and scores that; skip-gram scores each
+row on its own against the same targets — pWord2Vec's window-shared
+negatives (Ji et al., arXiv:1604.04661) — and sums the rows' float32
+gradients per target (in float32, in row order) before phase 2, which so
+meets ``1 + negative`` output contributions per window, not per pair.
 
 Threads, and why their number cannot change a result. A call uses as
 many threads as the caller's CPU affinity mask holds, fewer when a batch
@@ -28,16 +31,16 @@ is too small to share (``MIN_WORK_PER_THREAD`` in the source); they
 live for the call and are joined before it returns, so nothing outlives
 it: no pool, no lock held across calls, nothing a ``fork`` could copy
 half-way. Every row of either matrix belongs to one thread (``row %
-threads``). Within a batch, phase 1 is parallel over *groups* (a group
-is scored by the owner of its first input row): negatives, ``h``, the
-``1 + negative`` coefficients and log terms and the float32 gradient of
-``h`` are stored per group, all read at the pre-batch weights. After a
+threads``). Within a batch, phase 1 is parallel over *groups*: a
+group's negatives, and per *unit* (the CBOW mean, or a skip-gram row)
+the ``1 + negative`` coefficients, log terms and float32 gradient, are
+stored, all read at the pre-batch weights. After a
 barrier, phase 2 is parallel over *rows*: every touched output row, and
 after a second barrier every touched input row, is summed by its owner
 from zero in (group, target) order — the order a single thread meets the
 contributions in — into the thread's own :data:`ACCUM_DTYPE`
 accumulator, clipped and added to the weights once; the loss is summed
-serially in group order. Every float is therefore produced from the
+serially in unit order. Every float is therefore produced from the
 same operands in the same order whatever the thread count, and which
 thread does it decides only when. (What the threads cost is in the
 source too: three barriers a batch, waited at by spinning, then
@@ -54,8 +57,11 @@ out (fixed-lane partial sums within a vector, row ownership across
 threads), built without ``-ffast-math`` or FMA contraction — so a fit
 repeats bitwise run to run, for any stream sharding, any BLAS thread
 count and any number of CPUs. Against the NumPy reference they differ
-by summation order (``einsum`` and scipy pick their own) and the last
-ulp of ``exp``/``log``: about float32 eps × dim on one batch.
+by summation order (``einsum`` and scipy pick their own; a skip-gram
+window's per-target sums are float32, not acc_t: in acc_t they took a
+quarter of phase 1 on the ``train_e2e`` shape, and float32 stays inside
+the reference tolerance) and the last ulp of ``exp``/``log``: about
+float32 eps × dim on one batch.
 
 Selection takes no option: :func:`resolve_train_kernel` returns the C
 kernel when :func:`~repro.utils.cbuild.find_compiler` finds a compiler
@@ -178,68 +184,76 @@ static inline void apply_row(float *restrict w, const acc_t *restrict a,
    skip-gram pairs (1.75 of these units) and 27 % on batches of 256. */
 #define MIN_WORK_PER_THREAD (1 << 16)
 
-/* One call's inputs, and what phase 1 stores for each group of the batch
-   in hand. The small things (1 + negative coefficients, as many log
-   terms, the negatives) make one record of whole cache lines per group,
-   so that two threads scoring neighbouring groups never write to one
-   line; h (the mean of several input rows) and gh (the float32 gradient
-   of h) are d-wide rows. */
+/* One call's inputs, and what phase 1 stores for the batch in hand. A
+   *unit* is what phase 1 scores against a group's 1 + negative targets:
+   the group's mean in CBOW, each of its input rows in skip-gram. The
+   small things a unit yields (1 + negative coefficients, and log terms:
+   one per target in CBOW, the positive and the negatives' in skip-gram)
+   make one record of whole cache lines, so that two threads scoring
+   neighbouring units never write to one line; gh (the float32 gradient
+   of what a unit scored) is a d-wide row per unit. Per group there are
+   its negatives and, in CBOW, h (the mean of its input rows); in
+   skip-gram, sums: per target, the float32 gradients of the group's rows
+   summed in float32, in row order. */
 typedef struct {
     float *w_in, *w_out;
     int64_t vocab, d, negative, batches;
+    int64_t cbow; /* 1: a group's rows are averaged into h; 0: each row is scored */
     const int64_t *batch_off; /* batches + 1 group offsets */
     const int32_t *in_rows;
-    const int64_t *row_start; /* groups + 1 offsets into in_rows; NULL: one row each */
+    const int64_t *row_start; /* groups + 1 offsets into in_rows */
     const int32_t *out_pos;
     const double *u, *cdf, *lr;
     double clip;
     double *losses;
     float *records;
     int64_t record_floats;
-    float *h, *gh;
+    int64_t *negs;
+    float *h, *gh, *sums;
     uint64_t magic; /* 2^64 / threads rounded up: row / threads by one multiply */
     team_t team;
 } run_t;
 
 /* One thread's own memory: the accumulator of the row it is summing and
    the contributions to the rows it owns (row % threads == id), first as
-   met, in (group, target) order, then sorted by row, stably. slot[row /
-   threads] is an owned row's place in `row` while that is being done,
-   and -1 otherwise. */
+   met, in (group, target) or (unit) order, then sorted by row, stably.
+   slot[row / threads] is an owned row's place in `row` while that is
+   being done, and -1 otherwise. */
 typedef struct {
     run_t *run;
     int64_t id, rows;
     acc_t *acc;
     int32_t *slot;
-    int32_t *quot, *grp, *ent; /* as met: row / threads, the group, its coefficient */
-    int32_t *row_grp, *row_ent; /* by row: the group, its coefficient */
+    int32_t *quot, *grp, *ent; /* as met: row / threads, the group or unit, its vector */
+    int32_t *row_grp, *row_ent; /* by row: the same */
     int32_t *row, *end; /* per touched row, in first-touch order: where its contributions end */
 } worker_t;
 
-static inline int64_t first_row(const run_t *r, int64_t g) {
-    return r->row_start ? r->row_start[g] : g;
-}
-
 static inline int64_t group_size(const run_t *r, int64_t g) {
-    return r->row_start ? r->row_start[g + 1] - r->row_start[g] : 1;
+    return r->row_start[g + 1] - r->row_start[g];
 }
 
-static inline float *coefs_of(const run_t *r, int64_t lg) {
-    return r->records + lg * r->record_floats;
+static inline float *coefs_of(const run_t *r, int64_t unit) {
+    return r->records + unit * r->record_floats;
 }
 
-static inline float *logs_of(const run_t *r, int64_t lg) {
-    return coefs_of(r, lg) + r->negative + 1;
+static inline float *logs_of(const run_t *r, int64_t unit) {
+    return coefs_of(r, unit) + r->negative + 1;
 }
 
-static inline int64_t *negatives_of(const run_t *r, int64_t lg) {
-    return (int64_t *)(coefs_of(r, lg) + 2 * (r->negative + 1));
+static inline const int64_t *negatives_of(const run_t *r, int64_t lg) {
+    return r->negs + lg * r->negative;
 }
 
-/* the vector group g (the lg-th of its batch) scores its targets with:
-   the mean of its input rows, which for one row is the row itself */
+/* target t of group g, the lg-th of its batch: its positive, then its negatives */
+static inline int64_t target(const run_t *r, int64_t g, int64_t lg, int64_t t) {
+    return t == 0 ? r->out_pos[g] : negatives_of(r, lg)[t - 1];
+}
+
+/* the vector CBOW group g (the lg-th of its batch) scores its targets
+   with: the mean of its input rows, which for one row is the row itself */
 static inline const float *hidden(const run_t *r, int64_t g, int64_t lg) {
-    if (group_size(r, g) == 1) return r->w_in + (int64_t)r->in_rows[first_row(r, g)] * r->d;
+    if (group_size(r, g) == 1) return r->w_in + (int64_t)r->in_rows[r->row_start[g]] * r->d;
     return r->h + lg * r->d;
 }
 
@@ -262,39 +276,23 @@ static inline void prefetch_vector(const float *x, int64_t d, int for_write) {
    its negatives, and a prefetch of every vector the second step reads. */
 static void draw_negatives(const run_t *r, int64_t g, int64_t lg) {
     int64_t d = r->d, negative = r->negative, m = group_size(r, g);
-    const int32_t *rows = r->in_rows + first_row(r, g);
-    int64_t *gneg = negatives_of(r, lg);
-    cdf_search(r->cdf, r->vocab, r->u + g * negative, negative, gneg);
+    const int32_t *rows = r->in_rows + r->row_start[g];
+    cdf_search(r->cdf, r->vocab, r->u + g * negative, negative, r->negs + lg * negative);
     for (int64_t j = 0; j < m; j++) prefetch_vector(r->w_in + (int64_t)rows[j] * d, d, 0);
-    prefetch_vector(r->w_out + (int64_t)r->out_pos[g] * d, d, 0);
-    for (int64_t t = 0; t < negative; t++) prefetch_vector(r->w_out + gneg[t] * d, d, 0);
-    prefetch_vector(r->gh + lg * d, d, 1);
+    for (int64_t t = 0; t <= negative; t++) prefetch_vector(r->w_out + target(r, g, lg, t) * d, d, 0);
 }
 
-/* Then everything else, read at the pre-batch weights and written to the
-   group's own stores. */
-static void score_group(const run_t *r, int64_t g, int64_t lg) {
-    int64_t d = r->d, negative = r->negative, m = group_size(r, g);
-    float *restrict gh = r->gh + lg * d;
-    float *coef = coefs_of(r, lg), *logs = logs_of(r, lg);
-    const int64_t *gneg = negatives_of(r, lg);
-    if (m > 1) {
-        const int32_t *rows = r->in_rows + first_row(r, g);
-        float *restrict mean = r->h + lg * d;
-        float inv = (float)(1.0 / (double)m);
-        memset(mean, 0, (size_t)d * sizeof(float));
-        for (int64_t j = 0; j < m; j++) {
-            const float *x = r->w_in + (int64_t)rows[j] * d;
-            for (int64_t i = 0; i < d; i++) mean[i] += inv * x[i];
-        }
-    }
-    const float *h = hidden(r, g, lg);
-    /* three passes over the 1 + negative targets, so that the
-       independent dot products overlap in the pipeline */
-    for (int64_t t = 0; t <= negative; t++) {
-        int64_t row = t == 0 ? r->out_pos[g] : gneg[t - 1];
-        coef[t] = dot_f32(h, r->w_out + row * d, d);
-    }
+/* CBOW: unit `unit` scores the vector h against group g's targets, read at the
+   pre-batch weights: its coefficients, log terms and gh. Three passes
+   over the 1 + negative targets, so that the independent dot products
+   overlap in the pipeline. */
+static void score_unit(const run_t *r, const float *restrict h, int64_t g, int64_t lg,
+                       int64_t unit) {
+    int64_t d = r->d, negative = r->negative;
+    float *restrict gh = r->gh + unit * d;
+    float *coef = coefs_of(r, unit), *logs = logs_of(r, unit);
+    for (int64_t t = 0; t <= negative; t++)
+        coef[t] = dot_f32(h, r->w_out + target(r, g, lg, t) * d, d);
     for (int64_t t = 0; t <= negative; t++) {
         float f = coef[t];
         float x = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
@@ -303,8 +301,7 @@ static void score_group(const run_t *r, int64_t g, int64_t lg) {
         logs[t] = logf((t == 0 ? s : 1.0f - s) + LOSS_EPS);
     }
     for (int64_t t = 0; t <= negative; t++) {
-        int64_t row = t == 0 ? r->out_pos[g] : gneg[t - 1];
-        const float *restrict v = r->w_out + row * d;
+        const float *restrict v = r->w_out + target(r, g, lg, t) * d;
         float c = coef[t];
         if (t == 0)
             for (int64_t i = 0; i < d; i++) gh[i] = c * v[i];
@@ -313,18 +310,164 @@ static void score_group(const run_t *r, int64_t g, int64_t lg) {
     }
 }
 
-/* mean loss of the batch in hand, summed in group order */
-static double batch_loss(const run_t *r, int64_t groups) {
-    double loss_pos = 0.0, loss_neg = 0.0;
-    for (int64_t lg = 0; lg < groups; lg++) {
-        const float *logs = logs_of(r, lg);
-        loss_pos += (double)logs[0];
-        for (int64_t t = 1; t <= r->negative; t++) loss_neg += (double)logs[t];
+/* Skip-gram phase 1 works on TILE of a window's targets at a time, their
+   vectors and sums held in registers; nt <= TILE is the tile in hand, and
+   BY_TILE calls a function made for it, so that each is compiled for a
+   constant nt. */
+#define TILE 6
+#define BY_TILE(nt, CALL) switch (nt) { case 1: CALL(1); break; case 2: CALL(2); break; \
+    case 3: CALL(3); break; case 4: CALL(4); break; case 5: CALL(5); break; default: CALL(TILE); }
+#define INLINE static inline __attribute__((always_inline))
+
+/* out[q] = dot_f32(x, v_of[q], d) for q < nt, bit for bit, x read once */
+INLINE void dot_tile(const float *x, const float *const *v_of, int64_t d, float *out,
+                     const int nt) {
+    vf_t lanes[TILE], xv, y;
+    for (int q = 0; q < nt; q++) lanes[q] = (vf_t){0};
+    int64_t i = 0;
+    for (; i + VF <= d; i += VF) {
+        LOAD(xv, x + i);
+        for (int q = 0; q < nt; q++) {
+            LOAD(y, v_of[q] + i);
+            lanes[q] += xv * y;
+        }
     }
-    return -(loss_pos / (double)groups) - (loss_neg / (double)groups);
+    for (int q = 0; q < nt; q++) {
+        float s[VF], r[8];
+        memcpy(s, &lanes[q], sizeof lanes[q]);
+        for (int64_t k = i, l = 0; k < d; k++, l++) s[l] += x[k] * v_of[q][k];
+        for (int l = 0; l < 8; l++) r[l] = s[l] + s[l + 8];
+        out[q] = tree8(r);
+    }
 }
 
-/* note contribution k (group lg, coefficient e) to `row`; it is kept,
+/* For targets t0 .. t0 + nt - 1 of window g (vectors v_of), VF lanes at
+   a time: each row's gh, summed in target order, and each target's sum
+   of the rows' float32 gradients, in row order. */
+INLINE void spread_tile(const run_t *r, int64_t g, int64_t lg, int64_t unit0, int64_t t0,
+                        const float *const *v_of, const int nt) {
+    int64_t d = r->d, m = group_size(r, g), i0 = 0;
+    const int32_t *rows = r->in_rows + r->row_start[g];
+    float *sums = r->sums + (lg * (r->negative + 1) + t0) * d;
+    for (; i0 + VF <= d; i0 += VF) {
+        vf_t v[TILE], sum[TILE];
+        for (int q = 0; q < nt; q++) {
+            LOAD(v[q], v_of[q] + i0);
+            sum[q] = (vf_t){0};
+        }
+        for (int64_t j = 0; j < m; j++) {
+            vf_t x, gh = {0};
+            LOAD(x, r->w_in + (int64_t)rows[j] * d + i0);
+            float *to = r->gh + (unit0 + j) * d + i0;
+            const float *c = coefs_of(r, unit0 + j) + t0;
+            if (t0 > 0) LOAD(gh, to);
+            for (int q = 0; q < nt; q++) {
+                gh += c[q] * v[q];
+                sum[q] += c[q] * x;
+            }
+            memcpy(to, &gh, sizeof gh);
+        }
+        for (int q = 0; q < nt; q++) memcpy(sums + q * d + i0, &sum[q], sizeof sum[q]);
+    }
+    for (; i0 < d; i0++) {
+        for (int q = 0; q < nt; q++) sums[q * d + i0] = 0.0f;
+        for (int64_t j = 0; j < m; j++) {
+            float x = r->w_in[(int64_t)rows[j] * d + i0], *to = r->gh + (unit0 + j) * d + i0;
+            float gh = t0 > 0 ? *to : 0.0f;
+            const float *c = coefs_of(r, unit0 + j) + t0;
+            for (int q = 0; q < nt; q++) {
+                gh += c[q] * v_of[q][i0];
+                sums[q * d + i0] += c[q] * x;
+            }
+            *to = gh;
+        }
+    }
+}
+
+/* the vectors of targets t0 .. t0 + nt - 1 of window g; returns nt */
+static inline int tile_targets(const run_t *r, int64_t g, int64_t lg, int64_t t0,
+                               const float **v_of) {
+    int64_t left = r->negative + 1 - t0;
+    int nt = left < TILE ? (int)left : TILE;
+    for (int q = 0; q < nt; q++) v_of[q] = r->w_out + target(r, g, lg, t0 + q) * r->d;
+    return nt;
+}
+
+/* Skip-gram phase 1 for window g, the lg-th of its batch, whose rows are
+   units unit0, unit0 + 1, ...: first each row's coefficients against the
+   window's targets and its two log terms, the positive one and that of
+   the product of the negative ones (a double product, folded into a sum
+   before it could underflow); then spread_tile. */
+static void score_window(const run_t *r, int64_t g, int64_t lg, int64_t unit0) {
+    int64_t d = r->d, targets = r->negative + 1, m = group_size(r, g);
+    const int32_t *rows = r->in_rows + r->row_start[g];
+    const float *v_of[TILE];
+    for (int64_t j = 0; j < m; j++) {
+        const float *x = r->w_in + (int64_t)rows[j] * d;
+        float *coef = coefs_of(r, unit0 + j), *logs = logs_of(r, unit0 + j);
+        for (int64_t t0 = 0; t0 < targets; t0 += TILE) {
+#define DOTS(n) dot_tile(x, v_of, d, coef + t0, n)
+            BY_TILE(tile_targets(r, g, lg, t0, v_of), DOTS)
+#undef DOTS
+        }
+        double product = 1.0, log_neg = 0.0;
+        for (int64_t t = 0; t < targets; t++) {
+            float f = coef[t];
+            float y = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
+            float s = 1.0f / (1.0f + expf(-y));
+            coef[t] = t == 0 ? s - 1.0f : s;
+            if (t == 0) {
+                logs[0] = logf(s + LOSS_EPS);
+                continue;
+            }
+            product *= (double)(1.0f - s + LOSS_EPS);
+            if (product < 1e-200) {
+                log_neg += log(product);
+                product = 1.0;
+            }
+        }
+        logs[1] = (float)(log_neg + log(product));
+    }
+    for (int64_t t0 = 0; t0 < targets; t0 += TILE) {
+#define SPREAD(n) spread_tile(r, g, lg, unit0, t0, v_of, n)
+        BY_TILE(tile_targets(r, g, lg, t0, v_of), SPREAD)
+#undef SPREAD
+    }
+}
+
+/* Then everything else: a skip-gram window as above, a CBOW group as the
+   mean of its input rows, scored as one unit. */
+static void score_group(const run_t *r, int64_t g0, int64_t g) {
+    int64_t d = r->d, m = group_size(r, g), lg = g - g0;
+    if (!r->cbow) {
+        score_window(r, g, lg, r->row_start[g] - r->row_start[g0]);
+        return;
+    }
+    if (m > 1) {
+        const int32_t *rows = r->in_rows + r->row_start[g];
+        float *restrict mean = r->h + lg * d;
+        float inv = (float)(1.0 / (double)m);
+        memset(mean, 0, (size_t)d * sizeof(float));
+        for (int64_t j = 0; j < m; j++) {
+            const float *x = r->w_in + (int64_t)rows[j] * d;
+            for (int64_t i = 0; i < d; i++) mean[i] += inv * x[i];
+        }
+    }
+    score_unit(r, hidden(r, g, lg), g, lg, lg);
+}
+
+/* mean loss of the batch in hand over its `units` units, summed in unit order */
+static double batch_loss(const run_t *r, int64_t units) {
+    double loss_pos = 0.0, loss_neg = 0.0;
+    for (int64_t k = 0; k < units; k++) {
+        const float *logs = logs_of(r, k);
+        loss_pos += (double)logs[0];
+        for (int64_t t = 1; t <= (r->cbow ? r->negative : 1); t++) loss_neg += (double)logs[t];
+    }
+    return -(loss_pos / (double)units) - (loss_neg / (double)units);
+}
+
+/* note contribution k (group or unit lg, vector e) to `row`; it is kept,
    and the next free k returned, only if this thread owns the row. No
    branch: which rows a thread owns is as good as random. */
 static inline int32_t keep_owned(worker_t *w, int64_t row, int64_t lg, int64_t e, int32_t k) {
@@ -367,18 +510,19 @@ static void sort_by_row(worker_t *w, int32_t n) {
 
 /* Phase 2 of batch b, groups [g0, g0 + groups), for the output rows this
    thread owns: each is summed from zero in (group, target) order,
-   clipped and added to the weights. Reads w_in, writes w_out. */
+   clipped and added to the weights. A CBOW contribution is a record's
+   coefficient times h, a skip-gram one a group's sum for the target.
+   Reads w_in, writes w_out. */
 static void update_out_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) {
     const run_t *r = w->run;
-    int64_t d = r->d, negative = r->negative;
+    int64_t d = r->d, targets = r->negative + 1;
     double neg_lr = -r->lr[b];
     acc_t *restrict acc = w->acc;
     int32_t n = 0;
     for (int64_t lg = 0; lg < groups; lg++) {
-        int64_t e = lg * r->record_floats;
-        const int64_t *gneg = negatives_of(r, lg);
-        n = keep_owned(w, r->out_pos[g0 + lg], lg, e, n);
-        for (int64_t t = 1; t <= negative; t++) n = keep_owned(w, gneg[t - 1], lg, e + t, n);
+        int64_t e = r->cbow ? lg * r->record_floats : lg * targets;
+        for (int64_t t = 0; t < targets; t++)
+            n = keep_owned(w, target(r, g0 + lg, lg, t), lg, e + t, n);
     }
     sort_by_row(w, n);
     for (int64_t s = 0, i = 0; s < w->rows; s++) {
@@ -387,26 +531,33 @@ static void update_out_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) 
         memset(acc, 0, (size_t)d * sizeof(acc_t));
         for (; i < w->end[s]; i++) {
             int64_t a = i + AHEAD < n ? i + AHEAD : n - 1;
-            prefetch_vector(hidden(r, g0 + w->row_grp[a], w->row_grp[a]), d, 0);
-            __builtin_prefetch(r->records + w->row_ent[a]);
-            add_step(acc, hidden(r, g0 + w->row_grp[i], w->row_grp[i]),
-                     r->records[w->row_ent[i]], neg_lr, d);
+            if (r->cbow) {
+                prefetch_vector(hidden(r, g0 + w->row_grp[a], w->row_grp[a]), d, 0);
+                __builtin_prefetch(r->records + w->row_ent[a]);
+                add_step(acc, hidden(r, g0 + w->row_grp[i], w->row_grp[i]),
+                         r->records[w->row_ent[i]], neg_lr, d);
+            } else {
+                prefetch_vector(r->sums + (int64_t)w->row_ent[a] * d, d, 0);
+                add_step(acc, r->sums + (int64_t)w->row_ent[i] * d, 1.0f, neg_lr, d);
+            }
         }
         apply_row(r->w_out + (int64_t)w->row[s] * d, acc, d, r->clip);
     }
 }
 
-/* The same for the input rows this thread owns. Reads gh, writes w_in. */
+/* The same for the input rows this thread owns: a CBOW row receives its
+   group's gh over the group's size, a skip-gram row its own unit's gh.
+   Reads gh, writes w_in. */
 static void update_in_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) {
     const run_t *r = w->run;
     int64_t d = r->d;
     double neg_lr = -r->lr[b];
     acc_t *restrict acc = w->acc;
     int32_t n = 0;
-    for (int64_t lg = 0; lg < groups; lg++) {
-        const int32_t *rows = r->in_rows + first_row(r, g0 + lg);
+    for (int64_t lg = 0, unit = 0; lg < groups; lg++) {
+        const int32_t *rows = r->in_rows + r->row_start[g0 + lg];
         int64_t m = group_size(r, g0 + lg);
-        for (int64_t j = 0; j < m; j++) n = keep_owned(w, rows[j], lg, 0, n);
+        for (int64_t j = 0; j < m; j++, unit++) n = keep_owned(w, rows[j], r->cbow ? lg : unit, 0, n);
     }
     sort_by_row(w, n);
     for (int64_t s = 0, i = 0; s < w->rows; s++) {
@@ -417,7 +568,7 @@ static void update_in_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) {
             int64_t a = i + AHEAD < n ? i + AHEAD : n - 1;
             prefetch_vector(r->gh + (int64_t)w->row_grp[a] * d, d, 0);
             const float *restrict gh = r->gh + (int64_t)w->row_grp[i] * d;
-            int64_t m = group_size(r, g0 + w->row_grp[i]);
+            int64_t m = r->cbow ? group_size(r, g0 + w->row_grp[i]) : 1;
             if (m == 1) {
                 add_step(acc, gh, 1.0f, neg_lr, d);
             } else {
@@ -431,25 +582,38 @@ static void update_in_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) {
     }
 }
 
-/* What every thread of a call runs, batch after batch. A group is scored
-   by the owner of its first input row, so a skip-gram pair's input row
-   and gradient never leave one CPU's cache. Output rows are summed while
-   w_in still holds the pre-batch rows they read, input rows after. */
+/* Which thread scores group g of the batch starting at g0: a CBOW group
+   goes to the owner of its first input row, so that a lone row and its
+   gradient stay in one CPU's cache; skip-gram groups are dealt out in
+   consecutive runs of about the same number of rows, since a group's
+   work grows with its rows and the rows of a window are many owners'. */
+static inline int64_t scorer(const run_t *r, int64_t g0, int64_t g, int64_t batch_rows) {
+    if (r->cbow) {
+        int64_t row = r->in_rows[r->row_start[g]];
+        return row - row_div(r, row) * r->team.threads;
+    }
+    return (r->row_start[g] - r->row_start[g0]) * r->team.threads / batch_rows;
+}
+
+/* What every thread of a call runs, batch after batch. Output rows are
+   summed while w_in still holds the pre-batch rows they read, input rows
+   after. */
 static void train_batches(worker_t *w) {
     run_t *r = w->run;
     for (int64_t b = 0; b < r->batches; b++) {
         int64_t g0 = r->batch_off[b], g1 = r->batch_off[b + 1];
+        int64_t batch_rows = r->row_start[g1] - r->row_start[g0];
         int64_t drawn = -1;
         for (int64_t g = g0; g < g1; g++) {
-            int64_t row = r->in_rows[first_row(r, g)];
-            if (row - row_div(r, row) * r->team.threads != w->id) continue;
+            if (scorer(r, g0, g, batch_rows) != w->id) continue;
             draw_negatives(r, g, g - g0);
-            if (drawn >= 0) score_group(r, drawn, drawn - g0);
+            if (drawn >= 0) score_group(r, g0, drawn);
             drawn = g;
         }
-        if (drawn >= 0) score_group(r, drawn, drawn - g0);
+        if (drawn >= 0) score_group(r, g0, drawn);
         barrier_wait(&r->team.barrier);
-        if (w->id == b % r->team.threads) r->losses[b] = batch_loss(r, g1 - g0);
+        if (w->id == b % r->team.threads)
+            r->losses[b] = batch_loss(r, r->cbow ? g1 - g0 : batch_rows);
         update_out_rows(w, b, g0, g1 - g0);
         barrier_wait(&r->team.barrier);
         update_in_rows(w, b, g0, g1 - g0);
@@ -475,24 +639,24 @@ static inline size_t round64(size_t n) { return (n + 63) & ~(size_t)63; }
    on entry and on return, and holds vocab + 16 * MAX_THREADS entries.
    Returns the number of threads used, or -1 when memory ran out (before
    anything was touched). */
-int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d,
+int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d, int64_t cbow,
                 int64_t batches, const int64_t *batch_off,
                 const int32_t *in_rows, const int64_t *row_start,
                 const int32_t *out_pos, int64_t negative,
                 const double *u, const double *cdf, const double *lr,
                 double clip, double *losses, int64_t threads, int64_t max_kept,
                 int32_t *slot, float *records, int64_t record_floats,
-                float *h, float *gh) {
+                int64_t *negs, float *h, float *gh, float *sums) {
     run_t run = {
         .w_in = w_in, .w_out = w_out, .vocab = vocab, .d = d, .negative = negative,
-        .batches = batches, .batch_off = batch_off, .in_rows = in_rows,
+        .batches = batches, .cbow = cbow, .batch_off = batch_off, .in_rows = in_rows,
         .row_start = row_start, .out_pos = out_pos, .u = u, .cdf = cdf, .lr = lr,
         .clip = clip, .losses = losses, .records = records,
-        .record_floats = record_floats, .h = h, .gh = gh,
+        .record_floats = record_floats, .negs = negs, .h = h, .gh = gh, .sums = sums,
     };
     worker_t workers[MAX_THREADS];
-    int64_t groups = batch_off[batches];
-    int64_t vectors = groups * (1 + negative) + (row_start ? row_start[groups] : groups);
+    int64_t groups = batch_off[batches], rows = row_start[groups];
+    int64_t vectors = (cbow ? groups : rows) * (1 + negative) + rows;
     threads = team_size(&run.team, threads, vectors / batches * d / MIN_WORK_PER_THREAD);
 
     int64_t max_rows = max_kept < vocab ? max_kept : vocab;
@@ -544,10 +708,10 @@ def _load(so_path: str):
     lib.cdf_search.argtypes = [_F64P, ctypes.c_int64, _F64P, ctypes.c_int64, _I64P]
     lib.w2v_run.restype = ctypes.c_int64
     lib.w2v_run.argtypes = [
-        _F32P, _F32P, ctypes.c_int64, ctypes.c_int64,
+        _F32P, _F32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, _I64P, _I32P, _I64P, _I32P, ctypes.c_int64,
         _F64P, _F64P, _F64P, ctypes.c_double, _F64P, ctypes.c_int64, ctypes.c_int64,
-        _I32P, _F32P, ctypes.c_int64, _F32P, _F32P,
+        _I32P, _F32P, ctypes.c_int64, _I64P, _F32P, _F32P, _F32P,
     ]
     return lib
 
@@ -584,46 +748,55 @@ def _cache_aligned(count: int, dtype) -> np.ndarray:
 class BatchScratch:
     """Work buffers of the C batch update, owned by one trainer.
 
-    Sized from the vocabulary, the dimension and the largest batch the
-    trainer will issue (``max_in_rows`` input rows in ``max_groups``
-    groups with ``negative`` negatives each): what phase 1 stores per
-    group of a batch (negatives, coefficients, log terms; ``h`` and its
-    gradient) and the map from a row to its place among the rows a batch
-    touches. Nothing here depends on the thread count; what does (one
-    accumulator row and the sorted contributions per thread) is
-    allocated by the call that knows it. A trainer rebuilds the scratch
-    when ``expand_vocab`` swaps its matrices.
+    Sized from the vocabulary, the dimension, the trainer's ``mode`` and
+    the largest batch it will issue (``max_in_rows`` input rows in
+    ``max_groups`` groups with ``negative`` negatives each): what phase 1
+    stores per unit of a batch (coefficients, log terms and the gradient
+    of what it scored; a unit is a CBOW group or a skip-gram input row),
+    per group (its negatives; the mean of its rows in CBOW, its summed
+    target gradients in skip-gram) and the map from a row to its place
+    among the rows a batch touches. Nothing here depends on the thread
+    count; what does (one accumulator row and the sorted contributions
+    per thread) is allocated by the call that knows it. A trainer
+    rebuilds the scratch when ``expand_vocab`` swaps its matrices.
     """
 
-    def __init__(self, vocab: int, dim: int, max_in_rows: int, max_groups: int, negative: int):
-        # a group's record: 1 + negative float32 coefficients, as many log
-        # terms, then its negatives as int64; whole cache lines
-        record_floats = -(-(4 * negative + 2) // 16) * 16
-        if max(max_groups * record_floats, max_in_rows) >= 2**31:
+    def __init__(
+        self, vocab: int, dim: int, max_in_rows: int, max_groups: int, negative: int, mode: str
+    ):
+        if mode not in ("skipgram", "cbow"):
+            raise TrainingError(f"learn kernel: mode must be skipgram or cbow, got {mode!r}")
+        cbow = mode == "cbow"
+        units = max_groups if cbow else max_in_rows
+        # a unit's record: 1 + negative float32 coefficients and as many
+        # log terms; whole cache lines
+        record_floats = -(-(2 * negative + 2) // 16) * 16
+        if max(units * record_floats, max_in_rows, max_groups * (negative + 1)) >= 2**31:
             raise TrainingError("learn kernel: a batch must stay below 2**31 targets and rows")
         self.vocab = vocab
         self.dim = dim
         self.max_in_rows = max_in_rows
         self.max_groups = max_groups
         self.negative = negative
+        self.mode = mode
         #: all -1 between calls; padded so every thread's share can start
         #: on a cache line
         self.slot = _cache_aligned(vocab + 16 * MAX_THREADS, np.int32)
         self.slot.fill(-1)
-        self.records = _cache_aligned(max_groups * record_floats, np.float32)
+        self.records = _cache_aligned(units * record_floats, np.float32)
         #: negative indices of the last batch, one row per group
-        self.neg = self.records.view(np.int64).reshape(max_groups, -1)[
-            :, negative + 1 : 2 * negative + 1
-        ]
-        self.h = _cache_aligned(max_groups * dim, np.float32)
-        self.gh = _cache_aligned(max_groups * dim, np.float32)
+        self.neg = _cache_aligned(max_groups * negative, np.int64).reshape(max_groups, negative)
+        self.h = _cache_aligned(max_groups * dim if cbow else 0, np.float32)
+        self.gh = _cache_aligned(units * dim, np.float32)
+        self.sums = _cache_aligned(0 if cbow else max_groups * (negative + 1) * dim, np.float32)
         #: threads the last run used (1: no helper thread was created)
         self.threads = 0
         #: the buffers above as the trailing arguments of ``w2v_run``,
         #: converted once: they live, unmoved, as long as this object
         self.pointers = (
             self.slot.ctypes.data_as(_I32P), self.records.ctypes.data_as(_F32P), record_floats,
-            self.h.ctypes.data_as(_F32P), self.gh.ctypes.data_as(_F32P),
+            self.neg.ctypes.data_as(_I64P), self.h.ctypes.data_as(_F32P),
+            self.gh.ctypes.data_as(_F32P), self.sums.ctypes.data_as(_F32P),
         )
 
 
@@ -661,15 +834,16 @@ class CTrainKernel:
         mean loss of each.
 
         ``in_rows`` (int32) are the input rows of all groups back to
-        back, ``sizes`` (int64, or ``None`` for one row per group —
-        skip-gram) how many each group owns, ``out_pos`` (int32) each
-        group's positive output row, ``u`` the ``(groups, negative)``
-        float64 uniforms the negatives are read from through ``cdf``.
-        Batch ``b`` is groups ``offsets[b]:offsets[b + 1]`` (int64) and
-        steps at ``lrs[b]`` (float64) against the weights batch ``b - 1``
-        left. Afterwards ``scratch.neg[:k]`` holds the negative indices
-        of the last batch's ``k`` groups and ``scratch.threads`` how many
-        threads ran.
+        back, ``sizes`` (int64) how many each group owns, ``out_pos``
+        (int32) each group's positive output row (a CBOW window's center,
+        or the center a skip-gram window's rows are each scored against),
+        ``u`` the ``(groups, negative)`` float64 uniforms the group's
+        negatives are read from through ``cdf``; ``scratch.mode`` says
+        which update. Batch ``b`` is groups ``offsets[b]:offsets[b + 1]``
+        (int64) and steps at ``lrs[b]`` (float64) against the weights
+        batch ``b - 1`` left. Afterwards ``scratch.neg[:k]`` holds the
+        negative indices of the last batch's ``k`` groups and
+        ``scratch.threads`` how many threads ran.
         ``threads`` forces that number, for tests and benchmarks: the
         results do not depend on it, and a trainer never passes it.
         Every precondition the C code relies on is checked here, over
@@ -686,17 +860,11 @@ class CTrainKernel:
         _check_rows("out_pos", out_pos, vocab)
         _check_rows("in_rows", in_rows, vocab)
         groups = out_pos.size
-        if sizes is None:
-            row_start, row_start_p = None, None  # NULL: one input row per group
-            if in_rows.size != groups:
-                raise TrainingError("learn kernel: one input row per group expected")
-        else:
-            _check_array("sizes", sizes, np.int64, 1)
-            if sizes.size != groups or (groups and sizes.min() < 1) or sizes.sum() != in_rows.size:
-                raise TrainingError("learn kernel: sizes must be >= 1 and sum to in_rows.size")
-            row_start = np.zeros(groups + 1, dtype=np.int64)
-            np.cumsum(sizes, out=row_start[1:])
-            row_start_p = row_start.ctypes.data_as(_I64P)
+        _check_array("sizes", sizes, np.int64, 1)
+        if sizes.size != groups or (groups and sizes.min() < 1) or sizes.sum() != in_rows.size:
+            raise TrainingError("learn kernel: sizes must be >= 1 and sum to in_rows.size")
+        row_start = np.zeros(groups + 1, dtype=np.int64)
+        np.cumsum(sizes, out=row_start[1:])
         _check_array("u", u, np.float64, 2)
         if u.shape != (groups, scratch.negative):
             raise TrainingError(
@@ -727,14 +895,15 @@ class CTrainKernel:
         losses = np.empty(batch_groups.size, dtype=np.float64)
         if losses.size == 0:
             return losses
-        batch_rows = batch_groups if row_start is None else np.diff(row_start[offsets])
+        batch_rows = np.diff(row_start[offsets])
         if batch_groups.max() > scratch.max_groups or batch_rows.max() > scratch.max_in_rows:
             raise TrainingError("learn kernel: batch larger than the scratch was sized for")
         max_kept = max(int(batch_groups.max()) * (1 + scratch.negative), int(batch_rows.max()))
         used = self._lib.w2v_run(
             w_in.ctypes.data_as(_F32P), w_out.ctypes.data_as(_F32P), vocab, dim,
-            losses.size, offsets.ctypes.data_as(_I64P), in_rows.ctypes.data_as(_I32P),
-            row_start_p, out_pos.ctypes.data_as(_I32P), scratch.negative,
+            int(scratch.mode == "cbow"), losses.size, offsets.ctypes.data_as(_I64P),
+            in_rows.ctypes.data_as(_I32P), row_start.ctypes.data_as(_I64P),
+            out_pos.ctypes.data_as(_I32P), scratch.negative,
             u.ctypes.data_as(_F64P), cdf.ctypes.data_as(_F64P), lrs.ctypes.data_as(_F64P),
             -1.0 if max_row_step is None else float(max_row_step),
             losses.ctypes.data_as(_F64P), threads or 0, max_kept,

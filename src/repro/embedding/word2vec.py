@@ -8,14 +8,19 @@ learning rate — the standard Mikolov recipe, vectorized:
 * **Dynamic windows** use the reduced-window identity: the pair (center,
   context-at-distance-d) is included with probability
   ``(window - d + 1) / window``, the marginal of drawing a window size
-  uniformly in [1, window]. Pair generation is then a handful of shifted
-  comparisons over the padded walk matrix.
+  uniformly in [1, window]. One draw per unordered pair fills a
+  (slot, row, position) mask, distance by distance, and every center
+  occurrence with an included context becomes a *window*: its contexts
+  in slot order +1, -1, +2, -2, ...
 * **Scatter updates** (many pairs touch the same row) are segment-summed
   per unique row through a sparse one-hot product rather than
   ``np.add.at``, which makes batched SGD practical in pure numpy.
-* **Negatives** come from the unigram^0.75 distribution via inverse CDF
-  and are an *input* of the batch update: the trainer draws the uniforms,
-  the update only consumes them.
+* **Negatives** come from the unigram^0.75 distribution via inverse CDF,
+  ``negative`` of them per window, shared by its contexts: CBOW scores
+  the window's mean against [center, negatives], skip-gram each context
+  on its own (pWord2Vec's scheme, Ji et al., arXiv:1604.04661). They are
+  an *input* of the batch update: the trainer draws the uniforms, the
+  update only consumes them.
 * **The batch update itself** is :func:`sgns_batch` / :func:`cbow_batch`
   below, or — whenever this host has a C compiler — the one fused C
   routine of :mod:`repro.embedding.kernels` that performs the same
@@ -132,12 +137,17 @@ def _mean_loss(s_pos: np.ndarray, s_neg: np.ndarray) -> float:
 # pre-batch weights, in float32; steps are summed per row and clipped by
 # :func:`scatter_add_rows`. An empty batch changes nothing and has no
 # loss (``nan``).
-def sgns_batch(w_in, w_out, c, o, neg, lr: float, max_row_step: float | None) -> float:
-    """Skip-gram update: ``w_in[c[k]]`` against ``w_out[o[k]]`` (positive)
-    and ``w_out[neg[k, :]]`` (negatives)."""
-    if c.size == 0:
+def sgns_batch(w_in, w_out, ctx, sizes, center, neg, lr: float, max_row_step: float | None) -> float:
+    """Skip-gram update over windows: window ``g`` owns ``sizes[g]``
+    consecutive entries of ``ctx``, and each of their input vectors is
+    scored on its own against ``w_out[center[g]]`` (positive) and the
+    window's shared negatives ``w_out[neg[g, :]]`` — the per-pair update
+    of the pairs ``(ctx[k], center of k's window)``."""
+    if ctx.size == 0:
         return float("nan")
-    h = w_in[c]
+    o = np.repeat(center, sizes)
+    neg = np.repeat(neg, sizes, axis=0)
+    h = w_in[ctx]
     v_pos = w_out[o]
     s_pos = _sigmoid(np.einsum("kd,kd->k", h, v_pos))
     g_pos = s_pos - 1.0
@@ -148,7 +158,7 @@ def sgns_batch(w_in, w_out, c, o, neg, lr: float, max_row_step: float | None) ->
     grad_out_pos = g_pos[:, None] * h
     grad_out_neg = (s_neg[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1])
 
-    scatter_add_rows(w_in, c, _step(grad_h, lr), clip=max_row_step)
+    scatter_add_rows(w_in, ctx, _step(grad_h, lr), clip=max_row_step)
     out_rows = np.concatenate([o, neg.ravel()])
     out_grads = np.concatenate([grad_out_pos, grad_out_neg])
     scatter_add_rows(w_out, out_rows, _step(out_grads, lr), clip=max_row_step)
@@ -544,7 +554,7 @@ class Word2Vec:
         return block
 
     def _train_block(self, block: np.ndarray) -> int:
-        """Subsample, pair-generate and SGD-train one canonical block."""
+        """Subsample, build the windows of and SGD-train one canonical block."""
         block_no = self._block_no
         self._block_no += 1
         rng = self._block_rng(block_no)
@@ -554,83 +564,73 @@ class Word2Vec:
             drop = rng.random(encoded.shape) >= keep[np.maximum(encoded, 0)]
             encoded = np.where(drop & (encoded >= 0), -1, encoded)
 
-        need_positions = self.mode == "cbow"
-        pairs = self._generate_pairs(encoded, rng, with_positions=need_positions)
-        if pairs[0].size == 0:
+        centers, sizes, contexts = self._windows(encoded, rng)
+        if contexts.size == 0:
             return 0
-        if self.mode == "skipgram":
-            self._train_sgns(pairs[0], pairs[1], rng, block_no)
-        else:
-            self._train_cbow(pairs[0], pairs[1], pairs[2], rng, block_no)
-        self._pairs_trained += int(pairs[0].size)
-        return int(pairs[0].size)
+        self._train_windows(centers, sizes, contexts, rng, block_no)
+        self._pairs_trained += int(contexts.size)
+        return int(contexts.size)
 
     # ------------------------------------------------------------------
-    def _generate_pairs(
-        self, encoded: np.ndarray, rng, *, with_positions: bool = False
-    ):
-        """(center, context) index pairs with reduced-window inclusion.
+    def _windows(self, encoded: np.ndarray, rng):
+        """Every center occurrence with at least one included context, in
+        corpus order: ``(centers, sizes, contexts)``, window ``g`` owning
+        ``sizes[g]`` consecutive entries of ``contexts``.
 
-        With ``with_positions=True`` a third array identifies the corpus
-        position (flattened matrix index) of each pair's *center*
-        occurrence — CBOW groups contexts by it.
+        A context at distance ``d`` is included with probability
+        ``(window - d + 1) / window``, by one draw per unordered pair of
+        positions, so that a window's contexts are exactly the pairs that
+        name its center, in either direction. Within a window, contexts
+        come in slot order +1, -1, +2, -2, ...
         """
         rows, length = encoded.shape
-        flat_pos = np.arange(rows * length, dtype=np.int64).reshape(rows, length)
-        centers = []
-        contexts = []
-        positions = []
+        present = encoded >= 0
+        # slot 2(d - 1) holds the context at +d, slot 2(d - 1) + 1 the one at -d
+        mask = np.zeros((2 * self.window, rows, length), dtype=bool)
         for dist in range(1, self.window + 1):
-            left = encoded[:, :-dist].ravel()
-            right = encoded[:, dist:].ravel()
-            valid = (left >= 0) & (right >= 0)
+            valid = present[:, :-dist] & present[:, dist:]
             p_keep = (self.window - dist + 1) / self.window
             if p_keep < 1.0:
-                valid &= rng.random(valid.size) < p_keep
-            if not valid.any():
-                continue
-            a = left[valid].astype(np.int32)
-            b = right[valid].astype(np.int32)
-            centers.append(a)
-            contexts.append(b)
-            centers.append(b)
-            contexts.append(a)
-            if with_positions:
-                positions.append(flat_pos[:, :-dist].ravel()[valid])
-                positions.append(flat_pos[:, dist:].ravel()[valid])
-        if not centers:
-            empty32 = np.empty(0, dtype=np.int32)
-            if with_positions:
-                return empty32, empty32.copy(), np.empty(0, dtype=np.int64)
-            return empty32, empty32.copy()
-        if with_positions:
-            return (
-                np.concatenate(centers),
-                np.concatenate(contexts),
-                np.concatenate(positions),
-            )
-        return np.concatenate(centers), np.concatenate(contexts)
+                valid &= (rng.random(valid.size) < p_keep).reshape(valid.shape)
+            mask[2 * dist - 2, :, :-dist] = valid
+            mask[2 * dist - 1, :, dist:] = valid
+        sizes = np.count_nonzero(mask, axis=0).ravel()
+        # where each position's next context goes, filled slot by slot
+        at = np.cumsum(sizes) - sizes
+        tokens = encoded.ravel()
+        contexts = np.empty(int(sizes.sum()), dtype=np.int32)
+        for slot in range(2 * self.window):
+            shift = (slot // 2 + 1) * (1 - 2 * (slot % 2))
+            pos = np.flatnonzero(mask[slot])
+            contexts[at[pos]] = tokens[pos + shift]
+            at[pos] += 1
+        has = sizes > 0
+        return tokens[has].astype(np.int32), sizes[has], contexts
 
     # ------------------------------------------------------------------
+    def _windows_per_batch(self) -> int:
+        """Windows a batch packs, so that it holds about ``batch_pairs``
+        pairs: a CBOW window counts as its ``2 * window`` slots, a
+        skip-gram one as the ``window + 1`` contexts a center has on
+        average under reduced windows."""
+        per_window = 2 * self.window if self.mode == "cbow" else self.window + 1
+        return max(self.batch_pairs // per_window, 1)
+
     def _batch_scratch(self) -> BatchScratch:
         """The C kernel's work buffers, sized for this trainer's largest batch."""
         if self._scratch is None:
-            if self.mode == "skipgram":
-                groups = rows = self.batch_pairs
-            else:
-                groups = self._cbow_groups_per_batch()
-                rows = groups * 2 * self.window
+            groups = self._windows_per_batch()
             self._scratch = BatchScratch(
-                self.vocab.size, self.dimensions, rows, groups, self.negative
+                self.vocab.size, self.dimensions, groups * 2 * self.window, groups,
+                self.negative, self.mode,
             )
         return self._scratch
 
     def _train_run(self, in_rows, sizes, out_pos, per_batch: int, rng, lrs) -> int:
-        """Train one run of consecutive batches of ``per_batch`` groups
+        """Train one run of consecutive batches of ``per_batch`` windows
         (the last one shorter) through the kernel this trainer resolved;
         returns how many batches that was.
 
-        ``sizes`` is ``None`` for skip-gram (one input row per group).
         The run's uniforms are one draw, which the generator's sequential
         stream makes equal to a draw per batch; ``lrs`` holds the
         learning rates from the run's first batch on.
@@ -646,21 +646,15 @@ class Word2Vec:
             )
             self.training_loss_.extend(losses.tolist())
             return lrs.size
-        rows = offsets if sizes is None else np.append(0, np.cumsum(sizes))[offsets]
+        update = cbow_batch if self.mode == "cbow" else sgns_batch
+        rows = np.append(0, np.cumsum(sizes))[offsets]
         for b, lr in enumerate(lrs.tolist()):
             batch = slice(offsets[b], offsets[b + 1])
-            ins = in_rows[rows[b] : rows[b + 1]]
             neg = self._sampler.indices(u[batch])
-            if sizes is None:
-                loss = sgns_batch(
-                    self.w_in, self.w_out, ins, out_pos[batch], neg, lr, self.max_row_step
-                )
-            else:
-                loss = cbow_batch(
-                    self.w_in, self.w_out, ins, sizes[batch], out_pos[batch], neg, lr,
-                    self.max_row_step,
-                )
-            self.training_loss_.append(loss)
+            self.training_loss_.append(update(
+                self.w_in, self.w_out, in_rows[rows[b] : rows[b + 1]], sizes[batch],
+                out_pos[batch], neg, lr, self.max_row_step,
+            ))
         return lrs.size
 
     def _groups_per_run(self, per_batch: int) -> int:
@@ -669,55 +663,29 @@ class Word2Vec:
         batch_bytes = 8 * self.negative * per_batch
         return max(RUN_UNIFORM_BYTES // batch_bytes, 1) * per_batch
 
-    def _train_sgns(self, centers, contexts, rng, block_no) -> None:
-        n_pairs = centers.size
-        batches_per_epoch = max((n_pairs + self.batch_pairs - 1) // self.batch_pairs, 1)
-        lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
-        per_run = self._groups_per_run(self.batch_pairs)
-        batch_no = 0
-        for __ in range(self.epochs):
-            perm = rng.permutation(n_pairs)
-            for s in range(0, n_pairs, per_run):
-                sel = perm[s : s + per_run]
-                batch_no += self._train_run(
-                    centers[sel], None, contexts[sel], self.batch_pairs, rng, lrs[batch_no:]
-                )
-
-    # ------------------------------------------------------------------
-    def _cbow_groups_per_batch(self) -> int:
-        return max(self.batch_pairs // max(2 * self.window, 1), 1)
-
-    def _train_cbow(self, centers, contexts, positions, rng, block_no) -> None:
-        """CBOW: the mean of a center occurrence's context inputs predicts
-        the center's output vector.
-
-        Pairs are grouped by the center's *corpus position* (a specific
-        occurrence, not the token id), so each group is one genuine
-        window. Groups are shuffled per epoch and packed into batches of
-        roughly ``batch_pairs`` pairs.
-        """
-        order = np.argsort(positions, kind="stable")
-        c_sorted = centers[order]
-        o_sorted = contexts[order]
-        pos_sorted = positions[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(pos_sorted)) + 1))
-        lengths = np.diff(np.append(starts, pos_sorted.size))
-        group_center = c_sorted[starts]
-        num_groups = starts.size
-        groups_per_batch = self._cbow_groups_per_batch()
-        batches_per_epoch = max((num_groups + groups_per_batch - 1) // groups_per_batch, 1)
-        lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
-        per_run = self._groups_per_run(groups_per_batch)
-        batch_no = 0
+    def _train_windows(self, centers, sizes, contexts, rng, block_no) -> None:
+        """Both modes train windows: one center occurrence and its
+        included contexts, which draw ``negative`` negatives once. CBOW
+        predicts the center from the mean of the contexts' input vectors;
+        skip-gram scores each context's input vector on its own against
+        [center, negatives]. Windows are shuffled per epoch and packed
+        :meth:`_windows_per_batch` to a batch."""
         from repro.walks._segments import concat_ranges
 
+        num_windows = centers.size
+        starts = np.cumsum(sizes) - sizes
+        per_batch = self._windows_per_batch()
+        batches_per_epoch = max((num_windows + per_batch - 1) // per_batch, 1)
+        lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
+        per_run = self._groups_per_run(per_batch)
+        batch_no = 0
         for __ in range(self.epochs):
-            perm = rng.permutation(num_groups)
-            for s in range(0, num_groups, per_run):
+            perm = rng.permutation(num_windows)
+            for s in range(0, num_windows, per_run):
                 chunk = perm[s : s + per_run]
-                sizes = lengths[chunk]
-                pair_idx = concat_ranges(starts[chunk], sizes)[0]
+                chunk_sizes = sizes[chunk]
+                pair_idx = concat_ranges(starts[chunk], chunk_sizes)[0]
                 batch_no += self._train_run(
-                    o_sorted[pair_idx], sizes, group_center[chunk], groups_per_batch, rng,
+                    contexts[pair_idx], chunk_sizes, centers[chunk], per_batch, rng,
                     lrs[batch_no:],
                 )

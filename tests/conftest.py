@@ -34,10 +34,12 @@ def rng():
 
 @pytest.fixture
 def tiny_weighted_graph():
-    """5-node weighted graph with a mix of triangles and non-adjacent pairs.
+    """5-node weighted graph: a K5 (all ten pairs) with unequal weights.
 
-    Handy because node 0's neighbours {1, 2, 3, 4} fall into all three
-    node2vec alpha classes relative to a predecessor.
+    From node 0 after any predecessor, a candidate is the predecessor
+    itself (node2vec's 1/p class) or adjacent to it (the 1 class): every
+    pair is an edge, so no candidate is two hops from a predecessor and
+    the 1/q class never occurs on this graph.
     """
     src = np.array([0, 0, 0, 0, 1, 2, 3, 1, 3, 3])
     dst = np.array([1, 2, 3, 4, 2, 4, 1, 4, 2, 4])

@@ -182,22 +182,122 @@ class TestWord2VecTraining:
         )
         assert kv.dimensions == 8
 
-    def test_pair_generation_counts(self, rng):
+    def test_window_context_counts(self, rng):
         w2v = Word2Vec(dimensions=4, window=2, seed=9)
         encoded = np.array([[0, 1, 2, 3]])
         totals = []
         for __ in range(300):
-            c, o = w2v._generate_pairs(encoded, rng)
-            totals.append(c.size)
+            centers, sizes, contexts = w2v._windows(encoded, rng)
+            assert sizes.min() >= 1 and sizes.sum() == contexts.size
+            totals.append(contexts.size)
         # distance-1 pairs always kept (3*2), distance-2 kept w.p. 1/2 (2*2)
         assert abs(np.mean(totals) - (6 + 2)) < 0.5
 
-    def test_pair_positions_align(self, rng):
+    def test_windows_come_in_corpus_order_nearest_first(self, rng):
+        # window 1 draws nothing; -1 is a padded or subsampled position,
+        # which has no window and is no context
+        w2v = Word2Vec(dimensions=4, window=1, seed=10)
+        encoded = np.array([[4, 5, 6, -1, 7], [8, 9, -1, -1, -1]])
+        centers, sizes, contexts = w2v._windows(encoded, rng)
+        assert centers.tolist() == [4, 5, 6, 8, 9]
+        assert np.split(contexts, np.cumsum(sizes)[:-1])[1].tolist() == [6, 4]
+        assert contexts.tolist() == [5, 6, 4, 5, 9, 8]
+        assert centers.dtype == contexts.dtype == np.int32 and sizes.dtype == np.int64
+        # window 2 keeps distance 2 with probability 1/2: slots +1, -1, +2, -2
         w2v = Word2Vec(dimensions=4, window=2, seed=10)
-        encoded = np.array([[4, 5, 6]])
-        c, o, pos = w2v._generate_pairs(encoded, rng, with_positions=True)
-        for center, position in zip(c, pos):
-            assert encoded.ravel()[position] == center
+        seen = set()
+        for __ in range(40):
+            centers, sizes, contexts = w2v._windows(np.array([[1, 2, 3, 4, 5]]), rng)
+            middle = np.split(contexts, np.cumsum(sizes)[:-1])[2]
+            seen.add(tuple(middle.tolist()))
+        assert seen == {(4, 2), (4, 2, 5), (4, 2, 1), (4, 2, 5, 1)}
+
+
+def per_pair_generator(encoded, window, rng, with_positions=False):
+    """The pair generator the window builder replaced, as it was: (center,
+    context) pairs, both directions of every included pair, distance by
+    distance; with ``with_positions`` also the flat corpus position of
+    each pair's center, by which CBOW grouped them."""
+    rows, length = encoded.shape
+    flat_pos = np.arange(rows * length, dtype=np.int64).reshape(rows, length)
+    centers, contexts, positions = [], [], []
+    for dist in range(1, window + 1):
+        left = encoded[:, :-dist].ravel()
+        right = encoded[:, dist:].ravel()
+        valid = (left >= 0) & (right >= 0)
+        p_keep = (window - dist + 1) / window
+        if p_keep < 1.0:
+            valid &= rng.random(valid.size) < p_keep
+        if not valid.any():
+            continue
+        a, b = left[valid].astype(np.int32), right[valid].astype(np.int32)
+        centers += [a, b]
+        contexts += [b, a]
+        positions += [flat_pos[:, :-dist].ravel()[valid], flat_pos[:, dist:].ravel()[valid]]
+    if not centers:
+        empty = np.empty(0, dtype=np.int32)
+        return (empty, empty, np.empty(0, dtype=np.int64)) if with_positions else (empty, empty)
+    out = (np.concatenate(centers), np.concatenate(contexts))
+    return (*out, np.concatenate(positions)) if with_positions else out
+
+
+class TestWindowsArePairs:
+    """A block trains the pairs the per-pair generator made, from the same
+    draws; only the grouping (and so which pairs share negatives) moved."""
+
+    @staticmethod
+    def multiset(first, second):
+        return sorted(zip(first.tolist(), second.tolist()))
+
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_pairs_from_the_same_draws(self, window, seed):
+        encoded = np.random.default_rng(seed).integers(-1, 30, (40, 25))
+        w2v = Word2Vec(dimensions=4, window=window, seed=1)
+        new_rng, old_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        centers, sizes, contexts = w2v._windows(encoded, new_rng)
+        old_centers, old_contexts, positions = per_pair_generator(
+            encoded, window, old_rng, with_positions=True
+        )
+        # the generators are left in the same state
+        assert new_rng.random() == old_rng.random()
+        # skip-gram: the old (input = center, output = context) pairs and the
+        # new (input = context, output = window center) are one multiset,
+        # since every pair comes in both directions
+        assert self.multiset(contexts, np.repeat(centers, sizes)) == self.multiset(
+            old_centers, old_contexts
+        )
+        # CBOW: the windows are the old groups, in the old order, bit for bit
+        order = np.argsort(positions, kind="stable")
+        starts = np.flatnonzero(np.diff(positions[order], prepend=-1))
+        assert np.array_equal(centers, old_centers[order][starts])
+        assert np.array_equal(sizes, np.diff(np.append(starts, order.size)))
+        assert np.array_equal(contexts, old_contexts[order])
+
+    def test_every_block_of_a_fit(self, barbell, monkeypatch):
+        from repro.walks.vectorized import VectorizedWalkEngine
+
+        seen = []
+        original = Word2Vec._windows
+
+        def spy(self, encoded, rng):
+            state = rng.bit_generator.state
+            seen.append((encoded.copy(), state, original(self, encoded, rng)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(Word2Vec, "_windows", spy)
+        corpus = VectorizedWalkEngine(barbell, "deepwalk", sampler="mh", seed=1).generate(15, 30)
+        Word2Vec(dimensions=8, window=3, subsample=1e-2, block_walks=16, seed=3).fit(
+            corpus, num_nodes=barbell.num_nodes
+        )
+        assert len(seen) == -(-corpus.num_walks // 16)
+        for encoded, state, (centers, sizes, contexts) in seen:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            assert (encoded == -1).any()  # subsampling dropped tokens
+            assert self.multiset(contexts, np.repeat(centers, sizes)) == self.multiset(
+                *per_pair_generator(encoded, 3, rng)
+            )
 
 
 class TestKeyedVectors:

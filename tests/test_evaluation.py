@@ -230,6 +230,27 @@ class TestLinkPrediction:
         out = link_prediction_experiment(barbell, embed, test_fraction=0.25, seed=5)
         assert out["auc"] > 0.6
 
+    @staticmethod
+    def deepwalk_auc(name, scale):
+        from repro import UniNet
+        from repro.graph import datasets
+
+        def embed(train_graph):
+            net = UniNet(train_graph, model="deepwalk", seed=1)
+            return net.train(num_walks=10, walk_length=40, dimensions=64).embeddings
+
+        graph = datasets.load_graph(name, scale=scale, seed=1)
+        return link_prediction_experiment(graph, embed, operator="hadamard", seed=1)["auc"]
+
+    def test_held_out_links_of_a_community_graph_are_found(self):
+        # the stand-in examples/link_prediction.py measures on
+        assert self.deepwalk_auc("blogcatalog", 0.2) > 0.7
+
+    def test_a_chung_lu_graph_has_no_held_out_link_signal(self):
+        # edges independent given the degrees: nothing beyond chance to
+        # find, so an AUC here measures noise (the amazon stand-in)
+        assert abs(self.deepwalk_auc("amazon", 0.1) - 0.5) < 0.1
+
 
 @settings(max_examples=30, deadline=None)
 @given(

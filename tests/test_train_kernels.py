@@ -1,5 +1,11 @@
 """The compiled learn kernel against the NumPy reference batch updates.
 
+Both modes train *windows*: a group of input rows with one positive
+output row and ``negative`` negatives drawn once for the group. CBOW
+averages the group's rows; skip-gram scores each row on its own, which
+the reference spells as the per-pair update of ``(row, center)`` pairs
+with the group's negatives repeated per row.
+
 What must be **exact** between ``repro.embedding.kernels`` (C) and
 ``repro.embedding.word2vec.sgns_batch`` / ``cbow_batch`` (reference):
 everything integer or RNG-derived — negative indices for every uniform,
@@ -10,7 +16,9 @@ summation order (``einsum``/scipy choose their own) and the last ulp of
 
 * one batch: ``|Δw| <= eps32 * max(dim, n) * max(1, max|w|)``
   (:func:`batch_tol`), ``n`` being the number of contributions summed
-  into the busiest row of the batch (:func:`busiest_row`). Two sums feed
+  into the busiest row of the batch (:func:`busiest_row`, counted over
+  the pairs the reference sums: a skip-gram window's positive and
+  negatives once per row of the window). Two sums feed
   a row and each gets its term. A float32 dot product of ``dim`` terms
   carries about ``eps32 * dim * max|w|`` and the final ``w += step``
   rounds to one ulp of ``w``: the ``dim`` term. The row's step is then
@@ -73,11 +81,12 @@ def busiest_row(batch, neg):
     """How many contributions the batch sums into its busiest row: each
     occurrence of an input row receives ``1 + negative`` (one per
     target of its group), an output row one per positive or negative
-    hit."""
+    hit — in skip-gram once per row of the window that names it."""
     vocab = batch["w_in"].shape[0]
     per_in = np.bincount(batch["in_rows"], minlength=vocab) * (1 + neg.shape[1])
-    per_out = np.bincount(batch["out_pos"], minlength=vocab) + np.bincount(
-        neg.ravel(), minlength=vocab
+    times = batch["sizes"] if batch["mode"] == "skipgram" else 1
+    per_out = np.bincount(np.repeat(batch["out_pos"], times), minlength=vocab) + np.bincount(
+        np.repeat(neg, times, axis=0).ravel(), minlength=vocab
     )
     return int(max(per_in.max(initial=0), per_out.max(initial=0)))
 
@@ -99,9 +108,16 @@ def kernel():
 # ---------------------------------------------------------------------------
 # batch construction
 # ---------------------------------------------------------------------------
+#: the most rows a skip-gram window has: both sides of the trainer's
+#: default window
+MAX_WINDOW = 10
+
+
 def make_batch(seed, vocab, dim, groups, negative, mode, *, hot=None):
     """Random weights and one batch. ``hot`` restricts the rows a batch
-    touches to the first ``hot`` tokens (duplication pressure)."""
+    touches to the first ``hot`` tokens (duplication pressure); a
+    skip-gram window has 1 to :data:`MAX_WINDOW` rows, a CBOW group 1
+    to 6."""
     rng = np.random.default_rng(seed)
     hot = vocab if hot is None else max(1, min(hot, vocab))
     batch = {
@@ -111,28 +127,22 @@ def make_batch(seed, vocab, dim, groups, negative, mode, *, hot=None):
         "out_pos": rng.integers(0, hot, groups).astype(np.int32),
         "u": rng.random((groups, negative)),
         "lr": 0.02,
+        "mode": mode,
     }
-    if mode == "skipgram":
-        batch["sizes"] = None
-        batch["in_rows"] = rng.integers(0, hot, groups).astype(np.int32)
-    else:
-        batch["sizes"] = rng.integers(1, 7, groups).astype(np.int64)
-        batch["in_rows"] = rng.integers(0, hot, int(batch["sizes"].sum())).astype(np.int32)
+    longest = MAX_WINDOW if mode == "skipgram" else 6
+    batch["sizes"] = rng.integers(1, longest + 1, groups).astype(np.int64)
+    batch["in_rows"] = rng.integers(0, hot, int(batch["sizes"].sum())).astype(np.int32)
     return batch
 
 
 def run_reference(batch, max_row_step):
     w_in, w_out = batch["w_in"].copy(), batch["w_out"].copy()
     neg = batch["sampler"].indices(batch["u"])
-    if batch["sizes"] is None:
-        loss = sgns_batch(
-            w_in, w_out, batch["in_rows"], batch["out_pos"], neg, batch["lr"], max_row_step
-        )
-    else:
-        loss = cbow_batch(
-            w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], neg,
-            batch["lr"], max_row_step,
-        )
+    update = sgns_batch if batch["mode"] == "skipgram" else cbow_batch
+    loss = update(
+        w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], neg,
+        batch["lr"], max_row_step,
+    )
     return w_in, w_out, loss, neg
 
 
@@ -143,7 +153,9 @@ def run_kernel(kernel, batch, max_row_step):
 def scratch_for(batch):
     vocab, dim = batch["w_in"].shape
     groups, negative = batch["u"].shape
-    return BatchScratch(vocab, dim, max(batch["in_rows"].size, 1), max(groups, 1), negative)
+    return BatchScratch(
+        vocab, dim, max(batch["in_rows"].size, 1), max(groups, 1), negative, batch["mode"]
+    )
 
 
 def call_kernel(kernel, batch, max_row_step, w_in, w_out, scratch=None):
@@ -177,8 +189,7 @@ def cut_into_batches(batch, cuts):
     into consecutive batches at the group indices ``cuts``."""
     groups = batch["out_pos"].size
     offsets = np.array(sorted({0, groups, *cuts}), dtype=np.int64)
-    sizes = batch["sizes"]
-    rows = offsets if sizes is None else np.append(0, np.cumsum(sizes))[offsets]
+    rows = np.append(0, np.cumsum(batch["sizes"]))[offsets]
     lrs = 0.01 + 0.002 * np.arange(offsets.size - 1, dtype=np.float64)
     return offsets, rows, lrs
 
@@ -289,12 +300,40 @@ class TestOneBatchParity:
             assert np.array_equal(w_in, batch["w_in"]) and np.array_equal(w_out, batch["w_out"])
             assert np.isnan(loss)
 
+    @pytest.mark.parametrize("max_row_step", [None, 0.25])
+    def test_negatives_hit_their_own_window(self, kernel, max_row_step):
+        # two tokens: a window's shared negatives are its own center, or
+        # rows of its own context, or both
+        batch = make_batch(8, 2, 16, 60, 5, "skipgram")
+        neg = batch["sampler"].indices(batch["u"])
+        window = np.repeat(np.arange(60), batch["sizes"])
+        assert (neg == batch["out_pos"][:, None]).any()
+        assert (neg[window] == batch["in_rows"][:, None]).any()
+        assert (neg != batch["out_pos"][:, None]).any()
+        assert_batch_parity(kernel, batch, max_row_step)
+
+    def test_a_window_is_its_rows_with_shared_negatives(self, kernel):
+        # the window form of skip-gram is the per-pair update of its rows,
+        # each against the window's center and negatives
+        batch = make_batch(9, 30, 12, 40, 5, "skipgram")
+        pairs = dict(batch)
+        pairs["out_pos"] = np.repeat(batch["out_pos"], batch["sizes"])
+        pairs["u"] = np.repeat(batch["u"], batch["sizes"], axis=0)
+        pairs["sizes"] = np.ones(batch["in_rows"].size, dtype=np.int64)
+        windows, per_pair = run_reference(batch, 0.25), run_reference(pairs, 0.25)
+        assert np.array_equal(windows[0], per_pair[0]) and np.array_equal(windows[1], per_pair[1])
+        assert windows[2] == per_pair[2]
+        c_in, c_out, __, __ = run_kernel(kernel, batch, 0.25)
+        tol = batch_tol(max(12, busiest_row(batch, windows[3])), windows[0], windows[1])
+        assert np.abs(c_in - per_pair[0]).max() <= tol
+        assert np.abs(c_out - per_pair[1]).max() <= tol
+
     def test_gradients_use_pre_batch_weights(self, kernel):
         # the same pair twice in one batch must step exactly twice as far
         # as once (stale weights), not as two sequential updates would
         batch = make_batch(7, 5, 8, 1, 2, "skipgram")
         once_in, __, __, __ = run_kernel(kernel, batch, None)
-        for key in ("in_rows", "out_pos", "u"):
+        for key in ("in_rows", "sizes", "out_pos", "u"):
             batch[key] = np.concatenate([batch[key], batch[key]])
         twice_in, __, __, __ = run_kernel(kernel, batch, None)
         row = batch["in_rows"][0]
@@ -365,7 +404,9 @@ class TestPreconditions:
         self.bad(kernel, in_rows=lambda r: r.astype(np.int64))
         self.bad(kernel, out_pos=lambda r: r.astype(np.int64))
         self.bad(kernel, u=lambda u: u.astype(np.float32))
-        self.bad(kernel, "cbow", sizes=lambda s: s.astype(np.int32))
+        for mode in ("skipgram", "cbow"):
+            self.bad(kernel, mode, sizes=lambda s: s.astype(np.int32))
+            self.bad(kernel, mode, sizes=lambda s: None)
         self.bad(kernel, in_rows=lambda r: r.tolist())
 
     def test_read_only_weights(self, kernel):
@@ -384,26 +425,33 @@ class TestPreconditions:
         self.bad(kernel, u=lambda u: np.ascontiguousarray(u[:, :-1]))
         self.bad(kernel, in_rows=lambda r: r[:-1])
         self.bad(kernel, w_out=lambda w: np.ascontiguousarray(w[:-1]))
-        self.bad(kernel, "cbow", sizes=self.poke(0, 0))
-        self.bad(kernel, "cbow", sizes=lambda s: s + 1)
+        for mode in ("skipgram", "cbow"):
+            self.bad(kernel, mode, sizes=self.poke(0, 0))
+            self.bad(kernel, mode, sizes=lambda s: s + 1)
 
-    def test_scratch_of_another_shape(self, kernel):
-        batch = make_batch(12, 12, 8, 20, 3, "skipgram")
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_scratch_of_another_shape(self, kernel, mode):
+        batch = make_batch(12, 12, 8, 20, 3, mode)
+        rows = batch["in_rows"].size
         args = (
-            batch["w_in"], batch["w_out"], batch["in_rows"], None, batch["out_pos"],
+            batch["w_in"], batch["w_out"], batch["in_rows"], batch["sizes"], batch["out_pos"],
             batch["u"], batch["sampler"].cdf, 0.02, 0.25,
         )
+        kernel.batch(*args, BatchScratch(12, 8, rows, 20, 3, mode))
         for scratch in (
-            BatchScratch(13, 8, 20, 20, 3),  # another vocabulary
-            BatchScratch(12, 9, 20, 20, 3),  # another dimension
-            BatchScratch(12, 8, 20, 19, 3),  # sized for a smaller batch
-            BatchScratch(12, 8, 20, 20, 4),  # another negative count
+            BatchScratch(13, 8, rows, 20, 3, mode),  # another vocabulary
+            BatchScratch(12, 9, rows, 20, 3, mode),  # another dimension
+            BatchScratch(12, 8, rows, 19, 3, mode),  # sized for fewer groups
+            BatchScratch(12, 8, rows - 1, 20, 3, mode),  # sized for fewer rows
+            BatchScratch(12, 8, rows, 20, 4, mode),  # another negative count
         ):
             with pytest.raises(TrainingError):
                 kernel.batch(*args, scratch)
         other = NegativeSampler(np.ones(11))
         with pytest.raises(TrainingError):
-            kernel.batch(*args[:6], other.cdf, 0.02, 0.25, BatchScratch(12, 8, 20, 20, 3))
+            kernel.batch(*args[:6], other.cdf, 0.02, 0.25, BatchScratch(12, 8, rows, 20, 3, mode))
+        with pytest.raises(TrainingError, match="mode"):
+            BatchScratch(12, 8, rows, 20, 3, "skip-gram")
 
     # -- the run entry's own preconditions ---------------------------------
     def bad_run(self, kernel, mode="skipgram", **changes):
@@ -438,10 +486,10 @@ class TestPreconditions:
         batch = make_batch(14, 12, 8, 20, 3, mode)
         offsets, rows, lrs = cut_into_batches(batch, [6, 13])
         groups, in_rows = int(np.diff(offsets).max()), int(np.diff(rows).max())
-        call_run(kernel, batch, offsets, lrs, 0.25, BatchScratch(12, 8, in_rows, groups, 3))
+        call_run(kernel, batch, offsets, lrs, 0.25, BatchScratch(12, 8, in_rows, groups, 3, mode))
         for small in ((in_rows, groups - 1), (in_rows - 1, groups)):
             with pytest.raises(TrainingError):
-                call_run(kernel, batch, offsets, lrs, 0.25, BatchScratch(12, 8, *small, 3))
+                call_run(kernel, batch, offsets, lrs, 0.25, BatchScratch(12, 8, *small, 3, mode))
 
     @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
     def test_thread_count_outside_its_range(self, kernel, threads):
@@ -481,18 +529,16 @@ class TestRunEntry:
         losses = []
         for b, lr in enumerate(lrs):
             one = slice(offsets[b], offsets[b + 1])
-            sizes = batch["sizes"]
             losses.append(kernel.batch(
-                w_in, w_out, batch["in_rows"][rows[b] : rows[b + 1]],
-                None if sizes is None else sizes[one], batch["out_pos"][one], batch["u"][one],
-                batch["sampler"].cdf, lr, clip, scratch,
+                w_in, w_out, batch["in_rows"][rows[b] : rows[b + 1]], batch["sizes"][one],
+                batch["out_pos"][one], batch["u"][one], batch["sampler"].cdf, lr, clip, scratch,
             ))
         # more threads than groups, too; None is the kernel's own choice
-        for threads in (None, 1, 2, 3, min(groups + 3, MAX_THREADS)):
+        for threads in (None, 1, 2, 3, 7, min(groups + 3, MAX_THREADS)):
             got_in, got_out, got_losses = call_run(
                 kernel, batch, offsets, lrs, clip, scratch, threads=threads
             )
-            assert scratch.threads == (threads or 1)  # too little work to share
+            assert threads is None or scratch.threads == threads
             assert np.array_equal(got_in, w_in) and np.array_equal(got_out, w_out)
             assert got_losses.tolist() == losses
             assert (scratch.slot == -1).all()
