@@ -178,7 +178,8 @@ static inline void apply_row(float *restrict w, const acc_t *restrict a,
    The barrier and the helpers' placement are the shared prologue's
    (repro.utils.cthreads). */
 /* One more thread per this much of a mean batch, counted as d times the
-   d-wide vectors it passes over (one per target and per input row).
+   d-wide vectors it passes over (one per target of a unit, one per input
+   row).
    Below it the three barriers of a batch cost what a thread saves:
    measured at d = 128, a second thread gained nothing on batches of 128
    skip-gram pairs (1.75 of these units) and 27 % on batches of 256. */

@@ -609,12 +609,13 @@ class Word2Vec:
 
     # ------------------------------------------------------------------
     def _windows_per_batch(self) -> int:
-        """Windows a batch packs, so that it holds about ``batch_pairs``
-        pairs: a CBOW window counts as its ``2 * window`` slots, a
-        skip-gram one as the ``window + 1`` contexts a center has on
-        average under reduced windows."""
-        per_window = 2 * self.window if self.mode == "cbow" else self.window + 1
-        return max(self.batch_pairs // per_window, 1)
+        """Windows a batch packs: as many as ``batch_pairs`` pairs hold
+        when every window has all ``2 * window`` contexts, so that no
+        batch trains more than ``batch_pairs`` pairs. (Packing by the
+        ``window + 1`` contexts a window has on average lost skip-gram
+        0.01 micro-F1 at 8,192 pairs on blogcatalog 0.3, where all of a
+        window's rows step its center and negatives in one batch.)"""
+        return max(self.batch_pairs // (2 * self.window), 1)
 
     def _batch_scratch(self) -> BatchScratch:
         """The C kernel's work buffers, sized for this trainer's largest batch."""
