@@ -123,7 +123,9 @@ def test_learn_thread_scaling():
     (``git clone . /tmp/parent && git -C /tmp/parent checkout <commit>``).
     The last row forces one thread more than CPUs, so that what
     over-subscription costs is on record. Every row of one shape must
-    produce the same vectors, the parent's included."""
+    produce the same vectors on each side; ``same_as_parent`` says
+    whether the two sides' vectors are equal (not when a change alters
+    the estimator)."""
     if Word2Vec(8).kernel != "cnative":
         pytest.skip("no C compiler on this host: there is no compiled kernel to scale")
     parent_src = os.environ.get("BENCH_PARENT_SRC")
@@ -144,7 +146,7 @@ def test_learn_thread_scaling():
         for rnd in range(3):  # the host's speed drifts by the minute: alternate the sides
             for side in sorted(sides, reverse=rnd % 2 == 1):
                 got = _measure(sides[side], cpus, mode, batch_pairs, threads)
-                shas.setdefault((mode, batch_pairs), set()).add(got["sha"])
+                shas.setdefault((side, mode, batch_pairs), set()).add(got["sha"])
                 if side not in best or got["fit_s"] < best[side]["fit_s"]:
                     best[side] = got
         change = best["change"]
@@ -157,12 +159,14 @@ def test_learn_thread_scaling():
         if "parent" in best:
             row["parent_fit_s"] = round(best["parent"]["fit_s"], 3)
             row["fit_s / parent"] = round(change["fit_s"] / best["parent"]["fit_s"], 2)
+            row["same_as_parent"] = "yes" if change["sha"] == best["parent"]["sha"] else "no"
         rows.append(row)
     assert all(len(same) == 1 for same in shas.values()), shas
     parent = f"parent {commit_label(Path(parent_src).parent)}" if parent_src else "parent not measured"
     record_table(
         "learn_threads",
-        ["mode", "batch_pairs", "cpus", "threads", "fit_s", "tokens_per_s", "parent_fit_s", "fit_s / parent"],
+        ["mode", "batch_pairs", "cpus", "threads", "fit_s", "tokens_per_s", "parent_fit_s", "fit_s / parent",
+         "same_as_parent"],
         rows,
         title=(
             f"learn-phase thread scaling at the train_e2e shape: commit {commit_label(_REPO)}, {parent}\n"

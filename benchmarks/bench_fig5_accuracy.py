@@ -205,33 +205,33 @@ def test_learn_accuracy_gate():
     with ``BENCH_PARENT_SRC`` naming the ``src`` directory of a checkout
     of the parent (``git clone . /tmp/parent && git -C /tmp/parent
     checkout <commit>``); each side runs in a fresh process. The gate:
-    every mean of this tree lies within the parent's 5-seed range.
-    Writes ``results/learn_accuracy.txt``."""
+    no mean of this tree lies below the parent's 5-seed range (the
+    record says which lie within it and which above). Writes
+    ``results/learn_accuracy.txt``."""
     parent_src = os.environ.get("BENCH_PARENT_SRC")
     if not parent_src:
         pytest.skip("set BENCH_PARENT_SRC to the src directory of a parent checkout")
     change, parent = _rows_of(_REPO / "src"), _rows_of(parent_src)
-    table, outside = [], []
+    table, below = [], []
     for ours, theirs in zip(change, parent):
         assert ours["case"] == theirs["case"]
         low, high = min(theirs["values"]), max(theirs["values"])
         mean = statistics.mean(ours["values"])
-        within = low <= mean <= high
-        if not within:
-            outside.append(ours["case"])
+        if mean < low:
+            below.append(ours["case"])
         table.append({
             "metric": ours["metric"], "case": ours["case"],
-            "parent_mean": round(statistics.mean(theirs["values"]), 4),
+            "parent_mean": f"{statistics.mean(theirs['values']):.4f}",
             "parent_range": f"{low:.4f}-{high:.4f}",
-            "change_mean": round(mean, 4),
+            "change_mean": f"{mean:.4f}",
             "change_range": f"{min(ours['values']):.4f}-{max(ours['values']):.4f}",
-            "within": "yes" if within else "NO",
+            "range": "BELOW" if mean < low else ("above" if mean > high else "within"),
             "parent_seeds": " ".join(f"{v:.4f}" for v in theirs["values"]),
             "change_seeds": " ".join(f"{v:.4f}" for v in ours["values"]),
         })
     record_table(
         "learn_accuracy",
-        ["metric", "case", "parent_mean", "parent_range", "change_mean", "change_range", "within",
+        ["metric", "case", "parent_mean", "parent_range", "change_mean", "change_range", "range",
          "parent_seeds", "change_seeds"],
         table,
         title=(
@@ -240,7 +240,7 @@ def test_learn_accuracy_gate():
             "trainer, split); micro-F1 at 50 % labels, 3 trials; link AUC: 30 % of edges held out"
         ),
     )
-    assert not outside, f"change means outside the parent's 5-seed range: {outside}"
+    assert not below, f"change means below the parent's 5-seed range: {below}"
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--accuracy-rows"]:

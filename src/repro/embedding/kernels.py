@@ -109,19 +109,35 @@ typedef acc_t va_t __attribute__((vector_size(VA * sizeof(acc_t))));
 
 #define tree8(r) (((r[0] + r[4]) + (r[2] + r[6])) + ((r[1] + r[5]) + (r[3] + r[7])))
 
-static inline float dot_f32(const float *a, const float *b, int64_t d) {
-    vf_t lanes = {0}, x, y;
+/* Phase 1 works on TILE of a group's targets at a time, their vectors
+   (and a skip-gram window's sums) held in registers; nt <= TILE is the
+   tile in hand, and BY_TILE calls a function made for it, so that each
+   is compiled for a constant nt. */
+#define TILE 6
+#define BY_TILE(nt, CALL) switch (nt) { case 1: CALL(1); break; case 2: CALL(2); break; \
+    case 3: CALL(3); break; case 4: CALL(4); break; case 5: CALL(5); break; default: CALL(TILE); }
+#define INLINE static inline __attribute__((always_inline))
+
+/* out[q] = the dot product of x and v_of[q], q < nt, x read once */
+INLINE void dot_tile(const float *x, const float *const *v_of, int64_t d, float *out,
+                     const int nt) {
+    vf_t lanes[TILE], xv, y;
+    for (int q = 0; q < nt; q++) lanes[q] = (vf_t){0};
     int64_t i = 0;
     for (; i + VF <= d; i += VF) {
-        LOAD(x, a + i);
-        LOAD(y, b + i);
-        lanes += x * y;
+        LOAD(xv, x + i);
+        for (int q = 0; q < nt; q++) {
+            LOAD(y, v_of[q] + i);
+            lanes[q] += xv * y;
+        }
     }
-    float s[VF], r[8];
-    memcpy(s, &lanes, sizeof lanes);
-    for (int l = 0; i < d; i++, l++) s[l] += a[i] * b[i];
-    for (int l = 0; l < 8; l++) r[l] = s[l] + s[l + 8];
-    return tree8(r);
+    for (int q = 0; q < nt; q++) {
+        float s[VF], r[8];
+        memcpy(s, &lanes[q], sizeof lanes[q]);
+        for (int64_t k = i, l = 0; k < d; k++, l++) s[l] += x[k] * v_of[q][k];
+        for (int l = 0; l < 8; l++) r[l] = s[l] + s[l + 8];
+        out[q] = tree8(r);
+    }
 }
 
 static inline acc_t sumsq_acc(const acc_t *a, int64_t d) {
@@ -251,6 +267,15 @@ static inline int64_t target(const run_t *r, int64_t g, int64_t lg, int64_t t) {
     return t == 0 ? r->out_pos[g] : negatives_of(r, lg)[t - 1];
 }
 
+/* the vectors of targets t0 .. t0 + nt - 1 of group g; returns nt */
+static inline int tile_targets(const run_t *r, int64_t g, int64_t lg, int64_t t0,
+                               const float **v_of) {
+    int64_t left = r->negative + 1 - t0;
+    int nt = left < TILE ? (int)left : TILE;
+    for (int q = 0; q < nt; q++) v_of[q] = r->w_out + target(r, g, lg, t0 + q) * r->d;
+    return nt;
+}
+
 /* the vector CBOW group g (the lg-th of its batch) scores its targets
    with: the mean of its input rows, which for one row is the row itself */
 static inline const float *hidden(const run_t *r, int64_t g, int64_t lg) {
@@ -284,16 +309,19 @@ static void draw_negatives(const run_t *r, int64_t g, int64_t lg) {
 }
 
 /* CBOW: unit `unit` scores the vector h against group g's targets, read at the
-   pre-batch weights: its coefficients, log terms and gh. Three passes
-   over the 1 + negative targets, so that the independent dot products
-   overlap in the pipeline. */
+   pre-batch weights: its coefficients, log terms and gh, in three passes
+   over the 1 + negative targets. */
 static void score_unit(const run_t *r, const float *restrict h, int64_t g, int64_t lg,
                        int64_t unit) {
     int64_t d = r->d, negative = r->negative;
     float *restrict gh = r->gh + unit * d;
     float *coef = coefs_of(r, unit), *logs = logs_of(r, unit);
-    for (int64_t t = 0; t <= negative; t++)
-        coef[t] = dot_f32(h, r->w_out + target(r, g, lg, t) * d, d);
+    const float *v_of[TILE];
+    for (int64_t t0 = 0; t0 <= negative; t0 += TILE) {
+#define DOTS(n) dot_tile(h, v_of, d, coef + t0, n)
+        BY_TILE(tile_targets(r, g, lg, t0, v_of), DOTS)
+#undef DOTS
+    }
     for (int64_t t = 0; t <= negative; t++) {
         float f = coef[t];
         float x = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
@@ -308,37 +336,6 @@ static void score_unit(const run_t *r, const float *restrict h, int64_t g, int64
             for (int64_t i = 0; i < d; i++) gh[i] = c * v[i];
         else
             for (int64_t i = 0; i < d; i++) gh[i] += c * v[i];
-    }
-}
-
-/* Skip-gram phase 1 works on TILE of a window's targets at a time, their
-   vectors and sums held in registers; nt <= TILE is the tile in hand, and
-   BY_TILE calls a function made for it, so that each is compiled for a
-   constant nt. */
-#define TILE 6
-#define BY_TILE(nt, CALL) switch (nt) { case 1: CALL(1); break; case 2: CALL(2); break; \
-    case 3: CALL(3); break; case 4: CALL(4); break; case 5: CALL(5); break; default: CALL(TILE); }
-#define INLINE static inline __attribute__((always_inline))
-
-/* out[q] = dot_f32(x, v_of[q], d) for q < nt, bit for bit, x read once */
-INLINE void dot_tile(const float *x, const float *const *v_of, int64_t d, float *out,
-                     const int nt) {
-    vf_t lanes[TILE], xv, y;
-    for (int q = 0; q < nt; q++) lanes[q] = (vf_t){0};
-    int64_t i = 0;
-    for (; i + VF <= d; i += VF) {
-        LOAD(xv, x + i);
-        for (int q = 0; q < nt; q++) {
-            LOAD(y, v_of[q] + i);
-            lanes[q] += xv * y;
-        }
-    }
-    for (int q = 0; q < nt; q++) {
-        float s[VF], r[8];
-        memcpy(s, &lanes[q], sizeof lanes[q]);
-        for (int64_t k = i, l = 0; k < d; k++, l++) s[l] += x[k] * v_of[q][k];
-        for (int l = 0; l < 8; l++) r[l] = s[l] + s[l + 8];
-        out[q] = tree8(r);
     }
 }
 
@@ -383,15 +380,6 @@ INLINE void spread_tile(const run_t *r, int64_t g, int64_t lg, int64_t unit0, in
             *to = gh;
         }
     }
-}
-
-/* the vectors of targets t0 .. t0 + nt - 1 of window g; returns nt */
-static inline int tile_targets(const run_t *r, int64_t g, int64_t lg, int64_t t0,
-                               const float **v_of) {
-    int64_t left = r->negative + 1 - t0;
-    int nt = left < TILE ? (int)left : TILE;
-    for (int q = 0; q < nt; q++) v_of[q] = r->w_out + target(r, g, lg, t0 + q) * r->d;
-    return nt;
 }
 
 /* Skip-gram phase 1 for window g, the lg-th of its batch, whose rows are

@@ -242,7 +242,7 @@ class Word2Vec:
     window:
         maximum context distance; effective windows are dynamic.
     negative:
-        negative samples per positive pair.
+        negative samples per window, shared by its contexts.
     epochs:
         passes over the generated pairs.
     alpha / min_alpha:
@@ -254,7 +254,8 @@ class Word2Vec:
     min_count:
         minimum corpus frequency for a token to be embedded.
     batch_pairs:
-        mini-batch size in training pairs.
+        most training pairs a mini-batch holds (see
+        :meth:`_windows_per_batch`).
     max_row_step:
         per-row step-norm clip applied to each batch update (see
         :func:`scatter_add_rows`).
