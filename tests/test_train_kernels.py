@@ -42,8 +42,8 @@ summation order (``einsum``/scipy choose their own) and the last ulp of
 Within the C kernel results are bitwise repeatable, which the full-fit
 tests assert, and do not depend on how many threads a call uses or on
 how consecutive batches are cut into calls: the run-entry property and
-the golden fits at the bottom pin that, the latter against hashes
-recorded from the single-threaded per-batch kernel. The thread count is
+the golden fits at the bottom pin that, the latter against recorded
+hashes (CBOW's from the single-threaded per-batch kernel). The thread count is
 forced through ``CTrainKernel.run(threads=)``, which only these tests
 (and one benchmark row) pass. Tests needing the kernel skip cleanly on
 a host without a C compiler; the fallback tests run everywhere.
@@ -835,9 +835,9 @@ class TestAccumulationDtype:
 # ---------------------------------------------------------------------------
 # Every test above compares two results of one source tree. These pin the
 # C kernel's output itself: SHA-256 of ``vectors`` and ``training_loss_``
-# for fixed fits, recorded in ``tests/data/golden_fits.json`` from the
-# single-threaded per-batch kernel the run kernel replaced. They must hold
-# at any thread count. Re-record (only when a change is *meant* to alter
+# for fixed fits, recorded in ``tests/data/golden_fits.json`` (CBOW's from
+# the single-threaded per-batch kernel the run kernel replaced, skip-gram's
+# from the window kernel). They must hold at any thread count. Re-record (only when a change is *meant* to alter
 # the kernel's floats) with ``PYTHONPATH=src python tests/test_train_kernels.py``.
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fits.json"
 GOLDEN_KW = dict(dimensions=24, batch_pairs=256, block_walks=64, seed=5)
