@@ -204,9 +204,8 @@ static inline void apply_row(float *restrict w, const acc_t *restrict a,
 /* One call's inputs, and what phase 1 stores for the batch in hand. A
    *unit* is what phase 1 scores against a group's 1 + negative targets:
    the group's mean in CBOW, each of its input rows in skip-gram. The
-   small things a unit yields (1 + negative coefficients, and log terms:
-   one per target in CBOW, the positive and the negatives' in skip-gram)
-   make one record of whole cache lines, so that two threads scoring
+   small things a unit yields (1 + negative coefficients and as many log
+   terms) make one record of whole cache lines, so that two threads scoring
    neighbouring units never write to one line; gh (the float32 gradient
    of what a unit scored) is a d-wide row per unit. Per group there are
    its negatives and, in CBOW, h (the mean of its input rows); in
@@ -308,6 +307,18 @@ static void draw_negatives(const run_t *r, int64_t g, int64_t lg) {
     for (int64_t t = 0; t <= negative; t++) prefetch_vector(r->w_out + target(r, g, lg, t) * d, d, 0);
 }
 
+/* A unit's dot products with its targets, the positive first, become in
+   place the coefficients of its gradient, and its log terms are set. */
+static void sigmoid_terms(float *coef, float *logs, int64_t targets) {
+    for (int64_t t = 0; t < targets; t++) {
+        float f = coef[t];
+        float x = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
+        float s = 1.0f / (1.0f + expf(-x));
+        coef[t] = t == 0 ? s - 1.0f : s;
+        logs[t] = logf((t == 0 ? s : 1.0f - s) + LOSS_EPS);
+    }
+}
+
 /* CBOW: unit `unit` scores the vector h against group g's targets, read at the
    pre-batch weights: its coefficients, log terms and gh, in three passes
    over the 1 + negative targets. */
@@ -322,13 +333,7 @@ static void score_unit(const run_t *r, const float *restrict h, int64_t g, int64
         BY_TILE(tile_targets(r, g, lg, t0, v_of), DOTS)
 #undef DOTS
     }
-    for (int64_t t = 0; t <= negative; t++) {
-        float f = coef[t];
-        float x = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
-        float s = 1.0f / (1.0f + expf(-x));
-        coef[t] = t == 0 ? s - 1.0f : s;
-        logs[t] = logf((t == 0 ? s : 1.0f - s) + LOSS_EPS);
-    }
+    sigmoid_terms(coef, logs, negative + 1);
     for (int64_t t = 0; t <= negative; t++) {
         const float *restrict v = r->w_out + target(r, g, lg, t) * d;
         float c = coef[t];
@@ -383,10 +388,8 @@ INLINE void spread_tile(const run_t *r, int64_t g, int64_t lg, int64_t unit0, in
 }
 
 /* Skip-gram phase 1 for window g, the lg-th of its batch, whose rows are
-   units unit0, unit0 + 1, ...: first each row's coefficients against the
-   window's targets and its two log terms, the positive one and that of
-   the product of the negative ones (a double product, folded into a sum
-   before it could underflow); then spread_tile. */
+   units unit0, unit0 + 1, ...: first each row's coefficients and log
+   terms against the window's targets, as a CBOW unit's; then spread_tile. */
 static void score_window(const run_t *r, int64_t g, int64_t lg, int64_t unit0) {
     int64_t d = r->d, targets = r->negative + 1, m = group_size(r, g);
     const int32_t *rows = r->in_rows + r->row_start[g];
@@ -399,23 +402,7 @@ static void score_window(const run_t *r, int64_t g, int64_t lg, int64_t unit0) {
             BY_TILE(tile_targets(r, g, lg, t0, v_of), DOTS)
 #undef DOTS
         }
-        double product = 1.0, log_neg = 0.0;
-        for (int64_t t = 0; t < targets; t++) {
-            float f = coef[t];
-            float y = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
-            float s = 1.0f / (1.0f + expf(-y));
-            coef[t] = t == 0 ? s - 1.0f : s;
-            if (t == 0) {
-                logs[0] = logf(s + LOSS_EPS);
-                continue;
-            }
-            product *= (double)(1.0f - s + LOSS_EPS);
-            if (product < 1e-200) {
-                log_neg += log(product);
-                product = 1.0;
-            }
-        }
-        logs[1] = (float)(log_neg + log(product));
+        sigmoid_terms(coef, logs, targets);
     }
     for (int64_t t0 = 0; t0 < targets; t0 += TILE) {
 #define SPREAD(n) spread_tile(r, g, lg, unit0, t0, v_of, n)
@@ -451,7 +438,7 @@ static double batch_loss(const run_t *r, int64_t units) {
     for (int64_t k = 0; k < units; k++) {
         const float *logs = logs_of(r, k);
         loss_pos += (double)logs[0];
-        for (int64_t t = 1; t <= (r->cbow ? r->negative : 1); t++) loss_neg += (double)logs[t];
+        for (int64_t t = 1; t <= r->negative; t++) loss_neg += (double)logs[t];
     }
     return -(loss_pos / (double)units) - (loss_neg / (double)units);
 }

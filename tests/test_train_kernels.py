@@ -194,6 +194,23 @@ def cut_into_batches(batch, cuts):
     return offsets, rows, lrs
 
 
+def threads_for_work(batch, offsets):
+    """The thread count a skip-gram run of ``batch`` cut at ``offsets``
+    takes when none is forced: one per 2**16 of a mean batch's work
+    (``MIN_WORK_PER_THREAD`` in the C source), counted as d times the
+    vectors it passes over, up to the CPUs of the affinity mask."""
+    dim = batch["w_in"].shape[1]
+    negative = batch["u"].shape[1]
+    rows = int(batch["sizes"].sum())
+    work = (rows * (1 + negative) + rows) // (offsets.size - 1) * dim >> 16
+    return min(max(1, min(work, affinity_cpus())), MAX_THREADS)
+
+
+def affinity_cpus():
+    """CPUs the kernel counts when it picks its own thread count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def call_run(kernel, batch, offsets, lrs, max_row_step, scratch=None, **kwargs):
     """The whole of ``batch`` as one run; ``(w_in, w_out, losses)``."""
     w_in, w_out = batch["w_in"].copy(), batch["w_out"].copy()
@@ -533,15 +550,29 @@ class TestRunEntry:
                 w_in, w_out, batch["in_rows"][rows[b] : rows[b + 1]], batch["sizes"][one],
                 batch["out_pos"][one], batch["u"][one], batch["sampler"].cdf, lr, clip, scratch,
             ))
-        # more threads than groups, too; None is the kernel's own choice
+        # more threads than groups, too; None is the kernel's own choice:
+        # one thread for CBOW groups this small, the work rule's count for
+        # skip-gram windows
+        chosen = 1 if mode == "cbow" else threads_for_work(batch, offsets)
         for threads in (None, 1, 2, 3, 7, min(groups + 3, MAX_THREADS)):
             got_in, got_out, got_losses = call_run(
                 kernel, batch, offsets, lrs, clip, scratch, threads=threads
             )
-            assert threads is None or scratch.threads == threads
+            assert scratch.threads == (chosen if threads is None else threads)
             assert np.array_equal(got_in, w_in) and np.array_equal(got_out, w_out)
             assert got_losses.tolist() == losses
             assert (scratch.slot == -1).all()
+
+    def test_a_batch_large_enough_is_shared_unasked(self, kernel):
+        batch = make_batch(1, 40, 40, 120, 6, "skipgram")
+        offsets, __, lrs = cut_into_batches(batch, [])
+        scratch = scratch_for(batch)
+        w_in, w_out, losses = call_run(kernel, batch, offsets, lrs, 0.25, scratch, threads=1)
+        got_in, got_out, got_losses = call_run(kernel, batch, offsets, lrs, 0.25, scratch)
+        assert scratch.threads == threads_for_work(batch, offsets)
+        assert scratch.threads > 1 or affinity_cpus() == 1
+        assert np.array_equal(got_in, w_in) and np.array_equal(got_out, w_out)
+        assert got_losses.tolist() == losses.tolist()
 
     def test_an_empty_run(self, kernel):
         batch = make_batch(6, 10, 8, 0, 5, "skipgram")
