@@ -1,9 +1,12 @@
 """Defining a brand-new random-walk model with the unified abstraction.
 
-The paper's Section IV-B promise: a custom model needs only
-``calculate_weight`` (and optionally ``update_state``) — every edge
-sampler, the lock-step engine and the trainer then work unchanged. This
-example implements two models not in the paper:
+The paper's Section IV-B promise: a custom model needs only its dynamic
+edge weight — here one method, ``batch_dynamic_weight``, evaluated for a
+whole wave of walker states ``(prev, prev_off, cur, step)`` at once —
+and every edge sampler, the lock-step engine and the trainer then work
+unchanged. (``batch_state_index``, ``kernel_spec`` and
+``enumerate_state_contexts`` are optional extras.) This example
+implements two models not in the paper:
 
 * TemperatureWalk — a softmax-tempered weight walk where ``tau`` sweeps
   between uniform exploration and greedy heavy-edge following;
@@ -23,7 +26,6 @@ import numpy as np
 from repro import GraphSpec, RunSpec, UniNet, WalkConfig, datasets, register_model, run_many
 from repro.harness.tables import print_table
 from repro.walks.models.base import RandomWalkModel
-from repro.walks.state import NO_PREVIOUS
 
 
 @register_model(
@@ -42,9 +44,6 @@ class TemperatureWalk(RandomWalkModel):
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
-
-    def calculate_weight(self, state, edge_offset):
-        return float(self.graph.edge_weight_at(edge_offset)) ** (1.0 / self.tau)
 
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets):
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)
@@ -65,12 +64,6 @@ class SecondOrderAvoidReturn(RandomWalkModel):
     def __init__(self, graph, return_penalty: float = 0.05):
         super().__init__(graph)
         self.return_penalty = float(return_penalty)
-
-    def calculate_weight(self, state, edge_offset):
-        w = float(self.graph.edge_weight_at(edge_offset))
-        if state.previous != NO_PREVIOUS and int(self.graph.targets[edge_offset]) == state.previous:
-            return w * self.return_penalty
-        return w
 
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets):
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)

@@ -11,8 +11,8 @@ The public surface mirrors the paper's architecture:
 * :mod:`repro.sampling` — what the edge samplers are built from (alias
   tables, M-H initialization strategies, memory accounting); its
   docstring tables each sampler's stepper and complexity.
-* :mod:`repro.walks` — the unified random-walk model abstraction
-  (``calculate_weight`` / ``update_state``), five published models, and
+* :mod:`repro.walks` — the unified random-walk model abstraction (a
+  model is one method, ``batch_dynamic_weight``), five published models, and
   the walk engine with one stepper per edge sampler: the M-H sampler
   plus every baseline the paper compares against (alias, direct,
   rejection, KnightKing-style outlier folding, memory-aware).
@@ -33,7 +33,9 @@ The public surface mirrors the paper's architecture:
 * :mod:`repro.registry` — the plugin layer: every component family
   (models, samplers, initializers) is a :class:`~repro.registry.Registry`
   that third-party code extends with ``@register_model`` /
-  ``@register_sampler`` — no package edits needed.
+  ``@register_sampler`` / ``register_initializer`` (a class whose static
+  ``init_chains`` starts a batch of fresh M-H chains) — no package edits
+  needed.
 * :mod:`repro.core` — the :class:`~repro.core.uninet.UniNet` facade plus
   the declarative experiment layer: :class:`~repro.core.spec.RunSpec`
   (experiments as JSON-serialisable data) executed by :func:`repro.run`

@@ -94,9 +94,9 @@ class RngDisciplineRule(LintRule):
 #: functions (vectorized samplers) are checked only when the registered
 #: target resolves to a class.
 _FAMILY_PROTOCOLS = {
-    "model": ("calculate_weight", "batch_dynamic_weight"),
+    "model": ("batch_dynamic_weight",),
     "sampler": ("step",),
-    "initialization strategy": ("initialize",),
+    "initialization strategy": ("init_chains",),
     "codec": ("fit", "encode", "decode", "state", "from_state"),
     "index": ("topk", "memory_bytes"),
     "lint rule": (),
@@ -208,7 +208,7 @@ class RegistryContractRule(LintRule):
 #: methods whose overrides must stay call-compatible with their base.
 _CHECKED_METHODS = frozenset({
     "on_delta", "step", "encode", "decode", "sample", "fit",
-    "initialize", "topk", "from_state", "_refresh",
+    "init_chains", "topk", "from_state", "_refresh",
 })
 
 #: the canonical dynamic-update protocol every ``on_delta`` answers to.

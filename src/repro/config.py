@@ -86,11 +86,13 @@ class WalkConfig:
         initialization) and :data:`~repro.registry.KERNEL_REGISTRY`,
         normalised to their canonical spelling (``"metropolis-hastings"``
         -> ``"mh"``, ``"burnin"`` -> ``"burn-in"``, ``"c"`` ->
-        ``"cnative"``). Sampler and initializer *instances* pass through
-        untouched.
+        ``"cnative"``). A sampler *instance* passes through untouched;
+        an initializer is a registry name and nothing else (register a
+        strategy with :func:`~repro.registry.register_initializer`).
     ``init_sample_cap``
-        edges the high-weight initializer samples per fresh chain
-        (``None``: the whole row, exact).
+        candidate edges the high-weight initializer draws per fresh
+        chain, uniformly with replacement, also on rows of fewer edges
+        (``None``: the exact row argmax).
     ``burn_in_iterations``
         M-H iterations of the burn-in initializer.
     ``table_budget_bytes``
@@ -144,8 +146,11 @@ class WalkConfig:
                 needs_budget = SAMPLER_REGISTRY.capabilities(self.sampler).get("needs_table_budget")
                 if needs_budget and self.table_budget_bytes is None:
                     raise WalkError(f"sampler {self.sampler!r} needs table_budget_bytes")
-            if isinstance(self.initializer, str):
-                self.initializer = INITIALIZER_REGISTRY.canonical(self.initializer)
+            if not isinstance(self.initializer, str):
+                raise WalkError(
+                    f"initializer must be a registered name, got {type(self.initializer).__name__}"
+                )
+            self.initializer = INITIALIZER_REGISTRY.canonical(self.initializer)
             if isinstance(self.backend, str):
                 self.backend = KERNEL_REGISTRY.canonical(self.backend)
         except ReproError as err:

@@ -11,11 +11,11 @@ and learn embeddings with word2vec. Example::
     result = net.train(num_walks=10, walk_length=80, dimensions=64)
     result.embeddings.most_similar(0)
 
-Defining a *new* random-walk model needs only the two callbacks of the
-unified abstraction — subclass
+Defining a *new* random-walk model needs one method — subclass
 :class:`~repro.walks.models.base.RandomWalkModel`, implement
-``calculate_weight`` (and optionally ``update_state``), and pass the
-instance as ``model``.
+``batch_dynamic_weight`` (the dynamic edge weight for arrays of walker
+states; optionally ``batch_state_index``, ``kernel_spec`` and
+``enumerate_state_contexts`` too), and pass the instance as ``model``.
 """
 
 from __future__ import annotations

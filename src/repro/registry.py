@@ -273,7 +273,8 @@ MODEL_REGISTRY = Registry("model", error_cls=ModelError, home="repro.walks.model
 #: Entries are factories ``(graph, model, ctx: SamplerContext) -> stepper``.
 SAMPLER_REGISTRY = Registry("sampler", error_cls=WalkError, home="repro.walks.vectorized")
 
-#: M-H chain initialization strategies (``repro.sampling.initialization``).
+#: M-H chain initialization strategies (``repro.sampling.initialization``):
+#: classes whose static ``init_chains(stepper, m, rng)`` starts a batch of chains.
 INITIALIZER_REGISTRY = Registry(
     "initialization strategy", error_cls=SamplerError, home="repro.sampling.initialization"
 )
@@ -304,7 +305,14 @@ def register_model(name: str, cls: Any = None, *, aliases=(), replace=False, **c
 
 
 def register_initializer(name: str, cls: Any = None, *, aliases=(), replace=False, **capabilities):
-    """Register an M-H initialization strategy under ``name``."""
+    """Register an M-H initialization strategy under ``name``.
+
+    ``cls`` provides a static ``init_chains(stepper, m, rng)`` returning
+    the first edge of every fresh chain of one M-H step (the protocol of
+    :mod:`repro.sampling.initialization`); the stepper calls it on the
+    class, never on an instance. ``replace=True`` over a built-in name
+    changes what every walk by that name runs.
+    """
     return INITIALIZER_REGISTRY.register(
         name, cls, aliases=aliases, replace=replace, **capabilities
     )

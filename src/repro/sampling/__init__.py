@@ -22,27 +22,23 @@ name                   stepper                     time / sample              me
 package holds what those steppers are built from: the alias tables
 (:mod:`~repro.sampling.alias`), the memory-aware state assignment
 (:mod:`~repro.sampling.memory_aware`), the M-H initialization strategies
-(:mod:`~repro.sampling.initialization`) and the memory accounting of
-:mod:`~repro.sampling.memory_model`, which also provides the simulated
-out-of-memory budget used by the scalability benchmarks.
+(:mod:`~repro.sampling.initialization`: one class per strategy, whose
+``init_chains`` starts every fresh chain of an M-H step at once) and the
+memory accounting of :mod:`~repro.sampling.memory_model`, which also
+provides the simulated out-of-memory budget used by the scalability
+benchmarks.
 """
 
 from repro.registry import SamplerContext
 from repro.sampling.alias import build_alias_table
-from repro.sampling.initialization import (
-    BurnInInitializer,
-    HighWeightInitializer,
-    RandomInitializer,
-    make_initializer,
-)
+from repro.sampling.initialization import BurnInInit, HighWeightInit, RandomInit
 from repro.sampling.memory_model import MemoryBudget, sampler_memory_estimate
 
 __all__ = [
     "build_alias_table",
-    "RandomInitializer",
-    "HighWeightInitializer",
-    "BurnInInitializer",
-    "make_initializer",
+    "RandomInit",
+    "HighWeightInit",
+    "BurnInInit",
     "MemoryBudget",
     "sampler_memory_estimate",
     "SamplerContext",

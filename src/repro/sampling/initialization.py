@@ -15,137 +15,114 @@ alternatives and a trade-off theorem:
 * **burn-in** — the classical strategy, kept as the baseline; the paper
   tunes B = 100.
 
+A strategy is a class in :data:`repro.registry.INITIALIZER_REGISTRY`
+whose static ``init_chains(stepper, m, rng)`` returns the first edge
+(a global CSR offset, ``NO_EDGE`` for none) of every fresh chain of one
+M-H step, for all of them at once. ``stepper`` is the walk's M-H stepper
+and ``m`` the scratch of its ``begin``: ``m["uninit"]`` marks the fresh
+lanes, ``stepper.fresh_lanes(m)`` gives their ``(prev, prev_off, cur,
+step)``, ``stepper.lane_weights(...)`` their dynamic weights through the
+walk's kernel backend, and ``stepper.init_sample_cap`` /
+``stepper.burn_in_iterations`` the walk's settings. A strategy draws
+from ``rng`` and from nothing else, so a walk repeats for its seed. The
+stepper calls the registered class itself (there are no instances), and
+``register_initializer(name, cls, replace=True)`` swaps what every walk
+by that name runs.
+
 One deviation from pure MCMC practice, required for walk correctness: an
 initializer never returns a zero-dynamic-weight edge (a metapath walker
 must not traverse a forbidden edge while its chain mixes). When a strategy
-draws one, it falls back to scanning the row for support; a state with no
-support reports ``NO_EDGE`` and the walk terminates.
+draws one, it falls back to the row's support; a state with no support
+reports ``NO_EDGE`` and the walk terminates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SamplerError
-from repro.registry import INITIALIZER_REGISTRY, register_initializer
+from repro.registry import register_initializer
 from repro.sampling.base import NO_EDGE
 
 
-def _positive_fallback(graph, model, state, rng) -> int:
-    """Uniform draw among the positive-weight edges of the row (O(d))."""
-    weights = model.dynamic_weights_row(graph, state)
-    support = np.flatnonzero(weights > 0.0)
-    if support.size == 0:
-        return NO_EDGE
-    lo, _ = graph.edge_range(state.current)
-    return lo + int(support[rng.integers(0, support.size)])
+def _fresh_rows(stepper, m):
+    """The fresh lanes of ``m`` with their rows' first offsets and degrees."""
+    lanes = stepper.fresh_lanes(m)
+    lo = stepper.graph.offsets[lanes[2]]
+    return lanes, lo, stepper.graph.offsets[lanes[2] + 1] - lo
 
 
-class RandomInitializer:
-    """LAST_x := uniform neighbour (π0 = 1/n). O(1) expected time."""
-
-    name = "random"
-
-    def initialize(self, graph, model, state, rng: np.random.Generator) -> int:
-        lo, hi = graph.edge_range(state.current)
-        if hi == lo:
-            return NO_EDGE
-        off = lo + int(rng.integers(0, hi - lo))
-        if model.dynamic_weight(graph, state, off) > 0.0:
-            return off
-        return _positive_fallback(graph, model, state, rng)
+def _uniform_slot(rng, lo, deg):
+    """One uniform edge entry of each row (one uniform per row)."""
+    return lo + (rng.random(lo.size) * np.maximum(deg, 1)).astype(np.int64)
 
 
-class HighWeightInitializer:
-    """LAST_x := (approximately) the maximum-dynamic-weight neighbour.
+def _random_start(stepper, lanes, lo, deg, rng):
+    last = _uniform_slot(rng, lo, deg)
+    bad = stepper.lane_weights(*lanes, last) <= 0.0
+    if bad.any():
+        prev, prev_off, cur, step = lanes
+        last[bad] = stepper.uniform_support(prev[bad], prev_off[bad], cur[bad], step, rng)
+    return last
 
-    ``sample_cap`` bounds the work per state: rows larger than the cap are
-    subsampled uniformly and the maximum is taken over the subsample —
-    the paper's law-of-large-numbers approximation. ``sample_cap=None``
-    always scans the full row (exact argmax).
+
+class RandomInit:
+    """LAST_x := uniform neighbour (π0 = 1/n). O(1) expected time.
+
+    One uniform slot per fresh chain; the chains that land on a
+    zero-weight edge then draw again among their row's positive-weight
+    edges, one uniform per edge entry.
     """
 
-    name = "high-weight"
-
-    def __init__(self, sample_cap: int | None = 16):
-        if sample_cap is not None and sample_cap < 1:
-            raise SamplerError("sample_cap must be >= 1 or None")
-        self.sample_cap = sample_cap
-
-    def initialize(self, graph, model, state, rng: np.random.Generator) -> int:
-        lo, hi = graph.edge_range(state.current)
-        deg = hi - lo
-        if deg == 0:
-            return NO_EDGE
-        if self.sample_cap is None or deg <= self.sample_cap:
-            weights = model.dynamic_weights_row(graph, state)
-            best = int(np.argmax(weights))
-            if weights[best] > 0.0:
-                return lo + best
-            return NO_EDGE
-        candidates = lo + rng.integers(0, deg, size=self.sample_cap)
-        best_off, best_w = NO_EDGE, 0.0
-        for off in candidates:
-            w = model.dynamic_weight(graph, state, int(off))
-            if w > best_w:
-                best_off, best_w = int(off), w
-        if best_off != NO_EDGE:
-            return best_off
-        return _positive_fallback(graph, model, state, rng)
+    @staticmethod
+    def init_chains(stepper, m, rng) -> np.ndarray:
+        lanes, lo, deg = _fresh_rows(stepper, m)
+        return _random_start(stepper, lanes, lo, deg, rng)
 
 
-class BurnInInitializer:
+class HighWeightInit:
+    """LAST_x := the best of ``init_sample_cap`` uniform candidates.
+
+    One ``(chains, cap)`` block of uniforms picks ``cap`` candidates per
+    fresh chain *with replacement*, also on rows of degree ``<= cap``,
+    and the chain starts at the candidate of largest dynamic weight —
+    the paper's law-of-large-numbers approximation of the row argmax.
+    A chain whose candidates all weigh zero, and every chain when the
+    cap is ``None``, takes the exact row argmax instead. The work runs
+    in the stepper's ``init_high_weight``, which the compiled wave
+    kernel reproduces and the sharded driver fans out.
+    """
+
+    @staticmethod
+    def init_chains(stepper, m, rng) -> np.ndarray:
+        cap = stepper.init_sample_cap
+        n = int(m["uninit"].sum())
+        return stepper.init_high_weight(m, None if cap is None else rng.random((n, cap)))
+
+
+class BurnInInit:
     """Classical burn-in: random start, then B discarded M-H iterations.
 
-    The paper tunes B=100 ("a smaller number will lead to accuracy
-    loss"); the cost shows up as the dominant initialisation bar of
-    Fig. 6's burn-in configuration.
+    Each of the ``burn_in_iterations`` iterations draws a candidate and
+    an acceptance uniform per fresh chain. The paper tunes B=100 ("a
+    smaller number will lead to accuracy loss"); the cost shows up as
+    the dominant initialisation bar of Fig. 6's burn-in configuration.
     """
 
-    name = "burn-in"
-
-    def __init__(self, iterations: int = 100):
-        if iterations < 0:
-            raise SamplerError("iterations must be >= 0")
-        self.iterations = iterations
-        self._random = RandomInitializer()
-
-    def initialize(self, graph, model, state, rng: np.random.Generator) -> int:
-        last = self._random.initialize(graph, model, state, rng)
-        if last == NO_EDGE:
-            return NO_EDGE
-        lo, hi = graph.edge_range(state.current)
-        deg = hi - lo
-        w_last = model.dynamic_weight(graph, state, last)
-        for _ in range(self.iterations):
-            cand = lo + int(rng.integers(0, deg))
-            w_cand = model.dynamic_weight(graph, state, cand)
-            if w_cand > 0.0 and rng.random() * w_last < w_cand:
-                last, w_last = cand, w_cand
+    @staticmethod
+    def init_chains(stepper, m, rng) -> np.ndarray:
+        lanes, lo, deg = _fresh_rows(stepper, m)
+        last = _random_start(stepper, lanes, lo, deg, rng)
+        w_last = stepper.lane_weights(*lanes, np.maximum(last, 0))
+        for __ in range(stepper.burn_in_iterations):
+            cand = _uniform_slot(rng, lo, deg)
+            u_acc = rng.random(lo.size)
+            w_cand = stepper.lane_weights(*lanes, cand)
+            accept = (w_cand > 0.0) & ((w_last <= 0.0) | (u_acc * w_last < w_cand))
+            last = np.where(accept & (last != NO_EDGE), cand, last)
+            w_last = np.where(accept, w_cand, w_last)
         return last
 
 
-register_initializer("random", RandomInitializer)
-register_initializer("high-weight", HighWeightInitializer, aliases=("weight",))
-register_initializer("burn-in", BurnInInitializer, aliases=("burnin",))
-
-#: Mapping view over the initializer registry — the single accepted-name
-#: list shared by both walk engines and :func:`make_initializer`.
-STRATEGIES = INITIALIZER_REGISTRY
-
-
-def make_initializer(strategy):
-    """Resolve a strategy name or pass an initializer instance through.
-
-    Names (and aliases such as ``"weight"``/``"burnin"``) resolve through
-    :data:`repro.registry.INITIALIZER_REGISTRY`; unknown names raise
-    :class:`~repro.errors.SamplerError` listing what is registered.
-
-    >>> make_initializer("high-weight")      # doctest: +ELLIPSIS
-    <repro.sampling.initialization.HighWeightInitializer object at ...>
-    """
-    if isinstance(strategy, str):
-        return INITIALIZER_REGISTRY.create(strategy)
-    if hasattr(strategy, "initialize"):
-        return strategy
-    raise SamplerError(f"not an initializer: {strategy!r}")
+register_initializer("random", RandomInit)
+register_initializer("high-weight", HighWeightInit, aliases=("weight",))
+register_initializer("burn-in", BurnInInit, aliases=("burnin",))

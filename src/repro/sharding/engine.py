@@ -44,8 +44,9 @@ import numpy as np
 
 from repro.config import ShardingConfig, WalkConfig, take_fields
 from repro.errors import ShardError, WalkError
-from repro.registry import SamplerContext
+from repro.registry import INITIALIZER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE
+from repro.sampling.initialization import HighWeightInit
 from repro.sharding.partitioner import build_shard_plan
 from repro.sharding.transport import make_transport
 from repro.utils.rng import as_rng
@@ -67,14 +68,17 @@ def check_sharded_walk(config: WalkConfig, budget=None) -> None:
     """Raise :class:`~repro.errors.ShardError` unless the engine can run ``config``.
 
     The sharded engine runs M-H with the built-in ``high-weight``
-    initializer and no table budget (per-shard budget accounting is not
-    modelled): the configuration every sharded number in this repo
-    measures. Both the engine and :meth:`repro.core.spec.RunSpec.validate`
-    call this, so a sharded spec is refused before its graph loads.
+    initializer (not one registered over it with ``replace=True``) and no
+    table budget (per-shard budget accounting is not modelled): the
+    configuration every sharded number in this repo measures. Both the
+    engine and :meth:`repro.core.spec.RunSpec.validate` call this, so a
+    sharded spec is refused before its graph loads.
     """
-    if (config.sampler, config.initializer) != SHARDED_WALK:
+    if (config.sampler, config.initializer) != SHARDED_WALK or (
+        INITIALIZER_REGISTRY.get(config.initializer) is not HighWeightInit
+    ):
         raise ShardError(
-            f"the sharded engine runs sampler {SHARDED_WALK[0]!r} with initializer "
+            f"the sharded engine runs sampler {SHARDED_WALK[0]!r} with the built-in initializer "
             f"{SHARDED_WALK[1]!r} only, got sampler {config.sampler!r} and initializer "
             f"{config.initializer!r}; use VectorizedWalkEngine for any other walk"
         )
@@ -184,6 +188,7 @@ class _FanoutMH(_MHStepper):
         return {"uninit": uninit, "picks": self._by_shard(self.shard_of[uninit])}
 
     def init_high_weight(self, m, u) -> None:
+        """The workers keep the first edges of their fresh chains."""
         self._call("mh_init_hw", [(None if u is None else u[pick],) for pick in m["picks"]])
 
     def finish(self, m, u_cand, u_acc):

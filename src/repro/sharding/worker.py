@@ -161,7 +161,7 @@ class ShardWorker:
 
     def mh_init_hw(self, u_block):
         """High-weight init: capped subsample argmax (exact when u is None)."""
-        return self.stepper.init_high_weight(self._mh, u_block)
+        self._mh["init"] = self.stepper.init_high_weight(self._mh, u_block)
 
     def mh_exec(self, u_cand, u_acc):
         """Finish an M-H step: propose/accept kernel + chain scatter."""

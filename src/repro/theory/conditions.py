@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import as_rng
-from repro.walks.state import WalkerState
+from repro.walks._segments import concat_ranges
 
 
 def kappa_high_weight(pi: np.ndarray) -> float:
@@ -74,16 +74,15 @@ def profile_model_states(
     if valid.size == 0:
         return {"fraction_satisfied": 0.0, "num_checked": 0}
     chosen = rng.choice(valid, size=min(num_states, valid.size), replace=False)
+    cur = contexts["cur"][chosen]
+    lo = model.graph.offsets[cur]
+    deg = model.graph.offsets[cur + 1] - lo
+    offs, seg = concat_ranges(lo, deg)
+    lanes = (contexts[key][chosen][seg] for key in ("prev", "prev_off", "cur", "step"))
+    rows = np.split(model.batch_dynamic_weight(*lanes, offs), np.cumsum(deg)[:-1])
     satisfied = 0
     checked = 0
-    for idx in chosen:
-        state = WalkerState(
-            current=int(contexts["cur"][idx]),
-            previous=int(contexts["prev"][idx]),
-            prev_edge_offset=int(contexts["prev_off"][idx]),
-            step=int(contexts["step"][idx]),
-        )
-        weights = model.dynamic_weights_row(graph, state)
+    for weights in rows:
         total = float(weights.sum())
         if total <= 0 or weights.size < 2:
             continue

@@ -40,7 +40,7 @@ def empirical_distribution(samples: np.ndarray, n: int) -> np.ndarray:
     return counts / total
 
 
-def _initial_states(targets: np.ndarray, init: str, rng, burn_in_iterations: int):
+def _chain_starts(targets: np.ndarray, init: str, rng, burn_in_iterations: int):
     """Starting state per chain row for each strategy."""
     chains, n = targets.shape
     if init == "random":
@@ -104,7 +104,7 @@ def mh_chain_batch(
     targets = np.asarray(targets, dtype=np.float64)
     chains, n = targets.shape
     rows = np.arange(chains)
-    state = _initial_states(targets, init, rng, burn_in_iterations)
+    state = _chain_starts(targets, init, rng, burn_in_iterations)
     if return_samples:
         out = np.empty((chains, num_samples), dtype=np.int64)
     else:

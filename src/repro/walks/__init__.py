@@ -3,8 +3,8 @@
 This package realises the paper's Section IV:
 
 * :mod:`repro.walks.models` — the unified random-walk model abstraction
-  (``calculate_weight`` / ``update_state``) and the five published models
-  of Table I.
+  (one method, ``batch_dynamic_weight``: the dynamic edge weight for a
+  wave of walker states) and the five published models of Table I.
 * :mod:`repro.walks.manager` — the flat chain store behind the 2D
   (position, affixture) sampler layout of Fig. 4.
 * :mod:`repro.walks.vectorized` — the walk engine (Algorithm 2) and the
@@ -18,11 +18,9 @@ This package realises the paper's Section IV:
 from repro.walks.corpus import WalkCorpus
 from repro.walks.manager import ChainStore
 from repro.walks.models import MODEL_REGISTRY, MODELS, make_model, register_model
-from repro.walks.state import WalkerState
 from repro.walks.vectorized import StepperBase, VectorizedWalkEngine
 
 __all__ = [
-    "WalkerState",
     "ChainStore",
     "WalkCorpus",
     "VectorizedWalkEngine",

@@ -33,14 +33,6 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
     return starts[seg_ids] + within, seg_ids
 
 
-def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-segment sums of a flat buffer laid out by :func:`concat_ranges`."""
-    prefix = np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    return prefix[ends] - prefix[starts]
-
-
 def race_keys(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Exponential-race key per entry: ``-log1p(-u) / value`` (+inf at <= 0).
 
@@ -90,28 +82,6 @@ def segment_race_argmin(keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     winner[nonempty] = mins
     out[~np.isfinite(winner)] = -1
     return out
-
-
-def segment_sample(values: np.ndarray, lengths: np.ndarray, rng) -> np.ndarray:
-    """Exact categorical draw within each segment, ∝ ``values``.
-
-    Returns the *within-segment* position of the draw per segment, or -1
-    for segments whose values sum to zero (or that are empty). This is the
-    vectorized direct sampler.
-
-    Exactly one uniform is consumed per flat entry (``values.size``
-    draws, independent of the weight values), and every entry's race key
-    is a pure function of its own (value, uniform) pair — the property
-    the sharded walk engine relies on to hand each shard a slice of one
-    driver-drawn uniform stream and still reproduce this function's
-    winners bitwise.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    out = np.full(lengths.size, -1, dtype=np.int64)
-    if values.size == 0:
-        return out
-    keys = race_keys(values, rng.random(values.size))
-    return segment_race_argmin(keys, lengths)
 
 
 def segment_argmax(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -109,7 +109,6 @@ class ChainStore:
             budget.charge(mh_bytes(graph, model), "mh-chains")
         self.last = np.full(self.size, NO_EDGE, dtype=np.int64)
         self.last_w = np.full(self.size, np.nan, dtype=np.float64)
-        self._graph = graph
         self._model = model
 
     @property
@@ -140,7 +139,6 @@ class ChainStore:
         # every surviving chain re-evaluates once on next visit
         self.last_w = np.full(new_last.size, np.nan, dtype=np.float64)
         self.size = new_last.size
-        self._graph = plan.new_graph
         self._model = model
         return {
             "invalidated_states": invalidated,
@@ -151,24 +149,6 @@ class ChainStore:
     def memory_bytes(self) -> int:
         """Resident bytes — the O(#state) footprint of Section III-A."""
         return self.last.nbytes + self.last_w.nbytes
-
-    def decompose(self, state_index: int) -> tuple[int, int]:
-        """Split a flat state index into its (position, affixture) pair.
-
-        For first-order models the affixture is empty (returned as 0);
-        for second-order models the position is the bucket node and the
-        affixture the rank within its CSR row; for metapath2vec the
-        affixture is the metapath target type.
-        """
-        model = self._model
-        if model.order == 1:
-            per_node = self.size // self._graph.num_nodes
-            if per_node > 1:  # metapath2vec: idx = v * |Φ| + T
-                return state_index // per_node, state_index % per_node
-            return state_index, 0
-        # second-order: idx is a directed edge offset in the source's row
-        src = int(np.searchsorted(self._graph.offsets, state_index, side="right") - 1)
-        return src, state_index - int(self._graph.offsets[src])
 
     def __repr__(self) -> str:
         return f"ChainStore(size={self.size}, initialized={self.num_initialized})"

@@ -1,11 +1,13 @@
 """The unified random-walk model abstraction and the five Table I models.
 
-A model is defined by two callbacks (paper Fig. 3):
-``calculate_weight(state, edge)`` — the dynamic edge weight w' that fixes
-the unnormalised transition distribution — and ``update_state(state,
-edge)``. Everything else (state indexing, rejection bounds, vectorized
-kernels) is derived support machinery declared on
-:class:`~repro.walks.models.base.RandomWalkModel`.
+A model is its dynamic edge weight w' (paper Fig. 3), the rule that fixes
+the unnormalised transition distribution, written once for a wave of
+walkers: ``batch_dynamic_weight(prev, prev_off, cur, step, edges)``.
+Optionally it also declares ``batch_state_index`` (its M-H chain layout),
+``kernel_spec`` (the rule's compiled kind) and
+``enumerate_state_contexts`` (one context per state, for per-state
+tables); everything else — state space size, rejection bounds — is
+derived support on :class:`~repro.walks.models.base.RandomWalkModel`.
 
 Models live in :data:`repro.registry.MODEL_REGISTRY`; third-party models
 plug in with :func:`repro.registry.register_model` and then work by name

@@ -1,24 +1,27 @@
 """Base class of the unified random-walk model abstraction (Section IV-B).
 
-To define a model a user implements two methods — exactly the interface of
-the paper's Fig. 3:
+The paper's Fig. 3 defines a model by its *dynamic edge weight* w'_x(e)
+given the walker state x, which fixes the unnormalised transition
+distribution G_x(u) = w'_xu / Σ_k w'_xk. A model here writes that rule
+once, for a whole wave: :meth:`RandomWalkModel.batch_dynamic_weight`
+takes aligned arrays of walker states ``(prev, prev_off, cur, step)``
+and candidate edge entries. It is the one required method; the engine
+advances every model's state the same way, on arrays. Optional:
 
-* :meth:`RandomWalkModel.calculate_weight` — the *dynamic edge weight*
-  w'_x(e) given the walker state, which fixes the unnormalised transition
-  distribution G_x(u) = w'_xu / Σ_k w'_xk;
-* :meth:`RandomWalkModel.update_state` — how the state evolves after
-  traversing an edge (a default covering all five published models is
-  provided).
+* :meth:`~RandomWalkModel.batch_state_index` — the M-H chain layout, when
+  one chain per current node (first order) or per taken edge (second
+  order) is not it (metapath2vec also keys by target type);
+* :meth:`~RandomWalkModel.kernel_spec` — the rule's compiled ``kind``, so
+  the C kernels evaluate it without calling back into Python;
+* :meth:`~RandomWalkModel.enumerate_state_contexts` — one context per
+  state index, for the samplers that build a table per state.
 
-Everything else on this class is derived support machinery with sensible
-defaults: state indexing for the 2D sampler layout, rejection-sampling
-bounds, alias-table sizing, and the vectorized kernels used by the
-lock-step engine. Models are *bound to a graph at construction* so they
-may precompute lookup tables (e.g. fairwalk's per-node type counts).
-
-Subclasses set ``order`` (1 = distribution depends only on the current
-node [+ metapath position], 2 = on the previous edge) and may override any
-derived method for efficiency.
+The rest is derived support with defaults (state space size, rejection
+bounds, alias-table sizing). Models are *bound to a graph at
+construction* so they may precompute lookup tables (e.g. fairwalk's
+per-node type counts). Subclasses set ``order`` (1 = distribution
+depends only on the current node [+ metapath position], 2 = on the
+previous edge).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import abc
 import numpy as np
 
 from repro.errors import ModelError
-from repro.walks.state import NO_PREVIOUS, WalkerState
+from repro.walks.state import NO_PREVIOUS
 
 
 class RandomWalkModel(abc.ABC):
@@ -68,68 +71,25 @@ class RandomWalkModel(abc.ABC):
         return self
 
     # ------------------------------------------------------------------
-    # the unified abstraction (user-facing, paper Fig. 3)
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def calculate_weight(self, state: WalkerState, edge_offset: int) -> float:
-        """Dynamic edge weight w'_x(e) of the edge entry at ``edge_offset``."""
-
-    def update_state(self, state: WalkerState, edge_offset: int) -> WalkerState:
-        """State after traversing ``edge_offset`` (default: shift window)."""
-        return state.advanced(self.graph, edge_offset)
-
-    # ------------------------------------------------------------------
     # walk lifecycle
     # ------------------------------------------------------------------
-    def initial_state(self, start: int) -> WalkerState:
-        """State of a fresh walker at node ``start``."""
-        return WalkerState(current=int(start))
-
     def valid_start_nodes(self) -> np.ndarray:
         """Nodes walks may start from (metapath models restrict this)."""
         return np.arange(self.graph.num_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # sampler support (scalar)
+    # state support
     # ------------------------------------------------------------------
-    def dynamic_weight(self, graph, state, edge_offset: int) -> float:
-        """Sampler-protocol alias for :meth:`calculate_weight`."""
-        return self.calculate_weight(state, edge_offset)
+    def dynamic_weights_row(self, cur, prev=NO_PREVIOUS, prev_off=NO_PREVIOUS, step=0) -> np.ndarray:
+        """w'_x for all out-edges of ``cur`` in the state ``(cur, prev, prev_off, step)``.
 
-    def dynamic_weights_row(self, graph, state) -> np.ndarray:
-        """w'_x for all out-edges of the state's current node.
-
-        The default evaluates the batch kernel on the whole row; models
-        with cheaper row formulas may override.
+        One :meth:`batch_dynamic_weight` call over the row: the exact
+        law the statistical tests fit the samplers against.
         """
-        lo, hi = self.graph.edge_range(state.current)
+        lo, hi = self.graph.edge_range(cur)
         offsets = np.arange(lo, hi, dtype=np.int64)
-        if offsets.size == 0:
-            return np.empty(0, dtype=np.float64)
-        prev = np.full(offsets.size, state.previous, dtype=np.int64)
-        prev_off = np.full(offsets.size, state.prev_edge_offset, dtype=np.int64)
-        cur = np.full(offsets.size, state.current, dtype=np.int64)
-        step = np.full(offsets.size, state.step, dtype=np.int64)
-        return self.batch_dynamic_weight(prev, prev_off, cur, step, offsets)
-
-    def state_index(self, graph, state) -> int:
-        """Flat index of ``state`` in [0, state_space_size).
-
-        Default layouts: first-order models index by current node;
-        second-order models index by the *taken* directed edge entry
-        (the transpose of Fig. 4's bucket layout — same size, same O(1)
-        lookup, no extra binary search). Second-order states before the
-        first step have no previous edge and are never indexed — the walk
-        engine resolves the first step from the static distribution.
-        """
-        if self.order == 1:
-            return int(state.current)
-        if state.prev_edge_offset == NO_PREVIOUS:
-            raise ModelError(
-                f"{self.name}: start states have no chain index; the engine "
-                "must take the first step from the static distribution"
-            )
-        return int(state.prev_edge_offset)
+        lane = [np.full(offsets.size, v, dtype=np.int64) for v in (prev, prev_off, cur, step)]
+        return self.batch_dynamic_weight(*lane, offsets)
 
     def state_space_size(self, graph) -> int:
         """#state (Table I): |V| for first-order, |E| for second-order."""
@@ -156,15 +116,6 @@ class RandomWalkModel(abc.ABC):
         """Upper bound on w'(e) / w(e) over all states and edges."""
         return 1.0
 
-    def fold_outliers(self, graph, state):
-        """Enumerable outliers for KnightKing folding, or None.
-
-        Returns ``(outlier_edge_offsets, bulk_bound)`` where the bulk
-        bound covers every non-outlier edge. ``None`` means folding is
-        not applicable (the default; see the KnightKing sampler notes).
-        """
-        return None
-
     # ------------------------------------------------------------------
     # vectorized kernels (lock-step engine)
     # ------------------------------------------------------------------
@@ -177,15 +128,25 @@ class RandomWalkModel(abc.ABC):
         step: np.ndarray,
         edge_offsets: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`calculate_weight`.
+        """Dynamic edge weight w'_x(e) per query (paper Fig. 3).
 
         All arrays are aligned per query: walker context (previous node,
-        previous edge offset, current node, step count) and the candidate
-        edge entry. Returns float64 dynamic weights.
+        previous edge offset, current node, step count; ``prev`` and
+        ``prev_off`` are ``NO_PREVIOUS`` before the first step) and the
+        candidate edge entry. ``step`` may also be a scalar shared by
+        every query. Returns float64 dynamic weights.
         """
 
     def batch_state_index(self, prev_off: np.ndarray, cur: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`state_index`."""
+        """Flat chain index in [0, state_space_size) per walker state.
+
+        Default layouts: first-order models index by current node;
+        second-order models index by the *taken* directed edge entry
+        (the transpose of Fig. 4's bucket layout — same size, same O(1)
+        lookup, no extra binary search). Second-order states before the
+        first step have no previous edge and are never indexed: the walk
+        engine takes the first step from the start-state law.
+        """
         if self.order == 1:
             return cur.astype(np.int64, copy=True)
         return prev_off.astype(np.int64, copy=True)

@@ -23,12 +23,6 @@ class DeepWalk(RandomWalkModel):
     order = 1
     is_static = True
 
-    def calculate_weight(self, state, edge_offset: int) -> float:
-        return float(self.graph.edge_weight_at(edge_offset))
-
-    def dynamic_weights_row(self, graph, state) -> np.ndarray:
-        return self.graph.neighbor_weights(state.current)
-
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         return np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)
 

@@ -61,24 +61,6 @@ class Edge2Vec(RandomWalkModel):
             )
         return self
 
-    def calculate_weight(self, state, edge_offset: int) -> float:
-        w = float(self.graph.edge_weight_at(edge_offset))
-        s = state.previous
-        if s == NO_PREVIOUS:
-            return w
-        u = int(self.graph.targets[edge_offset])
-        if u == s:
-            alpha = 1.0 / self.p
-        elif self.graph.has_edge(s, u):
-            alpha = 1.0
-        else:
-            alpha = 1.0 / self.q
-        m = self.transition_matrix[
-            int(self.graph.edge_types[state.prev_edge_offset]),
-            int(self.graph.edge_types[edge_offset]),
-        ]
-        return alpha * m * w
-
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)
         u = self.graph.targets[edge_offsets]

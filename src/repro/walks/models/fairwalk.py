@@ -54,21 +54,6 @@ class FairWalk(RandomWalkModel):
         self._recount(graph)
         return self
 
-    def calculate_weight(self, state, edge_offset: int) -> float:
-        w = float(self.graph.edge_weight_at(edge_offset))
-        u = int(self.graph.targets[edge_offset])
-        group = self.type_counts[state.current, int(self.graph.node_types[u])]
-        s = state.previous
-        if s == NO_PREVIOUS:
-            alpha = 1.0
-        elif u == s:
-            alpha = 1.0 / self.p
-        elif self.graph.has_edge(s, u):
-            alpha = 1.0
-        else:
-            alpha = 1.0 / self.q
-        return alpha * w / group
-
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)
         u = self.graph.targets[edge_offsets]

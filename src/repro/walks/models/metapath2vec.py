@@ -54,12 +54,6 @@ class MetaPath2Vec(RandomWalkModel):
         return np.flatnonzero(self.graph.node_types == self.metapath[0]).astype(np.int64)
 
     # ------------------------------------------------------------------
-    def calculate_weight(self, state, edge_offset: int) -> float:
-        u = int(self.graph.targets[edge_offset])
-        if int(self.graph.node_types[u]) != self.target_type(state.step):
-            return 0.0
-        return float(self.graph.edge_weight_at(edge_offset))
-
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)
         u_types = self.graph.node_types[self.graph.targets[edge_offsets]].astype(np.int64)
@@ -70,9 +64,6 @@ class MetaPath2Vec(RandomWalkModel):
     # state layout: idx = current * |Φ| + target_type  (paper Fig. 4:
     # position = current node, affixture = metapath type)
     # ------------------------------------------------------------------
-    def state_index(self, graph, state) -> int:
-        return int(state.current) * self.graph.num_node_types + self.target_type(state.step)
-
     def batch_state_index(self, prev_off, cur, step) -> np.ndarray:
         wanted = self._targets[step % self._targets.size]
         return cur * self.graph.num_node_types + wanted

@@ -36,18 +36,6 @@ class Node2Vec(RandomWalkModel):
         self.p = float(p)
         self.q = float(q)
 
-    def calculate_weight(self, state, edge_offset: int) -> float:
-        w = float(self.graph.edge_weight_at(edge_offset))
-        s = state.previous
-        if s == NO_PREVIOUS:
-            return w
-        u = int(self.graph.targets[edge_offset])
-        if u == s:
-            return w / self.p
-        if self.graph.has_edge(s, u):
-            return w
-        return w / self.q
-
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)
         u = self.graph.targets[edge_offsets]
@@ -80,14 +68,6 @@ class Node2Vec(RandomWalkModel):
     def supports_folding(self) -> bool:
         """True when the single return-edge outlier is worth folding."""
         return 1.0 / self.p > self.bulk_bound
-
-    def fold_outliers(self, graph, state):
-        if not self.supports_folding or state.previous == NO_PREVIOUS:
-            return None
-        rev = self.graph.edge_index(state.current, state.previous)
-        if rev < 0:
-            return None
-        return np.array([rev], dtype=np.int64), self.bulk_bound
 
     def batch_outlier_excess(self, prev, cur) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized folding data: (return-edge offsets, excess mass).

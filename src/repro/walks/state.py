@@ -6,52 +6,10 @@ into *position* (the current node) and *affixture* (model-specific extra
 data): the previous node/edge for second-order models, the metapath target
 type for metapath2vec, nothing for deepwalk.
 
-:class:`WalkerState` is a single mutable record covering all five
-published models; each model reads just the fields it defines.
+The engine carries every walker's state as four aligned lanes — current
+node, previous node, previous edge offset, step count — and each model's
+``batch_dynamic_weight`` reads just the lanes it needs.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-#: previous/prev_edge_offset value before the first step of a walk
+#: previous node / previous edge offset of a walker before its first step
 NO_PREVIOUS = -1
-
-
-@dataclass
-class WalkerState:
-    """State of one walker.
-
-    Attributes
-    ----------
-    current:
-        The node the walker resides at (the *position* component).
-    previous:
-        The node visited one step earlier, ``NO_PREVIOUS`` at walk start.
-    prev_edge_offset:
-        Global CSR offset of the edge taken to reach ``current``
-        (``NO_PREVIOUS`` at walk start). Doubles as the flat state index
-        for second-order models and carries the previous edge's type for
-        edge2vec.
-    step:
-        Number of steps taken so far (drives the metapath position).
-    """
-
-    current: int
-    previous: int = NO_PREVIOUS
-    prev_edge_offset: int = NO_PREVIOUS
-    step: int = 0
-
-    @property
-    def at_start(self) -> bool:
-        """True before the walker has taken its first step."""
-        return self.previous == NO_PREVIOUS
-
-    def advanced(self, graph, edge_offset: int) -> "WalkerState":
-        """Return the successor state after traversing ``edge_offset``."""
-        return WalkerState(
-            current=int(graph.targets[edge_offset]),
-            previous=self.current,
-            prev_edge_offset=int(edge_offset),
-            step=self.step + 1,
-        )

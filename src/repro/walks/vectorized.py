@@ -27,13 +27,14 @@ the one lock-step loop in Python. ``_MHStepper`` hands a wave to the
 backend's ``mh_wave`` instead (one compiled call, uniforms drawn from
 the engine's own BitGenerator in the order ``step`` draws them: the same
 bits, on as many threads as the CPU affinity mask holds) when the
-backend has one and the initializer is the built-in ``high-weight``. The
-other samplers, third-party steppers, the NumPy backend, the other
-initializers, step 0 of a second-order walk (its ``np.log1p`` need not
-match libm to the last bit) and the sharded driver (it fans every step
-out) keep the base loop; ``stats()["wave_kernel"]`` says which ran and
-``["wave_threads"]`` on how many threads the last wave did (0: the base
-loop).
+backend has one and the initializer is the built-in ``high-weight``
+(:class:`~repro.sampling.initialization.HighWeightInit`, not a strategy
+registered over its name). The other samplers, third-party steppers,
+the NumPy backend, the other initializers, step 0 of a second-order
+walk (its ``np.log1p`` need not match libm to the last bit) and the
+sharded driver (it fans every step out) keep the base loop;
+``stats()["wave_kernel"]`` says which ran and ``["wave_threads"]`` on
+how many threads the last wave did (0: the base loop).
 
 A stepper's ``step`` draws its uniforms and applies them in one piece.
 The one exception is M-H with the ``high-weight`` initializer, the
@@ -52,10 +53,10 @@ import numpy as np
 
 from repro.config import WalkConfig, take_fields
 from repro.errors import SamplerError, WalkError
-from repro.registry import SAMPLER_REGISTRY, SamplerContext
+from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.alias import FirstOrderAliasStore, build_alias_table
 from repro.sampling.base import NO_EDGE
-from repro.sampling.initialization import make_initializer
+from repro.sampling.initialization import HighWeightInit
 from repro.sampling.memory_aware import assign_states_greedily
 from repro.sampling.memory_model import (
     first_order_alias_bytes,
@@ -776,29 +777,29 @@ class _MHStepper(StepperBase):
     the acceptance ratio is ``min(1, w'(candidate) / w'(LAST_x))``: no
     normalising constant and no table, only ``LAST_x`` (and its cached
     weight) per state. Theorem 2: the uniform proposal converges for any
-    target law. A fresh chain takes its first edge from the initializer.
+    target law. Fresh chains take their first edges from the registered
+    initializer's ``init_chains``, all of one step's at once.
     """
 
     name = "mh"
 
     def __init__(self, graph, model, ctx):
         super().__init__(graph, model, ctx.kernels)
-        # a canonical registry name (the config resolved it), or a bound
-        # initializer instance, whose scalar protocol is used directly
-        initializer = ctx.initializer
-        named = isinstance(initializer, str)
-        self.strategy = initializer if named else getattr(initializer, "name", "custom")
-        # built-ins have dedicated vectorized kernels below
-        builtin = named and initializer in ("random", "high-weight", "burn-in")
-        self.custom_initializer = None if builtin else make_initializer(initializer)
+        # the config resolved the name; the stepper calls the registered
+        # strategy class itself (sampling/initialization.py)
+        self.initializer = INITIALIZER_REGISTRY.get(ctx.initializer)
+        if not callable(getattr(self.initializer, "init_chains", None)):
+            raise WalkError(
+                f"initializer {ctx.initializer!r} has no init_chains(stepper, m, rng); "
+                "see repro.sampling.initialization for the protocol"
+            )
         self.init_sample_cap = ctx.init_sample_cap
         self.burn_in_iterations = ctx.burn_in_iterations
-        # the compiled wave runs the built-in high-weight initializer and
+        # the compiled wave runs the built-in high-weight strategy and
         # the two built-in chain layouts (a node's chain, an edge's chain)
         self.wave_kernel = (
             hasattr(self.kernels, "mh_wave")
-            and self.strategy == "high-weight"
-            and self.custom_initializer is None
+            and self.initializer is HighWeightInit
             and type(model).batch_state_index is RandomWalkModel.batch_state_index
         )
         self._build(ctx)
@@ -865,63 +866,9 @@ class _MHStepper(StepperBase):
         return nxt
 
     def _draw_init(self, m, rng) -> None:
-        """Set ``m["init"]``, the first edge of each fresh chain in ``m``.
-
-        high-weight draws one ``(lanes, cap)`` block. random draws a
-        uniform slot per lane, then, for the lanes that landed on zero
-        weight, one uniform per edge entry to race over the row's
-        support. burn-in follows random with ``burn_in_iterations`` M-H
-        iterations, each a candidate draw and an acceptance draw.
-        """
-        if self.custom_initializer is not None:
-            m["init"] = self._init_custom(*self._fresh(m), rng)
-            return
-        n = int(m["uninit"].sum())
-        if self.strategy == "high-weight":
-            cap = self.init_sample_cap
-            self.init_high_weight(m, None if cap is None else rng.random((n, cap)))
-            return
-        prev0, prev_off0, cur0, step = self._fresh(m)
-        lo, deg = self._rows(cur0)
-        last = lo + (rng.random(n) * np.maximum(deg, 1)).astype(np.int64)
-        bad = self._batch_weights(prev0, prev_off0, cur0, step, last) <= 0.0
-        if bad.any():
-            __, ___, bad_deg, weights = self._expanded_row_weights(
-                prev0[bad], prev_off0[bad], cur0[bad], step
-            )
-            u_flat = rng.random(int(bad_deg.sum()))
-            last[bad] = self._race(cur0[bad], (weights > 0.0).astype(np.float64), u_flat)
-        if self.strategy == "burn-in":
-            w_last = self._batch_weights(prev0, prev_off0, cur0, step, np.maximum(last, 0))
-            for __ in range(self.burn_in_iterations):
-                cand = lo + (rng.random(n) * np.maximum(deg, 1)).astype(np.int64)
-                u_acc = rng.random(n)
-                w_cand = self._batch_weights(prev0, prev_off0, cur0, step, cand)
-                accept = (w_cand > 0.0) & ((w_last <= 0.0) | (u_acc * w_last < w_cand))
-                last = np.where(accept & (last != NO_EDGE), cand, last)
-                w_last = np.where(accept, w_cand, w_last)
-        m["init"] = last
-
-    def _init_custom(self, prev0, prev_off0, cur0, step, rng):
-        """Registered third-party strategies run their scalar protocol.
-
-        One ``initialize(graph, model, state, rng)`` call per fresh
-        chain — slower than the vectorized built-ins but each state is
-        initialised only once, so the cost is O(#state) overall. The
-        strategy draws from ``rng`` itself.
-        """
-        from repro.walks.state import WalkerState
-
-        out = np.empty(cur0.size, dtype=np.int64)
-        for i in range(cur0.size):
-            state = WalkerState(
-                current=int(cur0[i]),
-                previous=int(prev0[i]),
-                prev_edge_offset=int(prev_off0[i]),
-                step=int(step[i]) if isinstance(step, np.ndarray) else int(step),
-            )
-            out[i] = self.custom_initializer.initialize(self.graph, self.model, state, rng)
-        return out
+        """Set ``m["init"]``, the first edge of each fresh chain in ``m``,
+        by the initializer's batch protocol ``init_chains``."""
+        m["init"] = self.initializer.init_chains(self, m, rng)
 
     # -- begin -> init_high_weight -> finish: one scratch dict, run on the
     # shard workers by the sharded driver ---------------------------------
@@ -941,8 +888,8 @@ class _MHStepper(StepperBase):
         }
 
     @staticmethod
-    def _fresh(m):
-        """The uninitialised lanes of a :meth:`begin` scratch."""
+    def fresh_lanes(m):
+        """``(prev, prev_off, cur, step)`` of the fresh lanes of a :meth:`begin` scratch."""
         prev, prev_off, cur, step = m["lanes"]
         uninit = m["uninit"]
         return prev[uninit], prev_off[uninit], cur[uninit], step
@@ -976,7 +923,7 @@ class _MHStepper(StepperBase):
             self._weight_fn(prev, prev_off, cur, step),
         )
 
-    def _batch_weights(self, prev0, prev_off0, cur0, step, offs):
+    def lane_weights(self, prev0, prev_off0, cur0, step, offs):
         """Model weight of aligned candidate lanes, through the kernels.
 
         A compiled backend evaluates its weight rule in one pass (the
@@ -989,15 +936,22 @@ class _MHStepper(StepperBase):
             self._weight_fn(prev0, prev_off0, cur0, step),
         )
 
-    def init_high_weight(self, m, u) -> None:
-        """Best of ``cap`` candidates from the ``(lanes, cap)`` block ``u``.
+    def uniform_support(self, prev0, prev_off0, cur0, step, rng):
+        """A uniform draw among each lane's positive-weight edges
+        (``NO_EDGE``: none), one uniform per edge entry of the rows."""
+        __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)
+        u_flat = rng.random(int(deg.sum()))
+        return self._race(cur0, (weights > 0.0).astype(np.float64), u_flat)
+
+    def init_high_weight(self, m, u) -> np.ndarray:
+        """First edges of the fresh chains of ``m``: the best of ``cap``
+        candidates from the ``(lanes, cap)`` block ``u``.
 
         ``u=None`` (no cap) takes the exact row argmax instead.
         """
-        prev0, prev_off0, cur0, step = self._fresh(m)
+        prev0, prev_off0, cur0, step = self.fresh_lanes(m)
         if u is None:
-            m["init"] = self._exact_argmax(prev0, prev_off0, cur0, step)
-            return
+            return self._exact_argmax(prev0, prev_off0, cur0, step)
         cap = u.shape[1]
 
         def flat_weight_fn(offs, lanes=None):
@@ -1018,7 +972,7 @@ class _MHStepper(StepperBase):
             # subsample may have missed the support entirely; fall back to
             # the exact row argmax for those few states
             result[bad] = self._exact_argmax(prev0[bad], prev_off0[bad], cur0[bad], step)
-        m["init"] = result
+        return result
 
     def _exact_argmax(self, prev0, prev_off0, cur0, step):
         __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)

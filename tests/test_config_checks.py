@@ -76,10 +76,12 @@ class TestWalkConfig:
         walk = {"sampler": "memory-aware", "table_budget_bytes": 4096}
         assert RunSpec.from_dict({**BASE, "walk": walk}).walk.table_budget_bytes == 4096
 
-    def test_unset_caps_and_instances_still_pass(self):
+    def test_unset_caps_pass_and_initializer_instances_are_refused(self):
         assert WalkConfig(init_sample_cap=None, burn_in_iterations=0).init_sample_cap is None
-        strategy = object()
-        assert WalkConfig(initializer=strategy).initializer is strategy
+        with pytest.raises(WalkError, match="initializer must be a registered name"):
+            WalkConfig(initializer=object())
+        with pytest.raises(WalkError, match="initializer"):
+            RunSpec.from_dict({**BASE, "walk": {"initializer": 3}})
 
     def test_a_keyword_that_is_neither_a_field_nor_a_model_parameter(self, tiny_weighted_graph):
         for build in (VectorizedWalkEngine, ShardedWalkEngine, UniNet):

@@ -186,10 +186,6 @@ class TestUniNetFacade:
             name = "inverse-degree"
             order = 1
 
-            def calculate_weight(self, state, edge_offset):
-                u = int(self.graph.targets[edge_offset])
-                return 1.0 / max(self.graph.degree(u), 1)
-
             def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets):
                 u = self.graph.targets[edge_offsets]
                 return 1.0 / np.maximum(self.graph.degrees()[u], 1).astype(float)

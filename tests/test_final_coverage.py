@@ -28,7 +28,6 @@ class TestModelWeightPaths:
         """``dynamic_weights_row``, the statistical tests' exact law, is
         the row of the batch weights the steppers draw by."""
         from repro.walks.models import MODELS, make_model
-        from repro.walks.state import WalkerState
 
         g = typed_graph
         rng = np.random.default_rng(1)
@@ -38,40 +37,13 @@ class TestModelWeightPaths:
             for __ in range(5):
                 e = int(rng.integers(g.num_edge_entries))
                 s, v = int(g.edge_sources()[e]), int(g.targets[e])
-                state = WalkerState(current=v, previous=s, prev_edge_offset=e, step=1)
                 lo, hi = g.edge_range(v)
                 offs = np.arange(lo, hi)
                 batch = model.batch_dynamic_weight(
                     np.full(offs.size, s), np.full(offs.size, e),
                     np.full(offs.size, v), 1, offs,
                 )
-                np.testing.assert_array_equal(model.dynamic_weights_row(g, state), batch)
-
-    def test_scalar_and_batch_weights_agree_for_all_models(self, typed_graph):
-        """calculate_weight and batch_dynamic_weight are the same law."""
-        from repro.walks.models import MODELS, make_model
-        from repro.walks.state import WalkerState
-
-        g = typed_graph
-        rng = np.random.default_rng(0)
-        for name in MODELS:
-            kwargs = {"metapath": [0, 1, 0]} if name == "metapath2vec" else {}
-            model = make_model(name, g, **kwargs)
-            for __ in range(5):
-                e = int(rng.integers(g.num_edge_entries))
-                v = int(g.targets[e])
-                if g.degree(v) == 0:
-                    continue
-                s = int(g.edge_sources()[e])
-                state = WalkerState(current=v, previous=s, prev_edge_offset=e, step=1)
-                lo, hi = g.edge_range(v)
-                offs = np.arange(lo, hi)
-                batch = model.batch_dynamic_weight(
-                    np.full(offs.size, s), np.full(offs.size, e),
-                    np.full(offs.size, v), 1, offs,
-                )
-                scalar = [model.calculate_weight(state, int(o)) for o in offs]
-                assert np.allclose(batch, scalar), name
+                np.testing.assert_array_equal(model.dynamic_weights_row(v, s, e, 1), batch)
 
 
 class TestMiscEdgeCases:

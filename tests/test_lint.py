@@ -101,8 +101,6 @@ def test_rpr002_param_spec_key_and_default_mismatch(tmp_path):
         class Walker:
             def __init__(self, graph, p=1.0):
                 self.graph, self.p = graph, p
-            def calculate_weight(self, state, edge_offset):
-                return 1.0
             def batch_dynamic_weight(self, prev, prev_off, cur, step, offs):
                 return offs
 
@@ -115,6 +113,27 @@ def test_rpr002_param_spec_key_and_default_mismatch(tmp_path):
     assert len(messages) == 2
     assert "param_spec default" in messages[0] and "2.0" in messages[0]
     assert "'missing' is not a parameter" in messages[1]
+
+
+def test_rpr002_initializer_needs_the_batch_protocol(tmp_path):
+    report = lint(tmp_path, {"mod.py": """
+        from repro.registry import register_initializer
+
+        class Scalar:
+            def initialize(self, graph, model, state, rng):
+                return 0
+
+        class Batch:
+            @staticmethod
+            def init_chains(stepper, m, rng):
+                return m
+
+        register_initializer("scalar", Scalar)
+        register_initializer("batch", Batch)
+    """}, select=["RPR002"])
+    messages = [f.message for f in report.findings]
+    assert len(messages) == 1
+    assert "Scalar does not implement required method init_chains()" in messages[0]
 
 
 def test_rpr002_missing_protocol_method_and_alias_collision(tmp_path):
@@ -631,8 +650,6 @@ def test_repo_injections_are_caught(tmp_path):
             "class M:\n"
             "    def __init__(self, graph):\n"
             "        self.graph = graph\n"
-            "    def calculate_weight(self, state, edge_offset):\n"
-            "        return 1.0\n"
             "    def batch_dynamic_weight(self, prev, prev_off, cur, step, offs):\n"
             "        return offs\n\n"
             'register_model("m", M, param_spec={"ghost": {"default": 1}})\n'

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, SamplerError, WalkError
+from repro.errors import ModelError, WalkError
 from repro.registry import (
     INITIALIZER_REGISTRY,
     MODEL_REGISTRY,
@@ -105,13 +105,6 @@ class TestBuiltinRegistries:
         assert INITIALIZER_REGISTRY.canonical("weight") == "high-weight"
         assert INITIALIZER_REGISTRY.canonical("burnin") == "burn-in"
 
-    def test_make_initializer_resolves_aliases(self):
-        from repro.sampling.initialization import HighWeightInitializer, make_initializer
-
-        assert isinstance(make_initializer("weight"), HighWeightInitializer)
-        with pytest.raises(SamplerError, match="registered"):
-            make_initializer("bogus")
-
     def test_make_model_suggests_near_misses(self):
         from repro.graph.generators import cycle_graph
         from repro.walks.models import make_model
@@ -131,18 +124,16 @@ class TestBuiltinRegistries:
 class TestCustomInitializer:
     def test_registered_initializer_used_by_mh_engine(self, small_power_law_graph):
         from repro.registry import register_initializer
-        from repro.sampling.base import NO_EDGE
         from repro.walks.vectorized import VectorizedWalkEngine
 
         calls = []
 
         class FirstEdgeInitializer:
-            name = "first-edge-test"
-
-            def initialize(self, graph, model, state, rng):
-                calls.append(state.current)
-                lo, hi = graph.edge_range(state.current)
-                return lo if hi > lo else NO_EDGE
+            @staticmethod
+            def init_chains(stepper, m, rng):
+                cur = stepper.fresh_lanes(m)[2]
+                calls.append(cur.size)
+                return stepper.graph.offsets[cur]
 
         register_initializer("first-edge-test", FirstEdgeInitializer)
         try:
@@ -153,26 +144,37 @@ class TestCustomInitializer:
             corpus = eng.generate(num_walks=1, walk_length=5)
             assert corpus.token_count > 0
             assert calls, "registered initializer was never invoked"
-            assert eng.stats()["initializations"] == len(calls)
+            assert eng.stats()["initializations"] == sum(calls)
         finally:
             INITIALIZER_REGISTRY.unregister("first-edge-test")
 
-    def test_initializer_instance_used_directly(self, small_power_law_graph):
-        from repro.sampling.base import NO_EDGE
+    def test_initializer_instance_refused(self, small_power_law_graph):
+        from repro.core.config import WalkConfig
+        from repro.sampling.initialization import HighWeightInit
         from repro.walks.vectorized import VectorizedWalkEngine
 
-        class LastEdge:
-            name = "last-edge-inline"
+        for strategy in (HighWeightInit, HighWeightInit(), object()):
+            with pytest.raises(WalkError, match="initializer must be a registered name"):
+                VectorizedWalkEngine(
+                    small_power_law_graph, "deepwalk", sampler="mh", initializer=strategy
+                )
+            with pytest.raises(WalkError, match="initializer"):
+                WalkConfig(initializer=strategy)
 
+    def test_a_strategy_without_init_chains_is_refused(self, small_power_law_graph):
+        from repro.registry import register_initializer
+        from repro.walks.vectorized import VectorizedWalkEngine
+
+        class Scalar:
             def initialize(self, graph, model, state, rng):
-                lo, hi = graph.edge_range(state.current)
-                return hi - 1 if hi > lo else NO_EDGE
+                return 0
 
-        eng = VectorizedWalkEngine(
-            small_power_law_graph, "deepwalk", sampler="mh",
-            initializer=LastEdge(), seed=7,
-        )
-        assert eng.generate(num_walks=1, walk_length=5).token_count > 0
+        register_initializer("scalar-test", Scalar)
+        try:
+            with pytest.raises(WalkError, match="init_chains"):
+                VectorizedWalkEngine(small_power_law_graph, "deepwalk", initializer="scalar-test")
+        finally:
+            INITIALIZER_REGISTRY.unregister("scalar-test")
 
 
 class TestConfigFailFast:

@@ -261,9 +261,6 @@ class FixedFanoutWalk(RandomWalkModel):
     name = "fixed-fanout-test"
     order = 1
 
-    def calculate_weight(self, state, edge_offset):
-        return 1.0
-
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets):
         return np.ones(np.asarray(edge_offsets).size, dtype=np.float64)
 

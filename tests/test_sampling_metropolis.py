@@ -3,26 +3,24 @@
 The chain mechanics run on the ``mh`` stepper of the walk engine, on
 both kernel backends: ``stepper.step(prev, prev_off, cur, step, rng)``
 advances one chain per lane and ``engine.stats()`` counts what it did.
-Its per-state law is fitted in ``tests/test_statistical.py``.
+The initializers are the registered strategies, called as the stepper
+calls them: ``init_chains(stepper, stepper.begin(...), rng)``. The
+per-state law is fitted in ``tests/test_statistical.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import SamplerError, WalkError
+from repro.errors import WalkError
 from repro.graph.builder import from_edge_arrays
+from repro.registry import INITIALIZER_REGISTRY, register_initializer
 from repro.sampling.base import NO_EDGE
-from repro.sampling.initialization import (
-    BurnInInitializer,
-    HighWeightInitializer,
-    RandomInitializer,
-    make_initializer,
-)
 from repro.sampling.memory_model import sampler_memory_estimate
 from repro.walks.manager import ChainStore
 from repro.walks.models import make_model
-from repro.walks.state import WalkerState
 from repro.walks.vectorized import VectorizedWalkEngine
+
+INITIALIZERS = ("random", "high-weight", "burn-in")
 
 
 def tv_distance(p, q):
@@ -38,14 +36,6 @@ def lanes_at(graph, cur, prev=-1, count=1):
 
 
 @pytest.fixture
-def n2v_setup(tiny_weighted_graph):
-    g = tiny_weighted_graph
-    model = make_model("node2vec", g, p=0.25, q=4.0)
-    state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-    return g, model, state
-
-
-@pytest.fixture
 def n2v_state(tiny_weighted_graph):
     """The node2vec state (3 -> 0) of the tiny weighted graph."""
     return lanes_at(tiny_weighted_graph, 0, prev=3)
@@ -53,6 +43,15 @@ def n2v_state(tiny_weighted_graph):
 
 def mh_engine(graph, model, backend, **keywords):
     return VectorizedWalkEngine(graph, model, sampler="mh", backend=backend, seed=5, **keywords)
+
+
+def init_chains(name, graph, model, backend, lanes, step, **keywords):
+    """The registered strategy ``name`` on the fresh chains of ``lanes``
+    (``(prev, prev_off, cur)``), through a new engine's M-H stepper."""
+    eng = mh_engine(graph, model, backend, initializer=name, **keywords)
+    m = eng.stepper.begin(*lanes, step)
+    assert m["uninit"].all()
+    return INITIALIZER_REGISTRY.get(name).init_chains(eng.stepper, m, eng.rng)
 
 
 class TestConvergence:
@@ -131,72 +130,101 @@ class TestChainMechanics:
 
 
 class TestInitializers:
-    def test_make_initializer_names(self):
-        assert isinstance(make_initializer("random"), RandomInitializer)
-        assert isinstance(make_initializer("high-weight"), HighWeightInitializer)
-        assert isinstance(make_initializer("burn-in"), BurnInInitializer)
-        custom = RandomInitializer()
-        assert make_initializer(custom) is custom
-
-    def test_make_initializer_unknown(self):
-        with pytest.raises(SamplerError):
-            make_initializer("bogus")
-        with pytest.raises(SamplerError):
-            make_initializer(42)
-
-    def test_high_weight_picks_argmax(self, n2v_setup, rng):
-        g, model, state = n2v_setup
-        init = HighWeightInitializer(sample_cap=None)
-        off = init.initialize(g, model, state, rng)
-        weights = model.dynamic_weights_row(g, state)
-        lo, __ = g.edge_range(state.current)
-        assert off - lo == int(np.argmax(weights))
-
-    def test_high_weight_capped_returns_positive(self, small_power_law_graph, rng):
-        g = small_power_law_graph
-        model = make_model("deepwalk", g)
-        init = HighWeightInitializer(sample_cap=4)
-        v = int(np.argmax(g.degrees()))
-        off = init.initialize(g, model, WalkerState(current=v), rng)
-        assert off != NO_EDGE
-        assert g.edge_weight_at(off) > 0
-
-    def test_high_weight_invalid_cap(self):
-        with pytest.raises(SamplerError):
-            HighWeightInitializer(sample_cap=0)
-
-    def test_random_init_avoids_zero_weight(self, academic, rng):
+    def test_random_never_returns_a_zero_weight_edge(self, academic, kernel_backend):
+        """APA at step 1 walks paper -> author, so a paper's venue edges
+        weigh zero; a slot that lands on one draws again in the support."""
         graph, __ = academic
         model = make_model("metapath2vec", graph, metapath="APA")
-        init = RandomInitializer()
-        authors = np.flatnonzero(graph.node_types == 0)
-        for a in authors[:20]:
-            state = WalkerState(current=int(a), step=0)
-            off = init.initialize(graph, model, state, rng)
-            if off != NO_EDGE:
-                assert model.dynamic_weight(graph, state, off) > 0
+        papers = np.flatnonzero(graph.node_types == 1)
+        cur = papers[graph.degrees()[papers] > 0].astype(np.int64)
+        lanes = lanes_at(graph, 0, count=cur.size)[:2] + (cur,)
+        rows = [model.dynamic_weights_row(int(v), step=1) for v in cur]
+        assert any((row == 0.0).any() for row in rows)  # the fallback has work
+        off = init_chains("random", graph, model, kernel_backend, lanes, 1)
+        assert np.all(off != NO_EDGE)
+        assert np.all(model.batch_dynamic_weight(*lanes, 1, off) > 0.0)
 
-    def test_burn_in_iterations_validated(self):
-        with pytest.raises(SamplerError):
-            BurnInInitializer(iterations=-1)
+    def test_no_cap_takes_the_exact_row_argmax(self, tiny_weighted_graph, n2v_state, kernel_backend):
+        g = tiny_weighted_graph
+        model = make_model("node2vec", g, p=0.25, q=4.0)
+        (off,) = init_chains(
+            "high-weight", g, model, kernel_backend, n2v_state, 1, init_sample_cap=None
+        )
+        weights = model.dynamic_weights_row(0, 3, g.edge_index(3, 0), 1)
+        assert off - g.offsets[0] == int(np.argmax(weights))
 
-    def test_burn_in_runs(self, n2v_setup, rng):
-        g, model, state = n2v_setup
-        init = BurnInInitializer(iterations=50)
-        off = init.initialize(g, model, state, rng)
-        assert off != NO_EDGE
+    def test_capped_draw_returns_a_positive_weight_edge(self, small_power_law_graph, kernel_backend):
+        g = small_power_law_graph
+        v = int(np.argmax(g.degrees()))
+        off = init_chains(
+            "high-weight", g, "deepwalk", kernel_backend, lanes_at(g, v, count=50), 1,
+            init_sample_cap=4,
+        )
+        lo, hi = g.edge_range(v)
+        assert np.all((off >= lo) & (off < hi))
+        assert np.all(g.edge_weight_at(off) > 0)
 
-    def test_dead_state_returns_no_edge(self, rng):
-        from repro.graph.builder import from_edge_arrays
+    def test_capped_draw_samples_with_replacement_on_short_rows(self, kernel_backend):
+        """A row of 3 edges under a cap of 4: a chain misses the heaviest
+        edge with probability (2/3)^4, so some of 400 chains start elsewhere."""
+        g = from_edge_arrays([0, 0, 0], [1, 2, 3], [1.0, 5.0, 1.0], num_nodes=4)
+        off = init_chains(
+            "high-weight", g, "deepwalk", kernel_backend, lanes_at(g, 0, count=400), 1,
+            init_sample_cap=4,
+        )
+        best = g.edge_index(0, 2)
+        assert 0 < np.count_nonzero(off != best) < 400
 
+    def test_burn_in_moves_the_chain(self, tiny_weighted_graph, n2v_state, kernel_backend):
+        """Burn-in starts where random does on the same draws, then moves."""
+        g = tiny_weighted_graph
+        lanes = tuple(np.repeat(a, 200) for a in n2v_state)
+        run = {
+            iterations: init_chains(
+                "burn-in", g, "node2vec", kernel_backend, lanes, 1,
+                burn_in_iterations=iterations, p=0.25, q=4.0,
+            )
+            for iterations in (0, 50)
+        }
+        start = init_chains("random", g, "node2vec", kernel_backend, lanes, 1, p=0.25, q=4.0)
+        np.testing.assert_array_equal(run[0], start)
+        assert np.any(run[50] != start)
+        lo, hi = g.edge_range(0)
+        assert np.all((run[50] >= lo) & (run[50] < hi))
+
+    @pytest.mark.parametrize("name", INITIALIZERS)
+    def test_a_dead_state_gives_no_edge(self, name, kernel_backend):
         g = from_edge_arrays([0], [1], num_nodes=3)
         typed = g.with_node_types(np.array([0, 0, 1], dtype=np.int16))
         model = make_model("metapath2vec", typed, metapath=[0, 1, 0])
         # node 0 must move to type 1 but its only neighbour has type 0
-        state = WalkerState(current=0, step=0)
-        for strategy in ("random", "high-weight", "burn-in"):
-            init = make_initializer(strategy)
-            assert init.initialize(typed, model, state, rng) == NO_EDGE
+        off = init_chains(name, typed, model, kernel_backend, lanes_at(typed, 0), 0)
+        assert off.tolist() == [NO_EDGE]
+
+    @pytest.mark.parametrize("name", INITIALIZERS)
+    def test_a_replaced_builtin_is_the_strategy_walks_run(
+        self, name, small_power_law_graph, kernel_backend
+    ):
+        calls = []
+
+        class FirstEdge:
+            @staticmethod
+            def init_chains(stepper, m, rng):
+                cur = stepper.fresh_lanes(m)[2]
+                calls.append(cur.size)
+                return stepper.graph.offsets[cur]
+
+        builtin = INITIALIZER_REGISTRY.entry(name)
+        register_initializer(name, FirstEdge, aliases=builtin.aliases, replace=True)
+        try:
+            eng = mh_engine(small_power_law_graph, "deepwalk", kernel_backend, initializer=name)
+            eng.generate(num_walks=1, walk_length=5)
+        finally:
+            register_initializer(name, builtin.obj, aliases=builtin.aliases, replace=True)
+        stats = eng.stats()
+        assert sum(calls) == stats["initializations"] > 0
+        assert stats["wave_kernel"] is False
+        assert INITIALIZER_REGISTRY.entry(name) == builtin
 
 
 class TestHighWeightVsRandomAccuracy:

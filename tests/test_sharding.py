@@ -319,7 +319,7 @@ class TestEngineStats:
             )
         with pytest.raises(WalkError, match="table_budget_bytes"):  # no engine takes this config
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", sampler="memory-aware")
-        with pytest.raises(ShardError, match="initializer"):
+        with pytest.raises(WalkError, match="initializer"):  # no engine takes this config
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", initializer=object())
 
 
@@ -420,8 +420,7 @@ def test_property_sharded_equals_monolithic(graph, seed):
 # ---------------------------------------------------------------------------
 
 _STEP_MATH = {
-    "batch_dynamic_weight", "race_keys", "segment_race_argmin", "segment_argmax",
-    "segment_sample", "for_graph",
+    "batch_dynamic_weight", "race_keys", "segment_race_argmin", "segment_argmax", "for_graph",
 }
 _STRUCTURES = {"FirstOrderAliasStore", "EagerStateAliasTables", "ChainStore"}
 

@@ -23,7 +23,6 @@ from repro.registry import register_sampler, unregister_sampler
 from repro.sampling.base import NO_EDGE
 from repro.walks._segments import concat_ranges
 from repro.walks.kernels import available_backends
-from repro.walks.state import WalkerState
 from repro.walks.vectorized import StepperBase, VectorizedWalkEngine
 
 #: reject the null only below this p-value. Generous on purpose: the
@@ -163,8 +162,7 @@ def gadget_copies(copies: int = 1):
 def exact_law(model, graph, prev: int, cur: int, step: int = 1) -> np.ndarray:
     """The normalised dynamic-weight row of one walker state."""
     prev_off = graph.edge_index(prev, cur) if prev >= 0 else -1
-    state = WalkerState(current=cur, previous=prev, prev_edge_offset=prev_off, step=step)
-    weights = model.dynamic_weights_row(graph, state)
+    weights = model.dynamic_weights_row(cur, prev, prev_off, step)
     return weights / weights.sum()
 
 

@@ -98,9 +98,9 @@ class TestChainSimulation:
         samples = mh_chain_sample(pi, 1, init="high-weight", rng=rng)
         assert pi[samples[0]] == pi.max() or True  # first emission may move
         # starting state check via batch internals: draw zero-step init
-        from repro.theory.convergence import _initial_states
+        from repro.theory.convergence import _chain_starts
 
-        starts = _initial_states(pi[None, :], "high-weight", rng, 0)
+        starts = _chain_starts(pi[None, :], "high-weight", rng, 0)
         assert pi[starts[0]] == pi.max()
 
     def test_burn_in_init_runs(self, rng):

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WalkError
+from repro.errors import ShardError, WalkError
 from repro.graph import GraphDelta, generators
 from repro.graph.builder import from_edge_arrays
 from repro.registry import register_sampler, unregister_sampler
@@ -343,14 +343,38 @@ def test_other_initializers_keep_the_base_loop(small_power_law_graph, initialize
 
 
 @needs_cnative
-def test_bound_initializer_instance_keeps_the_base_loop(small_power_law_graph):
-    from repro.sampling.initialization import make_initializer
+def test_an_initializer_instance_is_refused(small_power_law_graph):
+    from repro.sampling.initialization import HighWeightInit
 
-    engine = VectorizedWalkEngine(
-        small_power_law_graph, "deepwalk", backend="cnative",
-        initializer=make_initializer("high-weight"),
-    )
-    assert engine.stats()["wave_kernel"] is False
+    with pytest.raises(WalkError, match="initializer must be a registered name"):
+        VectorizedWalkEngine(
+            small_power_law_graph, "deepwalk", backend="cnative", initializer=HighWeightInit()
+        )
+
+
+@needs_cnative
+def test_a_replaced_high_weight_keeps_the_base_loop(small_power_law_graph):
+    """Only the built-in high-weight entry gets the wave (and the shards)."""
+    from repro.registry import INITIALIZER_REGISTRY, register_initializer
+    from repro.sampling.initialization import HighWeightInit
+
+    class Copy(HighWeightInit):
+        pass
+
+    def run():
+        engine = VectorizedWalkEngine(small_power_law_graph, "deepwalk", backend="cnative", seed=2)
+        return _digest(engine.generate(2, 10)), engine.stats()["wave_kernel"]
+
+    builtin = INITIALIZER_REGISTRY.entry("high-weight")
+    register_initializer("high-weight", Copy, aliases=builtin.aliases, replace=True)
+    try:
+        replaced = run()
+        with pytest.raises(ShardError, match="built-in initializer"):
+            ShardedWalkEngine(small_power_law_graph, "deepwalk", num_shards=2)
+    finally:
+        register_initializer("high-weight", HighWeightInit, aliases=builtin.aliases, replace=True)
+    # the same draws on the base loop: the same corpus
+    assert replaced == (run()[0], False)
 
 
 @pytest.mark.parametrize("backend", ("numpy", "cnative"))

@@ -15,7 +15,6 @@ from repro.errors import WalkError
 from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
 from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
-from repro.walks.state import WalkerState
 from repro.walks.vectorized import EagerStateAliasTables, VectorizedWalkEngine
 
 
@@ -26,8 +25,8 @@ def state_rows(corpus, model):
     the taken edge ``(prev, cur)`` for node2vec, ``cur`` with the
     metapath position for metapath2vec); step 0 of a second-order walk
     is the start state of ``cur``. Yields ``(state, counts)`` per state:
-    a :class:`WalkerState` standing for it and the visit counts of each
-    out-edge of its node, in row order.
+    the ``(cur, prev, prev_off, step)`` standing for it and the visit
+    counts of each out-edge of its node, in row order.
     """
     graph = model.graph
     walks, lengths = corpus.walks.astype(np.int64), corpus.lengths
@@ -41,8 +40,7 @@ def state_rows(corpus, model):
     taken = graph.edge_index_batch(cur, nxt) - graph.offsets[cur]
     for k, i in enumerate(first):
         counts = np.bincount(taken[inverse == k], minlength=graph.degree(int(cur[i])))
-        state = WalkerState(int(cur[i]), int(prev[i]), int(prev_off[i]), int(step[i]))
-        yield state, counts
+        yield (int(cur[i]), int(prev[i]), int(prev_off[i]), int(step[i])), counts
 
 
 def mean_tv_to_exact(corpus, model, min_visits=50):
@@ -52,7 +50,7 @@ def mean_tv_to_exact(corpus, model, min_visits=50):
     for state, counts in state_rows(corpus, model):
         if counts.sum() < min_visits:
             continue
-        exact = model.dynamic_weights_row(model.graph, state)
+        exact = model.dynamic_weights_row(*state)
         tvs.append(0.5 * np.abs(counts / counts.sum() - exact / exact.sum()).sum())
     assert len(tvs) >= 3, "too few well-visited states to compare"
     return float(np.mean(tvs))
@@ -278,10 +276,7 @@ class TestEagerStateAliasTables:
         model = make_model("node2vec", g, p=0.25, q=4.0)
         tables = EagerStateAliasTables(g, model)
         idx = g.edge_index(3, 0)  # state (3 -> 0)
-        from repro.walks.state import WalkerState
-
-        state = WalkerState(current=0, previous=3, prev_edge_offset=idx, step=1)
-        exact = model.dynamic_weights_row(g, state)
+        exact = model.dynamic_weights_row(0, 3, idx, 1)
         exact = exact / exact.sum()
         lo, __ = g.edge_range(0)
         draws = tables.draw(

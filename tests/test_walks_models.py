@@ -1,12 +1,104 @@
-"""Tests for the five random-walk models and the unified abstraction."""
+"""Tests for the five random-walk models and the unified abstraction.
+
+A model is its ``batch_dynamic_weight``; ``TestTableI`` pins each
+model's weights on one hand-built gadget to the literal values of the
+paper's Table I formulas, through the NumPy rule and, where the model
+has a compiled kind, through the C kernel's.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.graph.builder import from_edge_arrays
+from repro.walks.kernels import KernelState, available_backends, resolve_backend
 from repro.walks.models import MODELS, make_model
-from repro.walks.state import NO_PREVIOUS, WalkerState
+from repro.walks.state import NO_PREVIOUS
+
+
+@pytest.fixture
+def gadget():
+    """The walker has come 0 -> 1. From node 1, candidate 0 is the
+    return (node2vec's 1/p class), 2 is adjacent to 0 (the 1 class), and
+    3 and 4 are two hops from 0 (the 1/q class). Node types 0, 2, 0, 1, 1
+    put two of node 1's neighbours in each of types 0 and 1; edge types
+    0, 1, 0, 1 on the edges to 0, 2, 3, 4, and 0 on the edge taken."""
+    src, dst = [0, 1, 1, 0, 1], [1, 2, 3, 2, 4]
+    weights, edge_types = [2.0, 3.0, 4.0, 1.0, 5.0], [0, 1, 0, 1, 1]
+    return from_edge_arrays(
+        src, dst, weights, num_nodes=5, edge_types=edge_types,
+        node_types=np.array([0, 2, 0, 1, 1], dtype=np.int16),
+    )
+
+
+def gadget_weights(model, prev=0, step=1, backend=None):
+    """Weights of node 1's four edges in the state ``(prev -> 1, step)``."""
+    g = model.graph
+    offs = np.arange(*g.edge_range(1))
+    assert g.targets[offs].tolist() == [0, 2, 3, 4]
+    prev_off = g.edge_index(prev, 1) if prev != NO_PREVIOUS else NO_PREVIOUS
+    lanes = [np.full(offs.size, v) for v in (prev, prev_off, 1)]
+    if backend is None:
+        return model.batch_dynamic_weight(*lanes, step, offs)
+    ks = KernelState.for_graph(g, model)
+    return resolve_backend(backend).dyn_weights(ks, lanes[0], offs, None)
+
+
+needs_cnative = pytest.mark.skipif(
+    not available_backends().get("cnative", False), reason="no C compiler"
+)
+
+
+class TestTableI:
+    """w' per model from the gadget state 0 -> 1: literal Table I values."""
+
+    def test_deepwalk_is_the_static_weight(self, gadget):
+        model = make_model("deepwalk", gadget)
+        for prev in (0, NO_PREVIOUS):
+            assert gadget_weights(model, prev).tolist() == [2.0, 3.0, 4.0, 5.0]
+
+    def test_node2vec_alpha_classes(self, gadget):
+        # alpha = 1/p = 2, 1, 1/q = 1/4, 1/4; alpha = 1 before the first step
+        model = make_model("node2vec", gadget, p=0.5, q=4.0)
+        assert gadget_weights(model).tolist() == [4.0, 3.0, 1.0, 1.25]
+        assert gadget_weights(model, NO_PREVIOUS, step=0).tolist() == [2.0, 3.0, 4.0, 5.0]
+
+    @needs_cnative
+    @pytest.mark.parametrize(
+        "name, params, kind",
+        [("deepwalk", {}, "static"), ("node2vec", {"p": 0.5, "q": 4.0}, "node2vec")],
+        ids=("deepwalk", "node2vec"),
+    )
+    def test_the_compiled_kinds_agree(self, gadget, name, params, kind):
+        model = make_model(name, gadget, **params)
+        assert model.kernel_spec()["kind"] == kind
+        for prev in (0, 2, 3, NO_PREVIOUS):
+            step = 0 if prev == NO_PREVIOUS else 1
+            np.testing.assert_array_equal(
+                gadget_weights(model, prev, step, backend="cnative"),
+                gadget_weights(model, prev, step),
+            )
+
+    def test_edge2vec_scales_alpha_by_the_type_transition(self, gadget):
+        # the edge taken has type 0: M[0, 0] = 0.5 for types 0, M[0, 1] = 2 for types 1
+        matrix = np.array([[0.5, 2.0], [1.0, 1.0]])
+        model = make_model("edge2vec", gadget, p=0.5, q=4.0, transition_matrix=matrix)
+        assert gadget_weights(model).tolist() == [2.0, 6.0, 0.5, 2.5]
+        assert gadget_weights(model, NO_PREVIOUS, step=0).tolist() == [2.0, 3.0, 4.0, 5.0]
+
+    def test_fairwalk_divides_by_the_group_size(self, gadget):
+        # node2vec's weights over |K_type| = 2 for both types at node 1
+        model = make_model("fairwalk", gadget, p=0.5, q=4.0)
+        assert gadget_weights(model).tolist() == [2.0, 1.5, 0.5, 0.625]
+        assert gadget_weights(model, NO_PREVIOUS, step=0).tolist() == [1.0, 1.5, 2.0, 2.5]
+
+    def test_metapath2vec_keeps_the_wanted_type_only(self, gadget):
+        # the path 2-0-1-2 wants types 0, 1, 2 at steps 0, 1, 2
+        model = make_model("metapath2vec", gadget, metapath=[2, 0, 1, 2])
+        want = {0: [2.0, 3.0, 0.0, 0.0], 1: [0.0, 0.0, 4.0, 5.0], 2: [0.0] * 4}
+        for step, row in want.items():
+            assert gadget_weights(model, NO_PREVIOUS, step).tolist() == row
+            assert gadget_weights(model, NO_PREVIOUS, step + 3).tolist() == row
 
 
 class TestRegistry:
@@ -42,14 +134,14 @@ class TestRegistry:
 class TestDeepWalk:
     def test_dynamic_equals_static(self, tiny_weighted_graph):
         model = make_model("deepwalk", tiny_weighted_graph)
-        state = WalkerState(current=0)
-        row = model.dynamic_weights_row(tiny_weighted_graph, state)
+        row = model.dynamic_weights_row(0)
         assert np.allclose(row, tiny_weighted_graph.neighbor_weights(0))
 
     def test_state_space_is_nodes(self, tiny_weighted_graph):
         model = make_model("deepwalk", tiny_weighted_graph)
         assert model.state_space_size(tiny_weighted_graph) == 5
-        assert model.state_index(tiny_weighted_graph, WalkerState(current=3)) == 3
+        cur = np.array([3, 0])
+        assert model.batch_state_index(np.array([7, -1]), cur, 1).tolist() == [3, 0]
 
     def test_is_static_flag(self, tiny_weighted_graph):
         assert make_model("deepwalk", tiny_weighted_graph).is_static
@@ -57,40 +149,20 @@ class TestDeepWalk:
 
 
 class TestNode2Vec:
-    def test_alpha_classes(self, tiny_weighted_graph):
-        """Eq. 2: w/p for the return edge, w for d=1, w/q for d=2."""
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.5, q=2.0)
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        # neighbours of 0: 1 (adj to 3), 2 (adj to 3), 3 (return), 4 (adj to 3)
-        w_ret = model.calculate_weight(state, g.edge_index(0, 3))
-        assert w_ret == pytest.approx(0.5 / 0.5)  # w=0.5, alpha=1/p=2
-        w_d1 = model.calculate_weight(state, g.edge_index(0, 1))
-        assert w_d1 == pytest.approx(1.0)  # w=1, alpha=1 (3-1 edge exists)
-
-    def test_distance_two_case(self):
-        # path 0-1-2 plus 1-3: from state (0,1), node 3 is at distance 2 from 0
-        g = from_edge_arrays([0, 1, 1], [1, 2, 3], num_nodes=4)
-        model = make_model("node2vec", g, p=1.0, q=4.0)
-        state = WalkerState(current=1, previous=0, prev_edge_offset=g.edge_index(0, 1), step=1)
-        assert model.calculate_weight(state, g.edge_index(1, 3)) == pytest.approx(0.25)
-
     def test_first_step_uses_static(self, tiny_weighted_graph):
         g = tiny_weighted_graph
         model = make_model("node2vec", g, p=0.1, q=10.0)
-        state = WalkerState(current=0)
-        assert state.at_start
-        row = model.dynamic_weights_row(g, state)
+        row = model.dynamic_weights_row(0)
         assert np.allclose(row, g.neighbor_weights(0))
 
     def test_state_space_is_edges(self, tiny_weighted_graph):
         model = make_model("node2vec", tiny_weighted_graph)
         assert model.state_space_size(tiny_weighted_graph) == tiny_weighted_graph.num_edge_entries
 
-    def test_start_state_has_no_index(self, tiny_weighted_graph):
+    def test_state_index_is_the_taken_edge(self, tiny_weighted_graph):
         model = make_model("node2vec", tiny_weighted_graph)
-        with pytest.raises(ModelError):
-            model.state_index(tiny_weighted_graph, WalkerState(current=0))
+        prev_off = np.array([4, 0, 9])
+        assert model.batch_state_index(prev_off, np.array([1, 2, 3]), 1).tolist() == [4, 0, 9]
 
     def test_invalid_params(self, tiny_weighted_graph):
         with pytest.raises(ModelError):
@@ -102,39 +174,18 @@ class TestNode2Vec:
         model = make_model("node2vec", tiny_weighted_graph, p=0.25, q=4.0)
         assert model.alpha_bound(tiny_weighted_graph) == 4.0
 
-    def test_batch_matches_scalar(self, tiny_weighted_graph):
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g, p=0.25, q=4.0)
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        lo, hi = g.edge_range(0)
-        offs = np.arange(lo, hi)
-        batch = model.batch_dynamic_weight(
-            np.full(offs.size, 3), np.full(offs.size, g.edge_index(3, 0)),
-            np.full(offs.size, 0), 1, offs,
-        )
-        scalar = [model.calculate_weight(state, int(o)) for o in offs]
-        assert np.allclose(batch, scalar)
-
-    def test_fold_outliers_only_when_profitable(self, tiny_weighted_graph):
-        g = tiny_weighted_graph
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        folding = make_model("node2vec", g, p=0.1, q=1.0)
-        offsets, bulk = folding.fold_outliers(g, state)
-        assert offsets.tolist() == [g.edge_index(0, 3)]
-        assert bulk == 1.0
-        no_fold = make_model("node2vec", g, p=2.0, q=1.0)
-        assert no_fold.fold_outliers(g, state) is None
-
-    def test_update_state(self, tiny_weighted_graph):
-        g = tiny_weighted_graph
-        model = make_model("node2vec", g)
-        state = WalkerState(current=0)
-        off = g.edge_index(0, 2)
-        new = model.update_state(state, off)
-        assert new.current == 2
-        assert new.previous == 0
-        assert new.prev_edge_offset == off
-        assert new.step == 1
+    def test_folds_the_return_edge_only_when_profitable(self, gadget):
+        """1/p above the bulk bound max(1, 1/q) makes the return edge the
+        one outlier; its excess over the bulk is w * (1/p - bulk)."""
+        prev, cur = np.array([0, NO_PREVIOUS]), np.array([1, 1])
+        folding = make_model("node2vec", gadget, p=0.1, q=1.0)
+        assert folding.supports_folding and folding.bulk_bound == 1.0
+        rev, excess = folding.batch_outlier_excess(prev, cur)
+        assert rev.tolist() == [gadget.edge_index(1, 0), -1]
+        assert excess.tolist() == [pytest.approx(2.0 * 9.0), 0.0]
+        no_fold = make_model("node2vec", gadget, p=2.0, q=1.0)
+        assert not no_fold.supports_folding
+        assert no_fold.batch_outlier_excess(prev, cur)[1].tolist() == [0.0, 0.0]
 
 
 class TestMetaPath2Vec:
@@ -164,8 +215,7 @@ class TestMetaPath2Vec:
         graph, __ = academic
         model = make_model("metapath2vec", graph, metapath="APA")
         author = int(np.flatnonzero(graph.node_types == 0)[0])
-        state = WalkerState(current=author, step=0)
-        row = model.dynamic_weights_row(graph, state)
+        row = model.dynamic_weights_row(author, step=0)
         nbr_types = graph.node_types[graph.neighbors(author)]
         assert np.all((row > 0) == (nbr_types == 1))
 
@@ -174,11 +224,14 @@ class TestMetaPath2Vec:
         model = make_model("metapath2vec", graph, metapath="APA")
         assert model.state_space_size(graph) == graph.num_nodes * graph.num_node_types
 
-    def test_state_index_layout(self, academic):
+    def test_batch_state_index_layout(self, academic):
+        """idx = current * |types| + the type the step wants (P=1, then A=0)."""
         graph, __ = academic
         model = make_model("metapath2vec", graph, metapath="APA")
-        state = WalkerState(current=5, step=0)
-        assert model.state_index(graph, state) == 5 * graph.num_node_types + 1
+        num_types = graph.num_node_types
+        none = np.full(2, NO_PREVIOUS)
+        idx = model.batch_state_index(none, np.array([5, 5]), np.array([0, 1]))
+        assert idx.tolist() == [5 * num_types + 1, 5 * num_types + 0]
 
 
 class TestEdge2Vec:
@@ -193,8 +246,7 @@ class TestEdge2Vec:
         author = int(np.flatnonzero(graph.node_types == 0)[0])
         paper = int(graph.neighbors(author)[0])
         off_in = graph.edge_index(author, paper)
-        state = WalkerState(current=paper, previous=author, prev_edge_offset=off_in, step=1)
-        row = model.dynamic_weights_row(graph, state)
+        row = model.dynamic_weights_row(paper, author, off_in, 1)
         nbr_types = graph.node_types[graph.neighbors(paper)]
         # transitions AP -> PA are zeroed; AP -> PV keep weight
         assert np.all(row[nbr_types == 0] == 0)
@@ -224,11 +276,8 @@ class TestEdge2Vec:
         n2v = make_model("node2vec", graph, p=0.5, q=2.0)
         author = int(np.flatnonzero(graph.node_types == 0)[0])
         paper = int(graph.neighbors(author)[0])
-        off = graph.edge_index(author, paper)
-        state = WalkerState(current=paper, previous=author, prev_edge_offset=off, step=1)
-        assert np.allclose(
-            e2v.dynamic_weights_row(graph, state), n2v.dynamic_weights_row(graph, state)
-        )
+        state = (paper, author, graph.edge_index(author, paper), 1)
+        assert np.allclose(e2v.dynamic_weights_row(*state), n2v.dynamic_weights_row(*state))
 
 
 class TestFairWalk:
@@ -238,8 +287,7 @@ class TestFairWalk:
         g = from_edge_arrays([0, 0, 0, 0], [1, 2, 3, 4], num_nodes=5)
         typed = g.with_node_types(np.array([0, 1, 1, 1, 2], dtype=np.int16))
         model = make_model("fairwalk", typed, p=1.0, q=1.0)
-        state = WalkerState(current=0)
-        row = model.dynamic_weights_row(typed, state)
+        row = model.dynamic_weights_row(0)
         nbr_types = typed.node_types[typed.neighbors(0)]
         mass_t1 = row[nbr_types == 1].sum()
         mass_t2 = row[nbr_types == 2].sum()
@@ -257,22 +305,6 @@ class TestFairWalk:
         graph, __ = academic
         model = make_model("fairwalk", graph, p=0.2, q=2.0)
         assert model.alpha_bound(graph) == pytest.approx(5.0)
-
-    def test_batch_matches_scalar(self, academic):
-        graph, __ = academic
-        model = make_model("fairwalk", graph, p=0.5, q=2.0)
-        author = int(np.flatnonzero(graph.node_types == 0)[0])
-        paper = int(graph.neighbors(author)[0])
-        off = graph.edge_index(author, paper)
-        state = WalkerState(current=paper, previous=author, prev_edge_offset=off, step=1)
-        lo, hi = graph.edge_range(paper)
-        offs = np.arange(lo, hi)
-        batch = model.batch_dynamic_weight(
-            np.full(offs.size, author), np.full(offs.size, off),
-            np.full(offs.size, paper), 1, offs,
-        )
-        scalar = [model.calculate_weight(state, int(o)) for o in offs]
-        assert np.allclose(batch, scalar)
 
 
 class TestStateContexts:

@@ -1,4 +1,4 @@
-"""Tests for walk-support machinery: state, segments, manager, corpus."""
+"""Tests for walk-support machinery: segments, manager, corpus."""
 
 import tempfile
 from pathlib import Path
@@ -10,30 +10,12 @@ from hypothesis import strategies as st
 
 from repro.errors import WalkError
 from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
-from repro.walks._segments import concat_ranges, segment_argmax, segment_sample, segment_sums
+from repro.walks._segments import concat_ranges, race_keys, segment_argmax, segment_race_argmin
 from repro.walks.corpus import WalkCorpus
 from repro.walks.manager import ChainStore
 from repro.walks.models import make_model
-from repro.walks.state import NO_PREVIOUS, WalkerState
 
 DATA = Path(__file__).parent / "data"
-
-
-class TestWalkerState:
-    def test_initial_state(self):
-        state = WalkerState(current=4)
-        assert state.at_start
-        assert state.previous == NO_PREVIOUS
-
-    def test_advanced(self, tiny_weighted_graph):
-        g = tiny_weighted_graph
-        off = g.edge_index(0, 2)
-        state = WalkerState(current=0).advanced(g, off)
-        assert state.current == 2
-        assert state.previous == 0
-        assert state.prev_edge_offset == off
-        assert state.step == 1
-        assert not state.at_start
 
 
 class TestSegments:
@@ -51,27 +33,26 @@ class TestSegments:
         flat, seg = concat_ranges(np.array([1, 2]), np.array([0, 0]))
         assert flat.size == 0 and seg.size == 0
 
-    def test_segment_sums(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        sums = segment_sums(values, np.array([2, 0, 2]))
-        assert sums.tolist() == [3.0, 0.0, 7.0]
+    @staticmethod
+    def race(values, lengths, rng):
+        """One exact draw ∝ ``values`` per segment, one uniform per entry."""
+        return segment_race_argmin(race_keys(values, rng.random(values.size)), lengths)
 
-    def test_segment_sample_exact(self, rng):
-        values = np.tile([1.0, 3.0], 1)  # one segment of [1, 3]
+    def test_race_is_exact(self, rng):
         counts = np.zeros(2)
         for __ in range(20000):
-            pos = segment_sample(np.array([1.0, 3.0]), np.array([2]), rng)
+            pos = self.race(np.array([1.0, 3.0]), np.array([2]), rng)
             counts[pos[0]] += 1
         assert abs(counts[1] / counts.sum() - 0.75) < 0.02
 
-    def test_segment_sample_skips_zero_weights(self, rng):
+    def test_race_skips_zero_weights(self, rng):
         for __ in range(200):
-            pos = segment_sample(np.array([0.0, 1.0, 0.0]), np.array([3]), rng)
+            pos = self.race(np.array([0.0, 1.0, 0.0]), np.array([3]), rng)
             assert pos[0] == 1
 
-    def test_segment_sample_zero_and_empty_segments(self, rng):
+    def test_race_zero_and_empty_segments(self, rng):
         values = np.array([0.0, 0.0, 5.0])
-        pos = segment_sample(values, np.array([2, 0, 1]), rng)
+        pos = self.race(values, np.array([2, 0, 1]), rng)
         assert pos.tolist() == [-1, -1, 0]
 
     def test_segment_argmax(self):
@@ -88,7 +69,6 @@ class TestSegments:
         rng = np.random.default_rng(seed)
         lengths = np.array(lengths)
         values = rng.random(int(lengths.sum()))
-        sums = segment_sums(values, lengths)
         arg = segment_argmax(values, lengths)
         cursor = 0
         for i, ln in enumerate(lengths):
@@ -96,9 +76,7 @@ class TestSegments:
             cursor += ln
             if ln == 0:
                 assert arg[i] == -1
-                assert sums[i] == pytest.approx(0.0)
             else:
-                assert sums[i] == pytest.approx(chunk.sum())
                 assert chunk[arg[i]] == pytest.approx(chunk.max())
 
 
@@ -119,29 +97,6 @@ class TestChainStore:
         g = small_unweighted_graph
         model = make_model("node2vec", g)
         assert ChainStore(g, model).memory_bytes() == 16 * g.num_edge_entries
-
-    def test_decompose_second_order(self, small_unweighted_graph):
-        g = small_unweighted_graph
-        model = make_model("node2vec", g)
-        store = ChainStore(g, model)
-        for off in (0, 17, g.num_edge_entries - 1):
-            position, affixture = store.decompose(off)
-            lo, hi = g.edge_range(position)
-            assert lo <= off < hi
-            assert affixture == off - lo
-
-    def test_decompose_first_order(self, small_unweighted_graph):
-        g = small_unweighted_graph
-        model = make_model("deepwalk", g)
-        store = ChainStore(g, model)
-        assert store.decompose(3) == (3, 0)
-
-    def test_decompose_metapath(self, academic):
-        graph, __ = academic
-        model = make_model("metapath2vec", graph, metapath="APA")
-        store = ChainStore(graph, model)
-        num_types = graph.num_node_types
-        assert store.decompose(7 * num_types + 2) == (7, 2)
 
 
 class TestWalkCorpus:

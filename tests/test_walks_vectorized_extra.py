@@ -94,10 +94,7 @@ class TestRejectionInternals:
         g = tiny_weighted_graph
         p, q = 0.1, 1.0
         model = make_model("node2vec", g, p=p, q=q)
-        from repro.walks.state import WalkerState
-
-        state = WalkerState(current=0, previous=3, prev_edge_offset=g.edge_index(3, 0), step=1)
-        exact = model.dynamic_weights_row(g, state)
+        exact = model.dynamic_weights_row(0, 3, g.edge_index(3, 0), 1)
         exact = exact / exact.sum()
         eng = VectorizedWalkEngine(g, "node2vec", sampler="knightking", p=p, q=q, seed=9)
         prev = np.full(30000, 3, dtype=np.int64)
