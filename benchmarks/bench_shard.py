@@ -19,7 +19,7 @@ beside each row as ``parent_query_qps``) and to the
 expected to stay near the monolithic line while the migration-rate and
 imbalance columns record the *distribution* costs a multi-host
 transport would pay. Socket rows then pay them for real: loopback
-``repro shard-worker`` processes driven over TCP, with the network
+``serve_shard`` worker processes driven over TCP, with the network
 budget — bytes each way, migration payload bytes, and bytes on the
 wire per migration round — recorded alongside throughput. Those
 columns, not single-host speedups, are the scientific content here.

@@ -26,10 +26,11 @@ The public surface mirrors the paper's architecture:
   :class:`~repro.serving.store.EmbeddingStore` files, the pluggable ANN
   index family (bruteforce / IVF / sharded scatter-gather), and the
   batching :class:`~repro.serving.service.QueryService`.
-* :mod:`repro.sharding` — the scale-out layer: registry-pluggable graph
-  partitioners and the :class:`~repro.sharding.engine.ShardedWalkEngine`
-  (one worker per shard, KnightKing-style walker migration, bitwise
-  parity with the monolithic engine).
+* :mod:`repro.sharding` — registry-pluggable graph partitioners, which
+  the ``"sharded"`` scatter-gather index reads by, and the
+  KnightKing-style :class:`~repro.sharding.engine.ShardedWalkEngine`
+  baseline (no pipeline entry builds it; it was slower than one process
+  at every scale measured).
 * :mod:`repro.registry` — the plugin layer: every component family
   (models, samplers, initializers) is a :class:`~repro.registry.Registry`
   that third-party code extends with ``@register_model`` /
@@ -70,8 +71,6 @@ _LAZY_ATTRS = {
     "WalkConfig": ("repro.config", "WalkConfig"),
     "TrainConfig": ("repro.config", "TrainConfig"),
     "StreamingConfig": ("repro.config", "StreamingConfig"),
-    "ShardingConfig": ("repro.config", "ShardingConfig"),
-    "ShardedWalkEngine": ("repro.sharding.engine", "ShardedWalkEngine"),
     "ShardPlan": ("repro.sharding.partitioner", "ShardPlan"),
     "build_shard_plan": ("repro.sharding.partitioner", "build_shard_plan"),
     "register_partitioner": ("repro.sharding.partitioner", "register_partitioner"),

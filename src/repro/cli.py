@@ -112,18 +112,6 @@ _FLAGS = {
     "--num-walks": ("walk.num_walks", "walks per start node"),
     "--walk-length": ("walk.walk_length", "nodes per walk"),
     "--kernel-backend": ("walk.backend", "walk kernels: numpy or cnative (C, needs a compiler)"),
-    "--shards": ("sharding.shards", "walk on the sharded engine with N graph partitions (same corpus)"),
-    "--partitioner": ("sharding.partitioner", "graph partitioner: hash or degree_balanced (greedy LPT)"),
-    "--shard-transport": (
-        "sharding.transport",
-        "shard workers in-process (inline) or TCP-connected repro shard-worker processes "
-        "(socket; loopback workers are spawned unless --shard-hosts names standing ones)",
-    ),
-    "--shard-hosts": (
-        "sharding.hosts",
-        "one repro shard-worker HOST:PORT per shard (implies the socket transport; "
-        "--shards defaults to the number of addresses)",
-    ),
     "--dimensions": ("train.dimensions", "embedding dimensions"),
     "--epochs": ("train.epochs", "training epochs"),
     "--stream": ("streaming.enabled", "stream walk shards into the trainer (bounded corpus memory)"),
@@ -155,7 +143,7 @@ _FLAGS = {
         "pending-request bound; beyond it requests are load-shed ('overloaded')",
     ),
 }
-_WALK_SECTIONS = ("graph", "model", "walk", "sharding")
+_WALK_SECTIONS = ("graph", "model", "walk")
 #: The spec-building verbs and the RunSpec sections each one has flags for.
 _VERB_SECTIONS = {
     "stats": ("graph",),
@@ -172,10 +160,9 @@ _STORE_VERB_FLAGS = {
     "serve": ("--index", "--cache-size", "--max-batch", "--max-wait-us", "--queue-size"),
 }
 #: Flag defaults that intentionally differ from the dataclass field's
-#: ("*": every verb). ``None`` reads "not given": ``--shards`` switches
-#: the sharded engine on, so it has no value until the user names one.
+#: ("*": every verb).
 _VERB_DEFAULTS = {
-    "*": {"--scale": 0.5, "--shards": None},
+    "*": {"--scale": 0.5},
     "classify": {"--dimensions": 64, "--epochs": 2},
     "update": {"--dimensions": 64},
 }
@@ -228,7 +215,7 @@ def _verb_spec(args, base: dict | None = None) -> dict:
 
     A flag that was not given (``None``, an unset switch) or was left at
     a default it shares with its dataclass field says nothing, so it
-    also switches no optional block (``sharding``, ``streaming``) on.
+    also switches no optional block (``streaming``) on.
     """
     from repro.core.runner import apply_override
 
@@ -287,19 +274,10 @@ def _run_verb(args, base: dict | None = None, **run_kwargs):
     from repro.core.runner import run
 
     try:
-        report = run(_verb_spec(args, base), **run_kwargs)
+        return run(_verb_spec(args, base), **run_kwargs)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return None
-    stats = report.sampler_stats
-    if "num_shards" in stats:
-        print(
-            f"[{stats['num_shards']} shard(s) via {stats['partitioner']}: "
-            f"{stats['boundary_edges']} boundary edges, migration rate "
-            f"{stats['migration_rate']:.3f}, node imbalance "
-            f"{stats['node_imbalance']:.2f}]"
-        )
-    return report
 
 
 def _cmd_walk(args) -> int:
@@ -446,21 +424,13 @@ def _cmd_serve(args) -> int:
     store, server = opened
 
     async def run_server() -> dict:
-        await server.start_tcp()
-        host, port = server.address
+        host, port = await server.start_tcp()
         print(
             f"serving {len(store)} x {store.dimensions} embeddings "
             f"(codec {store.codec.name}, index {args.index}) on {host}:{port}",
             flush=True,
         )
-        if args.max_requests is None:
-            await asyncio.Event().wait()
-        else:
-            while server.counters["answered"] < args.max_requests:
-                await asyncio.sleep(0.005)
-        stats = server.stats()
-        await server.stop()
-        return stats
+        return await server.serve_forever(max_requests=args.max_requests)
 
     try:
         stats = asyncio.run(run_server())
@@ -472,25 +442,6 @@ def _cmd_serve(args) -> int:
         f"p50 {stats['p50_ms']:.2f}ms p99 {stats['p99_ms']:.2f}ms "
         f"{stats['qps']:.0f} qps]"
     )
-    return 0
-
-
-def _cmd_shard_worker(args) -> int:
-    from repro.sharding.socket_worker import serve_shard
-
-    def report(address):
-        # the launcher (a CI script, an operator's shell) scrapes this
-        # line for the bound port when --port 0 picked an ephemeral one
-        print(f"shard-worker listening on {address[0]}:{address[1]}", flush=True)
-
-    try:
-        serve_shard(args.host, args.port, sessions=args.sessions, on_ready=report)
-    except KeyboardInterrupt:
-        pass
-    except (OSError, ReproError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print("[shard-worker drained]")
     return 0
 
 
@@ -718,26 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after answering this many requests (smoke tests / CI)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    shard_worker = sub.add_parser(
-        "shard-worker",
-        help="serve one walk shard over TCP for a socket-transport driver "
-        "on another machine",
-    )
-    shard_worker.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (0.0.0.0 to accept remote drivers)",
-    )
-    shard_worker.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (0 picks a free one; the bound address is printed)",
-    )
-    shard_worker.add_argument(
-        "--sessions", type=int, default=1,
-        help="driver sessions to serve before exiting (each session is one "
-        "engine lifetime; raise it for a standing worker)",
-    )
-    shard_worker.set_defaults(func=_cmd_shard_worker)
 
     update = sub.add_parser(
         "update",

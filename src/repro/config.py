@@ -2,10 +2,11 @@
 
 Each dataclass declares its knobs once (name, type, default) and checks
 them in ``__post_init__``, so a value is refused the moment it exists;
-engines, steppers, shard workers and transports are built from the
-objects themselves. A leaf module: what it needs of ``walks/``,
-``sharding/`` and ``embedding/`` it imports lazily, so all of them can
-import it (:mod:`repro.core.config` re-exports the dataclasses).
+engines, steppers and shard workers are built from the objects
+themselves. A leaf module: what it needs of ``walks/`` and
+``embedding/`` it imports lazily, so all of them can import it
+(:mod:`repro.core.config` re-exports the dataclasses). The sharded
+engine's settings live with it, in :mod:`repro.sharding.config`.
 """
 
 from __future__ import annotations
@@ -32,17 +33,6 @@ def take_fields(config, keywords: dict, **spelled):
     return replace(config, **{name: keywords.pop(name) for name in taken})
 
 
-def config_from_dict(cls, data: dict):
-    """``cls(**data)`` — the one place a mapping becomes a config.
-
-    A sharding mapping that lists worker ``hosts`` implies the socket
-    transport and one shard per address unless it says otherwise.
-    """
-    if cls is ShardingConfig and data.get("hosts") is not None:
-        data = {"transport": "socket", "shards": len(data["hosts"]), **data}
-    return cls(**data)
-
-
 def check_choices(config, section: str, error=WalkError) -> None:
     """Hold every field that declares ``choices`` metadata to them — the
     same declaration the CLI reads its ``choices=`` from."""
@@ -52,19 +42,17 @@ def check_choices(config, section: str, error=WalkError) -> None:
             raise error(f"{section}.{f.name} must be one of {choices}, got {value!r}")
 
 
-def as_config(cls, value):
-    """The one coercion of a ``sharding=`` / ``streaming=`` argument.
-
-    ``True`` means the defaults, a dict is expanded, a config passes
-    through — and a block that is absent, ``False`` or switched off by
-    its ``enabled`` field comes back as ``None``, so callers test
-    ``is not None`` and nothing else.
-    """
-    if value is True:
-        value = cls()
-    elif isinstance(value, dict):
-        value = config_from_dict(cls, value)
-    return value if value and value.enabled else None
+def check_counts(config, names, section: str = "") -> None:
+    """Hold each named field to an integer >= 1; ``None`` passes where the
+    field's type admits it (a count left unset)."""
+    optional = {f.name for f in fields(config) if "None" in str(f.type)}
+    for name in names:
+        value = getattr(config, name)
+        if value is None and name in optional:
+            continue
+        if not (isinstance(value, Integral) and value >= 1):
+            unset = " or None" if name in optional else ""
+            raise WalkError(f"{section}{name} must be an integer >= 1{unset}, got {value!r}")
 
 
 @dataclass
@@ -127,13 +115,7 @@ class WalkConfig:
             SAMPLER_REGISTRY,
         )
 
-        if self.num_walks < 1:
-            raise WalkError("num_walks must be >= 1")
-        if self.walk_length < 1:
-            raise WalkError("walk_length must be >= 1")
-        cap = self.init_sample_cap
-        if cap is not None and not (isinstance(cap, Integral) and cap >= 1):
-            raise WalkError(f"init_sample_cap must be None or an integer >= 1, got {cap!r}")
+        check_counts(self, ("num_walks", "walk_length", "init_sample_cap"))
         if self.burn_in_iterations < 0:
             raise WalkError("burn_in_iterations must be >= 0")
         if self.max_reject_rounds < 1:
@@ -223,20 +205,14 @@ class StreamingConfig:
     block_walks: int | None = None
 
     def __post_init__(self):
-        if self.shard_walks is not None and self.shard_walks < 1:
-            raise WalkError("streaming.shard_walks must be >= 1")
-        if self.max_corpus_bytes is not None and self.max_corpus_bytes < 1:
-            raise WalkError("streaming.max_corpus_bytes must be >= 1")
+        counts = ("shard_walks", "max_corpus_bytes", "queue_shards", "block_walks")
+        check_counts(self, counts, "streaming.")
         if self.shard_walks is not None and self.max_corpus_bytes is not None:
             raise WalkError(
                 "streaming.shard_walks and streaming.max_corpus_bytes are "
                 "mutually exclusive shard sizings; set one"
             )
-        if self.queue_shards < 1:
-            raise WalkError("streaming.queue_shards must be >= 1")
         check_choices(self, "streaming")
-        if self.block_walks is not None and self.block_walks < 1:
-            raise WalkError("streaming.block_walks must be >= 1")
 
     def resolve_shard_walks(self, walk_length: int, num_starts: int) -> int:
         """Concrete walks-per-shard for a run's geometry."""
@@ -247,101 +223,6 @@ class StreamingConfig:
             per_walk = TOKEN_DTYPE.itemsize * walk_length + 8
             return max(1, self.max_corpus_bytes // per_walk)
         return max(1, num_starts)
-
-
-#: Transports the sharded engine's ``transport=`` knob resolves.
-SHARD_TRANSPORTS = ("inline", "socket")
-
-
-@dataclass
-class ShardingConfig:
-    """Sharded walk-engine settings (partitioned graph, walker migration).
-
-    When a sharding block is present on a run, walks are generated by
-    :class:`~repro.sharding.engine.ShardedWalkEngine` — the graph is
-    partitioned into ``shards`` local views, one worker per shard steps
-    the walkers it owns, and walkers crossing a partition boundary are
-    migrated between workers in typed batches. Corpora are bitwise
-    identical to the monolithic engine for any partitioner and shard
-    count, so the block changes *execution*, never results.
-
-    Parameters
-    ----------
-    enabled:
-        master switch; lets a spec override (``--set
-        sharding.enabled=false``) fall back to the monolithic engine
-        without deleting the block.
-    shards:
-        number of graph partitions (and workers). ``1`` is a valid
-        degenerate case — useful for isolating partitioning overhead.
-    partitioner:
-        registered partitioner name
-        (:data:`repro.sharding.partitioner.PARTITIONER_REGISTRY`):
-        ``"hash"`` for stateless multiplicative hashing,
-        ``"degree_balanced"`` for greedy LPT on out-degree.
-    transport:
-        ``"inline"`` keeps workers in-process (zero serialization);
-        ``"socket"`` drives ``repro shard-worker`` processes over TCP —
-        the multi-host deployment (without ``hosts`` it spawns loopback
-        workers itself).
-    hosts:
-        socket transport only: one ``"host:port"`` worker address per
-        shard. ``None`` spawns loopback workers on this machine.
-    connect_timeout:
-        socket transport: seconds allowed per worker for the
-        retry-with-backoff connect loop.
-    call_timeout:
-        socket transport: seconds allowed per op round-trip before the
-        worker is declared hung (``None`` disables the deadline).
-    """
-
-    enabled: bool = True
-    shards: int = 2
-    partitioner: str = "hash"
-    transport: str = field(default="inline", metadata={"choices": SHARD_TRANSPORTS})
-    hosts: tuple[str, ...] | None = None
-    connect_timeout: float = 10.0
-    call_timeout: float | None = 120.0
-
-    def __post_init__(self):
-        from repro.errors import ReproError
-
-        if int(self.shards) != self.shards or self.shards < 1:
-            raise WalkError("sharding.shards must be a positive integer")
-        self.shards = int(self.shards)
-        if isinstance(self.partitioner, str):
-            from repro.sharding.partitioner import PARTITIONER_REGISTRY
-
-            try:
-                self.partitioner = PARTITIONER_REGISTRY.canonical(self.partitioner)
-            except ReproError as err:
-                raise WalkError(str(err)) from None
-        check_choices(self, "sharding")
-        if self.hosts is not None:
-            from repro.sharding.transport import parse_host
-
-            if self.transport != "socket":
-                raise WalkError(
-                    "worker host lists only apply to transport='socket', "
-                    f"got transport={self.transport!r}"
-                )
-            if isinstance(self.hosts, str) or not hasattr(self.hosts, "__len__"):
-                raise WalkError("worker hosts must be a list of 'host:port' strings")
-            if len(self.hosts) != self.shards:
-                raise WalkError(
-                    f"the host list names {len(self.hosts)} address(es) for "
-                    f"{self.shards} shard(s); one worker per shard"
-                )
-            for entry in self.hosts:
-                parse_host(entry)
-            self.hosts = tuple(self.hosts)
-        self.connect_timeout = float(self.connect_timeout)
-        if self.connect_timeout <= 0:
-            raise WalkError("sharding.connect_timeout must be positive")
-        if self.call_timeout is not None:
-            self.call_timeout = float(self.call_timeout)
-            if self.call_timeout <= 0:
-                raise WalkError("sharding.call_timeout must be positive")
 
 
 @dataclass

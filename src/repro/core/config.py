@@ -1,5 +1,5 @@
 """The run configs, re-exported from their leaf home :mod:`repro.config`."""
 
-from repro.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
+from repro.config import StreamingConfig, TrainConfig, WalkConfig
 
-__all__ = ["ShardingConfig", "StreamingConfig", "TrainConfig", "WalkConfig"]
+__all__ = ["StreamingConfig", "TrainConfig", "WalkConfig"]

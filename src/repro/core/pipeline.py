@@ -44,13 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import (
-    ShardingConfig,
-    StreamingConfig,
-    TrainConfig,
-    WalkConfig,
-    as_config,
-)
+from repro.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.embedding.word2vec import Word2Vec
 from repro.errors import WalkError
 from repro.utils.rng import as_rng
@@ -162,54 +156,7 @@ def _with_learn_kernel(stats: dict, trainer) -> dict:
     }
 
 
-def _shard_model_spec(model):
-    """``(name, params)`` for the sharded engine's per-shard model rebuild.
-
-    Shard workers reconstruct the model from its registry name plus the
-    ``param_spec``-declared constructor parameters, which every builtin
-    model stores verbatim under the declared attribute names. Declared
-    names an instance does not carry (e.g. metapath2vec's ``type_names``,
-    folded into the parsed ``metapath``) fall back to their constructor
-    defaults.
-    """
-    if isinstance(model, str):
-        return model, {}
-    from repro.errors import ReproError, ShardError
-    from repro.walks.models import MODEL_REGISTRY
-
-    name = getattr(model, "name", None)
-    try:
-        spec = MODEL_REGISTRY.entry(name).capabilities.get("param_spec", {})
-    except ReproError:
-        raise ShardError(
-            f"cannot shard model {name!r}: workers rebuild models from their "
-            "registry name, and this instance's name is not registered"
-        ) from None
-    params = {p: getattr(model, p) for p in spec if hasattr(model, p)}
-    return name, params
-
-
-def build_engine(
-    graph, model, walk_config, *, seed=None, budget=None, chain_store=None, sharding=None
-):
-    """The walk engine of a run: the one place ``core`` constructs one.
-
-    ``sharding`` (a coerced :class:`~repro.core.config.ShardingConfig` or
-    ``None``) selects the partitioned
-    :class:`~repro.sharding.engine.ShardedWalkEngine`, which owns worker
-    processes, sockets and shared-memory segments: whoever builds one
-    closes it.
-    """
-    live = dict(config=walk_config, chain_store=chain_store, budget=budget, seed=seed)
-    if sharding is None:
-        return VectorizedWalkEngine(graph, model, **live)
-    from repro.sharding.engine import ShardedWalkEngine
-
-    name, params = _shard_model_spec(model)
-    return ShardedWalkEngine(graph, name, sharding=sharding, **live, **params)
-
-
-def _walk_result(engine, corpus, busy_seconds, *, extra_ti=0.0, keep_engine=True) -> WalkResult:
+def _walk_result(engine, corpus, busy_seconds, *, extra_ti=0.0) -> WalkResult:
     """Read an engine's observables, once, after it walked.
 
     ``busy_seconds`` is everything spent on walking, engine construction
@@ -225,44 +172,27 @@ def _walk_result(engine, corpus, busy_seconds, *, extra_ti=0.0, keep_engine=True
         stats=stats,
         memory_bytes=engine.memory_bytes(),
         corpus_bytes=0 if corpus is None else corpus.nbytes,
-        engine=engine if keep_engine else None,
+        engine=engine,
     )
 
 
 def generate_walk_result(
-    graph, model, walk_config, *, seed=None, budget=None, start_nodes=None, sharding=None,
-    chain_store=None,
+    graph, model, walk_config, *, seed=None, budget=None, start_nodes=None, chain_store=None
 ) -> WalkResult:
     """Walk-generation step with Ti/Tw accounting.
 
     The engine's counter snapshot is taken exactly once, after
     generation, and shared by the Ti computation and the returned
     :class:`WalkResult` (so downstream consumers never re-query
-    ``engine.stats()``).
-
-    ``sharding`` takes a :class:`~repro.core.config.ShardingConfig` (or
-    an equivalent dict, or ``True``) to generate the walks on the partitioned
-    :class:`~repro.sharding.engine.ShardedWalkEngine` instead — same
-    corpus bit-for-bit, and the returned stats gain the migration and
-    partition-balance counters. A sharded engine owns worker processes,
-    sockets and shared-memory segments, so it is closed here once its
-    observables are read and the returned :attr:`WalkResult.engine` is
-    ``None`` (a closed engine would only raise); a monolithic run
-    returns its live engine. ``chain_store`` is the facade's persistent
+    ``engine.stats()``). ``chain_store`` is the facade's persistent
     M-H chain store (see :func:`train_pipeline`).
     """
-    sharding = as_config(ShardingConfig, sharding)
     start = time.perf_counter()
-    engine = build_engine(
-        graph, model, walk_config, seed=seed, budget=budget, chain_store=chain_store,
-        sharding=sharding,
+    engine = VectorizedWalkEngine(
+        graph, model, config=walk_config, chain_store=chain_store, budget=budget, seed=seed
     )
-    try:
-        corpus = engine.generate(start_nodes=start_nodes)
-        return _walk_result(engine, corpus, time.perf_counter() - start, keep_engine=sharding is None)
-    finally:
-        if sharding is not None:
-            engine.close()
+    corpus = engine.generate(start_nodes=start_nodes)
+    return _walk_result(engine, corpus, time.perf_counter() - start)
 
 
 def _expected_degree_counts(graph, total_tokens: int) -> np.ndarray:
@@ -395,7 +325,6 @@ def train_pipeline(
     start_nodes=None,
     skip_learning: bool = False,
     streaming=None,
-    sharding=None,
     trainer=None,
     chain_store=None,
 ) -> TrainResult:
@@ -407,12 +336,7 @@ def train_pipeline(
     (or an equivalent dict, or ``True`` for the defaults) to draw the
     shards from the engine's stream instead of materializing the corpus
     (see the module docstring); walk-only runs ignore it, since without
-    a trainer there is nothing to stream into. ``sharding`` takes a
-    :class:`~repro.core.config.ShardingConfig` (or dict, or ``True``;
-    :func:`~repro.core.config.as_config` is the one coercion) to generate the
-    walks on the partitioned engine — corpus (and thus embeddings) stay
-    bitwise identical; streaming and sharding are mutually exclusive
-    (a streamed run draws its shards from the monolithic engine).
+    a trainer there is nothing to stream into.
 
     ``trainer`` and ``chain_store`` are live objects only the
     :class:`~repro.core.uninet.UniNet` facade passes, for an incremental
@@ -427,15 +351,13 @@ def train_pipeline(
     """
     walk_config = walk_config or WalkConfig()
     train_config = train_config or TrainConfig()
+    if streaming is True:
+        streaming = StreamingConfig()
+    elif isinstance(streaming, dict):
+        streaming = StreamingConfig(**streaming)
     # walk-only runs ignore a streaming block: nothing to stream into
-    streaming = None if skip_learning else as_config(StreamingConfig, streaming)
-    sharding = as_config(ShardingConfig, sharding)
-    if streaming is not None and sharding is not None:
-        raise WalkError(
-            "streaming and sharding cannot be combined: a streamed run "
-            "draws its shards from the monolithic engine; "
-            "disable one block (e.g. --set streaming.enabled=false)"
-        )
+    if skip_learning or not (streaming and streaming.enabled):
+        streaming = None
     clock = time.perf_counter
     wall_start = clock()
     meter = _ShardMeter()
@@ -447,7 +369,7 @@ def train_pipeline(
         # exact node frequencies the vocabulary
         walked = generate_walk_result(
             graph, model, walk_config, seed=seed, budget=budget, start_nodes=start_nodes,
-            sharding=sharding, chain_store=chain_store,
+            chain_store=chain_store,
         )
         corpus, counts, total_walks = walked.corpus, None, walked.corpus.num_walks
         shards = meter.clocked([corpus])
@@ -480,8 +402,9 @@ def train_pipeline(
 
         def open_stream(charged):
             with meter.walking():
-                engine = build_engine(
-                    graph, bound, walk_config, seed=seed, budget=charged, chain_store=chain_store
+                engine = VectorizedWalkEngine(
+                    graph, bound, config=walk_config, chain_store=chain_store, budget=charged,
+                    seed=seed,
                 )
             return engine, engine.generate_stream(start_nodes=starts, shard_walks=shard_walks)
 

@@ -16,7 +16,7 @@ loops every benchmark used to hand-roll)::
 
 Grid keys are dotted paths into the spec dict (``"walk.num_walks"``,
 ``"model_params.p"``, ``"train.dimensions"``); the sugar keys of
-:data:`repro.core.spec.SUGAR` (``sampler``, ``num_walks``, ``shards``,
+:data:`repro.core.spec.SUGAR` (``sampler``, ``num_walks``, ``backend``,
 ...) work at the top level.
 
 Seeds: :func:`run` drives the :class:`~repro.core.uninet.UniNet` facade,
@@ -252,12 +252,10 @@ def run(
             f"evaluation task {spec.evaluation.task!r} needs a labeled dataset; "
             f"{spec.graph.dataset or spec.graph.edge_list!r} has no labels"
         )
-    # the one execution path: walk-only, monolithic, streamed, sharded and
-    # replayed runs all go through the facade, which owns the seed stream
+    # the one execution path: walk-only, monolithic, streamed and replayed
+    # runs all go through the facade, which owns the seed stream
     net = UniNet(graph, spec.model, seed=spec.seed, **spec.model_params)
-    result = net.train_from_configs(
-        spec.walk, spec.train, streaming=spec.streaming, sharding=spec.sharding
-    )
+    result = net.train_from_configs(spec.walk, spec.train, streaming=spec.streaming)
     update_rows = _replay_updates(net, spec.updates) if spec.updates is not None else None
     embeddings = net.last_embeddings  # refreshed by the replay when it retrained
     metrics = _jsonable(_evaluate(spec, embeddings, labels))

@@ -31,15 +31,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from repro.config import (
-    ShardingConfig,
-    StreamingConfig,
-    TrainConfig,
-    WalkConfig,
-    as_config,
-    check_choices,
-    config_from_dict,
-)
+from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices
 from repro.errors import SpecError
 from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
 
@@ -56,8 +48,6 @@ SUGAR = {
     "num_walks": "walk.num_walks",
     "walk_length": "walk.walk_length",
     "backend": "walk.backend",
-    "shards": "sharding.shards",
-    "partitioner": "sharding.partitioner",
 }
 
 
@@ -73,7 +63,7 @@ def _dataclass_from_dict(cls, data, where: str):
         raise SpecError(
             f"unknown {where} key(s) {unknown}; known keys: {sorted(known)}"
         )
-    return config_from_dict(cls, data)
+    return cls(**data)
 
 
 def _unwrap_optional(hint):
@@ -87,7 +77,7 @@ def _unwrap_optional(hint):
 def spec_field(key: str):
     """``(field, type)`` of the dataclass field a spec key names.
 
-    ``key`` is a dotted :class:`RunSpec` path (``"sharding.shards"``) or
+    ``key`` is a dotted :class:`RunSpec` path (``"streaming.shard_walks"``) or
     a :data:`SUGAR` key; ``type`` is the field's type hint with any
     ``| None`` removed. This is how a knob's name, type and default are
     read off the config dataclasses instead of being declared again.
@@ -250,12 +240,9 @@ class RunSpec:
     stops after walk generation (the setting of the paper's walk-phase
     tables); ``evaluation`` requires ``train`` and a labeled graph. A
     ``streaming`` block runs the bounded-memory shard-streaming pipeline
-    (see :class:`~repro.core.config.StreamingConfig`); a ``sharding``
-    block generates the walks on the partitioned
-    :class:`~repro.sharding.engine.ShardedWalkEngine` (see
-    :class:`~repro.core.config.ShardingConfig`) — results are bitwise
-    identical, only the execution changes; a ``serving`` block stands up
-    the query-side read path after training (see :class:`ServingSpec`).
+    (see :class:`~repro.core.config.StreamingConfig`); a ``serving``
+    block stands up the query-side read path after training (see
+    :class:`ServingSpec`).
     """
 
     graph: GraphSpec = field(default_factory=GraphSpec)
@@ -265,7 +252,6 @@ class RunSpec:
     train: TrainConfig | None = field(default_factory=TrainConfig)
     evaluation: EvalSpec | None = None
     streaming: StreamingConfig | None = None
-    sharding: ShardingConfig | None = None
     serving: ServingSpec | None = None
     updates: UpdatesSpec | None = None
     seed: int = 0
@@ -289,10 +275,7 @@ class RunSpec:
         :class:`~repro.errors.ModelError` with suggestions), and
         ``model_params`` keys are checked against the model's declared
         ``param_spec`` capability when it has one. Sampler/initializer
-        names were already validated by :class:`WalkConfig`; a sharded
-        spec's walk must also pass the sharded engine's own check
-        (:func:`repro.sharding.engine.check_sharded_walk`, a
-        :class:`~repro.errors.ShardError`).
+        names were already validated by :class:`WalkConfig`.
         """
         from repro.registry import MODEL_REGISTRY
 
@@ -311,17 +294,6 @@ class RunSpec:
                     f"{entry.name!r}; declared: {sorted(param_spec)}"
                 )
         self.graph.validate()
-        streamed = as_config(StreamingConfig, self.streaming) and self.train is not None
-        if as_config(ShardingConfig, self.sharding):
-            if streamed:
-                raise SpecError(
-                    "streaming and sharding blocks cannot both be enabled: the "
-                    "streaming pipeline drives the monolithic engine; disable one "
-                    "(e.g. --set streaming.enabled=false)"
-                )
-            from repro.sharding.engine import check_sharded_walk
-
-            check_sharded_walk(self.walk)
         if self.evaluation is not None:
             self.evaluation.validate()
             if self.train is None:
@@ -362,7 +334,7 @@ class RunSpec:
 
         Nested sections may be partial (missing keys take the dataclass
         defaults); unknown keys raise :class:`~repro.errors.SpecError`.
-        The :data:`SUGAR` keys (``sampler``, ``num_walks``, ``shards``,
+        The :data:`SUGAR` keys (``sampler``, ``num_walks``, ``backend``,
         ...) are also accepted at the top level and win over the same
         setting inside its section.
         """

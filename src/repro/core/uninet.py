@@ -122,9 +122,7 @@ class UniNet:
         """
         return self.config.reshaped(num_walks, walk_length, **overrides)
 
-    def generate_walks(
-        self, num_walks=None, walk_length=None, start_nodes=None, sharding=None, **overrides
-    ):
+    def generate_walks(self, num_walks=None, walk_length=None, start_nodes=None, **overrides):
         """Run only the walk-generation step; returns a WalkCorpus.
 
         ``num_walks`` / ``walk_length`` / ``overrides`` are
@@ -133,10 +131,7 @@ class UniNet:
         The engine observables of the run (Ti/Tw timings, sampler
         counters, resident bytes) are kept on :attr:`last_walk` /
         :attr:`last_stats`, so they are inspectable without a full
-        :meth:`train`. ``sharding`` takes a
-        :class:`~repro.core.config.ShardingConfig` (or dict, or ``True``
-        for the defaults) to run the walks on the partitioned engine —
-        the corpus is bitwise identical either way.
+        :meth:`train`.
         """
         config = self.walk_config(num_walks, walk_length, **overrides)
         result = generate_walk_result(
@@ -146,7 +141,6 @@ class UniNet:
             seed=int(self._rng.integers(2**31)),
             budget=self.budget,
             start_nodes=start_nodes,
-            sharding=sharding,
         )
         # keep only the small observables: the engine's chains/tables and
         # the corpus itself must not stay pinned after the caller is done
@@ -171,7 +165,6 @@ class UniNet:
         start_nodes=None,
         walk_overrides: dict | None = None,
         streaming=None,
-        sharding=None,
         **train_params,
     ) -> TrainResult:
         """Full pipeline: walks + word2vec. Returns a TrainResult.
@@ -183,16 +176,7 @@ class UniNet:
         ``streaming`` takes a
         :class:`~repro.core.config.StreamingConfig` (or dict, or ``True``
         for the defaults) to run the bounded-memory shard-streaming
-        pipeline instead of materializing the whole corpus. ``sharding``
-        takes a :class:`~repro.core.config.ShardingConfig` (or dict, or
-        ``True``) to generate the walks on the partitioned engine:
-        ``sharding={"shards": 4, "partitioner": "degree_balanced"}``,
-        ``{"transport": "socket"}`` for the loopback multi-process path,
-        ``{"hosts": ["hostA:9101", "hostB:9101"]}`` to drive standing
-        ``repro shard-worker`` processes on other machines (a host list
-        implies the socket transport and one shard per address). Either
-        way the corpus — and so the embeddings — is bitwise identical to
-        the monolithic run.
+        pipeline instead of materializing the whole corpus.
         """
         if dimensions is not None:
             train_params["dimensions"] = dimensions
@@ -200,7 +184,6 @@ class UniNet:
             self.walk_config(num_walks, walk_length, **(walk_overrides or {})),
             TrainConfig(**train_params),
             streaming=streaming,
-            sharding=sharding,
             start_nodes=start_nodes,
         )
 
@@ -210,7 +193,6 @@ class UniNet:
         train_config: TrainConfig | None,
         *,
         streaming=None,
-        sharding=None,
         start_nodes=None,
     ) -> TrainResult:
         """Run the pipeline from prebuilt config objects.
@@ -230,7 +212,6 @@ class UniNet:
             start_nodes=start_nodes,
             skip_learning=train_config is None,
             streaming=streaming,
-            sharding=sharding,
         )
         self.last_embeddings = result.embeddings
         self._last_stats = result.sampler_stats

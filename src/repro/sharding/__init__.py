@@ -12,6 +12,7 @@ index on the one query front-end, ``QueryService(store,
 index="sharded", owner=plan)`` (:class:`~repro.serving.index.ShardedIndex`).
 """
 
+from repro.sharding.config import ShardingConfig
 from repro.sharding.engine import ShardedWalkEngine
 from repro.sharding.partitioner import (
     PARTITIONER_REGISTRY,
@@ -38,6 +39,7 @@ __all__ = [
     "SocketTransport",
     "Shard",
     "ShardPlan",
+    "ShardingConfig",
     "ShardedWalkEngine",
     "build_shard_plan",
     "make_partitioner",

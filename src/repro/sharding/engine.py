@@ -42,11 +42,12 @@ import time
 
 import numpy as np
 
-from repro.config import ShardingConfig, WalkConfig, take_fields
+from repro.config import WalkConfig, take_fields
 from repro.errors import ShardError, WalkError
 from repro.registry import INITIALIZER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE
 from repro.sampling.initialization import HighWeightInit
+from repro.sharding.config import ShardingConfig
 from repro.sharding.partitioner import build_shard_plan
 from repro.sharding.transport import make_transport
 from repro.utils.rng import as_rng
@@ -70,9 +71,8 @@ def check_sharded_walk(config: WalkConfig, budget=None) -> None:
     The sharded engine runs M-H with the built-in ``high-weight``
     initializer (not one registered over it with ``replace=True``) and no
     table budget (per-shard budget accounting is not modelled): the
-    configuration every sharded number in this repo measures. Both the
-    engine and :meth:`repro.core.spec.RunSpec.validate` call this, so a
-    sharded spec is refused before its graph loads.
+    configuration every sharded number in this repo measures. The
+    engine calls this before it builds a plan or a transport.
     """
     if (config.sampler, config.initializer) != SHARDED_WALK or (
         INITIALIZER_REGISTRY.get(config.initializer) is not HighWeightInit
@@ -215,7 +215,7 @@ class ShardedWalkEngine(VectorizedWalkEngine):
     as :attr:`config`; ``config.backend`` names the kernel backend the
     *workers'* steppers run on, resolved per worker exactly as the
     monolithic engine resolves it) and a
-    :class:`~repro.config.ShardingConfig` (``sharding=``, kept as
+    :class:`~repro.sharding.config.ShardingConfig` (``sharding=``, kept as
     :attr:`sharding`). A keyword naming a field of either replaces it,
     ``num_shards=`` is the constructor's spelling of ``shards``, and the
     rest go to the model constructor. Options the sharded execution

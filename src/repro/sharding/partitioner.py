@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ShardingConfig
+from repro.sharding.config import ShardingConfig
 from repro.errors import ShardError
 from repro.registry import Registry
 

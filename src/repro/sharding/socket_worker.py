@@ -1,4 +1,4 @@
-"""The network-facing shard worker: ``repro shard-worker`` lives here.
+"""The network-facing shard worker: :func:`serve_shard` lives here.
 
 One process, one listening socket, one shard. The worker is started
 *empty* — it knows nothing about the graph until a driver connects and
@@ -6,9 +6,9 @@ sends the ``SETUP`` bootstrap (shard arrays + local subgraph + sampler
 config), after which it is an ordinary :class:`~repro.sharding.worker.
 ShardWorker` driven by binary op frames instead of in-process method
 calls. That inversion is what makes multi-host deployment trivial: the
-only thing an operator provisions per machine is ``repro shard-worker
---host 0.0.0.0 --port N`` — no dataset files, no shard assignment
-flags; the driver ships each worker exactly the slice it owns.
+only thing an operator provisions per machine is a process running
+``serve_shard("0.0.0.0", N)`` — no dataset files, no shard assignment;
+the driver ships each worker exactly the slice it owns.
 
 Because workers are RNG-free by design (the driver draws every uniform
 and ships slices — see :mod:`repro.sharding.engine`), a socket worker
@@ -94,7 +94,7 @@ def serve_shard(
 
     ``port=0`` binds an ephemeral port; the bound ``(host, port)`` is
     passed to ``on_ready`` (and returned) so launchers — the loopback
-    transport, the CLI, CI scripts — can discover the address before
+    transport, a test, an operator's script — can discover the address before
     the first driver connects. Each session runs to its graceful drain
     (or the driver's death); the listener then accepts the next one, so
     a standing worker survives driver restarts when ``sessions > 1``.

@@ -7,7 +7,7 @@ Two interchangeable implementations of the same op protocol (``call``
   are direct method calls. Zero serialization; the reference used by the
   bitwise-parity tests and the default for small graphs.
 * :class:`SocketTransport` — one TCP connection per shard to a
-  ``repro shard-worker`` process that may live on **another machine**.
+  :func:`~repro.sharding.socket_worker.serve_shard` process that may live on **another machine**.
   Ops travel as length-prefixed binary frames (:mod:`repro.sharding.
   wire`: array headers + raw bytes, no pickle on the hot path); the
   driver connects with retry/backoff, bounds every call with a
@@ -74,7 +74,7 @@ def parse_host(entry) -> tuple[str, int]:
 
     The single definition of a valid address: a non-empty host (an IPv6
     literal goes in brackets, ``"[::1]:9000"``) and a port in 1-65535.
-    :class:`~repro.config.ShardingConfig` holds its ``hosts`` to it
+    :class:`~repro.sharding.config.ShardingConfig` holds its ``hosts`` to it
     (hence :class:`~repro.errors.WalkError`); the transport only parses.
     """
     if isinstance(entry, str):
@@ -100,7 +100,7 @@ class SocketTransport:
     """One TCP connection per shard worker; workers may be remote.
 
     With ``sharding.hosts`` (one worker address per shard) the transport
-    connects to standing ``repro shard-worker`` processes — the multi-host
+    connects to standing :func:`~repro.sharding.socket_worker.serve_shard` workers — the multi-host
     deployment. Without, it spawns one loopback worker process per
     shard and connects to those — the single-machine e2e path CI
     exercises. Either way each worker is bootstrapped over the wire
@@ -109,7 +109,7 @@ class SocketTransport:
     op frames.
 
     Robustness knobs, read off the
-    :class:`~repro.config.ShardingConfig`: ``connect_timeout`` bounds
+    :class:`~repro.sharding.config.ShardingConfig`: ``connect_timeout`` bounds
     the retry-with-backoff connect loop per worker, ``call_timeout``
     bounds every op round-trip (``None`` disables);
     :data:`HEARTBEAT_TIMEOUT` bounds the liveness probe and frames are
@@ -434,7 +434,7 @@ TRANSPORTS = {"inline": InlineTransport, "socket": SocketTransport}
 
 
 def make_transport(sharding, plan, model, model_params, walk):
-    """Build the transport a :class:`~repro.config.ShardingConfig` names.
+    """Build the transport a :class:`~repro.sharding.config.ShardingConfig` names.
 
     The worker bootstrap (model name, its parameters, the
     :class:`~repro.config.WalkConfig`, under :class:`ShardWorker`'s

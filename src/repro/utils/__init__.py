@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG handling, timers, validation."""
+"""Shared utilities: deterministic RNG handling, validation."""
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timer import PhaseTimer, Timer
 from repro.utils.validation import (
     check_fraction,
     check_positive,
@@ -11,8 +10,6 @@ from repro.utils.validation import (
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "Timer",
-    "PhaseTimer",
     "check_positive",
     "check_fraction",
     "check_probability_vector",

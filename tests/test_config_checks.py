@@ -12,7 +12,7 @@ import pytest
 
 import repro.core.pipeline as pipeline
 from repro import UniNet, run
-from repro.core.config import TrainConfig, WalkConfig
+from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override
 from repro.core.spec import RunSpec
 from repro.errors import ModelError, TrainingError, WalkError
@@ -106,6 +106,24 @@ class TestWalkConfig:
             engine.generate(1, 0)
 
 
+#: integer knobs given a float: unchecked, each ran into a TypeError deep
+#: in the engine or the driver (``queue_shards`` passed silently)
+FRACTIONAL_COUNTS = [
+    (WalkConfig, "num_walks", 1.5), (WalkConfig, "walk_length", 3.5),
+    (StreamingConfig, "shard_walks", 1.5), (StreamingConfig, "max_corpus_bytes", 100.5),
+    (StreamingConfig, "queue_shards", 1.5), (StreamingConfig, "block_walks", 2.5),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("cls, field, value", FRACTIONAL_COUNTS)
+def test_a_fractional_count_is_refused_at_construction(cls, field, value):
+    with pytest.raises(WalkError, match=f"{field} must be an integer"):
+        cls(**{field: value})
+    section = "walk" if cls is WalkConfig else "streaming"
+    with pytest.raises(WalkError, match=field):
+        RunSpec.from_dict({**BASE, section: {field: value}})
+
+
 #: train settings no trainer accepts; all passed ``RunSpec.validate()`` at the parent
 BAD_TRAIN = [
     ("mode", "cbo"), ("dimensions", 0), ("window", 0), ("negative", 0), ("epochs", 0),
@@ -115,7 +133,6 @@ BAD_TRAIN = [
 ROUTES = {
     "monolithic": {},
     "streamed-exact-vocab": {"streaming": {"vocab": "exact"}},
-    "sharded": {"sharding": {"shards": 2}},
 }
 
 
@@ -129,14 +146,14 @@ class TestAnUntrainableRunIsRefusedBeforeItWalks:
     @pytest.mark.parametrize("route", ROUTES)
     def test_on_every_route_of_run(self, key, value, route, monkeypatch):
         built = []
-        monkeypatch.setattr(pipeline, "build_engine", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(pipeline, "VectorizedWalkEngine", lambda *a, **kw: built.append(a))
         with pytest.raises(TrainingError):
             run({**BASE, "walk": {"num_walks": 1, "walk_length": 5}, "train": {key: value}, **ROUTES[route]})
         assert not built
 
     def test_at_the_facade(self, key, value, tiny_weighted_graph, monkeypatch):
         built = []
-        monkeypatch.setattr(pipeline, "build_engine", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(pipeline, "VectorizedWalkEngine", lambda *a, **kw: built.append(a))
         with pytest.raises(TrainingError):
             UniNet(tiny_weighted_graph).train(1, 5, **{key: value})
         assert not built

@@ -51,7 +51,6 @@ PIPELINE_CASES = {
     "streamed-exact-waves-block8192": {"streaming": {"vocab": "exact", "block_walks": 8192}},
     "streamed-overlap": {"streaming": {**SHARDED, "overlap": True}},
     "streamed-max-corpus-bytes": {"streaming": {"max_corpus_bytes": 4000}},
-    "sharded-inline-2": {"sharding": {"shards": 2}},
     "skip-learning": {"skip_learning": True},
     "node2vec-cnative": {
         "model": ("node2vec", {"p": 0.25, "q": 4.0}),
@@ -63,7 +62,6 @@ PIPELINE_CASES = {
 SAME_RESULT = {
     "streamed-exact-waves-block8192": ("monolithic-skipgram", {"corpus", "streaming"}),
     "streamed-overlap": ("streamed-degree", {"peak_corpus_bytes"}),
-    "sharded-inline-2": ("monolithic-skipgram", {"sampler_stats_keys", "sampler_memory_bytes"}),
 }
 FACADE_CASES = ("train", "refresh", "grow-refresh", "generate-walks", "train-streaming")
 #: sampler stats whose value is the host's (how many CPUs a compiled

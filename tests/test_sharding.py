@@ -13,13 +13,16 @@ Covers the four layers of the sharding subsystem:
 * serving — ``QueryService(index="sharded", owner=plan)``: exact top-k
   parity with the monolithic :class:`QueryService` (tie-breaks and
   self-exclusion included);
-* wiring — ``ShardingConfig`` through the pipeline, ``UniNet``,
-  ``RunSpec`` round-trip/validation and the CLI.
+* containment — ``ShardingConfig`` checks, and no module outside
+  ``repro/sharding/`` imports more of it than the partitioner (the
+  pipeline, ``UniNet``, ``RunSpec`` and the CLI build the monolithic
+  engine only).
 """
 
 import ast
 import multiprocessing
-import os
+import queue
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sharding
-from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
-from repro.core.pipeline import train_pipeline
-from repro.core.spec import RunSpec
-from repro.errors import ServingError, ShardError, SpecError, WalkError
+from repro.core.config import WalkConfig
+from repro.errors import ServingError, ShardError, WalkError
 from repro.graph.builder import from_edge_arrays
 from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY
 from repro.serving.service import QueryService
@@ -39,10 +40,12 @@ from repro.serving.store import EmbeddingStore
 from repro.sharding import (
     PARTITIONER_REGISTRY,
     ShardedWalkEngine,
+    ShardingConfig,
     build_shard_plan,
     make_partitioner,
     register_partitioner,
 )
+from repro.sharding.socket_worker import serve_shard
 from repro.sharding.transport import SocketTransport
 from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
@@ -342,26 +345,6 @@ class TestOneShardedWalk:
         assert built == []
         assert {p.pid for p in multiprocessing.active_children()} == children
 
-    @pytest.mark.parametrize(
-        "walk",
-        [{"sampler": "memory-aware", "table_budget_bytes": 4096}, {"initializer": "burn-in"}],
-        ids=("memory-aware", "burn-in"),
-    )
-    def test_a_sharded_spec_is_refused_before_its_graph_loads(self, walk, monkeypatch):
-        from repro import run
-        from repro.core.spec import GraphSpec
-
-        monkeypatch.setattr(GraphSpec, "load", lambda self: pytest.fail("graph loaded"))
-        spec = {"graph": {"dataset": "amazon", "scale": 0.05}, "walk": walk}
-        RunSpec.from_dict(spec).validate()
-        with pytest.raises(ShardError, match="'mh'.*'high-weight'"):
-            RunSpec.from_dict({**spec, "sharding": {"shards": 2}}).validate()
-        with pytest.raises(ShardError, match="'mh'.*'high-weight'"):
-            run({**spec, "sharding": {"shards": 2}})
-        # switched off, the block no longer constrains the walk
-        RunSpec.from_dict({**spec, "sharding": {"shards": 2, "enabled": False}}).validate()
-
-
 # ---------------------------------------------------------------------------
 # differential: monolithic vs sharded on generated, awkward graphs
 # ---------------------------------------------------------------------------
@@ -509,13 +492,12 @@ class TestScatterGather:
 
 
 # ---------------------------------------------------------------------------
-# wiring: config / pipeline / UniNet / spec / CLI
+# containment: the config, and no entry point above the package
 # ---------------------------------------------------------------------------
 
 
 class TestShardingConfig:
     def test_validation(self):
-        assert ShardingConfig().enabled
         assert ShardingConfig(partitioner="degree-balanced").partitioner == "degree_balanced"
         with pytest.raises(WalkError):
             ShardingConfig(shards=0)
@@ -525,141 +507,32 @@ class TestShardingConfig:
             ShardingConfig(transport="carrier-pigeon")
 
 
-class TestWiring:
-    def test_pipeline_sharded_embeddings_bitwise(self, small_unweighted_graph):
-        walk = WalkConfig(num_walks=2, walk_length=10)
-        train = TrainConfig(dimensions=16, epochs=1)
-        mono = train_pipeline(small_unweighted_graph, "deepwalk", walk, train, seed=13)
-        shrd = train_pipeline(
-            small_unweighted_graph,
-            "deepwalk",
-            walk,
-            train,
-            seed=13,
-            sharding=ShardingConfig(shards=2),
-        )
-        assert np.array_equal(mono.embeddings.vectors, shrd.embeddings.vectors)
-        assert shrd.sampler_stats["num_shards"] == 2
-        assert "migration_rate" in shrd.sampler_stats
+def _imported_modules(tree):
+    """Every module an import statement anywhere in ``tree`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+            if node.module == "repro":
+                yield from ((node.lineno, f"repro.{alias.name}") for alias in node.names)
 
-    def test_pipeline_rejects_streaming_plus_sharding(self, small_unweighted_graph):
-        with pytest.raises(WalkError, match="streaming and sharding"):
-            train_pipeline(
-                small_unweighted_graph,
-                "deepwalk",
-                WalkConfig(num_walks=1, walk_length=5),
-                streaming=StreamingConfig(),
-                sharding=ShardingConfig(),
-                seed=1,
-            )
 
-    def test_uninet_sharding_dict(self, small_unweighted_graph):
-        from repro import UniNet
-
-        net1 = UniNet(small_unweighted_graph, model="node2vec", p=0.5, q=2.0, seed=7)
-        r1 = net1.train(num_walks=2, walk_length=10, dimensions=16)
-        net2 = UniNet(small_unweighted_graph, model="node2vec", p=0.5, q=2.0, seed=7)
-        r2 = net2.train(
-            num_walks=2,
-            walk_length=10,
-            dimensions=16,
-            sharding={"shards": 3, "partitioner": "degree_balanced"},
-        )
-        assert np.array_equal(r1.embeddings.vectors, r2.embeddings.vectors)
-        assert r2.sampler_stats["partitioner"] == "degree_balanced"
-
-    def test_uninet_generate_walks_sharding(self, small_unweighted_graph):
-        from repro import UniNet
-
-        net1 = UniNet(small_unweighted_graph, seed=7)
-        c1 = net1.generate_walks(2, 10)
-        net2 = UniNet(small_unweighted_graph, seed=7)
-        c2 = net2.generate_walks(2, 10, sharding={"shards": 2, "transport": "inline"})
-        assert np.array_equal(c1.walks, c2.walks)
-        assert net2.last_stats["migrated_walkers"] > 0
-
-    @pytest.mark.parametrize("transport", ("socket",))
-    def test_facade_runs_leave_no_worker_behind(self, small_unweighted_graph, transport):
-        """The pipeline closes the engine it built: no process, no segment."""
-        from repro import UniNet
-
-        def segments():
-            return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-        children_before = {p.pid for p in multiprocessing.active_children()}
-        segments_before = segments()
-        net = UniNet(small_unweighted_graph, seed=7)
-        for __ in range(2):
-            net.generate_walks(1, 5, sharding={"shards": 2, "transport": transport})
-        assert net.last_stats["transport"] == transport
-        assert {p.pid for p in multiprocessing.active_children()} <= children_before
-        assert segments() <= segments_before
-
-    def test_runspec_roundtrip_and_conflict(self):
-        from repro import GraphSpec, RunSpec
-
-        spec = RunSpec(
-            graph=GraphSpec(dataset="blogcatalog", scale=0.05, seed=3),
-            sharding=ShardingConfig(shards=4, partitioner="degree_balanced"),
-        )
-        again = RunSpec.from_dict(spec.to_dict())
-        assert again.sharding == spec.sharding
-        graph = GraphSpec(dataset="blogcatalog", scale=0.05, seed=3)
-        bad = RunSpec(
-            graph=graph, sharding=ShardingConfig(), streaming=StreamingConfig()
-        )
-        with pytest.raises(SpecError, match="streaming and sharding"):
-            bad.validate()
-        # the master switch resolves the conflict without deleting a block
-        ok = RunSpec(
-            graph=graph,
-            sharding=ShardingConfig(),
-            streaming=StreamingConfig(enabled=False),
-        )
-        ok.validate()
-
-    def test_run_report_carries_shard_stats(self):
-        from repro import GraphSpec, RunSpec, run
-
-        report = run(
-            RunSpec(
-                graph=GraphSpec(dataset="blogcatalog", scale=0.05, seed=3),
-                walk=WalkConfig(num_walks=2, walk_length=10),
-                train=TrainConfig(dimensions=8),
-                sharding=ShardingConfig(shards=2),
-                seed=11,
-            ),
-            keep_embeddings=False,
-        )
-        assert report.sampler_stats["num_shards"] == 2
-        assert report.sampler_stats["migration_rate"] > 0
-
-    def test_cli_walk_and_train_shards(self, tmp_path, capsys):
-        from repro.cli import main
-
-        walks = tmp_path / "w.npz"
-        code = main(
-            [
-                "walk", "--dataset", "blogcatalog", "--scale", "0.05", "--seed", "3",
-                "--shards", "2", "--partitioner", "degree_balanced",
-                "--num-walks", "2", "--walk-length", "10", "--output", str(walks),
-            ]
-        )
-        assert code == 0
-        assert walks.exists()
-        out = capsys.readouterr().out
-        assert "2 shard(s) via degree_balanced" in out
-        vectors = tmp_path / "v.npz"
-        code = main(
-            [
-                "train", "--dataset", "blogcatalog", "--scale", "0.05", "--seed", "3",
-                "--shards", "2", "--num-walks", "2", "--walk-length", "10",
-                "--dimensions", "8", "--output", str(vectors),
-            ]
-        )
-        assert code == 0
-        assert vectors.exists()
-        assert "migration rate" in capsys.readouterr().out
+def test_only_the_partitioner_is_imported_from_outside_the_package():
+    """Outside ``repro/sharding/`` nothing imports the sharded engine, its
+    config or its transports; the ``"sharded"`` index reads by a
+    :class:`ShardPlan`, so ``repro.sharding.partitioner`` is the one
+    module the rest of the package may import (in a function body too)."""
+    src = Path(repro.sharding.__file__).parent.parent
+    offenders = [
+        f"{path.relative_to(src).as_posix()}:{line}: {name}"
+        for path in sorted(src.rglob("*.py"))
+        if path.parent.name != "sharding"
+        for line, name in _imported_modules(ast.parse(path.read_text()))
+        if (name == "repro.sharding" or name.startswith("repro.sharding."))
+        and name != "repro.sharding.partitioner"
+    ]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------
@@ -778,15 +651,6 @@ class TestSocketTransport:
         )
         assert cfg.hosts == ("a:9101", "b:9102")
         assert cfg.call_timeout is None
-        # round-trips through the RunSpec dict form (tuples become lists)
-        from repro.core.spec import RunSpec, GraphSpec
-
-        spec = RunSpec(
-            graph=GraphSpec(dataset="blogcatalog", scale=0.05, seed=3),
-            sharding=cfg,
-        )
-        again = RunSpec.from_dict(spec.to_dict())
-        assert again.sharding == cfg
         with pytest.raises(WalkError, match="socket"):
             ShardingConfig(shards=1, transport="inline", hosts=["a:1"])
         with pytest.raises(WalkError, match="host:port"):
@@ -798,62 +662,23 @@ class TestSocketTransport:
         with pytest.raises(WalkError, match="call_timeout"):
             ShardingConfig(transport="socket", call_timeout=-1)
 
-    def test_uninet_socket_dict(self, small_unweighted_graph):
-        from repro import UniNet
-
-        net1 = UniNet(small_unweighted_graph, seed=7)
-        r1 = net1.train(num_walks=1, walk_length=8, dimensions=8)
-        net2 = UniNet(small_unweighted_graph, seed=7)
-        r2 = net2.train(
-            num_walks=1, walk_length=8, dimensions=8, sharding={"transport": "socket"}
-        )
-        assert np.array_equal(r1.embeddings.vectors, r2.embeddings.vectors)
-        assert r2.sampler_stats["transport"] == "socket"
-        assert r2.sampler_stats["transport_stats"]["bytes_sent"] > 0
-
-    def test_cli_standing_workers_bitwise(self, tmp_path):
-        """The real multi-host shape: standing shard-worker processes."""
-        import os
-        import re
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ["src", env.get("PYTHONPATH", "")] if p
-        )
-        workers, hosts = [], []
-        try:
-            for __ in range(2):
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro", "shard-worker", "--port", "0"],
-                    stdout=subprocess.PIPE, text=True, env=env,
-                )
-                workers.append(proc)
-                match = re.search(
-                    r"listening on ([\d.]+):(\d+)", proc.stdout.readline()
-                )
-                assert match is not None
-                hosts.append(f"{match.group(1)}:{match.group(2)}")
-
-            from repro.cli import main
-
-            mono = tmp_path / "mono.npz"
-            sock = tmp_path / "sock.npz"
-            base = [
-                "walk", "--dataset", "blogcatalog", "--scale", "0.05",
-                "--seed", "4", "--num-walks", "1", "--walk-length", "8",
-            ]
-            assert main(base + ["--output", str(mono)]) == 0
-            assert main(base + ["--output", str(sock), "--shard-hosts", *hosts]) == 0
-            a, b = np.load(mono), np.load(sock)
-            assert np.array_equal(a["walks"], b["walks"])
-            assert np.array_equal(a["lengths"], b["lengths"])
-            for proc in workers:
-                assert proc.wait(timeout=15) == 0  # drained after one session
-        finally:
-            for proc in workers:
-                if proc.poll() is None:
-                    proc.kill()
-                proc.stdout.close()
-                proc.wait()
+    def test_standing_workers_bitwise(self, small_power_law_graph):
+        """The multi-host shape: workers already listening, driven through ``hosts=``."""
+        addresses = queue.Queue()
+        workers = [
+            threading.Thread(target=serve_shard, kwargs={"on_ready": addresses.put}, daemon=True)
+            for __ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        hosts = [f"{host}:{port}" for host, port in (addresses.get(timeout=10) for __ in workers)]
+        mono = VectorizedWalkEngine(small_power_law_graph, "deepwalk", seed=4)
+        with ShardedWalkEngine(
+            small_power_law_graph, "deepwalk", num_shards=2, transport="socket",
+            hosts=hosts, seed=4,
+        ) as engine:
+            assert_corpus_equal(mono.generate(1, 8), engine.generate(1, 8))
+            assert engine.stats()["transport_stats"]["bytes_sent"] > 0
+        for worker in workers:
+            worker.join(timeout=15)  # drained after its one session
+            assert not worker.is_alive()

@@ -18,13 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _FLAGS, _VERB_DEFAULTS, _VERB_SECTIONS, _verb_spec, build_parser
-from repro.core.config import ShardingConfig, StreamingConfig, TrainConfig, WalkConfig
+from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override, expand_grid
 from repro.core.spec import SUGAR, EvalSpec, GraphSpec, RunSpec, ServingSpec, spec_field
 from repro.errors import ShardError, SpecError
 from repro.registry import SamplerContext
 from repro.serving import ServerConfig
-from repro.sharding.engine import ShardedWalkEngine
+from repro.sharding import ShardedWalkEngine, ShardingConfig
 from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -32,7 +32,6 @@ SECTIONS = {
     "walk": WalkConfig,
     "train": TrainConfig,
     "streaming": StreamingConfig,
-    "sharding": ShardingConfig,
     "graph": GraphSpec,
     "evaluation": EvalSpec,
     "serving": ServingSpec,
@@ -83,6 +82,9 @@ class TestEveryFieldIsReachable:
     def test_a_removed_field_is_an_unknown_key(self):
         with pytest.raises(SpecError, match="negative_sharing"):
             RunSpec.from_dict({"graph": {"dataset": "amazon"}, "train": {"negative_sharing": True}})
+        for removed in ({"sharding": {"shards": 2}}, {"shards": 2}, {"partitioner": "hash"}):
+            with pytest.raises(SpecError, match=next(iter(removed))):
+                RunSpec.from_dict({"graph": {"dataset": "amazon"}, **removed})
 
 
 class _NoTransport:
@@ -156,10 +158,16 @@ class TestEnginesAreBuiltFromTheirConfig:
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: every knob with a value for a default (``None`` and a bool are "unset" / a
 #: switch, not a value to repeat) and the one module that may write it: all
-#: fields of the four run configs, and the serving knobs
+#: fields of the three run configs and of the sharded engine's, and the
+#: serving knobs
 DECLARED = {
-    f.name: (f.default, "config.py")
-    for cls in (WalkConfig, TrainConfig, ShardingConfig, StreamingConfig)
+    f.name: (f.default, module)
+    for cls, module in (
+        (WalkConfig, "config.py"),
+        (TrainConfig, "config.py"),
+        (StreamingConfig, "config.py"),
+        (ShardingConfig, "sharding/config.py"),
+    )
     for f in dataclasses.fields(cls)
     if not isinstance(f.default, (bool, type(None), type(dataclasses.MISSING)))
 } | {
@@ -273,11 +281,8 @@ def parse(*argv):
 
 
 class TestCliSurface:
-    def test_surface_is_the_recorded_one_minus_the_process_transport(self):
+    def test_surface_is_the_recorded_one(self):
         recorded = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text())
-        for flags in recorded.values():
-            if "--shard-transport" in flags:
-                flags["--shard-transport"][2].remove("process")
         assert cli_surface(build_parser()) == recorded
 
     def test_defaults_are_the_dataclass_defaults_unless_listed(self):
@@ -293,7 +298,7 @@ class TestCliSurface:
                 field_default = spec_field(paths.split()[0])[0].default
                 assert default == json.loads(json.dumps(field_default)), (verb, flag)
                 checked += 1
-        assert checked > 50
+        assert checked >= 50
 
     def test_flags_left_alone_say_nothing(self):
         spec = _verb_spec(parse("train", "--dataset", "amazon"))
@@ -305,20 +310,8 @@ class TestCliSurface:
         base = ("train", "--dataset", "amazon")
         assert _verb_spec(parse(*base, "--stream"))["streaming"] == {"enabled": True}
         assert _verb_spec(parse(*base, "--stream-vocab", "exact"))["streaming"] == {"vocab": "exact"}
-        assert _verb_spec(parse(*base, "--shards", "2"))["sharding"] == {"shards": 2}
-        assert _verb_spec(parse(*base, "--shard-transport", "socket"))["sharding"] == {
-            "transport": "socket"
-        }
         assert _verb_spec(parse(*base, "--seed", "3"))["seed"] == 3
         assert _verb_spec(parse(*base, "--seed", "3"))["graph"]["seed"] == 3
-
-    def test_host_list_implies_socket_and_one_shard_per_address(self):
-        spec = RunSpec.from_dict(
-            _verb_spec(parse("walk", "--dataset", "amazon", "--shard-hosts", "a:1", "b:2", "c:3"))
-        )
-        assert spec.sharding.transport == "socket"
-        assert spec.sharding.shards == 3
-        assert spec.sharding.hosts == ("a:1", "b:2", "c:3")
 
     def test_no_switches_store_false(self):
         args = parse("update", "--dataset", "amazon", "--deltas", "d.jsonl", "--no-retrain")

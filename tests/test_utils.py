@@ -1,12 +1,9 @@
-"""Tests for repro.utils: rng plumbing, timers, validation helpers."""
-
-import time
+"""Tests for repro.utils: rng plumbing, validation helpers."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timer import PhaseTimer, Timer
 from repro.utils.validation import (
     check_fraction,
     check_positive,
@@ -63,34 +60,6 @@ class TestSpawnRngs:
 
     def test_zero_count(self):
         assert spawn_rngs(1, 0) == []
-
-
-class TestTimers:
-    def test_timer_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_phase_timer_accumulates(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            time.sleep(0.005)
-        with timer.phase("a"):
-            time.sleep(0.005)
-        with timer.phase("b"):
-            pass
-        assert timer.seconds("a") >= 0.009
-        assert timer.seconds("missing") == 0.0
-        assert timer.total() == pytest.approx(
-            timer.seconds("a") + timer.seconds("b")
-        )
-
-    def test_phase_timer_manual_add(self):
-        timer = PhaseTimer()
-        timer.add("x", 1.5)
-        timer.add("x", 0.5)
-        assert timer.seconds("x") == 2.0
-        assert timer.as_dict()["total"] == 2.0
 
 
 class TestValidation:
