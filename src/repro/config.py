@@ -115,11 +115,11 @@ class WalkConfig:
             SAMPLER_REGISTRY,
         )
 
-        check_counts(self, ("num_walks", "walk_length", "init_sample_cap"))
-        if self.burn_in_iterations < 0:
-            raise WalkError("burn_in_iterations must be >= 0")
-        if self.max_reject_rounds < 1:
-            raise WalkError("max_reject_rounds must be >= 1")
+        check_counts(self, ("num_walks", "walk_length", "init_sample_cap", "max_reject_rounds"))
+        if not (isinstance(self.burn_in_iterations, Integral) and self.burn_in_iterations >= 0):
+            raise WalkError(
+                f"burn_in_iterations must be an integer >= 0, got {self.burn_in_iterations!r}"
+            )
         if self.table_budget_bytes is not None and self.table_budget_bytes < 0:
             raise WalkError("table_budget_bytes must be None or >= 0")
         try:

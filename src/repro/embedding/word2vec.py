@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import fields
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
@@ -219,8 +220,8 @@ def check_train_params(**params) -> None:
             f"Word2Vec (and so train.extra) takes {extra}"
         )
     for name in ("dimensions", "window", "negative", "epochs", "block_walks"):
-        if name in params and params[name] < 1:
-            raise TrainingError(f"{name} must be >= 1")
+        if name in params and not (isinstance(params[name], Integral) and params[name] >= 1):
+            raise TrainingError(f"{name} must be an integer >= 1, got {params[name]!r}")
     if "alpha" in params and not 0 < params["alpha"]:
         raise TrainingError("alpha must be positive")
     if params.get("mode", _MODES[0]) not in _MODES:

@@ -107,21 +107,25 @@ class TestWalkConfig:
 
 
 #: integer knobs given a float: unchecked, each ran into a TypeError deep
-#: in the engine or the driver (``queue_shards`` passed silently)
+#: in the engine, the driver or the trainer (``queue_shards`` passed silently)
 FRACTIONAL_COUNTS = [
     (WalkConfig, "num_walks", 1.5), (WalkConfig, "walk_length", 3.5),
+    (WalkConfig, "max_reject_rounds", 2.5), (WalkConfig, "burn_in_iterations", 1.5),
     (StreamingConfig, "shard_walks", 1.5), (StreamingConfig, "max_corpus_bytes", 100.5),
     (StreamingConfig, "queue_shards", 1.5), (StreamingConfig, "block_walks", 2.5),
+    (TrainConfig, "dimensions", 8.5), (TrainConfig, "window", 2.5),
+    (TrainConfig, "negative", 2.5), (TrainConfig, "epochs", 1.5),
 ]  # fmt: skip
+SECTIONS = {WalkConfig: "walk", StreamingConfig: "streaming", TrainConfig: "train"}
 
 
 @pytest.mark.parametrize("cls, field, value", FRACTIONAL_COUNTS)
 def test_a_fractional_count_is_refused_at_construction(cls, field, value):
-    with pytest.raises(WalkError, match=f"{field} must be an integer"):
+    error = TrainingError if cls is TrainConfig else WalkError
+    with pytest.raises(error, match=f"{field} must be an integer"):
         cls(**{field: value})
-    section = "walk" if cls is WalkConfig else "streaming"
-    with pytest.raises(WalkError, match=field):
-        RunSpec.from_dict({**BASE, section: {field: value}})
+    with pytest.raises(error, match=field):
+        RunSpec.from_dict({**BASE, SECTIONS[cls]: {field: value}})
 
 
 #: train settings no trainer accepts; all passed ``RunSpec.validate()`` at the parent
@@ -132,6 +136,7 @@ BAD_TRAIN = [
 ]  # fmt: skip
 ROUTES = {
     "monolithic": {},
+    "streamed-degree-vocab": {"streaming": {"vocab": "degree"}},
     "streamed-exact-vocab": {"streaming": {"vocab": "exact"}},
 }
 

@@ -21,6 +21,7 @@ Covers the four layers of the sharding subsystem:
 
 import ast
 import multiprocessing
+import os
 import queue
 import threading
 from pathlib import Path
@@ -30,7 +31,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+import repro.core.pipeline as pipeline
 import repro.sharding
+from repro import UniNet
 from repro.core.config import WalkConfig
 from repro.errors import ServingError, ShardError, WalkError
 from repro.graph.builder import from_edge_arrays
@@ -306,6 +310,25 @@ class TestEngineStats:
         assert stats["migration_rate"] == 0.0
         assert stats["boundary_edges"] == 0
 
+    @pytest.mark.parametrize("transport", ("inline", "socket"))
+    def test_a_with_block_leaves_no_worker_behind(self, small_unweighted_graph, transport):
+        """Leaving the block closes every worker the engine started: no
+        process and no shared-memory segment outlives it."""
+
+        def segments():
+            return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+        children_before = {p.pid for p in multiprocessing.active_children()}
+        segments_before = segments()
+        for __ in range(2):
+            with ShardedWalkEngine(
+                small_unweighted_graph, "deepwalk", num_shards=2, transport=transport, seed=7
+            ) as engine:
+                engine.generate(1, 5)
+                assert engine.stats()["transport"] == transport
+        assert {p.pid for p in multiprocessing.active_children()} <= children_before
+        assert segments() <= segments_before
+
     def test_unsupported_options_raise(self, tiny_weighted_graph):
         from repro.walks.models import make_model
 
@@ -533,6 +556,48 @@ def test_only_the_partitioner_is_imported_from_outside_the_package():
         and name != "repro.sharding.partitioner"
     ]
     assert offenders == []
+
+
+def test_the_package_exports_only_the_partitioner():
+    """``repro``'s lazy exports are strings the import scan cannot see."""
+    fabric = {
+        name: module
+        for name, (module, __) in repro._LAZY_ATTRS.items()
+        if module.startswith("repro.sharding")
+    }
+    assert set(fabric.values()) == {"repro.sharding.partitioner"}
+    assert {"ShardPlan", "build_shard_plan", "register_partitioner"} <= set(repro.__all__)
+    for removed in ("ShardedWalkEngine", "ShardingConfig"):
+        assert removed not in repro.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro, removed)
+
+
+#: the walk and train entry points that took ``sharding=``, each called with it
+ENTRY_POINTS = {
+    "train_pipeline": lambda graph, sharding: pipeline.train_pipeline(
+        graph, "deepwalk", WalkConfig(num_walks=1, walk_length=5), sharding=sharding
+    ),
+    "generate_walk_result": lambda graph, sharding: pipeline.generate_walk_result(
+        graph, "deepwalk", WalkConfig(num_walks=1, walk_length=5), sharding=sharding
+    ),
+    "UniNet.generate_walks": lambda graph, sharding: UniNet(graph).generate_walks(
+        1, 5, sharding=sharding
+    ),
+    "UniNet.train": lambda graph, sharding: UniNet(graph).train(1, 5, sharding=sharding),
+    "UniNet.train_from_configs": lambda graph, sharding: UniNet(graph).train_from_configs(
+        WalkConfig(num_walks=1, walk_length=5), None, sharding=sharding
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_no_entry_point_takes_a_sharding_keyword(entry, small_unweighted_graph, monkeypatch):
+    built = []
+    monkeypatch.setattr(pipeline, "VectorizedWalkEngine", lambda *a, **kw: built.append(a))
+    with pytest.raises(TypeError, match="sharding"):
+        ENTRY_POINTS[entry](small_unweighted_graph, {"shards": 2})
+    assert not built
 
 
 # ---------------------------------------------------------------------------

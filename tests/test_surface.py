@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import run
 from repro.cli import _FLAGS, _VERB_DEFAULTS, _VERB_SECTIONS, _verb_spec, build_parser
 from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override, expand_grid
@@ -260,6 +261,18 @@ class TestOneSugarTable:
         shadowed = RunSpec.from_dict({**base, section: {name: field.default}, key: value})
         assert getattr(getattr(shadowed, section), name) == value
 
+    @pytest.mark.parametrize("key, value", [("shards", 2), ("partitioner", "hash"), ("sharding.shards", 2)])
+    def test_spec_files_overrides_and_grids_refuse_a_removed_key(self, key, value):
+        """The sharding block and its sugar are gone: each spelling is an unknown key."""
+        base = {"graph": {"dataset": "amazon"}}
+        top = key.split(".")[0]
+        with pytest.raises(SpecError, match=top):
+            RunSpec.from_dict(apply_override(dict(base), key, value))
+        with pytest.raises(SpecError, match=top):
+            expand_grid(base, {key: [value]})
+        with pytest.raises(SpecError, match=top):
+            run({**base, **apply_override({}, key, value)})
+
 
 def cli_surface(parser) -> dict:
     """``{verb: {option string: [default, nargs, choices]}}`` of a parser."""
@@ -284,6 +297,24 @@ class TestCliSurface:
     def test_surface_is_the_recorded_one(self):
         recorded = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text())
         assert cli_surface(build_parser()) == recorded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("walk", "--dataset", "amazon", "--shards", "2"),
+            ("walk", "--dataset", "amazon", "--partitioner", "hash"),
+            ("walk", "--dataset", "amazon", "--shard-transport", "socket"),
+            ("walk", "--dataset", "amazon", "--shard-hosts", "a:1"),
+            ("shard-worker", "--port", "0"),
+        ],
+        ids=("--shards", "--partitioner", "--shard-transport", "--shard-hosts", "shard-worker"),
+    )
+    def test_a_removed_flag_or_verb_is_a_usage_error(self, argv, capsys):
+        removed = next(arg for arg in argv if "shard" in arg or arg == "--partitioner")
+        with pytest.raises(SystemExit) as exited:
+            parse(*argv)
+        assert exited.value.code == 2
+        assert removed in capsys.readouterr().err
 
     def test_defaults_are_the_dataclass_defaults_unless_listed(self):
         surface = cli_surface(build_parser())
