@@ -123,9 +123,10 @@ def test_learn_thread_scaling():
     (``git clone . /tmp/parent && git -C /tmp/parent checkout <commit>``).
     The last row forces one thread more than CPUs, so that what
     over-subscription costs is on record. Every row of one shape must
-    produce the same vectors, the parent's included for CBOW; skip-gram's
-    estimator changed with window-shared negatives, so its rows are held
-    to one set of vectors per side, and ``same_as_parent`` says whether
+    produce the same vectors on one side, at every CPU and thread count;
+    a change may alter the kernel's floats (the column-panel kernel's dot
+    products and its own ``exp``/``log`` did, in both modes), so the
+    sides are not held to each other, and ``same_as_parent`` says whether
     the two sides' vectors are equal."""
     if Word2Vec(8).kernel != "cnative":
         pytest.skip("no C compiler on this host: there is no compiled kernel to scale")
@@ -147,8 +148,7 @@ def test_learn_thread_scaling():
         for rnd in range(3):  # the host's speed drifts by the minute: alternate the sides
             for side in sorted(sides, reverse=rnd % 2 == 1):
                 got = _measure(sides[side], cpus, mode, batch_pairs, threads)
-                per_side = side if mode == "skipgram" else "both"
-                shas.setdefault((per_side, mode, batch_pairs), set()).add(got["sha"])
+                shas.setdefault((side, mode, batch_pairs), set()).add(got["sha"])
                 if side not in best or got["fit_s"] < best[side]["fit_s"]:
                     best[side] = got
         change = best["change"]

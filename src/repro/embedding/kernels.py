@@ -27,41 +27,45 @@ meets ``1 + negative`` output contributions per window, not per pair.
 
 Threads, and why their number cannot change a result. A call uses as
 many threads as the caller's CPU affinity mask holds, fewer when a batch
-is too small to share (``MIN_WORK_PER_THREAD`` in the source); they
-live for the call and are joined before it returns, so nothing outlives
-it: no pool, no lock held across calls, nothing a ``fork`` could copy
-half-way. Every row of either matrix belongs to one thread (``row %
-threads``). Within a batch, phase 1 is parallel over *groups*: a
-group's negatives, and per *unit* (the CBOW mean, or a skip-gram row)
-the ``1 + negative`` coefficients, log terms and float32 gradient, are
-stored, all read at the pre-batch weights. After a
-barrier, phase 2 is parallel over *rows*: every touched output row, and
-after a second barrier every touched input row, is summed by its owner
-from zero in (group, target) order — the order a single thread meets the
-contributions in — into the thread's own :data:`ACCUM_DTYPE`
-accumulator, clipped and added to the weights once; the loss is summed
-serially in unit order. Every float is therefore produced from the
-same operands in the same order whatever the thread count, and which
-thread does it decides only when. (What the threads cost is in the
-source too: three barriers a batch, waited at by spinning, then
-yielding, and sleeping only when a partner is milliseconds behind; and
-with two threads the rows of a small vocabulary cross between the CPUs'
-caches once per batch, which is why vectors are prefetched a few steps
-ahead.)
+is too small to share (``MIN_WORK_PER_THREAD`` in the source), never
+more than there are column panels; they live for the call and are
+joined before it returns, so nothing outlives it: no pool, no lock held
+across calls, nothing a ``fork`` could copy half-way. A batch is shared
+by *columns*: the columns come in fixed panels of :data:`PANEL_COLUMNS`,
+each thread takes a run of them and does every unit's work (a unit is
+the CBOW mean, or a skip-gram row) in its own columns alone, on its own
+copy of the weights' columns and in its own gradient and accumulator
+rows, so that no cache line holds two threads' columns. Per batch a
+thread draws the groups' negatives and computes each unit's partial dot
+products with its ``1 + negative`` targets, one per panel, at the
+pre-batch weights; after a barrier the threads turn units, by range,
+into coefficients and log terms, each dot product the sum of its
+panels' partials in panel order; after a second barrier each steps
+every touched row's :data:`ACCUM_DTYPE` accumulator in the order one
+thread meets the contributions (group, then target or row) and notes its
+partial sum of squares per panel; with the clip on, a third barrier
+lets every thread combine a row's panels, in panel order, into the norm
+it clips its own columns by. The loss is summed serially in unit order.
+Partial dot products, coefficients, log terms and partial norms are all
+that cross between CPUs. Every float is so produced from the same
+operands in the same order, an order that depends on ``d`` alone, and
+which thread does it decides only when. (Barriers are waited at by
+spinning, then yielding, and sleeping only when a partner is
+milliseconds behind.)
 
 What is exact and what is toleranced. Integers are identical to the
-reference: the C inverse-CDF search equals
-:meth:`NegativeSampler.indices` for every ``u``, ties included. Floats
-are a function of the source alone — every reduction's order written
-out (fixed-lane partial sums within a vector, row ownership across
-threads), built without ``-ffast-math`` or FMA contraction — so a fit
-repeats bitwise run to run, for any stream sharding, any BLAS thread
-count and any number of CPUs. Against the NumPy reference they differ
-by summation order (``einsum`` and scipy pick their own; a skip-gram
-window's per-target sums are float32, not acc_t: in acc_t they took a
-quarter of phase 1 on the ``train_e2e`` shape, and float32 stays inside
-the reference tolerance) and the last ulp of ``exp``/``log``: about
-float32 eps × dim on one batch.
+reference: the C inverse-CDF search (a guide table, :func:`cdf_guide`,
+then a short scan) equals :meth:`NegativeSampler.indices` for every
+``u``, ties included. Floats are a function of the source alone — every
+reduction's order written out (fixed-lane partial sums within a vector,
+panels in order across threads), ``exp`` and ``log`` too (Cephes'
+polynomials, not libm's), built without ``-ffast-math`` or FMA
+contraction — so a fit repeats bitwise run to run, for any stream
+sharding, BLAS thread count, number of CPUs or libm. Against the NumPy
+reference they differ by summation order (``einsum`` and scipy pick
+their own; a skip-gram window's per-target sums are float32, not
+acc_t, which stays inside the reference tolerance) and about an ulp of
+``exp``/``log``: about float32 eps × dim on one batch.
 
 Selection takes no option: :func:`resolve_train_kernel` returns the C
 kernel when :func:`~repro.utils.cbuild.find_compiler` finds a compiler
@@ -89,6 +93,12 @@ from repro.utils.cthreads import C_THREADS, MAX_THREADS
 #: well below a float32 ulp.
 ACCUM_DTYPE = np.float64
 
+#: Columns of one panel, the unit in which the kernel's threads share a
+#: batch (a source constant: see the module docstring). At d = 128, 64
+#: gives two CPUs a panel each; 32 (two each, so twice the partials a dot
+#: product) took 1.2x as long on two CPUs.
+PANEL_COLUMNS = 64
+
 _C_SOURCE = C_THREADS + r"""
 typedef double acc_t; /* ACCUM_DTYPE */
 
@@ -96,18 +106,38 @@ typedef double acc_t; /* ACCUM_DTYPE */
 
 /* Reductions run over fixed lanes so that their order is part of this
    source, not of the optimiser: 16 float (8 acc_t) strided partial sums
-   as one GNU vector, the tail folded into the low lanes, then the
-   pairwise tree in tree8(). Lane arithmetic is plain IEEE per element. */
+   as one GNU vector, the tail folded into the low lanes, then halved
+   (lane l plus lane l + half) down to one. Lane arithmetic is plain IEEE
+   per element. */
 #define VF 16
 #define VA 8
 typedef float vf_t __attribute__((vector_size(VF * sizeof(float))));
+typedef float v8f_t __attribute__((vector_size(8 * sizeof(float))));
+typedef float v4f_t __attribute__((vector_size(4 * sizeof(float))));
 typedef acc_t va_t __attribute__((vector_size(VA * sizeof(acc_t))));
+typedef acc_t v4a_t __attribute__((vector_size(4 * sizeof(acc_t))));
+typedef acc_t vd_t __attribute__((vector_size(VF * sizeof(acc_t))));
 
-/* an unaligned vector load; a macro because a function returning a
-   vector wider than the baseline ISA changes the ABI (-Wpsabi) */
-#define LOAD(v, p) memcpy(&(v), (p), sizeof(v))
+/* the vector at p, unaligned; typed, so that a store through it may
+   alias only its element type, and the compiler keeps the rest in
+   registers (a macro: a function returning a vector wider than the
+   baseline ISA changes the ABI, -Wpsabi) */
+typedef float vf_u __attribute__((vector_size(VF * sizeof(float)), aligned(sizeof(float))));
+typedef acc_t va_u __attribute__((vector_size(VA * sizeof(acc_t)), aligned(sizeof(acc_t))));
+typedef acc_t vd_u __attribute__((vector_size(VF * sizeof(acc_t)), aligned(sizeof(acc_t))));
+#define VEC(type, p) (*(type##_u *)(p))
+typedef int32_t vi_t __attribute__((vector_size(VF * sizeof(int32_t))));
+/* the bits of x as a value of another type of its size */
+#define BITS(type, x) ({ __typeof__(x) x_ = (x); type b_; memcpy(&b_, &x_, sizeof b_); b_; })
+/* the sum of the halves of vector x, as a vector of type `half` */
+#define FOLD(half, x) ({ half lo_, hi_; memcpy(&lo_, &(x), sizeof lo_); \
+    memcpy(&hi_, (char *)&(x) + sizeof lo_, sizeof hi_); lo_ + hi_; })
 
-#define tree8(r) (((r[0] + r[4]) + (r[2] + r[6])) + ((r[1] + r[5]) + (r[3] + r[7])))
+/* The columns come in panels of PANEL (the last one narrower), and a
+   dot product or a row's sum of squares is the sum of its panels'
+   partials, each reduced as above, added in panel order: a function of
+   d alone, whichever thread computes which panel. */
+#define PANEL @PANEL@
 
 /* Phase 1 works on TILE of a group's targets at a time, their vectors
    (and a skip-gram window's sums) held in registers; nt <= TILE is the
@@ -121,480 +151,476 @@ typedef acc_t va_t __attribute__((vector_size(VA * sizeof(acc_t))));
 /* out[q] = the dot product of x and v_of[q], q < nt, x read once */
 INLINE void dot_tile(const float *x, const float *const *v_of, int64_t d, float *out,
                      const int nt) {
-    vf_t lanes[TILE], xv, y;
+    vf_t lanes[TILE], xv;
     for (int q = 0; q < nt; q++) lanes[q] = (vf_t){0};
     int64_t i = 0;
     for (; i + VF <= d; i += VF) {
-        LOAD(xv, x + i);
-        for (int q = 0; q < nt; q++) {
-            LOAD(y, v_of[q] + i);
-            lanes[q] += xv * y;
-        }
+        xv = VEC(vf, x + i);
+        for (int q = 0; q < nt; q++) lanes[q] += xv * VEC(vf, v_of[q] + i);
     }
     for (int q = 0; q < nt; q++) {
-        float s[VF], r[8];
-        memcpy(s, &lanes[q], sizeof lanes[q]);
-        for (int64_t k = i, l = 0; k < d; k++, l++) s[l] += x[k] * v_of[q][k];
-        for (int l = 0; l < 8; l++) r[l] = s[l] + s[l + 8];
-        out[q] = tree8(r);
+        vf_t sum = lanes[q]; /* a copy, so that lanes stay in registers */
+        if (i < d) {
+            float s[VF];
+            memcpy(s, &sum, sizeof s);
+            for (int64_t k = i, l = 0; k < d; k++, l++) s[l] += x[k] * v_of[q][k];
+            memcpy(&sum, s, sizeof s);
+        }
+        v8f_t r = FOLD(v8f_t, sum);
+        v4f_t s = FOLD(v4f_t, r);
+        out[q] = (s[0] + s[2]) + (s[1] + s[3]);
     }
 }
 
 static inline acc_t sumsq_acc(const acc_t *a, int64_t d) {
-    va_t lanes = {0}, x;
+    va_t lanes = {0};
     int64_t i = 0;
-    for (; i + VA <= d; i += VA) {
-        LOAD(x, a + i);
-        lanes += x * x;
-    }
-    acc_t s[VA];
-    memcpy(s, &lanes, sizeof lanes);
-    for (int l = 0; i < d; i++, l++) s[l] += a[i] * a[i];
-    return tree8(s);
+    for (; i + VA <= d; i += VA) lanes += VEC(va, a + i) * VEC(va, a + i);
+    for (int l = 0; i < d; i++, l++) lanes[l] += a[i] * a[i];
+    v4a_t s = FOLD(v4a_t, lanes);
+    return (s[0] + s[2]) + (s[1] + s[3]);
 }
 
-/* count of cdf entries <= u, i.e. np.searchsorted(cdf, u, side="right");
-   branch-free, the answer staying within [lo, lo + n] */
-static inline int64_t cdf_upper(const double *cdf, int64_t n, double u) {
-    int64_t lo = 0;
-    while (n > 1) {
-        int64_t half = n >> 1;
-        lo = (cdf[lo + half - 1] <= u) ? lo + half : lo;
-        n -= half;
-    }
-    return lo + (cdf[lo] <= u);
+/* count of cdf entries <= u, i.e. np.searchsorted(cdf, u, side="right"),
+   through a guide table (Chen and Asau): `buckets` is a power of two, so
+   k = u * buckets is exact, and guide[k], the count at u = k / buckets,
+   is where the answer for any u of bucket k starts; the scan meets
+   n / buckets <= 1 entries on average */
+static inline int64_t cdf_upper(const double *cdf, int64_t n, const int32_t *guide,
+                                int64_t buckets, double u) {
+    int64_t i = guide[(int64_t)(u * (double)buckets)];
+    while (i < n && cdf[i] <= u) i++;
+    return i;
 }
 
-void cdf_search(const double *cdf, int64_t vocab, const double *u,
-                int64_t n, int64_t *out) {
-    for (int64_t i = 0; i < n; i++) out[i] = cdf_upper(cdf, vocab, u[i]);
-}
-
-/* a += (acc_t)(coef * x) * neg_lr : the float32 gradient, the step in acc_t */
-static inline void add_step(acc_t *restrict a, const float *restrict x,
-                            float coef, double neg_lr, int64_t d) {
-    for (int64_t i = 0; i < d; i++) a[i] += (acc_t)(coef * x[i]) * neg_lr;
-}
-
-/* clip one row's summed step and add it, once */
-static inline void apply_row(float *restrict w, const acc_t *restrict a,
-                             int64_t d, double clip) {
-    acc_t scale = 1.0;
-    if (clip >= 0.0) {
-        acc_t norm = sqrt(sumsq_acc(a, d));
-        acc_t ratio = clip / (norm > 1e-12 ? norm : 1e-12);
-        scale = ratio < 1.0 ? ratio : 1.0;
-    }
-    for (int64_t i = 0; i < d; i++) w[i] += (float)(a[i] * scale);
+void cdf_search(const double *cdf, int64_t vocab, const int32_t *guide, int64_t buckets,
+                const double *u, int64_t n, int64_t *out) {
+    for (int64_t i = 0; i < n; i++) out[i] = cdf_upper(cdf, vocab, guide, buckets, u[i]);
 }
 
 /* ---- threads ---------------------------------------------------------
-   Nothing below decides a float: which thread scores a group or sums a
-   row changes when the work is done, never its operands or their order.
-   The barrier and the helpers' placement are the shared prologue's
-   (repro.utils.cthreads). */
+   Nothing below decides a float: which thread computes a panel, or the
+   terms of a unit, changes when the work is done, never its operands or
+   their order. The barrier and the helpers' placement are the shared
+   prologue's (repro.utils.cthreads). */
 /* One more thread per this much of a mean batch, counted as d times the
    d-wide vectors it passes over (one per target of a unit, one per input
-   row).
-   Below it the three barriers of a batch cost what a thread saves:
+   row), and never more threads than panels.
+   Below it the barriers of a batch cost what a thread saves:
    measured at d = 128, a second thread gained nothing on batches of 128
    skip-gram pairs (1.75 of these units) and 27 % on batches of 256. */
 #define MIN_WORK_PER_THREAD (1 << 16)
 
-/* One call's inputs, and what phase 1 stores for the batch in hand. A
+/* One call's inputs, and what the threads share of the batch in hand. A
    *unit* is what phase 1 scores against a group's 1 + negative targets:
-   the group's mean in CBOW, each of its input rows in skip-gram. The
-   small things a unit yields (1 + negative coefficients and as many log
-   terms) make one record of whole cache lines, so that two threads scoring
-   neighbouring units never write to one line; gh (the float32 gradient
-   of what a unit scored) is a d-wide row per unit. Per group there are
-   its negatives and, in CBOW, h (the mean of its input rows); in
-   skip-gram, sums: per target, the float32 gradients of the group's rows
-   summed in float32, in row order. */
+   the group's mean in CBOW, each of its input rows in skip-gram. dots
+   holds its panels' partial dot products, panel by panel; coefs and
+   logs, the 1 + negative coefficients and log terms it yields; norms,
+   the partial sums of squares of the rows the batch touches. */
 typedef struct {
     float *w_in, *w_out;
-    int64_t vocab, d, negative, batches;
+    int64_t vocab, d, panels, negative, batches;
     int64_t cbow; /* 1: a group's rows are averaged into h; 0: each row is scored */
     const int64_t *batch_off; /* batches + 1 group offsets */
     const int32_t *in_rows;
     const int64_t *row_start; /* groups + 1 offsets into in_rows */
     const int32_t *out_pos;
     const double *u, *cdf, *lr;
+    const int32_t *guide;
+    int64_t buckets;
     double clip;
     double *losses;
-    float *records;
-    int64_t record_floats;
-    int64_t *negs;
-    float *h, *gh, *sums;
-    uint64_t magic; /* 2^64 / threads rounded up: row / threads by one multiply */
+    float *dots, *coefs, *logs;
+    int64_t dot_stride, norm_stride;
+    acc_t *norms;
     team_t team;
 } run_t;
 
-/* One thread's own memory: the accumulator of the row it is summing and
-   the contributions to the rows it owns (row % threads == id), first as
-   met, in (group, target) or (unit) order, then sorted by row, stably.
-   slot[row / threads] is an owned row's place in `row` while that is
-   being done, and -1 otherwise. */
+/* One thread's own memory and its columns, [c0, c0 + cols): panels [p0,
+   p1). Everything it writes per column is its own, in rows of its
+   columns alone, so that no cache line holds two threads' columns: the
+   weights (a copy, unless it holds every column), h (the mean of a CBOW
+   group's input rows, per group of the batch), gh (the float32 gradient
+   of what a unit scored, per unit of the group in hand) and acc (the
+   summed step of every row the batch touches). Every thread with panels
+   draws the batch's negatives and numbers the touched rows itself, in
+   the order they are met, so that all of them number them alike; slot
+   maps a row of w_out, then of w_in, to its number, and holds -1
+   between batches. */
 typedef struct {
-    run_t *run;
-    int64_t id, rows;
-    acc_t *acc;
+    _Alignas(64) run_t *run; /* a line of its own: rows grows as rows are met */
+    int64_t id, p0, p1, c0, cols, ws, rows;
+    double neg_lr;   /* of the batch in hand */
+    float *in, *out; /* column c0 of row 0 of w_in, w_out, whose row stride is ws */
+    int64_t *negs;
+    float *h, *gh;
+    acc_t *acc, **to_in;
     int32_t *slot;
-    int32_t *quot, *grp, *ent; /* as met: row / threads, the group or unit, its vector */
-    int32_t *row_grp, *row_ent; /* by row: the same */
-    int32_t *row, *end; /* per touched row, in first-touch order: where its contributions end */
+    int64_t *row; /* per touched row: its index into slot */
 } worker_t;
 
-static inline int64_t group_size(const run_t *r, int64_t g) {
-    return r->row_start[g + 1] - r->row_start[g];
+static inline int64_t group_size(const run_t *r, int64_t g) { return r->row_start[g + 1] - r->row_start[g]; }
+
+/* the first unit of group g of the batch starting at g0 */
+static inline int64_t first_unit(const run_t *r, int64_t g0, int64_t g) {
+    return r->cbow ? g - g0 : r->row_start[g] - r->row_start[g0];
 }
 
-static inline float *coefs_of(const run_t *r, int64_t unit) {
-    return r->records + unit * r->record_floats;
-}
-
-static inline float *logs_of(const run_t *r, int64_t unit) {
-    return coefs_of(r, unit) + r->negative + 1;
-}
-
-static inline const int64_t *negatives_of(const run_t *r, int64_t lg) {
-    return r->negs + lg * r->negative;
-}
+static inline float *coefs_of(const run_t *r, int64_t unit) { return r->coefs + unit * (r->negative + 1); }
 
 /* target t of group g, the lg-th of its batch: its positive, then its negatives */
-static inline int64_t target(const run_t *r, int64_t g, int64_t lg, int64_t t) {
-    return t == 0 ? r->out_pos[g] : negatives_of(r, lg)[t - 1];
+static inline int64_t target(const worker_t *w, int64_t g, int64_t lg, int64_t t) {
+    return t == 0 ? w->run->out_pos[g] : w->negs[lg * w->run->negative + t - 1];
 }
 
-/* the vectors of targets t0 .. t0 + nt - 1 of group g; returns nt */
-static inline int tile_targets(const run_t *r, int64_t g, int64_t lg, int64_t t0,
+/* this thread's columns of the vectors of targets t0 .. t0 + nt - 1 of
+   group g; returns nt */
+static inline int tile_targets(const worker_t *w, int64_t g, int64_t lg, int64_t t0,
                                const float **v_of) {
-    int64_t left = r->negative + 1 - t0;
+    int64_t left = w->run->negative + 1 - t0;
     int nt = left < TILE ? (int)left : TILE;
-    for (int q = 0; q < nt; q++) v_of[q] = r->w_out + target(r, g, lg, t0 + q) * r->d;
+    for (int q = 0; q < nt; q++) v_of[q] = w->out + target(w, g, lg, t0 + q) * w->ws;
     return nt;
 }
 
-/* the vector CBOW group g (the lg-th of its batch) scores its targets
-   with: the mean of its input rows, which for one row is the row itself */
-static inline const float *hidden(const run_t *r, int64_t g, int64_t lg) {
-    if (group_size(r, g) == 1) return r->w_in + (int64_t)r->in_rows[r->row_start[g]] * r->d;
-    return r->h + lg * r->d;
+/* this thread's columns of the vector CBOW group g (the lg-th of its
+   batch) scores its targets with: the mean of its input rows, which for
+   one row is the row itself */
+static inline const float *hidden(const worker_t *w, int64_t g, int64_t lg) {
+    const run_t *r = w->run;
+    if (group_size(r, g) == 1) return w->in + (int64_t)r->in_rows[r->row_start[g]] * w->ws;
+    return w->h + lg * w->cols;
 }
 
-/* row / threads, exactly, for any int32 row: the error of the rounded-up
-   reciprocal stays below 1 / threads as long as row * threads < 2^64 */
-static inline int64_t row_div(const run_t *r, int64_t row) {
-    if (r->team.threads == 1) return row;
-    return (int64_t)(((unsigned __int128)(uint64_t)row * r->magic) >> 64);
+static inline int64_t panel_width(const run_t *r, int64_t p) {
+    return r->d - p * PANEL < PANEL ? r->d - p * PANEL : PANEL;
 }
 
-/* A row another CPU wrote in the last batch is some hundred ns away, so
-   vectors are asked for a few steps before they are used. */
-#define AHEAD 4
-static inline void prefetch_vector(const float *x, int64_t d, int for_write) {
-    for (int64_t i = 0; i < d; i += 16) __builtin_prefetch(x + i, for_write);
+/* this thread's acc row of touched row `row` of w_out (in = 0) or w_in
+   (in = 1), zeroed when the batch first meets it */
+static inline acc_t *step_of(worker_t *w, int64_t in, int64_t row) {
+    int32_t *slot = w->slot + in * w->run->vocab + row;
+    if (*slot < 0) {
+        *slot = (int32_t)w->rows;
+        w->row[w->rows] = in * w->run->vocab + row;
+        memset(w->acc + w->rows * w->cols, 0, (size_t)w->cols * sizeof(acc_t));
+        w->rows++;
+    }
+    return w->acc + (int64_t)*slot * w->cols;
 }
 
-/* Phase 1 for group g, the lg-th of its batch, comes in two steps so that
-   the rows of one group travel while the group before is scored. First
-   its negatives, and a prefetch of every vector the second step reads. */
-static void draw_negatives(const run_t *r, int64_t g, int64_t lg) {
-    int64_t d = r->d, negative = r->negative, m = group_size(r, g);
+static inline void prefetch_vector(const float *x, int64_t d) {
+    for (int64_t i = 0; i < d; i += 16) __builtin_prefetch(x + i);
+}
+
+/* vectors are asked for a group ahead of their use: those group g reads,
+   and the acc rows of those the batch has met */
+static void prefetch_group(const worker_t *w, int64_t g, int64_t lg) {
+    const run_t *r = w->run;
     const int32_t *rows = r->in_rows + r->row_start[g];
-    cdf_search(r->cdf, r->vocab, r->u + g * negative, negative, r->negs + lg * negative);
-    for (int64_t j = 0; j < m; j++) prefetch_vector(r->w_in + (int64_t)rows[j] * d, d, 0);
-    for (int64_t t = 0; t <= negative; t++) prefetch_vector(r->w_out + target(r, g, lg, t) * d, d, 0);
-}
-
-/* A unit's dot products with its targets, the positive first, become in
-   place the coefficients of its gradient, and its log terms are set. */
-static void sigmoid_terms(float *coef, float *logs, int64_t targets) {
-    for (int64_t t = 0; t < targets; t++) {
-        float f = coef[t];
-        float x = f < -8.0f ? -8.0f : (f > 8.0f ? 8.0f : f);
-        float s = 1.0f / (1.0f + expf(-x));
-        coef[t] = t == 0 ? s - 1.0f : s;
-        logs[t] = logf((t == 0 ? s : 1.0f - s) + LOSS_EPS);
+    for (int64_t j = 0; j < group_size(r, g) + r->negative + 1; j++) {
+        int64_t in = j < group_size(r, g), row = in ? rows[j] : target(w, g, lg, j - group_size(r, g));
+        int32_t s = w->slot[in * r->vocab + row];
+        prefetch_vector((in ? w->in : w->out) + row * w->ws, w->cols);
+        if (s >= 0) prefetch_vector((float *)(w->acc + s * w->cols), 2 * w->cols);
     }
 }
 
-/* CBOW: unit `unit` scores the vector h against group g's targets, read at the
-   pre-batch weights: its coefficients, log terms and gh, in three passes
-   over the 1 + negative targets. */
-static void score_unit(const run_t *r, const float *restrict h, int64_t g, int64_t lg,
-                       int64_t unit) {
-    int64_t d = r->d, negative = r->negative;
-    float *restrict gh = r->gh + unit * d;
-    float *coef = coefs_of(r, unit), *logs = logs_of(r, unit);
-    const float *v_of[TILE];
-    for (int64_t t0 = 0; t0 <= negative; t0 += TILE) {
-#define DOTS(n) dot_tile(h, v_of, d, coef + t0, n)
-        BY_TILE(tile_targets(r, g, lg, t0, v_of), DOTS)
+/* the partial dot products of unit `unit`'s vector (x: this thread's
+   columns) with targets t0 .. t0 + nt - 1 (v_of) over this thread's
+   panels, read at the pre-batch weights */
+static void panel_dots(const worker_t *w, const float *x, const float *const *v_of, int nt,
+                       int64_t unit, int64_t t0) {
+    const run_t *r = w->run;
+    const float *v[TILE];
+    for (int64_t p = w->p0; p < w->p1; p++) {
+        int64_t c = p * PANEL - w->c0;
+        float *out = r->dots + p * r->dot_stride + unit * (r->negative + 1) + t0;
+        for (int q = 0; q < nt; q++) v[q] = v_of[q] + c;
+#define DOTS(n) dot_tile(x + c, v, panel_width(r, p), out, n)
+        BY_TILE(nt, DOTS)
 #undef DOTS
     }
-    sigmoid_terms(coef, logs, negative + 1);
-    for (int64_t t = 0; t <= negative; t++) {
-        const float *restrict v = r->w_out + target(r, g, lg, t) * d;
-        float c = coef[t];
-        if (t == 0)
-            for (int64_t i = 0; i < d; i++) gh[i] = c * v[i];
-        else
-            for (int64_t i = 0; i < d; i++) gh[i] += c * v[i];
+}
+
+/* exp and log over VF lanes in float32, in place: Cephes' expf and logf,
+   within about an ulp on the ranges used here (x in [-8, 8]; a log
+   term's argument in [3e-4, 1]), and a function of this source alone,
+   as libm's are not */
+
+INLINE void exp_lanes(vf_t *v) {
+    vf_t x = *v, fx = x * 1.44269504088896341f + 0.5f;
+    vf_t n = __builtin_convertvector(__builtin_convertvector(fx, vi_t), vf_t);
+    n += __builtin_convertvector(n > fx, vf_t); /* the truncation, floored */
+    x -= n * 0.693359375f;
+    x -= n * -2.12194440e-4f;
+    vf_t z = x * x, p = 1.9875691500E-4f * x + 1.3981999507E-3f;
+    p = p * x + 8.3334519073E-3f, p = p * x + 4.1665795894E-2f;
+    p = p * x + 1.6666665459E-1f, p = p * x + 5.0000001201E-1f;
+    vi_t scale = (__builtin_convertvector(n, vi_t) + 127) << 23;
+    *v = (p * z + x + 1.0f) * BITS(vf_t, scale);
+}
+
+INLINE void log_lanes(vf_t *v) {
+    vi_t bits = BITS(vi_t, *v), e = ((bits >> 23) & 0xff) - 126;
+    bits = (bits & 0x807fffff) | 0x3f000000; /* the mantissa, in [1/2, 1) */
+    vf_t m = BITS(vf_t, bits);
+    vi_t low = m < 0.707106781186547524f;
+    e += low;
+    bits &= low;
+    m = m + BITS(vf_t, bits) - 1.0f;
+    vf_t fe = __builtin_convertvector(e, vf_t), z = m * m, y = 7.0376836292E-2f * m - 1.1514610310E-1f;
+    y = y * m + 1.1676998740E-1f, y = y * m - 1.2420140846E-1f;
+    y = y * m + 1.4249322787E-1f, y = y * m - 1.6668057665E-1f;
+    y = y * m + 2.0000714765E-1f, y = y * m - 2.4999993993E-1f;
+    y = y * m + 3.3333331174E-1f, y = y * m * z;
+    y += -2.12194440e-4f * fe, y += -0.5f * z;
+    *v = m + y + 0.693359375f * fe;
+}
+
+/* units [u0, u1), VF (unit, target) pairs at a time: the dot product,
+   the sum of its panels' partials in panel order, clamped to [-8, 8];
+   then s = sigmoid(f), the coefficient s - 1 for the positive and s for
+   a negative, and the log term log(s + LOSS_EPS), or log(1 - s + ...) */
+static void unit_terms(const run_t *r, int64_t u0, int64_t u1) {
+    int64_t targets = r->negative + 1, k1 = u1 * targets;
+    for (int64_t k0 = u0 * targets; k0 < k1; k0 += VF) {
+        int64_t n = k1 - k0 < VF ? k1 - k0 : VF;
+        vf_t f = {0}, s;
+        vi_t pos;
+        for (int64_t l = 0, t = k0 % targets; l < VF; l++, t = t + 1 < targets ? t + 1 : 0)
+            pos[l] = -(t == 0);
+        for (int64_t p = 0; p < r->panels; p++) {
+            const float *part = r->dots + p * r->dot_stride + k0;
+            if (n == VF)
+                f = p ? f + VEC(vf, part) : VEC(vf, part);
+            else
+                for (int64_t l = 0; l < n; l++) f[l] = p ? f[l] + part[l] : part[l];
+        }
+        vi_t high = f > 8.0f, low = f < -8.0f;
+        f = BITS(vf_t, (BITS(vi_t, f) & ~(high | low)) | (BITS(vi_t, (vf_t){0} + 8.0f) & high)
+                 | (BITS(vi_t, (vf_t){0} - 8.0f) & low));
+        s = -f;
+        exp_lanes(&s);
+        s = 1.0f / (1.0f + s);
+        vf_t coef = s + __builtin_convertvector(pos, vf_t), term = 1.0f - s;
+        term = BITS(vf_t, (BITS(vi_t, s) & pos) | (BITS(vi_t, term) & ~pos)) + LOSS_EPS;
+        log_lanes(&term);
+        if (n == VF) {
+            VEC(vf, r->coefs + k0) = coef;
+            VEC(vf, r->logs + k0) = term;
+        }
+        for (int64_t l = 0; n < VF && l < n; l++) {
+            r->coefs[k0 + l] = coef[l];
+            r->logs[k0 + l] = term[l];
+        }
     }
 }
 
-/* For targets t0 .. t0 + nt - 1 of window g (vectors v_of), VF lanes at
-   a time: each row's gh, summed in target order, and each target's sum
-   of the rows' float32 gradients, in row order. */
-INLINE void spread_tile(const run_t *r, int64_t g, int64_t lg, int64_t unit0, int64_t t0,
-                        const float *const *v_of, const int nt) {
-    int64_t d = r->d, m = group_size(r, g), i0 = 0;
+/* a[i] += (acc_t)x[i] * neg_lr, VF lanes: a float32 gradient's step */
+#define ADD_STEP(a, x, neg_lr) (VEC(vd, a) += __builtin_convertvector(x, vd_t) * (neg_lr))
+
+/* For targets t0 .. t0 + nt - 1 of window g (vectors v_of, acc rows
+   to), VF lanes at a time over this thread's columns: each target's sum
+   of the rows' float32 gradients, summed in row order and stepped into
+   the target's row; and each row's gh, summed in target order, and on
+   the last tile stepped into the row's own. */
+INLINE void spread_tile(worker_t *w, int64_t g, int64_t unit0, int64_t t0,
+                        const float *const *v_of, acc_t *const *to, const int nt) {
+    const run_t *r = w->run;
+    int64_t m = group_size(r, g), i0 = 0, cols = w->cols, last = t0 + nt == r->negative + 1;
     const int32_t *rows = r->in_rows + r->row_start[g];
-    float *sums = r->sums + (lg * (r->negative + 1) + t0) * d;
-    for (; i0 + VF <= d; i0 += VF) {
+    const float *in = w->in;
+    float *gh_of = w->gh;
+    acc_t *const *to_in = w->to_in;
+    int64_t ws = w->ws;
+    double neg_lr = w->neg_lr;
+    for (; i0 + VF <= cols; i0 += VF) {
         vf_t v[TILE], sum[TILE];
         for (int q = 0; q < nt; q++) {
-            LOAD(v[q], v_of[q] + i0);
+            v[q] = VEC(vf, v_of[q] + i0);
             sum[q] = (vf_t){0};
         }
         for (int64_t j = 0; j < m; j++) {
-            vf_t x, gh = {0};
-            LOAD(x, r->w_in + (int64_t)rows[j] * d + i0);
-            float *to = r->gh + (unit0 + j) * d + i0;
+            vf_t x = VEC(vf, in + (int64_t)rows[j] * ws + i0), gh = {0};
+            float *at = gh_of + j * cols + i0;
             const float *c = coefs_of(r, unit0 + j) + t0;
-            if (t0 > 0) LOAD(gh, to);
+            if (t0 > 0) gh = VEC(vf, at);
             for (int q = 0; q < nt; q++) {
                 gh += c[q] * v[q];
                 sum[q] += c[q] * x;
             }
-            memcpy(to, &gh, sizeof gh);
+            if (last) ADD_STEP(to_in[j] + i0, gh, neg_lr);
+            else VEC(vf, at) = gh;
         }
-        for (int q = 0; q < nt; q++) memcpy(sums + q * d + i0, &sum[q], sizeof sum[q]);
+        for (int q = 0; q < nt; q++) ADD_STEP(to[q] + i0, sum[q], neg_lr);
     }
-    for (; i0 < d; i0++) {
-        for (int q = 0; q < nt; q++) sums[q * d + i0] = 0.0f;
+    for (; i0 < cols; i0++) {
+        float sum[TILE] = {0};
         for (int64_t j = 0; j < m; j++) {
-            float x = r->w_in[(int64_t)rows[j] * d + i0], *to = r->gh + (unit0 + j) * d + i0;
-            float gh = t0 > 0 ? *to : 0.0f;
+            float x = in[(int64_t)rows[j] * ws + i0], *at = gh_of + j * cols + i0;
+            float gh = t0 > 0 ? *at : 0.0f;
             const float *c = coefs_of(r, unit0 + j) + t0;
             for (int q = 0; q < nt; q++) {
                 gh += c[q] * v_of[q][i0];
-                sums[q * d + i0] += c[q] * x;
+                sum[q] += c[q] * x;
             }
-            *to = gh;
+            if (last) to_in[j][i0] += (acc_t)gh * neg_lr;
+            else *at = gh;
         }
+        for (int q = 0; q < nt; q++) to[q][i0] += (acc_t)sum[q] * neg_lr;
     }
 }
 
-/* Skip-gram phase 1 for window g, the lg-th of its batch, whose rows are
-   units unit0, unit0 + 1, ...: first each row's coefficients and log
-   terms against the window's targets, as a CBOW unit's; then spread_tile. */
-static void score_window(const run_t *r, int64_t g, int64_t lg, int64_t unit0) {
-    int64_t d = r->d, targets = r->negative + 1, m = group_size(r, g);
+/* Phase 1 of group g of the batch starting at g0, up to the terms, in
+   this thread's panels: a CBOW group's mean of its input rows, then the
+   partial dot products of each of its units. */
+static void group_dots(const worker_t *w, int64_t g0, int64_t g) {
+    const run_t *r = w->run;
+    int64_t m = group_size(r, g), lg = g - g0, unit0 = first_unit(r, g0, g);
     const int32_t *rows = r->in_rows + r->row_start[g];
     const float *v_of[TILE];
-    for (int64_t j = 0; j < m; j++) {
-        const float *x = r->w_in + (int64_t)rows[j] * d;
-        float *coef = coefs_of(r, unit0 + j), *logs = logs_of(r, unit0 + j);
-        for (int64_t t0 = 0; t0 < targets; t0 += TILE) {
-#define DOTS(n) dot_tile(x, v_of, d, coef + t0, n)
-            BY_TILE(tile_targets(r, g, lg, t0, v_of), DOTS)
-#undef DOTS
+    if (r->cbow && m > 1) {
+        float *restrict mean = w->h + lg * w->cols;
+        float inv = (float)(1.0 / (double)m);
+        memset(mean, 0, (size_t)w->cols * sizeof(float));
+        for (int64_t j = 0; j < m; j++) {
+            const float *x = w->in + (int64_t)rows[j] * w->ws;
+            for (int64_t i = 0; i < w->cols; i++) mean[i] += inv * x[i];
         }
-        sigmoid_terms(coef, logs, targets);
     }
-    for (int64_t t0 = 0; t0 < targets; t0 += TILE) {
-#define SPREAD(n) spread_tile(r, g, lg, unit0, t0, v_of, n)
-        BY_TILE(tile_targets(r, g, lg, t0, v_of), SPREAD)
-#undef SPREAD
+    for (int64_t t0 = 0; t0 <= r->negative; t0 += TILE) {
+        int nt = tile_targets(w, g, lg, t0, v_of);
+        for (int64_t j = 0; j < (r->cbow ? 1 : m); j++)
+            panel_dots(w, r->cbow ? hidden(w, g, lg) : w->in + (int64_t)rows[j] * w->ws, v_of, nt,
+                       unit0 + j, t0);
     }
 }
 
-/* Then everything else: a skip-gram window as above, a CBOW group as the
-   mean of its input rows, scored as one unit. */
-static void score_group(const run_t *r, int64_t g0, int64_t g) {
-    int64_t d = r->d, m = group_size(r, g), lg = g - g0;
+/* ... and after the terms, in this thread's columns, the steps of group
+   g into the acc rows, in the order a single thread meets them: a
+   skip-gram window's by spread_tile; a CBOW group's output rows
+   receiving each a coefficient times h, then its input rows each the
+   group's gh over the group's size. */
+static void group_steps(worker_t *w, int64_t g0, int64_t g) {
+    const run_t *r = w->run;
+    int64_t lg = g - g0, targets = r->negative + 1, m = group_size(r, g), cols = w->cols;
+    const int32_t *rows = r->in_rows + r->row_start[g];
+    const float *v_of[TILE];
+    acc_t *to[TILE];
     if (!r->cbow) {
-        score_window(r, g, lg, r->row_start[g] - r->row_start[g0]);
+        for (int64_t t0 = 0; t0 < targets; t0 += TILE) {
+            int nt = tile_targets(w, g, lg, t0, v_of);
+            for (int q = 0; q < nt; q++) to[q] = step_of(w, 0, target(w, g, lg, t0 + q));
+            for (int64_t j = 0; t0 + nt == targets && j < m; j++) w->to_in[j] = step_of(w, 1, rows[j]);
+#define SPREAD(n) spread_tile(w, g, first_unit(r, g0, g), t0, v_of, to, n)
+            BY_TILE(nt, SPREAD)
+#undef SPREAD
+        }
         return;
     }
-    if (m > 1) {
-        const int32_t *rows = r->in_rows + r->row_start[g];
-        float *restrict mean = r->h + lg * d;
-        float inv = (float)(1.0 / (double)m);
-        memset(mean, 0, (size_t)d * sizeof(float));
-        for (int64_t j = 0; j < m; j++) {
-            const float *x = r->w_in + (int64_t)rows[j] * d;
-            for (int64_t i = 0; i < d; i++) mean[i] += inv * x[i];
-        }
+    float *restrict gh = w->gh;
+    const float *restrict h = hidden(w, g, lg), *coef = coefs_of(r, lg);
+    double neg_lr = w->neg_lr, count = (double)m;
+    for (int64_t t = 0; t < targets; t++) {
+        const float *restrict v = w->out + target(w, g, lg, t) * w->ws;
+        acc_t *restrict a = step_of(w, 0, target(w, g, lg, t));
+        float c = coef[t];
+        if (t == 0)
+            for (int64_t i = 0; i < cols; i++) gh[i] = c * v[i];
+        else
+            for (int64_t i = 0; i < cols; i++) gh[i] += c * v[i];
+        for (int64_t i = 0; i < cols; i++) a[i] += (acc_t)(c * h[i]) * neg_lr;
     }
-    score_unit(r, hidden(r, g, lg), g, lg, lg);
+    for (int64_t j = 0; j < m; j++) {
+        acc_t *restrict a = step_of(w, 1, rows[j]);
+        /* every input row of the group receives the mean gradient */
+        for (int64_t i = 0; i < cols; i++)
+            a[i] += (m == 1 ? (acc_t)gh[i] : (acc_t)gh[i] / count) * neg_lr;
+    }
 }
 
 /* mean loss of the batch in hand over its `units` units, summed in unit order */
 static double batch_loss(const run_t *r, int64_t units) {
     double loss_pos = 0.0, loss_neg = 0.0;
     for (int64_t k = 0; k < units; k++) {
-        const float *logs = logs_of(r, k);
+        const float *logs = r->logs + k * (r->negative + 1);
         loss_pos += (double)logs[0];
         for (int64_t t = 1; t <= r->negative; t++) loss_neg += (double)logs[t];
     }
     return -(loss_pos / (double)units) - (loss_neg / (double)units);
 }
 
-/* note contribution k (group or unit lg, vector e) to `row`; it is kept,
-   and the next free k returned, only if this thread owns the row. No
-   branch: which rows a thread owns is as good as random. */
-static inline int32_t keep_owned(worker_t *w, int64_t row, int64_t lg, int64_t e, int32_t k) {
-    int64_t q = row_div(w->run, row);
-    w->quot[k] = (int32_t)q;
-    w->grp[k] = (int32_t)lg;
-    w->ent[k] = (int32_t)e;
-    return k + (row - q * w->run->team.threads == w->id);
-}
-
-/* sort the n kept contributions by row, keeping the order they were met
-   in within a row: a counting sort over the rows touched */
-static void sort_by_row(worker_t *w, int32_t n) {
+/* each touched row's summed step, clipped by the norm its panels'
+   partials make, added in panel order, and added in this thread's
+   columns; the slots are cleared for the next batch */
+static void add_rows(worker_t *w) {
     const run_t *r = w->run;
-    w->rows = 0;
-    for (int32_t k = 0; k < n; k++) {
-        int32_t s = w->slot[w->quot[k]];
-        if (s < 0) {
-            s = (int32_t)w->rows++;
-            w->slot[w->quot[k]] = s;
-            w->row[s] = (int32_t)(w->quot[k] * r->team.threads + w->id);
-            w->end[s] = 0;
-        }
-        w->end[s]++;
-        w->quot[k] = s;
-    }
-    int32_t at = 0;
     for (int64_t s = 0; s < w->rows; s++) {
-        int32_t count = w->end[s];
-        w->end[s] = at;
-        at += count;
-        w->slot[row_div(r, w->row[s])] = -1;
-    }
-    for (int32_t k = 0; k < n; k++) {
-        int32_t to = w->end[w->quot[k]]++;
-        w->row_grp[to] = w->grp[k];
-        w->row_ent[to] = w->ent[k];
-    }
-}
-
-/* Phase 2 of batch b, groups [g0, g0 + groups), for the output rows this
-   thread owns: each is summed from zero in (group, target) order,
-   clipped and added to the weights. A CBOW contribution is a record's
-   coefficient times h, a skip-gram one a group's sum for the target.
-   Reads w_in, writes w_out. */
-static void update_out_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) {
-    const run_t *r = w->run;
-    int64_t d = r->d, targets = r->negative + 1;
-    double neg_lr = -r->lr[b];
-    acc_t *restrict acc = w->acc;
-    int32_t n = 0;
-    for (int64_t lg = 0; lg < groups; lg++) {
-        int64_t e = r->cbow ? lg * r->record_floats : lg * targets;
-        for (int64_t t = 0; t < targets; t++)
-            n = keep_owned(w, target(r, g0 + lg, lg, t), lg, e + t, n);
-    }
-    sort_by_row(w, n);
-    for (int64_t s = 0, i = 0; s < w->rows; s++) {
-        int64_t next_row = s + 1 < w->rows ? s + 1 : s;
-        prefetch_vector(r->w_out + (int64_t)w->row[next_row] * d, d, 1);
-        memset(acc, 0, (size_t)d * sizeof(acc_t));
-        for (; i < w->end[s]; i++) {
-            int64_t a = i + AHEAD < n ? i + AHEAD : n - 1;
-            if (r->cbow) {
-                prefetch_vector(hidden(r, g0 + w->row_grp[a], w->row_grp[a]), d, 0);
-                __builtin_prefetch(r->records + w->row_ent[a]);
-                add_step(acc, hidden(r, g0 + w->row_grp[i], w->row_grp[i]),
-                         r->records[w->row_ent[i]], neg_lr, d);
-            } else {
-                prefetch_vector(r->sums + (int64_t)w->row_ent[a] * d, d, 0);
-                add_step(acc, r->sums + (int64_t)w->row_ent[i] * d, 1.0f, neg_lr, d);
-            }
+        const acc_t *acc = w->acc + s * w->cols;
+        acc_t scale = 1.0;
+        if (r->clip >= 0.0) {
+            acc_t sq = r->norms[s];
+            for (int64_t p = 1; p < r->panels; p++) sq += r->norms[p * r->norm_stride + s];
+            acc_t norm = sqrt(sq), ratio = r->clip / (norm > 1e-12 ? norm : 1e-12);
+            scale = ratio < 1.0 ? ratio : 1.0;
         }
-        apply_row(r->w_out + (int64_t)w->row[s] * d, acc, d, r->clip);
+        int64_t in = w->row[s] >= r->vocab, row = w->row[s] - in * r->vocab;
+        float *restrict to = (in ? w->in : w->out) + row * w->ws;
+        for (int64_t i = 0; i < w->cols; i++) to[i] += (float)(acc[i] * scale);
+        w->slot[w->row[s]] = -1;
     }
 }
 
-/* The same for the input rows this thread owns: a CBOW row receives its
-   group's gh over the group's size, a skip-gram row its own unit's gh.
-   Reads gh, writes w_in. */
-static void update_in_rows(worker_t *w, int64_t b, int64_t g0, int64_t groups) {
+/* a thread with a copy of its columns fills it first and writes it back last */
+static void copy_columns(const worker_t *w, int back) {
     const run_t *r = w->run;
-    int64_t d = r->d;
-    double neg_lr = -r->lr[b];
-    acc_t *restrict acc = w->acc;
-    int32_t n = 0;
-    for (int64_t lg = 0, unit = 0; lg < groups; lg++) {
-        const int32_t *rows = r->in_rows + r->row_start[g0 + lg];
-        int64_t m = group_size(r, g0 + lg);
-        for (int64_t j = 0; j < m; j++, unit++) n = keep_owned(w, rows[j], r->cbow ? lg : unit, 0, n);
-    }
-    sort_by_row(w, n);
-    for (int64_t s = 0, i = 0; s < w->rows; s++) {
-        int64_t next_row = s + AHEAD < w->rows ? s + AHEAD : w->rows - 1;
-        prefetch_vector(r->w_in + (int64_t)w->row[next_row] * d, d, 1);
-        memset(acc, 0, (size_t)d * sizeof(acc_t));
-        for (; i < w->end[s]; i++) {
-            int64_t a = i + AHEAD < n ? i + AHEAD : n - 1;
-            prefetch_vector(r->gh + (int64_t)w->row_grp[a] * d, d, 0);
-            const float *restrict gh = r->gh + (int64_t)w->row_grp[i] * d;
-            int64_t m = r->cbow ? group_size(r, g0 + w->row_grp[i]) : 1;
-            if (m == 1) {
-                add_step(acc, gh, 1.0f, neg_lr, d);
-            } else {
-                /* every input row of the group receives the mean gradient */
-                double count = (double)m;
-                for (int64_t j = 0; j < d; j++)
-                    acc[j] += ((acc_t)gh[j] / count) * neg_lr;
-            }
-        }
-        apply_row(r->w_in + (int64_t)w->row[s] * d, acc, d, r->clip);
+    size_t bytes = (size_t)w->cols * sizeof(float);
+    for (int64_t row = 0; w->ws != r->d && row < r->vocab; row++) {
+        float *in = r->w_in + row * r->d + w->c0, *out = r->w_out + row * r->d + w->c0;
+        memcpy(back ? in : w->in + row * w->ws, back ? w->in + row * w->ws : in, bytes);
+        memcpy(back ? out : w->out + row * w->ws, back ? w->out + row * w->ws : out, bytes);
     }
 }
 
-/* Which thread scores group g of the batch starting at g0: a CBOW group
-   goes to the owner of its first input row, so that a lone row and its
-   gradient stay in one CPU's cache; skip-gram groups are dealt out in
-   consecutive runs of about the same number of rows, since a group's
-   work grows with its rows and the rows of a window are many owners'. */
-static inline int64_t scorer(const run_t *r, int64_t g0, int64_t g, int64_t batch_rows) {
-    if (r->cbow) {
-        int64_t row = r->in_rows[r->row_start[g]];
-        return row - row_div(r, row) * r->team.threads;
-    }
-    return (r->row_start[g] - r->row_start[g0]) * r->team.threads / batch_rows;
-}
-
-/* What every thread of a call runs, batch after batch. Output rows are
-   summed while w_in still holds the pre-batch rows they read, input rows
-   after. */
+/* What every thread of a call runs, batch after batch. With more than
+   one, phase 1 meets two barriers: after the partial dot products, and
+   after the terms, which the threads share by unit range; and a clip a
+   third, once every touched row's partial norms are in. Rows are added
+   at the end of a batch, all of whose steps read the pre-batch weights.
+   A thread past the last panel only takes its share of terms. */
 static void train_batches(worker_t *w) {
     run_t *r = w->run;
+    int64_t threads = r->team.threads, own = w->p0 < w->p1;
+    if (own) copy_columns(w, 0);
     for (int64_t b = 0; b < r->batches; b++) {
-        int64_t g0 = r->batch_off[b], g1 = r->batch_off[b + 1];
-        int64_t batch_rows = r->row_start[g1] - r->row_start[g0];
-        int64_t drawn = -1;
-        for (int64_t g = g0; g < g1; g++) {
-            if (scorer(r, g0, g, batch_rows) != w->id) continue;
-            draw_negatives(r, g, g - g0);
-            if (drawn >= 0) score_group(r, g0, drawn);
-            drawn = g;
+        int64_t g0 = r->batch_off[b], g1 = r->batch_off[b + 1], units = first_unit(r, g0, g1);
+        w->neg_lr = -r->lr[b];
+        w->rows = 0;
+        for (int64_t g = g0; own && g <= g1; g++) {
+            if (g < g1) {
+                cdf_search(r->cdf, r->vocab, r->guide, r->buckets, r->u + g * r->negative,
+                           r->negative, w->negs + (g - g0) * r->negative);
+                prefetch_group(w, g, g - g0);
+            }
+            if (g > g0) group_dots(w, g0, g - 1);
         }
-        if (drawn >= 0) score_group(r, g0, drawn);
         barrier_wait(&r->team.barrier);
-        if (w->id == b % r->team.threads)
-            r->losses[b] = batch_loss(r, r->cbow ? g1 - g0 : batch_rows);
-        update_out_rows(w, b, g0, g1 - g0);
+        unit_terms(r, units * w->id / threads, units * (w->id + 1) / threads);
         barrier_wait(&r->team.barrier);
-        update_in_rows(w, b, g0, g1 - g0);
-        barrier_wait(&r->team.barrier);
+        for (int64_t g = g0; own && g < g1; g++) {
+            if (g + 1 < g1) prefetch_group(w, g + 1, g + 1 - g0);
+            group_steps(w, g0, g);
+        }
+        if (w->id == b % threads) r->losses[b] = batch_loss(r, units);
+        for (int64_t s = 0; own && r->clip >= 0.0 && s < w->rows; s++)
+            for (int64_t p = w->p0; p < w->p1; p++)
+                r->norms[p * r->norm_stride + s] = sumsq_acc(w->acc + s * w->cols + p * PANEL - w->c0,
+                                                             panel_width(r, p));
+        if (threads > 1 && r->clip >= 0.0) barrier_wait(&r->team.barrier);
+        if (own) add_rows(w);
     }
+    if (own) copy_columns(w, 1);
 }
 
 static void *helper_main(void *arg) {
@@ -610,67 +636,102 @@ static inline size_t round64(size_t n) { return (n + 63) & ~(size_t)63; }
    `batches` (>= 1), one after the other, each against the weights the
    one before left; losses[b] is batch b's mean loss. `threads` > 0 is
    used as given; otherwise the number of CPUs in the caller's affinity
-   mask, limited by MIN_WORK_PER_THREAD and MAX_THREADS. max_kept bounds
-   the output targets, and the input rows, of any one batch. slot is all -1
-   on entry and on return, and holds vocab + 16 * MAX_THREADS entries.
-   Returns the number of threads used, or -1 when memory ran out (before
-   anything was touched). */
+   mask, limited by MIN_WORK_PER_THREAD, the panels and MAX_THREADS; the
+   first threads take the panels, in as even runs as may be. negs ends
+   holding the last batch's negatives. Returns the number of threads
+   used, or -1 when memory ran out (before anything was touched). */
 int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d, int64_t cbow,
                 int64_t batches, const int64_t *batch_off,
                 const int32_t *in_rows, const int64_t *row_start,
                 const int32_t *out_pos, int64_t negative,
-                const double *u, const double *cdf, const double *lr,
-                double clip, double *losses, int64_t threads, int64_t max_kept,
-                int32_t *slot, float *records, int64_t record_floats,
-                int64_t *negs, float *h, float *gh, float *sums) {
+                const double *u, const double *cdf, const int32_t *guide, int64_t buckets,
+                const double *lr, double clip, double *losses, int64_t threads,
+                int64_t *negs) {
     run_t run = {
-        .w_in = w_in, .w_out = w_out, .vocab = vocab, .d = d, .negative = negative,
-        .batches = batches, .cbow = cbow, .batch_off = batch_off, .in_rows = in_rows,
-        .row_start = row_start, .out_pos = out_pos, .u = u, .cdf = cdf, .lr = lr,
-        .clip = clip, .losses = losses, .records = records,
-        .record_floats = record_floats, .negs = negs, .h = h, .gh = gh, .sums = sums,
+        .w_in = w_in, .w_out = w_out, .vocab = vocab, .d = d, .panels = (d + PANEL - 1) / PANEL,
+        .negative = negative, .batches = batches, .cbow = cbow, .batch_off = batch_off,
+        .in_rows = in_rows, .row_start = row_start, .out_pos = out_pos, .u = u, .cdf = cdf,
+        .guide = guide, .buckets = buckets, .lr = lr, .clip = clip, .losses = losses,
     };
     worker_t workers[MAX_THREADS];
     int64_t groups = batch_off[batches], rows = row_start[groups];
+    int64_t max_groups = 0, max_rows = 0, max_size = 0;
     int64_t vectors = (cbow ? groups : rows) * (1 + negative) + rows;
-    threads = team_size(&run.team, threads, vectors / batches * d / MIN_WORK_PER_THREAD);
-
-    int64_t max_rows = max_kept < vocab ? max_kept : vocab;
-    size_t acc_bytes = round64((size_t)d * sizeof(acc_t));
-    size_t own_bytes = acc_bytes
-        + round64((size_t)(5 * max_kept + 2 * max_rows) * sizeof(int32_t));
-    void *block;
-    if (posix_memalign(&block, 64, (size_t)threads * own_bytes)) return -1;
-    char *memory = block;
-
-    for (int64_t t = 0; t < threads; t++) {
-        workers[t].run = &run;
-        workers[t].id = t;
+    int64_t shares = vectors / batches * d / MIN_WORK_PER_THREAD;
+    threads = team_size(&run.team, threads, shares < run.panels ? shares : run.panels);
+    for (int64_t b = 0; b < batches; b++) {
+        int64_t g0 = batch_off[b], g1 = batch_off[b + 1], n = row_start[g1] - row_start[g0];
+        max_groups = g1 - g0 > max_groups ? g1 - g0 : max_groups;
+        max_rows = n > max_rows ? n : max_rows;
     }
+    for (int64_t g = 0; g < groups; g++)
+        max_size = group_size(&run, g) > max_size ? group_size(&run, g) : max_size;
+    int64_t max_targets = max_groups * (1 + negative), units = cbow ? max_groups : max_rows;
+    int64_t touched = (max_targets < vocab ? max_targets : vocab) + (max_rows < vocab ? max_rows : vocab);
+    run.dot_stride = (int64_t)(round64((size_t)(units * (1 + negative)) * sizeof(float)) / sizeof(float));
+    run.norm_stride = (int64_t)(round64((size_t)touched * sizeof(acc_t)) / sizeof(acc_t));
+
+    for (int64_t t = 0; t < threads; t++)
+        workers[t] = (worker_t){.run = &run, .id = t};
     threads = team_start(&run.team, threads, helper_main, workers, sizeof *workers);
-    run.magic = UINT64_MAX / (uint64_t)threads + 1;
-    /* each thread's slots are whole cache lines of the shared map */
-    int64_t slots = ((vocab + threads - 1) / threads + 15) & ~(int64_t)15;
-    for (int64_t t = 0; t < threads; t++) {
+    int64_t cols = (run.panels + threads - 1) / threads * PANEL;
+    cols = cols < d ? cols : d;
+    /* threads sharing rows work on copies of their columns, unless the
+       copies (in, and back out: four passes over the rows) would cost
+       more than a 64th of the call's vector passes */
+    int64_t copy = cols < d && 4 * 64 * vocab <= vectors;
+    size_t sizes[] = { /* a thread's: */
+        (size_t)(touched * cols) * sizeof(acc_t),            /* acc */
+        (size_t)(copy ? vocab * cols : 0) * sizeof(float), /* the weights' copies */
+        (size_t)(copy ? vocab * cols : 0) * sizeof(float),
+        (size_t)((cbow ? max_groups : 0) * cols) * sizeof(float), /* h */
+        (size_t)(max_size * cols) * sizeof(float),           /* gh */
+        (size_t)max_size * sizeof(acc_t *),                  /* to_in */
+        (size_t)(max_groups * negative) * sizeof(int64_t),   /* negs */
+        (size_t)touched * sizeof(int64_t),                   /* row */
+        (size_t)(2 * vocab) * sizeof(int32_t),               /* slot */
+    };
+    size_t shared = (size_t)((run.panels + 2) * run.dot_stride) * sizeof(float)
+        + (size_t)(run.panels * run.norm_stride) * sizeof(acc_t), own_bytes = 0;
+    for (size_t k = 0; k < sizeof sizes / sizeof *sizes; k++) own_bytes += round64(sizes[k]);
+    void *block = NULL;
+    int64_t ok = posix_memalign(&block, 64, shared + (size_t)threads * own_bytes) == 0;
+    if (!ok) {
+        block = NULL;
+        run.batches = 0; /* the helpers start and stop at once */
+    } else {
+        run.dots = block;
+        run.coefs = run.dots + run.panels * run.dot_stride;
+        run.logs = run.coefs + run.dot_stride;
+        run.norms = (acc_t *)(run.logs + run.dot_stride);
+    }
+    for (int64_t t = 0; ok && t < threads; t++) {
         worker_t *w = workers + t;
-        char *own = memory + (size_t)t * own_bytes;
-        w->acc = (acc_t *)own;
-        w->quot = (int32_t *)(own + acc_bytes);
-        w->grp = w->quot + max_kept;
-        w->ent = w->grp + max_kept;
-        w->row_grp = w->ent + max_kept;
-        w->row_ent = w->row_grp + max_kept;
-        w->row = w->row_ent + max_kept;
-        w->end = w->row + max_rows;
-        w->slot = slot + t * slots;
+        char *at[sizeof sizes / sizeof *sizes], *own = (char *)block + shared + (size_t)t * own_bytes;
+        for (size_t k = 0; k < sizeof sizes / sizeof *sizes; own += round64(sizes[k]), k++) at[k] = own;
+        w->p0 = (t * run.panels + threads - 1) / threads;
+        w->p1 = ((t + 1) * run.panels + threads - 1) / threads;
+        w->c0 = w->p0 * PANEL < d ? w->p0 * PANEL : d;
+        w->cols = (w->p1 * PANEL < d ? w->p1 * PANEL : d) - w->c0;
+        w->ws = copy ? w->cols : d;
+        w->acc = (acc_t *)at[0];
+        w->in = copy ? (float *)at[1] : w_in + w->c0;
+        w->out = copy ? (float *)at[2] : w_out + w->c0;
+        w->h = (float *)at[3];
+        w->gh = (float *)at[4];
+        w->to_in = (acc_t **)at[5];
+        w->negs = t == 0 ? negs : (int64_t *)at[6];
+        w->row = (int64_t *)at[7];
+        w->slot = (int32_t *)at[8];
+        memset(w->slot, 0xff, sizes[8]);
     }
     team_go(&run.team);
     train_batches(workers);
     team_join(&run.team);
     free(block);
-    return threads;
+    return ok ? threads : -1;
 }
-"""
+""".replace("@PANEL@", str(PANEL_COLUMNS))
 
 _F32P = ctypes.POINTER(ctypes.c_float)
 _F64P = ctypes.POINTER(ctypes.c_double)
@@ -681,13 +742,14 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 def _load(so_path: str):
     lib = ctypes.CDLL(so_path)
     lib.cdf_search.restype = None
-    lib.cdf_search.argtypes = [_F64P, ctypes.c_int64, _F64P, ctypes.c_int64, _I64P]
+    lib.cdf_search.argtypes = [
+        _F64P, ctypes.c_int64, _I32P, ctypes.c_int64, _F64P, ctypes.c_int64, _I64P,
+    ]
     lib.w2v_run.restype = ctypes.c_int64
     lib.w2v_run.argtypes = [
         _F32P, _F32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, _I64P, _I32P, _I64P, _I32P, ctypes.c_int64,
-        _F64P, _F64P, _F64P, ctypes.c_double, _F64P, ctypes.c_int64, ctypes.c_int64,
-        _I32P, _F32P, ctypes.c_int64, _I64P, _F32P, _F32P, _F32P,
+        _F64P, _F64P, _I32P, ctypes.c_int64, _F64P, ctypes.c_double, _F64P, ctypes.c_int64, _I64P,
     ]
     return lib
 
@@ -712,29 +774,25 @@ def _check_rows(name: str, rows: np.ndarray, vocab: int) -> None:
         raise TrainingError(f"learn kernel: {name} holds an index outside [0, {vocab})")
 
 
-def _cache_aligned(count: int, dtype) -> np.ndarray:
-    """``count`` uninitialised items starting on a 64-byte cache line, so
-    that rows written by different threads share as few lines as may be."""
-    nbytes = count * np.dtype(dtype).itemsize
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start : start + nbytes].view(dtype)
+def cdf_guide(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of the kernel's inverse-CDF search: for ``K``, the
+    power of two at or above ``cdf.size``, entry ``k`` is the count of
+    ``cdf`` entries ``<= k / K`` (int32: the kernel's rows are)."""
+    buckets = 1 << (cdf.size - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(buckets) / buckets, side="right").astype(np.int32)
 
 
 class BatchScratch:
-    """Work buffers of the C batch update, owned by one trainer.
+    """What the C batch update keeps between calls, owned by one trainer.
 
     Sized from the vocabulary, the dimension, the trainer's ``mode`` and
     the largest batch it will issue (``max_in_rows`` input rows in
-    ``max_groups`` groups with ``negative`` negatives each): what phase 1
-    stores per unit of a batch (coefficients, log terms and the gradient
-    of what it scored; a unit is a CBOW group or a skip-gram input row),
-    per group (its negatives; the mean of its rows in CBOW, its summed
-    target gradients in skip-gram) and the map from a row to its place
-    among the rows a batch touches. Nothing here depends on the thread
-    count; what does (one accumulator row and the sorted contributions
-    per thread) is allocated by the call that knows it. A trainer
-    rebuilds the scratch when ``expand_vocab`` swaps its matrices.
+    ``max_groups`` groups with ``negative`` negatives each): the
+    negatives of the last batch and the guide table of the last CDF
+    searched. What a batch needs besides (the panels' partials, the
+    units' terms, and each thread's vectors and accumulators in its
+    columns) is allocated by the call, which knows the thread count. A
+    trainer rebuilds the scratch when ``expand_vocab`` swaps its matrices.
     """
 
     def __init__(
@@ -742,12 +800,7 @@ class BatchScratch:
     ):
         if mode not in ("skipgram", "cbow"):
             raise TrainingError(f"learn kernel: mode must be skipgram or cbow, got {mode!r}")
-        cbow = mode == "cbow"
-        units = max_groups if cbow else max_in_rows
-        # a unit's record: 1 + negative float32 coefficients and as many
-        # log terms; whole cache lines
-        record_floats = -(-(2 * negative + 2) // 16) * 16
-        if max(units * record_floats, max_in_rows, max_groups * (negative + 1)) >= 2**31:
+        if max_in_rows + max_groups * (negative + 1) >= 2**31:
             raise TrainingError("learn kernel: a batch must stay below 2**31 targets and rows")
         self.vocab = vocab
         self.dim = dim
@@ -755,25 +808,18 @@ class BatchScratch:
         self.max_groups = max_groups
         self.negative = negative
         self.mode = mode
-        #: all -1 between calls; padded so every thread's share can start
-        #: on a cache line
-        self.slot = _cache_aligned(vocab + 16 * MAX_THREADS, np.int32)
-        self.slot.fill(-1)
-        self.records = _cache_aligned(units * record_floats, np.float32)
+        self._cdf = self._guide = None
         #: negative indices of the last batch, one row per group
-        self.neg = _cache_aligned(max_groups * negative, np.int64).reshape(max_groups, negative)
-        self.h = _cache_aligned(max_groups * dim if cbow else 0, np.float32)
-        self.gh = _cache_aligned(units * dim, np.float32)
-        self.sums = _cache_aligned(0 if cbow else max_groups * (negative + 1) * dim, np.float32)
+        self.neg = np.empty((max_groups, negative), dtype=np.int64)
         #: threads the last run used (1: no helper thread was created)
         self.threads = 0
-        #: the buffers above as the trailing arguments of ``w2v_run``,
-        #: converted once: they live, unmoved, as long as this object
-        self.pointers = (
-            self.slot.ctypes.data_as(_I32P), self.records.ctypes.data_as(_F32P), record_floats,
-            self.neg.ctypes.data_as(_I64P), self.h.ctypes.data_as(_F32P),
-            self.gh.ctypes.data_as(_F32P), self.sums.ctypes.data_as(_F32P),
-        )
+
+    def guide(self, cdf: np.ndarray) -> np.ndarray:
+        """:func:`cdf_guide` of ``cdf``, built once for a read-only CDF
+        (a sampler's) and again for every call with a writeable one."""
+        if cdf is not self._cdf or cdf.flags.writeable:
+            self._cdf, self._guide = cdf, cdf_guide(cdf)
+        return self._guide
 
 
 class CTrainKernel:
@@ -795,10 +841,13 @@ class CTrainKernel:
         _check_array("u", u, np.float64, 1)
         if cdf.size == 0:
             raise TrainingError("learn kernel: empty cdf")
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+            raise TrainingError("learn kernel: uniforms must lie in [0, 1)")
+        guide = cdf_guide(cdf)
         out = np.empty(u.size, dtype=np.int64)
         self._lib.cdf_search(
-            cdf.ctypes.data_as(_F64P), cdf.size, u.ctypes.data_as(_F64P), u.size,
-            out.ctypes.data_as(_I64P),
+            cdf.ctypes.data_as(_F64P), cdf.size, guide.ctypes.data_as(_I32P), guide.size,
+            u.ctypes.data_as(_F64P), u.size, out.ctypes.data_as(_I64P),
         )
         return out
 
@@ -874,16 +923,16 @@ class CTrainKernel:
         batch_rows = np.diff(row_start[offsets])
         if batch_groups.max() > scratch.max_groups or batch_rows.max() > scratch.max_in_rows:
             raise TrainingError("learn kernel: batch larger than the scratch was sized for")
-        max_kept = max(int(batch_groups.max()) * (1 + scratch.negative), int(batch_rows.max()))
+        guide = scratch.guide(cdf)
         used = self._lib.w2v_run(
             w_in.ctypes.data_as(_F32P), w_out.ctypes.data_as(_F32P), vocab, dim,
             int(scratch.mode == "cbow"), losses.size, offsets.ctypes.data_as(_I64P),
             in_rows.ctypes.data_as(_I32P), row_start.ctypes.data_as(_I64P),
             out_pos.ctypes.data_as(_I32P), scratch.negative,
-            u.ctypes.data_as(_F64P), cdf.ctypes.data_as(_F64P), lrs.ctypes.data_as(_F64P),
+            u.ctypes.data_as(_F64P), cdf.ctypes.data_as(_F64P),
+            guide.ctypes.data_as(_I32P), guide.size, lrs.ctypes.data_as(_F64P),
             -1.0 if max_row_step is None else float(max_row_step),
-            losses.ctypes.data_as(_F64P), threads or 0, max_kept,
-            *scratch.pointers,
+            losses.ctypes.data_as(_F64P), threads or 0, scratch.neg.ctypes.data_as(_I64P),
         )
         if used < 1:
             raise TrainingError("learn kernel: out of memory for the threads' work buffers")
@@ -926,4 +975,7 @@ def resolve_train_kernel() -> CTrainKernel | None:
         return None
 
 
-__all__ = ["ACCUM_DTYPE", "BatchScratch", "CTrainKernel", "MAX_THREADS", "resolve_train_kernel"]
+__all__ = [
+    "ACCUM_DTYPE", "BatchScratch", "CTrainKernel", "MAX_THREADS", "PANEL_COLUMNS",
+    "cdf_guide", "resolve_train_kernel",
+]

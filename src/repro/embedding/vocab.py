@@ -35,7 +35,9 @@ class Vocabulary:
         kept = np.flatnonzero(counts >= max(min_count, 1))
         if kept.size == 0:
             raise VocabularyError("vocabulary is empty after min_count filtering")
-        order = np.argsort(counts[kept])[::-1]
+        # descending count, ties in ascending token id: a stable sort, so
+        # the order does not depend on which SIMD argsort NumPy dispatches to
+        order = np.argsort(-counts[kept], kind="stable")
         #: token id of each dense index, frequency-descending
         self.tokens = kept[order]
         #: occurrence count aligned with :attr:`tokens`

@@ -35,7 +35,9 @@ def assign_states_greedily(graph, model, table_budget_bytes: int) -> np.ndarray:
     table_degrees = model.state_table_degrees(graph)
     if table_degrees.size != size:
         raise SamplerError("model reported inconsistent state-space metadata")
-    order = np.argsort(table_degrees)[::-1]
+    # descending degree, ties in ascending state order: a stable sort, so
+    # the choice does not depend on which SIMD argsort NumPy dispatches to
+    order = np.argsort(-table_degrees.astype(np.int64), kind="stable")
     costs = table_degrees[order].astype(np.int64) * ALIAS_ENTRY_BYTES
     cumulative = np.cumsum(costs)
     chosen = order[: int(np.searchsorted(cumulative, table_budget_bytes, side="right"))]
