@@ -33,9 +33,10 @@ joined before it returns, so nothing outlives it: no pool, no lock held
 across calls, nothing a ``fork`` could copy half-way. A batch is shared
 by *columns*: the columns come in fixed panels of :data:`PANEL_COLUMNS`,
 each thread takes a run of them and does every unit's work (a unit is
-the CBOW mean, or a skip-gram row) in its own columns alone, on its own
-copy of the weights' columns and in its own gradient and accumulator
-rows, so that no cache line holds two threads' columns. Per batch a
+the CBOW mean, or a skip-gram row) in its own columns alone, in its own
+gradient and accumulator rows and, unless the vocabulary is too large
+for a call to pay for it, on its own copy of the weights' columns, so
+that no cache line holds two threads' columns. Per batch a
 thread draws the groups' negatives and computes each unit's partial dot
 products with its ``1 + negative`` targets, one per panel, at the
 pre-batch weights; after a barrier the threads turn units, by range,
@@ -678,8 +679,10 @@ int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d, int64_t cbo
     cols = cols < d ? cols : d;
     /* threads sharing rows work on copies of their columns, unless the
        copies (in, and back out: four passes over the rows) would cost
-       more than a 64th of the call's vector passes */
-    int64_t copy = cols < d && 4 * 64 * vocab <= vectors;
+       more than an eighth of the call's vector passes: at d = 128 on two
+       threads, copies took 0.7x the time in place at 450 rows, 0.8x at
+       16 k and 1.5x at 262 k (one call of 514 skip-gram batches) */
+    int64_t copy = cols < d && 4 * 8 * vocab <= vectors;
     size_t sizes[] = { /* a thread's: */
         (size_t)(touched * cols) * sizeof(acc_t),            /* acc */
         (size_t)(copy ? vocab * cols : 0) * sizeof(float), /* the weights' copies */

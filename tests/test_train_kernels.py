@@ -631,15 +631,16 @@ class TestRunEntry:
 # the threads under ThreadSanitizer
 # ---------------------------------------------------------------------------
 #: A ``main`` around the kernel source: a generated run of batches (d
-#: three panels, the last one narrower; a vocabulary of 8, so that every
-#: batch meets a row many times and skip-gram works on copies of the
-#: columns, CBOW in place), trained in both modes with the clip on and
-#: off at the thread counts given on the command line.
+#: three panels, the last one narrower; input rows from the first 5, so
+#: that every batch meets a row many times; 48 rows, so that skip-gram
+#: works on copies of the columns and CBOW in place), trained in both
+#: modes with the clip on and off at the thread counts given on the
+#: command line.
 TSAN_MAIN = r"""
 int main(int argc, char **argv) {
-    enum { V = 8, D = 2 * PANEL + 7, G = 160, NEG = 3, B = 5, MAXM = 6 };
+    enum { V = 48, D = 2 * PANEL + 7, G = 160, NEG = 3, B = 5, MAXM = 6 };
     static float w_in[V * D], w_out[V * D];
-    static int32_t in_rows[G * MAXM], out_pos[G], guide[32];
+    static int32_t in_rows[G * MAXM], out_pos[G], guide[64];
     static int64_t off[B + 1], row_start[G + 1], negs[G * NEG];
     static double u[G * NEG], cdf[V], lr[B], losses[B];
     uint64_t x = 88172645463325252u;
@@ -648,8 +649,8 @@ int main(int argc, char **argv) {
     for (int v = 0; v < V; v++) cdf[v] = total += 1.0 + (double)(NEXT() % 9);
     for (int v = 0; v < V; v++) cdf[v] /= total;
     cdf[V - 1] = 1.0;
-    for (int k = 0, i = 0; k < 32; k++) {
-        while (i < V && cdf[i] <= k / 32.0) i++;
+    for (int k = 0, i = 0; k < 64; k++) {
+        while (i < V && cdf[i] <= k / 64.0) i++;
         guide[k] = i;
     }
     for (int g = 0; g < G; g++) {
@@ -668,7 +669,7 @@ int main(int argc, char **argv) {
             }
             int64_t threads = atoi(argv[a]);
             if (w2v_run(w_in, w_out, V, D, mode & 1, B, off, in_rows, row_start, out_pos, NEG,
-                        u, cdf, guide, 32, lr, mode & 2 ? -1.0 : 0.25, losses, threads,
+                        u, cdf, guide, 64, lr, mode & 2 ? -1.0 : 0.25, losses, threads,
                         negs) != threads)
                 return 2;
         }
