@@ -187,13 +187,13 @@ class StreamingConfig:
         undirected graphs, no extra pass); ``"exact"`` runs a counting
         pass over a regenerated walk stream first (costs Tw twice, but
         reproduces the monolithic vocabulary bit-for-bit).
-    block_walks:
-        override for the trainer's canonical block size (see
-        :class:`repro.embedding.Word2Vec`). Defaults to the shard size,
-        which keeps the trainer's partial-block buffer within one shard;
-        set it to the trainer default (8192) together with
-        ``vocab="exact"`` and ``overlap=False`` to reproduce a monolithic
-        run of the same seed bit-for-bit.
+
+    The trainer's canonical block size is ``TrainConfig.extra["block_walks"]``
+    (see :class:`repro.embedding.Word2Vec`); a streamed run defaults it
+    to the shard size, which keeps the trainer's partial-block buffer
+    within one shard. Set it to the trainer default (8192) together with
+    ``vocab="exact"`` and ``overlap=False`` to reproduce a monolithic run
+    of the same seed bit-for-bit.
     """
 
     enabled: bool = True
@@ -202,11 +202,9 @@ class StreamingConfig:
     overlap: bool = False
     queue_shards: int = 2
     vocab: str = field(default="degree", metadata={"choices": STREAMING_VOCAB_MODES})
-    block_walks: int | None = None
 
     def __post_init__(self):
-        counts = ("shard_walks", "max_corpus_bytes", "queue_shards", "block_walks")
-        check_counts(self, counts, "streaming.")
+        check_counts(self, ("shard_walks", "max_corpus_bytes", "queue_shards"), "streaming.")
         if self.shard_walks is not None and self.max_corpus_bytes is not None:
             raise WalkError(
                 "streaming.shard_walks and streaming.max_corpus_bytes are "

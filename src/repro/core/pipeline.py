@@ -391,14 +391,11 @@ def train_pipeline(
             raise WalkError("no valid start nodes for this model/graph")
         corpus, total_walks = None, walk_config.num_walks * starts.size
         shard_walks = streaming.resolve_shard_walks(walk_config.walk_length, starts.size)
-        if streaming.block_walks is not None:
-            trainer_kwargs["block_walks"] = streaming.block_walks
-        else:
-            # align canonical blocks with the shards so the trainer's partial
-            # block buffer never outgrows one shard — the memory bound stays
-            # O(shard). (Set streaming.block_walks explicitly — e.g. to the
-            # trainer default — to reproduce a monolithic run bit-for-bit.)
-            trainer_kwargs.setdefault("block_walks", shard_walks)
+        # align canonical blocks with the shards so the trainer's partial
+        # block buffer never outgrows one shard — the memory bound stays
+        # O(shard). (Set train.extra["block_walks"] explicitly — e.g. to the
+        # trainer default — to reproduce a monolithic run bit-for-bit.)
+        trainer_kwargs.setdefault("block_walks", shard_walks)
 
         def open_stream(charged):
             with meter.walking():

@@ -13,6 +13,8 @@ kernel's search is tested equal to it for every ``u``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import TrainingError
@@ -35,7 +37,11 @@ class NegativeSampler:
             raise TrainingError("counts must be a non-empty 1-D array")
         if np.any(counts < 0):
             raise TrainingError("counts must be non-negative")
-        smoothed = counts**power
+        # libm's pow once per distinct count, not np.power: NumPy picks that
+        # kernel by the CPU (its AVX-512 one rounds otherwise), and the
+        # CDF's bits must be the same on every host
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        smoothed = np.array([math.pow(c, power) for c in distinct.tolist()])[inverse]
         total = smoothed.sum()
         if total <= 0:
             raise TrainingError("all counts are zero")

@@ -8,13 +8,12 @@ first-order models but ``|E|`` tables (each of size deg) for second-order
 models, i.e. Σ indeg·outdeg entries in total.
 
 This module holds the table construction (:func:`build_alias_table`) and
-:class:`FirstOrderAliasStore`, one table per node over static weights:
-the ``alias-first-order`` stepper's tables and the proposal of the
-rejection, KnightKing and memory-aware steppers. The per-state tables
-over dynamic weights are
-:class:`~repro.walks.vectorized.EagerStateAliasTables`; the steppers
-draw from both through the kernel backend (``alias_draw`` /
-``state_alias_draw``).
+the one flat store of tables, :class:`AliasTables`: per-state tables over
+a model's dynamic weights (the ``alias`` and ``memory-aware`` steppers),
+and per-node tables over the graph's static weights, which are a static
+model's per-state tables and the proposal of the rejection, KnightKing
+and memory-aware steppers. The steppers draw from either form through
+the kernel backend's one gather, ``alias_draw``.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SamplerError
+from repro.sampling.memory_model import ALIAS_ENTRY_BYTES
 
 
 def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,101 +63,196 @@ def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return threshold, alias
 
 
-class FirstOrderAliasStore:
-    """Flat per-node alias tables over static edge weights.
+class AliasTables:
+    """Flat alias tables, one per walker state, stored back to back.
 
-    Tables are stored contiguously, aligned with the CSR edge arrays, so a
-    batch draw for a vector of nodes is a pair of gathers. Unweighted
-    graphs skip the build entirely and sample neighbours uniformly.
+    ``base[s]`` is where state s's ``table_deg[s]`` slots start; a slot
+    holds a threshold and an alias position *local* to the state's row
+    (``alias_local``). ``has_table[s]`` marks the states whose row has
+    positive weight: a draw anywhere else is ``NO_EDGE``, as under
+    every other sampler. Construction runs Vose once per table (the
+    preprocessing cost of alias-based sampling); a draw is the kernel
+    backend's ``alias_draw``, two gathers.
+
+    Two forms share that layout, the build and the refresh:
+
+    * ``AliasTables(graph)``: one table per node over the graph's static
+      weights, ``base = graph.offsets``. These are a static model's
+      per-state tables and the proposal of the rejection samplers. An
+      unweighted graph gets no arrays at all (:attr:`uniform`): it costs
+      0 bytes and a draw takes one uniform, the slot.
+    * ``AliasTables(graph, model, state_mask=)``: one table per valid
+      (and masked) state of the model's
+      :meth:`~repro.walks.models.base.RandomWalkModel.enumerate_state_contexts`,
+      over its dynamic weights.
     """
 
-    def __init__(self, graph):
+    def __init__(self, graph, model=None, *, state_mask=None):
         self.graph = graph
-        self.uniform = not graph.is_weighted
-        if self.uniform:
-            self.threshold = None
-            self.alias = None
-            return
-        m = graph.num_edge_entries
-        # identity tables by default: zero-sum rows degrade to uniform
-        self.threshold = np.ones(m, dtype=np.float64)
-        self.alias = np.arange(m, dtype=np.int64)
-        offsets = graph.offsets
-        for v in range(graph.num_nodes):
-            lo, hi = int(offsets[v]), int(offsets[v + 1])
-            if hi == lo:
-                continue
-            row = graph.weights[lo:hi]
-            if row.sum() <= 0:
-                continue
-            t, a = build_alias_table(row)
-            self.threshold[lo:hi] = t
-            self.alias[lo:hi] = a + lo
+        self.static = model is None
+        self._layout(model, state_mask)
+        if not self.uniform:
+            self._build_states(model, np.flatnonzero(self._valid))
+        self._contexts = None  # transient build scaffolding, not a table
 
-    def memory_bytes(self) -> int:
-        """Resident bytes of the table arrays."""
-        if self.uniform:
+    @property
+    def uniform(self) -> bool:
+        """True for static tables of an unweighted graph: no arrays."""
+        return self.threshold is None
+
+    def _layout(self, model, state_mask) -> None:
+        """Size the flat slot arrays for the current graph."""
+        graph = self.graph
+        if self.static:
+            self._contexts = {"cur": np.arange(graph.num_nodes, dtype=np.int64)}
+            if not graph.is_weighted:
+                self._valid = None
+                self.base = self.table_deg = self.has_table = None
+                self.threshold = self.alias_local = None
+                return
+            table_deg = graph.degrees().astype(np.int64)
+            valid = table_deg > 0
+            self.base = graph.offsets
+        else:
+            contexts = model.enumerate_state_contexts(graph)
+            table_deg = model.state_table_degrees(graph).astype(np.int64).copy()
+            valid = contexts["valid"].copy()
+            if state_mask is not None:
+                valid &= state_mask
+            table_deg[~valid] = 0
+            self._contexts = contexts
+            self.base = np.concatenate(([0], np.cumsum(table_deg)))
+        self._valid = valid
+        self.table_deg = table_deg
+        total = int(self.base[-1])
+        self.threshold = np.ones(total, dtype=np.float64)
+        self.alias_local = np.zeros(total, dtype=np.int64)
+        self.has_table = np.zeros(valid.size, dtype=bool)
+
+    def _build_states(self, model, build_idx: np.ndarray) -> int:
+        """Vose-construct the tables of the given states; returns count."""
+        if build_idx.size == 0:
             return 0
-        return self.threshold.nbytes + self.alias.nbytes
+        from repro.walks._segments import concat_ranges
 
-    def on_delta(self, plan, model=None) -> dict:
-        """Re-layout the flat tables for a mutated graph.
+        contexts = self._contexts
+        cur = contexts["cur"][build_idx]
+        deg = self.table_deg[build_idx]
+        flat_offs, seg = concat_ranges(self.graph.offsets[cur], deg)
+        if self.static:
+            weights = self.graph.weights[flat_offs]
+        else:
+            weights = model.batch_dynamic_weight(
+                contexts["prev"][build_idx][seg],
+                contexts["prev_off"][build_idx][seg],
+                cur[seg],
+                contexts["step"][build_idx][seg],
+                flat_offs,
+            )
+        built = 0
+        cursor = 0
+        for j, idx in enumerate(build_idx):
+            d = int(deg[j])
+            row_w = weights[cursor : cursor + d]
+            cursor += d
+            if float(row_w.sum()) <= 0.0:
+                continue
+            t, a = build_alias_table(row_w)
+            b = int(self.base[idx])
+            self.threshold[b : b + d] = t
+            self.alias_local[b : b + d] = a
+            self.has_table[idx] = True
+            built += 1
+        return built
 
-        Untouched rows are *copied* (their distributions are unchanged —
-        only their global offsets shifted); Vose construction reruns
-        only for rows the delta touched. ``rebuild_cost_bytes`` counts
-        the rebuilt table bytes, the cost a per-node-table sampler pays
-        per update and the M-H sampler does not. First-order tables
-        depend only on static weights, so ``model`` (accepted for the
-        canonical protocol) is ignored.
+    def on_delta(self, plan, model=None, *, state_mask=None) -> dict:
+        """Re-layout for a mutated graph, rebuilding only affected states.
+
+        A state is affected when the delta touched the row it draws from
+        or (for second-order models) its predecessor's row; every other
+        surviving state's table is copied into the new layout
+        (``alias_local`` is row-local, so a copied table needs no
+        rebasing) and Vose reruns for the rest. ``rebuild_cost_bytes``
+        counts the rebuilt table bytes, the cost a table-based sampler
+        pays per update and the M-H sampler does not. Per-state tables
+        need the model, already rebound to the new graph; static tables
+        ignore it.
         """
-        new_graph = plan.new_graph
+        if not self.static and model is None:
+            raise SamplerError(
+                "AliasTables.on_delta needs the rebound model to rebuild "
+                "affected per-state tables"
+            )
         was_uniform = self.uniform
-        old_graph, old_threshold, old_alias = self.graph, self.threshold, self.alias
-        self.graph = new_graph
-        self.uniform = not new_graph.is_weighted
+        old_base, old_thresh = self.base, self.threshold
+        old_alias, old_has, old_deg = self.alias_local, self.has_table, self.table_deg
+        self.graph = new_graph = plan.new_graph
+        self._layout(model, state_mask)
         if self.uniform:
-            self.threshold = None
-            self.alias = None
+            self._contexts = None
             return {"rebuilt_nodes": 0, "rebuild_cost_bytes": 0, "invalidated_states": 0}
+        if was_uniform:  # the graph just became weighted: no old table to copy
+            old_has = np.zeros(0, dtype=bool)
+        states = self._valid.size
 
-        m = new_graph.num_edge_entries
-        self.threshold = np.ones(m, dtype=np.float64)
-        self.alias = np.arange(m, dtype=np.int64)
-        new_off = new_graph.offsets
+        # old flat index of each new state (-1 for states with no ancestor)
+        order = 1 if self.static else model.order
+        if order == 1:
+            per = max(states // max(new_graph.num_nodes, 1), 1)
+            idx = np.arange(states, dtype=np.int64)
+            old_of_new = np.where(idx // per < plan.old_graph.num_nodes, idx, -1)
+            old_of_new[old_of_new >= old_has.size] = -1
+        else:
+            remap = plan.edge_remap()
+            old_of_new = np.full(states, -1, dtype=np.int64)
+            kept = remap >= 0
+            old_of_new[remap[kept]] = np.flatnonzero(kept)
+
         # a delta's remove_last_nodes can drop touched trailing node ids
         touched = plan.touched_nodes()
-        touched = touched[touched < new_graph.num_nodes]
-        if was_uniform:
-            # the graph just became weighted: no old tables to reuse
-            rebuild = np.flatnonzero(np.diff(new_off) > 0)
-        else:
+        tmask = np.zeros(new_graph.num_nodes, dtype=bool)
+        tmask[touched[touched < new_graph.num_nodes]] = True
+        cur = self._contexts["cur"]
+        affected = tmask[cur]
+        if order == 2:
+            prev = self._contexts["prev"]
+            affected |= (prev >= 0) & tmask[np.maximum(prev, 0)]
+
+        cand = np.flatnonzero((old_of_new >= 0) & ~affected & self._valid)
+        old_pos = old_of_new[cand]
+        copied = 0
+        copy_mask = np.zeros(states, dtype=bool)
+        if cand.size:
+            same = old_deg[old_pos] == self.table_deg[cand]
+            new_pos, old_pos = cand[same], old_pos[same]
+            copy_mask[new_pos] = True
             from repro.walks._segments import concat_ranges
 
-            old_off = old_graph.offsets
-            shared_n = min(old_graph.num_nodes, new_graph.num_nodes)
-            nodes = np.arange(shared_n, dtype=np.int64)
-            untouched = nodes[~np.isin(nodes, touched)]
-            deg = (old_off[untouched + 1] - old_off[untouched]).astype(np.int64)
-            flat_new, seg = concat_ranges(new_off[untouched], deg)
-            if flat_new.size:
-                shift = old_off[untouched] - new_off[untouched]
-                flat_old = flat_new + shift[seg]
-                self.threshold[flat_new] = old_threshold[flat_old]
-                self.alias[flat_new] = old_alias[flat_old] - shift[seg]
-            rebuild = np.union1d(touched, np.arange(shared_n, new_graph.num_nodes))
-        rebuilt = 0
-        cost = 0
-        for v in rebuild:
-            lo, hi = int(new_off[v]), int(new_off[v + 1])
-            if hi == lo:
-                continue
-            rebuilt += 1
-            cost += 16 * (hi - lo)  # one f64 threshold + one i64 alias per slot
-            row = new_graph.weights[lo:hi]
-            if row.sum() <= 0:
-                continue
-            t, a = build_alias_table(row)
-            self.threshold[lo:hi] = t
-            self.alias[lo:hi] = a + lo
-        return {"rebuilt_nodes": rebuilt, "rebuild_cost_bytes": cost, "invalidated_states": 0}
+            deg = self.table_deg[new_pos]
+            flat_new, seg = concat_ranges(self.base[new_pos], deg)
+            flat_old = old_base[old_pos][seg] + (flat_new - self.base[new_pos][seg])
+            self.threshold[flat_new] = old_thresh[flat_old]
+            self.alias_local[flat_new] = old_alias[flat_old]
+            self.has_table[new_pos] = old_has[old_pos]
+            copied = int(old_has[old_pos].sum())
+        rebuild_idx = np.flatnonzero(self._valid & ~copy_mask)
+        built = self._build_states(model, rebuild_idx)
+        info = {
+            "rebuilt_nodes": int(np.unique(cur[rebuild_idx]).size),
+            "rebuild_cost_bytes": int(ALIAS_ENTRY_BYTES * self.table_deg[rebuild_idx].sum()),
+            "invalidated_states": int(old_has.sum()) - copied,
+            "rebuilt_states": built,
+        }
+        self._contexts = None
+        return info
+
+    @property
+    def num_tables(self) -> int:
+        """Number of materialised tables."""
+        return 0 if self.uniform else int(self.has_table.sum())
+
+    def memory_bytes(self) -> int:
+        """Resident table bytes (the alias explosion of Table VII)."""
+        if self.uniform:
+            return 0
+        return self.threshold.nbytes + self.alias_local.nbytes

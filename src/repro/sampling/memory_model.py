@@ -67,8 +67,8 @@ def first_order_alias_bytes(graph) -> int:
     """Alias tables over static weights: one entry per directed edge.
 
     An unweighted graph draws neighbours uniformly and builds no table,
-    so it costs nothing: the bytes follow what
-    :class:`~repro.sampling.alias.FirstOrderAliasStore` allocates.
+    so it costs nothing: the bytes follow what the static form of
+    :class:`~repro.sampling.alias.AliasTables` allocates.
     """
     if not graph.is_weighted:
         return 0

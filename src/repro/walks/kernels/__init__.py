@@ -1,8 +1,8 @@
 """Compiled walk-step kernels behind a pluggable backend registry.
 
 The walk engine's hot path — the M-H chain step (Algorithm 1), the
-first/second-order alias gathers and the rejection/KnightKing acceptance
-round — is factored into four *kernels* operating on the flat array
+alias gather and the rejection/KnightKing acceptance round — is factored
+into *kernels* operating on the flat array
 bundle of :class:`~repro.walks.kernels.state.KernelState`. Two
 backends implement them:
 

@@ -597,60 +597,57 @@ int64_t mh_wave(int64_t n, int64_t rows, int64_t first_step, int64_t walk_length
     return threads;
 }
 
-void alias_draw(int64_t n, const int64_t *offsets,
-                const double *thresh, const int64_t *alias, int64_t tsize,
-                const int64_t *nodes, const double *u_slot, const double *u_keep,
-                int64_t *out) {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v = nodes[i];
-        int64_t lo = offsets[v], deg = offsets[v + 1] - lo;
-        int64_t k = lo + (int64_t)(u_slot[i] * (double)(deg > 0 ? deg : 1));
-        if (thresh) {
-            int64_t kk = k < tsize - 1 ? k : tsize - 1;
-            if (!(u_keep[i] < thresh[kk])) k = alias[kk];
-        }
-        out[i] = deg > 0 ? k : NO_EDGE;
+/* One alias store (repro.sampling.alias.AliasTables): state s's table
+   is table_deg[s] slots from base[s], each a threshold and a position
+   local to the row; thresh is NULL for a uniform store (an unweighted
+   graph's static tables), which draws the row's slot alone. */
+typedef struct {
+    const int64_t *base;
+    const double *thresh;
+    const int64_t *alias_local;
+    const int64_t *table_deg;
+    const uint8_t *has;
+} alias_tables_t;
+
+/* The alias gather: the edge offset state s draws over the row of v,
+   NO_EDGE where the row is empty or the state has no table. */
+static inline int64_t alias_gather(const alias_tables_t *t, const int64_t *offsets,
+                                   int64_t s, int64_t v, double u_slot, double u_keep) {
+    int64_t lo = offsets[v];
+    if (!t->thresh) {
+        int64_t deg = offsets[v + 1] - lo;
+        return deg > 0 ? lo + (int64_t)(u_slot * (double)deg) : NO_EDGE;
     }
+    if (!t->has[s]) return NO_EDGE;
+    int64_t k = (int64_t)(u_slot * (double)t->table_deg[s]);
+    int64_t slot = t->base[s] + k;
+    return lo + ((u_keep < t->thresh[slot]) ? k : t->alias_local[slot]);
 }
 
-void state_alias_draw(int64_t n, const int64_t *offsets,
-                      const int64_t *base, const double *thresh,
-                      const int64_t *alias_local, const int64_t *tab_deg,
-                      const uint8_t *has, int64_t tsize,
-                      const int64_t *state_idx, const int64_t *cur,
-                      const double *u_slot, const double *u_keep,
-                      int64_t *out) {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t s = state_idx[i];
-        if (!has[s]) { out[i] = NO_EDGE; continue; }
-        int64_t deg = tab_deg[s];
-        int64_t k = (int64_t)(u_slot[i] * (double)(deg > 0 ? deg : 1));
-        int64_t slot = base[s] + k;
-        int64_t cap = tsize - 1 > 0 ? tsize - 1 : 0;
-        if (slot > cap) slot = cap;
-        int64_t pos = (u_keep[i] < thresh[slot]) ? k : alias_local[slot];
-        out[i] = offsets[cur[i]] + pos;
-    }
+void alias_draw(int64_t n, const int64_t *offsets,
+                const int64_t *base, const double *thresh, const int64_t *alias_local,
+                const int64_t *table_deg, const uint8_t *has,
+                const int64_t *state_idx, const int64_t *cur,
+                const double *u_slot, const double *u_keep, int64_t *out) {
+    alias_tables_t t = {base, thresh, alias_local, table_deg, has};
+    for (int64_t i = 0; i < n; i++)
+        out[i] = alias_gather(&t, offsets, state_idx[i], cur[i], u_slot[i],
+                              u_keep ? u_keep[i] : 0.0);
 }
 
 void rejection_round(int64_t n, const int64_t *offsets, const int64_t *targets,
                      const double *weights, int kind, double p, double q,
                      const uint64_t *filt, uint64_t fmask,
-                     const double *prop_thresh, const int64_t *prop_alias,
-                     int64_t tsize,
+                     const int64_t *base, const double *thresh, const int64_t *alias_local,
+                     const int64_t *table_deg, const uint8_t *has,
                      const int64_t *prev, const int64_t *cur,
                      const double *u_prop, const double *u_keep,
                      const double *u_acc, double bound, int clip,
                      int64_t *out_off, uint8_t *out_accept) {
+    alias_tables_t t = {base, thresh, alias_local, table_deg, has};
     for (int64_t i = 0; i < n; i++) {
-        int64_t v = cur[i];
-        int64_t lo = offsets[v], deg = offsets[v + 1] - lo;
-        int64_t k = lo + (int64_t)(u_prop[i] * (double)(deg > 0 ? deg : 1));
-        if (prop_thresh) {
-            int64_t kk = k < tsize - 1 ? k : tsize - 1;
-            if (!(u_keep[i] < prop_thresh[kk])) k = prop_alias[kk];
-        }
-        int64_t off = deg > 0 ? k : NO_EDGE;
+        int64_t off = alias_gather(&t, offsets, cur[i], cur[i], u_prop[i],
+                                   u_keep ? u_keep[i] : 0.0);
         out_off[i] = off;
         int64_t e = off > 0 ? off : 0;
         double ws = weights ? weights[e] : 1.0;
@@ -672,6 +669,9 @@ _TOKP = ctypes.POINTER(np.ctypeslib.as_ctypes_type(TOKEN_DTYPE))
 #: the weight rule as every alpha-evaluating entry takes it:
 #: kind, p, q, the adjacency filter's words and its word mask
 _RULE = (ctypes.c_int, ctypes.c_double, ctypes.c_double, _U64P, ctypes.c_uint64)
+#: an alias store as the gathers take it: base, thresholds, local
+#: aliases, table degrees and has-table flags (all NULL: uniform)
+_TABLES = (_I64P, _F64P, _I64P, _I64P, _U8P)
 
 
 def _load(so_path: str):
@@ -701,18 +701,11 @@ def _load(so_path: str):
     ]
     lib.alias_draw.restype = None
     lib.alias_draw.argtypes = [
-        ctypes.c_int64, _I64P, _F64P, _I64P, ctypes.c_int64,
-        _I64P, _F64P, _F64P, _I64P,
-    ]
-    lib.state_alias_draw.restype = None
-    lib.state_alias_draw.argtypes = [
-        ctypes.c_int64, _I64P, _I64P, _F64P, _I64P, _I64P, _U8P,
-        ctypes.c_int64, _I64P, _I64P, _F64P, _F64P, _I64P,
+        ctypes.c_int64, _I64P, *_TABLES, _I64P, _I64P, _F64P, _F64P, _I64P,
     ]
     lib.rejection_round.restype = None
     lib.rejection_round.argtypes = [
-        ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
-        _F64P, _I64P, ctypes.c_int64,
+        ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE, *_TABLES,
         _I64P, _I64P, _F64P, _F64P, _F64P,
         ctypes.c_double, ctypes.c_int,
         _I64P, _U8P,
@@ -748,6 +741,16 @@ def _rule(ks) -> tuple:
     if filt is None:
         return ks.kind_code, ks.p, ks.q, None, 0
     return ks.kind_code, ks.p, ks.q, filt.ctypes.data_as(_U64P), filt.size - 1
+
+
+def _tables(tables) -> tuple:
+    """The store ``tables`` in ``_TABLES`` order (a uniform one: NULLs)."""
+    if tables.uniform:
+        return (None,) * len(_TABLES)
+    return (
+        _ip(tables.base), _fp(tables.threshold), _ip(tables.alias_local),
+        _ip(tables.table_deg), _up(tables.has_table.view(np.uint8)),
+    )
 
 
 class CNativeKernels:
@@ -892,67 +895,32 @@ class CNativeKernels:
             raise MemoryError(f"mh_wave: no scratch for {ids.size} lanes")
         return int(counts[0]), int(counts[1]), int(counts[2]), init_seconds.value, used
 
-    def alias_draw(self, ks, nodes, u_slot, u_keep):
+    def alias_draw(self, ks, tables, state_idx, cur, u_slot, u_keep):
         lib = self._ensure()
-        n = nodes.size
-        nodes = _i64(nodes)
-        u_slot = _f64(u_slot)
-        out = np.empty(n, dtype=np.int64)
-        if u_keep is None:
-            thresh_p, alias_p, tsize, keep_p = _fp(None), _ip(out), 0, _fp(u_slot)
-        else:
-            u_keep = _f64(u_keep)
-            thresh_p = _fp(ks.prop_threshold)
-            alias_p = _ip(ks.prop_alias)
-            tsize = ks.prop_threshold.size
-            keep_p = _fp(u_keep)
-        lib.alias_draw(
-            n, _ip(ks.offsets), thresh_p, alias_p, tsize,
-            _ip(nodes), _fp(u_slot), keep_p, _ip(out),
-        )
-        return out
-
-    def state_alias_draw(self, ks, state_idx, cur, u_slot, u_keep):
-        lib = self._ensure()
-        n = state_idx.size
+        n = cur.size
         state_idx = _i64(state_idx)
         cur = _i64(cur)
-        u_slot = _f64(u_slot)
-        u_keep = _f64(u_keep)
-        has = np.ascontiguousarray(ks.tab_has, dtype=np.uint8)
         out = np.empty(n, dtype=np.int64)
-        lib.state_alias_draw(
-            n, _ip(ks.offsets), _ip(ks.tab_base), _fp(ks.tab_threshold),
-            _ip(ks.tab_alias), _ip(ks.tab_deg), _up(has),
-            ks.tab_threshold.size, _ip(state_idx), _ip(cur),
-            _fp(u_slot), _fp(u_keep), _ip(out),
+        lib.alias_draw(
+            n, _ip(ks.offsets), *_tables(tables), _ip(state_idx), _ip(cur),
+            _fp(_f64(u_slot)), None if u_keep is None else _fp(_f64(u_keep)), _ip(out),
         )
         return out
 
-    def rejection_round(self, ks, prev, cur, u_prop, u_keep, u_acc, bound, clip, weight_fn):
+    def rejection_round(
+        self, ks, proposal, prev, cur, u_prop, u_keep, u_acc, bound, clip, weight_fn
+    ):
         lib = self._ensure()
         n = cur.size
         prev = _i64(prev)
         cur = _i64(cur)
-        u_prop = _f64(u_prop)
-        u_acc = _f64(u_acc)
         out_off = np.empty(n, dtype=np.int64)
         accept = np.empty(n, dtype=np.uint8)
-        if u_keep is None:
-            thresh_p, alias_p, tsize, keep_p = _fp(None), _ip(out_off), 0, _fp(u_prop)
-        else:
-            u_keep = _f64(u_keep)
-            thresh_p = _fp(ks.prop_threshold)
-            alias_p = _ip(ks.prop_alias)
-            tsize = ks.prop_threshold.size
-            keep_p = _fp(u_keep)
         lib.rejection_round(
-            n, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights),
-            *_rule(ks),
-            thresh_p, alias_p, tsize,
-            _ip(prev), _ip(cur), _fp(u_prop), keep_p, _fp(u_acc),
-            float(bound), int(clip),
-            _ip(out_off), _up(accept),
+            n, _ip(ks.offsets), _ip(ks.targets), _fp(ks.weights), *_rule(ks),
+            *_tables(proposal), _ip(prev), _ip(cur), _fp(_f64(u_prop)),
+            None if u_keep is None else _fp(_f64(u_keep)), _fp(_f64(u_acc)),
+            float(bound), int(clip), _ip(out_off), _up(accept),
         )
         return out_off, accept.view(bool)
 

@@ -19,10 +19,11 @@ Kernel protocol (duck-typed; all backends implement it):
 ``warmup()``
     Pay any one-time compilation cost now; returns the seconds spent so
     the engine can book them as ``compile_seconds`` instead of walk time.
-``mh_step / alias_draw / state_alias_draw / rejection_round``
+``mh_step / alias_draw / rejection_round``
     The hot loops (full Algorithm 1 step over the shared chain arrays,
-    first-order alias gather, per-state alias gather,
-    rejection/KnightKing acceptance round).
+    the alias gather from an
+    :class:`~repro.sampling.alias.AliasTables` store, the
+    rejection/KnightKing acceptance round over a static store).
 ``dyn_weights``
     Bulk model-weight evaluation over aligned ``(prev, edge offset)``
     lanes — the M-H initializers' inner product, which otherwise
@@ -132,44 +133,40 @@ class NumpyKernels:
         rows = np.arange(k)
         return cand[rows, best], w[rows, best]
 
-    def alias_draw(self, ks, nodes, u_slot, u_keep):
-        """First-order alias gather over static tables (global offsets).
+    def alias_draw(self, ks, tables, state_idx, cur, u_slot, u_keep):
+        """Alias gather: lane i draws from table ``state_idx[i]`` of the
+        :class:`~repro.sampling.alias.AliasTables` ``tables``, over the
+        row of ``cur[i]``.
 
-        ``u_keep`` is None for uniform (unweighted) proposals: one
-        uniform per lane there, two where tables exist.
+        ``u_keep`` is None for a uniform store (an unweighted graph's
+        static tables): one uniform per lane there, two where tables
+        exist. A state without a table gives ``NO_EDGE``.
         """
-        offsets = ks.offsets
-        lo = offsets[nodes]
-        deg = offsets[nodes + 1] - lo
-        ok = deg > 0
-        k = lo + (u_slot * np.maximum(deg, 1)).astype(np.int64)
-        if u_keep is not None and ks.prop_threshold.size:  # edgeless: no slot to keep
-            kk = np.minimum(k, ks.prop_threshold.size - 1)
-            keep = u_keep < ks.prop_threshold[kk]
-            k = np.where(keep, k, ks.prop_alias[kk])
-        return np.where(ok, k, NO_EDGE)
-
-    def state_alias_draw(self, ks, state_idx, cur, u_slot, u_keep):
-        """Per-state alias gather (eager second-order tables)."""
-        if ks.tab_threshold.size == 0:  # no table anywhere (an edgeless shard)
-            return np.full(state_idx.size, NO_EDGE, dtype=np.int64)
-        deg = ks.tab_deg[state_idx]
-        k = (u_slot * np.maximum(deg, 1)).astype(np.int64)
-        slot = ks.tab_base[state_idx] + k
-        slot = np.minimum(slot, max(ks.tab_threshold.size - 1, 0))
-        keep = u_keep < ks.tab_threshold[slot]
-        pos = np.where(keep, k, ks.tab_alias[slot])
         lo = ks.offsets[cur]
-        return np.where(ks.tab_has[state_idx], lo + pos, NO_EDGE)
+        if tables.uniform:
+            deg = ks.offsets[cur + 1] - lo
+            k = lo + (u_slot * np.maximum(deg, 1)).astype(np.int64)
+            return np.where(deg > 0, k, NO_EDGE)
+        if tables.threshold.size == 0:  # no table anywhere (an edgeless graph)
+            return np.full(state_idx.size, NO_EDGE, dtype=np.int64)
+        deg = tables.table_deg[state_idx]
+        k = (u_slot * np.maximum(deg, 1)).astype(np.int64)
+        # lanes without a table may point past the slots: clamp, then mask
+        slot = np.minimum(tables.base[state_idx] + k, tables.threshold.size - 1)
+        pos = np.where(u_keep < tables.threshold[slot], k, tables.alias_local[slot])
+        return np.where(tables.has_table[state_idx], lo + pos, NO_EDGE)
 
-    def rejection_round(self, ks, prev, cur, u_prop, u_keep, u_acc, bound, clip, weight_fn):
-        """One rejection round: propose from static tables, accept/reject.
+    def rejection_round(
+        self, ks, proposal, prev, cur, u_prop, u_keep, u_acc, bound, clip, weight_fn
+    ):
+        """One rejection round: propose from the static tables
+        ``proposal``, accept/reject.
 
         ``clip=True`` applies the KnightKing bulk clip
         ``w_dyn ← min(w_dyn, bound · w_static)`` before the acceptance
         test. Returns ``(off, accept)``; rejected lanes stay pending.
         """
-        off = self.alias_draw(ks, cur, u_prop, u_keep)
+        off = self.alias_draw(ks, proposal, cur, cur, u_prop, u_keep)
         safe = np.maximum(off, 0)
         if ks.weights is None:
             w_static = np.ones(off.size, dtype=np.float64)

@@ -5,8 +5,10 @@ graph objects, no model objects, no Python callbacks (the NumPy backend
 is the one exception: it receives a ``weight_fn`` for *generic* models
 whose dynamic weight has no compiled equivalent). :class:`KernelState`
 is that array bundle: the CSR arrays, the model's compiled weight spec,
-and whichever persistent sampler structures the owning stepper maintains
-(first-order proposal tables, per-state alias tables, M-H chain arrays).
+the graph's adjacency filter and the M-H chain arrays. Alias tables are
+not in it: a stepper may hold two stores
+(:class:`~repro.sampling.alias.AliasTables`, memory-aware's state tables
+and its proposal), so the gathers take the store as an argument.
 
 Steppers expose it via a ``kernel_state`` property built fresh on each
 access — the fields are *references* to the live arrays, so construction
@@ -35,11 +37,10 @@ KIND_CODES = {KIND_GENERIC: 0, KIND_STATIC: 1, KIND_NODE2VEC: 2}
 class KernelState:
     """Array bundle handed to step kernels.
 
-    Graph fields are always present; the sampler-structure fields are
-    ``None`` unless the owning stepper maintains that structure. All
-    arrays are C-contiguous with the dtypes the CSR representation
-    guarantees (int64 offsets/targets/aliases, float64 weights and
-    thresholds, uint8/bool flags).
+    Graph fields are always present; the chain fields are ``None``
+    unless the owning stepper is M-H. All arrays are C-contiguous with
+    the dtypes the CSR representation guarantees (int64 offsets,
+    targets and chains, float64 weights).
     """
 
     # -- CSR graph ------------------------------------------------------
@@ -51,17 +52,6 @@ class KernelState:
     kind: str = KIND_GENERIC
     p: float = 1.0
     q: float = 1.0
-
-    # -- first-order proposal alias tables (None when uniform) ----------
-    prop_threshold: np.ndarray | None = None
-    prop_alias: np.ndarray | None = None
-
-    # -- per-state alias tables (eager second-order layout) -------------
-    tab_base: np.ndarray | None = None
-    tab_threshold: np.ndarray | None = None
-    tab_alias: np.ndarray | None = None
-    tab_deg: np.ndarray | None = None
-    tab_has: np.ndarray | None = None
 
     # -- M-H chain arrays (LAST_x and its cached dynamic weight) --------
     chain_last: np.ndarray | None = None

@@ -52,9 +52,9 @@ import time
 import numpy as np
 
 from repro.config import WalkConfig, take_fields
-from repro.errors import SamplerError, WalkError
+from repro.errors import WalkError
 from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY, SamplerContext
-from repro.sampling.alias import FirstOrderAliasStore, build_alias_table
+from repro.sampling.alias import AliasTables
 from repro.sampling.base import NO_EDGE
 from repro.sampling.initialization import HighWeightInit
 from repro.sampling.memory_aware import assign_states_greedily
@@ -272,16 +272,15 @@ class StepperBase:
     def _reject_pending(self, out, pending, lanes, rng, bound, clip=False, split=None):
         """The pending-set loop: draw a round's uniforms until every lane accepts.
 
-        Each round proposes from the stepper's static-weight tables
-        (attached to :attr:`kernel_state` by the subclass that owns
-        them). ``split(pending)``, when given, runs first in each round,
-        settles some lanes itself (KnightKing's outlier branch) and
-        returns the rest. Accepted offsets land in ``out``; returns the
-        number of proposals made. The caller's class sets
-        ``self.max_rounds``.
+        Each round proposes from the stepper's static-weight tables,
+        ``self.proposal``. ``split(pending)``, when given, runs first in
+        each round, settles some lanes itself (KnightKing's outlier
+        branch) and returns the rest. Accepted offsets land in ``out``;
+        returns the number of proposals made. The caller's class sets
+        ``self.proposal`` and ``self.max_rounds``.
         """
         prev, prev_off, cur, step = lanes
-        uniform = not self.graph.is_weighted
+        proposal = self.proposal
         proposals = 0
         for __ in range(self.max_rounds):
             if pending.size == 0:
@@ -292,11 +291,11 @@ class StepperBase:
                 if pending.size == 0:
                     continue
             u_prop = rng.random(pending.size)
-            u_keep = None if uniform else rng.random(pending.size)
+            u_keep = None if proposal.uniform else rng.random(pending.size)
             u_acc = rng.random(pending.size)
             off, accept = self.kernels.rejection_round(
-                self.kernel_state, prev[pending], cur[pending], u_prop, u_keep, u_acc,
-                bound, clip, self._weight_fn(prev, prev_off, cur, step, sel=pending),
+                self.kernel_state, proposal, prev[pending], cur[pending], u_prop, u_keep,
+                u_acc, bound, clip, self._weight_fn(prev, prev_off, cur, step, sel=pending),
             )
             out[pending[accept]] = off[accept]
             pending = pending[~accept]
@@ -376,202 +375,14 @@ class _DirectStepper(StepperBase):
         return out
 
 
-class _FirstOrderAliasStepper(StepperBase):
-    """Per-node static alias tables — exact only for static models."""
+class _AliasStepper(StepperBase):
+    """Alias tables, one per walker state (UniNet(Orig) for node2vec).
 
-    name = "alias-first-order"
-
-    def __init__(self, graph, model, ctx):
-        super().__init__(graph, model, ctx.kernels)
-        if not model.is_static:
-            raise WalkError(
-                f"first-order alias sampling is exact only for static models; "
-                f"{model.name} has state-dependent weights (use sampler='alias')"
-            )
-        self._build(ctx)
-
-    def _build(self, ctx) -> None:
-        if ctx.budget is not None:
-            ctx.budget.charge(first_order_alias_bytes(self.graph), self.name)
-        self.store = FirstOrderAliasStore(self.graph)
-
-    def _extend_kernel_state(self, ks: KernelState) -> None:
-        ks.prop_threshold = self.store.threshold
-        ks.prop_alias = self.store.alias
-
-    def step(self, prev, prev_off, cur, step, rng):
-        # one uniform for the slot, a second only when tables exist
-        u_slot = rng.random(cur.size)
-        u_keep = rng.random(cur.size) if self.graph.is_weighted else None
-        out = self.kernels.alias_draw(self.kernel_state, cur, u_slot, u_keep)
-        self.proposals += cur.size
-        self.samples += int((out != NO_EDGE).sum())
-        return out
-
-    def _refresh(self, plan) -> dict:
-        return self.store.on_delta(plan)
-
-    def memory_bytes(self) -> int:
-        return self.store.memory_bytes()
-
-
-class EagerStateAliasTables:
-    """Flat per-state alias tables over dynamic weights.
-
-    One table per (valid, optionally masked) state, stored back-to-back:
-    ``base[idx]`` points at state idx's slots, each slot holding a
-    threshold and a *local* alias position. Construction walks every
-    state once (the realistic preprocessing cost of alias-based second-
-    order sampling); draws are two gathers.
+    A static model's states are its nodes and its weights the graph's,
+    so its tables are the per-node static form of
+    :class:`~repro.sampling.alias.AliasTables`: none on an unweighted
+    graph, where a draw takes one uniform instead of two.
     """
-
-    def __init__(self, graph, model, state_mask=None):
-        self.graph = graph
-        self._layout(model, state_mask)
-        self._build_states(model, np.flatnonzero(self._valid))
-        self._contexts = None  # transient build scaffolding, not a table
-
-    def _layout(self, model, state_mask) -> None:
-        """Size the flat slot arrays for the current graph."""
-        contexts = model.enumerate_state_contexts(self.graph)
-        table_deg = model.state_table_degrees(self.graph).astype(np.int64).copy()
-        valid = contexts["valid"].copy()
-        if state_mask is not None:
-            valid &= state_mask
-        table_deg[~valid] = 0
-        self._contexts = contexts
-        self._valid = valid
-        self.table_deg = table_deg
-        self.base = np.concatenate(([0], np.cumsum(table_deg)))
-        total = int(self.base[-1])
-        self.threshold = np.ones(total, dtype=np.float64)
-        self.alias_local = np.zeros(total, dtype=np.int64)
-        self.has_table = np.zeros(valid.size, dtype=bool)
-
-    def _build_states(self, model, build_idx: np.ndarray) -> int:
-        """Vose-construct the tables of the given states; returns count."""
-        if build_idx.size == 0:
-            return 0
-        contexts = self._contexts
-        cur = contexts["cur"][build_idx]
-        row_lo = self.graph.offsets[cur]
-        deg = self.table_deg[build_idx]
-        flat_offs, seg = concat_ranges(row_lo, deg)
-        weights = model.batch_dynamic_weight(
-            contexts["prev"][build_idx][seg],
-            contexts["prev_off"][build_idx][seg],
-            cur[seg],
-            contexts["step"][build_idx][seg],
-            flat_offs,
-        )
-        built = 0
-        cursor = 0
-        for j, idx in enumerate(build_idx):
-            d = int(deg[j])
-            row_w = weights[cursor : cursor + d]
-            cursor += d
-            if float(row_w.sum()) <= 0.0:
-                continue
-            t, a = build_alias_table(row_w)
-            b = int(self.base[idx])
-            self.threshold[b : b + d] = t
-            self.alias_local[b : b + d] = a
-            self.has_table[idx] = True
-            built += 1
-        return built
-
-    def on_delta(self, plan, model=None, *, state_mask=None) -> dict:
-        """Re-layout for a mutated graph, rebuilding only affected states.
-
-        A state is affected when the delta touched the out-row it draws
-        from or (for second-order models) its predecessor's row; every
-        other surviving state's table is byte-copied into the new layout
-        (``alias_local`` is row-local, so copied tables need no
-        rebasing). ``model`` must already be rebound to the new graph;
-        unlike stateless steppers this structure cannot refresh without
-        one, so omitting it raises.
-        """
-        if model is None:
-            raise SamplerError(
-                "EagerStateAliasTables.on_delta needs the rebound model to "
-                "rebuild affected per-state tables"
-            )
-        old_graph = self.graph
-        old_base, old_thresh = self.base, self.threshold
-        old_alias, old_has, old_deg = self.alias_local, self.has_table, self.table_deg
-        order = getattr(model, "order", 1)
-        self.graph = plan.new_graph
-        self._layout(model, state_mask)
-
-        # old flat index of each new state (-1 for states with no ancestor)
-        if order == 1:
-            per = max(self._valid.size // max(plan.new_graph.num_nodes, 1), 1)
-            idx = np.arange(self._valid.size, dtype=np.int64)
-            old_of_new = np.where(idx // per < plan.old_graph.num_nodes, idx, -1)
-            old_of_new[old_of_new >= old_has.size] = -1
-        else:
-            remap = plan.edge_remap()
-            old_of_new = np.full(self._valid.size, -1, dtype=np.int64)
-            kept = remap >= 0
-            old_of_new[remap[kept]] = np.flatnonzero(kept)
-
-        touched = plan.touched_nodes()
-        tmask = np.zeros(plan.new_graph.num_nodes, dtype=bool)
-        tmask[touched[touched < plan.new_graph.num_nodes]] = True
-        cur = self._contexts["cur"]
-        affected = tmask[cur]
-        if order == 2:
-            prev = self._contexts["prev"]
-            affected |= (prev >= 0) & tmask[np.maximum(prev, 0)]
-
-        cand = np.flatnonzero((old_of_new >= 0) & ~affected & self._valid)
-        old_pos = old_of_new[cand]
-        same = old_deg[old_pos] == self.table_deg[cand]
-        new_pos, old_pos = cand[same], old_pos[same]
-        copy_mask = np.zeros(self._valid.size, dtype=bool)
-        copy_mask[new_pos] = True
-        if new_pos.size:
-            deg = self.table_deg[new_pos]
-            flat_new, seg = concat_ranges(self.base[new_pos], deg)
-            flat_old = old_base[old_pos][seg] + (flat_new - self.base[new_pos][seg])
-            self.threshold[flat_new] = old_thresh[flat_old]
-            self.alias_local[flat_new] = old_alias[flat_old]
-            self.has_table[new_pos] = old_has[old_pos]
-        rebuild_idx = np.flatnonzero(self._valid & ~copy_mask)
-        built = self._build_states(model, rebuild_idx)
-        copied = int(old_has[old_pos].sum()) if new_pos.size else 0
-        info = {
-            "rebuilt_nodes": int(np.unique(cur[rebuild_idx]).size),
-            "rebuild_cost_bytes": int(16 * self.table_deg[rebuild_idx].sum()),
-            "invalidated_states": int(old_has.sum()) - copied,
-            "rebuilt_states": built,
-        }
-        self._contexts = None
-        return info
-
-    @property
-    def num_tables(self) -> int:
-        """Number of materialised tables."""
-        return int(self.has_table.sum())
-
-    def draw(self, state_idx, cur, rng):
-        """Draw edge offsets for walkers; NO_EDGE where no table exists."""
-        deg = self.table_deg[state_idx]
-        k = (rng.random(state_idx.size) * np.maximum(deg, 1)).astype(np.int64)
-        slot = self.base[state_idx] + k
-        slot = np.minimum(slot, max(self.threshold.size - 1, 0))
-        keep = rng.random(state_idx.size) < self.threshold[slot]
-        pos = np.where(keep, k, self.alias_local[slot])
-        lo = self.graph.offsets[cur]
-        return np.where(self.has_table[state_idx], lo + pos, NO_EDGE)
-
-    def memory_bytes(self) -> int:
-        """Resident table bytes (the alias explosion of Table VII)."""
-        return self.threshold.nbytes + self.alias_local.nbytes
-
-
-class _StateAliasStepper(StepperBase):
-    """Eager per-state alias tables (UniNet(Orig) for node2vec)."""
 
     name = "alias"
 
@@ -580,25 +391,23 @@ class _StateAliasStepper(StepperBase):
         self._build(ctx)
 
     def _build(self, ctx) -> None:
+        static = self.model.is_static
         if ctx.budget is not None:
-            ctx.budget.charge(second_order_alias_bytes(self.graph, self.model), self.name)
-        self.tables = EagerStateAliasTables(self.graph, self.model)
+            cost = (
+                first_order_alias_bytes(self.graph)
+                if static
+                else second_order_alias_bytes(self.graph, self.model)
+            )
+            ctx.budget.charge(cost, self.name)
+        self.tables = AliasTables(self.graph, None if static else self.model)
         self.initializations += self.tables.num_tables
 
-    def _extend_kernel_state(self, ks: KernelState) -> None:
-        tables = self.tables
-        ks.tab_base = tables.base
-        ks.tab_threshold = tables.threshold
-        ks.tab_alias = tables.alias_local
-        ks.tab_deg = tables.table_deg
-        ks.tab_has = tables.has_table
-
     def step(self, prev, prev_off, cur, step, rng):
-        # two uniforms per walker — the RNG consumption of tables.draw
+        # the slot's uniform, then the threshold's where tables exist
         u_slot = rng.random(cur.size)
-        u_keep = rng.random(cur.size)
+        u_keep = None if self.tables.uniform else rng.random(cur.size)
         idx = self.model.batch_state_index(prev_off, cur, step)
-        out = self.kernels.state_alias_draw(self.kernel_state, idx, cur, u_slot, u_keep)
+        out = self.kernels.alias_draw(self.kernel_state, self.tables, idx, cur, u_slot, u_keep)
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
@@ -612,7 +421,17 @@ class _StateAliasStepper(StepperBase):
         return self.tables.memory_bytes()
 
 
-class _MemoryAwareStepper(_StateAliasStepper):
+def _first_order_alias(graph, model, ctx):
+    """``alias-first-order``: the alias stepper, refused on a non-static model."""
+    if not model.is_static:
+        raise WalkError(
+            f"first-order alias sampling is exact only for static models; "
+            f"{model.name} has state-dependent weights (use sampler='alias')"
+        )
+    return _AliasStepper(graph, model, ctx)
+
+
+class _MemoryAwareStepper(_AliasStepper):
     """Static greedy alias assignment under a budget; rejection elsewhere.
 
     The SIGMOD'20 framework assigns *sampling methods* per state within
@@ -639,14 +458,9 @@ class _MemoryAwareStepper(_StateAliasStepper):
 
     def _assign(self, graph) -> None:
         self.assigned = assign_states_greedily(graph, self.model, self.table_budget_bytes)
-        self.tables = EagerStateAliasTables(graph, self.model, state_mask=self.assigned)
+        self.tables = AliasTables(graph, self.model, state_mask=self.assigned)
         self.initializations += self.tables.num_tables
-        self.proposal = FirstOrderAliasStore(graph)
-
-    def _extend_kernel_state(self, ks: KernelState) -> None:
-        super()._extend_kernel_state(ks)
-        ks.prop_threshold = self.proposal.threshold
-        ks.prop_alias = self.proposal.alias
+        self.proposal = AliasTables(graph)
 
     def _refresh(self, plan) -> dict:
         # the greedy assignment is a global function of the degree
@@ -707,11 +521,7 @@ class _RejectionStepper(StepperBase):
     def _build(self, ctx) -> None:
         if ctx.budget is not None:
             ctx.budget.charge(rejection_bytes(self.graph), self.name)
-        self.proposal = FirstOrderAliasStore(self.graph)
-
-    def _extend_kernel_state(self, ks: KernelState) -> None:
-        ks.prop_threshold = self.proposal.threshold
-        ks.prop_alias = self.proposal.alias
+        self.proposal = AliasTables(self.graph)
 
     def step(self, prev, prev_off, cur, step, rng):
         out = np.full(cur.size, NO_EDGE, dtype=np.int64)
@@ -993,12 +803,6 @@ class _MHStepper(StepperBase):
         return self.chains.memory_bytes() + self._probed_filter_bytes()
 
 
-def _alias_stepper_factory(graph, model, ctx):
-    # static models collapse the per-state tables to one table per node
-    cls = _FirstOrderAliasStepper if model.is_static else _StateAliasStepper
-    return cls(graph, model, ctx)
-
-
 SAMPLER_REGISTRY.register(
     "mh",
     _MHStepper,
@@ -1017,14 +821,14 @@ SAMPLER_REGISTRY.register(
 )
 SAMPLER_REGISTRY.register(
     "alias",
-    _alias_stepper_factory,
+    _AliasStepper,
     second_order=True,
     time_per_sample="O(1)",
     memory="O(d * #state)",
 )
 SAMPLER_REGISTRY.register(
     "alias-first-order",
-    _FirstOrderAliasStepper,
+    _first_order_alias,
     second_order=False,
     time_per_sample="O(1)",
     memory="O(|E|)",

@@ -112,7 +112,7 @@ FRACTIONAL_COUNTS = [
     (WalkConfig, "num_walks", 1.5), (WalkConfig, "walk_length", 3.5),
     (WalkConfig, "max_reject_rounds", 2.5), (WalkConfig, "burn_in_iterations", 1.5),
     (StreamingConfig, "shard_walks", 1.5), (StreamingConfig, "max_corpus_bytes", 100.5),
-    (StreamingConfig, "queue_shards", 1.5), (StreamingConfig, "block_walks", 2.5),
+    (StreamingConfig, "queue_shards", 1.5),
     (TrainConfig, "dimensions", 8.5), (TrainConfig, "window", 2.5),
     (TrainConfig, "negative", 2.5), (TrainConfig, "epochs", 1.5),
 ]  # fmt: skip

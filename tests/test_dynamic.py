@@ -16,6 +16,7 @@ from repro.graph import CSRGraph, GraphDelta, apply_delta, load_deltas, save_del
 from repro.graph.builder import from_edge_arrays
 from repro.graph.delta import DeltaPlan
 from repro.graph.generators import erdos_renyi
+from repro.sampling.alias import AliasTables
 from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -304,32 +305,30 @@ class TestSamplerOnDelta:
         if sampler == "mh":
             assert stats["rebuild_cost_bytes"] == 0
 
-    def test_eager_alias_on_delta_matches_fresh_build(self, setting):
-        from repro.walks.vectorized import EagerStateAliasTables
+    @staticmethod
+    def assert_same_tables(tables, fresh):
+        for field in ("base", "table_deg", "has_table", "threshold", "alias_local"):
+            assert np.array_equal(getattr(tables, field), getattr(fresh, field)), field
 
+    def test_per_state_tables_on_delta_match_fresh_build(self, setting):
         g, delta, plan = setting
         model = make_model("node2vec", g, p=0.5, q=2.0)
-        tables = EagerStateAliasTables(g, model)
+        tables = AliasTables(g, model)
         tables.on_delta(plan, model.rebind(plan.new_graph))
-        fresh = EagerStateAliasTables(
-            plan.new_graph, make_model("node2vec", plan.new_graph, p=0.5, q=2.0)
-        )
-        assert np.array_equal(tables.base, fresh.base)
-        assert np.array_equal(tables.has_table, fresh.has_table)
-        assert np.allclose(tables.threshold, fresh.threshold)
-        assert np.array_equal(tables.alias_local, fresh.alias_local)
+        fresh = AliasTables(plan.new_graph, make_model("node2vec", plan.new_graph, p=0.5, q=2.0))
+        self.assert_same_tables(tables, fresh)
 
-    def test_first_order_store_on_delta_matches_fresh_build(self, setting):
-        from repro.sampling.alias import FirstOrderAliasStore
-
+    def test_static_tables_on_delta_match_fresh_build(self, setting):
         g, delta, plan = setting
-        store = FirstOrderAliasStore(g)
+        store = AliasTables(g)
         info = store.on_delta(plan)
-        fresh = FirstOrderAliasStore(plan.new_graph)
-        assert np.allclose(store.threshold, fresh.threshold)
-        assert np.array_equal(store.alias, fresh.alias)
+        fresh = AliasTables(plan.new_graph)
+        self.assert_same_tables(store, fresh)
         # affected-only: no more rows rebuilt than the delta touched
         assert 0 < info["rebuilt_nodes"] <= plan.touched_nodes().size
+        assert info["rebuild_cost_bytes"] == 16 * int(
+            plan.new_graph.degrees()[plan.touched_nodes()].sum()
+        )
 
     @staticmethod
     def trailing_node_removal():
@@ -343,16 +342,10 @@ class TestSamplerOnDelta:
         return g, plan
 
     def test_on_delta_survives_trailing_node_removal(self):
-        from repro.sampling.alias import FirstOrderAliasStore
-
         g, plan = self.trailing_node_removal()
-        store = FirstOrderAliasStore(g)
+        store = AliasTables(g)
         store.on_delta(plan)  # touched node 2 no longer exists: must not crash
-        fresh = FirstOrderAliasStore(plan.new_graph)
-        if store.uniform:
-            assert fresh.uniform
-        else:
-            assert np.allclose(store.threshold, fresh.threshold)
+        self.assert_same_tables(store, AliasTables(plan.new_graph))
 
     @pytest.mark.parametrize(
         "sampler", ["knightking", "rejection", "alias", "mh", "memory-aware"]

@@ -47,7 +47,10 @@ PIPELINE_CASES = {
     "monolithic-cbow": {"train": {"mode": "cbow"}},
     "streamed-degree": {"streaming": SHARDED},
     "streamed-exact": {"streaming": {**SHARDED, "vocab": "exact"}},
-    "streamed-exact-waves-block8192": {"streaming": {"vocab": "exact", "block_walks": 8192}},
+    "streamed-exact-waves-block8192": {
+        "streaming": {"vocab": "exact"},
+        "train": {"extra": {"block_walks": 8192}},
+    },
     "streamed-overlap": {"streaming": {**SHARDED, "overlap": True}},
     "streamed-max-corpus-bytes": {"streaming": {"max_corpus_bytes": 4000}},
     "skip-learning": {"skip_learning": True},

@@ -62,6 +62,17 @@ class TestRunSpecSerialisation:
         with pytest.raises(SpecError, match="unknown walk config key"):
             RunSpec.from_dict({"graph": {"dataset": "amazon"}, "walk": {"walkers": 3}})
 
+    def test_block_walks_is_a_train_key_only(self):
+        """The trainer's block size has one spelling, ``train.extra``."""
+        with pytest.raises(SpecError, match=r"unknown streaming config key.*block_walks"):
+            RunSpec.from_dict(
+                {"graph": {"dataset": "amazon"}, "streaming": {"block_walks": 8192}}
+            )
+        spec = RunSpec.from_dict(
+            {"graph": {"dataset": "amazon"}, "train": {"extra": {"block_walks": 8192}}}
+        )
+        assert spec.train.word2vec_kwargs()["block_walks"] == 8192
+
 
 class TestRunSpecValidation:
     def test_unknown_model_param(self):

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SamplerError
 from repro.graph.builder import from_edge_arrays
-from repro.sampling.alias import FirstOrderAliasStore, build_alias_table
+from repro.registry import SAMPLER_REGISTRY
+from repro.sampling.alias import AliasTables, build_alias_table
 from repro.sampling.base import NO_EDGE
+from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
 
 
@@ -85,12 +87,12 @@ class TestBuildAliasTable:
         assert tv_distance(alias_exact_probs(threshold, alias), w / w.sum()) < 1e-9
 
 
-class TestFirstOrderAliasStore:
+class TestStaticAliasTables:
     def test_uniform_for_unweighted(self, small_unweighted_graph, kernel_backend):
         """An unweighted graph builds no table; the stepper draws uniformly."""
         g = small_unweighted_graph
-        store = FirstOrderAliasStore(g)
-        assert store.uniform
+        store = AliasTables(g)
+        assert store.uniform and store.threshold is None and store.has_table is None
         assert store.memory_bytes() == 0
         eng = VectorizedWalkEngine(
             g, "deepwalk", sampler="alias-first-order", backend=kernel_backend, seed=1
@@ -109,6 +111,24 @@ class TestFirstOrderAliasStore:
         w = g.neighbor_weights(0)
         assert tv_distance(freq, w / w.sum()) < 0.02
 
+    def test_static_tables_are_deepwalks_state_tables(self, small_power_law_graph):
+        """Per-node tables over the graph's weights are the per-state
+        tables of a static model: the same layout, the same bits."""
+        g = small_power_law_graph
+        assert g.is_weighted
+        static = AliasTables(g)
+        per_state = AliasTables(g, make_model("deepwalk", g))
+        assert static.base is g.offsets
+        for field in ("base", "table_deg", "has_table", "threshold", "alias_local"):
+            assert np.array_equal(getattr(static, field), getattr(per_state, field)), field
+        assert static.memory_bytes() == per_state.memory_bytes() == 16 * g.num_edge_entries
+
+    def test_zero_weight_row_has_no_table(self):
+        g = from_edge_arrays([0, 1, 2], [1, 2, 3], [1.0, 1.0, 0.0])
+        store = AliasTables(g)
+        assert store.has_table.tolist() == [True, True, True, False]
+        assert store.num_tables == 3
+
 
 class TestDeadStates:
     """Every sampler answers NO_EDGE for a state with nowhere to go."""
@@ -124,6 +144,20 @@ class TestDeadStates:
         )
         off = eng.stepper.step(*node_lanes([2, 0]), 1, eng.rng)
         assert off[0] == NO_EDGE and off[1] == g.edge_index(0, 1)
+
+    @pytest.mark.parametrize("sampler", SAMPLER_REGISTRY.names())
+    def test_zero_weight_row_ends_the_walk(self, sampler, kernel_backend):
+        """A row whose edges all weigh 0 has no edge under the model: a
+        walk that starts there has length 1, whatever the sampler."""
+        g = from_edge_arrays([0, 1, 2], [1, 2, 3], [1.0, 1.0, 0.0])
+        assert g.neighbor_weights(3).tolist() == [0.0]
+        eng = VectorizedWalkEngine(
+            g, "deepwalk", sampler=sampler, backend=kernel_backend, table_budget_bytes=1 << 20,
+            seed=7,
+        )
+        corpus = eng.generate(num_walks=3, walk_length=5, start_nodes=[3])
+        assert corpus.lengths.tolist() == [1, 1, 1]
+        assert np.all(corpus.walks[:, 0] == 3)
 
     @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_metapath_dead_state_gives_no_edge(self, academic, sampler, kernel_backend):

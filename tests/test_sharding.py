@@ -428,7 +428,7 @@ def test_property_sharded_equals_monolithic(graph, seed):
 _STEP_MATH = {
     "batch_dynamic_weight", "race_keys", "segment_race_argmin", "segment_argmax", "for_graph",
 }
-_STRUCTURES = {"FirstOrderAliasStore", "EagerStateAliasTables", "ChainStore"}
+_STRUCTURES = {"AliasTables", "ChainStore"}
 
 
 @pytest.mark.parametrize("module", ("worker.py", "engine.py"))

@@ -39,3 +39,30 @@ def test_golden_suites_hold_without_avx512():
         capture_output=True, text=True, timeout=600, env=env, cwd=TESTS.parent,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
+#: SHA-256 of the unigram^0.75 CDF the trainer draws its negatives from
+_CDF_DIGEST = (
+    "import hashlib, numpy as np\n"
+    "from repro.embedding.negative import NegativeSampler\n"
+    "counts = np.random.default_rng(3).integers(1, 10**6, 5000)\n"
+    "print(hashlib.sha256(NegativeSampler(counts).cdf.tobytes()).hexdigest())\n"
+)
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="NumPy dispatches no AVX-512 here")
+def test_negative_cdf_holds_without_avx512():
+    """The negatives' CDF takes no bits from a CPU-dispatched kernel
+    (``np.power``'s AVX-512 loop once rounded it otherwise)."""
+    src = str(TESTS.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for features in ("", WITHOUT_AVX512):
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": features}
+        run = subprocess.run(
+            [sys.executable, "-c", _CDF_DIGEST], capture_output=True, text=True, timeout=120,
+            env=env,
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]

@@ -12,6 +12,7 @@ Covers the three layers of streaming:
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,8 +271,9 @@ class TestStreamingPipeline:
         walk_cfg, train_cfg = configs
         mono = train_pipeline(small_unweighted_graph, "deepwalk", walk_cfg, train_cfg, seed=21)
         streamed = train_pipeline(
-            small_unweighted_graph, "deepwalk", walk_cfg, train_cfg, seed=21,
-            streaming=StreamingConfig(vocab="exact", block_walks=8192),
+            small_unweighted_graph, "deepwalk", walk_cfg,
+            replace(train_cfg, extra={"block_walks": 8192}), seed=21,
+            streaming=StreamingConfig(vocab="exact"),
         )
         assert np.array_equal(mono.embeddings.vectors, streamed.embeddings.vectors)
 

@@ -13,9 +13,10 @@ import pytest
 
 from repro.errors import WalkError
 from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
-from repro.walks.kernels import available_backends
+from repro.sampling.alias import AliasTables
+from repro.walks.kernels import KernelState, available_backends, resolve_backend
 from repro.walks.models import make_model
-from repro.walks.vectorized import EagerStateAliasTables, VectorizedWalkEngine
+from repro.walks.vectorized import VectorizedWalkEngine
 
 
 def state_rows(corpus, model):
@@ -110,9 +111,16 @@ class TestVectorizedEngine:
                 small_power_law_graph, "node2vec", sampler="alias-first-order"
             )
 
-    def test_deepwalk_alias_resolves_to_first_order(self, small_power_law_graph):
-        eng = VectorizedWalkEngine(small_power_law_graph, "deepwalk", sampler="alias")
-        assert eng.stepper.name == "alias-first-order"
+    def test_deepwalk_alias_builds_static_tables(self, small_power_law_graph):
+        """A static model's per-state tables are the per-node static ones,
+        so ``alias`` and ``alias-first-order`` walk the same corpus."""
+        g = small_power_law_graph
+        corpora = []
+        for sampler in ("alias", "alias-first-order"):
+            eng = VectorizedWalkEngine(g, "deepwalk", sampler=sampler, seed=3)
+            assert eng.stepper.tables.static and eng.stepper.tables.base is g.offsets
+            corpora.append(eng.generate(num_walks=1, walk_length=8).walks)
+        assert np.array_equal(*corpora)
 
     def test_memory_aware_requires_budget(self, small_power_law_graph):
         with pytest.raises(WalkError):
@@ -255,11 +263,11 @@ class TestEngineAgreement:
         assert mean_tv_to_exact(corpus, eng.model) < 0.12
 
 
-class TestEagerStateAliasTables:
+class TestPerStateAliasTables:
     def test_tables_built_for_valid_states(self, tiny_weighted_graph):
         g = tiny_weighted_graph
         model = make_model("node2vec", g, p=0.5, q=2.0)
-        tables = EagerStateAliasTables(g, model)
+        tables = AliasTables(g, model)
         assert tables.num_tables == g.num_edge_entries
         assert tables.memory_bytes() == model.alias_entries(g) * 16
 
@@ -268,19 +276,22 @@ class TestEagerStateAliasTables:
         model = make_model("node2vec", g, p=0.5, q=2.0)
         mask = np.zeros(g.num_edge_entries, dtype=bool)
         mask[:4] = True
-        tables = EagerStateAliasTables(g, model, state_mask=mask)
+        tables = AliasTables(g, model, state_mask=mask)
         assert tables.num_tables <= 4
 
-    def test_draw_distribution(self, tiny_weighted_graph, rng):
+    def test_draw_distribution(self, tiny_weighted_graph, rng, kernel_backend):
+        """The backend's one gather draws a state's law from its table."""
         g = tiny_weighted_graph
         model = make_model("node2vec", g, p=0.25, q=4.0)
-        tables = EagerStateAliasTables(g, model)
+        tables = AliasTables(g, model)
         idx = g.edge_index(3, 0)  # state (3 -> 0)
         exact = model.dynamic_weights_row(0, 3, idx, 1)
         exact = exact / exact.sum()
         lo, __ = g.edge_range(0)
-        draws = tables.draw(
-            np.full(40000, idx), np.zeros(40000, dtype=np.int64), rng
+        n = 40_000
+        draws = resolve_backend(kernel_backend).alias_draw(
+            KernelState.for_graph(g), tables, np.full(n, idx), np.zeros(n, dtype=np.int64),
+            rng.random(n), rng.random(n),
         )
         counts = np.bincount(draws - lo, minlength=g.degree(0))
         assert 0.5 * np.abs(counts / counts.sum() - exact).sum() < 0.02
