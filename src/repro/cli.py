@@ -51,13 +51,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import sys
 import typing
 from pathlib import Path
 
-from repro.core.spec import RunSpec, spec_field
+from repro.core.spec import RunSpec, ServingSpec, spec_field
 from repro.errors import ReproError
 from repro.graph import datasets
 from repro.graph.stats import graph_statistics
@@ -99,7 +100,8 @@ def _cli_param_specs():
 #: flag -> (dotted RunSpec path(s) it sets, help). The flag's type, default,
 #: ``choices`` and ``nargs`` come from the dataclass field at its (first)
 #: path, and the verbs that take it from that path's section
-#: (:data:`_VERB_SECTIONS`); a ``--no-...`` switch stores ``False``.
+#: (:data:`_VERB_SECTIONS`); a ``--no-...`` switch stores ``False``, and a
+#: flag naming a whole block (``--stream``) turns it on with its defaults.
 _FLAGS = {
     "--dataset": ("graph.dataset", f"synthetic dataset: {sorted(datasets.DATASETS)}"),
     "--edge-list": ("graph.edge_list", "path to a 'src dst [weight]' file"),
@@ -114,9 +116,8 @@ _FLAGS = {
     "--kernel-backend": ("walk.backend", "walk kernels: numpy or cnative (C, needs a compiler)"),
     "--dimensions": ("train.dimensions", "embedding dimensions"),
     "--epochs": ("train.epochs", "training epochs"),
-    "--stream": ("streaming.enabled", "stream walk shards into the trainer (bounded corpus memory)"),
+    "--stream": ("streaming", "stream walk shards into the trainer (bounded corpus memory)"),
     "--shard-walks": ("streaming.shard_walks", "walks per shard (implies --stream; default: one wave)"),
-    "--max-corpus-bytes": ("streaming.max_corpus_bytes", "shard size as a byte budget (implies --stream)"),
     "--overlap": ("streaming.overlap", "walk in a producer thread while training (implies --stream)"),
     "--stream-vocab": (
         "streaming.vocab",
@@ -179,7 +180,7 @@ def _flag_kwargs(verb: str, flag: str) -> dict:
     """argparse keywords of a :data:`_FLAGS` entry, read off its dataclass field."""
     paths, help_text = _FLAGS[flag]
     field, hint = spec_field(paths.split()[0])
-    if hint is bool:
+    if hint is bool or dataclasses.is_dataclass(hint):
         return {"action": "store_true", "help": help_text}
     kwargs = {"type": hint, "help": help_text}
     if typing.get_origin(hint) is tuple:
@@ -226,7 +227,8 @@ def _verb_spec(args, base: dict | None = None) -> dict:
         if value is None or value is False:
             continue
         if value is True:
-            value = not flag.startswith("--no-")
+            block = dataclasses.is_dataclass(spec_field(paths[0])[1])
+            value = {} if block else not flag.startswith("--no-")
         elif value == _flag_kwargs(args.command, flag)["default"] == spec_field(paths[0])[0].default:
             continue
         for path in paths:
@@ -294,8 +296,7 @@ def _cmd_train(args) -> int:
     if report is None:
         return 2
     report.embeddings.save_npz(args.output)
-    streaming = report.spec.streaming
-    mode = "streamed" if streaming is not None and streaming.enabled else "monolithic"
+    mode = "monolithic" if report.spec.streaming is None else "streamed"
     print(
         f"trained {len(report.embeddings)} x {args.dimensions} embeddings "
         f"({mode}: init={report.ti:.2f}s walk={report.tw:.2f}s "
@@ -377,7 +378,7 @@ def _open_and_build(args, **address):
     base = {"serving": {"index_params": index_params, "server": server}}
     try:
         store = EmbeddingStore.open(args.store)
-        return store, RunSpec.from_dict(_verb_spec(args, base)).serving.build(store, **address)
+        return store, ServingSpec(**_verb_spec(args, base)["serving"]).build(store, **address)
     except (ReproError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return None

@@ -11,11 +11,11 @@ engine's settings live with it, in :mod:`repro.sharding.config`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
 from repro.errors import WalkError
-from repro.tokens import TOKEN_DTYPE
 
 
 def take_fields(config, keywords: dict, **spelled):
@@ -42,17 +42,23 @@ def check_choices(config, section: str, error=WalkError) -> None:
             raise error(f"{section}.{f.name} must be one of {choices}, got {value!r}")
 
 
-def check_counts(config, names, section: str = "") -> None:
-    """Hold each named field to an integer >= 1; ``None`` passes where the
-    field's type admits it (a count left unset)."""
-    optional = {f.name for f in fields(config) if "None" in str(f.type)}
+def check_counts(config, names, section: str = "", error=WalkError, minimum: int = 1) -> None:
+    """Hold each named setting to an integer >= ``minimum`` (0 or 1): the one
+    count check, raising the section's ``error``. ``config`` is a config
+    dataclass, where ``None`` passes if the field's type admits it (a count
+    left unset), or a mapping of keyword values, where a name it lacks passes."""
+    if isinstance(config, Mapping):
+        values, optional = config, set()
+    else:
+        values = {name: getattr(config, name) for name in names}
+        optional = {f.name for f in fields(config) if "None" in str(f.type)}
     for name in names:
-        value = getattr(config, name)
-        if value is None and name in optional:
+        value = values.get(name)
+        if name not in values or (value is None and name in optional):
             continue
-        if not (isinstance(value, Integral) and value >= 1):
+        if not (isinstance(value, Integral) and value >= minimum):
             unset = " or None" if name in optional else ""
-            raise WalkError(f"{section}{name} must be an integer >= 1{unset}, got {value!r}")
+            raise error(f"{section}{name} must be an integer >= {minimum}{unset}, got {value!r}")
 
 
 @dataclass
@@ -116,12 +122,7 @@ class WalkConfig:
         )
 
         check_counts(self, ("num_walks", "walk_length", "init_sample_cap", "max_reject_rounds"))
-        if not (isinstance(self.burn_in_iterations, Integral) and self.burn_in_iterations >= 0):
-            raise WalkError(
-                f"burn_in_iterations must be an integer >= 0, got {self.burn_in_iterations!r}"
-            )
-        if self.table_budget_bytes is not None and self.table_budget_bytes < 0:
-            raise WalkError("table_budget_bytes must be None or >= 0")
+        check_counts(self, ("burn_in_iterations", "table_budget_bytes"), minimum=0)
         try:
             if isinstance(self.sampler, str):
                 self.sampler = SAMPLER_REGISTRY.canonical(self.sampler)
@@ -157,30 +158,19 @@ class StreamingConfig:
     :class:`~repro.walks.corpus.WalkCorpus` shards that the word2vec
     trainer consumes incrementally, so peak corpus memory is O(shard)
     instead of O(total corpus), and with ``overlap=True`` the walk (Tw)
-    and learn (Tl) phases share the wall clock.
+    and learn (Tl) phases share the wall clock. The block's presence is
+    the switch: ``--set streaming=null`` runs the monolithic path.
 
     Parameters
     ----------
-    enabled:
-        master switch; lets a spec override (``--set
-        streaming.enabled=false``) fall back to the monolithic path
-        without deleting the block.
     shard_walks:
-        walks per shard. ``None`` defers to ``max_corpus_bytes`` or, when
-        that is also unset, one wave (one walk per start node) per shard.
-    max_corpus_bytes:
-        alternative shard sizing: largest shard footprint in bytes; the
-        walk length converts it to a walk count at ``4 * walk_length + 8``
-        bytes a walk (a row of four-byte tokens, one int64 length).
-        Mutually exclusive with ``shard_walks``.
+        walks per shard; ``None``: one wave (one walk per start node).
     overlap:
         run walk generation in a producer thread feeding a bounded queue
-        that the trainer drains — Tw and Tl overlap on the wall clock.
-    queue_shards:
-        bounded queue depth for ``overlap=True`` (peak resident corpus is
-        at most ``(queue_shards + 2)`` shards — the queue, the one the
-        producer holds while it is full, the one being trained — plus the
-        trainer's partial block buffer).
+        that the trainer drains — Tw and Tl overlap on the wall clock
+        (peak resident corpus is at most four shards — the two queued,
+        the one the producer holds while the queue is full, the one
+        being trained — plus the trainer's partial block buffer).
     vocab:
         ``"degree"`` estimates token frequencies from the stationary
         distribution (visits ∝ degree — exact for first-order walks on
@@ -196,31 +186,13 @@ class StreamingConfig:
     of the same seed bit-for-bit.
     """
 
-    enabled: bool = True
     shard_walks: int | None = None
-    max_corpus_bytes: int | None = None
     overlap: bool = False
-    queue_shards: int = 2
     vocab: str = field(default="degree", metadata={"choices": STREAMING_VOCAB_MODES})
 
     def __post_init__(self):
-        check_counts(self, ("shard_walks", "max_corpus_bytes", "queue_shards"), "streaming.")
-        if self.shard_walks is not None and self.max_corpus_bytes is not None:
-            raise WalkError(
-                "streaming.shard_walks and streaming.max_corpus_bytes are "
-                "mutually exclusive shard sizings; set one"
-            )
+        check_counts(self, ("shard_walks",), "streaming.")
         check_choices(self, "streaming")
-
-    def resolve_shard_walks(self, walk_length: int, num_starts: int) -> int:
-        """Concrete walks-per-shard for a run's geometry."""
-        if self.shard_walks is not None:
-            return self.shard_walks
-        if self.max_corpus_bytes is not None:
-            # a row of tokens plus its int64 length entry
-            per_walk = TOKEN_DTYPE.itemsize * walk_length + 8
-            return max(1, self.max_corpus_bytes // per_walk)
-        return max(1, num_starts)
 
 
 @dataclass

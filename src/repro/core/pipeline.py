@@ -26,8 +26,8 @@ runs is the source:
   instead of O(total corpus); the vocabulary is a degree estimate or an
   exact counting pass over an identically seeded stream.
 * **overlapped** (``overlap=True``): the same stream behind a prefetching
-  iterator, so a producer thread walks up to ``queue_shards`` ahead while the
-  loop trains. Tw and Tl share the wall clock and ``timings["total"]``
+  iterator, so a producer thread walks up to :data:`PREFETCH_SHARDS` ahead
+  while the loop trains. Tw and Tl share the wall clock and ``timings["total"]``
   is the true wall time (less than Ti+Tw+Tl when overlap wins).
 * **refresh** (:meth:`UniNet.refresh_embeddings
   <repro.core.uninet.UniNet.refresh_embeddings>`): the monolithic source
@@ -51,6 +51,9 @@ from repro.utils.rng import as_rng
 from repro.walks.corpus import WalkCorpus
 from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
+
+#: shards an overlapped run's producer thread walks ahead of the trainer.
+PREFETCH_SHARDS = 2
 
 
 class PhaseTimings:
@@ -356,7 +359,7 @@ def train_pipeline(
     elif isinstance(streaming, dict):
         streaming = StreamingConfig(**streaming)
     # walk-only runs ignore a streaming block: nothing to stream into
-    if skip_learning or not (streaming and streaming.enabled):
+    if skip_learning or not streaming:
         streaming = None
     clock = time.perf_counter
     wall_start = clock()
@@ -390,7 +393,7 @@ def train_pipeline(
         if starts.size == 0:
             raise WalkError("no valid start nodes for this model/graph")
         corpus, total_walks = None, walk_config.num_walks * starts.size
-        shard_walks = streaming.resolve_shard_walks(walk_config.walk_length, starts.size)
+        shard_walks = streaming.shard_walks or starts.size  # default: one wave
         # align canonical blocks with the shards so the trainer's partial
         # block buffer never outgrows one shard — the memory bound stays
         # O(shard). (Set train.extra["block_walks"] explicitly — e.g. to the
@@ -423,7 +426,7 @@ def train_pipeline(
         engine, stream = open_stream(budget)
         shards = meter.clocked(stream)
         if streaming.overlap:
-            shards = _prefetch(shards, streaming.queue_shards)
+            shards = _prefetch(shards, PREFETCH_SHARDS)
 
     # -- the trainer ------------------------------------------------------------
     learn_seconds = 0.0

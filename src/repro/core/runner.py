@@ -238,7 +238,6 @@ def run(
         raise SpecError(
             f"run() needs a RunSpec or a spec mapping, got {type(spec).__name__}"
         )
-    spec.validate()
 
     cache_key = spec.graph.cache_key()
     if graph_cache is not None and cache_key in graph_cache:

@@ -31,7 +31,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices
+from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices, check_counts
 from repro.errors import SpecError
 from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
 
@@ -107,7 +107,7 @@ class GraphSpec:
     weighted: bool = False
     seed: int = 0
 
-    def validate(self) -> "GraphSpec":
+    def __post_init__(self):
         if (self.dataset is None) == (self.edge_list is None):
             raise SpecError(
                 "graph spec needs exactly one of 'dataset' or 'edge_list'"
@@ -120,7 +120,6 @@ class GraphSpec:
                     f"unknown dataset {self.dataset!r}; "
                     f"available: {sorted(datasets.DATASETS)}"
                 )
-        return self
 
     def cache_key(self) -> tuple:
         """Hashable identity of this graph source (for load caching).
@@ -134,7 +133,6 @@ class GraphSpec:
 
     def load(self):
         """Materialise the graph; returns ``(graph, labels_or_None)``."""
-        self.validate()
         if self.dataset is not None:
             from repro.graph import datasets
 
@@ -161,16 +159,12 @@ class EvalSpec:
 
     def __post_init__(self):
         self.train_fractions = tuple(self.train_fractions)
-
-    def validate(self) -> "EvalSpec":
         if self.task not in EVALUATION_TASKS:
             raise SpecError(
                 f"unknown evaluation task {self.task!r}; "
                 f"available: {list(EVALUATION_TASKS)}"
             )
-        if self.trials < 1:
-            raise SpecError("evaluation trials must be >= 1")
-        return self
+        check_counts(self, ("trials",), "evaluation.", SpecError)
 
 
 @dataclass
@@ -204,13 +198,8 @@ class UpdatesSpec:
 
     def __post_init__(self):
         self.steps = [dict(step) for step in self.steps]
-
-    def validate(self) -> "UpdatesSpec":
         check_choices(self, "updates", SpecError)
-        if self.num_walks is not None and self.num_walks < 1:
-            raise SpecError("updates.num_walks must be >= 1")
-        if self.walk_length is not None and self.walk_length < 1:
-            raise SpecError("updates.walk_length must be >= 1")
+        check_counts(self, ("num_walks", "walk_length"), "updates.", SpecError)
         if not self.steps:
             raise SpecError("updates.steps must contain at least one delta record")
         from repro.errors import DeltaError
@@ -219,7 +208,6 @@ class UpdatesSpec:
             self.deltas()
         except DeltaError as err:
             raise SpecError(f"invalid updates step: {err}") from None
-        return self
 
     def deltas(self):
         """Materialise the schedule as :class:`GraphDelta` objects."""
@@ -258,27 +246,20 @@ class RunSpec:
     name: str = ""
 
     def __post_init__(self):
-        self.model_params = dict(self.model_params)
-        self.seed = int(self.seed)
-        self.name = str(self.name)
+        """Registry-check the model and the cross-section rules.
 
-    def label(self) -> str:
-        """Display name: explicit ``name`` or a model/sampler summary."""
-        return self.name or f"{self.model}+{self.walk.sampler}"
-
-    # -- validation ------------------------------------------------------
-    def validate(self) -> "RunSpec":
-        """Registry-validate all component names; returns ``self``.
-
-        Model names resolve through
-        :data:`repro.registry.MODEL_REGISTRY` (unknown names raise
+        The model name resolves through
+        :data:`repro.registry.MODEL_REGISTRY` (an unknown name raises
         :class:`~repro.errors.ModelError` with suggestions), and
         ``model_params`` keys are checked against the model's declared
-        ``param_spec`` capability when it has one. Sampler/initializer
-        names were already validated by :class:`WalkConfig`.
+        ``param_spec`` capability when it has one. Each section checked
+        its own settings when it was built.
         """
         from repro.registry import MODEL_REGISTRY
 
+        self.model_params = dict(self.model_params)
+        self.seed = int(self.seed)
+        self.name = str(self.name)
         if not isinstance(self.model, str):
             raise SpecError(
                 "RunSpec.model must be a registry name (register custom "
@@ -293,29 +274,23 @@ class RunSpec:
                     f"unknown parameter(s) {unknown} for model "
                     f"{entry.name!r}; declared: {sorted(param_spec)}"
                 )
-        self.graph.validate()
-        if self.evaluation is not None:
-            self.evaluation.validate()
-            if self.train is None:
-                raise SpecError("evaluation requires a train config")
-        if self.serving is not None:
-            self.serving.validate()
-            if self.train is None:
-                raise SpecError("serving requires a train config")
-        if self.updates is not None:
-            self.updates.validate()
-            if self.train is None:
-                raise SpecError("updates require a train config")
-            if not self.updates.retrain and (
-                self.evaluation is not None or self.serving is not None
-            ):
-                raise SpecError(
-                    "updates.retrain=false leaves the embeddings stale after "
-                    "the delta schedule; evaluation/serving would silently "
-                    "consume pre-update vectors — enable retrain or drop "
-                    "those blocks"
-                )
-        return self
+        needs_train = {"evaluation": "requires", "serving": "requires", "updates": "require"}
+        for block, verb in needs_train.items():
+            if self.train is None and getattr(self, block) is not None:
+                raise SpecError(f"{block} {verb} a train config")
+        if self.updates is not None and not self.updates.retrain and (
+            self.evaluation is not None or self.serving is not None
+        ):
+            raise SpecError(
+                "updates.retrain=false leaves the embeddings stale after "
+                "the delta schedule; evaluation/serving would silently "
+                "consume pre-update vectors — enable retrain or drop "
+                "those blocks"
+            )
+
+    def label(self) -> str:
+        """Display name: explicit ``name`` or a model/sampler summary."""
+        return self.name or f"{self.model}+{self.walk.sampler}"
 
     # -- (de)serialisation ----------------------------------------------
     def to_dict(self) -> dict:

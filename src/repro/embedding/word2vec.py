@@ -55,12 +55,11 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import fields
-from numbers import Integral
 
 import numpy as np
 from scipy import sparse
 
-from repro.config import TrainConfig
+from repro.config import TrainConfig, check_counts
 from repro.errors import TrainingError
 from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel
 from repro.embedding.keyed_vectors import KeyedVectors
@@ -219,16 +218,12 @@ def check_train_params(**params) -> None:
             f"unknown trainer parameter(s) {unknown}; beside the TrainConfig fields, "
             f"Word2Vec (and so train.extra) takes {extra}"
         )
-    for name in ("dimensions", "window", "negative", "epochs", "block_walks"):
-        if name in params and not (isinstance(params[name], Integral) and params[name] >= 1):
-            raise TrainingError(f"{name} must be an integer >= 1, got {params[name]!r}")
+    counts = ("dimensions", "window", "negative", "epochs", "batch_pairs", "block_walks")
+    check_counts(params, counts, error=TrainingError)
     if "alpha" in params and not 0 < params["alpha"]:
         raise TrainingError("alpha must be positive")
     if params.get("mode", _MODES[0]) not in _MODES:
         raise TrainingError(f"mode must be one of {_MODES}, got {params['mode']!r}")
-    batch_pairs = params.get("batch_pairs", 1)
-    if not isinstance(batch_pairs, (int, np.integer)) or batch_pairs < 1:
-        raise TrainingError("batch_pairs must be an integer >= 1")
     if params.get("max_row_step") is not None and not params["max_row_step"] >= 0:
         raise TrainingError("max_row_step must be >= 0 or None")
 

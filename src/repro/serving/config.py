@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.config import check_counts
 from repro.errors import ConfigError, SpecError
 
 
@@ -33,15 +34,10 @@ class ServerConfig:
     #: pending-request bound; requests beyond it are load-shed.
     queue_size: int = 1024
 
-    def validate(self, error=ConfigError, where: str = "") -> "ServerConfig":
-        """Range-check the knobs; ``where`` prefixes the field name."""
-        if int(self.max_batch) < 1:
-            raise error(f"{where}max_batch must be >= 1")
-        if int(self.queue_size) < 1:
-            raise error(f"{where}queue_size must be >= 1")
+    def __post_init__(self):
+        check_counts(self, ("max_batch", "queue_size"), error=ConfigError)
         if float(self.max_wait_us) < 0:
-            raise error(f"{where}max_wait_us must be >= 0")
-        return self
+            raise ConfigError("max_wait_us must be >= 0")
 
 
 @dataclass
@@ -83,6 +79,9 @@ class ServingSpec:
     server: ServerConfig | None = None
 
     def __post_init__(self):
+        from repro.serving.codec import CODEC_REGISTRY
+        from repro.serving.index import INDEX_REGISTRY
+
         if self.server is True:
             self.server = ServerConfig()
         elif isinstance(self.server, dict):
@@ -92,29 +91,20 @@ class ServingSpec:
                 raise SpecError(
                     f"unknown serving.server knobs {unknown}; supported: {sorted(known)}"
                 )
-            self.server = ServerConfig(**self.server)
+            try:
+                self.server = ServerConfig(**self.server)
+            except ConfigError as err:
+                raise SpecError(f"serving.server.{err}") from None
         elif self.server is not None and not isinstance(self.server, ServerConfig):
             raise SpecError("serving.server must be a mapping (or null)")
-
-    def validate(self) -> "ServingSpec":
-        from repro.serving.codec import CODEC_REGISTRY
-        from repro.serving.index import INDEX_REGISTRY
-
         self.index = INDEX_REGISTRY.canonical(self.index)
         self.codec = CODEC_REGISTRY.canonical(self.codec)
-        if self.topn < 1:
-            raise SpecError("serving.topn must be >= 1")
-        if self.probe_queries < 1:
-            raise SpecError("serving.probe_queries must be >= 1")
-        if self.cache_size < 0:
-            raise SpecError("serving.cache_size must be >= 0")
+        check_counts(self, ("topn", "probe_queries"), "serving.", SpecError)
+        check_counts(self, ("cache_size",), "serving.", SpecError, minimum=0)
         if not isinstance(self.index_params, dict):
             raise SpecError("serving.index_params must be a mapping")
         if not isinstance(self.codec_params, dict):
             raise SpecError("serving.codec_params must be a mapping")
-        if self.server is not None:
-            self.server.validate(SpecError, "serving.server.")
-        return self
 
     def build(self, source, *, store_path=None, **address):
         """The read path these settings describe, over ``source``.
@@ -129,7 +119,6 @@ class ServingSpec:
         from repro.serving.service import QueryService
         from repro.serving.store import EmbeddingStore
 
-        self.validate()
         store = source
         if not isinstance(source, EmbeddingStore):
             store = source.to_store(store_path, codec=self.codec, **self.codec_params)

@@ -169,6 +169,7 @@ class QueryServer:
         port: int = 0,
         **index_params,
     ):
+        config = ServerConfig(max_batch, max_wait_us, queue_size)
         if isinstance(source, SnapshotManager):
             if index_params:
                 raise ConfigError(
@@ -180,10 +181,9 @@ class QueryServer:
             self.snapshots = SnapshotManager(
                 source, index=index, cache_size=cache_size, **index_params
             )
-        ServerConfig(max_batch, max_wait_us, queue_size).validate()
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_us) / 1e6
-        self.queue_size = int(queue_size)
+        self.max_batch = int(config.max_batch)
+        self.max_wait = float(config.max_wait_us) / 1e6
+        self.queue_size = int(config.queue_size)
         self.host = host
         self.port = int(port)
         self.counters = {

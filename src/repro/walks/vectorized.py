@@ -470,7 +470,8 @@ class _MemoryAwareStepper(_AliasStepper):
         self._assign(plan.new_graph)
         return {
             "rebuilt_nodes": plan.new_graph.num_nodes,
-            "rebuild_cost_bytes": self.memory_bytes(),
+            # what was rebuilt: the graph's adjacency filter is not
+            "rebuild_cost_bytes": self.tables.memory_bytes() + self.proposal.memory_bytes(),
             "invalidated_states": dropped,
         }
 
@@ -554,25 +555,8 @@ class _RejectionStepper(StepperBase):
     def _refresh(self, plan) -> dict:
         info = self.proposal.on_delta(plan)
         if self.fold:
-            # row weight sums change only for touched rows
-            new_graph = plan.new_graph
-            totals = np.zeros(new_graph.num_nodes, dtype=np.float64)
-            shared = min(totals.size, self.row_totals.size)
-            totals[:shared] = self.row_totals[:shared]
-            stale = np.union1d(
-                plan.touched_nodes(),
-                np.arange(plan.old_graph.num_nodes, new_graph.num_nodes),
-            )
-            for v in stale:
-                if v >= new_graph.num_nodes:
-                    continue
-                lo, hi = new_graph.edge_range(int(v))
-                totals[v] = (
-                    float(np.asarray(new_graph.edge_weight_at(np.arange(lo, hi))).sum())
-                    if hi > lo
-                    else 0.0
-                )
-            self.row_totals = totals
+            # the constructor's sums, so a refreshed engine walks as a fresh one
+            self.row_totals = plan.new_graph.weight_row_sums()
         return info
 
     def memory_bytes(self) -> int:

@@ -560,11 +560,8 @@ class TestQuantizedServingWiring:
     def test_runspec_unknown_codec_rejected(self):
         from repro import RunSpec
 
-        spec = RunSpec.from_dict(
-            {"graph": {"dataset": "amazon"}, "serving": {"codec": "zstd"}}
-        )
         with pytest.raises(ServingError, match="registered"):
-            spec.validate()
+            RunSpec.from_dict({"graph": {"dataset": "amazon"}, "serving": {"codec": "zstd"}})
 
     def test_cli_export_query_quantized(self, tmp_path, capsys):
         from repro.cli import main

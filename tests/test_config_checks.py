@@ -1,22 +1,26 @@
 """Every knob is checked once, where its value first exists.
 
-A walk or train setting that cannot run is refused by its config
-dataclass: as a field, as a RunSpec key, as an engine keyword (the
-keywords are sugar for the fields), the same on every backend and on the
-sharded engine, and before a sampler structure, a shard plan or a walk
-exists. Each case here ran further at the parent commit: into NumPy, into
-a silent empty walk, or through the whole walk phase.
+A setting that cannot run is refused by its config dataclass: as a
+field, as a RunSpec key, as an engine keyword (the keywords are sugar
+for the fields), the same on every backend and on the sharded engine,
+and before a sampler structure, a shard plan or a walk exists. Each case
+here once ran further: into NumPy, into a silent empty walk, through the
+whole walk phase, or through the whole training run.
 """
 
+import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline
 from repro import UniNet, run
 from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override
-from repro.core.spec import RunSpec
-from repro.errors import ModelError, TrainingError, WalkError
+from repro.core.spec import EvalSpec, RunSpec, UpdatesSpec
+from repro.embedding import KeyedVectors
+from repro.errors import ConfigError, ModelError, SpecError, TrainingError, WalkError
 from repro.sampling.memory_model import MemoryBudget
+from repro.serving import QueryServer, ServerConfig
+from repro.serving.config import ServingSpec
 from repro.sharding import ShardedWalkEngine
 from repro.walks import VectorizedWalkEngine
 from repro.walks.kernels import available_backends
@@ -107,28 +111,50 @@ class TestWalkConfig:
 
 
 #: integer knobs given a float: unchecked, each ran into a TypeError deep
-#: in the engine, the driver or the trainer (``queue_shards`` passed silently)
+#: in the engine, the driver, the trainer, the evaluation or the serving
+#: builder, or was truncated by ``int()`` (the server's knobs)
 FRACTIONAL_COUNTS = [
     (WalkConfig, "num_walks", 1.5), (WalkConfig, "walk_length", 3.5),
     (WalkConfig, "max_reject_rounds", 2.5), (WalkConfig, "burn_in_iterations", 1.5),
-    (StreamingConfig, "shard_walks", 1.5), (StreamingConfig, "max_corpus_bytes", 100.5),
-    (StreamingConfig, "queue_shards", 1.5),
+    (StreamingConfig, "shard_walks", 1.5),
     (TrainConfig, "dimensions", 8.5), (TrainConfig, "window", 2.5),
     (TrainConfig, "negative", 2.5), (TrainConfig, "epochs", 1.5),
+    (EvalSpec, "trials", 1.5),
+    (UpdatesSpec, "num_walks", 1.5), (UpdatesSpec, "walk_length", 2.5),
+    (ServingSpec, "topn", 2.5), (ServingSpec, "probe_queries", 1.5),
+    (ServingSpec, "cache_size", 1.5),
+    (ServerConfig, "max_batch", 2.7), (ServerConfig, "queue_size", 3.9),
 ]  # fmt: skip
-SECTIONS = {WalkConfig: "walk", StreamingConfig: "streaming", TrainConfig: "train"}
+#: class -> (its error, its error inside a RunSpec, the spec block that holds it)
+SECTIONS = {
+    WalkConfig: (WalkError, WalkError, "walk"),
+    StreamingConfig: (WalkError, WalkError, "streaming"),
+    TrainConfig: (TrainingError, TrainingError, "train"),
+    EvalSpec: (SpecError, SpecError, "evaluation"),
+    UpdatesSpec: (SpecError, SpecError, "updates"),
+    ServingSpec: (SpecError, SpecError, "serving"),
+    ServerConfig: (ConfigError, SpecError, "serving.server"),
+}
 
 
 @pytest.mark.parametrize("cls, field, value", FRACTIONAL_COUNTS)
 def test_a_fractional_count_is_refused_at_construction(cls, field, value):
-    error = TrainingError if cls is TrainConfig else WalkError
+    error, in_spec, block = SECTIONS[cls]
+    needs = {"steps": [{"add": [[0, 1]]}]} if cls is UpdatesSpec else {}
     with pytest.raises(error, match=f"{field} must be an integer"):
-        cls(**{field: value})
-    with pytest.raises(error, match=field):
-        RunSpec.from_dict({**BASE, SECTIONS[cls]: {field: value}})
+        cls(**needs, **{field: value})
+    data = apply_override(dict(BASE), f"{block}.{field}", value)
+    data[block.split(".")[0]].update(needs)
+    named = f"{block}.{field}" if in_spec is SpecError else field
+    with pytest.raises(in_spec, match=f"{named} must be an integer"):
+        RunSpec.from_dict(data)
+    if cls is ServerConfig:  # the server's own keywords are the same fields
+        store = KeyedVectors(np.arange(4), np.eye(4, dtype=np.float32)).to_store()
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            QueryServer(store, **{field: value})
 
 
-#: train settings no trainer accepts; all passed ``RunSpec.validate()`` at the parent
+#: train settings no trainer accepts; each once passed every check of the spec
 BAD_TRAIN = [
     ("mode", "cbo"), ("dimensions", 0), ("window", 0), ("negative", 0), ("epochs", 0),
     ("alpha", -1), ("extra", {"batch_pairz": 64}), ("extra", {"batch_pairs": 0}),

@@ -17,6 +17,7 @@ from repro.graph.builder import from_edge_arrays
 from repro.graph.delta import DeltaPlan
 from repro.graph.generators import erdos_renyi
 from repro.sampling.alias import AliasTables
+from repro.walks.kernels import available_backends
 from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -330,6 +331,38 @@ class TestSamplerOnDelta:
             plan.new_graph.degrees()[plan.touched_nodes()].sum()
         )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_knightking_on_delta_matches_fresh_build(self, seed):
+        g = erdos_renyi(300, 8.0, seed=seed, weight_mode="exponential")
+        plan = DeltaPlan.build(g, random_delta(g, np.random.default_rng(seed)))
+        engine = VectorizedWalkEngine(g, "node2vec", sampler="knightking", p=0.5, q=2.0, seed=6)
+        engine.apply_delta(plan)
+        fresh = VectorizedWalkEngine(
+            plan.new_graph, "node2vec", sampler="knightking", p=0.5, q=2.0, seed=6
+        )
+        assert engine.stepper.fold
+        assert np.array_equal(engine.stepper.row_totals, fresh.stepper.row_totals)
+        walked, expected = engine.generate(1, 10), fresh.generate(1, 10)
+        assert np.array_equal(walked.walks, expected.walks)
+
+    def test_memory_aware_rebuild_cost_is_the_same_on_every_backend(self):
+        if not available_backends()["cnative"]:
+            pytest.skip("no C compiler")
+        g = erdos_renyi(150, 6.0, seed=2)
+        plan = DeltaPlan.build(g, random_delta(g, np.random.default_rng(8)))
+        costs = []
+        for backend in ("numpy", "cnative"):
+            engine = VectorizedWalkEngine(
+                g, "node2vec", sampler="memory-aware", table_budget_bytes=20_000,
+                backend=backend, p=0.5, q=2.0, seed=6,
+            )
+            engine.apply_delta(plan)
+            stepper = engine.stepper
+            rebuilt = stepper.tables.memory_bytes() + stepper.proposal.memory_bytes()
+            assert engine.stats()["rebuild_cost_bytes"] == rebuilt
+            costs.append(rebuilt)
+        assert costs[0] == costs[1]
+
     @staticmethod
     def trailing_node_removal():
         g = from_edge_arrays([0, 1, 0], [1, 2, 2], [2.0, 3.0, 4.0], num_nodes=3)
@@ -603,25 +636,24 @@ class TestUpdatesSpec:
         spec = RunSpec.from_dict(self.base_spec())
         again = RunSpec.from_dict(spec.to_dict())
         assert again.updates.steps == spec.updates.steps
-        spec.validate()
         bad = self.base_spec()
         bad["updates"]["refresh"] = "sometimes"
         with pytest.raises(SpecError, match="refresh"):
-            RunSpec.from_dict(bad).validate()
+            RunSpec.from_dict(bad)
         bad = self.base_spec()
         bad["updates"]["steps"] = [{"add": [[0]]}]
         with pytest.raises(SpecError, match="invalid updates step"):
-            RunSpec.from_dict(bad).validate()
+            RunSpec.from_dict(bad)
         bad = self.base_spec()
         bad["train"] = None
         with pytest.raises(SpecError, match="train"):
-            RunSpec.from_dict(bad).validate()
+            RunSpec.from_dict(bad)
         # retrain=false + serving would silently serve stale vectors
         bad = self.base_spec()
         bad["updates"]["retrain"] = False
         bad["serving"] = {"probe_queries": 4}
         with pytest.raises(SpecError, match="stale"):
-            RunSpec.from_dict(bad).validate()
+            RunSpec.from_dict(bad)
 
     def test_run_replays_schedule(self):
         from repro import run

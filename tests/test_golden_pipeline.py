@@ -52,7 +52,8 @@ PIPELINE_CASES = {
         "train": {"extra": {"block_walks": 8192}},
     },
     "streamed-overlap": {"streaming": {**SHARDED, "overlap": True}},
-    "streamed-max-corpus-bytes": {"streaming": {"max_corpus_bytes": 4000}},
+    # recorded as a 4,000-byte budget: 4,000 // (4 * 12 + 8) walks a shard
+    "streamed-max-corpus-bytes": {"streaming": {"shard_walks": 71}},
     "skip-learning": {"skip_learning": True},
     "node2vec-cnative": {
         "model": ("node2vec", {"p": 0.25, "q": 4.0}),

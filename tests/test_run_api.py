@@ -77,31 +77,31 @@ class TestRunSpecSerialisation:
 class TestRunSpecValidation:
     def test_unknown_model_param(self):
         with pytest.raises(SpecError, match="unknown parameter"):
-            tiny_spec(model="deepwalk").validate()  # deepwalk declares no p/q
+            tiny_spec(model="deepwalk")  # deepwalk declares no p/q
 
     def test_unknown_model_suggests(self):
         with pytest.raises(ModelError, match="did you mean"):
-            tiny_spec(model="node2vce", model_params={}).validate()
+            tiny_spec(model="node2vce", model_params={})
 
     def test_graph_source_exclusive(self):
         with pytest.raises(SpecError, match="exactly one"):
-            tiny_spec(graph=GraphSpec()).validate()
+            tiny_spec(graph=GraphSpec())
         with pytest.raises(SpecError, match="exactly one"):
-            tiny_spec(graph=GraphSpec(dataset="amazon", edge_list="x.txt")).validate()
+            tiny_spec(graph=GraphSpec(dataset="amazon", edge_list="x.txt"))
 
     def test_unknown_dataset(self):
         with pytest.raises(SpecError, match="unknown dataset"):
-            tiny_spec(graph=GraphSpec(dataset="nope")).validate()
+            tiny_spec(graph=GraphSpec(dataset="nope"))
 
     def test_evaluation_requires_train(self):
         with pytest.raises(SpecError, match="requires a train config"):
-            tiny_spec(evaluation=EvalSpec()).validate()
+            tiny_spec(evaluation=EvalSpec())
 
     def test_unknown_evaluation_task(self):
         with pytest.raises(SpecError, match="unknown evaluation task"):
             tiny_spec(
                 train=TrainConfig(dimensions=8), evaluation=EvalSpec(task="regression")
-            ).validate()
+            )
 
     @pytest.mark.parametrize(
         "knob, value", [("max_batch", 0), ("max_wait_us", -1), ("queue_size", 0)]
@@ -110,7 +110,7 @@ class TestRunSpecValidation:
         data = tiny_spec(train=TrainConfig(dimensions=8)).to_dict()
         data["serving"] = {"server": {knob: value}}
         with pytest.raises(SpecError, match=f"serving.server.{knob}"):
-            RunSpec.from_dict(data).validate()
+            RunSpec.from_dict(data)
         graph_cache = {}
         with pytest.raises(SpecError, match=f"serving.server.{knob}"):
             run(data, graph_cache=graph_cache)

@@ -318,26 +318,19 @@ class TestServingSpec:
             }
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
-        spec.validate()
         assert spec.serving.index == "ivf"
 
     def test_unknown_index_rejected(self):
         from repro import RunSpec
 
-        spec = RunSpec.from_dict(
-            {"graph": {"dataset": "amazon"}, "serving": {"index": "faiss"}}
-        )
         with pytest.raises(ServingError, match="registered"):
-            spec.validate()
+            RunSpec.from_dict({"graph": {"dataset": "amazon"}, "serving": {"index": "faiss"}})
 
     def test_serving_requires_train(self):
         from repro import RunSpec
 
-        spec = RunSpec.from_dict(
-            {"graph": {"dataset": "amazon"}, "train": None, "serving": {}}
-        )
         with pytest.raises(SpecError, match="train"):
-            spec.validate()
+            RunSpec.from_dict({"graph": {"dataset": "amazon"}, "train": None, "serving": {}})
 
     def test_run_records_serving_metrics(self):
         from repro import run
@@ -551,11 +544,10 @@ class TestServerWiring:
 
         from repro.serving import ServerConfig
 
-        spec = ServingSpec(server={"max_batch": 8}).validate()
-        assert spec.server == ServerConfig(max_batch=8)
+        assert ServingSpec(server={"max_batch": 8}).server == ServerConfig(max_batch=8)
         assert ServingSpec(server=True).server == ServingSpec(server={}).server == ServerConfig()
-        assert ServingSpec().validate().server is None
+        assert ServingSpec().server is None
         with pytest.raises(SpecError, match="unknown serving.server knobs"):
-            ServingSpec(server={"bogus": 1}).validate()
+            ServingSpec(server={"bogus": 1})
         with pytest.raises(SpecError, match="mapping"):
-            ServingSpec(server="yes").validate()
+            ServingSpec(server="yes")

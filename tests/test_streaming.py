@@ -23,6 +23,7 @@ from repro.embedding import Word2Vec
 from repro.errors import TrainingError, WalkError
 from repro.tokens import TOKEN_DTYPE
 from repro.walks import VectorizedWalkEngine, WalkCorpus
+from repro.walks.models import make_model
 
 
 @pytest.fixture
@@ -190,22 +191,28 @@ class TestStreamingConfig:
         with pytest.raises(WalkError):
             StreamingConfig(shard_walks=0)
         with pytest.raises(WalkError):
-            StreamingConfig(max_corpus_bytes=0)
-        with pytest.raises(WalkError):
-            StreamingConfig(shard_walks=10, max_corpus_bytes=100)
-        with pytest.raises(WalkError):
             StreamingConfig(vocab="census")
-        with pytest.raises(WalkError):
-            StreamingConfig(queue_shards=0)
+        # the switch, the byte spelling and the queue depth are no knobs
+        for gone in ("enabled", "max_corpus_bytes", "queue_shards"):
+            with pytest.raises(TypeError, match=gone):
+                StreamingConfig(**{gone: 1})
 
-    def test_resolve_shard_walks(self):
-        assert StreamingConfig(shard_walks=7).resolve_shard_walks(80, 1000) == 7
-        # a row of tokens plus an int64 length per walk
-        per_walk = TOKEN_DTYPE.itemsize * 80 + 8
-        cfg = StreamingConfig(max_corpus_bytes=per_walk * 5)
-        assert cfg.resolve_shard_walks(80, 1000) == 5
-        assert StreamingConfig(max_corpus_bytes=per_walk * 5 - 1).resolve_shard_walks(80, 1000) == 4
-        assert StreamingConfig().resolve_shard_walks(80, 1000) == 1000
+    def test_a_shard_is_shard_walks_walks_or_one_wave(self, small_unweighted_graph, monkeypatch):
+        widths = []
+        original = Word2Vec.partial_fit
+
+        def recording(self, shard):
+            widths.append(shard.num_walks)
+            return original(self, shard)
+
+        monkeypatch.setattr(Word2Vec, "partial_fit", recording)
+        walk, train = WalkConfig(num_walks=2, walk_length=6), TrainConfig(dimensions=4)
+        starts = make_model("deepwalk", small_unweighted_graph).valid_start_nodes().size
+        for streaming, width in ((StreamingConfig(shard_walks=7), 7), (StreamingConfig(), starts)):
+            widths.clear()
+            train_pipeline(small_unweighted_graph, "deepwalk", walk, train, seed=3, streaming=streaming)
+            assert sum(widths) == 2 * starts
+            assert max(widths) == width == widths[0]
 
 
 class TestPrefetch:
@@ -308,7 +315,7 @@ class TestStreamingPipeline:
         with pytest.raises(RuntimeError, match="consumer died"):
             train_pipeline(
                 small_unweighted_graph, "deepwalk", walk_cfg, train_cfg, seed=1,
-                streaming=StreamingConfig(shard_walks=20, overlap=True, queue_shards=1),
+                streaming=StreamingConfig(shard_walks=20, overlap=True),
             )
         assert not producer_threads()
 
@@ -343,7 +350,7 @@ class TestStreamingSpec:
         assert spec.streaming.shard_walks == 64 and spec.streaming.overlap
         back = RunSpec.from_dict(json.loads(spec.to_json()))
         assert back == spec
-        assert RunSpec.from_dict({"model": "deepwalk"}).streaming is None
+        assert RunSpec.from_dict({"graph": {"dataset": "amazon"}}).streaming is None
 
     def test_unknown_streaming_key_rejected(self):
         from repro.core.spec import RunSpec

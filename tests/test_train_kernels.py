@@ -908,7 +908,7 @@ class TestSelectionAndFallback:
         assert "learn_kernel" not in walked.sampler_stats
         streamed = train_pipeline(
             graph, "deepwalk", walk, TrainConfig(dimensions=8), seed=1,
-            streaming={"enabled": True, "shard_walks": 4},
+            streaming={"shard_walks": 4},
         )
         assert streamed.sampler_stats["learn_kernel"] == result.sampler_stats["learn_kernel"]
 
