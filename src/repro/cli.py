@@ -34,8 +34,9 @@ Examples::
     python -m repro stats --dataset blogcatalog --scale 0.5
     python -m repro train --dataset youtube --model node2vec --p 0.25 --q 4 \
         --output vectors.npz
-    python -m repro train --dataset youtube --stream --shard-walks 4096 \
-        --overlap --output vectors.npz
+    python -m repro train --dataset youtube --stream --output vectors.npz
+    python -m repro train --dataset youtube --shard-walks 4096 --overlap \
+        --output vectors.npz
     python -m repro classify --dataset blogcatalog --model deepwalk
     python -m repro run --spec spec.json --set sampler=rejection \
         --set streaming.shard_walks=4096

@@ -4,7 +4,8 @@ A :class:`RunSpec` captures everything one UniNet experiment needs —
 graph source, model + parameters, sampler, walk and training settings,
 optional downstream evaluation — as a JSON-serialisable dataclass. Specs
 round-trip losslessly (``RunSpec.from_dict(spec.to_dict()) == spec``),
-validate their component names against the registries at build time, and
+check every field and component name when each section is built (a bad
+value is refused by ``from_dict``, before a graph is loaded), and
 execute with :func:`repro.core.runner.run` (also exported as
 ``repro.run``) or from the CLI via ``python -m repro run --spec
 spec.json``.
