@@ -47,11 +47,9 @@ def check_counts(config, names, section: str = "", error=WalkError, minimum: int
     count check, raising the section's ``error``. ``config`` is a config
     dataclass, where ``None`` passes if the field's type admits it (a count
     left unset), or a mapping of keyword values, where a name it lacks passes."""
-    if isinstance(config, Mapping):
-        values, optional = config, set()
-    else:
-        values = {name: getattr(config, name) for name in names}
-        optional = {f.name for f in fields(config) if "None" in str(f.type)}
+    keywords = isinstance(config, Mapping)
+    values = config if keywords else {name: getattr(config, name) for name in names}
+    optional = set() if keywords else {f.name for f in fields(config) if "None" in str(f.type)}
     for name in names:
         value = values.get(name)
         if name not in values or (value is None and name in optional):
