@@ -24,13 +24,12 @@ The public surface mirrors the paper's architecture:
   Theorems 1-3 and Figure 1.
 * :mod:`repro.serving` — the read path: memory-mapped
   :class:`~repro.serving.store.EmbeddingStore` files, the pluggable ANN
-  index family (bruteforce / IVF / sharded scatter-gather), and the
+  index family (bruteforce / IVF), and the
   batching :class:`~repro.serving.service.QueryService`.
-* :mod:`repro.sharding` — registry-pluggable graph partitioners, which
-  the ``"sharded"`` scatter-gather index reads by, and the
-  KnightKing-style :class:`~repro.sharding.engine.ShardedWalkEngine`
-  baseline (no pipeline entry builds it; it was slower than one process
-  at every scale measured).
+* :mod:`repro.sharding` — graph partitioners and the KnightKing-style
+  :class:`~repro.sharding.engine.ShardedWalkEngine` baseline, built
+  only by the ``shard_walk`` benchmark (no pipeline entry builds it; it
+  was slower than one process at every scale measured).
 * :mod:`repro.registry` — the plugin layer: every component family
   (models, samplers, initializers) is a :class:`~repro.registry.Registry`
   that third-party code extends with ``@register_model`` /
@@ -71,9 +70,6 @@ _LAZY_ATTRS = {
     "WalkConfig": ("repro.config", "WalkConfig"),
     "TrainConfig": ("repro.config", "TrainConfig"),
     "StreamingConfig": ("repro.config", "StreamingConfig"),
-    "ShardPlan": ("repro.sharding.partitioner", "ShardPlan"),
-    "build_shard_plan": ("repro.sharding.partitioner", "build_shard_plan"),
-    "register_partitioner": ("repro.sharding.partitioner", "register_partitioner"),
     "RunSpec": ("repro.core.spec", "RunSpec"),
     "GraphSpec": ("repro.core.spec", "GraphSpec"),
     "EvalSpec": ("repro.core.spec", "EvalSpec"),

@@ -35,6 +35,7 @@ from pathlib import Path
 from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices, check_counts
 from repro.errors import SpecError
 from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
+from repro.utils.validation import check_fraction, check_positive
 
 #: Downstream evaluation protocols runnable from a spec.
 EVALUATION_TASKS = ("classification", "clustering")
@@ -121,6 +122,7 @@ class GraphSpec:
                     f"unknown dataset {self.dataset!r}; "
                     f"available: {sorted(datasets.DATASETS)}"
                 )
+        check_positive("graph.scale", self.scale, SpecError)
 
     def cache_key(self) -> tuple:
         """Hashable identity of this graph source (for load caching).
@@ -166,6 +168,8 @@ class EvalSpec:
                 f"available: {list(EVALUATION_TASKS)}"
             )
         check_counts(self, ("trials",), "evaluation.", SpecError)
+        for fraction in self.train_fractions:
+            check_fraction("evaluation.train_fractions", fraction, SpecError)
 
 
 @dataclass

@@ -54,6 +54,7 @@ memory is O(block), never O(corpus).
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -67,6 +68,7 @@ from repro.embedding.negative import NegativeSampler
 from repro.embedding.vocab import Vocabulary
 from repro.tokens import TOKEN_DTYPE
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive
 
 _MODES = ("skipgram", "cbow")
 
@@ -220,8 +222,13 @@ def check_train_params(**params) -> None:
         )
     counts = ("dimensions", "window", "negative", "epochs", "batch_pairs", "block_walks")
     check_counts(params, counts, error=TrainingError)
-    if "alpha" in params and not 0 < params["alpha"]:
-        raise TrainingError("alpha must be positive")
+    if "alpha" in params:
+        check_positive("alpha", params["alpha"], TrainingError)
+    # a negative floor decays the learning rate through zero
+    if "min_alpha" in params and not 0 <= params["min_alpha"] < math.inf:
+        raise TrainingError(f"min_alpha must be finite and >= 0, got {params['min_alpha']!r}")
+    if "subsample" in params and not params["subsample"] >= 0:
+        raise TrainingError(f"subsample must be >= 0, got {params['subsample']!r}")
     if params.get("mode", _MODES[0]) not in _MODES:
         raise TrainingError(f"mode must be one of {_MODES}, got {params['mode']!r}")
     if params.get("max_row_step") is not None and not params["max_row_step"] >= 0:

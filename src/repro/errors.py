@@ -57,7 +57,7 @@ class WalkError(ReproError):
 
 class ShardError(ReproError):
     """Raised for invalid shard plans, partitioners, or sharded-engine
-    configuration (the sharded walk + serving subsystem), and for shard
+    configuration (the sharded walk subsystem), and for shard
     transport failures — a worker process or remote shard host dying
     mid-operation, or a transport being reused after such a failure."""
 

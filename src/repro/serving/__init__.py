@@ -17,9 +17,7 @@ serve:
   behind one ``topk(queries, k)`` API: exact :class:`BruteForceIndex`
   (batched BLAS + argpartition, ADC scan on quantized stores) and
   approximate :class:`IVFIndex` (k-means coarse quantizer with
-  ``nprobe`` recall/cost dial; IVFADC over PQ stores), and
-  :class:`ShardedIndex` (scatter-gather: one inner index per part of a
-  shard plan, local top-k merged into exactly the monolithic answer);
+  ``nprobe`` recall/cost dial; IVFADC over PQ stores);
 * :mod:`repro.serving.service` — :class:`QueryService`, the one query
   front-end: batching, an LRU result cache and latency/throughput
   counters, whatever the index;
@@ -54,7 +52,6 @@ from repro.serving.index import (
     INDEX_REGISTRY,
     BruteForceIndex,
     IVFIndex,
-    ShardedIndex,
     make_index,
     register_index,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "LRUCache",
     "BruteForceIndex",
     "IVFIndex",
-    "ShardedIndex",
     "ServerConfig",
     "INDEX_REGISTRY",
     "register_index",

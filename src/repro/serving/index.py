@@ -17,8 +17,7 @@ similarity. ``k`` is clamped to the store size (so the result is
 ``-inf``) when the index finds fewer candidates (e.g. IVF probing
 near-empty cells).
 
-Three built-ins: two cover the exact/approximate trade, the third
-fans either of them out over a row partition:
+Two built-ins, one on each side of the exact/approximate trade:
 
 * :class:`BruteForceIndex` — one BLAS matrix-matrix product per query
   chunk over the L2-normalised matrix plus an ``argpartition`` top-k.
@@ -28,10 +27,6 @@ fans either of them out over a row partition:
   and a query scores only the ``nprobe`` nearest cells, trading recall
   for a ~``nlist/nprobe``-fold reduction in scanned rows. At
   ``nprobe == nlist`` the scan is exhaustive and recall is exact.
-
-* :class:`ShardedIndex` — scatter-gather: one ``inner`` index per part
-  of an owner array (the walk's shard plan), local top-k merged by
-  ``(-score, row)`` into the monolithic scan's answer, ties included.
 
 The built-ins serve *quantized* stores (see :mod:`repro.serving.codec`)
 without decoding the matrix: scoring goes through the store codec's
@@ -48,7 +43,6 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.registry import Registry
-from repro.serving.store import EmbeddingStore
 from repro.utils.rng import as_rng
 
 #: ANN index factories ``(store, **params) -> index``. The serving
@@ -315,67 +309,10 @@ class IVFIndex:
         return self.centroids.nbytes + self._list_rows.nbytes + self._list_offsets.nbytes
 
 
-@register_index("sharded", exact=False)
-class ShardedIndex:
-    """Scatter-gather top-k over a row partition of one store.
-
-    ``owner[key]`` names the part a key's row belongs to (a
-    :class:`~repro.sharding.partitioner.ShardPlan` or its raw ``owner``
-    array). Each non-empty part gets an ``inner`` index, built with
-    ``inner_params``, over a sub-store holding its rows in monolithic
-    order and *sharing the trained codec*: nothing is re-fitted.
-
-    :meth:`topk` merges the parts' local top-``k`` by ``(-score,
-    monolithic row)``, the order the monolithic brute-force scan sorts
-    by. Every row of the monolithic top-``k`` lives on some part and
-    outranks whatever that part did not return, so with the exact
-    ``inner`` the merged answer *is* the monolithic one for any
-    partition. Registered ``exact=False`` because ``inner`` may be
-    approximate: recall is then measured, not assumed.
-    """
-
-    name = "sharded"
-
-    def __init__(self, store, *, owner, inner: str = "bruteforce", **inner_params):
-        owner = np.asarray(getattr(owner, "owner", owner), dtype=np.int64)
-        keys = np.asarray(store.keys)
-        if owner.ndim != 1 or keys.size == 0 or keys.min() < 0 or keys.max() >= owner.size:
-            raise ServingError(
-                f"owner of shape {owner.shape} does not name a part for each of the store's "
-                f"{keys.size} key(s); the plan must come from the graph the embeddings were trained on"
-            )
-        codes, norms = np.asarray(store.codes), np.asarray(store.norms)
-        key_owner = owner[keys]
-        #: per non-empty part: (its monolithic rows, ascending; its inner index)
-        self.parts = []
-        for part in np.unique(key_owner):
-            rows = np.flatnonzero(key_owner == part)
-            sub = EmbeddingStore(keys[rows], codes=codes[rows], norms=norms[rows], codec=store.codec)
-            self.parts.append((rows, make_index(inner, sub, **inner_params)))
-
-    def topk(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
-        rows, scores = [], []
-        for mono, index in self.parts:
-            # a part smaller than k answers with fewer columns, or with
-            # -1 rows (an approximate inner index short of candidates)
-            local, sc = index.topk(queries, k)
-            rows.append(np.where(local >= 0, mono[np.maximum(local, 0)], -1))
-            scores.append(sc)
-        rows, scores = np.concatenate(rows, axis=1), np.concatenate(scores, axis=1)
-        scores = np.where(rows >= 0, scores, -np.inf)
-        order = np.lexsort((rows, -scores), axis=1)[:, :k]
-        return np.take_along_axis(rows, order, axis=1), np.take_along_axis(scores, order, axis=1)
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of the parts' indexes."""
-        return sum(index.memory_bytes() for __, index in self.parts)
-
-
 __all__ = [
     "INDEX_REGISTRY",
     "register_index",
     "make_index",
     "BruteForceIndex",
     "IVFIndex",
-    "ShardedIndex",
 ]

@@ -7,9 +7,8 @@ style walker migration and driver-owned RNG for bitwise parity with
 :class:`~repro.walks.vectorized.VectorizedWalkEngine`
 (:mod:`repro.sharding.engine`).
 
-The read side is not here: scatter-gather queries are a registered
-index on the one query front-end, ``QueryService(store,
-index="sharded", owner=plan)`` (:class:`~repro.serving.index.ShardedIndex`).
+Only the ``shard_walk`` benchmark builds the engine: no pipeline entry,
+query path or top-level ``repro`` export reaches this package.
 """
 
 from repro.sharding.config import ShardingConfig

@@ -1,8 +1,9 @@
 """Small argument-validation helpers used across the library.
 
-These raise :class:`~repro.errors.ConfigError` (a ``ReproError`` that is
-also a ``ValueError``) with a consistent message format so user-facing
-API errors read the same everywhere.
+These raise the caller's error class (:class:`~repro.errors.ConfigError`,
+a ``ReproError`` that is also a ``ValueError``, unless told otherwise)
+with a consistent message format so user-facing API errors read the
+same everywhere.
 """
 
 from __future__ import annotations
@@ -12,32 +13,15 @@ import numpy as np
 from repro.errors import ConfigError
 
 
-def check_positive(name: str, value) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is a finite number > 0."""
+def check_positive(name: str, value, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number > 0."""
     if not np.isfinite(value) or value <= 0:
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        raise error(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_fraction(name: str, value, *, inclusive: bool = False) -> None:
-    """Raise :class:`ConfigError` unless ``value`` lies in (0, 1) or [0, 1]."""
+def check_fraction(name: str, value, error=ConfigError, *, inclusive: bool = False) -> None:
+    """Raise ``error`` unless ``value`` lies in (0, 1) or [0, 1]."""
     ok = 0.0 <= value <= 1.0 if inclusive else 0.0 < value < 1.0
     if not ok:
         bounds = "[0, 1]" if inclusive else "(0, 1)"
-        raise ConfigError(f"{name} must lie in {bounds}, got {value!r}")
-
-
-def check_probability_vector(name: str, probs: np.ndarray, *, atol: float = 1e-8) -> np.ndarray:
-    """Validate that ``probs`` is a proper probability vector.
-
-    Returns the array as float64. Raises :class:`ConfigError` for negative
-    entries or a sum that deviates from one by more than ``atol``.
-    """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigError(f"{name} must be a non-empty 1-D array")
-    if np.any(arr < 0):
-        raise ConfigError(f"{name} must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > atol:
-        raise ConfigError(f"{name} must sum to 1 (+-{atol}), got {total}")
-    return arr
+        raise error(f"{name} must lie in {bounds}, got {value!r}")

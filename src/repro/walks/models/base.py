@@ -31,7 +31,17 @@ import abc
 import numpy as np
 
 from repro.errors import ModelError
+from repro.utils.validation import check_positive
 from repro.walks.state import NO_PREVIOUS
+
+
+def check_bias(model: str, p, q) -> tuple[float, float]:
+    """The return parameter ``p`` and in-out parameter ``q`` of a
+    second-order model as floats; each must be finite and > 0 (NaN
+    passes a ``<= 0`` test and walks on)."""
+    check_positive(f"{model} p", p, ModelError)
+    check_positive(f"{model} q", q, ModelError)
+    return float(p), float(q)
 
 
 class RandomWalkModel(abc.ABC):

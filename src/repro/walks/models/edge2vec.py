@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.walks.models.base import RandomWalkModel
+from repro.walks.models.base import RandomWalkModel, check_bias
 from repro.walks.state import NO_PREVIOUS
 
 
@@ -33,10 +33,7 @@ class Edge2Vec(RandomWalkModel):
         super().__init__(graph)
         if graph.edge_types is None:
             raise ModelError("edge2vec requires a graph with edge types")
-        if p <= 0 or q <= 0:
-            raise ModelError(f"edge2vec needs p > 0 and q > 0, got p={p}, q={q}")
-        self.p = float(p)
-        self.q = float(q)
+        self.p, self.q = check_bias(self.name, p, q)
         t = graph.num_edge_types
         if transition_matrix is None:
             matrix = np.ones((t, t), dtype=np.float64)

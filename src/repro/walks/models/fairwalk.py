@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ModelError
-from repro.walks.models.base import RandomWalkModel
+from repro.walks.models.base import RandomWalkModel, check_bias
 from repro.walks.state import NO_PREVIOUS
 
 
@@ -32,10 +31,7 @@ class FairWalk(RandomWalkModel):
 
     def __init__(self, graph, p: float = 1.0, q: float = 1.0):
         super().__init__(graph)
-        if p <= 0 or q <= 0:
-            raise ModelError(f"fairwalk needs p > 0 and q > 0, got p={p}, q={q}")
-        self.p = float(p)
-        self.q = float(q)
+        self.p, self.q = check_bias(self.name, p, q)
         self._recount(graph)
 
     def _recount(self, graph) -> None:

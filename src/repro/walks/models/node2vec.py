@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ModelError
-from repro.walks.models.base import RandomWalkModel
+from repro.walks.models.base import RandomWalkModel, check_bias
 from repro.walks.state import NO_PREVIOUS
 
 
@@ -31,10 +30,7 @@ class Node2Vec(RandomWalkModel):
 
     def __init__(self, graph, p: float = 1.0, q: float = 1.0):
         super().__init__(graph)
-        if p <= 0 or q <= 0:
-            raise ModelError(f"node2vec needs p > 0 and q > 0, got p={p}, q={q}")
-        self.p = float(p)
-        self.q = float(q)
+        self.p, self.q = check_bias(self.name, p, q)
 
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)

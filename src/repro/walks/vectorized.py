@@ -344,7 +344,9 @@ class StepperBase:
         return {"rebuilt_nodes": 0, "rebuild_cost_bytes": 0, "invalidated_states": 0}
 
     def stats(self) -> dict:
-        """Counter snapshot (basis of the acceptance-ratio tables)."""
+        """Counter snapshot (basis of the acceptance-ratio tables): here
+        ``acceptance_ratio`` is ``samples / proposals``, the share of
+        proposals that became a step; :class:`_MHStepper` overrides it."""
         return {
             "samples": self.samples,
             "proposals": self.proposals,
@@ -658,6 +660,13 @@ class _MHStepper(StepperBase):
         self.accepts += n_acc
         self.samples += n_ok
         return nxt
+
+    def stats(self) -> dict:
+        """A rejected M-H step still emits a sample (the chain stays on
+        ``LAST_x``), so the acceptance ratio counts accepted proposals."""
+        out = super().stats()
+        out["acceptance_ratio"] = (self.accepts / self.proposals) if self.proposals else 1.0
+        return out
 
     def _draw_init(self, m, rng) -> None:
         """Set ``m["init"]``, the first edge of each fresh chain in ``m``,

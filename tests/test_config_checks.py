@@ -15,7 +15,7 @@ import repro.core.pipeline as pipeline
 from repro import UniNet, run
 from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override
-from repro.core.spec import EvalSpec, RunSpec, UpdatesSpec
+from repro.core.spec import EvalSpec, GraphSpec, RunSpec, UpdatesSpec
 from repro.embedding import KeyedVectors
 from repro.errors import ConfigError, ModelError, SpecError, TrainingError, WalkError
 from repro.sampling.memory_model import MemoryBudget
@@ -154,11 +154,36 @@ def test_a_fractional_count_is_refused_at_construction(cls, field, value):
             QueryServer(store, **{field: value})
 
 
+#: (class, field, value) out of its range: a train fraction once failed in
+#: ``classification_sweep`` after the whole train, a scale silently loaded
+#: the dataset's 16-node minimum
+OUT_OF_RANGE = [
+    (EvalSpec, "train_fractions", (0.5, 1.5)), (EvalSpec, "train_fractions", (0.0,)),
+    (GraphSpec, "scale", -1.0), (GraphSpec, "scale", 0.0), (GraphSpec, "scale", float("nan")),
+    (GraphSpec, "scale", float("inf")),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("cls, field, value", OUT_OF_RANGE)
+def test_a_value_out_of_range_is_refused_before_the_graph_is_loaded(cls, field, value):
+    block = {EvalSpec: "evaluation", GraphSpec: "graph"}[cls]
+    needs = {"dataset": "amazon"} if cls is GraphSpec else {}
+    with pytest.raises(SpecError, match=f"{block}.{field} must"):
+        cls(**needs, **{field: value})
+    data = {**BASE, block: {**BASE.get(block, {}), field: value}}
+    graph_cache = {}
+    with pytest.raises(SpecError, match=f"{block}.{field} must"):
+        run(data, graph_cache=graph_cache)
+    assert graph_cache == {}
+
+
 #: train settings no trainer accepts; each once passed every check of the spec
 BAD_TRAIN = [
     ("mode", "cbo"), ("dimensions", 0), ("window", 0), ("negative", 0), ("epochs", 0),
     ("alpha", -1), ("extra", {"batch_pairz": 64}), ("extra", {"batch_pairs": 0}),
     ("extra", {"max_row_step": -1}), ("extra", {"block_walks": 0}),
+    ("min_alpha", -1), ("min_alpha", float("nan")),  # decayed the rate through zero
+    ("subsample", -0.1), ("alpha", float("inf")),
 ]  # fmt: skip
 ROUTES = {
     "monolithic": {},

@@ -127,6 +127,11 @@ class TestRun:
         assert 0 < report.sampler_stats["acceptance_ratio"] <= 1.0
         json.dumps(report.to_dict())  # report is JSON-serialisable
 
+    def test_mh_row_reports_accepts_over_proposals(self):
+        report = run(tiny_spec(model_params={"p": 0.25, "q": 4.0}))
+        stats = report.sampler_stats
+        assert report.summary_row()["acceptance"] == stats["accepts"] / stats["proposals"] < 1.0
+
     def test_run_accepts_plain_dict(self):
         report = run(tiny_spec().to_dict())
         assert report.spec.model == "node2vec"

@@ -1,6 +1,6 @@
-"""Sharded walk + serving subsystem: partitioning, parity, scatter-gather.
+"""Sharded walk subsystem: partitioning, parity, containment.
 
-Covers the four layers of the sharding subsystem:
+Covers the three layers of the sharding subsystem:
 
 * partitioner — owner/plan invariants for every registered partitioner,
   plan validation, registry pluggability;
@@ -10,13 +10,10 @@ Covers the four layers of the sharding subsystem:
   degree-balanced partitions, 1/2/4 shards and both transports; every
   other sampler and initializer refused before a plan or a worker
   exists; migration-counter sanity;
-* serving — ``QueryService(index="sharded", owner=plan)``: exact top-k
-  parity with the monolithic :class:`QueryService` (tie-breaks and
-  self-exclusion included);
 * containment — ``ShardingConfig`` checks, and no module outside
-  ``repro/sharding/`` imports more of it than the partitioner (the
-  pipeline, ``UniNet``, ``RunSpec`` and the CLI build the monolithic
-  engine only).
+  ``repro/sharding/`` imports it or exports from it (the pipeline,
+  ``UniNet``, ``RunSpec``, the CLI and the read path use the monolithic
+  engine and the bruteforce / IVF indexes only).
 """
 
 import ast
@@ -36,11 +33,10 @@ import repro.core.pipeline as pipeline
 import repro.sharding
 from repro import UniNet
 from repro.core.config import WalkConfig
-from repro.errors import ServingError, ShardError, WalkError
+from repro.errors import ShardError, WalkError
 from repro.graph.builder import from_edge_arrays
 from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY
-from repro.serving.service import QueryService
-from repro.serving.store import EmbeddingStore
+from repro.serving.index import INDEX_REGISTRY
 from repro.sharding import (
     PARTITIONER_REGISTRY,
     ShardedWalkEngine,
@@ -458,63 +454,6 @@ def test_no_step_math_outside_the_steppers(module):
 
 
 # ---------------------------------------------------------------------------
-# scatter-gather: the "sharded" index on the one query front-end
-# ---------------------------------------------------------------------------
-
-
-class TestScatterGather:
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("shards", (1, 2, 4))
-    @pytest.mark.parametrize("topn", (1, 5, 10))
-    def test_exact_monolithic_parity(
-        self, small_power_law_graph, partitioner, shards, topn
-    ):
-        rng = np.random.default_rng(23)
-        n = small_power_law_graph.num_nodes
-        vectors = rng.standard_normal((n, 16)).astype(np.float32)
-        store = EmbeddingStore(np.arange(n, dtype=np.int64), vectors=vectors)
-        plan = build_shard_plan(small_power_law_graph, shards, partitioner)
-        service = QueryService(store, index="bruteforce", cache_size=0)
-        sharded = QueryService(store, index="sharded", owner=plan, cache_size=0)
-        keys = np.arange(0, n, 7, dtype=np.int64)
-        assert sharded.most_similar_batch(keys, topn=topn) == service.most_similar_batch(
-            keys, topn=topn
-        )
-
-    def test_quantized_store_cache_raw_owner_and_errors(self, small_power_law_graph):
-        rng = np.random.default_rng(17)
-        n = small_power_law_graph.num_nodes
-        vectors = rng.standard_normal((n, 24)).astype(np.float32)
-        store = EmbeddingStore(np.arange(n, dtype=np.int64), vectors=vectors).recode("int8")
-        plan = build_shard_plan(small_power_law_graph, 3, "hash")
-        # a raw owner array splits like the plan it came from
-        sharded = QueryService(store, index="sharded", owner=plan.owner, cache_size=64)
-        assert [len(rows) for rows, __ in sharded.index.parts] == plan.node_counts.tolist()
-        # the parts share the trained codec: the int8 scan is the monolithic one
-        mono = QueryService(store, index="bruteforce", cache_size=0)
-        first = sharded.most_similar_batch([0, 1, 1], topn=5)
-        assert first == mono.most_similar_batch([0, 1, 1], topn=5)
-        assert sharded.most_similar_batch([0, 1], topn=5) == first[:2]
-        stats = sharded.stats()
-        assert stats["index"] == "sharded" and stats["codec"] == "int8"
-        assert stats["cache_hits"] == 2 and stats["queries"] == 5
-        assert sharded.index.memory_bytes() == mono.index.memory_bytes()
-        # an approximate inner index pads with -1 rows; the merge drops them
-        ivf = QueryService(store, index="sharded", owner=plan, inner="ivf", nlist=8, nprobe=8)
-        exhaustive = ivf.most_similar_batch([0, 1], topn=5)  # scores differ in the last ulp
-        assert [[key for key, __ in hits] for hits in exhaustive] == [
-            [key for key, __ in hits] for hits in first[:2]
-        ]
-        short = QueryService(store, index="sharded", owner=plan, inner="ivf", nlist=8, nprobe=1)
-        assert all(0 < len(hits) <= 5 for hits in short.most_similar_batch([0, 1], topn=5))
-        with pytest.raises(ServingError, match="owner"):
-            QueryService(store, index="sharded", owner=np.empty(0, dtype=np.int64))
-        with pytest.raises(ServingError, match="owner"):
-            # owner array shorter than the key space
-            QueryService(store, index="sharded", owner=np.zeros(3, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
 # containment: the config, and no entry point above the package
 # ---------------------------------------------------------------------------
 
@@ -541,33 +480,31 @@ def _imported_modules(tree):
                 yield from ((node.lineno, f"repro.{alias.name}") for alias in node.names)
 
 
-def test_only_the_partitioner_is_imported_from_outside_the_package():
-    """Outside ``repro/sharding/`` nothing imports the sharded engine, its
-    config or its transports; the ``"sharded"`` index reads by a
-    :class:`ShardPlan`, so ``repro.sharding.partitioner`` is the one
-    module the rest of the package may import (in a function body too)."""
+def test_nothing_outside_the_package_reaches_it():
+    """Outside ``repro/sharding/`` no module imports any of it (in a
+    function body either), no lazy ``repro`` export names one of its
+    modules (those are strings the import scan cannot see), and no
+    index reads by its shard plans."""
     src = Path(repro.sharding.__file__).parent.parent
     offenders = [
         f"{path.relative_to(src).as_posix()}:{line}: {name}"
         for path in sorted(src.rglob("*.py"))
         if path.parent.name != "sharding"
         for line, name in _imported_modules(ast.parse(path.read_text()))
-        if (name == "repro.sharding" or name.startswith("repro.sharding."))
-        and name != "repro.sharding.partitioner"
+        if name == "repro.sharding" or name.startswith("repro.sharding.")
+    ]
+    offenders += [
+        f"repro._LAZY_ATTRS[{name!r}]: {module}"
+        for name, (module, __) in repro._LAZY_ATTRS.items()
+        if module == "repro.sharding" or module.startswith("repro.sharding.")
     ]
     assert offenders == []
+    assert "sharded" not in INDEX_REGISTRY
 
 
-def test_the_package_exports_only_the_partitioner():
-    """``repro``'s lazy exports are strings the import scan cannot see."""
-    fabric = {
-        name: module
-        for name, (module, __) in repro._LAZY_ATTRS.items()
-        if module.startswith("repro.sharding")
-    }
-    assert set(fabric.values()) == {"repro.sharding.partitioner"}
-    assert {"ShardPlan", "build_shard_plan", "register_partitioner"} <= set(repro.__all__)
-    for removed in ("ShardedWalkEngine", "ShardingConfig"):
+def test_the_package_exports_nothing_of_it():
+    for removed in ("ShardPlan", "build_shard_plan", "register_partitioner",
+                    "ShardedWalkEngine", "ShardingConfig"):
         assert removed not in repro.__all__
         with pytest.raises(AttributeError):
             getattr(repro, removed)

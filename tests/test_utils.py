@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-)
+from repro.errors import ConfigError, ModelError, SpecError
+from repro.utils.validation import check_fraction, check_positive
 
 
 class TestAsRng:
@@ -84,18 +81,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_fraction("f", 1.1, inclusive=True)
 
-    def test_probability_vector_valid(self):
-        out = check_probability_vector("p", [0.25, 0.75])
-        assert out.dtype == np.float64
-
-    def test_probability_vector_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("p", [-0.1, 1.1])
-
-    def test_probability_vector_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("p", [0.4, 0.4])
-
-    def test_probability_vector_rejects_empty(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("p", [])
+    def test_the_error_class_is_the_callers(self):
+        with pytest.raises(ConfigError):
+            check_positive("x", 0)
+        with pytest.raises(ModelError, match="x must be positive"):
+            check_positive("x", 0, ModelError)
+        with pytest.raises(SpecError, match=r"f must lie in \(0, 1\)"):
+            check_fraction("f", 1.0, SpecError)

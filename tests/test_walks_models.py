@@ -131,6 +131,17 @@ class TestRegistry:
             make_model("edge2vec", bare)
 
 
+@pytest.mark.parametrize("name", ("node2vec", "edge2vec", "fairwalk"))
+@pytest.mark.parametrize("param", ("p", "q"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0, -1.0))
+def test_second_order_bias_must_be_finite_and_positive(typed_graph, name, param, value):
+    """A NaN ``p`` passes a ``p <= 0`` test and walks to full length; the
+    one shared check refuses it with the other non-finite and
+    non-positive values."""
+    with pytest.raises(ModelError, match=f"{name} {param} must be positive and finite"):
+        make_model(name, typed_graph, **{param: value})
+
+
 class TestDeepWalk:
     def test_dynamic_equals_static(self, tiny_weighted_graph):
         model = make_model("deepwalk", tiny_weighted_graph)

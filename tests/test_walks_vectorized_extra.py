@@ -141,6 +141,19 @@ class TestStatsAccounting:
         assert 0 < stats["accepts"] <= stats["proposals"]
         assert stats["initializations"] > 0
 
+    def test_mh_acceptance_ratio_counts_accepts(self, small_power_law_graph, kernel_backend):
+        """A rejected M-H step still emits a sample, so ``samples /
+        proposals`` reads 1.0 on every run; the ratio is ``accepts /
+        proposals``, on both backends."""
+        eng = VectorizedWalkEngine(
+            small_power_law_graph, "node2vec", sampler="mh", p=0.25, q=4.0, seed=13,
+            backend=kernel_backend,
+        )
+        eng.generate(num_walks=1, walk_length=15)
+        stats = eng.stats()
+        assert stats["samples"] == stats["proposals"]
+        assert stats["acceptance_ratio"] == stats["accepts"] / stats["proposals"] < 1.0
+
     def test_setup_seconds_for_eager_samplers(self, small_power_law_graph):
         eng = VectorizedWalkEngine(
             small_power_law_graph, "node2vec", sampler="alias", p=0.5, q=2.0, seed=14
