@@ -10,9 +10,9 @@ Results go to ``benchmarks/results/BENCH_shard.json`` (one run record
 per scale, labelled with its commit; re-runs at the same scale replace
 their record) and to the ``shard_scaling`` table. Inline rows share one process, so walks/sec is
 expected to stay near the monolithic line while the migration-rate and
-imbalance columns record the *distribution* costs a multi-host
-transport would pay. Socket rows then pay them for real: loopback
-``serve_shard`` worker processes driven over TCP, with the network
+imbalance columns record the *distribution* costs a transport between
+processes would pay. Socket rows then pay them for real: the loopback
+worker processes the socket transport spawns, driven over TCP, with the network
 budget — bytes each way, migration payload bytes, and bytes on the
 wire per migration round — recorded alongside throughput. Those
 columns, not single-host speedups, are the scientific content here.

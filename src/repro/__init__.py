@@ -26,10 +26,11 @@ The public surface mirrors the paper's architecture:
   :class:`~repro.serving.store.EmbeddingStore` files, the pluggable ANN
   index family (bruteforce / IVF), and the
   batching :class:`~repro.serving.service.QueryService`.
-* :mod:`repro.sharding` — graph partitioners and the KnightKing-style
-  :class:`~repro.sharding.engine.ShardedWalkEngine` baseline, built
-  only by the ``shard_walk`` benchmark (no pipeline entry builds it; it
-  was slower than one process at every scale measured).
+* :mod:`repro.sharding` — the KnightKing-style
+  :class:`~repro.sharding.engine.ShardedWalkEngine` baseline on a
+  degree-balanced partition, first-order M-H walks only, built only by
+  the ``shard_walk`` benchmark (no pipeline entry builds it; it was
+  slower than one process at every scale measured).
 * :mod:`repro.registry` — the plugin layer: every component family
   (models, samplers, initializers) is a :class:`~repro.registry.Registry`
   that third-party code extends with ``@register_model`` /

@@ -42,14 +42,12 @@ REGISTRY_FAMILIES = {
     "register_codec": "codec",
     "register_index": "index",
     "register_rule": "lint rule",
-    "register_partitioner": "partitioner",
     "MODEL_REGISTRY": "model",
     "SAMPLER_REGISTRY": "sampler",
     "INITIALIZER_REGISTRY": "initialization strategy",
     "CODEC_REGISTRY": "codec",
     "INDEX_REGISTRY": "index",
     "LINT_REGISTRY": "lint rule",
-    "PARTITIONER_REGISTRY": "partitioner",
 }
 
 _SUPPRESS_MARK = "repro-lint:"

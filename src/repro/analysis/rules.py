@@ -100,7 +100,6 @@ _FAMILY_PROTOCOLS = {
     "codec": ("fit", "encode", "decode", "state", "from_state"),
     "index": ("topk", "memory_bytes"),
     "lint rule": (),
-    "partitioner": ("partition",),
 }
 
 

@@ -257,8 +257,9 @@ class RunSpec:
         :data:`repro.registry.MODEL_REGISTRY` (an unknown name raises
         :class:`~repro.errors.ModelError` with suggestions), and
         ``model_params`` keys are checked against the model's declared
-        ``param_spec`` capability when it has one. Each section checked
-        its own settings when it was built.
+        ``param_spec`` capability when it has one, and their values by the
+        model class's ``check_params`` (node2vec's ``p``, say). Each
+        section checked its own settings when it was built.
         """
         from repro.registry import MODEL_REGISTRY
 
@@ -279,6 +280,7 @@ class RunSpec:
                     f"unknown parameter(s) {unknown} for model "
                     f"{entry.name!r}; declared: {sorted(param_spec)}"
                 )
+        entry.obj.check_params(self.model_params)
         needs_train = {"evaluation": "requires", "serving": "requires", "updates": "require"}
         for block, verb in needs_train.items():
             if self.train is None and getattr(self, block) is not None:

@@ -56,10 +56,10 @@ class WalkError(ReproError):
 
 
 class ShardError(ReproError):
-    """Raised for invalid shard plans, partitioners, or sharded-engine
-    configuration (the sharded walk subsystem), and for shard
-    transport failures — a worker process or remote shard host dying
-    mid-operation, or a transport being reused after such a failure."""
+    """Raised for invalid shard plans or sharded-engine configuration
+    (the sharded walk subsystem), and for shard transport failures — a
+    worker process dying mid-operation, or a transport being reused
+    after such a failure."""
 
 
 class ShardTimeoutError(ShardError):

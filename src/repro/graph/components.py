@@ -57,35 +57,16 @@ def induced_subgraph(graph: CSRGraph, nodes) -> tuple[CSRGraph, np.ndarray]:
 
     Returns ``(subgraph, kept)`` where ``kept`` is the sorted array of
     original node ids; new id ``i`` corresponds to ``kept[i]``. Weights
-    and node/edge types are carried over.
+    and node/edge types are carried over, and the type universe
+    (``num_node_types`` / ``num_edge_types``) is the parent graph's
+    (:meth:`CSRGraph.subgraph <repro.graph.csr.CSRGraph.subgraph>`).
     """
     kept = np.unique(np.asarray(nodes, dtype=np.int64))
     if kept.size == 0:
         raise GraphError("subgraph needs at least one node")
     if kept[0] < 0 or kept[-1] >= graph.num_nodes:
         raise GraphError("subgraph node ids out of range")
-    new_id = np.full(graph.num_nodes, -1, dtype=np.int64)
-    new_id[kept] = np.arange(kept.size)
-
-    src, dst, __ = graph.edge_list()
-    inside = (new_id[src] >= 0) & (new_id[dst] >= 0)
-    sel = np.flatnonzero(inside)
-    new_src = new_id[src[sel]]
-    new_dst = new_id[dst[sel]]
-    order = np.lexsort((new_dst, new_src))
-    sel = sel[order]
-    new_src, new_dst = new_src[order], new_dst[order]
-
-    offsets = np.zeros(kept.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(new_src, minlength=kept.size), out=offsets[1:])
-    subgraph = CSRGraph(
-        offsets,
-        new_dst,
-        weights=None if graph.weights is None else graph.weights[sel],
-        node_types=None if graph.node_types is None else graph.node_types[kept],
-        edge_types=None if graph.edge_types is None else graph.edge_types[sel],
-    )
-    return subgraph, kept
+    return graph.subgraph(kept)[:2]
 
 
 def largest_component(graph: CSRGraph) -> tuple[CSRGraph, np.ndarray]:

@@ -1,11 +1,15 @@
-"""Sharded execution: partitioned graphs and walker migration.
+"""Sharded execution: a partitioned graph and walker migration.
 
-The scale-out layer over the single-process engines. Partitioners split
-the CSR into per-shard local views (:mod:`repro.sharding.partitioner`)
-and :class:`ShardedWalkEngine` runs one worker per shard with KnightKing-
-style walker migration and driver-owned RNG for bitwise parity with
+The KnightKing-style baseline over the single-process engine.
+:func:`~repro.sharding.partitioner.build_shard_plan` splits the CSR into
+per-shard local views on a degree-balanced partition, and
+:class:`ShardedWalkEngine` runs one worker per shard with walker
+migration and driver-owned RNG for bitwise parity with
 :class:`~repro.walks.vectorized.VectorizedWalkEngine`
-(:mod:`repro.sharding.engine`).
+(:mod:`repro.sharding.engine`). It runs first-order models with M-H and
+the ``high-weight`` initializer, on in-process workers (``inline``) or
+on worker processes it spawns on loopback and drives over TCP
+(``socket``).
 
 Only the ``shard_walk`` benchmark builds the engine: no pipeline entry,
 query path or top-level ``repro`` export reaches this package.
@@ -13,17 +17,7 @@ query path or top-level ``repro`` export reaches this package.
 
 from repro.sharding.config import ShardingConfig
 from repro.sharding.engine import ShardedWalkEngine
-from repro.sharding.partitioner import (
-    PARTITIONER_REGISTRY,
-    DegreeBalancedPartitioner,
-    HashPartitioner,
-    Shard,
-    ShardPlan,
-    build_shard_plan,
-    make_partitioner,
-    register_partitioner,
-)
-from repro.sharding.socket_worker import serve_shard
+from repro.sharding.partitioner import Shard, ShardPlan, build_shard_plan, degree_balanced
 from repro.sharding.transport import (
     InlineTransport,
     SocketTransport,
@@ -31,9 +25,6 @@ from repro.sharding.transport import (
 )
 
 __all__ = [
-    "PARTITIONER_REGISTRY",
-    "DegreeBalancedPartitioner",
-    "HashPartitioner",
     "InlineTransport",
     "SocketTransport",
     "Shard",
@@ -41,8 +32,6 @@ __all__ = [
     "ShardingConfig",
     "ShardedWalkEngine",
     "build_shard_plan",
-    "make_partitioner",
+    "degree_balanced",
     "make_transport",
-    "register_partitioner",
-    "serve_shard",
 ]

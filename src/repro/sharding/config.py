@@ -1,9 +1,7 @@
 """The sharded engine's own settings, beside the engine that reads them.
 
-Imports only :mod:`repro.config` and :mod:`repro.errors` at module
-level, so :mod:`repro.sharding.partitioner` can take its default from
-here without a cycle; the partitioner registry and the address parser
-are imported when a config is checked.
+Imports only :mod:`repro.config` and :mod:`repro.errors`, so every
+module of the package can take its defaults from here without a cycle.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ class ShardingConfig:
     graph into ``shards`` local views, one worker per shard steps the
     walkers it owns, and walkers crossing a partition boundary are
     migrated between workers in typed batches. Corpora are bitwise
-    identical to the monolithic engine for any partitioner and shard
-    count, so these settings change *execution*, never results.
+    identical to the monolithic engine for any shard count, so these
+    settings change *execution*, never results.
 
     Parameters
     ----------
@@ -34,18 +32,13 @@ class ShardingConfig:
         number of graph partitions (and workers). ``1`` is a valid
         degenerate case — useful for isolating partitioning overhead.
     partitioner:
-        registered partitioner name
-        (:data:`repro.sharding.partitioner.PARTITIONER_REGISTRY`):
-        ``"hash"`` for stateless multiplicative hashing,
-        ``"degree_balanced"`` for greedy LPT on out-degree.
+        ``"degree_balanced"``, greedy LPT on out-degree
+        (:func:`repro.sharding.partitioner.degree_balanced`), the one
+        partitioner.
     transport:
         ``"inline"`` keeps workers in-process (zero serialization);
-        ``"socket"`` drives :func:`~repro.sharding.socket_worker.serve_shard`
-        processes over TCP (without ``hosts`` it spawns loopback workers
-        itself).
-    hosts:
-        socket transport only: one ``"host:port"`` worker address per
-        shard. ``None`` spawns loopback workers on this machine.
+        ``"socket"`` spawns one loopback worker process per shard and
+        drives it over TCP.
     connect_timeout:
         socket transport: seconds allowed per worker for the
         retry-with-backoff connect loop.
@@ -55,44 +48,16 @@ class ShardingConfig:
     """
 
     shards: int = 2
-    partitioner: str = "hash"
+    partitioner: str = field(default="degree_balanced", metadata={"choices": ("degree_balanced",)})
     transport: str = field(default="inline", metadata={"choices": SHARD_TRANSPORTS})
-    hosts: tuple[str, ...] | None = None
     connect_timeout: float = 10.0
     call_timeout: float | None = 120.0
 
     def __post_init__(self):
-        from repro.errors import ReproError
-
         if int(self.shards) != self.shards or self.shards < 1:
             raise WalkError("sharding.shards must be a positive integer")
         self.shards = int(self.shards)
-        if isinstance(self.partitioner, str):
-            from repro.sharding.partitioner import PARTITIONER_REGISTRY
-
-            try:
-                self.partitioner = PARTITIONER_REGISTRY.canonical(self.partitioner)
-            except ReproError as err:
-                raise WalkError(str(err)) from None
         check_choices(self, "sharding")
-        if self.hosts is not None:
-            from repro.sharding.transport import parse_host
-
-            if self.transport != "socket":
-                raise WalkError(
-                    "worker host lists only apply to transport='socket', "
-                    f"got transport={self.transport!r}"
-                )
-            if isinstance(self.hosts, str) or not hasattr(self.hosts, "__len__"):
-                raise WalkError("worker hosts must be a list of 'host:port' strings")
-            if len(self.hosts) != self.shards:
-                raise WalkError(
-                    f"the host list names {len(self.hosts)} address(es) for "
-                    f"{self.shards} shard(s); one worker per shard"
-                )
-            for entry in self.hosts:
-                parse_host(entry)
-            self.hosts = tuple(self.hosts)
         self.connect_timeout = float(self.connect_timeout)
         if self.connect_timeout <= 0:
             raise WalkError("sharding.connect_timeout must be positive")

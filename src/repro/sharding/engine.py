@@ -3,19 +3,19 @@
 :class:`ShardedWalkEngine` *is* a
 :class:`~repro.walks.vectorized.VectorizedWalkEngine`: same wave loop,
 same counters, and as its stepper the monolithic M-H stepper with its
-applying half swapped. It runs one walk, :data:`SHARDED_WALK`: any model,
-sampler ``mh``, initializer ``high-weight``, the configuration every
-sharded number in this repo was recorded on (KnightKing-style sharding
-is the paper's baseline, not its design). Anything else raises
-:class:`~repro.errors.ShardError` before a plan or a worker exists.
+applying half swapped. It runs one walk, :data:`SHARDED_WALK`: a
+first-order model, sampler ``mh``, initializer ``high-weight``, the
+configuration every sharded number in this repo was recorded on
+(KnightKing-style sharding is the paper's baseline, not its design).
+Anything else raises :class:`~repro.errors.ShardError` before a plan or
+a worker exists.
 
-``_MHStepper`` keeps "draw the uniforms" and "apply them" apart for step
-0 of a second-order walk (``first_step`` / ``apply_first``) and for M-H
-(``step`` / ``begin`` -> ``init_high_weight`` -> ``finish``). The
-driver's stepper inherits the drawing half untouched and overrides the
-applying half, to slice each batch of uniforms by lane ownership and fan
-it out to the shard workers, who run the same applying methods on their
-local CSR. The driver keeps the full graph (for the cheap O(walkers)
+``_MHStepper`` keeps "draw the uniforms" (``step``) and "apply them"
+(``begin`` -> ``init_high_weight`` -> ``finish``) apart. The driver's
+stepper inherits the drawing half untouched and overrides the applying
+half, to slice each batch of uniforms by lane ownership and fan it out
+to the shard workers, who run the same applying methods on their local
+CSR. The driver keeps the full graph (for the cheap O(walkers)
 bookkeeping: lane compaction, target lookups), the bound model and the
 **single** random generator; workers own the expensive O(edges)
 per-step work (weight evaluation, the M-H chains).
@@ -27,8 +27,7 @@ resident arrays are id-sorted, matching the driver's lane order) and
 never draw. Because each per-entry kernel in this repo maps one uniform
 to one lane or edge entry independently of the others, a worker
 evaluating its slice computes exactly what the monolith computes for
-those lanes — so the corpus is identical for any partitioner and any
-shard count.
+those lanes — so the corpus is identical for any shard count.
 
 Walkers that step across a shard boundary are emigrated by their old
 owner into typed migration batches (KnightKing's walker-centric
@@ -92,12 +91,12 @@ def check_sharded_walk(config: WalkConfig, budget=None) -> None:
 class _FanoutMH(_MHStepper):
     """The driver's M-H stepper: it draws, and its shard workers apply.
 
-    ``step`` and ``first_step`` are the monolithic stepper's drawing
-    half, unchanged; they resolve every applying call (``apply_first``,
-    ``begin``, ``init_high_weight``, ``finish``) to the overrides here,
-    which slice the wave's uniforms per shard, ship one op per worker
-    and scatter the replies back into monolithic lane order. The
-    ``begin`` scratch holds, per shard, which of the fresh lanes it owns.
+    ``step`` is the monolithic stepper's drawing half, unchanged; it
+    resolves every applying call (``begin``, ``init_high_weight``,
+    ``finish``) to the overrides here, which slice the wave's uniforms
+    per shard, ship one op per worker and scatter the replies back into
+    monolithic lane order. The ``begin`` scratch holds, per shard, which
+    of the fresh lanes it owns.
     """
 
     #: the driver steps lane by lane through the overrides below; the
@@ -144,21 +143,13 @@ class _FanoutMH(_MHStepper):
         lanes_per = self._by_shard(self.owner[starts])
         self._call("load_wave", [(lanes, starts[lanes]) for lanes in lanes_per])
 
-    def first_step(self, cur, rng):
-        self._enter(cur)
-        return self._advance(super().first_step(cur, rng))
-
     def step(self, prev, prev_off, cur, step, rng):
-        self._enter(cur)
-        return self._advance(super().step(prev, prev_off, cur, step, rng))
-
-    def _enter(self, cur) -> None:
+        """The monolithic step over the workers; then ship its outcomes
+        and relay the returned migration batches."""
         self.walker_steps += cur.size
         self.shard_of = self.owner[cur]
         self.lanes_per = self._by_shard(self.shard_of)
-
-    def _advance(self, chosen):
-        """Ship step outcomes; relay the returned migration batches."""
+        chosen = super().step(prev, prev_off, cur, step, rng)
         results = self._call("advance", [(chosen[lanes],) for lanes in self.lanes_per])
         relays = []
         moved = 0
@@ -174,13 +165,6 @@ class _FanoutMH(_MHStepper):
         return chosen
 
     # -- the applying half, one op per worker ----------------------------
-    def apply_first(self, cur, u_flat):
-        # one uniform per edge entry: split by the shard of each entry's row
-        __, deg = self._rows(cur)
-        rep = np.repeat(self.shard_of, deg)
-        parts = [u_flat[rep == j] for j in range(self.num_shards)]
-        return self._chosen(self._call("step_first", [(u,) for u in parts]))
-
     def begin(self, prev, prev_off, cur, step) -> dict:
         uninit = self._gather(
             np.zeros(cur.size, dtype=bool), self.lanes_per, self._all("mh_begin", step)
@@ -223,7 +207,8 @@ class ShardedWalkEngine(VectorizedWalkEngine):
     plan or a transport is built: any walk but :data:`SHARDED_WALK`
     (:func:`check_sharded_walk`), table budgets (per-shard budget
     accounting is not modelled), instance models (workers rebuild the
-    model from its name) and injected chain stores.
+    model from its name), second-order models (workers hold no previous
+    node or edge) and injected chain stores.
     """
 
     def __init__(
@@ -250,12 +235,17 @@ class ShardedWalkEngine(VectorizedWalkEngine):
         check_node_ids(graph)
         self.graph = graph
         self.model = make_model(model, graph, **keywords)
+        if self.model.order != 1:
+            raise ShardError(
+                f"the sharded engine runs first-order models only, got {model!r} "
+                f"(order {self.model.order}); use VectorizedWalkEngine for it"
+            )
         kernels = resolve_kernels(self.config.backend, self.model)
         self.backend = kernels.name
         # compiled once here, so same-host workers load the cached build
         self.compile_seconds = float(kernels.warmup())
         self.stepper = _FanoutMH(graph, self.model, SamplerContext(self.config))
-        self.plan = build_shard_plan(graph, self.sharding.shards, self.sharding.partitioner)
+        self.plan = build_shard_plan(graph, self.sharding.shards)
         self.num_shards = self.plan.num_shards
         self.transport = make_transport(self.sharding, self.plan, model, keywords, self.config)
         self.stepper.attach(self.plan, self.transport)
@@ -285,6 +275,7 @@ class ShardedWalkEngine(VectorizedWalkEngine):
             stepper.migrated_walkers / stepper.walker_steps if stepper.walker_steps else 0.0
         )
         out.update(self.plan.stats())
+        out["partitioner"] = self.sharding.partitioner
         out["transport"] = self.transport.name
         transport_stats = getattr(self.transport, "transport_stats", None)
         if transport_stats is not None:

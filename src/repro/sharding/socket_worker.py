@@ -1,14 +1,11 @@
-"""The network-facing shard worker: :func:`serve_shard` lives here.
+"""The shard worker process the socket transport spawns.
 
-One process, one listening socket, one shard. The worker is started
-*empty* — it knows nothing about the graph until a driver connects and
-sends the ``SETUP`` bootstrap (shard arrays + local subgraph + sampler
-config), after which it is an ordinary :class:`~repro.sharding.worker.
-ShardWorker` driven by binary op frames instead of in-process method
-calls. That inversion is what makes multi-host deployment trivial: the
-only thing an operator provisions per machine is a process running
-``serve_shard("0.0.0.0", N)`` — no dataset files, no shard assignment;
-the driver ships each worker exactly the slice it owns.
+One process, one listening socket, one shard, one session. The worker
+is started *empty* — it knows nothing about the graph until the driver
+connects and sends the ``SETUP`` bootstrap (shard arrays + local
+subgraph + sampler config), after which it is an ordinary
+:class:`~repro.sharding.worker.ShardWorker` driven by binary op frames
+instead of in-process method calls.
 
 Because workers are RNG-free by design (the driver draws every uniform
 and ships slices — see :mod:`repro.sharding.engine`), a socket worker
@@ -83,58 +80,27 @@ def _serve_session(conn) -> None:
             pass
 
 
-def serve_shard(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    sessions: int = 1,
-    on_ready=None,
-) -> tuple[str, int]:
-    """Listen on ``host:port`` and serve ``sessions`` driver sessions.
+def _loopback_worker_main(ready_conn) -> None:
+    """Child-process entry of a worker the socket transport spawns.
 
-    ``port=0`` binds an ephemeral port; the bound ``(host, port)`` is
-    passed to ``on_ready`` (and returned) so launchers — the loopback
-    transport, a test, an operator's script — can discover the address before
-    the first driver connects. Each session runs to its graceful drain
-    (or the driver's death); the listener then accepts the next one, so
-    a standing worker survives driver restarts when ``sessions > 1``.
+    Binds an ephemeral loopback port, reports the address through the
+    pipe, serves the one session of the driver that connects, and exits
+    hard — a worker has no business outliving its driver session, and
+    ``os._exit`` avoids re-running the parent's atexit machinery in the
+    fork.
     """
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, int(port)))
-        listener.listen(1)
-        address = listener.getsockname()[:2]
-        if on_ready is not None:
-            on_ready(address)
-        for __ in range(int(sessions)):
-            conn, __peer = listener.accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            _serve_session(conn)
-    finally:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            listener.close()
-        except OSError:
-            pass
-    return address
-
-
-def _loopback_worker_main(ready_conn, host: str) -> None:
-    """Child-process entry for driver-spawned loopback workers.
-
-    Binds an ephemeral port, reports it through the pipe, serves one
-    session, and exits hard — a loopback worker has no business
-    outliving its driver session, and ``os._exit`` avoids re-running
-    the parent's atexit machinery in the fork.
-    """
-    try:
-        def report(address):
-            ready_conn.send(address)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            ready_conn.send(listener.getsockname()[:2])
             ready_conn.close()
-
-        serve_shard(host, 0, sessions=1, on_ready=report)
+            conn, __peer = listener.accept()
+        finally:
+            listener.close()
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        _serve_session(conn)
     finally:
         os._exit(0)
-
-
-__all__ = ["serve_shard"]

@@ -6,15 +6,13 @@ Two interchangeable implementations of the same op protocol (``call``
 * :class:`InlineTransport` — workers live in the driver process and ops
   are direct method calls. Zero serialization; the reference used by the
   bitwise-parity tests and the default for small graphs.
-* :class:`SocketTransport` — one TCP connection per shard to a
-  :func:`~repro.sharding.socket_worker.serve_shard` process that may live on **another machine**.
-  Ops travel as length-prefixed binary frames (:mod:`repro.sharding.
-  wire`: array headers + raw bytes, no pickle on the hot path); the
-  driver connects with retry/backoff, bounds every call with a
-  timeout, probes liveness with ping frames and drains gracefully on
-  close. Given no host list it spawns loopback workers itself, so the
-  multi-process socket path runs end to end on one machine (the CI
-  shape).
+* :class:`SocketTransport` — one worker process per shard, spawned on
+  loopback (:mod:`repro.sharding.socket_worker`), one TCP connection
+  to each. Ops travel as length-prefixed binary frames
+  (:mod:`repro.sharding.wire`: array headers + raw bytes, no pickle on
+  the hot path); the driver connects with retry/backoff, bounds every
+  call with a timeout, probes liveness with ping frames and drains
+  gracefully on close.
 
 ``call_many`` is the fan-out primitive: the socket transport runs each
 shard's request sequence on its own thread, so per-shard work overlaps.
@@ -37,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.errors import FrameError, ShardError, ShardTimeoutError, WalkError
+from repro.errors import FrameError, ShardError, ShardTimeoutError
 from repro.serving.framing import recv_frame, send_frame
 from repro.sharding import wire
 from repro.sharding.worker import ShardWorker
@@ -69,42 +67,11 @@ class InlineTransport:
             worker.close()
 
 
-def parse_host(entry) -> tuple[str, int]:
-    """One worker address, ``"host:port"`` or a ``(host, port)`` pair.
-
-    The single definition of a valid address: a non-empty host (an IPv6
-    literal goes in brackets, ``"[::1]:9000"``) and a port in 1-65535.
-    :class:`~repro.sharding.config.ShardingConfig` holds its ``hosts`` to it
-    (hence :class:`~repro.errors.WalkError`); the transport only parses.
-    """
-    if isinstance(entry, str):
-        host, sep, port = entry.rpartition(":")
-    elif isinstance(entry, (tuple, list)) and len(entry) == 2:
-        (host, port), sep = entry, ":"
-    else:
-        host = port = sep = ""
-    try:
-        port = int(port)
-    except (TypeError, ValueError):
-        port = 0
-    host = str(host).strip("[]")
-    if not sep or not host or not 1 <= port <= 65535:
-        raise WalkError(
-            f"invalid worker address {entry!r}; expected 'host:port' with a "
-            "non-empty host and a port in 1-65535"
-        )
-    return host, port
-
-
 class SocketTransport:
-    """One TCP connection per shard worker; workers may be remote.
+    """One spawned loopback worker process and TCP connection per shard.
 
-    With ``sharding.hosts`` (one worker address per shard) the transport
-    connects to standing :func:`~repro.sharding.socket_worker.serve_shard` workers — the multi-host
-    deployment. Without, it spawns one loopback worker process per
-    shard and connects to those — the single-machine e2e path CI
-    exercises. Either way each worker is bootstrapped over the wire
-    with its :class:`~repro.sharding.partitioner.Shard`, model and
+    Each worker is bootstrapped over the wire with its
+    :class:`~repro.sharding.partitioner.Shard`, model and
     :class:`~repro.config.WalkConfig` (``SETUP``), then driven by binary
     op frames.
 
@@ -138,9 +105,7 @@ class SocketTransport:
         self._op_calls: list[dict] = [dict() for __ in range(self.num_shards)]
         started = False
         try:
-            hosts = [parse_host(entry) for entry in sharding.hosts or ()]
-            addresses = hosts or self._spawn_loopback()
-            for shard_id, address in enumerate(addresses):
+            for shard_id, address in enumerate(self._spawn_loopback()):
                 self._socks.append(self._connect(shard_id, address))
             for shard_id, shard in enumerate(plan.shards):
                 payload = wire.encode_setup((shard, plan.num_shards, plan.owner, setup))
@@ -176,9 +141,7 @@ class SocketTransport:
         addresses = []
         for __ in range(self.num_shards):
             parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_loopback_worker_main, args=(child_conn, "127.0.0.1"), daemon=True
-            )
+            proc = ctx.Process(target=_loopback_worker_main, args=(child_conn,), daemon=True)
             proc.start()
             child_conn.close()
             self._procs.append(proc)

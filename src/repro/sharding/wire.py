@@ -1,4 +1,4 @@
-"""Binary message codec for the multi-host shard transport.
+"""Binary message codec for the socket shard transport.
 
 The op protocol the sharded engine speaks (:mod:`repro.sharding.worker`)
 moves NumPy arrays almost exclusively: uniform slices out, chosen edge
@@ -16,16 +16,16 @@ The value grammar is exactly what the op protocol needs, nothing more:
 ==========  =============================================================
 tag         value
 ==========  =============================================================
-``NONE``    ``None`` (optional uniforms, e.g. unweighted ``u_keep``)
+``NONE``    ``None`` (optional uniforms: an uncapped init block)
 ``TRUE``/
-``FALSE``   booleans (the ``clip`` flag)
+``FALSE``   booleans (the ``SETUP`` acknowledgement)
 ``INT``     signed 64-bit (steps, counters; NumPy integers fold in)
 ``FLOAT``   IEEE double (bounds; NumPy floats fold in)
 ``STR``     UTF-8 with 32-bit length (op names, error payloads)
 ``ARRAY``   dtype.str + shape + raw C-order bytes
 ``TUPLE``   32-bit count + values (lists decode as tuples)
 ``DICT``    32-bit count + alternating key/value values (migration
-            batches: destination shard -> walker-state arrays)
+            batches: destination shard -> walker ids, current nodes)
 ==========  =============================================================
 
 On top of the values, one message envelope per frame: a 1-byte kind.

@@ -10,9 +10,10 @@ moves to the data, the data never moves to the walkers.
 
 There is no step math in this module. Every op translates the resident
 lanes from global to local coordinates, calls the stepper's applying
-half (``apply_first`` for step 0 of a second-order walk, otherwise M-H's
-``begin`` -> ``init_high_weight`` -> ``finish``) with the uniforms the
-driver shipped, and translates the chosen edges back.
+half (M-H's ``begin`` -> ``init_high_weight`` -> ``finish``) with the
+uniforms the driver shipped, and translates the chosen edges back. The
+walks are first order, so a walker is its id and its current node: no
+previous node or edge is resident or migrates.
 
 RNG discipline (the bitwise-parity contract): workers draw **no**
 random numbers. The driver owns the single generator, draws every
@@ -21,7 +22,7 @@ and ships each worker the slice for its lanes. Because every kernel in
 this repo maps one uniform to one walker/edge entry as a pure function
 of that entry (see :func:`repro.walks._segments.race_keys`), evaluating
 a slice locally reproduces exactly what the single-process engine
-computes for those lanes — whatever the partitioner or shard count.
+computes for those lanes — whatever the shard count.
 
 Residency invariant: the resident arrays are kept sorted by walker id,
 which equals the driver's per-shard lane order (its lane arrays stay
@@ -43,6 +44,7 @@ from repro.config import WalkConfig
 from repro.registry import SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.base import NO_EDGE
 from repro.walks.models import make_model
+from repro.walks.state import NO_PREVIOUS
 from repro.walks.vectorized import resolve_kernels
 
 
@@ -67,19 +69,10 @@ class ShardWorker:
         self.stepper = SAMPLER_REGISTRY.get(config.sampler)(graph, model, ctx)
         # resident walkers, global coordinates, sorted by walker id
         self.ids = np.empty(0, dtype=np.int64)
-        self.prev_g = np.empty(0, dtype=np.int64)
-        self.prev_off_g = np.empty(0, dtype=np.int64)
         self.cur_g = np.empty(0, dtype=np.int64)
         self._mh = None  # the stepper's M-H scratch between begin and exec
 
     # -- coordinate translation ----------------------------------------
-    def _nodes_local(self, g: np.ndarray) -> np.ndarray:
-        return np.where(g < 0, np.int64(-1), self.g2l[np.maximum(g, 0)])
-
-    def _edges_local(self, g: np.ndarray) -> np.ndarray:
-        local = np.searchsorted(self.edge_map, np.maximum(g, 0))
-        return np.where(g < 0, np.int64(-1), local)
-
     def _edges_global(self, local: np.ndarray) -> np.ndarray:
         # masked, not clamped: an edgeless shard has no entry to clamp to
         out = np.full(local.shape, NO_EDGE, dtype=np.int64)
@@ -88,48 +81,36 @@ class ShardWorker:
         return out
 
     def _lanes(self):
-        """Resident lanes in local coordinates."""
-        return (
-            self._nodes_local(self.prev_g),
-            self._edges_local(self.prev_off_g),
-            self._nodes_local(self.cur_g),
-        )
+        """Resident lanes in local coordinates, ``(prev, prev_off, cur)``."""
+        no_prev = np.full(self.cur_g.size, NO_PREVIOUS, dtype=np.int64)
+        return no_prev, no_prev, self.g2l[self.cur_g]
 
     # -- residency ------------------------------------------------------
     def load_wave(self, ids, cur_g):
         """Reset residency for a new wave (walkers at their start nodes)."""
         self.ids = np.asarray(ids, dtype=np.int64)
         self.cur_g = np.asarray(cur_g, dtype=np.int64)
-        self.prev_g = np.full(self.ids.size, -1, dtype=np.int64)
-        self.prev_off_g = np.full(self.ids.size, -1, dtype=np.int64)
         self._mh = None
 
-    def absorb(self, ids, prev_g, prev_off_g, cur_g):
+    def absorb(self, ids, cur_g):
         """Merge an immigrant batch, restoring walker-id sort order."""
-        self.ids = np.concatenate((self.ids, ids))
-        self.prev_g = np.concatenate((self.prev_g, prev_g))
-        self.prev_off_g = np.concatenate((self.prev_off_g, prev_off_g))
-        self.cur_g = np.concatenate((self.cur_g, cur_g))
-        order = np.argsort(self.ids, kind="stable")
-        self.ids = self.ids[order]
-        self.prev_g = self.prev_g[order]
-        self.prev_off_g = self.prev_off_g[order]
-        self.cur_g = self.cur_g[order]
+        ids = np.concatenate((self.ids, ids))
+        order = np.argsort(ids, kind="stable")
+        self.ids = ids[order]
+        self.cur_g = np.concatenate((self.cur_g, cur_g))[order]
 
     def advance(self, chosen_g):
         """Apply the step outcome; emigrate boundary-crossing walkers.
 
         ``chosen_g`` is this shard's lanes' chosen global edge offsets
-        (``NO_EDGE`` = walk ended). Returns ``{dest_shard: (ids, prev_g,
-        prev_off_g, cur_g)}`` — the typed migration batches; the driver
-        relays each to its destination worker's :meth:`absorb`.
+        (``NO_EDGE`` = walk ended). Returns ``{dest_shard: (ids, cur_g)}``
+        — the typed migration batches; the driver relays each to its
+        destination worker's :meth:`absorb`.
         """
         chosen_g = np.asarray(chosen_g, dtype=np.int64)
         alive = chosen_g != NO_EDGE
         ids = self.ids[alive]
-        prev_g = self.cur_g[alive]
-        prev_off_g = chosen_g[alive]
-        chosen_l = self._edges_local(prev_off_g)
+        chosen_l = np.searchsorted(self.edge_map, chosen_g[alive])
         cur_g = self.node_map[self.graph.targets[chosen_l]]
         dest = self.owner[cur_g]
         stay = dest == self.shard_id
@@ -139,19 +120,11 @@ class ShardWorker:
                 continue
             mask = dest == j
             if mask.any():
-                batches[j] = (ids[mask], prev_g[mask], prev_off_g[mask], cur_g[mask])
+                batches[j] = (ids[mask], cur_g[mask])
         self.ids = ids[stay]
-        self.prev_g = prev_g[stay]
-        self.prev_off_g = prev_off_g[stay]
         self.cur_g = cur_g[stay]
         self._mh = None
         return batches
-
-    # -- step ops -------------------------------------------------------
-    def step_first(self, u_flat):
-        """Second-order step 0: exact draw from the start-state law."""
-        cur = self._nodes_local(self.cur_g)
-        return self._edges_global(self.stepper.apply_first(cur, u_flat))
 
     # -- M-H: the stepper's begin -> init_high_weight -> finish, one op each
     def mh_begin(self, step):

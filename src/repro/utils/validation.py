@@ -8,20 +8,20 @@ same everywhere.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from repro.errors import ConfigError
 
 
 def check_positive(name: str, value, error=ConfigError) -> None:
-    """Raise ``error`` unless ``value`` is a finite number > 0."""
-    if not np.isfinite(value) or value <= 0:
+    """Raise ``error`` unless ``value`` is a finite real number > 0."""
+    if not isinstance(value, Real) or not np.isfinite(value) or value <= 0:
         raise error(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_fraction(name: str, value, error=ConfigError, *, inclusive: bool = False) -> None:
-    """Raise ``error`` unless ``value`` lies in (0, 1) or [0, 1]."""
-    ok = 0.0 <= value <= 1.0 if inclusive else 0.0 < value < 1.0
-    if not ok:
-        bounds = "[0, 1]" if inclusive else "(0, 1)"
-        raise error(f"{name} must lie in {bounds}, got {value!r}")
+def check_fraction(name: str, value, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise error(f"{name} must lie in (0, 1), got {value!r}")

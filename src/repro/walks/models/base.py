@@ -67,6 +67,12 @@ class RandomWalkModel(abc.ABC):
             raise ModelError(f"{self.name} requires a typed (heterogeneous) graph")
         self.graph = graph
 
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        """Refuse, with no graph at hand, the parameter values the
+        constructor refuses; :class:`~repro.core.spec.RunSpec` calls it
+        when it is built, before a graph is loaded. Nothing here."""
+
     def rebind(self, graph) -> "RandomWalkModel":
         """Rebind this model to a (mutated) graph in place; returns self.
 
@@ -210,3 +216,18 @@ class RandomWalkModel(abc.ABC):
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
         return f"{type(self).__name__}(graph={self.graph!r})"
+
+
+class BiasedWalkModel(RandomWalkModel):
+    """A second-order walk biased by a return parameter ``p`` and an
+    in-out parameter ``q``, both held to :func:`check_bias`."""
+
+    order = 2
+
+    def __init__(self, graph, p: float = 1.0, q: float = 1.0):
+        super().__init__(graph)
+        self.p, self.q = check_bias(self.name, p, q)
+
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        check_bias(cls.name, params.get("p", 1.0), params.get("q", 1.0))

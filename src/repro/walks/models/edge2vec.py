@@ -19,21 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.walks.models.base import RandomWalkModel, check_bias
+from repro.walks.models.base import BiasedWalkModel
 from repro.walks.state import NO_PREVIOUS
 
 
-class Edge2Vec(RandomWalkModel):
+class Edge2Vec(BiasedWalkModel):
     """Second-order heterogeneous walk with an edge-type transition matrix."""
 
     name = "edge2vec"
-    order = 2
 
     def __init__(self, graph, p: float = 1.0, q: float = 1.0, transition_matrix=None):
-        super().__init__(graph)
         if graph.edge_types is None:
             raise ModelError("edge2vec requires a graph with edge types")
-        self.p, self.q = check_bias(self.name, p, q)
+        super().__init__(graph, p, q)
         t = graph.num_edge_types
         if transition_matrix is None:
             matrix = np.ones((t, t), dtype=np.float64)

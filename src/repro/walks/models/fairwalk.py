@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.walks.models.base import RandomWalkModel, check_bias
+from repro.walks.models.base import BiasedWalkModel
 from repro.walks.state import NO_PREVIOUS
 
 
-class FairWalk(RandomWalkModel):
+class FairWalk(BiasedWalkModel):
     """Second-order walk with per-group neighbour-count discounting."""
 
     name = "fairwalk"
-    order = 2
     requires_node_types = True
 
     def __init__(self, graph, p: float = 1.0, q: float = 1.0):
-        super().__init__(graph)
-        self.p, self.q = check_bias(self.name, p, q)
+        super().__init__(graph, p, q)
         self._recount(graph)
 
     def _recount(self, graph) -> None:

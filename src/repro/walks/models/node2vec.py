@@ -18,19 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.walks.models.base import RandomWalkModel, check_bias
+from repro.walks.models.base import BiasedWalkModel
 from repro.walks.state import NO_PREVIOUS
 
 
-class Node2Vec(RandomWalkModel):
+class Node2Vec(BiasedWalkModel):
     """Second-order walk with return parameter p and in-out parameter q."""
 
     name = "node2vec"
-    order = 2
-
-    def __init__(self, graph, p: float = 1.0, q: float = 1.0):
-        super().__init__(graph)
-        self.p, self.q = check_bias(self.name, p, q)
 
     def batch_dynamic_weight(self, prev, prev_off, cur, step, edge_offsets) -> np.ndarray:
         w = np.asarray(self.graph.edge_weight_at(edge_offsets), dtype=np.float64)

@@ -36,13 +36,12 @@ sharded driver (it fans every step out) keep the base loop;
 ``stats()["wave_kernel"]`` says which ran and ``["wave_threads"]`` on
 how many threads the last wave did (0: the base loop).
 
-A stepper's ``step`` draws its uniforms and applies them in one piece.
-The one exception is M-H with the ``high-weight`` initializer, the
-configuration :mod:`repro.sharding` runs: ``_MHStepper`` keeps
-``begin`` -> ``init_high_weight`` -> ``finish`` and
-:meth:`StepperBase.apply_first` as pure functions of pre-drawn uniforms,
-so that shard workers can apply, on their local graphs, the uniforms
-the sharded driver drew.
+A stepper's ``step`` draws its uniforms and applies them in one piece,
+and so does :meth:`StepperBase.first_step`. The one split left is M-H's:
+``_MHStepper.step`` draws, and ``begin`` -> ``init_high_weight`` ->
+``finish`` apply the draws as pure functions of them, so that the shard
+workers of :mod:`repro.sharding` can apply, on their local graphs, the
+uniforms the sharded driver drew.
 """
 
 from __future__ import annotations
@@ -93,14 +92,13 @@ class StepperBase:
     ``factory(graph, model, ctx)`` with a
     :class:`~repro.registry.SamplerContext`.
 
-    Steppers build their structures in ``_build(ctx)``. Step 0 of a
-    second-order walk draws one uniform per edge entry in
-    :meth:`first_step` and applies them in :meth:`apply_first`, a pure
-    function of the draws; ``_MHStepper`` splits its ``step`` the same
-    way (``begin`` / ``init_high_weight`` / ``finish``). The sharded
-    driver (:mod:`repro.sharding`) inherits the drawing half of those
-    two and runs the applying half on its shard workers, which is why
-    the sharded corpus equals this engine's bit for bit.
+    Steppers build their structures in ``_build(ctx)``; step 0 of a
+    second-order walk is :meth:`first_step`, shared by all of them.
+    ``_MHStepper`` alone splits its ``step`` into a drawing half and an
+    applying half (``begin`` -> ``init_high_weight`` -> ``finish``): the
+    sharded driver (:mod:`repro.sharding`) inherits the drawing half and
+    runs the applying half on its shard workers, which is why the
+    sharded corpus equals this engine's bit for bit.
     """
 
     name = "abstract"
@@ -200,8 +198,7 @@ class StepperBase:
 
         ``weights``/``u_flat`` hold one entry per edge entry of the
         rows of ``cur``, flattened; every entry's race key depends on
-        its own (weight, uniform) pair only, so a shard racing its slice
-        of the wave picks the winners the whole wave would.
+        its own (weight, uniform) pair only.
         """
         lo, deg = self._rows(cur)
         pos = segment_race_argmin(race_keys(weights, u_flat), deg)
@@ -246,12 +243,8 @@ class StepperBase:
         return lengths, (ids, prev, prev_off, cur)
 
     def first_step(self, cur, rng):
-        """Step 0 of a second-order walk: one uniform per edge entry."""
-        __, deg = self._rows(cur)
-        return self.apply_first(cur, rng.random(int(deg.sum())))
-
-    def apply_first(self, cur, u_flat):
-        """Second-order walks take step 0 from the model's start-state law.
+        """Step 0 of a second-order walk: an exact draw from the model's
+        start-state law, one uniform per edge entry.
 
         With no previous edge the models define α = 1, which reduces to
         the static distribution for node2vec/edge2vec but keeps
@@ -260,6 +253,7 @@ class StepperBase:
         """
         lo, deg = self._rows(cur)
         flat_offs, seg = concat_ranges(lo, deg)
+        u_flat = rng.random(flat_offs.size)
         if flat_offs.size == 0:
             return np.full(cur.size, NO_EDGE, dtype=np.int64)
         no_prev = np.full(flat_offs.size, -1, dtype=np.int64)

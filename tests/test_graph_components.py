@@ -70,6 +70,30 @@ class TestInducedSubgraph:
         assert np.array_equal(sub.node_types, graph.node_types[kept])
         assert sub.edge_types is not None
 
+    def test_the_type_universe_is_the_parent_graphs(self, academic):
+        """Counted from the parent graph, not from the types the subgraph
+        happens to keep: a type-conditioned model sees the same universe."""
+        graph, __ = academic
+        kept_types = np.flatnonzero(graph.node_types == 0)
+        sub, kept = induced_subgraph(graph, kept_types)
+        assert int(sub.node_types.max()) + 1 < graph.num_node_types
+        assert (sub.num_node_types, sub.num_edge_types) == (
+            graph.num_node_types, graph.num_edge_types,
+        )
+        assert np.array_equal(kept, kept_types)
+
+    def test_keeps_exactly_the_edges_inside_the_set(self, academic):
+        graph, __ = academic
+        nodes = np.random.default_rng(5).choice(graph.num_nodes, graph.num_nodes // 3, replace=False)
+        sub, kept = induced_subgraph(graph, nodes)
+        src, dst, weights = graph.edge_list()
+        inside = np.isin(src, nodes) & np.isin(dst, nodes)
+        sub_src, sub_dst, sub_weights = sub.edge_list()
+        assert np.array_equal(kept[sub_src], src[inside])
+        assert np.array_equal(kept[sub_dst], dst[inside])
+        assert np.array_equal(sub_weights, weights[inside])
+        assert np.array_equal(sub.edge_types, graph.edge_types[inside])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             induced_subgraph(_two_islands(), [99])

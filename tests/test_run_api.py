@@ -116,6 +116,35 @@ class TestRunSpecValidation:
             run(data, graph_cache=graph_cache)
         assert graph_cache == {}  # refused at validation: nothing was loaded, walked or trained
 
+    @pytest.mark.parametrize("model", ("node2vec", "edge2vec", "fairwalk"))
+    @pytest.mark.parametrize("param", ("p", "q"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf"), 0.0, -1.0, "x"))
+    def test_a_bias_the_model_refuses_is_refused_before_the_graph_is_loaded(
+        self, model, param, value
+    ):
+        data = tiny_spec(model=model).to_dict()
+        data["model_params"][param] = value
+        with pytest.raises(ModelError, match=f"{model} {param} must be positive and finite"):
+            RunSpec.from_dict(data)
+        graph_cache = {}
+        with pytest.raises(ModelError, match=f"{model} {param} must be positive and finite"):
+            run(data, graph_cache=graph_cache)
+        assert graph_cache == {}
+
+    def test_the_spec_and_the_model_hold_a_bias_to_one_rule(self, typed_graph):
+        """What ``RunSpec`` accepts the model builds, and what it refuses
+        the model refuses with the same message."""
+        from repro.walks.models import make_model
+
+        for value in (0.25, 4, float("nan"), 0.0, -2.0):
+            try:
+                tiny_spec(model_params={"p": value})
+            except ModelError as refused:
+                with pytest.raises(ModelError, match=str(refused)):
+                    make_model("node2vec", typed_graph, p=value)
+            else:
+                assert make_model("node2vec", typed_graph, p=value).p == value
+
 
 class TestRun:
     def test_walk_only_run(self):

@@ -2,14 +2,14 @@
 
 Covers the three layers of the sharding subsystem:
 
-* partitioner — owner/plan invariants for every registered partitioner,
-  plan validation, registry pluggability;
+* partitioner — owner/plan invariants of the degree-balanced plan and
+  plan validation;
 * engine — the acceptance matrix: corpora bitwise identical to
   :class:`VectorizedWalkEngine` for the one sharded walk (M-H with the
-  ``high-weight`` initializer) over every model, hash AND
-  degree-balanced partitions, 1/2/4 shards and both transports; every
-  other sampler and initializer refused before a plan or a worker
-  exists; migration-counter sanity;
+  ``high-weight`` initializer) over every first-order model, 1/2/4
+  shards and both transports; every second-order model, other sampler
+  and other initializer refused before a plan or a worker exists;
+  migration-counter sanity;
 * containment — ``ShardingConfig`` checks, and no module outside
   ``repro/sharding/`` imports it or exports from it (the pipeline,
   ``UniNet``, ``RunSpec``, the CLI and the read path use the monolithic
@@ -19,8 +19,6 @@ Covers the three layers of the sharding subsystem:
 import ast
 import multiprocessing
 import os
-import queue
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,38 +33,35 @@ from repro import UniNet
 from repro.core.config import WalkConfig
 from repro.errors import ShardError, WalkError
 from repro.graph.builder import from_edge_arrays
-from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY
+from repro.registry import INITIALIZER_REGISTRY, MODEL_REGISTRY, SAMPLER_REGISTRY
 from repro.serving.index import INDEX_REGISTRY
-from repro.sharding import (
-    PARTITIONER_REGISTRY,
-    ShardedWalkEngine,
-    ShardingConfig,
-    build_shard_plan,
-    make_partitioner,
-    register_partitioner,
-)
-from repro.sharding.socket_worker import serve_shard
+from repro.sharding import ShardedWalkEngine, ShardingConfig, build_shard_plan, degree_balanced
 from repro.sharding.transport import SocketTransport
 from repro.walks.kernels import available_backends
 from repro.walks.vectorized import VectorizedWalkEngine
 
-PARTITIONERS = ("hash", "degree_balanced")
-#: every registered model -> (graph fixture, model parameters)
+#: every registered first-order model -> (graph fixture, model parameters)
 MODELS = {
     "deepwalk": ("small_power_law_graph", {}),
+    "metapath2vec": ("academic_net", {"metapath": "APVPA"}),
+}
+#: the second-order models, which the sharded engine refuses
+SECOND_ORDER = {
     "node2vec": ("small_power_law_graph", {"p": 0.5, "q": 2.0}),
     "fairwalk": ("typed_graph", {"p": 0.5, "q": 2.0}),
     "edge2vec": ("typed_graph", {"p": 0.5, "q": 2.0}),
-    "metapath2vec": ("academic_net", {"metapath": "APVPA"}),
 }
-#: the walks the sharded engine refuses, as WalkConfig fields
+#: the walks the sharded engine refuses: (model, graph fixture, keywords, error match)
 REFUSED = [
-    *({"sampler": name} for name in SAMPLER_REGISTRY.names() if name != "mh"),
-    *({"initializer": name} for name in INITIALIZER_REGISTRY.names() if name != "high-weight"),
+    *(pytest.param("deepwalk", "small_power_law_graph", {field: name}, "'mh'.*'high-weight'", id=name)
+      for field, registry, keep in (("sampler", SAMPLER_REGISTRY, "mh"),
+                                    ("initializer", INITIALIZER_REGISTRY, "high-weight"))
+      for name in registry.names() if name != keep),
+    *(pytest.param(model, fixture, params, "first-order", id=model)
+      for model, (fixture, params) in SECOND_ORDER.items()),
 ]
-COMPILED_BACKENDS = sorted(
-    name for name, ok in available_backends().items() if ok and name != "numpy"
-)
+BACKENDS = sorted(name for name, ok in available_backends().items() if ok)
+COMPILED_BACKENDS = [name for name in BACKENDS if name != "numpy"]
 
 
 @pytest.fixture
@@ -95,10 +90,9 @@ def assert_corpus_equal(a, b):
 
 
 class TestShardPlan:
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_plan_invariants(self, small_power_law_graph, partitioner):
+    def test_plan_invariants(self, small_power_law_graph):
         g = small_power_law_graph
-        plan = build_shard_plan(g, 3, partitioner)
+        plan = build_shard_plan(g, 3)
         assert plan.num_shards == 3
         assert plan.owner.shape == (g.num_nodes,)
         assert plan.owner.min() >= 0 and plan.owner.max() < 3
@@ -127,55 +121,23 @@ class TestShardPlan:
             )
             assert np.array_equal(deg_global, deg_local)
 
-    def test_degree_balanced_beats_hash_on_edges(self, small_power_law_graph):
-        hash_plan = build_shard_plan(small_power_law_graph, 4, "hash")
-        lpt_plan = build_shard_plan(small_power_law_graph, 4, "degree_balanced")
-        assert lpt_plan.edge_imbalance <= hash_plan.edge_imbalance
+    @pytest.mark.parametrize("shards", (1, 2, 3, 5, 8))
+    def test_degree_balanced_is_greedy_lpt(self, small_power_law_graph, shards):
+        """Heaviest node first onto the lightest shard: the loads (degree
+        + 1 per node) end within one node's load of each other."""
+        g = small_power_law_graph
+        owner = degree_balanced(g, shards)
+        load = np.bincount(owner, weights=g.degrees() + 1, minlength=shards)
+        assert load.max() - load.min() <= g.degrees().max() + 1
+        assert np.array_equal(owner, build_shard_plan(g, shards).owner)
 
     def test_plan_validation(self, tiny_weighted_graph):
         with pytest.raises(ShardError):
             build_shard_plan(tiny_weighted_graph, 0)
-        with pytest.raises(ShardError):
-            make_partitioner("no-such-partitioner")
         with pytest.raises(ShardError, match="transport"):
             ShardedWalkEngine(tiny_weighted_graph, "deepwalk", transport="no-such-transport")
-
-        class BadShape:
-            def partition(self, graph, num_shards):
-                return np.zeros(graph.num_nodes + 1, dtype=np.int64)
-
-        with pytest.raises(ShardError, match="shape"):
-            build_shard_plan(tiny_weighted_graph, 2, BadShape())
-
-        class OutOfRange:
-            def partition(self, graph, num_shards):
-                return np.full(graph.num_nodes, num_shards, dtype=np.int64)
-
-        with pytest.raises(ShardError, match="outside"):
-            build_shard_plan(tiny_weighted_graph, 2, OutOfRange())
-
-    def test_custom_partitioner_registers_and_runs(self, small_unweighted_graph):
-        @register_partitioner("test-round-robin")
-        class RoundRobin:
-            name = "test-round-robin"
-
-            def partition(self, graph, num_shards):
-                return np.arange(graph.num_nodes, dtype=np.int64) % num_shards
-
-        try:
-            plan = build_shard_plan(small_unweighted_graph, 2, "test-round-robin")
-            assert plan.partitioner == "test-round-robin"
-            mono, __ = _mono(small_unweighted_graph, "deepwalk", seed=31)
-            shrd, __ = _sharded(
-                small_unweighted_graph,
-                "deepwalk",
-                seed=31,
-                num_shards=2,
-                partitioner="test-round-robin",
-            )
-            assert_corpus_equal(mono, shrd)
-        finally:
-            PARTITIONER_REGISTRY.unregister("test-round-robin")
+        with pytest.raises(ShardError, match="partitioner"):
+            ShardedWalkEngine(tiny_weighted_graph, "deepwalk", partitioner="hash")
 
 
 # ---------------------------------------------------------------------------
@@ -184,39 +146,20 @@ class TestShardPlan:
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("shards", (1, 2, 4))
-    def test_corpus_bitwise_identical(self, small_power_law_graph, partitioner, shards):
-        mono, me = _mono(small_power_law_graph, "node2vec", seed=123, p=0.5, q=2.0)
-        shrd, se = _sharded(
-            small_power_law_graph,
-            "node2vec",
-            seed=123,
-            num_shards=shards,
-            partitioner=partitioner,
-            p=0.5,
-            q=2.0,
-        )
-        assert_corpus_equal(mono, shrd)
-        ms, ss = me.stats(), se.stats()
-        for key in ("samples", "proposals", "accepts", "initializations"):
-            assert ms[key] == ss[key], key
-
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("transport", ("inline", "socket"))
     @pytest.mark.parametrize("shards", (1, 2, 4))
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("model", MODELS)
-    def test_every_model_partitioner_shardcount_transport(
-        self, request, model, partitioner, shards, transport
+    def test_every_first_order_model_shardcount_transport(
+        self, request, model, shards, transport, backend
     ):
-        """The one sharded walk, M-H with ``high-weight``, equals the monolith."""
+        """The one sharded walk, M-H with ``high-weight``, equals the
+        monolith, with the workers' steppers on either kernel backend."""
         fixture, params = MODELS[model]
         graph = request.getfixturevalue(fixture)
-        kw = {"seed": 31, "num_walks": 1, "walk_length": 8, **params}
+        kw = {"seed": 31, "num_walks": 1, "walk_length": 8, "backend": backend, **params}
         mono, me = _mono(graph, model, **kw)
-        shrd, se = _sharded(
-            graph, model, num_shards=shards, partitioner=partitioner, transport=transport, **kw
-        )
+        shrd, se = _sharded(graph, model, num_shards=shards, transport=transport, **kw)
         se.close()
         assert_corpus_equal(mono, shrd)
         ms, ss = me.stats(), se.stats()
@@ -242,9 +185,8 @@ class TestEngineParity:
 
     def test_generate_stream_parity(self, small_power_law_graph):
         """One wave loop: the inherited shard stream matches chunk for chunk."""
-        kw = {"seed": 3, "p": 0.5, "q": 2.0}
-        me = VectorizedWalkEngine(small_power_law_graph, "node2vec", **kw)
-        se = ShardedWalkEngine(small_power_law_graph, "node2vec", num_shards=3, **kw)
+        me = VectorizedWalkEngine(small_power_law_graph, "deepwalk", seed=3)
+        se = ShardedWalkEngine(small_power_law_graph, "deepwalk", num_shards=3, seed=3)
         chunks = zip(me.generate_stream(2, 10, shard_walks=64), se.generate_stream(2, 10, shard_walks=64))
         for mono, shrd in chunks:
             assert_corpus_equal(mono, shrd)
@@ -252,10 +194,9 @@ class TestEngineParity:
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
     def test_compiled_backend_parity(self, small_power_law_graph, backend):
         """``backend=`` reaches the workers' steppers; the corpus does not move."""
-        params = {"p": 0.5, "q": 2.0}
-        mono, __ = _mono(small_power_law_graph, "node2vec", seed=61, **params)
+        mono, __ = _mono(small_power_law_graph, "deepwalk", seed=61)
         shrd, engine = _sharded(
-            small_power_law_graph, "node2vec", seed=61, num_shards=3, backend=backend, **params,
+            small_power_law_graph, "deepwalk", seed=61, num_shards=3, backend=backend,
         )
         assert_corpus_equal(mono, shrd)
         stats = engine.stats()
@@ -290,7 +231,7 @@ class TestEngineStats:
         __, engine = _sharded(small_power_law_graph, "deepwalk", seed=1, num_shards=2)
         stats = engine.stats()
         assert stats["num_shards"] == 2
-        assert stats["partitioner"] == "hash"
+        assert stats["partitioner"] == "degree_balanced"
         assert stats["boundary_edges"] > 0
         assert stats["walker_steps"] > 0
         assert stats["migrated_walkers"] > 0
@@ -298,6 +239,30 @@ class TestEngineStats:
         assert 0.0 < stats["migration_rate"] <= 1.0
         assert stats["node_imbalance"] >= 1.0
         assert engine.memory_bytes() > 0
+
+    @pytest.mark.parametrize("transport", ("inline", "socket"))
+    def test_a_migrating_walker_is_its_id_and_its_node(self, small_power_law_graph, transport):
+        """Every migration batch is ``(walker ids, current nodes)``, and it
+        goes to the shard that owns those nodes."""
+        with ShardedWalkEngine(
+            small_power_law_graph, "deepwalk", num_shards=3, transport=transport, seed=6
+        ) as engine:
+            relayed = []
+            call_many = engine.transport.call_many
+
+            def spy(calls):
+                calls = list(calls)
+                relayed.extend(call for call in calls if call[1] == "absorb")
+                return call_many(calls)
+
+            engine.transport.call_many = spy
+            engine.generate(1, 8)
+            assert relayed
+            for dest, __, batch in relayed:
+                ids, cur = batch
+                assert ids.dtype == cur.dtype == np.int64 and ids.size == cur.size > 0
+                assert (engine.plan.owner[cur] == dest).all()
+            assert sum(batch[0].size for __, ___, batch in relayed) == engine.stats()["migrated_walkers"]
 
     def test_single_shard_never_migrates(self, small_power_law_graph):
         __, engine = _sharded(small_power_law_graph, "deepwalk", seed=1, num_shards=1)
@@ -346,10 +311,13 @@ class TestEngineStats:
 
 
 class TestOneShardedWalk:
-    """Any walk but M-H with ``high-weight`` is refused, and refused early."""
+    """Any walk but a first-order model's M-H with ``high-weight`` is
+    refused, and refused early."""
 
-    @pytest.mark.parametrize("walk", REFUSED, ids=lambda walk: next(iter(walk.values())))
-    def test_refused_before_a_plan_or_a_worker(self, small_power_law_graph, walk, monkeypatch):
+    @pytest.mark.parametrize("model, fixture, walk, match", REFUSED)
+    def test_refused_before_a_plan_or_a_worker(
+        self, request, model, fixture, walk, match, monkeypatch
+    ):
         built = []
         monkeypatch.setattr(
             "repro.sharding.engine.build_shard_plan", lambda *a: built.append("plan")
@@ -357,12 +325,16 @@ class TestOneShardedWalk:
         monkeypatch.setattr(SocketTransport, "_spawn_loopback", lambda self: built.append("worker"))
         children = {p.pid for p in multiprocessing.active_children()}
         budget = {"table_budget_bytes": 4096} if walk.get("sampler") == "memory-aware" else {}
-        with pytest.raises(ShardError, match="'mh'.*'high-weight'"):
+        with pytest.raises(ShardError, match=match):
             ShardedWalkEngine(
-                small_power_law_graph, "deepwalk", transport="socket", **walk, **budget
+                request.getfixturevalue(fixture), model, transport="socket", **walk, **budget
             )
         assert built == []
         assert {p.pid for p in multiprocessing.active_children()} == children
+
+    def test_every_model_is_covered(self):
+        assert set(MODELS) | set(SECOND_ORDER) == set(MODEL_REGISTRY.names())
+
 
 # ---------------------------------------------------------------------------
 # differential: monolithic vs sharded on generated, awkward graphs
@@ -402,19 +374,15 @@ def awkward_graphs(draw):
 @settings(max_examples=20, deadline=None)
 @given(graph=awkward_graphs(), seed=st.integers(0, 10_000))
 def test_property_sharded_equals_monolithic(graph, seed):
-    """Bitwise-equal corpora for a first- and a second-order model.
-
-    One more shard than nodes, so at least one shard owns nothing.
-    """
+    """Bitwise-equal corpora; one more shard than nodes, so at least one
+    shard owns nothing."""
     assert (np.diff(graph.offsets) == 0).any()  # zero-degree nodes are present
-    shards = graph.num_nodes + 1
-    for model, params in (("deepwalk", {}), ("node2vec", {"p": 0.5, "q": 2.0})):
-        mono, __ = _mono(graph, model, seed=seed, walk_length=6, **params)
-        shrd, engine = _sharded(
-            graph, model, seed=seed, walk_length=6, num_shards=shards, **params
-        )
-        assert (engine.plan.node_counts == 0).any()
-        assert_corpus_equal(mono, shrd)
+    mono, __ = _mono(graph, "deepwalk", seed=seed, walk_length=6)
+    shrd, engine = _sharded(
+        graph, "deepwalk", seed=seed, walk_length=6, num_shards=graph.num_nodes + 1
+    )
+    assert (engine.plan.node_counts == 0).any()
+    assert_corpus_equal(mono, shrd)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +428,22 @@ def test_no_step_math_outside_the_steppers(module):
 
 class TestShardingConfig:
     def test_validation(self):
-        assert ShardingConfig(partitioner="degree-balanced").partitioner == "degree_balanced"
+        assert ShardingConfig().partitioner == "degree_balanced"
         with pytest.raises(WalkError):
             ShardingConfig(shards=0)
-        with pytest.raises(WalkError):
-            ShardingConfig(partitioner="no-such")
+        for gone in ("hash", "degree-balanced"):
+            with pytest.raises(WalkError, match="partitioner"):
+                ShardingConfig(partitioner=gone)
         with pytest.raises(WalkError):
             ShardingConfig(transport="carrier-pigeon")
+        with pytest.raises(TypeError, match="hosts"):
+            ShardingConfig(transport="socket", hosts=["a:1", "b:2"])
+        cfg = ShardingConfig(transport="socket", call_timeout=None)
+        assert cfg.call_timeout is None
+        with pytest.raises(WalkError, match="connect_timeout"):
+            ShardingConfig(transport="socket", connect_timeout=0)
+        with pytest.raises(WalkError, match="call_timeout"):
+            ShardingConfig(transport="socket", call_timeout=-1)
 
 
 def _imported_modules(tree):
@@ -538,12 +515,12 @@ def test_no_entry_point_takes_a_sharding_keyword(entry, small_unweighted_graph, 
 
 
 # ---------------------------------------------------------------------------
-# socket transport — multi-host execution, loopback for CI
+# socket transport — spawned loopback workers
 # ---------------------------------------------------------------------------
 
 
 class TestSocketTransport:
-    """Multi-host execution: wire accounting, SETUP, faults, addresses."""
+    """Spawned loopback workers: wire accounting, SETUP, op errors."""
 
     def test_transport_stats_surface(self, small_power_law_graph):
         __, engine = _sharded(
@@ -581,15 +558,13 @@ class TestSocketTransport:
             max_reject_rounds=77,
         )
         with ShardedWalkEngine(
-            small_power_law_graph, "node2vec", config=config, transport="socket", p=0.5, seed=4
+            small_power_law_graph, "deepwalk", config=config, transport="socket", seed=4
         ) as engine:
             assert engine.config == config and engine.num_shards == 2
             for shard in range(engine.num_shards):
                 assert WalkConfig(**engine.transport.call(shard, "walk_config")) == config
             # the non-default cap reaches the workers' initializers
-            mono = VectorizedWalkEngine(
-                small_power_law_graph, "node2vec", config=config, p=0.5, seed=4
-            )
+            mono = VectorizedWalkEngine(small_power_law_graph, "deepwalk", config=config, seed=4)
             assert_corpus_equal(mono.generate(), engine.generate())
 
     def test_remote_op_error_keeps_transport_usable(self, small_power_law_graph):
@@ -605,82 +580,3 @@ class TestSocketTransport:
             assert engine.transport.call(0, "memory_bytes") >= 0
         finally:
             engine.close()
-
-    def test_hosts_validation(self, small_power_law_graph):
-        with pytest.raises(ShardError, match="socket"):
-            ShardedWalkEngine(
-                small_power_law_graph, "deepwalk", num_shards=2,
-                transport="inline", hosts=["127.0.0.1:1"],
-            )
-        with pytest.raises(ShardError, match="2 shard"):
-            ShardedWalkEngine(
-                small_power_law_graph, "deepwalk", num_shards=2,
-                transport="socket", hosts=["127.0.0.1:1"], connect_timeout=0.2,
-            )
-
-    @pytest.mark.parametrize(
-        "entry, address",
-        [
-            ("h:1", ("h", 1)),
-            ("[::1]:9000", ("::1", 9000)),
-            (":9000", None),
-            ("h:", None),
-            ("h:0", None),
-            ("h:99999999", None),
-            ("h", None),
-        ],
-    )
-    def test_one_host_port_parser_for_every_layer(self, small_power_law_graph, entry, address):
-        """Config and engine accept and refuse the same addresses."""
-        from repro.sharding.transport import parse_host
-
-        if address is not None:
-            assert parse_host(entry) == address
-            assert ShardingConfig(shards=1, transport="socket", hosts=[entry]).hosts == (entry,)
-            return
-        with pytest.raises(WalkError, match="invalid worker address"):
-            ShardingConfig(shards=1, transport="socket", hosts=[entry])
-        with pytest.raises(ShardError, match="invalid worker address"):
-            ShardedWalkEngine(
-                small_power_law_graph, "deepwalk", num_shards=1,
-                transport="socket", hosts=[entry],
-            )
-
-    def test_sharding_config_socket_fields(self):
-        cfg = ShardingConfig(
-            shards=2, transport="socket", hosts=["a:9101", "b:9102"],
-            call_timeout=None,
-        )
-        assert cfg.hosts == ("a:9101", "b:9102")
-        assert cfg.call_timeout is None
-        with pytest.raises(WalkError, match="socket"):
-            ShardingConfig(shards=1, transport="inline", hosts=["a:1"])
-        with pytest.raises(WalkError, match="host:port"):
-            ShardingConfig(shards=1, transport="socket", hosts=["nocolon"])
-        with pytest.raises(WalkError, match="one worker per shard"):
-            ShardingConfig(shards=3, transport="socket", hosts=["a:1", "b:2"])
-        with pytest.raises(WalkError, match="connect_timeout"):
-            ShardingConfig(transport="socket", connect_timeout=0)
-        with pytest.raises(WalkError, match="call_timeout"):
-            ShardingConfig(transport="socket", call_timeout=-1)
-
-    def test_standing_workers_bitwise(self, small_power_law_graph):
-        """The multi-host shape: workers already listening, driven through ``hosts=``."""
-        addresses = queue.Queue()
-        workers = [
-            threading.Thread(target=serve_shard, kwargs={"on_ready": addresses.put}, daemon=True)
-            for __ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        hosts = [f"{host}:{port}" for host, port in (addresses.get(timeout=10) for __ in workers)]
-        mono = VectorizedWalkEngine(small_power_law_graph, "deepwalk", seed=4)
-        with ShardedWalkEngine(
-            small_power_law_graph, "deepwalk", num_shards=2, transport="socket",
-            hosts=hosts, seed=4,
-        ) as engine:
-            assert_corpus_equal(mono.generate(1, 8), engine.generate(1, 8))
-            assert engine.stats()["transport_stats"]["bytes_sent"] > 0
-        for worker in workers:
-            worker.join(timeout=15)  # drained after its one session
-            assert not worker.is_alive()

@@ -11,7 +11,9 @@ bit: torn transports never leak state into new ones.
 
 Workers are crashed for real (``ShardWorker.debug_exit`` →
 ``os._exit``), frames are torn with hand-rolled fake servers, and hangs
-are provoked by servers that accept and then go silent.
+are provoked by servers that accept and then go silent; a fake server
+stands in for the spawned workers by replacing the transport's spawn
+step (``SocketTransport._spawn_loopback``) with its own address.
 """
 
 import os
@@ -24,7 +26,8 @@ import pytest
 from repro.errors import FrameError, ReproError, ShardError, ShardTimeoutError
 from repro.serving.framing import FRAME, recv_frame, send_frame
 from repro.sharding import ShardedWalkEngine, wire
-from repro.sharding.socket_worker import serve_shard
+from repro.sharding.socket_worker import _serve_session
+from repro.sharding.transport import SocketTransport
 from repro.walks.vectorized import VectorizedWalkEngine
 
 
@@ -32,6 +35,13 @@ def _engine(graph, transport, **kw):
     return ShardedWalkEngine(
         graph, "deepwalk", num_shards=2,
         transport=transport, seed=11, **kw,
+    )
+
+
+def _workers_at(monkeypatch, port):
+    """Both shards' workers are whatever listens on ``port``: no process is spawned."""
+    monkeypatch.setattr(
+        SocketTransport, "_spawn_loopback", lambda self: [("127.0.0.1", port)] * 2
     )
 
 
@@ -97,21 +107,18 @@ class TestSocketTransportFaults:
         assert len(os.listdir("/proc/self/fd")) <= baseline
 
     def test_unreachable_worker_raises_within_connect_timeout(
-        self, small_unweighted_graph
+        self, small_unweighted_graph, monkeypatch
     ):
         # a bound-but-never-accepting listener guarantees a dead address
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
         port = blocker.getsockname()[1]
         blocker.close()  # nothing listens here now
+        _workers_at(monkeypatch, port)
         with pytest.raises(ShardError, match="cannot reach shard worker"):
-            _engine(
-                small_unweighted_graph, "socket",
-                hosts=[f"127.0.0.1:{port}", f"127.0.0.1:{port}"],
-                connect_timeout=0.5,
-            )
+            _engine(small_unweighted_graph, "socket", connect_timeout=0.5)
 
-    def test_hung_worker_hits_call_timeout(self, small_unweighted_graph):
+    def test_hung_worker_hits_call_timeout(self, small_unweighted_graph, monkeypatch):
         """A worker that accepts but never answers trips the deadline."""
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -126,20 +133,17 @@ class TestSocketTransportFaults:
 
         thread = threading.Thread(target=silent_server, daemon=True)
         thread.start()
+        _workers_at(monkeypatch, port)
         try:
             with pytest.raises(ShardTimeoutError, match="within 0.5s"):
-                _engine(
-                    small_unweighted_graph, "socket",
-                    hosts=[f"127.0.0.1:{port}", f"127.0.0.1:{port}"],
-                    call_timeout=0.5,
-                )
+                _engine(small_unweighted_graph, "socket", call_timeout=0.5)
         finally:
             thread.join(timeout=5)
             for conn in conns:
                 conn.close()
             listener.close()
 
-    def test_short_read_mid_frame_is_typed(self, small_unweighted_graph):
+    def test_short_read_mid_frame_is_typed(self, small_unweighted_graph, monkeypatch):
         """A server that tears a reply frame produces ShardError, not a hang."""
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -181,11 +185,9 @@ class TestSocketTransportFaults:
         thread.start()
         engine = None
         try:
-            engine = _engine(
-                small_unweighted_graph, "socket",
-                hosts=[f"127.0.0.1:{port}", f"127.0.0.1:{port}"],
-                call_timeout=5.0,
-            )
+            with monkeypatch.context() as patch:
+                _workers_at(patch, port)
+                engine = _engine(small_unweighted_graph, "socket", call_timeout=5.0)
             with pytest.raises(ShardError, match="died mid-operation"):
                 engine.transport.call(0, "memory_bytes")
             with pytest.raises(ShardError, match="broken"):
@@ -199,22 +201,23 @@ class TestSocketTransportFaults:
 
     def test_client_short_header_ends_worker_session_cleanly(self):
         """A driver dying mid-header must not wedge or crash the worker."""
-        address = {}
-        ready = threading.Event()
+        driver, worker = socket.socketpair()
+        errors = []
 
         def run_worker():
-            serve_shard(
-                "127.0.0.1", 0, sessions=1,
-                on_ready=lambda a: (address.update(addr=a), ready.set()),
-            )
+            try:
+                _serve_session(worker)
+            except Exception as err:  # the assertion below reports it
+                errors.append(err)
 
         thread = threading.Thread(target=run_worker, daemon=True)
         thread.start()
-        assert ready.wait(timeout=10)
-        with socket.create_connection(address["addr"], timeout=5) as sock:
-            sock.sendall(b"\x00\x00")  # half a length prefix, then EOF
+        with driver:
+            driver.sendall(b"\x00\x00")  # half a length prefix, then EOF
         thread.join(timeout=10)
-        assert not thread.is_alive()  # worker drained, no exception escaped
+        assert not thread.is_alive()  # worker drained
+        assert errors == []  # no exception escaped the session
+        assert worker.fileno() == -1  # and it closed its end
 
 
 # ---------------------------------------------------------------------------

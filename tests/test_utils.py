@@ -63,7 +63,7 @@ class TestValidation:
     def test_check_positive_accepts(self):
         check_positive("x", 0.1)
 
-    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf"), "2", None, [1.0], 1j])
     def test_check_positive_rejects(self, bad):
         with pytest.raises(ValueError):
             check_positive("x", bad)
@@ -74,12 +74,6 @@ class TestValidation:
             check_fraction("f", 0.0)
         with pytest.raises(ValueError):
             check_fraction("f", 1.0)
-
-    def test_check_fraction_inclusive(self):
-        check_fraction("f", 0.0, inclusive=True)
-        check_fraction("f", 1.0, inclusive=True)
-        with pytest.raises(ValueError):
-            check_fraction("f", 1.1, inclusive=True)
 
     def test_the_error_class_is_the_callers(self):
         with pytest.raises(ConfigError):

@@ -381,12 +381,11 @@ def test_a_replaced_high_weight_keeps_the_base_loop(small_power_law_graph):
 def test_sharded_driver_keeps_the_base_loop(small_power_law_graph, backend):
     if not available_backends().get(backend, False):
         pytest.skip(f"kernel backend {backend!r} is not available here")
-    kw = dict(seed=8, **NODE2VEC)
-    mono = VectorizedWalkEngine(small_power_law_graph, "node2vec", backend="numpy", **kw)
+    mono = VectorizedWalkEngine(small_power_law_graph, "deepwalk", backend="numpy", seed=8)
     want = mono.generate(2, 10)
     assert mono.stats()["wave_kernel"] is False
     with ShardedWalkEngine(
-        small_power_law_graph, "node2vec", num_shards=2, backend=backend, **kw
+        small_power_law_graph, "deepwalk", num_shards=2, backend=backend, seed=8
     ) as sharded:
         got = sharded.generate(2, 10)
         stats = sharded.stats()

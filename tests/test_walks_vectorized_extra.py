@@ -6,6 +6,7 @@ import pytest
 from repro.graph.builder import from_edge_arrays
 from repro.graph.hetero import assign_random_types
 from repro.sampling.base import NO_EDGE
+from repro.walks._segments import race_keys, segment_race_argmin
 from repro.walks.models import make_model
 from repro.walks.vectorized import VectorizedWalkEngine
 
@@ -33,6 +34,26 @@ class TestFirstStepSemantics:
         w = g.neighbor_weights(0)
         expected = w / w.sum()
         assert 0.5 * np.abs(counts / counts.sum() - expected).sum() < 0.05
+
+    @pytest.mark.parametrize("model", ("node2vec", "edge2vec", "fairwalk"))
+    def test_first_step_is_one_draw_then_one_race(self, typed_graph, model, kernel_backend):
+        """Step 0 takes one uniform per edge entry of the rows, drawn at
+        once, and races the start-state law over them: nothing else
+        touches the generator, and zero-degree rows choose no edge."""
+        engine = VectorizedWalkEngine(
+            typed_graph, model, sampler="mh", backend=kernel_backend, p=0.5, q=2.0, seed=5
+        )
+        cur = np.arange(typed_graph.num_nodes, dtype=np.int64)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        chosen = engine.stepper.first_step(cur, rng)
+        deg = typed_graph.degrees()
+        u = twin.random(int(deg.sum()))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        weights = np.concatenate([engine.model.dynamic_weights_row(v) for v in cur])
+        pos = segment_race_argmin(race_keys(weights, u), deg)
+        want = np.where(pos >= 0, typed_graph.offsets[cur] + pos, NO_EDGE)
+        assert np.array_equal(chosen, want)
+        assert (chosen[deg == 0] == NO_EDGE).all()
 
 
 class TestDeadEndsVectorized:
