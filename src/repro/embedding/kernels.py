@@ -10,7 +10,12 @@ stay, as the reference the tests compare against and as the only path
 on a host without a C compiler.
 
 Design rule, as for the walk kernels: **every random draw stays in the
-trainer's per-block Python generator**. The kernel is a pure function of
+trainer's per-block Python generator**. Two index routines, with no
+float and no draw in them, do the trainer's work between its draws and
+the update: :c:func:`w2v_windows` turns a block's encoded tokens and
+its window-mask uniforms into the windows, and :c:func:`w2v_gather` a
+permuted slice of them into one run's groups, each equal, array for
+array, to the NumPy it replaces. The update is a pure function of
 ``(w_in, w_out, input rows, positive rows, pre-drawn negative uniforms +
 the sampler's CDF, batch offsets, learning rates, max_row_step)`` with
 exactly the reference's mini-batch semantics: gradients at the stale
@@ -734,6 +739,119 @@ int64_t w2v_run(float *w_in, float *w_out, int64_t vocab, int64_t d, int64_t cbo
     free(block);
     return ok ? threads : -1;
 }
+
+/* ---- a block's windows and a run's groups ----------------------------
+   The index work between the trainer's draws and w2v_run: no float is
+   computed and nothing is drawn here. */
+
+/* The windows of `rows` rows of `length` encoded tokens (-1: absent), as
+   Word2Vec._windows builds them: the pair of positions i and i + d of a
+   row is in when both are present and, for d >= 2, its uniform is below
+   (window - d + 1) / window; u holds one per left position i < length -
+   d of every row, row-major, distance after distance. Every position
+   with a pair is a window, in corpus order: its center, its size and its
+   contexts, at +1, -1, +2, -2, ... With centers NULL, counts[0] and
+   counts[1] are set to how many windows and contexts there are;
+   otherwise they are what centers and sizes, and contexts, hold, and the
+   windows are written. Returns -1 when memory ran out or the windows do
+   not fit, else 0. */
+int64_t w2v_windows(const int32_t *tokens, int64_t rows, int64_t length, int64_t window,
+                    const double *u, int64_t *counts, int32_t *centers, int64_t *sizes,
+                    int32_t *contexts) {
+    /* distances past the row hold no pair */
+    int64_t far = window < length - 1 ? window : (length > 1 ? length - 1 : 0);
+    /* keep + d * stride + far: whether the pair at distance d with left
+       end i is in, 0 for i outside [0, length - d); tok + far: the row
+       in hand, -1 beyond its ends; many: its positions' context counts;
+       ctx: one position's contexts, where contexts cannot take them */
+    int64_t stride = length + 2 * far + 1;
+    uint8_t *keep = calloc((size_t)((far + 1) * stride), 1);
+    int32_t *tok = malloc((size_t)stride * sizeof(int32_t));
+    int32_t *many = malloc((size_t)stride * sizeof(int32_t));
+    int32_t *ctx = malloc((size_t)(2 * far + 1) * sizeof(int32_t));
+    double *p = malloc((size_t)(far + 1) * sizeof(double));
+    int64_t windows = 0, pairs = 0, ok = keep && tok && many && ctx && p;
+    for (int64_t d = 2; ok && d <= far; d++) p[d] = (double)(window - d + 1) / (double)window;
+    for (int64_t i = 0; ok && i < far; i++) tok[i] = tok[far + length + i] = -1;
+    for (int64_t r = 0; ok && r < rows; r++) {
+        int32_t *row = tok + far;
+        memcpy(row, tokens + r * length, (size_t)length * sizeof(int32_t));
+        const double *ud = u;
+        for (int64_t d = 1; d <= far; d++) {
+            uint8_t *restrict k = keep + d * stride + far;
+            int64_t left = length - d;
+            if (d == 1)
+                for (int64_t i = 0; i < left; i++) k[i] = (row[i] >= 0) & (row[i + 1] >= 0);
+            else {
+                for (int64_t i = 0; i < left; i++)
+                    k[i] = (row[i] >= 0) & (row[i + d] >= 0) & (ud[r * left + i] < p[d]);
+                ud += rows * left;
+            }
+        }
+        if (!centers) {
+            memset(many, 0, (size_t)length * sizeof(int32_t));
+            for (int64_t d = 1; d <= far; d++) {
+                const uint8_t *restrict k = keep + d * stride + far;
+                for (int64_t i = 0; i < length; i++) many[i] += k[i] + k[i - d];
+            }
+            for (int64_t i = 0; i < length; i++) windows += many[i] > 0, pairs += many[i];
+            continue;
+        }
+        for (int64_t i = 0; ok && i < length; i++) {
+            /* every slot is written and the next one taken when its pair is
+               in: straight into contexts while 2 * far more entries fit */
+            int32_t *out = 2 * far <= counts[1] - pairs ? contexts + pairs : ctx;
+            int64_t n = 0;
+            for (int64_t d = 1; d <= far; d++) {
+                const uint8_t *k = keep + d * stride + far;
+                out[n] = row[i + d];
+                n += k[i];
+                out[n] = row[i - d];
+                n += k[i - d];
+            }
+            ok = n <= counts[1] - pairs && (n == 0 || windows < counts[0]);
+            if (ok && out == ctx) memcpy(contexts + pairs, ctx, (size_t)n * sizeof(int32_t));
+            /* a position without a pair leaves what the next window overwrites */
+            if (ok && windows < counts[0]) centers[windows] = row[i], sizes[windows] = n;
+            windows += n > 0;
+            pairs += n;
+        }
+    }
+    if (ok && !centers) counts[0] = windows, counts[1] = pairs;
+    free(keep), free(tok), free(many), free(ctx), free(p);
+    return ok && windows == counts[0] && pairs == counts[1] ? 0 : -1;
+}
+
+/* One run's groups: for j < n, of window k = perm[j] of `windows`,
+   whose contexts are contexts[starts[k] .. starts[k] + sizes[k]) of
+   `pairs`, its size, its center, and its contexts back to back in rows,
+   which holds `capacity`. Returns the rows written, or -1 (before writing
+   past any end) when a window, its contexts or the rows are out of range. */
+#define AHEAD 16
+int64_t w2v_gather(const int64_t *perm, int64_t n, int64_t windows, const int64_t *starts,
+                   const int64_t *sizes, const int32_t *centers, const int32_t *contexts,
+                   int64_t pairs, int64_t *run_sizes, int32_t *run_pos, int32_t *rows,
+                   int64_t capacity) {
+    int64_t at = 0;
+    for (int64_t j = 0; j < n; j++) {
+        /* the windows come in random order, so each one's entries are
+           asked for AHEAD windows early, and its contexts, whose start is
+           one of them, AHEAD / 2 windows early */
+        int64_t a = j + AHEAD < n ? perm[j + AHEAD] : -1, b = j + AHEAD / 2 < n ? perm[j + AHEAD / 2] : -1;
+        if (a >= 0 && a < windows)
+            __builtin_prefetch(starts + a), __builtin_prefetch(sizes + a), __builtin_prefetch(centers + a);
+        if (b >= 0 && b < windows && starts[b] >= 0 && starts[b] < pairs) __builtin_prefetch(contexts + starts[b]);
+        int64_t k = perm[j];
+        if (k < 0 || k >= windows) return -1;
+        int64_t s = starts[k], m = sizes[k];
+        if (s < 0 || m < 0 || s > pairs || m > pairs - s || m > capacity - at) return -1;
+        run_sizes[j] = m;
+        run_pos[j] = centers[k];
+        memcpy(rows + at, contexts + s, (size_t)m * sizeof(int32_t));
+        at += m;
+    }
+    return at;
+}
 """.replace("@PANEL@", str(PANEL_COLUMNS))
 
 _F32P = ctypes.POINTER(ctypes.c_float)
@@ -753,6 +871,15 @@ def _load(so_path: str):
         _F32P, _F32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, _I64P, _I32P, _I64P, _I32P, ctypes.c_int64,
         _F64P, _F64P, _I32P, ctypes.c_int64, _F64P, ctypes.c_double, _F64P, ctypes.c_int64, _I64P,
+    ]
+    lib.w2v_windows.restype = ctypes.c_int64
+    lib.w2v_windows.argtypes = [
+        _I32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _F64P, _I64P, _I32P, _I64P, _I32P,
+    ]
+    lib.w2v_gather.restype = ctypes.c_int64
+    lib.w2v_gather.argtypes = [
+        _I64P, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I32P, _I32P, ctypes.c_int64,
+        _I64P, _I32P, _I32P, ctypes.c_int64,
     ]
     return lib
 
@@ -775,6 +902,14 @@ def _check_rows(name: str, rows: np.ndarray, vocab: int) -> None:
     # one unsigned comparison covers both ends: a negative index wraps high
     if rows.size and int(rows.view(np.uint32).max()) >= vocab:
         raise TrainingError(f"learn kernel: {name} holds an index outside [0, {vocab})")
+
+
+def window_draws(shape: tuple[int, int], window: int) -> int:
+    """Uniforms a block of ``shape`` (rows, width) draws for its window
+    masks: one per left position of a pair at each distance 2..``window``
+    that fits in a row (distance 1 is always in)."""
+    rows, width = shape
+    return rows * sum(width - dist for dist in range(2, min(window, width - 1) + 1))
 
 
 def cdf_guide(cdf: np.ndarray) -> np.ndarray:
@@ -942,6 +1077,63 @@ class CTrainKernel:
         scratch.threads = used
         return losses
 
+    def windows(self, encoded: np.ndarray, window: int, u: np.ndarray):
+        """:meth:`Word2Vec._windows <repro.embedding.word2vec.Word2Vec._windows>`
+        of an encoded block (int32, -1 absent), from the uniforms it
+        draws, one :func:`window_draws` stream, distance after distance:
+        ``(centers, sizes, contexts)``, counted first so that each is
+        exactly as long as it needs to be."""
+        _check_array("encoded", encoded, np.int32, 2)
+        _check_array("u", u, np.float64, 1)
+        if not window >= 1:
+            raise TrainingError(f"learn kernel: window must be >= 1, got {window!r}")
+        draws = window_draws(encoded.shape, int(window))
+        if u.size != draws:
+            raise TrainingError(f"learn kernel: u must hold {draws} uniforms, got {u.size}")
+        counts = np.empty(2, dtype=np.int64)
+        args = [encoded.ctypes.data_as(_I32P), *encoded.shape, int(window), u.ctypes.data_as(_F64P),
+                counts.ctypes.data_as(_I64P)]
+        if self._lib.w2v_windows(*args, None, None, None) < 0:
+            raise TrainingError("learn kernel: out of memory for the window masks")
+        centers = np.empty(counts[0], dtype=np.int32)
+        sizes = np.empty(counts[0], dtype=np.int64)
+        contexts = np.empty(counts[1], dtype=np.int32)
+        if self._lib.w2v_windows(
+            *args, centers.ctypes.data_as(_I32P), sizes.ctypes.data_as(_I64P),
+            contexts.ctypes.data_as(_I32P),
+        ) < 0:
+            raise TrainingError("learn kernel: out of memory for the window masks")
+        return centers, sizes, contexts
+
+    def gather(self, perm, starts, sizes, centers, contexts, out: np.ndarray):
+        """One run's ``(in_rows, sizes, out_pos)`` for :meth:`run`: the
+        windows ``perm`` names, in its order, of a block whose window
+        ``k`` owns ``contexts[starts[k] : starts[k] + sizes[k]]`` — what
+        ``contexts[concat_ranges(starts[perm], sizes[perm])[0]]``,
+        ``sizes[perm]`` and ``centers[perm]`` are. ``in_rows`` is the
+        head of ``out`` (int32), which must hold them; an index out of
+        range raises :class:`~repro.errors.TrainingError`."""
+        for name, arr, dtype in (
+            ("perm", perm, np.int64), ("starts", starts, np.int64), ("sizes", sizes, np.int64),
+            ("centers", centers, np.int32), ("contexts", contexts, np.int32), ("out", out, np.int32),
+        ):
+            _check_array(name, arr, dtype, 1)
+        if not starts.size == sizes.size == centers.size or not out.flags.writeable:
+            raise TrainingError("learn kernel: one start, size and center per window, into a writeable out")
+        run_sizes = np.empty(perm.size, dtype=np.int64)
+        out_pos = np.empty(perm.size, dtype=np.int32)
+        rows = self._lib.w2v_gather(
+            perm.ctypes.data_as(_I64P), perm.size, centers.size, starts.ctypes.data_as(_I64P),
+            sizes.ctypes.data_as(_I64P), centers.ctypes.data_as(_I32P),
+            contexts.ctypes.data_as(_I32P), contexts.size, run_sizes.ctypes.data_as(_I64P),
+            out_pos.ctypes.data_as(_I32P), out.ctypes.data_as(_I32P), out.size,
+        )
+        if rows < 0:
+            raise TrainingError(
+                "learn kernel: a window, its contexts or the run's rows out of range"
+            )
+        return out[:rows], run_sizes, out_pos
+
     def batch(
         self, w_in, w_out, in_rows, sizes, out_pos, u, cdf, lr, max_row_step, scratch: BatchScratch
     ) -> float:
@@ -980,5 +1172,5 @@ def resolve_train_kernel() -> CTrainKernel | None:
 
 __all__ = [
     "ACCUM_DTYPE", "BatchScratch", "CTrainKernel", "MAX_THREADS", "PANEL_COLUMNS",
-    "cdf_guide", "resolve_train_kernel",
+    "cdf_guide", "resolve_train_kernel", "window_draws",
 ]

@@ -8,10 +8,13 @@ learning rate — the standard Mikolov recipe, vectorized:
 * **Dynamic windows** use the reduced-window identity: the pair (center,
   context-at-distance-d) is included with probability
   ``(window - d + 1) / window``, the marginal of drawing a window size
-  uniformly in [1, window]. One draw per unordered pair fills a
-  (slot, row, position) mask, distance by distance, and every center
-  occurrence with an included context becomes a *window*: its contexts
-  in slot order +1, -1, +2, -2, ...
+  uniformly in [1, window]. One draw per unordered pair, distance by
+  distance, decides it, and every center occurrence with an included
+  context becomes a *window*: its contexts in slot order +1, -1, +2,
+  -2, ... The trainer draws the uniforms. Where the C kernel resolved,
+  it builds the windows from them and gathers each run's shuffled
+  windows; elsewhere NumPy does both (a (slot, row, position) mask,
+  ``concat_ranges``), to the same arrays.
 * **Scatter updates** (many pairs touch the same row) are segment-summed
   per unique row through a sparse one-hot product rather than
   ``np.add.at``, which makes batched SGD practical in pure numpy.
@@ -62,7 +65,7 @@ from scipy import sparse
 
 from repro.config import TrainConfig, check_counts
 from repro.errors import TrainingError
-from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel
+from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel, window_draws
 from repro.embedding.keyed_vectors import KeyedVectors
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.vocab import Vocabulary
@@ -222,6 +225,7 @@ def check_train_params(**params) -> None:
         )
     counts = ("dimensions", "window", "negative", "epochs", "batch_pairs", "block_walks")
     check_counts(params, counts, error=TrainingError)
+    check_counts(params, ("min_count",), error=TrainingError, minimum=0)
     if "alpha" in params:
         check_positive("alpha", params["alpha"], TrainingError)
     # a negative floor decays the learning rate through zero
@@ -288,7 +292,8 @@ class Word2Vec:
     ):
         check_train_params(
             dimensions=dimensions, window=window, negative=negative, epochs=epochs, alpha=alpha,
-            mode=mode, batch_pairs=batch_pairs, max_row_step=max_row_step, block_walks=block_walks,
+            min_alpha=min_alpha, mode=mode, subsample=subsample, min_count=min_count,
+            batch_pairs=batch_pairs, max_row_step=max_row_step, block_walks=block_walks,
         )
         self.dimensions = dimensions
         self.window = window
@@ -586,7 +591,15 @@ class Word2Vec:
         positions, so that a window's contexts are exactly the pairs that
         name its center, in either direction. Within a window, contexts
         come in slot order +1, -1, +2, -2, ...
+
+        The C kernel builds them from the same uniforms, drawn distance
+        by distance in one call; the NumPy body below is the reference.
         """
+        if self._kernel is not None:
+            # the same draws, in one stream, and the same windows, in C
+            encoded = np.ascontiguousarray(encoded, dtype=TOKEN_DTYPE)
+            u = rng.random(window_draws(encoded.shape, self.window))
+            return self._kernel.windows(encoded, self.window, u)
         rows, length = encoded.shape
         present = encoded >= 0
         # slot 2(d - 1) holds the context at +d, slot 2(d - 1) + 1 the one at -d
@@ -675,22 +688,31 @@ class Word2Vec:
         skip-gram scores each context's input vector on its own against
         [center, negatives]. Windows are shuffled per epoch and packed
         :meth:`_windows_per_batch` to a batch."""
-        from repro.walks._segments import concat_ranges
-
         num_windows = centers.size
         starts = np.cumsum(sizes) - sizes
         per_batch = self._windows_per_batch()
         batches_per_epoch = max((num_windows + per_batch - 1) // per_batch, 1)
         lrs = self._block_lrs(block_no, self.epochs * batches_per_epoch)
         per_run = self._groups_per_run(per_batch)
+        # a run's input rows, which the C gather fills run after run
+        rows = None if self._kernel is None else np.empty(
+            min(contexts.size, per_run * 2 * self.window), dtype=np.int32
+        )
         batch_no = 0
         for __ in range(self.epochs):
             perm = rng.permutation(num_windows)
             for s in range(0, num_windows, per_run):
-                chunk = perm[s : s + per_run]
-                chunk_sizes = sizes[chunk]
-                pair_idx = concat_ranges(starts[chunk], chunk_sizes)[0]
-                batch_no += self._train_run(
-                    contexts[pair_idx], chunk_sizes, centers[chunk], per_batch, rng,
-                    lrs[batch_no:],
-                )
+                run = self._gather(perm[s : s + per_run], starts, sizes, centers, contexts, rows)
+                batch_no += self._train_run(*run, per_batch, rng, lrs[batch_no:])
+
+    def _gather(self, chunk, starts, sizes, centers, contexts, rows):
+        """A run's ``(in_rows, sizes, out_pos)``: the windows ``chunk``
+        names, in its order; gathered in C into ``rows`` when the kernel
+        resolved."""
+        if self._kernel is not None:
+            return self._kernel.gather(chunk, starts, sizes, centers, contexts, rows)
+        from repro.walks._segments import concat_ranges
+
+        chunk_sizes = sizes[chunk]
+        pair_idx = concat_ranges(starts[chunk], chunk_sizes)[0]
+        return contexts[pair_idx], chunk_sizes, centers[chunk]

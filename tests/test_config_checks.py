@@ -184,6 +184,7 @@ BAD_TRAIN = [
     ("extra", {"max_row_step": -1}), ("extra", {"block_walks": 0}),
     ("min_alpha", -1), ("min_alpha", float("nan")),  # decayed the rate through zero
     ("subsample", -0.1), ("alpha", float("inf")),
+    ("min_count", -3), ("min_count", 1.5),  # failed at build_vocab, after the walk
 ]  # fmt: skip
 ROUTES = {
     "monolithic": {},

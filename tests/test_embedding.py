@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.embedding.word2vec as word2vec
 from repro.errors import TrainingError, VocabularyError
 from repro.embedding import KeyedVectors, NegativeSampler, Vocabulary, Word2Vec
+from repro.utils.cbuild import find_compiler
 from repro.embedding.word2vec import scatter_add_rows
 from repro.walks.corpus import WalkCorpus
 
@@ -243,7 +245,16 @@ def per_pair_generator(encoded, window, rng, with_positions=False):
 
 class TestWindowsArePairs:
     """A block trains the pairs the per-pair generator made, from the same
-    draws; only the grouping (and so which pairs share negatives) moved."""
+    draws; only the grouping (and so which pairs share negatives) moved.
+    On each kernel: the C builder's windows and the NumPy reference's."""
+
+    @pytest.fixture(params=["cnative", "numpy"], autouse=True)
+    def on_each_kernel(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(word2vec, "resolve_train_kernel", lambda: None)
+        elif find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        self.kernel_name = request.param
 
     @staticmethod
     def multiset(first, second):
@@ -254,6 +265,7 @@ class TestWindowsArePairs:
     def test_same_pairs_from_the_same_draws(self, window, seed):
         encoded = np.random.default_rng(seed).integers(-1, 30, (40, 25))
         w2v = Word2Vec(dimensions=4, window=window, seed=1)
+        assert w2v.kernel == self.kernel_name
         new_rng, old_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
         centers, sizes, contexts = w2v._windows(encoded, new_rng)
         old_centers, old_contexts, positions = per_pair_generator(

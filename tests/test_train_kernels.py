@@ -628,6 +628,124 @@ class TestRunEntry:
 
 
 # ---------------------------------------------------------------------------
+# a block's windows and a run's gather, in C, against the NumPy trainer
+# ---------------------------------------------------------------------------
+@st.composite
+def blocks(draw):
+    """An encoded block as the trainer builds one: walks of 0..width
+    tokens padded with -1 to the block's width (a walk of length 0: every
+    token dropped by ``min_count``), and holes where subsampling dropped
+    a token."""
+    width = draw(st.integers(0, 12))
+    lengths = draw(st.lists(st.integers(0, width), max_size=6))
+    holes = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    block = np.full((len(lengths), width), -1, dtype=np.int64)
+    for row, length in enumerate(lengths):
+        block[row, :length] = rng.integers(0, 20, length)
+    block[rng.random(block.shape) < holes] = -1
+    return block
+
+
+def compiled_and_reference(window):
+    compiled, reference = Word2Vec(4, window=window), Word2Vec(4, window=window)
+    reference._kernel = None
+    assert (compiled.kernel, reference.kernel) == ("cnative", "numpy")
+    return compiled, reference
+
+
+class TestWindowBuilder:
+    @settings(max_examples=150, deadline=None)
+    @given(block=blocks(), window=st.integers(1, 14), seed=st.integers(0, 2**16))
+    @example(block=np.full((3, 0), -1), window=2, seed=0)  # width 0
+    @example(block=np.array([[5, -1, -1], [-1, -1, -1], [2, 3, -1]]), window=1, seed=0)
+    def test_equals_the_numpy_windows(self, kernel, block, window, seed):
+        compiled, reference = compiled_and_reference(window)
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = compiled._windows(block, rngs[0])
+        want = reference._windows(block, rngs[1])
+        for name, g, w in zip(("centers", "sizes", "contexts"), got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_every_output_is_exactly_as_long_as_its_windows(self, kernel):
+        encoded = np.random.default_rng(3).integers(-1, 30, (50, 20)).astype(np.int32)
+        u = np.random.default_rng(4).random(kernels.window_draws(encoded.shape, 5))
+        centers, sizes, contexts = kernel.windows(encoded, 5, u)
+        assert all(arr.base is None for arr in (centers, sizes, contexts))
+        assert centers.size == sizes.size and sizes.sum() == contexts.size and sizes.min() >= 1
+
+    def test_refusals(self, kernel):
+        encoded = np.zeros((4, 9), dtype=np.int32)
+        u = np.zeros(kernels.window_draws(encoded.shape, 3))
+        for bad in (
+            (encoded.astype(np.int64), 3, u), (np.asfortranarray(encoded), 3, u),
+            (encoded, 3, u[:-1]), (encoded, 3, u.astype(np.float32)), (encoded, 0, u),
+        ):
+            with pytest.raises(TrainingError):
+                kernel.windows(*bad)
+
+
+class TestRunGather:
+    @staticmethod
+    def windows(kernel, seed):
+        rng = np.random.default_rng(seed)
+        encoded = rng.integers(-1, 30, (40, 25)).astype(np.int32)
+        windows = kernel.windows(encoded, 5, rng.random(kernels.window_draws(encoded.shape, 5)))
+        starts = np.cumsum(windows[1]) - windows[1]
+        return rng, starts, windows
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("per_run", [1, 7, 128, 10**6])
+    def test_equals_concat_ranges(self, kernel, per_run, epochs):
+        from repro.walks._segments import concat_ranges
+
+        rng, starts, (centers, sizes, contexts) = self.windows(kernel, per_run + epochs)
+        # one buffer, run after run, as the trainer holds it
+        out = np.empty(min(contexts.size, per_run * 2 * 5), dtype=np.int32)
+        short = 0
+        for __ in range(epochs):
+            perm = rng.permutation(centers.size)
+            for s in range(0, centers.size, per_run):
+                chunk = perm[s : s + per_run]
+                short += chunk.size < per_run
+                in_rows, run_sizes, out_pos = kernel.gather(chunk, starts, sizes, centers, contexts, out)
+                want = contexts[concat_ranges(starts[chunk], sizes[chunk])[0]]
+                assert in_rows.dtype == want.dtype and np.array_equal(in_rows, want)
+                assert run_sizes.dtype == sizes.dtype and np.array_equal(run_sizes, sizes[chunk])
+                assert out_pos.dtype == centers.dtype and np.array_equal(out_pos, centers[chunk])
+        assert short == (epochs if centers.size % per_run else 0)
+
+    def test_refusals(self, kernel):
+        __, starts, (centers, sizes, contexts) = self.windows(kernel, 0)
+        out = np.empty(contexts.size, dtype=np.int32)
+        perm = np.arange(centers.size)
+        for change in (
+            {"perm": perm - 1}, {"perm": perm + 1}, {"starts": starts + 1},
+            {"starts": starts - starts[1]}, {"out": out[:-1]}, {"out": out.astype(np.int64)},
+            {"sizes": sizes[:-1]}, {"perm": perm.astype(np.int32)},
+        ):
+            args = {"perm": perm, "starts": starts, "sizes": sizes, "centers": centers,
+                    "contexts": contexts, "out": out, **change}
+            with pytest.raises(TrainingError):
+                kernel.gather(**args)
+        in_rows, __, __ = kernel.gather(perm, starts, sizes, centers, contexts, out)
+        assert np.array_equal(in_rows, contexts)
+
+    def test_a_compiled_fit_gathers_in_c(self, kernel, monkeypatch):
+        import repro.walks._segments as segments
+
+        def refused(*args):
+            raise AssertionError("concat_ranges called on the compiled path")
+
+        monkeypatch.setattr(segments, "concat_ranges", refused)
+        corpus = WalkCorpus.from_lists(np.random.default_rng(5).integers(0, 15, (30, 12)).tolist())
+        trainer = Word2Vec(8, epochs=2, batch_pairs=64, seed=1)
+        assert trainer.kernel == "cnative"
+        assert len(trainer.fit(corpus, num_nodes=15)) == 15
+
+
+# ---------------------------------------------------------------------------
 # the threads under ThreadSanitizer
 # ---------------------------------------------------------------------------
 #: A ``main`` around the kernel source: a generated run of batches (d
@@ -939,6 +1057,12 @@ class TestTrainerArguments:
             {"batch_pairs": None},
             {"max_row_step": -1.0},  # failed at the first C batch, flipped every numpy step
             {"max_row_step": float("nan")},
+            {"min_alpha": float("nan")},  # trained to non-finite vectors, no error
+            {"min_alpha": -1.0},
+            {"subsample": -1.0},
+            {"subsample": float("nan")},
+            {"min_count": -3},  # failed at build_vocab, after the walk
+            {"min_count": 1.5},
         ],
     )
     def test_refused_at_construction(self, kwargs):
