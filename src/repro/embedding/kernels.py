@@ -837,10 +837,12 @@ int64_t w2v_gather(const int64_t *perm, int64_t n, int64_t windows, const int64_
         /* the windows come in random order, so each one's entries are
            asked for AHEAD windows early, and its contexts, whose start is
            one of them, AHEAD / 2 windows early */
-        int64_t a = j + AHEAD < n ? perm[j + AHEAD] : -1, b = j + AHEAD / 2 < n ? perm[j + AHEAD / 2] : -1;
+        int64_t a = j + AHEAD < n ? perm[j + AHEAD] : -1;
+        int64_t b = j + AHEAD / 2 < n ? perm[j + AHEAD / 2] : -1;
         if (a >= 0 && a < windows)
             __builtin_prefetch(starts + a), __builtin_prefetch(sizes + a), __builtin_prefetch(centers + a);
-        if (b >= 0 && b < windows && starts[b] >= 0 && starts[b] < pairs) __builtin_prefetch(contexts + starts[b]);
+        if (b >= 0 && b < windows && starts[b] >= 0 && starts[b] < pairs)
+            __builtin_prefetch(contexts + starts[b]);
         int64_t k = perm[j];
         if (k < 0 || k >= windows) return -1;
         int64_t s = starts[k], m = sizes[k];
@@ -1119,7 +1121,9 @@ class CTrainKernel:
         ):
             _check_array(name, arr, dtype, 1)
         if not starts.size == sizes.size == centers.size or not out.flags.writeable:
-            raise TrainingError("learn kernel: one start, size and center per window, into a writeable out")
+            raise TrainingError(
+                "learn kernel: one start, size and center per window, into a writeable out"
+            )
         run_sizes = np.empty(perm.size, dtype=np.int64)
         out_pos = np.empty(perm.size, dtype=np.int32)
         rows = self._lib.w2v_gather(
