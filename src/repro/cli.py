@@ -340,15 +340,11 @@ def _cmd_export_store(args) -> int:
             codec_params = {"m": args.pq_m, "k": args.pq_k, "seed": args.codec_seed}
         # generic escape hatch so third-party codecs get their
         # constructor parameters from the CLI too
-        for item in args.codec_param:
-            key, value = _parse_override(item)
-            codec_params[key] = value
-        store = kv.to_store(args.output, codec=codec, **codec_params)
+        codec_params.update(_parse_override(item) for item in args.codec_param)
+        spec = ServingSpec(codec=codec, codec_params=codec_params)  # checks them
+        store = kv.to_store(args.output, codec=spec.codec, **spec.codec_params)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except TypeError as err:
-        print(f"error: codec {args.codec!r} rejected its parameters: {err}", file=sys.stderr)
         return 2
     float_bytes = 4 * len(store) * store.dimensions
     ratio = float_bytes / max(store.codes.nbytes, 1)
@@ -380,7 +376,7 @@ def _open_and_build(args, **address):
     try:
         store = EmbeddingStore.open(args.store)
         return store, ServingSpec(**_verb_spec(args, base)["serving"]).build(store, **address)
-    except (ReproError, TypeError) as err:
+    except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return None
 

@@ -11,11 +11,13 @@ engine's settings live with it, in :mod:`repro.sharding.config`.
 
 from __future__ import annotations
 
+import inspect
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
-from repro.errors import WalkError
+from repro.errors import TrainingError, WalkError
 
 
 def take_fields(config, keywords: dict, **spelled):
@@ -42,21 +44,53 @@ def check_choices(config, section: str, error=WalkError) -> None:
             raise error(f"{section}.{f.name} must be one of {choices}, got {value!r}")
 
 
-def check_counts(config, names, section: str = "", error=WalkError, minimum: int = 1) -> None:
-    """Hold each named setting to an integer >= ``minimum`` (0 or 1): the one
-    count check, raising the section's ``error``. ``config`` is a config
-    dataclass, where ``None`` passes if the field's type admits it (a count
-    left unset), or a mapping of keyword values, where a name it lacks passes."""
-    keywords = isinstance(config, Mapping)
-    values = config if keywords else {name: getattr(config, name) for name in names}
-    optional = set() if keywords else {f.name for f in fields(config) if "None" in str(f.type)}
-    for name in names:
-        value = values.get(name)
-        if name not in values or (value is None and name in optional):
-            continue
-        if not (isinstance(value, Integral) and value >= minimum):
-            unset = " or None" if name in optional else ""
+def _settings(config, names):
+    """``(name, value, optional)`` of each named setting of ``config``: a config
+    dataclass, where a field whose type admits ``None`` is optional (left unset),
+    or a mapping of keyword values (``names=None``: all of them), where a name
+    it lacks is skipped."""
+    if isinstance(config, Mapping):
+        return [(name, config[name], False) for name in names or config if name in config]
+    optional = {f.name for f in fields(config) if "None" in str(f.type)}
+    return [(name, getattr(config, name), name in optional) for name in names]
+
+
+def is_number(value, kind) -> bool:
+    """Whether ``value`` is an ``Integral`` / ``Real`` setting (a bool is neither)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_counts(config, names=None, section: str = "", error=WalkError, minimum: int = 1) -> None:
+    """Hold each named setting to an integer >= ``minimum``: the one count
+    check, raising the section's ``error`` (``config`` as for :func:`_settings`)."""
+    for name, value, optional in _settings(config, names):
+        if not (is_number(value, Integral) and value >= minimum or optional and value is None):
+            unset = " or None" if optional else ""
             raise error(f"{section}{name} must be an integer >= {minimum}{unset}, got {value!r}")
+
+
+def check_reals(config, names=None, section: str = "", error=WalkError, interval: str = "(0, inf)") -> None:
+    """Hold each named setting to a finite real inside ``interval``, written
+    as in mathematics (``"[0, 1)"``: a bracket is a closed end, a parenthesis
+    an open one, as an end at infinity always is, so NaN and infinities fail
+    the comparisons): the one real-value check, called as :func:`check_counts`."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = operator.gt if interval[0] == "(" else operator.ge
+    below = operator.lt if interval[-1] == ")" else operator.le
+    for name, value, optional in _settings(config, names):
+        inside = is_number(value, Real) and above(value, low) and below(value, high)
+        if not (inside or optional and value is None):
+            unset = " or None" if optional else ""
+            raise error(f"{section}{name} must be a finite real in {interval}{unset}, got {value!r}")
+
+
+def check_keywords(factory, params, section: str, error, *leading) -> None:
+    """Refuse the keywords that ``factory(*leading, **params)`` would not
+    take, as the section's ``error`` rather than a ``TypeError``."""
+    try:
+        inspect.signature(factory).bind_partial(*leading, **params)
+    except TypeError as err:
+        raise error(f"{section}{err}") from None
 
 
 @dataclass
@@ -78,9 +112,9 @@ class WalkConfig:
         initialization) and :data:`~repro.registry.KERNEL_REGISTRY`,
         normalised to their canonical spelling (``"metropolis-hastings"``
         -> ``"mh"``, ``"burnin"`` -> ``"burn-in"``, ``"c"`` ->
-        ``"cnative"``). A sampler *instance* passes through untouched;
-        an initializer is a registry name and nothing else (register a
-        strategy with :func:`~repro.registry.register_initializer`).
+        ``"cnative"``). Each is a registry name and nothing else
+        (register a stepper with :func:`~repro.registry.register_sampler`,
+        a strategy with :func:`~repro.registry.register_initializer`).
     ``init_sample_cap``
         candidate edges the high-weight initializer draws per fresh
         chain, uniformly with replacement, also on rows of fewer edges
@@ -121,19 +155,16 @@ class WalkConfig:
 
         check_counts(self, ("num_walks", "walk_length", "init_sample_cap", "max_reject_rounds"))
         check_counts(self, ("burn_in_iterations", "table_budget_bytes"), minimum=0)
+        for name in ("sampler", "initializer", "backend"):
+            if not isinstance(getattr(self, name), str):
+                raise WalkError(f"{name} must be a registered name, got {getattr(self, name)!r}")
         try:
-            if isinstance(self.sampler, str):
-                self.sampler = SAMPLER_REGISTRY.canonical(self.sampler)
-                needs_budget = SAMPLER_REGISTRY.capabilities(self.sampler).get("needs_table_budget")
-                if needs_budget and self.table_budget_bytes is None:
-                    raise WalkError(f"sampler {self.sampler!r} needs table_budget_bytes")
-            if not isinstance(self.initializer, str):
-                raise WalkError(
-                    f"initializer must be a registered name, got {type(self.initializer).__name__}"
-                )
+            self.sampler = SAMPLER_REGISTRY.canonical(self.sampler)
+            needs_budget = SAMPLER_REGISTRY.capabilities(self.sampler).get("needs_table_budget")
+            if needs_budget and self.table_budget_bytes is None:
+                raise WalkError(f"sampler {self.sampler!r} needs table_budget_bytes")
             self.initializer = INITIALIZER_REGISTRY.canonical(self.initializer)
-            if isinstance(self.backend, str):
-                self.backend = KERNEL_REGISTRY.canonical(self.backend)
+            self.backend = KERNEL_REGISTRY.canonical(self.backend)
         except ReproError as err:
             raise WalkError(str(err)) from None
 
@@ -220,6 +251,8 @@ class TrainConfig:
     def __post_init__(self):
         from repro.embedding.word2vec import check_train_params
 
+        if not isinstance(self.extra, Mapping):
+            raise TrainingError(f"train.extra must be a mapping, got {self.extra!r}")
         check_train_params(dimensions=self.dimensions, **self.word2vec_kwargs())
 
     def word2vec_kwargs(self) -> dict:

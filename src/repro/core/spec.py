@@ -32,10 +32,9 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices, check_counts
-from repro.errors import SpecError
+from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices, check_counts, check_reals
+from repro.errors import GraphError, SpecError
 from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
-from repro.utils.validation import check_fraction, check_positive
 
 #: Downstream evaluation protocols runnable from a spec.
 EVALUATION_TASKS = ("classification", "clustering")
@@ -114,15 +113,19 @@ class GraphSpec:
             raise SpecError(
                 "graph spec needs exactly one of 'dataset' or 'edge_list'"
             )
-        if self.dataset is not None:
-            from repro.graph import datasets
+        if self.edge_list is not None and not isinstance(self.edge_list, str):
+            raise SpecError(f"graph.edge_list must be a path, got {self.edge_list!r}")
+        from repro.graph import datasets, generators
 
-            if str(self.dataset).lower() not in datasets.DATASETS:
-                raise SpecError(
-                    f"unknown dataset {self.dataset!r}; "
-                    f"available: {sorted(datasets.DATASETS)}"
-                )
-        check_positive("graph.scale", self.scale, SpecError)
+        if self.dataset is not None and str(self.dataset).lower() not in datasets.DATASETS:
+            raise SpecError(
+                f"unknown dataset {self.dataset!r}; available: {sorted(datasets.DATASETS)}"
+            )
+        modes = generators.WEIGHT_MODES
+        if self.weight_mode not in modes:
+            raise SpecError(f"graph.weight_mode must be one of {modes}, got {self.weight_mode!r}")
+        check_reals(self, ("scale",), "graph.", SpecError)
+        check_counts(self, ("seed",), "graph.", SpecError, minimum=0)
 
     def cache_key(self) -> tuple:
         """Hashable identity of this graph source (for load caching).
@@ -148,7 +151,10 @@ class GraphSpec:
             return loaded, None
         from repro.graph.io import load_edge_list
 
-        return load_edge_list(self.edge_list, weighted=self.weighted), None
+        try:
+            return load_edge_list(self.edge_list, weighted=self.weighted), None
+        except OSError as err:  # a file this host lacks: the one check a spec cannot make
+            raise GraphError(f"cannot read graph.edge_list {self.edge_list!r}: {err.strerror}") from None
 
 
 @dataclass
@@ -161,6 +167,8 @@ class EvalSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.train_fractions, (list, tuple)):
+            raise SpecError(f"evaluation.train_fractions must be a list, got {self.train_fractions!r}")
         self.train_fractions = tuple(self.train_fractions)
         if self.task not in EVALUATION_TASKS:
             raise SpecError(
@@ -168,8 +176,9 @@ class EvalSpec:
                 f"available: {list(EVALUATION_TASKS)}"
             )
         check_counts(self, ("trials",), "evaluation.", SpecError)
+        check_counts(self, ("seed",), "evaluation.", SpecError, minimum=0)
         for fraction in self.train_fractions:
-            check_fraction("evaluation.train_fractions", fraction, SpecError)
+            check_reals({"train_fractions": fraction}, None, "evaluation.", SpecError, "(0, 1)")
 
 
 @dataclass
@@ -202,6 +211,8 @@ class UpdatesSpec:
     walk_length: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.steps, list) or not all(isinstance(step, dict) for step in self.steps):
+            raise SpecError(f"updates.steps must be a list of delta records, got {self.steps!r}")
         self.steps = [dict(step) for step in self.steps]
         check_choices(self, "updates", SpecError)
         check_counts(self, ("num_walks", "walk_length"), "updates.", SpecError)
@@ -264,7 +275,7 @@ class RunSpec:
         from repro.registry import MODEL_REGISTRY
 
         self.model_params = dict(self.model_params)
-        self.seed = int(self.seed)
+        check_counts(self, ("seed",), "", SpecError, minimum=0)
         self.name = str(self.name)
         if not isinstance(self.model, str):
             raise SpecError(
@@ -285,6 +296,8 @@ class RunSpec:
         for block, verb in needs_train.items():
             if self.train is None and getattr(self, block) is not None:
                 raise SpecError(f"{block} {verb} a train config")
+        if self.train is not None and self.walk.walk_length < 2:
+            raise SpecError("training needs walk.walk_length >= 2: a one-node walk has no pair")
         if self.updates is not None and not self.updates.retrain and (
             self.evaluation is not None or self.serving is not None
         ):

@@ -355,7 +355,7 @@ class UniNet:
             start_nodes = np.asarray(start_nodes, dtype=np.int64)
 
         # new nodes enter the vocabulary before training touches them
-        space = self._trainer.vocab._index_of.size
+        space = self._trainer.vocab.space
         if self.graph.num_nodes > space:
             estimates = np.zeros(self.graph.num_nodes, dtype=np.int64)
             degrees = self.graph.degrees()

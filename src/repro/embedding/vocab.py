@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import TrainConfig
+from repro.config import TrainConfig, check_counts
 from repro.errors import VocabularyError
+from repro.tokens import TOKEN_DTYPE
 
 
 class Vocabulary:
@@ -30,8 +31,7 @@ class Vocabulary:
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 1:
             raise VocabularyError("counts must be 1-D (token id -> count)")
-        if min_count < 0:
-            raise VocabularyError("min_count must be >= 0")
+        check_counts({"min_count": min_count}, error=VocabularyError, minimum=0)
         kept = np.flatnonzero(counts >= max(min_count, 1))
         if kept.size == 0:
             raise VocabularyError("vocabulary is empty after min_count filtering")
@@ -42,9 +42,12 @@ class Vocabulary:
         self.tokens = kept[order]
         #: occurrence count aligned with :attr:`tokens`
         self.counts = counts[self.tokens]
-        # dense lookup: token id -> index (or -1 if dropped)
-        self._index_of = np.full(counts.size, -1, dtype=np.int64)
-        self._index_of[self.tokens] = np.arange(self.tokens.size)
+        #: token ids counted, kept or not: ``0 .. space - 1``
+        self.space = counts.size
+        # dense lookup: token id t -> index (or -1 if dropped) at t + 1,
+        # between two -1s that a clipped gather returns for any other id
+        self._index_of = np.full(self.space + 2, -1, dtype=TOKEN_DTYPE)
+        self._index_of[self.tokens + 1] = np.arange(self.tokens.size)
 
     @classmethod
     def from_corpus(cls, corpus, num_tokens: int | None = None, *, min_count: int = TrainConfig.min_count):
@@ -66,21 +69,18 @@ class Vocabulary:
 
     def index(self, token_id: int) -> int:
         """Dense index of a token id (-1 when dropped/unknown)."""
-        if not 0 <= token_id < self._index_of.size:
+        if not 0 <= token_id < self.space:
             return -1
-        return int(self._index_of[token_id])
+        return int(self._index_of[token_id + 1])
 
     def encode(self, token_ids: np.ndarray) -> np.ndarray:
-        """Vectorized token-id -> dense-index mapping (-1 for dropped).
+        """Vectorized token-id -> dense-index mapping (-1 for dropped), as
+        :data:`~repro.tokens.TOKEN_DTYPE` rows: the trainer's blocks.
 
         Negative input ids (walk padding) and ids outside the counted
         token range also map to -1.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        in_range = (token_ids >= 0) & (token_ids < self._index_of.size)
-        safe = np.clip(token_ids, 0, max(self._index_of.size - 1, 0))
-        out = self._index_of[safe]
-        return np.where(in_range, out, -1)
+        return np.take(self._index_of, np.asarray(token_ids) + 1, mode="clip")
 
     def subsample_keep_probs(self, threshold: float) -> np.ndarray:
         """Per-index keep probability under frequency subsampling.

@@ -57,13 +57,12 @@ memory is O(block), never O(corpus).
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import fields
 
 import numpy as np
 from scipy import sparse
 
-from repro.config import TrainConfig, check_counts
+from repro.config import TrainConfig, check_counts, check_reals
 from repro.errors import TrainingError
 from repro.embedding.kernels import ACCUM_DTYPE, BatchScratch, resolve_train_kernel, window_draws
 from repro.embedding.keyed_vectors import KeyedVectors
@@ -71,7 +70,6 @@ from repro.embedding.negative import NegativeSampler
 from repro.embedding.vocab import Vocabulary
 from repro.tokens import TOKEN_DTYPE
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive
 
 _MODES = ("skipgram", "cbow")
 
@@ -226,17 +224,13 @@ def check_train_params(**params) -> None:
     counts = ("dimensions", "window", "negative", "epochs", "batch_pairs", "block_walks")
     check_counts(params, counts, error=TrainingError)
     check_counts(params, ("min_count",), error=TrainingError, minimum=0)
-    if "alpha" in params:
-        check_positive("alpha", params["alpha"], TrainingError)
+    check_reals(params, ("alpha",), error=TrainingError)
     # a negative floor decays the learning rate through zero
-    if "min_alpha" in params and not 0 <= params["min_alpha"] < math.inf:
-        raise TrainingError(f"min_alpha must be finite and >= 0, got {params['min_alpha']!r}")
-    if "subsample" in params and not params["subsample"] >= 0:
-        raise TrainingError(f"subsample must be >= 0, got {params['subsample']!r}")
+    check_reals(params, ("min_alpha", "subsample"), error=TrainingError, interval="[0, inf)")
+    if params.get("max_row_step") is not None:  # None: no clip
+        check_reals(params, ("max_row_step",), error=TrainingError, interval="[0, inf)")
     if params.get("mode", _MODES[0]) not in _MODES:
         raise TrainingError(f"mode must be one of {_MODES}, got {params['mode']!r}")
-    if params.get("max_row_step") is not None and not params["max_row_step"] >= 0:
-        raise TrainingError("max_row_step must be >= 0 or None")
 
 
 class Word2Vec:
@@ -437,7 +431,7 @@ class Word2Vec:
         if self.w_in is None:
             raise TrainingError("call build_vocab() before expand_vocab()")
         counts = np.asarray(counts, dtype=np.int64)
-        old_space = self.vocab._index_of.size
+        old_space = self.vocab.space
         if counts.size < old_space:
             raise TrainingError(
                 f"expand_vocab counts cover {counts.size} ids but the "
@@ -582,8 +576,9 @@ class Word2Vec:
 
     # ------------------------------------------------------------------
     def _windows(self, encoded: np.ndarray, rng):
-        """Every center occurrence with at least one included context, in
-        corpus order: ``(centers, sizes, contexts)``, window ``g`` owning
+        """Every center occurrence of an encoded block (``TOKEN_DTYPE``
+        rows, -1 absent) with at least one included context, in corpus
+        order: ``(centers, sizes, contexts)``, window ``g`` owning
         ``sizes[g]`` consecutive entries of ``contexts``.
 
         A context at distance ``d`` is included with probability
@@ -597,7 +592,6 @@ class Word2Vec:
         """
         if self._kernel is not None:
             # the same draws, in one stream, and the same windows, in C
-            encoded = np.ascontiguousarray(encoded, dtype=TOKEN_DTYPE)
             u = rng.random(window_draws(encoded.shape, self.window))
             return self._kernel.windows(encoded, self.window, u)
         rows, length = encoded.shape

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import EvaluationError
+from repro.config import check_reals
+from repro.errors import ConfigError, EvaluationError
 from repro.evaluation.logistic import LogisticRegressionOVR
 from repro.evaluation.metrics import macro_f1, micro_f1
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_fraction
 
 
 def top_k_predictions(scores: np.ndarray, label_counts: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def classification_sweep(
     n = labels.num_labeled
     results = []
     for fraction in train_fractions:
-        check_fraction("train_fraction", fraction)
+        check_reals({"train_fraction": fraction}, error=ConfigError, interval="(0, 1)")
         micro_scores = []
         macro_scores = []
         for __ in range(trials):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_counts
 from repro.errors import EvaluationError
 from repro.utils.rng import as_rng
 
@@ -22,8 +23,7 @@ def kmeans(features: np.ndarray, k: int, *, max_iter: int = 100, seed=None):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < k:
         raise EvaluationError("need a 2-D feature matrix with at least k rows")
-    if k < 1:
-        raise EvaluationError("k must be >= 1")
+    check_counts({"k": k}, error=EvaluationError)
     rng = as_rng(seed)
     n = features.shape[0]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_reals
 from repro.errors import EvaluationError
 from repro.evaluation.logistic import LogisticRegressionOVR
 from repro.evaluation.metrics import roc_auc
@@ -42,8 +43,7 @@ def split_edges(graph, *, test_fraction: float = 0.3, seed=None):
     each undirected edge is considered for hiding; the training graph
     keeps both directions of every retained edge.
     """
-    if not 0 < test_fraction < 1:
-        raise EvaluationError("test_fraction must be in (0, 1)")
+    check_reals({"test_fraction": test_fraction}, error=EvaluationError, interval="(0, 1)")
     rng = as_rng(seed)
     src, dst, w = graph.edge_list()
     forward = src < dst

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
+from repro.config import check_counts, check_reals
 from repro.errors import EvaluationError
 
 
@@ -42,8 +43,8 @@ class LogisticRegressionOVR:
     """
 
     def __init__(self, l2: float = 1.0, max_iter: int = 200):
-        if l2 < 0:
-            raise EvaluationError("l2 must be >= 0")
+        check_reals({"l2": l2}, error=EvaluationError, interval="[0, inf)")
+        check_counts({"max_iter": max_iter}, error=EvaluationError)
         self.l2 = float(l2)
         self.max_iter = int(max_iter)
         self.weights_: np.ndarray | None = None  # (num_classes, dim)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_reals
 from repro.errors import GraphError
 from repro.graph import generators, hetero
 from repro.graph.csr import CSRGraph
@@ -201,6 +202,7 @@ def load(name: str, scale: float = 1.0, *, weight_mode=None, seed=0):
     key = name.lower()
     if key not in DATASETS:
         raise GraphError(f"unknown dataset {name!r}; available: {sorted(DATASETS)}")
+    check_reals({"scale": scale}, section=f"{key} ", error=GraphError)
     return DATASETS[key](scale, weight_mode=weight_mode, seed=seed)
 
 

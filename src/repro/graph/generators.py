@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_counts, check_reals
 from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder, from_edge_arrays
 from repro.graph.csr import CSRGraph
@@ -82,40 +83,35 @@ def _finish(
 # ----------------------------------------------------------------------
 def path_graph(n: int) -> CSRGraph:
     """Undirected path 0-1-...-(n-1)."""
-    if n < 2:
-        raise GraphError("path_graph needs n >= 2")
+    check_counts({"n": n}, section="path_graph ", error=GraphError, minimum=2)
     idx = np.arange(n - 1, dtype=np.int64)
     return from_edge_arrays(idx, idx + 1, num_nodes=n)
 
 
 def cycle_graph(n: int) -> CSRGraph:
     """Undirected cycle on n nodes."""
-    if n < 3:
-        raise GraphError("cycle_graph needs n >= 3")
+    check_counts({"n": n}, section="cycle_graph ", error=GraphError, minimum=3)
     idx = np.arange(n, dtype=np.int64)
     return from_edge_arrays(idx, (idx + 1) % n, num_nodes=n)
 
 
 def complete_graph(n: int) -> CSRGraph:
     """Undirected clique on n nodes."""
-    if n < 2:
-        raise GraphError("complete_graph needs n >= 2")
+    check_counts({"n": n}, section="complete_graph ", error=GraphError, minimum=2)
     src, dst = np.triu_indices(n, k=1)
     return from_edge_arrays(src.astype(np.int64), dst.astype(np.int64), num_nodes=n)
 
 
 def star_graph(n: int) -> CSRGraph:
     """Node 0 connected to nodes 1..n-1."""
-    if n < 2:
-        raise GraphError("star_graph needs n >= 2")
+    check_counts({"n": n}, section="star_graph ", error=GraphError, minimum=2)
     leaves = np.arange(1, n, dtype=np.int64)
     return from_edge_arrays(np.zeros(n - 1, dtype=np.int64), leaves, num_nodes=n)
 
 
 def barbell_graph(clique_size: int, bridge_length: int = 1) -> CSRGraph:
     """Two cliques joined by a path — handy for community-structure tests."""
-    if clique_size < 2:
-        raise GraphError("barbell_graph needs clique_size >= 2")
+    check_counts({"clique_size": clique_size}, section="barbell_graph ", error=GraphError, minimum=2)
     builder = GraphBuilder(directed=False)
     a_src, a_dst = np.triu_indices(clique_size, k=1)
     builder.add_edges(a_src, a_dst)
@@ -131,8 +127,8 @@ def barbell_graph(clique_size: int, bridge_length: int = 1) -> CSRGraph:
 # ----------------------------------------------------------------------
 def erdos_renyi(n: int, avg_degree: float, *, weight_mode=None, seed=None) -> CSRGraph:
     """G(n, m) with m chosen so the mean (undirected) degree ≈ avg_degree."""
-    if n < 2:
-        raise GraphError("erdos_renyi needs n >= 2")
+    check_counts({"n": n}, section="erdos_renyi ", error=GraphError, minimum=2)
+    check_reals({"avg_degree": avg_degree}, section="erdos_renyi ", error=GraphError)
     rng = as_rng(seed)
     m = max(int(round(n * avg_degree / 2)), 1)
     src = rng.integers(0, n, size=m)
@@ -155,10 +151,9 @@ def chung_lu_power_law(
     power law with the given ``exponent`` — the shape of the paper's
     social-network datasets (YouTube, LiveJournal, Flickr, ...).
     """
-    if n < 2:
-        raise GraphError("chung_lu_power_law needs n >= 2")
-    if exponent <= 1.0:
-        raise GraphError("exponent must exceed 1")
+    check_counts({"n": n}, section="chung_lu_power_law ", error=GraphError, minimum=2)
+    check_reals({"avg_degree": avg_degree}, section="chung_lu_power_law ", error=GraphError)
+    check_reals({"exponent": exponent}, None, "chung_lu_power_law ", GraphError, "(1, inf)")
     rng = as_rng(seed)
     m = max(int(round(n * avg_degree / 2)), 1)
     ranks = np.arange(n, dtype=np.float64) + 10.0
@@ -187,8 +182,10 @@ def rmat(
     """
     if scale < 1 or scale > 28:
         raise GraphError("scale must be in [1, 28]")
+    check_reals({"edge_factor": edge_factor}, section="rmat ", error=GraphError)
+    check_reals({"a": a, "b": b, "c": c}, None, "rmat ", GraphError, "[0, 1]")
     d = 1.0 - a - b - c
-    if min(a, b, c, d) < 0:
+    if d < 0:
         raise GraphError("quadrant probabilities must be non-negative")
     rng = as_rng(seed)
     n = 1 << scale
@@ -227,8 +224,7 @@ def planted_partition(
     ``between_degree`` control the expected intra/inter community degree.
     Returns the graph plus single-label :class:`NodeLabels` over all nodes.
     """
-    if num_communities < 2:
-        raise GraphError("need at least two communities")
+    check_counts({"num_communities": num_communities}, None, "planted_partition ", GraphError, 2)
     if n < 2 * num_communities:
         raise GraphError("n too small for the community count")
     rng = as_rng(seed)
@@ -273,8 +269,7 @@ def overlapping_communities(
     drawn mostly within shared communities plus uniform background noise.
     Returns the graph and a multi-label indicator :class:`NodeLabels`.
     """
-    if num_communities < 2:
-        raise GraphError("need at least two communities")
+    check_counts({"num_communities": num_communities}, None, "overlapping_communities ", GraphError, 2)
     rng = as_rng(seed)
     # membership counts in {1, 2, 3, 4} with the requested mean
     extra = np.clip(rng.poisson(max(avg_memberships - 1.0, 0.0), size=n), 0, 3)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_counts
 from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
@@ -57,8 +58,7 @@ def assign_random_types(graph: CSRGraph, num_types: int, *, seed=None) -> CSRGra
     This is the paper's Section V-D device for evaluating heterogeneous
     models on homogeneous networks.
     """
-    if num_types < 1:
-        raise GraphError("num_types must be >= 1")
+    check_counts({"num_types": num_types}, error=GraphError)
     rng = as_rng(seed)
     node_types = rng.integers(0, num_types, size=graph.num_nodes).astype(np.int16)
     edge_types = derive_edge_types(graph, node_types, num_types)
@@ -112,8 +112,7 @@ def academic_graph(
     Returns the typed graph (types: author=0, paper=1, venue=2) and
     single-label author-area :class:`NodeLabels` over author nodes.
     """
-    if num_areas < 2:
-        raise GraphError("need at least two research areas")
+    check_counts({"num_areas": num_areas}, section="academic_graph ", error=GraphError, minimum=2)
     if num_venues < num_areas:
         raise GraphError("need at least one venue per area")
     rng = as_rng(seed)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_counts, check_keywords
 from repro.errors import ServingError
 from repro.registry import Registry
 from repro.utils.rng import as_rng
@@ -94,6 +95,13 @@ class Codec:
 
     def __init__(self):
         self.dim: int | None = None
+
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        """Refuse the parameters the constructor refuses, before a store is
+        encoded: :class:`~repro.serving.config.ServingSpec` calls it when it
+        is built. Here, the keywords the constructor does not take."""
+        check_keywords(cls, params, f"{cls.name}: ", ServingError)
 
     @property
     def trained(self) -> bool:
@@ -352,16 +360,17 @@ class PQCodec(Codec):
     name = "pq"
     code_dtype = np.uint8
 
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        super().check_params(params)
+        check_counts(params, ("m", "k", "train_sample", "iters"), "pq.", ServingError)
+        check_counts(params, ("seed",), "pq.", ServingError, minimum=0)
+        if params.get("k", 1) > 256:
+            raise ServingError(f"pq.k must be at most 256 (codes are one byte), got {params['k']!r}")
+
     def __init__(self, m: int = 16, k: int = 256, train_sample: int = 32_768, iters: int = 10, seed: int = 0):
         super().__init__()
-        if m < 1:
-            raise ServingError("pq codec needs m >= 1 subspaces")
-        if not 1 <= k <= 256:
-            raise ServingError("pq codec needs 1 <= k <= 256 (codes are one byte)")
-        if iters < 1:
-            raise ServingError("pq codec needs iters >= 1")
-        if train_sample < 1:
-            raise ServingError("pq codec needs train_sample >= 1")
+        self.check_params({"m": m, "k": k, "train_sample": train_sample, "iters": iters, "seed": seed})
         self.m = int(m)
         self.k = int(k)
         self.train_sample = int(train_sample)

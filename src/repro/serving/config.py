@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.config import check_counts
-from repro.errors import ConfigError, SpecError
+from repro.config import check_counts, check_reals
+from repro.errors import ConfigError, ServingError, SpecError
 
 
 @dataclass
@@ -36,8 +36,7 @@ class ServerConfig:
 
     def __post_init__(self):
         check_counts(self, ("max_batch", "queue_size"), error=ConfigError)
-        if float(self.max_wait_us) < 0:
-            raise ConfigError("max_wait_us must be >= 0")
+        check_reals(self, ("max_wait_us",), error=ConfigError, interval="[0, inf)")
 
 
 @dataclass
@@ -101,10 +100,18 @@ class ServingSpec:
         self.codec = CODEC_REGISTRY.canonical(self.codec)
         check_counts(self, ("topn", "probe_queries"), "serving.", SpecError)
         check_counts(self, ("cache_size",), "serving.", SpecError, minimum=0)
-        if not isinstance(self.index_params, dict):
-            raise SpecError("serving.index_params must be a mapping")
-        if not isinstance(self.codec_params, dict):
-            raise SpecError("serving.codec_params must be a mapping")
+        # the index's and the codec's own check, so that a bad parameter is
+        # refused before a graph is loaded; a plugin without one is taken as given
+        for kind, registry in (("index", INDEX_REGISTRY), ("codec", CODEC_REGISTRY)):
+            params = getattr(self, f"{kind}_params")
+            if not isinstance(params, dict):
+                raise SpecError(f"serving.{kind}_params must be a mapping")
+            check = getattr(registry.get(getattr(self, kind)), "check_params", None)
+            try:
+                if check is not None:
+                    check(params)
+            except ServingError as err:
+                raise SpecError(f"serving.{kind}_params: {err}") from None
 
     def build(self, source, *, store_path=None, **address):
         """The read path these settings describe, over ``source``.

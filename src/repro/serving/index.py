@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from repro.config import check_counts, check_keywords
 from repro.errors import ServingError
 from repro.registry import Registry
 from repro.utils.rng import as_rng
@@ -122,11 +123,15 @@ class BruteForceIndex:
 
     name = "bruteforce"
 
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        """Refuse, with no store at hand, what the constructor refuses
+        (:class:`~repro.serving.config.ServingSpec` runs it when built)."""
+        check_keywords(cls, params, "bruteforce: ", ServingError, None)
+        check_counts(params, ("query_chunk", "row_chunk"), "bruteforce.", ServingError)
+
     def __init__(self, store, *, query_chunk: int = 1024, row_chunk: int = 65_536):
-        if query_chunk < 1:
-            raise ServingError("query_chunk must be >= 1")
-        if row_chunk < 1:
-            raise ServingError("row_chunk must be >= 1")
+        self.check_params({"query_chunk": query_chunk, "row_chunk": row_chunk})
         self.store = store
         self.query_chunk = int(query_chunk)
         self.row_chunk = int(row_chunk)
@@ -142,8 +147,7 @@ class BruteForceIndex:
             self._inv_norms = None
 
     def topk(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k < 1:
-            raise ServingError("k must be >= 1")
+        check_counts({"k": k}, error=ServingError)
         q = _normalize_queries(queries)
         m = q.shape[0]
         n = len(self.store)
@@ -197,6 +201,15 @@ class IVFIndex:
 
     name = "ivf"
 
+    @classmethod
+    def check_params(cls, params: dict) -> None:
+        """As :meth:`BruteForceIndex.check_params`."""
+        check_keywords(cls, params, "ivf: ", ServingError, None)
+        check_counts(params, ("nprobe", "train_sample", "assign_chunk"), "ivf.", ServingError)
+        if params.get("nlist") is not None:  # None: sized from the store
+            check_counts(params, ("nlist",), "ivf.", ServingError)
+        check_counts(params, ("iters", "seed"), "ivf.", ServingError, minimum=0)
+
     def __init__(
         self,
         store,
@@ -208,17 +221,15 @@ class IVFIndex:
         seed: int = 0,
         assign_chunk: int = 65_536,
     ):
+        self.check_params({"nlist": nlist, "nprobe": nprobe, "train_sample": train_sample,
+                           "iters": iters, "seed": seed, "assign_chunk": assign_chunk})
         n = len(store)
         if n == 0:
             raise ServingError("cannot index an empty store")
         self.store = store
         if nlist is None:
             nlist = max(1, int(round(math.sqrt(n))))
-        if nlist < 1:
-            raise ServingError("nlist must be >= 1")
         self.nlist = min(int(nlist), n)
-        if nprobe < 1:
-            raise ServingError("nprobe must be >= 1")
         self.nprobe = min(int(nprobe), self.nlist)
         rng = as_rng(seed)
         self.centroids = self._train(rng, min(int(train_sample), n), int(iters))
@@ -270,8 +281,7 @@ class IVFIndex:
 
     # ------------------------------------------------------------------
     def topk(self, queries, k: int, *, nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        if k < 1:
-            raise ServingError("k must be >= 1")
+        check_counts({"k": k}, error=ServingError)
         q = _normalize_queries(queries)
         nprobe = self.nprobe if nprobe is None else min(max(1, int(nprobe)), self.nlist)
         m = q.shape[0]

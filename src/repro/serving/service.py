@@ -20,6 +20,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.config import check_counts
 from repro.errors import ServingError
 from repro.serving.config import ServingSpec
 from repro.serving.index import make_index
@@ -53,8 +54,7 @@ class LRUCache:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ServingError("cache capacity must be >= 1")
+        check_counts({"capacity": capacity}, section="cache ", error=ServingError)
         self.capacity = int(capacity)
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
@@ -193,8 +193,7 @@ class QueryService:
         excluded from its result, matching
         :meth:`KeyedVectors.most_similar`.
         """
-        if topn < 1:
-            raise ServingError("topn must be >= 1")
+        check_counts({"topn": topn}, error=ServingError)
         start = time.perf_counter()
         keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         results: list = [None] * keys.size

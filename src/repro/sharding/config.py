@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import check_choices
-from repro.errors import WalkError
+from repro.config import check_choices, check_counts, check_reals
 
 #: Transports the sharded engine's ``transport=`` knob resolves.
 SHARD_TRANSPORTS = ("inline", "socket")
@@ -54,14 +53,6 @@ class ShardingConfig:
     call_timeout: float | None = 120.0
 
     def __post_init__(self):
-        if int(self.shards) != self.shards or self.shards < 1:
-            raise WalkError("sharding.shards must be a positive integer")
-        self.shards = int(self.shards)
+        check_counts(self, ("shards",), "sharding.")
         check_choices(self, "sharding")
-        self.connect_timeout = float(self.connect_timeout)
-        if self.connect_timeout <= 0:
-            raise WalkError("sharding.connect_timeout must be positive")
-        if self.call_timeout is not None:
-            self.call_timeout = float(self.call_timeout)
-            if self.call_timeout <= 0:
-                raise WalkError("sharding.call_timeout must be positive")
+        check_reals(self, ("connect_timeout", "call_timeout"), "sharding.")

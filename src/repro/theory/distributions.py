@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_counts, check_reals
 from repro.errors import ConfigError
 from repro.utils.rng import as_rng
 
@@ -40,12 +41,10 @@ def make_target_distribution(
     >>> int((p == p.max()).sum())
     5
     """
-    if n < 2:
-        raise ConfigError("n must be >= 2")
+    check_counts({"n": n}, error=ConfigError, minimum=2)
     if not 1 <= t < n:
         raise ConfigError("t must satisfy 1 <= t < n")
-    if ratio < 1.0:
-        raise ConfigError("ratio must be >= 1")
+    check_reals({"ratio": ratio}, error=ConfigError, interval="[1, inf)")
     rng = as_rng(rng)
     v_max = 1.0
     v_min = v_max / ratio

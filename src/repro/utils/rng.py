@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_counts
 from repro.errors import ConfigError
 
 
@@ -33,8 +34,7 @@ def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
     Independence comes from ``SeedSequence.spawn``; passing an existing
     ``Generator`` spawns from its internal bit generator seed sequence.
     """
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
+    check_counts({"count": count}, error=ConfigError, minimum=0)
     if isinstance(seed, np.random.Generator):
         seq = seed.bit_generator.seed_seq
     elif isinstance(seed, np.random.SeedSequence):

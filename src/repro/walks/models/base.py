@@ -30,8 +30,8 @@ import abc
 
 import numpy as np
 
+from repro.config import check_reals
 from repro.errors import ModelError
-from repro.utils.validation import check_positive
 from repro.walks.state import NO_PREVIOUS
 
 
@@ -39,8 +39,7 @@ def check_bias(model: str, p, q) -> tuple[float, float]:
     """The return parameter ``p`` and in-out parameter ``q`` of a
     second-order model as floats; each must be finite and > 0 (NaN
     passes a ``<= 0`` test and walks on)."""
-    check_positive(f"{model} p", p, ModelError)
-    check_positive(f"{model} q", q, ModelError)
+    check_reals({"p": p, "q": q}, section=f"{model} ", error=ModelError)
     return float(p), float(q)
 
 

@@ -8,20 +8,46 @@ here once ran further: into NumPy, into a silent empty walk, through the
 whole walk phase, or through the whole training run.
 """
 
+import copy
+import inspect
+import math
+from dataclasses import fields, replace
+from numbers import Real
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline
 from repro import UniNet, run
+from repro.config import is_number
 from repro.core.config import StreamingConfig, TrainConfig, WalkConfig
 from repro.core.runner import apply_override
 from repro.core.spec import EvalSpec, GraphSpec, RunSpec, UpdatesSpec
 from repro.embedding import KeyedVectors
-from repro.errors import ConfigError, ModelError, SpecError, TrainingError, WalkError
+from repro.errors import (
+    ConfigError,
+    EvaluationError,
+    GraphError,
+    ModelError,
+    ReproError,
+    ServingError,
+    SpecError,
+    TrainingError,
+    VocabularyError,
+    WalkError,
+)
 from repro.sampling.memory_model import MemoryBudget
 from repro.serving import QueryServer, ServerConfig
+from repro.evaluation.linkpred import split_edges
+from repro.evaluation.logistic import LogisticRegressionOVR
+from repro.graph import datasets, generators
+from repro.serving.codec import Codec, Float32Codec, PQCodec, make_codec
 from repro.serving.config import ServingSpec
+from repro.serving.index import BruteForceIndex, IVFIndex, make_index
 from repro.sharding import ShardedWalkEngine
+from repro.sharding.config import ShardingConfig
 from repro.walks import VectorizedWalkEngine
 from repro.walks.kernels import available_backends
 
@@ -220,3 +246,213 @@ def test_extra_names_the_trainer_only_keywords():
     with pytest.raises(TrainingError, match=r"\['batch_pairs', 'block_walks', 'max_row_step'\]"):
         TrainConfig(extra={"seed": 3})
     assert TrainConfig(extra={"batch_pairs": 64}).word2vec_kwargs()["batch_pairs"] == 64
+
+
+#: (index or codec, parameters) no index or codec takes; each once built a
+#: spec and failed after the walk and the fit, or was truncated by ``int()``
+BAD_SERVING = [
+    ("ivf", {"nprobe": 0}), ("ivf", {"nprobe": 1.5}), ("ivf", {"nlist": 0}),
+    ("ivf", {"assign_chunk": 0}), ("ivf", {"train_sample": 0}), ("ivf", {"seed": "x"}),
+    ("ivf", {"bogus": 1}), ("bruteforce", {"query_chunk": 2.5}), ("bruteforce", {"row_chunk": 0}),
+    ("bruteforce", {"nprobe": 2}), ("pq", {"m": 0}), ("pq", {"k": 257}), ("pq", {"iters": 0}),
+    ("pq", {"seed": -1}), ("pq", {"bogus": 1}), ("float32", {"m": 4}),
+]  # fmt: skip
+OWNERS = {"ivf": IVFIndex, "bruteforce": BruteForceIndex, "pq": PQCodec, "float32": Float32Codec}
+
+
+@pytest.mark.parametrize("owner, params", BAD_SERVING)
+class TestServingParametersAreRefusedWhenTheSpecIsBuilt:
+    @staticmethod
+    def kind(owner):
+        return "codec" if issubclass(OWNERS[owner], Codec) else "index"
+
+    def test_by_the_index_or_codec_itself(self, owner, params):
+        name = next(iter(params))
+        with pytest.raises(ServingError, match=name):
+            OWNERS[owner].check_params(params)
+        if name not in inspect.signature(OWNERS[owner]).parameters:
+            return  # an unknown keyword: Python's TypeError on a direct call
+        store = KeyedVectors(np.arange(8), np.eye(8, dtype=np.float32)).to_store()
+        with pytest.raises(ServingError, match=name):  # the constructor runs the same check
+            make_index(owner, store, **params) if self.kind(owner) == "index" else make_codec(owner, **params)
+
+    def test_by_a_spec_before_the_graph_is_loaded(self, owner, params):
+        kind = self.kind(owner)
+        data = {**BASE, "serving": {kind: owner, f"{kind}_params": params}}
+        with pytest.raises(SpecError, match=f"serving.{kind}_params: .*{next(iter(params))}"):
+            RunSpec.from_dict(data)
+        graph_cache = {}
+        with pytest.raises(SpecError, match=f"serving.{kind}_params"):
+            run(data, graph_cache=graph_cache)
+        assert graph_cache == {}
+
+    def test_by_the_facade_before_the_store_is_encoded(self, owner, params, tiny_weighted_graph, monkeypatch):
+        kv = KeyedVectors(np.arange(5), np.eye(5, dtype=np.float32))
+        encoded = []
+        monkeypatch.setattr(KeyedVectors, "to_store", lambda *args, **kw: encoded.append(args))
+        if self.kind(owner) == "index":
+            settings = {"index": owner, **params}
+        else:
+            settings = {"codec": owner, "codec_params": params}
+        with pytest.raises(SpecError, match=next(iter(params))):
+            UniNet(tiny_weighted_graph).serve(kv, **settings)
+        assert not encoded
+
+
+#: the library's graph, evaluation and sharding entry points hold their real
+#: settings to the same check; each value was accepted, or failed in NumPy
+LIBRARY_REALS = {
+    "scale=-1": (lambda: datasets.load("amazon", scale=-1.0), GraphError, "scale"),  # 16 nodes
+    "scale=nan": (lambda: datasets.load("amazon", scale=math.nan), GraphError, "scale"),
+    "avg_degree=nan": (lambda: generators.erdos_renyi(50, math.nan), GraphError, "avg_degree"),
+    "avg_degree=-3": (lambda: generators.erdos_renyi(50, -3.0), GraphError, "avg_degree"),
+    "exponent=nan": (
+        lambda: generators.chung_lu_power_law(50, 4.0, exponent=math.nan), GraphError, "exponent"
+    ),
+    "rmat a=nan": (lambda: generators.rmat(4, a=math.nan), GraphError, "rmat a"),
+    "l2=nan": (lambda: LogisticRegressionOVR(l2=math.nan), EvaluationError, "l2"),
+    "max_iter=1.5": (lambda: LogisticRegressionOVR(max_iter=1.5), EvaluationError, "max_iter"),
+    "test_fraction=nan": (
+        lambda: split_edges(generators.cycle_graph(8), test_fraction=math.nan),
+        EvaluationError, "test_fraction",
+    ),
+    "shards=2.0": (lambda: ShardingConfig(shards=2.0), WalkError, "shards"),
+    "connect_timeout=nan": (lambda: ShardingConfig(connect_timeout=math.nan), WalkError, "connect_timeout"),
+    "max_wait_us=nan": (lambda: ServerConfig(max_wait_us=math.nan), ConfigError, "max_wait_us"),
+}
+
+
+@pytest.mark.parametrize("build, error, named", LIBRARY_REALS.values(), ids=list(LIBRARY_REALS))
+def test_a_library_entry_point_refuses_what_a_spec_refuses(build, error, named):
+    with pytest.raises(error, match=f"{named} must be"):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# the property: a spec that builds is a spec that runs
+# ---------------------------------------------------------------------------
+#: a valid run on the smallest labeled stand-in, 1 x 5 walks at d = 8, with
+#: every block but ``streaming`` (a drawn streaming field switches it on)
+RUNNABLE = {
+    "graph": {"dataset": "blogcatalog", "scale": 0.02, "seed": 1},
+    "model": "node2vec", "model_params": {"p": 0.5, "q": 2.0},
+    "walk": {"num_walks": 1, "walk_length": 5},
+    "train": {"dimensions": 8},
+    "evaluation": {"train_fractions": [0.5], "trials": 1},
+    "updates": {"steps": [{"add": [[0, 1]]}]},
+    "serving": {"probe_queries": 8, "server": {"max_batch": 8}},
+}  # fmt: skip
+RUNNABLE_SPEC = RunSpec.from_dict(RUNNABLE)
+#: the serving parameters' owners: a path step naming one sets the serving
+#: block's index or codec to it and steps into its parameters
+SERVING_OWNERS = {
+    "bruteforce": ("index", "index_params", BruteForceIndex),
+    "ivf": ("index", "index_params", IVFIndex),
+    "pq": ("codec", "codec_params", PQCodec),
+}
+#: every setting the property replaces, as a path into the spec mapping
+SETTINGS = [
+    ("seed",), ("model_params", "p"), ("model_params", "q"),
+    *[("train", "extra", name) for name in ("batch_pairs", "max_row_step", "block_walks")],
+    *[(block, f.name) for block, cls in (
+        ("walk", WalkConfig), ("train", TrainConfig), ("streaming", StreamingConfig),
+        ("graph", GraphSpec), ("evaluation", EvalSpec), ("updates", UpdatesSpec),
+        ("serving", ServingSpec),
+    ) for f in fields(cls)],
+    *[("serving", "server", f.name) for f in fields(ServerConfig)],
+    *[("serving", owner, name) for owner, (__, __, cls) in SERVING_OWNERS.items()
+      for name in inspect.signature(cls).parameters if name != "store"],
+]  # fmt: skip
+#: boundary values; no count above a few hundred, which would only cost memory
+VALUES = [0, -1, 1, 2, 0.5, 1.5, math.nan, math.inf, -math.inf, True, None, "x"]
+#: the run-time errors that depend on the data, not on a setting alone: an
+#: empty vocabulary after ``min_count``, no pair left after ``subsample``, an
+#: edge-list file this host lacks
+DATA_ERRORS = {
+    ("train", "min_count"): VocabularyError,
+    ("train", "subsample"): TrainingError,
+    ("graph", "edge_list"): GraphError,
+}
+
+
+def with_settings(changes) -> dict:
+    """:data:`RUNNABLE` with each drawn setting replaced."""
+    data = copy.deepcopy(RUNNABLE)
+    for path, value in changes:
+        block = data
+        for step in path[:-1]:
+            if step in SERVING_OWNERS:  # the index or codec that takes the parameter
+                block[SERVING_OWNERS[step][0]] = step
+                step = SERVING_OWNERS[step][1]
+            if not isinstance(block.get(step), dict):
+                block[step] = {}
+            block = block[step]
+        block[path[-1]] = value
+    return data
+
+
+def setting_at(spec, path):
+    """The value a built spec holds at ``path`` (``None``: a block it left out)."""
+    node = spec
+    for step in path:
+        step = SERVING_OWNERS[step][1] if step in SERVING_OWNERS else step
+        node = node.get(step) if isinstance(node, dict) else getattr(node, step, None)
+    return node
+
+
+@settings(max_examples=500, deadline=None)
+@given(changes=st.lists(
+    st.tuples(st.sampled_from(SETTINGS), st.sampled_from(VALUES)),
+    min_size=1, max_size=2, unique_by=lambda change: change[0],
+))  # fmt: skip
+# each once built a spec that failed after the walk and the fit, or ran
+# with a value other than the one given
+@example(changes=[(("serving", "bruteforce", "bogus"), 1)])  # a bare TypeError
+@example(changes=[(("serving", "ivf", "assign_chunk"), 0)])  # a bare ValueError
+@example(changes=[(("serving", "ivf", "train_sample"), 0)])  # a bare ValueError
+@example(changes=[(("serving", "ivf", "nprobe"), 0)])  # ServingError after training
+@example(changes=[(("serving", "pq", "m"), 0)])  # ServingError after training
+@example(changes=[(("serving", "ivf", "nprobe"), 1.5)])  # scanned 1 cell
+@example(changes=[(("serving", "bruteforce", "query_chunk"), 2.5)])  # chunks of 2
+@example(changes=[(("seed",), 1.5)])  # seed 1
+@example(changes=[(("serving", "server", "max_wait_us"), math.nan)])  # a NaN wait
+@example(changes=[(("serving", "server", "max_wait_us"), "x")])  # a bare ValueError
+@example(changes=[(("train", "min_alpha"), "x")])  # a bare TypeError
+@example(changes=[(("train", "subsample"), "x")])  # a bare TypeError
+@example(changes=[(("seed",), "x")])  # a bare ValueError
+@example(changes=[(("graph", "seed"), "x")])  # a bare TypeError at the load
+@example(changes=[(("walk", "walk_length"), 1)])  # no pair, after the walk
+@example(changes=[(("walk", "sampler"), 0)])  # SamplerError at the engine
+@example(changes=[(("graph", "weight_mode"), "x")])  # GraphError at the load
+@example(changes=[(("serving", "server", "queue_size"), 1)])  # OverloadError from the probe
+@example(changes=[(("updates", "walk_length"), True)])  # a bare TypeError in the re-walk
+@example(changes=[(("graph", "dataset"), None), (("graph", "edge_list"), 2)])  # read stderr
+def test_a_spec_that_builds_runs_as_given(changes):
+    """One or two settings of a runnable spec replaced by a boundary value:
+    the spec is refused with a ``ReproError`` when it is built, or it runs
+    to finite embeddings, or it fails on its data (:data:`DATA_ERRORS`)."""
+    data = with_settings(changes)
+    try:
+        spec = RunSpec.from_dict(data)
+    except ReproError:
+        return
+    try:
+        report = run(spec)
+    except tuple(DATA_ERRORS[path] for path, __ in changes if path in DATA_ERRORS):
+        return
+    assert np.isfinite(report.embeddings.vectors).all()
+    # where the runnable spec holds a number, a number (or None, unset) was
+    # given, and a fractional one ran as given, not truncated: in the spec,
+    # and on the index or codec its serving block builds
+    service = replace(spec.serving, server=None).build(report.embeddings)
+    for path, value in changes:
+        if setting_at(data, path) is not value:  # the other draw replaced it
+            continue
+        if is_number(setting_at(RUNNABLE_SPEC, path), Real):
+            assert value is None or is_number(value, Real) and math.isfinite(value), (path, value)
+        if not (isinstance(value, float) and math.isfinite(value) and not value.is_integer()):
+            continue
+        held = setting_at(spec, path)
+        if path[1:2] and path[1] in SERVING_OWNERS:
+            held = getattr(service.store.codec if path[1] == "pq" else service.index, path[2], value)
+        assert held == value, (path, value, held)

@@ -10,6 +10,7 @@ from repro.errors import TrainingError, VocabularyError
 from repro.embedding import KeyedVectors, NegativeSampler, Vocabulary, Word2Vec
 from repro.utils.cbuild import find_compiler
 from repro.embedding.word2vec import scatter_add_rows
+from repro.tokens import TOKEN_DTYPE
 from repro.walks.corpus import WalkCorpus
 
 
@@ -41,6 +42,17 @@ class TestVocabulary:
         vocab = Vocabulary(np.array([5, 3]))
         encoded = vocab.encode(np.array([0, 1, 2, 99]))
         assert encoded[2] == -1 and encoded[3] == -1
+
+    @pytest.mark.parametrize("dtype", [TOKEN_DTYPE, np.int64])
+    def test_encode_gives_token_rows_from_any_id(self, dtype):
+        """Straight into the trainer's token dtype, the ids at either end of
+        the input's range included (an int32 id + 1 wraps, to -1 as well)."""
+        vocab = Vocabulary(np.array([5, 0, 3]))
+        ids = np.array([[0, 1, 2, 3], [-1, -7, np.iinfo(dtype).max, np.iinfo(dtype).min]], dtype=dtype)
+        encoded = vocab.encode(ids)
+        assert encoded.dtype == TOKEN_DTYPE and encoded.flags.c_contiguous
+        assert encoded.tolist() == [[0, -1, 1, -1], [-1, -1, -1, -1]]
+        assert vocab.space == 3 and [vocab.index(t) for t in (0, 1, 2, 3, -1)] == [0, -1, 1, -1, -1]
 
     def test_from_corpus(self):
         corpus = WalkCorpus.from_lists([[0, 1, 1], [2, 1]])
@@ -186,7 +198,7 @@ class TestWord2VecTraining:
 
     def test_window_context_counts(self, rng):
         w2v = Word2Vec(dimensions=4, window=2, seed=9)
-        encoded = np.array([[0, 1, 2, 3]])
+        encoded = np.array([[0, 1, 2, 3]], dtype=TOKEN_DTYPE)
         totals = []
         for __ in range(300):
             centers, sizes, contexts = w2v._windows(encoded, rng)
@@ -199,7 +211,7 @@ class TestWord2VecTraining:
         # window 1 draws nothing; -1 is a padded or subsampled position,
         # which has no window and is no context
         w2v = Word2Vec(dimensions=4, window=1, seed=10)
-        encoded = np.array([[4, 5, 6, -1, 7], [8, 9, -1, -1, -1]])
+        encoded = np.array([[4, 5, 6, -1, 7], [8, 9, -1, -1, -1]], dtype=TOKEN_DTYPE)
         centers, sizes, contexts = w2v._windows(encoded, rng)
         assert centers.tolist() == [4, 5, 6, 8, 9]
         assert np.split(contexts, np.cumsum(sizes)[:-1])[1].tolist() == [6, 4]
@@ -209,7 +221,7 @@ class TestWord2VecTraining:
         w2v = Word2Vec(dimensions=4, window=2, seed=10)
         seen = set()
         for __ in range(40):
-            centers, sizes, contexts = w2v._windows(np.array([[1, 2, 3, 4, 5]]), rng)
+            centers, sizes, contexts = w2v._windows(np.array([[1, 2, 3, 4, 5]], dtype=TOKEN_DTYPE), rng)
             middle = np.split(contexts, np.cumsum(sizes)[:-1])[2]
             seen.add(tuple(middle.tolist()))
         assert seen == {(4, 2), (4, 2, 5), (4, 2, 1), (4, 2, 5, 1)}
@@ -263,7 +275,7 @@ class TestWindowsArePairs:
     @pytest.mark.parametrize("window", [1, 2, 5])
     @pytest.mark.parametrize("seed", range(3))
     def test_same_pairs_from_the_same_draws(self, window, seed):
-        encoded = np.random.default_rng(seed).integers(-1, 30, (40, 25))
+        encoded = np.random.default_rng(seed).integers(-1, 30, (40, 25)).astype(TOKEN_DTYPE)
         w2v = Word2Vec(dimensions=4, window=window, seed=1)
         assert w2v.kernel == self.kernel_name
         new_rng, old_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)

@@ -378,6 +378,32 @@ class TestServingCLI:
         assert code == 0
         assert "via ivf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "verb, flags, named",
+        [
+            ("query", ["--index", "ivf", "--nprobe", "0"], "nprobe"),
+            ("query", ["--index", "ivf", "--nlist", "0"], "nlist"),
+            ("serve", ["--index", "ivf", "--nprobe", "0", "--port", "0"], "nprobe"),
+            ("export-store", ["--codec", "pq", "--pq-m", "0"], "pq.m"),
+            ("export-store", ["--codec", "int8", "--codec-param", "bogus=1"], "bogus"),
+        ],
+    )
+    def test_a_bad_serving_parameter_is_one_line_and_exit_2(self, kv, tmp_path, capsys, verb, flags, named):
+        """Refused by the serving block the verb builds, before a store is
+        opened, encoded or served: no ``TypeError`` reaches the user."""
+        from repro.cli import main
+
+        npz, store_path = tmp_path / "v.npz", tmp_path / "v.embstore"
+        kv.save_npz(npz)
+        kv.to_store(store_path)
+        given = ["--vectors", str(npz), "--output", str(tmp_path / "out.embstore")]
+        if verb != "export-store":
+            given = ["--store", str(store_path)]
+        assert main([verb, *given, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err and captured.out == ""
+
     def test_facade_spec_block_and_verb_give_the_same_answers(self, kv, barbell, tmp_path, capsys):
         """One builder: the same settings through ``UniNet.serve``, a
         ``serving:`` RunSpec block and the ``query`` verb."""

@@ -48,6 +48,8 @@ ALTERNATIVES = {
     "index": "ivf", "index_params": {"nprobe": 2}, "codec": "int8", "codec_params": {"m": 4},
     "server": ServerConfig(max_batch=8),
 }  # fmt: skip
+#: the setting a value needs beside it: an index's or a codec's own parameters
+COMPANIONS = {"index_params": ("index", "ivf"), "codec_params": ("codec", "pq")}
 
 
 def non_default(field):
@@ -73,6 +75,8 @@ class TestEveryFieldIsReachable:
         # a graph has one source: an edge list replaces the dataset
         source = {} if field.name == "edge_list" else {"dataset": "amazon"}
         data = apply_override({"graph": source}, f"{section}.{field.name}", value)
+        if field.name in COMPANIONS:
+            apply_override(data, f"{section}.{COMPANIONS[field.name][0]}", COMPANIONS[field.name][1])
         spec = RunSpec.from_dict(data)
         got = getattr(functools.reduce(getattr, section.split("."), spec), field.name)
         assert got == (tuple(value) if isinstance(value, list) else value)

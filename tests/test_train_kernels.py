@@ -640,7 +640,7 @@ def blocks(draw):
     lengths = draw(st.lists(st.integers(0, width), max_size=6))
     holes = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    block = np.full((len(lengths), width), -1, dtype=np.int64)
+    block = np.full((len(lengths), width), -1, dtype=np.int32)
     for row, length in enumerate(lengths):
         block[row, :length] = rng.integers(0, 20, length)
     block[rng.random(block.shape) < holes] = -1
@@ -657,8 +657,8 @@ def compiled_and_reference(window):
 class TestWindowBuilder:
     @settings(max_examples=150, deadline=None)
     @given(block=blocks(), window=st.integers(1, 14), seed=st.integers(0, 2**16))
-    @example(block=np.full((3, 0), -1), window=2, seed=0)  # width 0
-    @example(block=np.array([[5, -1, -1], [-1, -1, -1], [2, 3, -1]]), window=1, seed=0)
+    @example(block=np.full((3, 0), -1, dtype=np.int32), window=2, seed=0)  # width 0
+    @example(block=np.array([[5, -1, -1], [-1, -1, -1], [2, 3, -1]], dtype=np.int32), window=1, seed=0)
     def test_equals_the_numpy_windows(self, kernel, block, window, seed):
         compiled, reference = compiled_and_reference(window)
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -1,11 +1,14 @@
-"""Tests for repro.utils: rng plumbing, validation helpers."""
+"""Tests for repro.utils (rng plumbing) and the real-value check."""
+
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.config import check_reals
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.errors import ConfigError, ModelError, SpecError
-from repro.utils.validation import check_fraction, check_positive
+from repro.errors import ConfigError, ModelError, SpecError, WalkError
 
 
 class TestAsRng:
@@ -59,26 +62,49 @@ class TestSpawnRngs:
         assert spawn_rngs(1, 0) == []
 
 
-class TestValidation:
-    def test_check_positive_accepts(self):
-        check_positive("x", 0.1)
+@dataclass
+class Knobs:
+    rate: float = 1.0
+    cap: float | None = None
 
-    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf"), "2", None, [1.0], 1j])
-    def test_check_positive_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_positive("x", bad)
 
-    def test_check_fraction_open_interval(self):
-        check_fraction("f", 0.5)
-        with pytest.raises(ValueError):
-            check_fraction("f", 0.0)
-        with pytest.raises(ValueError):
-            check_fraction("f", 1.0)
+class TestCheckReals:
+    @pytest.mark.parametrize(
+        "interval, inside, outside",
+        [
+            ("(0, inf)", [1e-300, 0.5, 7], [0, 0.0, -1]),
+            ("[0, inf)", [0, 0.0, 2.5], [-1e-9, -1]),
+            ("(0, 1)", [1e-9, 0.5, np.float32(0.25)], [0, 1, 1.0, 1.5]),
+            ("[0, 1]", [0, 0.5, 1], [-0.1, 1.1]),
+            ("(1, inf)", [1.5, 2], [1, 0.5]),
+        ],
+    )
+    def test_open_and_closed_ends(self, interval, inside, outside):
+        for value in inside:
+            check_reals({"x": value}, ("x",), interval=interval)
+        for value in outside:
+            with pytest.raises(WalkError, match=re.escape(f"x must be a finite real in {interval}")):
+                check_reals({"x": value}, ("x",), interval=interval)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), True, False, "2", None, [1.0], 1j, object()]
+    )
+    def test_only_a_finite_real_passes(self, bad):
+        with pytest.raises(WalkError, match=r"x must be a finite real in \[0, inf\), got "):
+            check_reals({"x": bad}, ("x",), interval="[0, inf)")
+
+    def test_none_passes_for_an_optional_field_only(self):
+        check_reals(Knobs(), ("rate", "cap"), "knobs.")
+        with pytest.raises(WalkError, match=r"knobs.rate must be a finite real in \(0, inf\), got None"):
+            check_reals(Knobs(rate=None), ("rate", "cap"), "knobs.")
+        with pytest.raises(WalkError, match=r"knobs.cap must be a finite real in \(0, inf\) or None, got -1"):
+            check_reals(Knobs(cap=-1), ("rate", "cap"), "knobs.")
+        # in a keyword mapping, a name it lacks passes and None does not
+        check_reals({}, ("rate",))
+        with pytest.raises(WalkError, match="rate"):
+            check_reals({"rate": None}, ("rate",))
 
     def test_the_error_class_is_the_callers(self):
-        with pytest.raises(ConfigError):
-            check_positive("x", 0)
-        with pytest.raises(ModelError, match="x must be positive"):
-            check_positive("x", 0, ModelError)
-        with pytest.raises(SpecError, match=r"f must lie in \(0, 1\)"):
-            check_fraction("f", 1.0, SpecError)
+        for error in (ConfigError, ModelError, SpecError):
+            with pytest.raises(error, match=r"section.x must be a finite real in \(0, 1\), got 1.0"):
+                check_reals({"x": 1.0}, ("x",), "section.", error, "(0, 1)")

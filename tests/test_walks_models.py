@@ -138,7 +138,7 @@ def test_second_order_bias_must_be_finite_and_positive(typed_graph, name, param,
     """A NaN ``p`` passes a ``p <= 0`` test and walks to full length; the
     one shared check refuses it with the other non-finite and
     non-positive values."""
-    with pytest.raises(ModelError, match=f"{name} {param} must be positive and finite"):
+    with pytest.raises(ModelError, match=rf"{name} {param} must be a finite real in \(0, inf\)"):
         make_model(name, typed_graph, **{param: value})
 
 
