@@ -261,7 +261,11 @@ def _model_params(args):
 
 
 def _cmd_stats(args) -> int:
-    graph, labels = RunSpec.from_dict(_verb_spec(args)).graph.load()
+    try:
+        graph, labels = RunSpec.from_dict(_verb_spec(args)).graph.load()
+    except ReproError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     stats = graph_statistics(graph)
     rows = [{"statistic": key, "value": value} for key, value in stats.items()]
     if labels is not None:

@@ -84,6 +84,14 @@ def check_reals(config, names=None, section: str = "", error=WalkError, interval
             raise error(f"{section}{name} must be a finite real in {interval}{unset}, got {value!r}")
 
 
+def check_bools(config, names=None, section: str = "", error=WalkError) -> None:
+    """Hold each named setting to ``True`` or ``False``, not a truthy stand-in
+    (``"false"``, ``1``, NaN): the one switch check, called as :func:`check_counts`."""
+    for name, value, optional in _settings(config, names):
+        if not (isinstance(value, bool) or optional and value is None):
+            raise error(f"{section}{name} must be true or false, got {value!r}")
+
+
 def check_keywords(factory, params, section: str, error, *leading) -> None:
     """Refuse the keywords that ``factory(*leading, **params)`` would not
     take, as the section's ``error`` rather than a ``TypeError``."""
@@ -221,6 +229,7 @@ class StreamingConfig:
 
     def __post_init__(self):
         check_counts(self, ("shard_walks",), "streaming.")
+        check_bools(self, ("overlap",), "streaming.")
         check_choices(self, "streaming")
 
 

@@ -32,7 +32,9 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from repro.config import StreamingConfig, TrainConfig, WalkConfig, check_choices, check_counts, check_reals
+from repro.config import (
+    StreamingConfig, TrainConfig, WalkConfig, check_bools, check_choices, check_counts, check_reals,
+)
 from repro.errors import GraphError, SpecError
 from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
 
@@ -126,6 +128,7 @@ class GraphSpec:
             raise SpecError(f"graph.weight_mode must be one of {modes}, got {self.weight_mode!r}")
         check_reals(self, ("scale",), "graph.", SpecError)
         check_counts(self, ("seed",), "graph.", SpecError, minimum=0)
+        check_bools(self, ("weighted",), "graph.", SpecError)
 
     def cache_key(self) -> tuple:
         """Hashable identity of this graph source (for load caching).
@@ -216,6 +219,7 @@ class UpdatesSpec:
         self.steps = [dict(step) for step in self.steps]
         check_choices(self, "updates", SpecError)
         check_counts(self, ("num_walks", "walk_length"), "updates.", SpecError)
+        check_bools(self, ("symmetric", "retrain"), "updates.", SpecError)
         if not self.steps:
             raise SpecError("updates.steps must contain at least one delta record")
         from repro.errors import DeltaError

@@ -282,8 +282,12 @@ class IVFIndex:
     # ------------------------------------------------------------------
     def topk(self, queries, k: int, *, nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         check_counts({"k": k}, error=ServingError)
+        if nprobe is None:
+            nprobe = self.nprobe
+        else:  # held to the constructor's rule; above nlist scans every cell
+            check_counts({"nprobe": nprobe}, section="ivf.", error=ServingError)
+            nprobe = min(nprobe, self.nlist)
         q = _normalize_queries(queries)
-        nprobe = self.nprobe if nprobe is None else min(max(1, int(nprobe)), self.nlist)
         m = q.shape[0]
         k = min(k, len(self.store))
         cell_sims = q @ self.centroids.T

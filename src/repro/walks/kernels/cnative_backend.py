@@ -96,6 +96,24 @@ static double dyn_weight(int kind, double p, double q,
     return w * alpha;
 }
 
+/* the edge entry a lane proposes, clamped into the edge arrays; the
+   read-ahead computes it exactly as the lane's own step does */
+static inline int64_t candidate(const int64_t *offsets, int64_t num_edges,
+                                int64_t v, double u) {
+    int64_t lo = offsets[v], deg = offsets[v + 1] - lo;
+    int64_t c = lo + (int64_t)(u * (double)(deg > 0 ? deg : 1));
+    if (c >= num_edges) c = num_edges - 1;
+    return c < 0 ? 0 : c;
+}
+
+/* read-ahead distances in lanes of a step: the offsets entries of cur
+   and prev, then the candidate's targets entry, then what prev's
+   adjacency test will read. A read-ahead only prefetches, and a plain
+   load it makes is one the lane's own step makes: live lanes only. */
+#define AHEAD_FAR 16
+#define AHEAD_MID 8
+#define AHEAD_NEAR 3
+
 void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
              const double *weights, int64_t num_edges,
              int kind, double p, double q,
@@ -115,24 +133,29 @@ void mh_step(int64_t n, const int64_t *offsets, const int64_t *targets,
        matches the reference. */
     int64_t n_ok = 0, n_acc = 0;
     for (int64_t i = 0; i < n; i++) {
-        /* two-stage software pipeline against the random-row latency:
-           far ahead fetch the offsets entries, near ahead the rows */
-        if (i + 8 < n) {
-            PREFETCH(&offsets[cur[i + 8]]);
-            if (prev[i + 8] >= 0) PREFETCH(&offsets[prev[i + 8]]);
+        if (i + AHEAD_FAR < n) {
+            PREFETCH(&offsets[cur[i + AHEAD_FAR]]);
+            if (prev[i + AHEAD_FAR] >= 0) PREFETCH(&offsets[prev[i + AHEAD_FAR]]);
         }
-        if (i + 3 < n && !dead[i + 3]) {
-            int64_t nlo = offsets[cur[i + 3]];
-            PREFETCH(&targets[nlo]);
-            if (weights) PREFETCH(&weights[nlo]);
-            if (prev[i + 3] >= 0) PREFETCH(&targets[offsets[prev[i + 3]]]);
+        if (i + AHEAD_MID < n && !dead[i + AHEAD_MID]) {
+            int64_t j = i + AHEAD_MID, c = candidate(offsets, num_edges, cur[j], u_cand[j]);
+            PREFETCH(&targets[c]);
+            if (weights) PREFETCH(&weights[c]);
+            if (kind == 2 && last_w[j] != last_w[j]) PREFETCH(&targets[last[j] > 0 ? last[j] : 0]);
+        }
+        if (kind == 2 && i + AHEAD_NEAR < n && !dead[i + AHEAD_NEAR] && prev[i + AHEAD_NEAR] >= 0) {
+            int64_t j = i + AHEAD_NEAR, pv = prev[j];
+            int64_t u = targets[candidate(offsets, num_edges, cur[j], u_cand[j])];
+            if (u != pv) { /* has_edge(pv, u) will run: its filter word or its row */
+                int64_t plo = offsets[pv], plen = offsets[pv + 1] - plo;
+                if (plen <= FILTER_MIN_ROW)
+                    for (int64_t e = 0; e < plen; e += 8) PREFETCH(&targets[plo + e]);
+                else if (filt)
+                    PREFETCH(&filt[edge_hash(pv, u) & fmask]);
+            }
         }
         if (dead[i]) { out_next[i] = NO_EDGE; continue; }
-        int64_t v = cur[i];
-        int64_t lo = offsets[v], deg = offsets[v + 1] - lo;
-        int64_t c = lo + (int64_t)(u_cand[i] * (double)(deg > 0 ? deg : 1));
-        if (c >= num_edges) c = num_edges - 1;
-        if (c < 0) c = 0;
+        int64_t c = candidate(offsets, num_edges, cur[i], u_cand[i]);
         double wc = dyn_weight(kind, p, q, filt, fmask, offsets, targets, weights, prev[i], c);
         int64_t l = last[i] > 0 ? last[i] : 0;
         double wl = last_w[i];
@@ -189,17 +212,21 @@ void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
         for (int64_t n = 0; n < (num_nodes + 63) / 64; n++) mark[n] = 0;
     for (int64_t si = 0; si < k; si++) {
         int64_t i = order[si];
-        /* two-stage software pipeline against the random-row latency:
-           far ahead fetch the offsets entries, near ahead the rows */
-        if (si + 8 < k) {
-            int64_t f = order[si + 8];
+        /* far ahead the offsets entries and the uniforms, near ahead
+           every candidate entry, computed as the lane computes them */
+        if (si + AHEAD_MID < k) {
+            int64_t f = order[si + AHEAD_MID];
             PREFETCH(&offsets[cur[f]]);
-            PREFETCH(&u[f * cap]);
+            for (int64_t j = 0; j < cap; j += 8) PREFETCH(&u[f * cap + j]);
         }
-        if (si + 3 < k) {
-            int64_t nlo = offsets[cur[order[si + 3]]];
-            PREFETCH(&targets[nlo]);
-            if (weights) PREFETCH(&weights[nlo]);
+        if (si + AHEAD_NEAR < k) {
+            int64_t f = order[si + AHEAD_NEAR], flo = offsets[cur[f]];
+            int64_t fdeg = offsets[cur[f] + 1] - flo;
+            for (int64_t j = 0; j < cap; j++) {
+                int64_t c = flo + (int64_t)(u[f * cap + j] * (double)(fdeg > 0 ? fdeg : 1));
+                PREFETCH(&targets[c]);
+                if (weights) PREFETCH(&weights[c]);
+            }
         }
         int64_t pv = prev[i];
         int use_mark = 0;
@@ -249,6 +276,29 @@ void mh_init_select(int64_t k, int64_t cap, int64_t num_nodes,
     }
 }
 
+/* Step 0's index work (StepperBase.first_step, _race). row_offsets:
+   the edge entries of n rows end to end, concat_ranges's offsets. */
+void row_offsets(int64_t n, const int64_t *lo, const int64_t *deg, int64_t *out) {
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = 0; e < deg[i]; e++) *out++ = lo[i] + e;
+}
+
+/* segment_race_argmin over rows of deg[i] keys laid end to end: each
+   row's first smallest key, -1 for an empty row and for one whose
+   smallest key is not finite (all +inf, -inf, or a NaN anywhere) */
+void race_argmin(int64_t n, const int64_t *deg, const double *keys, int64_t *out) {
+    for (int64_t i = 0; i < n; keys += deg[i++]) {
+        int64_t best = -1;
+        double least = INFINITY;
+        int nan = 0;
+        for (int64_t e = 0; e < deg[i]; e++) {
+            nan |= keys[e] != keys[e];
+            if (keys[e] < least) least = keys[e], best = e;
+        }
+        out[i] = nan || least == -INFINITY ? -1 : best;
+    }
+}
+
 typedef double (*next_double_fn)(void *state);
 
 typedef struct { int64_t prev, lane; } prev_lane_t;
@@ -283,11 +333,11 @@ static int64_t exact_argmax(int kind, double p, double q,
    so the later lane still wins). Threads change when a lane is stepped,
    never what it draws or where it goes. A thread per this many lanes at
    most, by weight rule: on the 2-vCPU bench host, over graphs of as many
-   nodes as lanes, a second thread broke even at 2 x 2,048 lanes of
-   node2vec and about 2 x 16,384 of deepwalk, whose steps are cheaper
-   than the draws and barriers they share, and saved a fifth at twice
-   those. */
-#define LANES_PER_THREAD(kind) ((kind) == 2 ? 4096 : 24576) /* node2vec : static */
+   nodes as lanes (Chung-Lu, average degree 20, the read-ahead in), a
+   second thread lost a tenth at 2 x 512 lanes of node2vec and saved
+   8-23 % at 2 x 2,048; deepwalk's steps are cheaper than the draws and
+   barriers they share, and it broke even at about 2 x 16,384. */
+#define LANES_PER_THREAD(kind) ((kind) == 2 ? 2048 : 24576) /* node2vec : static */
 
 /* columns of the step-major token block: one 64-byte line of a row */
 #define TOKEN_COLS (64 / (int64_t)sizeof(token_t))
@@ -350,6 +400,11 @@ static int64_t gather(wave_t *w, lanes_t in, int64_t lo, int64_t hi) {
     double *last_w = w->last_w;
     uint8_t *dead = w->dead;
     for (int64_t i = lo; i < hi; i++) {
+        if (i + AHEAD_MID < hi) {
+            PREFETCH(&chain_last[state[i + AHEAD_MID]]);
+            PREFETCH(&chain_last_w[state[i + AHEAD_MID]]);
+            PREFETCH(&offsets[in.cur[i + AHEAD_MID]]);
+        }
         int64_t v = in.cur[i], s = state[i];
         int alive = offsets[v + 1] > offsets[v];
         idx[i] = s;
@@ -429,6 +484,12 @@ static void compact(wave_t *w, lanes_t in, lanes_t out, int64_t lo, int64_t hi,
                     int64_t m, int64_t step) {
     token_t *column = w->block + ((step + 1) & (TOKEN_COLS - 1)) * w->rows;
     for (int64_t i = lo; i < hi; i++) {
+        if (i + AHEAD_MID < hi && w->next[i + AHEAD_MID] != NO_EDGE) {
+            int64_t row = in.ids[i + AHEAD_MID];
+            PREFETCH(&w->targets[w->next[i + AHEAD_MID]]);
+            PREFETCH(&w->lengths[row]);
+            PREFETCH(&column[row]);
+        }
         int64_t e = w->next[i];
         if (e == NO_EDGE) continue;
         int64_t row = in.ids[i], from = in.cur[i], to = w->targets[e];
@@ -692,6 +753,10 @@ def _load(so_path: str):
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P, *_RULE,
         _I64P, _I64P, _F64P, _I64P, _U64P, _I64P, _F64P,
     ]
+    lib.row_offsets.restype = None
+    lib.race_argmin.restype = None
+    lib.row_offsets.argtypes = [ctypes.c_int64, _I64P, _I64P, _I64P]
+    lib.race_argmin.argtypes = [ctypes.c_int64, _I64P, _F64P, _I64P]
     lib.mh_wave.restype = ctypes.c_int64
     lib.mh_wave.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _F64P,
@@ -845,6 +910,22 @@ class CNativeKernels:
             _ip(out_c), _fp(out_w),
         )
         return out_c, out_w
+
+    def row_offsets(self, lo, deg):
+        lo, deg = _i64(lo), _i64(deg)
+        if lo.size != deg.size or (deg < 0).any():
+            raise WalkError(f"row_offsets: {lo.size} row starts for {deg.size} degrees >= 0")
+        out = np.empty(int(deg.sum()), dtype=np.int64)
+        self._ensure().row_offsets(deg.size, _ip(lo), _ip(deg), _ip(out))
+        return out
+
+    def race_argmin(self, keys, deg):
+        keys, deg = _f64(keys), _i64(deg)
+        if (deg < 0).any() or keys.size != deg.sum():
+            raise WalkError(f"race_argmin: {keys.size} keys for rows of {deg.sum()} entries")
+        out = np.empty(deg.size, dtype=np.int64)
+        self._ensure().race_argmin(deg.size, _ip(deg), _fp(keys), _ip(out))
+        return out
 
     def mh_wave(self, ks, order, cap, rng, lanes, first_step, walks, lengths, *, threads=None):
         """Steps ``first_step`` onwards of one M-H wave, in one call.

@@ -35,6 +35,12 @@ Kernel protocol (duck-typed; all backends implement it):
     candidate and its weight. Compiled backends exploit that all
     candidates of one walker share ``prev`` (the node2vec membership
     test amortizes to O(1) per candidate via a marked adjacency).
+``row_offsets / race_argmin``
+    The index work of an exact draw over whole rows (step 0 of a
+    second-order walk, the direct sampler): the rows' edge offsets end
+    to end, and each row's winner of the exponential race over keys
+    laid out the same way. The race keys themselves stay NumPy's
+    (``race_keys``), on every backend.
 
 One entry is optional, and this backend lacks it:
 
@@ -54,6 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sampling.base import NO_EDGE
+from repro.walks._segments import concat_ranges, segment_race_argmin
 
 
 class NumpyKernels:
@@ -132,6 +139,15 @@ class NumpyKernels:
         best = np.argmax(w, axis=1)
         rows = np.arange(k)
         return cand[rows, best], w[rows, best]
+
+    def row_offsets(self, lo, deg):
+        """The edge offsets of the rows ``[lo, lo + deg)``, end to end."""
+        return concat_ranges(lo, deg)[0]
+
+    def race_argmin(self, keys, deg):
+        """Each row's race winner (position in the row, -1: none) over
+        ``keys`` laid out as :meth:`row_offsets` lays out the rows."""
+        return segment_race_argmin(keys, deg)
 
     def alias_draw(self, ks, tables, state_idx, cur, u_slot, u_keep):
         """Alias gather: lane i draws from table ``state_idx[i]`` of the

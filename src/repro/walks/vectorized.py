@@ -31,7 +31,8 @@ backend has one and the initializer is the built-in ``high-weight``
 (:class:`~repro.sampling.initialization.HighWeightInit`, not a strategy
 registered over its name). The other samplers, third-party steppers,
 the NumPy backend, the other initializers, step 0 of a second-order
-walk (its ``np.log1p`` need not match libm to the last bit) and the
+walk (its race keys are NumPy's ``np.log1p``, which need not match libm
+to the last bit; the index work around them is the backend's) and the
 sharded driver (it fans every step out) keep the base loop;
 ``stats()["wave_kernel"]`` says which ran and ``["wave_threads"]`` on
 how many threads the last wave did (0: the base loop).
@@ -69,7 +70,6 @@ from repro.walks._segments import (
     concat_ranges,
     race_keys,
     segment_argmax,
-    segment_race_argmin,
 )
 from repro.walks.corpus import WalkCorpus
 from repro.walks.kernels import (
@@ -201,7 +201,7 @@ class StepperBase:
         its own (weight, uniform) pair only.
         """
         lo, deg = self._rows(cur)
-        pos = segment_race_argmin(race_keys(weights, u_flat), deg)
+        pos = self.kernels.race_argmin(race_keys(weights, u_flat), deg)
         return np.where(pos >= 0, lo + pos, NO_EDGE)
 
     # the wave loop ----------------------------------------------------
@@ -249,18 +249,22 @@ class StepperBase:
         With no previous edge the models define α = 1, which reduces to
         the static distribution for node2vec/edge2vec but keeps
         fairwalk's group discounting — so the exact draw goes through the
-        model kernel rather than the raw static weights.
+        model kernel rather than the raw static weights. The rows' flat
+        offsets and each row's race winner are the backend's
+        (``row_offsets`` / ``race_argmin``); the race keys are NumPy's.
         """
         lo, deg = self._rows(cur)
-        flat_offs, seg = concat_ranges(lo, deg)
+        flat_offs = self.kernels.row_offsets(lo, deg)
         u_flat = rng.random(flat_offs.size)
         if flat_offs.size == 0:
             return np.full(cur.size, NO_EDGE, dtype=np.int64)
         no_prev = np.full(flat_offs.size, -1, dtype=np.int64)
-        weights = self.kernels.dyn_weights(
-            self.kernel_state, no_prev, flat_offs,
-            self._weight_fn(no_prev, no_prev, cur[seg], 0),
-        )
+
+        def weight_fn(offs, lanes=None):
+            # only the NumPy backend calls this: compiled ones skip the repeat
+            return self._weight_fn(no_prev, no_prev, np.repeat(cur, deg), 0)(offs, lanes)
+
+        weights = self.kernels.dyn_weights(self.kernel_state, no_prev, flat_offs, weight_fn)
         return self._race(cur, weights, u_flat)
 
     def _reject_pending(self, out, pending, lanes, rng, bound, clip=False, split=None):
@@ -614,9 +618,10 @@ class _MHStepper(StepperBase):
     def run_wave(self, starts, walk_length, walks, row_base, rng) -> np.ndarray:
         """The base loop, or its M-H steps in one call of ``kernels.mh_wave``.
 
-        Step 0 of a second-order walk stays in Python (``first_step``);
-        the kernel draws from ``rng``'s own BitGenerator what
-        :meth:`step` would, so the result is the base loop's bit for bit.
+        Step 0 of a second-order walk stays in Python (``first_step``,
+        its index work in the backend's C); the kernel draws from
+        ``rng``'s own BitGenerator what :meth:`step` would, so the
+        result is the base loop's bit for bit.
         """
         self.wave_threads = 0
         if not self.wave_kernel:

@@ -203,6 +203,30 @@ def test_a_value_out_of_range_is_refused_before_the_graph_is_loaded(cls, field, 
     assert graph_cache == {}
 
 
+#: (spec block, class, field): the switches; each once kept any value, and
+#: a truthy one (``"false"`` too) switched the setting on
+SWITCHES = [
+    ("streaming", StreamingConfig, "overlap"), ("graph", GraphSpec, "weighted"),
+    ("updates", UpdatesSpec, "symmetric"), ("updates", UpdatesSpec, "retrain"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("value", ("false", 1, 0, math.nan, None, np.True_))
+@pytest.mark.parametrize("block, cls, field", SWITCHES)
+def test_a_switch_takes_a_bool_and_nothing_else(block, cls, field, value):
+    error = WalkError if cls is StreamingConfig else SpecError
+    needs = {
+        GraphSpec: {"dataset": "amazon"}, UpdatesSpec: {"steps": [{"add": [[0, 1]]}]},
+    }.get(cls, {})  # fmt: skip
+    with pytest.raises(error, match=f"{field} must be true or false"):
+        cls(**needs, **{field: value})
+    data = {**BASE, block: {**BASE.get(block, {}), **needs, field: value}}
+    with pytest.raises(error, match=f"{block}.{field} must be true or false"):
+        RunSpec.from_dict(data)
+    for switch in (True, False):
+        assert getattr(cls(**needs, **{field: switch}), field) is switch
+
+
 #: train settings no trainer accepts; each once passed every check of the spec
 BAD_TRAIN = [
     ("mode", "cbo"), ("dimensions", 0), ("window", 0), ("negative", 0), ("epochs", 0),
@@ -363,6 +387,9 @@ SETTINGS = [
     *[("serving", owner, name) for owner, (__, __, cls) in SERVING_OWNERS.items()
       for name in inspect.signature(cls).parameters if name != "store"],
 ]  # fmt: skip
+#: the settings that take a bool (the runnable spec leaves the streaming
+#: block out, so its switch cannot be read off the spec)
+SWITCH_PATHS = {(block, name) for block, __, name in SWITCHES}
 #: boundary values; no count above a few hundred, which would only cost memory
 VALUES = [0, -1, 1, 2, 0.5, 1.5, math.nan, math.inf, -math.inf, True, None, "x"]
 #: the run-time errors that depend on the data, not on a setting alone: an
@@ -427,6 +454,7 @@ def setting_at(spec, path):
 @example(changes=[(("serving", "server", "queue_size"), 1)])  # OverloadError from the probe
 @example(changes=[(("updates", "walk_length"), True)])  # a bare TypeError in the re-walk
 @example(changes=[(("graph", "dataset"), None), (("graph", "edge_list"), 2)])  # read stderr
+@example(changes=[(("streaming", "overlap"), "false")])  # ran overlapped
 def test_a_spec_that_builds_runs_as_given(changes):
     """One or two settings of a runnable spec replaced by a boundary value:
     the spec is refused with a ``ReproError`` when it is built, or it runs
@@ -450,6 +478,8 @@ def test_a_spec_that_builds_runs_as_given(changes):
             continue
         if is_number(setting_at(RUNNABLE_SPEC, path), Real):
             assert value is None or is_number(value, Real) and math.isfinite(value), (path, value)
+        if path in SWITCH_PATHS:
+            assert isinstance(value, bool), (path, value)
         if not (isinstance(value, float) and math.isfinite(value) and not value.is_integer()):
             continue
         held = setting_at(spec, path)

@@ -105,6 +105,24 @@ class TestCli:
         save_edge_list(small_unweighted_graph, path)
         assert main(["stats", "--edge-list", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dataset", "amazon", "--scale", "-1"], "graph.scale"),
+            (["--edge-list", "no-such-graph.txt"], "no-such-graph.txt"),
+        ],
+        ids=("negative-scale", "missing-edge-list"),
+    )
+    def test_stats_error_is_one_line(self, tmp_path, monkeypatch, capsys, flags, message):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_walk_command(self, tmp_path, capsys):
         from repro.cli import main
         from repro.walks.corpus import WalkCorpus

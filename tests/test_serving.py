@@ -144,6 +144,21 @@ class TestIVFIndex:
 
         assert recall(1) <= recall(8) <= recall(16) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("nprobe", (0, -1, 1.5, True, "2", np.float64(2.0)))
+    def test_a_bad_per_call_nprobe_is_refused(self, store, nprobe):
+        ivf = IVFIndex(store, nlist=8, nprobe=2, seed=1)
+        with pytest.raises(ServingError, match=r"ivf\.nprobe must be an integer >= 1"):
+            ivf.topk(np.asarray(store.vectors[:2]), 5, nprobe=nprobe)
+
+    def test_a_per_call_nprobe_above_nlist_scans_every_cell(self, store):
+        ivf = IVFIndex(store, nlist=8, nprobe=2, seed=1)
+        queries = np.asarray(store.vectors[:4])
+        every_cell = ivf.topk(queries, 5, nprobe=8)
+        for nprobe in (9, np.int64(1_000)):
+            got = ivf.topk(queries, 5, nprobe=nprobe)
+            np.testing.assert_array_equal(got[0], every_cell[0])
+            np.testing.assert_array_equal(got[1], every_cell[1])
+
     def test_inverted_lists_partition_store(self, store):
         ivf = IVFIndex(store, nlist=8, seed=2)
         assert int(ivf.list_sizes().sum()) == len(store)

@@ -17,6 +17,7 @@ tests skip, the rest still run.
 import hashlib
 import os
 import signal
+import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +52,7 @@ THREADS = (1, 2, 3, 7)
 
 
 def _walk(graph, model, *, base_loop, layout="all", bit_generator=np.random.PCG64,
-          walk_length=12, waves=2, params=None, **engine_kw):
+          walk_length=12, waves=2, params=None, starts=None, **engine_kw):
     """One run; everything the contract names, in comparable form."""
     rng = np.random.Generator(bit_generator(5))
     engine = VectorizedWalkEngine(
@@ -66,7 +67,8 @@ def _walk(graph, model, *, base_loop, layout="all", bit_generator=np.random.PCG6
         walks = np.concatenate([part.walks for part in parts])
         lengths = np.concatenate([part.lengths for part in parts])
     else:
-        starts = None if layout == "all" else np.arange(0, graph.num_nodes, 3)
+        if layout == "subset":
+            starts = np.arange(0, graph.num_nodes, 3)
         corpus = engine.generate(waves, walk_length, start_nodes=starts)
         walks, lengths = corpus.walks, corpus.lengths
     stats = engine.stats()
@@ -213,6 +215,129 @@ def test_property_wave_equals_base_loop(
         graph, model, params={"p": p, "q": q} if model == "node2vec" else {},
         walk_length=walk_length, waves=waves, init_sample_cap=cap,
     )
+
+
+# ---------------------------------------------------------------------------
+# (4b) the read-ahead's edges: every load a read-ahead makes is one the
+# lane's own step makes, so none may reach past a wave, a block or the
+# edge arrays (the sanitizer job runs these too)
+# ---------------------------------------------------------------------------
+
+READ_AHEAD_THREADS = (1, 2, 3)
+
+
+def _ends_graph(n=30, seed=0):
+    """Rows with no entry at both ends of ``offsets``, the graph's last
+    entry alone in its row (so every draw there proposes it), and a hub
+    row that reaches every node, the last one included."""
+    rng = np.random.default_rng(seed)
+    src, dst = [n - 2, 1], [1, 0]  # into node 0's empty row; the last entry
+    for v in range(1, n - 2):
+        row = rng.choice(np.arange(n), size=int(rng.integers(1, 6)), replace=False)
+        src += [v] * row.size
+        dst += row.tolist()
+    src += [1] * (n - 1)  # node 1: a hub whose row also reaches node n - 1
+    dst += list(range(1, n))
+    graph = from_edge_arrays(np.array(src), np.array(dst), num_nodes=n, directed=True,
+                             duplicate_policy="first", allow_self_loops=True)
+    degrees = np.diff(graph.offsets)
+    assert degrees[0] == degrees[-1] == 0 and degrees[-2] == 1 and degrees[1] == n
+    return graph
+
+
+@needs_cnative
+@pytest.mark.parametrize("threads", READ_AHEAD_THREADS)
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_waves_shorter_than_the_read_ahead(graphs, force_wave_threads, model, threads):
+    # 1 to 40 lanes: fewer than every distance, and a few past each
+    force_wave_threads(threads)
+    graph = graphs[True]
+    starts = np.random.default_rng(4).permutation(graph.num_nodes)
+    for lanes in range(1, 41):
+        _both(graph, model, starts=starts[:lanes], walk_length=6)
+
+
+@needs_cnative
+@pytest.mark.parametrize("threads", READ_AHEAD_THREADS)
+@pytest.mark.parametrize("live", ("first", "middle", "last"))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_every_lane_dead_but_one(force_wave_threads, model, live, threads):
+    # every node steps into one sink but the live one, which loops on
+    # itself: from the first kernel step on, one lane of 40 is alive
+    force_wave_threads(threads)
+    n, sink = 41, 40
+    keep = {"first": 0, "middle": 20, "last": 39}[live]
+    src = np.arange(sink)
+    dst = np.where(src == keep, keep, sink)
+    graph = from_edge_arrays(src, dst, num_nodes=n, directed=True, allow_self_loops=True)
+    run = _both(graph, model, walk_length=7)
+    lengths = run["lengths"][:n]
+    assert lengths[keep] == 7 and lengths[sink] == 1
+    assert (np.delete(lengths, [keep, sink]) == 2).all()
+
+
+@needs_cnative
+@pytest.mark.parametrize("threads", READ_AHEAD_THREADS)
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_empty_rows_at_both_ends_and_the_last_entry(force_wave_threads, model, weighted, threads):
+    force_wave_threads(threads)
+    graph = _ends_graph()
+    if weighted:
+        graph = type(graph)(graph.offsets, graph.targets, np.arange(graph.targets.size) % 3 + 0.5)
+    run = _both(graph, model, walk_length=9, waves=3)
+    # walkers reached node 0 and node n - 1, and took the graph's last entry
+    visited = run["walks"][run["walks"] >= 0]
+    n = graph.num_nodes
+    assert {0, n - 1} <= set(visited.tolist())
+    pairs = zip(run["walks"][:, :-1].ravel(), run["walks"][:, 1:].ravel())
+    assert (n - 2, 1) in set(pairs)
+
+
+@needs_cnative
+@pytest.mark.parametrize("threads", READ_AHEAD_THREADS)
+@pytest.mark.parametrize("walk_length", (1, 2))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_walks_of_one_and_two_nodes(graphs, force_wave_threads, model, walk_length, threads):
+    force_wave_threads(threads)
+    run = _both(graphs[False], model, walk_length=walk_length)
+    assert run["lengths"].max() == walk_length
+
+
+@st.composite
+def race_rows(draw):
+    """Race keys laid out row after row: empty rows, all-inf rows, ties,
+    signed zeros, and the non-keys the NumPy reduction also sees."""
+    keys = st.sampled_from((0.0, -0.0, 0.5, 0.5, 1.0, np.inf)) | st.floats()
+    rows = draw(st.lists(st.lists(keys, max_size=9), max_size=12))
+    deg = np.array([len(row) for row in rows], dtype=np.int64)
+    return np.array([k for row in rows for k in row], dtype=np.float64), deg
+
+
+@needs_cnative
+@settings(max_examples=300, deadline=None)
+@given(rows=race_rows())
+def test_race_argmin_equals_numpy(rows):
+    keys, deg = rows
+    compiled, reference = resolve_backend("cnative"), resolve_backend("numpy")
+    want = reference.race_argmin(keys, deg)
+    np.testing.assert_array_equal(compiled.race_argmin(keys, deg), want)
+    lo = np.cumsum(deg) * 7  # any row starts
+    np.testing.assert_array_equal(compiled.row_offsets(lo, deg), reference.row_offsets(lo, deg))
+
+
+@needs_cnative
+def test_rows_of_another_layout_are_refused():
+    # the C loops trust the row layout: a mismatch would read or write
+    # past a buffer
+    compiled = resolve_backend("cnative")
+    with pytest.raises(WalkError, match="3 keys for rows of 4 entries"):
+        compiled.race_argmin(np.zeros(3), np.array([1, 3]))
+    with pytest.raises(WalkError, match="keys for rows of"):
+        compiled.race_argmin(np.zeros(2), np.array([-3, 5]))
+    for lo, deg in (([0, 4], [1]), ([0, 4], [-3, 5])):
+        with pytest.raises(WalkError, match="row_offsets"):
+            compiled.row_offsets(np.array(lo), np.array(deg))
 
 
 # ---------------------------------------------------------------------------
@@ -565,3 +690,132 @@ def test_one_cpu_means_one_thread(wide_graph, force_wave_threads):
         del used[:]
         assert _wide_run(wide_graph)[1] == one
         assert max(used) > 1
+
+
+# ---------------------------------------------------------------------------
+# (8) the wave's threads under ThreadSanitizer
+# ---------------------------------------------------------------------------
+
+#: a standalone driver for the wave kernel's C: a generated graph, the
+#: harness's own generator, both weight rules, two waves each; every
+#: forced thread count must give the one-thread run bit for bit
+TSAN_MAIN = r"""
+enum { N = 700, L = 16, HUBS = 4, MAXE = 16384 };
+static int64_t offsets[N + 1], targets[MAXE];
+static double weights[MAXE];
+static uint64_t filt[MAXE / 4];
+
+/* splitmix64: the uniforms, read through the kernel's next_double_fn */
+static double next_double(void *state) {
+    uint64_t z = (*(uint64_t *)state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return (double)((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
+}
+
+typedef struct {
+    token_t walks[2 * N * L];
+    int64_t lengths[2 * N], chain_last[MAXE], counts[3];
+    double chain_last_w[MAXE];
+} run_t;
+
+/* two waves of a walk from every node; node2vec's step 0 is the row's
+   entry v % deg, the static rule starts at step 0, sinks included */
+static int walk(run_t *r, int kind, const double *w, int64_t cap, uint64_t fmask,
+                int64_t threads) {
+    static int64_t ids[N], prev[N], prev_off[N], cur[N];
+    int order = kind == 2 ? 2 : 1;
+    uint64_t rng = 42;
+    double init_seconds = 0.0;
+    memset(r, 0, sizeof *r);
+    for (int64_t k = 0; k < 2 * N * L; k++) r->walks[k] = -1;
+    for (int64_t s = 0; s < MAXE; s++) r->chain_last[s] = -1, r->chain_last_w[s] = NAN;
+    for (int64_t wave = 0, n = 0; wave < 2; wave++, n = 0) {
+        token_t *walks = r->walks + wave * N * L;
+        int64_t *lengths = r->lengths + wave * N;
+        for (int64_t v = 0; v < N; v++) {
+            int64_t deg = offsets[v + 1] - offsets[v];
+            walks[v * L] = (token_t)v;
+            lengths[v] = 1;
+            if (order == 2 && deg == 0) continue;
+            ids[n] = v, prev[n] = -1, prev_off[n] = -1, cur[n] = v;
+            if (order == 2) {
+                prev[n] = v, prev_off[n] = offsets[v] + v % deg, cur[n] = targets[prev_off[n]];
+                walks[v * L + 1] = (token_t)cur[n];
+                lengths[v] = 2;
+            }
+            n++;
+        }
+        if (mh_wave(n, N, order - 1, L, offsets, targets, w, N, offsets[N], kind, 0.25, 4.0,
+                    kind == 2 ? filt : NULL, fmask, order, cap, next_double, &rng,
+                    ids, prev, prev_off, cur, r->chain_last, r->chain_last_w, walks, lengths,
+                    threads, r->counts, &init_seconds) != threads)
+            return 0;
+    }
+    return 1;
+}
+
+int main(int argc, char **argv) {
+    uint64_t x = 0x2545F4914F6CDD1DULL;
+#define NEXT() (x ^= x << 13, x ^= x >> 7, x ^= x << 17, (int64_t)(x >> 1))
+    int64_t e = 0;
+    for (int64_t v = 0; v < N; v++) {
+        /* hubs of over 64 entries; sinks; isolated nodes (no row and no
+           edge in); the last row empty. Rows sorted, some weights zero */
+        int64_t sink = v % 11 == 5 || v % 13 == 7 || v == N - 1;
+        int64_t deg = v < HUBS ? 70 + 40 * v : sink ? 0 : 1 + NEXT() % 9;
+        offsets[v] = e;
+        for (int64_t t = NEXT() % 3, k = 0; k < deg && t < N; t += 1 + NEXT() % 3)
+            if (t % 13 != 7) targets[e] = t, weights[e++] = 0.5 * (double)(NEXT() % 5), k++;
+    }
+    offsets[N] = e;
+    uint64_t words = 8;
+    while (words < (uint64_t)e / 4) words *= 2;
+    for (int64_t v = 0; v < N; v++)
+        for (int64_t k = offsets[v]; k < offsets[v + 1]; k++) {
+            uint64_t h = edge_hash(v, targets[k]);
+            filt[h & (words - 1)] |= FILTER_BITS(h);
+        }
+    static run_t one, many;
+    for (int kind = 1; kind <= 2; kind++)
+        for (int weighted = 0; weighted < 2; weighted++) {
+            const double *w = weighted ? weights : NULL;
+            int64_t cap = weighted ? 0 : 16;
+            if (!walk(&one, kind, w, cap, words - 1, 1)) return 2;
+            for (int a = 1; a < argc; a++) {
+                if (!walk(&many, kind, w, cap, words - 1, atoi(argv[a]))) return 2;
+                if (memcmp(&one, &many, sizeof one)) return 3;
+            }
+        }
+    return 0;
+}
+"""
+
+
+@needs_cnative
+def test_no_data_race_under_thread_sanitizer(tmp_path):
+    """The wave's threads, built with ``-fsanitize=thread``: any two of them
+    touching one location without a barrier between them is a reported
+    race, and a failure here (exit 3: a thread count changed the walk)."""
+    from repro.utils.cbuild import find_compiler
+    from repro.walks.kernels.cnative_backend import _C_SOURCE
+
+    compiler = find_compiler()
+    source = tmp_path / "wave_tsan.c"
+    source.write_text(_C_SOURCE + TSAN_MAIN)
+    binary = tmp_path / "wave_tsan"
+    build = subprocess.run(
+        [compiler, "-fsanitize=thread", "-O1", "-g", "-ffp-contract=off", "-o", str(binary),
+         str(source), "-pthread"],
+        capture_output=True, text=True, timeout=120,
+    )
+    if build.returncode != 0:
+        pytest.skip(f"{compiler} cannot build with -fsanitize=thread: {build.stderr[:200]}")
+    env = {**os.environ, "TSAN_OPTIONS": "halt_on_error=1 exitcode=66"}
+    run = subprocess.run(
+        [str(binary), "2", "3", "7"], capture_output=True, text=True, timeout=300, env=env
+    )
+    if run.returncode != 0 and "FATAL: ThreadSanitizer" in run.stderr:
+        pytest.skip(f"ThreadSanitizer cannot run here: {run.stderr[:200]}")
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert "WARNING: ThreadSanitizer" not in run.stderr
