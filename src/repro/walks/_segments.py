@@ -43,11 +43,9 @@ def race_keys(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     same keys whether it is evaluated whole or split across workers.
     """
     values = np.asarray(values, dtype=np.float64)
-    pos = values > 0.0
-    if pos.all():  # the same elementwise expression, without the masked copies
-        return -np.log1p(-u) / values
-    keys = np.full(values.shape, np.inf, dtype=np.float64)
-    keys[pos] = -np.log1p(-u[pos]) / values[pos]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = -np.log1p(-u) / values
+    keys[~(values > 0.0)] = np.inf
     return keys
 
 

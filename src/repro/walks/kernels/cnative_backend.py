@@ -333,11 +333,11 @@ static int64_t exact_argmax(int kind, double p, double q,
    so the later lane still wins). Threads change when a lane is stepped,
    never what it draws or where it goes. A thread per this many lanes at
    most, by weight rule: on the 2-vCPU bench host, over graphs of as many
-   nodes as lanes (Chung-Lu, average degree 20, the read-ahead in), a
-   second thread lost a tenth at 2 x 512 lanes of node2vec and saved
-   8-23 % at 2 x 2,048; deepwalk's steps are cheaper than the draws and
-   barriers they share, and it broke even at about 2 x 16,384. */
-#define LANES_PER_THREAD(kind) ((kind) == 2 ? 2048 : 24576) /* node2vec : static */
+   nodes as lanes, a second thread broke even at 2 x 2,048 lanes of
+   node2vec and about 2 x 16,384 of deepwalk, whose steps are cheaper
+   than the draws and barriers they share, and saved a fifth at twice
+   those. */
+#define LANES_PER_THREAD(kind) ((kind) == 2 ? 4096 : 24576) /* node2vec : static */
 
 /* columns of the step-major token block: one 64-byte line of a row */
 #define TOKEN_COLS (64 / (int64_t)sizeof(token_t))
