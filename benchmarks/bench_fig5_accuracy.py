@@ -24,9 +24,9 @@ import pytest
 from repro.embedding import Word2Vec
 from repro.evaluation import classification_sweep, link_prediction_experiment
 from repro.graph import datasets
-from repro.legacy import run_legacy_walks
 from repro.walks.vectorized import VectorizedWalkEngine
 
+from baselines import run_legacy_walks
 from _common import commit_label, record_table, run_once
 
 FRACTIONS = (0.1, 0.5, 0.9)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.graph import datasets
-from repro.walks.models import MODELS, make_model
+from repro.walks.models import MODEL_REGISTRY, make_model
 
 from _common import record_table, run_once
 
@@ -34,7 +34,7 @@ def test_table1_model_characteristics(benchmark, graphs):
 
     def build():
         rows = []
-        for name in MODELS:
+        for name in MODEL_REGISTRY:
             graph = hetero if name in ("metapath2vec", "edge2vec", "fairwalk") else homo
             kwargs = {"metapath": "APA"} if name == "metapath2vec" else {}
             model = make_model(name, graph, **kwargs)
@@ -59,7 +59,7 @@ def test_table1_model_characteristics(benchmark, graphs):
     )
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
 def test_weight_kernel_throughput(benchmark, graphs, name):
     """Per-call cost of the batched CALCULATEWEIGHT kernel (1e5 edges)."""
     homo, hetero = graphs

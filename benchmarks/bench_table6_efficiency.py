@@ -26,9 +26,9 @@ from repro.core.config import WalkConfig
 from repro.core.pipeline import generate_walk_result
 from repro.embedding import Word2Vec
 from repro.graph import datasets
-from repro.legacy import run_legacy_walks
 from repro.walks.models import make_model
 
+from baselines import run_legacy_walks
 from _common import record_table, run_once, timed
 
 NUM_WALKS, WALK_LENGTH = 4, 40

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.config import TrainConfig, WalkConfig, take_fields
+from repro.config import TrainConfig, WalkConfig, check_counts, take_fields
 from repro.core.pipeline import TrainResult, WalkResult, generate_walk_result, train_pipeline
 from repro.serving.config import ServingSpec
 from repro.utils.rng import as_rng
@@ -290,8 +290,10 @@ class UniNet:
         last (re)training — the start set whose walks can differ.
 
         Uses out-neighbour expansion, which equals the true reach set on
-        the symmetric graphs this library stores by convention.
+        the symmetric graphs this library stores by convention. A
+        ``horizon`` that is not an integer >= 1 is a ``WalkError``.
         """
+        check_counts({"horizon": horizon})
         if self._affected is None or self._affected.size == 0:
             return np.empty(0, dtype=np.int64)
         from repro.walks._segments import concat_ranges
@@ -299,7 +301,7 @@ class UniNet:
         reached = np.zeros(self.graph.num_nodes, dtype=bool)
         frontier = self._affected[self._affected < self.graph.num_nodes]
         reached[frontier] = True
-        for __ in range(max(horizon - 1, 0)):
+        for __ in range(horizon - 1):
             lo = self.graph.offsets[frontier]
             deg = self.graph.offsets[frontier + 1] - lo
             flat, __seg = concat_ranges(lo, deg)
@@ -342,6 +344,8 @@ class UniNet:
         """
         from repro.errors import TrainingError
 
+        if horizon is not None:
+            check_counts({"horizon": horizon})
         if self._trainer is None or self._trained_walk is None:
             raise TrainingError(
                 "refresh_embeddings needs a prior train() (no live trainer)"

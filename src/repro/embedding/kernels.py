@@ -864,10 +864,6 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 
 def _load(so_path: str):
     lib = ctypes.CDLL(so_path)
-    lib.cdf_search.restype = None
-    lib.cdf_search.argtypes = [
-        _F64P, ctypes.c_int64, _I32P, ctypes.c_int64, _F64P, ctypes.c_int64, _I64P,
-    ]
     lib.w2v_run.restype = ctypes.c_int64
     lib.w2v_run.argtypes = [
         _F32P, _F32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -974,22 +970,6 @@ class CTrainKernel:
         )
         #: one-off compile (or cache hit) + load seconds
         self.compile_seconds = time.perf_counter() - t0
-
-    def search(self, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The kernel's inverse-CDF search over ``u`` (flat float64)."""
-        _check_array("cdf", cdf, np.float64, 1)
-        _check_array("u", u, np.float64, 1)
-        if cdf.size == 0:
-            raise TrainingError("learn kernel: empty cdf")
-        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-            raise TrainingError("learn kernel: uniforms must lie in [0, 1)")
-        guide = cdf_guide(cdf)
-        out = np.empty(u.size, dtype=np.int64)
-        self._lib.cdf_search(
-            cdf.ctypes.data_as(_F64P), cdf.size, guide.ctypes.data_as(_I32P), guide.size,
-            u.ctypes.data_as(_F64P), u.size, out.ctypes.data_as(_I64P),
-        )
-        return out
 
     def run(
         self, w_in, w_out, in_rows, sizes, out_pos, u, cdf, offsets, lrs, max_row_step,
@@ -1137,19 +1117,6 @@ class CTrainKernel:
                 "learn kernel: a window, its contexts or the run's rows out of range"
             )
         return out[:rows], run_sizes, out_pos
-
-    def batch(
-        self, w_in, w_out, in_rows, sizes, out_pos, u, cdf, lr, max_row_step, scratch: BatchScratch
-    ) -> float:
-        """One mini-batch update in place, as the run of one (see
-        :meth:`run`); returns its mean loss, ``nan`` for an empty batch."""
-        groups = np.size(out_pos)
-        offsets = np.arange(0, groups + 1, max(groups, 1), dtype=np.int64)
-        lrs = np.full(offsets.size - 1, lr, dtype=np.float64)
-        losses = self.run(
-            w_in, w_out, in_rows, sizes, out_pos, u, cdf, offsets, lrs, max_row_step, scratch
-        )
-        return float(losses[0]) if losses.size else float("nan")
 
 
 def resolve_train_kernel() -> CTrainKernel | None:

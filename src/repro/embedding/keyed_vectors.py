@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import check_counts
 from repro.errors import VocabularyError
 
 
@@ -89,10 +90,12 @@ class KeyedVectors:
         return float(unit[self._require_row(a)] @ unit[self._require_row(b)])
 
     def most_similar(self, key, topn: int = 10) -> list[tuple[int, float]]:
-        """The ``topn`` nearest nodes by cosine similarity.
+        """The ``topn`` nearest nodes by cosine similarity (an integer >= 1;
+        all the other keys when it exceeds them).
 
         ``key`` may be a node id or a raw query vector.
         """
+        check_counts({"topn": topn}, error=VocabularyError)
         unit = self._unit_vectors()
         exclude = -1
         if np.isscalar(key) or isinstance(key, (int, np.integer)):
@@ -154,16 +157,6 @@ class KeyedVectors:
             return store
         store.save(path)
         return EmbeddingStore.open(path)
-
-    @classmethod
-    def from_store(cls, store_or_path) -> "KeyedVectors":
-        """Materialise a :class:`KeyedVectors` from a store (or its path)."""
-        from repro.serving.store import EmbeddingStore
-
-        store = store_or_path
-        if not isinstance(store, EmbeddingStore):
-            store = EmbeddingStore.open(store_or_path)
-        return store.to_keyed_vectors()
 
     def __repr__(self) -> str:
         return f"KeyedVectors(count={len(self)}, dimensions={self.dimensions})"

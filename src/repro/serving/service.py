@@ -107,17 +107,14 @@ class QueryService:
         self, store, index=ServingSpec.index, *, cache_size: int = ServingSpec.cache_size, **index_params
     ):
         self.store = store = self._as_store(store)
-        self._index_params = dict(index_params)
         if isinstance(index, str):
             self.index_name = index
             self.index = make_index(index, store, **index_params)
-            self._index_from_name = True
         else:
             if index_params:
                 raise ServingError("index_params only apply when index is a registry name")
             self.index = index
             self.index_name = getattr(index, "name", type(index).__name__)
-            self._index_from_name = False
         self.cache = LRUCache(cache_size) if cache_size else None
         self.counters = {
             "queries": 0,
@@ -125,7 +122,6 @@ class QueryService:
             "cache_hits": 0,
             "cache_misses": 0,
             "similarity_pairs": 0,
-            "refreshes": 0,
             "seconds": 0.0,
         }
         self._counters_lock = threading.Lock()
@@ -145,34 +141,6 @@ class QueryService:
         with self._counters_lock:
             for name, delta in deltas.items():
                 self.counters[name] += delta
-
-    # ------------------------------------------------------------------
-    def refresh(self, store=None) -> "QueryService":
-        """Track a mutated embedding store: rebuild the index, drop caches.
-
-        Call after :meth:`EmbeddingStore.upsert` (or pass a replacement
-        ``store``) so queries see the new vectors. The index is rebuilt
-        from its registered factory with the original parameters, and
-        the LRU cache is cleared *entirely* — a re-embedded key may
-        appear in any cached neighbour list, so per-key eviction would
-        leave stale results behind. Returns ``self`` for chaining.
-        """
-        if store is not None:
-            self.store = self._as_store(store)
-        if self._index_from_name:
-            self.index = make_index(self.index_name, self.store, **self._index_params)
-        elif hasattr(self.index, "refresh"):
-            self.index.refresh(self.store)
-        else:
-            raise ServingError(
-                f"index {self.index_name!r} was passed as an instance and has "
-                "no refresh(store) method; rebuild it and construct a new "
-                "QueryService"
-            )
-        if self.cache is not None:
-            self.cache.clear()
-        self._bump(refreshes=1)
-        return self
 
     # ------------------------------------------------------------------
     def _decode(self, own_row: int, rows: np.ndarray, scores: np.ndarray, topn: int):

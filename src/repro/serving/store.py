@@ -321,8 +321,10 @@ class EmbeddingStore:
         :meth:`save` (appending cannot grow a fixed-size mapping).
 
         Returns ``{"updated": ..., "inserted": ...}``. Indexes built
-        over this store are stale afterwards — refresh the owning
-        :class:`~repro.serving.service.QueryService`.
+        over this store are stale afterwards: serve it through a new
+        :class:`~repro.serving.service.QueryService`, or through
+        :meth:`SnapshotManager.publish <repro.serving.snapshot.SnapshotManager.publish>`
+        (:meth:`SnapshotManager.upsert` does both steps, copy-on-write).
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         vectors = np.asarray(vectors, dtype=np.float32)

@@ -17,7 +17,7 @@ This package realises the paper's Section IV:
 
 from repro.walks.corpus import WalkCorpus
 from repro.walks.manager import ChainStore
-from repro.walks.models import MODEL_REGISTRY, MODELS, make_model, register_model
+from repro.walks.models import MODEL_REGISTRY, make_model, register_model
 from repro.walks.vectorized import StepperBase, VectorizedWalkEngine
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "WalkCorpus",
     "VectorizedWalkEngine",
     "StepperBase",
-    "MODELS",
     "MODEL_REGISTRY",
     "make_model",
     "register_model",

@@ -67,11 +67,6 @@ register_model(
     param_spec={"p": _P_SPEC, "q": _Q_SPEC},
 )
 
-#: Mapping view over the model registry (canonical name -> class).
-#: Kept for backward compatibility; ``MODELS["node2vec"]`` and iteration
-#: over canonical names behave like the old plain dict.
-MODELS = MODEL_REGISTRY
-
 __all__ = [
     "RandomWalkModel",
     "DeepWalk",
@@ -79,7 +74,6 @@ __all__ = [
     "MetaPath2Vec",
     "Edge2Vec",
     "FairWalk",
-    "MODELS",
     "MODEL_REGISTRY",
     "register_model",
     "make_model",

@@ -51,7 +51,7 @@ import time
 
 import numpy as np
 
-from repro.config import WalkConfig, take_fields
+from repro.config import WalkConfig, check_counts, take_fields
 from repro.errors import WalkError
 from repro.registry import INITIALIZER_REGISTRY, SAMPLER_REGISTRY, SamplerContext
 from repro.sampling.alias import AliasTables
@@ -66,11 +66,7 @@ from repro.sampling.memory_model import (
 )
 from repro.tokens import TOKEN_DTYPE, TOKEN_LIMIT
 from repro.utils.rng import as_rng
-from repro.walks._segments import (
-    concat_ranges,
-    race_keys,
-    segment_argmax,
-)
+from repro.walks._segments import race_keys, segment_argmax
 from repro.walks.corpus import WalkCorpus
 from repro.walks.kernels import (
     KernelState,
@@ -181,17 +177,25 @@ class StepperBase:
 
         return weight_fn
 
-    def _expanded_row_weights(self, prev, prev_off, cur, step):
-        """Flatten the active walkers' rows and evaluate dynamic weights."""
+    def _row_weights(self, cur, prev=None, prev_off=None, step=0):
+        """The dynamic weight of every edge entry of each lane's row, the
+        rows end to end: the one whole-row evaluation, the backend's
+        ``row_offsets`` and ``dyn_weights``. ``prev=None`` is step 0 of a
+        walk, which has no previous edge."""
         lo, deg = self._rows(cur)
-        flat_offs, seg = concat_ranges(lo, deg)
+        flat_offs = self.kernels.row_offsets(lo, deg)
         if flat_offs.size == 0:
-            return flat_offs, seg, deg, np.empty(0, dtype=np.float64)
-        step_arr = step[seg] if isinstance(step, np.ndarray) else step
-        weights = self.model.batch_dynamic_weight(
-            prev[seg], prev_off[seg], cur[seg], step_arr, flat_offs
-        )
-        return flat_offs, seg, deg, weights
+            return np.empty(0, dtype=np.float64)
+        first = prev is None
+        prev_flat = np.full(flat_offs.size, -1, dtype=np.int64) if first else np.repeat(prev, deg)
+
+        def weight_fn(offs, lanes=None):
+            # only the NumPy backend calls this: compiled ones skip the repeats
+            prev_off_flat = prev_flat if first else np.repeat(prev_off, deg)
+            step_flat = np.repeat(step, deg) if isinstance(step, np.ndarray) else step
+            return self._weight_fn(prev_flat, prev_off_flat, np.repeat(cur, deg), step_flat)(offs, lanes)
+
+        return self.kernels.dyn_weights(self.kernel_state, prev_flat, flat_offs, weight_fn)
 
     def _race(self, cur, weights, u_flat):
         """Exact draw ∝ ``weights`` within each walker's row.
@@ -253,19 +257,8 @@ class StepperBase:
         offsets and each row's race winner are the backend's
         (``row_offsets`` / ``race_argmin``); the race keys are NumPy's.
         """
-        lo, deg = self._rows(cur)
-        flat_offs = self.kernels.row_offsets(lo, deg)
-        u_flat = rng.random(flat_offs.size)
-        if flat_offs.size == 0:
-            return np.full(cur.size, NO_EDGE, dtype=np.int64)
-        no_prev = np.full(flat_offs.size, -1, dtype=np.int64)
-
-        def weight_fn(offs, lanes=None):
-            # only the NumPy backend calls this: compiled ones skip the repeat
-            return self._weight_fn(no_prev, no_prev, np.repeat(cur, deg), 0)(offs, lanes)
-
-        weights = self.kernels.dyn_weights(self.kernel_state, no_prev, flat_offs, weight_fn)
-        return self._race(cur, weights, u_flat)
+        weights = self._row_weights(cur)
+        return self._race(cur, weights, rng.random(weights.size))
 
     def _reject_pending(self, out, pending, lanes, rng, bound, clip=False, split=None):
         """The pending-set loop: draw a round's uniforms until every lane accepts.
@@ -368,8 +361,8 @@ class _DirectStepper(StepperBase):
         super().__init__(graph, model, ctx.kernels)
 
     def step(self, prev, prev_off, cur, step, rng):
-        __, ___, deg, weights = self._expanded_row_weights(prev, prev_off, cur, step)
-        out = self._race(cur, weights, rng.random(int(deg.sum())))
+        weights = self._row_weights(cur, prev, prev_off, step)
+        out = self._race(cur, weights, rng.random(weights.size))
         self.proposals += cur.size
         self.samples += int((out != NO_EDGE).sum())
         return out
@@ -741,9 +734,8 @@ class _MHStepper(StepperBase):
     def uniform_support(self, prev0, prev_off0, cur0, step, rng):
         """A uniform draw among each lane's positive-weight edges
         (``NO_EDGE``: none), one uniform per edge entry of the rows."""
-        __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)
-        u_flat = rng.random(int(deg.sum()))
-        return self._race(cur0, (weights > 0.0).astype(np.float64), u_flat)
+        weights = self._row_weights(cur0, prev0, prev_off0, step)
+        return self._race(cur0, (weights > 0.0).astype(np.float64), rng.random(weights.size))
 
     def init_high_weight(self, m, u) -> np.ndarray:
         """First edges of the fresh chains of ``m``: the best of ``cap``
@@ -777,15 +769,14 @@ class _MHStepper(StepperBase):
         return result
 
     def _exact_argmax(self, prev0, prev_off0, cur0, step):
-        __, ___, deg, weights = self._expanded_row_weights(prev0, prev_off0, cur0, step)
-        lo = self.graph.offsets[cur0]
+        """Each lane's first heaviest edge, ``NO_EDGE`` where its row has no
+        positive weight."""
+        lo, deg = self._rows(cur0)
+        weights = self._row_weights(cur0, prev0, prev_off0, step)
         pos = segment_argmax(weights, deg)
-        good = np.zeros(cur0.size, dtype=bool)
-        flat_best = (lo + np.maximum(pos, 0)).astype(np.int64)
-        if weights.size:
-            best_w = self.model.batch_dynamic_weight(prev0, prev_off0, cur0, step, flat_best)
-            good = (pos >= 0) & (best_w > 0.0)
-        return np.where(good, flat_best, NO_EDGE)
+        good = pos >= 0
+        good[good] = weights[(np.cumsum(deg) - deg + pos)[good]] > 0.0
+        return np.where(good, lo + pos, NO_EDGE)
 
     def _refresh(self, plan) -> dict:
         # no tables: the whole refresh is one vectorized remap of LAST_x
@@ -972,8 +963,8 @@ class VectorizedWalkEngine:
         """
         shape = self.config.reshaped(num_walks, walk_length)
         num_walks, walk_length = shape.num_walks, shape.walk_length
-        if shard_walks is not None and shard_walks < 1:
-            raise WalkError("shard_walks must be >= 1")
+        if shard_walks is not None:
+            check_counts({"shard_walks": shard_walks})
         starts = self._resolve_starts(start_nodes)
         chunk = starts.size if shard_walks is None else min(shard_walks, starts.size)
         for __ in range(num_walks):

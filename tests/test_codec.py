@@ -33,6 +33,7 @@ from repro.serving import (
     IVFIndex,
     PQCodec,
     QueryService,
+    SnapshotManager,
     make_codec,
     register_codec,
     topk_overlap,
@@ -477,13 +478,12 @@ class TestQuantizedUpsert:
             writable.codec.encode(np.ones((1, 8), dtype=np.float32))[0],
         )
 
-    def test_service_refresh_after_quantized_upsert(self):
+    def test_publish_after_quantized_upsert(self):
         store = self._quantized()
-        service = QueryService(store, cache_size=4)
-        service.most_similar_batch([0], topn=3)
+        snapshots = SnapshotManager(store, cache_size=4)
+        snapshots.current.service.most_similar_batch([0], topn=3)
         store.upsert([0], np.full(8, 2.0, dtype=np.float32))
-        service.refresh()
-        (result,) = service.most_similar_batch([0], topn=3)
+        (result,) = snapshots.publish(store).service.most_similar_batch([0], topn=3)
         assert len(result) == 3
 
 

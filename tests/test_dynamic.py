@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import DeltaError, ServingError, TrainingError
+from repro.errors import DeltaError, ServingError, TrainingError, WalkError
 from repro.graph import CSRGraph, GraphDelta, apply_delta, load_deltas, save_deltas
 from repro.graph.builder import from_edge_arrays
 from repro.graph.delta import DeltaPlan
@@ -499,6 +499,15 @@ class TestUniNetDynamic:
         ) | {3, 50}
         assert set(one_hop.tolist()) == expected_one_hop
 
+    @pytest.mark.parametrize("horizon", [-3, 0, True, 2.5, "2"])
+    def test_a_horizon_that_is_no_count_is_refused(self, net, horizon):
+        net.update(GraphDelta.add_edges([3], [50]))
+        with pytest.raises(WalkError, match="horizon must be an integer >= 1"):
+            net.affected_start_nodes(horizon)
+        with pytest.raises(WalkError, match="horizon must be an integer >= 1"):
+            net.refresh_embeddings(num_walks=1, horizon=horizon)
+        assert net.affected_start_nodes(1).tolist() == [3, 50]
+
     def test_update_accepts_dict_and_invalid_refresh_raises(self, net):
         net.update({"add": [[0, 101], [101, 0]]})
         assert net.graph.has_edge(0, 101)
@@ -559,12 +568,12 @@ class TestUniNetDynamic:
 # ----------------------------------------------------------------------
 class TestServingDynamic:
     def test_upsert_updates_and_inserts(self):
-        from repro.serving import EmbeddingStore, QueryService
+        from repro.serving import EmbeddingStore, SnapshotManager
 
         rng = np.random.default_rng(3)
         store = EmbeddingStore(np.arange(10), rng.normal(size=(10, 4)).astype(np.float32))
-        service = QueryService(store, index="bruteforce", cache_size=8)
-        service.most_similar_batch([0, 1], topn=3)
+        snapshots = SnapshotManager(store, index="bruteforce", cache_size=8)
+        snapshots.current.service.most_similar_batch([0, 1], topn=3)
         replacement = rng.normal(size=4).astype(np.float32)
         info = store.upsert([4, 99], np.stack([replacement, replacement]))
         assert info == {"updated": 1, "inserted": 1}
@@ -572,11 +581,11 @@ class TestServingDynamic:
         assert store.norms[store.rows_for(99)[0]] == pytest.approx(
             float(np.linalg.norm(replacement))
         )
-        service.refresh()
+        snapshots.publish(store)
         # the two identical vectors must now be each other's top neighbour
-        (top,) = service.most_similar_batch([99], topn=1)
+        (top,) = snapshots.current.service.most_similar_batch([99], topn=1)
         assert top[0][0] == 4 and top[0][1] == pytest.approx(1.0, abs=1e-5)
-        assert service.stats()["refreshes"] == 1
+        assert snapshots.stats()["published"] == 1
 
     def test_upsert_shape_and_duplicate_checks(self):
         from repro.serving import EmbeddingStore
@@ -602,14 +611,14 @@ class TestServingDynamic:
         writable.save(path)
         assert np.allclose(EmbeddingStore.open(path).vector(0), 1.0)
 
-    def test_refresh_with_replacement_store(self):
-        from repro.serving import EmbeddingStore, QueryService
+    def test_publish_a_replacement_store(self):
+        from repro.serving import EmbeddingStore, SnapshotManager
 
         a = EmbeddingStore(np.arange(5), np.eye(5, dtype=np.float32))
         b = EmbeddingStore(np.arange(7), np.eye(7, dtype=np.float32))
-        service = QueryService(a, index="bruteforce", cache_size=4)
-        service.refresh(b)
-        assert service.stats()["store_count"] == 7
+        snapshots = SnapshotManager(a, index="bruteforce", cache_size=4)
+        assert snapshots.publish(b).version == 1
+        assert snapshots.current.service.stats()["store_count"] == 7
 
 
 # ----------------------------------------------------------------------

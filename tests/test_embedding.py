@@ -390,6 +390,13 @@ class TestKeyedVectors:
         # vector query: everything (no exclusion)
         assert len(kv.most_similar(np.array([1.0, 0.5]), topn=100)) == len(kv)
 
+    @pytest.mark.parametrize("topn", [-1, 0, 2.5, True, "2", None])
+    def test_most_similar_refuses_a_topn_that_is_no_count(self, kv, topn):
+        with pytest.raises(VocabularyError, match="topn must be an integer >= 1"):
+            kv.most_similar(3, topn=topn)
+        with pytest.raises(VocabularyError, match="topn"):
+            kv.most_similar(np.array([1.0, 0.5]), topn=topn)
+
     def test_matrix_for_missing_branches(self, kv):
         with pytest.raises(VocabularyError, match="node 4"):
             kv.matrix_for([3, 4], missing="error")

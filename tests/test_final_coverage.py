@@ -27,11 +27,11 @@ class TestModelWeightPaths:
     def test_exact_law_row_is_the_batch_weights(self, typed_graph):
         """``dynamic_weights_row``, the statistical tests' exact law, is
         the row of the batch weights the steppers draw by."""
-        from repro.walks.models import MODELS, make_model
+        from repro.walks.models import MODEL_REGISTRY, make_model
 
         g = typed_graph
         rng = np.random.default_rng(1)
-        for name in MODELS:
+        for name in MODEL_REGISTRY:
             kwargs = {"metapath": [0, 1, 0]} if name == "metapath2vec" else {}
             model = make_model(name, g, **kwargs)
             for __ in range(5):

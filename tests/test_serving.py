@@ -44,7 +44,7 @@ class TestEmbeddingStore:
         path = tmp_path / "kv.embstore"
         served = kv.to_store(path)
         assert isinstance(served.vectors, np.memmap)
-        back = KeyedVectors.from_store(path)
+        back = EmbeddingStore.open(path).to_keyed_vectors()
         assert np.array_equal(back.keys, kv.keys)
         assert np.allclose(back.vectors, kv.vectors, atol=1e-6)
         # in-memory conversion needs no file

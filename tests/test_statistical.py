@@ -21,6 +21,7 @@ from repro.graph import generators
 from repro.graph.builder import from_edge_arrays
 from repro.registry import register_sampler, unregister_sampler
 from repro.sampling.base import NO_EDGE
+from repro.serving import QueryService
 from repro.walks._segments import concat_ranges
 from repro.walks.kernels import available_backends
 from repro.walks.vectorized import StepperBase, VectorizedWalkEngine
@@ -474,10 +475,9 @@ class TestQuantizedDynamicServing:
         net = self._refreshed_net()
         keys = np.asarray(net.last_embeddings.keys)
         exact = net.serve(cache_size=0).most_similar_batch(keys, topn=10)
-        service = net.serve(codec="int8", cache_size=0)
+        store = net.serve(codec="int8", cache_size=0).store
         rng = np.random.default_rng(0)
-        perm = rng.permutation(len(service.store))
-        service.store.codes = np.asarray(service.store.codes)[perm]
-        service.refresh()
-        got = service.most_similar_batch(keys, topn=10)
+        perm = rng.permutation(len(store))
+        store.codes = np.asarray(store.codes)[perm]
+        got = QueryService(store, cache_size=0).most_similar_batch(keys, topn=10)
         assert self._overlap(exact, got) < 0.3

@@ -152,6 +152,12 @@ class TestGenerateStream:
         with pytest.raises(WalkError):
             list(engine.generate_stream(shard_walks=0))
 
+    @pytest.mark.parametrize("shard_walks", [0, -2, True, 2.5, "3"])
+    def test_a_shard_size_that_is_no_count_is_refused(self, small_unweighted_graph, shard_walks):
+        engine = VectorizedWalkEngine(small_unweighted_graph, "deepwalk", seed=1)
+        with pytest.raises(WalkError, match="shard_walks must be an integer >= 1"):
+            next(engine.generate_stream(num_walks=1, walk_length=4, shard_walks=shard_walks))
+
 
 class TestCorpusMemoryAccounting:
     def test_nbytes(self):

@@ -186,8 +186,6 @@ DECLARED = {
     }.items()
     for name in names
 }
-#: the Table VI "original implementation" baseline states its own defaults
-SECOND_IMPLEMENTATION = "legacy/"
 
 
 class TestOneServingDeclaration:
@@ -226,7 +224,6 @@ class TestOneServingDeclaration:
         written = [
             (name, module)
             for module, tree in self.modules()
-            if not module.startswith(SECOND_IMPLEMENTATION)
             for node in ast.walk(tree)
             for name, value in self.named_values(node)
             if name in DECLARED

@@ -160,11 +160,39 @@ def scratch_for(batch):
     )
 
 
+def run_one(kernel, w_in, w_out, in_rows, sizes, out_pos, u, cdf, lr, max_row_step, scratch):
+    """One mini-batch update in place, as a run of one through
+    :meth:`CTrainKernel.run`; returns its mean loss, ``nan`` for an
+    empty batch."""
+    groups = np.size(out_pos)
+    offsets = np.arange(0, groups + 1, max(groups, 1), dtype=np.int64)
+    lrs = np.full(offsets.size - 1, lr, dtype=np.float64)
+    losses = kernel.run(
+        w_in, w_out, in_rows, sizes, out_pos, u, cdf, offsets, lrs, max_row_step, scratch
+    )
+    return float(losses[0]) if losses.size else float("nan")
+
+
+def c_indices(kernel, cdf, u):
+    """The kernel's inverse-CDF search over ``u`` (flat float64), read back
+    from a one-batch run with one group and one negative per uniform:
+    ``scratch.neg`` holds the negatives the run drew."""
+    vocab, groups = cdf.size, u.size
+    scratch = BatchScratch(vocab, 1, groups, groups, 1, "skipgram")
+    w = np.zeros((vocab, 1), dtype=np.float32)
+    rows = np.zeros(groups, dtype=np.int32)
+    run_one(
+        kernel, w, w.copy(), rows, np.ones(groups, dtype=np.int64), rows, u.reshape(groups, 1),
+        cdf, 0.02, None, scratch,
+    )
+    return scratch.neg[:, 0].copy()
+
+
 def call_kernel(kernel, batch, max_row_step, w_in, w_out, scratch=None):
     groups, negative = batch["u"].shape
     scratch = scratch or scratch_for(batch)
-    loss = kernel.batch(
-        w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], batch["u"],
+    loss = run_one(
+        kernel, w_in, w_out, batch["in_rows"], batch["sizes"], batch["out_pos"], batch["u"],
         batch["sampler"].cdf, batch["lr"], max_row_step, scratch,
     )
     return w_in, w_out, loss, scratch.neg[:groups]
@@ -286,7 +314,7 @@ class TestInverseCdf:
         sampler = NegativeSampler(counts)
         u = self.adversarial(sampler.cdf, rng)
         expected = np.searchsorted(sampler.cdf, u, side="right")
-        assert np.array_equal(kernel.search(sampler.cdf, u), expected)
+        assert np.array_equal(c_indices(kernel, sampler.cdf, u), expected)
         assert np.all(counts[expected] > 0)
 
     @pytest.mark.parametrize("counts", COUNTS)
@@ -301,14 +329,14 @@ class TestInverseCdf:
         cdf = NegativeSampler(np.array([1.0, 2.0])).cdf
         for bad in (1.0, -0.0 - 1e-300, np.nan):
             with pytest.raises(TrainingError):
-                kernel.search(cdf, np.array([0.5, bad]))
+                c_indices(kernel, cdf, np.array([0.5, bad]))
 
     @pytest.mark.parametrize("counts", COUNTS)
     def test_c_search_equals_indices(self, kernel, counts, rng):
         sampler = NegativeSampler(np.array(counts))
         u = self.adversarial(sampler.cdf, rng)
         expected = sampler.indices(u)
-        assert np.array_equal(kernel.search(sampler.cdf, u), expected)
+        assert np.array_equal(c_indices(kernel, sampler.cdf, u), expected)
         assert np.array_equal(expected, np.searchsorted(sampler.cdf, u, side="right"))
         assert expected.dtype == np.int64
         assert expected.min() >= 0 and expected.max() < len(counts)
@@ -499,7 +527,7 @@ class TestPreconditions:
             batch["w_in"], batch["w_out"], batch["in_rows"], batch["sizes"], batch["out_pos"],
             batch["u"], batch["sampler"].cdf, 0.02, 0.25,
         )
-        kernel.batch(*args, BatchScratch(12, 8, rows, 20, 3, mode))
+        run_one(kernel, *args, BatchScratch(12, 8, rows, 20, 3, mode))
         for scratch in (
             BatchScratch(13, 8, rows, 20, 3, mode),  # another vocabulary
             BatchScratch(12, 9, rows, 20, 3, mode),  # another dimension
@@ -508,10 +536,10 @@ class TestPreconditions:
             BatchScratch(12, 8, rows, 20, 4, mode),  # another negative count
         ):
             with pytest.raises(TrainingError):
-                kernel.batch(*args, scratch)
+                run_one(kernel, *args, scratch)
         other = NegativeSampler(np.ones(11))
         with pytest.raises(TrainingError):
-            kernel.batch(*args[:6], other.cdf, 0.02, 0.25, BatchScratch(12, 8, rows, 20, 3, mode))
+            run_one(kernel, *args[:6], other.cdf, 0.02, 0.25, BatchScratch(12, 8, rows, 20, 3, mode))
         with pytest.raises(TrainingError, match="mode"):
             BatchScratch(12, 8, rows, 20, 3, "skip-gram")
 
@@ -592,8 +620,8 @@ class TestRunEntry:
         losses = []
         for b, lr in enumerate(lrs):
             one = slice(offsets[b], offsets[b + 1])
-            losses.append(kernel.batch(
-                w_in, w_out, batch["in_rows"][rows[b] : rows[b + 1]], batch["sizes"][one],
+            losses.append(run_one(
+                kernel, w_in, w_out, batch["in_rows"][rows[b] : rows[b + 1]], batch["sizes"][one],
                 batch["out_pos"][one], batch["u"][one], batch["sampler"].cdf, lr, clip, scratch,
             ))
         # more threads than groups and than panels, too; None is the

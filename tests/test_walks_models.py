@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ModelError
 from repro.graph.builder import from_edge_arrays
 from repro.walks.kernels import KernelState, available_backends, resolve_backend
-from repro.walks.models import MODELS, make_model
+from repro.walks.models import MODEL_REGISTRY, make_model
 from repro.walks.state import NO_PREVIOUS
 
 
@@ -103,7 +103,7 @@ class TestTableI:
 
 class TestRegistry:
     def test_all_five_models_present(self):
-        assert set(MODELS) == {"deepwalk", "node2vec", "metapath2vec", "edge2vec", "fairwalk"}
+        assert set(MODEL_REGISTRY) == {"deepwalk", "node2vec", "metapath2vec", "edge2vec", "fairwalk"}
 
     def test_make_model_by_name(self, small_unweighted_graph):
         model = make_model("deepwalk", small_unweighted_graph)
