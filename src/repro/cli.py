@@ -127,7 +127,6 @@ _FLAGS = {
     ),
     "--fractions": ("evaluation.train_fractions", "labeled fractions to train on"),
     "--trials": ("evaluation.trials", "random splits per fraction"),
-    "--refresh": ("updates.refresh", "sampler revalidation policy per step"),
     "--no-retrain": ("updates.retrain", "apply deltas only; skip the incremental re-embedding"),
     "--update-num-walks": ("updates.num_walks", "walks per affected node per refresh (default: --num-walks)"),
     "--update-walk-length": ("updates.walk_length", "walk length per refresh (default: --walk-length)"),
@@ -679,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(update, "update")
     update.add_argument(
         "--deltas", required=True,
-        help="delta schedule: .jsonl (one record per line) or .npz (one delta)",
+        help="delta schedule: JSONL, one GraphDelta record per line (as save_deltas writes)",
     )
     update.add_argument(
         "--symmetric", action="store_true",

@@ -200,7 +200,7 @@ def _replay_updates(net: UniNet, upd) -> list[dict]:
     """
     rows = []
     for i, delta in enumerate(upd.deltas()):
-        ur = net.update(delta, refresh=upd.refresh)
+        ur = net.update(delta)
         row = {
             "step": i,
             "added": int(delta.add_src.size),

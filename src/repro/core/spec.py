@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from repro.config import (
-    StreamingConfig, TrainConfig, WalkConfig, check_bools, check_choices, check_counts, check_reals,
+    StreamingConfig, TrainConfig, WalkConfig, check_bools, check_counts, check_reals,
 )
 from repro.errors import GraphError, SpecError
 from repro.serving.config import ServingSpec  # the serving block, declared with its server knobs
@@ -201,10 +201,6 @@ class UpdatesSpec:
     steps: list = field(default_factory=list)
     #: expand each edge row to both directed entries.
     symmetric: bool = True
-    #: sampler revalidation policy per step (``affected``/``full``/``none``).
-    refresh: str = field(
-        default="affected", metadata={"choices": ("affected", "full", "none")}
-    )
     #: incrementally re-train after each step (horizon re-walk +
     #: ``partial_fit``); final metrics/serving then use fresh embeddings.
     retrain: bool = True
@@ -217,7 +213,6 @@ class UpdatesSpec:
         if not isinstance(self.steps, list) or not all(isinstance(step, dict) for step in self.steps):
             raise SpecError(f"updates.steps must be a list of delta records, got {self.steps!r}")
         self.steps = [dict(step) for step in self.steps]
-        check_choices(self, "updates", SpecError)
         check_counts(self, ("num_walks", "walk_length"), "updates.", SpecError)
         check_bools(self, ("symmetric", "retrain"), "updates.", SpecError)
         if not self.steps:

@@ -20,12 +20,13 @@ states; optionally ``batch_state_index``, ``kernel_spec`` and
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 
 import numpy as np
 
-from repro.config import TrainConfig, WalkConfig, check_counts, take_fields
+from repro.config import TrainConfig, WalkConfig, check_counts, check_keywords, take_fields
 from repro.core.pipeline import TrainResult, WalkResult, generate_walk_result, train_pipeline
 from repro.serving.config import ServingSpec
 from repro.utils.rng import as_rng
@@ -40,8 +41,6 @@ class UpdateResult:
     delta: object
     #: the post-delta graph now bound to the facade.
     graph: object = dataclasses.field(repr=False, default=None)
-    #: the refresh policy that ran (``affected`` / ``full`` / ``none``).
-    refresh: str = "affected"
     #: sampler revalidation report (``invalidated_states``,
     #: ``rebuilt_nodes``, ``rebuild_cost_bytes``) — zeros when no
     #: persistent sampler state existed yet.
@@ -72,7 +71,10 @@ class UniNet:
         starts from (its defaults when omitted).
     budget:
         optional :class:`~repro.sampling.memory_model.MemoryBudget` for
-        simulated-OOM experiments.
+        simulated-OOM experiments. Each call's engines charge it and
+        hand their charge back when the call ends; the persistent M-H
+        chain store that :meth:`refresh_embeddings` creates is charged
+        once and kept.
     keywords:
         a ``WalkConfig`` field name (``sampler=``, ``initializer=``,
         ``backend=``, ``table_budget_bytes=``, ...) replaces that field,
@@ -122,6 +124,17 @@ class UniNet:
         """
         return self.config.reshaped(num_walks, walk_length, **overrides)
 
+    @contextlib.contextmanager
+    def _call_budget(self):
+        """The budget one call's engines charge, handed back when the
+        call ends: the facade keeps none of its engines."""
+        used = 0 if self.budget is None else self.budget.used_bytes
+        try:
+            yield self.budget
+        finally:
+            if self.budget is not None:
+                self.budget.release(self.budget.used_bytes - used)
+
     def generate_walks(self, num_walks=None, walk_length=None, start_nodes=None, **overrides):
         """Run only the walk-generation step; returns a WalkCorpus.
 
@@ -134,14 +147,15 @@ class UniNet:
         :meth:`train`.
         """
         config = self.walk_config(num_walks, walk_length, **overrides)
-        result = generate_walk_result(
-            self.graph,
-            self.model,
-            config,
-            seed=int(self._rng.integers(2**31)),
-            budget=self.budget,
-            start_nodes=start_nodes,
-        )
+        with self._call_budget() as budget:
+            result = generate_walk_result(
+                self.graph,
+                self.model,
+                config,
+                seed=int(self._rng.integers(2**31)),
+                budget=budget,
+                start_nodes=start_nodes,
+            )
         # keep only the small observables: the engine's chains/tables and
         # the corpus itself must not stay pinned after the caller is done
         self.last_walk = dataclasses.replace(result, engine=None, corpus=None)
@@ -202,17 +216,18 @@ class UniNet:
         generation. Keeps the live trainer so the embeddings can later
         be refreshed incrementally after :meth:`update`.
         """
-        result = train_pipeline(
-            self.graph,
-            self.model,
-            walk_config,
-            train_config,
-            seed=int(self._rng.integers(2**31)),
-            budget=self.budget,
-            start_nodes=start_nodes,
-            skip_learning=train_config is None,
-            streaming=streaming,
-        )
+        with self._call_budget() as budget:
+            result = train_pipeline(
+                self.graph,
+                self.model,
+                walk_config,
+                train_config,
+                seed=int(self._rng.integers(2**31)),
+                budget=budget,
+                start_nodes=start_nodes,
+                skip_learning=train_config is None,
+                streaming=streaming,
+            )
         self.last_embeddings = result.embeddings
         self._last_stats = result.sampler_stats
         self._trainer = result.trainer
@@ -224,31 +239,31 @@ class UniNet:
     # ------------------------------------------------------------------
     # dynamic graphs
     # ------------------------------------------------------------------
-    def update(self, delta, *, refresh: str = "affected", retrain: bool = False, **retrain_params) -> UpdateResult:
+    def update(self, delta, *, retrain: bool = False, **retrain_params) -> UpdateResult:
         """Apply a :class:`~repro.graph.delta.GraphDelta` to the bound graph.
 
-        The graph is merge-rebuilt, the model rebound, and persistent
-        sampler state revalidated per ``refresh``:
-
-        * ``"affected"`` (default) — remap the persistent M-H chain
-          store, invalidating only chains whose resident edge the delta
-          touched (the paper's tableless-update advantage);
-        * ``"full"`` — drop every chain (all re-initialise lazily);
-        * ``"none"`` — spend nothing now; the chain store is discarded
-          and rebuilt fresh on the next walk.
+        The graph is merge-rebuilt, the model rebound, and the persistent
+        M-H chain store, once a :meth:`refresh_embeddings` has created
+        one, remapped: only chains whose resident edge the delta touched
+        are invalidated (the paper's tableless-update advantage).
 
         Embeddings become *stale* after an update — :meth:`serve`
         refuses them until :meth:`refresh_embeddings` (or a full
         :meth:`train`) runs; pass ``retrain=True`` to do that here
-        (``retrain_params`` forward to :meth:`refresh_embeddings`).
+        (``retrain_params`` forward to :meth:`refresh_embeddings`). The
+        ``retrain_params`` are checked before the delta is applied: a
+        keyword :meth:`refresh_embeddings` does not take, or any keyword
+        without ``retrain=True``, is a :class:`~repro.errors.DeltaError`.
         Returns an :class:`UpdateResult`.
         """
         from repro.errors import DeltaError
         from repro.graph.delta import DeltaPlan, GraphDelta
 
-        if refresh not in ("affected", "full", "none"):
+        check_keywords(self.refresh_embeddings, retrain_params, "update: ", DeltaError)
+        if retrain_params and not retrain:
             raise DeltaError(
-                f"refresh must be 'affected', 'full' or 'none', got {refresh!r}"
+                f"update: {sorted(retrain_params)} are refresh_embeddings keywords; "
+                "pass retrain=True to use them"
             )
         if isinstance(delta, dict):
             delta = GraphDelta.from_dict(delta)
@@ -259,24 +274,15 @@ class UniNet:
         self._graph_epoch += 1
         refresh_info = {"invalidated_states": 0, "rebuilt_nodes": 0, "rebuild_cost_bytes": 0}
         if self._chain_store is not None:
-            if refresh == "affected":
-                refresh_info = self._chain_store.on_delta(plan, self.model)
-            elif refresh == "full":
-                from repro.walks.manager import ChainStore
-
-                self._chain_store = ChainStore(self.graph, self.model)
-            else:
-                self._chain_store = None
+            refresh_info = self._chain_store.on_delta(plan, self.model)
         new_nodes = np.arange(plan.old_graph.num_nodes, plan.new_graph.num_nodes, dtype=np.int64)
         affected = np.union1d(delta.touched_endpoints(), new_nodes).astype(np.int64)
-        affected = affected[affected < self.graph.num_nodes]
         self._affected = (
             affected if self._affected is None else np.union1d(self._affected, affected)
         )
         result = UpdateResult(
             delta=delta,
             graph=self.graph,
-            refresh=refresh,
             sampler_refresh=dict(refresh_info),
             affected_nodes=affected,
             seconds=time.perf_counter() - t0,
@@ -299,7 +305,7 @@ class UniNet:
         from repro.walks._segments import concat_ranges
 
         reached = np.zeros(self.graph.num_nodes, dtype=bool)
-        frontier = self._affected[self._affected < self.graph.num_nodes]
+        frontier = self._affected
         reached[frontier] = True
         for __ in range(horizon - 1):
             lo = self.graph.offsets[frontier]
@@ -382,18 +388,19 @@ class UniNet:
             if self._chain_store is None:
                 from repro.walks.manager import ChainStore
 
-                self._chain_store = ChainStore(self.graph, self.model)
+                self._chain_store = ChainStore(self.graph, self.model, budget=self.budget)
             chain_store = self._chain_store
-        result = train_pipeline(
-            self.graph,
-            self.model,
-            cfg,
-            seed=int(self._rng.integers(2**31)),
-            budget=self.budget,
-            start_nodes=start_nodes,
-            trainer=self._trainer,
-            chain_store=chain_store,
-        )
+        with self._call_budget() as budget:
+            result = train_pipeline(
+                self.graph,
+                self.model,
+                cfg,
+                seed=int(self._rng.integers(2**31)),
+                budget=budget,
+                start_nodes=start_nodes,
+                trainer=self._trainer,
+                chain_store=chain_store,
+            )
         self.last_embeddings = result.embeddings
         self._embeddings_epoch = self._graph_epoch
         self._affected = None

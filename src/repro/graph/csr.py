@@ -309,17 +309,37 @@ class CSRGraph:
         return out.reshape(shape)
 
     def _search_rows(self, lo, hi, dst) -> np.ndarray:
+        """Offset of each ``dst`` in its non-empty row ``targets[lo:hi]``, or -1."""
+        pos = self._lower_bound(lo, hi, dst)
+        found = (pos < hi) & (self.targets[np.minimum(pos, self.num_edge_entries - 1)] == dst)
+        return np.where(found, pos, -1)
+
+    def _lower_bound(self, lo, hi, dst) -> np.ndarray:
         """Lock-step branchless lower bound of each ``dst`` in its
-        non-empty row ``targets[lo:hi]``: its offset there, or -1."""
+        non-empty row ``targets[lo:hi]``: the offset of the row's first
+        target not below it (``hi`` when there is none)."""
         base, n = lo, hi - lo
         for __ in range(int(n.max(initial=1) - 1).bit_length()):
             half = n >> 1
             mid = base + half
             base = np.where(self.targets[mid] < dst, mid, base)
             n -= half
-        pos = base + (self.targets[base] < dst)
-        found = (pos < hi) & (self.targets[np.minimum(pos, self.num_edge_entries - 1)] == dst)
-        return np.where(found, pos, -1)
+        return base + (self.targets[base] < dst)
+
+    def row_lower_bound(self, src, dst) -> np.ndarray:
+        """Where entry ``(src, dst)`` is, or would be inserted, in the
+        flat ``targets``, for aligned arrays: the offset of the first
+        target of row ``src`` not below ``dst``. A source past the last
+        node (one a delta appends) has an empty row at the end of
+        ``targets``; ``dst`` is not range-checked."""
+        src = np.asarray(src, dtype=np.int64).ravel()
+        dst = np.asarray(dst, dtype=np.int64).ravel()
+        lo = self.offsets[np.minimum(src, self.num_nodes)]
+        hi = self.offsets[np.minimum(src + 1, self.num_nodes)]
+        pos = lo.copy()
+        ask = np.flatnonzero(hi > lo)
+        pos[ask] = self._lower_bound(lo[ask], hi[ask], dst[ask])
+        return pos
 
     def has_edge_batch(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`has_edge`; builds the :meth:`edge_filter`."""

@@ -6,13 +6,14 @@ evolve. This module is the mutation layer on top of that invariant:
 
 * :class:`GraphDelta` — a validated value type describing one batch of
   edits (add/remove/reweight directed edge entries, append nodes). Deltas
-  compose (:meth:`GraphDelta.compose`) and invert
-  (:meth:`GraphDelta.inverse`), so an edit schedule can be replayed,
-  squashed, or rolled back.
+  compose (:meth:`GraphDelta.compose`), so an edit schedule can be
+  replayed or squashed. The node-id space only grows: a delta appends
+  nodes and never drops one, so every old id keeps its meaning.
 * :func:`apply_delta` — the vectorized merge-rebuild behind
-  :meth:`CSRGraph.apply_delta`: one lexsort-free pass that splices added
-  entries into the sorted rows, drops removed ones, and re-lays-out
-  offsets/targets/weights/types.
+  :meth:`CSRGraph.apply_delta`: removed entries are masked out and the
+  added ones inserted at their row's lower bound
+  (:meth:`CSRGraph.row_lower_bound`), so the old entries are never
+  re-sorted.
 * :class:`DeltaPlan` — the old-graph/new-graph bridge samplers consume in
   ``on_delta``: touched nodes, removed/reweighted old offsets, and the
   old→new global edge-offset remap (all computed once, shared by every
@@ -22,8 +23,9 @@ Canonical form: ``apply_delta`` stores a weight array only when some
 weight differs from 1.0 and an edge-type array only when the input graph
 had one (or the delta introduces non-zero types). All accessors treat a
 missing array as all-ones / all-zeros, so the canonicalisation is
-behaviour-preserving — and it is what makes
-``apply_delta(d)`` ∘ ``apply_delta(d.inverse(g))`` a *bitwise* identity.
+behaviour-preserving — and it makes ``apply_delta`` bitwise the graph
+:func:`~repro.graph.builder.from_edge_arrays` builds from the edited
+edge list.
 """
 
 from __future__ import annotations
@@ -81,17 +83,13 @@ class GraphDelta:
     add_node_types:
         type ids of the appended nodes (required when the graph is
         typed; ignored otherwise).
-    remove_last_nodes:
-        trailing node ids to drop — valid only when those nodes are
-        isolated after the edge edits. Exists so :meth:`inverse` can
-        undo ``add_nodes``.
     """
 
     __slots__ = (
         "add_src", "add_dst", "add_weights", "add_edge_types",
         "remove_src", "remove_dst",
         "reweight_src", "reweight_dst", "reweight_weights",
-        "add_nodes", "add_node_types", "remove_last_nodes",
+        "add_nodes", "add_node_types",
     )
 
     def __init__(
@@ -102,7 +100,6 @@ class GraphDelta:
         reweight_src=(), reweight_dst=(), reweight_weights=(),
         add_nodes: int = 0,
         add_node_types=None,
-        remove_last_nodes: int = 0,
     ):
         self.add_src = _as_ids(add_src, "add_src")
         self.add_dst = _as_ids(add_dst, "add_dst")
@@ -141,9 +138,8 @@ class GraphDelta:
             raise DeltaError("add_edge_types must be non-negative")
 
         self.add_nodes = int(add_nodes)
-        self.remove_last_nodes = int(remove_last_nodes)
-        if self.add_nodes < 0 or self.remove_last_nodes < 0:
-            raise DeltaError("add_nodes / remove_last_nodes must be >= 0")
+        if self.add_nodes < 0:
+            raise DeltaError("add_nodes must be >= 0")
         if add_node_types is None:
             self.add_node_types = None
         else:
@@ -203,7 +199,7 @@ class GraphDelta:
 
     def is_empty(self) -> bool:
         """True when the delta changes nothing."""
-        return self.num_ops == 0 and self.add_nodes == 0 and self.remove_last_nodes == 0
+        return self.num_ops == 0 and self.add_nodes == 0
 
     def touched_nodes(self) -> np.ndarray:
         """Sorted unique nodes whose out-row an edge edit changes."""
@@ -226,53 +222,8 @@ class GraphDelta:
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
-    def inverse(self, graph: CSRGraph) -> "GraphDelta":
-        """The delta that undoes this one.
-
-        ``graph`` must be the *pre-application* graph (removed edges get
-        their old weights/types back from it). Satisfies
-        ``graph.apply_delta(d).apply_delta(d.inverse(graph))`` ==
-        ``graph`` bitwise, for graphs in canonical form (see the module
-        docstring).
-        """
-        off = graph.edge_index_batch(self.remove_src, self.remove_dst)
-        if np.any(off < 0):
-            raise DeltaError("inverse: a removed edge does not exist in the given graph")
-        old_w = np.asarray(graph.edge_weight_at(off), dtype=np.float64)
-        old_et = (
-            np.zeros(off.size, dtype=np.int32)
-            if graph.edge_types is None
-            else graph.edge_types[off]
-        )
-        rw_off = graph.edge_index_batch(self.reweight_src, self.reweight_dst)
-        if np.any(rw_off < 0):
-            raise DeltaError("inverse: a reweighted edge does not exist in the given graph")
-        inv_add_node_types = None
-        if self.remove_last_nodes and graph.node_types is not None:
-            inv_add_node_types = graph.node_types[graph.num_nodes - self.remove_last_nodes:]
-        return GraphDelta(
-            add_src=self.remove_src,
-            add_dst=self.remove_dst,
-            add_weights=old_w,
-            add_edge_types=old_et,
-            remove_src=self.add_src,
-            remove_dst=self.add_dst,
-            reweight_src=self.reweight_src,
-            reweight_dst=self.reweight_dst,
-            reweight_weights=np.asarray(graph.edge_weight_at(rw_off), dtype=np.float64),
-            add_nodes=self.remove_last_nodes,
-            add_node_types=inv_add_node_types,
-            remove_last_nodes=self.add_nodes,
-        )
-
     def compose(self, other: "GraphDelta") -> "GraphDelta":
-        """One delta equivalent to applying ``self`` then ``other``.
-
-        Node removal does not compose (it renumbers the tail of the id
-        space); deltas carrying ``remove_last_nodes`` raise.
-        """
-        if self.remove_last_nodes or other.remove_last_nodes:
-            raise DeltaError("deltas with remove_last_nodes do not compose")
+        """One delta equivalent to applying ``self`` then ``other``."""
         adds: dict[tuple[int, int], tuple[float, int]] = {
             (int(s), int(d)): (float(w), int(t))
             for s, d, w, t in zip(self.add_src, self.add_dst, self.add_weights, self.add_edge_types)
@@ -359,8 +310,6 @@ class GraphDelta:
             out["add_nodes"] = self.add_nodes
             if self.add_node_types is not None:
                 out["add_node_types"] = self.add_node_types.tolist()
-        if self.remove_last_nodes:
-            out["remove_last_nodes"] = self.remove_last_nodes
         return out
 
     @classmethod
@@ -369,14 +318,13 @@ class GraphDelta:
 
         Keys: ``add`` (``[src, dst, weight?, edge_type?]`` rows),
         ``remove`` (``[src, dst]``), ``reweight`` (``[src, dst, weight]``),
-        ``add_nodes``, ``add_node_types``, ``remove_last_nodes``,
-        ``symmetric`` (expand each row to both directed entries; also
-        settable via the keyword for files that omit it).
+        ``add_nodes``, ``add_node_types``, ``symmetric`` (expand each
+        row to both directed entries; also settable via the keyword for
+        files that omit it).
         """
         if not isinstance(data, dict):
             raise DeltaError(f"delta record must be a mapping, got {type(data).__name__}")
-        known = {"add", "remove", "reweight", "add_nodes", "add_node_types",
-                 "remove_last_nodes", "symmetric"}
+        known = {"add", "remove", "reweight", "add_nodes", "add_node_types", "symmetric"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise DeltaError(f"unknown delta key(s) {unknown}; known keys: {sorted(known)}")
@@ -411,7 +359,6 @@ class GraphDelta:
             reweight_src=w_src, reweight_dst=w_dst, reweight_weights=w_w,
             add_nodes=int(data.get("add_nodes", 0)),
             add_node_types=data.get("add_node_types"),
-            remove_last_nodes=int(data.get("remove_last_nodes", 0)),
         )
 
     def __repr__(self) -> str:
@@ -450,19 +397,18 @@ def _expand_symmetric(src, dst, weights, edge_types, symmetric: bool):
 def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     """Apply ``delta`` to ``graph`` and return the rebuilt CSR.
 
-    The rebuild is vectorized: removed entries are masked, reweights are
-    written in place, added entries are merge-inserted into the sorted
-    rows via one ``lexsort`` over the (small) addition set, and offsets
-    are recomputed with one ``bincount``. Cost is O(|E| + |delta| log
-    |delta|) — a memcpy-dominated pass, not a per-edge Python loop.
+    Removed entries are masked out of the old arrays, reweights written
+    into a copy of the weights, and the added entries, sorted by
+    ``(src, dst)``, ``np.insert``-ed at their row's lower bound in the
+    old graph (:meth:`CSRGraph.row_lower_bound`) less the removed entries
+    before it; the offsets follow from the row-length changes. The old
+    entries are copied, never re-sorted: O(|E|) copying plus
+    O(|delta| (log |delta| + log(longest row))) searching.
     """
     if not graph.is_sorted:
         raise DeltaError("apply_delta requires sorted CSR rows")
     n = graph.num_nodes
-    mid_n = n + delta.add_nodes
-    new_n = mid_n - delta.remove_last_nodes
-    if new_n < 0:
-        raise DeltaError("remove_last_nodes exceeds the node count")
+    new_n = n + delta.add_nodes
     for arr, what in (
         (delta.remove_src, "remove_src"), (delta.remove_dst, "remove_dst"),
         (delta.reweight_src, "reweight_src"), (delta.reweight_dst, "reweight_dst"),
@@ -470,27 +416,28 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
         if arr.size and arr.max() >= n:
             raise DeltaError(f"{what} references a node outside the graph")
     for arr, what in ((delta.add_src, "add_src"), (delta.add_dst, "add_dst")):
-        if arr.size and arr.max() >= mid_n:
+        if arr.size and arr.max() >= new_n:
             raise DeltaError(f"{what} references a node outside the (grown) graph")
 
-    src = graph.edge_sources()
-    dst = graph.targets
     weights = (
-        np.ones(dst.size, dtype=np.float64) if graph.weights is None else graph.weights.copy()
+        np.ones(graph.num_edge_entries, dtype=np.float64)
+        if graph.weights is None
+        else graph.weights.copy()
     )
     etypes = (
-        np.zeros(dst.size, dtype=np.int32) if graph.edge_types is None else graph.edge_types.copy()
+        np.zeros(graph.num_edge_entries, dtype=np.int32)
+        if graph.edge_types is None
+        else graph.edge_types
     )
 
-    keep = np.ones(dst.size, dtype=bool)
-    if delta.remove_src.size:
-        off = graph.edge_index_batch(delta.remove_src, delta.remove_dst)
-        if np.any(off < 0):
-            i = int(np.flatnonzero(off < 0)[0])
-            raise DeltaError(
-                f"cannot remove edge ({delta.remove_src[i]}, {delta.remove_dst[i]}): not present"
-            )
-        keep[off] = False
+    keep = np.ones(graph.num_edge_entries, dtype=bool)
+    removed = graph.edge_index_batch(delta.remove_src, delta.remove_dst)
+    if np.any(removed < 0):
+        i = int(np.flatnonzero(removed < 0)[0])
+        raise DeltaError(
+            f"cannot remove edge ({delta.remove_src[i]}, {delta.remove_dst[i]}): not present"
+        )
+    keep[removed] = False
     if delta.reweight_src.size:
         off = graph.edge_index_batch(delta.reweight_src, delta.reweight_dst)
         if np.any(off < 0):
@@ -499,43 +446,29 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
                 f"cannot reweight edge ({delta.reweight_src[i]}, {delta.reweight_dst[i]}): not present"
             )
         weights[off] = delta.reweight_weights
-    if delta.add_src.size:
-        in_old = (delta.add_src < n) & (delta.add_dst < n)
-        if in_old.any():
-            off = graph.edge_index_batch(delta.add_src[in_old], delta.add_dst[in_old])
-            if np.any(off >= 0):
-                i = int(np.flatnonzero(off >= 0)[0])
-                s = delta.add_src[in_old][i]
-                d = delta.add_dst[in_old][i]
-                raise DeltaError(
-                    f"cannot add edge ({s}, {d}): already present (use reweight)"
-                )
-
-    order = np.lexsort((delta.add_dst, delta.add_src))
-    a_src = delta.add_src[order]
-    a_dst = delta.add_dst[order]
-    a_w = delta.add_weights[order]
-    a_t = delta.add_edge_types[order]
-
-    new_src = np.concatenate([src[keep], a_src])
-    new_dst = np.concatenate([dst[keep], a_dst])
-    new_w = np.concatenate([weights[keep], a_w])
-    new_t = np.concatenate([etypes[keep], a_t])
-    merge = np.lexsort((new_dst, new_src))
-    new_src, new_dst = new_src[merge], new_dst[merge]
-    new_w, new_t = new_w[merge], new_t[merge]
-
-    if delta.remove_last_nodes:
-        dropped = np.arange(new_n, mid_n)
-        if np.isin(new_src, dropped).any() or np.isin(new_dst, dropped).any():
+    in_old = (delta.add_src < n) & (delta.add_dst < n)
+    if in_old.any():
+        off = graph.edge_index_batch(delta.add_src[in_old], delta.add_dst[in_old])
+        if np.any(off >= 0):
+            i = int(np.flatnonzero(off >= 0)[0])
+            s = delta.add_src[in_old][i]
+            d = delta.add_dst[in_old][i]
             raise DeltaError(
-                "remove_last_nodes: trailing nodes still carry edges after the edge edits"
+                f"cannot add edge ({s}, {d}): already present (use reweight)"
             )
 
+    order = np.lexsort((delta.add_dst, delta.add_src))
+    a_src, a_dst = delta.add_src[order], delta.add_dst[order]
+    at = graph.row_lower_bound(a_src, a_dst)
+    at -= np.searchsorted(np.sort(removed), at)
+    targets = np.insert(graph.targets[keep], at, a_dst)
+    new_w = np.insert(weights[keep], at, delta.add_weights[order])
+    new_t = np.insert(etypes[keep], at, delta.add_edge_types[order])
+
+    degrees = np.bincount(a_src, minlength=new_n) - np.bincount(delta.remove_src, minlength=new_n)
+    degrees[:n] += graph.degrees()
     offsets = np.zeros(new_n + 1, dtype=np.int64)
-    if new_src.size:
-        counts = np.bincount(new_src, minlength=new_n)
-        np.cumsum(counts, out=offsets[1:])
+    np.cumsum(degrees, out=offsets[1:])
 
     node_types = graph.node_types
     if node_types is not None:
@@ -544,7 +477,7 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
             if delta.add_node_types is not None
             else np.zeros(delta.add_nodes, dtype=np.int16)
         )
-        node_types = np.concatenate([node_types, extra])[:new_n]
+        node_types = np.concatenate([node_types, extra])
     elif delta.add_node_types is not None:
         raise DeltaError("add_node_types given but the graph is untyped")
 
@@ -552,7 +485,7 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     out_w = None if not new_w.size or np.all(new_w == 1.0) else new_w
     keep_types = graph.edge_types is not None or np.any(new_t != 0)
     out_t = new_t if keep_types else None
-    return CSRGraph(offsets, new_dst, weights=out_w, node_types=node_types, edge_types=out_t)
+    return CSRGraph(offsets, targets, weights=out_w, node_types=node_types, edge_types=out_t)
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +506,6 @@ class DeltaPlan:
         self._remap: np.ndarray | None = None
         self._removed_old: np.ndarray | None = None
         self._reweighted_old: np.ndarray | None = None
-        self._add_positions: np.ndarray | None = None
 
     @classmethod
     def build(cls, graph: CSRGraph, delta: GraphDelta) -> "DeltaPlan":
@@ -603,29 +535,6 @@ class DeltaPlan:
         """Old offsets whose entry was removed or reweighted (sorted)."""
         return np.union1d(self.removed_old_offsets(), self.reweighted_old_offsets())
 
-    def _added_insert_positions(self) -> np.ndarray:
-        """Old-array insertion position of each added entry (sorted).
-
-        An added edge (s, u) lands at ``old.offsets[s] + rank of u in
-        s's old row`` — the count of *old* entries that precede it in the
-        merged layout.
-        """
-        if self._add_positions is None:
-            d = self.delta
-            lo = self.old_graph.offsets[np.minimum(d.add_src, self.old_graph.num_nodes - 1)]
-            hi = self.old_graph.offsets[np.minimum(d.add_src + 1, self.old_graph.num_nodes)]
-            pos = np.empty(d.add_src.size, dtype=np.int64)
-            # new nodes have no old row; they insert at the array end
-            tail = d.add_src >= self.old_graph.num_nodes
-            for i in range(d.add_src.size):
-                if tail[i]:
-                    pos[i] = self.old_graph.num_edge_entries
-                else:
-                    row = self.old_graph.targets[lo[i]:hi[i]]
-                    pos[i] = lo[i] + np.searchsorted(row, d.add_dst[i])
-            self._add_positions = np.sort(pos)
-        return self._add_positions
-
     # -- the offset remap ------------------------------------------------
     def edge_remap(self) -> np.ndarray:
         """int64 array: old global edge offset → new offset (-1 if removed).
@@ -633,12 +542,14 @@ class DeltaPlan:
         Computed arithmetically from the delta (rank shifts from sorted
         removal/insertion positions), not by re-searching the new graph —
         two ``searchsorted`` passes over |E| against the (small) delta.
+        An added entry lands after the old entries below its row's lower
+        bound in the old graph (:meth:`CSRGraph.row_lower_bound`).
         """
         if self._remap is None:
             m = self.old_graph.num_edge_entries
             old = np.arange(m, dtype=np.int64)
             removed = self.removed_old_offsets()
-            added = self._added_insert_positions()
+            added = np.sort(self.old_graph.row_lower_bound(self.delta.add_src, self.delta.add_dst))
             shift = (
                 np.searchsorted(added, old, side="right")
                 - np.searchsorted(removed, old, side="right")
@@ -671,27 +582,20 @@ def save_deltas(deltas, path) -> Path:
 
 
 def load_deltas(path, *, symmetric: bool = False) -> list[GraphDelta]:
-    """Read a delta schedule from ``.jsonl`` (one record per line) or
-    ``.npz`` (arrays ``add_src``/``add_dst``/``add_weights``/
-    ``add_edge_types``/``remove_src``/``remove_dst``/``reweight_src``/
-    ``reweight_dst``/``reweight_weights`` plus scalar ``add_nodes``,
-    interpreted as a single delta)."""
-    path = Path(path)
-    if path.suffix == ".npz":
-        with np.load(path) as data:
-            kwargs = {key: data[key] for key in data.files if key != "add_nodes"}
-            if "add_nodes" in data.files:
-                kwargs["add_nodes"] = int(data["add_nodes"])
-        return [GraphDelta(**kwargs)]
+    """Read a delta schedule written by :func:`save_deltas`: JSONL, one
+    :meth:`GraphDelta.from_dict` record per line (blank lines skipped)."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise DeltaError(f"{path}: not a JSONL text file") from None
     deltas = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DeltaError(f"{path}:{line_no}: not valid JSON: {err}") from None
-            deltas.append(GraphDelta.from_dict(record, symmetric=symmetric))
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DeltaError(f"{path}:{line_no}: not valid JSON: {err}") from None
+        deltas.append(GraphDelta.from_dict(record, symmetric=symmetric))
     return deltas

@@ -21,6 +21,7 @@ from repro.config import check_counts
 from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import _edge_weights
 from repro.graph.labels import NodeLabels
 from repro.utils.rng import as_rng
 
@@ -157,9 +158,9 @@ def academic_graph(
     builder = GraphBuilder(num_nodes=n, directed=False, duplicate_policy="first")
     src = np.concatenate(ap_src) + author_offset
     dst = np.concatenate(ap_dst) + paper_offset
-    ap_w = _hetero_weights(src.size, weight_mode, rng)
+    ap_w = _edge_weights(src.size, weight_mode, rng)
     builder.add_edges(src, dst, ap_w)
-    pv_w = _hetero_weights(num_papers, weight_mode, rng)
+    pv_w = _edge_weights(num_papers, weight_mode, rng)
     builder.add_edges(
         np.arange(num_papers, dtype=np.int64) + paper_offset,
         paper_venue + venue_offset,
@@ -178,13 +179,3 @@ def academic_graph(
     graph = graph.with_node_types(node_types, edge_types)
     labels = NodeLabels(np.arange(num_authors) + author_offset, author_area)
     return graph, labels
-
-
-def _hetero_weights(num_edges: int, weight_mode, rng):
-    if weight_mode in (None, "unit"):
-        return None
-    if weight_mode == "uniform":
-        return rng.uniform(0.5, 1.5, size=num_edges)
-    if weight_mode == "exponential":
-        return rng.exponential(1.0, size=num_edges) + 0.05
-    raise GraphError(f"unknown weight_mode {weight_mode!r}")

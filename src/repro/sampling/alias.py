@@ -197,21 +197,17 @@ class AliasTables:
 
         # old flat index of each new state (-1 for states with no ancestor)
         order = 1 if self.static else model.order
-        if order == 1:
-            per = max(states // max(new_graph.num_nodes, 1), 1)
+        if order == 1:  # node-major: the old states keep their indices
             idx = np.arange(states, dtype=np.int64)
-            old_of_new = np.where(idx // per < plan.old_graph.num_nodes, idx, -1)
-            old_of_new[old_of_new >= old_has.size] = -1
+            old_of_new = np.where(idx < old_has.size, idx, -1)
         else:
             remap = plan.edge_remap()
             old_of_new = np.full(states, -1, dtype=np.int64)
             kept = remap >= 0
             old_of_new[remap[kept]] = np.flatnonzero(kept)
 
-        # a delta's remove_last_nodes can drop touched trailing node ids
-        touched = plan.touched_nodes()
         tmask = np.zeros(new_graph.num_nodes, dtype=bool)
-        tmask[touched[touched < new_graph.num_nodes]] = True
+        tmask[plan.touched_nodes()] = True
         cur = self._contexts["cur"]
         affected = tmask[cur]
         if order == 2:

@@ -52,31 +52,22 @@ def remap_chain_array(last: np.ndarray, model, plan) -> tuple[np.ndarray, int]:
     """Carry an M-H chain array (LAST_x per state) across a graph delta.
 
     ``model`` must already be rebound to ``plan.new_graph`` (its state
-    space sizes the output). First-order state indices are node-stable
-    (new nodes append NO_EDGE slots); second-order indices are edge
-    offsets and follow :meth:`DeltaPlan.edge_remap`. Returns the new
-    chain array and the number of previously-initialised chains that
-    were invalidated (resident edge touched, or defining edge removed).
+    space sizes the output). First-order state indices are node-major,
+    so every old index keeps its place and new nodes append NO_EDGE
+    slots; second-order indices are edge offsets and follow
+    :meth:`DeltaPlan.edge_remap`. Returns the new chain array and the
+    number of previously-initialised chains that were invalidated
+    (resident edge touched, or defining edge removed).
     """
-    old_n = plan.old_graph.num_nodes
-    new_size = int(model.state_space_size(plan.new_graph))
-    initialized_before = int((last != NO_EDGE).sum())
+    new_last = np.full(int(model.state_space_size(plan.new_graph)), NO_EDGE, dtype=np.int64)
+    resident = _invalidate_touched(last, plan)
     if getattr(model, "order", 1) == 1:
-        per_node = last.size // max(old_n, 1) if old_n else 1
-        resident = _invalidate_touched(last, plan)
-        rows = resident.reshape(old_n, per_node) if old_n else resident.reshape(0, max(per_node, 1))
-        new_n = new_size // max(per_node, 1) if per_node else plan.new_graph.num_nodes
-        new_last = np.full((new_n, max(per_node, 1)), NO_EDGE, dtype=np.int64)
-        copy_n = min(old_n, new_n)
-        new_last[:copy_n] = rows[:copy_n]
-        new_last = new_last.reshape(-1)[:new_size]
+        new_last[: last.size] = resident
     else:
         state_remap = plan.edge_remap()
-        resident = _invalidate_touched(last, plan)
-        new_last = np.full(new_size, NO_EDGE, dtype=np.int64)
         keep = state_remap >= 0
         new_last[state_remap[keep]] = resident[keep]
-    invalidated = initialized_before - int((new_last != NO_EDGE).sum())
+    invalidated = int((last != NO_EDGE).sum()) - int((new_last != NO_EDGE).sum())
     return new_last, invalidated
 
 

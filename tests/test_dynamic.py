@@ -1,15 +1,18 @@
 """Dynamic-graph API tests: GraphDelta, stepper on_delta,
 UniNet.update / refresh_embeddings, and the serving write path.
 
-The property-style tests are randomized with fixed seeds (hypothesis
-style without the dependency): every case is deterministic, and failures
-print the seed that produced them.
+``apply_delta`` and the plan's edge remap are checked by a Hypothesis
+differential against a from-scratch build; the other property-style
+tests are randomized with fixed seeds, and failures print the seed that
+produced them.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeltaError, ServingError, TrainingError, WalkError
 from repro.graph import CSRGraph, GraphDelta, apply_delta, load_deltas, save_deltas
@@ -137,10 +140,9 @@ class TestGraphDeltaValidation:
         with pytest.raises(DeltaError, match="outside"):
             g.apply_delta(GraphDelta(add_src=[g.num_nodes + 5], add_dst=[0]))
 
-    def test_remove_last_nodes_requires_isolated(self):
-        g = random_graph(0)
-        with pytest.raises(DeltaError, match="still carry edges"):
-            g.apply_delta(GraphDelta(remove_last_nodes=1))
+    def test_a_stale_remove_last_nodes_key_is_refused(self):
+        with pytest.raises(DeltaError, match="remove_last_nodes"):
+            GraphDelta.from_dict({"remove_last_nodes": 1})
 
 
 class TestApplyDelta:
@@ -194,25 +196,105 @@ class TestApplyDelta:
         assert g2.edge_types[g2.edge_index(3, 0)] == 2
         assert g2.num_edge_types == 3
 
-    def test_grow_and_shrink(self):
+    def test_grow(self):
         g = random_graph(1)
         n = g.num_nodes
         g2 = g.apply_delta(GraphDelta.grow(3))
         assert g2.num_nodes == n + 3 and g2.degree(n + 2) == 0
-        g3 = g2.apply_delta(GraphDelta(remove_last_nodes=3))
-        assert graphs_equal(g3, g)
+        assert np.array_equal(g2.offsets[: n + 1], g.offsets)
+
+
+@st.composite
+def graphs_and_deltas(draw):
+    """A sorted graph (empty rows possible at both ends, weighted or not,
+    typed or not) and a valid delta over it: removes and reweights of
+    existing entries, adds of absent pairs, appended nodes."""
+    lead, core, trail = draw(st.integers(0, 2)), draw(st.integers(0, 8)), draw(st.integers(0, 2))
+    n = lead + core + trail
+    weighted, typed = draw(st.booleans()), draw(st.booleans())
+    weight = st.sampled_from([1.0, 0.5, 2.0, 3.25])
+    core_ids = st.integers(lead, max(lead + core - 1, lead))
+    entries = sorted(draw(st.sets(st.tuples(core_ids, core_ids), max_size=30 if core else 0)))
+    src = np.array([s for s, __ in entries], dtype=np.int64)
+    dst = np.array([d for __, d in entries], dtype=np.int64)
+    weights = np.array([draw(weight) for __ in entries]) if weighted else None
+    etypes = np.array([draw(st.integers(0, 2)) for __ in entries]) if typed else None
+    node_types = np.array([draw(st.integers(0, 2)) for __ in range(n)]) if typed else None
+    graph = from_edge_arrays(
+        src, dst, weights, num_nodes=n, directed=True, node_types=node_types,
+        edge_types=etypes, duplicate_policy="error", allow_self_loops=True,
+    )
+
+    # edits in any order: the merge must sort what it inserts
+    ops = [draw(st.sampled_from("kkrw")) for __ in entries]
+    removed = draw(st.permutations([e for e, op in zip(entries, ops) if op == "r"]))
+    reweighted = draw(st.permutations([e for e, op in zip(entries, ops) if op == "w"]))
+    add_nodes = draw(st.integers(0, 3))
+    grown = st.integers(0, max(n + add_nodes - 1, 0))
+    pairs = draw(st.sets(st.tuples(grown, grown), max_size=12 if n + add_nodes else 0))
+    added = draw(st.permutations(sorted(pairs - set(entries))))
+    delta = GraphDelta(
+        add_src=[s for s, __ in added], add_dst=[d for __, d in added],
+        add_weights=[draw(weight) for __ in added],
+        add_edge_types=[draw(st.integers(0, 2)) if typed or draw(st.booleans()) else 0 for __ in added],
+        remove_src=[s for s, __ in removed], remove_dst=[d for __, d in removed],
+        reweight_src=[s for s, __ in reweighted], reweight_dst=[d for __, d in reweighted],
+        reweight_weights=[draw(weight) for __ in reweighted],
+        add_nodes=add_nodes,
+        add_node_types=[draw(st.integers(0, 2)) for __ in range(add_nodes)] if typed else None,
+    )
+    return graph, delta
+
+
+def rebuilt_from_scratch(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
+    """The edited edge list built cold, in ``apply_delta``'s canonical form."""
+    src, dst, w = graph.edge_list()
+    et = np.zeros(src.size, np.int32) if graph.edge_types is None else graph.edge_types
+    edges = {(int(s), int(d)): (float(x), int(t)) for s, d, x, t in zip(src, dst, w, et)}
+    for s, d in zip(delta.remove_src, delta.remove_dst):
+        del edges[int(s), int(d)]
+    for s, d, x in zip(delta.reweight_src, delta.reweight_dst, delta.reweight_weights):
+        edges[int(s), int(d)] = (float(x), edges[int(s), int(d)][1])
+    for s, d, x, t in zip(delta.add_src, delta.add_dst, delta.add_weights, delta.add_edge_types):
+        edges[int(s), int(d)] = (float(x), int(t))
+    keys = sorted(edges)
+    w = np.array([edges[k][0] for k in keys], dtype=np.float64)
+    et = np.array([edges[k][1] for k in keys], dtype=np.int32)
+    typed = graph.edge_types is not None or bool(np.any(et != 0))
+    node_types = graph.node_types
+    if node_types is not None:
+        extra = np.zeros(delta.add_nodes) if delta.add_node_types is None else delta.add_node_types
+        node_types = np.concatenate([node_types, extra])
+    cold = from_edge_arrays(
+        [k[0] for k in keys], [k[1] for k in keys], w if np.any(w != 1.0) else None,
+        num_nodes=graph.num_nodes + delta.add_nodes, directed=True, node_types=node_types,
+        edge_types=et if typed else None, duplicate_policy="error", allow_self_loops=True,
+    )
+    if typed and cold.edge_types is None:  # the builder keeps no types for no edges
+        cold = cold.with_node_types(cold.node_types, np.zeros(0, dtype=np.int32))
+    return cold
+
+
+class TestApplyDeltaDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_deltas())
+    def test_apply_delta_is_a_cold_rebuild_bitwise(self, case):
+        graph, delta = case
+        assert graphs_equal(graph.apply_delta(delta), rebuilt_from_scratch(graph, delta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_deltas())
+    def test_edge_remap_is_the_new_graph_search(self, case):
+        graph, delta = case
+        plan = DeltaPlan.build(graph, delta)
+        remap = plan.edge_remap()
+        assert np.array_equal(
+            remap, plan.new_graph.edge_index_batch(graph.edge_sources(), graph.targets)
+        )
+        assert np.all(remap[graph.edge_index_batch(delta.remove_src, delta.remove_dst)] == -1)
 
 
 class TestDeltaAlgebra:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_apply_inverse_roundtrips_bitwise(self, seed):
-        g = random_graph(seed, weighted=seed % 2 == 0)
-        rng = np.random.default_rng(seed + 50)
-        delta = random_delta(g, rng, add_nodes=seed % 2)
-        g2 = g.apply_delta(delta)
-        back = g2.apply_delta(delta.inverse(g))
-        assert graphs_equal(back, g), f"seed {seed}"
-
     @pytest.mark.parametrize("seed", range(5))
     def test_compose_equals_sequential_apply(self, seed):
         g = random_graph(seed)
@@ -245,11 +327,11 @@ class TestDeltaAlgebra:
         loaded = load_deltas(path)
         assert len(loaded) == 2 and loaded[1].remove_src.size == 2
 
-    def test_npz_delta_file(self, tmp_path):
+    def test_a_binary_delta_file_is_refused(self, tmp_path):
         path = tmp_path / "delta.npz"
-        np.savez(path, add_src=[0], add_dst=[2], add_weights=[1.5], add_nodes=1)
-        (d,) = load_deltas(path)
-        assert d.add_src.tolist() == [0] and d.add_nodes == 1
+        np.savez(path, add_src=[0], add_dst=[2])
+        with pytest.raises(DeltaError, match="not a JSONL"):
+            load_deltas(path)
 
     def test_bad_jsonl_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -363,40 +445,6 @@ class TestSamplerOnDelta:
             costs.append(rebuilt)
         assert costs[0] == costs[1]
 
-    @staticmethod
-    def trailing_node_removal():
-        g = from_edge_arrays([0, 1, 0], [1, 2, 2], [2.0, 3.0, 4.0], num_nodes=3)
-        # strip node 2 of its edges, then drop it entirely
-        delta = GraphDelta(
-            remove_src=[0, 1, 2, 2], remove_dst=[2, 2, 0, 1], remove_last_nodes=1
-        )
-        plan = DeltaPlan.build(g, delta)
-        assert plan.new_graph.num_nodes == 2
-        return g, plan
-
-    def test_on_delta_survives_trailing_node_removal(self):
-        g, plan = self.trailing_node_removal()
-        store = AliasTables(g)
-        store.on_delta(plan)  # touched node 2 no longer exists: must not crash
-        self.assert_same_tables(store, AliasTables(plan.new_graph))
-
-    @pytest.mark.parametrize(
-        "sampler", ["knightking", "rejection", "alias", "mh", "memory-aware"]
-    )
-    def test_engine_apply_delta_survives_trailing_node_removal(self, sampler):
-        g, plan = self.trailing_node_removal()
-        engine = VectorizedWalkEngine(
-            g, make_model("node2vec", g, p=0.5, q=2.0), sampler=sampler, seed=6,
-            table_budget_bytes=64 if sampler == "memory-aware" else None,
-        )
-        engine.generate(num_walks=2, walk_length=6)
-        new_g = engine.apply_delta(plan)  # touched node 2 no longer exists
-        corpus = engine.generate(num_walks=2, walk_length=6)
-        assert corpus.walks[corpus.walks >= 0].max() < new_g.num_nodes == 2
-        for row, ln in zip(corpus.walks, corpus.lengths):
-            for a, b in zip(row[: ln - 1], row[1:ln]):
-                assert new_g.has_edge(int(a), int(b)), (sampler, a, b)
-
     def test_mh_chain_remap_only_touches_affected(self, setting):
         g, __, ___ = setting
         # a genuinely small delta: one removed entry, one added entry
@@ -508,11 +556,24 @@ class TestUniNetDynamic:
             net.refresh_embeddings(num_walks=1, horizon=horizon)
         assert net.affected_start_nodes(1).tolist() == [3, 50]
 
-    def test_update_accepts_dict_and_invalid_refresh_raises(self, net):
+    def test_update_accepts_dict(self, net):
         net.update({"add": [[0, 101], [101, 0]]})
         assert net.graph.has_edge(0, 101)
-        with pytest.raises(DeltaError, match="refresh"):
-            net.update(GraphDelta.remove_edges([0], [101]), refresh="later")
+
+    @pytest.mark.parametrize(
+        "keywords, match",
+        [
+            ({"retrain": False, "num_walks": 3}, "retrain=True"),
+            ({"num_walks": 3}, "retrain=True"),
+            ({"refresh": "full"}, "refresh"),
+            ({"retrain": True, "refresh": "full"}, "refresh"),
+        ],
+    )
+    def test_update_refuses_keywords_it_would_drop(self, net, keywords, match):
+        graph = net.graph
+        with pytest.raises(DeltaError, match=match):
+            net.update(GraphDelta.add_edges([0], [101]), **keywords)
+        assert net.graph is graph and not net.embeddings_stale
 
     def test_chains_persist_across_refreshes(self, net):
         net.refresh_embeddings(num_walks=1, walk_length=6, start_nodes=np.arange(50))
@@ -561,6 +622,44 @@ class TestUniNetDynamic:
         )
         assert hits / len(src) >= 0.25
         assert micro_f1(kv) >= f1_before
+
+
+class TestBudgetedFacade:
+    @pytest.fixture
+    def graph(self):
+        from repro import datasets
+
+        return datasets.load("blogcatalog", scale=0.1, seed=0)[0]
+
+    def test_each_call_hands_its_engine_charge_back(self, graph):
+        from repro import UniNet
+        from repro.sampling.memory_model import MemoryBudget, mh_bytes
+
+        engine_bytes = mh_bytes(graph, make_model("deepwalk", graph))
+        budget = MemoryBudget(int(1.5 * engine_bytes))
+        net = UniNet(graph, "deepwalk", budget=budget, seed=1)
+        net.generate_walks(1, 5)
+        net.generate_walks(1, 5)
+        net.train(1, 5, dimensions=8)
+        assert budget.used_bytes == 0
+        for hub in range(3):
+            absent = next(
+                v for v in range(graph.num_nodes) if v != hub and not net.graph.has_edge(hub, v)
+            )
+            net.update(GraphDelta.add_edges([hub], [absent]))
+            net.refresh_embeddings(num_walks=1, walk_length=5)
+            # the persistent chain store, charged once when it was created
+            assert budget.used_bytes == engine_bytes
+
+    def test_a_budget_below_one_engine_raises_on_the_first_walk(self, graph):
+        from repro import UniNet
+        from repro.errors import SimulatedOutOfMemoryError
+        from repro.sampling.memory_model import MemoryBudget, mh_bytes
+
+        engine_bytes = mh_bytes(graph, make_model("deepwalk", graph))
+        net = UniNet(graph, "deepwalk", budget=MemoryBudget(engine_bytes - 1), seed=1)
+        with pytest.raises(SimulatedOutOfMemoryError):
+            net.generate_walks(1, 5)
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,14 @@ class TestEdgeLookup:
         assert g.apply_delta(delta).has_edge(0, 1)
         assert DeltaPlan.build(g, delta).new_graph.edge_index(0, 1) == 0
 
+    def test_row_lower_bound_is_the_insertion_point(self):
+        # rows: 0 empty, 1 -> [2, 3], 2 empty, 3 -> [0]; node 4 is past the last
+        g = from_edge_arrays([1, 1, 3], [2, 3, 0], num_nodes=4, directed=True)
+        got = g.row_lower_bound([0, 1, 1, 1, 2, 3, 3, 4], [3, 1, 3, 5, 0, 0, 1, 0])
+        assert got.tolist() == [0, 0, 1, 2, 2, 2, 3, 3]
+        edgeless = CSRGraph(np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert edgeless.row_lower_bound([0, 2, 7], [1, 0, 1]).tolist() == [0, 0, 0]
+
     @pytest.mark.parametrize("filtered", (False, True))
     @pytest.mark.parametrize("src,dst", [([-1], [0]), ([3], [0]), ([0], [-1]), ([0], [3])])
     def test_out_of_range_ids_are_refused(self, filtered, src, dst):

@@ -333,7 +333,7 @@ class TestCliSurface:
                 field_default = spec_field(paths.split()[0])[0].default
                 assert default == json.loads(json.dumps(field_default)), (verb, flag)
                 checked += 1
-        assert checked >= 49  # one per flag and verb: --max-corpus-bytes is gone
+        assert checked >= 48  # one per flag and verb: --max-corpus-bytes and --refresh are gone
 
     def test_flags_left_alone_say_nothing(self):
         spec = _verb_spec(parse("train", "--dataset", "amazon"))
