@@ -445,6 +445,45 @@ class TestSamplerOnDelta:
             costs.append(rebuilt)
         assert costs[0] == costs[1]
 
+    @staticmethod
+    def trailing_node_stripped_and_appended():
+        g = from_edge_arrays([0, 1, 0], [1, 2, 2], [2.0, 3.0, 4.0], num_nodes=3)
+        # strip node 2 of its edges, then append node 3 wired to 0 and 1
+        delta = GraphDelta(
+            remove_src=[0, 1, 2, 2], remove_dst=[2, 2, 0, 1],
+            add_src=[3, 0, 3, 1], add_dst=[0, 3, 1, 3], add_weights=[1.5, 1.5, 2.5, 2.5],
+            add_nodes=1,
+        )
+        plan = DeltaPlan.build(g, delta)
+        assert plan.new_graph.num_nodes == 4 and plan.new_graph.degree(2) == 0
+        return g, plan
+
+    def test_on_delta_survives_a_stripped_and_an_appended_node(self):
+        g, plan = self.trailing_node_stripped_and_appended()
+        store = AliasTables(g)
+        store.on_delta(plan)  # touched node 3 did not exist before the delta
+        self.assert_same_tables(store, AliasTables(plan.new_graph))
+
+    @pytest.mark.parametrize(
+        "sampler", ["knightking", "rejection", "alias", "mh", "memory-aware"]
+    )
+    def test_engine_apply_delta_survives_a_stripped_and_an_appended_node(self, sampler):
+        g, plan = self.trailing_node_stripped_and_appended()
+        engine = VectorizedWalkEngine(
+            g, make_model("node2vec", g, p=0.5, q=2.0), sampler=sampler, seed=6,
+            table_budget_bytes=64 if sampler == "memory-aware" else None,
+        )
+        engine.generate(num_walks=2, walk_length=6)
+        new_g = engine.apply_delta(plan)
+        corpus = engine.generate(num_walks=2, walk_length=6)
+        assert corpus.walks[corpus.walks >= 0].max() < new_g.num_nodes == 4
+        assert np.any(corpus.walks[:, 1:] == 3)  # the appended node is walked onto
+        for row, ln in zip(corpus.walks, corpus.lengths):
+            for a, b in zip(row[: ln - 1], row[1:ln]):
+                assert new_g.has_edge(int(a), int(b)), (sampler, a, b)
+            if row[0] == 2:  # the stripped node walks nowhere
+                assert ln == 1, (sampler, row)
+
     def test_mh_chain_remap_only_touches_affected(self, setting):
         g, __, ___ = setting
         # a genuinely small delta: one removed entry, one added entry
