@@ -94,7 +94,6 @@ _LAZY_ATTRS = {
     "WalkResult": ("repro.core.pipeline", "WalkResult"),
     "Registry": ("repro.registry", "Registry"),
     "LintRule": ("repro.analysis", "LintRule"),
-    "register_rule": ("repro.analysis", "register_rule"),
     "run_lint": ("repro.analysis", "run_lint"),
     "register_model": ("repro.registry", "register_model"),
     "register_sampler": ("repro.registry", "register_sampler"),

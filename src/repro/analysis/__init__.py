@@ -1,82 +1,27 @@
-"""repro's own static-analysis layer: ``python -m repro lint``.
+"""repro's own static-analysis layer: ``python -m repro lint [paths]``.
 
 Generic linters see Python; they cannot see *this repo's* invariants —
 that every stochastic component must route seeds through
 :func:`repro.utils.rng.as_rng`, that a ``param_spec`` capability must
 agree with the constructor it describes, or that the store file format
-breaks if a ``frombuffer`` call picks its dtype from the platform. This
-package encodes those contracts as AST-level rules and machine-checks
-them in CI, so the guarantees the test suite samples (bitwise streaming
-parity, deterministic walks, v1/v2 store stability) hold by
-construction across every current and future implementation.
+breaks if a ``frombuffer`` call picks its dtype from the platform. The
+six AST rules of :data:`repro.analysis.rules.RULES` (RPR001-RPR006, see
+their docstrings) check them in CI.
 
-The checker is self-hosted on the same plugin architecture it audits:
-rules live in :data:`LINT_REGISTRY` (a :class:`repro.registry.Registry`)
-and third-party rules plug in with :func:`register_rule` — registered
-rules immediately run from the CLI, participate in ``--select`` /
-``--ignore`` and the baseline mechanism, with no package edits::
-
-    from repro.analysis import LintRule, register_rule
-
-    @register_rule("no-print", code="RPX001")
-    class NoPrintRule(LintRule):
-        severity = "warn"
-        def check_module(self, module, project):
-            for node in module.walk():
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "print"):
-                    yield self.finding(module, node, "print() in library code")
-
-Built-in rules (see :mod:`repro.analysis.rules`):
-
-=======  ====================  ========================================
-code     name                  invariant
-=======  ====================  ========================================
-RPR001   rng-discipline        no global-state numpy RNG; seeds flow
-                               through ``as_rng`` / ``spawn_rngs``
-RPR002   registry-contract     registered components implement their
-                               family protocol; ``param_spec`` matches
-                               ``__init__``; no alias collisions
-RPR003   signature-drift       overrides stay call-compatible with the
-                               base / canonical protocol signature
-RPR004   error-taxonomy        raises use :class:`~repro.errors.ReproError`
-                               subclasses; no swallowed ``except Exception``
-RPR005   serialization-dtype   format-defining numpy calls pass an
-                               explicit ``dtype=``
-RPR006   hot-path-purity       no per-element Python loops / ``tolist``
-                               in the vectorized kernel modules
-=======  ====================  ========================================
-
-Findings carry a severity (``error`` fails the lint; ``warn`` reports
-only) and a stable fingerprint. A committed baseline file freezes the
-accepted pre-existing findings: with ``--baseline``, *any* finding not
-in the file — warning or error — fails, which is how CI blocks new
-debt without blocking on old.
+Every finding fails the lint unless its line carries
+``# repro-lint: ignore[CODE,...]`` followed by the reason; a suppression
+that silences nothing fails it too.
 """
 
-from repro.analysis.baseline import load_baseline, save_baseline
-from repro.analysis.core import (
-    AnalysisError,
-    Finding,
-    LINT_REGISTRY,
-    LintReport,
-    LintRule,
-    register_rule,
-    run_lint,
-)
+from repro.analysis.core import AnalysisError, Finding, LintReport, LintRule, run_lint
 from repro.analysis.project import ModuleInfo, ProjectIndex
 
 __all__ = [
     "AnalysisError",
     "Finding",
-    "LINT_REGISTRY",
     "LintReport",
     "LintRule",
     "ModuleInfo",
     "ProjectIndex",
-    "load_baseline",
-    "register_rule",
     "run_lint",
-    "save_baseline",
 ]

@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -41,16 +44,15 @@ REGISTRY_FAMILIES = {
     "register_initializer": "initialization strategy",
     "register_codec": "codec",
     "register_index": "index",
-    "register_rule": "lint rule",
     "MODEL_REGISTRY": "model",
     "SAMPLER_REGISTRY": "sampler",
     "INITIALIZER_REGISTRY": "initialization strategy",
     "CODEC_REGISTRY": "codec",
     "INDEX_REGISTRY": "index",
-    "LINT_REGISTRY": "lint rule",
 }
 
-_SUPPRESS_MARK = "repro-lint:"
+#: an inline suppression; only a comment token counts, not a string
+_SUPPRESSION = re.compile(r"repro-lint:\s*ignore\[([^\]]*)\]")
 
 #: Base names that resolve *outside* the parsed file set but whose
 #: ancestry is still fully known: structural bases with no methods of
@@ -204,36 +206,23 @@ class ModuleInfo:
         self.relpath = relpath  # posix-style, as reported in findings
         self.modname = modname
         self.tree = tree
-        self.lines = source.splitlines()
         self.imports: dict[str, str] = {}  # local name -> dotted origin
         self.classes: dict[str, ClassInfo] = {}
         self.functions: dict[str, FuncSig] = {}
         self.registrations: list[Registration] = []
-        self.suppressions: dict[int, set[str]] = self._scan_suppressions()
+        self.suppressions: dict[int, set[str]] = self._scan_suppressions(source)
         self._index()
 
     # -- construction ---------------------------------------------------
-    def _scan_suppressions(self) -> dict[int, set[str]]:
-        """``# repro-lint: ignore[RPR001,RPR006]`` (or bare ``ignore``)."""
+    def _scan_suppressions(self, source: str) -> dict[int, set[str]]:
+        """``# repro-lint: ignore[RPR001,RPR006]`` -> {line: codes}."""
         out: dict[int, set[str]] = {}
-        for lineno, line in enumerate(self.lines, start=1):
-            marker = line.find(_SUPPRESS_MARK)
-            if marker < 0 or "#" not in line[:marker]:
-                continue
-            directive = line[marker + len(_SUPPRESS_MARK):].strip()
-            if not directive.startswith("ignore"):
-                continue
-            rest = directive[len("ignore"):].strip()
-            if rest.startswith("[") and "]" in rest:
-                codes = {c.strip() for c in rest[1 : rest.index("]")].split(",") if c.strip()}
-            else:
-                codes = {"*"}
-            out[lineno] = codes
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            match = token.type == tokenize.COMMENT and _SUPPRESSION.search(token.string)
+            if match:
+                codes = {c.strip() for c in match.group(1).split(",") if c.strip()}
+                out.setdefault(token.start[0], set()).update(codes)
         return out
-
-    def is_suppressed(self, lineno: int, code: str) -> bool:
-        codes = self.suppressions.get(lineno)
-        return codes is not None and ("*" in codes or code in codes)
 
     def _index(self) -> None:
         for node in ast.walk(self.tree):

@@ -1,8 +1,4 @@
-"""Built-in lint rules RPR001-RPR006.
-
-This module is the ``home`` of :data:`~repro.analysis.core.LINT_REGISTRY`
-— importing it registers the rules, and the registry imports it lazily
-on first lookup, exactly like the sampler/codec registries load theirs.
+"""The lint rules RPR001-RPR006, run in the order of :data:`RULES`.
 
 Each rule encodes one repo invariant that a generic linter cannot see;
 the module docstrings below say *why* the invariant exists, because a
@@ -13,7 +9,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import LintRule, register_rule
+from repro.analysis.core import LintRule
 from repro.analysis.project import (
     FuncSig,
     dotted_name,
@@ -37,7 +33,6 @@ _LEGACY_RNG = frozenset({
 _RNG_HOME = ("utils/rng.py",)
 
 
-@register_rule("rng-discipline", code="RPR001")
 class RngDisciplineRule(LintRule):
     """No numpy global-state RNG; seeds flow through ``as_rng``.
 
@@ -50,8 +45,8 @@ class RngDisciplineRule(LintRule):
     the process.
     """
 
-    severity = "error"
-    description = "numpy RNG construction outside repro.utils.rng"
+    code = "RPR001"
+    name = "rng-discipline"
 
     def check_module(self, module, project):
         if relpath_matches(module.relpath, _RNG_HOME):
@@ -99,11 +94,9 @@ _FAMILY_PROTOCOLS = {
     "initialization strategy": ("init_chains",),
     "codec": ("fit", "encode", "decode", "state", "from_state"),
     "index": ("topk", "memory_bytes"),
-    "lint rule": (),
 }
 
 
-@register_rule("registry-contract", code="RPR002")
 class RegistryContractRule(LintRule):
     """Registered components honour their family's contract.
 
@@ -114,8 +107,8 @@ class RegistryContractRule(LintRule):
     accept only surfaces at run time, deep inside a training run.
     """
 
-    severity = "error"
-    description = "registration vs implementation contract drift"
+    code = "RPR002"
+    name = "registry-contract"
 
     def check_project(self, project):
         yield from self._check_collisions(project)
@@ -281,7 +274,6 @@ def signature_problems(base: FuncSig, override: FuncSig) -> list[str]:
     return problems
 
 
-@register_rule("signature-drift", code="RPR003")
 class SignatureDriftRule(LintRule):
     """Overrides stay call-compatible with the base / canonical protocol.
 
@@ -293,8 +285,8 @@ class SignatureDriftRule(LintRule):
     resolves a different implementation.
     """
 
-    severity = "error"
-    description = "method override incompatible with base signature"
+    code = "RPR003"
+    name = "signature-drift"
 
     def check_module(self, module, project):
         for info in module.classes.values():
@@ -381,7 +373,6 @@ _DUNDER_PROTOCOL_RAISES = {
 }
 
 
-@register_rule("error-taxonomy", code="RPR004")
 class ErrorTaxonomyRule(LintRule):
     """Raises use the ``ReproError`` taxonomy; no swallowed broad excepts.
 
@@ -395,8 +386,8 @@ class ErrorTaxonomyRule(LintRule):
     on, and callers catching the base class would silently miss it.
     """
 
-    severity = "error"
-    description = "ad-hoc builtin raises / broad exception handling"
+    code = "RPR004"
+    name = "error-taxonomy"
 
     def check_module(self, module, project):
         yield from self._visit(module, project, module.tree, None)
@@ -495,7 +486,6 @@ class ErrorTaxonomyRule(LintRule):
                         module, node,
                         f"broad `except {name}` — narrow to the exceptions "
                         "this block can actually recover from",
-                        severity="warn",
                     )
                 else:
                     yield self.finding(
@@ -525,7 +515,6 @@ _DTYPE_FUNCS = {
 }
 
 
-@register_rule("serialization-dtype", code="RPR005")
 class SerializationDtypeRule(LintRule):
     """Format-defining numpy calls pass an explicit ``dtype=``.
 
@@ -536,8 +525,8 @@ class SerializationDtypeRule(LintRule):
     default to shift.
     """
 
-    severity = "error"
-    description = "implicit dtype in serialization code"
+    code = "RPR005"
+    name = "serialization-dtype"
 
     def check_module(self, module, project):
         if not relpath_matches(module.relpath, _FORMAT_MODULES):
@@ -596,19 +585,20 @@ def _mentions_array_size(node: ast.AST) -> bool:
     return False
 
 
-@register_rule("hot-path-purity", code="RPR006")
 class HotPathPurityRule(LintRule):
-    """Warn on per-element Python loops / ``tolist`` in kernel modules.
+    """No per-element Python loops / ``tolist`` in kernel modules.
 
     The lock-step engine's whole premise is that each step costs a few
     numpy kernel launches, not |walkers| interpreter iterations. A
     ``for i in range(arr.size)`` or ``.tolist()`` in these modules is
-    either setup code (fine — baseline it) or an accidental O(n)
-    fallback on the sampling path (the thing this rule exists to catch).
+    either setup code (fine — suppress it inline, saying why) or an
+    accidental O(n) fallback on the sampling path (the thing this rule
+    exists to catch). A ``range`` whose step is not a literal 1 walks
+    chunks, not elements, and passes.
     """
 
-    severity = "warn"
-    description = "per-element Python in vectorized kernel modules"
+    code = "RPR006"
+    name = "hot-path-purity"
 
     def check_module(self, module, project):
         if not relpath_matches(module.relpath, _KERNEL_MODULES):
@@ -639,7 +629,14 @@ class HotPathPurityRule(LintRule):
                 f"per-element {leaf}() loop in a kernel module; vectorize "
                 "or hoist out of the hot path",
             )
-        elif leaf == "range" and any(_mentions_array_size(a) for a in it.args):
+        elif (
+            leaf == "range"
+            and any(_mentions_array_size(a) for a in it.args)
+            # a step other than a literal 1 walks chunks, not elements
+            and (len(it.args) < 3 or (
+                isinstance(it.args[2], ast.Constant) and it.args[2].value == 1
+            ))
+        ):
             yield self.finding(
                 module, node,
                 "range() loop over an array extent in a kernel module; "
@@ -651,3 +648,13 @@ class HotPathPurityRule(LintRule):
                 f"Python iteration over np.{leaf}() output in a kernel "
                 "module; vectorize or hoist out of the hot path",
             )
+
+
+RULES = (
+    RngDisciplineRule(),
+    RegistryContractRule(),
+    SignatureDriftRule(),
+    ErrorTaxonomyRule(),
+    SerializationDtypeRule(),
+    HotPathPurityRule(),
+)

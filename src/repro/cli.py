@@ -474,66 +474,19 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import AnalysisError, load_baseline, run_lint, save_baseline
+    from repro.analysis import AnalysisError, run_lint
 
-    root = Path.cwd()
-    baseline_path = Path(args.baseline) if args.baseline else None
-    baseline = None
     try:
-        if baseline_path is not None and not args.update_baseline:
-            baseline = load_baseline(baseline_path)
-        report = run_lint(
-            args.paths, root=root,
-            select=args.select, ignore=args.ignore, baseline=baseline,
-        )
+        report = run_lint(args.paths, root=Path.cwd())
     except AnalysisError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        if baseline_path is None:
-            print("error: --update-baseline needs --baseline PATH", file=sys.stderr)
-            return 2
-        save_baseline(baseline_path, report.findings)
-        print(f"baseline written to {baseline_path} ({len(report.findings)} finding(s))")
-        return 0
-    failed = report.failed(baseline_mode=baseline is not None)
-    if args.format == "json":
-        print(json.dumps({
-            "version": 1,
-            "files": report.files,
-            "rules": report.rules,
-            "findings": [f.to_json() for f in report.findings],
-            "baselined": len(report.baselined),
-            "unused_baseline": [
-                {"code": code, "path": rel, "message": message, "count": count}
-                for (code, rel, message), count in sorted(report.unused_baseline.items())
-            ],
-            "parse_errors": [
-                {"path": path, "message": message}
-                for path, message in report.parse_errors
-            ],
-            "exit": 1 if failed else 0,
-        }, indent=2))
-        return 1 if failed else 0
     for path, message in report.parse_errors:
-        print(f"{path}:1:1: PARSE error: cannot parse file: {message}")
+        print(f"{path}:1:1: PARSE cannot parse file: {message}")
     for finding in report.findings:
         print(finding.render())
-    for (code, rel, message), count in sorted(report.unused_baseline.items()):
-        print(f"{rel}: {code} baseline entry unused ({count} more than fired): {message}")
-    if report.unused_baseline:
-        print(
-            f"unused entries in baseline {baseline_path}: {len(report.unused_baseline)}; "
-            "rewrite it with --update-baseline"
-        )
-    new = " new" if baseline is not None else ""
-    print(
-        f"checked {report.files} file(s) with {len(report.rules)} rule(s): "
-        f"{len(report.findings)}{new} finding(s) "
-        f"({len(report.errors)} error(s), {len(report.warnings)} warning(s))"
-        + (f", {len(report.baselined)} baselined" if baseline is not None else "")
-    )
-    return 1 if failed else 0
+    print(f"checked {report.files} file(s): {len(report.findings)} finding(s)")
+    return 1 if report.failed else 0
 
 
 def _parse_override(item: str):
@@ -689,33 +642,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repo's AST-based invariant checker (rules RPR001-RPR006)",
+        help="run the repo's AST-based invariant checker (rules RPR001-RPR006); "
+        "every finding fails unless its line says # repro-lint: ignore[CODE]",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to check (default: src)",
-    )
-    lint.add_argument(
-        "--select", action="append", default=[], metavar="RULE",
-        help="run only these rules (by code RPR00x or name; repeatable)",
-    )
-    lint.add_argument(
-        "--ignore", action="append", default=[], metavar="RULE",
-        help="skip these rules (by code or name; repeatable)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline JSON of accepted findings; with it, ANY non-baselined "
-        "finding (warnings included) fails the lint, and so does an entry "
-        "no finding uses",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline PATH from the current findings and exit 0",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="output format (json emits one machine-readable document)",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser

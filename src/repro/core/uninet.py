@@ -245,7 +245,11 @@ class UniNet:
         The graph is merge-rebuilt, the model rebound, and the persistent
         M-H chain store, once a :meth:`refresh_embeddings` has created
         one, remapped: only chains whose resident edge the delta touched
-        are invalidated (the paper's tableless-update advantage).
+        are invalidated (the paper's tableless-update advantage). The
+        store's growth is charged to the facade's ``budget`` before the
+        graph is swapped, so a refused charge
+        (:class:`~repro.errors.SimulatedOutOfMemoryError`) leaves the
+        facade on its old graph.
 
         Embeddings become *stale* after an update — :meth:`serve`
         refuses them until :meth:`refresh_embeddings` (or a full
@@ -269,12 +273,14 @@ class UniNet:
             delta = GraphDelta.from_dict(delta)
         t0 = time.perf_counter()
         plan = DeltaPlan.build(self.graph, delta)
+        refresh_info = {"invalidated_states": 0, "rebuilt_nodes": 0, "rebuild_cost_bytes": 0}
+        if self._chain_store is not None:
+            # first: a budget that refuses the store's growth leaves the
+            # facade on its old graph
+            refresh_info = self._chain_store.on_delta(plan, self.model)
         self.graph = plan.new_graph
         self.model.rebind(plan.new_graph)
         self._graph_epoch += 1
-        refresh_info = {"invalidated_states": 0, "rebuilt_nodes": 0, "rebuild_cost_bytes": 0}
-        if self._chain_store is not None:
-            refresh_info = self._chain_store.on_delta(plan, self.model)
         new_nodes = np.arange(plan.old_graph.num_nodes, plan.new_graph.num_nodes, dtype=np.int64)
         affected = np.union1d(delta.touched_endpoints(), new_nodes).astype(np.int64)
         self._affected = (

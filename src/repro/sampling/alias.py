@@ -151,7 +151,8 @@ class AliasTables:
             )
         built = 0
         cursor = 0
-        for j, idx in enumerate(build_idx):
+        # one Vose construction per table, each over its own row length
+        for j, idx in enumerate(build_idx):  # repro-lint: ignore[RPR006]
             d = int(deg[j])
             row_w = weights[cursor : cursor + d]
             cursor += d

@@ -51,13 +51,12 @@ def _invalidate_touched(vals: np.ndarray, plan) -> np.ndarray:
 def remap_chain_array(last: np.ndarray, model, plan) -> tuple[np.ndarray, int]:
     """Carry an M-H chain array (LAST_x per state) across a graph delta.
 
-    ``model`` must already be rebound to ``plan.new_graph`` (its state
-    space sizes the output). First-order state indices are node-major,
-    so every old index keeps its place and new nodes append NO_EDGE
-    slots; second-order indices are edge offsets and follow
-    :meth:`DeltaPlan.edge_remap`. Returns the new chain array and the
-    number of previously-initialised chains that were invalidated
-    (resident edge touched, or defining edge removed).
+    ``model.state_space_size(plan.new_graph)`` sizes the output.
+    First-order state indices are node-major, so every old index keeps
+    its place and new nodes append NO_EDGE slots; second-order indices
+    are edge offsets and follow :meth:`DeltaPlan.edge_remap`. Returns the
+    new chain array and the number of previously-initialised chains that
+    were invalidated (resident edge touched, or defining edge removed).
     """
     new_last = np.full(int(model.state_space_size(plan.new_graph)), NO_EDGE, dtype=np.int64)
     resident = _invalidate_touched(last, plan)
@@ -92,10 +91,15 @@ class ChainStore:
         :meth:`~repro.walks.models.base.RandomWalkModel.kernel_spec`.
         Anything that moves a chain without knowing the new weight must
         write NaN into the matching slot.
+
+    With a ``budget`` the store is charged its bytes when built, and
+    :meth:`on_delta` charges what it grows by and releases what it
+    shrinks by, so the budget's share always equals :meth:`memory_bytes`.
     """
 
     def __init__(self, graph, model, *, budget=None):
         self.size = int(model.state_space_size(graph))
+        self._budget = budget
         if budget is not None:
             budget.charge(mh_bytes(graph, model), "mh-chains")
         self.last = np.full(self.size, NO_EDGE, dtype=np.int64)
@@ -116,12 +120,17 @@ class ChainStore:
         """Revalidate every chain across a graph delta (in place).
 
         ``plan`` is a :class:`~repro.graph.delta.DeltaPlan`; ``model``
-        defaults to the bound model, which must already be rebound to
-        ``plan.new_graph``. The array is resized to the new state space
-        and only chains whose resident or defining edge was touched are
-        invalidated; everything else keeps its (remapped) sample.
+        defaults to the bound model. The array is resized to the new
+        state space and only chains whose resident or defining edge was
+        touched are invalidated; everything else keeps its (remapped)
+        sample. Growth is charged to the budget first: a refused charge
+        raises :class:`~repro.errors.SimulatedOutOfMemoryError` with the
+        store unchanged.
         """
         model = self._model if model is None else model
+        grow = mh_bytes(plan.new_graph, model) - self.memory_bytes()
+        if self._budget is not None and grow > 0:
+            self._budget.charge(grow, "mh-chains")
         new_last, invalidated = remap_chain_array(self.last, model, plan)
         self.last = new_last
         # the weight cache cannot survive a delta: a reweighted edge (or,
@@ -131,6 +140,8 @@ class ChainStore:
         self.last_w = np.full(new_last.size, np.nan, dtype=np.float64)
         self.size = new_last.size
         self._model = model
+        if self._budget is not None and grow < 0:
+            self._budget.release(-grow)
         return {
             "invalidated_states": invalidated,
             "rebuilt_nodes": 0,

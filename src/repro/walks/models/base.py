@@ -109,8 +109,8 @@ class RandomWalkModel(abc.ABC):
     def state_space_size(self, graph) -> int:
         """#state (Table I): |V| for first-order, |E| for second-order."""
         if self.order == 1:
-            return self.graph.num_nodes
-        return self.graph.num_edge_entries
+            return graph.num_nodes
+        return graph.num_edge_entries
 
     def state_table_degrees(self, graph) -> np.ndarray:
         """Alias-table size (current node's degree) per flat state index."""

@@ -69,7 +69,7 @@ class MetaPath2Vec(RandomWalkModel):
         return cur * self.graph.num_node_types + wanted
 
     def state_space_size(self, graph) -> int:
-        return self.graph.num_nodes * self.graph.num_node_types
+        return graph.num_nodes * graph.num_node_types
 
     def state_table_degrees(self, graph) -> np.ndarray:
         # v-major layout: states (v, 0..|Φ|-1) share v's degree

@@ -690,6 +690,60 @@ class TestBudgetedFacade:
             # the persistent chain store, charged once when it was created
             assert budget.used_bytes == engine_bytes
 
+    @staticmethod
+    def _net_with_a_chain_store(graph, model, budget):
+        """A trained facade whose refresh has built its chain store."""
+        from repro import UniNet
+
+        net = UniNet(graph, model, budget=budget, seed=1)
+        net.train(1, 5, dimensions=8)
+        absent = next(v for v in range(1, graph.num_nodes) if not graph.has_edge(0, v))
+        net.update(GraphDelta.add_edges([0], [absent]))
+        net.refresh_embeddings(num_walks=1, walk_length=5)
+        assert net._chain_store is not None
+        return net
+
+    @pytest.mark.parametrize("model", ["deepwalk", "node2vec"])
+    def test_the_charge_follows_the_chain_store_across_updates(self, model):
+        from repro.sampling.memory_model import MemoryBudget
+
+        graph = erdos_renyi(200, 6, seed=0)
+        budget = MemoryBudget(10**6)
+        net = self._net_with_a_chain_store(graph, model, budget)
+        store = net._chain_store
+        assert budget.used_bytes == store.memory_bytes()
+        # deepwalk's store grows with the nodes, node2vec's shrinks with
+        # the edges: both are charged or handed back as they happen
+        before = store.memory_bytes()
+        if model == "deepwalk":
+            delta = GraphDelta(add_nodes=50)
+        else:
+            src, dst = net.graph.edge_sources(), net.graph.targets
+            keep = src < dst
+            delta = GraphDelta.remove_edges(src[keep][:20], dst[keep][:20])
+        net.update(delta)
+        assert budget.used_bytes == store.memory_bytes()
+        assert (store.memory_bytes() > before) == (model == "deepwalk")
+        net.refresh_embeddings(num_walks=1, walk_length=5, start_nodes=[0, 1])
+        assert budget.used_bytes == store.memory_bytes()
+
+    def test_a_refused_growth_leaves_the_facade_on_its_old_graph(self):
+        from repro.errors import SimulatedOutOfMemoryError
+        from repro.sampling.memory_model import MemoryBudget, mh_bytes
+
+        graph = erdos_renyi(200, 6, seed=0)
+        store_bytes = mh_bytes(graph, make_model("deepwalk", graph))
+        budget = MemoryBudget(2 * store_bytes)
+        net = self._net_with_a_chain_store(graph, "deepwalk", budget)
+        old_graph = net.graph
+        with pytest.raises(SimulatedOutOfMemoryError):
+            net.update(GraphDelta(add_nodes=250))
+        assert net.graph is old_graph and net.model.graph is old_graph
+        assert net._chain_store.memory_bytes() == budget.used_bytes == store_bytes
+        corpus = net.generate_walks(1, 5)
+        assert corpus.walks.shape[0] == old_graph.num_nodes
+        assert budget.used_bytes == store_bytes
+
     def test_a_budget_below_one_engine_raises_on_the_first_walk(self, graph):
         from repro import UniNet
         from repro.errors import SimulatedOutOfMemoryError
